@@ -16,7 +16,7 @@
 //! run in the same process on the same input as the shipped "after"
 //! path, so the pair differs only by the fix.
 
-use data_roundabout::tcp_backend::{
+use data_roundabout::frame::{
     encode_envelope, encode_envelope_into, write_frames_vectored, KIND_ENVELOPE,
 };
 use data_roundabout::{Envelope, FragmentId, FrameDecoder, WirePayload};
@@ -250,7 +250,7 @@ fn delta_group(report: &mut Report, budget: Budget, smoke: bool) {
         after,
     ));
 
-    // --- tcp_backend.rs: fresh undersized per-envelope Vec + body staging.
+    // --- frame.rs: fresh undersized per-envelope Vec + body staging.
     let env = Envelope::new(FragmentId(3), HostId(1), 4, rel.clone());
     let old = old_encode_envelope(9, &env);
     let new = encode_envelope(9, &env).unwrap_or_default();

@@ -57,8 +57,9 @@ OPTIONS:
                          (sim, tcp and reactor backends only)
     --handshake-timeout <D>  tcp/reactor mesh handshake deadline, D with an
                          ns/us/ms/s suffix, bare numbers ms (default 5s)
-    --watchdog <D>       tcp/reactor stall watchdog — tear the ring down
-                         after D without protocol progress (default 10s)
+    --watchdog <D>       wall-clock stall watchdog (tcp, reactor, multi-tenant
+                         threads) — tear the ring down after D without an
+                         event (default 10s)
     --measured           wall-clock-measure real compute instead of modeling
     --threaded           alias for --backend threads
     --no-verify          skip the reference-join verification

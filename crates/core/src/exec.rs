@@ -5,8 +5,8 @@
 //! the same joins on the real-thread backend for live validation.
 
 use data_roundabout::{
-    FaultPlan, HostId, RegisteredPool, RescalePlan, RingApp, RingConfig, RingError, RingMetrics,
-    SimRing,
+    BlockingEngine, FaultPlan, HostId, ReactorEngine, RegisteredPool, RescalePlan, RingApp,
+    RingConfig, RingError, RingMetrics, SimRing, SocketEngine, SocketRingDriver,
 };
 use mem_joins::{
     Algorithm, JoinCollector, JoinPredicate, OutputMode, PreparedFragment, StationaryState,
@@ -443,14 +443,33 @@ pub(crate) fn execute_threaded(
     })
 }
 
-/// Which driver realizes the loopback-TCP wire protocol: the blocking
-/// thread-per-endpoint driver, or the single-threaded event-loop reactor.
-/// Both speak identical frames and dice, so everything in
-/// [`execute_tcp`] above the driver construction is shared.
+/// Which engine drives the loopback-TCP wire protocol: the blocking
+/// thread-per-endpoint one, or the single-threaded event-loop reactor.
+/// Both are the same [`SocketRingDriver`] speaking identical frames and
+/// dice, so everything around the run call is shared by [`execute_tcp`]
+/// and the multi-tenant path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum SocketBackend {
     Blocking,
     Reactor,
+}
+
+/// The socket driver on engine `E` with the optional plans attached — all
+/// a [`SocketBackend`] arm has to spell out besides the run call.
+pub(crate) fn socket_driver<'a, E: SocketEngine>(
+    config: &'a RingConfig,
+    fault_plan: Option<&'a FaultPlan>,
+    rescale_plan: Option<&'a RescalePlan>,
+    trace: bool,
+) -> SocketRingDriver<'a, E> {
+    let mut driver = SocketRingDriver::new(config).with_tracer(trace);
+    if let Some(plan) = fault_plan {
+        driver = driver.with_fault_plan(plan);
+    }
+    if let Some(plan) = rescale_plan {
+        driver = driver.with_rescale_plan(plan);
+    }
+    driver
 }
 
 /// Runs cyclo-join over real loopback TCP sockets. Setup and span
@@ -550,24 +569,12 @@ pub(crate) fn execute_tcp(
 
     let (mut metrics, mut ring_spans) = match flavor {
         SocketBackend::Blocking => {
-            let mut driver = data_roundabout::TcpRingDriver::new(config).with_tracer(trace);
-            if let Some(plan) = fault_plan {
-                driver = driver.with_fault_plan(plan);
-            }
-            if let Some(plan) = rescale_plan {
-                driver = driver.with_rescale_plan(plan);
-            }
-            driver.run_with_roles(fragments, join_visit, absorb)?
+            socket_driver::<BlockingEngine>(config, fault_plan, rescale_plan, trace)
+                .run_with_roles(fragments, join_visit, absorb)?
         }
         SocketBackend::Reactor => {
-            let mut driver = data_roundabout::ReactorRingDriver::new(config).with_tracer(trace);
-            if let Some(plan) = fault_plan {
-                driver = driver.with_fault_plan(plan);
-            }
-            if let Some(plan) = rescale_plan {
-                driver = driver.with_rescale_plan(plan);
-            }
-            driver.run_with_roles(fragments, join_visit, absorb)?
+            socket_driver::<ReactorEngine>(config, fault_plan, rescale_plan, trace)
+                .run_with_roles(fragments, join_visit, absorb)?
         }
     };
     let mut spans = if trace {

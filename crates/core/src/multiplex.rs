@@ -37,8 +37,8 @@
 //! ```
 
 use data_roundabout::{
-    FaultPlan, HostId, PayloadBytes, QueryMetrics, ReactorRingDriver, RescalePlan, RingApp,
-    RingConfig, RingDriver, RingMetrics, SimRing, TcpRingDriver,
+    BlockingEngine, FaultPlan, HostId, PayloadBytes, QueryMetrics, ReactorEngine, RescalePlan,
+    RingApp, RingConfig, RingDriver, RingMetrics, SimRing,
 };
 use mem_joins::{
     Algorithm, JoinCollector, JoinPredicate, OutputMode, PreparedFragment, StationaryState,
@@ -50,7 +50,7 @@ use simnet::time::{SimDuration, SimTime};
 use data_roundabout::sync::Mutex;
 
 use crate::compute::ComputeMode;
-use crate::exec::registration_cost;
+use crate::exec::{registration_cost, socket_driver, SocketBackend};
 use crate::plan::PlanError;
 
 /// One tenant's join: `rotating ⋈ stationary` under `predicate`.
@@ -394,7 +394,7 @@ impl MultiTenantJoin {
     ///
     /// As [`MultiTenantJoin::run`], plus socket-level errors.
     pub fn run_tcp(&self) -> Result<MultiTenantReport, PlanError> {
-        self.run_sockets(SocketFlavor::Blocking)
+        self.run_sockets(SocketBackend::Blocking)
     }
 
     /// Runs the batch over real loopback TCP sockets on the epoll-style
@@ -404,10 +404,10 @@ impl MultiTenantJoin {
     ///
     /// As [`MultiTenantJoin::run_tcp`].
     pub fn run_reactor(&self) -> Result<MultiTenantReport, PlanError> {
-        self.run_sockets(SocketFlavor::Reactor)
+        self.run_sockets(SocketBackend::Reactor)
     }
 
-    fn run_sockets(&self, flavor: SocketFlavor) -> Result<MultiTenantReport, PlanError> {
+    fn run_sockets(&self, flavor: SocketBackend) -> Result<MultiTenantReport, PlanError> {
         self.validate()?;
         let hosts = self.config.hosts;
         let threads = self.config.join_threads;
@@ -455,42 +455,24 @@ impl MultiTenantJoin {
             }
         };
         let queries = query_fragments(&runs);
-        let run = |queries| match flavor {
-            SocketFlavor::Blocking => {
-                let mut driver = TcpRingDriver::new(&self.config).with_tracer(self.trace);
-                if let Some(plan) = self.fault_plan.as_ref() {
-                    driver = driver.with_fault_plan(plan);
-                }
-                if let Some(plan) = self.rescale_plan.as_ref() {
-                    driver = driver.with_rescale_plan(plan);
-                }
-                driver.run_queries(queries, self.max_active, visit, absorb)
+        let (fault, rescale) = (self.fault_plan.as_ref(), self.rescale_plan.as_ref());
+        let (metrics, spans) = match flavor {
+            SocketBackend::Blocking => {
+                socket_driver::<BlockingEngine>(&self.config, fault, rescale, self.trace)
+                    .run_queries(queries, self.max_active, visit, absorb)
             }
-            SocketFlavor::Reactor => {
-                let mut driver = ReactorRingDriver::new(&self.config).with_tracer(self.trace);
-                if let Some(plan) = self.fault_plan.as_ref() {
-                    driver = driver.with_fault_plan(plan);
-                }
-                if let Some(plan) = self.rescale_plan.as_ref() {
-                    driver = driver.with_rescale_plan(plan);
-                }
-                driver.run_queries(queries, self.max_active, visit, absorb)
+            SocketBackend::Reactor => {
+                socket_driver::<ReactorEngine>(&self.config, fault, rescale, self.trace)
+                    .run_queries(queries, self.max_active, visit, absorb)
             }
-        };
-        let (metrics, spans) = run(queries).map_err(PlanError::Backend)?;
+        }
+        .map_err(PlanError::Backend)?;
         Ok(assemble_report(
             metrics,
             spans,
             drain_grid(runs, collectors),
         ))
     }
-}
-
-/// Which socket driver realizes a wall-clock multiplexed run.
-#[derive(Debug, Clone, Copy)]
-enum SocketFlavor {
-    Blocking,
-    Reactor,
 }
 
 /// A tenant's prepared runtime material, shared by all backends.

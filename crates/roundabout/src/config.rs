@@ -41,9 +41,10 @@ pub struct RingConfig {
     /// exchange on each mesh connection before declaring setup failed.
     /// Ignored by the simulated and in-process thread backends.
     pub handshake_timeout: SimDuration,
-    /// Wall-clock TCP driver watchdog: a run making no protocol progress
-    /// for this long is torn down as stalled instead of hanging the
-    /// process. Ignored by the simulated and in-process thread backends.
+    /// Wall-clock driver watchdog: a coordinated run (both TCP drivers, and
+    /// the thread backend's rescale and multi-tenant engine) that sees no
+    /// event for this long is torn down as stalled instead of hanging the
+    /// process. Ignored by the simulated backend.
     pub watchdog: SimDuration,
 }
 
@@ -121,7 +122,7 @@ impl RingConfig {
         self
     }
 
-    /// Builder-style override of the TCP driver stall watchdog.
+    /// Builder-style override of the wall-clock drivers' stall watchdog.
     pub fn with_watchdog(mut self, watchdog: SimDuration) -> Self {
         self.watchdog = watchdog;
         self

@@ -1,0 +1,1849 @@
+//! The one coordinator behind the three wall-clock drivers.
+//!
+//! The sans-IO [`crate::protocol`] core emits an ordered stream of
+//! [`Output`]s; something has to turn each of them into IO. For the
+//! wall-clock drivers — blocking TCP ([`crate::tcp_backend`]), the
+//! reactor ([`crate::reactor_backend`]) and the thread backend's
+//! coordinated engine ([`crate::thread_backend`]) — that something is
+//! `Coordinator`, and it exists exactly once:
+//!
+//! * it owns the [`RingProtocol`], the optional [`FaultPlan`] dice, the
+//!   [`SpanTracer`] and every counter call site, the wall-clock
+//!   accumulators behind [`RingMetrics`], the first-error latch and the
+//!   queue of synchronous follow-up `Event`s;
+//! * it applies outputs strictly in emission order (`Coordinator::apply`)
+//!   and translates driver events back into protocol [`Input`]s with one
+//!   crash-guard policy (`Coordinator::handle`): joins and fault-plan
+//!   events die with a crashed host; wire deliveries, send completions and
+//!   protocol ticks always reach the protocol;
+//! * everything that differs between the engines sits behind the five
+//!   calls of the crate-private `Medium` trait, dispatched statically.
+//!
+//! The simulator is deliberately *not* a `Medium`: its applier
+//! interleaves cost-model charges and virtual-time scheduling with the
+//! dispatch, keeps a second text tracer with pinned strings, and panics
+//! on [`Output::Teardown`] by contract — sharing would make this code
+//! branch on its caller.
+//!
+//! Alongside the coordinator live the pieces every engine used to carry a
+//! copy of: plan and shape validation (`validate`), the quiet-dice rule
+//! (`dice`), the guarded job runner (`run_job` / `worker_loop`), the
+//! deadline-ordered `timer_loop`, and the generic socket driver
+//! ([`SocketRingDriver`]) that `TcpRingDriver` and `ReactorRingDriver`
+//! are names for.
+
+use std::borrow::Cow;
+use std::collections::VecDeque;
+use std::marker::PhantomData;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::time::{Duration, Instant};
+
+use simnet::fault::{FaultPlan, RescalePlan};
+use simnet::span::{counter, SpanKind, SpanTracer, Track};
+use simnet::time::{SimDuration, SimTime};
+use simnet::topology::HostId;
+
+use crate::config::RingConfig;
+use crate::envelope::{Envelope, FragmentId, PayloadBytes};
+use crate::error::RingError;
+use crate::frame::{Frame, WirePayload};
+use crate::metrics::RingMetrics;
+use crate::protocol::{
+    envelope_batches, query_batches, teardown, Input, Output, ProtocolConfig, RingProtocol, Timer,
+};
+use crate::reactor_backend::ReactorEngine;
+use crate::tcp_backend::BlockingEngine;
+use crate::thread_backend::{single_host_run, ErrorCollector, JoinStats};
+
+/// Watchdog teardown reason (driver-side; not part of the protocol's
+/// teardown cascade).
+pub(crate) const STALLED: &str = "ring stalled: no event arrived within the watchdog window";
+/// Invariant: [`Output::StartJoin`] always has a payload in the slot.
+const EMPTY_SLOT: &str = "StartJoin with an empty processing slot";
+/// Invariant: [`Output::Ack`] is only emitted while a delivery is being
+/// processed, which names the acking host.
+const ACK_OUT_OF_CONTEXT: &str = "ack emitted outside a delivery context";
+/// The one capability difference between the engines: the channel wire of
+/// the thread backend has no socket to sever and no salvage path.
+const NO_HOST_FAULTS: &str =
+    "the threaded backend supports link loss, corruption and delay spikes (plus planned rescale \
+     and multiplexing); host crashes and pauses need ring healing — use the simulated, tcp or \
+     reactor backends";
+
+// ---------------------------------------------------------------------------
+// What circulates, and what the plans may ask for
+// ---------------------------------------------------------------------------
+
+/// What circulates on the ring: one query's envelopes (the classic path)
+/// or several pre-numbered queries plus an admission bound.
+pub enum Workload<P> {
+    /// `envelopes[h]` are host `h`'s local envelopes.
+    Single(Vec<Vec<Envelope<P>>>),
+    /// Several multiplexed queries.
+    Multi {
+        /// `(tenant, envelopes)` per query, numbered by
+        /// [`query_batches`].
+        queries: Vec<(u32, Vec<Vec<Envelope<P>>>)>,
+        /// How many queries may circulate concurrently.
+        max_active: usize,
+    },
+}
+
+/// Checks a run's configuration, fragment shapes and plans before any
+/// thread or socket exists. `queries` holds each query's per-host
+/// fragment lists (one entry on a single-query run); `admission` is
+/// `Some(max_active)` on a multiplexed run; `host_faults` says whether
+/// the engine can realize crashes and pauses.
+///
+/// # Errors
+///
+/// [`RingError::Config`] for an invalid configuration,
+/// [`RingError::Shape`] when a fragment list disagrees with the host
+/// count, and [`RingError::UnsupportedFault`] for plans the engine cannot
+/// realize: more than 64 hosts with a plan or multiplexing, host faults on
+/// an engine without them, a crash or rescale on a single-host ring,
+/// plans naming hosts outside the ring, a standby host that contributes
+/// fragments, or a multiplexed run without queries, admission slots or a
+/// second host.
+pub(crate) fn validate<P>(
+    config: &RingConfig,
+    fault: Option<&FaultPlan>,
+    rescale: Option<&RescalePlan>,
+    queries: &[&[Vec<P>]],
+    admission: Option<usize>,
+    host_faults: bool,
+) -> Result<(), RingError> {
+    config.validate()?;
+    let n = config.hosts;
+    if let Some(fragments) = queries.iter().find(|f| f.len() != n) {
+        return Err(RingError::Shape {
+            expected: n,
+            got: fragments.len(),
+        });
+    }
+    let crashes = fault.map(FaultPlan::crashes).unwrap_or_default();
+    let pauses = fault.map(FaultPlan::pauses).unwrap_or_default();
+    let joins = rescale.map(RescalePlan::joins).unwrap_or_default();
+    let drains = rescale.map(RescalePlan::drains).unwrap_or_default();
+    let in_ring = |h: HostId| h.0 < n;
+    let contributes = |h: HostId| {
+        queries
+            .iter()
+            .any(|f| f.get(h.0).is_some_and(|local| !local.is_empty()))
+    };
+    let rules = [
+        (
+            admission.is_some() && n < 2,
+            "multiplexing needs a ring of at least two hosts",
+        ),
+        (
+            admission.is_some_and(|max_active| queries.is_empty() || max_active == 0),
+            "a multi-tenant run needs at least one query and a positive admission bound",
+        ),
+        (
+            n > 64 && (fault.is_some() || rescale.is_some() || admission.is_some()),
+            "the exactly-once role bitmask supports at most 64 hosts",
+        ),
+        (
+            !(host_faults || crashes.is_empty() && pauses.is_empty()),
+            NO_HOST_FAULTS,
+        ),
+        (
+            n == 1 && !crashes.is_empty(),
+            "a single-host ring cannot heal around its own crash",
+        ),
+        (
+            !crashes.iter().all(|c| in_ring(c.host)) || !pauses.iter().all(|p| in_ring(p.host)),
+            "fault plan names a host outside the ring",
+        ),
+        (
+            n == 1 && !(joins.is_empty() && drains.is_empty()),
+            "a single-host ring has no membership to rescale",
+        ),
+        (
+            !joins.iter().all(|j| in_ring(j.host)) || !drains.iter().all(|d| in_ring(d.host)),
+            "rescale plan names a host outside the ring",
+        ),
+        (
+            joins.iter().any(|j| contributes(j.host)),
+            "a standby host must not contribute fragments before joining",
+        ),
+    ];
+    match rules.iter().find(|(broken, _)| *broken) {
+        Some(&(_, why)) => Err(RingError::UnsupportedFault(why)),
+        None => Ok(()),
+    }
+}
+
+/// The dice a run rolls per attempt. Rescale and multi-tenant rotation
+/// ride the reliable transport: without explicit adversity the medium
+/// still needs (quiet) dice and the acked hop protocol. `None` means the
+/// classic unguarded transport.
+pub(crate) fn dice<'a>(
+    fault: Option<&'a FaultPlan>,
+    rescale: Option<&RescalePlan>,
+    multi: bool,
+) -> Option<Cow<'a, FaultPlan>> {
+    match (fault, rescale) {
+        (Some(plan), _) => Some(Cow::Borrowed(plan)),
+        (None, Some(r)) => Some(Cow::Owned(FaultPlan::seeded(r.seed()))),
+        (None, None) => multi.then(|| Cow::Owned(FaultPlan::seeded(0))),
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Jobs, timers and events: the vocabulary between coordinator and engines
+// ---------------------------------------------------------------------------
+
+/// Work for a host's join worker.
+pub(crate) enum Job<P> {
+    /// Join one fragment against the host's stationary state.
+    Join {
+        payload: P,
+        /// Which multiplexed query the fragment belongs to (0 on
+        /// single-query runs).
+        query: u32,
+        roles: Option<Vec<usize>>,
+        id: FragmentId,
+        hop: usize,
+    },
+    /// Rebuild the stationary state of `roles` at this host.
+    Absorb {
+        dead: HostId,
+        roles: Vec<usize>,
+        /// True for a planned rescale handoff (the donor is alive) rather
+        /// than a crash-healing absorb; labels only — the protocol input
+        /// is the same.
+        planned: bool,
+    },
+}
+
+/// A finished [`Job`].
+pub(crate) struct JobDone {
+    pub(crate) host: HostId,
+    pub(crate) spent: Duration,
+    pub(crate) panicked: bool,
+    pub(crate) what: Done,
+}
+
+/// Which job finished.
+pub(crate) enum Done {
+    Join {
+        id: FragmentId,
+        hop: usize,
+    },
+    Absorb {
+        dead: HostId,
+        roles: usize,
+        planned: bool,
+    },
+}
+
+/// Runs one job at `host`, guarding the user callbacks: a panic inside
+/// one must become a typed teardown error, not a dead worker.
+pub(crate) fn run_job<P, F, A>(host: HostId, job: Job<P>, visit: &F, absorb: &A) -> JobDone
+where
+    F: Fn(HostId, u32, &[usize], &P),
+    A: Fn(HostId, usize),
+{
+    let started = Instant::now();
+    let (outcome, what) = match job {
+        Job::Join {
+            payload,
+            query,
+            roles,
+            id,
+            hop,
+        } => (
+            catch_unwind(AssertUnwindSafe(|| {
+                visit(host, query, roles.as_deref().unwrap_or(&[host.0]), &payload)
+            })),
+            Done::Join { id, hop },
+        ),
+        Job::Absorb {
+            dead,
+            roles,
+            planned,
+        } => (
+            catch_unwind(AssertUnwindSafe(|| {
+                roles.iter().for_each(|&role| absorb(host, role))
+            })),
+            Done::Absorb {
+                dead,
+                roles: roles.len(),
+                planned,
+            },
+        ),
+    };
+    JobDone {
+        host,
+        spent: started.elapsed(),
+        panicked: outcome.is_err(),
+        what,
+    }
+}
+
+/// One host's join worker: runs jobs off its queue until the queue closes
+/// or `report` says the coordinator is gone.
+pub(crate) fn worker_loop<P, F, A>(
+    host: HostId,
+    jobs: impl Iterator<Item = Job<P>>,
+    mut report: impl FnMut(Event<P>) -> bool,
+    visit: &F,
+    absorb: &A,
+) where
+    F: Fn(HostId, u32, &[usize], &P),
+    A: Fn(HostId, usize),
+{
+    for job in jobs {
+        if !report(Event::Job(run_job(host, job, visit, absorb))) {
+            return;
+        }
+    }
+}
+
+/// Timers are protocol backoffs plus the fault and rescale plans'
+/// scheduled events, all realized on the medium's one timer mechanism.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum TimerKind {
+    Protocol(Timer),
+    Crash(HostId),
+    Pause(HostId),
+    Resume(HostId),
+    JoinRequest(HostId),
+    DrainRequest(HostId),
+}
+
+/// What the coordinator hears from an engine (and from itself: media
+/// queue synchronous follow-ups in the same shape).
+pub(crate) enum Event<P> {
+    /// A frame came off the wire at host `at`.
+    Frame { at: HostId, frame: Frame<P> },
+    /// The wire that carried `from`'s last send is free again.
+    SendDone { from: HostId },
+    /// A worker finished a job.
+    Job(JobDone),
+    /// A timer armed through [`Medium::arm`] fired.
+    Timer(TimerKind),
+    /// The engine hit an unrecoverable error.
+    Fatal(RingError),
+}
+
+/// The queue of synchronous follow-up events, handled before the engine
+/// blocks for the next external one.
+pub(crate) type Pending<P> = VecDeque<Event<P>>;
+
+/// The outcome of one timed receive, whatever channel it came from.
+pub(crate) enum Recv<T> {
+    Item(T),
+    Timeout,
+    Closed,
+}
+
+/// What an engine provides: how bytes, jobs and timers actually move.
+/// Calls arrive in [`Output`] order; anything a call completes on the
+/// spot is queued on `next` instead of re-entering the coordinator.
+pub(crate) trait Medium<P> {
+    /// Puts one live attempt on the `from → to` wire, no earlier than
+    /// `delay` from now (a fault-plan delay spike). The medium owes one
+    /// [`Event::SendDone`] for `from` once the wire is free again.
+    fn transmit(
+        &mut self,
+        from: HostId,
+        to: HostId,
+        tid: u64,
+        env: Envelope<P>,
+        delay: Duration,
+        next: &mut Pending<P>,
+    ) -> Result<(), RingError>;
+
+    /// Sends the acknowledgement for `tid` from `at` back to its sender.
+    fn ack(
+        &mut self,
+        at: HostId,
+        to: HostId,
+        tid: u64,
+        next: &mut Pending<P>,
+    ) -> Result<(), RingError>;
+
+    /// Hands `job` to `host`'s worker; the medium owes one [`Event::Job`].
+    fn start(&mut self, host: HostId, job: Job<P>, next: &mut Pending<P>) -> Result<(), RingError>;
+
+    /// Fires [`Event::Timer`] with `timer` after `delay`.
+    fn arm(&mut self, delay: Duration, timer: TimerKind);
+
+    /// Cuts `host`'s outgoing wires, behind whatever it already committed
+    /// to them (an attempt reported live must still arrive).
+    fn sever(&mut self, host: HostId, next: &mut Pending<P>);
+}
+
+// ---------------------------------------------------------------------------
+// Timers: one loop, ordered by (deadline, arm sequence)
+// ---------------------------------------------------------------------------
+
+/// The wall-clock timer thread of the channel-fed engines: `now` reads
+/// the clock, `recv` waits up to the given duration for the next
+/// `(deadline, item)` to arm, `fire` delivers a due item and says whether
+/// anyone still listens.
+///
+/// Timers are kept in `(deadline, arm sequence)` order — the reactor
+/// wheel's and the simulator's order — so a thread that oversleeps several
+/// deadlines still releases them by deadline, not by when they were armed.
+pub(crate) fn timer_loop<T>(
+    now: impl Fn() -> Instant,
+    mut recv: impl FnMut(Duration) -> Recv<(Instant, T)>,
+    mut fire: impl FnMut(T) -> bool,
+) {
+    let mut armed: VecDeque<(Instant, T)> = VecDeque::new();
+    loop {
+        while armed.front().is_some_and(|(due, _)| *due <= now()) {
+            if !armed.pop_front().is_some_and(|(_, item)| fire(item)) {
+                return;
+            }
+        }
+        let wait = armed.front().map_or(Duration::from_secs(3600), |(due, _)| {
+            due.saturating_duration_since(now())
+        });
+        match recv(wait) {
+            Recv::Item((deadline, item)) => {
+                let behind = armed.partition_point(|(due, _)| *due <= deadline);
+                armed.insert(behind, (deadline, item));
+            }
+            Recv::Timeout => {}
+            Recv::Closed => return,
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The coordinator
+// ---------------------------------------------------------------------------
+
+/// The single place where a protocol [`Output`] turns into IO.
+pub(crate) struct Coordinator<'a, P, M> {
+    pub(crate) proto: RingProtocol<P>,
+    pub(crate) medium: M,
+    pub(crate) pending: Pending<P>,
+    plan: Option<&'a FaultPlan>,
+    errors: ErrorCollector,
+    fatal: bool,
+    tracer: SpanTracer,
+    epoch: Instant,
+    wall_ack_timeout: Duration,
+    config: &'a RingConfig,
+    busy: Vec<Duration>,
+    last_done: Vec<Instant>,
+    bytes_forwarded: Vec<u64>,
+    last_progress: Instant,
+    crash_at: Vec<Option<Instant>>,
+    detection_latency: SimDuration,
+}
+
+impl<'a, P: PayloadBytes + Clone, M: Medium<P>> Coordinator<'a, P, M> {
+    /// Builds the protocol for `workload` (reliable iff `plan` is set),
+    /// arms the plans' scheduled events on `medium` — crashes, pauses,
+    /// joins, drains, as offsets from this instant — and reports every
+    /// host set up, so the first joins and sends are already applied when
+    /// this returns.
+    pub(crate) fn new(
+        config: &'a RingConfig,
+        plan: Option<&'a FaultPlan>,
+        rescale: Option<&RescalePlan>,
+        workload: Workload<P>,
+        trace: bool,
+        medium: M,
+    ) -> Self {
+        let n = config.hosts;
+        let proto_cfg = ProtocolConfig {
+            hosts: n,
+            buffers_per_host: config.buffers_per_host,
+            max_retransmits: config.max_retransmits,
+            continuous: false,
+            reliable: plan.is_some(),
+            standby: rescale.map_or(0, RescalePlan::standby_mask),
+        };
+        let proto = match workload {
+            Workload::Single(envelopes) => RingProtocol::new(proto_cfg, envelopes),
+            Workload::Multi {
+                queries,
+                max_active,
+            } => RingProtocol::new_multi(proto_cfg, queries, max_active),
+        };
+        let epoch = Instant::now();
+        let mut co = Coordinator {
+            proto,
+            medium,
+            pending: VecDeque::new(),
+            plan,
+            errors: ErrorCollector::default(),
+            fatal: false,
+            tracer: if trace {
+                SpanTracer::enabled()
+            } else {
+                SpanTracer::disabled()
+            },
+            epoch,
+            wall_ack_timeout: Duration::from_secs_f64(config.ack_timeout.as_secs_f64()),
+            config,
+            busy: vec![Duration::ZERO; n],
+            last_done: vec![epoch; n],
+            bytes_forwarded: vec![0; n],
+            last_progress: epoch,
+            crash_at: vec![None; n],
+            detection_latency: SimDuration::ZERO,
+        };
+        if let Some(plan) = plan {
+            for c in plan.crashes() {
+                co.arm_at(c.at, TimerKind::Crash(c.host));
+            }
+            for p in plan.pauses() {
+                co.arm_at(p.at, TimerKind::Pause(p.host));
+                co.arm_at(p.at + p.duration, TimerKind::Resume(p.host));
+            }
+        }
+        if let Some(plan) = rescale {
+            for j in plan.joins() {
+                co.arm_at(j.at, TimerKind::JoinRequest(j.host));
+            }
+            for d in plan.drains() {
+                co.arm_at(d.at, TimerKind::DrainRequest(d.host));
+            }
+        }
+        for h in 0..n {
+            co.input(Input::SetupDone { host: HostId(h) }, None);
+        }
+        co
+    }
+
+    /// Arms `kind` for the plan instant `at`, interpreted as wall-clock
+    /// time since the run's epoch.
+    fn arm_at(&mut self, at: SimTime, kind: TimerKind) {
+        let deadline = self.epoch + Duration::from(at.saturating_duration_since(SimTime::ZERO));
+        self.medium
+            .arm(deadline.saturating_duration_since(Instant::now()), kind);
+    }
+
+    /// True once every fragment retired or the run failed.
+    pub(crate) fn done(&self) -> bool {
+        self.fatal || self.proto.fragments_completed() >= self.proto.fragments_total()
+    }
+
+    pub(crate) fn fail(&mut self, error: RingError) {
+        self.errors.record(error);
+        self.fatal = true;
+    }
+
+    /// The event loop of the channel-fed engines: follow-ups first, then
+    /// whatever `recv` (a timed receive on the engine's event channel)
+    /// yields, until the run is [`done`](Self::done). Silence for a whole
+    /// watchdog window tears the run down as stalled.
+    pub(crate) fn run(&mut self, mut recv: impl FnMut(Duration) -> Recv<Event<P>>) {
+        let watchdog = Duration::from(self.config.watchdog);
+        while !self.done() {
+            let event = match self.pending.pop_front() {
+                Some(event) => event,
+                None => match recv(watchdog) {
+                    Recv::Item(event) => event,
+                    Recv::Timeout => return self.fail(RingError::Teardown(STALLED)),
+                    Recv::Closed => return self.fail(RingError::Teardown(teardown::RING_CLOSED)),
+                },
+            };
+            self.handle(event);
+        }
+    }
+
+    /// Translates one event into a protocol [`Input`] and applies what
+    /// the protocol answers.
+    pub(crate) fn handle(&mut self, event: Event<P>) {
+        match event {
+            Event::Frame { at, frame } => self.on_frame(at, frame),
+            Event::SendDone { from } => self.input(Input::SendDone { from }, None),
+            Event::Job(done) => self.on_job_done(done),
+            Event::Timer(kind) => self.on_timer(kind),
+            Event::Fatal(error) => self.fail(error),
+        }
+    }
+
+    /// The first error, or the finished run in the common metrics shape
+    /// with the tracer closed out (every well-known counter materialized,
+    /// so trace consumers see zeros observed rather than missing).
+    // analyze: allow(panic, reason = "protocol invariant: per-host tables are sized to the ring at construction and HostId never exceeds it")
+    pub(crate) fn finish(self) -> Result<(RingMetrics, SpanTracer), RingError> {
+        if let Some(error) = self.errors.first() {
+            return Err(error);
+        }
+        let n = self.proto.config().hosts;
+        let mut hosts = Vec::with_capacity(n);
+        for h in 0..n {
+            let host = HostId(h);
+            let window = self.last_done[h].saturating_duration_since(self.epoch);
+            let stats = JoinStats {
+                busy: self.busy[h],
+                sync: window.saturating_sub(self.busy[h]),
+                window,
+                processed: self.proto.host(host).fragments_processed(),
+            };
+            hosts.push(stats.into_metrics(
+                self.config,
+                self.bytes_forwarded[h],
+                self.proto.retransmits(host),
+                self.proto.checksum_mismatches(host),
+            ));
+        }
+        let metrics = RingMetrics {
+            hosts,
+            wall_clock: self
+                .last_progress
+                .saturating_duration_since(self.epoch)
+                .into(),
+            fragments_completed: self.proto.fragments_completed(),
+            heal_events: self.proto.heal_events(),
+            detection_latency: self.detection_latency,
+            fragments_resent: self.proto.fragments_resent(),
+            membership_epoch: self.proto.membership_epoch(),
+            rescale_joins: self.proto.rescale_joins(),
+            rescale_drains: self.proto.rescale_drains(),
+            rescale_handoffs: self.proto.rescale_handoffs(),
+            rescale_escalations: self.proto.rescale_escalations(),
+            queries: self.proto.query_metrics(),
+        };
+        let mut tracer = self.tracer;
+        for name in [
+            counter::ENVELOPES_SENT,
+            counter::ENVELOPES_RECEIVED,
+            counter::FRAGMENTS_RETIRED,
+            counter::RETRANSMITS,
+            counter::CHECKSUM_MISMATCHES,
+            counter::HEAL_EVENTS,
+            counter::FRAGMENTS_RESENT,
+            counter::RESCALE_JOINS,
+            counter::RESCALE_DRAINS,
+            counter::RESCALE_HANDOFFS,
+        ] {
+            tracer.count(name, 0);
+        }
+        Ok((metrics, tracer))
+    }
+
+    fn now_stamp(&self) -> SimTime {
+        SimTime::from_nanos(SimDuration::from(self.epoch.elapsed()).as_nanos())
+    }
+
+    /// Records one instant event when tracing is on; the name is only
+    /// formatted then.
+    fn note(&mut self, host: Option<HostId>, track: Track, name: impl FnOnce() -> String) {
+        if self.tracer.is_enabled() {
+            let at = self.now_stamp();
+            self.tracer.event(host.map(|h| h.0), track, name(), at);
+        }
+    }
+
+    fn progressed(&mut self) {
+        self.last_progress = self.last_progress.max(Instant::now());
+    }
+
+    fn input(&mut self, input: Input<P>, ctx: Option<HostId>) {
+        let outputs = self.proto.input(input);
+        self.apply(outputs, ctx);
+    }
+
+    fn on_frame(&mut self, at: HostId, frame: Frame<P>) {
+        match frame {
+            Frame::Envelope { tid, env } => {
+                self.input(Input::Delivered { to: at, env, tid }, Some(at));
+            }
+            Frame::Ack { tid } => self.input(Input::Ack { tid }, None),
+            Frame::Hello { .. } => self.fail(RingError::Socket("mid-run hello frame")),
+        }
+    }
+
+    // analyze: allow(panic, reason = "protocol invariant: per-host tables are sized to the ring at construction and HostId never exceeds it")
+    fn on_job_done(&mut self, done: JobDone) {
+        let JobDone {
+            host,
+            spent,
+            panicked,
+            what,
+        } = done;
+        if self.proto.is_crashed(host) {
+            // The work died with the host; healing salvages its envelope.
+            return;
+        }
+        if panicked {
+            return self.fail(RingError::Teardown(teardown::CALLBACK_PANICKED));
+        }
+        self.busy[host.0] += spent;
+        let now = Instant::now();
+        self.last_done[host.0] = now;
+        self.last_progress = self.last_progress.max(now);
+        let start = SimTime::from_nanos(
+            SimDuration::from(
+                now.saturating_duration_since(self.epoch)
+                    .saturating_sub(spent),
+            )
+            .as_nanos(),
+        );
+        match what {
+            Done::Join { id, hop } => {
+                if self.tracer.is_enabled() {
+                    self.tracer.span_with_hop(
+                        host.0,
+                        SpanKind::Join,
+                        format!("join {id}"),
+                        start,
+                        spent.into(),
+                        Some(hop),
+                    );
+                }
+                self.input(
+                    Input::JoinDone {
+                        host,
+                        app_finished: false,
+                    },
+                    None,
+                );
+            }
+            Done::Absorb {
+                dead,
+                roles,
+                planned,
+            } => {
+                if self.tracer.is_enabled() {
+                    let name = if planned {
+                        format!("handoff {roles} role(s) from host {}", dead.0)
+                    } else {
+                        format!("absorb {roles} role(s) of host {}", dead.0)
+                    };
+                    self.tracer
+                        .span(host.0, SpanKind::Absorb, name, start, spent.into());
+                }
+                self.input(Input::AbsorbDone { host }, None);
+            }
+        }
+    }
+
+    fn on_timer(&mut self, kind: TimerKind) {
+        let (host, name, input) = match kind {
+            TimerKind::Protocol(timer) => return self.input(Input::Tick { timer }, None),
+            TimerKind::Crash(host) => return self.crash(host),
+            TimerKind::Pause(host) => (host, "paused", Input::Paused { host }),
+            TimerKind::Resume(host) => (host, "resumed", Input::Resumed { host }),
+            TimerKind::JoinRequest(host) => (host, "join requested", Input::JoinRequest { host }),
+            TimerKind::DrainRequest(host) => {
+                (host, "drain requested", Input::DrainRequest { host })
+            }
+        };
+        if self.proto.is_crashed(host) {
+            return;
+        }
+        self.note(Some(host), Track::Control, || name.to_string());
+        self.input(input, None);
+    }
+
+    /// Realizes a scheduled crash: sever the host's outgoing wires, then
+    /// report the ground truth to the protocol. What still reaches the
+    /// dead host feeds the protocol's salvage path.
+    // analyze: allow(panic, reason = "protocol invariant: per-host tables are sized to the ring at construction and HostId never exceeds it")
+    fn crash(&mut self, host: HostId) {
+        if self.proto.is_crashed(host) {
+            return;
+        }
+        self.crash_at[host.0] = Some(Instant::now());
+        self.note(Some(host), Track::Control, || "crashed".to_string());
+        self.medium.sever(host, &mut self.pending);
+        self.input(Input::PeerDead { host }, None);
+    }
+
+    fn start(&mut self, host: HostId, job: Job<P>) {
+        if let Err(error) = self.medium.start(host, job, &mut self.pending) {
+            self.fail(error);
+        }
+    }
+
+    /// Applies protocol outputs strictly in emission order. `ctx` names
+    /// the host whose delivery is being processed — the only context in
+    /// which the protocol emits [`Output::Ack`].
+    // analyze: allow(panic, reason = "protocol invariant: per-host tables are sized to the ring at construction and HostId never exceeds it")
+    fn apply(&mut self, outputs: Vec<Output<P>>, ctx: Option<HostId>) {
+        for output in outputs {
+            if self.fatal {
+                return;
+            }
+            match output {
+                Output::StartJoin {
+                    host,
+                    id,
+                    hop,
+                    roles,
+                    bytes: _,
+                } => {
+                    let Some(payload) = self.proto.processing_payload(host).cloned() else {
+                        return self.fail(RingError::Teardown(EMPTY_SLOT));
+                    };
+                    let query = self.proto.processing_query(host);
+                    self.start(
+                        host,
+                        Job::Join {
+                            payload,
+                            query,
+                            roles,
+                            id,
+                            hop,
+                        },
+                    );
+                }
+                Output::PassThrough { host, id } => {
+                    self.note(Some(host), Track::Join, || format!("pass-through {id}"));
+                }
+                Output::Processed { .. } => {}
+                Output::Send {
+                    from,
+                    to,
+                    tid,
+                    attempt,
+                    env,
+                } => self.apply_send(from, to, tid, attempt, env),
+                Output::Ack { to, tid } => {
+                    let sent = match ctx {
+                        Some(at) => self.medium.ack(at, to, tid, &mut self.pending),
+                        None => Err(RingError::Teardown(ACK_OUT_OF_CONTEXT)),
+                    };
+                    if let Err(error) = sent {
+                        self.fail(error);
+                    }
+                }
+                Output::ArmTimer { timer, backoff_exp } => {
+                    let delay = self
+                        .wall_ack_timeout
+                        .saturating_mul(1u32 << backoff_exp.min(31));
+                    self.medium.arm(delay, TimerKind::Protocol(timer));
+                }
+                Output::Delivered { host, id, bytes: _ } => {
+                    self.note(Some(host), Track::Receiver, || format!("recv {id}"));
+                    self.tracer.count(counter::ENVELOPES_RECEIVED, 1);
+                }
+                Output::DuplicateDropped { host, id } => {
+                    self.note(Some(host), Track::Receiver, || {
+                        format!("duplicate {id} dropped")
+                    });
+                }
+                Output::ChecksumMismatch { host, id } => {
+                    self.note(Some(host), Track::Receiver, || {
+                        format!("checksum mismatch {id}")
+                    });
+                    self.tracer.count(counter::CHECKSUM_MISMATCHES, 1);
+                }
+                Output::Retire { host, id, salvaged } => {
+                    self.progressed();
+                    self.note(Some(host), Track::Join, || {
+                        if salvaged {
+                            format!("retired {id} (salvaged)")
+                        } else {
+                            format!("retired {id}")
+                        }
+                    });
+                    self.tracer.count(counter::FRAGMENTS_RETIRED, 1);
+                }
+                Output::Heal { dead } => {
+                    // A heal without a scheduled crash is an escalated
+                    // drain: nothing to measure detection against.
+                    let latency = self.crash_at[dead.0]
+                        .map_or(SimDuration::ZERO, |at| SimDuration::from(at.elapsed()));
+                    self.detection_latency = self.detection_latency.max(latency);
+                    self.note(None, Track::Control, || {
+                        format!("heal: host {} confirmed dead", dead.0)
+                    });
+                    self.tracer.count(counter::HEAL_EVENTS, 1);
+                }
+                Output::Absorb {
+                    survivor,
+                    dead,
+                    roles,
+                } => self.start(
+                    survivor,
+                    Job::Absorb {
+                        dead,
+                        roles,
+                        planned: false,
+                    },
+                ),
+                Output::Activate { host, epoch } => {
+                    self.progressed();
+                    self.note(Some(host), Track::Control, || {
+                        format!("activated (epoch {epoch})")
+                    });
+                    self.tracer.count(counter::RESCALE_JOINS, 1);
+                }
+                Output::Handoff { from, to, roles } => {
+                    self.tracer
+                        .count(counter::RESCALE_HANDOFFS, roles.len() as u64);
+                    self.start(
+                        to,
+                        Job::Absorb {
+                            dead: from,
+                            roles,
+                            planned: true,
+                        },
+                    );
+                }
+                Output::Departed { host, epoch } => {
+                    self.progressed();
+                    // The drainee left the ring for good: retire its
+                    // outgoing wires (behind anything it still owed).
+                    // Nobody routes to it any more.
+                    self.medium.sever(host, &mut self.pending);
+                    self.note(Some(host), Track::Control, || {
+                        format!("departed (epoch {epoch})")
+                    });
+                    self.tracer.count(counter::RESCALE_DRAINS, 1);
+                }
+                Output::Resent { target, id } => {
+                    self.note(Some(target), Track::Control, || {
+                        format!("re-sent {id} from origin")
+                    });
+                    self.tracer.count(counter::FRAGMENTS_RESENT, 1);
+                }
+                Output::Finished { .. } => {}
+                Output::QueryAdmitted { query, tenant } => {
+                    self.progressed();
+                    self.note(None, Track::Control, || {
+                        format!("query {query} (tenant {tenant}) admitted")
+                    });
+                    self.tracer.count(counter::QUERIES_ADMITTED, 1);
+                }
+                Output::QueryDone { query, tenant } => {
+                    self.progressed();
+                    self.note(None, Track::Control, || {
+                        format!("query {query} (tenant {tenant}) complete")
+                    });
+                    self.tracer.count(counter::QUERIES_COMPLETED, 1);
+                }
+                Output::Teardown { reason } => self.fail(RingError::Teardown(reason)),
+            }
+        }
+    }
+
+    /// Puts one attempt of a transfer toward the wire: rolls the fault
+    /// dice (the medium's business, not the protocol's), reports the fate
+    /// back, and hands a live attempt to the medium.
+    // analyze: allow(panic, reason = "protocol invariant: per-host tables are sized to the ring at construction and HostId never exceeds it")
+    fn apply_send(&mut self, from: HostId, to: HostId, tid: u64, attempt: u32, env: Envelope<P>) {
+        self.bytes_forwarded[from.0] += env.bytes();
+        let mut wire = env;
+        let mut dropped = false;
+        let mut delay = Duration::ZERO;
+        if let Some(plan) = self.plan {
+            // Dice keyed on the per-sender wire sequence (`env.seq`), the
+            // numbering all four backends share — the parity suite
+            // depends on this.
+            let seq = wire.seq;
+            dropped = plan.should_drop(from, seq, attempt);
+            let corrupt = !dropped && plan.should_corrupt(from, seq, attempt);
+            delay = Duration::from(plan.delay_spike(from, seq, attempt));
+            self.proto.attempt_fate(tid, dropped, corrupt);
+            if corrupt {
+                // In-flight bit flips: the receiver's checksum
+                // verification rejects the copy and withholds the ack.
+                wire.checksum = !wire.checksum;
+            }
+        }
+        if attempt == 1 {
+            self.tracer.count(counter::ENVELOPES_SENT, 1);
+        } else {
+            self.note(Some(from), Track::Transmitter, || {
+                format!("retransmit {} attempt {attempt}", wire.id)
+            });
+            self.tracer.count(counter::RETRANSMITS, 1);
+        }
+        if dropped {
+            // The medium ate this attempt before it reached the wire; the
+            // sender's NIC still reports its wire free.
+            self.pending.push_back(Event::SendDone { from });
+        } else if let Err(error) =
+            self.medium
+                .transmit(from, to, tid, wire, delay, &mut self.pending)
+        {
+            self.fail(error);
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The socket driver: one builder, two engines
+// ---------------------------------------------------------------------------
+
+/// The seal on [`SocketEngine`]: nameable inside this crate only.
+pub trait Sealed {}
+impl Sealed for BlockingEngine {}
+impl Sealed for ReactorEngine {}
+
+/// How a socket driver runs a validated, non-degenerate ring: the blocking
+/// thread-per-endpoint engine or the single-threaded reactor. Both speak
+/// the frames of [`crate::frame`] and roll the same dice, so everything in
+/// [`SocketRingDriver`] above this call is shared.
+///
+/// Sealed: [`BlockingEngine`] and [`ReactorEngine`] are the engines there
+/// are; the trait is public only so the driver's two names can be.
+pub trait SocketEngine: Sealed {
+    /// Runs `workload` on a ring of at least two hosts to completion.
+    /// `plan` is the effective dice (`None` means the classic unguarded
+    /// transport).
+    ///
+    /// # Errors
+    ///
+    /// [`RingError::Socket`] when the loopback mesh cannot be built, and
+    /// [`RingError::Frame`] / [`RingError::Teardown`] when the run dies
+    /// mid-revolution.
+    fn run_mesh<P, F, A>(
+        config: &RingConfig,
+        plan: Option<&FaultPlan>,
+        rescale: Option<&RescalePlan>,
+        trace: bool,
+        workload: Workload<P>,
+        visit: &F,
+        absorb: &A,
+    ) -> Result<(RingMetrics, SpanTracer), RingError>
+    where
+        P: WirePayload + Send + Clone,
+        F: Fn(HostId, u32, &[usize], &P) + Sync,
+        A: Fn(HostId, usize) + Sync;
+}
+
+/// Builder for a ring run over loopback TCP sockets, generic over the
+/// engine that drives them. Use it through its two names,
+/// [`TcpRingDriver`](crate::TcpRingDriver) and
+/// [`ReactorRingDriver`](crate::ReactorRingDriver).
+pub struct SocketRingDriver<'a, E> {
+    config: &'a RingConfig,
+    fault_plan: Option<&'a FaultPlan>,
+    rescale_plan: Option<&'a RescalePlan>,
+    trace: bool,
+    engine: PhantomData<E>,
+}
+
+impl<E> Clone for SocketRingDriver<'_, E> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<E> Copy for SocketRingDriver<'_, E> {}
+
+impl<'a, E: SocketEngine> SocketRingDriver<'a, E> {
+    /// A driver for `config` with the classic transport and no tracing.
+    pub fn new(config: &'a RingConfig) -> Self {
+        SocketRingDriver {
+            config,
+            fault_plan: None,
+            rescale_plan: None,
+            trace: false,
+            engine: PhantomData,
+        }
+    }
+
+    /// Runs the ring over the unreliable medium described by `plan`, with
+    /// every hop protected by the protocol core's acknowledged transport.
+    /// Scheduled crashes become real socket severs and mid-revolution
+    /// ring healing; `config.ack_timeout` is interpreted in wall-clock
+    /// time (choose it to comfortably exceed a loopback round trip plus
+    /// coordinator latency, or losses masquerade as timeouts).
+    pub fn with_fault_plan(mut self, plan: &'a FaultPlan) -> Self {
+        self.fault_plan = Some(plan);
+        self
+    }
+
+    /// Attaches a planned [`RescalePlan`]: standby hosts joining and
+    /// members draining out mid-workload over the live socket mesh. Hosts
+    /// with a scheduled join start as provisioned standbys outside the
+    /// ring (their mesh connections are built up front and spliced into
+    /// the rotation at activation); a completed drain retires the
+    /// drainee's connections with a real FIN. Attaching a rescale plan
+    /// switches the transport into its reliable mode even without a fault
+    /// plan. Schedule instants are interpreted in wall-clock time.
+    pub fn with_rescale_plan(mut self, plan: &'a RescalePlan) -> Self {
+        self.rescale_plan = Some(plan);
+        self
+    }
+
+    /// Enables structured span recording for this run.
+    pub fn with_tracer(mut self, trace: bool) -> Self {
+        self.trace = trace;
+        self
+    }
+
+    /// Runs the ring to completion. `fragments[h]` are host `h`'s local
+    /// fragments; `process` is invoked once per (host, envelope) visit.
+    ///
+    /// # Errors
+    ///
+    /// As [`SocketRingDriver::run_with_roles`].
+    pub fn run<P, F>(
+        self,
+        fragments: Vec<Vec<P>>,
+        process: F,
+    ) -> Result<(RingMetrics, SpanTracer), RingError>
+    where
+        P: WirePayload + Send + Clone,
+        F: Fn(HostId, &P) + Sync,
+    {
+        self.run_with_roles(
+            fragments,
+            |host, _roles, payload| process(host, payload),
+            |_, _| {},
+        )
+    }
+
+    /// Like [`SocketRingDriver::run`], but role-aware for healing runs:
+    /// `visit(host, roles, payload)` applies the named logical stationary
+    /// roles (the host's own, plus any absorbed from dead hosts), and
+    /// `absorb(survivor, role)` performs the state takeover when the ring
+    /// heals around a confirmed death.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`RingError::Config`] for an invalid configuration,
+    /// [`RingError::Shape`] when `fragments.len() != config.hosts`,
+    /// [`RingError::UnsupportedFault`] for plans this backend cannot
+    /// realize (more than 64 hosts with a plan, a crash or rescale on a
+    /// single-host ring, plans naming hosts outside the ring, a standby
+    /// that contributes fragments), [`RingError::Socket`] when the
+    /// loopback mesh cannot be built, and [`RingError::Frame`] /
+    /// [`RingError::Teardown`] when the run dies mid-revolution
+    /// (undecodable bytes, a panicking callback, an exhausted
+    /// retransmission budget on a live ring, or a stall).
+    pub fn run_with_roles<P, F, A>(
+        self,
+        fragments: Vec<Vec<P>>,
+        visit: F,
+        absorb: A,
+    ) -> Result<(RingMetrics, SpanTracer), RingError>
+    where
+        P: WirePayload + Send + Clone,
+        F: Fn(HostId, &[usize], &P) + Sync,
+        A: Fn(HostId, usize) + Sync,
+    {
+        validate(
+            self.config,
+            self.fault_plan,
+            self.rescale_plan,
+            &[&fragments],
+            None,
+            true,
+        )?;
+        let n = self.config.hosts;
+        let envelopes = envelope_batches(fragments, n);
+        if n == 1 {
+            // A single-host "ring" has no sockets to run; share the
+            // thread backend's local path.
+            return single_host_run(envelopes, |h, p| visit(h, &[0], p), self.trace);
+        }
+        let plan = dice(self.fault_plan, self.rescale_plan, false);
+        E::run_mesh(
+            self.config,
+            plan.as_deref(),
+            self.rescale_plan,
+            self.trace,
+            Workload::Single(envelopes),
+            &|host, _query: u32, roles: &[usize], payload: &P| visit(host, roles, payload),
+            &absorb,
+        )
+    }
+
+    /// Runs several queries multiplexed over one ring of real sockets.
+    /// `queries[q]` is `(tenant, fragments)` with `fragments[h]` host
+    /// `h`'s local fragments for query `q`; at most `max_active` queries
+    /// circulate concurrently, the rest wait in the admission queue.
+    /// `visit(host, query, roles, payload)` joins one fragment of `query`
+    /// against the named stationary roles; `absorb(survivor, role)`
+    /// rebuilds a dead host's state (for every query) when the ring
+    /// heals. Always uses the reliable acked transport (quiet dice are
+    /// synthesized without a fault plan).
+    ///
+    /// # Errors
+    ///
+    /// As [`SocketRingDriver::run_with_roles`], plus
+    /// [`RingError::UnsupportedFault`] on a single-host ring, an empty
+    /// query list or a zero `max_active`.
+    pub fn run_queries<P, F, A>(
+        self,
+        queries: Vec<(u32, Vec<Vec<P>>)>,
+        max_active: usize,
+        visit: F,
+        absorb: A,
+    ) -> Result<(RingMetrics, SpanTracer), RingError>
+    where
+        P: WirePayload + Send + Clone,
+        F: Fn(HostId, u32, &[usize], &P) + Sync,
+        A: Fn(HostId, usize) + Sync,
+    {
+        let shapes: Vec<&[Vec<P>]> = queries.iter().map(|(_, f)| f.as_slice()).collect();
+        validate(
+            self.config,
+            self.fault_plan,
+            self.rescale_plan,
+            &shapes,
+            Some(max_active),
+            true,
+        )?;
+        let plan = dice(self.fault_plan, self.rescale_plan, true);
+        E::run_mesh(
+            self.config,
+            plan.as_deref(),
+            self.rescale_plan,
+            self.trace,
+            Workload::Multi {
+                queries: query_batches(queries, self.config.hosts),
+                max_active,
+            },
+            &visit,
+            &absorb,
+        )
+    }
+}
+
+/// What every [`SocketEngine`] owes its users, as generic test bodies:
+/// each engine's test module instantiates them, so the blocking and the
+/// reactor engine are held to the same assertions.
+#[cfg(test)]
+pub(crate) mod socket_suite {
+    use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Mutex;
+
+    pub(crate) fn payloads(hosts: usize, per_host: usize, bytes: usize) -> Vec<Vec<Vec<u8>>> {
+        (0..hosts)
+            .map(|h| {
+                (0..per_host)
+                    .map(|i| vec![(h * 31 + i) as u8; bytes])
+                    .collect()
+            })
+            .collect()
+    }
+
+    pub(crate) fn every_host_sees_every_fragment<E: SocketEngine>() {
+        let hosts = 3;
+        let counts: Vec<AtomicUsize> = (0..hosts).map(|_| AtomicUsize::new(0)).collect();
+        let (metrics, _) = SocketRingDriver::<E>::new(&RingConfig::paper(hosts))
+            .run(payloads(hosts, 2, 64), |h, _| {
+                counts[h.0].fetch_add(1, Ordering::SeqCst);
+            })
+            .unwrap();
+        assert_eq!(metrics.fragments_completed, 6);
+        for c in &counts {
+            assert_eq!(c.load(Ordering::SeqCst), 6);
+        }
+        for h in &metrics.hosts {
+            assert_eq!(h.fragments_processed, 6);
+        }
+        assert_eq!(
+            metrics.total_bytes_forwarded() as usize,
+            6 * 64 * (hosts - 1)
+        );
+        assert!(metrics.fault_free());
+    }
+
+    pub(crate) fn single_host_ring_needs_no_sockets<E: SocketEngine>() {
+        let n = AtomicUsize::new(0);
+        let (metrics, _) = SocketRingDriver::<E>::new(&RingConfig::paper(1))
+            .run(payloads(1, 4, 32), |_, _| {
+                n.fetch_add(1, Ordering::SeqCst);
+            })
+            .unwrap();
+        assert_eq!(metrics.fragments_completed, 4);
+        assert_eq!(n.load(Ordering::SeqCst), 4);
+    }
+
+    pub(crate) fn shape_and_config_errors_are_typed<E: SocketEngine>() {
+        let err = SocketRingDriver::<E>::new(&RingConfig::paper(3))
+            .run(payloads(2, 1, 8), |_, _| {})
+            .unwrap_err();
+        assert!(matches!(
+            err,
+            RingError::Shape {
+                expected: 3,
+                got: 2
+            }
+        ));
+        let bad = RingConfig::paper(0);
+        let err = SocketRingDriver::<E>::new(&bad)
+            .run(vec![], |_: HostId, _: &Vec<u8>| {})
+            .unwrap_err();
+        assert!(matches!(err, RingError::Config(_)));
+    }
+
+    pub(crate) fn out_of_ring_faults_are_rejected<E: SocketEngine>() {
+        let plan = FaultPlan::seeded(1).crash_host(HostId(9), SimTime::from_nanos(1));
+        let err = SocketRingDriver::<E>::new(&RingConfig::paper(2))
+            .with_fault_plan(&plan)
+            .run(payloads(2, 1, 8), |_, _| {})
+            .unwrap_err();
+        assert!(matches!(err, RingError::UnsupportedFault(_)));
+    }
+
+    pub(crate) fn lossy_and_corrupt_links_are_repaired<E: SocketEngine>() {
+        let hosts = 3;
+        let plan = FaultPlan::seeded(7)
+            .lossy_link(HostId(0), 0.3)
+            .corrupt_link(HostId(1), 0.3);
+        let config = RingConfig::paper(hosts)
+            .with_ack_timeout(SimDuration::from_millis(40))
+            .with_max_retransmits(10);
+        let counts: Vec<AtomicUsize> = (0..hosts).map(|_| AtomicUsize::new(0)).collect();
+        let (metrics, _) = SocketRingDriver::<E>::new(&config)
+            .with_fault_plan(&plan)
+            .run(payloads(hosts, 3, 256), |h, _| {
+                counts[h.0].fetch_add(1, Ordering::SeqCst);
+            })
+            .unwrap();
+        assert_eq!(metrics.fragments_completed, 9);
+        for c in &counts {
+            assert_eq!(c.load(Ordering::SeqCst), 9);
+        }
+        let retransmits: u64 = metrics.hosts.iter().map(|h| h.retransmits).sum();
+        assert!(retransmits > 0, "a 30% loss rate must provoke retransmits");
+    }
+
+    pub(crate) fn crash_heals_mid_revolution<E: SocketEngine>() {
+        let hosts = 4;
+        let per_host = 2;
+        let total = hosts * per_host;
+        let plan = FaultPlan::seeded(4242).crash_host(HostId(2), SimTime::from_nanos(4_000_000));
+        let config = RingConfig::paper(hosts)
+            .with_ack_timeout(SimDuration::from_millis(8))
+            .with_max_retransmits(3);
+        // One exactly-once cell per (fragment, logical role).
+        let applied: Vec<Vec<AtomicUsize>> = (0..total)
+            .map(|_| (0..hosts).map(|_| AtomicUsize::new(0)).collect())
+            .collect();
+        // Every state takeover the ring asks for: (survivor, role).
+        let absorbed = Mutex::new(Vec::new());
+        let (metrics, _) = SocketRingDriver::<E>::new(&config)
+            .with_fault_plan(&plan)
+            .run_with_roles(
+                payloads(hosts, per_host, 128),
+                |_, roles, payload| {
+                    // Identify the fragment by its payload fill byte.
+                    let frag = payload.first().copied().unwrap_or(0) as usize;
+                    let frag = (0..hosts)
+                        .flat_map(|h| (0..per_host).map(move |i| (h, i)))
+                        .position(|(h, i)| h * 31 + i == frag)
+                        .unwrap();
+                    for &r in roles {
+                        applied[frag][r].fetch_add(1, Ordering::SeqCst);
+                    }
+                    std::thread::sleep(Duration::from_micros(500));
+                },
+                |survivor, role| absorbed.lock().unwrap().push((survivor, role)),
+            )
+            .unwrap();
+        assert_eq!(metrics.fragments_completed, total);
+        assert_eq!(metrics.heal_events, 1, "one confirmed death");
+        // One dead host with one role: one takeover, by a live host.
+        let absorbed = absorbed.into_inner().unwrap();
+        assert!(
+            matches!(absorbed[..], [(survivor, 2)] if survivor != HostId(2)),
+            "role 2 must be absorbed exactly once, got {absorbed:?}"
+        );
+        assert!(metrics.detection_latency > SimDuration::ZERO);
+        for (f, roles) in applied.iter().enumerate() {
+            for (r, cell) in roles.iter().enumerate() {
+                assert_eq!(
+                    cell.load(Ordering::SeqCst),
+                    1,
+                    "fragment {f} role {r} must be applied exactly once"
+                );
+            }
+        }
+    }
+
+    pub(crate) fn planned_join_and_drain<E: SocketEngine>() {
+        // Host 2 starts as a standby and joins at 1 ms (rendezvous moves
+        // role 0 to it — a pure function of ids); host 0, now role-less,
+        // drains at 8 ms while per-buffer sleeps keep the ring busy well
+        // past that instant. The departed host's sockets see a real FIN.
+        let hosts = 3;
+        let per_host = 3;
+        let rescale = RescalePlan::seeded(77)
+            .join_host(HostId(2), SimTime::from_nanos(1_000_000))
+            .drain_host(HostId(0), SimTime::from_nanos(8_000_000));
+        let config = RingConfig::paper(hosts)
+            .with_ack_timeout(SimDuration::from_millis(20))
+            .with_max_retransmits(6);
+        let mut envelopes = payloads(hosts, per_host, 64);
+        envelopes[2].clear(); // the standby provisions no fragments
+        let counts: Vec<AtomicUsize> = (0..hosts).map(|_| AtomicUsize::new(0)).collect();
+        let (metrics, tracer) = SocketRingDriver::<E>::new(&config)
+            .with_rescale_plan(&rescale)
+            .with_tracer(true)
+            .run(envelopes, |h, _: &Vec<u8>| {
+                counts[h.0].fetch_add(1, Ordering::SeqCst);
+                std::thread::sleep(Duration::from_millis(2));
+            })
+            .unwrap();
+        assert_eq!(metrics.fragments_completed, 2 * per_host);
+        assert_eq!(metrics.membership_epoch, 2, "one join + one drain");
+        assert_eq!(metrics.rescale_joins, 1);
+        assert_eq!(metrics.rescale_drains, 1);
+        assert_eq!(metrics.rescale_handoffs, 1, "role 0 moved to the newcomer");
+        assert_eq!(metrics.heal_events, 0, "a planned rescale is not a fault");
+        assert!(
+            counts[2].load(Ordering::SeqCst) > 0,
+            "newcomer must process"
+        );
+        assert_eq!(tracer.count_events("activated"), 1);
+        assert_eq!(tracer.count_events("departed"), 1);
+        let c = tracer.counters();
+        assert_eq!(c.get(counter::RESCALE_JOINS), 1);
+        assert_eq!(c.get(counter::RESCALE_DRAINS), 1);
+        assert_eq!(c.get(counter::RESCALE_HANDOFFS), 1);
+    }
+
+    pub(crate) fn multiplexed_queries_complete<E: SocketEngine>() {
+        let hosts = 3;
+        let queries = 3;
+        let cfg = RingConfig::paper(hosts)
+            .with_ack_timeout(SimDuration::from_millis(50))
+            .with_max_retransmits(6);
+        let tenants: Vec<(u32, Vec<Vec<Vec<u8>>>)> = (0..queries)
+            .map(|q| (q as u32, payloads(hosts, 2, 64)))
+            .collect();
+        let counts: Vec<AtomicUsize> = (0..hosts).map(|_| AtomicUsize::new(0)).collect();
+        let (metrics, spans) = SocketRingDriver::<E>::new(&cfg)
+            .with_tracer(true)
+            .run_queries(
+                tenants,
+                2,
+                |h, _query, _roles: &[usize], _: &Vec<u8>| {
+                    counts[h.0].fetch_add(1, Ordering::SeqCst);
+                },
+                |_, _| {},
+            )
+            .unwrap();
+        assert_eq!(metrics.fragments_completed, queries * hosts * 2);
+        assert_eq!(metrics.queries.len(), queries);
+        for (q, m) in metrics.queries.iter().enumerate() {
+            assert_eq!(m.tenant, q as u32);
+            assert!(m.completed, "query {q}: {m:?}");
+            assert_eq!(m.fragments_completed, hosts * 2);
+        }
+        for c in &counts {
+            assert_eq!(c.load(Ordering::SeqCst), queries * hosts * 2);
+        }
+        let counters = spans.counters();
+        assert_eq!(counters.get(counter::QUERIES_ADMITTED), queries as u64);
+        assert_eq!(counters.get(counter::QUERIES_COMPLETED), queries as u64);
+    }
+
+    pub(crate) fn multiplexed_queries_survive_faults<E: SocketEngine>() {
+        let hosts = 3;
+        let queries = 4;
+        let mut plan = FaultPlan::seeded(19);
+        for h in 0..hosts {
+            plan = plan.lossy_link(HostId(h), 0.08);
+        }
+        let cfg = RingConfig::paper(hosts)
+            .with_ack_timeout(SimDuration::from_millis(40))
+            .with_max_retransmits(8);
+        let tenants: Vec<(u32, Vec<Vec<Vec<u8>>>)> = (0..queries)
+            .map(|q| (q as u32, payloads(hosts, 2, 48)))
+            .collect();
+        let (metrics, _) = SocketRingDriver::<E>::new(&cfg)
+            .with_fault_plan(&plan)
+            .run_queries(
+                tenants,
+                queries,
+                |_, _, _: &[usize], _: &Vec<u8>| {},
+                |_, _| {},
+            )
+            .unwrap();
+        assert_eq!(metrics.fragments_completed, queries * hosts * 2);
+        assert!(metrics.queries.iter().all(|m| m.completed));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::socket_suite::payloads;
+    use super::*;
+    use crate::app::FixedCostApp;
+    use crate::sim_backend::SimRing;
+    use std::cell::{Cell, RefCell};
+
+    type P = Vec<u8>;
+
+    #[derive(Debug, Clone, PartialEq)]
+    enum Call {
+        Transmit(HostId, HostId, u64),
+        Ack(HostId, HostId, u64),
+        Join(HostId),
+        Absorb(HostId),
+        Arm(TimerKind),
+        Sever(HostId),
+    }
+
+    /// An in-memory medium that records every call. Frames cross a FIFO
+    /// wire with latency (they are *not* follow-ups), jobs finish on the
+    /// spot, and timers fire in virtual time — only when the wire is idle.
+    struct Fake {
+        calls: Vec<Call>,
+        wire: VecDeque<Event<P>>,
+        /// Armed timers by (virtual deadline, arm order).
+        timers: VecDeque<(Duration, TimerKind)>,
+        now: Duration,
+        /// The host whose delivery is being handled, as the test sees it.
+        delivering: Option<HostId>,
+        /// Every `absorb(survivor, role)` call the jobs made.
+        absorbed: Vec<(HostId, usize)>,
+    }
+
+    impl Fake {
+        fn new() -> Self {
+            Fake {
+                calls: Vec::new(),
+                wire: VecDeque::new(),
+                timers: VecDeque::new(),
+                now: Duration::ZERO,
+                delivering: None,
+                absorbed: Vec::new(),
+            }
+        }
+
+        fn fire_next(&mut self) -> Option<Event<P>> {
+            let (due, timer) = self.timers.pop_front()?;
+            self.now = due;
+            Some(Event::Timer(timer))
+        }
+    }
+
+    impl Medium<P> for Fake {
+        fn transmit(
+            &mut self,
+            from: HostId,
+            to: HostId,
+            tid: u64,
+            env: Envelope<P>,
+            _delay: Duration,
+            _next: &mut Pending<P>,
+        ) -> Result<(), RingError> {
+            self.calls.push(Call::Transmit(from, to, tid));
+            let frame = Frame::Envelope { tid, env };
+            self.wire.push_back(Event::Frame { at: to, frame });
+            self.wire.push_back(Event::SendDone { from });
+            Ok(())
+        }
+
+        fn ack(
+            &mut self,
+            at: HostId,
+            to: HostId,
+            tid: u64,
+            _next: &mut Pending<P>,
+        ) -> Result<(), RingError> {
+            assert_eq!(self.delivering, Some(at), "ack outside its delivery");
+            self.calls.push(Call::Ack(at, to, tid));
+            let frame = Frame::Ack { tid };
+            self.wire.push_back(Event::Frame { at: to, frame });
+            Ok(())
+        }
+
+        fn start(
+            &mut self,
+            host: HostId,
+            job: Job<P>,
+            next: &mut Pending<P>,
+        ) -> Result<(), RingError> {
+            self.calls.push(match job {
+                Job::Join { .. } => Call::Join(host),
+                Job::Absorb { .. } => Call::Absorb(host),
+            });
+            let absorbed = RefCell::new(Vec::new());
+            next.push_back(Event::Job(run_job(
+                host,
+                job,
+                &|_, _, _: &[usize], _: &P| {},
+                &|survivor, role| absorbed.borrow_mut().push((survivor, role)),
+            )));
+            self.absorbed.extend(absorbed.into_inner());
+            Ok(())
+        }
+
+        fn arm(&mut self, delay: Duration, timer: TimerKind) {
+            self.calls.push(Call::Arm(timer));
+            let due = self.now + delay;
+            let behind = self.timers.partition_point(|(d, _)| *d <= due);
+            self.timers.insert(behind, (due, timer));
+        }
+
+        fn sever(&mut self, host: HostId, _next: &mut Pending<P>) {
+            self.calls.push(Call::Sever(host));
+        }
+    }
+
+    fn ring<'a>(
+        config: &'a RingConfig,
+        plan: &'a FaultPlan,
+        rescale: Option<&RescalePlan>,
+        fragments: Vec<Vec<P>>,
+    ) -> Coordinator<'a, P, Fake> {
+        let workload = Workload::Single(envelope_batches(fragments, config.hosts));
+        Coordinator::new(config, Some(plan), rescale, workload, true, Fake::new())
+    }
+
+    /// Handles one event and returns the medium calls it caused.
+    fn step(co: &mut Coordinator<'_, P, Fake>, event: Event<P>) -> Vec<Call> {
+        co.medium.delivering = match &event {
+            Event::Frame {
+                at,
+                frame: Frame::Envelope { .. },
+            } => Some(*at),
+            _ => None,
+        };
+        co.medium.calls.clear();
+        co.handle(event);
+        co.medium.calls.clone()
+    }
+
+    /// Follow-ups first, then the wire, then (virtual) time.
+    fn next_event(co: &mut Coordinator<'_, P, Fake>) -> Event<P> {
+        co.pending
+            .pop_front()
+            .or_else(|| co.medium.wire.pop_front())
+            .or_else(|| co.medium.fire_next())
+            .expect("ring wedged: nothing pending, in flight or armed")
+    }
+
+    fn send_dones(pending: &Pending<P>) -> usize {
+        pending
+            .iter()
+            .filter(|e| matches!(e, Event::SendDone { .. }))
+            .count()
+    }
+
+    /// The medium calls `outputs` must cause, in order, plus how many
+    /// attempts the dice drop — rolled here exactly as the coordinator
+    /// must roll them, and reported to the shadow protocol.
+    fn expected(
+        plan: &FaultPlan,
+        shadow: &mut RingProtocol<P>,
+        outputs: Vec<Output<P>>,
+        ctx: Option<HostId>,
+    ) -> (Vec<Call>, usize) {
+        let mut calls = Vec::new();
+        let mut dropped = 0;
+        for output in &outputs {
+            let call = if let Output::StartJoin { host, .. } = output {
+                Call::Join(*host)
+            } else if let Output::Send {
+                from,
+                to,
+                tid,
+                attempt,
+                env,
+            } = output
+            {
+                let lost = plan.should_drop(*from, env.seq, *attempt);
+                let corrupt = !lost && plan.should_corrupt(*from, env.seq, *attempt);
+                shadow.attempt_fate(*tid, lost, corrupt);
+                if lost {
+                    dropped += 1;
+                    continue;
+                }
+                Call::Transmit(*from, *to, *tid)
+            } else if let Output::Ack { to, tid } = output {
+                Call::Ack(ctx.expect("ack needs a delivery"), *to, *tid)
+            } else if let Output::ArmTimer { timer, .. } = output {
+                Call::Arm(TimerKind::Protocol(*timer))
+            } else if let Output::Absorb { survivor: to, .. } | Output::Handoff { to, .. } = output
+            {
+                Call::Absorb(*to)
+            } else if let Output::Departed { host, .. } = output {
+                Call::Sever(*host)
+            } else {
+                continue;
+            };
+            calls.push(call);
+        }
+        (calls, dropped)
+    }
+
+    #[test]
+    fn lossy_ring_calls_the_medium_in_output_order_and_matches_the_simulator() {
+        let config = RingConfig::paper(2).with_max_retransmits(10);
+        let plan = FaultPlan::seeded(7)
+            .lossy_link(HostId(0), 0.3)
+            .corrupt_link(HostId(1), 0.3);
+        let mut co = ring(&config, &plan, None, payloads(2, 4, 32));
+
+        // A shadow protocol fed the same inputs predicts every call.
+        let cfg = *co.proto.config();
+        let mut shadow = RingProtocol::new(cfg, envelope_batches(payloads(2, 4, 32), 2));
+        let mut want = Vec::new();
+        let mut lost = 0;
+        for h in 0..2 {
+            let outputs = shadow.input(Input::SetupDone { host: HostId(h) });
+            let (calls, dropped) = expected(&plan, &mut shadow, outputs, None);
+            want.extend(calls);
+            lost += dropped;
+        }
+        assert_eq!(co.medium.calls, want);
+        assert_eq!(send_dones(&co.pending), lost);
+
+        let mut total_lost = lost;
+        while !co.done() {
+            let event = next_event(&mut co);
+            let (input, ctx) = match &event {
+                Event::Frame {
+                    at,
+                    frame: Frame::Envelope { tid, env },
+                } => {
+                    let (to, env, tid) = (*at, env.clone(), *tid);
+                    (Input::Delivered { to, env, tid }, Some(*at))
+                }
+                Event::Frame {
+                    frame: Frame::Ack { tid },
+                    ..
+                } => (Input::Ack { tid: *tid }, None),
+                Event::SendDone { from } => (Input::SendDone { from: *from }, None),
+                Event::Job(done) => {
+                    let (host, app_finished) = (done.host, false);
+                    (Input::JoinDone { host, app_finished }, None)
+                }
+                Event::Timer(TimerKind::Protocol(timer)) => (Input::Tick { timer: *timer }, None),
+                _ => panic!("a link-fault run has no other events"),
+            };
+            let before = send_dones(&co.pending);
+            let got = step(&mut co, event);
+            let outputs = shadow.input(input);
+            let (want, dropped) = expected(&plan, &mut shadow, outputs, ctx);
+            assert_eq!(got, want, "medium calls must follow Output order");
+            // A dropped attempt: a follow-up SendDone, and no transmit.
+            assert_eq!(send_dones(&co.pending) - before, dropped);
+            total_lost += dropped;
+        }
+        assert!(total_lost > 0, "the seed must exercise the drop path");
+
+        let (metrics, tracer) = co.finish().unwrap();
+        assert_eq!(metrics.fragments_completed, 8);
+        let app = FixedCostApp::new(2, SimDuration::ZERO, SimDuration::from_micros(50));
+        let sim = SimRing::new(config, payloads(2, 4, 32), app)
+            .with_fault_plan(plan.clone())
+            .run();
+        for (ours, theirs) in metrics.hosts.iter().zip(&sim.metrics.hosts) {
+            assert_eq!(ours.retransmits, theirs.retransmits);
+            assert_eq!(ours.checksum_mismatches, theirs.checksum_mismatches);
+        }
+        assert!(metrics.total_retransmits() > 0 && metrics.total_checksum_mismatches() > 0);
+        assert_eq!(
+            tracer.counters().get(counter::RETRANSMITS),
+            metrics.total_retransmits()
+        );
+    }
+
+    #[test]
+    fn an_ack_outside_a_delivery_tears_the_run_down() {
+        let config = RingConfig::paper(2);
+        let plan = FaultPlan::seeded(1);
+        let mut co = ring(&config, &plan, None, payloads(2, 1, 32));
+        let ack = Output::Ack {
+            to: HostId(0),
+            tid: 1,
+        };
+        co.apply(vec![ack], None);
+        assert!(!co.medium.calls.iter().any(|c| matches!(c, Call::Ack(..))));
+        assert_eq!(
+            co.finish().unwrap_err(),
+            RingError::Teardown(ACK_OUT_OF_CONTEXT)
+        );
+    }
+
+    #[test]
+    fn a_crash_severs_before_the_protocol_hears_of_it() {
+        let config = RingConfig::paper(3).with_max_retransmits(2);
+        let plan = FaultPlan::seeded(3).crash_host(HostId(1), SimTime::from_nanos(1_000));
+        let mut co = ring(&config, &plan, None, payloads(3, 2, 32));
+        assert!(co
+            .medium
+            .calls
+            .contains(&Call::Arm(TimerKind::Crash(HostId(1)))));
+        let calls = step(&mut co, Event::Timer(TimerKind::Crash(HostId(1))));
+        assert_eq!(calls.first(), Some(&Call::Sever(HostId(1))));
+        assert!(co.proto.is_crashed(HostId(1)));
+        // A second report of the same crash is ignored outright.
+        assert!(step(&mut co, Event::Timer(TimerKind::Crash(HostId(1)))).is_empty());
+        while !co.done() {
+            let event = next_event(&mut co);
+            step(&mut co, event);
+        }
+        // One dead host with one role: its absorb job takes over role 1,
+        // once, at the host the job was started on.
+        let jobs = co.medium.absorbed.clone();
+        assert!(
+            matches!(jobs[..], [(survivor, 1)] if survivor != HostId(1)),
+            "role 1 must be absorbed exactly once, got {jobs:?}"
+        );
+        let (metrics, _) = co.finish().unwrap();
+        assert_eq!(metrics.fragments_completed, 6);
+        assert_eq!(metrics.heal_events, 1);
+    }
+
+    #[test]
+    fn a_departed_host_is_severed_in_the_step_that_retires_it() {
+        let config = RingConfig::paper(3);
+        let plan = FaultPlan::seeded(5);
+        let rescale = RescalePlan::seeded(5).drain_host(HostId(0), SimTime::from_nanos(1_000));
+        let mut co = ring(&config, &plan, Some(&rescale), payloads(3, 2, 32));
+        // Virtual time only advances on an idle wire; request the drain
+        // while the ring is still busy, as the wall clock would.
+        step(&mut co, Event::Timer(TimerKind::DrainRequest(HostId(0))));
+        let mut severed_at_epoch = None;
+        while !co.done() {
+            let event = next_event(&mut co);
+            let before = co.proto.membership_epoch();
+            if step(&mut co, event).contains(&Call::Sever(HostId(0))) {
+                assert!(severed_at_epoch.is_none(), "one departure, one sever");
+                assert_eq!(co.proto.membership_epoch(), before + 1);
+                severed_at_epoch = Some(before + 1);
+            }
+        }
+        assert_eq!(severed_at_epoch, Some(1));
+        let (metrics, tracer) = co.finish().unwrap();
+        assert_eq!(metrics.rescale_drains, 1);
+        assert_eq!(tracer.count_events("departed"), 1);
+    }
+
+    #[test]
+    fn overdue_timers_fire_in_deadline_order_not_arming_order() {
+        // Plans arm joins before drains; a drain due first must still fire
+        // first when the timer thread oversleeps both deadlines, and equal
+        // deadlines keep their arming order. The clock is the test's own,
+        // so nothing here depends on how the box schedules the thread.
+        let start = Instant::now();
+        let clock = Cell::new(start);
+        let mut script = vec![
+            Recv::Item((start + Duration::from_millis(4), "join")),
+            Recv::Item((start + Duration::from_millis(2), "drain")),
+            Recv::Item((start + Duration::from_millis(2), "second drain")),
+        ]
+        .into_iter();
+        let mut fired = Vec::new();
+        timer_loop(
+            || clock.get(),
+            |wait| match script.next() {
+                Some(item) => item,
+                None if clock.get() == start => {
+                    // Asked to wait for the earliest deadline; oversleep
+                    // every one of them.
+                    assert_eq!(wait, Duration::from_millis(2));
+                    clock.set(start + Duration::from_millis(10));
+                    Recv::Timeout
+                }
+                None => Recv::Closed,
+            },
+            |item| {
+                fired.push(item);
+                true
+            },
+        );
+        assert_eq!(fired, ["drain", "second drain", "join"]);
+    }
+}

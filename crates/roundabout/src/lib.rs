@@ -7,7 +7,7 @@
 //! transmitter — that keep communication fully overlapped with
 //! computation.
 //!
-//! Three interchangeable backends run the same protocol:
+//! Four interchangeable backends run the same protocol:
 //!
 //! * [`sim_backend::SimRing`] — inside the deterministic `simnet`
 //!   discrete-event simulator, in virtual time, with the RDMA/TCP cost
@@ -29,6 +29,9 @@
 //!
 //! All backends are thin *drivers* over the same sans-IO [`protocol`]
 //! core, which owns every credit, acknowledgement and healing decision.
+//! The three wall-clock drivers share one applier of its outputs,
+//! [`coordinator`], and the two socket drivers one wire format,
+//! [`frame`].
 //!
 //! ```
 //! use data_roundabout::{FixedCostApp, RingConfig, SimRing};
@@ -51,8 +54,10 @@
 pub mod app;
 pub mod buffer;
 pub mod config;
+mod coordinator;
 pub mod envelope;
 pub mod error;
+pub mod frame;
 pub mod metrics;
 pub mod protocol;
 pub mod reactor_backend;
@@ -65,12 +70,14 @@ pub mod wheel;
 pub use app::{FixedCostApp, RingApp};
 pub use buffer::RegisteredPool;
 pub use config::{ConfigError, RingConfig};
+pub use coordinator::{SocketEngine, SocketRingDriver};
 pub use envelope::{Envelope, FragmentId, PayloadBytes};
 pub use error::{FrameError, RingError};
+pub use frame::{Frame, FrameDecoder, WirePayload};
 pub use metrics::{render_timeline, HostMetrics, QueryMetrics, RingMetrics};
-pub use reactor_backend::ReactorRingDriver;
+pub use reactor_backend::{ReactorEngine, ReactorRingDriver};
 pub use sim_backend::{SimOutcome, SimRing};
-pub use tcp_backend::{Frame, FrameDecoder, TcpRingDriver, WirePayload};
+pub use tcp_backend::{BlockingEngine, TcpRingDriver};
 pub use thread_backend::RingDriver;
 
 pub use simnet::fault::{FaultPlan, RescalePlan};

@@ -10,10 +10,12 @@
 //!
 //! * the simulated driver ([`crate::sim_backend::SimRing`]) maps outputs
 //!   onto `simnet` events and cost-model charges in virtual time;
-//! * the threaded driver ([`crate::thread_backend::RingDriver`]) maps them
-//!   onto `sync::mpmc` channels and real OS threads;
-//! * the TCP driver ([`crate::tcp_backend::TcpRingDriver`]) maps them
-//!   onto length-prefixed frames over real loopback sockets.
+//! * the wall-clock drivers — [`crate::thread_backend::RingDriver`]'s
+//!   coordinated engine, [`crate::tcp_backend::TcpRingDriver`] and
+//!   [`crate::reactor_backend::ReactorRingDriver`] — share one applier,
+//!   [`crate::coordinator`], and differ only in the medium under it:
+//!   `sync::mpmc` channels, or length-prefixed frames over real loopback
+//!   sockets.
 //!
 //! Time never appears here directly. Where the protocol needs a timer it
 //! emits [`Output::ArmTimer`] carrying a backoff *exponent*; the driver

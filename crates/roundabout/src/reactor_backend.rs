@@ -1,31 +1,30 @@
 //! The reactor backend: the loopback-TCP ring on one event-loop thread.
 //!
-//! This is the fourth driver of the sans-IO [`crate::protocol`] core. It
-//! speaks exactly the wire protocol of [`crate::tcp_backend`] — port-0
-//! listeners, seeded hello handshakes, `[kind][len][body]` frames, the
-//! shared `(sender, wire-seq, attempt)` fault dice — but replaces the
-//! blocking driver's thread-per-endpoint concurrency model with a single
-//! reactor thread that owns every socket:
+//! This is the event-loop socket engine behind [`ReactorRingDriver`]. It
+//! speaks exactly the wire protocol of [`crate::frame`] — port-0
+//! listeners, seeded hello handshakes, `[kind][len][body]` frames — and
+//! sits under the same `Coordinator` as [`crate::tcp_backend`], but
+//! replaces the blocking engine's thread-per-endpoint concurrency model
+//! with a single reactor thread that owns every socket:
 //!
 //! * **Readiness, not threads** — all sockets are nonblocking and
 //!   registered with an epoll instance reached through a minimal vendored
 //!   syscall shim (no libc dependency; a portable readiness-sweep
 //!   fallback keeps non-Linux targets building). A readable socket feeds
-//!   the incremental [`FrameDecoder`]; decoded frames become protocol
-//!   [`Input`]s on the spot.
-//! * **Backpressure as queue depth** — [`Output::Send`] encodes into a
-//!   pooled buffer and lands on the connection's pending-write queue. The
+//!   the incremental [`FrameDecoder`]; decoded frames reach the
+//!   coordinator on the spot.
+//! * **Backpressure as queue depth** — a transmit encodes into a pooled
+//!   buffer and lands on the connection's pending-write queue. The
 //!   reactor writes as far as the kernel accepts; `WouldBlock` parks the
 //!   frame at its exact byte offset and arms write-readiness. The
-//!   protocol's wire-free credit ([`Input::SendDone`]) is reported only
-//!   when the kernel accepted the last byte, so a full socket buffer
-//!   holds send credit exactly like the blocking driver's blocked
-//!   `write_all`.
-//! * **A timer wheel, not a timer thread** — [`Output::ArmTimer`]
-//!   deadlines, fault-plan schedules and delayed-frame release times all
-//!   land in a hand-rolled hierarchical [`TimerWheel`], polled between
-//!   readiness rounds. The epoll timeout is the earlier of the next
-//!   wheel deadline and the stall watchdog.
+//!   protocol's wire-free credit (`SendDone`) is reported only when the
+//!   kernel accepted the last byte, so a full socket buffer holds send
+//!   credit exactly like the blocking driver's blocked `write_all`.
+//! * **A timer wheel, not a timer thread** — the coordinator's timers
+//!   (protocol backoffs, fault- and rescale-plan instants) and
+//!   delayed-frame release times all land in a hand-rolled hierarchical
+//!   [`TimerWheel`], polled between readiness rounds. The epoll timeout
+//!   is the earlier of the next wheel deadline and the stall watchdog.
 //! * **A bounded join pool** — user join callbacks still need real
 //!   threads (they block), but the pool is sized to the machine, not the
 //!   ring: jobs are serialized per host (matching the one-job-per-host
@@ -49,39 +48,30 @@
 use std::collections::{HashMap, VecDeque};
 use std::io::{Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Condvar, Mutex, PoisonError};
 use std::thread;
 use std::time::{Duration, Instant};
 
 use simnet::fault::{FaultPlan, RescalePlan};
-use simnet::span::{counter, SpanKind, SpanTracer, Track};
-use simnet::time::{SimDuration, SimTime};
+use simnet::span::SpanTracer;
+use simnet::time::SimDuration;
 use simnet::topology::HostId;
 
 use crate::config::RingConfig;
-use crate::envelope::{Envelope, FragmentId};
+use crate::coordinator::{
+    run_job, Coordinator, Event, Job, JobDone, Medium, Pending, SocketEngine, SocketRingDriver,
+    TimerKind, Workload, STALLED,
+};
+use crate::envelope::Envelope;
 use crate::error::{FrameError, RingError};
-use crate::metrics::{HostMetrics, RingMetrics};
-use crate::protocol::{
-    envelope_batches, query_batches, teardown, Input, Output, ProtocolConfig, RingProtocol, Timer,
+use crate::frame::{
+    build_mesh_pairs, encode_ack_into, encode_envelope_into, mesh_seed, socket_err, Frame,
+    FrameBufPool, FrameDecoder, WirePayload,
 };
-use crate::tcp_backend::{
-    build_mesh_pairs, encode_ack_into, encode_envelope_into, socket_err, Frame, FrameBufPool,
-    FrameDecoder, MeshWorkload, WirePayload,
-};
-use crate::thread_backend::{finish_spans, run_single_host, ErrorCollector, SharedSpans};
+use crate::metrics::RingMetrics;
+use crate::protocol::teardown;
 use crate::wheel::{TimerId, TimerWheel};
-
-/// Watchdog teardown reason (driver-local; not part of the shared
-/// protocol cascade).
-const STALLED: &str = "reactor ring stalled: no event arrived within the watchdog window";
-/// Invariant: [`Output::StartJoin`] always has a payload in the slot.
-const EMPTY_SLOT: &str = "StartJoin with an empty processing slot";
-/// Invariant: [`Output::Ack`] is only emitted while a delivery is being
-/// processed, which names the acking host.
-const ACK_OUT_OF_CONTEXT: &str = "ack emitted outside a delivery context";
 
 /// Granularity of the reactor's timer wheel. Protocol backoffs are
 /// milliseconds-scale wall timeouts, so 100 µs keeps rounding error two
@@ -575,50 +565,11 @@ impl Conn {
 // Bounded join-worker pool
 // ---------------------------------------------------------------------------
 
-/// Work for the join pool, mirroring the blocking driver's per-host
-/// worker jobs.
-enum WorkerJob<P> {
-    Join {
-        payload: P,
-        /// Which multiplexed query the fragment belongs to (0 on
-        /// single-query runs).
-        query: u32,
-        roles: Option<Vec<usize>>,
-        id: FragmentId,
-        hop: usize,
-    },
-    Absorb {
-        dead: HostId,
-        roles: Vec<usize>,
-        /// True for a planned rescale handoff (the donor is alive).
-        planned: bool,
-    },
-}
-
-/// A finished pool job, drained by the reactor after a wake.
-enum WorkerEvent {
-    JoinDone {
-        host: HostId,
-        id: FragmentId,
-        hop: usize,
-        spent: Duration,
-        panicked: bool,
-    },
-    AbsorbDone {
-        host: HostId,
-        dead: HostId,
-        roles: usize,
-        spent: Duration,
-        panicked: bool,
-        planned: bool,
-    },
-}
-
 struct PoolState<P> {
     /// FIFO job queue per host. Jobs of one host never run concurrently
     /// (the blocking driver's one-worker-per-host guarantee), so the
     /// visit callback sees the same serialization on every backend.
-    queues: Vec<VecDeque<WorkerJob<P>>>,
+    queues: Vec<VecDeque<Job<P>>>,
     running: Vec<bool>,
     /// Host is already enqueued on `ready` (dedup flag).
     queued: Vec<bool>,
@@ -632,7 +583,7 @@ struct PoolState<P> {
 struct WorkerPool<P> {
     state: Mutex<PoolState<P>>,
     cv: Condvar,
-    done: Mutex<VecDeque<WorkerEvent>>,
+    done: Mutex<VecDeque<JobDone>>,
     wake_tx: Mutex<TcpStream>,
     /// A wake byte is already in flight; cleared by the reactor after it
     /// drains the wake socket. Keeps the wake channel at one pending
@@ -657,7 +608,7 @@ impl<P> WorkerPool<P> {
         }
     }
 
-    fn submit(&self, host: usize, job: WorkerJob<P>) {
+    fn submit(&self, host: usize, job: Job<P>) {
         let mut st = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         if st.shutdown {
             return;
@@ -678,7 +629,7 @@ impl<P> WorkerPool<P> {
     }
 
     /// Blocks for the next runnable job; `None` means shutdown.
-    fn next_job(&self) -> Option<(usize, WorkerJob<P>)> {
+    fn next_job(&self) -> Option<(usize, Job<P>)> {
         let mut st = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         loop {
             if st.shutdown {
@@ -720,7 +671,7 @@ impl<P> WorkerPool<P> {
     }
 
     /// Publishes a completion and pokes the reactor's wake socket.
-    fn push_done(&self, event: WorkerEvent) {
+    fn push_done(&self, event: JobDone) {
         self.done
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
@@ -731,7 +682,7 @@ impl<P> WorkerPool<P> {
         }
     }
 
-    fn pop_done(&self) -> Option<WorkerEvent> {
+    fn pop_done(&self) -> Option<JobDone> {
         self.done
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
@@ -753,84 +704,25 @@ impl<P> WorkerPool<P> {
 }
 
 /// One pool thread: pull a job, run the guarded callback, publish the
-/// completion, release the host's serialization slot. Mirrors the
-/// blocking driver's `worker_loop` exactly (same timing, same
-/// `catch_unwind` policy).
+/// completion, release the host's serialization slot.
 fn worker_thread<P, F, A>(pool: &WorkerPool<P>, visit: &F, absorb: &A)
 where
-    P: WirePayload,
-    F: Fn(HostId, u32, &[usize], &P) + Sync,
-    A: Fn(HostId, usize) + Sync,
+    F: Fn(HostId, u32, &[usize], &P),
+    A: Fn(HostId, usize),
 {
     while let Some((host, job)) = pool.next_job() {
-        let at = HostId(host);
-        let event = match job {
-            WorkerJob::Join {
-                payload,
-                query,
-                roles,
-                id,
-                hop,
-            } => {
-                let started = Instant::now();
-                let own = [host];
-                // Guard the user callback: a panic inside it must become
-                // a typed teardown error, not a dead pool thread.
-                let outcome = catch_unwind(AssertUnwindSafe(|| match &roles {
-                    Some(rs) => visit(at, query, rs, &payload),
-                    None => visit(at, query, &own, &payload),
-                }));
-                WorkerEvent::JoinDone {
-                    host: at,
-                    id,
-                    hop,
-                    spent: started.elapsed(),
-                    panicked: outcome.is_err(),
-                }
-            }
-            WorkerJob::Absorb {
-                dead,
-                roles,
-                planned,
-            } => {
-                let started = Instant::now();
-                let count = roles.len();
-                let outcome = catch_unwind(AssertUnwindSafe(|| {
-                    for &r in &roles {
-                        absorb(at, r);
-                    }
-                }));
-                WorkerEvent::AbsorbDone {
-                    host: at,
-                    dead,
-                    roles: count,
-                    spent: started.elapsed(),
-                    panicked: outcome.is_err(),
-                    planned,
-                }
-            }
-        };
-        pool.push_done(event);
+        pool.push_done(run_job(HostId(host), job, visit, absorb));
         pool.finished(host);
     }
 }
 
 // ---------------------------------------------------------------------------
-// The reactor: one thread owning every socket, timer and protocol input
+// The medium: every socket, the timer wheel and the join pool
 // ---------------------------------------------------------------------------
 
-/// Timers on the wheel: protocol backoffs, the fault and rescale plans'
-/// scheduled events, and a delayed frame's flush.
-#[derive(Clone, Copy)]
-enum TimerKind {
-    Protocol(Timer),
-    Crash(HostId),
-    Pause(HostId),
-    Resume(HostId),
-    JoinRequest(HostId),
-    DrainRequest(HostId),
-}
-
+/// What sits on the wheel: the coordinator's timers (protocol backoffs,
+/// the fault and rescale plans' scheduled events) and a delayed frame's
+/// flush.
 enum WheelItem {
     Kind(TimerKind),
     /// Re-flush connection `token` (its head frame was embargoed by a
@@ -838,61 +730,32 @@ enum WheelItem {
     Flush(usize),
 }
 
-struct Reactor<'a, P: WirePayload> {
-    proto: RingProtocol<P>,
-    plan: Option<&'a FaultPlan>,
+/// The reactor's [`Medium`]: nonblocking writes as far as the kernel
+/// accepts, pool jobs, wheel timers. Send credits a write frees on the
+/// spot land on the coordinator's follow-up queue.
+struct Sockets<'a, P> {
     conns: Vec<Conn>,
     /// `lanes[from][to]` is the token of `from`'s connection toward `to`.
     lanes: Vec<Vec<Option<usize>>>,
     poller: Poller,
     wheel: TimerWheel<WheelItem>,
+    /// The wheel's clock starts here.
+    epoch: Instant,
     /// Encode buffers recycled through the pending-write queues.
     pool: FrameBufPool,
     workers: &'a WorkerPool<P>,
-    /// Send credits freed synchronously while applying outputs (a dropped
-    /// attempt, a completed nonblocking write), processed before polling.
-    pending: VecDeque<HostId>,
-    errors: ErrorCollector,
-    fatal: bool,
-    tracer: SpanTracer,
-    epoch: Instant,
-    wall_ack_timeout: Duration,
-    join_threads: usize,
-    busy: Vec<Duration>,
-    last_done: Vec<Instant>,
-    bytes_forwarded: Vec<u64>,
-    last_progress: Instant,
-    crash_at: Vec<Option<Instant>>,
-    detection_latency: SimDuration,
-    /// Stall watchdog: the last instant any event reached the protocol.
-    last_event: Instant,
 }
 
-impl<P: WirePayload + Clone> Reactor<'_, P> {
+impl<P> Sockets<'_, P> {
     fn now_ns(&self) -> u64 {
         SimDuration::from(self.epoch.elapsed()).as_nanos()
     }
 
-    fn now_stamp(&self) -> SimTime {
-        SimTime::from_nanos(self.now_ns())
-    }
-
-    fn stamp_before(&self, spent: Duration) -> SimTime {
-        SimTime::from_nanos(
-            SimDuration::from(self.epoch.elapsed().saturating_sub(spent)).as_nanos(),
-        )
-    }
-
-    fn fail(&mut self, error: RingError) {
-        self.errors.record(error);
-        self.fatal = true;
-    }
-
-    fn arm(&mut self, delay: Duration, kind: TimerKind) {
+    fn arm_item(&mut self, delay: Duration, item: WheelItem) {
         let deadline = self
             .now_ns()
             .saturating_add(SimDuration::from(delay).as_nanos());
-        self.wheel.insert(deadline, WheelItem::Kind(kind));
+        self.wheel.insert(deadline, item);
     }
 
     /// Reconciles the poller's interest in connection `t` with its state:
@@ -911,44 +774,9 @@ impl<P: WirePayload + Clone> Reactor<'_, P> {
         self.poller.update(&conn.stream, t, desired.0, desired.1);
     }
 
-    /// Drains connection `t`'s readable bytes and feeds every decoded
-    /// frame to the protocol.
-    fn drain_read(&mut self, t: usize) {
-        let mut frames = Vec::new();
-        let (at, decode_err) = match self.conns.get_mut(t) {
-            Some(conn) => (HostId(conn.host), conn.pump_read::<P>(&mut frames).err()),
-            None => return,
-        };
-        self.sync_interest(t);
-        for frame in frames {
-            if self.fatal {
-                return;
-            }
-            self.on_frame(at, frame);
-        }
-        if let Some(e) = decode_err {
-            self.fail(RingError::Frame(e));
-        }
-    }
-
-    fn on_frame(&mut self, at: HostId, frame: Frame<P>) {
-        self.last_event = Instant::now();
-        match frame {
-            Frame::Envelope { tid, env } => {
-                let out = self.proto.input(Input::Delivered { to: at, env, tid });
-                self.apply(out, Some(at));
-            }
-            Frame::Ack { tid } => {
-                let out = self.proto.input(Input::Ack { tid });
-                self.apply(out, None);
-            }
-            Frame::Hello { .. } => self.fail(RingError::Socket("mid-run hello frame")),
-        }
-    }
-
     /// Flushes connection `t`'s pending-write queue, recycling completed
     /// buffers and queueing the freed send credits.
-    fn flush_conn(&mut self, t: usize) {
+    fn flush_conn(&mut self, t: usize, next: &mut Pending<P>) {
         let mut done = Vec::new();
         let embargo = match self.conns.get_mut(t) {
             Some(conn) => conn.pump_write(&mut done),
@@ -957,15 +785,12 @@ impl<P: WirePayload + Clone> Reactor<'_, P> {
         for (bytes, notify) in done {
             self.pool.put(bytes);
             if let Some(from) = notify {
-                self.pending.push_back(from);
+                next.push_back(Event::SendDone { from });
             }
         }
         if let Some(release) = embargo {
             let delay = release.saturating_duration_since(Instant::now());
-            let deadline = self
-                .now_ns()
-                .saturating_add(SimDuration::from(delay).as_nanos());
-            self.wheel.insert(deadline, WheelItem::Flush(t));
+            self.arm_item(delay, WheelItem::Flush(t));
         }
         self.sync_interest(t);
     }
@@ -979,7 +804,8 @@ impl<P: WirePayload + Clone> Reactor<'_, P> {
         bytes: Vec<u8>,
         not_before: Option<Instant>,
         notify: Option<HostId>,
-    ) {
+        next: &mut Pending<P>,
+    ) -> Result<(), RingError> {
         let lane = self
             .lanes
             .get(from.0)
@@ -987,8 +813,7 @@ impl<P: WirePayload + Clone> Reactor<'_, P> {
             .copied()
             .flatten();
         let Some(t) = lane else {
-            self.fail(RingError::Teardown(teardown::TX_GONE));
-            return;
+            return Err(RingError::Teardown(teardown::TX_GONE));
         };
         if let Some(conn) = self.conns.get_mut(t) {
             conn.outq.push_back(OutJob::Frame {
@@ -997,12 +822,57 @@ impl<P: WirePayload + Clone> Reactor<'_, P> {
                 notify,
             });
         }
-        self.flush_conn(t);
+        self.flush_conn(t, next);
+        Ok(())
+    }
+}
+
+impl<P: WirePayload> Medium<P> for Sockets<'_, P> {
+    fn transmit(
+        &mut self,
+        from: HostId,
+        to: HostId,
+        tid: u64,
+        env: Envelope<P>,
+        delay: Duration,
+        next: &mut Pending<P>,
+    ) -> Result<(), RingError> {
+        let not_before = (!delay.is_zero()).then(|| Instant::now() + delay);
+        let mut frame = self.pool.take();
+        encode_envelope_into(tid, &env, &mut frame)?;
+        self.enqueue_frame(from, to, frame, not_before, Some(from), next)
+    }
+
+    fn ack(
+        &mut self,
+        at: HostId,
+        to: HostId,
+        tid: u64,
+        next: &mut Pending<P>,
+    ) -> Result<(), RingError> {
+        let mut bytes = self.pool.take();
+        encode_ack_into(tid, &mut bytes);
+        self.enqueue_frame(at, to, bytes, None, None, next)
+    }
+
+    fn start(
+        &mut self,
+        host: HostId,
+        job: Job<P>,
+        _next: &mut Pending<P>,
+    ) -> Result<(), RingError> {
+        self.workers.submit(host.0, job);
+        Ok(())
+    }
+
+    fn arm(&mut self, delay: Duration, timer: TimerKind) {
+        self.arm_item(delay, WheelItem::Kind(timer));
     }
 
     /// Queues a write-side FIN behind every pending frame of `host`'s
-    /// outgoing connections.
-    fn sever_outgoing(&mut self, host: HostId) {
+    /// outgoing connections; the read sides stay open (the salvage path
+    /// of a crashed host).
+    fn sever(&mut self, host: HostId, next: &mut Pending<P>) {
         let tokens: Vec<usize> = self
             .lanes
             .get(host.0)
@@ -1012,785 +882,47 @@ impl<P: WirePayload + Clone> Reactor<'_, P> {
             if let Some(conn) = self.conns.get_mut(t) {
                 conn.outq.push_back(OutJob::Sever);
             }
-            self.flush_conn(t);
+            self.flush_conn(t, next);
         }
     }
+}
 
-    /// Realizes a scheduled crash: sever the host's outgoing connections
-    /// (write-side FIN behind already-committed frames), then report the
-    /// ground truth to the protocol. The read side stays open as the
-    /// salvage path, matching the simulator's medium.
-    // analyze: allow(panic, reason = "protocol invariant: per-host tables are sized to the ring at construction and HostId never exceeds it")
-    fn crash(&mut self, host: HostId) {
-        if self.proto.is_crashed(host) {
-            return;
+/// Drains connection `t`'s readable bytes and feeds every decoded frame
+/// to the coordinator; returns how many frames that was.
+fn drain_read<P>(co: &mut Coordinator<'_, P, Sockets<'_, P>>, t: usize) -> usize
+where
+    P: WirePayload + Clone,
+{
+    let mut frames = Vec::new();
+    let (at, decode_err) = match co.medium.conns.get_mut(t) {
+        Some(conn) => (HostId(conn.host), conn.pump_read::<P>(&mut frames).err()),
+        None => return 0,
+    };
+    co.medium.sync_interest(t);
+    let count = frames.len();
+    for frame in frames {
+        if co.done() {
+            break;
         }
-        self.crash_at[host.0] = Some(Instant::now());
-        if self.tracer.is_enabled() {
-            self.tracer
-                .event(Some(host.0), Track::Control, "crashed", self.now_stamp());
-        }
-        self.sever_outgoing(host);
-        let out = self.proto.input(Input::PeerDead { host });
-        self.apply(out, None);
+        co.handle(Event::Frame { at, frame });
     }
-
-    /// A wheel timer fired: protocol ticks always reach the protocol;
-    /// fault-plan and rescale events die with a crashed host, mirroring
-    /// the blocking driver's crash-guard policy.
-    fn fire(&mut self, item: WheelItem) {
-        self.last_event = Instant::now();
-        match item {
-            WheelItem::Flush(t) => self.flush_conn(t),
-            WheelItem::Kind(TimerKind::Protocol(timer)) => {
-                let out = self.proto.input(Input::Tick { timer });
-                self.apply(out, None);
-            }
-            WheelItem::Kind(TimerKind::Crash(host)) => self.crash(host),
-            WheelItem::Kind(TimerKind::Pause(host)) => {
-                if self.proto.is_crashed(host) {
-                    return;
-                }
-                if self.tracer.is_enabled() {
-                    self.tracer
-                        .event(Some(host.0), Track::Control, "paused", self.now_stamp());
-                }
-                let out = self.proto.input(Input::Paused { host });
-                self.apply(out, None);
-            }
-            WheelItem::Kind(TimerKind::Resume(host)) => {
-                if self.proto.is_crashed(host) {
-                    return;
-                }
-                if self.tracer.is_enabled() {
-                    self.tracer
-                        .event(Some(host.0), Track::Control, "resumed", self.now_stamp());
-                }
-                let out = self.proto.input(Input::Resumed { host });
-                self.apply(out, None);
-            }
-            WheelItem::Kind(TimerKind::JoinRequest(host)) => {
-                if self.proto.is_crashed(host) {
-                    return;
-                }
-                if self.tracer.is_enabled() {
-                    self.tracer.event(
-                        Some(host.0),
-                        Track::Control,
-                        "join requested",
-                        self.now_stamp(),
-                    );
-                }
-                let out = self.proto.input(Input::JoinRequest { host });
-                self.apply(out, None);
-            }
-            WheelItem::Kind(TimerKind::DrainRequest(host)) => {
-                if self.proto.is_crashed(host) {
-                    return;
-                }
-                if self.tracer.is_enabled() {
-                    self.tracer.event(
-                        Some(host.0),
-                        Track::Control,
-                        "drain requested",
-                        self.now_stamp(),
-                    );
-                }
-                let out = self.proto.input(Input::DrainRequest { host });
-                self.apply(out, None);
-            }
-        }
+    if let Some(e) = decode_err {
+        co.fail(RingError::Frame(e));
     }
-
-    /// A join-pool completion reached the reactor. Same crash-guard and
-    /// tracing policy as the blocking driver's coordinator.
-    // analyze: allow(panic, reason = "protocol invariant: per-host tables are sized to the ring at construction and HostId never exceeds it")
-    fn on_worker_event(&mut self, event: WorkerEvent) {
-        self.last_event = Instant::now();
-        match event {
-            WorkerEvent::JoinDone {
-                host,
-                id,
-                hop,
-                spent,
-                panicked,
-            } => {
-                if self.proto.is_crashed(host) {
-                    // The join died with the host; healing salvages its
-                    // envelope.
-                    return;
-                }
-                if panicked {
-                    self.fail(RingError::Teardown(teardown::CALLBACK_PANICKED));
-                    return;
-                }
-                self.busy[host.0] += spent;
-                let now = Instant::now();
-                self.last_done[host.0] = now;
-                self.last_progress = self.last_progress.max(now);
-                if self.tracer.is_enabled() {
-                    let start = self.stamp_before(spent);
-                    self.tracer.span_with_hop(
-                        host.0,
-                        SpanKind::Join,
-                        format!("join {id}"),
-                        start,
-                        spent.into(),
-                        Some(hop),
-                    );
-                }
-                let out = self.proto.input(Input::JoinDone {
-                    host,
-                    app_finished: false,
-                });
-                self.apply(out, None);
-            }
-            WorkerEvent::AbsorbDone {
-                host,
-                dead,
-                roles,
-                spent,
-                panicked,
-                planned,
-            } => {
-                if self.proto.is_crashed(host) {
-                    return;
-                }
-                if panicked {
-                    self.fail(RingError::Teardown(teardown::CALLBACK_PANICKED));
-                    return;
-                }
-                self.busy[host.0] += spent;
-                let now = Instant::now();
-                self.last_done[host.0] = now;
-                self.last_progress = self.last_progress.max(now);
-                if self.tracer.is_enabled() {
-                    let start = self.stamp_before(spent);
-                    let name = if planned {
-                        format!("handoff {roles} role(s) from host {}", dead.0)
-                    } else {
-                        format!("absorb {roles} role(s) of host {}", dead.0)
-                    };
-                    self.tracer
-                        .span(host.0, SpanKind::Absorb, name, start, spent.into());
-                }
-                let out = self.proto.input(Input::AbsorbDone { host });
-                self.apply(out, None);
-            }
-        }
-    }
-
-    /// Applies protocol outputs strictly in emission order, mapping each
-    /// onto nonblocking writes, pool jobs, wheel timers and traces.
-    /// `ctx` names the host whose delivery is being processed — the only
-    /// context in which the protocol emits [`Output::Ack`].
-    // analyze: allow(panic, reason = "protocol invariant: per-host tables are sized to the ring at construction and HostId never exceeds it")
-    fn apply(&mut self, outputs: Vec<Output<P>>, ctx: Option<HostId>) {
-        for output in outputs {
-            if self.fatal {
-                return;
-            }
-            match output {
-                Output::StartJoin {
-                    host,
-                    id,
-                    hop,
-                    roles,
-                    bytes: _,
-                } => {
-                    let Some(payload) = self.proto.processing_payload(host).cloned() else {
-                        self.fail(RingError::Teardown(EMPTY_SLOT));
-                        return;
-                    };
-                    self.workers.submit(
-                        host.0,
-                        WorkerJob::Join {
-                            payload,
-                            query: self.proto.processing_query(host),
-                            roles,
-                            id,
-                            hop,
-                        },
-                    );
-                }
-                Output::PassThrough { host, id } => {
-                    if self.tracer.is_enabled() {
-                        self.tracer.event(
-                            Some(host.0),
-                            Track::Join,
-                            format!("pass-through {id}"),
-                            self.now_stamp(),
-                        );
-                    }
-                }
-                Output::Processed { .. } => {}
-                Output::Send {
-                    from,
-                    to,
-                    tid,
-                    attempt,
-                    env,
-                } => self.apply_send(from, to, tid, attempt, env),
-                Output::Ack { to, tid } => match ctx {
-                    Some(at) => {
-                        let mut bytes = self.pool.take();
-                        encode_ack_into(tid, &mut bytes);
-                        self.enqueue_frame(at, to, bytes, None, None);
-                    }
-                    None => self.fail(RingError::Teardown(ACK_OUT_OF_CONTEXT)),
-                },
-                Output::ArmTimer { timer, backoff_exp } => {
-                    let delay = self
-                        .wall_ack_timeout
-                        .saturating_mul(1u32 << backoff_exp.min(31));
-                    self.arm(delay, TimerKind::Protocol(timer));
-                }
-                Output::Delivered { host, id, bytes: _ } => {
-                    if self.tracer.is_enabled() {
-                        self.tracer.event(
-                            Some(host.0),
-                            Track::Receiver,
-                            format!("recv {id}"),
-                            self.now_stamp(),
-                        );
-                        self.tracer.count(counter::ENVELOPES_RECEIVED, 1);
-                    }
-                }
-                Output::DuplicateDropped { host, id } => {
-                    if self.tracer.is_enabled() {
-                        self.tracer.event(
-                            Some(host.0),
-                            Track::Receiver,
-                            format!("duplicate {id} dropped"),
-                            self.now_stamp(),
-                        );
-                    }
-                }
-                Output::ChecksumMismatch { host, id } => {
-                    if self.tracer.is_enabled() {
-                        self.tracer.event(
-                            Some(host.0),
-                            Track::Receiver,
-                            format!("checksum mismatch {id}"),
-                            self.now_stamp(),
-                        );
-                        self.tracer.count(counter::CHECKSUM_MISMATCHES, 1);
-                    }
-                }
-                Output::Retire { host, id, salvaged } => {
-                    self.last_progress = self.last_progress.max(Instant::now());
-                    if self.tracer.is_enabled() {
-                        let name = if salvaged {
-                            format!("retired {id} (salvaged)")
-                        } else {
-                            format!("retired {id}")
-                        };
-                        self.tracer
-                            .event(Some(host.0), Track::Join, name, self.now_stamp());
-                        self.tracer.count(counter::FRAGMENTS_RETIRED, 1);
-                    }
-                }
-                Output::Heal { dead } => {
-                    let latency = match self.crash_at[dead.0] {
-                        Some(at) => SimDuration::from(at.elapsed()),
-                        None => SimDuration::ZERO,
-                    };
-                    self.detection_latency = self.detection_latency.max(latency);
-                    if self.tracer.is_enabled() {
-                        self.tracer.event(
-                            None,
-                            Track::Control,
-                            format!("heal: host {} confirmed dead", dead.0),
-                            self.now_stamp(),
-                        );
-                        self.tracer.count(counter::HEAL_EVENTS, 1);
-                    }
-                }
-                Output::Absorb {
-                    survivor,
-                    dead,
-                    roles,
-                } => {
-                    self.workers.submit(
-                        survivor.0,
-                        WorkerJob::Absorb {
-                            dead,
-                            roles,
-                            planned: false,
-                        },
-                    );
-                }
-                Output::Activate { host, epoch } => {
-                    self.last_progress = self.last_progress.max(Instant::now());
-                    if self.tracer.is_enabled() {
-                        self.tracer.event(
-                            Some(host.0),
-                            Track::Control,
-                            format!("activated (epoch {epoch})"),
-                            self.now_stamp(),
-                        );
-                        self.tracer.count(counter::RESCALE_JOINS, 1);
-                    }
-                }
-                Output::Handoff { from, to, roles } => {
-                    if self.tracer.is_enabled() {
-                        self.tracer
-                            .count(counter::RESCALE_HANDOFFS, roles.len() as u64);
-                    }
-                    self.workers.submit(
-                        to.0,
-                        WorkerJob::Absorb {
-                            dead: from,
-                            roles,
-                            planned: true,
-                        },
-                    );
-                }
-                Output::Departed { host, epoch } => {
-                    self.last_progress = self.last_progress.max(Instant::now());
-                    // The drainee left the ring for good: retire its
-                    // outgoing connections with a real FIN (queued behind
-                    // any bytes it still owed).
-                    self.sever_outgoing(host);
-                    if self.tracer.is_enabled() {
-                        self.tracer.event(
-                            Some(host.0),
-                            Track::Control,
-                            format!("departed (epoch {epoch})"),
-                            self.now_stamp(),
-                        );
-                        self.tracer.count(counter::RESCALE_DRAINS, 1);
-                    }
-                }
-                Output::Resent { target, id } => {
-                    if self.tracer.is_enabled() {
-                        self.tracer.event(
-                            Some(target.0),
-                            Track::Control,
-                            format!("re-sent {id} from origin"),
-                            self.now_stamp(),
-                        );
-                        self.tracer.count(counter::FRAGMENTS_RESENT, 1);
-                    }
-                }
-                Output::Finished { .. } => {}
-                Output::QueryAdmitted { query, tenant } => {
-                    self.last_progress = self.last_progress.max(Instant::now());
-                    if self.tracer.is_enabled() {
-                        self.tracer.event(
-                            None,
-                            Track::Control,
-                            format!("query {query} admitted (tenant {tenant})"),
-                            self.now_stamp(),
-                        );
-                        self.tracer.count(counter::QUERIES_ADMITTED, 1);
-                    }
-                }
-                Output::QueryDone { query, tenant } => {
-                    self.last_progress = self.last_progress.max(Instant::now());
-                    if self.tracer.is_enabled() {
-                        self.tracer.event(
-                            None,
-                            Track::Control,
-                            format!("query {query} done (tenant {tenant})"),
-                            self.now_stamp(),
-                        );
-                        self.tracer.count(counter::QUERIES_COMPLETED, 1);
-                    }
-                }
-                Output::Teardown { reason } => self.fail(RingError::Teardown(reason)),
-            }
-        }
-    }
-
-    /// Puts one attempt of a transfer toward its socket: rolls the fault
-    /// dice (the medium's business, not the protocol's), reports the fate
-    /// back, and queues the frame on the hop's pending-write queue.
-    // analyze: allow(panic, reason = "protocol invariant: per-host tables are sized to the ring at construction and HostId never exceeds it")
-    fn apply_send(&mut self, from: HostId, to: HostId, tid: u64, attempt: u32, env: Envelope<P>) {
-        let bytes = env.bytes();
-        self.bytes_forwarded[from.0] += bytes;
-        let mut wire = env;
-        let mut dropped = false;
-        let mut delay = Duration::ZERO;
-        match self.plan {
-            Some(plan) => {
-                // Dice keyed on the per-sender wire sequence (`env.seq`),
-                // the numbering all four backends share — the parity
-                // suite depends on this.
-                let seq = wire.seq;
-                dropped = plan.should_drop(from, seq, attempt);
-                let corrupt = !dropped && plan.should_corrupt(from, seq, attempt);
-                delay = Duration::from(plan.delay_spike(from, seq, attempt));
-                self.proto.attempt_fate(tid, dropped, corrupt);
-                if corrupt {
-                    // In-flight bit flips: the receiver's checksum
-                    // verification rejects the copy and withholds the ack.
-                    wire.checksum = !wire.checksum;
-                }
-                if attempt == 1 {
-                    self.tracer.count(counter::ENVELOPES_SENT, 1);
-                } else if self.tracer.is_enabled() {
-                    self.tracer.event(
-                        Some(from.0),
-                        Track::Transmitter,
-                        format!("retransmit {} attempt {attempt}", wire.id),
-                        self.now_stamp(),
-                    );
-                    self.tracer.count(counter::RETRANSMITS, 1);
-                }
-            }
-            None => self.tracer.count(counter::ENVELOPES_SENT, 1),
-        }
-        if dropped {
-            // The medium ate this attempt before any byte hit the socket;
-            // the sender's NIC still reports its wire free.
-            self.pending.push_back(from);
-            return;
-        }
-        let not_before = (!delay.is_zero()).then(|| Instant::now() + delay);
-        let mut frame = self.pool.take();
-        match encode_envelope_into(tid, &wire, &mut frame) {
-            Ok(()) => self.enqueue_frame(from, to, frame, not_before, Some(from)),
-            Err(e) => self.fail(RingError::Frame(e)),
-        }
-    }
-
-    /// Converts the finished run into the common metrics shape and closes
-    /// out the tracer (materializing every well-known counter so trace
-    /// consumers see zeros observed rather than missing).
-    // analyze: allow(panic, reason = "protocol invariant: per-host tables are sized to the ring at construction and HostId never exceeds it")
-    fn into_result(self) -> (RingMetrics, SpanTracer) {
-        let n = self.proto.config().hosts;
-        let mut hosts = Vec::with_capacity(n);
-        for h in 0..n {
-            let busy = self.busy[h];
-            let window = self.last_done[h].saturating_duration_since(self.epoch);
-            let mut cpu = simnet::cpu::CpuAccount::new();
-            cpu.charge(
-                simnet::cpu::CostCategory::Compute,
-                SimDuration::from(busy) * self.join_threads as u64,
-            );
-            hosts.push(HostMetrics {
-                setup: SimDuration::ZERO,
-                join_busy: busy.into(),
-                sync: window.saturating_sub(busy).into(),
-                join_window: window.into(),
-                cpu,
-                fragments_processed: self.proto.host(HostId(h)).fragments_processed(),
-                bytes_forwarded: self.bytes_forwarded[h],
-                retransmits: self.proto.retransmits(HostId(h)),
-                checksum_mismatches: self.proto.checksum_mismatches(HostId(h)),
-            });
-        }
-        let metrics = RingMetrics {
-            hosts,
-            wall_clock: self
-                .last_progress
-                .saturating_duration_since(self.epoch)
-                .into(),
-            fragments_completed: self.proto.fragments_completed(),
-            heal_events: self.proto.heal_events(),
-            detection_latency: self.detection_latency,
-            fragments_resent: self.proto.fragments_resent(),
-            membership_epoch: self.proto.membership_epoch(),
-            rescale_joins: self.proto.rescale_joins(),
-            rescale_drains: self.proto.rescale_drains(),
-            rescale_handoffs: self.proto.rescale_handoffs(),
-            rescale_escalations: self.proto.rescale_escalations(),
-            queries: self.proto.query_metrics(),
-        };
-        let mut tracer = self.tracer;
-        if tracer.is_enabled() {
-            for name in [
-                counter::ENVELOPES_SENT,
-                counter::ENVELOPES_RECEIVED,
-                counter::FRAGMENTS_RETIRED,
-                counter::RETRANSMITS,
-                counter::CHECKSUM_MISMATCHES,
-                counter::HEAL_EVENTS,
-                counter::FRAGMENTS_RESENT,
-                counter::RESCALE_JOINS,
-                counter::RESCALE_DRAINS,
-                counter::RESCALE_HANDOFFS,
-            ] {
-                tracer.count(name, 0);
-            }
-        }
-        (metrics, tracer)
-    }
+    count
 }
 
 // ---------------------------------------------------------------------------
 // Ring assembly and the event loop
 // ---------------------------------------------------------------------------
 
-fn run_reactor_mesh<P, F, A>(
-    config: &RingConfig,
-    plan: Option<&FaultPlan>,
-    rescale: Option<&RescalePlan>,
-    trace: bool,
-    workload: MeshWorkload<P>,
-    visit: &F,
-    absorb: &A,
-) -> Result<(RingMetrics, SpanTracer), RingError>
-where
-    P: WirePayload + Send + Clone,
-    F: Fn(HostId, u32, &[usize], &P) + Sync,
-    A: Fn(HostId, usize) + Sync,
-{
-    let n = config.hosts;
-    // Rescale and multiplexing ride the reliable transport: without
-    // explicit adversity the medium still needs (quiet) dice and the
-    // acked hop protocol.
-    let quiet_dice;
-    let plan = match (plan, rescale) {
-        (None, Some(r)) => {
-            quiet_dice = FaultPlan::seeded(r.seed());
-            Some(&quiet_dice)
-        }
-        (None, None) if matches!(workload, MeshWorkload::Multi { .. }) => {
-            quiet_dice = FaultPlan::seeded(0);
-            Some(&quiet_dice)
-        }
-        (p, _) => p,
-    };
-    let seed = plan.map(|p| p.seed()).unwrap_or(0x0dd0_ba11);
-    let watchdog = Duration::from(config.watchdog);
-    // Healing and rescale can route any surviving pair, so plans need the
-    // full mesh; classic plan-free runs only ever use ring-neighbor hops,
-    // and a neighbor-only mesh keeps a 256-host ring inside the process
-    // fd budget (n sockets instead of n²/2).
-    let full_mesh = plan.is_some();
-    let mesh = build_mesh_pairs(n, seed, Duration::from(config.handshake_timeout), |a, b| {
-        full_mesh || b == a + 1 || (a == 0 && b == n - 1)
-    })?;
-
-    // The wake channel: pool threads poke the reactor out of its poll
-    // wait through one more loopback socket, registered like any other.
-    let wake_listener =
-        TcpListener::bind(("127.0.0.1", 0)).map_err(socket_err("bind wake listener"))?;
-    let wake_addr = wake_listener
-        .local_addr()
-        .map_err(socket_err("resolve wake address"))?;
-    let wake_tx = TcpStream::connect(wake_addr).map_err(socket_err("connect wake socket"))?;
-    let (wake_rx, _) = wake_listener
-        .accept()
-        .map_err(socket_err("accept wake socket"))?;
-    wake_rx
-        .set_nonblocking(true)
-        .map_err(socket_err("set wake socket nonblocking"))?;
-
-    let mut conns = Vec::new();
-    let mut lanes: Vec<Vec<Option<usize>>> =
-        (0..n).map(|_| (0..n).map(|_| None).collect()).collect();
-    for (h, row) in mesh.endpoints.into_iter().enumerate() {
-        for (p, endpoint) in row.into_iter().enumerate() {
-            if let Some(stream) = endpoint {
-                stream
-                    .set_nonblocking(true)
-                    .map_err(socket_err("set ring socket nonblocking"))?;
-                if let Some(slot) = lanes.get_mut(h).and_then(|r| r.get_mut(p)) {
-                    *slot = Some(conns.len());
-                }
-                conns.push(Conn::new(stream, h));
-            }
-        }
-    }
-
-    let proto_cfg = ProtocolConfig {
-        hosts: n,
-        buffers_per_host: config.buffers_per_host,
-        max_retransmits: config.max_retransmits,
-        continuous: false,
-        reliable: plan.is_some(),
-        standby: rescale.map_or(0, |p| p.standby_mask()),
-    };
-    let proto = match workload {
-        MeshWorkload::Single(envelopes) => RingProtocol::new(proto_cfg, envelopes),
-        MeshWorkload::Multi {
-            queries,
-            max_active,
-        } => RingProtocol::new_multi(proto_cfg, queries, max_active),
-    };
-    let total = proto.fragments_total();
-
-    let workers = WorkerPool::<P>::new(n, wake_tx);
-    let pool_threads = n
-        .min(
-            thread::available_parallelism()
-                .map(std::num::NonZero::get)
-                .unwrap_or(2),
-        )
-        .max(1);
-
-    thread::scope(|s| {
-        for _ in 0..pool_threads {
-            let pool = &workers;
-            s.spawn(move || worker_thread(pool, visit, absorb));
-        }
-
-        let mut poller = Poller::new();
-        poller.update(&wake_rx, WAKE_TOKEN, true, false);
-
-        let epoch = Instant::now();
-        let mut rx = Reactor {
-            proto,
-            plan,
-            conns,
-            lanes,
-            poller,
-            wheel: TimerWheel::new(WHEEL_RESOLUTION),
-            pool: FrameBufPool::default(),
-            workers: &workers,
-            pending: VecDeque::new(),
-            errors: ErrorCollector::default(),
-            fatal: false,
-            tracer: if trace {
-                SpanTracer::enabled()
-            } else {
-                SpanTracer::disabled()
-            },
-            epoch,
-            wall_ack_timeout: Duration::from_secs_f64(config.ack_timeout.as_secs_f64()),
-            join_threads: config.join_threads,
-            busy: vec![Duration::ZERO; n],
-            last_done: vec![epoch; n],
-            bytes_forwarded: vec![0; n],
-            last_progress: epoch,
-            crash_at: vec![None; n],
-            detection_latency: SimDuration::ZERO,
-            last_event: epoch,
-        };
-        for t in 0..rx.conns.len() {
-            rx.sync_interest(t);
-        }
-        if let Some(plan) = plan {
-            for c in plan.crashes() {
-                let at = Duration::from(c.at.saturating_duration_since(SimTime::ZERO));
-                rx.arm(at, TimerKind::Crash(c.host));
-            }
-            for p in plan.pauses() {
-                let at = Duration::from(p.at.saturating_duration_since(SimTime::ZERO));
-                rx.arm(at, TimerKind::Pause(p.host));
-                rx.arm(at + Duration::from(p.duration), TimerKind::Resume(p.host));
-            }
-        }
-        if let Some(plan) = rescale {
-            for j in plan.joins() {
-                let at = Duration::from(j.at.saturating_duration_since(SimTime::ZERO));
-                rx.arm(at, TimerKind::JoinRequest(j.host));
-            }
-            for d in plan.drains() {
-                let at = Duration::from(d.at.saturating_duration_since(SimTime::ZERO));
-                rx.arm(at, TimerKind::DrainRequest(d.host));
-            }
-        }
-        for h in 0..n {
-            let out = rx.proto.input(Input::SetupDone { host: HostId(h) });
-            rx.apply(out, None);
-        }
-
-        let mut ready: Vec<(usize, bool, bool)> = Vec::new();
-        let mut fired: Vec<(TimerId, WheelItem)> = Vec::new();
-        let mut wake_buf = [0u8; 64];
-        let mut wake_rx = wake_rx;
-        while !rx.fatal && rx.proto.fragments_completed() < total {
-            // Synchronous backlog first: freed send credits, then pool
-            // completions, then due timers — only then does the loop pay
-            // for a kernel wait.
-            if let Some(from) = rx.pending.pop_front() {
-                rx.last_event = Instant::now();
-                let out = rx.proto.input(Input::SendDone { from });
-                rx.apply(out, None);
-                continue;
-            }
-            if let Some(event) = workers.pop_done() {
-                rx.on_worker_event(event);
-                continue;
-            }
-            let now_ns = rx.now_ns();
-            fired.clear();
-            rx.wheel.advance(now_ns, &mut fired);
-            if !fired.is_empty() {
-                for (_, item) in fired.drain(..) {
-                    if rx.fatal {
-                        break;
-                    }
-                    rx.fire(item);
-                }
-                continue;
-            }
-            let idle = rx.last_event.elapsed();
-            if idle >= watchdog {
-                rx.fail(RingError::Teardown(STALLED));
-                break;
-            }
-            let mut timeout = watchdog - idle;
-            if let Some(deadline) = rx.wheel.next_deadline() {
-                let until = Duration::from_nanos(deadline.saturating_sub(now_ns));
-                timeout = timeout.min(until.max(WHEEL_RESOLUTION));
-            }
-            match rx.poller.wait(timeout, &mut ready) {
-                Wait::Ready => {
-                    for &(token, readable, writable) in ready.iter() {
-                        if rx.fatal {
-                            break;
-                        }
-                        if token == WAKE_TOKEN {
-                            while matches!(wake_rx.read(&mut wake_buf), Ok(1..)) {}
-                            workers.disarm_wake();
-                            continue;
-                        }
-                        if writable {
-                            rx.flush_conn(token);
-                        }
-                        if readable {
-                            rx.drain_read(token);
-                        }
-                    }
-                }
-                Wait::Sweep => {
-                    while matches!(wake_rx.read(&mut wake_buf), Ok(1..)) {}
-                    workers.disarm_wake();
-                    for t in 0..rx.conns.len() {
-                        if rx.fatal {
-                            break;
-                        }
-                        let wants = rx
-                            .conns
-                            .get(t)
-                            .is_some_and(|c| c.want_out && c.write_open && !c.outq.is_empty());
-                        if wants {
-                            rx.flush_conn(t);
-                        }
-                        rx.drain_read(t);
-                    }
-                }
-                Wait::Idle => {}
-            }
-        }
-
-        workers.shutdown();
-        // Severing every socket lets any straggling peer bytes die on the
-        // closed connections; the conns drop with the reactor.
-        for conn in &rx.conns {
-            let _ = conn.stream.shutdown(Shutdown::Both);
-        }
-        match std::mem::take(&mut rx.errors).first() {
-            Some(err) => Err(err),
-            None => Ok(rx.into_result()),
-        }
-    })
-}
-
-// ---------------------------------------------------------------------------
-// The driver
-// ---------------------------------------------------------------------------
+/// The single-threaded readiness-loop socket engine.
+#[derive(Debug, Clone, Copy)]
+pub struct ReactorEngine;
 
 /// Builder for an event-loop ring run over loopback TCP — the single
-/// entry point of this backend, mirroring [`crate::tcp_backend::TcpRingDriver`]
-/// but with one reactor thread owning every socket.
+/// entry point of this backend: [`crate::TcpRingDriver`]'s builder and
+/// semantics, with one reactor thread owning every socket.
 ///
 /// ```
 /// use data_roundabout::{ReactorRingDriver, RingConfig};
@@ -1803,282 +935,201 @@ where
 ///     .unwrap();
 /// assert_eq!(metrics.fragments_completed, 6);
 /// ```
-#[derive(Clone, Copy)]
-pub struct ReactorRingDriver<'a> {
-    config: &'a RingConfig,
-    fault_plan: Option<&'a FaultPlan>,
-    rescale_plan: Option<&'a RescalePlan>,
-    trace: bool,
-}
+pub type ReactorRingDriver<'a> = SocketRingDriver<'a, ReactorEngine>;
 
-impl<'a> ReactorRingDriver<'a> {
-    /// A driver for `config` with the classic transport and no tracing.
-    pub fn new(config: &'a RingConfig) -> Self {
-        ReactorRingDriver {
-            config,
-            fault_plan: None,
-            rescale_plan: None,
-            trace: false,
-        }
-    }
-
-    /// Runs the ring over the unreliable medium described by `plan`, with
-    /// every hop protected by the protocol core's acknowledged transport.
-    /// Scheduled crashes become real socket severs and mid-revolution
-    /// ring healing; `config.ack_timeout` is interpreted in wall-clock
-    /// time (choose it to comfortably exceed a loopback round trip plus
-    /// reactor latency, or losses masquerade as timeouts).
-    pub fn with_fault_plan(mut self, plan: &'a FaultPlan) -> Self {
-        self.fault_plan = Some(plan);
-        self
-    }
-
-    /// Attaches a planned [`RescalePlan`]: standby hosts joining and
-    /// members draining out mid-workload over the live socket mesh, with
-    /// the same semantics as the blocking TCP driver. Attaching a rescale
-    /// plan switches the transport into its reliable mode even without a
-    /// fault plan. Schedule instants are interpreted in wall-clock time.
-    pub fn with_rescale_plan(mut self, plan: &'a RescalePlan) -> Self {
-        self.rescale_plan = Some(plan);
-        self
-    }
-
-    /// Enables structured span recording for this run.
-    pub fn with_tracer(mut self, trace: bool) -> Self {
-        self.trace = trace;
-        self
-    }
-
-    /// Runs the ring to completion. `fragments[h]` are host `h`'s local
-    /// fragments; `process` is invoked once per (host, envelope) visit.
-    ///
-    /// # Errors
-    ///
-    /// As [`ReactorRingDriver::run_with_roles`].
-    pub fn run<P, F>(
-        self,
-        fragments: Vec<Vec<P>>,
-        process: F,
-    ) -> Result<(RingMetrics, SpanTracer), RingError>
-    where
-        P: WirePayload + Send + Clone,
-        F: Fn(HostId, &P) + Sync,
-    {
-        self.run_with_roles(
-            fragments,
-            |host, _roles, payload| process(host, payload),
-            |_, _| {},
-        )
-    }
-
-    /// Like [`ReactorRingDriver::run`], but role-aware for healing runs:
-    /// `visit(host, roles, payload)` applies the named logical stationary
-    /// roles (the host's own, plus any absorbed from dead hosts), and
-    /// `absorb(survivor, role)` performs the state takeover when the ring
-    /// heals around a confirmed death.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RingError::Config`] for an invalid configuration,
-    /// [`RingError::Shape`] when `fragments.len() != config.hosts`,
-    /// [`RingError::UnsupportedFault`] for fault plans this backend cannot
-    /// realize (more than 64 hosts with a plan, a crash on a single-host
-    /// ring, or faults naming hosts outside the ring),
-    /// [`RingError::Socket`] when the loopback mesh cannot be built, and
-    /// [`RingError::Frame`] / [`RingError::Teardown`] when the run dies
-    /// mid-revolution (undecodable bytes, a panicking callback, an
-    /// exhausted retransmission budget on a live ring, or a stall).
-    pub fn run_with_roles<P, F, A>(
-        self,
-        fragments: Vec<Vec<P>>,
-        visit: F,
-        absorb: A,
-    ) -> Result<(RingMetrics, SpanTracer), RingError>
-    where
-        P: WirePayload + Send + Clone,
-        F: Fn(HostId, &[usize], &P) + Sync,
-        A: Fn(HostId, usize) + Sync,
-    {
-        self.config.validate()?;
-        let n = self.config.hosts;
-        if fragments.len() != n {
-            return Err(RingError::Shape {
-                expected: n,
-                got: fragments.len(),
-            });
-        }
-        if let Some(plan) = self.fault_plan {
-            if n > 64 {
-                return Err(RingError::UnsupportedFault(
-                    "the exactly-once role bitmask supports at most 64 hosts",
-                ));
-            }
-            if n == 1 && !plan.crashes().is_empty() {
-                return Err(RingError::UnsupportedFault(
-                    "a single-host ring cannot heal around its own crash",
-                ));
-            }
-            let in_ring = |h: HostId| h.0 < n;
-            if !plan.crashes().iter().all(|c| in_ring(c.host))
-                || !plan.pauses().iter().all(|p| in_ring(p.host))
-            {
-                return Err(RingError::UnsupportedFault(
-                    "fault plan names a host outside the ring",
-                ));
-            }
-        }
-        if let Some(plan) = self.rescale_plan {
-            if n > 64 {
-                return Err(RingError::UnsupportedFault(
-                    "the exactly-once role bitmask supports at most 64 hosts",
-                ));
-            }
-            if n == 1 && !plan.is_quiet() {
-                return Err(RingError::UnsupportedFault(
-                    "a single-host ring has no membership to rescale",
-                ));
-            }
-            let in_ring = |h: HostId| h.0 < n;
-            if !plan.joins().iter().all(|j| in_ring(j.host))
-                || !plan.drains().iter().all(|d| in_ring(d.host))
-            {
-                return Err(RingError::UnsupportedFault(
-                    "rescale plan names a host outside the ring",
-                ));
-            }
-            if plan
-                .joins()
-                .iter()
-                .any(|j| !fragments.get(j.host.0).is_none_or(Vec::is_empty))
-            {
-                return Err(RingError::UnsupportedFault(
-                    "a standby host must not contribute fragments before joining",
-                ));
-            }
-        }
-        let envelopes = envelope_batches(fragments, n);
-        if n == 1 {
-            // A single-host "ring" has no sockets to run; share the
-            // thread backend's local path.
-            let spans = self.trace.then(SharedSpans::new);
-            let backlog = envelopes.into_iter().next().unwrap_or_default();
-            let own = [0usize];
-            let metrics = run_single_host(backlog, |h, p| visit(h, &own, p), spans.as_ref())?;
-            let tracer = finish_spans(spans, &metrics);
-            return Ok((metrics, tracer));
-        }
-        run_reactor_mesh(
-            self.config,
-            self.fault_plan,
-            self.rescale_plan,
-            self.trace,
-            MeshWorkload::Single(envelopes),
-            &|host, _query: u32, roles: &[usize], payload: &P| visit(host, roles, payload),
-            &absorb,
-        )
-    }
-
-    /// Run several concurrent queries over one shared reactor ring, at
-    /// most `max_active` admitted at a time. `visit(host, query, roles,
-    /// payload)` joins one fragment of `query` against the named
-    /// stationary roles; `absorb(survivor, role)` rebuilds a dead host's
-    /// state (for every query) when the ring heals. Always rides the
-    /// reliable transport — quiet dice are synthesized when no fault plan
-    /// is set.
-    pub fn run_queries<P, F, A>(
-        self,
-        queries: Vec<(u32, Vec<Vec<P>>)>,
-        max_active: usize,
-        visit: F,
-        absorb: A,
+impl SocketEngine for ReactorEngine {
+    fn run_mesh<P, F, A>(
+        config: &RingConfig,
+        plan: Option<&FaultPlan>,
+        rescale: Option<&RescalePlan>,
+        trace: bool,
+        workload: Workload<P>,
+        visit: &F,
+        absorb: &A,
     ) -> Result<(RingMetrics, SpanTracer), RingError>
     where
         P: WirePayload + Send + Clone,
         F: Fn(HostId, u32, &[usize], &P) + Sync,
         A: Fn(HostId, usize) + Sync,
     {
-        self.config.validate()?;
-        let n = self.config.hosts;
-        if n < 2 {
-            return Err(RingError::UnsupportedFault(
-                "multiplexing needs a ring of at least two hosts",
-            ));
-        }
-        if n > 64 {
-            return Err(RingError::UnsupportedFault(
-                "the exactly-once role bitmask supports at most 64 hosts",
-            ));
-        }
-        if queries.is_empty() || max_active == 0 {
-            return Err(RingError::UnsupportedFault(
-                "a multi-tenant run needs at least one query and a positive admission bound",
-            ));
-        }
-        for (_, fragments) in &queries {
-            if fragments.len() != n {
-                return Err(RingError::Shape {
-                    expected: n,
-                    got: fragments.len(),
-                });
+        let n = config.hosts;
+        let watchdog = Duration::from(config.watchdog);
+        // Healing and rescale can route any surviving pair, so plans need
+        // the full mesh; classic plan-free runs only ever use
+        // ring-neighbor hops, and a neighbor-only mesh keeps a 256-host
+        // ring inside the process fd budget (n sockets instead of n²/2).
+        let full_mesh = plan.is_some();
+        let mesh = build_mesh_pairs(
+            n,
+            mesh_seed(plan),
+            Duration::from(config.handshake_timeout),
+            |a, b| full_mesh || b == a + 1 || (a == 0 && b == n - 1),
+        )?;
+
+        // The wake channel: pool threads poke the reactor out of its poll
+        // wait through one more loopback socket, registered like any other.
+        let wake_listener =
+            TcpListener::bind(("127.0.0.1", 0)).map_err(socket_err("bind wake listener"))?;
+        let wake_addr = wake_listener
+            .local_addr()
+            .map_err(socket_err("resolve wake address"))?;
+        let wake_tx = TcpStream::connect(wake_addr).map_err(socket_err("connect wake socket"))?;
+        let (wake_rx, _) = wake_listener
+            .accept()
+            .map_err(socket_err("accept wake socket"))?;
+        wake_rx
+            .set_nonblocking(true)
+            .map_err(socket_err("set wake socket nonblocking"))?;
+
+        let mut conns = Vec::new();
+        let mut lanes: Vec<Vec<Option<usize>>> =
+            (0..n).map(|_| (0..n).map(|_| None).collect()).collect();
+        for (h, row) in mesh.endpoints.into_iter().enumerate() {
+            for (p, endpoint) in row.into_iter().enumerate() {
+                if let Some(stream) = endpoint {
+                    stream
+                        .set_nonblocking(true)
+                        .map_err(socket_err("set ring socket nonblocking"))?;
+                    if let Some(slot) = lanes.get_mut(h).and_then(|r| r.get_mut(p)) {
+                        *slot = Some(conns.len());
+                    }
+                    conns.push(Conn::new(stream, h));
+                }
             }
         }
-        let in_ring = |h: HostId| h.0 < n;
-        if let Some(plan) = self.fault_plan {
-            if !plan.crashes().iter().all(|c| in_ring(c.host))
-                || !plan.pauses().iter().all(|p| in_ring(p.host))
-            {
-                return Err(RingError::UnsupportedFault(
-                    "fault plan names a host outside the ring",
-                ));
+
+        let workers = WorkerPool::<P>::new(n, wake_tx);
+        let pool_threads = n
+            .min(
+                thread::available_parallelism()
+                    .map(std::num::NonZero::get)
+                    .unwrap_or(2),
+            )
+            .max(1);
+
+        thread::scope(|s| {
+            for _ in 0..pool_threads {
+                let pool = &workers;
+                s.spawn(move || worker_thread(pool, visit, absorb));
             }
-        }
-        if let Some(plan) = self.rescale_plan {
-            if !plan.joins().iter().all(|j| in_ring(j.host))
-                || !plan.drains().iter().all(|d| in_ring(d.host))
-            {
-                return Err(RingError::UnsupportedFault(
-                    "rescale plan names a host outside the ring",
-                ));
+
+            let mut poller = Poller::new();
+            poller.update(&wake_rx, WAKE_TOKEN, true, false);
+            let mut sockets = Sockets {
+                conns,
+                lanes,
+                poller,
+                wheel: TimerWheel::new(WHEEL_RESOLUTION),
+                epoch: Instant::now(),
+                pool: FrameBufPool::default(),
+                workers: &workers,
+            };
+            for t in 0..sockets.conns.len() {
+                sockets.sync_interest(t);
             }
-            if plan.joins().iter().any(|j| {
-                queries
-                    .iter()
-                    .any(|(_, f)| f.get(j.host.0).is_some_and(|b| !b.is_empty()))
-            }) {
-                return Err(RingError::UnsupportedFault(
-                    "a standby host must not contribute fragments before joining",
-                ));
+            let mut co = Coordinator::new(config, plan, rescale, workload, trace, sockets);
+
+            let mut ready: Vec<(usize, bool, bool)> = Vec::new();
+            let mut fired: Vec<(TimerId, WheelItem)> = Vec::new();
+            let mut wake_buf = [0u8; 64];
+            let mut wake_rx = wake_rx;
+            // Stall watchdog: the last instant any event reached the
+            // coordinator.
+            let mut last_event = Instant::now();
+            while !co.done() {
+                // Synchronous backlog first: follow-ups (freed send
+                // credits), then pool completions, then due timers — only
+                // then does the loop pay for a kernel wait.
+                let backlog = co.pending.pop_front();
+                if let Some(event) = backlog.or_else(|| workers.pop_done().map(Event::Job)) {
+                    last_event = Instant::now();
+                    co.handle(event);
+                    continue;
+                }
+                let now_ns = co.medium.now_ns();
+                fired.clear();
+                co.medium.wheel.advance(now_ns, &mut fired);
+                if !fired.is_empty() {
+                    last_event = Instant::now();
+                    for (_, item) in fired.drain(..) {
+                        if co.done() {
+                            break;
+                        }
+                        match item {
+                            WheelItem::Kind(kind) => co.handle(Event::Timer(kind)),
+                            WheelItem::Flush(t) => co.medium.flush_conn(t, &mut co.pending),
+                        }
+                    }
+                    continue;
+                }
+                let idle = last_event.elapsed();
+                if idle >= watchdog {
+                    co.fail(RingError::Teardown(STALLED));
+                    break;
+                }
+                let mut timeout = watchdog - idle;
+                if let Some(deadline) = co.medium.wheel.next_deadline() {
+                    let until = Duration::from_nanos(deadline.saturating_sub(now_ns));
+                    timeout = timeout.min(until.max(WHEEL_RESOLUTION));
+                }
+                match co.medium.poller.wait(timeout, &mut ready) {
+                    Wait::Ready => {
+                        for &(token, readable, writable) in ready.iter() {
+                            if co.done() {
+                                break;
+                            }
+                            if token == WAKE_TOKEN {
+                                while matches!(wake_rx.read(&mut wake_buf), Ok(1..)) {}
+                                workers.disarm_wake();
+                                continue;
+                            }
+                            if writable {
+                                co.medium.flush_conn(token, &mut co.pending);
+                            }
+                            if readable && drain_read(&mut co, token) > 0 {
+                                last_event = Instant::now();
+                            }
+                        }
+                    }
+                    Wait::Sweep => {
+                        while matches!(wake_rx.read(&mut wake_buf), Ok(1..)) {}
+                        workers.disarm_wake();
+                        for t in 0..co.medium.conns.len() {
+                            if co.done() {
+                                break;
+                            }
+                            let wants =
+                                co.medium.conns.get(t).is_some_and(|c| {
+                                    c.want_out && c.write_open && !c.outq.is_empty()
+                                });
+                            if wants {
+                                co.medium.flush_conn(t, &mut co.pending);
+                            }
+                            if drain_read(&mut co, t) > 0 {
+                                last_event = Instant::now();
+                            }
+                        }
+                    }
+                    Wait::Idle => {}
+                }
             }
-        }
-        run_reactor_mesh(
-            self.config,
-            self.fault_plan,
-            self.rescale_plan,
-            self.trace,
-            MeshWorkload::Multi {
-                queries: query_batches(queries, n),
-                max_active,
-            },
-            &visit,
-            &absorb,
-        )
+
+            workers.shutdown();
+            // Severing every socket lets any straggling peer bytes die on
+            // the closed connections; the conns drop with the coordinator.
+            for conn in &co.medium.conns {
+                let _ = conn.stream.shutdown(Shutdown::Both);
+            }
+            co.finish()
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
-
-    fn payloads(hosts: usize, per_host: usize, bytes: usize) -> Vec<Vec<Vec<u8>>> {
-        (0..hosts)
-            .map(|h| {
-                (0..per_host)
-                    .map(|i| vec![(h * 31 + i) as u8; bytes])
-                    .collect()
-            })
-            .collect()
-    }
+    use crate::coordinator::socket_suite::{self, payloads};
+    use crate::envelope::FragmentId;
 
     fn loopback_pair() -> (TcpStream, TcpStream) {
         let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
@@ -2090,116 +1141,33 @@ mod tests {
 
     #[test]
     fn reactor_completes_a_classic_revolution() {
-        let config = RingConfig::paper(4);
-        let visits = AtomicUsize::new(0);
-        let (metrics, _spans) = ReactorRingDriver::new(&config)
-            .run(payloads(4, 2, 512), |_, _| {
-                visits.fetch_add(1, Ordering::Relaxed);
-            })
-            .unwrap();
-        assert_eq!(metrics.fragments_completed, 8);
-        assert_eq!(visits.load(Ordering::Relaxed), 8 * 4);
-        assert!(metrics.hosts.iter().all(|h| h.fragments_processed == 8));
+        socket_suite::every_host_sees_every_fragment::<ReactorEngine>();
     }
 
     #[test]
     fn reactor_single_host_shares_the_local_path() {
-        let config = RingConfig::paper(1);
-        let (metrics, _spans) = ReactorRingDriver::new(&config)
-            .run(payloads(1, 3, 64), |_, _| {})
-            .unwrap();
-        assert_eq!(metrics.fragments_completed, 3);
+        socket_suite::single_host_ring_needs_no_sockets::<ReactorEngine>();
     }
 
     #[test]
     fn reactor_validation_mirrors_the_blocking_driver() {
-        let config = RingConfig::paper(3);
-        let err = ReactorRingDriver::new(&config)
-            .run(payloads(2, 1, 8), |_, _| {})
-            .unwrap_err();
-        assert!(matches!(
-            err,
-            RingError::Shape {
-                expected: 3,
-                got: 2
-            }
-        ));
-
-        let plan =
-            FaultPlan::seeded(1).crash_host(HostId(9), SimTime::ZERO + SimDuration::from_millis(1));
-        let err = ReactorRingDriver::new(&config)
-            .with_fault_plan(&plan)
-            .run(payloads(3, 1, 8), |_, _| {})
-            .unwrap_err();
-        assert!(matches!(err, RingError::UnsupportedFault(_)));
+        socket_suite::shape_and_config_errors_are_typed::<ReactorEngine>();
+        socket_suite::out_of_ring_faults_are_rejected::<ReactorEngine>();
     }
 
     #[test]
     fn reactor_survives_loss_and_corruption() {
-        let mut config = RingConfig::paper(3);
-        config.ack_timeout = SimDuration::from_millis(120);
-        let plan = FaultPlan::seeded(7)
-            .lossy_link(HostId(0), 0.3)
-            .corrupt_link(HostId(1), 0.3);
-        let (metrics, _spans) = ReactorRingDriver::new(&config)
-            .with_fault_plan(&plan)
-            .run(payloads(3, 2, 256), |_, _| {})
-            .unwrap();
-        assert_eq!(metrics.fragments_completed, 6);
-        let retransmits: u64 = metrics.hosts.iter().map(|h| h.retransmits).sum();
-        assert!(retransmits > 0, "a lossy link must force retransmissions");
+        socket_suite::lossy_and_corrupt_links_are_repaired::<ReactorEngine>();
     }
 
     #[test]
     fn reactor_heals_a_mid_revolution_crash() {
-        let mut config = RingConfig::paper(4);
-        config.ack_timeout = SimDuration::from_millis(40);
-        let plan = FaultPlan::seeded(4242)
-            .crash_host(HostId(2), SimTime::ZERO + SimDuration::from_millis(5));
-        let absorbed = AtomicUsize::new(0);
-        let (metrics, _spans) = ReactorRingDriver::new(&config)
-            .with_fault_plan(&plan)
-            .run_with_roles(
-                payloads(4, 2, 256),
-                |_, _, _| {
-                    std::thread::sleep(Duration::from_millis(2));
-                },
-                |_, _| {
-                    absorbed.fetch_add(1, Ordering::Relaxed);
-                },
-            )
-            .unwrap();
-        assert_eq!(metrics.heal_events, 1);
-        assert_eq!(metrics.fragments_completed, 8);
-        assert_eq!(absorbed.load(Ordering::Relaxed), 1);
+        socket_suite::crash_heals_mid_revolution::<ReactorEngine>();
     }
 
     #[test]
     fn reactor_runs_a_planned_join_and_drain() {
-        let mut config = RingConfig::paper(3);
-        config.ack_timeout = SimDuration::from_millis(20);
-        let plan = RescalePlan::seeded(77)
-            .join_host(HostId(2), SimTime::ZERO + SimDuration::from_millis(1))
-            .drain_host(HostId(0), SimTime::ZERO + SimDuration::from_millis(8));
-        let mut fragments = payloads(3, 3, 128);
-        if let Some(standby) = fragments.get_mut(2) {
-            standby.clear();
-        }
-        let (metrics, _spans) = ReactorRingDriver::new(&config)
-            .with_rescale_plan(&plan)
-            .run_with_roles(
-                fragments,
-                |_, _, _| {
-                    std::thread::sleep(Duration::from_millis(2));
-                },
-                |_, _| {},
-            )
-            .unwrap();
-        assert_eq!(metrics.fragments_completed, 6);
-        assert_eq!(metrics.membership_epoch, 2);
-        assert_eq!(metrics.rescale_joins, 1);
-        assert_eq!(metrics.rescale_drains, 1);
-        assert_eq!(metrics.heal_events, 0);
+        socket_suite::planned_join_and_drain::<ReactorEngine>();
     }
 
     #[test]
@@ -2222,7 +1190,7 @@ mod tests {
         rx.set_nonblocking(true).unwrap();
         let mut conn = Conn::new(rx, 0);
         let env = Envelope::new(FragmentId(3), HostId(1), 4, vec![0xabu8; 100]);
-        let mut wire = crate::tcp_backend::encode_envelope(9, &env).unwrap();
+        let mut wire = crate::frame::encode_envelope(9, &env).unwrap();
         let mut ack = Vec::new();
         encode_ack_into(17, &mut ack);
         wire.extend_from_slice(&ack);
@@ -2260,7 +1228,7 @@ mod tests {
         // Enough bytes to overrun any loopback socket buffer, so the
         // kernel forces WouldBlock mid-frame.
         let env = Envelope::new(FragmentId(1), HostId(0), 2, vec![0x5au8; 4 * 1024 * 1024]);
-        let big = crate::tcp_backend::encode_envelope(1, &env).unwrap();
+        let big = crate::frame::encode_envelope(1, &env).unwrap();
         let mut ack = Vec::new();
         encode_ack_into(2, &mut ack);
         let expected: Vec<u8> = big.iter().chain(ack.iter()).copied().collect();
@@ -2356,65 +1324,11 @@ mod tests {
 
     #[test]
     fn multiplexed_queries_complete_on_the_reactor() {
-        let hosts = 3;
-        let queries = 3;
-        let cfg = RingConfig::paper(hosts)
-            .with_ack_timeout(SimDuration::from_millis(50))
-            .with_max_retransmits(6);
-        let tenants: Vec<(u32, Vec<Vec<Vec<u8>>>)> = (0..queries)
-            .map(|q| (q as u32, payloads(hosts, 2, 64)))
-            .collect();
-        let counts: Vec<AtomicUsize> = (0..hosts).map(|_| AtomicUsize::new(0)).collect();
-        let (metrics, spans) = ReactorRingDriver::new(&cfg)
-            .with_tracer(true)
-            .run_queries(
-                tenants,
-                2,
-                |h, _query, _roles: &[usize], _: &Vec<u8>| {
-                    counts[h.0].fetch_add(1, Ordering::SeqCst);
-                },
-                |_, _| {},
-            )
-            .unwrap();
-        assert_eq!(metrics.fragments_completed, queries * hosts * 2);
-        assert_eq!(metrics.queries.len(), queries);
-        for (q, m) in metrics.queries.iter().enumerate() {
-            assert_eq!(m.tenant, q as u32);
-            assert!(m.completed, "query {q}: {m:?}");
-            assert_eq!(m.fragments_completed, hosts * 2);
-        }
-        for c in &counts {
-            assert_eq!(c.load(Ordering::SeqCst), queries * hosts * 2);
-        }
-        let counters = spans.counters();
-        assert_eq!(counters.get(counter::QUERIES_ADMITTED), queries as u64);
-        assert_eq!(counters.get(counter::QUERIES_COMPLETED), queries as u64);
+        socket_suite::multiplexed_queries_complete::<ReactorEngine>();
     }
 
     #[test]
     fn multiplexed_queries_survive_reactor_faults() {
-        let hosts = 3;
-        let queries = 4;
-        let mut plan = FaultPlan::seeded(23);
-        for h in 0..hosts {
-            plan = plan.lossy_link(HostId(h), 0.08);
-        }
-        let cfg = RingConfig::paper(hosts)
-            .with_ack_timeout(SimDuration::from_millis(40))
-            .with_max_retransmits(8);
-        let tenants: Vec<(u32, Vec<Vec<Vec<u8>>>)> = (0..queries)
-            .map(|q| (q as u32, payloads(hosts, 2, 48)))
-            .collect();
-        let (metrics, _) = ReactorRingDriver::new(&cfg)
-            .with_fault_plan(&plan)
-            .run_queries(
-                tenants,
-                queries,
-                |_, _, _: &[usize], _: &Vec<u8>| {},
-                |_, _| {},
-            )
-            .unwrap();
-        assert_eq!(metrics.fragments_completed, queries * hosts * 2);
-        assert!(metrics.queries.iter().all(|m| m.completed));
+        socket_suite::multiplexed_queries_survive_faults::<ReactorEngine>();
     }
 }

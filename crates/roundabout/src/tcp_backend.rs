@@ -1,34 +1,22 @@
 //! The loopback-TCP backend: the ring over real kernel sockets.
 //!
-//! This is the third driver of the sans-IO [`crate::protocol`] core — and
-//! the second, after [`crate::sim_backend::SimRing`], that feeds the
-//! coordinator-style [`RingProtocol`] directly. Where the simulator maps
-//! protocol [`Output`]s onto virtual-time events and the thread backend
-//! maps per-hop policies onto bounded channels, this backend maps them
-//! onto `std::net` TCP streams:
+//! This is the blocking socket engine behind [`TcpRingDriver`]. The shared
+//! `Coordinator` owns the protocol and decides *what* happens; this file
+//! only provides the `Medium` that makes it happen on `std::net` TCP
+//! streams, speaking the wire format of [`crate::frame`]:
 //!
-//! * **Framing** — every message is `[kind: u8][len: u32 LE][body]`
-//!   ([`encode_envelope`], [`encode_ack`], [`encode_hello`]), decoded
-//!   incrementally by [`FrameDecoder`] so partial reads and short writes
-//!   at arbitrary byte boundaries reassemble cleanly. Malformed bytes
-//!   become typed [`FrameError`]s, never panics.
-//! * **Ring setup** — each host binds a listener on `127.0.0.1:0` (the
-//!   kernel assigns the port, so concurrent test runs never race), and
-//!   every connection is confirmed with a seeded hello handshake before
-//!   any envelope moves.
 //! * **Threads per hop** — each endpoint of a connection gets a reader
-//!   thread (socket → [`FrameDecoder`] → typed [`Input`]s) and a writer
-//!   thread (frame queue → `write_all`). A single coordinator thread owns
-//!   the [`RingProtocol`] and is the only place protocol state mutates.
+//!   thread (socket → [`FrameDecoder`] → `Event::Frame`) and a writer
+//!   thread (frame queue → vectored write). Per-host join workers and one
+//!   timer thread complete the cast; the coordinator runs on the calling
+//!   thread and is the only place protocol state mutates.
 //! * **Backpressure** — the protocol's credit accounting gates every
-//!   `Send`; the wire-free credit ([`Input::SendDone`]) is reported only
-//!   after `write_all` returned, so a full kernel socket buffer holds the
+//!   send; the wire-free credit (`Event::SendDone`) is reported only
+//!   after the write returned, so a full kernel socket buffer holds the
 //!   protocol's send credit exactly like a busy NIC.
-//! * **Faults** — the [`FaultPlan`] dice run driver-side, keyed on the
-//!   per-sender wire sequence (the numbering all three backends share):
-//!   dropped attempts never reach the socket, corrupted attempts cross it
-//!   with a flipped checksum, and every fate is reported through
-//!   [`RingProtocol::attempt_fate`]. A scheduled crash severs the host's
+//! * **Faults** — the coordinator rolls the [`FaultPlan`] dice: dropped
+//!   attempts never reach this medium, corrupted attempts cross the socket
+//!   with a flipped checksum. A scheduled crash severs the host's
 //!   outgoing connections with a real FIN, so mid-revolution ring healing
 //!   runs over actual sockets.
 //!
@@ -41,707 +29,45 @@
 //!
 //! Wall-clock differences from the simulator are expected (real sockets,
 //! real threads); the per-host retransmit/checksum *counters* are not —
-//! the three-way parity suite pins them to the sim and thread backends.
-//! A fault plan's `slow_host` factor is ignored here: the join callback's
-//! real execution time governs.
+//! the four-way parity suite pins them to the other backends. A fault
+//! plan's `slow_host` factor is ignored here: the join callback's real
+//! execution time governs.
 
-use std::collections::VecDeque;
-use std::io::{Read, Write};
-use std::net::{Shutdown, TcpListener, TcpStream};
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::io::Read;
+use std::net::{Shutdown, TcpStream};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
 use simnet::fault::{FaultPlan, RescalePlan};
-use simnet::span::{counter, SpanKind, SpanTracer, Track};
-use simnet::time::{SimDuration, SimTime};
+use simnet::span::SpanTracer;
 use simnet::topology::HostId;
 
 use crate::config::RingConfig;
-use crate::envelope::{Envelope, FragmentId, PayloadBytes};
-use crate::error::{FrameError, RingError};
-use crate::metrics::{HostMetrics, RingMetrics};
-use crate::protocol::{
-    envelope_batches, query_batches, teardown, Input, Output, ProtocolConfig, RingProtocol, Timer,
+use crate::coordinator::{
+    timer_loop, worker_loop, Coordinator, Event, Job, Medium, Pending, Recv, SocketEngine,
+    SocketRingDriver, TimerKind, Workload,
 };
-use crate::thread_backend::{finish_spans, run_single_host, ErrorCollector, SharedSpans};
+use crate::envelope::Envelope;
+use crate::error::RingError;
+use crate::frame::{
+    build_mesh_pairs, encode_ack_into, mesh_seed, socket_err, FrameBufPool, FrameDecoder,
+    WirePayload,
+};
+use crate::metrics::RingMetrics;
+use crate::protocol::teardown;
 
-// ---------------------------------------------------------------------------
-// Wire format
-// ---------------------------------------------------------------------------
-
-/// Frame kind: connection handshake (`nonce: u64, host: u32`).
-pub const KIND_HELLO: u8 = 1;
-/// Frame kind: a circulating envelope (48-byte header + payload).
-pub const KIND_ENVELOPE: u8 = 2;
-/// Frame kind: a transfer acknowledgement (`tid: u64`).
-pub const KIND_ACK: u8 = 3;
-
-/// Largest body a frame may claim; longer prefixes are corruption (or a
-/// stranger speaking another protocol) and decode to
-/// [`FrameError::Oversized`].
-pub const MAX_FRAME: u32 = 1 << 28;
-
-/// Bytes of the frame prefix: kind byte plus little-endian length.
-const FRAME_HEADER: usize = 5;
-/// Fixed bytes of an envelope body before the payload: tid, fragment id,
-/// origin, hops remaining, wire sequence, checksum, visited mask, query id.
-const ENVELOPE_HEADER: usize = 52;
-/// Bytes of a hello body: nonce plus host id.
-const HELLO_BODY: usize = 12;
-/// Bytes of an ack body: the transfer id.
-const ACK_BODY: usize = 8;
+pub use crate::frame::{encode_envelope_into, write_frames_vectored};
 
 /// Most frames a writer batches into one vectored submission. Bounds the
 /// pooled buffers held out of circulation per writer while still letting
 /// a burst of small acks/envelopes leave in a single syscall.
-pub(crate) const MAX_WRITE_BATCH: usize = 16;
-
-/// Watchdog teardown reason (driver-local; not part of the shared
-/// protocol cascade).
-const STALLED: &str = "tcp ring stalled: no event arrived within the watchdog window";
-/// Invariant: [`Output::StartJoin`] always has a payload in the slot.
-const EMPTY_SLOT: &str = "StartJoin with an empty processing slot";
-/// Invariant: [`Output::Ack`] is only emitted while a delivery is being
-/// processed, which names the acking host.
-const ACK_OUT_OF_CONTEXT: &str = "ack emitted outside a delivery context";
-
-/// A payload type that can cross a byte-oriented transport.
-///
-/// The simulated and threaded backends move payloads by value; TCP moves
-/// bytes. Implementations must round-trip exactly — the envelope checksum
-/// taken at origination is verified on the decoded payload, so a lossy
-/// codec would masquerade as wire corruption.
-pub trait WirePayload: PayloadBytes + Sized {
-    /// Exact number of bytes [`WirePayload::encode_payload`] will append —
-    /// frame buffers are sized from this before encoding, so an
-    /// underestimate costs a mid-encode reallocation and copy of
-    /// everything written so far.
-    fn payload_wire_len(&self) -> usize;
-    /// Appends this payload's wire bytes to `out`.
-    fn encode_payload(&self, out: &mut Vec<u8>);
-    /// Reconstructs a payload from its wire bytes.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FrameError::BadPayload`] when the bytes are not a valid
-    /// encoding (truncated tables, impossible partition counts, …).
-    fn decode_payload(bytes: &[u8]) -> Result<Self, FrameError>;
-}
-
-impl WirePayload for Vec<u8> {
-    fn payload_wire_len(&self) -> usize {
-        self.len()
-    }
-
-    fn encode_payload(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(self);
-    }
-
-    fn decode_payload(bytes: &[u8]) -> Result<Self, FrameError> {
-        Ok(bytes.to_vec())
-    }
-}
-
-impl WirePayload for relation::Relation {
-    fn payload_wire_len(&self) -> usize {
-        relation::wire::encoded_len(self.len())
-    }
-
-    fn encode_payload(&self, out: &mut Vec<u8>) {
-        relation::wire::encode_into(self, out);
-    }
-
-    fn decode_payload(bytes: &[u8]) -> Result<Self, FrameError> {
-        relation::wire::decode(bytes).map_err(|_| FrameError::BadPayload("relation wire format"))
-    }
-}
-
-/// Prepared-fragment wire tags (one byte ahead of the relation bytes).
-const TAG_PLAIN: u8 = 0;
-const TAG_SORTED: u8 = 1;
-const TAG_HASH: u8 = 2;
-
-impl WirePayload for mem_joins::PreparedFragment {
-    fn payload_wire_len(&self) -> usize {
-        match self {
-            mem_joins::PreparedFragment::Plain(rel) => 1 + relation::wire::encoded_len(rel.len()),
-            mem_joins::PreparedFragment::Sorted(run) => {
-                1 + relation::wire::encoded_len(run.as_relation().len())
-            }
-            mem_joins::PreparedFragment::HashPartitioned(parts) => {
-                1 + 4
-                    + 4
-                    + parts
-                        .partitions()
-                        .iter()
-                        .map(|p| 4 + relation::wire::encoded_len(p.len()))
-                        .sum::<usize>()
-            }
-        }
-    }
-
-    fn encode_payload(&self, out: &mut Vec<u8>) {
-        match self {
-            mem_joins::PreparedFragment::Plain(rel) => {
-                out.push(TAG_PLAIN);
-                relation::wire::encode_into(rel, out);
-            }
-            mem_joins::PreparedFragment::Sorted(run) => {
-                out.push(TAG_SORTED);
-                relation::wire::encode_into(run.as_relation(), out);
-            }
-            mem_joins::PreparedFragment::HashPartitioned(parts) => {
-                out.push(TAG_HASH);
-                out.extend_from_slice(&parts.bits().to_le_bytes());
-                out.extend_from_slice(&(parts.partitions().len() as u32).to_le_bytes());
-                for p in parts.partitions() {
-                    // The per-partition length prefix is a pure function
-                    // of the tuple count, so it can be written *before*
-                    // the bytes — no staging copy of the encoding.
-                    let enc_len = relation::wire::encoded_len(p.len());
-                    out.extend_from_slice(&(enc_len as u32).to_le_bytes());
-                    relation::wire::encode_into(p, out);
-                }
-            }
-        }
-    }
-
-    fn decode_payload(bytes: &[u8]) -> Result<Self, FrameError> {
-        let Some(&tag) = bytes.first() else {
-            return Err(FrameError::BadPayload("empty prepared-fragment payload"));
-        };
-        let rest = bytes.get(1..).unwrap_or_default();
-        match tag {
-            TAG_PLAIN => {
-                let rel = relation::Relation::decode_payload(rest)?;
-                Ok(mem_joins::PreparedFragment::Plain(rel))
-            }
-            TAG_SORTED => {
-                let rel = relation::Relation::decode_payload(rest)?;
-                // Validate before constructing: `from_sorted` asserts.
-                if !rel.is_sorted_by_key() {
-                    return Err(FrameError::BadPayload("sorted-run payload is not sorted"));
-                }
-                Ok(mem_joins::PreparedFragment::Sorted(
-                    mem_joins::SortedRun::from_sorted(rel),
-                ))
-            }
-            TAG_HASH => {
-                let bits = read_u32(rest, 0)
-                    .ok_or(FrameError::BadPayload("truncated radix partition header"))?;
-                let count = read_u32(rest, 4)
-                    .ok_or(FrameError::BadPayload("truncated radix partition header"))?;
-                if bits > 24 {
-                    return Err(FrameError::BadPayload("radix bits out of range"));
-                }
-                if count as u64 != 1u64 << bits {
-                    return Err(FrameError::BadPayload(
-                        "partition count does not match radix bits",
-                    ));
-                }
-                let mut at = 8usize;
-                let mut partitions = Vec::with_capacity(count as usize);
-                for _ in 0..count {
-                    let len = read_u32(rest, at)
-                        .ok_or(FrameError::BadPayload("truncated partition table"))?
-                        as usize;
-                    at += 4;
-                    let seg = rest
-                        .get(at..at.saturating_add(len))
-                        .ok_or(FrameError::BadPayload("truncated partition body"))?;
-                    partitions.push(relation::Relation::decode_payload(seg)?);
-                    at += len;
-                }
-                Ok(mem_joins::PreparedFragment::HashPartitioned(
-                    mem_joins::RadixPartitioned::from_parts(bits, partitions),
-                ))
-            }
-            _ => Err(FrameError::BadPayload("unknown prepared-fragment tag")),
-        }
-    }
-}
-
-/// One decoded wire frame.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Frame<P> {
-    /// Connection handshake, exchanged once per direction at setup.
-    Hello {
-        /// Seeded pair nonce; a mismatch means a stranger connected.
-        nonce: u64,
-        /// Host id of the sender.
-        host: u32,
-    },
-    /// A circulating envelope.
-    Envelope {
-        /// Transfer id from the matching [`Output::Send`] (0 on the
-        /// classic path).
-        tid: u64,
-        /// The envelope, checksum carried verbatim (corruption survives
-        /// the codec so the receiver's verification can catch it).
-        env: Envelope<P>,
-    },
-    /// A transfer acknowledgement travelling back to its sender.
-    Ack {
-        /// The acknowledged transfer.
-        tid: u64,
-    },
-}
-
-fn read_u32(bytes: &[u8], at: usize) -> Option<u32> {
-    let s = bytes.get(at..at.checked_add(4)?)?;
-    Some(u32::from_le_bytes(s.try_into().ok()?))
-}
-
-fn read_u64(bytes: &[u8], at: usize) -> Option<u64> {
-    let s = bytes.get(at..at.checked_add(8)?)?;
-    Some(u64::from_le_bytes(s.try_into().ok()?))
-}
-
-/// Opens a frame in `out`: the kind byte plus a zeroed length prefix,
-/// patched by [`close_frame`] once the body is in place. Writing the body
-/// directly behind the header keeps every frame a single buffer — no
-/// body-then-copy staging.
-fn open_frame(out: &mut Vec<u8>, kind: u8, body_hint: usize) {
-    out.clear();
-    out.reserve(FRAME_HEADER + body_hint);
-    out.push(kind);
-    out.extend_from_slice(&[0u8; 4]);
-}
-
-/// Patches the length prefix of a frame started by [`open_frame`].
-///
-/// # Errors
-///
-/// Returns [`FrameError::Oversized`] when the body exceeds [`MAX_FRAME`]
-/// — such a frame could never be decoded on the other side.
-fn close_frame(out: &mut [u8]) -> Result<(), FrameError> {
-    let body_len = out.len().saturating_sub(FRAME_HEADER);
-    if body_len > MAX_FRAME as usize {
-        return Err(FrameError::Oversized {
-            len: u32::MAX,
-            max: MAX_FRAME,
-        });
-    }
-    if let Some(prefix) = out.get_mut(1..FRAME_HEADER) {
-        prefix.copy_from_slice(&(body_len as u32).to_le_bytes());
-    }
-    Ok(())
-}
-
-/// Encodes a handshake frame.
-pub fn encode_hello(nonce: u64, host: u32) -> Vec<u8> {
-    let mut out = Vec::new();
-    open_frame(&mut out, KIND_HELLO, HELLO_BODY);
-    out.extend_from_slice(&nonce.to_le_bytes());
-    out.extend_from_slice(&host.to_le_bytes());
-    let _ = close_frame(&mut out); // 12-byte body: cannot be oversized
-    out
-}
-
-/// Encodes an acknowledgement frame.
-pub fn encode_ack(tid: u64) -> Vec<u8> {
-    let mut out = Vec::new();
-    encode_ack_into(tid, &mut out);
-    out
-}
-
-/// Encodes an acknowledgement frame into a reusable buffer (cleared
-/// first).
-pub fn encode_ack_into(tid: u64, out: &mut Vec<u8>) {
-    open_frame(out, KIND_ACK, ACK_BODY);
-    out.extend_from_slice(&tid.to_le_bytes());
-    let _ = close_frame(out); // 8-byte body: cannot be oversized
-}
-
-/// Encodes an envelope frame.
-///
-/// # Errors
-///
-/// Returns [`FrameError::Oversized`] when the payload would exceed
-/// [`MAX_FRAME`] — such a frame could never be decoded on the other side.
-pub fn encode_envelope<P: WirePayload>(tid: u64, env: &Envelope<P>) -> Result<Vec<u8>, FrameError> {
-    let mut out = Vec::new();
-    encode_envelope_into(tid, env, &mut out)?;
-    Ok(out)
-}
-
-/// Encodes an envelope frame into a reusable buffer (cleared first). The
-/// buffer is right-sized up front from [`WirePayload::payload_wire_len`],
-/// so a pooled buffer that has seen a similar payload before makes the
-/// whole encode allocation-free.
-///
-/// # Errors
-///
-/// As [`encode_envelope`].
-pub fn encode_envelope_into<P: WirePayload>(
-    tid: u64,
-    env: &Envelope<P>,
-    out: &mut Vec<u8>,
-) -> Result<(), FrameError> {
-    open_frame(
-        out,
-        KIND_ENVELOPE,
-        ENVELOPE_HEADER + env.payload.payload_wire_len(),
-    );
-    out.extend_from_slice(&tid.to_le_bytes());
-    out.extend_from_slice(&(env.id.0 as u64).to_le_bytes());
-    out.extend_from_slice(&(env.origin.0 as u32).to_le_bytes());
-    out.extend_from_slice(&(env.hops_remaining as u32).to_le_bytes());
-    out.extend_from_slice(&env.seq.to_le_bytes());
-    out.extend_from_slice(&env.checksum.to_le_bytes());
-    out.extend_from_slice(&env.visited.to_le_bytes());
-    out.extend_from_slice(&env.query.to_le_bytes());
-    env.payload.encode_payload(out);
-    close_frame(out)
-}
-
-/// Ceiling on the capacity a buffer may keep when it returns to the
-/// [`FrameBufPool`]: one outsized envelope must not pin its high-water
-/// allocation for the rest of the run.
-const MAX_POOLED_CAPACITY: usize = 4 * 1024 * 1024;
-/// Ceiling on pooled buffers; beyond it, returning buffers are dropped.
-const MAX_POOLED_BUFS: usize = 64;
-
-/// A shared pool of encode buffers. The coordinator draws a buffer per
-/// outgoing frame, encodes into it, and the writer thread returns it once
-/// `write_all` handed the bytes to the kernel — so the steady state
-/// allocates nothing per frame instead of a fresh `Vec` per envelope.
-#[derive(Default)]
-pub(crate) struct FrameBufPool {
-    bufs: std::sync::Mutex<Vec<Vec<u8>>>,
-}
-
-impl FrameBufPool {
-    /// A recycled buffer, or a fresh empty one when the pool is dry.
-    pub(crate) fn take(&self) -> Vec<u8> {
-        // A poisoned lock only means some thread panicked mid-push; the
-        // pool's contents are plain byte buffers, always safe to reuse.
-        let mut bufs = self
-            .bufs
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        bufs.pop().unwrap_or_default()
-    }
-
-    /// Returns a buffer to the pool (oversized or surplus ones are freed).
-    pub(crate) fn put(&self, mut buf: Vec<u8>) {
-        if buf.capacity() > MAX_POOLED_CAPACITY {
-            return;
-        }
-        buf.clear();
-        let mut bufs = self
-            .bufs
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if bufs.len() < MAX_POOLED_BUFS {
-            bufs.push(buf);
-        }
-    }
-}
-
-/// Incremental frame decoder: feed it byte chunks as they come off a
-/// socket, pull complete frames out. Partial frames wait for more bytes;
-/// malformed ones surface as typed [`FrameError`]s. The decoder never
-/// panics on wire input.
-#[derive(Debug, Default)]
-pub struct FrameDecoder {
-    buf: Vec<u8>,
-    start: usize,
-}
-
-impl FrameDecoder {
-    /// An empty decoder.
-    pub fn new() -> Self {
-        FrameDecoder::default()
-    }
-
-    /// Appends freshly read bytes.
-    pub fn feed(&mut self, bytes: &[u8]) {
-        self.buf.extend_from_slice(bytes);
-    }
-
-    /// Decodes the next complete frame, if one is buffered.
-    ///
-    /// Returns `Ok(None)` when more bytes are needed.
-    ///
-    /// # Errors
-    ///
-    /// [`FrameError::BadKind`] for an unknown kind byte,
-    /// [`FrameError::Oversized`] for a length prefix beyond [`MAX_FRAME`],
-    /// [`FrameError::Truncated`] for a body shorter than its fixed header,
-    /// and [`FrameError::BadPayload`] for undecodable payload bytes.
-    pub fn next_frame<P: WirePayload>(&mut self) -> Result<Option<Frame<P>>, FrameError> {
-        let buf = self.buf.get(self.start..).unwrap_or_default();
-        let Some(&kind) = buf.first() else {
-            return Ok(None);
-        };
-        if !matches!(kind, KIND_HELLO | KIND_ENVELOPE | KIND_ACK) {
-            return Err(FrameError::BadKind(kind));
-        }
-        let Some(len) = read_u32(buf, 1) else {
-            return Ok(None);
-        };
-        if len > MAX_FRAME {
-            return Err(FrameError::Oversized {
-                len,
-                max: MAX_FRAME,
-            });
-        }
-        let Some(body) = buf.get(FRAME_HEADER..FRAME_HEADER + len as usize) else {
-            return Ok(None);
-        };
-        let frame = decode_body(kind, body)?;
-        self.start += FRAME_HEADER + len as usize;
-        if self.start == self.buf.len() {
-            self.buf.clear();
-            self.start = 0;
-        } else if self.start > 64 * 1024 {
-            self.buf.drain(..self.start);
-            self.start = 0;
-        }
-        Ok(Some(frame))
-    }
-}
-
-fn decode_body<P: WirePayload>(kind: u8, body: &[u8]) -> Result<Frame<P>, FrameError> {
-    let needed = match kind {
-        KIND_HELLO => HELLO_BODY,
-        KIND_ACK => ACK_BODY,
-        _ => ENVELOPE_HEADER,
-    };
-    if body.len() < needed {
-        return Err(FrameError::Truncated {
-            needed,
-            got: body.len(),
-        });
-    }
-    match kind {
-        KIND_HELLO => Ok(Frame::Hello {
-            nonce: read_u64(body, 0).unwrap_or_default(),
-            host: read_u32(body, 8).unwrap_or_default(),
-        }),
-        KIND_ACK => Ok(Frame::Ack {
-            tid: read_u64(body, 0).unwrap_or_default(),
-        }),
-        KIND_ENVELOPE => {
-            let payload = P::decode_payload(body.get(ENVELOPE_HEADER..).unwrap_or_default())?;
-            Ok(Frame::Envelope {
-                tid: read_u64(body, 0).unwrap_or_default(),
-                env: Envelope {
-                    id: FragmentId(read_u64(body, 8).unwrap_or_default() as usize),
-                    origin: HostId(read_u32(body, 16).unwrap_or_default() as usize),
-                    hops_remaining: read_u32(body, 20).unwrap_or_default() as usize,
-                    seq: read_u64(body, 24).unwrap_or_default(),
-                    checksum: read_u64(body, 32).unwrap_or_default(),
-                    visited: read_u64(body, 40).unwrap_or_default(),
-                    query: read_u32(body, 48).unwrap_or_default(),
-                    payload,
-                },
-            })
-        }
-        other => Err(FrameError::BadKind(other)),
-    }
-}
+const MAX_WRITE_BATCH: usize = 16;
 
 // ---------------------------------------------------------------------------
-// Ring setup: port-0 listeners + seeded hello handshake
+// Per-endpoint threads
 // ---------------------------------------------------------------------------
-
-/// splitmix64-style mixer for the handshake nonces.
-fn mix(mut x: u64) -> u64 {
-    x ^= x >> 30;
-    x = x.wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x ^= x >> 27;
-    x = x.wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^= x >> 31;
-    x
-}
-
-/// The hello nonce the `from` side of pair (`from`, `to`) must present.
-pub(crate) fn pair_nonce(seed: u64, from: usize, to: usize) -> u64 {
-    mix(seed ^ ((from as u64) << 32) ^ (to as u64) ^ 0x5e17_ab1e_c0a5_7e11)
-}
-
-/// The full in-process mesh: `endpoints[h][p]` is host `h`'s end of its
-/// connection with `p` (None on the diagonal). Healing can route any
-/// surviving pair, so every pair gets a socket up front.
-pub(crate) struct Mesh {
-    pub(crate) endpoints: Vec<Vec<Option<TcpStream>>>,
-}
-
-pub(crate) fn socket_err(what: &'static str) -> impl Fn(std::io::Error) -> RingError {
-    move |_| RingError::Socket(what)
-}
-
-/// Builds the full loopback mesh (every pair connected). Every host binds
-/// `127.0.0.1:0` — the kernel assigns a fresh port, so concurrent runs
-/// (CI, proptests) never collide — and each connection is confirmed with
-/// a two-way seeded hello before it joins the ring.
-fn build_mesh(hosts: usize, seed: u64, handshake_timeout: Duration) -> Result<Mesh, RingError> {
-    build_mesh_pairs(hosts, seed, handshake_timeout, |_, _| true)
-}
-
-/// Builds the loopback mesh restricted to the pairs `want(a, b)` accepts
-/// (`a < b`). The reactor driver uses this to open only ring-neighbor
-/// sockets on plan-free wide rings, where a full 256-host mesh would
-/// exhaust the process fd budget for connections healing can never use.
-pub(crate) fn build_mesh_pairs(
-    hosts: usize,
-    seed: u64,
-    handshake_timeout: Duration,
-    mut want: impl FnMut(usize, usize) -> bool,
-) -> Result<Mesh, RingError> {
-    let mut endpoints: Vec<Vec<Option<TcpStream>>> = (0..hosts)
-        .map(|_| (0..hosts).map(|_| None).collect())
-        .collect();
-    for b in 1..hosts {
-        let wanted: Vec<usize> = (0..b).filter(|&a| want(a, b)).collect();
-        if wanted.is_empty() {
-            continue;
-        }
-        let listener =
-            TcpListener::bind(("127.0.0.1", 0)).map_err(socket_err("bind loopback listener"))?;
-        let addr = listener
-            .local_addr()
-            .map_err(socket_err("resolve listener address"))?;
-        for a in wanted {
-            let connect = TcpStream::connect(addr).map_err(socket_err("connect to ring peer"))?;
-            let (accept, _) = listener.accept().map_err(socket_err("accept ring peer"))?;
-            handshake(a, b, seed, &connect, &accept, handshake_timeout)?;
-            if let Some(row) = endpoints.get_mut(a) {
-                if let Some(slot) = row.get_mut(b) {
-                    *slot = Some(connect);
-                }
-            }
-            if let Some(row) = endpoints.get_mut(b) {
-                if let Some(slot) = row.get_mut(a) {
-                    *slot = Some(accept);
-                }
-            }
-        }
-    }
-    Ok(Mesh { endpoints })
-}
-
-/// Confirms one freshly accepted connection in both directions.
-fn handshake(
-    a: usize,
-    b: usize,
-    seed: u64,
-    connect: &TcpStream,
-    accept: &TcpStream,
-    timeout: Duration,
-) -> Result<(), RingError> {
-    for s in [connect, accept] {
-        s.set_read_timeout(Some(timeout))
-            .map_err(socket_err("set handshake timeout"))?;
-    }
-    send_hello(connect, pair_nonce(seed, a, b), a)?;
-    expect_hello(accept, pair_nonce(seed, a, b), a)?;
-    send_hello(accept, pair_nonce(seed, b, a), b)?;
-    expect_hello(connect, pair_nonce(seed, b, a), b)?;
-    for s in [connect, accept] {
-        s.set_read_timeout(None)
-            .map_err(socket_err("clear handshake timeout"))?;
-        // The ring moves small control frames (acks) between large
-        // envelopes; Nagle batching would serialize the stop-and-wait.
-        s.set_nodelay(true).map_err(socket_err("set TCP_NODELAY"))?;
-    }
-    Ok(())
-}
-
-fn send_hello(stream: &TcpStream, nonce: u64, host: usize) -> Result<(), RingError> {
-    let mut writer = stream;
-    writer
-        .write_all(&encode_hello(nonce, host as u32))
-        .map_err(socket_err("send hello"))
-}
-
-fn expect_hello(stream: &TcpStream, nonce: u64, host: usize) -> Result<(), RingError> {
-    let mut reader = stream;
-    let mut decoder = FrameDecoder::new();
-    let mut chunk = [0u8; 256];
-    loop {
-        match decoder.next_frame::<Vec<u8>>() {
-            Ok(Some(Frame::Hello { nonce: n, host: h })) => {
-                return if n == nonce && h as usize == host {
-                    Ok(())
-                } else {
-                    Err(RingError::Socket("handshake: hello nonce or host mismatch"))
-                };
-            }
-            Ok(Some(_)) => return Err(RingError::Socket("handshake: unexpected frame")),
-            Ok(None) => {}
-            Err(e) => return Err(e.into()),
-        }
-        let n = reader
-            .read(&mut chunk)
-            .map_err(socket_err("handshake read"))?;
-        if n == 0 {
-            return Err(RingError::Socket("handshake: peer closed during hello"));
-        }
-        decoder.feed(chunk.get(..n).unwrap_or_default());
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Driver plumbing: events, jobs, per-endpoint threads
-// ---------------------------------------------------------------------------
-
-/// What the coordinator hears from the worker threads.
-enum Event<P> {
-    FromWire {
-        at: HostId,
-        frame: Frame<P>,
-    },
-    JoinDone {
-        host: HostId,
-        id: FragmentId,
-        hop: usize,
-        spent: Duration,
-        panicked: bool,
-    },
-    AbsorbDone {
-        host: HostId,
-        dead: HostId,
-        roles: usize,
-        spent: Duration,
-        panicked: bool,
-        /// True when the rebuild was a planned rescale handoff rather
-        /// than a crash-healing absorb (labels only — the protocol input
-        /// is the same).
-        planned: bool,
-    },
-    SendDone {
-        from: HostId,
-    },
-    TimerFired {
-        kind: TimerKind,
-    },
-    Fatal {
-        error: RingError,
-    },
-}
-
-/// Timers are protocol backoffs plus the fault and rescale plans'
-/// scheduled events, all realized on the same wall-clock timer thread.
-#[derive(Debug, Clone, Copy)]
-enum TimerKind {
-    Protocol(Timer),
-    Crash(HostId),
-    Pause(HostId),
-    Resume(HostId),
-    JoinRequest(HostId),
-    DrainRequest(HostId),
-}
-
-struct TimerCmd {
-    deadline: Instant,
-    kind: TimerKind,
-}
 
 /// Work for a writer thread. `Sever` queues *behind* pending frames, so a
 /// crash's FIN goes out only after every already-committed byte flushed.
@@ -754,26 +80,17 @@ enum WriteJob {
     Sever,
 }
 
-/// Work for a host's join worker thread.
-enum JoinJob<P> {
-    Join {
-        payload: P,
-        /// Which multiplexed query the fragment belongs to (0 on
-        /// single-query runs).
-        query: u32,
-        roles: Option<Vec<usize>>,
-        id: FragmentId,
-        hop: usize,
-    },
-    Absorb {
-        dead: HostId,
-        roles: Vec<usize>,
-        /// True for a planned rescale handoff (the donor is alive).
-        planned: bool,
-    },
-}
-
 type WriterGrid = Vec<Vec<Option<Sender<WriteJob>>>>;
+
+/// One timed receive on a `std::sync::mpsc` channel, in the coordinator's
+/// channel-agnostic shape.
+fn recv_from<T>(rx: &Receiver<T>, wait: Duration) -> Recv<T> {
+    match rx.recv_timeout(wait) {
+        Ok(item) => Recv::Item(item),
+        Err(RecvTimeoutError::Timeout) => Recv::Timeout,
+        Err(RecvTimeoutError::Disconnected) => Recv::Closed,
+    }
+}
 
 fn reader_loop<P: WirePayload>(stream: TcpStream, at: HostId, events: Sender<Event<P>>) {
     let mut stream = stream;
@@ -788,51 +105,18 @@ fn reader_loop<P: WirePayload>(stream: TcpStream, at: HostId, events: Sender<Eve
         loop {
             match decoder.next_frame::<P>() {
                 Ok(Some(frame)) => {
-                    if events.send(Event::FromWire { at, frame }).is_err() {
+                    if events.send(Event::Frame { at, frame }).is_err() {
                         return;
                     }
                 }
                 Ok(None) => break,
                 Err(e) => {
-                    let _ = events.send(Event::Fatal {
-                        error: RingError::Frame(e),
-                    });
+                    let _ = events.send(Event::Fatal(RingError::Frame(e)));
                     return;
                 }
             }
         }
     }
-}
-
-/// Writes every frame in `frames`, submitting them as one vectored
-/// `writev` whenever the kernel cooperates. Each frame is already a
-/// complete `[kind][len][body]` encoding from the pooled buffers, so the
-/// prefix and payload of many frames leave in a single syscall instead of
-/// one `write_all` per frame. Short writes resume from the exact byte
-/// offset; `Interrupted` retries; a zero-length write reports the peer
-/// gone as `WriteZero`.
-pub fn write_frames_vectored<W: Write>(stream: &mut W, frames: &[Vec<u8>]) -> std::io::Result<()> {
-    let total: usize = frames.iter().map(Vec::len).sum();
-    let mut written = 0usize;
-    while written < total {
-        let mut slices: Vec<std::io::IoSlice<'_>> = Vec::with_capacity(frames.len());
-        let mut skip = written;
-        for f in frames {
-            if skip >= f.len() {
-                skip -= f.len();
-                continue;
-            }
-            slices.push(std::io::IoSlice::new(f.get(skip..).unwrap_or_default()));
-            skip = 0;
-        }
-        match stream.write_vectored(&slices) {
-            Ok(0) => return Err(std::io::ErrorKind::WriteZero.into()),
-            Ok(n) => written = written.saturating_add(n),
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(())
 }
 
 fn writer_loop<P>(
@@ -909,707 +193,109 @@ fn writer_loop<P>(
     }
 }
 
-fn worker_loop<P, F, A>(
-    host: HostId,
-    jobs: Receiver<JoinJob<P>>,
-    events: Sender<Event<P>>,
-    visit: &F,
-    absorb: &A,
-) where
-    P: WirePayload,
-    F: Fn(HostId, u32, &[usize], &P) + Sync,
-    A: Fn(HostId, usize) + Sync,
-{
-    for job in jobs.iter() {
-        match job {
-            JoinJob::Join {
-                payload,
-                query,
-                roles,
-                id,
-                hop,
-            } => {
-                let started = Instant::now();
-                let own = [host.0];
-                // Guard the user callback: a panic inside it must become
-                // a typed teardown error, not a dead scope.
-                let outcome = catch_unwind(AssertUnwindSafe(|| match &roles {
-                    Some(rs) => visit(host, query, rs, &payload),
-                    None => visit(host, query, &own, &payload),
-                }));
-                let done = Event::JoinDone {
-                    host,
-                    id,
-                    hop,
-                    spent: started.elapsed(),
-                    panicked: outcome.is_err(),
-                };
-                if events.send(done).is_err() {
-                    return;
-                }
-            }
-            JoinJob::Absorb {
-                dead,
-                roles,
-                planned,
-            } => {
-                let started = Instant::now();
-                let count = roles.len();
-                let outcome = catch_unwind(AssertUnwindSafe(|| {
-                    for &r in &roles {
-                        absorb(host, r);
-                    }
-                }));
-                let done = Event::AbsorbDone {
-                    host,
-                    dead,
-                    roles: count,
-                    spent: started.elapsed(),
-                    panicked: outcome.is_err(),
-                    planned,
-                };
-                if events.send(done).is_err() {
-                    return;
-                }
-            }
-        }
-    }
-}
-
-fn timer_loop<P>(cmds: Receiver<TimerCmd>, events: Sender<Event<P>>) {
-    let mut armed: Vec<(Instant, TimerKind)> = Vec::new();
-    loop {
-        let now = Instant::now();
-        let (due, rest): (Vec<_>, Vec<_>) = armed.into_iter().partition(|(d, _)| *d <= now);
-        armed = rest;
-        for (_, kind) in due {
-            if events.send(Event::TimerFired { kind }).is_err() {
-                return;
-            }
-        }
-        let wait = armed
-            .iter()
-            .map(|(d, _)| d.saturating_duration_since(Instant::now()))
-            .min()
-            .unwrap_or(Duration::from_secs(3600));
-        match cmds.recv_timeout(wait) {
-            Ok(cmd) => armed.push((cmd.deadline, cmd.kind)),
-            Err(RecvTimeoutError::Timeout) => {}
-            Err(RecvTimeoutError::Disconnected) => return,
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
-// The coordinator: one thread owning the protocol
+// The medium: writer queues, worker queues, one timer thread
 // ---------------------------------------------------------------------------
 
-struct Coordinator<'a, P: WirePayload> {
-    proto: RingProtocol<P>,
-    plan: Option<&'a FaultPlan>,
+struct Wire<P> {
     writers: WriterGrid,
-    jobs: Vec<Sender<JoinJob<P>>>,
-    timer_tx: Sender<TimerCmd>,
+    jobs: Vec<Sender<Job<P>>>,
+    timer_tx: Sender<(Instant, Event<P>)>,
     /// Encode buffers recycled through the writer threads.
     pool: Arc<FrameBufPool>,
-    /// Events produced synchronously while applying outputs (a dropped
-    /// attempt's local send completion), processed before the channel.
-    pending: VecDeque<Event<P>>,
-    errors: ErrorCollector,
-    fatal: bool,
-    tracer: SpanTracer,
-    epoch: Instant,
-    wall_ack_timeout: Duration,
-    join_threads: usize,
-    busy: Vec<Duration>,
-    last_done: Vec<Instant>,
-    bytes_forwarded: Vec<u64>,
-    last_progress: Instant,
-    crash_at: Vec<Option<Instant>>,
-    detection_latency: SimDuration,
     /// The original (uncloned) streams, kept to sever everything at
     /// teardown so reader threads unblock.
     severs: Vec<Vec<Option<TcpStream>>>,
 }
 
-impl<P: WirePayload + Clone> Coordinator<'_, P> {
-    fn now_stamp(&self) -> SimTime {
-        SimTime::from_nanos(SimDuration::from(self.epoch.elapsed()).as_nanos())
+impl<P> Wire<P> {
+    fn enqueue(&self, from: HostId, to: HostId, job: WriteJob) -> Result<(), RingError> {
+        let lane = self.writers.get(from.0).and_then(|row| row.get(to.0));
+        match lane.and_then(Option::as_ref) {
+            Some(tx) if tx.send(job).is_ok() => Ok(()),
+            _ => Err(RingError::Teardown(teardown::TX_GONE)),
+        }
     }
+}
 
-    fn stamp_before(&self, spent: Duration) -> SimTime {
-        SimTime::from_nanos(
-            SimDuration::from(self.epoch.elapsed().saturating_sub(spent)).as_nanos(),
+impl<P: WirePayload> Medium<P> for Wire<P> {
+    fn transmit(
+        &mut self,
+        from: HostId,
+        to: HostId,
+        tid: u64,
+        env: Envelope<P>,
+        delay: Duration,
+        _next: &mut Pending<P>,
+    ) -> Result<(), RingError> {
+        let mut bytes = self.pool.take();
+        encode_envelope_into(tid, &env, &mut bytes)?;
+        self.enqueue(
+            from,
+            to,
+            WriteJob::Frame {
+                bytes,
+                delay,
+                notify: Some(from),
+            },
         )
     }
 
-    fn fail(&mut self, error: RingError) {
-        self.errors.record(error);
-        self.fatal = true;
-    }
-
-    fn arm(&mut self, deadline: Instant, kind: TimerKind) {
-        let _ = self.timer_tx.send(TimerCmd { deadline, kind });
-    }
-
-    /// Translates one driver event into a protocol [`Input`], mirroring
-    /// the simulated driver's crash-guard policy: joins and fault-plan
-    /// events die with a crashed host; wire deliveries, send completions
-    /// and timer ticks always reach the protocol (deliveries at a crashed
-    /// host feed its salvage path).
-    // analyze: allow(panic, reason = "protocol invariant: per-host tables are sized to the ring at construction and HostId never exceeds it")
-    fn handle(&mut self, event: Event<P>) {
-        match event {
-            Event::FromWire { at, frame } => match frame {
-                Frame::Envelope { tid, env } => {
-                    let out = self.proto.input(Input::Delivered { to: at, env, tid });
-                    self.apply(out, Some(at));
-                }
-                Frame::Ack { tid } => {
-                    let out = self.proto.input(Input::Ack { tid });
-                    self.apply(out, None);
-                }
-                Frame::Hello { .. } => self.fail(RingError::Socket("mid-run hello frame")),
+    fn ack(
+        &mut self,
+        at: HostId,
+        to: HostId,
+        tid: u64,
+        _next: &mut Pending<P>,
+    ) -> Result<(), RingError> {
+        let mut bytes = self.pool.take();
+        encode_ack_into(tid, &mut bytes);
+        self.enqueue(
+            at,
+            to,
+            WriteJob::Frame {
+                bytes,
+                delay: Duration::ZERO,
+                notify: None,
             },
-            Event::JoinDone {
-                host,
-                id,
-                hop,
-                spent,
-                panicked,
-            } => {
-                if self.proto.is_crashed(host) {
-                    // The join died with the host; healing salvages its
-                    // envelope.
-                    return;
-                }
-                if panicked {
-                    self.fail(RingError::Teardown(teardown::CALLBACK_PANICKED));
-                    return;
-                }
-                self.busy[host.0] += spent;
-                let now = Instant::now();
-                self.last_done[host.0] = now;
-                self.last_progress = self.last_progress.max(now);
-                if self.tracer.is_enabled() {
-                    let start = self.stamp_before(spent);
-                    self.tracer.span_with_hop(
-                        host.0,
-                        SpanKind::Join,
-                        format!("join {id}"),
-                        start,
-                        spent.into(),
-                        Some(hop),
-                    );
-                }
-                let out = self.proto.input(Input::JoinDone {
-                    host,
-                    app_finished: false,
-                });
-                self.apply(out, None);
-            }
-            Event::AbsorbDone {
-                host,
-                dead,
-                roles,
-                spent,
-                panicked,
-                planned,
-            } => {
-                if self.proto.is_crashed(host) {
-                    return;
-                }
-                if panicked {
-                    self.fail(RingError::Teardown(teardown::CALLBACK_PANICKED));
-                    return;
-                }
-                self.busy[host.0] += spent;
-                let now = Instant::now();
-                self.last_done[host.0] = now;
-                self.last_progress = self.last_progress.max(now);
-                if self.tracer.is_enabled() {
-                    let start = self.stamp_before(spent);
-                    let name = if planned {
-                        format!("handoff {roles} role(s) from host {}", dead.0)
-                    } else {
-                        format!("absorb {roles} role(s) of host {}", dead.0)
-                    };
-                    self.tracer
-                        .span(host.0, SpanKind::Absorb, name, start, spent.into());
-                }
-                let out = self.proto.input(Input::AbsorbDone { host });
-                self.apply(out, None);
-            }
-            Event::SendDone { from } => {
-                let out = self.proto.input(Input::SendDone { from });
-                self.apply(out, None);
-            }
-            Event::TimerFired { kind } => match kind {
-                TimerKind::Protocol(timer) => {
-                    let out = self.proto.input(Input::Tick { timer });
-                    self.apply(out, None);
-                }
-                TimerKind::Crash(host) => self.crash(host),
-                TimerKind::Pause(host) => {
-                    if self.proto.is_crashed(host) {
-                        return;
-                    }
-                    if self.tracer.is_enabled() {
-                        self.tracer
-                            .event(Some(host.0), Track::Control, "paused", self.now_stamp());
-                    }
-                    let out = self.proto.input(Input::Paused { host });
-                    self.apply(out, None);
-                }
-                TimerKind::Resume(host) => {
-                    if self.proto.is_crashed(host) {
-                        return;
-                    }
-                    if self.tracer.is_enabled() {
-                        self.tracer.event(
-                            Some(host.0),
-                            Track::Control,
-                            "resumed",
-                            self.now_stamp(),
-                        );
-                    }
-                    let out = self.proto.input(Input::Resumed { host });
-                    self.apply(out, None);
-                }
-                TimerKind::JoinRequest(host) => {
-                    if self.proto.is_crashed(host) {
-                        return;
-                    }
-                    if self.tracer.is_enabled() {
-                        self.tracer.event(
-                            Some(host.0),
-                            Track::Control,
-                            "join requested",
-                            self.now_stamp(),
-                        );
-                    }
-                    let out = self.proto.input(Input::JoinRequest { host });
-                    self.apply(out, None);
-                }
-                TimerKind::DrainRequest(host) => {
-                    if self.proto.is_crashed(host) {
-                        return;
-                    }
-                    if self.tracer.is_enabled() {
-                        self.tracer.event(
-                            Some(host.0),
-                            Track::Control,
-                            "drain requested",
-                            self.now_stamp(),
-                        );
-                    }
-                    let out = self.proto.input(Input::DrainRequest { host });
-                    self.apply(out, None);
-                }
-            },
-            Event::Fatal { error } => self.fail(error),
+        )
+    }
+
+    fn start(
+        &mut self,
+        host: HostId,
+        job: Job<P>,
+        _next: &mut Pending<P>,
+    ) -> Result<(), RingError> {
+        match self.jobs.get(host.0) {
+            Some(tx) if tx.send(job).is_ok() => Ok(()),
+            _ => Err(RingError::Teardown(teardown::RING_CLOSED)),
         }
     }
 
-    /// Realizes a scheduled crash: sever the host's outgoing connections
-    /// (write-side FIN, queued behind already-committed frames — the
-    /// driver contract says an attempt reported live must still arrive),
-    /// then report the ground truth to the protocol. The read side stays
-    /// open as the salvage path, matching the simulator's medium.
-    // analyze: allow(panic, reason = "protocol invariant: per-host tables are sized to the ring at construction and HostId never exceeds it")
-    fn crash(&mut self, host: HostId) {
-        if self.proto.is_crashed(host) {
-            return;
-        }
-        self.crash_at[host.0] = Some(Instant::now());
-        if self.tracer.is_enabled() {
-            self.tracer
-                .event(Some(host.0), Track::Control, "crashed", self.now_stamp());
-        }
-        for tx in self.writers[host.0].iter().flatten() {
+    fn arm(&mut self, delay: Duration, timer: TimerKind) {
+        let _ = self
+            .timer_tx
+            .send((Instant::now() + delay, Event::Timer(timer)));
+    }
+
+    /// A write-side FIN on each of the host's connections, queued behind
+    /// already-committed frames. The read sides stay open (the salvage
+    /// path of a crashed host; awaiting teardown for a departed one).
+    fn sever(&mut self, host: HostId, _next: &mut Pending<P>) {
+        for tx in self.writers.get(host.0).into_iter().flatten().flatten() {
             let _ = tx.send(WriteJob::Sever);
         }
-        let out = self.proto.input(Input::PeerDead { host });
-        self.apply(out, None);
-    }
-
-    /// Applies protocol outputs strictly in emission order, mapping each
-    /// onto socket writes, worker jobs, wall-clock timers and traces.
-    /// `ctx` names the host whose delivery is being processed — the only
-    /// context in which the protocol emits [`Output::Ack`].
-    // analyze: allow(panic, reason = "protocol invariant: per-host tables are sized to the ring at construction and HostId never exceeds it")
-    fn apply(&mut self, outputs: Vec<Output<P>>, ctx: Option<HostId>) {
-        for output in outputs {
-            if self.fatal {
-                return;
-            }
-            match output {
-                Output::StartJoin {
-                    host,
-                    id,
-                    hop,
-                    roles,
-                    bytes: _,
-                } => {
-                    let Some(payload) = self.proto.processing_payload(host).cloned() else {
-                        self.fail(RingError::Teardown(EMPTY_SLOT));
-                        return;
-                    };
-                    let job = JoinJob::Join {
-                        payload,
-                        query: self.proto.processing_query(host),
-                        roles,
-                        id,
-                        hop,
-                    };
-                    if self.jobs[host.0].send(job).is_err() {
-                        self.fail(RingError::Teardown(teardown::RING_CLOSED));
-                    }
-                }
-                Output::PassThrough { host, id } => {
-                    if self.tracer.is_enabled() {
-                        self.tracer.event(
-                            Some(host.0),
-                            Track::Join,
-                            format!("pass-through {id}"),
-                            self.now_stamp(),
-                        );
-                    }
-                }
-                Output::Processed { .. } => {}
-                Output::Send {
-                    from,
-                    to,
-                    tid,
-                    attempt,
-                    env,
-                } => self.apply_send(from, to, tid, attempt, env),
-                Output::Ack { to, tid } => match ctx {
-                    Some(at) => {
-                        let mut bytes = self.pool.take();
-                        encode_ack_into(tid, &mut bytes);
-                        self.enqueue(
-                            at,
-                            to,
-                            WriteJob::Frame {
-                                bytes,
-                                delay: Duration::ZERO,
-                                notify: None,
-                            },
-                        );
-                    }
-                    None => self.fail(RingError::Teardown(ACK_OUT_OF_CONTEXT)),
-                },
-                Output::ArmTimer { timer, backoff_exp } => {
-                    let delay = self
-                        .wall_ack_timeout
-                        .saturating_mul(1u32 << backoff_exp.min(31));
-                    self.arm(Instant::now() + delay, TimerKind::Protocol(timer));
-                }
-                Output::Delivered { host, id, bytes: _ } => {
-                    if self.tracer.is_enabled() {
-                        self.tracer.event(
-                            Some(host.0),
-                            Track::Receiver,
-                            format!("recv {id}"),
-                            self.now_stamp(),
-                        );
-                        self.tracer.count(counter::ENVELOPES_RECEIVED, 1);
-                    }
-                }
-                Output::DuplicateDropped { host, id } => {
-                    if self.tracer.is_enabled() {
-                        self.tracer.event(
-                            Some(host.0),
-                            Track::Receiver,
-                            format!("duplicate {id} dropped"),
-                            self.now_stamp(),
-                        );
-                    }
-                }
-                Output::ChecksumMismatch { host, id } => {
-                    if self.tracer.is_enabled() {
-                        self.tracer.event(
-                            Some(host.0),
-                            Track::Receiver,
-                            format!("checksum mismatch {id}"),
-                            self.now_stamp(),
-                        );
-                        self.tracer.count(counter::CHECKSUM_MISMATCHES, 1);
-                    }
-                }
-                Output::Retire { host, id, salvaged } => {
-                    self.last_progress = self.last_progress.max(Instant::now());
-                    if self.tracer.is_enabled() {
-                        let name = if salvaged {
-                            format!("retired {id} (salvaged)")
-                        } else {
-                            format!("retired {id}")
-                        };
-                        self.tracer
-                            .event(Some(host.0), Track::Join, name, self.now_stamp());
-                        self.tracer.count(counter::FRAGMENTS_RETIRED, 1);
-                    }
-                }
-                Output::Heal { dead } => {
-                    let latency = match self.crash_at[dead.0] {
-                        Some(at) => SimDuration::from(at.elapsed()),
-                        None => SimDuration::ZERO,
-                    };
-                    self.detection_latency = self.detection_latency.max(latency);
-                    if self.tracer.is_enabled() {
-                        self.tracer.event(
-                            None,
-                            Track::Control,
-                            format!("heal: host {} confirmed dead", dead.0),
-                            self.now_stamp(),
-                        );
-                        self.tracer.count(counter::HEAL_EVENTS, 1);
-                    }
-                }
-                Output::Absorb {
-                    survivor,
-                    dead,
-                    roles,
-                } => {
-                    if self.jobs[survivor.0]
-                        .send(JoinJob::Absorb {
-                            dead,
-                            roles,
-                            planned: false,
-                        })
-                        .is_err()
-                    {
-                        self.fail(RingError::Teardown(teardown::RING_CLOSED));
-                    }
-                }
-                Output::Activate { host, epoch } => {
-                    self.last_progress = self.last_progress.max(Instant::now());
-                    if self.tracer.is_enabled() {
-                        self.tracer.event(
-                            Some(host.0),
-                            Track::Control,
-                            format!("activated (epoch {epoch})"),
-                            self.now_stamp(),
-                        );
-                        self.tracer.count(counter::RESCALE_JOINS, 1);
-                    }
-                }
-                Output::Handoff { from, to, roles } => {
-                    if self.tracer.is_enabled() {
-                        self.tracer
-                            .count(counter::RESCALE_HANDOFFS, roles.len() as u64);
-                    }
-                    if self.jobs[to.0]
-                        .send(JoinJob::Absorb {
-                            dead: from,
-                            roles,
-                            planned: true,
-                        })
-                        .is_err()
-                    {
-                        self.fail(RingError::Teardown(teardown::RING_CLOSED));
-                    }
-                }
-                Output::Departed { host, epoch } => {
-                    self.last_progress = self.last_progress.max(Instant::now());
-                    // The drainee left the ring for good: retire its
-                    // outgoing connections with a real FIN (queued behind
-                    // any bytes it still owed). Nobody routes to it any
-                    // more, so its read sides merely await teardown.
-                    for tx in self.writers[host.0].iter().flatten() {
-                        let _ = tx.send(WriteJob::Sever);
-                    }
-                    if self.tracer.is_enabled() {
-                        self.tracer.event(
-                            Some(host.0),
-                            Track::Control,
-                            format!("departed (epoch {epoch})"),
-                            self.now_stamp(),
-                        );
-                        self.tracer.count(counter::RESCALE_DRAINS, 1);
-                    }
-                }
-                Output::Resent { target, id } => {
-                    if self.tracer.is_enabled() {
-                        self.tracer.event(
-                            Some(target.0),
-                            Track::Control,
-                            format!("re-sent {id} from origin"),
-                            self.now_stamp(),
-                        );
-                        self.tracer.count(counter::FRAGMENTS_RESENT, 1);
-                    }
-                }
-                Output::Finished { .. } => {}
-                Output::QueryAdmitted { query, tenant } => {
-                    self.last_progress = self.last_progress.max(Instant::now());
-                    if self.tracer.is_enabled() {
-                        self.tracer.event(
-                            None,
-                            Track::Control,
-                            format!("query {query} admitted (tenant {tenant})"),
-                            self.now_stamp(),
-                        );
-                        self.tracer.count(counter::QUERIES_ADMITTED, 1);
-                    }
-                }
-                Output::QueryDone { query, tenant } => {
-                    self.last_progress = self.last_progress.max(Instant::now());
-                    if self.tracer.is_enabled() {
-                        self.tracer.event(
-                            None,
-                            Track::Control,
-                            format!("query {query} done (tenant {tenant})"),
-                            self.now_stamp(),
-                        );
-                        self.tracer.count(counter::QUERIES_COMPLETED, 1);
-                    }
-                }
-                Output::Teardown { reason } => self.fail(RingError::Teardown(reason)),
-            }
-        }
-    }
-
-    /// Puts one attempt of a transfer toward the socket: rolls the fault
-    /// dice (the medium's business, not the protocol's), reports the fate
-    /// back, and hands the frame to the hop's writer thread.
-    // analyze: allow(panic, reason = "protocol invariant: per-host tables are sized to the ring at construction and HostId never exceeds it")
-    fn apply_send(&mut self, from: HostId, to: HostId, tid: u64, attempt: u32, env: Envelope<P>) {
-        let bytes = env.bytes();
-        self.bytes_forwarded[from.0] += bytes;
-        let mut wire = env;
-        let mut dropped = false;
-        let mut delay = Duration::ZERO;
-        match self.plan {
-            Some(plan) => {
-                // Dice keyed on the per-sender wire sequence (`env.seq`),
-                // the numbering all three backends share — the three-way
-                // parity suite depends on this.
-                let seq = wire.seq;
-                dropped = plan.should_drop(from, seq, attempt);
-                let corrupt = !dropped && plan.should_corrupt(from, seq, attempt);
-                delay = Duration::from(plan.delay_spike(from, seq, attempt));
-                self.proto.attempt_fate(tid, dropped, corrupt);
-                if corrupt {
-                    // In-flight bit flips: the receiver's checksum
-                    // verification rejects the copy and withholds the ack.
-                    wire.checksum = !wire.checksum;
-                }
-                if attempt == 1 {
-                    self.tracer.count(counter::ENVELOPES_SENT, 1);
-                } else if self.tracer.is_enabled() {
-                    self.tracer.event(
-                        Some(from.0),
-                        Track::Transmitter,
-                        format!("retransmit {} attempt {attempt}", wire.id),
-                        self.now_stamp(),
-                    );
-                    self.tracer.count(counter::RETRANSMITS, 1);
-                }
-            }
-            None => self.tracer.count(counter::ENVELOPES_SENT, 1),
-        }
-        if dropped {
-            // The medium ate this attempt before any byte hit the socket;
-            // the sender's NIC still reports its wire free.
-            self.pending.push_back(Event::SendDone { from });
-            return;
-        }
-        let mut frame = self.pool.take();
-        match encode_envelope_into(tid, &wire, &mut frame) {
-            Ok(()) => self.enqueue(
-                from,
-                to,
-                WriteJob::Frame {
-                    bytes: frame,
-                    delay,
-                    notify: Some(from),
-                },
-            ),
-            Err(e) => self.fail(RingError::Frame(e)),
-        }
-    }
-
-    // analyze: allow(panic, reason = "protocol invariant: per-host tables are sized to the ring at construction and HostId never exceeds it")
-    fn enqueue(&mut self, from: HostId, to: HostId, job: WriteJob) {
-        let sent = match self.writers[from.0].get(to.0).and_then(Option::as_ref) {
-            Some(tx) => tx.send(job).is_ok(),
-            None => false,
-        };
-        if !sent {
-            self.fail(RingError::Teardown(teardown::TX_GONE));
-        }
-    }
-
-    /// Converts the finished run into the common metrics shape and closes
-    /// out the tracer (materializing every well-known counter so trace
-    /// consumers see zeros observed rather than missing).
-    // analyze: allow(panic, reason = "protocol invariant: per-host tables are sized to the ring at construction and HostId never exceeds it")
-    fn into_result(self) -> (RingMetrics, SpanTracer) {
-        let n = self.proto.config().hosts;
-        let mut hosts = Vec::with_capacity(n);
-        for h in 0..n {
-            let busy = self.busy[h];
-            let window = self.last_done[h].saturating_duration_since(self.epoch);
-            let mut cpu = simnet::cpu::CpuAccount::new();
-            cpu.charge(
-                simnet::cpu::CostCategory::Compute,
-                SimDuration::from(busy) * self.join_threads as u64,
-            );
-            hosts.push(HostMetrics {
-                setup: SimDuration::ZERO,
-                join_busy: busy.into(),
-                sync: window.saturating_sub(busy).into(),
-                join_window: window.into(),
-                cpu,
-                fragments_processed: self.proto.host(HostId(h)).fragments_processed(),
-                bytes_forwarded: self.bytes_forwarded[h],
-                retransmits: self.proto.retransmits(HostId(h)),
-                checksum_mismatches: self.proto.checksum_mismatches(HostId(h)),
-            });
-        }
-        let metrics = RingMetrics {
-            hosts,
-            wall_clock: self
-                .last_progress
-                .saturating_duration_since(self.epoch)
-                .into(),
-            fragments_completed: self.proto.fragments_completed(),
-            heal_events: self.proto.heal_events(),
-            detection_latency: self.detection_latency,
-            fragments_resent: self.proto.fragments_resent(),
-            membership_epoch: self.proto.membership_epoch(),
-            rescale_joins: self.proto.rescale_joins(),
-            rescale_drains: self.proto.rescale_drains(),
-            rescale_handoffs: self.proto.rescale_handoffs(),
-            rescale_escalations: self.proto.rescale_escalations(),
-            queries: self.proto.query_metrics(),
-        };
-        let mut tracer = self.tracer;
-        if tracer.is_enabled() {
-            for name in [
-                counter::ENVELOPES_SENT,
-                counter::ENVELOPES_RECEIVED,
-                counter::FRAGMENTS_RETIRED,
-                counter::RETRANSMITS,
-                counter::CHECKSUM_MISMATCHES,
-                counter::HEAL_EVENTS,
-                counter::FRAGMENTS_RESENT,
-                counter::RESCALE_JOINS,
-                counter::RESCALE_DRAINS,
-                counter::RESCALE_HANDOFFS,
-            ] {
-                tracer.count(name, 0);
-            }
-        }
-        (metrics, tracer)
     }
 }
 
 // ---------------------------------------------------------------------------
 // The driver
 // ---------------------------------------------------------------------------
+
+/// The blocking thread-per-endpoint socket engine.
+#[derive(Debug, Clone, Copy)]
+pub struct BlockingEngine;
 
 /// Builder for a loopback-TCP ring run — the single entry point of this
 /// backend, mirroring [`crate::thread_backend::RingDriver`].
@@ -1625,288 +311,7 @@ impl<P: WirePayload + Clone> Coordinator<'_, P> {
 ///     .unwrap();
 /// assert_eq!(metrics.fragments_completed, 6);
 /// ```
-#[derive(Clone, Copy)]
-pub struct TcpRingDriver<'a> {
-    config: &'a RingConfig,
-    fault_plan: Option<&'a FaultPlan>,
-    rescale_plan: Option<&'a RescalePlan>,
-    trace: bool,
-}
-
-impl<'a> TcpRingDriver<'a> {
-    /// A driver for `config` with the classic transport and no tracing.
-    pub fn new(config: &'a RingConfig) -> Self {
-        TcpRingDriver {
-            config,
-            fault_plan: None,
-            rescale_plan: None,
-            trace: false,
-        }
-    }
-
-    /// Runs the ring over the unreliable medium described by `plan`, with
-    /// every hop protected by the protocol core's acknowledged transport.
-    /// Scheduled crashes become real socket severs and mid-revolution
-    /// ring healing; `config.ack_timeout` is interpreted in wall-clock
-    /// time (choose it to comfortably exceed a loopback round trip plus
-    /// coordinator latency, or losses masquerade as timeouts).
-    pub fn with_fault_plan(mut self, plan: &'a FaultPlan) -> Self {
-        self.fault_plan = Some(plan);
-        self
-    }
-
-    /// Attaches a planned [`RescalePlan`]: standby hosts joining and
-    /// members draining out mid-workload over the live socket mesh. Hosts
-    /// with a scheduled join start as provisioned standbys outside the
-    /// ring (their mesh connections are built up front and spliced into
-    /// the rotation at activation); a completed drain retires the
-    /// drainee's connections with a real FIN. Attaching a rescale plan
-    /// switches the transport into its reliable mode even without a fault
-    /// plan. Schedule instants are interpreted in wall-clock time.
-    pub fn with_rescale_plan(mut self, plan: &'a RescalePlan) -> Self {
-        self.rescale_plan = Some(plan);
-        self
-    }
-
-    /// Enables structured span recording for this run.
-    pub fn with_tracer(mut self, trace: bool) -> Self {
-        self.trace = trace;
-        self
-    }
-
-    /// Runs the ring to completion. `fragments[h]` are host `h`'s local
-    /// fragments; `process` is invoked once per (host, envelope) visit.
-    ///
-    /// # Errors
-    ///
-    /// As [`TcpRingDriver::run_with_roles`].
-    pub fn run<P, F>(
-        self,
-        fragments: Vec<Vec<P>>,
-        process: F,
-    ) -> Result<(RingMetrics, SpanTracer), RingError>
-    where
-        P: WirePayload + Send + Clone,
-        F: Fn(HostId, &P) + Sync,
-    {
-        self.run_with_roles(
-            fragments,
-            |host, _roles, payload| process(host, payload),
-            |_, _| {},
-        )
-    }
-
-    /// Like [`TcpRingDriver::run`], but role-aware for healing runs:
-    /// `visit(host, roles, payload)` applies the named logical stationary
-    /// roles (the host's own, plus any absorbed from dead hosts), and
-    /// `absorb(survivor, role)` performs the state takeover when the ring
-    /// heals around a confirmed death.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RingError::Config`] for an invalid configuration,
-    /// [`RingError::Shape`] when `fragments.len() != config.hosts`,
-    /// [`RingError::UnsupportedFault`] for fault plans this backend cannot
-    /// realize (more than 64 hosts with a plan, a crash on a single-host
-    /// ring, or faults naming hosts outside the ring),
-    /// [`RingError::Socket`] when the loopback mesh cannot be built, and
-    /// [`RingError::Frame`] / [`RingError::Teardown`] when the run dies
-    /// mid-revolution (undecodable bytes, a panicking callback, an
-    /// exhausted retransmission budget on a live ring, or a stall).
-    pub fn run_with_roles<P, F, A>(
-        self,
-        fragments: Vec<Vec<P>>,
-        visit: F,
-        absorb: A,
-    ) -> Result<(RingMetrics, SpanTracer), RingError>
-    where
-        P: WirePayload + Send + Clone,
-        F: Fn(HostId, &[usize], &P) + Sync,
-        A: Fn(HostId, usize) + Sync,
-    {
-        self.config.validate()?;
-        let n = self.config.hosts;
-        if fragments.len() != n {
-            return Err(RingError::Shape {
-                expected: n,
-                got: fragments.len(),
-            });
-        }
-        if let Some(plan) = self.fault_plan {
-            if n > 64 {
-                return Err(RingError::UnsupportedFault(
-                    "the exactly-once role bitmask supports at most 64 hosts",
-                ));
-            }
-            if n == 1 && !plan.crashes().is_empty() {
-                return Err(RingError::UnsupportedFault(
-                    "a single-host ring cannot heal around its own crash",
-                ));
-            }
-            let in_ring = |h: HostId| h.0 < n;
-            if !plan.crashes().iter().all(|c| in_ring(c.host))
-                || !plan.pauses().iter().all(|p| in_ring(p.host))
-            {
-                return Err(RingError::UnsupportedFault(
-                    "fault plan names a host outside the ring",
-                ));
-            }
-        }
-        if let Some(plan) = self.rescale_plan {
-            if n > 64 {
-                return Err(RingError::UnsupportedFault(
-                    "the exactly-once role bitmask supports at most 64 hosts",
-                ));
-            }
-            if n == 1 && !plan.is_quiet() {
-                return Err(RingError::UnsupportedFault(
-                    "a single-host ring has no membership to rescale",
-                ));
-            }
-            let in_ring = |h: HostId| h.0 < n;
-            if !plan.joins().iter().all(|j| in_ring(j.host))
-                || !plan.drains().iter().all(|d| in_ring(d.host))
-            {
-                return Err(RingError::UnsupportedFault(
-                    "rescale plan names a host outside the ring",
-                ));
-            }
-            if plan
-                .joins()
-                .iter()
-                .any(|j| !fragments.get(j.host.0).is_none_or(Vec::is_empty))
-            {
-                return Err(RingError::UnsupportedFault(
-                    "a standby host must not contribute fragments before joining",
-                ));
-            }
-        }
-        let envelopes = envelope_batches(fragments, n);
-        if n == 1 {
-            // A single-host "ring" has no sockets to run; share the
-            // thread backend's local path.
-            let spans = self.trace.then(SharedSpans::new);
-            let backlog = envelopes.into_iter().next().unwrap_or_default();
-            let own = [0usize];
-            let metrics = run_single_host(backlog, |h, p| visit(h, &own, p), spans.as_ref())?;
-            let tracer = finish_spans(spans, &metrics);
-            return Ok((metrics, tracer));
-        }
-        run_mesh(
-            self.config,
-            self.fault_plan,
-            self.rescale_plan,
-            self.trace,
-            MeshWorkload::Single(envelopes),
-            &|host, _query: u32, roles: &[usize], payload: &P| visit(host, roles, payload),
-            &absorb,
-        )
-    }
-
-    /// Runs several queries multiplexed over one ring of real sockets.
-    /// `queries[q]` is `(tenant, fragments)` with `fragments[h]` host
-    /// `h`'s local fragments for query `q`; at most `max_active` queries
-    /// circulate concurrently, the rest wait in the admission queue.
-    /// `visit(host, query, roles, payload)` joins one fragment of `query`
-    /// against the named stationary roles; `absorb(survivor, role)`
-    /// rebuilds a dead host's state (for every query) when the ring
-    /// heals. Always uses the reliable acked transport (quiet dice are
-    /// synthesized without a fault plan).
-    ///
-    /// # Errors
-    ///
-    /// As [`TcpRingDriver::run_with_roles`], plus
-    /// [`RingError::UnsupportedFault`] on a single-host ring, an empty
-    /// query list or a zero `max_active`.
-    pub fn run_queries<P, F, A>(
-        self,
-        queries: Vec<(u32, Vec<Vec<P>>)>,
-        max_active: usize,
-        visit: F,
-        absorb: A,
-    ) -> Result<(RingMetrics, SpanTracer), RingError>
-    where
-        P: WirePayload + Send + Clone,
-        F: Fn(HostId, u32, &[usize], &P) + Sync,
-        A: Fn(HostId, usize) + Sync,
-    {
-        self.config.validate()?;
-        let n = self.config.hosts;
-        if n < 2 {
-            return Err(RingError::UnsupportedFault(
-                "multiplexing needs a ring of at least two hosts",
-            ));
-        }
-        if n > 64 {
-            return Err(RingError::UnsupportedFault(
-                "the exactly-once role bitmask supports at most 64 hosts",
-            ));
-        }
-        if queries.is_empty() || max_active == 0 {
-            return Err(RingError::UnsupportedFault(
-                "a multi-tenant run needs at least one query and a positive admission bound",
-            ));
-        }
-        for (_, fragments) in &queries {
-            if fragments.len() != n {
-                return Err(RingError::Shape {
-                    expected: n,
-                    got: fragments.len(),
-                });
-            }
-        }
-        let in_ring = |h: HostId| h.0 < n;
-        if let Some(plan) = self.fault_plan {
-            if !plan.crashes().iter().all(|c| in_ring(c.host))
-                || !plan.pauses().iter().all(|p| in_ring(p.host))
-            {
-                return Err(RingError::UnsupportedFault(
-                    "fault plan names a host outside the ring",
-                ));
-            }
-        }
-        if let Some(plan) = self.rescale_plan {
-            if !plan.joins().iter().all(|j| in_ring(j.host))
-                || !plan.drains().iter().all(|d| in_ring(d.host))
-            {
-                return Err(RingError::UnsupportedFault(
-                    "rescale plan names a host outside the ring",
-                ));
-            }
-            if plan.joins().iter().any(|j| {
-                queries
-                    .iter()
-                    .any(|(_, f)| f.get(j.host.0).is_some_and(|b| !b.is_empty()))
-            }) {
-                return Err(RingError::UnsupportedFault(
-                    "a standby host must not contribute fragments before joining",
-                ));
-            }
-        }
-        run_mesh(
-            self.config,
-            self.fault_plan,
-            self.rescale_plan,
-            self.trace,
-            MeshWorkload::Multi {
-                queries: query_batches(queries, n),
-                max_active,
-            },
-            &visit,
-            &absorb,
-        )
-    }
-}
-
-/// What circulates on the mesh: one query's envelopes (the classic path)
-/// or several pre-numbered queries plus an admission bound.
-pub(crate) enum MeshWorkload<P> {
-    Single(Vec<Vec<Envelope<P>>>),
-    Multi {
-        queries: Vec<(u32, Vec<Vec<Envelope<P>>>)>,
-        max_active: usize,
-    },
-}
+pub type TcpRingDriver<'a> = SocketRingDriver<'a, BlockingEngine>;
 
 /// One endpoint's thread material, cloned up front so no fallible IO
 /// happens after the first thread spawns (an early error return from a
@@ -1918,488 +323,149 @@ struct Lane {
     peer: usize,
 }
 
-fn run_mesh<P, F, A>(
-    config: &RingConfig,
-    plan: Option<&FaultPlan>,
-    rescale: Option<&RescalePlan>,
-    trace: bool,
-    workload: MeshWorkload<P>,
-    visit: &F,
-    absorb: &A,
-) -> Result<(RingMetrics, SpanTracer), RingError>
-where
-    P: WirePayload + Send + Clone,
-    F: Fn(HostId, u32, &[usize], &P) + Sync,
-    A: Fn(HostId, usize) + Sync,
-{
-    let n = config.hosts;
-    // Rescale and multi-tenant rotation ride the reliable transport:
-    // without explicit adversity the medium still needs (quiet) dice and
-    // the acked hop protocol.
-    let quiet_dice;
-    let plan = match (plan, rescale) {
-        (None, Some(r)) => {
-            quiet_dice = FaultPlan::seeded(r.seed());
-            Some(&quiet_dice)
+impl SocketEngine for BlockingEngine {
+    fn run_mesh<P, F, A>(
+        config: &RingConfig,
+        plan: Option<&FaultPlan>,
+        rescale: Option<&RescalePlan>,
+        trace: bool,
+        workload: Workload<P>,
+        visit: &F,
+        absorb: &A,
+    ) -> Result<(RingMetrics, SpanTracer), RingError>
+    where
+        P: WirePayload + Send + Clone,
+        F: Fn(HostId, u32, &[usize], &P) + Sync,
+        A: Fn(HostId, usize) + Sync,
+    {
+        let n = config.hosts;
+        // Healing can route any surviving pair, so every pair gets a
+        // socket up front.
+        let mesh = build_mesh_pairs(
+            n,
+            mesh_seed(plan),
+            Duration::from(config.handshake_timeout),
+            |_, _| true,
+        )?;
+        let mut lanes = Vec::new();
+        for (h, row) in mesh.endpoints.iter().enumerate() {
+            for (p, endpoint) in row.iter().enumerate() {
+                if let Some(stream) = endpoint {
+                    lanes.push(Lane {
+                        reader: stream
+                            .try_clone()
+                            .map_err(socket_err("clone ring socket"))?,
+                        writer: stream
+                            .try_clone()
+                            .map_err(socket_err("clone ring socket"))?,
+                        host: h,
+                        peer: p,
+                    });
+                }
+            }
         }
-        (None, None) if matches!(workload, MeshWorkload::Multi { .. }) => {
-            quiet_dice = FaultPlan::seeded(0);
-            Some(&quiet_dice)
-        }
-        (p, _) => p,
-    };
-    let seed = plan.map(|p| p.seed()).unwrap_or(0x0dd0_ba11);
-    let watchdog = Duration::from(config.watchdog);
-    let mesh = build_mesh(n, seed, Duration::from(config.handshake_timeout))?;
-    let mut lanes = Vec::new();
-    for (h, row) in mesh.endpoints.iter().enumerate() {
-        for (p, endpoint) in row.iter().enumerate() {
-            if let Some(stream) = endpoint {
-                lanes.push(Lane {
-                    reader: stream
-                        .try_clone()
-                        .map_err(socket_err("clone ring socket"))?,
-                    writer: stream
-                        .try_clone()
-                        .map_err(socket_err("clone ring socket"))?,
-                    host: h,
-                    peer: p,
+
+        let (events_tx, events_rx) = channel::<Event<P>>();
+        let (timer_tx, timer_rx) = channel::<(Instant, Event<P>)>();
+        let pool = Arc::new(FrameBufPool::default());
+
+        thread::scope(|s| {
+            let mut writers: WriterGrid = (0..n).map(|_| (0..n).map(|_| None).collect()).collect();
+            for lane in lanes {
+                let tx = events_tx.clone();
+                let at = HostId(lane.host);
+                let reader = lane.reader;
+                s.spawn(move || reader_loop::<P>(reader, at, tx));
+                let (wtx, wrx) = channel::<WriteJob>();
+                let tx = events_tx.clone();
+                let writer = lane.writer;
+                let wpool = Arc::clone(&pool);
+                s.spawn(move || writer_loop::<P>(writer, wrx, tx, wpool));
+                if let Some(slot) = writers
+                    .get_mut(lane.host)
+                    .and_then(|row| row.get_mut(lane.peer))
+                {
+                    *slot = Some(wtx);
+                }
+            }
+            let mut jobs = Vec::with_capacity(n);
+            for h in 0..n {
+                let (jtx, jrx) = channel::<Job<P>>();
+                let tx = events_tx.clone();
+                s.spawn(move || {
+                    worker_loop(
+                        HostId(h),
+                        jrx.iter(),
+                        |event| tx.send(event).is_ok(),
+                        visit,
+                        absorb,
+                    );
+                });
+                jobs.push(jtx);
+            }
+            {
+                let tx = events_tx.clone();
+                s.spawn(move || {
+                    timer_loop(
+                        Instant::now,
+                        |wait| recv_from(&timer_rx, wait),
+                        |event| tx.send(event).is_ok(),
+                    );
                 });
             }
-        }
-    }
-    let proto_cfg = ProtocolConfig {
-        hosts: n,
-        buffers_per_host: config.buffers_per_host,
-        max_retransmits: config.max_retransmits,
-        continuous: false,
-        reliable: plan.is_some(),
-        standby: rescale.map_or(0, |p| p.standby_mask()),
-    };
-    let proto = match workload {
-        MeshWorkload::Single(envelopes) => RingProtocol::new(proto_cfg, envelopes),
-        MeshWorkload::Multi {
-            queries,
-            max_active,
-        } => RingProtocol::new_multi(proto_cfg, queries, max_active),
-    };
-    let total = proto.fragments_total();
 
-    let (events_tx, events_rx) = channel::<Event<P>>();
-    let (timer_tx, timer_rx) = channel::<TimerCmd>();
-    let pool = Arc::new(FrameBufPool::default());
-
-    thread::scope(|s| {
-        let mut writers: WriterGrid = (0..n).map(|_| (0..n).map(|_| None).collect()).collect();
-        for lane in lanes {
-            let tx = events_tx.clone();
-            let at = HostId(lane.host);
-            let reader = lane.reader;
-            s.spawn(move || reader_loop::<P>(reader, at, tx));
-            let (wtx, wrx) = channel::<WriteJob>();
-            let tx = events_tx.clone();
-            let writer = lane.writer;
-            let wpool = Arc::clone(&pool);
-            s.spawn(move || writer_loop::<P>(writer, wrx, tx, wpool));
-            if let Some(slot) = writers
-                .get_mut(lane.host)
-                .and_then(|row| row.get_mut(lane.peer))
-            {
-                *slot = Some(wtx);
-            }
-        }
-        let mut jobs = Vec::with_capacity(n);
-        for h in 0..n {
-            let (jtx, jrx) = channel::<JoinJob<P>>();
-            let tx = events_tx.clone();
-            s.spawn(move || worker_loop(HostId(h), jrx, tx, visit, absorb));
-            jobs.push(jtx);
-        }
-        {
-            let tx = events_tx.clone();
-            s.spawn(move || timer_loop::<P>(timer_rx, tx));
-        }
-
-        let epoch = Instant::now();
-        let mut co = Coordinator {
-            proto,
-            plan,
-            writers,
-            jobs,
-            timer_tx,
-            pool: Arc::clone(&pool),
-            pending: VecDeque::new(),
-            errors: ErrorCollector::default(),
-            fatal: false,
-            tracer: if trace {
-                SpanTracer::enabled()
-            } else {
-                SpanTracer::disabled()
-            },
-            epoch,
-            wall_ack_timeout: Duration::from_secs_f64(config.ack_timeout.as_secs_f64()),
-            join_threads: config.join_threads,
-            busy: vec![Duration::ZERO; n],
-            last_done: vec![epoch; n],
-            bytes_forwarded: vec![0; n],
-            last_progress: epoch,
-            crash_at: vec![None; n],
-            detection_latency: SimDuration::ZERO,
-            severs: mesh.endpoints,
-        };
-        if let Some(plan) = plan {
-            for c in plan.crashes() {
-                let at = epoch + Duration::from(c.at.saturating_duration_since(SimTime::ZERO));
-                co.arm(at, TimerKind::Crash(c.host));
-            }
-            for p in plan.pauses() {
-                let at = epoch + Duration::from(p.at.saturating_duration_since(SimTime::ZERO));
-                co.arm(at, TimerKind::Pause(p.host));
-                co.arm(at + Duration::from(p.duration), TimerKind::Resume(p.host));
-            }
-        }
-        if let Some(plan) = rescale {
-            for j in plan.joins() {
-                let at = epoch + Duration::from(j.at.saturating_duration_since(SimTime::ZERO));
-                co.arm(at, TimerKind::JoinRequest(j.host));
-            }
-            for d in plan.drains() {
-                let at = epoch + Duration::from(d.at.saturating_duration_since(SimTime::ZERO));
-                co.arm(at, TimerKind::DrainRequest(d.host));
-            }
-        }
-        for h in 0..n {
-            let out = co.proto.input(Input::SetupDone { host: HostId(h) });
-            co.apply(out, None);
-        }
-
-        while !co.fatal && co.proto.fragments_completed() < total {
-            let event = match co.pending.pop_front() {
-                Some(ev) => ev,
-                None => match events_rx.recv_timeout(watchdog) {
-                    Ok(ev) => ev,
-                    Err(RecvTimeoutError::Timeout) => {
-                        co.fail(RingError::Teardown(STALLED));
-                        break;
-                    }
-                    Err(RecvTimeoutError::Disconnected) => {
-                        co.fail(RingError::Teardown(teardown::RING_CLOSED));
-                        break;
-                    }
-                },
+            let wire = Wire {
+                writers,
+                jobs,
+                timer_tx,
+                pool: Arc::clone(&pool),
+                severs: mesh.endpoints,
             };
-            co.handle(event);
-        }
+            let mut co = Coordinator::new(config, plan, rescale, workload, trace, wire);
+            co.run(|wait| recv_from(&events_rx, wait));
 
-        // Teardown: severing every socket unblocks the readers; dropping
-        // the coordinator (at scope-closure end) disconnects the writer,
-        // worker and timer channels, draining those threads.
-        for row in &co.severs {
-            for stream in row.iter().flatten() {
+            // Teardown: severing every socket unblocks the readers;
+            // consuming the coordinator drops the medium, disconnecting
+            // the writer, worker and timer channels and draining those
+            // threads.
+            for stream in co.medium.severs.iter().flatten().flatten() {
                 let _ = stream.shutdown(Shutdown::Both);
             }
-        }
-        match std::mem::take(&mut co.errors).first() {
-            Some(err) => Err(err),
-            None => Ok(co.into_result()),
-        }
-    })
+            co.finish()
+        })
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
-
-    fn payloads(hosts: usize, per_host: usize, bytes: usize) -> Vec<Vec<Vec<u8>>> {
-        (0..hosts)
-            .map(|h| {
-                (0..per_host)
-                    .map(|i| vec![(h * 31 + i) as u8; bytes])
-                    .collect()
-            })
-            .collect()
-    }
-
-    fn roundtrip<P: WirePayload + PartialEq + std::fmt::Debug>(frame: Frame<P>, step: usize) {
-        let bytes = match &frame {
-            Frame::Hello { nonce, host } => encode_hello(*nonce, *host),
-            Frame::Envelope { tid, env } => encode_envelope(*tid, env).unwrap(),
-            Frame::Ack { tid } => encode_ack(*tid),
-        };
-        let mut decoder = FrameDecoder::new();
-        let mut decoded = None;
-        for chunk in bytes.chunks(step) {
-            assert!(decoded.is_none(), "frame decoded before all bytes arrived");
-            decoder.feed(chunk);
-            if let Some(f) = decoder.next_frame::<P>().unwrap() {
-                decoded = Some(f);
-            }
-        }
-        assert_eq!(decoded.as_ref(), Some(&frame));
-        assert!(decoder.next_frame::<P>().unwrap().is_none());
-    }
-
-    #[test]
-    fn frame_codec_roundtrips_under_any_split() {
-        let env = Envelope::new(FragmentId(7), HostId(2), 5, vec![9u8; 100]);
-        for step in [1, 2, 3, 7, 64, 1024] {
-            roundtrip::<Vec<u8>>(
-                Frame::Hello {
-                    nonce: 0xdead_beef,
-                    host: 3,
-                },
-                step,
-            );
-            roundtrip::<Vec<u8>>(Frame::Ack { tid: u64::MAX }, step);
-            roundtrip(
-                Frame::Envelope {
-                    tid: 42,
-                    env: env.clone(),
-                },
-                step,
-            );
-        }
-    }
-
-    #[test]
-    fn into_encoders_match_fresh_encoders_and_reuse_capacity() {
-        let rel = relation::GenSpec::uniform(500, 3).generate();
-        let env = Envelope::new(FragmentId(9), HostId(1), 4, rel);
-        let mut buf = Vec::new();
-        encode_envelope_into(11, &env, &mut buf).unwrap();
-        assert_eq!(buf, encode_envelope(11, &env).unwrap());
-        assert_eq!(
-            buf.len(),
-            FRAME_HEADER + ENVELOPE_HEADER + env.payload.payload_wire_len(),
-            "payload_wire_len must be exact so pooled buffers never realloc"
-        );
-        let cap = buf.capacity();
-        // A second encode into the same (dirty) buffer must produce the
-        // same bytes without growing it.
-        encode_envelope_into(11, &env, &mut buf).unwrap();
-        assert_eq!(buf, encode_envelope(11, &env).unwrap());
-        assert_eq!(buf.capacity(), cap);
-
-        let mut ack = vec![0xAA; 3];
-        encode_ack_into(7, &mut ack);
-        assert_eq!(ack, encode_ack(7));
-    }
-
-    #[test]
-    fn payload_wire_len_is_exact_for_every_variant() {
-        use mem_joins::Algorithm;
-        let rel = relation::GenSpec::uniform(300, 5).generate();
-        for (alg, bits) in [
-            (Algorithm::NestedLoops, 0),
-            (Algorithm::SortMerge, 0),
-            (Algorithm::partitioned_hash(), 3),
-        ] {
-            let frag = alg.prepare_fragment(&rel, bits, 1);
-            let mut bytes = Vec::new();
-            frag.encode_payload(&mut bytes);
-            assert_eq!(bytes.len(), frag.payload_wire_len());
-        }
-        let v = vec![1u8, 2, 3];
-        assert_eq!(v.payload_wire_len(), 3);
-        assert_eq!(rel.payload_wire_len(), relation::wire::encoded_len(300));
-    }
-
-    #[test]
-    fn frame_pool_recycles_and_caps() {
-        let pool = FrameBufPool::default();
-        let mut a = pool.take();
-        assert!(a.is_empty());
-        a.extend_from_slice(&[1, 2, 3]);
-        let cap = a.capacity();
-        pool.put(a);
-        let b = pool.take();
-        assert!(b.is_empty(), "returned buffers come back cleared");
-        assert_eq!(b.capacity(), cap, "capacity survives the round trip");
-        // Oversized buffers are dropped, not pooled.
-        pool.put(Vec::with_capacity(MAX_POOLED_CAPACITY + 1));
-        assert_eq!(pool.take().capacity(), 0);
-    }
-
-    #[test]
-    fn corrupted_checksums_survive_the_codec() {
-        let mut env = Envelope::new(FragmentId(1), HostId(0), 3, vec![1u8; 16]);
-        env.checksum = !env.checksum;
-        let bytes = encode_envelope(5, &env).unwrap();
-        let mut decoder = FrameDecoder::new();
-        decoder.feed(&bytes);
-        let Some(Frame::Envelope { env: back, .. }) = decoder.next_frame::<Vec<u8>>().unwrap()
-        else {
-            panic!("expected an envelope frame");
-        };
-        assert!(!back.checksum_ok(), "the flipped checksum must survive");
-    }
-
-    #[test]
-    fn decoder_rejects_malformed_prefixes() {
-        let mut d = FrameDecoder::new();
-        d.feed(&[0x7f, 0, 0, 0, 0]);
-        assert_eq!(d.next_frame::<Vec<u8>>(), Err(FrameError::BadKind(0x7f)));
-
-        let mut d = FrameDecoder::new();
-        let mut bytes = vec![KIND_ACK];
-        bytes.extend_from_slice(&u32::MAX.to_le_bytes());
-        d.feed(&bytes);
-        assert_eq!(
-            d.next_frame::<Vec<u8>>(),
-            Err(FrameError::Oversized {
-                len: u32::MAX,
-                max: MAX_FRAME
-            })
-        );
-
-        let mut d = FrameDecoder::new();
-        let mut bytes = vec![KIND_ENVELOPE];
-        bytes.extend_from_slice(&7u32.to_le_bytes());
-        bytes.extend_from_slice(&[0u8; 7]);
-        d.feed(&bytes);
-        assert_eq!(
-            d.next_frame::<Vec<u8>>(),
-            Err(FrameError::Truncated {
-                needed: ENVELOPE_HEADER,
-                got: 7
-            })
-        );
-    }
-
-    #[test]
-    fn relation_payloads_roundtrip() {
-        let rel = relation::GenSpec::uniform(200, 17).generate();
-        let mut bytes = Vec::new();
-        rel.encode_payload(&mut bytes);
-        let back = relation::Relation::decode_payload(&bytes).unwrap();
-        assert_eq!(back, rel);
-        assert!(relation::Relation::decode_payload(&bytes[..bytes.len() - 3]).is_err());
-    }
-
-    #[test]
-    fn prepared_fragment_payloads_roundtrip() {
-        use mem_joins::{Algorithm, PreparedFragment};
-        let rel = relation::GenSpec::uniform(300, 5).generate();
-        for (alg, bits) in [
-            (Algorithm::NestedLoops, 0),
-            (Algorithm::SortMerge, 0),
-            (Algorithm::partitioned_hash(), 3),
-        ] {
-            let frag = alg.prepare_fragment(&rel, bits, 1);
-            let mut bytes = Vec::new();
-            frag.encode_payload(&mut bytes);
-            let back = PreparedFragment::decode_payload(&bytes).unwrap();
-            assert_eq!(back.len(), frag.len());
-            assert_eq!(back.payload_checksum(), frag.payload_checksum());
-            match (&frag, &back) {
-                (PreparedFragment::Plain(a), PreparedFragment::Plain(b)) => assert_eq!(a, b),
-                (PreparedFragment::Sorted(a), PreparedFragment::Sorted(b)) => {
-                    assert_eq!(a.as_relation(), b.as_relation());
-                }
-                (PreparedFragment::HashPartitioned(a), PreparedFragment::HashPartitioned(b)) => {
-                    assert_eq!(a, b);
-                }
-                _ => panic!("variant changed across the wire"),
-            }
-        }
-    }
-
-    #[test]
-    fn prepared_fragment_decode_validates_partition_count() {
-        let mut bytes = vec![TAG_HASH];
-        bytes.extend_from_slice(&2u32.to_le_bytes()); // bits = 2 → needs 4
-        bytes.extend_from_slice(&3u32.to_le_bytes()); // claims 3
-        let err = mem_joins::PreparedFragment::decode_payload(&bytes).unwrap_err();
-        assert!(matches!(err, FrameError::BadPayload(_)));
-    }
+    use crate::coordinator::socket_suite::{self, payloads};
+    use simnet::span::counter;
+    use simnet::time::SimTime;
 
     #[test]
     fn every_host_sees_every_fragment_over_tcp() {
-        let hosts = 3;
-        let counts: Vec<AtomicUsize> = (0..hosts).map(|_| AtomicUsize::new(0)).collect();
-        let (metrics, _) = TcpRingDriver::new(&RingConfig::paper(hosts))
-            .run(payloads(hosts, 2, 64), |h, _| {
-                counts[h.0].fetch_add(1, Ordering::SeqCst);
-            })
-            .unwrap();
-        assert_eq!(metrics.fragments_completed, 6);
-        for c in &counts {
-            assert_eq!(c.load(Ordering::SeqCst), 6);
-        }
-        for h in &metrics.hosts {
-            assert_eq!(h.fragments_processed, 6);
-        }
-        assert_eq!(
-            metrics.total_bytes_forwarded() as usize,
-            6 * 64 * (hosts - 1)
-        );
-        assert!(metrics.fault_free());
+        socket_suite::every_host_sees_every_fragment::<BlockingEngine>();
     }
 
     #[test]
     fn single_host_ring_needs_no_sockets() {
-        let n = AtomicUsize::new(0);
-        let (metrics, _) = TcpRingDriver::new(&RingConfig::paper(1))
-            .run(payloads(1, 4, 32), |_, _| {
-                n.fetch_add(1, Ordering::SeqCst);
-            })
-            .unwrap();
-        assert_eq!(metrics.fragments_completed, 4);
-        assert_eq!(n.load(Ordering::SeqCst), 4);
+        socket_suite::single_host_ring_needs_no_sockets::<BlockingEngine>();
     }
 
     #[test]
     fn shape_and_config_errors_are_typed() {
-        let err = TcpRingDriver::new(&RingConfig::paper(3))
-            .run(payloads(2, 1, 8), |_, _| {})
-            .unwrap_err();
-        assert!(matches!(
-            err,
-            RingError::Shape {
-                expected: 3,
-                got: 2
-            }
-        ));
-        let bad = RingConfig::paper(0);
-        let err = TcpRingDriver::new(&bad)
-            .run(vec![], |_: HostId, _: &Vec<u8>| {})
-            .unwrap_err();
-        assert!(matches!(err, RingError::Config(_)));
+        socket_suite::shape_and_config_errors_are_typed::<BlockingEngine>();
     }
 
     #[test]
     fn out_of_ring_faults_are_rejected() {
-        let plan = FaultPlan::seeded(1).crash_host(HostId(9), SimTime::from_nanos(1));
-        let err = TcpRingDriver::new(&RingConfig::paper(2))
-            .with_fault_plan(&plan)
-            .run(payloads(2, 1, 8), |_, _| {})
-            .unwrap_err();
-        assert!(matches!(err, RingError::UnsupportedFault(_)));
+        socket_suite::out_of_ring_faults_are_rejected::<BlockingEngine>();
     }
 
     #[test]
     fn lossy_and_corrupt_links_are_repaired() {
-        let hosts = 3;
-        let plan = FaultPlan::seeded(7)
-            .lossy_link(HostId(0), 0.3)
-            .corrupt_link(HostId(1), 0.3);
-        let config = RingConfig::paper(hosts)
-            .with_ack_timeout(SimDuration::from_millis(40))
-            .with_max_retransmits(10);
-        let counts: Vec<AtomicUsize> = (0..hosts).map(|_| AtomicUsize::new(0)).collect();
-        let (metrics, _) = TcpRingDriver::new(&config)
-            .with_fault_plan(&plan)
-            .run(payloads(hosts, 3, 256), |h, _| {
-                counts[h.0].fetch_add(1, Ordering::SeqCst);
-            })
-            .unwrap();
-        assert_eq!(metrics.fragments_completed, 9);
-        for c in &counts {
-            assert_eq!(c.load(Ordering::SeqCst), 9);
-        }
-        let retransmits: u64 = metrics.hosts.iter().map(|h| h.retransmits).sum();
-        assert!(retransmits > 0, "a 30% loss rate must provoke retransmits");
+        socket_suite::lossy_and_corrupt_links_are_repaired::<BlockingEngine>();
     }
 
     #[test]
@@ -2414,91 +480,12 @@ mod tests {
 
     #[test]
     fn crash_heals_over_real_sockets() {
-        let hosts = 4;
-        let per_host = 2;
-        let total = hosts * per_host;
-        let plan = FaultPlan::seeded(4242).crash_host(HostId(2), SimTime::from_nanos(4_000_000));
-        let config = RingConfig::paper(hosts)
-            .with_ack_timeout(SimDuration::from_millis(8))
-            .with_max_retransmits(3);
-        // One exactly-once cell per (fragment, logical role).
-        let applied: Vec<Vec<AtomicUsize>> = (0..total)
-            .map(|_| (0..hosts).map(|_| AtomicUsize::new(0)).collect())
-            .collect();
-        let (metrics, _) = TcpRingDriver::new(&config)
-            .with_fault_plan(&plan)
-            .run_with_roles(
-                payloads(hosts, per_host, 128),
-                |_, roles, payload| {
-                    // Identify the fragment by its payload fill byte.
-                    let frag = payload.first().copied().unwrap_or(0) as usize;
-                    let frag = (0..hosts)
-                        .flat_map(|h| (0..per_host).map(move |i| (h, i)))
-                        .position(|(h, i)| h * 31 + i == frag)
-                        .unwrap();
-                    for &r in roles {
-                        applied[frag][r].fetch_add(1, Ordering::SeqCst);
-                    }
-                    std::thread::sleep(Duration::from_micros(500));
-                },
-                |_, _| {},
-            )
-            .unwrap();
-        assert_eq!(metrics.fragments_completed, total);
-        assert_eq!(metrics.heal_events, 1, "one confirmed death");
-        assert!(metrics.detection_latency > SimDuration::ZERO);
-        for (f, roles) in applied.iter().enumerate() {
-            for (r, cell) in roles.iter().enumerate() {
-                assert_eq!(
-                    cell.load(Ordering::SeqCst),
-                    1,
-                    "fragment {f} role {r} must be applied exactly once"
-                );
-            }
-        }
+        socket_suite::crash_heals_mid_revolution::<BlockingEngine>();
     }
 
     #[test]
     fn planned_join_and_drain_over_real_sockets() {
-        // Host 2 starts as a standby and joins at 1 ms (rendezvous moves
-        // role 0 to it — a pure function of ids); host 0, now role-less,
-        // drains at 8 ms while per-buffer sleeps keep the ring busy well
-        // past that instant. The departed host's sockets see a real FIN.
-        let hosts = 3;
-        let per_host = 3;
-        let rescale = RescalePlan::seeded(77)
-            .join_host(HostId(2), SimTime::from_nanos(1_000_000))
-            .drain_host(HostId(0), SimTime::from_nanos(8_000_000));
-        let config = RingConfig::paper(hosts)
-            .with_ack_timeout(SimDuration::from_millis(20))
-            .with_max_retransmits(6);
-        let mut envelopes = payloads(hosts, per_host, 64);
-        envelopes[2].clear(); // the standby provisions no fragments
-        let counts: Vec<AtomicUsize> = (0..hosts).map(|_| AtomicUsize::new(0)).collect();
-        let (metrics, tracer) = TcpRingDriver::new(&config)
-            .with_rescale_plan(&rescale)
-            .with_tracer(true)
-            .run(envelopes, |h, _: &Vec<u8>| {
-                counts[h.0].fetch_add(1, Ordering::SeqCst);
-                std::thread::sleep(Duration::from_millis(2));
-            })
-            .unwrap();
-        assert_eq!(metrics.fragments_completed, 2 * per_host);
-        assert_eq!(metrics.membership_epoch, 2, "one join + one drain");
-        assert_eq!(metrics.rescale_joins, 1);
-        assert_eq!(metrics.rescale_drains, 1);
-        assert_eq!(metrics.rescale_handoffs, 1, "role 0 moved to the newcomer");
-        assert_eq!(metrics.heal_events, 0, "a planned rescale is not a fault");
-        assert!(
-            counts[2].load(Ordering::SeqCst) > 0,
-            "newcomer must process"
-        );
-        assert_eq!(tracer.count_events("activated"), 1);
-        assert_eq!(tracer.count_events("departed"), 1);
-        let c = tracer.counters();
-        assert_eq!(c.get(counter::RESCALE_JOINS), 1);
-        assert_eq!(c.get(counter::RESCALE_DRAINS), 1);
-        assert_eq!(c.get(counter::RESCALE_HANDOFFS), 1);
+        socket_suite::planned_join_and_drain::<BlockingEngine>();
     }
 
     #[test]
@@ -2557,65 +544,11 @@ mod tests {
 
     #[test]
     fn multiplexed_queries_complete_over_sockets() {
-        let hosts = 3;
-        let queries = 3;
-        let cfg = RingConfig::paper(hosts)
-            .with_ack_timeout(SimDuration::from_millis(50))
-            .with_max_retransmits(6);
-        let tenants: Vec<(u32, Vec<Vec<Vec<u8>>>)> = (0..queries)
-            .map(|q| (q as u32, payloads(hosts, 2, 64)))
-            .collect();
-        let counts: Vec<AtomicUsize> = (0..hosts).map(|_| AtomicUsize::new(0)).collect();
-        let (metrics, spans) = TcpRingDriver::new(&cfg)
-            .with_tracer(true)
-            .run_queries(
-                tenants,
-                2,
-                |h, _query, _roles: &[usize], _: &Vec<u8>| {
-                    counts[h.0].fetch_add(1, Ordering::SeqCst);
-                },
-                |_, _| {},
-            )
-            .unwrap();
-        assert_eq!(metrics.fragments_completed, queries * hosts * 2);
-        assert_eq!(metrics.queries.len(), queries);
-        for (q, m) in metrics.queries.iter().enumerate() {
-            assert_eq!(m.tenant, q as u32);
-            assert!(m.completed, "query {q}: {m:?}");
-            assert_eq!(m.fragments_completed, hosts * 2);
-        }
-        for c in &counts {
-            assert_eq!(c.load(Ordering::SeqCst), queries * hosts * 2);
-        }
-        let counters = spans.counters();
-        assert_eq!(counters.get(counter::QUERIES_ADMITTED), queries as u64);
-        assert_eq!(counters.get(counter::QUERIES_COMPLETED), queries as u64);
+        socket_suite::multiplexed_queries_complete::<BlockingEngine>();
     }
 
     #[test]
     fn multiplexed_queries_survive_socket_faults() {
-        let hosts = 3;
-        let queries = 4;
-        let mut plan = FaultPlan::seeded(19);
-        for h in 0..hosts {
-            plan = plan.lossy_link(HostId(h), 0.08);
-        }
-        let cfg = RingConfig::paper(hosts)
-            .with_ack_timeout(SimDuration::from_millis(40))
-            .with_max_retransmits(8);
-        let tenants: Vec<(u32, Vec<Vec<Vec<u8>>>)> = (0..queries)
-            .map(|q| (q as u32, payloads(hosts, 2, 48)))
-            .collect();
-        let (metrics, _) = TcpRingDriver::new(&cfg)
-            .with_fault_plan(&plan)
-            .run_queries(
-                tenants,
-                queries,
-                |_, _, _: &[usize], _: &Vec<u8>| {},
-                |_, _| {},
-            )
-            .unwrap();
-        assert_eq!(metrics.fragments_completed, queries * hosts * 2);
-        assert!(metrics.queries.iter().all(|m| m.completed));
+        socket_suite::multiplexed_queries_survive_faults::<BlockingEngine>();
     }
 }

@@ -46,7 +46,6 @@
 //! events and the unified counter registry, on the same wall-clock epoch
 //! the metrics use, so span totals reconcile with [`RingMetrics`] exactly.
 
-use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
@@ -59,12 +58,16 @@ use simnet::time::{SimDuration, SimTime};
 use simnet::topology::HostId;
 
 use crate::config::RingConfig;
-use crate::envelope::{Envelope, FragmentId, PayloadBytes};
+use crate::coordinator::{
+    self, Coordinator, Done, Event, Job, JobDone, Medium, Pending, Recv, TimerKind, Workload,
+};
+use crate::envelope::{Envelope, PayloadBytes};
 use crate::error::RingError;
+use crate::frame::Frame;
 use crate::metrics::{HostMetrics, RingMetrics};
 use crate::protocol::{
-    backoff_exponent, envelope_batches, query_batches, teardown, Input, LinkReceiver, LinkSender,
-    Output, ProtocolConfig, Receipt, RingProtocol, TimeoutVerdict, Timer,
+    backoff_exponent, envelope_batches, query_batches, teardown, LinkReceiver, LinkSender, Receipt,
+    TimeoutVerdict,
 };
 
 /// Collects worker errors, preferring root causes (a panicking callback, an
@@ -235,9 +238,10 @@ impl<'a> RingDriver<'a> {
     /// stationary partitions repartitioned by rendezvous hashing.
     ///
     /// A rescale run switches this backend into its *coordinated* mode —
-    /// one thread owning the sans-IO [`RingProtocol`] drives per-host
-    /// join workers over channels, mirroring the TCP driver minus the
-    /// sockets — because membership transitions need the protocol core's
+    /// the coordinator the socket drivers run, owning the sans-IO
+    /// [`RingProtocol`](crate::protocol::RingProtocol) and driving per-host
+    /// join workers over channels instead of sockets — because
+    /// membership transitions need the protocol core's
     /// ledger rather than the emergent channel topology of the classic
     /// paths. Join/drain instants are interpreted in wall-clock time from
     /// ring start. Hosts named in a join start as provisioned standbys
@@ -332,7 +336,7 @@ impl<'a> RingDriver<'a> {
 
 /// The coordinated engine behind [`RingDriver::run_queries`]: validates
 /// the query shapes, synthesizes quiet dice when no fault plan is
-/// attached, constructs the multi-query protocol core and drives it.
+/// attached, numbers the queries' envelopes and drives them.
 fn coordinated_multi_run<P, F>(
     config: &RingConfig,
     fault_plan: Option<&FaultPlan>,
@@ -346,70 +350,20 @@ where
     P: PayloadBytes + Send + Clone,
     F: Fn(HostId, u32, &P) + Sync,
 {
-    config.validate()?;
-    let n = config.hosts;
-    if n < 2 {
-        return Err(RingError::UnsupportedFault(
-            "multiplexing needs a ring of at least two hosts",
-        ));
-    }
-    if n > 64 {
-        return Err(RingError::UnsupportedFault(
-            "the exactly-once role bitmask supports at most 64 hosts",
-        ));
-    }
-    if queries.is_empty() || max_active == 0 {
-        return Err(RingError::UnsupportedFault(
-            "a multi-tenant run needs at least one query and a positive admission bound",
-        ));
-    }
-    for (_, fragments) in &queries {
-        if fragments.len() != n {
-            return Err(RingError::Shape {
-                expected: n,
-                got: fragments.len(),
-            });
-        }
-    }
-    if let Some(plan) = fault_plan {
-        if !plan.crashes().is_empty() || !plan.pauses().is_empty() {
-            return Err(RingError::UnsupportedFault(
-                "the threaded backend supports link loss, corruption and delay spikes; host \
-                 crashes and pauses need ring healing — use the simulated, tcp or reactor \
-                 backends",
-            ));
-        }
-    }
-    if let Some(plan) = rescale {
-        if plan.joins().iter().any(|j| {
-            queries
-                .iter()
-                .any(|(_, f)| f.get(j.host.0).is_some_and(|b| !b.is_empty()))
-        }) {
-            return Err(RingError::UnsupportedFault(
-                "a standby host must not contribute fragments before joining",
-            ));
-        }
-    }
-    let quiet_dice;
-    let plan = match fault_plan {
-        Some(p) => p,
-        None => {
-            quiet_dice = FaultPlan::seeded(rescale.map_or(0, RescalePlan::seed));
-            &quiet_dice
-        }
+    let shapes: Vec<&[Vec<P>]> = queries.iter().map(|(_, f)| f.as_slice()).collect();
+    coordinator::validate(
+        config,
+        fault_plan,
+        rescale,
+        &shapes,
+        Some(max_active),
+        false,
+    )?;
+    let workload = Workload::Multi {
+        queries: query_batches(queries, config.hosts),
+        max_active,
     };
-    let proto_cfg = ProtocolConfig {
-        hosts: n,
-        buffers_per_host: config.buffers_per_host,
-        max_retransmits: config.max_retransmits,
-        continuous: false,
-        reliable: true,
-        standby: rescale.map_or(0, RescalePlan::standby_mask),
-    };
-    let proto = RingProtocol::new_multi(proto_cfg, query_batches(queries, n), max_active);
-    let total = proto.fragments_total();
-    drive_coordinated(config, plan, rescale, proto, total, process, trace)
+    drive_coordinated(config, fault_plan, rescale, workload, process, trace)
 }
 
 /// The classic (unguarded-transport) engine behind [`RingDriver::run`].
@@ -722,575 +676,115 @@ where
 }
 
 // ---------------------------------------------------------------------------
-// Coordinated rescale mode: one thread owning the sans-IO protocol
+// Coordinated mode: the shared coordinator over an instant channel wire
 // ---------------------------------------------------------------------------
 
-/// Watchdog for the coordinated event loop: no event for this long means
-/// the run wedged (every legal state has a pending timer or job).
-const RESCALE_WATCHDOG: Duration = Duration::from_secs(10);
-
-/// Teardown reason when the coordinated watchdog fires.
-const RESCALE_STALLED: &str =
-    "coordinated ring stalled: no event arrived within the watchdog window";
-
-/// Teardown reason when the protocol starts a join with nothing queued.
-const RESCALE_EMPTY_SLOT: &str = "StartJoin with an empty processing slot";
-
-/// One driver-side event of the coordinated mode.
-enum CoEvent<P> {
-    /// A worker thread finished the join computation at `host`.
-    JoinDone {
-        host: HostId,
-        id: FragmentId,
-        hop: usize,
-        spent: Duration,
-        panicked: bool,
-    },
-    /// A wall-clock timer fired.
-    Timer(CoTimer<P>),
+/// The medium of the coordinated engine: per-host job queues and a timer
+/// thread, and nothing in between — the channel "wire" has no latency in
+/// either direction, so deliveries and acks reach their host in the same
+/// coordinator round as follow-up events, and a fault-plan delay spike is
+/// modeled by parking the arrival on the timer thread. There is no
+/// application absorb hook on this backend: a takeover is free and
+/// completes in the same round. Nothing can be severed (host crashes are
+/// rejected up front).
+struct ChannelWire<P> {
+    jobs: Vec<Sender<Job<P>>>,
+    timer_tx: Sender<(Instant, Event<P>)>,
 }
 
-/// Timers of the coordinated mode: protocol backoffs, the rescale plan's
-/// scheduled membership changes, and fault-plan delay spikes realized as
-/// deferred deliveries — the channel "wire" itself is instantaneous, so a
-/// spike is modeled by parking the envelope on the timer thread.
-enum CoTimer<P> {
-    Protocol(Timer),
-    JoinRequest(HostId),
-    DrainRequest(HostId),
-    Deliver {
-        to: HostId,
-        env: Envelope<P>,
-        tid: u64,
+impl<P> Medium<P> for ChannelWire<P> {
+    fn transmit(
+        &mut self,
         from: HostId,
-    },
-}
-
-/// A join computation handed to a host's worker thread.
-struct CoJob<P> {
-    payload: P,
-    /// Which multiplexed query the fragment belongs to (0 on
-    /// single-query runs).
-    query: u32,
-    id: FragmentId,
-    hop: usize,
-}
-
-/// The join worker of one host in coordinated mode: runs the guarded user
-/// callback and reports completions back to the coordinator.
-fn coordinated_worker<P, F>(
-    host: HostId,
-    jobs: Receiver<CoJob<P>>,
-    events: Sender<CoEvent<P>>,
-    process: &F,
-) where
-    P: PayloadBytes + Send,
-    F: Fn(HostId, u32, &P) + Sync,
-{
-    for job in jobs.iter() {
-        let started = Instant::now();
-        let outcome = catch_unwind(AssertUnwindSafe(|| process(host, job.query, &job.payload)));
-        let done = CoEvent::JoinDone {
-            host,
-            id: job.id,
-            hop: job.hop,
-            spent: started.elapsed(),
-            panicked: outcome.is_err(),
-        };
-        if events.send(done).is_err() {
-            return;
-        }
-    }
-}
-
-/// The wall-clock timer thread of the coordinated mode.
-fn coordinated_timer_loop<P: Send>(
-    cmds: Receiver<(Instant, CoTimer<P>)>,
-    events: Sender<CoEvent<P>>,
-) {
-    let mut armed: Vec<(Instant, CoTimer<P>)> = Vec::new();
-    loop {
-        let now = Instant::now();
-        let (due, rest): (Vec<_>, Vec<_>) = armed.into_iter().partition(|(d, _)| *d <= now);
-        armed = rest;
-        for (_, kind) in due {
-            if events.send(CoEvent::Timer(kind)).is_err() {
-                return;
-            }
-        }
-        let wait = armed
-            .iter()
-            .map(|(d, _)| d.saturating_duration_since(Instant::now()))
-            .min()
-            .unwrap_or(Duration::from_secs(3600));
-        match cmds.recv_timeout(wait) {
-            Ok(cmd) => armed.push(cmd),
-            Err(RecvTimeoutError::Timeout) => {}
-            Err(RecvTimeoutError::Disconnected) => return,
-        }
-    }
-}
-
-/// The coordinator of a rescale run: owns the [`RingProtocol`] and maps
-/// its outputs onto worker jobs, pending inputs and wall-clock timers —
-/// the TCP driver's coordinator minus the sockets.
-struct CoRing<'a, P: PayloadBytes> {
-    proto: RingProtocol<P>,
-    plan: &'a FaultPlan,
-    jobs: Vec<Sender<CoJob<P>>>,
-    timer_tx: Sender<(Instant, CoTimer<P>)>,
-    /// Inputs produced synchronously while applying outputs (instant wire
-    /// deliveries, acks, zero-cost absorbs), processed before the channel.
-    pending: VecDeque<Input<P>>,
-    errors: ErrorCollector,
-    fatal: bool,
-    tracer: SpanTracer,
-    epoch: Instant,
-    wall_ack_timeout: Duration,
-    join_threads: usize,
-    busy: Vec<Duration>,
-    last_done: Vec<Instant>,
-    bytes_forwarded: Vec<u64>,
-    last_progress: Instant,
-}
-
-impl<P: PayloadBytes + Clone> CoRing<'_, P> {
-    fn now_stamp(&self) -> SimTime {
-        SimTime::from_nanos(SimDuration::from(self.epoch.elapsed()).as_nanos())
-    }
-
-    fn stamp_before(&self, spent: Duration) -> SimTime {
-        SimTime::from_nanos(
-            SimDuration::from(self.epoch.elapsed().saturating_sub(spent)).as_nanos(),
-        )
-    }
-
-    fn fail(&mut self, error: RingError) {
-        self.errors.record(error);
-        self.fatal = true;
-    }
-
-    fn arm(&mut self, deadline: Instant, kind: CoTimer<P>) {
-        let _ = self.timer_tx.send((deadline, kind));
-    }
-
-    /// Translates one driver event into a protocol [`Input`], mirroring
-    /// the TCP coordinator's crash-guard policy (a host can only be
-    /// "crashed" here through an escalated drain).
-    // analyze: allow(panic, reason = "protocol invariant: per-host tables are sized to the ring at construction and HostId never exceeds it")
-    fn handle(&mut self, event: CoEvent<P>) {
-        match event {
-            CoEvent::JoinDone {
-                host,
-                id,
-                hop,
-                spent,
-                panicked,
-            } => {
-                if self.proto.is_crashed(host) {
-                    return;
-                }
-                if panicked {
-                    self.fail(RingError::Teardown(teardown::CALLBACK_PANICKED));
-                    return;
-                }
-                self.busy[host.0] += spent;
-                let now = Instant::now();
-                self.last_done[host.0] = now;
-                self.last_progress = self.last_progress.max(now);
-                if self.tracer.is_enabled() {
-                    let start = self.stamp_before(spent);
-                    self.tracer.span_with_hop(
-                        host.0,
-                        SpanKind::Join,
-                        format!("join {id}"),
-                        start,
-                        spent.into(),
-                        Some(hop),
-                    );
-                }
-                let out = self.proto.input(Input::JoinDone {
-                    host,
-                    app_finished: false,
-                });
-                self.apply(out);
-            }
-            CoEvent::Timer(kind) => match kind {
-                CoTimer::Protocol(timer) => {
-                    let out = self.proto.input(Input::Tick { timer });
-                    self.apply(out);
-                }
-                CoTimer::JoinRequest(host) => {
-                    if self.proto.is_crashed(host) {
-                        return;
-                    }
-                    if self.tracer.is_enabled() {
-                        self.tracer.event(
-                            Some(host.0),
-                            Track::Control,
-                            "join requested",
-                            self.now_stamp(),
-                        );
-                    }
-                    let out = self.proto.input(Input::JoinRequest { host });
-                    self.apply(out);
-                }
-                CoTimer::DrainRequest(host) => {
-                    if self.proto.is_crashed(host) {
-                        return;
-                    }
-                    if self.tracer.is_enabled() {
-                        self.tracer.event(
-                            Some(host.0),
-                            Track::Control,
-                            "drain requested",
-                            self.now_stamp(),
-                        );
-                    }
-                    let out = self.proto.input(Input::DrainRequest { host });
-                    self.apply(out);
-                }
-                CoTimer::Deliver { to, env, tid, from } => {
-                    // A delayed frame finally "arrives"; only then is the
-                    // sender's wire reported free — the spike delays the
-                    // hop's credit exactly like the TCP writer queue does.
-                    let out = self.proto.input(Input::Delivered { to, env, tid });
-                    self.apply(out);
-                    let out = self.proto.input(Input::SendDone { from });
-                    self.apply(out);
-                }
+        to: HostId,
+        tid: u64,
+        env: Envelope<P>,
+        delay: Duration,
+        next: &mut Pending<P>,
+    ) -> Result<(), RingError> {
+        // Only when the envelope "arrives" is the sender's wire reported
+        // free — a spike delays the hop's credit exactly like the TCP
+        // writer queue does.
+        let arrival = [
+            Event::Frame {
+                at: to,
+                frame: Frame::Envelope { tid, env },
             },
-        }
-    }
-
-    /// Applies protocol outputs strictly in emission order.
-    // analyze: allow(panic, reason = "protocol invariant: per-host tables are sized to the ring at construction and HostId never exceeds it")
-    fn apply(&mut self, outputs: Vec<Output<P>>) {
-        for output in outputs {
-            if self.fatal {
-                return;
-            }
-            match output {
-                Output::StartJoin {
-                    host,
-                    id,
-                    hop,
-                    roles: _,
-                    bytes: _,
-                } => {
-                    let Some(payload) = self.proto.processing_payload(host).cloned() else {
-                        self.fail(RingError::Teardown(RESCALE_EMPTY_SLOT));
-                        return;
-                    };
-                    let job = CoJob {
-                        payload,
-                        query: self.proto.processing_query(host),
-                        id,
-                        hop,
-                    };
-                    if self.jobs[host.0].send(job).is_err() {
-                        self.fail(RingError::Teardown(teardown::RING_CLOSED));
-                    }
-                }
-                Output::PassThrough { host, id } => {
-                    if self.tracer.is_enabled() {
-                        self.tracer.event(
-                            Some(host.0),
-                            Track::Join,
-                            format!("pass-through {id}"),
-                            self.now_stamp(),
-                        );
-                    }
-                }
-                Output::Processed { .. } => {}
-                Output::Send {
-                    from,
-                    to,
-                    tid,
-                    attempt,
-                    env,
-                } => self.apply_send(from, to, tid, attempt, env),
-                Output::Ack { to: _, tid } => {
-                    // The channel wire has no reverse latency: the ack
-                    // reaches its sender in the same coordinator round.
-                    self.pending.push_back(Input::Ack { tid });
-                }
-                Output::ArmTimer { timer, backoff_exp } => {
-                    let delay = self
-                        .wall_ack_timeout
-                        .saturating_mul(1u32 << backoff_exp.min(31));
-                    self.arm(Instant::now() + delay, CoTimer::Protocol(timer));
-                }
-                Output::Delivered { host, id, bytes: _ } => {
-                    if self.tracer.is_enabled() {
-                        self.tracer.event(
-                            Some(host.0),
-                            Track::Receiver,
-                            format!("recv {id}"),
-                            self.now_stamp(),
-                        );
-                        self.tracer.count(counter::ENVELOPES_RECEIVED, 1);
-                    }
-                }
-                Output::DuplicateDropped { host, id } => {
-                    if self.tracer.is_enabled() {
-                        self.tracer.event(
-                            Some(host.0),
-                            Track::Receiver,
-                            format!("duplicate {id} dropped"),
-                            self.now_stamp(),
-                        );
-                    }
-                }
-                Output::ChecksumMismatch { host, id } => {
-                    if self.tracer.is_enabled() {
-                        self.tracer.event(
-                            Some(host.0),
-                            Track::Receiver,
-                            format!("checksum mismatch {id}"),
-                            self.now_stamp(),
-                        );
-                        self.tracer.count(counter::CHECKSUM_MISMATCHES, 1);
-                    }
-                }
-                Output::Retire { host, id, salvaged } => {
-                    self.last_progress = self.last_progress.max(Instant::now());
-                    if self.tracer.is_enabled() {
-                        let name = if salvaged {
-                            format!("retired {id} (salvaged)")
-                        } else {
-                            format!("retired {id}")
-                        };
-                        self.tracer
-                            .event(Some(host.0), Track::Join, name, self.now_stamp());
-                        self.tracer.count(counter::FRAGMENTS_RETIRED, 1);
-                    }
-                }
-                Output::Heal { dead } => {
-                    // Only reachable through an escalated drain: no crash
-                    // was ever scheduled, so detection latency stays zero.
-                    if self.tracer.is_enabled() {
-                        self.tracer.event(
-                            None,
-                            Track::Control,
-                            format!("heal: host {} confirmed dead", dead.0),
-                            self.now_stamp(),
-                        );
-                        self.tracer.count(counter::HEAL_EVENTS, 1);
-                    }
-                }
-                Output::Absorb {
-                    survivor,
-                    dead,
-                    roles,
-                } => {
-                    // This backend has no application absorb hook: the
-                    // takeover is free and completes in the same round.
-                    if self.tracer.is_enabled() {
-                        self.tracer.span(
-                            survivor.0,
-                            SpanKind::Absorb,
-                            format!("absorb {} role(s) of host {}", roles.len(), dead.0),
-                            self.now_stamp(),
-                            SimDuration::ZERO,
-                        );
-                    }
-                    self.pending.push_back(Input::AbsorbDone { host: survivor });
-                }
-                Output::Activate { host, epoch } => {
-                    self.last_progress = self.last_progress.max(Instant::now());
-                    if self.tracer.is_enabled() {
-                        self.tracer.event(
-                            Some(host.0),
-                            Track::Control,
-                            format!("activated (epoch {epoch})"),
-                            self.now_stamp(),
-                        );
-                        self.tracer.count(counter::RESCALE_JOINS, 1);
-                    }
-                }
-                Output::Handoff { from, to, roles } => {
-                    if self.tracer.is_enabled() {
-                        self.tracer
-                            .count(counter::RESCALE_HANDOFFS, roles.len() as u64);
-                        self.tracer.span(
-                            to.0,
-                            SpanKind::Absorb,
-                            format!("handoff {} role(s) from host {}", roles.len(), from.0),
-                            self.now_stamp(),
-                            SimDuration::ZERO,
-                        );
-                    }
-                    self.pending.push_back(Input::AbsorbDone { host: to });
-                }
-                Output::Departed { host, epoch } => {
-                    self.last_progress = self.last_progress.max(Instant::now());
-                    if self.tracer.is_enabled() {
-                        self.tracer.event(
-                            Some(host.0),
-                            Track::Control,
-                            format!("departed (epoch {epoch})"),
-                            self.now_stamp(),
-                        );
-                        self.tracer.count(counter::RESCALE_DRAINS, 1);
-                    }
-                }
-                Output::Resent { target, id } => {
-                    if self.tracer.is_enabled() {
-                        self.tracer.event(
-                            Some(target.0),
-                            Track::Control,
-                            format!("re-sent {id} from origin"),
-                            self.now_stamp(),
-                        );
-                        self.tracer.count(counter::FRAGMENTS_RESENT, 1);
-                    }
-                }
-                Output::Finished { .. } => {}
-                Output::QueryAdmitted { query, tenant } => {
-                    self.last_progress = self.last_progress.max(Instant::now());
-                    if self.tracer.is_enabled() {
-                        self.tracer.event(
-                            None,
-                            Track::Control,
-                            format!("query {query} (tenant {tenant}) admitted"),
-                            self.now_stamp(),
-                        );
-                        self.tracer.count(counter::QUERIES_ADMITTED, 1);
-                    }
-                }
-                Output::QueryDone { query, tenant } => {
-                    self.last_progress = self.last_progress.max(Instant::now());
-                    if self.tracer.is_enabled() {
-                        self.tracer.event(
-                            None,
-                            Track::Control,
-                            format!("query {query} (tenant {tenant}) complete"),
-                            self.now_stamp(),
-                        );
-                        self.tracer.count(counter::QUERIES_COMPLETED, 1);
-                    }
-                }
-                Output::Teardown { reason } => self.fail(RingError::Teardown(reason)),
-            }
-        }
-    }
-
-    /// Puts one attempt of a transfer on the channel wire: rolls the
-    /// fault dice, reports the fate back, and either delivers instantly
-    /// (queued input) or parks the envelope on the timer thread for a
-    /// delay spike.
-    // analyze: allow(panic, reason = "protocol invariant: per-host tables are sized to the ring at construction and HostId never exceeds it")
-    fn apply_send(&mut self, from: HostId, to: HostId, tid: u64, attempt: u32, env: Envelope<P>) {
-        self.bytes_forwarded[from.0] += env.bytes();
-        let mut wire = env;
-        // Dice keyed on the per-sender wire sequence (`env.seq`), the
-        // numbering all three backends share.
-        let seq = wire.seq;
-        let dropped = self.plan.should_drop(from, seq, attempt);
-        let corrupt = !dropped && self.plan.should_corrupt(from, seq, attempt);
-        let delay = Duration::from(self.plan.delay_spike(from, seq, attempt));
-        self.proto.attempt_fate(tid, dropped, corrupt);
-        if corrupt {
-            wire.checksum = !wire.checksum;
-        }
-        if attempt == 1 {
-            self.tracer.count(counter::ENVELOPES_SENT, 1);
-        } else if self.tracer.is_enabled() {
-            self.tracer.event(
-                Some(from.0),
-                Track::Transmitter,
-                format!("retransmit {} attempt {attempt}", wire.id),
-                self.now_stamp(),
-            );
-            self.tracer.count(counter::RETRANSMITS, 1);
-        }
-        if dropped {
-            // The medium ate this attempt; the wire still reports free.
-            self.pending.push_back(Input::SendDone { from });
-        } else if delay.is_zero() {
-            self.pending
-                .push_back(Input::Delivered { to, env: wire, tid });
-            self.pending.push_back(Input::SendDone { from });
+            Event::SendDone { from },
+        ];
+        if delay.is_zero() {
+            next.extend(arrival);
         } else {
-            self.arm(
-                Instant::now() + delay,
-                CoTimer::Deliver {
-                    to,
-                    env: wire,
-                    tid,
-                    from,
-                },
-            );
-        }
-    }
-
-    /// Converts the finished run into the common metrics shape.
-    // analyze: allow(panic, reason = "protocol invariant: per-host tables are sized to the ring at construction and HostId never exceeds it")
-    fn into_result(self) -> (RingMetrics, SpanTracer) {
-        let n = self.proto.config().hosts;
-        let mut hosts = Vec::with_capacity(n);
-        for h in 0..n {
-            let busy = self.busy[h];
-            let window = self.last_done[h].saturating_duration_since(self.epoch);
-            let mut cpu = simnet::cpu::CpuAccount::new();
-            cpu.charge(
-                simnet::cpu::CostCategory::Compute,
-                SimDuration::from(busy) * self.join_threads as u64,
-            );
-            hosts.push(HostMetrics {
-                setup: SimDuration::ZERO,
-                join_busy: busy.into(),
-                sync: window.saturating_sub(busy).into(),
-                join_window: window.into(),
-                cpu,
-                fragments_processed: self.proto.host(HostId(h)).fragments_processed(),
-                bytes_forwarded: self.bytes_forwarded[h],
-                retransmits: self.proto.retransmits(HostId(h)),
-                checksum_mismatches: self.proto.checksum_mismatches(HostId(h)),
-            });
-        }
-        let metrics = RingMetrics {
-            hosts,
-            wall_clock: self
-                .last_progress
-                .saturating_duration_since(self.epoch)
-                .into(),
-            fragments_completed: self.proto.fragments_completed(),
-            heal_events: self.proto.heal_events(),
-            detection_latency: SimDuration::ZERO,
-            fragments_resent: self.proto.fragments_resent(),
-            membership_epoch: self.proto.membership_epoch(),
-            rescale_joins: self.proto.rescale_joins(),
-            rescale_drains: self.proto.rescale_drains(),
-            rescale_handoffs: self.proto.rescale_handoffs(),
-            rescale_escalations: self.proto.rescale_escalations(),
-            queries: self.proto.query_metrics(),
-        };
-        let mut tracer = self.tracer;
-        if tracer.is_enabled() {
-            for name in [
-                counter::ENVELOPES_SENT,
-                counter::ENVELOPES_RECEIVED,
-                counter::FRAGMENTS_RETIRED,
-                counter::RETRANSMITS,
-                counter::CHECKSUM_MISMATCHES,
-                counter::HEAL_EVENTS,
-                counter::FRAGMENTS_RESENT,
-                counter::RESCALE_JOINS,
-                counter::RESCALE_DRAINS,
-                counter::RESCALE_HANDOFFS,
-            ] {
-                tracer.count(name, 0);
+            let at = Instant::now() + delay;
+            for event in arrival {
+                let _ = self.timer_tx.send((at, event));
             }
         }
-        (metrics, tracer)
+        Ok(())
+    }
+
+    fn ack(
+        &mut self,
+        _at: HostId,
+        to: HostId,
+        tid: u64,
+        next: &mut Pending<P>,
+    ) -> Result<(), RingError> {
+        next.push_back(Event::Frame {
+            at: to,
+            frame: Frame::Ack { tid },
+        });
+        Ok(())
+    }
+
+    fn start(&mut self, host: HostId, job: Job<P>, next: &mut Pending<P>) -> Result<(), RingError> {
+        match job {
+            Job::Absorb {
+                dead,
+                roles,
+                planned,
+            } => next.push_back(Event::Job(JobDone {
+                host,
+                spent: Duration::ZERO,
+                panicked: false,
+                what: Done::Absorb {
+                    dead,
+                    roles: roles.len(),
+                    planned,
+                },
+            })),
+            job => {
+                let sent = self.jobs.get(host.0).is_some_and(|tx| tx.send(job).is_ok());
+                if !sent {
+                    return Err(RingError::Teardown(teardown::RING_CLOSED));
+                }
+            }
+        }
+        Ok(())
+    }
+
+    fn arm(&mut self, delay: Duration, timer: TimerKind) {
+        let _ = self
+            .timer_tx
+            .send((Instant::now() + delay, Event::Timer(timer)));
+    }
+
+    fn sever(&mut self, _host: HostId, _next: &mut Pending<P>) {}
+}
+
+/// One timed receive on a `sync::mpmc` channel, in the coordinator's
+/// channel-agnostic shape.
+fn recv_from<T>(rx: &Receiver<T>, wait: Duration) -> Recv<T> {
+    match rx.recv_timeout(wait) {
+        Ok(item) => Recv::Item(item),
+        Err(RecvTimeoutError::Timeout) => Recv::Timeout,
+        Err(RecvTimeoutError::Disconnected) => Recv::Closed,
     }
 }
 
 /// The coordinated engine behind [`RingDriver::run`] with a rescale plan
-/// attached: validates the plans, synthesizes quiet dice when no fault
-/// plan accompanies the rescale, and drives the protocol over channels.
+/// attached: validates the plans, numbers the envelopes and drives them
+/// through the protocol over channels.
 fn coordinated_run<P, F>(
     config: &RingConfig,
     fault_plan: Option<&FaultPlan>,
@@ -1303,101 +797,40 @@ where
     P: PayloadBytes + Send + Clone,
     F: Fn(HostId, &P) + Sync,
 {
-    config.validate()?;
-    let n = config.hosts;
-    if fragments.len() != n {
-        return Err(RingError::Shape {
-            expected: n,
-            got: fragments.len(),
-        });
-    }
-    if let Some(plan) = fault_plan {
-        if !plan.crashes().is_empty() || !plan.pauses().is_empty() {
-            return Err(RingError::UnsupportedFault(
-                "the threaded backend supports link loss, corruption and delay spikes (plus \
-                 planned rescale); host crashes and pauses need ring healing — use the simulated \
-                 backend (all fault kinds) or the tcp backend (loss, corruption, crashes, pauses)",
-            ));
-        }
-    }
-    if n > 64 {
-        return Err(RingError::UnsupportedFault(
-            "the exactly-once role bitmask supports at most 64 hosts",
-        ));
-    }
-    if n == 1 && !rescale.is_quiet() {
-        return Err(RingError::UnsupportedFault(
-            "a single-host ring has no membership to rescale",
-        ));
-    }
-    let in_ring = |h: HostId| h.0 < n;
-    if !rescale.joins().iter().all(|j| in_ring(j.host))
-        || !rescale.drains().iter().all(|d| in_ring(d.host))
-    {
-        return Err(RingError::UnsupportedFault(
-            "rescale plan names a host outside the ring",
-        ));
-    }
-    if rescale
-        .joins()
-        .iter()
-        .any(|j| !fragments.get(j.host.0).is_none_or(Vec::is_empty))
-    {
-        return Err(RingError::UnsupportedFault(
-            "a standby host must not contribute fragments before joining",
-        ));
-    }
-    let total: usize = fragments.iter().map(Vec::len).sum();
-    let mut batches = envelope_batches(fragments, n);
-    if n == 1 {
+    coordinator::validate(
+        config,
+        fault_plan,
+        Some(rescale),
+        &[&fragments],
+        None,
+        false,
+    )?;
+    let batches = envelope_batches(fragments, config.hosts);
+    if config.hosts == 1 {
         // A quiet plan on a single host (checked above): the degenerate
         // local path needs no coordinator.
-        let shared = trace.then(SharedSpans::new);
-        let envelopes = batches.pop().unwrap_or_default();
-        let metrics = run_single_host(envelopes, process, shared.as_ref())?;
-        let tracer = finish_spans(shared, &metrics);
-        return Ok((metrics, tracer));
+        return single_host_run(batches, process, trace);
     }
-    // Rescale rides the reliable transport: without explicit adversity
-    // the medium still needs (quiet) dice and the acked hop protocol.
-    let quiet_dice;
-    let plan = match fault_plan {
-        Some(p) => p,
-        None => {
-            quiet_dice = FaultPlan::seeded(rescale.seed());
-            &quiet_dice
-        }
-    };
-    let proto_cfg = ProtocolConfig {
-        hosts: n,
-        buffers_per_host: config.buffers_per_host,
-        max_retransmits: config.max_retransmits,
-        continuous: false,
-        reliable: true,
-        standby: rescale.standby_mask(),
-    };
-    let proto = RingProtocol::new(proto_cfg, batches);
     drive_coordinated(
         config,
-        plan,
+        fault_plan,
         Some(rescale),
-        proto,
-        total,
+        Workload::Single(batches),
         |host, _query, payload: &P| process(host, payload),
         trace,
     )
 }
 
 /// The channel-and-thread machinery shared by every coordinated run:
-/// spawns the per-host workers and the timer loop, feeds the protocol
-/// until `total` fragments retired, and converts the coordinator into
-/// metrics. `proto` arrives fully constructed (single- or multi-query).
+/// spawns the per-host workers and the timer loop, then lets the shared
+/// [`Coordinator`] feed the protocol until every fragment retired. Rescale
+/// and multiplexing ride the reliable transport, so quiet dice stand in
+/// for a missing fault plan.
 fn drive_coordinated<P, F>(
     config: &RingConfig,
-    plan: &FaultPlan,
+    fault_plan: Option<&FaultPlan>,
     rescale: Option<&RescalePlan>,
-    proto: RingProtocol<P>,
-    total: usize,
+    workload: Workload<P>,
     process: F,
     trace: bool,
 ) -> Result<(RingMetrics, SpanTracer), RingError>
@@ -1405,83 +838,45 @@ where
     P: PayloadBytes + Send + Clone,
     F: Fn(HostId, u32, &P) + Sync,
 {
-    let n = config.hosts;
-    let (events_tx, events_rx) = unbounded::<CoEvent<P>>();
-    let (timer_tx, timer_rx) = unbounded::<(Instant, CoTimer<P>)>();
+    let plan = coordinator::dice(fault_plan, rescale, true);
+    let (events_tx, events_rx) = unbounded::<Event<P>>();
+    let (timer_tx, timer_rx) = unbounded::<(Instant, Event<P>)>();
+    let visit = |host: HostId, query: u32, _roles: &[usize], payload: &P| {
+        process(host, query, payload);
+    };
     crate::sync::thread::scope(|scope| {
-        let mut jobs = Vec::with_capacity(n);
-        for h in 0..n {
-            let (jtx, jrx) = unbounded::<CoJob<P>>();
+        let mut jobs = Vec::with_capacity(config.hosts);
+        for h in 0..config.hosts {
+            let (jtx, jrx) = unbounded::<Job<P>>();
             let tx = events_tx.clone();
-            let process = &process;
-            scope.spawn(move || coordinated_worker(HostId(h), jrx, tx, process));
+            let visit = &visit;
+            scope.spawn(move || {
+                coordinator::worker_loop(
+                    HostId(h),
+                    jrx.iter(),
+                    |event| tx.send(event).is_ok(),
+                    visit,
+                    &|_, _| {},
+                );
+            });
             jobs.push(jtx);
         }
         {
             let tx = events_tx.clone();
-            scope.spawn(move || coordinated_timer_loop(timer_rx, tx));
+            scope.spawn(move || {
+                coordinator::timer_loop(
+                    Instant::now,
+                    |wait| recv_from(&timer_rx, wait),
+                    |event| tx.send(event).is_ok(),
+                );
+            });
         }
-
-        let epoch = Instant::now();
-        let mut co = CoRing {
-            proto,
-            plan,
-            jobs,
-            timer_tx,
-            pending: VecDeque::new(),
-            errors: ErrorCollector::default(),
-            fatal: false,
-            tracer: if trace {
-                SpanTracer::enabled()
-            } else {
-                SpanTracer::disabled()
-            },
-            epoch,
-            wall_ack_timeout: Duration::from_secs_f64(config.ack_timeout.as_secs_f64()),
-            join_threads: config.join_threads,
-            busy: vec![Duration::ZERO; n],
-            last_done: vec![epoch; n],
-            bytes_forwarded: vec![0; n],
-            last_progress: epoch,
-        };
-        if let Some(rescale) = rescale {
-            for j in rescale.joins() {
-                let at = epoch + Duration::from(j.at.saturating_duration_since(SimTime::ZERO));
-                co.arm(at, CoTimer::JoinRequest(j.host));
-            }
-            for d in rescale.drains() {
-                let at = epoch + Duration::from(d.at.saturating_duration_since(SimTime::ZERO));
-                co.arm(at, CoTimer::DrainRequest(d.host));
-            }
-        }
-        for h in 0..n {
-            let out = co.proto.input(Input::SetupDone { host: HostId(h) });
-            co.apply(out);
-        }
-
-        while !co.fatal && co.proto.fragments_completed() < total {
-            if let Some(input) = co.pending.pop_front() {
-                let out = co.proto.input(input);
-                co.apply(out);
-                continue;
-            }
-            match events_rx.recv_timeout(RESCALE_WATCHDOG) {
-                Ok(event) => co.handle(event),
-                Err(RecvTimeoutError::Timeout) => {
-                    co.fail(RingError::Teardown(RESCALE_STALLED));
-                }
-                Err(RecvTimeoutError::Disconnected) => {
-                    co.fail(RingError::Teardown(teardown::RING_CLOSED));
-                }
-            }
-        }
-
+        let wire = ChannelWire { jobs, timer_tx };
+        let mut co = Coordinator::new(config, plan.as_deref(), rescale, workload, trace, wire);
+        co.run(|wait| recv_from(&events_rx, wait));
         // Consuming the coordinator drops its job and timer senders,
         // draining the worker and timer threads before the scope closes.
-        match std::mem::take(&mut co.errors).first() {
-            Some(err) => Err(err),
-            None => Ok(co.into_result()),
-        }
+        co.finish()
     })
 }
 
@@ -1665,16 +1060,17 @@ fn reliable_receiver<P>(
     // Dropping ack_tx / pool_tx unblocks the neighbors' shutdown.
 }
 
-/// What a join thread measured about itself.
-struct JoinStats {
-    busy: Duration,
-    sync: Duration,
-    window: Duration,
-    processed: usize,
+/// What a host's join entity measured about itself (or, on the
+/// coordinated engines, what the coordinator measured for it).
+pub(crate) struct JoinStats {
+    pub(crate) busy: Duration,
+    pub(crate) sync: Duration,
+    pub(crate) window: Duration,
+    pub(crate) processed: usize,
 }
 
 impl JoinStats {
-    fn into_metrics(
+    pub(crate) fn into_metrics(
         self,
         config: &RingConfig,
         bytes_forwarded: u64,
@@ -1866,6 +1262,24 @@ where
         fragments_completed: processed,
         ..RingMetrics::default()
     })
+}
+
+/// The degenerate single-host "ring" as a whole run: process host 0's
+/// backlog locally and close out the trace.
+pub(crate) fn single_host_run<P, F>(
+    batches: Vec<Vec<Envelope<P>>>,
+    process: F,
+    trace: bool,
+) -> Result<(RingMetrics, SpanTracer), RingError>
+where
+    P: PayloadBytes + Send,
+    F: Fn(HostId, &P) + Sync,
+{
+    let spans = trace.then(SharedSpans::new);
+    let backlog = batches.into_iter().next().unwrap_or_default();
+    let metrics = run_single_host(backlog, process, spans.as_ref())?;
+    let tracer = finish_spans(spans, &metrics);
+    Ok((metrics, tracer))
 }
 
 #[cfg(test)]

@@ -888,7 +888,7 @@ proptest! {
 // --- TCP frame codec strategies -------------------------------------------
 
 use data_roundabout::envelope::{Envelope, FragmentId};
-use data_roundabout::tcp_backend::{
+use data_roundabout::frame::{
     encode_ack, encode_envelope, encode_hello, Frame, FrameDecoder, MAX_FRAME,
 };
 use data_roundabout::wheel::{TimerId, TimerWheel};

@@ -29,16 +29,20 @@ pub const REGISTRY_PATH: &str = "crates/simnet/src/span.rs";
 ///   sql modules — everything on the ring's data path.
 /// - **L2 no-wall-clock-in-sim**: all of `simnet` plus the simulated
 ///   backend; virtual time only.
-/// - **L3 counter-registry**: the three backends and the threaded executor,
-///   which are the only emitters of counters.
+/// - **L3 counter-registry**: the emitters of counters — the shared
+///   coordinator, the simulated backend, the thread backend's classic and
+///   reliable engines, and the threaded executor.
 /// - **L4 lock-ordering**: the threaded executor and backend, where the
 ///   collector/tracer locks nest.
 /// - **L5 sans-io-protocol**: the shared ring-protocol core, which must
 ///   never grow a socket, thread, channel or clock dependency.
-/// - **L6 output-match-exhaustive**: the backend drivers, whose
-///   `protocol::Output` dispatch loops must name every variant — a
-///   wildcard arm would let a future output silently vanish in one
-///   driver while the others act on it.
+/// - **L6 output-match-exhaustive**: the two appliers — the wall-clock
+///   drivers' shared coordinator and the simulated backend — whose
+///   `protocol::Output` dispatch loops must name every variant: a wildcard
+///   arm would let a future output silently vanish in one applier while
+///   the other acts on it. Every other `roundabout` source outside
+///   `protocol/` is under the *single-applier* rule instead: it may not
+///   name an `Output::` variant at all.
 pub fn policy_for(rel: &str) -> FilePolicy {
     let mut p = FilePolicy::default();
     let core_l1 = [
@@ -56,10 +60,12 @@ pub fn policy_for(rel: &str) -> FilePolicy {
     if rel.starts_with("crates/simnet/src/") || rel == "crates/roundabout/src/sim_backend.rs" {
         p.no_wall_clock = true;
     }
-    if rel == "crates/roundabout/src/thread_backend.rs"
-        || rel == "crates/roundabout/src/sim_backend.rs"
-        || rel == "crates/roundabout/src/tcp_backend.rs"
-        || rel == "crates/roundabout/src/reactor_backend.rs"
+    let appliers = [
+        "crates/roundabout/src/coordinator.rs",
+        "crates/roundabout/src/sim_backend.rs",
+    ];
+    if appliers.contains(&rel)
+        || rel == "crates/roundabout/src/thread_backend.rs"
         || rel == "crates/core/src/exec.rs"
     {
         p.counter_registry = true;
@@ -73,12 +79,10 @@ pub fn policy_for(rel: &str) -> FilePolicy {
     if rel.starts_with("crates/roundabout/src/protocol/") {
         p.sans_io = true;
     }
-    if rel == "crates/roundabout/src/thread_backend.rs"
-        || rel == "crates/roundabout/src/sim_backend.rs"
-        || rel == "crates/roundabout/src/tcp_backend.rs"
-        || rel == "crates/roundabout/src/reactor_backend.rs"
-    {
+    if appliers.contains(&rel) {
         p.output_match = true;
+    } else if rel.starts_with("crates/roundabout/src/") && !p.sans_io {
+        p.single_applier = true;
     }
     p
 }
@@ -91,6 +95,7 @@ fn policy_is_active(p: &FilePolicy) -> bool {
         || p.lock_ordering
         || p.sans_io
         || p.output_match
+        || p.single_applier
 }
 
 /// Analyzes the workspace rooted at `root` with the standard policy.
@@ -211,36 +216,46 @@ mod tests {
 
     #[test]
     fn policy_scopes_match_the_issue() {
+        // The thread backend keeps L3/L4 for its classic and reliable
+        // engines, but its coordinated engine is a `Medium` now: no
+        // output dispatch of its own, and none may come back.
         let p = policy_for("crates/roundabout/src/thread_backend.rs");
         assert!(p.no_panic && p.counter_registry && p.lock_ordering && !p.no_wall_clock);
         assert!(!p.sans_io, "drivers are allowed to do IO");
-        assert!(p.output_match, "drivers must dispatch Output exhaustively");
+        assert!(!p.output_match && p.single_applier);
         let p = policy_for("crates/roundabout/src/sim_backend.rs");
         assert!(p.no_panic && p.no_wall_clock && p.counter_registry && !p.lock_ordering);
-        assert!(p.output_match, "drivers must dispatch Output exhaustively");
-        // The TCP driver: on the ring's data path (L1) and a counter
-        // emitter (L3), but wall-clock and sockets are its whole job.
-        let p = policy_for("crates/roundabout/src/tcp_backend.rs");
+        assert!(p.output_match, "appliers must dispatch Output exhaustively");
+        assert!(!p.single_applier);
+        // The shared coordinator: the wall-clock applier. On the ring's
+        // data path (L1), the counter emitter (L3), exhaustive (L6).
+        let p = policy_for("crates/roundabout/src/coordinator.rs");
         assert!(p.no_panic && p.counter_registry && !p.no_wall_clock && !p.lock_ordering);
-        assert!(!p.sans_io, "drivers are allowed to do IO");
-        assert!(p.output_match, "drivers must dispatch Output exhaustively");
-        // The reactor driver: the tcp policy verbatim — same data path
-        // (L1), same counters (L3), same exhaustive Output dispatch (L6)
-        // — and wall-clock/epoll readiness is its whole job.
-        let p = policy_for("crates/roundabout/src/reactor_backend.rs");
-        assert!(p.no_panic && p.counter_registry && !p.no_wall_clock && !p.lock_ordering);
-        assert!(!p.sans_io, "drivers are allowed to do IO");
-        assert!(p.output_match, "drivers must dispatch Output exhaustively");
+        assert!(!p.sans_io, "the coordinator reads the wall clock");
+        assert!(p.output_match && !p.single_applier);
+        // The socket engines and the wire format: on the data path (L1),
+        // media only — no counters, no outputs.
+        for media in [
+            "crates/roundabout/src/tcp_backend.rs",
+            "crates/roundabout/src/reactor_backend.rs",
+            "crates/roundabout/src/frame.rs",
+        ] {
+            let p = policy_for(media);
+            assert!(p.no_panic && !p.counter_registry && !p.no_wall_clock && !p.lock_ordering);
+            assert!(!p.sans_io, "media are allowed to do IO");
+            assert!(!p.output_match && p.single_applier, "{media}");
+        }
         // The timer wheel is library code inside the roundabout crate:
         // on the no-panic data path, but it dispatches no outputs.
         let p = policy_for("crates/roundabout/src/wheel.rs");
-        assert!(p.no_panic && !p.output_match && !p.counter_registry);
+        assert!(p.no_panic && !p.output_match && !p.counter_registry && p.single_applier);
         // The sans-IO core: L1 (it is library code) plus L5, and nothing
         // that assumes a particular driver — L6 included: the core emits
         // outputs, only drivers dispatch on them.
         let p = policy_for("crates/roundabout/src/protocol/ring.rs");
         assert!(p.no_panic && p.sans_io);
         assert!(!p.no_wall_clock && !p.counter_registry && !p.lock_ordering && !p.output_match);
+        assert!(!p.single_applier, "the core defines the outputs it emits");
         let p = policy_for("crates/roundabout/src/protocol/link.rs");
         assert!(p.sans_io);
         // With a real socket backend in the tree, L5 is the wall that

@@ -7,7 +7,7 @@
 //! | L3 | `counter-registry` | every counter name incremented in the backends is a key of the unified registry in `simnet::span::counter` |
 //! | L4 | `lock-ordering`    | nested lock acquisitions respect the declared lock-order table |
 //! | L5 | `sans-io-protocol` | the protocol core stays sans-IO: no `std::net`, `std::thread`, `crate::sync` or `simnet::time` paths and no `spawn` calls in `crates/roundabout/src/protocol/` |
-//! | L6 | `output-match-exhaustive` | backend drivers dispatch on `protocol::Output` without a wildcard `_` arm — every output variant is handled explicitly, so a new output fails the build instead of vanishing into a catch-all |
+//! | L6 | `output-match-exhaustive` | the two appliers (`coordinator.rs`, `sim_backend.rs`) dispatch on `protocol::Output` without a wildcard `_` arm — every output variant is handled explicitly, so a new output fails the build instead of vanishing into a catch-all — and no other `roundabout` file outside `protocol/` names an `Output::` variant at all, so a further hand-written applier cannot come back |
 //!
 //! A finding can be suppressed by `// analyze: allow(<lint>, reason = "…")`
 //! on the same line, the line above, or above the enclosing `fn` header
@@ -106,6 +106,9 @@ pub struct FilePolicy {
     pub sans_io: bool,
     /// Run L6 on this file.
     pub output_match: bool,
+    /// Run L6's single-applier rule on this file: it is a driver file
+    /// *outside* the L6 scope and must not name `Output::` variants.
+    pub single_applier: bool,
 }
 
 /// The declared lock-order table for L4: a lock of class `i` may be
@@ -149,6 +152,9 @@ pub fn run_file(
     }
     if policy.output_match {
         l6_output_match(path, model, &mut findings);
+    }
+    if policy.single_applier {
+        l6_single_applier(path, model, &mut findings);
     }
     // Malformed annotations are findings of the lint they tried to touch
     // (reported unsuppressable — a broken allow cannot allow itself).
@@ -615,6 +621,43 @@ fn l6_output_match(path: &Path, model: &FileModel, findings: &mut Vec<Finding>) 
     }
 }
 
+/// L6, single-applier rule: outside the two appliers, driver code has no
+/// business naming a `protocol::Output` variant — the coordinator turns
+/// outputs into `Medium` calls, and an `Output::Variant` path anywhere
+/// else is the first line of another hand-copied applier.
+fn l6_single_applier(path: &Path, model: &FileModel, findings: &mut Vec<Finding>) {
+    let toks = &model.tokens;
+    for (i, t) in toks.iter().enumerate() {
+        if model.in_test[i] || !t.is_ident("Output") {
+            continue;
+        }
+        let variant = match (toks.get(i + 1), toks.get(i + 2), toks.get(i + 3)) {
+            (Some(a), Some(b), Some(v))
+                if a.is_punct(':') && b.is_punct(':') && v.kind == TokKind::Ident =>
+            {
+                v
+            }
+            _ => continue,
+        };
+        let ctx = model
+            .enclosing_fn(t.line)
+            .map(|f| format!(" in fn {f}"))
+            .unwrap_or_default();
+        emit(
+            findings,
+            model,
+            Lint::OutputMatch,
+            path,
+            t.line,
+            format!(
+                "`Output::{}`{ctx} outside the appliers: only coordinator.rs and \
+                 sim_backend.rs turn protocol outputs into IO — implement `Medium` instead",
+                variant.text
+            ),
+        );
+    }
+}
+
 /// Finds the `{` opening a match body, scanning from just past the `match`
 /// keyword. The scrutinee may contain parenthesised or bracketed
 /// sub-expressions but never a bare braced one (Rust bans struct literals
@@ -994,6 +1037,27 @@ fn g() {
         );
         assert_eq!(findings.len(), 1, "{findings:?}");
         assert!(findings[0].suppressed.is_some());
+    }
+
+    #[test]
+    fn l6_single_applier_flags_output_paths_outside_tests() {
+        let policy = FilePolicy {
+            single_applier: true,
+            ..FilePolicy::default()
+        };
+        // A `use` of the bare type and a same-named local are fine; naming
+        // a variant is not, in a match or anywhere else.
+        let findings = run(
+            "use crate::protocol::Output;\nfn shim(out: Output<P>) -> bool {\n    \
+             matches!(out, Output::Send { .. })\n}\n#[cfg(test)]\nmod tests {\n    \
+             fn t(o: Output) { if let Output::Ack { .. } = o {} }\n}\n",
+            &policy,
+            &[],
+        );
+        assert_eq!(findings.len(), 1, "{findings:?}");
+        assert_eq!(findings[0].lint, Lint::OutputMatch);
+        assert_eq!(findings[0].line, 3);
+        assert!(findings[0].message.contains("Output::Send"));
     }
 
     #[test]

@@ -99,6 +99,7 @@ fn analyze_fixtures(root: &std::path::Path) -> std::io::Result<xtask::report::Re
         lock_ordering: true,
         sans_io: true,
         output_match: true,
+        single_applier: true,
     };
     let registry = xtask::load_registry(root);
     let mut files = Vec::new();

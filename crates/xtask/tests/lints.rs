@@ -172,6 +172,38 @@ fn l6_fixture_counts_are_exact() {
 }
 
 #[test]
+fn l6_single_applier_fixture_counts_are_exact() {
+    let report = run_fixture(
+        "l6_single_applier.rs",
+        FilePolicy {
+            single_applier: true,
+            ..FilePolicy::default()
+        },
+    );
+    assert_eq!(
+        report.live_count(Lint::OutputMatch),
+        3,
+        "{}",
+        report.render()
+    );
+    assert_eq!(report.suppressed_count(Lint::OutputMatch), 1);
+    assert!(report.unused.is_empty());
+    let messages: Vec<&str> = report.live().map(|f| f.message.as_str()).collect();
+    assert!(
+        messages
+            .iter()
+            .any(|m| m.contains("Output::Send") && m.contains("fn a_fourth_applier")),
+        "{messages:?}"
+    );
+    assert!(
+        messages
+            .iter()
+            .any(|m| m.contains("fn a_peek_is_still_an_applier")),
+        "{messages:?}"
+    );
+}
+
+#[test]
 fn fixtures_fail_under_the_full_policy() {
     // Mirror of `cargo run -p xtask -- analyze --fixtures`: every lint on
     // every fixture, which must exit non-zero.
@@ -182,6 +214,7 @@ fn fixtures_fail_under_the_full_policy() {
         lock_ordering: true,
         sans_io: true,
         output_match: true,
+        single_applier: true,
     };
     let registry = xtask::load_registry(&xtask::workspace_root());
     let files: Vec<_> = [
@@ -191,6 +224,7 @@ fn fixtures_fail_under_the_full_policy() {
         "l4_locks.rs",
         "l5_sans_io.rs",
         "l6_output_match.rs",
+        "l6_single_applier.rs",
     ]
     .into_iter()
     .map(|n| (fixture(n), all.clone()))

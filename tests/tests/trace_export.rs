@@ -358,3 +358,43 @@ fn untraced_run_exports_an_empty_trace() {
         .expect("traceEvents");
     assert!(events.is_empty(), "tracing off must export no events");
 }
+
+/// The same two-tenant batch on all four backends must emit the same
+/// set of `Track::Control` event names: the three wall-clock drivers
+/// share one applier, and that applier spells its events the way the
+/// simulator does.
+#[test]
+fn control_track_names_agree_on_all_four_backends() {
+    use cyclo_join::{JoinPredicate, MultiTenantJoin, MultiTenantReport};
+    use simnet::span::Track;
+    use std::collections::BTreeSet;
+
+    let mut batch = MultiTenantJoin::new().hosts(3).max_active(1).trace(true);
+    for q in 0..2u64 {
+        let (r, s) = inputs(9700 + 2 * q);
+        batch = batch.tenant(r, s, JoinPredicate::Equi);
+    }
+    let control = |report: MultiTenantReport| -> BTreeSet<String> {
+        assert!(report.all_completed());
+        report
+            .spans
+            .events()
+            .iter()
+            .filter(|e| e.track == Track::Control)
+            .map(|e| e.name.clone())
+            .collect()
+    };
+    let sim = control(batch.run().expect("sim batch"));
+    let expected: BTreeSet<String> = [
+        "query 0 (tenant 0) admitted",
+        "query 0 (tenant 0) complete",
+        "query 1 (tenant 1) admitted",
+        "query 1 (tenant 1) complete",
+    ]
+    .map(String::from)
+    .into();
+    assert_eq!(sim, expected);
+    assert_eq!(control(batch.run_threaded().expect("threads batch")), sim);
+    assert_eq!(control(batch.run_tcp().expect("tcp batch")), sim);
+    assert_eq!(control(batch.run_reactor().expect("reactor batch")), sim);
+}
