@@ -54,12 +54,11 @@ OPTIONS:
                          with an ns/us/ms/s suffix (bare numbers are ms),
                          e.g. \"join:5@2ms,drain:0@8ms\"; hosts named by
                          join: start as standbys outside the ring
-                         (sim, tcp and reactor backends only)
     --handshake-timeout <D>  tcp/reactor mesh handshake deadline, D with an
                          ns/us/ms/s suffix, bare numbers ms (default 5s)
-    --watchdog <D>       wall-clock stall watchdog (tcp, reactor, multi-tenant
-                         threads) — tear the ring down after D without an
-                         event (default 10s)
+    --watchdog <D>       wall-clock stall watchdog (tcp, reactor, and threads
+                         with a fault plan, rescale plan or tenants) — tear
+                         the ring down after D without an event (default 10s)
     --measured           wall-clock-measure real compute instead of modeling
     --threaded           alias for --backend threads
     --no-verify          skip the reference-join verification
@@ -76,7 +75,7 @@ OPTIONS:
 enum Backend {
     /// Deterministic discrete-event simulation in virtual time.
     Sim,
-    /// Real OS threads with bounded channels as buffer pools.
+    /// Real OS threads with channels for wires.
     Threads,
     /// Real loopback TCP sockets and kernel networking.
     Tcp,
@@ -367,6 +366,25 @@ fn ring_config(opts: &Options) -> RingConfig {
     config
 }
 
+/// The `--rescale-plan` schedule, for single- and multi-query runs alike.
+fn rescale_plan(opts: &Options) -> Option<RescalePlan> {
+    if opts.rescale.is_empty() {
+        return None;
+    }
+    let mut schedule = RescalePlan::seeded(opts.seed);
+    for event in &opts.rescale {
+        schedule = match *event {
+            RescaleEvent::Join { host, at_nanos } => {
+                schedule.join_host(HostId(host), SimTime::from_nanos(at_nanos))
+            }
+            RescaleEvent::Drain { host, at_nanos } => {
+                schedule.drain_host(HostId(host), SimTime::from_nanos(at_nanos))
+            }
+        };
+    }
+    Some(schedule)
+}
+
 /// Runs `--tenants` / `--queries` mode: all tenants multiplexed over one
 /// ring, verified tenant-by-tenant against reference joins.
 fn run_multi_tenant(opts: &Options, config: RingConfig) {
@@ -421,6 +439,9 @@ fn run_multi_tenant(opts: &Options, config: RingConfig) {
     }
     if opts.measured {
         batch = batch.compute(ComputeMode::Measured);
+    }
+    if let Some(schedule) = rescale_plan(opts) {
+        batch = batch.rescale_plan(schedule);
     }
 
     let report = match opts.backend {
@@ -520,18 +541,7 @@ fn main() {
     if opts.measured {
         plan = plan.compute(ComputeMode::Measured);
     }
-    if !opts.rescale.is_empty() {
-        let mut schedule = RescalePlan::seeded(opts.seed);
-        for event in &opts.rescale {
-            schedule = match *event {
-                RescaleEvent::Join { host, at_nanos } => {
-                    schedule.join_host(HostId(host), SimTime::from_nanos(at_nanos))
-                }
-                RescaleEvent::Drain { host, at_nanos } => {
-                    schedule.drain_host(HostId(host), SimTime::from_nanos(at_nanos))
-                }
-            };
-        }
+    if let Some(schedule) = rescale_plan(&opts) {
         plan = plan.rescale_plan(schedule);
     }
 

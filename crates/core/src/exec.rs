@@ -1,12 +1,13 @@
 //! Execution: wiring cyclo-join onto the Data Roundabout backends.
 //!
 //! The simulated path implements [`RingApp`] so the DES backend drives
-//! setup and per-fragment joins in virtual time; the threaded path runs
-//! the same joins on the real-thread backend for live validation.
+//! setup and per-fragment joins in virtual time; the wall-clock path runs
+//! the same joins, keyed by stationary role, on the three live drivers
+//! (threads, blocking tcp, reactor).
 
 use data_roundabout::{
-    BlockingEngine, FaultPlan, HostId, ReactorEngine, RegisteredPool, RescalePlan, RingApp,
-    RingConfig, RingError, RingMetrics, SimRing, SocketEngine, SocketRingDriver,
+    BlockingEngine, ChannelEngine, FaultPlan, HostId, ReactorEngine, RegisteredPool, RescalePlan,
+    RingApp, RingConfig, RingError, RingMetrics, SimRing, WallClockDriver, WallClockEngine,
 };
 use mem_joins::{
     Algorithm, JoinCollector, JoinPredicate, OutputMode, PreparedFragment, StationaryState,
@@ -346,123 +347,27 @@ pub(crate) fn execute_simulated(
     }
 }
 
-/// Runs cyclo-join on the real-thread backend. Setup runs (and is timed)
-/// before the rotation; the reported per-host setup time is stitched into
-/// the returned metrics, and — when `trace` is set — per-host `Setup`
-/// spans are stitched ahead of the ring's spans on one common timeline.
-pub(crate) fn execute_threaded(
-    config: &RingConfig,
-    algorithm: Algorithm,
-    predicate: &JoinPredicate,
-    output: OutputMode,
-    placement: Placement,
-    fault_plan: Option<&FaultPlan>,
-    trace: bool,
-) -> Result<ExecOutcome, RingError> {
-    let predicate = if placement.swapped {
-        mirror_predicate(predicate)
-    } else {
-        predicate.clone()
-    };
-    let radix_bits = algorithm.ring_radix_bits(placement.max_stationary_tuples().max(1));
-    let threads = config.join_threads;
-    let compute = ComputeMode::Measured;
-    let (fragments, prep) =
-        prepare_all(&algorithm, &compute, &placement, radix_bits, threads, true);
-
-    let mut states = Vec::with_capacity(config.hosts);
-    let mut setup_times = Vec::with_capacity(config.hosts);
-    for (s, p) in placement.stationary.iter().zip(&prep) {
-        let (state, d) = compute.setup_stationary(&algorithm, s, radix_bits, threads);
-        states.push(state);
-        setup_times.push(d + *p);
-    }
-
-    let collectors: Vec<Mutex<JoinCollector>> = (0..config.hosts)
-        .map(|_| {
-            let c = JoinCollector::new(output);
-            Mutex::new(if placement.swapped {
-                c.with_swapped_sides()
-            } else {
-                c
-            })
-        })
-        .collect();
-
-    let join_visit = |host: HostId, frag: &PreparedFragment| {
-        let (Some(shared_collector), Some(state)) = (collectors.get(host.0), states.get(host.0))
-        else {
-            debug_assert!(false, "join visit for unknown host {}", host.0);
-            return;
-        };
-        // A join that panicked on this host poisons the collector; recover
-        // the inner value so concurrent joins keep collecting while the
-        // ring tears down with a typed error instead of a panic storm.
-        let mut collector = shared_collector
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        algorithm.join(state, frag, &predicate, threads, &mut collector);
-    };
-    let mut driver = data_roundabout::RingDriver::new(config).with_tracer(trace);
-    if let Some(plan) = fault_plan {
-        driver = driver.with_fault_plan(plan);
-    }
-    let (mut metrics, mut ring_spans) = driver.run(fragments, join_visit)?;
-    let mut spans = if trace {
-        SpanTracer::enabled()
-    } else {
-        SpanTracer::disabled()
-    };
-    // The ring measured its spans from the rotation start; the setup phase
-    // ran before it. Stitch one timeline: setup spans at the origin, ring
-    // spans shifted past the longest setup (the rotation barrier).
-    let max_setup = setup_times
-        .iter()
-        .copied()
-        .fold(SimDuration::ZERO, SimDuration::max);
-    ring_spans.shift(max_setup);
-    for (h, d) in setup_times.into_iter().enumerate() {
-        if let Some(host_metrics) = metrics.hosts.get_mut(h) {
-            host_metrics.setup = d;
-        }
-        spans.span(h, SpanKind::Setup, "setup", SimTime::ZERO, d);
-    }
-    spans.merge(ring_spans);
-    let partials = collectors
-        .into_iter()
-        .map(|m| {
-            m.into_inner()
-                .unwrap_or_else(|poisoned| poisoned.into_inner())
-        })
-        .collect();
-    Ok(ExecOutcome {
-        metrics,
-        result: DistributedResult::new(partials),
-        trace: Tracer::disabled(),
-        spans,
-    })
-}
-
-/// Which engine drives the loopback-TCP wire protocol: the blocking
-/// thread-per-endpoint one, or the single-threaded event-loop reactor.
-/// Both are the same [`SocketRingDriver`] speaking identical frames and
-/// dice, so everything around the run call is shared by [`execute_tcp`]
-/// and the multi-tenant path.
+/// Which engine drives a wall-clock run: in-process channels, the blocking
+/// thread-per-endpoint socket engine, or the single-threaded event-loop
+/// reactor. All three are the same [`WallClockDriver`] rolling identical
+/// dice, so everything around the run call is shared by
+/// [`execute_wall_clock`] and the multi-tenant path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum SocketBackend {
+pub(crate) enum WallClockBackend {
+    Threads,
     Blocking,
     Reactor,
 }
 
-/// The socket driver on engine `E` with the optional plans attached — all
-/// a [`SocketBackend`] arm has to spell out besides the run call.
-pub(crate) fn socket_driver<'a, E: SocketEngine>(
+/// The wall-clock driver on engine `E` with the optional plans attached —
+/// all a [`WallClockBackend`] arm has to spell out besides the run call.
+pub(crate) fn wall_clock_driver<'a, E: WallClockEngine>(
     config: &'a RingConfig,
     fault_plan: Option<&'a FaultPlan>,
     rescale_plan: Option<&'a RescalePlan>,
     trace: bool,
-) -> SocketRingDriver<'a, E> {
-    let mut driver = SocketRingDriver::new(config).with_tracer(trace);
+) -> WallClockDriver<'a, E> {
+    let mut driver = WallClockDriver::new(config).with_tracer(trace);
     if let Some(plan) = fault_plan {
         driver = driver.with_fault_plan(plan);
     }
@@ -472,14 +377,16 @@ pub(crate) fn socket_driver<'a, E: SocketEngine>(
     driver
 }
 
-/// Runs cyclo-join over real loopback TCP sockets. Setup and span
-/// stitching follow the threaded path; unlike it, this path is role-aware
-/// so a seeded crash heals mid-revolution over actual connections (the
-/// survivor rebuilds the dead host's stationary state from the retained
-/// raw partitions, exactly as the simulated path prices it). `flavor`
-/// picks the blocking or the reactor driver; nothing else differs.
+/// Runs cyclo-join on a wall-clock driver. Setup runs (and is timed)
+/// before the rotation; the reported per-host setup time is stitched into
+/// the returned metrics, and — when `trace` is set — per-host `Setup`
+/// spans are stitched ahead of the ring's spans on one common timeline.
+/// The path is role-aware, so a seeded crash heals mid-revolution and a
+/// planned drain hands its role off (the new owner rebuilds the stationary
+/// state from the retained raw partitions, exactly as the simulated path
+/// prices it). `backend` picks the engine; nothing else differs.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn execute_tcp(
+pub(crate) fn execute_wall_clock(
     config: &RingConfig,
     algorithm: Algorithm,
     predicate: &JoinPredicate,
@@ -488,7 +395,7 @@ pub(crate) fn execute_tcp(
     fault_plan: Option<&FaultPlan>,
     rescale_plan: Option<&RescalePlan>,
     trace: bool,
-    flavor: SocketBackend,
+    backend: WallClockBackend,
 ) -> Result<ExecOutcome, RingError> {
     let predicate = if placement.swapped {
         mirror_predicate(predicate)
@@ -501,11 +408,14 @@ pub(crate) fn execute_tcp(
     let (fragments, prep) =
         prepare_all(&algorithm, &compute, &placement, radix_bits, threads, true);
 
+    // One slot per *logical role*; ring healing replaces a dead role's
+    // state with the survivor's rebuild, so the slots need a lock. Lock
+    // order: a role's slot before the host's collector.
+    let mut states: Vec<Mutex<Option<StationaryState>>> = Vec::with_capacity(config.hosts);
     let mut setup_times = Vec::with_capacity(config.hosts);
-    let mut initial_states = Vec::with_capacity(config.hosts);
     for (s, p) in placement.stationary.iter().zip(&prep) {
         let (state, d) = compute.setup_stationary(&algorithm, s, radix_bits, threads);
-        initial_states.push(state);
+        states.push(Mutex::new(Some(state)));
         setup_times.push(d + *p);
     }
     // Raw partitions are the source a takeover rebuilds an orphaned or
@@ -515,12 +425,6 @@ pub(crate) fn execute_tcp(
     } else {
         Vec::new()
     };
-    // One slot per *logical role*; ring healing replaces a dead role's
-    // state with the survivor's rebuild, so the slots need a lock.
-    let states: Vec<Mutex<Option<StationaryState>>> = initial_states
-        .into_iter()
-        .map(|s| Mutex::new(Some(s)))
-        .collect();
     let collectors: Vec<Mutex<JoinCollector>> = (0..config.hosts)
         .map(|_| {
             let c = JoinCollector::new(output);
@@ -537,9 +441,6 @@ pub(crate) fn execute_tcp(
             debug_assert!(false, "join visit for unknown host {}", host.0);
             return;
         };
-        let mut collector = shared_collector
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
         for &role in roles {
             let Some(slot) = states.get(role) else {
                 debug_assert!(false, "join against unknown role {role}");
@@ -550,6 +451,13 @@ pub(crate) fn execute_tcp(
                 debug_assert!(false, "join against role {role} whose state is absent");
                 continue;
             };
+            // A join that panicked on this host poisons the collector;
+            // recover the inner value so concurrent joins keep collecting
+            // while the ring tears down with a typed error instead of a
+            // panic storm.
+            let mut collector = shared_collector
+                .lock()
+                .unwrap_or_else(|poisoned| poisoned.into_inner());
             algorithm.join(state, frag, &predicate, threads, &mut collector);
         }
     };
@@ -567,13 +475,17 @@ pub(crate) fn execute_tcp(
         }
     };
 
-    let (mut metrics, mut ring_spans) = match flavor {
-        SocketBackend::Blocking => {
-            socket_driver::<BlockingEngine>(config, fault_plan, rescale_plan, trace)
+    let (mut metrics, mut ring_spans) = match backend {
+        WallClockBackend::Threads => {
+            wall_clock_driver::<ChannelEngine>(config, fault_plan, rescale_plan, trace)
                 .run_with_roles(fragments, join_visit, absorb)?
         }
-        SocketBackend::Reactor => {
-            socket_driver::<ReactorEngine>(config, fault_plan, rescale_plan, trace)
+        WallClockBackend::Blocking => {
+            wall_clock_driver::<BlockingEngine>(config, fault_plan, rescale_plan, trace)
+                .run_with_roles(fragments, join_visit, absorb)?
+        }
+        WallClockBackend::Reactor => {
+            wall_clock_driver::<ReactorEngine>(config, fault_plan, rescale_plan, trace)
                 .run_with_roles(fragments, join_visit, absorb)?
         }
     };
@@ -582,6 +494,9 @@ pub(crate) fn execute_tcp(
     } else {
         SpanTracer::disabled()
     };
+    // The ring measured its spans from the rotation start; the setup phase
+    // ran before it. Stitch one timeline: setup spans at the origin, ring
+    // spans shifted past the longest setup (the rotation barrier).
     let max_setup = setup_times
         .iter()
         .copied()
@@ -677,14 +592,16 @@ mod tests {
         let reference = crate::verify::reference_join(&r, &s, &JoinPredicate::Equi);
         let config = RingConfig::paper(3).with_join_threads(1);
         let placement = Placement::new(&r, &s, 3, 2, RotateSide::R);
-        let out = execute_threaded(
+        let out = execute_wall_clock(
             &config,
             Algorithm::partitioned_hash(),
             &JoinPredicate::Equi,
             OutputMode::Aggregate,
             placement,
             None,
+            None,
             false,
+            WallClockBackend::Threads,
         )
         .expect("threaded run");
         assert_eq!(out.result.count(), reference.count);
@@ -709,14 +626,16 @@ mod tests {
         let config = RingConfig::paper(3).with_join_threads(1);
         let placement = Placement::new(&r, &s, 3, 2, RotateSide::R);
         let panicky = JoinPredicate::theta(|_, _| panic!("injected predicate failure"));
-        let err = execute_threaded(
+        let err = execute_wall_clock(
             &config,
             Algorithm::NestedLoops,
             &panicky,
             OutputMode::Aggregate,
             placement,
             None,
+            None,
             false,
+            WallClockBackend::Threads,
         )
         .expect_err("a panicking predicate must fail the run");
         assert!(
@@ -732,14 +651,16 @@ mod tests {
         let s = GenSpec::uniform(2_000, 51).generate();
         let config = RingConfig::paper(3).with_join_threads(1);
         let placement = Placement::new(&r, &s, 3, 2, RotateSide::R);
-        let out = execute_threaded(
+        let out = execute_wall_clock(
             &config,
             Algorithm::partitioned_hash(),
             &JoinPredicate::Equi,
             OutputMode::Aggregate,
             placement,
             None,
+            None,
             true,
+            WallClockBackend::Threads,
         )
         .expect("threaded run");
         assert!(out.spans.is_enabled());
@@ -793,8 +714,8 @@ mod tests {
             None,
             false,
         );
-        for flavor in [SocketBackend::Blocking, SocketBackend::Reactor] {
-            let tcp = execute_tcp(
+        for flavor in [WallClockBackend::Blocking, WallClockBackend::Reactor] {
+            let tcp = execute_wall_clock(
                 &config,
                 Algorithm::partitioned_hash(),
                 &JoinPredicate::Equi,

@@ -37,8 +37,8 @@
 //! ```
 
 use data_roundabout::{
-    BlockingEngine, FaultPlan, HostId, PayloadBytes, QueryMetrics, ReactorEngine, RescalePlan,
-    RingApp, RingConfig, RingDriver, RingMetrics, SimRing,
+    BlockingEngine, ChannelEngine, FaultPlan, HostId, PayloadBytes, QueryMetrics, ReactorEngine,
+    RescalePlan, RingApp, RingConfig, RingMetrics, SimRing,
 };
 use mem_joins::{
     Algorithm, JoinCollector, JoinPredicate, OutputMode, PreparedFragment, StationaryState,
@@ -50,7 +50,7 @@ use simnet::time::{SimDuration, SimTime};
 use data_roundabout::sync::Mutex;
 
 use crate::compute::ComputeMode;
-use crate::exec::{registration_cost, socket_driver, SocketBackend};
+use crate::exec::{registration_cost, wall_clock_driver, WallClockBackend};
 use crate::plan::PlanError;
 
 /// One tenant's join: `rotating ⋈ stationary` under `predicate`.
@@ -340,52 +340,7 @@ impl MultiTenantJoin {
     /// As [`MultiTenantJoin::run`]; additionally the threaded backend
     /// rejects fault plans with crashes or pauses (no ring healing).
     pub fn run_threaded(&self) -> Result<MultiTenantReport, PlanError> {
-        self.validate()?;
-        let hosts = self.config.hosts;
-        let compute = ComputeMode::Measured;
-        let (runs, _) = self.build(&compute);
-        let mut states: Vec<Vec<StationaryState>> = Vec::with_capacity(runs.len());
-        for r in &runs {
-            let mut per_host = Vec::with_capacity(hosts);
-            for s in &r.stationary {
-                let (state, _) =
-                    compute.setup_stationary(&r.algorithm, s, r.bits, self.config.join_threads);
-                per_host.push(state);
-            }
-            states.push(per_host);
-        }
-        let collectors = collector_grid(runs.len(), hosts, self.output);
-        let visit = |host: HostId, query: u32, frag: &PreparedFragment| {
-            let (Some(r), Some(qs)) = (runs.get(query as usize), states.get(query as usize)) else {
-                debug_assert!(false, "join for unknown query {query}");
-                return;
-            };
-            join_once(
-                r,
-                qs.get(host.0),
-                frag,
-                &collectors,
-                query,
-                host,
-                self.config.join_threads,
-            );
-        };
-        let mut driver = RingDriver::new(&self.config).with_tracer(self.trace);
-        if let Some(plan) = self.fault_plan.as_ref() {
-            driver = driver.with_fault_plan(plan);
-        }
-        if let Some(plan) = self.rescale_plan.as_ref() {
-            driver = driver.with_rescale_plan(plan);
-        }
-        let queries = query_fragments(&runs);
-        let (metrics, spans) = driver
-            .run_queries(queries, self.max_active, visit)
-            .map_err(PlanError::Backend)?;
-        Ok(assemble_report(
-            metrics,
-            spans,
-            drain_grid(runs, collectors),
-        ))
+        self.run_wall_clock(WallClockBackend::Threads)
     }
 
     /// Runs the batch over real loopback TCP sockets (blocking driver).
@@ -394,7 +349,7 @@ impl MultiTenantJoin {
     ///
     /// As [`MultiTenantJoin::run`], plus socket-level errors.
     pub fn run_tcp(&self) -> Result<MultiTenantReport, PlanError> {
-        self.run_sockets(SocketBackend::Blocking)
+        self.run_wall_clock(WallClockBackend::Blocking)
     }
 
     /// Runs the batch over real loopback TCP sockets on the epoll-style
@@ -404,17 +359,25 @@ impl MultiTenantJoin {
     ///
     /// As [`MultiTenantJoin::run_tcp`].
     pub fn run_reactor(&self) -> Result<MultiTenantReport, PlanError> {
-        self.run_sockets(SocketBackend::Reactor)
+        self.run_wall_clock(WallClockBackend::Reactor)
     }
 
-    fn run_sockets(&self, flavor: SocketBackend) -> Result<MultiTenantReport, PlanError> {
+    fn run_wall_clock(&self, backend: WallClockBackend) -> Result<MultiTenantReport, PlanError> {
         self.validate()?;
         let hosts = self.config.hosts;
         let threads = self.config.join_threads;
         let compute = ComputeMode::Measured;
-        let (runs, _) = self.build(&compute);
+        let (mut runs, _) = self.build(&compute);
+        // The rotating fragments go to the ring; everything read below
+        // (algorithm, predicate, bits, stationary) stays in `runs`.
+        let queries: Vec<(u32, Vec<Vec<PreparedFragment>>)> = runs
+            .iter_mut()
+            .enumerate()
+            .map(|(q, r)| (q as u32, std::mem::take(&mut r.fragments)))
+            .collect();
         // One slot per (query, logical role); healing rebuilds a dead
-        // role's state for every tenant, so the slots need locks.
+        // role's state for every tenant, so the slots need locks. Lock
+        // order: a role's slot before the host's collector.
         let states: Vec<Vec<Mutex<Option<StationaryState>>>> = runs
             .iter()
             .map(|r| {
@@ -454,15 +417,18 @@ impl MultiTenantJoin {
                 }
             }
         };
-        let queries = query_fragments(&runs);
         let (fault, rescale) = (self.fault_plan.as_ref(), self.rescale_plan.as_ref());
-        let (metrics, spans) = match flavor {
-            SocketBackend::Blocking => {
-                socket_driver::<BlockingEngine>(&self.config, fault, rescale, self.trace)
+        let (metrics, spans) = match backend {
+            WallClockBackend::Threads => {
+                wall_clock_driver::<ChannelEngine>(&self.config, fault, rescale, self.trace)
                     .run_queries(queries, self.max_active, visit, absorb)
             }
-            SocketBackend::Reactor => {
-                socket_driver::<ReactorEngine>(&self.config, fault, rescale, self.trace)
+            WallClockBackend::Blocking => {
+                wall_clock_driver::<BlockingEngine>(&self.config, fault, rescale, self.trace)
+                    .run_queries(queries, self.max_active, visit, absorb)
+            }
+            WallClockBackend::Reactor => {
+                wall_clock_driver::<ReactorEngine>(&self.config, fault, rescale, self.trace)
                     .run_queries(queries, self.max_active, visit, absorb)
             }
         }
@@ -475,7 +441,8 @@ impl MultiTenantJoin {
     }
 }
 
-/// A tenant's prepared runtime material, shared by all backends.
+/// A tenant's prepared runtime material, shared by all backends (the
+/// drivers take `fragments` out of it when the rotation starts).
 struct TenantRun {
     algorithm: Algorithm,
     predicate: JoinPredicate,
@@ -499,14 +466,14 @@ fn join_once(
         debug_assert!(false, "join against a role whose state is absent");
         return;
     };
-    let Some(shared) = collectors
+    let Some(shared_collector) = collectors
         .get(query as usize)
         .and_then(|row| row.get(host.0))
     else {
         debug_assert!(false, "no collector for query {query} host {}", host.0);
         return;
     };
-    let mut collector = shared
+    let mut collector = shared_collector
         .lock()
         .unwrap_or_else(|poisoned| poisoned.into_inner());
     run.algorithm
@@ -525,14 +492,6 @@ fn collector_grid(
                 .map(|_| Mutex::new(JoinCollector::new(output)))
                 .collect()
         })
-        .collect()
-}
-
-/// Extracts `(tenant, fragments)` batches from the prepared runs.
-fn query_fragments(runs: &[TenantRun]) -> Vec<(u32, Vec<Vec<PreparedFragment>>)> {
-    runs.iter()
-        .enumerate()
-        .map(|(q, r)| (q as u32, r.fragments.clone()))
         .collect()
 }
 
@@ -761,6 +720,7 @@ impl std::fmt::Display for MultiTenantReport {
             self.total_seconds(),
             self.queries_per_second(),
         )?;
+        f.write_str(&crate::report::rescale_line(&self.ring))?;
         for t in &self.tenants {
             writeln!(
                 f,
@@ -863,6 +823,22 @@ mod tests {
             .run_threaded()
             .expect("threaded multi run");
         assert_verified(&report, &specs);
+    }
+
+    /// A planned drain moves the drained host's role to a live host; the
+    /// threaded path follows the handoff like the socket paths do, so no
+    /// tenant loses the drained role's share of its matches.
+    #[test]
+    fn threaded_tenants_survive_a_planned_drain() {
+        let (b, specs) = batch(3);
+        let report = b
+            .ring(RingConfig::paper(4).with_join_threads(1))
+            .max_active(2)
+            .rescale_plan(RescalePlan::seeded(5).drain_host(HostId(1), SimTime::ZERO))
+            .run_threaded()
+            .expect("threaded multi run with a drain");
+        assert_verified(&report, &specs);
+        assert_eq!(report.ring.rescale_drains, 1);
     }
 
     #[test]

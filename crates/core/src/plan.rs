@@ -20,7 +20,7 @@ use simnet::trace::Tracer;
 
 use crate::compute::ComputeMode;
 use crate::distribute::{Placement, RotateSide};
-use crate::exec::{execute_simulated, execute_tcp, execute_threaded, SocketBackend};
+use crate::exec::{execute_simulated, execute_wall_clock, WallClockBackend};
 use crate::report::CycloJoinReport;
 
 /// A configured cyclo-join, built with the builder pattern and executed on
@@ -150,10 +150,8 @@ impl CycloJoin {
     /// until activated — and scheduled drains hand a departing host's
     /// partitions to their rendezvous-hashed new owners before the host
     /// leaves. Like a fault plan, attaching one switches the transport
-    /// into its acknowledged, retransmitting mode. Supported on the
-    /// simulated and TCP backends; [`CycloJoin::run_threaded`] refuses it
-    /// with a typed error because its join callback is keyed by host, not
-    /// by stationary role.
+    /// into its acknowledged, retransmitting mode. Supported on all four
+    /// backends.
     pub fn rescale_plan(mut self, plan: RescalePlan) -> Self {
         self.rescale_plan = Some(plan);
         self
@@ -330,37 +328,15 @@ impl CycloJoin {
     }
 
     /// Runs on the real-thread backend (wall-clock times, actual
-    /// concurrency).
+    /// concurrency). Link faults and planned rescales are supported; plans
+    /// scheduling host crashes or pauses are refused with a typed error
+    /// (a channel has nothing to sever).
     ///
     /// # Errors
     ///
     /// Same as [`CycloJoin::run`].
     pub fn run_threaded(&self) -> Result<CycloJoinReport, PlanError> {
-        let algorithm = self.validate()?;
-        if self.rescale_plan.as_ref().is_some_and(|p| !p.is_quiet()) {
-            return Err(PlanError::Backend(RingError::UnsupportedFault(
-                "the threaded cyclo-join path keys joins by host, not by stationary role, so it \
-                 cannot follow a rescale's role handoffs — run the rescale on the simulated or \
-                 tcp backend (the raw thread driver does support rescale for role-agnostic \
-                 workloads)",
-            )));
-        }
-        let placement = self.placement();
-        let swapped = placement.swapped;
-        let outcome = execute_threaded(
-            &self.config,
-            algorithm,
-            &self.predicate,
-            self.output,
-            placement,
-            self.fault_plan.as_ref(),
-            self.trace,
-        )
-        .map_err(|e| match e {
-            RingError::Config(c) => PlanError::InvalidConfig(c),
-            other => PlanError::Backend(other),
-        })?;
-        Ok(self.report(algorithm, swapped, outcome).0)
+        self.run_wall_clock(WallClockBackend::Threads)
     }
 
     /// Runs over real loopback TCP sockets (wall-clock times, kernel
@@ -373,7 +349,7 @@ impl CycloJoin {
     ///
     /// Same as [`CycloJoin::run`].
     pub fn run_tcp(&self) -> Result<CycloJoinReport, PlanError> {
-        self.run_sockets(SocketBackend::Blocking)
+        self.run_wall_clock(WallClockBackend::Blocking)
     }
 
     /// Runs over the same loopback TCP wire protocol as
@@ -386,14 +362,14 @@ impl CycloJoin {
     ///
     /// Same as [`CycloJoin::run`].
     pub fn run_reactor(&self) -> Result<CycloJoinReport, PlanError> {
-        self.run_sockets(SocketBackend::Reactor)
+        self.run_wall_clock(WallClockBackend::Reactor)
     }
 
-    fn run_sockets(&self, flavor: SocketBackend) -> Result<CycloJoinReport, PlanError> {
+    fn run_wall_clock(&self, backend: WallClockBackend) -> Result<CycloJoinReport, PlanError> {
         let algorithm = self.validate()?;
         let placement = self.placement();
         let swapped = placement.swapped;
-        let outcome = execute_tcp(
+        let outcome = execute_wall_clock(
             &self.config,
             algorithm,
             &self.predicate,
@@ -402,7 +378,7 @@ impl CycloJoin {
             self.fault_plan.as_ref(),
             self.rescale_plan.as_ref(),
             self.trace,
-            flavor,
+            backend,
         )
         .map_err(|e| match e {
             RingError::Config(c) => PlanError::InvalidConfig(c),
@@ -799,20 +775,30 @@ mod tests {
         assert_eq!(report.heal_events(), 0);
     }
 
+    /// The same drain schedule on the real-thread backend: the role-aware
+    /// executor follows the handoff, so the result stays exact.
     #[test]
-    fn threaded_backend_refuses_rescale_plans() {
+    fn threaded_backend_drains_a_host() {
         use data_roundabout::{HostId, RescalePlan};
         use simnet::time::{SimDuration, SimTime};
-        let (r, s) = inputs();
-        let plan = RescalePlan::seeded(1)
-            .drain_host(HostId(1), SimTime::ZERO + SimDuration::from_millis(1));
-        let err = CycloJoin::new(r, s)
-            .hosts(3)
+        let r = GenSpec::uniform(60_000, 102).generate();
+        let s = GenSpec::uniform(60_000, 103).generate();
+        let reference = reference_join(&r, &s, &JoinPredicate::Equi);
+        let plan = RescalePlan::seeded(23)
+            .drain_host(HostId(1), SimTime::ZERO + SimDuration::from_millis(2));
+        let config = RingConfig::paper(3)
+            .with_ack_timeout(SimDuration::from_millis(20))
+            .with_max_retransmits(6);
+        let report = CycloJoin::new(r, s)
+            .ring(config)
             .rescale_plan(plan)
             .run_threaded()
-            .unwrap_err();
-        assert!(matches!(err, PlanError::Backend(_)), "got: {err:?}");
-        assert!(err.to_string().contains("stationary role"), "got: {err}");
+            .expect("the rescaled threaded ring should finish the join");
+        assert_eq!(report.match_count(), reference.count);
+        assert_eq!(report.checksum(), reference.checksum);
+        assert_eq!(report.membership_epoch(), 1);
+        assert_eq!(report.rescale_drains(), 1);
+        assert_eq!(report.heal_events(), 0);
     }
 
     #[test]

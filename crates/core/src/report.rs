@@ -194,17 +194,7 @@ impl CycloJoinReport {
                 self.fragments_resent(),
             ));
         }
-        if self.membership_epoch() > 0 || self.rescale_escalations() > 0 {
-            out.push_str(&format!(
-                "  rescale: epoch {}, {} join(s), {} drain(s), {} handoff(s), \
-                 {} escalation(s)\n",
-                self.membership_epoch(),
-                self.rescale_joins(),
-                self.rescale_drains(),
-                self.rescale_handoffs(),
-                self.rescale_escalations(),
-            ));
-        }
+        out.push_str(&rescale_line(&self.ring));
         out.push_str("  per host: setup / busy / sync (s), fragments\n");
         for (i, h) in self.ring.hosts.iter().enumerate() {
             out.push_str(&format!(
@@ -283,6 +273,22 @@ fn volume_label(bytes: u64) -> String {
     } else {
         format!("{bytes} B")
     }
+}
+
+/// The one-line membership summary both report renderers print, empty
+/// when the run saw no planned rescale.
+pub(crate) fn rescale_line(ring: &RingMetrics) -> String {
+    if ring.membership_epoch == 0 && ring.rescale_escalations == 0 {
+        return String::new();
+    }
+    format!(
+        "  rescale: epoch {}, {} join(s), {} drain(s), {} handoff(s), {} escalation(s)\n",
+        ring.membership_epoch,
+        ring.rescale_joins,
+        ring.rescale_drains,
+        ring.rescale_handoffs,
+        ring.rescale_escalations,
+    )
 }
 
 #[cfg(test)]

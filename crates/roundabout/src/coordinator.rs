@@ -3,9 +3,9 @@
 //! The sans-IO [`crate::protocol`] core emits an ordered stream of
 //! [`Output`]s; something has to turn each of them into IO. For the
 //! wall-clock drivers — blocking TCP ([`crate::tcp_backend`]), the
-//! reactor ([`crate::reactor_backend`]) and the thread backend's
-//! coordinated engine ([`crate::thread_backend`]) — that something is
-//! `Coordinator`, and it exists exactly once:
+//! reactor ([`crate::reactor_backend`]) and the channel engine
+//! ([`crate::thread_backend`]) — that something is `Coordinator`, and it
+//! exists exactly once:
 //!
 //! * it owns the [`RingProtocol`], the optional [`FaultPlan`] dice, the
 //!   [`SpanTracer`] and every counter call site, the wall-clock
@@ -28,9 +28,9 @@
 //! Alongside the coordinator live the pieces every engine used to carry a
 //! copy of: plan and shape validation (`validate`), the quiet-dice rule
 //! (`dice`), the guarded job runner (`run_job` / `worker_loop`), the
-//! deadline-ordered `timer_loop`, and the generic socket driver
-//! ([`SocketRingDriver`]) that `TcpRingDriver` and `ReactorRingDriver`
-//! are names for.
+//! deadline-ordered `timer_loop`, and the generic driver
+//! ([`WallClockDriver`]) that `RingDriver`, `TcpRingDriver` and
+//! `ReactorRingDriver` are names for.
 
 use std::borrow::Cow;
 use std::collections::VecDeque;
@@ -53,7 +53,9 @@ use crate::protocol::{
 };
 use crate::reactor_backend::ReactorEngine;
 use crate::tcp_backend::BlockingEngine;
-use crate::thread_backend::{single_host_run, ErrorCollector, JoinStats};
+use crate::thread_backend::{
+    materialize_counters, single_host_run, ChannelEngine, ErrorCollector, JoinStats,
+};
 
 /// Watchdog teardown reason (driver-side; not part of the protocol's
 /// teardown cascade).
@@ -63,12 +65,13 @@ const EMPTY_SLOT: &str = "StartJoin with an empty processing slot";
 /// Invariant: [`Output::Ack`] is only emitted while a delivery is being
 /// processed, which names the acking host.
 const ACK_OUT_OF_CONTEXT: &str = "ack emitted outside a delivery context";
-/// The one capability difference between the engines: the channel wire of
-/// the thread backend has no socket to sever and no salvage path.
+/// The one capability difference between the engines
+/// ([`WallClockEngine::HOST_FAULTS`]): the channel wire of the thread
+/// backend has no socket to sever and no salvage path.
 const NO_HOST_FAULTS: &str =
     "the threaded backend supports link loss, corruption and delay spikes (plus planned rescale \
-     and multiplexing); host crashes and pauses need ring healing — use the simulated, tcp or \
-     reactor backends";
+     and multiplexing); host crashes and pauses need ring healing — use the simulated backend \
+     or a socket backend (tcp, reactor)";
 
 // ---------------------------------------------------------------------------
 // What circulates, and what the plans may ask for
@@ -608,20 +611,7 @@ impl<'a, P: PayloadBytes + Clone, M: Medium<P>> Coordinator<'a, P, M> {
             queries: self.proto.query_metrics(),
         };
         let mut tracer = self.tracer;
-        for name in [
-            counter::ENVELOPES_SENT,
-            counter::ENVELOPES_RECEIVED,
-            counter::FRAGMENTS_RETIRED,
-            counter::RETRANSMITS,
-            counter::CHECKSUM_MISMATCHES,
-            counter::HEAL_EVENTS,
-            counter::FRAGMENTS_RESENT,
-            counter::RESCALE_JOINS,
-            counter::RESCALE_DRAINS,
-            counter::RESCALE_HANDOFFS,
-        ] {
-            tracer.count(name, 0);
-        }
+        materialize_counters(&mut tracer);
         Ok((metrics, tracer))
     }
 
@@ -969,22 +959,29 @@ impl<'a, P: PayloadBytes + Clone, M: Medium<P>> Coordinator<'a, P, M> {
 }
 
 // ---------------------------------------------------------------------------
-// The socket driver: one builder, two engines
+// The wall-clock driver: one builder, three engines
 // ---------------------------------------------------------------------------
 
-/// The seal on [`SocketEngine`]: nameable inside this crate only.
+/// The seal on [`WallClockEngine`]: nameable inside this crate only.
 pub trait Sealed {}
+impl Sealed for ChannelEngine {}
 impl Sealed for BlockingEngine {}
 impl Sealed for ReactorEngine {}
 
-/// How a socket driver runs a validated, non-degenerate ring: the blocking
-/// thread-per-endpoint engine or the single-threaded reactor. Both speak
-/// the frames of [`crate::frame`] and roll the same dice, so everything in
-/// [`SocketRingDriver`] above this call is shared.
+/// How a wall-clock driver runs a validated, non-degenerate ring: over
+/// in-process channels, on the blocking thread-per-endpoint socket engine,
+/// or on the single-threaded reactor. All three roll the same dice and the
+/// socket engines speak the frames of [`crate::frame`], so everything in
+/// [`WallClockDriver`] above this call is shared.
 ///
-/// Sealed: [`BlockingEngine`] and [`ReactorEngine`] are the engines there
-/// are; the trait is public only so the driver's two names can be.
-pub trait SocketEngine: Sealed {
+/// Sealed: [`ChannelEngine`], [`BlockingEngine`] and [`ReactorEngine`] are
+/// the engines there are; the trait is public only so the driver's three
+/// names can be.
+pub trait WallClockEngine: Sealed {
+    /// Whether the engine's medium can realize host crashes and pauses;
+    /// plans scheduling them are [`RingError::UnsupportedFault`] otherwise.
+    const HOST_FAULTS: bool;
+
     /// Runs `workload` on a ring of at least two hosts to completion.
     /// `plan` is the effective dice (`None` means the classic unguarded
     /// transport).
@@ -1009,11 +1006,11 @@ pub trait SocketEngine: Sealed {
         A: Fn(HostId, usize) + Sync;
 }
 
-/// Builder for a ring run over loopback TCP sockets, generic over the
-/// engine that drives them. Use it through its two names,
+/// Builder for a wall-clock ring run, generic over the engine that drives
+/// it. Use it through its three names, [`RingDriver`](crate::RingDriver),
 /// [`TcpRingDriver`](crate::TcpRingDriver) and
 /// [`ReactorRingDriver`](crate::ReactorRingDriver).
-pub struct SocketRingDriver<'a, E> {
+pub struct WallClockDriver<'a, E> {
     config: &'a RingConfig,
     fault_plan: Option<&'a FaultPlan>,
     rescale_plan: Option<&'a RescalePlan>,
@@ -1021,18 +1018,18 @@ pub struct SocketRingDriver<'a, E> {
     engine: PhantomData<E>,
 }
 
-impl<E> Clone for SocketRingDriver<'_, E> {
+impl<E> Clone for WallClockDriver<'_, E> {
     fn clone(&self) -> Self {
         *self
     }
 }
 
-impl<E> Copy for SocketRingDriver<'_, E> {}
+impl<E> Copy for WallClockDriver<'_, E> {}
 
-impl<'a, E: SocketEngine> SocketRingDriver<'a, E> {
+impl<'a, E: WallClockEngine> WallClockDriver<'a, E> {
     /// A driver for `config` with the classic transport and no tracing.
     pub fn new(config: &'a RingConfig) -> Self {
-        SocketRingDriver {
+        WallClockDriver {
             config,
             fault_plan: None,
             rescale_plan: None,
@@ -1042,24 +1039,30 @@ impl<'a, E: SocketEngine> SocketRingDriver<'a, E> {
     }
 
     /// Runs the ring over the unreliable medium described by `plan`, with
-    /// every hop protected by the protocol core's acknowledged transport.
-    /// Scheduled crashes become real socket severs and mid-revolution
-    /// ring healing; `config.ack_timeout` is interpreted in wall-clock
-    /// time (choose it to comfortably exceed a loopback round trip plus
-    /// coordinator latency, or losses masquerade as timeouts).
+    /// every hop protected by the protocol core's acknowledged transport:
+    /// the plan's dice may drop, corrupt or delay each attempt, and the
+    /// protocol repairs it by checksum verification and timeout-driven
+    /// retransmission. On the socket engines scheduled crashes become real
+    /// socket severs and mid-revolution ring healing; the channel engine
+    /// rejects plans scheduling crashes or pauses. `config.ack_timeout` is
+    /// interpreted in wall-clock time (choose it to comfortably exceed a
+    /// hop's round trip plus coordinator latency, or losses masquerade as
+    /// timeouts).
     pub fn with_fault_plan(mut self, plan: &'a FaultPlan) -> Self {
         self.fault_plan = Some(plan);
         self
     }
 
     /// Attaches a planned [`RescalePlan`]: standby hosts joining and
-    /// members draining out mid-workload over the live socket mesh. Hosts
-    /// with a scheduled join start as provisioned standbys outside the
-    /// ring (their mesh connections are built up front and spliced into
-    /// the rotation at activation); a completed drain retires the
-    /// drainee's connections with a real FIN. Attaching a rescale plan
-    /// switches the transport into its reliable mode even without a fault
-    /// plan. Schedule instants are interpreted in wall-clock time.
+    /// members draining out mid-workload, with their stationary roles
+    /// repartitioned by rendezvous hashing. Hosts with a scheduled join
+    /// start as provisioned standbys outside the ring and must contribute
+    /// no fragments (on the socket engines their mesh connections are
+    /// built up front and spliced into the rotation at activation, and a
+    /// completed drain retires the drainee's connections with a real FIN).
+    /// Attaching a rescale plan switches the transport into its reliable
+    /// mode even without a fault plan. Schedule instants are interpreted
+    /// in wall-clock time from ring start.
     pub fn with_rescale_plan(mut self, plan: &'a RescalePlan) -> Self {
         self.rescale_plan = Some(plan);
         self
@@ -1072,11 +1075,18 @@ impl<'a, E: SocketEngine> SocketRingDriver<'a, E> {
     }
 
     /// Runs the ring to completion. `fragments[h]` are host `h`'s local
-    /// fragments; `process` is invoked once per (host, envelope) visit.
+    /// fragments; `process` is invoked once per (host, envelope) visit and
+    /// may itself be internally multi-threaded.
+    ///
+    /// Returns wall-clock metrics in the common [`RingMetrics`] shape
+    /// (setup is zero here — run any setup before calling and time it
+    /// yourself; CPU accounts contain compute time only), plus the
+    /// [`SpanTracer`] (empty and disabled unless
+    /// [`WallClockDriver::with_tracer`] was set).
     ///
     /// # Errors
     ///
-    /// As [`SocketRingDriver::run_with_roles`].
+    /// As [`WallClockDriver::run_with_roles`].
     pub fn run<P, F>(
         self,
         fragments: Vec<Vec<P>>,
@@ -1093,24 +1103,27 @@ impl<'a, E: SocketEngine> SocketRingDriver<'a, E> {
         )
     }
 
-    /// Like [`SocketRingDriver::run`], but role-aware for healing runs:
-    /// `visit(host, roles, payload)` applies the named logical stationary
-    /// roles (the host's own, plus any absorbed from dead hosts), and
-    /// `absorb(survivor, role)` performs the state takeover when the ring
-    /// heals around a confirmed death.
+    /// Like [`WallClockDriver::run`], but role-aware for healing and
+    /// rescaled runs: `visit(host, roles, payload)` applies the named
+    /// logical stationary roles (the host's own, plus any absorbed from
+    /// dead or drained hosts), and `absorb(survivor, role)` performs the
+    /// state takeover — on `survivor`'s worker — when the ring heals
+    /// around a confirmed death or a drain hands a role off.
     ///
     /// # Errors
     ///
     /// Returns [`RingError::Config`] for an invalid configuration,
     /// [`RingError::Shape`] when `fragments.len() != config.hosts`,
-    /// [`RingError::UnsupportedFault`] for plans this backend cannot
-    /// realize (more than 64 hosts with a plan, a crash or rescale on a
-    /// single-host ring, plans naming hosts outside the ring, a standby
-    /// that contributes fragments), [`RingError::Socket`] when the
-    /// loopback mesh cannot be built, and [`RingError::Frame`] /
-    /// [`RingError::Teardown`] when the run dies mid-revolution
-    /// (undecodable bytes, a panicking callback, an exhausted
-    /// retransmission budget on a live ring, or a stall).
+    /// [`RingError::UnsupportedFault`] for plans this engine cannot
+    /// realize (more than 64 hosts with a plan, crashes or pauses on the
+    /// channel engine, a crash or rescale on a single-host ring, plans
+    /// naming hosts outside the ring, a standby that contributes
+    /// fragments), [`RingError::Socket`] when the loopback mesh cannot be
+    /// built, and [`RingError::Frame`] / [`RingError::Teardown`] when the
+    /// run dies mid-revolution (undecodable bytes, a panicking callback,
+    /// an exhausted retransmission budget on a live ring, or a stall). The
+    /// error names the first failure, not the teardown cascade it
+    /// provokes.
     pub fn run_with_roles<P, F, A>(
         self,
         fragments: Vec<Vec<P>>,
@@ -1128,13 +1141,12 @@ impl<'a, E: SocketEngine> SocketRingDriver<'a, E> {
             self.rescale_plan,
             &[&fragments],
             None,
-            true,
+            E::HOST_FAULTS,
         )?;
         let n = self.config.hosts;
         let envelopes = envelope_batches(fragments, n);
         if n == 1 {
-            // A single-host "ring" has no sockets to run; share the
-            // thread backend's local path.
+            // A single-host "ring" has no wire to run on any engine.
             return single_host_run(envelopes, |h, p| visit(h, &[0], p), self.trace);
         }
         let plan = dice(self.fault_plan, self.rescale_plan, false);
@@ -1149,7 +1161,7 @@ impl<'a, E: SocketEngine> SocketRingDriver<'a, E> {
         )
     }
 
-    /// Runs several queries multiplexed over one ring of real sockets.
+    /// Runs several queries multiplexed over one ring.
     /// `queries[q]` is `(tenant, fragments)` with `fragments[h]` host
     /// `h`'s local fragments for query `q`; at most `max_active` queries
     /// circulate concurrently, the rest wait in the admission queue.
@@ -1161,7 +1173,7 @@ impl<'a, E: SocketEngine> SocketRingDriver<'a, E> {
     ///
     /// # Errors
     ///
-    /// As [`SocketRingDriver::run_with_roles`], plus
+    /// As [`WallClockDriver::run_with_roles`], plus
     /// [`RingError::UnsupportedFault`] on a single-host ring, an empty
     /// query list or a zero `max_active`.
     pub fn run_queries<P, F, A>(
@@ -1183,7 +1195,7 @@ impl<'a, E: SocketEngine> SocketRingDriver<'a, E> {
             self.rescale_plan,
             &shapes,
             Some(max_active),
-            true,
+            E::HOST_FAULTS,
         )?;
         let plan = dice(self.fault_plan, self.rescale_plan, true);
         E::run_mesh(
@@ -1201,11 +1213,11 @@ impl<'a, E: SocketEngine> SocketRingDriver<'a, E> {
     }
 }
 
-/// What every [`SocketEngine`] owes its users, as generic test bodies:
-/// each engine's test module instantiates them, so the blocking and the
-/// reactor engine are held to the same assertions.
+/// What every [`WallClockEngine`] owes its users, as generic test bodies:
+/// each engine's test module instantiates them, so the channel, the
+/// blocking and the reactor engine are held to the same assertions.
 #[cfg(test)]
-pub(crate) mod socket_suite {
+pub(crate) mod engine_suite {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Mutex;
@@ -1220,10 +1232,10 @@ pub(crate) mod socket_suite {
             .collect()
     }
 
-    pub(crate) fn every_host_sees_every_fragment<E: SocketEngine>() {
+    pub(crate) fn every_host_sees_every_fragment<E: WallClockEngine>() {
         let hosts = 3;
         let counts: Vec<AtomicUsize> = (0..hosts).map(|_| AtomicUsize::new(0)).collect();
-        let (metrics, _) = SocketRingDriver::<E>::new(&RingConfig::paper(hosts))
+        let (metrics, _) = WallClockDriver::<E>::new(&RingConfig::paper(hosts))
             .run(payloads(hosts, 2, 64), |h, _| {
                 counts[h.0].fetch_add(1, Ordering::SeqCst);
             })
@@ -1242,9 +1254,9 @@ pub(crate) mod socket_suite {
         assert!(metrics.fault_free());
     }
 
-    pub(crate) fn single_host_ring_needs_no_sockets<E: SocketEngine>() {
+    pub(crate) fn single_host_ring_needs_no_sockets<E: WallClockEngine>() {
         let n = AtomicUsize::new(0);
-        let (metrics, _) = SocketRingDriver::<E>::new(&RingConfig::paper(1))
+        let (metrics, _) = WallClockDriver::<E>::new(&RingConfig::paper(1))
             .run(payloads(1, 4, 32), |_, _| {
                 n.fetch_add(1, Ordering::SeqCst);
             })
@@ -1253,8 +1265,8 @@ pub(crate) mod socket_suite {
         assert_eq!(n.load(Ordering::SeqCst), 4);
     }
 
-    pub(crate) fn shape_and_config_errors_are_typed<E: SocketEngine>() {
-        let err = SocketRingDriver::<E>::new(&RingConfig::paper(3))
+    pub(crate) fn shape_and_config_errors_are_typed<E: WallClockEngine>() {
+        let err = WallClockDriver::<E>::new(&RingConfig::paper(3))
             .run(payloads(2, 1, 8), |_, _| {})
             .unwrap_err();
         assert!(matches!(
@@ -1265,22 +1277,22 @@ pub(crate) mod socket_suite {
             }
         ));
         let bad = RingConfig::paper(0);
-        let err = SocketRingDriver::<E>::new(&bad)
+        let err = WallClockDriver::<E>::new(&bad)
             .run(vec![], |_: HostId, _: &Vec<u8>| {})
             .unwrap_err();
         assert!(matches!(err, RingError::Config(_)));
     }
 
-    pub(crate) fn out_of_ring_faults_are_rejected<E: SocketEngine>() {
+    pub(crate) fn out_of_ring_faults_are_rejected<E: WallClockEngine>() {
         let plan = FaultPlan::seeded(1).crash_host(HostId(9), SimTime::from_nanos(1));
-        let err = SocketRingDriver::<E>::new(&RingConfig::paper(2))
+        let err = WallClockDriver::<E>::new(&RingConfig::paper(2))
             .with_fault_plan(&plan)
             .run(payloads(2, 1, 8), |_, _| {})
             .unwrap_err();
         assert!(matches!(err, RingError::UnsupportedFault(_)));
     }
 
-    pub(crate) fn lossy_and_corrupt_links_are_repaired<E: SocketEngine>() {
+    pub(crate) fn lossy_and_corrupt_links_are_repaired<E: WallClockEngine>() {
         let hosts = 3;
         let plan = FaultPlan::seeded(7)
             .lossy_link(HostId(0), 0.3)
@@ -1289,7 +1301,7 @@ pub(crate) mod socket_suite {
             .with_ack_timeout(SimDuration::from_millis(40))
             .with_max_retransmits(10);
         let counts: Vec<AtomicUsize> = (0..hosts).map(|_| AtomicUsize::new(0)).collect();
-        let (metrics, _) = SocketRingDriver::<E>::new(&config)
+        let (metrics, _) = WallClockDriver::<E>::new(&config)
             .with_fault_plan(&plan)
             .run(payloads(hosts, 3, 256), |h, _| {
                 counts[h.0].fetch_add(1, Ordering::SeqCst);
@@ -1303,49 +1315,30 @@ pub(crate) mod socket_suite {
         assert!(retransmits > 0, "a 30% loss rate must provoke retransmits");
     }
 
-    pub(crate) fn crash_heals_mid_revolution<E: SocketEngine>() {
-        let hosts = 4;
-        let per_host = 2;
-        let total = hosts * per_host;
-        let plan = FaultPlan::seeded(4242).crash_host(HostId(2), SimTime::from_nanos(4_000_000));
-        let config = RingConfig::paper(hosts)
-            .with_ack_timeout(SimDuration::from_millis(8))
-            .with_max_retransmits(3);
-        // One exactly-once cell per (fragment, logical role).
-        let applied: Vec<Vec<AtomicUsize>> = (0..total)
+    /// One exactly-once cell per (fragment, logical role) of a
+    /// `payloads(hosts, per_host, _)` ring.
+    fn role_cells(hosts: usize, per_host: usize) -> Vec<Vec<AtomicUsize>> {
+        (0..hosts * per_host)
             .map(|_| (0..hosts).map(|_| AtomicUsize::new(0)).collect())
-            .collect();
-        // Every state takeover the ring asks for: (survivor, role).
-        let absorbed = Mutex::new(Vec::new());
-        let (metrics, _) = SocketRingDriver::<E>::new(&config)
-            .with_fault_plan(&plan)
-            .run_with_roles(
-                payloads(hosts, per_host, 128),
-                |_, roles, payload| {
-                    // Identify the fragment by its payload fill byte.
-                    let frag = payload.first().copied().unwrap_or(0) as usize;
-                    let frag = (0..hosts)
-                        .flat_map(|h| (0..per_host).map(move |i| (h, i)))
-                        .position(|(h, i)| h * 31 + i == frag)
-                        .unwrap();
-                    for &r in roles {
-                        applied[frag][r].fetch_add(1, Ordering::SeqCst);
-                    }
-                    std::thread::sleep(Duration::from_micros(500));
-                },
-                |survivor, role| absorbed.lock().unwrap().push((survivor, role)),
-            )
+            .collect()
+    }
+
+    /// Marks `roles` applied to the fragment `payload` carries (identified
+    /// by its fill byte).
+    fn apply_roles(cells: &[Vec<AtomicUsize>], hosts: usize, roles: &[usize], payload: &[u8]) {
+        let fill = payload.first().copied().unwrap_or(0) as usize;
+        let per_host = cells.len() / hosts;
+        let frag = (0..hosts)
+            .flat_map(|h| (0..per_host).map(move |i| (h, i)))
+            .position(|(h, i)| h * 31 + i == fill)
             .unwrap();
-        assert_eq!(metrics.fragments_completed, total);
-        assert_eq!(metrics.heal_events, 1, "one confirmed death");
-        // One dead host with one role: one takeover, by a live host.
-        let absorbed = absorbed.into_inner().unwrap();
-        assert!(
-            matches!(absorbed[..], [(survivor, 2)] if survivor != HostId(2)),
-            "role 2 must be absorbed exactly once, got {absorbed:?}"
-        );
-        assert!(metrics.detection_latency > SimDuration::ZERO);
-        for (f, roles) in applied.iter().enumerate() {
+        for &r in roles {
+            cells[frag][r].fetch_add(1, Ordering::SeqCst);
+        }
+    }
+
+    fn assert_applied_exactly_once(cells: &[Vec<AtomicUsize>]) {
+        for (f, roles) in cells.iter().enumerate() {
             for (r, cell) in roles.iter().enumerate() {
                 assert_eq!(
                     cell.load(Ordering::SeqCst),
@@ -1356,11 +1349,79 @@ pub(crate) mod socket_suite {
         }
     }
 
-    pub(crate) fn planned_join_and_drain<E: SocketEngine>() {
+    pub(crate) fn crash_heals_mid_revolution<E: WallClockEngine>() {
+        let hosts = 4;
+        let per_host = 2;
+        let plan = FaultPlan::seeded(4242).crash_host(HostId(2), SimTime::from_nanos(4_000_000));
+        let config = RingConfig::paper(hosts)
+            .with_ack_timeout(SimDuration::from_millis(8))
+            .with_max_retransmits(3);
+        let applied = role_cells(hosts, per_host);
+        // Every state takeover the ring asks for: (survivor, role).
+        let absorbed = Mutex::new(Vec::new());
+        let (metrics, _) = WallClockDriver::<E>::new(&config)
+            .with_fault_plan(&plan)
+            .run_with_roles(
+                payloads(hosts, per_host, 128),
+                |_, roles, payload| {
+                    apply_roles(&applied, hosts, roles, payload);
+                    std::thread::sleep(Duration::from_micros(500));
+                },
+                |survivor, role| absorbed.lock().unwrap().push((survivor, role)),
+            )
+            .unwrap();
+        assert_eq!(metrics.fragments_completed, hosts * per_host);
+        assert_eq!(metrics.heal_events, 1, "one confirmed death");
+        // One dead host with one role: one takeover, by a live host.
+        let absorbed = absorbed.into_inner().unwrap();
+        assert!(
+            matches!(absorbed[..], [(survivor, 2)] if survivor != HostId(2)),
+            "role 2 must be absorbed exactly once, got {absorbed:?}"
+        );
+        assert!(metrics.detection_latency > SimDuration::ZERO);
+        assert_applied_exactly_once(&applied);
+    }
+
+    pub(crate) fn drain_hands_its_role_off_exactly_once<E: WallClockEngine>() {
+        // Host 1 is asked to drain as the ring starts: its one role moves
+        // to a live host, whose worker runs the takeover, and no
+        // (fragment, role) visit is lost or repeated across the handoff.
+        let hosts = 3;
+        let per_host = 2;
+        let rescale = RescalePlan::seeded(5).drain_host(HostId(1), SimTime::ZERO);
+        let config = RingConfig::paper(hosts)
+            .with_ack_timeout(SimDuration::from_millis(20))
+            .with_max_retransmits(6);
+        let applied = role_cells(hosts, per_host);
+        let absorbed = Mutex::new(Vec::new());
+        let (metrics, _) = WallClockDriver::<E>::new(&config)
+            .with_rescale_plan(&rescale)
+            .run_with_roles(
+                payloads(hosts, per_host, 64),
+                |_, roles, payload| {
+                    apply_roles(&applied, hosts, roles, payload);
+                    std::thread::sleep(Duration::from_millis(1));
+                },
+                |survivor, role| absorbed.lock().unwrap().push((survivor, role)),
+            )
+            .unwrap();
+        assert_eq!(metrics.fragments_completed, hosts * per_host);
+        assert_eq!(metrics.rescale_drains, 1);
+        assert_eq!(metrics.rescale_handoffs, 1);
+        assert_eq!(metrics.heal_events, 0, "a clean drain never heals");
+        let absorbed = absorbed.into_inner().unwrap();
+        assert!(
+            matches!(absorbed[..], [(survivor, 1)] if survivor != HostId(1)),
+            "role 1 must be handed off exactly once, got {absorbed:?}"
+        );
+        assert_applied_exactly_once(&applied);
+    }
+
+    pub(crate) fn planned_join_and_drain<E: WallClockEngine>() {
         // Host 2 starts as a standby and joins at 1 ms (rendezvous moves
         // role 0 to it — a pure function of ids); host 0, now role-less,
         // drains at 8 ms while per-buffer sleeps keep the ring busy well
-        // past that instant. The departed host's sockets see a real FIN.
+        // past that instant. On sockets the departed host sees a real FIN.
         let hosts = 3;
         let per_host = 3;
         let rescale = RescalePlan::seeded(77)
@@ -1372,7 +1433,7 @@ pub(crate) mod socket_suite {
         let mut envelopes = payloads(hosts, per_host, 64);
         envelopes[2].clear(); // the standby provisions no fragments
         let counts: Vec<AtomicUsize> = (0..hosts).map(|_| AtomicUsize::new(0)).collect();
-        let (metrics, tracer) = SocketRingDriver::<E>::new(&config)
+        let (metrics, tracer) = WallClockDriver::<E>::new(&config)
             .with_rescale_plan(&rescale)
             .with_tracer(true)
             .run(envelopes, |h, _: &Vec<u8>| {
@@ -1385,6 +1446,7 @@ pub(crate) mod socket_suite {
         assert_eq!(metrics.rescale_joins, 1);
         assert_eq!(metrics.rescale_drains, 1);
         assert_eq!(metrics.rescale_handoffs, 1, "role 0 moved to the newcomer");
+        assert_eq!(metrics.rescale_escalations, 0);
         assert_eq!(metrics.heal_events, 0, "a planned rescale is not a fault");
         assert!(
             counts[2].load(Ordering::SeqCst) > 0,
@@ -1398,7 +1460,7 @@ pub(crate) mod socket_suite {
         assert_eq!(c.get(counter::RESCALE_HANDOFFS), 1);
     }
 
-    pub(crate) fn multiplexed_queries_complete<E: SocketEngine>() {
+    pub(crate) fn multiplexed_queries_complete<E: WallClockEngine>() {
         let hosts = 3;
         let queries = 3;
         let cfg = RingConfig::paper(hosts)
@@ -1408,7 +1470,7 @@ pub(crate) mod socket_suite {
             .map(|q| (q as u32, payloads(hosts, 2, 64)))
             .collect();
         let counts: Vec<AtomicUsize> = (0..hosts).map(|_| AtomicUsize::new(0)).collect();
-        let (metrics, spans) = SocketRingDriver::<E>::new(&cfg)
+        let (metrics, spans) = WallClockDriver::<E>::new(&cfg)
             .with_tracer(true)
             .run_queries(
                 tenants,
@@ -1434,7 +1496,7 @@ pub(crate) mod socket_suite {
         assert_eq!(counters.get(counter::QUERIES_COMPLETED), queries as u64);
     }
 
-    pub(crate) fn multiplexed_queries_survive_faults<E: SocketEngine>() {
+    pub(crate) fn multiplexed_queries_survive_faults<E: WallClockEngine>() {
         let hosts = 3;
         let queries = 4;
         let mut plan = FaultPlan::seeded(19);
@@ -1447,7 +1509,7 @@ pub(crate) mod socket_suite {
         let tenants: Vec<(u32, Vec<Vec<Vec<u8>>>)> = (0..queries)
             .map(|q| (q as u32, payloads(hosts, 2, 48)))
             .collect();
-        let (metrics, _) = SocketRingDriver::<E>::new(&cfg)
+        let (metrics, _) = WallClockDriver::<E>::new(&cfg)
             .with_fault_plan(&plan)
             .run_queries(
                 tenants,
@@ -1463,7 +1525,7 @@ pub(crate) mod socket_suite {
 
 #[cfg(test)]
 mod tests {
-    use super::socket_suite::payloads;
+    use super::engine_suite::payloads;
     use super::*;
     use crate::app::FixedCostApp;
     use crate::sim_backend::SimRing;

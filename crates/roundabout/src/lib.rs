@@ -13,9 +13,9 @@
 //!   discrete-event simulator, in virtual time, with the RDMA/TCP cost
 //!   models attached; this is the backend all paper figures are
 //!   reproduced on;
-//! * [`thread_backend::RingDriver`] — on real OS threads with bounded
-//!   channels as buffer pools, validating the protocol under true
-//!   concurrency;
+//! * [`thread_backend::RingDriver`] — on real OS threads with channels
+//!   for wires (bounded channels as buffer pools on the decentralised
+//!   classic path), validating the protocol under true concurrency;
 //! * [`tcp_backend::TcpRingDriver`] — over real loopback TCP sockets
 //!   with length-prefixed framing, validating the protocol against an
 //!   actual kernel network stack (and giving the RDMA-vs-TCP exhibits a
@@ -29,8 +29,9 @@
 //!
 //! All backends are thin *drivers* over the same sans-IO [`protocol`]
 //! core, which owns every credit, acknowledgement and healing decision.
-//! The three wall-clock drivers share one applier of its outputs,
-//! [`coordinator`], and the two socket drivers one wire format,
+//! The three wall-clock drivers are one builder ([`WallClockDriver`])
+//! over three engines and share one applier of the protocol's outputs,
+//! [`coordinator`]; the two socket drivers share one wire format,
 //! [`frame`].
 //!
 //! ```
@@ -70,7 +71,7 @@ pub mod wheel;
 pub use app::{FixedCostApp, RingApp};
 pub use buffer::RegisteredPool;
 pub use config::{ConfigError, RingConfig};
-pub use coordinator::{SocketEngine, SocketRingDriver};
+pub use coordinator::{WallClockDriver, WallClockEngine};
 pub use envelope::{Envelope, FragmentId, PayloadBytes};
 pub use error::{FrameError, RingError};
 pub use frame::{Frame, FrameDecoder, WirePayload};
@@ -78,7 +79,7 @@ pub use metrics::{render_timeline, HostMetrics, QueryMetrics, RingMetrics};
 pub use reactor_backend::{ReactorEngine, ReactorRingDriver};
 pub use sim_backend::{SimOutcome, SimRing};
 pub use tcp_backend::{BlockingEngine, TcpRingDriver};
-pub use thread_backend::RingDriver;
+pub use thread_backend::{ChannelEngine, RingDriver};
 
 pub use simnet::fault::{FaultPlan, RescalePlan};
 pub use simnet::topology::HostId;

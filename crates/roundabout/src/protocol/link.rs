@@ -1,15 +1,13 @@
-//! Per-hop reliable-transport policy: sequence stamping, retransmission
-//! budget and backoff on the sending side; checksum and duplicate
-//! classification on the receiving side.
+//! Per-hop retransmission policy: when an expired timer becomes a
+//! retransmission, when it exhausts the budget, and how fast the backoff
+//! grows.
 //!
-//! Both backends run the same acked stop-and-wait protocol over each hop.
-//! The policy — what counts as a duplicate, when a timeout becomes a
-//! retransmission and when it exhausts the budget, how fast the backoff
-//! grows — lives here exactly once. The mechanism (channels and wall
-//! clocks on the live backend, virtual-time events on the simulator)
-//! stays with the drivers.
-
-use crate::envelope::{Envelope, PayloadBytes};
+//! Every backend runs the same acked stop-and-wait protocol over each hop,
+//! and [`super::RingProtocol`] is its one implementation (sequence
+//! stamping, checksum and duplicate classification live in its transfer
+//! ledger); these pure functions are the timing policy it calls. The
+//! mechanism (wall clocks on the live backends, virtual-time events on the
+//! simulator) stays with the drivers.
 
 /// Cap on the exponential-backoff exponent: beyond attempt 21 the
 /// retransmission timeout stays at `ack_timeout × 2^20` instead of
@@ -42,9 +40,8 @@ pub enum TimeoutVerdict {
 }
 
 /// Decides what an expired retransmission timer means, given the attempt
-/// it was armed for and the configured budget. Shared verbatim by the
-/// ring coordinator's failure detector and the live backend's
-/// stop-and-wait transmitter.
+/// it was armed for and the configured budget: the ring protocol's
+/// retransmission and failure-detection rule.
 pub fn on_timeout(attempt: u32, max_retransmits: u32) -> TimeoutVerdict {
     if attempt > max_retransmits {
         TimeoutVerdict::Exhausted
@@ -57,91 +54,9 @@ pub fn on_timeout(attempt: u32, max_retransmits: u32) -> TimeoutVerdict {
     }
 }
 
-/// Sending side of one reliable hop: stamps each outgoing envelope with
-/// this link's monotonically increasing wire sequence and applies the
-/// shared timeout policy.
-#[derive(Debug)]
-pub struct LinkSender {
-    next_seq: u64,
-    max_retransmits: u32,
-}
-
-impl LinkSender {
-    /// A fresh link with the given retransmission budget.
-    pub fn new(max_retransmits: u32) -> Self {
-        LinkSender {
-            next_seq: 0,
-            max_retransmits,
-        }
-    }
-
-    /// Stamps `env` with the next wire sequence number (attempts of the
-    /// same transfer reuse it — the stamp identifies the transfer, not
-    /// the attempt) and returns it.
-    pub fn stamp<P>(&mut self, env: &mut Envelope<P>) -> u64 {
-        self.next_seq += 1;
-        env.seq = self.next_seq;
-        self.next_seq
-    }
-
-    /// The link's timeout policy; see [`on_timeout`].
-    pub fn on_timeout(&self, attempt: u32) -> TimeoutVerdict {
-        on_timeout(attempt, self.max_retransmits)
-    }
-}
-
-/// Classification of an envelope arriving on a reliable hop.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Receipt {
-    /// Checksum mismatch: discard silently (the sender's timeout turns
-    /// the silence into a retransmission). Never acked.
-    Corrupt,
-    /// Already-delivered transfer (its ack raced the sender's timeout):
-    /// re-ack, do not deliver twice.
-    Duplicate,
-    /// Intact and new: ack *before* depositing into the buffer pool —
-    /// receipt is acknowledged at the NIC even when the pool exerts
-    /// backpressure — then deliver.
-    Deliver,
-}
-
-/// Receiving side of one reliable hop: the NIC in front of the buffer
-/// pool, verifying checksums and suppressing duplicates by wire
-/// sequence.
-#[derive(Debug, Default)]
-pub struct LinkReceiver {
-    last_seq: u64,
-}
-
-impl LinkReceiver {
-    /// A fresh receiving side (no transfer seen yet).
-    pub fn new() -> Self {
-        LinkReceiver::default()
-    }
-
-    /// Classifies an arriving envelope; advances the duplicate ledger
-    /// only on [`Receipt::Deliver`].
-    pub fn receive<P: PayloadBytes>(&mut self, env: &Envelope<P>) -> Receipt {
-        if !env.checksum_ok() {
-            return Receipt::Corrupt;
-        }
-        if env.seq <= self.last_seq {
-            return Receipt::Duplicate;
-        }
-        self.last_seq = env.seq;
-        Receipt::Deliver
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::envelope::FragmentId;
-    use simnet::topology::HostId;
-
-    fn env(bytes: Vec<u8>) -> Envelope<Vec<u8>> {
-        Envelope::new(FragmentId(0), HostId(0), 2, bytes)
-    }
 
     #[test]
     fn backoff_doubles_and_caps() {
@@ -153,52 +68,11 @@ mod tests {
 
     #[test]
     fn budget_exhausts_after_max_retransmits() {
-        let link = LinkSender::new(3);
         assert!(matches!(
-            link.on_timeout(1),
+            on_timeout(1, 3),
             TimeoutVerdict::Retry { attempt: 2, .. }
         ));
-        assert!(matches!(link.on_timeout(3), TimeoutVerdict::Retry { .. }));
-        assert_eq!(link.on_timeout(4), TimeoutVerdict::Exhausted);
-    }
-
-    #[test]
-    fn sequences_are_monotonic_per_link() {
-        let mut link = LinkSender::new(1);
-        let mut a = env(vec![1]);
-        let mut b = env(vec![2]);
-        assert_eq!(link.stamp(&mut a), 1);
-        assert_eq!(link.stamp(&mut b), 2);
-        assert_eq!(a.seq, 1);
-        assert_eq!(b.seq, 2);
-    }
-
-    #[test]
-    fn receiver_classifies_corrupt_duplicate_and_fresh() {
-        let mut link = LinkSender::new(1);
-        let mut rx = LinkReceiver::new();
-        let mut fresh = env(vec![3; 16]);
-        link.stamp(&mut fresh);
-        let mut corrupt = fresh.clone();
-        corrupt.checksum = !corrupt.checksum;
-        assert_eq!(rx.receive(&corrupt), Receipt::Corrupt);
-        assert_eq!(rx.receive(&fresh), Receipt::Deliver);
-        assert_eq!(rx.receive(&fresh), Receipt::Duplicate);
-        let mut next = env(vec![4; 16]);
-        link.stamp(&mut next);
-        assert_eq!(rx.receive(&next), Receipt::Deliver);
-    }
-
-    #[test]
-    fn corruption_does_not_advance_the_duplicate_ledger() {
-        let mut link = LinkSender::new(1);
-        let mut rx = LinkReceiver::new();
-        let mut first = env(vec![5; 8]);
-        link.stamp(&mut first);
-        let mut corrupt = first.clone();
-        corrupt.checksum = !corrupt.checksum;
-        assert_eq!(rx.receive(&corrupt), Receipt::Corrupt);
-        // The retransmission of the same transfer must still deliver.
-        assert_eq!(rx.receive(&first), Receipt::Deliver);
+        assert!(matches!(on_timeout(3, 3), TimeoutVerdict::Retry { .. }));
+        assert_eq!(on_timeout(4, 3), TimeoutVerdict::Exhausted);
     }
 }

@@ -10,12 +10,12 @@
 //!
 //! * the simulated driver ([`crate::sim_backend::SimRing`]) maps outputs
 //!   onto `simnet` events and cost-model charges in virtual time;
-//! * the wall-clock drivers — [`crate::thread_backend::RingDriver`]'s
-//!   coordinated engine, [`crate::tcp_backend::TcpRingDriver`] and
-//!   [`crate::reactor_backend::ReactorRingDriver`] — share one applier,
-//!   [`crate::coordinator`], and differ only in the medium under it:
-//!   `sync::mpmc` channels, or length-prefixed frames over real loopback
-//!   sockets.
+//! * the wall-clock drivers — [`crate::thread_backend::RingDriver`]
+//!   (whenever a run rolls dice), [`crate::tcp_backend::TcpRingDriver`]
+//!   and [`crate::reactor_backend::ReactorRingDriver`] — share one
+//!   applier, [`crate::coordinator`], and differ only in the medium under
+//!   it: `sync::mpmc` channels, or length-prefixed frames over real
+//!   loopback sockets.
 //!
 //! Time never appears here directly. Where the protocol needs a timer it
 //! emits [`Output::ArmTimer`] carrying a backoff *exponent*; the driver
@@ -29,9 +29,8 @@
 //! * [`HostProtocol`] — one host's entities: incoming/processing/outgoing
 //!   queues, buffer-pool credit, the hop ledger that decides forward vs
 //!   retire;
-//! * [`LinkSender`] / [`LinkReceiver`] — one hop's reliable-transport
-//!   policy: sequence stamping, retransmission budget, checksum and
-//!   duplicate classification;
+//! * [`backoff_exponent`] / [`TimeoutVerdict`] — one hop's
+//!   retransmission policy: budget and backoff;
 //! * [`RingProtocol`] — the ring-level coordinator: routes envelopes
 //!   between hosts, owns the ack/retransmit ledger, the exactly-once
 //!   role-takeover ledger, and the healing transitions.
@@ -53,7 +52,7 @@ pub mod snapshot;
 
 pub use admission::{QueryEntry, QueryLedger, QueryStatus};
 pub use host::{Held, HostProtocol, JoinTicket, Route};
-pub use link::{backoff_exponent, LinkReceiver, LinkSender, Receipt, TimeoutVerdict, BACKOFF_CAP};
+pub use link::{backoff_exponent, TimeoutVerdict, BACKOFF_CAP};
 pub use membership::{rendezvous_owner, MembershipLedger};
 pub use ring::RingProtocol;
 pub use snapshot::StateSnapshot;
@@ -431,18 +430,12 @@ pub enum Output<P> {
 pub mod teardown {
     /// Root cause: the user-supplied `process` callback panicked.
     pub const CALLBACK_PANICKED: &str = "join callback panicked";
-    /// Root cause: a transfer ran out of retransmission attempts on a
-    /// ring where every host is alive.
-    pub const BUDGET_EXHAUSTED: &str = "retransmission budget exhausted on a live ring — raise \
-                                        ack_timeout or max_retransmits, or lower the loss rate";
     /// Cascade: a join entity's channels closed with fragments
     /// outstanding.
     pub const RING_CLOSED: &str = "ring closed while fragments were still outstanding";
     /// Cascade: the successor's buffer pool vanished under a
     /// transmitter.
     pub const POOL_CLOSED: &str = "successor dropped its receive pool early";
-    /// Cascade: the successor's receiver thread exited mid-transfer.
-    pub const RECEIVER_GONE: &str = "successor's receiver exited early";
     /// Cascade: a host's own transmitter exited before its join entity.
     pub const TX_GONE: &str = "transmitter exited early";
     /// A worker panicked outside the guarded callback (should not
@@ -463,7 +456,7 @@ pub mod teardown {
     /// Is `reason` a primary failure (as opposed to the channel-teardown
     /// cascade a primary failure provokes in neighboring workers)?
     pub fn is_root_cause(reason: &str) -> bool {
-        reason == CALLBACK_PANICKED || reason == BUDGET_EXHAUSTED
+        reason == CALLBACK_PANICKED
     }
 }
 

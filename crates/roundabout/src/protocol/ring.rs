@@ -1489,8 +1489,8 @@ impl<P: PayloadBytes + Clone> RingProtocol<P> {
         };
         let tid = f.next_tid;
         f.next_tid += 1;
-        // Per-sender wire sequence: the same numbering the live backend's
-        // LinkSender stamps, so fault dice agree across backends. In
+        // Per-sender wire sequence: every backend rolls its fault dice on
+        // this one numbering, so they agree across backends. In
         // multi-tenant mode the sequence space is per-(sender, query) —
         // query id in the high bits — so each query's dice are private
         // and independent of cross-query interleaving.

@@ -60,8 +60,8 @@ use simnet::topology::HostId;
 
 use crate::config::RingConfig;
 use crate::coordinator::{
-    run_job, Coordinator, Event, Job, JobDone, Medium, Pending, SocketEngine, SocketRingDriver,
-    TimerKind, Workload, STALLED,
+    run_job, Coordinator, Event, Job, JobDone, Medium, Pending, TimerKind, WallClockDriver,
+    WallClockEngine, Workload, STALLED,
 };
 use crate::envelope::Envelope;
 use crate::error::{FrameError, RingError};
@@ -935,9 +935,11 @@ pub struct ReactorEngine;
 ///     .unwrap();
 /// assert_eq!(metrics.fragments_completed, 6);
 /// ```
-pub type ReactorRingDriver<'a> = SocketRingDriver<'a, ReactorEngine>;
+pub type ReactorRingDriver<'a> = WallClockDriver<'a, ReactorEngine>;
 
-impl SocketEngine for ReactorEngine {
+impl WallClockEngine for ReactorEngine {
+    const HOST_FAULTS: bool = true;
+
     fn run_mesh<P, F, A>(
         config: &RingConfig,
         plan: Option<&FaultPlan>,
@@ -1128,7 +1130,7 @@ impl SocketEngine for ReactorEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::coordinator::socket_suite::{self, payloads};
+    use crate::coordinator::engine_suite::{self, payloads};
     use crate::envelope::FragmentId;
 
     fn loopback_pair() -> (TcpStream, TcpStream) {
@@ -1141,33 +1143,38 @@ mod tests {
 
     #[test]
     fn reactor_completes_a_classic_revolution() {
-        socket_suite::every_host_sees_every_fragment::<ReactorEngine>();
+        engine_suite::every_host_sees_every_fragment::<ReactorEngine>();
     }
 
     #[test]
     fn reactor_single_host_shares_the_local_path() {
-        socket_suite::single_host_ring_needs_no_sockets::<ReactorEngine>();
+        engine_suite::single_host_ring_needs_no_sockets::<ReactorEngine>();
     }
 
     #[test]
     fn reactor_validation_mirrors_the_blocking_driver() {
-        socket_suite::shape_and_config_errors_are_typed::<ReactorEngine>();
-        socket_suite::out_of_ring_faults_are_rejected::<ReactorEngine>();
+        engine_suite::shape_and_config_errors_are_typed::<ReactorEngine>();
+        engine_suite::out_of_ring_faults_are_rejected::<ReactorEngine>();
     }
 
     #[test]
     fn reactor_survives_loss_and_corruption() {
-        socket_suite::lossy_and_corrupt_links_are_repaired::<ReactorEngine>();
+        engine_suite::lossy_and_corrupt_links_are_repaired::<ReactorEngine>();
     }
 
     #[test]
     fn reactor_heals_a_mid_revolution_crash() {
-        socket_suite::crash_heals_mid_revolution::<ReactorEngine>();
+        engine_suite::crash_heals_mid_revolution::<ReactorEngine>();
     }
 
     #[test]
     fn reactor_runs_a_planned_join_and_drain() {
-        socket_suite::planned_join_and_drain::<ReactorEngine>();
+        engine_suite::planned_join_and_drain::<ReactorEngine>();
+    }
+
+    #[test]
+    fn reactor_drain_hands_its_role_off_exactly_once() {
+        engine_suite::drain_hands_its_role_off_exactly_once::<ReactorEngine>();
     }
 
     #[test]
@@ -1324,11 +1331,11 @@ mod tests {
 
     #[test]
     fn multiplexed_queries_complete_on_the_reactor() {
-        socket_suite::multiplexed_queries_complete::<ReactorEngine>();
+        engine_suite::multiplexed_queries_complete::<ReactorEngine>();
     }
 
     #[test]
     fn multiplexed_queries_survive_reactor_faults() {
-        socket_suite::multiplexed_queries_survive_faults::<ReactorEngine>();
+        engine_suite::multiplexed_queries_survive_faults::<ReactorEngine>();
     }
 }

@@ -1095,9 +1095,9 @@ impl<P: PayloadBytes + Clone, A: RingApp<P>> Runner<P, A> {
         let mut dropped = false;
         let mut spike = SimDuration::ZERO;
         if let Some(plan) = &self.fault_plan {
-            // Dice keyed on the per-sender wire sequence (`env.seq`), the
-            // same numbering the live backend's LinkSender stamps — the
-            // cross-backend parity test depends on this.
+            // Dice keyed on the per-sender wire sequence (`env.seq`) the
+            // protocol stamps for every backend — the cross-backend parity
+            // test depends on this.
             let seq = sent.seq;
             dropped = plan.should_drop(from, seq, attempt);
             let corrupt = !dropped && plan.should_corrupt(from, seq, attempt);

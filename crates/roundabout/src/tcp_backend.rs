@@ -46,8 +46,8 @@ use simnet::topology::HostId;
 
 use crate::config::RingConfig;
 use crate::coordinator::{
-    timer_loop, worker_loop, Coordinator, Event, Job, Medium, Pending, Recv, SocketEngine,
-    SocketRingDriver, TimerKind, Workload,
+    timer_loop, worker_loop, Coordinator, Event, Job, Medium, Pending, Recv, TimerKind,
+    WallClockDriver, WallClockEngine, Workload,
 };
 use crate::envelope::Envelope;
 use crate::error::RingError;
@@ -311,7 +311,7 @@ pub struct BlockingEngine;
 ///     .unwrap();
 /// assert_eq!(metrics.fragments_completed, 6);
 /// ```
-pub type TcpRingDriver<'a> = SocketRingDriver<'a, BlockingEngine>;
+pub type TcpRingDriver<'a> = WallClockDriver<'a, BlockingEngine>;
 
 /// One endpoint's thread material, cloned up front so no fallible IO
 /// happens after the first thread spawns (an early error return from a
@@ -323,7 +323,9 @@ struct Lane {
     peer: usize,
 }
 
-impl SocketEngine for BlockingEngine {
+impl WallClockEngine for BlockingEngine {
+    const HOST_FAULTS: bool = true;
+
     fn run_mesh<P, F, A>(
         config: &RingConfig,
         plan: Option<&FaultPlan>,
@@ -439,33 +441,33 @@ impl SocketEngine for BlockingEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::coordinator::socket_suite::{self, payloads};
+    use crate::coordinator::engine_suite::{self, payloads};
     use simnet::span::counter;
     use simnet::time::SimTime;
 
     #[test]
     fn every_host_sees_every_fragment_over_tcp() {
-        socket_suite::every_host_sees_every_fragment::<BlockingEngine>();
+        engine_suite::every_host_sees_every_fragment::<BlockingEngine>();
     }
 
     #[test]
     fn single_host_ring_needs_no_sockets() {
-        socket_suite::single_host_ring_needs_no_sockets::<BlockingEngine>();
+        engine_suite::single_host_ring_needs_no_sockets::<BlockingEngine>();
     }
 
     #[test]
     fn shape_and_config_errors_are_typed() {
-        socket_suite::shape_and_config_errors_are_typed::<BlockingEngine>();
+        engine_suite::shape_and_config_errors_are_typed::<BlockingEngine>();
     }
 
     #[test]
     fn out_of_ring_faults_are_rejected() {
-        socket_suite::out_of_ring_faults_are_rejected::<BlockingEngine>();
+        engine_suite::out_of_ring_faults_are_rejected::<BlockingEngine>();
     }
 
     #[test]
     fn lossy_and_corrupt_links_are_repaired() {
-        socket_suite::lossy_and_corrupt_links_are_repaired::<BlockingEngine>();
+        engine_suite::lossy_and_corrupt_links_are_repaired::<BlockingEngine>();
     }
 
     #[test]
@@ -480,12 +482,17 @@ mod tests {
 
     #[test]
     fn crash_heals_over_real_sockets() {
-        socket_suite::crash_heals_mid_revolution::<BlockingEngine>();
+        engine_suite::crash_heals_mid_revolution::<BlockingEngine>();
     }
 
     #[test]
     fn planned_join_and_drain_over_real_sockets() {
-        socket_suite::planned_join_and_drain::<BlockingEngine>();
+        engine_suite::planned_join_and_drain::<BlockingEngine>();
+    }
+
+    #[test]
+    fn drain_hands_its_role_off_exactly_once_over_real_sockets() {
+        engine_suite::drain_hands_its_role_off_exactly_once::<BlockingEngine>();
     }
 
     #[test]
@@ -544,11 +551,11 @@ mod tests {
 
     #[test]
     fn multiplexed_queries_complete_over_sockets() {
-        socket_suite::multiplexed_queries_complete::<BlockingEngine>();
+        engine_suite::multiplexed_queries_complete::<BlockingEngine>();
     }
 
     #[test]
     fn multiplexed_queries_survive_socket_faults() {
-        socket_suite::multiplexed_queries_survive_faults::<BlockingEngine>();
+        engine_suite::multiplexed_queries_survive_faults::<BlockingEngine>();
     }
 }

@@ -6,32 +6,34 @@
 //! (no deadlocks, no lost or duplicated envelopes) and to let integration
 //! tests exercise races the deterministic simulator cannot produce.
 //!
-//! All protocol *policy* is imported from the sans-IO [`crate::protocol`]
-//! core — envelope numbering ([`envelope_batches`]), the per-hop reliable
-//! transport ([`LinkSender`] / [`LinkReceiver`]), the shared timeout and
-//! backoff rules, and the teardown vocabulary ([`teardown`]). This file
-//! contributes only the *mechanism*: threads, channels and wall clocks.
+//! [`RingDriver`] is the generic wall-clock driver
+//! ([`WallClockDriver`]) over the [`ChannelEngine`], which has two ways to
+//! run a ring and picks between them by the rule the socket engines use —
+//! whether the run rolls dice at all:
 //!
-//! Mapping of the paper's entities:
+//! * **no fault plan, no rescale plan, one query** — the *classic*
+//!   decentralised ring (`classic_run`), the paper's entities mapped onto
+//!   threads and channels with no coordinator in the middle:
+//!   * the bounded channel into each host **is** its ring of receive
+//!     buffer elements (capacity = `buffers_per_host`); a blocked send is
+//!     the credit-based flow control;
+//!   * each host's **join thread** prefers draining received envelopes (to
+//!     free buffer elements quickly) and falls back to its local backlog;
+//!   * each host's **transmitter thread** forwards processed envelopes and
+//!     provides the asynchrony that lets the join thread keep working
+//!     while a send is blocked downstream — the join thread itself never
+//!     blocks on the network.
 //!
-//! * the bounded channel into each host **is** its ring of receive buffer
-//!   elements (capacity = `buffers_per_host`); a blocked send is the
-//!   credit-based flow control;
-//! * each host's **join thread** prefers draining received envelopes (to
-//!   free buffer elements quickly) and falls back to its local backlog;
-//! * each host's **transmitter thread** forwards processed envelopes and
-//!   provides the asynchrony that lets the join thread keep working while
-//!   a send is blocked downstream — the join thread itself never blocks on
-//!   the network.
-//!
-//! A [`RingDriver`] with a fault plan runs the same ring over an
-//! *unreliable* medium: the plan may drop, corrupt or delay each hop
-//! transfer, and every hop is protected by the acknowledged stop-and-wait
-//! protocol the simulated backend uses — sequence numbers, checksum
-//! verification at receive, and timeout-driven retransmission with
-//! exponential backoff. Host crashes and pauses are *not* supported here
-//! (ring healing needs the simulator's virtual time); plans scheduling
-//! them are rejected.
+//!   This is the path the loom model suite explores exhaustively.
+//! * **anything faulted, rescaled or multiplexed** — the shared
+//!   [`Coordinator`] over `ChannelWire`, an instant in-process wire: the
+//!   sans-IO [`crate::protocol`] core owns every sequence number,
+//!   acknowledgement, retransmission and membership decision exactly as it
+//!   does on the socket drivers, the fault plan's dice may drop, corrupt or
+//!   delay each hop transfer, and per-host workers run the joins and the
+//!   role takeovers. Host crashes and pauses are *not* supported here (a
+//!   channel has nothing to sever and no salvage path); plans scheduling
+//!   them are rejected.
 //!
 //! A worker dying mid-run — a panicking join callback, or a transfer that
 //! exhausts its retransmission budget — does **not** cascade panics across
@@ -41,7 +43,7 @@
 //! the ring, so no thread is left blocked), and the run reports the *first*
 //! failure rather than the loudest.
 //!
-//! A traced run ([`RingDriver::with_tracer`]) additionally records a
+//! A traced run ([`WallClockDriver::with_tracer`]) additionally records a
 //! structured [`SpanTracer`]: per-host join/sync spans, per-hop envelope
 //! events and the unified counter registry, on the same wall-clock epoch
 //! the metrics use, so span totals reconcile with [`RingMetrics`] exactly.
@@ -59,16 +61,14 @@ use simnet::topology::HostId;
 
 use crate::config::RingConfig;
 use crate::coordinator::{
-    self, Coordinator, Done, Event, Job, JobDone, Medium, Pending, Recv, TimerKind, Workload,
+    self, Coordinator, Event, Job, Medium, Pending, Recv, TimerKind, WallClockDriver,
+    WallClockEngine, Workload,
 };
 use crate::envelope::{Envelope, PayloadBytes};
 use crate::error::RingError;
-use crate::frame::Frame;
+use crate::frame::{Frame, WirePayload};
 use crate::metrics::{HostMetrics, RingMetrics};
-use crate::protocol::{
-    backoff_exponent, envelope_batches, query_batches, teardown, LinkReceiver, LinkSender, Receipt,
-    TimeoutVerdict,
-};
+use crate::protocol::teardown;
 
 /// Collects worker errors, preferring root causes (a panicking callback, an
 /// exhausted retransmission budget) over the channel-teardown cascade they
@@ -156,13 +156,19 @@ impl SharedSpans {
     }
 }
 
+/// The in-process engine: threads and `sync::mpmc` channels, no sockets
+/// and no codec.
+#[derive(Debug, Clone, Copy)]
+pub struct ChannelEngine;
+
 /// Builder for a live (real-thread) ring run — the single entry point of
 /// this backend.
 ///
 /// The default driver runs the classic unguarded transport; attaching a
 /// [`FaultPlan`] switches every hop onto the acknowledged stop-and-wait
-/// transport from the protocol core, and [`RingDriver::with_tracer`]
-/// enables structured span recording.
+/// transport from the protocol core, and
+/// [`with_tracer`](WallClockDriver::with_tracer) enables structured span
+/// recording.
 ///
 /// ```
 /// use data_roundabout::{RingConfig, RingDriver};
@@ -191,185 +197,48 @@ impl SharedSpans {
 ///     .unwrap();
 /// assert_eq!(metrics.fragments_completed, 6);
 /// ```
-#[derive(Clone, Copy)]
-pub struct RingDriver<'a> {
-    config: &'a RingConfig,
-    fault_plan: Option<&'a FaultPlan>,
-    rescale_plan: Option<&'a RescalePlan>,
-    trace: bool,
-}
+pub type RingDriver<'a> = WallClockDriver<'a, ChannelEngine>;
 
-impl<'a> RingDriver<'a> {
-    /// A driver for `config` with the classic transport and no tracing.
-    pub fn new(config: &'a RingConfig) -> Self {
-        RingDriver {
-            config,
-            fault_plan: None,
-            rescale_plan: None,
-            trace: false,
-        }
-    }
+impl WallClockEngine for ChannelEngine {
+    const HOST_FAULTS: bool = false;
 
-    /// Runs the ring over the unreliable medium described by `plan`, with
-    /// every hop protected by the acknowledged transport.
-    ///
-    /// Each hop gets a *wire* channel (capacity 1 — the link carries one
-    /// transfer at a time), an acknowledgement channel back, and a
-    /// dedicated receiver thread in front of the host's buffer pool. The
-    /// transmitter stamps each envelope with the protocol core's per-link
-    /// sequence number and runs stop-and-wait: send a copy (the plan's
-    /// dice may drop it, corrupt its checksum, or delay it), then await
-    /// the ack for `ack_timeout × 2^(a−1)` on attempt `a`; on timeout the
-    /// shared [`LinkSender::on_timeout`] policy decides between
-    /// retransmitting from the pristine master and tearing down. The
-    /// receiver classifies arrivals via [`LinkReceiver::receive`] —
-    /// counting checksum mismatches and staying silent so the sender
-    /// retransmits, re-acking duplicates without redelivering them — and
-    /// acks *before* depositing into the buffer pool: acknowledgement is a
-    /// NIC-level statement of intact receipt, so downstream backpressure
-    /// never masquerades as loss.
-    pub fn with_fault_plan(mut self, plan: &'a FaultPlan) -> Self {
-        self.fault_plan = Some(plan);
-        self
-    }
-
-    /// Attaches a planned [`RescalePlan`]: standby hosts joining the
-    /// ring and active hosts draining out of it mid-run, with their
-    /// stationary partitions repartitioned by rendezvous hashing.
-    ///
-    /// A rescale run switches this backend into its *coordinated* mode —
-    /// the coordinator the socket drivers run, owning the sans-IO
-    /// [`RingProtocol`](crate::protocol::RingProtocol) and driving per-host
-    /// join workers over channels instead of sockets — because
-    /// membership transitions need the protocol core's
-    /// ledger rather than the emergent channel topology of the classic
-    /// paths. Join/drain instants are interpreted in wall-clock time from
-    /// ring start. Hosts named in a join start as provisioned standbys
-    /// outside the ring and must contribute no fragments; the run uses
-    /// the acked reliable transport even without a fault plan.
-    pub fn with_rescale_plan(mut self, plan: &'a RescalePlan) -> Self {
-        self.rescale_plan = Some(plan);
-        self
-    }
-
-    /// Enables structured span recording for this run.
-    pub fn with_tracer(mut self, trace: bool) -> Self {
-        self.trace = trace;
-        self
-    }
-
-    /// Runs the ring to completion. `fragments[h]` are host `h`'s local
-    /// fragments; `process` is invoked once per (host, envelope) visit and
-    /// may itself be internally multi-threaded.
-    ///
-    /// Returns wall-clock metrics converted into the common
-    /// [`RingMetrics`] shape (setup is zero here — run any setup before
-    /// calling and time it yourself; CPU accounts contain compute time
-    /// only), plus the [`SpanTracer`] (empty and disabled unless
-    /// [`RingDriver::with_tracer`] was set).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RingError::Config`] for an invalid configuration,
-    /// [`RingError::Shape`] when `fragments.len() != config.hosts`,
-    /// [`RingError::UnsupportedFault`] when the fault plan schedules host
-    /// crashes or pauses (those need the simulated backend's virtual time
-    /// and ring healing), and [`RingError::Teardown`] when a worker dies
-    /// mid-run — a panicking `process` callback, or (with a fault plan) a
-    /// transfer that exhausts its retransmission budget: on this backend
-    /// every host is alive, so an exhausted budget means the timeout is
-    /// too tight or the loss rate too high to ever succeed. The error
-    /// names the first failure, not the channel-closure cascade it
-    /// provokes.
-    pub fn run<P, F>(
-        self,
-        fragments: Vec<Vec<P>>,
-        process: F,
+    fn run_mesh<P, F, A>(
+        config: &RingConfig,
+        plan: Option<&FaultPlan>,
+        rescale: Option<&RescalePlan>,
+        trace: bool,
+        workload: Workload<P>,
+        visit: &F,
+        absorb: &A,
     ) -> Result<(RingMetrics, SpanTracer), RingError>
     where
-        P: PayloadBytes + Send + Clone,
-        F: Fn(HostId, &P) + Sync,
+        P: WirePayload + Send + Clone,
+        F: Fn(HostId, u32, &[usize], &P) + Sync,
+        A: Fn(HostId, usize) + Sync,
     {
-        match (self.rescale_plan, self.fault_plan) {
-            (Some(rescale), plan) => {
-                coordinated_run(self.config, plan, rescale, fragments, process, self.trace)
+        match (plan, workload) {
+            // No dice: nothing is faulted, rescaled or multiplexed, so
+            // every host keeps exactly its own role for the whole run and
+            // the decentralised ring needs no protocol ledger.
+            (None, Workload::Single(batches)) => classic_run(
+                config,
+                batches,
+                |host, payload| visit(host, 0, &[host.0], payload),
+                trace,
+            ),
+            (plan, workload) => {
+                drive_coordinated(config, plan, rescale, workload, visit, absorb, trace)
             }
-            (None, Some(plan)) => reliable_run(self.config, plan, fragments, process, self.trace),
-            (None, None) => classic_run(self.config, fragments, process, self.trace),
         }
     }
-
-    /// Runs several queries multiplexed over one ring on the coordinated
-    /// engine. `queries[q]` is `(tenant, fragments)` with `fragments[h]`
-    /// host `h`'s local fragments for query `q`; at most `max_active`
-    /// queries circulate concurrently. Always uses the reliable acked
-    /// transport (quiet dice are synthesized without a fault plan), so
-    /// per-query exactly-once delivery holds.
-    ///
-    /// # Errors
-    ///
-    /// As [`RingDriver::run`], plus [`RingError::Shape`] when any query's
-    /// fragment lists disagree with the host count and
-    /// [`RingError::UnsupportedFault`] on a single-host ring (nothing to
-    /// multiplex over) or a zero `max_active`.
-    pub fn run_queries<P, F>(
-        self,
-        queries: Vec<(u32, Vec<Vec<P>>)>,
-        max_active: usize,
-        process: F,
-    ) -> Result<(RingMetrics, SpanTracer), RingError>
-    where
-        P: PayloadBytes + Send + Clone,
-        F: Fn(HostId, u32, &P) + Sync,
-    {
-        coordinated_multi_run(
-            self.config,
-            self.fault_plan,
-            self.rescale_plan,
-            queries,
-            max_active,
-            process,
-            self.trace,
-        )
-    }
 }
 
-/// The coordinated engine behind [`RingDriver::run_queries`]: validates
-/// the query shapes, synthesizes quiet dice when no fault plan is
-/// attached, numbers the queries' envelopes and drives them.
-fn coordinated_multi_run<P, F>(
-    config: &RingConfig,
-    fault_plan: Option<&FaultPlan>,
-    rescale: Option<&RescalePlan>,
-    queries: Vec<(u32, Vec<Vec<P>>)>,
-    max_active: usize,
-    process: F,
-    trace: bool,
-) -> Result<(RingMetrics, SpanTracer), RingError>
-where
-    P: PayloadBytes + Send + Clone,
-    F: Fn(HostId, u32, &P) + Sync,
-{
-    let shapes: Vec<&[Vec<P>]> = queries.iter().map(|(_, f)| f.as_slice()).collect();
-    coordinator::validate(
-        config,
-        fault_plan,
-        rescale,
-        &shapes,
-        Some(max_active),
-        false,
-    )?;
-    let workload = Workload::Multi {
-        queries: query_batches(queries, config.hosts),
-        max_active,
-    };
-    drive_coordinated(config, fault_plan, rescale, workload, process, trace)
-}
-
-/// The classic (unguarded-transport) engine behind [`RingDriver::run`].
+/// The classic (unguarded-transport) decentralised ring: `batches[h]` are
+/// host `h`'s local envelopes, already numbered, on a validated ring of at
+/// least two hosts.
 fn classic_run<P, F>(
     config: &RingConfig,
-    fragments: Vec<Vec<P>>,
+    batches: Vec<Vec<Envelope<P>>>,
     process: F,
     trace: bool,
 ) -> Result<(RingMetrics, SpanTracer), RingError>
@@ -377,25 +246,10 @@ where
     P: PayloadBytes + Send,
     F: Fn(HostId, &P) + Sync,
 {
-    config.validate()?;
-    if fragments.len() != config.hosts {
-        return Err(RingError::Shape {
-            expected: config.hosts,
-            got: fragments.len(),
-        });
-    }
     let n = config.hosts;
-    let total: usize = fragments.iter().map(Vec::len).sum();
-    let mut batches = envelope_batches(fragments, n);
+    let total: usize = batches.iter().map(Vec::len).sum();
     let shared = trace.then(SharedSpans::new);
     let spans = shared.as_ref();
-
-    if n == 1 {
-        let envelopes = batches.pop().unwrap_or_default();
-        let metrics = run_single_host(envelopes, process, spans)?;
-        let tracer = finish_spans(shared, &metrics);
-        return Ok((metrics, tracer));
-    }
 
     // ring_rx[h]: the receive buffer pool of host h.
     let mut ring_tx = Vec::with_capacity(n);
@@ -423,19 +277,7 @@ where
             let (out_tx, out_rx) = unbounded::<Envelope<P>>();
             let process = &process;
             join_handles.push(scope.spawn(move || {
-                // On the classic path the buffer pool is the receiver, so
-                // the join entity records envelope arrivals itself.
-                join_entity(
-                    HostId(h),
-                    n,
-                    total,
-                    backlog,
-                    rx,
-                    out_tx,
-                    process,
-                    spans,
-                    true,
-                )
+                join_entity(HostId(h), n, total, backlog, rx, out_tx, process, spans)
             }));
             tx_handles.push(scope.spawn(move || -> Result<(), RingError> {
                 // Transmitter: forward processed envelopes, honoring the
@@ -499,179 +341,7 @@ where
         fragments_completed: total,
         ..RingMetrics::default()
     };
-    let tracer = finish_spans(shared, &metrics);
-    Ok((metrics, tracer))
-}
-
-/// The reliable-transport engine behind [`RingDriver::run`] with a fault
-/// plan attached.
-fn reliable_run<P, F>(
-    config: &RingConfig,
-    plan: &FaultPlan,
-    fragments: Vec<Vec<P>>,
-    process: F,
-    trace: bool,
-) -> Result<(RingMetrics, SpanTracer), RingError>
-where
-    P: PayloadBytes + Send + Clone,
-    F: Fn(HostId, &P) + Sync,
-{
-    config.validate()?;
-    if fragments.len() != config.hosts {
-        return Err(RingError::Shape {
-            expected: config.hosts,
-            got: fragments.len(),
-        });
-    }
-    if !plan.crashes().is_empty() || !plan.pauses().is_empty() {
-        return Err(RingError::UnsupportedFault(
-            "the threaded backend supports link loss, corruption and delay spikes (plus planned \
-             rescale); host crashes and pauses need ring healing — use the simulated backend \
-             (all fault kinds) or the tcp backend (loss, corruption, crashes, pauses)",
-        ));
-    }
-    let n = config.hosts;
-    let total: usize = fragments.iter().map(Vec::len).sum();
-    let mut batches = envelope_batches(fragments, n);
-    let shared = trace.then(SharedSpans::new);
-    let spans = shared.as_ref();
-
-    if n == 1 {
-        let envelopes = batches.pop().unwrap_or_default();
-        let metrics = run_single_host(envelopes, process, spans)?;
-        let tracer = finish_spans(shared, &metrics);
-        return Ok((metrics, tracer));
-    }
-
-    // Per-hop channels, indexed by the *sending* host h of the hop
-    // h → h+1: the wire itself, and the acknowledgements flowing back.
-    let mut wire_tx = Vec::with_capacity(n);
-    let mut wire_rx = Vec::with_capacity(n);
-    let mut ack_tx = Vec::with_capacity(n);
-    let mut ack_rx = Vec::with_capacity(n);
-    for _ in 0..n {
-        let (wtx, wrx) = bounded::<Envelope<P>>(1);
-        let (atx, arx) = unbounded::<u64>();
-        wire_tx.push(wtx);
-        wire_rx.push(wrx);
-        ack_tx.push(atx);
-        ack_rx.push(arx);
-    }
-    // Receive buffer pools, indexed by the owning host.
-    let mut pool_tx = Vec::with_capacity(n);
-    let mut pool_rx = Vec::with_capacity(n);
-    for _ in 0..n {
-        let (ptx, prx) = bounded::<Envelope<P>>(config.buffers_per_host);
-        pool_tx.push(ptx);
-        pool_rx.push(prx);
-    }
-    // Receiver of host h fronts the hop out of its predecessor: it reads
-    // wire_rx[h-1] and acks into ack_tx[h-1].
-    wire_rx.rotate_right(1);
-    ack_tx.rotate_right(1);
-
-    let forwarded: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
-    let retransmits: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
-    let mismatches: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
-    let mut host_stats: Vec<Option<JoinStats>> = (0..n).map(|_| None).collect();
-
-    let ack_timeout = Duration::from_secs_f64(config.ack_timeout.as_secs_f64());
-    let max_retransmits = config.max_retransmits;
-
-    let first_error = crate::sync::thread::scope(|scope| {
-        let mut join_handles = Vec::with_capacity(n);
-        let mut aux_handles = Vec::with_capacity(2 * n);
-        let iter = batches
-            .into_iter()
-            .zip(pool_rx.into_iter().zip(pool_tx))
-            .zip(wire_tx.into_iter().zip(ack_rx))
-            .zip(wire_rx.into_iter().zip(ack_tx))
-            .zip(forwarded.iter().zip(retransmits.iter().zip(&mismatches)))
-            .enumerate();
-        for (h, ((((backlog, (prx, ptx)), (wtx, arx)), (wrx, atx)), (fwd, (rtx, mis)))) in iter {
-            let (out_tx, out_rx) = unbounded::<Envelope<P>>();
-            let process = &process;
-            join_handles.push(scope.spawn(move || {
-                // The dedicated receiver thread records arrivals here, so
-                // the join entity must not double-count them.
-                join_entity(
-                    HostId(h),
-                    n,
-                    total,
-                    backlog,
-                    prx,
-                    out_tx,
-                    process,
-                    spans,
-                    false,
-                )
-            }));
-            aux_handles.push(scope.spawn(move || {
-                reliable_transmitter(
-                    HostId(h),
-                    plan,
-                    ack_timeout,
-                    max_retransmits,
-                    out_rx,
-                    wtx,
-                    arx,
-                    fwd,
-                    rtx,
-                    spans,
-                )
-            }));
-            aux_handles.push(scope.spawn(move || {
-                reliable_receiver(HostId(h), wrx, atx, ptx, mis, spans);
-                Ok(())
-            }));
-        }
-        let mut errors = ErrorCollector::default();
-        for (slot, handle) in host_stats.iter_mut().zip(join_handles) {
-            match handle.join() {
-                Ok(Ok(stats)) => *slot = Some(stats),
-                Ok(Err(err)) => errors.record(err),
-                Err(_) => errors.record(RingError::Teardown(teardown::WORKER_PANICKED)),
-            }
-        }
-        for handle in aux_handles {
-            match handle.join() {
-                Ok(Ok(())) => {}
-                Ok(Err(err)) => errors.record(err),
-                Err(_) => errors.record(RingError::Teardown(teardown::WORKER_PANICKED)),
-            }
-        }
-        errors.first()
-    });
-    if let Some(err) = first_error {
-        return Err(err);
-    }
-
-    let stats: Vec<JoinStats> = host_stats.into_iter().flatten().collect();
-    debug_assert_eq!(stats.len(), n, "error-free run has stats for every host");
-    let hosts: Vec<HostMetrics> = stats
-        .into_iter()
-        .zip(forwarded.iter().zip(retransmits.iter().zip(&mismatches)))
-        .map(|(s, (fwd, (rtx, mis)))| {
-            s.into_metrics(
-                config,
-                fwd.load(Ordering::Relaxed),
-                rtx.load(Ordering::Relaxed),
-                mis.load(Ordering::Relaxed),
-            )
-        })
-        .collect();
-    let wall = hosts
-        .iter()
-        .map(|h| h.join_window)
-        .max()
-        .unwrap_or(SimDuration::ZERO);
-    let metrics = RingMetrics {
-        hosts,
-        wall_clock: wall,
-        fragments_completed: total,
-        ..RingMetrics::default()
-    };
-    let tracer = finish_spans(shared, &metrics);
+    let tracer = finish_spans(shared);
     Ok((metrics, tracer))
 }
 
@@ -679,14 +349,12 @@ where
 // Coordinated mode: the shared coordinator over an instant channel wire
 // ---------------------------------------------------------------------------
 
-/// The medium of the coordinated engine: per-host job queues and a timer
+/// The medium of the coordinated mode: per-host job queues and a timer
 /// thread, and nothing in between — the channel "wire" has no latency in
 /// either direction, so deliveries and acks reach their host in the same
 /// coordinator round as follow-up events, and a fault-plan delay spike is
-/// modeled by parking the arrival on the timer thread. There is no
-/// application absorb hook on this backend: a takeover is free and
-/// completes in the same round. Nothing can be severed (host crashes are
-/// rejected up front).
+/// modeled by parking the arrival on the timer thread. Nothing can be
+/// severed (host crashes are rejected up front).
 struct ChannelWire<P> {
     jobs: Vec<Sender<Job<P>>>,
     timer_tx: Sender<(Instant, Event<P>)>,
@@ -737,30 +405,16 @@ impl<P> Medium<P> for ChannelWire<P> {
         Ok(())
     }
 
-    fn start(&mut self, host: HostId, job: Job<P>, next: &mut Pending<P>) -> Result<(), RingError> {
-        match job {
-            Job::Absorb {
-                dead,
-                roles,
-                planned,
-            } => next.push_back(Event::Job(JobDone {
-                host,
-                spent: Duration::ZERO,
-                panicked: false,
-                what: Done::Absorb {
-                    dead,
-                    roles: roles.len(),
-                    planned,
-                },
-            })),
-            job => {
-                let sent = self.jobs.get(host.0).is_some_and(|tx| tx.send(job).is_ok());
-                if !sent {
-                    return Err(RingError::Teardown(teardown::RING_CLOSED));
-                }
-            }
+    fn start(
+        &mut self,
+        host: HostId,
+        job: Job<P>,
+        _next: &mut Pending<P>,
+    ) -> Result<(), RingError> {
+        match self.jobs.get(host.0) {
+            Some(tx) if tx.send(job).is_ok() => Ok(()),
+            _ => Err(RingError::Teardown(teardown::RING_CLOSED)),
         }
-        Ok(())
     }
 
     fn arm(&mut self, delay: Duration, timer: TimerKind) {
@@ -782,81 +436,38 @@ fn recv_from<T>(rx: &Receiver<T>, wait: Duration) -> Recv<T> {
     }
 }
 
-/// The coordinated engine behind [`RingDriver::run`] with a rescale plan
-/// attached: validates the plans, numbers the envelopes and drives them
-/// through the protocol over channels.
-fn coordinated_run<P, F>(
+/// Everything that rolls dice: spawns the per-host workers (joins and role
+/// takeovers run there, as on the socket media) and the timer loop, then
+/// lets the shared [`Coordinator`] feed the protocol until every fragment
+/// retired.
+fn drive_coordinated<P, F, A>(
     config: &RingConfig,
-    fault_plan: Option<&FaultPlan>,
-    rescale: &RescalePlan,
-    fragments: Vec<Vec<P>>,
-    process: F,
-    trace: bool,
-) -> Result<(RingMetrics, SpanTracer), RingError>
-where
-    P: PayloadBytes + Send + Clone,
-    F: Fn(HostId, &P) + Sync,
-{
-    coordinator::validate(
-        config,
-        fault_plan,
-        Some(rescale),
-        &[&fragments],
-        None,
-        false,
-    )?;
-    let batches = envelope_batches(fragments, config.hosts);
-    if config.hosts == 1 {
-        // A quiet plan on a single host (checked above): the degenerate
-        // local path needs no coordinator.
-        return single_host_run(batches, process, trace);
-    }
-    drive_coordinated(
-        config,
-        fault_plan,
-        Some(rescale),
-        Workload::Single(batches),
-        |host, _query, payload: &P| process(host, payload),
-        trace,
-    )
-}
-
-/// The channel-and-thread machinery shared by every coordinated run:
-/// spawns the per-host workers and the timer loop, then lets the shared
-/// [`Coordinator`] feed the protocol until every fragment retired. Rescale
-/// and multiplexing ride the reliable transport, so quiet dice stand in
-/// for a missing fault plan.
-fn drive_coordinated<P, F>(
-    config: &RingConfig,
-    fault_plan: Option<&FaultPlan>,
+    plan: Option<&FaultPlan>,
     rescale: Option<&RescalePlan>,
     workload: Workload<P>,
-    process: F,
+    visit: &F,
+    absorb: &A,
     trace: bool,
 ) -> Result<(RingMetrics, SpanTracer), RingError>
 where
     P: PayloadBytes + Send + Clone,
-    F: Fn(HostId, u32, &P) + Sync,
+    F: Fn(HostId, u32, &[usize], &P) + Sync,
+    A: Fn(HostId, usize) + Sync,
 {
-    let plan = coordinator::dice(fault_plan, rescale, true);
     let (events_tx, events_rx) = unbounded::<Event<P>>();
     let (timer_tx, timer_rx) = unbounded::<(Instant, Event<P>)>();
-    let visit = |host: HostId, query: u32, _roles: &[usize], payload: &P| {
-        process(host, query, payload);
-    };
     crate::sync::thread::scope(|scope| {
         let mut jobs = Vec::with_capacity(config.hosts);
         for h in 0..config.hosts {
             let (jtx, jrx) = unbounded::<Job<P>>();
             let tx = events_tx.clone();
-            let visit = &visit;
             scope.spawn(move || {
                 coordinator::worker_loop(
                     HostId(h),
                     jrx.iter(),
                     |event| tx.send(event).is_ok(),
                     visit,
-                    &|_, _| {},
+                    absorb,
                 );
             });
             jobs.push(jtx);
@@ -872,7 +483,7 @@ where
             });
         }
         let wire = ChannelWire { jobs, timer_tx };
-        let mut co = Coordinator::new(config, plan.as_deref(), rescale, workload, trace, wire);
+        let mut co = Coordinator::new(config, plan, rescale, workload, trace, wire);
         co.run(|wait| recv_from(&events_rx, wait));
         // Consuming the coordinator drops its job and timer senders,
         // draining the worker and timer threads before the scope closes.
@@ -880,188 +491,37 @@ where
     })
 }
 
-/// Closes out a traced run: materialises every well-known counter — the
-/// heal ones are always zero on this backend (healing needs the
-/// simulator), and a classic run never retransmits — so trace consumers
-/// see them observed rather than missing, and hands the tracer out of its
-/// mutex.
-pub(crate) fn finish_spans(shared: Option<SharedSpans>, metrics: &RingMetrics) -> SpanTracer {
-    match shared {
-        None => SpanTracer::disabled(),
-        Some(shared) => {
-            let mut tracer = shared.into_tracer();
-            for name in [
-                counter::ENVELOPES_SENT,
-                counter::ENVELOPES_RECEIVED,
-                counter::FRAGMENTS_RETIRED,
-                counter::RETRANSMITS,
-                counter::CHECKSUM_MISMATCHES,
-            ] {
-                tracer.count(name, 0);
-            }
-            tracer.count(counter::HEAL_EVENTS, metrics.heal_events as u64);
-            tracer.count(counter::FRAGMENTS_RESENT, metrics.fragments_resent as u64);
-            tracer.count(counter::RESCALE_JOINS, metrics.rescale_joins);
-            tracer.count(counter::RESCALE_DRAINS, metrics.rescale_drains);
-            tracer.count(counter::RESCALE_HANDOFFS, metrics.rescale_handoffs);
-            tracer
-        }
+/// Materialises every well-known counter at zero, so trace consumers see
+/// them observed rather than missing on runs that never bumped them.
+pub(crate) fn materialize_counters(tracer: &mut SpanTracer) {
+    for name in [
+        counter::ENVELOPES_SENT,
+        counter::ENVELOPES_RECEIVED,
+        counter::FRAGMENTS_RETIRED,
+        counter::RETRANSMITS,
+        counter::CHECKSUM_MISMATCHES,
+        counter::HEAL_EVENTS,
+        counter::FRAGMENTS_RESENT,
+        counter::RESCALE_JOINS,
+        counter::RESCALE_DRAINS,
+        counter::RESCALE_HANDOFFS,
+    ] {
+        tracer.count(name, 0);
     }
 }
 
-/// Stop-and-wait sender side of one reliable hop: channels and wall-clock
-/// deadlines around the protocol core's [`LinkSender`] policy.
-#[allow(clippy::too_many_arguments)]
-fn reliable_transmitter<P>(
-    host: HostId,
-    plan: &FaultPlan,
-    ack_timeout: Duration,
-    max_retransmits: u32,
-    out_rx: Receiver<Envelope<P>>,
-    wire_tx: Sender<Envelope<P>>,
-    ack_rx: Receiver<u64>,
-    forwarded: &AtomicU64,
-    retransmits: &AtomicU64,
-    spans: Option<&SharedSpans>,
-) -> Result<(), RingError>
-where
-    P: PayloadBytes + Send + Clone,
-{
-    let mut link = LinkSender::new(max_retransmits);
-    for mut env in out_rx.iter() {
-        let seq = link.stamp(&mut env);
-        let mut attempt = 1u32;
-        if let Some(s) = spans {
-            s.event(
-                host.0,
-                Track::Transmitter,
-                format!("send {}", env.id),
-                Some(counter::ENVELOPES_SENT),
-            );
-        }
-        loop {
-            let dropped = plan.should_drop(host, seq, attempt);
-            let corrupt = !dropped && plan.should_corrupt(host, seq, attempt);
-            let spike = plan.delay_spike(host, seq, attempt);
-            if !dropped {
-                let mut copy = env.clone();
-                if corrupt {
-                    copy.checksum = !copy.checksum;
-                }
-                if !spike.is_zero() {
-                    std::thread::sleep(Duration::from_secs_f64(spike.as_secs_f64()));
-                }
-                forwarded.fetch_add(copy.bytes(), Ordering::Relaxed);
-                if wire_tx.send(copy).is_err() {
-                    return Err(RingError::Teardown(teardown::RECEIVER_GONE));
-                }
-            }
-            // Await the ack with the shared backoff schedule on retries.
-            // Stale acks (duplicate re-acks of earlier transfers) are
-            // drained silently.
-            let rto = ack_timeout * (1u32 << backoff_exponent(attempt));
-            let deadline = Instant::now() + rto;
-            let acked = loop {
-                let remaining = deadline.saturating_duration_since(Instant::now());
-                match ack_rx.recv_timeout(remaining) {
-                    Ok(s) if s == seq => break true,
-                    Ok(_) => continue,
-                    Err(RecvTimeoutError::Timeout) => break false,
-                    Err(RecvTimeoutError::Disconnected) => {
-                        return Err(RingError::Teardown(teardown::RECEIVER_GONE));
-                    }
-                }
-            };
-            if acked {
-                break;
-            }
-            match link.on_timeout(attempt) {
-                TimeoutVerdict::Exhausted => {
-                    return Err(RingError::Teardown(teardown::BUDGET_EXHAUSTED));
-                }
-                TimeoutVerdict::Retry { attempt: next, .. } => {
-                    attempt = next;
-                    retransmits.fetch_add(1, Ordering::Relaxed);
-                    if let Some(s) = spans {
-                        s.event(
-                            host.0,
-                            Track::Transmitter,
-                            format!("retransmit {} attempt {}", env.id, attempt),
-                            Some(counter::RETRANSMITS),
-                        );
-                    }
-                }
-            }
-        }
-    }
-    // Dropping wire_tx closes the successor's receiver.
-    Ok(())
+/// Closes out a classic or single-host run's trace (such a run never
+/// retransmits, heals or rescales) and hands the tracer out of its mutex.
+fn finish_spans(shared: Option<SharedSpans>) -> SpanTracer {
+    shared.map_or_else(SpanTracer::disabled, |shared| {
+        let mut tracer = shared.into_tracer();
+        materialize_counters(&mut tracer);
+        tracer
+    })
 }
 
-/// Receiver side of one reliable hop: the NIC in front of the buffer pool,
-/// classifying arrivals with the protocol core's [`LinkReceiver`].
-fn reliable_receiver<P>(
-    host: HostId,
-    wire_rx: Receiver<Envelope<P>>,
-    ack_tx: Sender<u64>,
-    pool_tx: Sender<Envelope<P>>,
-    mismatches: &AtomicU64,
-    spans: Option<&SharedSpans>,
-) where
-    P: PayloadBytes + Send,
-{
-    let mut link = LinkReceiver::new();
-    for env in wire_rx.iter() {
-        match link.receive(&env) {
-            Receipt::Corrupt => {
-                // Corrupted in flight: count it and stay silent — the
-                // sender's timeout turns the silence into a retransmission.
-                mismatches.fetch_add(1, Ordering::Relaxed);
-                if let Some(s) = spans {
-                    s.event(
-                        host.0,
-                        Track::Receiver,
-                        format!("checksum mismatch {}", env.id),
-                        Some(counter::CHECKSUM_MISMATCHES),
-                    );
-                }
-            }
-            Receipt::Duplicate => {
-                // Duplicate of an already delivered transfer (its ack raced
-                // the sender's timeout): re-ack, do not deliver twice.
-                let _ = ack_tx.send(env.seq);
-                if let Some(s) = spans {
-                    s.event(
-                        host.0,
-                        Track::Receiver,
-                        format!("duplicate {}", env.id),
-                        None,
-                    );
-                }
-            }
-            Receipt::Deliver => {
-                // Ack before depositing: receipt is acknowledged at the NIC
-                // even when the buffer pool exerts backpressure on the wire.
-                let _ = ack_tx.send(env.seq);
-                if let Some(s) = spans {
-                    s.event(
-                        host.0,
-                        Track::Receiver,
-                        format!("recv {}", env.id),
-                        Some(counter::ENVELOPES_RECEIVED),
-                    );
-                }
-                if pool_tx.send(env).is_err() {
-                    break;
-                }
-            }
-        }
-    }
-    // Dropping ack_tx / pool_tx unblocks the neighbors' shutdown.
-}
-
-/// What a host's join entity measured about itself (or, on the
-/// coordinated engines, what the coordinator measured for it).
+/// What a host's join entity measured about itself (or, in coordinated
+/// mode, what the coordinator measured for it).
 pub(crate) struct JoinStats {
     pub(crate) busy: Duration,
     pub(crate) sync: Duration,
@@ -1096,8 +556,11 @@ impl JoinStats {
     }
 }
 
-/// The join entity of one host. `backlog` holds the host's local
-/// fragments, pre-numbered by [`envelope_batches`].
+/// The join entity of one classic-ring host. `backlog` holds the host's
+/// local fragments, pre-numbered by
+/// [`envelope_batches`](crate::protocol::envelope_batches). The buffer
+/// pool is the receiver, so the join entity records envelope arrivals
+/// itself.
 #[allow(clippy::too_many_arguments)]
 fn join_entity<P, F>(
     host: HostId,
@@ -1108,7 +571,6 @@ fn join_entity<P, F>(
     out_tx: Sender<Envelope<P>>,
     process: &F,
     spans: Option<&SharedSpans>,
-    record_receives: bool,
 ) -> Result<JoinStats, RingError>
 where
     P: PayloadBytes + Send,
@@ -1151,7 +613,7 @@ where
                 None => return Err(RingError::Teardown(teardown::RING_CLOSED)),
             },
         };
-        if received && record_receives {
+        if received {
             if let Some(s) = spans {
                 s.event(
                     host.0,
@@ -1206,21 +668,22 @@ where
     })
 }
 
-/// Degenerate single-host "ring": process the backlog locally. Shared
-/// with the TCP backend, whose single-host case has no sockets to run.
-pub(crate) fn run_single_host<P, F>(
-    envelopes: Vec<Envelope<P>>,
+/// The degenerate single-host "ring", which has no wire on any engine:
+/// process host 0's backlog locally and close out the trace.
+pub(crate) fn single_host_run<P, F>(
+    batches: Vec<Vec<Envelope<P>>>,
     process: F,
-    spans: Option<&SharedSpans>,
-) -> Result<RingMetrics, RingError>
+    trace: bool,
+) -> Result<(RingMetrics, SpanTracer), RingError>
 where
     P: PayloadBytes + Send,
     F: Fn(HostId, &P) + Sync,
 {
+    let shared = trace.then(SharedSpans::new);
     let started = Instant::now();
     let mut busy = Duration::ZERO;
     let mut processed = 0usize;
-    for env in envelopes {
+    for env in batches.into_iter().next().unwrap_or_default() {
         let t = Instant::now();
         let outcome = catch_unwind(AssertUnwindSafe(|| process(HostId(0), &env.payload)));
         let spent = t.elapsed();
@@ -1228,7 +691,7 @@ where
         if outcome.is_err() {
             return Err(RingError::Teardown(teardown::CALLBACK_PANICKED));
         }
-        if let Some(s) = spans {
+        if let Some(s) = &shared {
             s.span(
                 0,
                 SpanKind::Join,
@@ -1256,43 +719,22 @@ where
         bytes_forwarded: 0,
         ..HostMetrics::default()
     };
-    Ok(RingMetrics {
+    let metrics = RingMetrics {
         hosts: vec![host],
         wall_clock: started.elapsed().into(),
         fragments_completed: processed,
         ..RingMetrics::default()
-    })
-}
-
-/// The degenerate single-host "ring" as a whole run: process host 0's
-/// backlog locally and close out the trace.
-pub(crate) fn single_host_run<P, F>(
-    batches: Vec<Vec<Envelope<P>>>,
-    process: F,
-    trace: bool,
-) -> Result<(RingMetrics, SpanTracer), RingError>
-where
-    P: PayloadBytes + Send,
-    F: Fn(HostId, &P) + Sync,
-{
-    let spans = trace.then(SharedSpans::new);
-    let backlog = batches.into_iter().next().unwrap_or_default();
-    let metrics = run_single_host(backlog, process, spans.as_ref())?;
-    let tracer = finish_spans(spans, &metrics);
+    };
+    let tracer = finish_spans(shared);
     Ok((metrics, tracer))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::coordinator::engine_suite::{self, payloads};
     use simnet::time::SimTime;
     use std::sync::atomic::AtomicUsize;
-
-    fn payloads(hosts: usize, per_host: usize, bytes: usize) -> Vec<Vec<Vec<u8>>> {
-        (0..hosts)
-            .map(|_| (0..per_host).map(|_| vec![0u8; bytes]).collect())
-            .collect()
-    }
 
     fn run_plain(
         config: &RingConfig,
@@ -1306,21 +748,42 @@ mod tests {
 
     #[test]
     fn every_host_sees_every_fragment() {
-        let hosts = 4;
-        let counts: Vec<AtomicUsize> = (0..hosts).map(|_| AtomicUsize::new(0)).collect();
-        let metrics = run_plain(&RingConfig::paper(hosts), payloads(hosts, 3, 64), |h, _| {
-            counts[h.0].fetch_add(1, Ordering::SeqCst);
-        })
-        .unwrap();
-        assert_eq!(metrics.fragments_completed, 12);
-        for c in &counts {
-            assert_eq!(c.load(Ordering::SeqCst), 12);
-        }
-        assert_eq!(
-            metrics.total_bytes_forwarded() as usize,
-            12 * 64 * (hosts - 1)
-        );
-        assert!(metrics.fault_free());
+        engine_suite::every_host_sees_every_fragment::<ChannelEngine>();
+    }
+
+    #[test]
+    fn shape_and_config_errors_are_typed() {
+        engine_suite::shape_and_config_errors_are_typed::<ChannelEngine>();
+    }
+
+    #[test]
+    fn out_of_ring_faults_are_rejected() {
+        engine_suite::out_of_ring_faults_are_rejected::<ChannelEngine>();
+    }
+
+    #[test]
+    fn lossy_and_corrupt_links_are_repaired() {
+        engine_suite::lossy_and_corrupt_links_are_repaired::<ChannelEngine>();
+    }
+
+    #[test]
+    fn planned_join_and_drain() {
+        engine_suite::planned_join_and_drain::<ChannelEngine>();
+    }
+
+    #[test]
+    fn drain_hands_its_role_off_exactly_once() {
+        engine_suite::drain_hands_its_role_off_exactly_once::<ChannelEngine>();
+    }
+
+    #[test]
+    fn multiplexed_queries_complete() {
+        engine_suite::multiplexed_queries_complete::<ChannelEngine>();
+    }
+
+    #[test]
+    fn multiplexed_queries_survive_faults() {
+        engine_suite::multiplexed_queries_survive_faults::<ChannelEngine>();
     }
 
     #[test]
@@ -1383,24 +846,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn invalid_config_is_a_typed_error() {
-        let err = run_plain(&RingConfig::paper(0), vec![], |_, _| {}).unwrap_err();
-        assert!(matches!(err, RingError::Config(_)));
-    }
-
-    #[test]
-    fn shape_mismatch_is_a_typed_error() {
-        let err = run_plain(&RingConfig::paper(3), payloads(2, 1, 8), |_, _| {}).unwrap_err();
-        assert_eq!(
-            err,
-            RingError::Shape {
-                expected: 3,
-                got: 2
-            }
-        );
-    }
-
     /// Regression: a panicking join callback used to unwind its worker
     /// thread, close its channels and turn every neighbor's teardown
     /// `expect` into a cascading panic across the scope. It must surface
@@ -1419,9 +864,9 @@ mod tests {
         }
     }
 
-    /// Same premature-close regression on the reliable transport: the
-    /// receiver/transmitter threads observe the closed channels and return
-    /// typed errors instead of panicking on their sends.
+    /// Same regression on the reliable transport: the worker's guarded
+    /// job reports the panic and the coordinator tears the run down with
+    /// the root cause.
     #[test]
     fn reliable_panicking_callback_surfaces_as_teardown_error() {
         let hosts = 3;
@@ -1605,49 +1050,6 @@ mod tests {
         assert!(matches!(err, RingError::UnsupportedFault(_)));
     }
 
-    /// The same seeded schedule the socket backend runs: host 2 starts as
-    /// a standby, joins at 1 ms and a founding member drains at 8 ms. The
-    /// membership counters are pure functions of the schedule, so they
-    /// must land on the exact values the sim and tcp backends report.
-    #[test]
-    fn planned_join_and_drain_on_real_threads() {
-        let hosts = 3;
-        let cfg = RingConfig::paper(hosts)
-            .with_ack_timeout(SimDuration::from_millis(20))
-            .with_max_retransmits(6);
-        let rescale = RescalePlan::seeded(77)
-            .join_host(HostId(2), SimTime::from_nanos(1_000_000))
-            .drain_host(HostId(0), SimTime::from_nanos(8_000_000));
-        let mut frags = payloads(hosts, 3, 64);
-        frags[2].clear();
-        let counts: Vec<AtomicUsize> = (0..hosts).map(|_| AtomicUsize::new(0)).collect();
-        let (metrics, spans) = RingDriver::new(&cfg)
-            .with_rescale_plan(&rescale)
-            .with_tracer(true)
-            .run(frags, |h, _: &Vec<u8>| {
-                counts[h.0].fetch_add(1, Ordering::SeqCst);
-                std::thread::sleep(Duration::from_millis(2));
-            })
-            .unwrap();
-        assert_eq!(metrics.fragments_completed, 6);
-        assert_eq!(metrics.membership_epoch, 2, "{metrics:?}");
-        assert_eq!(metrics.rescale_joins, 1);
-        assert_eq!(metrics.rescale_drains, 1);
-        assert_eq!(metrics.rescale_handoffs, 1);
-        assert_eq!(metrics.rescale_escalations, 0);
-        assert_eq!(metrics.heal_events, 0, "a clean drain never heals");
-        assert!(
-            counts[2].load(Ordering::SeqCst) > 0,
-            "the joined host must process fragments after activation"
-        );
-        assert_eq!(spans.count_events("activated"), 1);
-        assert_eq!(spans.count_events("departed"), 1);
-        let counters = spans.counters();
-        assert_eq!(counters.get(counter::RESCALE_JOINS), 1);
-        assert_eq!(counters.get(counter::RESCALE_DRAINS), 1);
-        assert_eq!(counters.get(counter::RESCALE_HANDOFFS), 1);
-    }
-
     /// A rescale plan without a fault plan still runs the acked reliable
     /// transport under quiet dice, and a drain alone bumps one epoch.
     #[test]
@@ -1708,54 +1110,32 @@ mod tests {
     }
 
     #[test]
-    fn multiplexed_queries_complete_on_real_threads() {
-        let hosts = 3;
-        let queries = 3;
-        let cfg = RingConfig::paper(hosts)
-            .with_ack_timeout(SimDuration::from_millis(50))
-            .with_max_retransmits(6);
-        let tenants: Vec<(u32, Vec<Vec<Vec<u8>>>)> = (0..queries)
-            .map(|q| (q as u32, payloads(hosts, 2, 64)))
-            .collect();
-        let counts: Vec<AtomicUsize> = (0..hosts).map(|_| AtomicUsize::new(0)).collect();
-        let (metrics, spans) = RingDriver::new(&cfg)
-            .with_tracer(true)
-            .run_queries(tenants, 2, |h, _query, _: &Vec<u8>| {
-                counts[h.0].fetch_add(1, Ordering::SeqCst);
-            })
-            .unwrap();
-        assert_eq!(metrics.fragments_completed, queries * hosts * 2);
-        assert_eq!(metrics.queries.len(), queries);
-        for (q, m) in metrics.queries.iter().enumerate() {
-            assert_eq!(m.tenant, q as u32);
-            assert!(m.completed, "query {q}: {m:?}");
-            assert_eq!(m.fragments_completed, hosts * 2);
-        }
-        for c in &counts {
-            assert_eq!(c.load(Ordering::SeqCst), queries * hosts * 2);
-        }
-        let counters = spans.counters();
-        assert_eq!(counters.get(counter::QUERIES_ADMITTED), queries as u64);
-        assert_eq!(counters.get(counter::QUERIES_COMPLETED), queries as u64);
-    }
-
-    #[test]
     fn multiplexed_query_shapes_are_validated() {
         let cfg = RingConfig::paper(2);
         let bad_shape = vec![(0u32, payloads(3, 1, 8))];
         let err = RingDriver::new(&cfg)
-            .run_queries(bad_shape, 1, |_, _, _: &Vec<u8>| {})
+            .run_queries(bad_shape, 1, |_, _, _, _: &Vec<u8>| {}, |_, _| {})
             .unwrap_err();
         assert!(matches!(err, RingError::Shape { .. }));
 
         let err = RingDriver::new(&cfg)
-            .run_queries(Vec::<(u32, Vec<Vec<Vec<u8>>>)>::new(), 1, |_, _, _| {})
+            .run_queries(
+                Vec::<(u32, Vec<Vec<Vec<u8>>>)>::new(),
+                1,
+                |_, _, _, _| {},
+                |_, _| {},
+            )
             .unwrap_err();
         assert!(matches!(err, RingError::UnsupportedFault(_)));
 
         let single = RingConfig::paper(1);
         let err = RingDriver::new(&single)
-            .run_queries(vec![(0u32, payloads(1, 1, 8))], 1, |_, _, _: &Vec<u8>| {})
+            .run_queries(
+                vec![(0u32, payloads(1, 1, 8))],
+                1,
+                |_, _, _, _: &Vec<u8>| {},
+                |_, _| {},
+            )
             .unwrap_err();
         assert!(matches!(err, RingError::UnsupportedFault(_)));
     }

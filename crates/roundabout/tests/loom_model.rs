@@ -168,15 +168,12 @@ fn bounded_buffer_hand_off_is_exhaustively_correct() {
     });
 }
 
-/// The shape of the [`RingDriver`] hand-off (PR 4): a transmitter stamps
-/// monotone per-link sequence numbers — retransmitting one envelope, as
-/// the reliable driver does on an ack timeout — and the receiver dedups
-/// on its last-delivered sequence, exactly as the protocol core's
-/// `LinkSender::stamp` / `LinkReceiver::receive` pair. Every interleaving
-/// of the duplicate against the fresh envelope must deliver each fragment
-/// exactly once, in order.
-///
-/// [`RingDriver`]: data_roundabout::RingDriver
+/// The shape of an acked hop's hand-off: a transmitter stamps monotone
+/// per-link sequence numbers — retransmitting one envelope, as the
+/// protocol core does on an ack timeout — and the receiver dedups on its
+/// last-delivered sequence, as the core's transfer ledger does. Every
+/// interleaving of the duplicate against the fresh envelope must deliver
+/// each fragment exactly once, in order.
 #[test]
 fn driver_hand_off_dedups_retransmits_exactly_once() {
     loom::model(|| {
@@ -202,7 +199,7 @@ fn driver_hand_off_dedups_retransmits_exactly_once() {
                 q = arrived.wait(q).unwrap();
             }
             for (seq, payload) in q.drain(..) {
-                // LinkReceiver::receive: advance only on fresh sequences.
+                // The receive-side dedup: advance only on fresh sequences.
                 if seq == last_seq + 1 {
                     last_seq = seq;
                     delivered.push(payload);

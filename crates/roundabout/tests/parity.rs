@@ -201,7 +201,12 @@ fn multi_tenant_fault_plan_four_way_parity() {
     let wall_cfg = RingConfig::paper(hosts).with_ack_timeout(SimDuration::from_millis(150));
     let (threaded, _) = RingDriver::new(&wall_cfg)
         .with_fault_plan(&plan)
-        .run_queries(queries(64), max_active, |_, _, _: &Vec<u8>| {})
+        .run_queries(
+            queries(64),
+            max_active,
+            |_, _, _: &[usize], _: &Vec<u8>| {},
+            |_, _| {},
+        )
         .expect("reliable thread run should recover from loss and corruption");
 
     let (tcp, _) = TcpRingDriver::new(&wall_cfg)

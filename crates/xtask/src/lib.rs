@@ -30,10 +30,11 @@ pub const REGISTRY_PATH: &str = "crates/simnet/src/span.rs";
 /// - **L2 no-wall-clock-in-sim**: all of `simnet` plus the simulated
 ///   backend; virtual time only.
 /// - **L3 counter-registry**: the emitters of counters — the shared
-///   coordinator, the simulated backend, the thread backend's classic and
-///   reliable engines, and the threaded executor.
-/// - **L4 lock-ordering**: the threaded executor and backend, where the
-///   collector/tracer locks nest.
+///   coordinator, the simulated backend, the thread backend's classic
+///   ring, and the wall-clock executor.
+/// - **L4 lock-ordering**: the wall-clock executors (single-query and
+///   multi-tenant) and the thread backend, where the state-slot,
+///   collector and tracer locks nest.
 /// - **L5 sans-io-protocol**: the shared ring-protocol core, which must
 ///   never grow a socket, thread, channel or clock dependency.
 /// - **L6 output-match-exhaustive**: the two appliers — the wall-clock
@@ -72,6 +73,7 @@ pub fn policy_for(rel: &str) -> FilePolicy {
     }
     if rel == "crates/core/src/concurrent.rs"
         || rel == "crates/core/src/exec.rs"
+        || rel == "crates/core/src/multiplex.rs"
         || rel == "crates/roundabout/src/thread_backend.rs"
     {
         p.lock_ordering = true;
@@ -108,6 +110,7 @@ pub fn analyze_root(root: &Path) -> std::io::Result<Report> {
     for extra in [
         "crates/relation/src/wire.rs",
         "crates/core/src/exec.rs",
+        "crates/core/src/multiplex.rs",
         "crates/core/src/recovery.rs",
         "crates/core/src/concurrent.rs",
         "crates/core/src/sql.rs",
@@ -216,9 +219,10 @@ mod tests {
 
     #[test]
     fn policy_scopes_match_the_issue() {
-        // The thread backend keeps L3/L4 for its classic and reliable
-        // engines, but its coordinated engine is a `Medium` now: no
-        // output dispatch of its own, and none may come back.
+        // The thread backend keeps L3/L4 for its classic decentralised
+        // ring; everything that rolls dice runs on a `Medium` under the
+        // shared coordinator: no output dispatch of its own, and none may
+        // come back.
         let p = policy_for("crates/roundabout/src/thread_backend.rs");
         assert!(p.no_panic && p.counter_registry && p.lock_ordering && !p.no_wall_clock);
         assert!(!p.sans_io, "drivers are allowed to do IO");
@@ -276,6 +280,10 @@ mod tests {
         }
         let p = policy_for("crates/core/src/sql.rs");
         assert!(p.no_panic && !p.no_wall_clock && !p.counter_registry && !p.lock_ordering);
+        // Both wall-clock executors nest state-slot and collector locks.
+        assert!(policy_for("crates/core/src/exec.rs").lock_ordering);
+        let p = policy_for("crates/core/src/multiplex.rs");
+        assert!(p.lock_ordering && !p.no_panic && !p.counter_registry);
         let p = policy_for("crates/simnet/src/net.rs");
         assert!(!p.no_panic && p.no_wall_clock);
         // Out of scope entirely.

@@ -117,12 +117,16 @@ pub struct FilePolicy {
 /// receivers matching no class are ignored. Nested acquisition within the
 /// *same* class is always a violation (self-deadlock risk).
 ///
-/// Order in this repo: per-host `collector` locks (leaf work under
-/// `core::exec`) are taken *before* the shared span `tracer` lock — a
-/// thread holding the tracer must never wait on a collector, because
-/// collectors are held across whole join calls while the tracer is a
-/// short-critical-section sink every entity contends on.
+/// Order in this repo: a stationary role's state `slot` (held for a whole
+/// join so a takeover cannot swap the state mid-visit) comes first in both
+/// wall-clock executors (`core::exec`, `core::multiplex`); per-host
+/// `collector` locks (leaf work under the join) are taken under it and
+/// *before* the shared span `tracer` lock — a thread holding the tracer
+/// must never wait on a collector, because collectors are held across
+/// whole join calls while the tracer is a short-critical-section sink
+/// every entity contends on.
 pub const LOCK_ORDER: &[(&str, &[&str])] = &[
+    ("state-slot", &["slot"]),
     ("collector", &["collector"]),
     ("tracer", &["tracer", "spans"]),
 ];
@@ -922,6 +926,22 @@ fn g() {
         );
         assert_eq!(findings.len(), 2, "{findings:?}");
         assert!(findings[0].message.contains("lock order"));
+    }
+
+    #[test]
+    fn l4_state_slots_come_before_collectors() {
+        let policy = FilePolicy {
+            lock_ordering: true,
+            ..FilePolicy::default()
+        };
+        let findings = run(
+            "fn good() {\n    let g = slot.lock();\n    let c = shared_collector.lock();\n}\n\
+             fn bad() {\n    let c = shared_collector.lock();\n    let g = slot.lock();\n}\n",
+            &policy,
+            &[],
+        );
+        assert_eq!(findings.len(), 1, "{findings:?}");
+        assert!(findings[0].message.contains("state-slot"));
     }
 
     #[test]
