@@ -33,15 +33,15 @@
 //! # }
 //! ```
 
-use data_roundabout::{HostId, RingApp, RingConfig, RingMetrics, SimRing};
-use mem_joins::{
-    Algorithm, JoinCollector, JoinPredicate, OutputMode, PreparedFragment, StationaryState,
-};
+use data_roundabout::{RingConfig, RingMetrics};
+use mem_joins::{Algorithm, JoinCollector, JoinPredicate, OutputMode};
 use relation::{Checksum, Relation};
-use simnet::time::SimDuration;
 
 use crate::compute::ComputeMode;
-use crate::plan::PlanError;
+use crate::distribute::{Placement, RotateSide};
+use crate::exec::{Backend, Plans};
+use crate::plan::{backend_error, PlanError};
+use crate::session::Session;
 
 /// One query of a concurrent batch.
 #[derive(Debug, Clone)]
@@ -153,177 +153,50 @@ impl ConcurrentJoins {
                 });
             }
         }
-        let hosts = self.config.hosts;
-        let fragments: Vec<Vec<Relation>> = self
-            .rotating
-            .split_even(hosts)
-            .into_iter()
-            .map(|share| share.split_even(self.fragments_per_host))
-            .collect();
-
-        let queries: Vec<QueryState> = self
-            .queries
-            .iter()
+        // One rotation feeds every query: the hot set travels raw, as the
+        // first query's rotating side; the others bring only their
+        // stationary side.
+        let mut session = Session::new(self.config, self.compute).shared_rotation();
+        let (mut hot, nothing) = (Some(&self.rotating), Relation::new());
+        let mut rotation: Vec<_> = (self.queries.iter())
             .map(|q| {
-                let stationary_parts = q.stationary.split_even(hosts);
-                let bits = q.algorithm.ring_radix_bits(
-                    stationary_parts
-                        .iter()
-                        .map(Relation::len)
-                        .max()
-                        .unwrap_or(1),
+                let placement = Placement::with_standbys(
+                    hot.take().unwrap_or(&nothing),
+                    &q.stationary,
+                    self.config.hosts,
+                    self.fragments_per_host,
+                    RotateSide::R,
+                    0,
                 );
-                QueryState {
-                    algorithm: q.algorithm,
-                    predicate: q.predicate.clone(),
-                    bits,
-                    stationary_inputs: stationary_parts.into_iter().map(Some).collect(),
-                    states: (0..hosts).map(|_| None).collect(),
-                    collectors: (0..hosts)
-                        .map(|_| JoinCollector::new(self.output))
-                        .collect(),
-                }
+                session.admit(q.algorithm, &q.predicate, placement, self.output, false)
             })
             .collect();
-
-        let app = MultiQueryApp {
-            queries,
-            threads: self.config.join_threads,
-            compute: self.compute,
-        };
-        let outcome = SimRing::new(self.config, fragments, app).run();
-        let queries = outcome
-            .app
+        rotation.truncate(1);
+        let outcome = crate::exec::run(
+            session,
+            rotation,
+            None,
+            Backend::Simulated,
+            Plans::default(),
+            false,
+            None,
+        )
+        .map_err(backend_error)?;
+        let queries = self
             .queries
-            .into_iter()
-            .map(|q| {
-                let count = q.collectors.iter().map(JoinCollector::count).sum();
-                let checksum = q
-                    .collectors
-                    .iter()
-                    .map(JoinCollector::checksum)
-                    .fold(Checksum::new(), |acc, c| acc.combine(&c));
-                QueryOutcome {
-                    algorithm: q.algorithm.name(),
-                    count,
-                    checksum,
-                    collectors: q.collectors,
-                }
+            .iter()
+            .zip(outcome.results)
+            .map(|(q, result)| QueryOutcome {
+                algorithm: q.algorithm.name(),
+                count: result.count(),
+                checksum: result.checksum(),
+                collectors: result.into_partials(),
             })
             .collect();
         Ok(ConcurrentReport {
             ring: outcome.metrics,
             queries,
         })
-    }
-}
-
-/// Per-query execution state inside the shared rotation.
-struct QueryState {
-    algorithm: Algorithm,
-    predicate: JoinPredicate,
-    bits: u32,
-    stationary_inputs: Vec<Option<Relation>>,
-    states: Vec<Option<StationaryState>>,
-    collectors: Vec<JoinCollector>,
-}
-
-/// The [`RingApp`] running every query of the batch against each buffer.
-struct MultiQueryApp {
-    queries: Vec<QueryState>,
-    threads: usize,
-    compute: ComputeMode,
-}
-
-impl RingApp<Relation> for MultiQueryApp {
-    fn setup(&mut self, host: HostId) -> SimDuration {
-        let mut total = SimDuration::ZERO;
-        for q in &mut self.queries {
-            // `RingApp::setup` has no error channel: a repeated or
-            // out-of-range setup is a driver bug, surfaced by the
-            // debug_assert and absorbed as a no-op in release.
-            let Some(s) = q.stationary_inputs.get_mut(host.0).and_then(Option::take) else {
-                debug_assert!(false, "setup called twice for host {}", host.0);
-                continue;
-            };
-            let (state, d) = self
-                .compute
-                .setup_stationary(&q.algorithm, &s, q.bits, self.threads);
-            if let Some(slot) = q.states.get_mut(host.0) {
-                *slot = Some(state);
-            }
-            total += d;
-        }
-        total
-    }
-
-    fn process(
-        &mut self,
-        host: HostId,
-        _now: simnet::time::SimTime,
-        fragment: &Relation,
-    ) -> SimDuration {
-        let mut total = SimDuration::ZERO;
-        // Prepare each required format at most once per visit, shared by
-        // every query that needs it.
-        let mut sorted: Option<PreparedFragment> = None;
-        let mut partitioned: Vec<(u32, PreparedFragment)> = Vec::new();
-        let plain = PreparedFragment::Plain(fragment.clone());
-
-        for q in &mut self.queries {
-            let prepared: &PreparedFragment = match q.algorithm {
-                Algorithm::PartitionedHash(_) => {
-                    let idx = match partitioned.iter().position(|(b, _)| *b == q.bits) {
-                        Some(idx) => idx,
-                        None => {
-                            let (pf, d) = self.compute.prepare_fragment(
-                                &q.algorithm,
-                                fragment,
-                                q.bits,
-                                self.threads,
-                            );
-                            total += d;
-                            partitioned.push((q.bits, pf));
-                            partitioned.len() - 1
-                        }
-                    };
-                    partitioned.get(idx).map_or(&plain, |(_, pf)| pf)
-                }
-                Algorithm::SortMerge => {
-                    if sorted.is_none() {
-                        let (pf, d) = self.compute.prepare_fragment(
-                            &q.algorithm,
-                            fragment,
-                            q.bits,
-                            self.threads,
-                        );
-                        total += d;
-                        sorted = Some(pf);
-                    }
-                    sorted.as_ref().unwrap_or(&plain)
-                }
-                Algorithm::NestedLoops => &plain,
-            };
-            // Setup always precedes process on the ring; if a driver breaks
-            // that contract, skip the query rather than poison the run.
-            let Some(state) = q.states.get(host.0).and_then(Option::as_ref) else {
-                debug_assert!(false, "process before setup for host {}", host.0);
-                continue;
-            };
-            let Some(collector) = q.collectors.get_mut(host.0) else {
-                debug_assert!(false, "no collector for host {}", host.0);
-                continue;
-            };
-            total += self.compute.join(
-                &q.algorithm,
-                state,
-                prepared,
-                &q.predicate,
-                self.threads,
-                collector,
-            );
-        }
-        total
     }
 }
 
@@ -497,5 +370,29 @@ mod tests {
             report.queries[1].count,
             reference_join(&hot, &s2, &JoinPredicate::Equi).count
         );
+    }
+
+    /// A batch of one is a `CycloJoin` that rotates the hot set raw: the
+    /// same session on the same ring, so time, volume and result agree —
+    /// ring-buffer registration included.
+    #[test]
+    fn a_batch_of_one_is_a_raw_shipping_cyclo_join() {
+        let hot = GenSpec::uniform(4_000, 670).generate();
+        let s = GenSpec::uniform(2_000, 671).generate();
+        let batch = ConcurrentJoins::new(hot.clone())
+            .query(s.clone(), JoinPredicate::Equi)
+            .hosts(4)
+            .run()
+            .expect("batch should run");
+        let single = crate::plan::CycloJoin::new(hot, s)
+            .hosts(4)
+            .rotate(RotateSide::R)
+            .ship_prepared(false)
+            .run()
+            .expect("plan should run");
+        assert_eq!(batch.total_seconds(), single.total_seconds());
+        assert_eq!(batch.bytes_forwarded(), single.ring.total_bytes_forwarded());
+        assert_eq!(batch.queries[0].count, single.match_count());
+        assert_eq!(batch.queries[0].checksum, single.checksum());
     }
 }

@@ -244,7 +244,14 @@ impl RingApp<TaggedFragment> for CyclotronApp {
         SimDuration::ZERO
     }
 
-    fn process(&mut self, host: HostId, now: SimTime, fragment: &TaggedFragment) -> SimDuration {
+    fn process(
+        &mut self,
+        host: HostId,
+        _query: u32,
+        _roles: &[usize],
+        now: SimTime,
+        fragment: &TaggedFragment,
+    ) -> SimDuration {
         let mut total = SimDuration::ZERO;
         for q in &mut self.queries {
             if q.arrival.home != host || q.completed_at.is_some() {

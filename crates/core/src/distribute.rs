@@ -63,24 +63,7 @@ impl Placement {
         fragments_per_host: usize,
         rotate: RotateSide,
     ) -> Self {
-        assert!(hosts > 0, "placement needs at least one host");
-        assert!(
-            fragments_per_host > 0,
-            "placement needs at least one fragment per host"
-        );
-        let swapped = rotate.rotates_s(r.len(), s.len());
-        let (rotating_rel, stationary_rel) = if swapped { (s, r) } else { (r, s) };
-        let stationary = stationary_rel.split_even(hosts);
-        let rotating = rotating_rel
-            .split_even(hosts)
-            .into_iter()
-            .map(|host_share| host_share.split_even(fragments_per_host))
-            .collect();
-        Placement {
-            stationary,
-            rotating,
-            swapped,
-        }
+        Placement::with_standbys(r, s, hosts, fragments_per_host, rotate, 0)
     }
 
     /// Like [`Placement::new`], but the hosts whose bits are set in

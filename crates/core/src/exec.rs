@@ -1,261 +1,94 @@
-//! Execution: wiring cyclo-join onto the Data Roundabout backends.
+//! Execution: wiring a [`Session`] onto the Data Roundabout backends.
 //!
-//! The simulated path implements [`RingApp`] so the DES backend drives
-//! setup and per-fragment joins in virtual time; the wall-clock path runs
-//! the same joins, keyed by stationary role, on the three live drivers
-//! (threads, blocking tcp, reactor).
+//! One [`run`] serves every front-end (`CycloJoin`, `MultiTenantJoin`,
+//! `ConcurrentJoins`) on all four backends. The simulated backend drives
+//! the session through the [`RingApp`] adapter in virtual time; the three
+//! wall-clock engines (threads, blocking tcp, reactor) call the same
+//! session methods from their join workers.
 
 use data_roundabout::{
     BlockingEngine, ChannelEngine, FaultPlan, HostId, ReactorEngine, RegisteredPool, RescalePlan,
     RingApp, RingConfig, RingError, RingMetrics, SimRing, WallClockDriver, WallClockEngine,
 };
-use mem_joins::{
-    Algorithm, JoinCollector, JoinPredicate, OutputMode, PreparedFragment, StationaryState,
-};
-use relation::Relation;
+use mem_joins::PreparedFragment;
 use simnet::span::{SpanKind, SpanTracer};
 use simnet::time::{SimDuration, SimTime};
 use simnet::trace::Tracer;
 use simnet::transport::TransportModel;
 
-// The shim resolves to `std::sync::Mutex` in normal builds and to the
-// model checker's instrumented mutex under `--cfg loom`, so the threaded
-// execution path stays model-checkable end to end.
-use data_roundabout::sync::Mutex;
-
 use crate::compute::ComputeMode;
-use crate::distribute::Placement;
 use crate::result::DistributedResult;
+use crate::session::Session;
+
+/// Where a session runs: the virtual-time simulator, or one of the three
+/// engines of the wall-clock driver (in-process channels, the blocking
+/// thread-per-endpoint socket engine, the single-threaded reactor).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Backend {
+    Simulated,
+    Threads,
+    Blocking,
+    Reactor,
+}
+
+impl Backend {
+    /// How compute is priced here: the builder's choice in virtual time,
+    /// the measured wall clock everywhere else.
+    pub(crate) fn compute(self, configured: ComputeMode) -> ComputeMode {
+        match self {
+            Backend::Simulated => configured,
+            _ => ComputeMode::Measured,
+        }
+    }
+}
+
+/// The optional fault and rescale schedules of a run.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Plans<'a> {
+    pub fault: Option<&'a FaultPlan>,
+    pub rescale: Option<&'a RescalePlan>,
+}
+
+impl<'a> Plans<'a> {
+    /// The schedules a builder holds.
+    pub(crate) fn of(fault: &'a Option<FaultPlan>, rescale: &'a Option<RescalePlan>) -> Self {
+        Plans {
+            fault: fault.as_ref(),
+            rescale: rescale.as_ref(),
+        }
+    }
+
+    /// Hosts a rescale plan will activate later start as standbys: no
+    /// stationary partition, no locally originating fragments.
+    pub(crate) fn standby_mask(&self) -> u64 {
+        self.rescale.map_or(0, RescalePlan::standby_mask)
+    }
+}
+
+/// One query's rotating fragments, per origin host.
+pub(crate) type Rotating = Vec<Vec<PreparedFragment>>;
 
 /// Everything a backend run produces.
 #[derive(Debug)]
-pub(crate) struct ExecOutcome {
+pub(crate) struct Outcome {
     pub metrics: RingMetrics,
-    pub result: DistributedResult,
+    /// The distributed result of every session query, in admission order.
+    pub results: Vec<DistributedResult>,
     pub trace: Tracer,
     pub spans: SpanTracer,
 }
 
-/// Mirrors a predicate for swapped-side execution: `p'(a, b) = p(b, a)`.
-/// Equi and band predicates are symmetric; theta predicates flip their
-/// arguments.
-pub(crate) fn mirror_predicate(p: &JoinPredicate) -> JoinPredicate {
-    match p {
-        JoinPredicate::Equi => JoinPredicate::Equi,
-        JoinPredicate::Band { delta } => JoinPredicate::Band { delta: *delta },
-        JoinPredicate::Theta(f) => {
-            let f = f.clone();
-            JoinPredicate::theta(move |a, b| f(b, a))
-        }
-    }
-}
-
-/// The [`RingApp`] that turns Data Roundabout into cyclo-join.
-struct CycloApp {
-    algorithm: Algorithm,
-    predicate: JoinPredicate,
-    threads: usize,
-    compute: ComputeMode,
-    radix_bits: u32,
-    /// False in the §IV-D ablation mode: fragments rotate in raw form and
-    /// every host re-prepares (re-partitions / re-sorts) each one at
-    /// encounter time instead of reusing the origin host's preparation.
-    ship_prepared: bool,
-    /// Stationary input per host, consumed by `setup`.
-    stationary_inputs: Vec<Option<Relation>>,
-    /// Raw stationary partitions, retained only under fault injection so a
-    /// ring survivor can rebuild a dead host's state ([`RingApp::absorb`]).
-    stationary_raw: Vec<Relation>,
-    /// Extra setup-phase cost per host: local fragment preparation plus
-    /// ring-buffer registration.
-    setup_extra: Vec<SimDuration>,
-    /// Stationary state per *logical role* (role `i` = the partition `S_i`
-    /// originally placed on host `i`). Under ring healing a role's state
-    /// may be rebuilt on a surviving host; the index keeps meaning the
-    /// role, not the machine.
-    states: Vec<Option<StationaryState>>,
-    collectors: Vec<JoinCollector>,
-}
-
-impl RingApp<PreparedFragment> for CycloApp {
-    fn setup(&mut self, host: HostId) -> SimDuration {
-        // `RingApp` methods have no error channel: contract violations are
-        // surfaced by debug_asserts and absorbed as no-ops in release.
-        let Some(s) = self
-            .stationary_inputs
-            .get_mut(host.0)
-            .and_then(Option::take)
-        else {
-            debug_assert!(false, "setup called twice for host {}", host.0);
-            return SimDuration::ZERO;
-        };
-        let (state, build) =
-            self.compute
-                .setup_stationary(&self.algorithm, &s, self.radix_bits, self.threads);
-        if let Some(slot) = self.states.get_mut(host.0) {
-            *slot = Some(state);
-        }
-        build
-            + self
-                .setup_extra
-                .get(host.0)
-                .copied()
-                .unwrap_or(SimDuration::ZERO)
-    }
-
-    fn process(
-        &mut self,
-        host: HostId,
-        _now: simnet::time::SimTime,
-        fragment: &PreparedFragment,
-    ) -> SimDuration {
-        let Some(state) = self.states.get(host.0).and_then(Option::as_ref) else {
-            debug_assert!(false, "process before setup completed on host {}", host.0);
-            return SimDuration::ZERO;
-        };
-        let Some(collector) = self.collectors.get_mut(host.0) else {
-            debug_assert!(false, "no collector for host {}", host.0);
-            return SimDuration::ZERO;
-        };
-        if !self.ship_prepared {
-            // Raw shipping: the paper's §IV-D counterfactual. The fragment
-            // arrives unorganized and must be partitioned/sorted here,
-            // once per encounter, before the join phase proper.
-            if let PreparedFragment::Plain(rel) = fragment {
-                let (prepared, d_prep) = self.compute.prepare_fragment(
-                    &self.algorithm,
-                    rel,
-                    self.radix_bits,
-                    self.threads,
-                );
-                let d_join = self.compute.join(
-                    &self.algorithm,
-                    state,
-                    &prepared,
-                    &self.predicate,
-                    self.threads,
-                    collector,
-                );
-                return d_prep + d_join;
-            }
-        }
-        self.compute.join(
-            &self.algorithm,
-            state,
-            fragment,
-            &self.predicate,
-            self.threads,
-            collector,
-        )
-    }
-
-    fn process_roles(
-        &mut self,
-        host: HostId,
-        roles: &[usize],
-        _now: simnet::time::SimTime,
-        fragment: &PreparedFragment,
-    ) -> SimDuration {
-        let mut total = SimDuration::ZERO;
-        // Raw shipping (§IV-D ablation): reorganize once per encounter,
-        // shared by however many roles this host serves.
-        let mut reprepared = None;
-        if !self.ship_prepared {
-            if let PreparedFragment::Plain(rel) = fragment {
-                let (prepared, d_prep) = self.compute.prepare_fragment(
-                    &self.algorithm,
-                    rel,
-                    self.radix_bits,
-                    self.threads,
-                );
-                total += d_prep;
-                reprepared = Some(prepared);
-            }
-        }
-        let frag = reprepared.as_ref().unwrap_or(fragment);
-        let Some(collector) = self.collectors.get_mut(host.0) else {
-            debug_assert!(false, "no collector for host {}", host.0);
-            return total;
-        };
-        for &role in roles {
-            let Some(state) = self.states.get(role).and_then(Option::as_ref) else {
-                debug_assert!(
-                    false,
-                    "join against role {role} whose stationary state is absent"
-                );
-                continue;
-            };
-            total += self.compute.join(
-                &self.algorithm,
-                state,
-                frag,
-                &self.predicate,
-                self.threads,
-                collector,
-            );
-        }
-        total
-    }
-
-    fn absorb(&mut self, _survivor: HostId, failed: HostId) -> SimDuration {
-        // Ring healing: rebuild the orphaned role's stationary state on the
-        // survivor, priced like the original setup of that share. A missing
-        // share means the raw partitions were not retained (a driver bug —
-        // they are kept whenever a fault plan exists); the role's state then
-        // stays absent and the result checksum verification downstream
-        // reports the loss.
-        let Ok(share) = crate::recovery::takeover(&self.stationary_raw, failed.0) else {
-            debug_assert!(
-                false,
-                "ring healing needs the raw stationary partitions of a multi-host ring"
-            );
-            return SimDuration::ZERO;
-        };
-        let (state, d) =
-            self.compute
-                .setup_stationary(&self.algorithm, &share, self.radix_bits, self.threads);
-        if let Some(slot) = self.states.get_mut(failed.0) {
-            *slot = Some(state);
-        }
-        d
-    }
-}
-
-/// Prepares all rotating fragments, returning them with per-host prep
-/// time. With `ship_prepared == false` (the §IV-D ablation) fragments are
-/// left raw — preparation then happens per encounter during the join
-/// phase instead of once at the origin.
-fn prepare_all(
-    algorithm: &Algorithm,
-    compute: &ComputeMode,
-    placement: &Placement,
-    radix_bits: u32,
-    threads: usize,
-    ship_prepared: bool,
-) -> (Vec<Vec<PreparedFragment>>, Vec<SimDuration>) {
-    let mut fragments = Vec::with_capacity(placement.rotating.len());
-    let mut prep = Vec::with_capacity(placement.rotating.len());
-    for host_frags in &placement.rotating {
-        let mut prepared = Vec::with_capacity(host_frags.len());
-        let mut host_prep = SimDuration::ZERO;
-        for frag in host_frags {
-            if ship_prepared {
-                let (pf, d) = compute.prepare_fragment(algorithm, frag, radix_bits, threads);
-                host_prep += d;
-                prepared.push(pf);
-            } else {
-                prepared.push(PreparedFragment::Plain(frag.clone()));
-            }
-        }
-        fragments.push(prepared);
-        prep.push(host_prep);
-    }
-    (fragments, prep)
-}
-
 /// One-time registration cost of each host's ring-buffer pool (RDMA only:
-/// kernel TCP needs no pinned memory, §III-C).
-pub(crate) fn registration_cost(config: &RingConfig, element_bytes: u64) -> SimDuration {
+/// kernel TCP needs no pinned memory, §III-C), sized for the largest
+/// rotation unit.
+fn registration_cost(config: &RingConfig, rotation: &[Rotating]) -> SimDuration {
+    let element_bytes = rotation
+        .iter()
+        .flatten()
+        .flatten()
+        .map(PreparedFragment::byte_volume)
+        .max()
+        .unwrap_or(0);
     match config.transport {
         TransportModel::Rdma(rnic) => {
             RegisteredPool::new(config.buffers_per_host, element_bytes.max(1))
@@ -265,230 +98,159 @@ pub(crate) fn registration_cost(config: &RingConfig, element_bytes: u64) -> SimD
     }
 }
 
-/// Runs cyclo-join on the simulated (virtual-time) backend.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn execute_simulated(
-    config: &RingConfig,
-    algorithm: Algorithm,
-    predicate: &JoinPredicate,
-    compute: &ComputeMode,
-    output: OutputMode,
-    placement: Placement,
-    ship_prepared: bool,
-    host_speeds: Option<Vec<f64>>,
-    fault_plan: Option<FaultPlan>,
-    rescale_plan: Option<RescalePlan>,
+/// Numbers the rotations as wire queries (each its own tenant).
+fn numbered(rotation: Vec<Rotating>) -> Vec<(u32, Rotating)> {
+    rotation
+        .into_iter()
+        .enumerate()
+        .map(|(q, fragments)| (q as u32, fragments))
+        .collect()
+}
+
+/// Runs `session` on `backend`, circulating `rotation` (one entry per wire
+/// query). `admission == None` is one revolution of the one rotation — a
+/// single query, or a shared rotation feeding several — and, unplanned,
+/// keeps the classic unacknowledged transport; `Some(max_active)`
+/// multiplexes the rotations as independent queries, at most `max_active`
+/// circulating at once. The path is role-aware on every backend, so a
+/// seeded crash heals mid-revolution and a planned drain hands its role
+/// off. `host_speeds` applies in virtual time only.
+///
+/// # Errors
+///
+/// The wall-clock driver's [`RingError`]; the simulated backend has none.
+pub(crate) fn run(
+    session: Session,
+    rotation: Vec<Rotating>,
+    admission: Option<usize>,
+    backend: Backend,
+    plans: Plans<'_>,
     trace: bool,
-) -> ExecOutcome {
-    let hosts = config.hosts;
-    let predicate = if placement.swapped {
-        mirror_predicate(predicate)
-    } else {
-        predicate.clone()
-    };
-    let radix_bits = algorithm.ring_radix_bits(placement.max_stationary_tuples().max(1));
-    let (fragments, mut setup_extra) = prepare_all(
-        &algorithm,
-        compute,
-        &placement,
-        radix_bits,
-        config.join_threads,
-        ship_prepared,
-    );
-    let reg = registration_cost(config, placement.max_fragment_bytes());
-    for extra in &mut setup_extra {
-        *extra += reg;
-    }
-    let collector_template = {
-        let c = JoinCollector::new(output);
-        if placement.swapped {
-            c.with_swapped_sides()
-        } else {
-            c
+    host_speeds: Option<&[f64]>,
+) -> Result<Outcome, RingError> {
+    match backend {
+        Backend::Simulated => Ok(simulated(
+            session,
+            rotation,
+            admission,
+            plans,
+            trace,
+            host_speeds,
+        )),
+        Backend::Threads => wall_clock::<ChannelEngine>(session, rotation, admission, plans, trace),
+        Backend::Blocking => {
+            wall_clock::<BlockingEngine>(session, rotation, admission, plans, trace)
         }
+        Backend::Reactor => wall_clock::<ReactorEngine>(session, rotation, admission, plans, trace),
+    }
+}
+
+/// The [`RingApp`] that turns Data Roundabout into cyclo-join: the session
+/// plus the one setup charge only the simulated transport has.
+struct SessionApp {
+    session: Session,
+    registration: SimDuration,
+}
+
+impl RingApp<PreparedFragment> for SessionApp {
+    fn setup(&mut self, host: HostId) -> SimDuration {
+        self.session.setup(host) + self.registration
+    }
+
+    fn process(
+        &mut self,
+        host: HostId,
+        query: u32,
+        roles: &[usize],
+        _now: SimTime,
+        fragment: &PreparedFragment,
+    ) -> SimDuration {
+        self.session.visit(host, query, roles, fragment)
+    }
+
+    fn absorb(&mut self, _survivor: HostId, failed: HostId) -> SimDuration {
+        self.session.absorb(failed.0)
+    }
+}
+
+fn simulated(
+    session: Session,
+    mut rotation: Vec<Rotating>,
+    admission: Option<usize>,
+    plans: Plans<'_>,
+    trace: bool,
+    host_speeds: Option<&[f64]>,
+) -> Outcome {
+    let config = session.config;
+    let app = SessionApp {
+        registration: registration_cost(&config, &rotation),
+        session,
     };
-    // Keep raw partitions when faults can kill hosts or a rescale can
-    // hand roles off: they are the source a takeover rebuilds an orphaned
-    // or handed-off role's state from.
-    let stationary_raw = if fault_plan.is_some() || rescale_plan.is_some() {
-        placement.stationary.clone()
-    } else {
-        Vec::new()
-    };
-    let app = CycloApp {
-        algorithm,
-        predicate,
-        threads: config.join_threads,
-        compute: *compute,
-        radix_bits,
-        ship_prepared,
-        stationary_inputs: placement.stationary.into_iter().map(Some).collect(),
-        stationary_raw,
-        setup_extra,
-        states: (0..hosts).map(|_| None).collect(),
-        collectors: (0..hosts).map(|_| collector_template.child()).collect(),
-    };
-    let mut ring = SimRing::new(*config, fragments, app).with_trace(trace);
+    let mut ring = match admission {
+        None => SimRing::new(config, rotation.pop().unwrap_or_default(), app),
+        Some(max_active) => SimRing::new_queries(config, numbered(rotation), max_active, app),
+    }
+    .with_trace(trace);
     if let Some(speeds) = host_speeds {
-        ring = ring.with_host_speeds(speeds);
+        ring = ring.with_host_speeds(speeds.to_vec());
     }
-    if let Some(plan) = fault_plan {
-        ring = ring.with_fault_plan(plan);
+    if let Some(plan) = plans.fault {
+        ring = ring.with_fault_plan(plan.clone());
     }
-    if let Some(plan) = rescale_plan {
-        ring = ring.with_rescale_plan(plan);
+    if let Some(plan) = plans.rescale {
+        ring = ring.with_rescale_plan(plan.clone());
     }
     let outcome = ring.run();
-    ExecOutcome {
+    Outcome {
         metrics: outcome.metrics,
-        result: DistributedResult::new(outcome.app.collectors),
+        results: outcome.app.session.finish(),
         trace: outcome.trace,
         spans: outcome.spans,
     }
 }
 
-/// Which engine drives a wall-clock run: in-process channels, the blocking
-/// thread-per-endpoint socket engine, or the single-threaded event-loop
-/// reactor. All three are the same [`WallClockDriver`] rolling identical
-/// dice, so everything around the run call is shared by
-/// [`execute_wall_clock`] and the multi-tenant path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum WallClockBackend {
-    Threads,
-    Blocking,
-    Reactor,
-}
-
-/// The wall-clock driver on engine `E` with the optional plans attached —
-/// all a [`WallClockBackend`] arm has to spell out besides the run call.
-pub(crate) fn wall_clock_driver<'a, E: WallClockEngine>(
-    config: &'a RingConfig,
-    fault_plan: Option<&'a FaultPlan>,
-    rescale_plan: Option<&'a RescalePlan>,
+/// The wall-clock run on engine `E`. Setup runs (and is timed) before the
+/// rotation; the per-host setup time is stitched into the returned
+/// metrics, and — when `trace` is set — per-host `Setup` spans are
+/// stitched ahead of the ring's spans on one common timeline.
+fn wall_clock<E: WallClockEngine>(
+    session: Session,
+    mut rotation: Vec<Rotating>,
+    admission: Option<usize>,
+    plans: Plans<'_>,
     trace: bool,
-) -> WallClockDriver<'a, E> {
-    let mut driver = WallClockDriver::new(config).with_tracer(trace);
-    if let Some(plan) = fault_plan {
+) -> Result<Outcome, RingError> {
+    let config = session.config;
+    let setup_times: Vec<SimDuration> = (0..config.hosts)
+        .map(|h| session.setup(HostId(h)))
+        .collect();
+    let mut driver = WallClockDriver::<E>::new(&config).with_tracer(trace);
+    if let Some(plan) = plans.fault {
         driver = driver.with_fault_plan(plan);
     }
-    if let Some(plan) = rescale_plan {
+    if let Some(plan) = plans.rescale {
         driver = driver.with_rescale_plan(plan);
     }
-    driver
-}
-
-/// Runs cyclo-join on a wall-clock driver. Setup runs (and is timed)
-/// before the rotation; the reported per-host setup time is stitched into
-/// the returned metrics, and — when `trace` is set — per-host `Setup`
-/// spans are stitched ahead of the ring's spans on one common timeline.
-/// The path is role-aware, so a seeded crash heals mid-revolution and a
-/// planned drain hands its role off (the new owner rebuilds the stationary
-/// state from the retained raw partitions, exactly as the simulated path
-/// prices it). `backend` picks the engine; nothing else differs.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn execute_wall_clock(
-    config: &RingConfig,
-    algorithm: Algorithm,
-    predicate: &JoinPredicate,
-    output: OutputMode,
-    placement: Placement,
-    fault_plan: Option<&FaultPlan>,
-    rescale_plan: Option<&RescalePlan>,
-    trace: bool,
-    backend: WallClockBackend,
-) -> Result<ExecOutcome, RingError> {
-    let predicate = if placement.swapped {
-        mirror_predicate(predicate)
-    } else {
-        predicate.clone()
-    };
-    let radix_bits = algorithm.ring_radix_bits(placement.max_stationary_tuples().max(1));
-    let threads = config.join_threads;
-    let compute = ComputeMode::Measured;
-    let (fragments, prep) =
-        prepare_all(&algorithm, &compute, &placement, radix_bits, threads, true);
-
-    // One slot per *logical role*; ring healing replaces a dead role's
-    // state with the survivor's rebuild, so the slots need a lock. Lock
-    // order: a role's slot before the host's collector.
-    let mut states: Vec<Mutex<Option<StationaryState>>> = Vec::with_capacity(config.hosts);
-    let mut setup_times = Vec::with_capacity(config.hosts);
-    for (s, p) in placement.stationary.iter().zip(&prep) {
-        let (state, d) = compute.setup_stationary(&algorithm, s, radix_bits, threads);
-        states.push(Mutex::new(Some(state)));
-        setup_times.push(d + *p);
-    }
-    // Raw partitions are the source a takeover rebuilds an orphaned or
-    // handed-off role's state from; faults and rescales both reach it.
-    let stationary_raw = if fault_plan.is_some() || rescale_plan.is_some() {
-        placement.stationary.clone()
-    } else {
-        Vec::new()
-    };
-    let collectors: Vec<Mutex<JoinCollector>> = (0..config.hosts)
-        .map(|_| {
-            let c = JoinCollector::new(output);
-            Mutex::new(if placement.swapped {
-                c.with_swapped_sides()
-            } else {
-                c
-            })
-        })
-        .collect();
-
-    let join_visit = |host: HostId, roles: &[usize], frag: &PreparedFragment| {
-        let Some(shared_collector) = collectors.get(host.0) else {
-            debug_assert!(false, "join visit for unknown host {}", host.0);
-            return;
-        };
-        for &role in roles {
-            let Some(slot) = states.get(role) else {
-                debug_assert!(false, "join against unknown role {role}");
-                continue;
-            };
-            let guard = slot.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
-            let Some(state) = guard.as_ref() else {
-                debug_assert!(false, "join against role {role} whose state is absent");
-                continue;
-            };
-            // A join that panicked on this host poisons the collector;
-            // recover the inner value so concurrent joins keep collecting
-            // while the ring tears down with a typed error instead of a
-            // panic storm.
-            let mut collector = shared_collector
-                .lock()
-                .unwrap_or_else(|poisoned| poisoned.into_inner());
-            algorithm.join(state, frag, &predicate, threads, &mut collector);
-        }
-    };
     let absorb = |_survivor: HostId, role: usize| {
-        let Ok(share) = crate::recovery::takeover(&stationary_raw, role) else {
-            debug_assert!(
-                false,
-                "ring healing needs the raw stationary partitions of a multi-host ring"
-            );
-            return;
-        };
-        let (state, _) = compute.setup_stationary(&algorithm, &share, radix_bits, threads);
-        if let Some(slot) = states.get(role) {
-            *slot.lock().unwrap_or_else(|poisoned| poisoned.into_inner()) = Some(state);
-        }
+        session.absorb(role);
     };
-
-    let (mut metrics, mut ring_spans) = match backend {
-        WallClockBackend::Threads => {
-            wall_clock_driver::<ChannelEngine>(config, fault_plan, rescale_plan, trace)
-                .run_with_roles(fragments, join_visit, absorb)?
-        }
-        WallClockBackend::Blocking => {
-            wall_clock_driver::<BlockingEngine>(config, fault_plan, rescale_plan, trace)
-                .run_with_roles(fragments, join_visit, absorb)?
-        }
-        WallClockBackend::Reactor => {
-            wall_clock_driver::<ReactorEngine>(config, fault_plan, rescale_plan, trace)
-                .run_with_roles(fragments, join_visit, absorb)?
-        }
-    };
+    let (mut metrics, mut ring_spans) = match admission {
+        None => driver.run_with_roles(
+            rotation.pop().unwrap_or_default(),
+            |host, roles: &[usize], fragment: &PreparedFragment| {
+                session.visit(host, 0, roles, fragment);
+            },
+            absorb,
+        ),
+        Some(max_active) => driver.run_queries(
+            numbered(rotation),
+            max_active,
+            |host, query, roles: &[usize], fragment: &PreparedFragment| {
+                session.visit(host, query, roles, fragment);
+            },
+            absorb,
+        ),
+    }?;
     let mut spans = if trace {
         SpanTracer::enabled()
     } else {
@@ -509,16 +271,9 @@ pub(crate) fn execute_wall_clock(
         spans.span(h, SpanKind::Setup, "setup", SimTime::ZERO, d);
     }
     spans.merge(ring_spans);
-    let partials = collectors
-        .into_iter()
-        .map(|m| {
-            m.into_inner()
-                .unwrap_or_else(|poisoned| poisoned.into_inner())
-        })
-        .collect();
-    Ok(ExecOutcome {
+    Ok(Outcome {
         metrics,
-        result: DistributedResult::new(partials),
+        results: session.finish(),
         trace: Tracer::disabled(),
         spans,
     })
@@ -527,27 +282,79 @@ pub(crate) fn execute_wall_clock(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::distribute::RotateSide;
-    use relation::GenSpec;
+    use crate::distribute::{Placement, RotateSide};
+    use mem_joins::{Algorithm, JoinPredicate, OutputMode};
+    use relation::{GenSpec, Relation};
 
-    fn exec_sim(hosts: usize, swap: RotateSide) -> ExecOutcome {
-        let r = GenSpec::uniform(3_000, 10).generate();
-        let s = GenSpec::uniform(2_000, 11).generate();
-        let config = RingConfig::paper(hosts);
-        let placement = Placement::new(&r, &s, hosts, 2, swap);
-        execute_simulated(
-            &config,
+    /// One query on `config`'s ring, two fragments per host, prepared at
+    /// the origin, no plans.
+    #[allow(clippy::too_many_arguments)]
+    fn exec(
+        config: &RingConfig,
+        r: &Relation,
+        s: &Relation,
+        algorithm: Algorithm,
+        predicate: &JoinPredicate,
+        swap: RotateSide,
+        backend: Backend,
+        trace: bool,
+    ) -> Result<(Outcome, DistributedResult), RingError> {
+        let mut session = Session::new(*config, backend.compute(ComputeMode::modeled()));
+        let rotation = session.admit(
+            algorithm,
+            predicate,
+            Placement::new(r, s, config.hosts, 2, swap),
+            OutputMode::Aggregate,
+            true,
+        );
+        let mut out = run(
+            session,
+            vec![rotation],
+            None,
+            backend,
+            Plans::default(),
+            trace,
+            None,
+        )?;
+        let result = out.results.pop().expect("one query");
+        Ok((out, result))
+    }
+
+    fn exec_hash(
+        config: &RingConfig,
+        r: &Relation,
+        s: &Relation,
+        backend: Backend,
+        trace: bool,
+    ) -> (Outcome, DistributedResult) {
+        exec(
+            config,
+            r,
+            s,
             Algorithm::partitioned_hash(),
             &JoinPredicate::Equi,
-            &ComputeMode::modeled(),
-            OutputMode::Aggregate,
-            placement,
-            true,
-            None,
-            None,
-            None,
+            RotateSide::R,
+            backend,
+            trace,
+        )
+        .expect("run")
+    }
+
+    fn exec_sim(hosts: usize, swap: RotateSide) -> DistributedResult {
+        let r = GenSpec::uniform(3_000, 10).generate();
+        let s = GenSpec::uniform(2_000, 11).generate();
+        exec(
+            &RingConfig::paper(hosts),
+            &r,
+            &s,
+            Algorithm::partitioned_hash(),
+            &JoinPredicate::Equi,
+            swap,
+            Backend::Simulated,
             false,
         )
+        .expect("simulated run")
+        .1
     }
 
     #[test]
@@ -556,9 +363,9 @@ mod tests {
         let s = GenSpec::uniform(2_000, 11).generate();
         let reference = crate::verify::reference_join(&r, &s, &JoinPredicate::Equi);
         for hosts in [1, 2, 4] {
-            let out = exec_sim(hosts, RotateSide::R);
-            assert_eq!(out.result.count(), reference.count, "hosts={hosts}");
-            assert_eq!(out.result.checksum(), reference.checksum, "hosts={hosts}");
+            let result = exec_sim(hosts, RotateSide::R);
+            assert_eq!(result.count(), reference.count, "hosts={hosts}");
+            assert_eq!(result.checksum(), reference.checksum, "hosts={hosts}");
         }
     }
 
@@ -566,23 +373,8 @@ mod tests {
     fn swapped_rotation_matches_unswapped() {
         let a = exec_sim(3, RotateSide::R);
         let b = exec_sim(3, RotateSide::S);
-        assert_eq!(a.result.count(), b.result.count());
-        assert_eq!(a.result.checksum(), b.result.checksum());
-    }
-
-    #[test]
-    fn mirror_predicate_flips_theta() {
-        let p = JoinPredicate::theta(|a, b| a < b);
-        let m = mirror_predicate(&p);
-        assert!(p.matches(1, 2));
-        assert!(!m.matches(1, 2));
-        assert!(m.matches(2, 1));
-        // Symmetric predicates mirror to themselves.
-        assert!(mirror_predicate(&JoinPredicate::Equi).is_equi());
-        assert_eq!(
-            mirror_predicate(&JoinPredicate::band(3)).band_delta(),
-            Some(3)
-        );
+        assert_eq!(a.count(), b.count());
+        assert_eq!(a.checksum(), b.checksum());
     }
 
     #[test]
@@ -591,21 +383,9 @@ mod tests {
         let s = GenSpec::uniform(2_000, 21).generate();
         let reference = crate::verify::reference_join(&r, &s, &JoinPredicate::Equi);
         let config = RingConfig::paper(3).with_join_threads(1);
-        let placement = Placement::new(&r, &s, 3, 2, RotateSide::R);
-        let out = execute_wall_clock(
-            &config,
-            Algorithm::partitioned_hash(),
-            &JoinPredicate::Equi,
-            OutputMode::Aggregate,
-            placement,
-            None,
-            None,
-            false,
-            WallClockBackend::Threads,
-        )
-        .expect("threaded run");
-        assert_eq!(out.result.count(), reference.count);
-        assert_eq!(out.result.checksum(), reference.checksum);
+        let (out, result) = exec_hash(&config, &r, &s, Backend::Threads, false);
+        assert_eq!(result.count(), reference.count);
+        assert_eq!(result.checksum(), reference.checksum);
         assert!(out
             .metrics
             .hosts
@@ -624,18 +404,16 @@ mod tests {
         let r = GenSpec::uniform(2_000, 40).generate();
         let s = GenSpec::uniform(2_000, 41).generate();
         let config = RingConfig::paper(3).with_join_threads(1);
-        let placement = Placement::new(&r, &s, 3, 2, RotateSide::R);
         let panicky = JoinPredicate::theta(|_, _| panic!("injected predicate failure"));
-        let err = execute_wall_clock(
+        let err = exec(
             &config,
+            &r,
+            &s,
             Algorithm::NestedLoops,
             &panicky,
-            OutputMode::Aggregate,
-            placement,
-            None,
-            None,
+            RotateSide::R,
+            Backend::Threads,
             false,
-            WallClockBackend::Threads,
         )
         .expect_err("a panicking predicate must fail the run");
         assert!(
@@ -650,19 +428,7 @@ mod tests {
         let r = GenSpec::uniform(2_000, 50).generate();
         let s = GenSpec::uniform(2_000, 51).generate();
         let config = RingConfig::paper(3).with_join_threads(1);
-        let placement = Placement::new(&r, &s, 3, 2, RotateSide::R);
-        let out = execute_wall_clock(
-            &config,
-            Algorithm::partitioned_hash(),
-            &JoinPredicate::Equi,
-            OutputMode::Aggregate,
-            placement,
-            None,
-            None,
-            true,
-            WallClockBackend::Threads,
-        )
-        .expect("threaded run");
+        let (out, _) = exec_hash(&config, &r, &s, Backend::Threads, true);
         assert!(out.spans.is_enabled());
         for (h, m) in out.metrics.hosts.iter().enumerate() {
             assert_eq!(
@@ -699,36 +465,12 @@ mod tests {
     fn tcp_execution_matches_simulated() {
         let r = GenSpec::uniform(2_000, 60).generate();
         let s = GenSpec::uniform(2_000, 61).generate();
-        let hosts = 3;
-        let config = RingConfig::paper(hosts).with_join_threads(1);
-        let sim = execute_simulated(
-            &config,
-            Algorithm::partitioned_hash(),
-            &JoinPredicate::Equi,
-            &ComputeMode::modeled(),
-            OutputMode::Aggregate,
-            Placement::new(&r, &s, hosts, 2, RotateSide::R),
-            true,
-            None,
-            None,
-            None,
-            false,
-        );
-        for flavor in [WallClockBackend::Blocking, WallClockBackend::Reactor] {
-            let tcp = execute_wall_clock(
-                &config,
-                Algorithm::partitioned_hash(),
-                &JoinPredicate::Equi,
-                OutputMode::Aggregate,
-                Placement::new(&r, &s, hosts, 2, RotateSide::R),
-                None,
-                None,
-                false,
-                flavor,
-            )
-            .expect("socket run");
-            assert_eq!(tcp.result.count(), sim.result.count(), "{flavor:?}");
-            assert_eq!(tcp.result.checksum(), sim.result.checksum(), "{flavor:?}");
+        let config = RingConfig::paper(3).with_join_threads(1);
+        let (sim, sim_result) = exec_hash(&config, &r, &s, Backend::Simulated, false);
+        for flavor in [Backend::Blocking, Backend::Reactor] {
+            let (tcp, result) = exec_hash(&config, &r, &s, flavor, false);
+            assert_eq!(result.count(), sim_result.count(), "{flavor:?}");
+            assert_eq!(result.checksum(), sim_result.checksum(), "{flavor:?}");
             assert_eq!(
                 tcp.metrics.fragments_completed, sim.metrics.fragments_completed,
                 "{flavor:?}"
@@ -745,35 +487,8 @@ mod tests {
     fn rdma_charges_registration_into_setup() {
         let r = GenSpec::uniform(1_000, 30).generate();
         let s = GenSpec::uniform(1_000, 31).generate();
-        let placement = |cfg: &RingConfig| Placement::new(&r, &s, cfg.hosts, 2, RotateSide::R);
-        let rdma_cfg = RingConfig::paper(2);
-        let tcp_cfg = RingConfig::paper_tcp(2);
-        let rdma = execute_simulated(
-            &rdma_cfg,
-            Algorithm::partitioned_hash(),
-            &JoinPredicate::Equi,
-            &ComputeMode::modeled(),
-            OutputMode::Aggregate,
-            placement(&rdma_cfg),
-            true,
-            None,
-            None,
-            None,
-            false,
-        );
-        let tcp = execute_simulated(
-            &tcp_cfg,
-            Algorithm::partitioned_hash(),
-            &JoinPredicate::Equi,
-            &ComputeMode::modeled(),
-            OutputMode::Aggregate,
-            placement(&tcp_cfg),
-            true,
-            None,
-            None,
-            None,
-            false,
-        );
+        let (rdma, _) = exec_hash(&RingConfig::paper(2), &r, &s, Backend::Simulated, false);
+        let (tcp, _) = exec_hash(&RingConfig::paper_tcp(2), &r, &s, Backend::Simulated, false);
         assert!(
             rdma.metrics.setup_time() > tcp.metrics.setup_time(),
             "RDMA setup must include memory registration"

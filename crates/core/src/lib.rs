@@ -38,9 +38,14 @@
 //! * [`compute`] — measured vs modeled compute pricing;
 //! * [`distribute`] — spreading inputs over the ring, rotation choice;
 //! * [`result`] — the distributed join result;
+//! * `session` / `exec` (crate-private) — the one query session (per-query
+//!   stationary state and collectors; setup, visit, takeover) that
+//!   `CycloJoin`, `MultiTenantJoin` and `ConcurrentJoins` all run, and the
+//!   one executor that plugs it into the four backends;
 //! * [`report`] — phase breakdowns (setup / join / sync, CPU load);
 //! * [`model`] — the analytic cost model and §V-E crossover analysis;
-//! * [`ternary`] / [`pipeline`] — multi-way joins via repeated revolutions;
+//! * [`pipeline`] / [`ternary`] — multi-way joins via repeated revolutions
+//!   (the ternary join is the two-stage pipeline);
 //! * [`concurrent`] — multiple queries sharing one rotation;
 //! * [`multiplex`] — independent tenants multiplexed on one ring with
 //!   per-query credits and admission control;
@@ -65,6 +70,7 @@ pub mod plan;
 pub mod recovery;
 pub mod report;
 pub mod result;
+mod session;
 pub mod sql;
 pub mod ternary;
 pub mod verify;

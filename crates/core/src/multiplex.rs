@@ -36,22 +36,16 @@
 //! # }
 //! ```
 
-use data_roundabout::{
-    BlockingEngine, ChannelEngine, FaultPlan, HostId, PayloadBytes, QueryMetrics, ReactorEngine,
-    RescalePlan, RingApp, RingConfig, RingMetrics, SimRing,
-};
-use mem_joins::{
-    Algorithm, JoinCollector, JoinPredicate, OutputMode, PreparedFragment, StationaryState,
-};
+use data_roundabout::{FaultPlan, QueryMetrics, RescalePlan, RingConfig, RingMetrics};
+use mem_joins::{Algorithm, JoinCollector, JoinPredicate, OutputMode};
 use relation::{Checksum, Relation};
 use simnet::span::SpanTracer;
-use simnet::time::{SimDuration, SimTime};
-
-use data_roundabout::sync::Mutex;
 
 use crate::compute::ComputeMode;
-use crate::exec::{registration_cost, wall_clock_driver, WallClockBackend};
-use crate::plan::PlanError;
+use crate::distribute::{Placement, RotateSide};
+use crate::exec::{Backend, Plans};
+use crate::plan::{backend_error, check_plans, PlanError};
+use crate::session::Session;
 
 /// One tenant's join: `rotating ⋈ stationary` under `predicate`.
 #[derive(Debug, Clone)]
@@ -210,6 +204,10 @@ impl MultiTenantJoin {
                 "the admission bound must admit at least one query".to_string(),
             ));
         }
+        check_plans(
+            &self.config,
+            Plans::of(&self.fault_plan, &self.rescale_plan),
+        )?;
         for t in &self.tenants {
             if !t.algorithm.supports(&t.predicate) {
                 return Err(PlanError::UnsupportedPredicate {
@@ -221,116 +219,16 @@ impl MultiTenantJoin {
         Ok(())
     }
 
-    /// Builds each tenant's per-host runtime state: prepared rotating
-    /// fragments, stationary partitions and radix bits.
-    fn build(&self, compute: &ComputeMode) -> (Vec<TenantRun>, Vec<SimDuration>) {
-        let hosts = self.config.hosts;
-        let mut runs = Vec::with_capacity(self.tenants.len());
-        let mut prep_per_host = vec![SimDuration::ZERO; hosts];
-        for t in &self.tenants {
-            let stationary: Vec<Relation> = t.stationary.split_even(hosts);
-            let bits = t
-                .algorithm
-                .ring_radix_bits(stationary.iter().map(Relation::len).max().unwrap_or(1));
-            let mut fragments = Vec::with_capacity(hosts);
-            for (h, share) in t.rotating.split_even(hosts).into_iter().enumerate() {
-                let mut prepared = Vec::with_capacity(self.fragments_per_host);
-                for frag in share.split_even(self.fragments_per_host) {
-                    let (pf, d) = compute.prepare_fragment(
-                        &t.algorithm,
-                        &frag,
-                        bits,
-                        self.config.join_threads,
-                    );
-                    if let Some(slot) = prep_per_host.get_mut(h) {
-                        *slot += d;
-                    }
-                    prepared.push(pf);
-                }
-                fragments.push(prepared);
-            }
-            runs.push(TenantRun {
-                algorithm: t.algorithm,
-                predicate: t.predicate.clone(),
-                bits,
-                fragments,
-                stationary,
-            });
-        }
-        (runs, prep_per_host)
-    }
-
     /// Runs the batch on the simulated (virtual-time) backend.
     ///
     /// # Errors
     ///
     /// Returns [`PlanError`] for an invalid configuration, an empty
-    /// tenant list, a zero admission bound, or a predicate the chosen
-    /// algorithm cannot evaluate.
+    /// tenant list, a zero admission bound, a fault or rescale plan that
+    /// names a host outside the ring, or a predicate the chosen algorithm
+    /// cannot evaluate.
     pub fn run(&self) -> Result<MultiTenantReport, PlanError> {
-        self.validate()?;
-        let hosts = self.config.hosts;
-        let compute = self.compute;
-        let (runs, mut setup_extra) = self.build(&compute);
-        let element_bytes = runs
-            .iter()
-            .flat_map(|r| r.fragments.iter().flatten())
-            .map(PayloadBytes::payload_bytes)
-            .max()
-            .unwrap_or(0);
-        let reg = registration_cost(&self.config, element_bytes);
-        for extra in &mut setup_extra {
-            *extra += reg;
-        }
-        let keep_raw = self.fault_plan.is_some() || self.rescale_plan.is_some();
-        let app_tenants: Vec<AppTenant> = runs
-            .iter()
-            .map(|r| AppTenant {
-                algorithm: r.algorithm,
-                predicate: r.predicate.clone(),
-                bits: r.bits,
-                stationary_inputs: r.stationary.iter().cloned().map(Some).collect(),
-                stationary_raw: if keep_raw {
-                    r.stationary.clone()
-                } else {
-                    Vec::new()
-                },
-                states: (0..hosts).map(|_| None).collect(),
-                collectors: (0..hosts)
-                    .map(|_| JoinCollector::new(self.output))
-                    .collect(),
-            })
-            .collect();
-        let app = MultiTenantApp {
-            tenants: app_tenants,
-            threads: self.config.join_threads,
-            compute,
-            setup_extra,
-        };
-        let queries: Vec<(u32, Vec<Vec<PreparedFragment>>)> = runs
-            .into_iter()
-            .enumerate()
-            .map(|(q, r)| (q as u32, r.fragments))
-            .collect();
-        let mut ring =
-            SimRing::new_queries(self.config, queries, self.max_active, app).with_trace(self.trace);
-        if let Some(plan) = self.fault_plan.clone() {
-            ring = ring.with_fault_plan(plan);
-        }
-        if let Some(plan) = self.rescale_plan.clone() {
-            ring = ring.with_rescale_plan(plan);
-        }
-        let outcome = ring.run();
-        Ok(assemble_report(
-            outcome.metrics,
-            outcome.spans,
-            outcome
-                .app
-                .tenants
-                .into_iter()
-                .map(|t| (t.algorithm.name(), t.collectors))
-                .collect(),
-        ))
+        self.execute(Backend::Simulated)
     }
 
     /// Runs the batch on the real-thread backend (measured compute).
@@ -340,7 +238,7 @@ impl MultiTenantJoin {
     /// As [`MultiTenantJoin::run`]; additionally the threaded backend
     /// rejects fault plans with crashes or pauses (no ring healing).
     pub fn run_threaded(&self) -> Result<MultiTenantReport, PlanError> {
-        self.run_wall_clock(WallClockBackend::Threads)
+        self.execute(Backend::Threads)
     }
 
     /// Runs the batch over real loopback TCP sockets (blocking driver).
@@ -349,7 +247,7 @@ impl MultiTenantJoin {
     ///
     /// As [`MultiTenantJoin::run`], plus socket-level errors.
     pub fn run_tcp(&self) -> Result<MultiTenantReport, PlanError> {
-        self.run_wall_clock(WallClockBackend::Blocking)
+        self.execute(Backend::Blocking)
     }
 
     /// Runs the batch over real loopback TCP sockets on the epoll-style
@@ -359,303 +257,64 @@ impl MultiTenantJoin {
     ///
     /// As [`MultiTenantJoin::run_tcp`].
     pub fn run_reactor(&self) -> Result<MultiTenantReport, PlanError> {
-        self.run_wall_clock(WallClockBackend::Reactor)
+        self.execute(Backend::Reactor)
     }
 
-    fn run_wall_clock(&self, backend: WallClockBackend) -> Result<MultiTenantReport, PlanError> {
+    /// Validates the batch, admits every tenant to one session — each
+    /// placed like a `CycloJoin` that rotates its `R`, standbys included —
+    /// and runs the rotations multiplexed on `backend`.
+    fn execute(&self, backend: Backend) -> Result<MultiTenantReport, PlanError> {
         self.validate()?;
-        let hosts = self.config.hosts;
-        let threads = self.config.join_threads;
-        let compute = ComputeMode::Measured;
-        let (mut runs, _) = self.build(&compute);
-        // The rotating fragments go to the ring; everything read below
-        // (algorithm, predicate, bits, stationary) stays in `runs`.
-        let queries: Vec<(u32, Vec<Vec<PreparedFragment>>)> = runs
-            .iter_mut()
-            .enumerate()
-            .map(|(q, r)| (q as u32, std::mem::take(&mut r.fragments)))
-            .collect();
-        // One slot per (query, logical role); healing rebuilds a dead
-        // role's state for every tenant, so the slots need locks. Lock
-        // order: a role's slot before the host's collector.
-        let states: Vec<Vec<Mutex<Option<StationaryState>>>> = runs
+        let plans = Plans::of(&self.fault_plan, &self.rescale_plan);
+        let mut session = Session::new(self.config, backend.compute(self.compute));
+        let rotation = self
+            .tenants
             .iter()
-            .map(|r| {
-                r.stationary
-                    .iter()
-                    .map(|s| {
-                        let (state, _) = compute.setup_stationary(&r.algorithm, s, r.bits, threads);
-                        Mutex::new(Some(state))
-                    })
-                    .collect()
+            .map(|t| {
+                let placement = Placement::with_standbys(
+                    &t.rotating,
+                    &t.stationary,
+                    self.config.hosts,
+                    self.fragments_per_host,
+                    RotateSide::R,
+                    plans.standby_mask(),
+                );
+                session.admit(t.algorithm, &t.predicate, placement, self.output, true)
             })
             .collect();
-        let collectors = collector_grid(runs.len(), hosts, self.output);
-        let visit = |host: HostId, query: u32, roles: &[usize], frag: &PreparedFragment| {
-            let (Some(r), Some(qs)) = (runs.get(query as usize), states.get(query as usize)) else {
-                debug_assert!(false, "join for unknown query {query}");
-                return;
-            };
-            for &role in roles {
-                let Some(slot) = qs.get(role) else {
-                    debug_assert!(false, "join against unknown role {role}");
-                    continue;
-                };
-                let guard = slot.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
-                join_once(r, guard.as_ref(), frag, &collectors, query, host, threads);
-            }
-        };
-        let absorb = |_survivor: HostId, role: usize| {
-            for (r, qs) in runs.iter().zip(&states) {
-                let Ok(share) = crate::recovery::takeover(&r.stationary, role) else {
-                    debug_assert!(false, "takeover of role {role} outside the ring");
-                    continue;
-                };
-                let (state, _) = compute.setup_stationary(&r.algorithm, &share, r.bits, threads);
-                if let Some(slot) = qs.get(role) {
-                    *slot.lock().unwrap_or_else(|poisoned| poisoned.into_inner()) = Some(state);
+        let outcome = crate::exec::run(
+            session,
+            rotation,
+            Some(self.max_active),
+            backend,
+            plans,
+            self.trace,
+            None,
+        )
+        .map_err(backend_error)?;
+        let ring = outcome.metrics;
+        let tenants = self
+            .tenants
+            .iter()
+            .zip(outcome.results)
+            .enumerate()
+            .map(|(q, (t, result))| {
+                let metrics = ring.queries.get(q).copied().unwrap_or_default();
+                TenantReport {
+                    tenant: metrics.tenant,
+                    algorithm: t.algorithm.name(),
+                    count: result.count(),
+                    checksum: result.checksum(),
+                    metrics,
+                    collectors: result.into_partials(),
                 }
-            }
-        };
-        let (fault, rescale) = (self.fault_plan.as_ref(), self.rescale_plan.as_ref());
-        let (metrics, spans) = match backend {
-            WallClockBackend::Threads => {
-                wall_clock_driver::<ChannelEngine>(&self.config, fault, rescale, self.trace)
-                    .run_queries(queries, self.max_active, visit, absorb)
-            }
-            WallClockBackend::Blocking => {
-                wall_clock_driver::<BlockingEngine>(&self.config, fault, rescale, self.trace)
-                    .run_queries(queries, self.max_active, visit, absorb)
-            }
-            WallClockBackend::Reactor => {
-                wall_clock_driver::<ReactorEngine>(&self.config, fault, rescale, self.trace)
-                    .run_queries(queries, self.max_active, visit, absorb)
-            }
-        }
-        .map_err(PlanError::Backend)?;
-        Ok(assemble_report(
-            metrics,
-            spans,
-            drain_grid(runs, collectors),
-        ))
-    }
-}
-
-/// A tenant's prepared runtime material, shared by all backends (the
-/// drivers take `fragments` out of it when the rotation starts).
-struct TenantRun {
-    algorithm: Algorithm,
-    predicate: JoinPredicate,
-    bits: u32,
-    fragments: Vec<Vec<PreparedFragment>>,
-    stationary: Vec<Relation>,
-}
-
-/// Joins `frag` against one logical role's stationary state, locking the
-/// tenant's per-host collector for the duration.
-fn join_once(
-    run: &TenantRun,
-    state: Option<&StationaryState>,
-    frag: &PreparedFragment,
-    collectors: &[Vec<Mutex<JoinCollector>>],
-    query: u32,
-    host: HostId,
-    threads: usize,
-) {
-    let Some(state) = state else {
-        debug_assert!(false, "join against a role whose state is absent");
-        return;
-    };
-    let Some(shared_collector) = collectors
-        .get(query as usize)
-        .and_then(|row| row.get(host.0))
-    else {
-        debug_assert!(false, "no collector for query {query} host {}", host.0);
-        return;
-    };
-    let mut collector = shared_collector
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner());
-    run.algorithm
-        .join(state, frag, &run.predicate, threads, &mut collector);
-}
-
-/// One collector per (query, host).
-fn collector_grid(
-    queries: usize,
-    hosts: usize,
-    output: OutputMode,
-) -> Vec<Vec<Mutex<JoinCollector>>> {
-    (0..queries)
-        .map(|_| {
-            (0..hosts)
-                .map(|_| Mutex::new(JoinCollector::new(output)))
-                .collect()
+            })
+            .collect();
+        Ok(MultiTenantReport {
+            ring,
+            spans: outcome.spans,
+            tenants,
         })
-        .collect()
-}
-
-/// Unwraps the collector grid back into per-tenant collector lists.
-fn drain_grid(
-    runs: Vec<TenantRun>,
-    collectors: Vec<Vec<Mutex<JoinCollector>>>,
-) -> Vec<(&'static str, Vec<JoinCollector>)> {
-    runs.into_iter()
-        .zip(collectors)
-        .map(|(r, row)| {
-            (
-                r.algorithm.name(),
-                row.into_iter()
-                    .map(|m| {
-                        m.into_inner()
-                            .unwrap_or_else(|poisoned| poisoned.into_inner())
-                    })
-                    .collect(),
-            )
-        })
-        .collect()
-}
-
-/// Folds collectors and per-query ring counters into the report.
-fn assemble_report(
-    ring: RingMetrics,
-    spans: SpanTracer,
-    tenants: Vec<(&'static str, Vec<JoinCollector>)>,
-) -> MultiTenantReport {
-    let reports = tenants
-        .into_iter()
-        .enumerate()
-        .map(|(q, (algorithm, collectors))| {
-            let count = collectors.iter().map(JoinCollector::count).sum();
-            let checksum = collectors
-                .iter()
-                .map(JoinCollector::checksum)
-                .fold(Checksum::new(), |acc, c| acc.combine(&c));
-            let metrics = ring.queries.get(q).copied().unwrap_or_default();
-            TenantReport {
-                tenant: metrics.tenant,
-                algorithm,
-                count,
-                checksum,
-                metrics,
-                collectors,
-            }
-        })
-        .collect();
-    MultiTenantReport {
-        ring,
-        spans,
-        tenants: reports,
-    }
-}
-
-/// The [`RingApp`] for the simulated multiplexed run: per-tenant
-/// stationary state and collectors keyed by the protocol's query id.
-struct AppTenant {
-    algorithm: Algorithm,
-    predicate: JoinPredicate,
-    bits: u32,
-    stationary_inputs: Vec<Option<Relation>>,
-    stationary_raw: Vec<Relation>,
-    states: Vec<Option<StationaryState>>,
-    collectors: Vec<JoinCollector>,
-}
-
-struct MultiTenantApp {
-    tenants: Vec<AppTenant>,
-    threads: usize,
-    compute: ComputeMode,
-    setup_extra: Vec<SimDuration>,
-}
-
-impl RingApp<PreparedFragment> for MultiTenantApp {
-    fn setup(&mut self, host: HostId) -> SimDuration {
-        let mut total = self
-            .setup_extra
-            .get(host.0)
-            .copied()
-            .unwrap_or(SimDuration::ZERO);
-        for t in &mut self.tenants {
-            let Some(s) = t.stationary_inputs.get_mut(host.0).and_then(Option::take) else {
-                debug_assert!(false, "setup called twice for host {}", host.0);
-                continue;
-            };
-            let (state, d) = self
-                .compute
-                .setup_stationary(&t.algorithm, &s, t.bits, self.threads);
-            if let Some(slot) = t.states.get_mut(host.0) {
-                *slot = Some(state);
-            }
-            total += d;
-        }
-        total
-    }
-
-    fn process(&mut self, host: HostId, now: SimTime, payload: &PreparedFragment) -> SimDuration {
-        // The multiplexed sim driver always dispatches through
-        // `process_query`; a plain `process` means query 0, own role.
-        let own = [host.0];
-        self.process_query(host, 0, &own, now, payload)
-    }
-
-    fn process_query(
-        &mut self,
-        host: HostId,
-        query: u32,
-        roles: &[usize],
-        _now: SimTime,
-        fragment: &PreparedFragment,
-    ) -> SimDuration {
-        let Some(t) = self.tenants.get_mut(query as usize) else {
-            debug_assert!(false, "fragment of unknown query {query}");
-            return SimDuration::ZERO;
-        };
-        let Some(collector) = t.collectors.get_mut(host.0) else {
-            debug_assert!(false, "no collector for host {}", host.0);
-            return SimDuration::ZERO;
-        };
-        let mut total = SimDuration::ZERO;
-        for &role in roles {
-            let Some(state) = t.states.get(role).and_then(Option::as_ref) else {
-                debug_assert!(
-                    false,
-                    "join against role {role} whose stationary state is absent"
-                );
-                continue;
-            };
-            total += self.compute.join(
-                &t.algorithm,
-                state,
-                fragment,
-                &t.predicate,
-                self.threads,
-                collector,
-            );
-        }
-        total
-    }
-
-    fn absorb(&mut self, _survivor: HostId, failed: HostId) -> SimDuration {
-        // Ring healing is ring-global: the survivor rebuilds the dead
-        // role's stationary state for every tenant in one takeover.
-        let mut total = SimDuration::ZERO;
-        for t in &mut self.tenants {
-            let Ok(share) = crate::recovery::takeover(&t.stationary_raw, failed.0) else {
-                debug_assert!(
-                    false,
-                    "ring healing needs the raw stationary partitions of a multi-host ring"
-                );
-                continue;
-            };
-            let (state, d) =
-                self.compute
-                    .setup_stationary(&t.algorithm, &share, t.bits, self.threads);
-            if let Some(slot) = t.states.get_mut(failed.0) {
-                *slot = Some(state);
-            }
-            total += d;
-        }
-        total
     }
 }
 
@@ -745,7 +404,10 @@ impl std::fmt::Display for MultiTenantReport {
 mod tests {
     use super::*;
     use crate::verify::reference_join;
+    use data_roundabout::HostId;
     use relation::GenSpec;
+    use simnet::span::SpanKind;
+    use simnet::time::{SimDuration, SimTime};
 
     fn batch(tenants: usize) -> (MultiTenantJoin, Vec<(Relation, Relation, JoinPredicate)>) {
         let mut b = MultiTenantJoin::new().hosts(4).fragments_per_host(2);
@@ -797,7 +459,6 @@ mod tests {
 
     #[test]
     fn simulated_crash_heals_for_every_tenant() {
-        use simnet::time::SimTime;
         let (b, specs) = batch(2);
         // Pick a crash instant inside the run: probe a quiet run first.
         let quiet = b
@@ -864,5 +525,96 @@ mod tests {
         assert!(b.clone().max_active(0).run().is_err());
         assert!(b.clone().hosts(1).run().is_err());
         assert!(b.fragments_per_host(0).run().is_err());
+    }
+
+    /// A planned join: the standby owns no stationary partition and ships
+    /// no fragments until activated, for every tenant — the placement a
+    /// `CycloJoin` gets — so the batch verifies on the simulator and the
+    /// wall-clock drivers accept the plan.
+    #[test]
+    fn tenants_survive_a_planned_join_on_sim_and_threads() {
+        let mut b = MultiTenantJoin::new()
+            .ring(RingConfig::paper(3).with_join_threads(1))
+            .max_active(2)
+            .rescale_plan(RescalePlan::seeded(1).join_host(HostId(2), SimTime::ZERO));
+        let mut specs = Vec::new();
+        for q in 0..2u64 {
+            let r = GenSpec::uniform(500, 900 + 2 * q).generate();
+            let s = GenSpec::uniform(500, 901 + 2 * q).generate();
+            b = b.tenant(r.clone(), s.clone(), JoinPredicate::Equi);
+            specs.push((r, s, JoinPredicate::Equi));
+        }
+        for report in [
+            b.run().expect("simulated batch with a planned join"),
+            b.run_threaded()
+                .expect("threaded batch with a planned join"),
+        ] {
+            assert_verified(&report, &specs);
+            assert_eq!(report.ring.rescale_joins, 1);
+        }
+    }
+
+    /// The plan rules are `CycloJoin`'s: a schedule naming a host outside
+    /// the ring is a typed error, not an index out of bounds in a driver.
+    #[test]
+    fn plans_must_target_the_ring() {
+        let (b, _) = batch(1);
+        let b = b.hosts(3);
+        let at = SimTime::ZERO + SimDuration::from_millis(1);
+        let crash = FaultPlan::seeded(1).crash_host(HostId(7), at);
+        let drain = RescalePlan::seeded(1).drain_host(HostId(7), at);
+        for err in [
+            b.clone().fault_plan(crash).run().unwrap_err(),
+            b.rescale_plan(drain).run().unwrap_err(),
+        ] {
+            assert!(matches!(err, PlanError::BadQuery(_)), "got: {err:?}");
+            assert!(err.to_string().contains("targets host 7"), "got: {err}");
+        }
+    }
+
+    /// Setup is timed and stitched for tenants exactly as for a single
+    /// query: every host reports its setup, and the `Setup` spans agree.
+    #[test]
+    fn traced_threaded_tenants_report_their_setup() {
+        let (b, specs) = batch(2);
+        let report = b
+            .ring(RingConfig::paper(4).with_join_threads(1))
+            .max_active(2)
+            .trace(true)
+            .run_threaded()
+            .expect("traced threaded multi run");
+        assert_verified(&report, &specs);
+        for (h, m) in report.ring.hosts.iter().enumerate() {
+            assert!(m.setup > SimDuration::ZERO, "host {h} setup");
+            assert_eq!(
+                report.spans.total(h, SpanKind::Setup),
+                m.setup,
+                "host {h} setup span"
+            );
+        }
+    }
+
+    /// One tenant is a `CycloJoin` that rotates its `R`: same session,
+    /// same placement, same result on the simulator and on threads.
+    #[test]
+    fn one_tenant_is_a_cyclo_join() {
+        let r = GenSpec::uniform(2_000, 910).generate();
+        let s = GenSpec::uniform(1_500, 911).generate();
+        let config = RingConfig::paper(3).with_join_threads(1);
+        let tenant = MultiTenantJoin::new()
+            .tenant(r.clone(), s.clone(), JoinPredicate::Equi)
+            .ring(config)
+            .max_active(1);
+        let single = crate::plan::CycloJoin::new(r, s)
+            .ring(config)
+            .rotate(RotateSide::R);
+        for (multi, cyclo) in [
+            (tenant.run(), single.run()),
+            (tenant.run_threaded(), single.run_threaded()),
+        ] {
+            let (multi, cyclo) = (multi.expect("tenant run"), cyclo.expect("cyclo run"));
+            assert_eq!(multi.tenants[0].count, cyclo.match_count());
+            assert_eq!(multi.tenants[0].checksum, cyclo.checksum());
+        }
     }
 }

@@ -3,8 +3,9 @@
 //! §IV-A: "the join output could naturally be used as input to subsequent
 //! processing in a larger query plan" — each revolution leaves its result
 //! distributed across the ring, ready to rotate again against the next
-//! relation. [`JoinPipeline`] chains any number of joins this way,
-//! generalizing the two-revolution ternary join of [`crate::ternary`].
+//! relation. [`JoinPipeline`] chains any number of joins this way; the
+//! two-revolution ternary join of [`crate::ternary`] is its two-stage
+//! instance.
 //!
 //! ```
 //! use cyclo_join::pipeline::JoinPipeline;
@@ -25,28 +26,64 @@
 //! # }
 //! ```
 
-use std::sync::Arc;
-
 use mem_joins::{JoinPredicate, OutputMode};
 use relation::{MatchPair, Relation, Tuple};
 
+use crate::distribute::RotateSide;
 use crate::plan::{CycloJoin, PlanError};
 use crate::report::CycloJoinReport;
 
 /// Projects one stage's matches into the next stage's rotating tuples.
-type Rekey = Arc<dyn Fn(&MatchPair) -> Tuple + Send + Sync>;
+type Rekey = Box<dyn Fn(&MatchPair) -> Tuple + Send + Sync>;
 
-/// One stage of a pipeline: join the running result against `relation`.
-struct Stage {
-    relation: Relation,
-    predicate: JoinPredicate,
-    rekey: Rekey,
+/// One stage of a multi-revolution plan: join the running result against
+/// `relation`, then project each match through `rekey` to feed the next.
+pub(crate) struct Stage<F> {
+    pub(crate) relation: Relation,
+    pub(crate) predicate: JoinPredicate,
+    /// Which side of the stage rotates: a pipeline keeps its running
+    /// result rotating (`R`), the ternary join lets the sizes decide.
+    pub(crate) rotate: RotateSide,
+    pub(crate) rekey: F,
+}
+
+/// Runs `stages` over `base`, one revolution per stage on a ring of
+/// `hosts`. Intermediate stages materialize to feed the next revolution;
+/// the final stage aggregates (and never calls its `rekey`).
+pub(crate) fn run_stages<F: Fn(&MatchPair) -> Tuple>(
+    base: Relation,
+    hosts: usize,
+    stages: Vec<Stage<F>>,
+) -> Result<PipelineReport, PlanError> {
+    let total = stages.len();
+    let mut rotating = base;
+    let mut reports = Vec::with_capacity(total);
+    for (i, stage) in stages.into_iter().enumerate() {
+        let is_last = i + 1 == total;
+        let report = CycloJoin::new(rotating, stage.relation)
+            .predicate(stage.predicate)
+            .hosts(hosts)
+            .output(if is_last {
+                OutputMode::Aggregate
+            } else {
+                OutputMode::Materialize
+            })
+            .rotate(stage.rotate)
+            .run()?;
+        rotating = if is_last {
+            Relation::new()
+        } else {
+            report.result.project(&stage.rekey)
+        };
+        reports.push(report);
+    }
+    Ok(PipelineReport { stages: reports })
 }
 
 /// A chain of cyclo-joins, each revolution feeding the next.
 pub struct JoinPipeline {
     base: Relation,
-    stages: Vec<Stage>,
+    stages: Vec<Stage<Rekey>>,
     hosts: usize,
 }
 
@@ -72,7 +109,8 @@ impl JoinPipeline {
         self.stages.push(Stage {
             relation,
             predicate,
-            rekey: Arc::new(rekey),
+            rotate: RotateSide::R,
+            rekey: Box::new(rekey),
         });
         self
     }
@@ -96,31 +134,7 @@ impl JoinPipeline {
                 predicate: "pipeline contains no stages".to_string(),
             });
         }
-        let total = self.stages.len();
-        let mut rotating = self.base;
-        let mut reports = Vec::with_capacity(total);
-        for (i, stage) in self.stages.into_iter().enumerate() {
-            let is_last = i + 1 == total;
-            let plan = CycloJoin::new(rotating, stage.relation)
-                .predicate(stage.predicate)
-                .hosts(self.hosts)
-                // Intermediate stages must materialize to feed the next
-                // revolution; the final stage may aggregate.
-                .output(if is_last {
-                    OutputMode::Aggregate
-                } else {
-                    OutputMode::Materialize
-                })
-                .rotate(crate::distribute::RotateSide::R);
-            let report = plan.run()?;
-            rotating = if is_last {
-                Relation::new()
-            } else {
-                report.result.project(|m| (stage.rekey)(m))
-            };
-            reports.push(report);
-        }
-        Ok(PipelineReport { stages: reports })
+        run_stages(self.base, self.hosts, self.stages)
     }
 }
 

@@ -20,8 +20,9 @@ use simnet::trace::Tracer;
 
 use crate::compute::ComputeMode;
 use crate::distribute::{Placement, RotateSide};
-use crate::exec::{execute_simulated, execute_wall_clock, WallClockBackend};
+use crate::exec::{Backend, Plans};
 use crate::report::CycloJoinReport;
+use crate::session::Session;
 
 /// A configured cyclo-join, built with the builder pattern and executed on
 /// either backend.
@@ -190,59 +191,10 @@ impl CycloJoin {
                 ));
             }
         }
-        if let Some(plan) = &self.fault_plan {
-            if self.config.hosts > 64 {
-                return Err(PlanError::BadQuery(
-                    "fault injection supports at most 64 hosts (exactly-once role bitmask)".into(),
-                ));
-            }
-            let out_of_range = plan
-                .crashes()
-                .iter()
-                .map(|c| c.host)
-                .chain(plan.pauses().iter().map(|p| p.host))
-                .find(|h| h.0 >= self.config.hosts);
-            if let Some(h) = out_of_range {
-                return Err(PlanError::BadQuery(format!(
-                    "fault plan targets host {} of a {}-host ring",
-                    h.0, self.config.hosts
-                )));
-            }
-            if self.config.hosts == 1 && !plan.crashes().is_empty() {
-                return Err(PlanError::BadQuery(
-                    "cannot heal a single-host ring around a crash".into(),
-                ));
-            }
-        }
-        if let Some(plan) = &self.rescale_plan {
-            if self.config.hosts > 64 {
-                return Err(PlanError::BadQuery(
-                    "planned rescale supports at most 64 hosts (exactly-once role bitmask)".into(),
-                ));
-            }
-            if self.config.hosts == 1 && !plan.is_quiet() {
-                return Err(PlanError::BadQuery(
-                    "a single-host ring has no membership to rescale".into(),
-                ));
-            }
-            let out_of_range = plan
-                .joins()
-                .iter()
-                .map(|j| j.host)
-                .chain(plan.drains().iter().map(|d| d.host))
-                .find(|h| h.0 >= self.config.hosts);
-            if let Some(h) = out_of_range {
-                return Err(PlanError::BadQuery(format!(
-                    "rescale plan targets host {} of a {}-host ring",
-                    h.0, self.config.hosts
-                )));
-            }
-            if plan.standby_mask().count_ones() as usize >= self.config.hosts {
-                return Err(PlanError::BadQuery(
-                    "a rescale plan cannot make every host a standby".into(),
-                ));
-            }
-        }
+        check_plans(
+            &self.config,
+            Plans::of(&self.fault_plan, &self.rescale_plan),
+        )?;
         let algorithm = self.resolved_algorithm();
         if !algorithm.supports(&self.predicate) {
             return Err(PlanError::UnsupportedPredicate {
@@ -253,29 +205,38 @@ impl CycloJoin {
         Ok(algorithm)
     }
 
-    fn placement(&self) -> Placement {
-        // Hosts a rescale plan will activate later start as standbys: no
-        // stationary partition, no locally originating fragments.
-        let standby = self
-            .rescale_plan
-            .as_ref()
-            .map_or(0, RescalePlan::standby_mask);
-        Placement::with_standbys(
+    /// Validates, places and admits the join as a one-query session, and
+    /// runs it on `backend`.
+    fn execute(&self, backend: Backend) -> Result<(CycloJoinReport, Tracer), PlanError> {
+        let algorithm = self.validate()?;
+        let plans = Plans::of(&self.fault_plan, &self.rescale_plan);
+        let placement = Placement::with_standbys(
             &self.r,
             &self.s,
             self.config.hosts,
             self.fragments_per_host,
             self.rotate,
-            standby,
+            plans.standby_mask(),
+        );
+        let swapped = placement.swapped;
+        let mut session = Session::new(self.config, backend.compute(self.compute));
+        let rotation = session.admit(
+            algorithm,
+            &self.predicate,
+            placement,
+            self.output,
+            self.ship_prepared,
+        );
+        let mut outcome = crate::exec::run(
+            session,
+            vec![rotation],
+            None,
+            backend,
+            plans,
+            self.trace,
+            self.host_speeds.as_deref(),
         )
-    }
-
-    fn report(
-        &self,
-        algorithm: Algorithm,
-        swapped: bool,
-        outcome: crate::exec::ExecOutcome,
-    ) -> (CycloJoinReport, Tracer) {
+        .map_err(backend_error)?;
         let report = CycloJoinReport {
             algorithm: algorithm.name(),
             transport: self.config.transport.name(),
@@ -285,10 +246,10 @@ impl CycloJoin {
             data_volume: self.r.byte_volume() + self.s.byte_volume(),
             cpu: self.config.cpu,
             ring: outcome.metrics,
-            result: outcome.result,
+            result: outcome.results.pop().unwrap_or_default(),
             spans: outcome.spans,
         };
-        (report, outcome.trace)
+        Ok((report, outcome.trace))
     }
 
     /// Runs on the simulated (virtual-time) backend.
@@ -308,23 +269,7 @@ impl CycloJoin {
     ///
     /// Same as [`CycloJoin::run`].
     pub fn run_traced(&self) -> Result<(CycloJoinReport, Tracer), PlanError> {
-        let algorithm = self.validate()?;
-        let placement = self.placement();
-        let swapped = placement.swapped;
-        let outcome = execute_simulated(
-            &self.config,
-            algorithm,
-            &self.predicate,
-            &self.compute,
-            self.output,
-            placement,
-            self.ship_prepared,
-            self.host_speeds.clone(),
-            self.fault_plan.clone(),
-            self.rescale_plan.clone(),
-            self.trace,
-        );
-        Ok(self.report(algorithm, swapped, outcome))
+        self.execute(Backend::Simulated)
     }
 
     /// Runs on the real-thread backend (wall-clock times, actual
@@ -336,7 +281,7 @@ impl CycloJoin {
     ///
     /// Same as [`CycloJoin::run`].
     pub fn run_threaded(&self) -> Result<CycloJoinReport, PlanError> {
-        self.run_wall_clock(WallClockBackend::Threads)
+        self.execute(Backend::Threads).map(|(report, _)| report)
     }
 
     /// Runs over real loopback TCP sockets (wall-clock times, kernel
@@ -349,7 +294,7 @@ impl CycloJoin {
     ///
     /// Same as [`CycloJoin::run`].
     pub fn run_tcp(&self) -> Result<CycloJoinReport, PlanError> {
-        self.run_wall_clock(WallClockBackend::Blocking)
+        self.execute(Backend::Blocking).map(|(report, _)| report)
     }
 
     /// Runs over the same loopback TCP wire protocol as
@@ -362,30 +307,57 @@ impl CycloJoin {
     ///
     /// Same as [`CycloJoin::run`].
     pub fn run_reactor(&self) -> Result<CycloJoinReport, PlanError> {
-        self.run_wall_clock(WallClockBackend::Reactor)
+        self.execute(Backend::Reactor).map(|(report, _)| report)
     }
+}
 
-    fn run_wall_clock(&self, backend: WallClockBackend) -> Result<CycloJoinReport, PlanError> {
-        let algorithm = self.validate()?;
-        let placement = self.placement();
-        let swapped = placement.swapped;
-        let outcome = execute_wall_clock(
-            &self.config,
-            algorithm,
-            &self.predicate,
-            self.output,
-            placement,
-            self.fault_plan.as_ref(),
-            self.rescale_plan.as_ref(),
-            self.trace,
-            backend,
-        )
-        .map_err(|e| match e {
-            RingError::Config(c) => PlanError::InvalidConfig(c),
-            other => PlanError::Backend(other),
-        })?;
-        Ok(self.report(algorithm, swapped, outcome).0)
+/// The plan rules every front-end shares: what a fault or rescale schedule
+/// may ask of `config`'s ring. Checked before anything is placed, so a
+/// plan naming a host outside the ring is a typed error on every backend
+/// instead of an out-of-bounds index inside one.
+pub(crate) fn check_plans(config: &RingConfig, plans: Plans<'_>) -> Result<(), PlanError> {
+    let n = config.hosts;
+    let bad = |why: String| Err(PlanError::BadQuery(why));
+    if let Some(plan) = plans.fault {
+        let (crashes, pauses) = (plan.crashes().iter(), plan.pauses().iter());
+        let mut named = crashes.map(|c| c.host).chain(pauses.map(|p| p.host));
+        if n > 64 {
+            return bad(
+                "fault injection supports at most 64 hosts (exactly-once role bitmask)".into(),
+            );
+        }
+        if let Some(h) = named.find(|h| h.0 >= n) {
+            return bad(format!(
+                "fault plan targets host {} of a {n}-host ring",
+                h.0
+            ));
+        }
+        if n == 1 && !plan.crashes().is_empty() {
+            return bad("cannot heal a single-host ring around a crash".into());
+        }
     }
+    if let Some(plan) = plans.rescale {
+        let (joins, drains) = (plan.joins().iter(), plan.drains().iter());
+        let mut named = joins.map(|j| j.host).chain(drains.map(|d| d.host));
+        if n > 64 {
+            return bad(
+                "planned rescale supports at most 64 hosts (exactly-once role bitmask)".into(),
+            );
+        }
+        if n == 1 && !plan.is_quiet() {
+            return bad("a single-host ring has no membership to rescale".into());
+        }
+        if let Some(h) = named.find(|h| h.0 >= n) {
+            return bad(format!(
+                "rescale plan targets host {} of a {n}-host ring",
+                h.0
+            ));
+        }
+        if plan.standby_mask().count_ones() as usize >= n {
+            return bad("a rescale plan cannot make every host a standby".into());
+        }
+    }
+    Ok(())
 }
 
 /// Why a cyclo-join plan could not run.
@@ -430,6 +402,14 @@ impl std::fmt::Display for PlanError {
 }
 
 impl std::error::Error for PlanError {}
+
+/// How a backend's refusal or mid-run failure surfaces from a plan.
+pub(crate) fn backend_error(e: RingError) -> PlanError {
+    match e {
+        RingError::Config(c) => PlanError::InvalidConfig(c),
+        other => PlanError::Backend(other),
+    }
+}
 
 #[cfg(test)]
 mod tests {
@@ -835,5 +815,20 @@ mod tests {
             .run()
             .expect("plan should run");
         assert_eq!(report.result.matches().count() as u64, report.match_count());
+    }
+
+    /// Raw shipping (§IV-D) on the wall-clock backends: `Plain` fragments
+    /// cross the channel and the socket wire, and every visit reorganises
+    /// them.
+    #[test]
+    fn wall_clock_backends_ship_raw_fragments() {
+        let (r, s) = inputs();
+        let reference = reference_join(&r, &s, &JoinPredicate::Equi);
+        let plan = CycloJoin::new(r, s).hosts(3).ship_prepared(false);
+        for report in [plan.run_threaded(), plan.run_tcp()] {
+            let report = report.expect("raw-shipping plan should run");
+            assert_eq!(report.match_count(), reference.count);
+            assert_eq!(report.checksum(), reference.checksum);
+        }
     }
 }

@@ -21,6 +21,11 @@ impl DistributedResult {
         DistributedResult { partials }
     }
 
+    /// Unwraps the per-host partial results.
+    pub(crate) fn into_partials(self) -> Vec<JoinCollector> {
+        self.partials
+    }
+
     /// Number of hosts holding a partial result.
     pub fn hosts(&self) -> usize {
         self.partials.len()

@@ -6,10 +6,12 @@
 //! input of the second run, and no data ever leaves the ring's distributed
 //! memory in between.
 
-use mem_joins::{JoinPredicate, OutputMode};
+use mem_joins::JoinPredicate;
 use relation::{MatchPair, Relation, Tuple};
 
-use crate::plan::{CycloJoin, PlanError};
+use crate::distribute::RotateSide;
+use crate::pipeline::{run_stages, Stage};
+use crate::plan::PlanError;
 use crate::report::CycloJoinReport;
 
 /// The outcome of a two-revolution ternary join.
@@ -85,16 +87,21 @@ impl TernaryJoin {
     ///
     /// Propagates [`PlanError`] from either revolution.
     pub fn run(self, rekey: impl Fn(&MatchPair) -> Tuple) -> Result<TernaryReport, PlanError> {
-        let first = CycloJoin::new(self.r, self.s)
-            .predicate(self.first_predicate)
-            .hosts(self.hosts)
-            .output(OutputMode::Materialize)
-            .run()?;
-        let intermediate = first.result.project(&rekey);
-        let second = CycloJoin::new(intermediate, self.t)
-            .predicate(self.second_predicate)
-            .hosts(self.hosts)
-            .run()?;
+        // The two-stage pipeline; the last stage never re-keys.
+        let stage = |relation, predicate| Stage {
+            relation,
+            predicate,
+            rotate: RotateSide::Auto,
+            rekey: &rekey,
+        };
+        let stages = vec![
+            stage(self.s, self.first_predicate),
+            stage(self.t, self.second_predicate),
+        ];
+        let mut stages = run_stages(self.r, self.hosts, stages)?.stages.into_iter();
+        let (Some(first), Some(second)) = (stages.next(), stages.next()) else {
+            unreachable!("a two-stage pipeline reports two stages");
+        };
         Ok(TernaryReport { first, second })
     }
 }

@@ -20,53 +20,31 @@ pub trait RingApp<P> {
     /// ring buffers). Returns the virtual duration of that work.
     fn setup(&mut self, host: HostId) -> SimDuration;
 
-    /// The join entity at `host` processes one buffer at virtual time
-    /// `now`. Returns the virtual compute duration (on an otherwise idle
-    /// machine with the configured thread count — transport-induced
-    /// slowdowns are applied by the backend, not the app).
-    fn process(&mut self, host: HostId, now: SimTime, payload: &P) -> SimDuration;
-
-    /// Polled after every processed buffer in *continuous* rotation mode
-    /// (see `SimRing::continuous`): returning `true` stops the rotation.
-    /// Ignored in the default run-to-retirement mode.
-    fn finished(&self) -> bool {
-        false
-    }
-
-    /// Fault-tolerant processing: the join entity at `host` processes one
-    /// buffer *on behalf of the logical roles in `roles`* — after ring
-    /// healing a survivor serves its own stationary partition plus every
-    /// partition it absorbed from dead predecessors, and an envelope must
-    /// be joined against exactly the not-yet-visited ones. The default
-    /// forwards to [`RingApp::process`] once, which is correct for
-    /// transport-level apps that do not distinguish partitions.
-    fn process_roles(
-        &mut self,
-        host: HostId,
-        roles: &[usize],
-        now: SimTime,
-        payload: &P,
-    ) -> SimDuration {
-        let _ = roles;
-        self.process(host, now, payload)
-    }
-
-    /// Multi-tenant processing: like [`RingApp::process_roles`], but the
-    /// buffer belongs to in-flight query `query` of a multiplexed run. The
-    /// default ignores the query id and forwards to `process_roles`, which
-    /// is correct for apps whose per-buffer work does not depend on the
-    /// tenant. Apps that keep per-query state (e.g. separate result sets)
-    /// override this.
-    fn process_query(
+    /// The join entity at `host` processes one buffer of in-flight query
+    /// `query` (0 on single-query rings) at virtual time `now`, *on behalf
+    /// of the logical roles in `roles`*: the host's own stationary
+    /// partition (`[host.0]`, the only shape an unplanned ring ever sees)
+    /// plus, after ring healing or a planned handoff, every partition it
+    /// absorbed — an envelope must be joined against exactly the
+    /// not-yet-visited ones. Transport-level apps that do not distinguish
+    /// partitions or tenants ignore both. Returns the virtual compute
+    /// duration (on an otherwise idle machine with the configured thread
+    /// count — transport-induced slowdowns are applied by the backend, not
+    /// the app).
+    fn process(
         &mut self,
         host: HostId,
         query: u32,
         roles: &[usize],
         now: SimTime,
         payload: &P,
-    ) -> SimDuration {
-        let _ = query;
-        self.process_roles(host, roles, now, payload)
+    ) -> SimDuration;
+
+    /// Polled after every processed buffer in *continuous* rotation mode
+    /// (see `SimRing::continuous`): returning `true` stops the rotation.
+    /// Ignored in the default run-to-retirement mode.
+    fn finished(&self) -> bool {
+        false
     }
 
     /// Ring healing: `survivor` takes over the stationary partition of the
@@ -121,7 +99,14 @@ impl<P> RingApp<P> for FixedCostApp {
         self.setup
     }
 
-    fn process(&mut self, host: HostId, _now: SimTime, _payload: &P) -> SimDuration {
+    fn process(
+        &mut self,
+        host: HostId,
+        _query: u32,
+        _roles: &[usize],
+        _now: SimTime,
+        _payload: &P,
+    ) -> SimDuration {
         if let Some(slot) = self.processed.get_mut(host.0) {
             *slot += 1;
         }
@@ -145,6 +130,8 @@ mod tests {
         let d = <FixedCostApp as RingApp<Vec<u8>>>::process(
             &mut app,
             HostId(1),
+            0,
+            &[1],
             SimTime::ZERO,
             &payload,
         );

@@ -758,18 +758,17 @@ impl<P: PayloadBytes + Clone, A: RingApp<P>> Runner<P, A> {
                 } => {
                     let d_base = {
                         let query = self.proto.processing_query(host);
-                        let multi = self.proto.query_ledger().is_some();
                         let payload = self
                             .proto
                             .processing_payload(host)
                             .expect("StartJoin with an empty processing slot");
-                        match &roles {
-                            Some(rs) if multi => {
-                                self.app.process_query(host, query, rs, sim.now(), payload)
-                            }
-                            Some(rs) => self.app.process_roles(host, rs, sim.now(), payload),
-                            None => self.app.process(host, sim.now(), payload),
-                        }
+                        self.app.process(
+                            host,
+                            query,
+                            roles.as_deref().unwrap_or(&[host.0]),
+                            sim.now(),
+                            payload,
+                        )
                     };
                     let d_base = match &self.host_speed {
                         Some(speed) => d_base * (1.0 / speed[host.0]),
@@ -1535,6 +1534,8 @@ mod tests {
         fn process(
             &mut self,
             _host: HostId,
+            _query: u32,
+            _roles: &[usize],
             _now: simnet::time::SimTime,
             _payload: &Vec<u8>,
         ) -> SimDuration {

@@ -25,16 +25,17 @@ pub const REGISTRY_PATH: &str = "crates/simnet/src/span.rs";
 /// separators).
 ///
 /// - **L1 no-panic-paths**: all of `roundabout`'s library sources, the
-///   `relation` wire format, and the `core` executor/recovery/concurrent/
-///   sql modules — everything on the ring's data path.
+///   `relation` wire format, and the `core` executor/session/recovery/
+///   concurrent/sql modules — everything on the ring's data path.
 /// - **L2 no-wall-clock-in-sim**: all of `simnet` plus the simulated
 ///   backend; virtual time only.
 /// - **L3 counter-registry**: the emitters of counters — the shared
 ///   coordinator, the simulated backend, the thread backend's classic
 ///   ring, and the wall-clock executor.
-/// - **L4 lock-ordering**: the wall-clock executors (single-query and
-///   multi-tenant) and the thread backend, where the state-slot,
-///   collector and tracer locks nest.
+/// - **L4 lock-ordering**: the query session (the one place `core` nests
+///   a state-slot lock over a collector lock, for every front-end on
+///   every backend) and the thread backend, where the tracer lock joins
+///   them.
 /// - **L5 sans-io-protocol**: the shared ring-protocol core, which must
 ///   never grow a socket, thread, channel or clock dependency.
 /// - **L6 output-match-exhaustive**: the two appliers — the wall-clock
@@ -48,6 +49,7 @@ pub fn policy_for(rel: &str) -> FilePolicy {
     let mut p = FilePolicy::default();
     let core_l1 = [
         "crates/core/src/exec.rs",
+        "crates/core/src/session.rs",
         "crates/core/src/recovery.rs",
         "crates/core/src/concurrent.rs",
         "crates/core/src/sql.rs",
@@ -71,11 +73,7 @@ pub fn policy_for(rel: &str) -> FilePolicy {
     {
         p.counter_registry = true;
     }
-    if rel == "crates/core/src/concurrent.rs"
-        || rel == "crates/core/src/exec.rs"
-        || rel == "crates/core/src/multiplex.rs"
-        || rel == "crates/roundabout/src/thread_backend.rs"
-    {
+    if rel == "crates/core/src/session.rs" || rel == "crates/roundabout/src/thread_backend.rs" {
         p.lock_ordering = true;
     }
     if rel.starts_with("crates/roundabout/src/protocol/") {
@@ -110,7 +108,7 @@ pub fn analyze_root(root: &Path) -> std::io::Result<Report> {
     for extra in [
         "crates/relation/src/wire.rs",
         "crates/core/src/exec.rs",
-        "crates/core/src/multiplex.rs",
+        "crates/core/src/session.rs",
         "crates/core/src/recovery.rs",
         "crates/core/src/concurrent.rs",
         "crates/core/src/sql.rs",
@@ -280,10 +278,16 @@ mod tests {
         }
         let p = policy_for("crates/core/src/sql.rs");
         assert!(p.no_panic && !p.no_wall_clock && !p.counter_registry && !p.lock_ordering);
-        // Both wall-clock executors nest state-slot and collector locks.
-        assert!(policy_for("crates/core/src/exec.rs").lock_ordering);
-        let p = policy_for("crates/core/src/multiplex.rs");
-        assert!(p.lock_ordering && !p.no_panic && !p.counter_registry);
+        // The session is where `core` nests state-slot and collector
+        // locks; the executor and the front-ends around it take none.
+        let p = policy_for("crates/core/src/session.rs");
+        assert!(p.no_panic && p.lock_ordering && !p.counter_registry);
+        let p = policy_for("crates/core/src/exec.rs");
+        assert!(p.no_panic && p.counter_registry && !p.lock_ordering);
+        assert!(!policy_for("crates/core/src/concurrent.rs").lock_ordering);
+        assert!(!policy_is_active(&policy_for(
+            "crates/core/src/multiplex.rs"
+        )));
         let p = policy_for("crates/simnet/src/net.rs");
         assert!(!p.no_panic && p.no_wall_clock);
         // Out of scope entirely.

@@ -118,8 +118,8 @@ pub struct FilePolicy {
 /// *same* class is always a violation (self-deadlock risk).
 ///
 /// Order in this repo: a stationary role's state `slot` (held for a whole
-/// join so a takeover cannot swap the state mid-visit) comes first in both
-/// wall-clock executors (`core::exec`, `core::multiplex`); per-host
+/// join so a takeover cannot swap the state mid-visit) comes first in the
+/// query session (`core::session`); per-host
 /// `collector` locks (leaf work under the join) are taken under it and
 /// *before* the shared span `tracer` lock — a thread holding the tracer
 /// must never wait on a collector, because collectors are held across

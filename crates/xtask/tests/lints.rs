@@ -248,3 +248,18 @@ fn real_tree_is_clean() {
     assert!(report.files_scanned >= 10, "walk found too few files");
     assert_eq!(report.exit_code(), 0, "\n{}", report.render());
 }
+
+#[test]
+fn the_query_session_is_scanned_under_l1_and_l4() {
+    // `analyze_root` skips an extra file that does not exist, so a rename
+    // of `core`'s one lock-nesting file would silently take it out of L4.
+    // Pin the path the policy names to a real, clean file.
+    let rel = "crates/core/src/session.rs";
+    let policy = xtask::policy_for(rel);
+    assert!(policy.no_panic && policy.lock_ordering);
+    let root = xtask::workspace_root();
+    let report = xtask::analyze_files(&[(root.join(rel), policy)], &xtask::load_registry(&root))
+        .expect("session.rs is where the policy says it is");
+    assert_eq!(report.files_scanned, 1);
+    assert_eq!(report.exit_code(), 0, "\n{}", report.render());
+}
