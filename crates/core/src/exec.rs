@@ -422,13 +422,14 @@ mod tests {
         );
     }
 
-    #[test]
-    fn traced_threaded_run_stitches_setup_and_reconciles() {
+    /// A traced wall-clock run of six fragments over three hosts: the
+    /// spans reconcile with the metrics host by host.
+    fn traced_run_stitches_setup_and_reconciles(backend: Backend, tuples: usize) -> Outcome {
         use simnet::span::counter;
-        let r = GenSpec::uniform(2_000, 50).generate();
-        let s = GenSpec::uniform(2_000, 51).generate();
+        let r = GenSpec::uniform(tuples, 50).generate();
+        let s = GenSpec::uniform(tuples, 51).generate();
         let config = RingConfig::paper(3).with_join_threads(1);
-        let (out, _) = exec_hash(&config, &r, &s, Backend::Threads, true);
+        let (out, _) = exec_hash(&config, &r, &s, backend, true);
         assert!(out.spans.is_enabled());
         for (h, m) in out.metrics.hosts.iter().enumerate() {
             assert_eq!(
@@ -437,7 +438,6 @@ mod tests {
                 "host {h} setup"
             );
             assert_eq!(out.spans.busy_total(h), m.join_busy, "host {h} join_busy");
-            assert_eq!(out.spans.total(h, SpanKind::Sync), m.sync, "host {h} sync");
         }
         // The stitched timeline puts every ring span after every setup span.
         let max_setup = out
@@ -459,6 +459,37 @@ mod tests {
             c.get(counter::FRAGMENTS_RETIRED) as usize,
             out.metrics.fragments_completed
         );
+        let inline: usize = out.metrics.hosts.iter().map(|h| h.visits_inline).sum();
+        assert_eq!(c.get(counter::VISITS_INLINE) as usize, inline);
+        out
+    }
+
+    #[test]
+    fn traced_threaded_run_stitches_setup_and_reconciles() {
+        let out = traced_run_stitches_setup_and_reconciles(Backend::Threads, 2_000);
+        // The classic channel ring also records its waits as spans.
+        for (h, m) in out.metrics.hosts.iter().enumerate() {
+            assert_eq!(out.spans.total(h, SpanKind::Sync), m.sync, "host {h} sync");
+            assert_eq!(m.visits_inline, 0);
+        }
+    }
+
+    /// The reactor twin, on 20-tuple fragments (cheap enough to run on the
+    /// reactor thread even in an unoptimised build): an inline visit must
+    /// leave the same `Join` span and the same `join_busy` as a pooled one.
+    #[test]
+    fn traced_reactor_run_stitches_setup_and_reconciles() {
+        let out = traced_run_stitches_setup_and_reconciles(Backend::Reactor, 120);
+        let (visits, inline) = out.metrics.hosts.iter().fold((0, 0), |(v, i), h| {
+            (v + h.fragments_processed, i + h.visits_inline)
+        });
+        assert!(inline > 0, "no visit ran inline");
+        let joins = out
+            .spans
+            .spans()
+            .iter()
+            .filter(|s| s.kind == SpanKind::Join);
+        assert_eq!(joins.count(), visits, "one Join span per visit");
     }
 
     #[test]

@@ -380,6 +380,7 @@ impl std::fmt::Display for MultiTenantReport {
             self.queries_per_second(),
         )?;
         f.write_str(&crate::report::rescale_line(&self.ring))?;
+        f.write_str(&crate::report::inline_line(&self.ring))?;
         for t in &self.tenants {
             writeln!(
                 f,

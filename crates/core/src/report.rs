@@ -195,6 +195,7 @@ impl CycloJoinReport {
             ));
         }
         out.push_str(&rescale_line(&self.ring));
+        out.push_str(&inline_line(&self.ring));
         out.push_str("  per host: setup / busy / sync (s), fragments\n");
         for (i, h) in self.ring.hosts.iter().enumerate() {
             out.push_str(&format!(
@@ -291,6 +292,18 @@ pub(crate) fn rescale_line(ring: &RingMetrics) -> String {
     )
 }
 
+/// The one-line count of visits the reactor backend ran on its own
+/// thread, empty when none did (every other backend, and a reactor run
+/// whose joins were all heavy enough for the worker pool).
+pub(crate) fn inline_line(ring: &RingMetrics) -> String {
+    let inline: usize = ring.hosts.iter().map(|h| h.visits_inline).sum();
+    if inline == 0 {
+        return String::new();
+    }
+    let visits: usize = ring.hosts.iter().map(|h| h.fragments_processed).sum();
+    format!("  visits: {inline} of {visits} ran inline on the reactor thread\n")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -375,6 +388,17 @@ mod tests {
         let rendered = faulty.render();
         assert!(rendered.contains("faults: 1 heal(s)"));
         assert!(rendered.contains("4 retransmit(s)"));
+    }
+
+    #[test]
+    fn inline_line_appears_only_when_visits_ran_inline() {
+        let mut report = sample_report();
+        assert!(!report.render().contains("visits:"));
+        report.ring.hosts[0].fragments_processed = 8;
+        report.ring.hosts[0].visits_inline = 7;
+        assert!(report
+            .render()
+            .contains("visits: 7 of 8 ran inline on the reactor thread"));
     }
 
     #[test]

@@ -115,12 +115,18 @@ impl HashJoinState {
             r.bits(),
             self.bits
         );
+        if threads == 1 {
+            // Straight into the caller's collector: no shard vector, no
+            // child collector, no merge — a visit allocates nothing.
+            for (idx, table) in self.tables.iter().enumerate() {
+                table.probe_all(r.partition(idx), collector);
+            }
+            return;
+        }
         let shards = fork_join(threads, |shard| {
             let mut local = collector.child();
-            let mut idx = shard;
-            while idx < self.tables.len() {
-                probe_one(&self.tables[idx], r.partition(idx), &mut local);
-                idx += threads;
+            for (idx, table) in self.tables.iter().enumerate().skip(shard).step_by(threads) {
+                table.probe_all(r.partition(idx), &mut local);
             }
             local
         });
@@ -141,15 +147,6 @@ impl HashJoinState {
     ) {
         let partitioned = self.partition_probe(r, params);
         self.probe_partitioned(&partitioned, threads, collector);
-    }
-}
-
-/// Scans one probe partition and probes its table.
-fn probe_one(table: &ChainedTable, probe: &Relation, collector: &mut JoinCollector) {
-    for r_tuple in probe.iter() {
-        for s_tuple in table.probe(r_tuple.key) {
-            collector.push(MatchPair::new(r_tuple, s_tuple));
-        }
     }
 }
 

@@ -18,7 +18,7 @@ pub mod table;
 
 pub use join::HashJoinState;
 pub use radix::{radix_bits_for, RadixPartitioned};
-pub use table::ChainedTable;
+pub use table::{ChainedTable, PROBE_BATCH};
 
 use relation::Key;
 use serde::{Deserialize, Serialize};

@@ -11,9 +11,18 @@
 //! with the number of duplicates — this is the "hash join slowly degrades
 //! toward a nested-loops-style evaluation" effect behind Figure 9.
 
-use relation::{Key, Payload, Relation, Tuple};
+use relation::{Key, MatchPair, Payload, Relation, Tuple};
 
 use super::hash_key;
+use crate::collector::JoinCollector;
+
+/// Probe tuples [`ChainedTable::probe_all`] takes through the table
+/// together. Long enough that the chain walk's loads overlap instead of
+/// waiting on one another (a table beyond L2: 12.7 ns per tuple at 256,
+/// 12.1 at 512, 11.5 at 1 024), short enough that the selection vectors
+/// (6 KiB, zeroed once per call) cost a 128-tuple fragment nothing
+/// measurable (365 ns per visit at 256 and 512, 405 at 1 024).
+pub const PROBE_BATCH: usize = 512;
 
 /// A bucket-chained hash table over one relation partition.
 #[derive(Debug, Clone, Default)]
@@ -99,6 +108,73 @@ impl ChainedTable {
             table: self,
             key,
             cursor: *self.heads.get(bucket).unwrap_or(&0),
+        }
+    }
+
+    /// Probes every tuple of `probe` and feeds the matches to `collector`:
+    /// the multiset [`ChainedTable::probe`] yields key by key, found a
+    /// batch of [`PROBE_BATCH`] tuples at a time.
+    ///
+    /// A tuple-at-a-time probe spends its time on the chain walk's two
+    /// data-dependent branches ("chain ended?", "key equal?"), which the
+    /// predictor cannot learn on fresh keys — the table being L1-resident
+    /// does not help. Here each batch runs three branch-free passes over
+    /// selection vectors instead: hash every key and load its bucket head;
+    /// then, one chain level per pass, compare every live cursor's key and
+    /// step it to `next`, compacting survivors and hits by
+    /// `n += usize::from(cond)`; and fold that level's hits into the
+    /// collector. Matches therefore leave in (batch, chain level) order,
+    /// not probe order.
+    pub fn probe_all(&self, probe: &Relation, collector: &mut JoinCollector) {
+        // A high radix fan-out leaves most partitions of a small fragment
+        // empty: do not zero the selection vectors for them.
+        if probe.is_empty() || self.is_empty() {
+            return;
+        }
+        // Position in the batch and chain cursor of every live probe
+        // tuple, then the (probe position, table slot) pairs that matched
+        // at the current chain level.
+        let mut live_at = [0u16; PROBE_BATCH];
+        let mut live_cursor = [0u32; PROBE_BATCH];
+        let mut hit_at = [0u16; PROBE_BATCH];
+        let mut hit_slot = [0u32; PROBE_BATCH];
+        let batches = probe
+            .keys()
+            .chunks(PROBE_BATCH)
+            .zip(probe.payloads().chunks(PROBE_BATCH));
+        for (keys, payloads) in batches {
+            let mut live = 0usize;
+            for (at, &key) in keys.iter().enumerate() {
+                let bucket = ((hash_key(key) >> self.shift) & self.mask) as usize;
+                let head = self.heads.get(bucket).copied().unwrap_or(0);
+                live_at[live] = at as u16;
+                live_cursor[live] = head;
+                live += usize::from(head != 0);
+            }
+            while live > 0 {
+                let (mut survivors, mut hits) = (0usize, 0usize);
+                for i in 0..live {
+                    let at = live_at[i];
+                    let slot = (live_cursor[i] - 1) as usize;
+                    hit_at[hits] = at;
+                    hit_slot[hits] = slot as u32;
+                    hits += usize::from(self.keys[slot] == keys[at as usize]);
+                    let next = self.next[slot];
+                    live_at[survivors] = at;
+                    live_cursor[survivors] = next;
+                    survivors += usize::from(next != 0);
+                }
+                for (&at, &slot) in hit_at[..hits].iter().zip(&hit_slot[..hits]) {
+                    let (at, slot) = (at as usize, slot as usize);
+                    collector.push(MatchPair {
+                        key: keys[at],
+                        s_key: self.keys[slot],
+                        r_payload: payloads[at],
+                        s_payload: self.payloads[slot],
+                    });
+                }
+                live = survivors;
+            }
         }
     }
 

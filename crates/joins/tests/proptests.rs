@@ -128,6 +128,90 @@ proptest! {
         }
     }
 
+    /// The batched probe finds exactly the multiset that the single-key
+    /// [`ChainedTable::probe`] defines, tuple by tuple: on uniform, Zipf
+    /// and all-duplicate keys (chains of up to 800 slots, longer than a
+    /// batch), an empty table, an empty probe, probe lengths on both
+    /// sides of a batch boundary, any radix fan-out, both output modes
+    /// and both side orientations.
+    #[test]
+    fn batched_probe_equals_single_key_probes(
+        s_shape in 0usize..4,
+        s_tuples in 1usize..800,
+        r_shape in 0usize..3,
+        r_len in 0usize..7,
+        bits in 0u32..7,
+        materialize in any::<bool>(),
+        swapped in any::<bool>(),
+        seed in any::<u64>(),
+    ) {
+        use mem_joins::hash::{ChainedTable, HashJoinState, PROBE_BATCH};
+        use relation::{KeyDistribution, MatchPair};
+        let domain = s_tuples as u32;
+        let keys = |shape: usize, tuples: usize, seed: u64| -> Relation {
+            let distribution = match shape {
+                0 => KeyDistribution::Uniform { domain },
+                1 => KeyDistribution::Zipf { domain, z: 0.9 },
+                // One key everywhere: a single chain, a single partition.
+                _ => KeyDistribution::Uniform { domain: 1 },
+            };
+            GenSpec { tuples, distribution, seed }.generate()
+        };
+        let s = keys(s_shape, if s_shape == 3 { 0 } else { s_tuples }, seed);
+        let r_tuples = [
+            0,
+            1,
+            PROBE_BATCH - 1,
+            PROBE_BATCH,
+            PROBE_BATCH + 1,
+            2 * PROBE_BATCH + 3,
+            (seed % 200) as usize,
+        ][r_len];
+        let r = keys(r_shape, r_tuples, seed ^ 0x5bd1_e995);
+
+        let params = CacheParams::default();
+        let collector = || {
+            let c = if materialize {
+                JoinCollector::materializing()
+            } else {
+                JoinCollector::aggregating()
+            };
+            if swapped { c.with_swapped_sides() } else { c }
+        };
+        let probe = RadixPartitioned::new(&r, bits, &params);
+        let tables: Vec<ChainedTable> = RadixPartitioned::new(&s, bits, &params)
+            .into_partitions()
+            .into_iter()
+            .map(|p| ChainedTable::build_owned(p, bits))
+            .collect();
+        let (mut expect, mut batched) = (collector(), collector());
+        for (table, part) in tables.iter().zip(probe.partitions()) {
+            for rt in part.iter() {
+                for st in table.probe(rt.key) {
+                    expect.push(MatchPair::new(rt, st));
+                }
+            }
+            table.probe_all(part, &mut batched);
+        }
+        // The same kernel behind the operator, on either side of its
+        // single-threaded shortcut.
+        let state = HashJoinState::build_with_bits(&s, bits, &params);
+        let (mut inline, mut forked) = (collector(), collector());
+        state.probe_partitioned(&probe, 1, &mut inline);
+        state.probe_partitioned(&probe, 3, &mut forked);
+
+        let expect_sum = (expect.count(), expect.checksum());
+        let mut expect = expect.into_matches();
+        expect.sort_unstable();
+        for got in [batched, inline, forked] {
+            prop_assert_eq!((got.count(), got.checksum()), expect_sum);
+            // Emission order is the kernel's business; the multiset is not.
+            let mut got = got.into_matches();
+            got.sort_unstable();
+            prop_assert_eq!(&got, &expect);
+        }
+    }
+
     /// Sorting is stable with respect to the multiset for any thread count.
     #[test]
     fn parallel_sort_conserves(rel in relation_strategy(), threads in 1usize..6) {

@@ -47,7 +47,7 @@ use crate::config::RingConfig;
 use crate::envelope::{Envelope, FragmentId, PayloadBytes};
 use crate::error::RingError;
 use crate::frame::{Frame, WirePayload};
-use crate::metrics::RingMetrics;
+use crate::metrics::{HostMetrics, RingMetrics};
 use crate::protocol::{
     envelope_batches, query_batches, teardown, Input, Output, ProtocolConfig, RingProtocol, Timer,
 };
@@ -226,6 +226,9 @@ pub(crate) struct JobDone {
     pub(crate) host: HostId,
     pub(crate) spent: Duration,
     pub(crate) panicked: bool,
+    /// The medium ran the job on the coordinator's own thread instead of
+    /// handing it to a worker (only the reactor ever does).
+    pub(crate) inline: bool,
     pub(crate) what: Done,
 }
 
@@ -282,6 +285,7 @@ where
         host,
         spent: started.elapsed(),
         panicked: outcome.is_err(),
+        inline: false,
         what,
     }
 }
@@ -435,6 +439,7 @@ pub(crate) struct Coordinator<'a, P, M> {
     wall_ack_timeout: Duration,
     config: &'a RingConfig,
     busy: Vec<Duration>,
+    visits_inline: Vec<usize>,
     last_done: Vec<Instant>,
     bytes_forwarded: Vec<u64>,
     last_progress: Instant,
@@ -489,6 +494,7 @@ impl<'a, P: PayloadBytes + Clone, M: Medium<P>> Coordinator<'a, P, M> {
             wall_ack_timeout: Duration::from_secs_f64(config.ack_timeout.as_secs_f64()),
             config,
             busy: vec![Duration::ZERO; n],
+            visits_inline: vec![0; n],
             last_done: vec![epoch; n],
             bytes_forwarded: vec![0; n],
             last_progress: epoch,
@@ -586,12 +592,15 @@ impl<'a, P: PayloadBytes + Clone, M: Medium<P>> Coordinator<'a, P, M> {
                 window,
                 processed: self.proto.host(host).fragments_processed(),
             };
-            hosts.push(stats.into_metrics(
-                self.config,
-                self.bytes_forwarded[h],
-                self.proto.retransmits(host),
-                self.proto.checksum_mismatches(host),
-            ));
+            hosts.push(HostMetrics {
+                visits_inline: self.visits_inline[h],
+                ..stats.into_metrics(
+                    self.config,
+                    self.bytes_forwarded[h],
+                    self.proto.retransmits(host),
+                    self.proto.checksum_mismatches(host),
+                )
+            });
         }
         let metrics = RingMetrics {
             hosts,
@@ -653,6 +662,7 @@ impl<'a, P: PayloadBytes + Clone, M: Medium<P>> Coordinator<'a, P, M> {
             host,
             spent,
             panicked,
+            inline,
             what,
         } = done;
         if self.proto.is_crashed(host) {
@@ -663,6 +673,10 @@ impl<'a, P: PayloadBytes + Clone, M: Medium<P>> Coordinator<'a, P, M> {
             return self.fail(RingError::Teardown(teardown::CALLBACK_PANICKED));
         }
         self.busy[host.0] += spent;
+        if inline {
+            self.visits_inline[host.0] += 1;
+            self.tracer.count(counter::VISITS_INLINE, 1);
+        }
         let now = Instant::now();
         self.last_done[host.0] = now;
         self.last_progress = self.last_progress.max(now);

@@ -27,6 +27,11 @@ pub struct HostMetrics {
     pub cpu: CpuAccount,
     /// Fragments processed by this host.
     pub fragments_processed: usize,
+    /// Of those, the visits the reactor backend ran on its own event-loop
+    /// thread because the host's previous visit was cheaper than a thread
+    /// hand-off (see `reactor_backend`); zero on every other backend, so
+    /// it is not part of cross-backend parity.
+    pub visits_inline: usize,
     /// Payload bytes this host forwarded to its successor.
     pub bytes_forwarded: u64,
     /// Transfers this host retransmitted after an ack timeout (reliable

@@ -25,11 +25,13 @@
 //!   delayed-frame release times all land in a hand-rolled hierarchical
 //!   [`TimerWheel`], polled between readiness rounds. The epoll timeout
 //!   is the earlier of the next wheel deadline and the stall watchdog.
-//! * **A bounded join pool** — user join callbacks still need real
-//!   threads (they block), but the pool is sized to the machine, not the
-//!   ring: jobs are serialized per host (matching the one-job-per-host
-//!   worker threads of the blocking driver) and completions wake the
-//!   reactor through a loopback wake socket.
+//! * **A bounded join pool, for the visits that need one** — a join
+//!   callback that runs for hundreds of microseconds must not stall every
+//!   socket, so it runs on a pool thread; the pool is sized to the
+//!   machine, not the ring, jobs are serialized per host (matching the
+//!   one-job-per-host worker threads of the blocking driver) and
+//!   completions wake the reactor through a loopback wake socket. A visit
+//!   that costs less than the hand-off does not take it — see below.
 //!
 //! The thread count is therefore `1 + min(hosts, cores)` plus nothing per
 //! connection — a 64-host ring that costs the blocking driver hundreds of
@@ -44,6 +46,45 @@
 //! and the retransmission protocol run unchanged. The four-way parity
 //! suite pins this backend's fault counters to the sim, thread and
 //! blocking-TCP backends.
+//!
+//! # Cheap visits run on the reactor thread
+//!
+//! A pool round trip is a submit under a mutex, a `Condvar` wake of a
+//! parked worker, the callback, a completion pushed on a second mutex, a
+//! byte on the wake socket and one more `epoll_wait` + `recv` on the
+//! reactor: two context switches around a 128-tuple probe that takes
+//! 0.5 µs. With small fragments that hand-off, not the protocol, was
+//! most of a hop (560–770 `Condvar` waits and ≈ 200 `epoll_wait`s per
+//! 2 048-visit run, against 24–35 and ≈ 120 without it; the run fell
+//! from ≈ 21 ms to ≈ 11 ms). So `Medium::start` runs a `Job::Join`
+//! through the same guarded `run_job` *on the reactor thread* and queues
+//! its completion as a follow-up event when
+//!
+//! 1. the host has no job in the pool (submitted and not yet popped off
+//!    the completion queue) — per-host FIFO serialization is kept, and
+//! 2. that host's previous visit, on either path, took less than
+//!    `INLINE_VISIT_MAX` (5 µs).
+//!
+//! A host's first visit, every `Job::Absorb` (a stationary-state rebuild
+//! is never cheap) and whatever follows a slow visit go to the pool as
+//! before, and the pool's verdict on that visit decides the next one, so
+//! a host whose work turns heavy leaves the reactor thread after one
+//! visit and one whose work turns light returns after one. The decision
+//! is counted (`HostMetrics::visits_inline`, span counter
+//! `visits_inline`), not configured: 2 016–2 036 of the 2 048 visits of
+//! the 8 × 32 × 128-tuple benchmark shape run inline, 0 of the 64 of the
+//! 4 × 4 × 32 768-tuple one — always-inline would serialize those four
+//! hosts' joins on one core.
+//!
+//! The threshold is a constant on purpose. Two estimators of "what the
+//! hand-off costs right now" were tried while sizing the rule and both
+//! failed: the minimum of (submit → completion handled − time spent in
+//! the callback) read 65–80 µs cold and once 637 µs while the reactor was
+//! busy decoding 384 KiB frames, and inlined 60 of 64 heavy joins; the
+//! minimum worker-side dispatch latency read 0.6–0.7 µs whenever a worker
+//! happened to be awake, and inlined 13–27 of 2 048 light ones. The cost
+//! of a hand-off depends on what the *other* threads are doing; the cost
+//! of the previous visit does not.
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{Read, Write};
@@ -60,7 +101,7 @@ use simnet::topology::HostId;
 
 use crate::config::RingConfig;
 use crate::coordinator::{
-    run_job, Coordinator, Event, Job, JobDone, Medium, Pending, TimerKind, WallClockDriver,
+    run_job, Coordinator, Done, Event, Job, JobDone, Medium, Pending, TimerKind, WallClockDriver,
     WallClockEngine, Workload, STALLED,
 };
 use crate::envelope::Envelope;
@@ -85,6 +126,19 @@ const WAKE_TOKEN: usize = usize::MAX;
 /// How long one fallback readiness sweep pauses when nothing was ready,
 /// bounding the sweep loop's spin without epoll's blocking wait.
 const SWEEP_PAUSE: Duration = Duration::from_micros(500);
+
+/// A host whose previous visit took less than this runs its next one on
+/// the reactor thread instead of in the worker pool (module header,
+/// "Cheap visits run on the reactor thread").
+///
+/// Of the order of what the reactor itself spends on one frame (recv,
+/// decode, protocol input, encode, writev: a few µs of the ≈ 10 µs
+/// `roundabout.reactor.hop_us`), so an inline visit delays the other
+/// sockets by no more than one more frame would. The populations it
+/// separates are far apart — a 128-tuple probe takes ≈ 0.5 µs, a
+/// 32 768-tuple one 250–400 µs — and 20 µs decides every visit of both
+/// benchmark shapes exactly as 5 µs does.
+const INLINE_VISIT_MAX: Duration = Duration::from_micros(5);
 
 // ---------------------------------------------------------------------------
 // Vendored epoll shim (Linux; raw syscalls, no libc)
@@ -452,9 +506,14 @@ impl Conn {
     }
 
     /// Drains readable bytes into the decoder and appends every complete
-    /// frame to `frames`. Stops at `WouldBlock`; EOF or a socket error
-    /// closes the read side (the connection is gone — the reliable
-    /// transport repairs whatever was in flight).
+    /// frame to `frames`. Stops at `WouldBlock` or at a read that came
+    /// back short of the chunk — that read emptied the socket, and
+    /// readiness is level-triggered (so is the fallback sweep), so
+    /// whatever arrives next, EOF included, is reported again; asking
+    /// once more only to be told `WouldBlock` doubled the `read` calls of
+    /// a small-frame run. EOF or a socket error closes the read side (the
+    /// connection is gone — the reliable transport repairs whatever was
+    /// in flight).
     ///
     /// # Errors
     ///
@@ -479,6 +538,9 @@ impl Conn {
                             Ok(None) => break,
                             Err(e) => return Err(e),
                         }
+                    }
+                    if n < chunk.len() {
+                        return Ok(());
                     }
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return Ok(()),
@@ -733,7 +795,7 @@ enum WheelItem {
 /// The reactor's [`Medium`]: nonblocking writes as far as the kernel
 /// accepts, pool jobs, wheel timers. Send credits a write frees on the
 /// spot land on the coordinator's follow-up queue.
-struct Sockets<'a, P> {
+struct Sockets<'a, P, F, A> {
     conns: Vec<Conn>,
     /// `lanes[from][to]` is the token of `from`'s connection toward `to`.
     lanes: Vec<Vec<Option<usize>>>,
@@ -744,9 +806,32 @@ struct Sockets<'a, P> {
     /// Encode buffers recycled through the pending-write queues.
     pool: FrameBufPool,
     workers: &'a WorkerPool<P>,
+    visit: &'a F,
+    absorb: &'a A,
+    /// Jobs of each host submitted to `workers` whose completion the
+    /// reactor has not popped yet.
+    in_pool: Vec<usize>,
+    /// What each host's latest visit cost, on either path; `None` until
+    /// its first one completes.
+    last_visit: Vec<Option<Duration>>,
 }
 
-impl<P> Sockets<'_, P> {
+impl<P, F, A> Sockets<'_, P, F, A> {
+    /// Books a completion popped off the worker pool's queue.
+    fn pooled_done(&mut self, done: &JobDone) {
+        if let Some(n) = self.in_pool.get_mut(done.host.0) {
+            *n = n.saturating_sub(1);
+        }
+        self.visited(done);
+    }
+
+    fn visited(&mut self, done: &JobDone) {
+        if let (Done::Join { .. }, Some(last)) = (&done.what, self.last_visit.get_mut(done.host.0))
+        {
+            *last = Some(done.spent);
+        }
+    }
+
     fn now_ns(&self) -> u64 {
         SimDuration::from(self.epoch.elapsed()).as_nanos()
     }
@@ -827,7 +912,12 @@ impl<P> Sockets<'_, P> {
     }
 }
 
-impl<P: WirePayload> Medium<P> for Sockets<'_, P> {
+impl<P, F, A> Medium<P> for Sockets<'_, P, F, A>
+where
+    P: WirePayload,
+    F: Fn(HostId, u32, &[usize], &P),
+    A: Fn(HostId, usize),
+{
     fn transmit(
         &mut self,
         from: HostId,
@@ -855,13 +945,28 @@ impl<P: WirePayload> Medium<P> for Sockets<'_, P> {
         self.enqueue_frame(at, to, bytes, None, None, next)
     }
 
-    fn start(
-        &mut self,
-        host: HostId,
-        job: Job<P>,
-        _next: &mut Pending<P>,
-    ) -> Result<(), RingError> {
-        self.workers.submit(host.0, job);
+    /// A join whose host has nothing in the pool and whose previous visit
+    /// was cheaper than [`INLINE_VISIT_MAX`] runs right here, through the
+    /// same guarded `run_job`, and completes as a follow-up; a host's
+    /// first visit, every absorb and whatever follows a slow visit go to
+    /// the pool. Either way one host's jobs never overlap and run in
+    /// submission order.
+    fn start(&mut self, host: HostId, job: Job<P>, next: &mut Pending<P>) -> Result<(), RingError> {
+        let idle = self.in_pool.get(host.0) == Some(&0);
+        let cheap = matches!(self.last_visit.get(host.0), Some(Some(d)) if *d < INLINE_VISIT_MAX);
+        if idle && cheap && matches!(job, Job::Join { .. }) {
+            let done = JobDone {
+                inline: true,
+                ..run_job(host, job, self.visit, self.absorb)
+            };
+            self.visited(&done);
+            next.push_back(Event::Job(done));
+        } else {
+            if let Some(n) = self.in_pool.get_mut(host.0) {
+                *n += 1;
+            }
+            self.workers.submit(host.0, job);
+        }
         Ok(())
     }
 
@@ -889,9 +994,11 @@ impl<P: WirePayload> Medium<P> for Sockets<'_, P> {
 
 /// Drains connection `t`'s readable bytes and feeds every decoded frame
 /// to the coordinator; returns how many frames that was.
-fn drain_read<P>(co: &mut Coordinator<'_, P, Sockets<'_, P>>, t: usize) -> usize
+fn drain_read<P, F, A>(co: &mut Coordinator<'_, P, Sockets<'_, P, F, A>>, t: usize) -> usize
 where
     P: WirePayload + Clone,
+    F: Fn(HostId, u32, &[usize], &P),
+    A: Fn(HostId, usize),
 {
     let mut frames = Vec::new();
     let (at, decode_err) = match co.medium.conns.get_mut(t) {
@@ -1025,6 +1132,10 @@ impl WallClockEngine for ReactorEngine {
                 epoch: Instant::now(),
                 pool: FrameBufPool::default(),
                 workers: &workers,
+                visit,
+                absorb,
+                in_pool: vec![0; n],
+                last_visit: vec![None; n],
             };
             for t in 0..sockets.conns.len() {
                 sockets.sync_interest(t);
@@ -1042,8 +1153,12 @@ impl WallClockEngine for ReactorEngine {
                 // Synchronous backlog first: follow-ups (freed send
                 // credits), then pool completions, then due timers — only
                 // then does the loop pay for a kernel wait.
-                let backlog = co.pending.pop_front();
-                if let Some(event) = backlog.or_else(|| workers.pop_done().map(Event::Job)) {
+                let backlog = co.pending.pop_front().or_else(|| {
+                    let done = workers.pop_done()?;
+                    co.medium.pooled_done(&done);
+                    Some(Event::Job(done))
+                });
+                if let Some(event) = backlog {
                     last_event = Instant::now();
                     co.handle(event);
                     continue;
@@ -1327,6 +1442,136 @@ mod tests {
         assert_eq!(done.len(), 1);
         assert!(matches!(done.first(), Some((_, Some(h))) if *h == HostId(2)));
         drop(rx);
+    }
+
+    /// What a host's visits looked like from inside the callback.
+    #[derive(Default)]
+    struct Seen {
+        /// Per visit, in order: did it run on the reactor thread?
+        on_reactor: Vec<bool>,
+        /// Index of the last fragment seen per origin host.
+        last_index: HashMap<u8, u8>,
+    }
+
+    /// Four hosts, ten `[origin, index]` fragments each, under a visit
+    /// that fails the run if two visits of one host ever overlap or a host
+    /// sees one origin's fragments out of the order they entered the ring,
+    /// and that sleeps 1 ms on every `slow_every`-th call of a host.
+    /// Inline visits run on the thread that called `run`, which is how the
+    /// callback tells the two paths apart.
+    fn serial_in_order_run(slow_every: Option<usize>) -> (RingMetrics, Vec<Seen>) {
+        let (hosts, per_host) = (4usize, 10usize);
+        let fragments: Vec<Vec<Vec<u8>>> = (0..hosts)
+            .map(|h| (0..per_host).map(|i| vec![h as u8, i as u8]).collect())
+            .collect();
+        let reactor = thread::current().id();
+        let visiting: Vec<AtomicBool> = (0..hosts).map(|_| AtomicBool::new(false)).collect();
+        let seen: Vec<Mutex<Seen>> = (0..hosts).map(|_| Mutex::default()).collect();
+        let (metrics, _) = ReactorRingDriver::new(&RingConfig::paper(hosts))
+            .run(fragments, |h, payload: &Vec<u8>| {
+                assert!(
+                    !visiting[h.0].swap(true, Ordering::SeqCst),
+                    "two visits of host {} overlap",
+                    h.0
+                );
+                let mut seen = seen[h.0].lock().unwrap();
+                let (origin, index) = (payload[0], payload[1]);
+                if let Some(before) = seen.last_index.insert(origin, index) {
+                    assert!(
+                        before < index,
+                        "host {} saw {origin}'s fragments reordered",
+                        h.0
+                    );
+                }
+                seen.on_reactor.push(thread::current().id() == reactor);
+                if slow_every.is_some_and(|k| seen.on_reactor.len().is_multiple_of(k)) {
+                    thread::sleep(Duration::from_millis(1));
+                }
+                visiting[h.0].store(false, Ordering::SeqCst);
+            })
+            .unwrap();
+        let seen: Vec<Seen> = seen.into_iter().map(|s| s.into_inner().unwrap()).collect();
+        for (m, s) in metrics.hosts.iter().zip(&seen) {
+            assert_eq!(m.fragments_processed, hosts * per_host);
+            assert_eq!(s.on_reactor.len(), hosts * per_host);
+            assert_eq!(
+                m.visits_inline,
+                s.on_reactor.iter().filter(|&&inline| inline).count(),
+                "the counter must count exactly the visits that ran on the reactor thread"
+            );
+            assert!(!s.on_reactor[0], "a host's first visit has no history");
+        }
+        (metrics, seen)
+    }
+
+    #[test]
+    fn cheap_visits_run_inline_serially_and_in_order() {
+        let (metrics, _) = serial_in_order_run(None);
+        let inline: usize = metrics.hosts.iter().map(|h| h.visits_inline).sum();
+        assert!(inline > 80, "only {inline} of 160 cheap visits ran inline");
+    }
+
+    #[test]
+    fn a_slow_visit_falls_back_to_the_pool_and_comes_back() {
+        let (_, seen) = serial_in_order_run(Some(5));
+        for (h, s) in seen.iter().enumerate() {
+            // Calls 5, 10, … slept; whatever followed one went to the pool.
+            for k in (5..s.on_reactor.len()).step_by(5) {
+                assert!(
+                    !s.on_reactor[k],
+                    "host {h} ran visit {k} inline after a slow one"
+                );
+            }
+        }
+        assert!(
+            seen.iter()
+                .any(|s| s.on_reactor.iter().skip(6).any(|&inline| inline)),
+            "no host returned to inline visits after its first fallback"
+        );
+    }
+
+    #[test]
+    fn a_panicking_inline_visit_is_a_typed_teardown() {
+        let reactor = thread::current().id();
+        let err = ReactorRingDriver::new(&RingConfig::paper(3))
+            .run(payloads(3, 8, 16), |_, _: &Vec<u8>| {
+                assert!(thread::current().id() != reactor, "injected test panic");
+            })
+            .unwrap_err();
+        assert_eq!(err, RingError::Teardown(teardown::CALLBACK_PANICKED));
+    }
+
+    #[test]
+    fn pump_read_stops_at_a_short_read_and_still_sees_eof() {
+        let (mut tx, rx) = loopback_pair();
+        rx.set_nonblocking(true).unwrap();
+        let mut conn = Conn::new(rx, 0);
+        let mut ack = Vec::new();
+        encode_ack_into(5, &mut ack);
+        tx.write_all(&ack).unwrap();
+        drop(tx);
+        let mut frames: Vec<Frame<Vec<u8>>> = Vec::new();
+        for _ in 0..1000 {
+            conn.pump_read(&mut frames).unwrap();
+            if !frames.is_empty() {
+                break;
+            }
+            thread::sleep(Duration::from_micros(50));
+        }
+        // The short read returned without asking again, so the FIN behind
+        // it is still unread …
+        assert!(matches!(frames.as_slice(), [Frame::Ack { tid: 5 }]));
+        assert!(conn.read_open);
+        // … and the next readiness (level-triggered) classifies it.
+        for _ in 0..1000 {
+            conn.pump_read(&mut frames).unwrap();
+            if !conn.read_open {
+                break;
+            }
+            thread::sleep(Duration::from_micros(50));
+        }
+        assert!(!conn.read_open);
+        assert_eq!(frames.len(), 1);
     }
 
     #[test]

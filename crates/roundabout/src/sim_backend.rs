@@ -1236,6 +1236,7 @@ impl<P: PayloadBytes + Clone, A: RingApp<P>> Runner<P, A> {
             counter::RESCALE_JOINS,
             counter::RESCALE_DRAINS,
             counter::RESCALE_HANDOFFS,
+            counter::VISITS_INLINE,
         ] {
             self.spans.count(name, 0);
         }
@@ -1253,6 +1254,7 @@ impl<P: PayloadBytes + Clone, A: RingApp<P>> Runner<P, A> {
                     join_window: window,
                     cpu: h.join_cpu,
                     fragments_processed: self.proto.host(HostId(i)).fragments_processed(),
+                    visits_inline: 0,
                     bytes_forwarded: h.bytes_forwarded,
                     retransmits: self.proto.retransmits(HostId(i)),
                     checksum_mismatches: self.proto.checksum_mismatches(HostId(i)),

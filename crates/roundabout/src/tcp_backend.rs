@@ -540,6 +540,7 @@ mod tests {
             counter::RESCALE_JOINS,
             counter::RESCALE_DRAINS,
             counter::RESCALE_HANDOFFS,
+            counter::VISITS_INLINE,
         ] {
             assert!(
                 counters.iter().any(|(n, _)| n == name),
@@ -547,6 +548,7 @@ mod tests {
             );
         }
         assert_eq!(counters.get(counter::FRAGMENTS_RETIRED), 4);
+        assert_eq!(counters.get(counter::VISITS_INLINE), 0);
     }
 
     #[test]

@@ -505,6 +505,7 @@ pub(crate) fn materialize_counters(tracer: &mut SpanTracer) {
         counter::RESCALE_JOINS,
         counter::RESCALE_DRAINS,
         counter::RESCALE_HANDOFFS,
+        counter::VISITS_INLINE,
     ] {
         tracer.count(name, 0);
     }
@@ -549,6 +550,7 @@ impl JoinStats {
             join_window: self.window.into(),
             cpu,
             fragments_processed: self.processed,
+            visits_inline: 0,
             bytes_forwarded,
             retransmits,
             checksum_mismatches,

@@ -60,6 +60,9 @@ pub mod counter {
     pub const QUERIES_ADMITTED: &str = "queries_admitted";
     /// Multi-tenant queries whose every fragment completed its revolution.
     pub const QUERIES_COMPLETED: &str = "queries_completed";
+    /// Join visits the reactor ran on its own thread instead of handing
+    /// them to its worker pool (zero on every other backend).
+    pub const VISITS_INLINE: &str = "visits_inline";
 }
 
 /// The per-host entity (or pseudo-entity) a span or event belongs to.

@@ -310,6 +310,11 @@ mod tests {
                 "registry should contain the membership counter {key}, got {reg:?}"
             );
         }
+        // The reactor's inline-visit decision is counted by the coordinator.
+        assert!(
+            reg.iter().any(|k| k == "visits_inline"),
+            "registry should contain the inline-visit counter, got {reg:?}"
+        );
         // The multi-tenant admission counters are emitted via their named
         // constants, so the registry must expose both spellings.
         for key in [

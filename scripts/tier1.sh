@@ -39,6 +39,18 @@ cargo test -q -p integration-tests --test chaos reactor_
 cargo test -q -p data-roundabout --test proptests protocol_core_multiplex
 cargo test -q -p data-roundabout --test parity multi_tenant_fault_plan_four_way_parity
 cargo test -q -p integration-tests --test chaos multi_tenant
+# Visit-cost gate: the batched hash probe against the single-key probe
+# that defines it (every key shape, batch-boundary probe lengths, both
+# output modes and orientations), and the reactor's inline-visit rule —
+# per-host serialisation and order with cheap visits on the reactor
+# thread, the fall-back to the pool after a slow visit and the way back,
+# a panicking inline visit as a typed teardown, and the inline twin of
+# the traced span/metrics reconciliation.
+cargo test -q -p mem-joins --test proptests batched_probe_equals_single_key_probes
+cargo test -q -p data-roundabout --lib cheap_visits_run_inline_serially_and_in_order
+cargo test -q -p data-roundabout --lib a_slow_visit_falls_back_to_the_pool_and_comes_back
+cargo test -q -p data-roundabout --lib a_panicking_inline_visit_is_a_typed_teardown
+cargo test -q -p cyclo-join --lib traced_reactor_run_stitches_setup_and_reconciles
 cargo clippy --all-targets -- -D warnings
 cargo fmt --check
 cargo run -q --release -p xtask -- analyze
@@ -56,3 +68,8 @@ cargo run -q --release -p xtask -- verify --smoke
 # still parse against schema v1.
 cargo run -q --release -p xtask -- bench --smoke
 cargo run -q --release -p xtask -- bench --check
+# Benchmark smoke (read-only use of benchmark/): all five workloads at
+# one eighth size, every run checked against the reference join, so a
+# kernel that returns a wrong count fails here before it reaches the
+# benchmark pipeline. Builds into benchmark/target (git-ignored).
+cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- run --smoke

@@ -68,3 +68,46 @@ fn different_seeds_produce_different_data_and_results() {
     };
     assert_ne!(run(420), run(520));
 }
+
+/// Modeled time must not see the join kernel: a seeded lossy multi-tenant
+/// run prices compute from the cost model, so its virtual duration, its
+/// retransmits and every tenant's counts are fixed by the seeds alone.
+/// The values were read off the tuple-at-a-time probe and must survive
+/// any rewrite of it.
+#[test]
+fn seeded_multi_tenant_virtual_time_does_not_see_the_kernel() {
+    use cyclo_join::{FaultPlan, HostId, JoinPredicate, MultiTenantJoin};
+    let hosts = 4;
+    let plan = (0..hosts).fold(FaultPlan::seeded(430), |plan, h| {
+        plan.lossy_link(HostId(h), 0.03)
+    });
+    let batch = (0..4u64).fold(
+        MultiTenantJoin::new()
+            .ring(RingConfig::paper(hosts).with_join_threads(1))
+            .max_active(2)
+            .fault_plan(plan),
+        |batch, t| {
+            let r = GenSpec::uniform(2_000, 431 + 2 * t).generate();
+            let s = GenSpec::uniform(2_000, 432 + 2 * t).generate();
+            batch.tenant(r, s, JoinPredicate::Equi)
+        },
+    );
+    let report = batch.run().expect("plan should run");
+    let tenants: Vec<(u64, u64, usize)> = report
+        .tenants
+        .iter()
+        .map(|t| {
+            (
+                t.count,
+                t.metrics.retransmits,
+                t.metrics.fragments_completed,
+            )
+        })
+        .collect();
+    assert_eq!(report.ring.wall_clock.as_nanos(), 76_876_093);
+    assert_eq!(report.ring.total_retransmits(), 6);
+    assert_eq!(
+        tenants,
+        [(1993, 2, 16), (2011, 1, 16), (1963, 2, 16), (2014, 1, 16)]
+    );
+}
