@@ -9,7 +9,7 @@
 
 use cyclo_join::{
     advise_from_data, reference_join, Algorithm, ComputeMode, CostModel, CycloJoin, HostId,
-    JoinPredicate, MultiTenantJoin, RescalePlan, RingConfig, RotateSide,
+    JoinPredicate, MultiTenantJoin, RescalePlan, RingConfig, RotateSide, SpanTracer,
 };
 use data_roundabout::render_timeline;
 use relation::GenSpec;
@@ -64,7 +64,7 @@ OPTIONS:
     --no-verify          skip the reference-join verification
     --trace <PATH>       write a Chrome trace-event JSON profile to PATH
                          (open in chrome://tracing or https://ui.perfetto.dev)
-    --trace-text         print the transport event trace (simulated backend)
+    --trace-text         print the recorded spans and events in time order
     --timeline           print an ASCII per-host timeline of the run
     --advise             print the cost model's plan advice before running
     -h, --help           show this help
@@ -546,13 +546,13 @@ fn main() {
     }
 
     let outcome = match opts.backend {
-        Backend::Sim => plan.run_traced().map(|(r, t)| (r, Some(t))),
-        Backend::Threads => plan.run_threaded().map(|r| (r, None)),
-        Backend::Tcp => plan.run_tcp().map(|r| (r, None)),
-        Backend::Reactor => plan.run_reactor().map(|r| (r, None)),
+        Backend::Sim => plan.run(),
+        Backend::Threads => plan.run_threaded(),
+        Backend::Tcp => plan.run_tcp(),
+        Backend::Reactor => plan.run_reactor(),
     };
-    let (report, trace) = match outcome {
-        Ok(pair) => pair,
+    let report = match outcome {
+        Ok(report) => report,
         Err(err) => {
             eprintln!("error: {err}");
             std::process::exit(1);
@@ -563,10 +563,8 @@ fn main() {
     if opts.timeline {
         print!("{}", render_timeline(&report.ring, 64));
     }
-    if let Some(trace) = trace {
-        if opts.trace_text {
-            print!("{}", trace.render());
-        }
+    if opts.trace_text {
+        print!("{}", render_trace_text(&report.spans));
     }
     if let Some(path) = &opts.trace {
         let summary = report.revolution_summary();
@@ -591,6 +589,27 @@ fn main() {
             std::process::exit(1);
         }
     }
+}
+
+/// `--trace-text`: every recorded span (at its start, with its duration)
+/// and instant event, one per line in time order — the same recording
+/// `--trace` exports as JSON, on whichever backend ran.
+fn render_trace_text(trace: &SpanTracer) -> String {
+    let host = |h: Option<usize>| h.map_or("ring".to_string(), |h| format!("H{h}"));
+    let spans = trace.spans().iter().map(|s| {
+        let what = format!("{} for {}", s.name, s.duration);
+        (s.start, host(Some(s.host)), s.kind.track(), what)
+    });
+    let events = trace
+        .events()
+        .iter()
+        .map(|e| (e.at, host(e.host), e.track, e.name.clone()));
+    let mut lines: Vec<_> = spans.chain(events).collect();
+    lines.sort_by_key(|(at, ..)| *at);
+    lines
+        .iter()
+        .map(|(at, host, track, what)| format!("[{at} {host} {}] {what}\n", track.lane_name()))
+        .collect()
 }
 
 #[cfg(test)]
@@ -809,5 +828,31 @@ mod tests {
                 "{args:?} should be rejected"
             );
         }
+    }
+    #[test]
+    fn trace_text_interleaves_spans_and_events_in_time_order() {
+        use cyclo_join::SpanKind;
+        use simnet::span::Track;
+        let at = |n| SimTime::ZERO + SimDuration::from_micros(n);
+        let mut trace = SpanTracer::enabled();
+        trace.event(None, Track::Control, "query 0 (tenant 0) complete", at(9));
+        trace.span(
+            1,
+            SpanKind::Join,
+            "join F3",
+            at(2),
+            SimDuration::from_micros(5),
+        );
+        trace.event(Some(1), Track::Receiver, "recv F3", at(1));
+        let text = render_trace_text(&trace);
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines.len(), 3, "{text}");
+        assert!(lines[0].ends_with("H1 receiver] recv F3"), "{text}");
+        assert!(lines[1].contains("H1 join entity] join F3 for "), "{text}");
+        assert!(
+            lines[2].ends_with("ring control] query 0 (tenant 0) complete"),
+            "{text}"
+        );
+        assert!(render_trace_text(&SpanTracer::disabled()).is_empty());
     }
 }

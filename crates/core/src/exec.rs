@@ -13,7 +13,6 @@ use data_roundabout::{
 use mem_joins::PreparedFragment;
 use simnet::span::{SpanKind, SpanTracer};
 use simnet::time::{SimDuration, SimTime};
-use simnet::trace::Tracer;
 use simnet::transport::TransportModel;
 
 use crate::compute::ComputeMode;
@@ -74,7 +73,6 @@ pub(crate) struct Outcome {
     pub metrics: RingMetrics,
     /// The distributed result of every session query, in admission order.
     pub results: Vec<DistributedResult>,
-    pub trace: Tracer,
     pub spans: SpanTracer,
 }
 
@@ -204,7 +202,6 @@ fn simulated(
     Outcome {
         metrics: outcome.metrics,
         results: outcome.app.session.finish(),
-        trace: outcome.trace,
         spans: outcome.spans,
     }
 }
@@ -274,7 +271,6 @@ fn wall_clock<E: WallClockEngine>(
     Ok(Outcome {
         metrics,
         results: session.finish(),
-        trace: Tracer::disabled(),
         spans,
     })
 }

@@ -568,8 +568,11 @@ mod tests {
             b.clone().fault_plan(crash).run().unwrap_err(),
             b.rescale_plan(drain).run().unwrap_err(),
         ] {
-            assert!(matches!(err, PlanError::BadQuery(_)), "got: {err:?}");
-            assert!(err.to_string().contains("targets host 7"), "got: {err}");
+            assert!(matches!(err, PlanError::Backend(_)), "got: {err:?}");
+            assert!(
+                err.to_string().contains("names a host outside the ring"),
+                "got: {err}"
+            );
         }
     }
 

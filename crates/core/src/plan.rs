@@ -13,10 +13,9 @@
 //! # }
 //! ```
 
-use data_roundabout::{FaultPlan, RescalePlan, RingConfig, RingError};
+use data_roundabout::{validate_plans, FaultPlan, RescalePlan, RingConfig, RingError};
 use mem_joins::{Algorithm, JoinPredicate, OutputMode};
 use relation::Relation;
-use simnet::trace::Tracer;
 
 use crate::compute::ComputeMode;
 use crate::distribute::{Placement, RotateSide};
@@ -158,9 +157,9 @@ impl CycloJoin {
         self
     }
 
-    /// Enables tracing: the free-text transport trace on the simulated
-    /// backend, and — on both backends — the structured span/event tracer
-    /// exported by [`CycloJoinReport::chrome_trace`].
+    /// Enables tracing: on every backend, the structured span/event
+    /// tracer in [`CycloJoinReport::spans`], exported by
+    /// [`CycloJoinReport::chrome_trace`].
     pub fn trace(mut self, trace: bool) -> Self {
         self.trace = trace;
         self
@@ -173,7 +172,10 @@ impl CycloJoin {
     }
 
     fn validate(&self) -> Result<Algorithm, PlanError> {
-        self.config.validate().map_err(PlanError::InvalidConfig)?;
+        check_plans(
+            &self.config,
+            Plans::of(&self.fault_plan, &self.rescale_plan),
+        )?;
         if self.fragments_per_host == 0 {
             return Err(PlanError::NoFragments);
         }
@@ -191,10 +193,6 @@ impl CycloJoin {
                 ));
             }
         }
-        check_plans(
-            &self.config,
-            Plans::of(&self.fault_plan, &self.rescale_plan),
-        )?;
         let algorithm = self.resolved_algorithm();
         if !algorithm.supports(&self.predicate) {
             return Err(PlanError::UnsupportedPredicate {
@@ -207,7 +205,7 @@ impl CycloJoin {
 
     /// Validates, places and admits the join as a one-query session, and
     /// runs it on `backend`.
-    fn execute(&self, backend: Backend) -> Result<(CycloJoinReport, Tracer), PlanError> {
+    fn execute(&self, backend: Backend) -> Result<CycloJoinReport, PlanError> {
         let algorithm = self.validate()?;
         let plans = Plans::of(&self.fault_plan, &self.rescale_plan);
         let placement = Placement::with_standbys(
@@ -237,7 +235,7 @@ impl CycloJoin {
             self.host_speeds.as_deref(),
         )
         .map_err(backend_error)?;
-        let report = CycloJoinReport {
+        Ok(CycloJoinReport {
             algorithm: algorithm.name(),
             transport: self.config.transport.name(),
             hosts: self.config.hosts,
@@ -248,8 +246,7 @@ impl CycloJoin {
             ring: outcome.metrics,
             result: outcome.results.pop().unwrap_or_default(),
             spans: outcome.spans,
-        };
-        Ok((report, outcome.trace))
+        })
     }
 
     /// Runs on the simulated (virtual-time) backend.
@@ -259,16 +256,6 @@ impl CycloJoin {
     /// Returns [`PlanError`] if the configuration is inconsistent or the
     /// chosen algorithm cannot evaluate the predicate.
     pub fn run(&self) -> Result<CycloJoinReport, PlanError> {
-        self.run_traced().map(|(report, _)| report)
-    }
-
-    /// Like [`CycloJoin::run`] but also returns the transport trace
-    /// (enable it with [`CycloJoin::trace`] first).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`CycloJoin::run`].
-    pub fn run_traced(&self) -> Result<(CycloJoinReport, Tracer), PlanError> {
         self.execute(Backend::Simulated)
     }
 
@@ -281,7 +268,7 @@ impl CycloJoin {
     ///
     /// Same as [`CycloJoin::run`].
     pub fn run_threaded(&self) -> Result<CycloJoinReport, PlanError> {
-        self.execute(Backend::Threads).map(|(report, _)| report)
+        self.execute(Backend::Threads)
     }
 
     /// Runs over real loopback TCP sockets (wall-clock times, kernel
@@ -294,7 +281,7 @@ impl CycloJoin {
     ///
     /// Same as [`CycloJoin::run`].
     pub fn run_tcp(&self) -> Result<CycloJoinReport, PlanError> {
-        self.execute(Backend::Blocking).map(|(report, _)| report)
+        self.execute(Backend::Blocking)
     }
 
     /// Runs over the same loopback TCP wire protocol as
@@ -307,57 +294,17 @@ impl CycloJoin {
     ///
     /// Same as [`CycloJoin::run`].
     pub fn run_reactor(&self) -> Result<CycloJoinReport, PlanError> {
-        self.execute(Backend::Reactor).map(|(report, _)| report)
+        self.execute(Backend::Reactor)
     }
 }
 
-/// The plan rules every front-end shares: what a fault or rescale schedule
-/// may ask of `config`'s ring. Checked before anything is placed, so a
-/// plan naming a host outside the ring is a typed error on every backend
-/// instead of an out-of-bounds index inside one.
+/// Checks `config` and what a fault or rescale schedule may ask of its
+/// ring against the one rule table (`data_roundabout::validate_plans`),
+/// before anything is placed — so a plan naming a host outside the ring is
+/// a typed error on every backend instead of an out-of-bounds index while
+/// placing standbys.
 pub(crate) fn check_plans(config: &RingConfig, plans: Plans<'_>) -> Result<(), PlanError> {
-    let n = config.hosts;
-    let bad = |why: String| Err(PlanError::BadQuery(why));
-    if let Some(plan) = plans.fault {
-        let (crashes, pauses) = (plan.crashes().iter(), plan.pauses().iter());
-        let mut named = crashes.map(|c| c.host).chain(pauses.map(|p| p.host));
-        if n > 64 {
-            return bad(
-                "fault injection supports at most 64 hosts (exactly-once role bitmask)".into(),
-            );
-        }
-        if let Some(h) = named.find(|h| h.0 >= n) {
-            return bad(format!(
-                "fault plan targets host {} of a {n}-host ring",
-                h.0
-            ));
-        }
-        if n == 1 && !plan.crashes().is_empty() {
-            return bad("cannot heal a single-host ring around a crash".into());
-        }
-    }
-    if let Some(plan) = plans.rescale {
-        let (joins, drains) = (plan.joins().iter(), plan.drains().iter());
-        let mut named = joins.map(|j| j.host).chain(drains.map(|d| d.host));
-        if n > 64 {
-            return bad(
-                "planned rescale supports at most 64 hosts (exactly-once role bitmask)".into(),
-            );
-        }
-        if n == 1 && !plan.is_quiet() {
-            return bad("a single-host ring has no membership to rescale".into());
-        }
-        if let Some(h) = named.find(|h| h.0 >= n) {
-            return bad(format!(
-                "rescale plan targets host {} of a {n}-host ring",
-                h.0
-            ));
-        }
-        if plan.standby_mask().count_ones() as usize >= n {
-            return bad("a rescale plan cannot make every host a standby".into());
-        }
-    }
-    Ok(())
+    validate_plans(config, plans.fault, plans.rescale).map_err(backend_error)
 }
 
 /// Why a cyclo-join plan could not run.
@@ -376,8 +323,10 @@ pub enum PlanError {
     NoFragments,
     /// A submitted query is malformed (cyclotron / batch extensions).
     BadQuery(String),
-    /// The ring backend refused to run (e.g. a fault class the thread
-    /// backend does not support).
+    /// The ring refused the run — a fault or rescale plan the rule table
+    /// shared by all backends rejects (a host outside the ring, every host
+    /// a standby, …) or one this backend cannot realize (crashes on the
+    /// thread backend) — or failed mid-run.
     Backend(RingError),
 }
 
@@ -533,13 +482,16 @@ mod tests {
 
     #[test]
     fn traced_run_exposes_the_protocol() {
+        use simnet::span::SpanKind;
         let (r, s) = inputs();
-        let (_, trace) = CycloJoin::new(r, s)
+        let report = CycloJoin::new(r, s)
             .hosts(2)
             .trace(true)
-            .run_traced()
+            .run()
             .expect("plan should run");
-        assert!(trace.matching("setup done").count() == 2);
+        let setups = report.spans.spans().iter();
+        assert_eq!(setups.filter(|s| s.kind == SpanKind::Setup).count(), 2);
+        assert_eq!(report.spans.count_events("retired"), 8);
     }
 
     #[test]
@@ -588,7 +540,11 @@ mod tests {
             .fault_plan(plan)
             .run()
             .unwrap_err();
-        assert!(err.to_string().contains("targets host 7"), "got: {err}");
+        assert!(
+            err.to_string()
+                .contains("fault plan names a host outside the ring"),
+            "got: {err}"
+        );
     }
 
     #[test]
@@ -793,7 +749,11 @@ mod tests {
             .rescale_plan(plan)
             .run()
             .unwrap_err();
-        assert!(err.to_string().contains("targets host 7"), "got: {err}");
+        assert!(
+            err.to_string()
+                .contains("rescale plan names a host outside the ring"),
+            "got: {err}"
+        );
         let all_standby = RescalePlan::seeded(1)
             .join_host(HostId(0), SimTime::ZERO + SimDuration::from_millis(1))
             .join_host(HostId(1), SimTime::ZERO + SimDuration::from_millis(1));
@@ -802,6 +762,10 @@ mod tests {
             .rescale_plan(all_standby)
             .run()
             .unwrap_err();
+        assert!(
+            matches!(err, PlanError::Backend(RingError::UnsupportedFault(_))),
+            "got: {err:?}"
+        );
         assert!(err.to_string().contains("every host"), "got: {err}");
     }
 

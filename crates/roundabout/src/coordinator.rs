@@ -1,4 +1,5 @@
-//! The one coordinator behind the three wall-clock drivers.
+//! The one coordinator behind the three wall-clock drivers, and the
+//! decisions it shares with the simulator.
 //!
 //! The sans-IO [`crate::protocol`] core emits an ordered stream of
 //! [`Output`]s; something has to turn each of them into IO. For the
@@ -8,9 +9,8 @@
 //! exists exactly once:
 //!
 //! * it owns the [`RingProtocol`], the optional [`FaultPlan`] dice, the
-//!   [`SpanTracer`] and every counter call site, the wall-clock
-//!   accumulators behind [`RingMetrics`], the first-error latch and the
-//!   queue of synchronous follow-up `Event`s;
+//!   [`SpanTracer`], the wall-clock accumulators behind [`RingMetrics`],
+//!   the first-error latch and the queue of synchronous follow-up `Event`s;
 //! * it applies outputs strictly in emission order (`Coordinator::apply`)
 //!   and translates driver events back into protocol [`Input`]s with one
 //!   crash-guard policy (`Coordinator::handle`): joins and fault-plan
@@ -19,15 +19,24 @@
 //! * everything that differs between the engines sits behind the five
 //!   calls of the crate-private `Medium` trait, dispatched statically.
 //!
-//! The simulator is deliberately *not* a `Medium`: its applier
-//! interleaves cost-model charges and virtual-time scheduling with the
-//! dispatch, keeps a second text tracer with pinned strings, and panics
-//! on [`Output::Teardown`] by contract — sharing would make this code
-//! branch on its caller.
+//! The simulator ([`crate::sim_backend`]) is the second applier and is
+//! deliberately *not* a `Medium`. What the two appliers decide alike lives
+//! here once and both call it: the trace vocabulary (`observe`, the only
+//! place a protocol output becomes an event name or a counter), the plan
+//! and shape rule table (`validate`, public as [`validate_plans`]), the
+//! quiet-dice rule (`dice`), the per-attempt roll (`roll`), the plans'
+//! schedule and what a fired timer means (`scheduled`,
+//! `TimerKind::fired`), and the protocol-derived part of [`RingMetrics`]
+//! (`ring_metrics`). What is left in `sim_backend` is the cost model, and
+//! that is the reason it stays a separate applier: set-up is a modeled
+//! phase there, a dropped attempt still occupies the link and charges its
+//! sender, deliveries charge receive CPU, a join's span is known when it
+//! starts, the payload is borrowed rather than cloned into a job, and a
+//! rotation may be continuous — each would be a hook only the simulator
+//! fills (DESIGN §8 has the list).
 //!
-//! Alongside the coordinator live the pieces every engine used to carry a
-//! copy of: plan and shape validation (`validate`), the quiet-dice rule
-//! (`dice`), the guarded job runner (`run_job` / `worker_loop`), the
+//! Alongside live the pieces every wall-clock engine used to carry a copy
+//! of: the guarded job runner (`run_job` / `worker_loop`), the
 //! deadline-ordered `timer_loop`, and the generic driver
 //! ([`WallClockDriver`]) that `RingDriver`, `TcpRingDriver` and
 //! `ReactorRingDriver` are names for.
@@ -105,9 +114,9 @@ pub enum Workload<P> {
 /// count, and [`RingError::UnsupportedFault`] for plans the engine cannot
 /// realize: more than 64 hosts with a plan or multiplexing, host faults on
 /// an engine without them, a crash or rescale on a single-host ring,
-/// plans naming hosts outside the ring, a standby host that contributes
-/// fragments, or a multiplexed run without queries, admission slots or a
-/// second host.
+/// plans naming hosts outside the ring, a rescale plan that leaves no
+/// initial member, a standby host that contributes fragments, or a
+/// multiplexed run without queries, admission slots or a second host.
 pub(crate) fn validate<P>(
     config: &RingConfig,
     fault: Option<&FaultPlan>,
@@ -168,6 +177,10 @@ pub(crate) fn validate<P>(
             "rescale plan names a host outside the ring",
         ),
         (
+            rescale.is_some_and(|r| r.standby_mask().count_ones() as usize >= n),
+            "a rescale plan cannot make every host a standby",
+        ),
+        (
             joins.iter().any(|j| contributes(j.host)),
             "a standby host must not contribute fragments before joining",
         ),
@@ -176,6 +189,24 @@ pub(crate) fn validate<P>(
         Some(&(_, why)) => Err(RingError::UnsupportedFault(why)),
         None => Ok(()),
     }
+}
+
+/// The plan rules of the drivers' one rule table, for callers that have no
+/// fragments yet: what a fault or rescale schedule may ask of `config`'s
+/// ring on any backend. Front-ends run it before they place data, so a
+/// plan naming a host outside the ring is a typed error instead of an
+/// index out of bounds.
+///
+/// # Errors
+///
+/// [`RingError::Config`] for an invalid configuration and
+/// [`RingError::UnsupportedFault`] for a plan no backend can realize.
+pub fn validate_plans(
+    config: &RingConfig,
+    fault: Option<&FaultPlan>,
+    rescale: Option<&RescalePlan>,
+) -> Result<(), RingError> {
+    validate::<()>(config, fault, rescale, &[], None, true)
 }
 
 /// The dice a run rolls per attempt. Rescale and multi-tenant rotation
@@ -191,6 +222,178 @@ pub(crate) fn dice<'a>(
         (Some(plan), _) => Some(Cow::Borrowed(plan)),
         (None, Some(r)) => Some(Cow::Owned(FaultPlan::seeded(r.seed()))),
         (None, None) => multi.then(|| Cow::Owned(FaultPlan::seeded(0))),
+    }
+}
+
+/// Rolls the medium's dice for one attempt of transfer `tid` (the
+/// medium's business, not the protocol's) and reports the fate back to the
+/// protocol. Keyed on the per-sender wire sequence (`wire.seq`), the
+/// numbering all four backends share — the parity suite depends on both
+/// appliers rolling exactly this. A corrupt attempt gets its checksum
+/// flipped in flight, so the receiver's verification rejects the copy and
+/// withholds the ack. Returns whether the medium ate the attempt and the
+/// delay spike it rides. Without dice (`None`, the classic transport)
+/// every attempt is intact and on time.
+pub(crate) fn roll<P: PayloadBytes + Clone>(
+    plan: Option<&FaultPlan>,
+    proto: &mut RingProtocol<P>,
+    from: HostId,
+    tid: u64,
+    attempt: u32,
+    wire: &mut Envelope<P>,
+) -> (bool, SimDuration) {
+    let Some(plan) = plan else {
+        return (false, SimDuration::ZERO);
+    };
+    let seq = wire.seq;
+    let dropped = plan.should_drop(from, seq, attempt);
+    let corrupt = !dropped && plan.should_corrupt(from, seq, attempt);
+    proto.attempt_fate(tid, dropped, corrupt);
+    if corrupt {
+        wire.checksum = !wire.checksum;
+    }
+    (dropped, plan.delay_spike(from, seq, attempt))
+}
+
+/// The one trace vocabulary: what a protocol [`Output`] looks like to a
+/// [`SpanTracer`] on every backend — an instant event `(host, track,
+/// name)` stamped `at()`, a bump of a registry counter, both, or nothing.
+/// Both appliers hand every output here before acting on it, so the four
+/// backends cannot spell an event differently, and this is the only place
+/// an event name is formatted.
+///
+/// The `match` has no wildcard (xtask L6): a new output fails the build
+/// until its trace form is decided. With the tracer off nothing is
+/// stamped, formatted or allocated. Spans are not vocabulary: a join,
+/// absorb or send span needs a duration only the applier's clock knows.
+pub(crate) fn observe<P>(
+    tracer: &mut SpanTracer,
+    at: impl FnOnce() -> SimTime,
+    output: &Output<P>,
+) {
+    if !tracer.is_enabled() {
+        return;
+    }
+    /// An instant event: host (`None` = ring-global), track, name.
+    type Event = (Option<usize>, Track, String);
+    /// A counter bump: registry name, delta.
+    type Bump = (&'static str, u64);
+    let on = |host: &HostId, track, name| Some((Some(host.0), track, name));
+    let ring = |name| Some((None, Track::Control, name));
+    let (event, bump): (Option<Event>, Option<Bump>) = match output {
+        Output::PassThrough { host, id } => {
+            (on(host, Track::Join, format!("pass-through {id}")), None)
+        }
+        // Counted once per transfer; every further attempt is a retransmit.
+        Output::Send { attempt: 1, .. } => (None, Some((counter::ENVELOPES_SENT, 1))),
+        Output::Send {
+            from, attempt, env, ..
+        } => (
+            on(
+                from,
+                Track::Transmitter,
+                format!("retransmit {} attempt {attempt}", env.id),
+            ),
+            Some((counter::RETRANSMITS, 1)),
+        ),
+        Output::Delivered { host, id, .. } => (
+            on(host, Track::Receiver, format!("recv {id}")),
+            Some((counter::ENVELOPES_RECEIVED, 1)),
+        ),
+        Output::DuplicateDropped { host, id } => (
+            on(host, Track::Receiver, format!("duplicate {id} dropped")),
+            None,
+        ),
+        Output::ChecksumMismatch { host, id } => (
+            on(host, Track::Receiver, format!("checksum mismatch {id}")),
+            Some((counter::CHECKSUM_MISMATCHES, 1)),
+        ),
+        Output::Retire { host, id, salvaged } => {
+            let name = if *salvaged {
+                format!("retired {id} (salvaged)")
+            } else {
+                format!("retired {id}")
+            };
+            (
+                on(host, Track::Join, name),
+                Some((counter::FRAGMENTS_RETIRED, 1)),
+            )
+        }
+        Output::Heal { dead } => (
+            ring(format!("heal: host {} confirmed dead", dead.0)),
+            Some((counter::HEAL_EVENTS, 1)),
+        ),
+        Output::Activate { host, epoch } => (
+            on(host, Track::Control, format!("activated (epoch {epoch})")),
+            Some((counter::RESCALE_JOINS, 1)),
+        ),
+        Output::Handoff { roles, .. } => {
+            (None, Some((counter::RESCALE_HANDOFFS, roles.len() as u64)))
+        }
+        Output::Departed { host, epoch } => (
+            on(host, Track::Control, format!("departed (epoch {epoch})")),
+            Some((counter::RESCALE_DRAINS, 1)),
+        ),
+        Output::Resent { target, id } => (
+            on(target, Track::Control, format!("re-sent {id} from origin")),
+            Some((counter::FRAGMENTS_RESENT, 1)),
+        ),
+        Output::QueryAdmitted { query, tenant } => (
+            ring(format!("query {query} (tenant {tenant}) admitted")),
+            Some((counter::QUERIES_ADMITTED, 1)),
+        ),
+        Output::QueryDone { query, tenant } => (
+            ring(format!("query {query} (tenant {tenant}) complete")),
+            Some((counter::QUERIES_COMPLETED, 1)),
+        ),
+        // Silent: the appliers' own spans (join, absorb) or pure IO.
+        Output::StartJoin { .. }
+        | Output::Processed { .. }
+        | Output::Ack { .. }
+        | Output::ArmTimer { .. }
+        | Output::Absorb { .. }
+        | Output::Finished { .. }
+        | Output::Teardown { .. } => return,
+    };
+    if let Some((host, track, name)) = event {
+        tracer.event(host, track, name, at());
+    }
+    if let Some((name, delta)) = bump {
+        tracer.count(name, delta);
+    }
+}
+
+/// The name of an `Absorb` span: a crash-healing takeover of `roles` roles
+/// of dead host `donor`, or a planned handoff of them from a live one.
+pub(crate) fn takeover_name(planned: bool, roles: usize, donor: HostId) -> String {
+    if planned {
+        format!("handoff {roles} role(s) from host {}", donor.0)
+    } else {
+        format!("absorb {roles} role(s) of host {}", donor.0)
+    }
+}
+
+/// The protocol-derived part of a finished run's [`RingMetrics`]; the
+/// applier supplies what only its clock and cost model know.
+pub(crate) fn ring_metrics<P: PayloadBytes + Clone>(
+    proto: &RingProtocol<P>,
+    hosts: Vec<HostMetrics>,
+    wall_clock: SimDuration,
+    detection_latency: SimDuration,
+) -> RingMetrics {
+    RingMetrics {
+        hosts,
+        wall_clock,
+        fragments_completed: proto.fragments_completed(),
+        heal_events: proto.heal_events(),
+        detection_latency,
+        fragments_resent: proto.fragments_resent(),
+        membership_epoch: proto.membership_epoch(),
+        rescale_joins: proto.rescale_joins(),
+        rescale_drains: proto.rescale_drains(),
+        rescale_handoffs: proto.rescale_handoffs(),
+        rescale_escalations: proto.rescale_escalations(),
+        queries: proto.query_metrics(),
     }
 }
 
@@ -319,6 +522,62 @@ pub(crate) enum TimerKind {
     Resume(HostId),
     JoinRequest(HostId),
     DrainRequest(HostId),
+}
+
+impl TimerKind {
+    /// What a fired timer means to the protocol: the [`Input`] it stands
+    /// for and — for the plans' scheduled events — the host it dies with
+    /// (a crashed host has no software left to pause, resume, join or
+    /// drain, and cannot crash twice) plus its control-track event name.
+    /// Protocol backoffs always reach the protocol.
+    pub(crate) fn fired<P>(self) -> (Input<P>, Option<(HostId, &'static str)>) {
+        match self {
+            TimerKind::Protocol(timer) => (Input::Tick { timer }, None),
+            TimerKind::Crash(host) => (Input::PeerDead { host }, Some((host, "crashed"))),
+            TimerKind::Pause(host) => (Input::Paused { host }, Some((host, "paused"))),
+            TimerKind::Resume(host) => (Input::Resumed { host }, Some((host, "resumed"))),
+            TimerKind::JoinRequest(host) => {
+                (Input::JoinRequest { host }, Some((host, "join requested")))
+            }
+            TimerKind::DrainRequest(host) => (
+                Input::DrainRequest { host },
+                Some((host, "drain requested")),
+            ),
+        }
+    }
+}
+
+/// Every event the plans schedule, as `(instant since ring start, timer)`
+/// in arming order: crashes, each pause with its resume, joins, drains.
+pub(crate) fn scheduled(
+    fault: Option<&FaultPlan>,
+    rescale: Option<&RescalePlan>,
+) -> Vec<(SimTime, TimerKind)> {
+    let mut events = Vec::new();
+    if let Some(plan) = fault {
+        events.extend(
+            plan.crashes()
+                .iter()
+                .map(|c| (c.at, TimerKind::Crash(c.host))),
+        );
+        for p in plan.pauses() {
+            events.push((p.at, TimerKind::Pause(p.host)));
+            events.push((p.at + p.duration, TimerKind::Resume(p.host)));
+        }
+    }
+    if let Some(plan) = rescale {
+        events.extend(
+            plan.joins()
+                .iter()
+                .map(|j| (j.at, TimerKind::JoinRequest(j.host))),
+        );
+        events.extend(
+            plan.drains()
+                .iter()
+                .map(|d| (d.at, TimerKind::DrainRequest(d.host))),
+        );
+    }
+    events
 }
 
 /// What the coordinator hears from an engine (and from itself: media
@@ -501,22 +760,8 @@ impl<'a, P: PayloadBytes + Clone, M: Medium<P>> Coordinator<'a, P, M> {
             crash_at: vec![None; n],
             detection_latency: SimDuration::ZERO,
         };
-        if let Some(plan) = plan {
-            for c in plan.crashes() {
-                co.arm_at(c.at, TimerKind::Crash(c.host));
-            }
-            for p in plan.pauses() {
-                co.arm_at(p.at, TimerKind::Pause(p.host));
-                co.arm_at(p.at + p.duration, TimerKind::Resume(p.host));
-            }
-        }
-        if let Some(plan) = rescale {
-            for j in plan.joins() {
-                co.arm_at(j.at, TimerKind::JoinRequest(j.host));
-            }
-            for d in plan.drains() {
-                co.arm_at(d.at, TimerKind::DrainRequest(d.host));
-            }
+        for (at, kind) in scheduled(plan, rescale) {
+            co.arm_at(at, kind);
         }
         for h in 0..n {
             co.input(Input::SetupDone { host: HostId(h) }, None);
@@ -602,39 +847,16 @@ impl<'a, P: PayloadBytes + Clone, M: Medium<P>> Coordinator<'a, P, M> {
                 )
             });
         }
-        let metrics = RingMetrics {
+        let wall_clock = self.last_progress.saturating_duration_since(self.epoch);
+        let metrics = ring_metrics(
+            &self.proto,
             hosts,
-            wall_clock: self
-                .last_progress
-                .saturating_duration_since(self.epoch)
-                .into(),
-            fragments_completed: self.proto.fragments_completed(),
-            heal_events: self.proto.heal_events(),
-            detection_latency: self.detection_latency,
-            fragments_resent: self.proto.fragments_resent(),
-            membership_epoch: self.proto.membership_epoch(),
-            rescale_joins: self.proto.rescale_joins(),
-            rescale_drains: self.proto.rescale_drains(),
-            rescale_handoffs: self.proto.rescale_handoffs(),
-            rescale_escalations: self.proto.rescale_escalations(),
-            queries: self.proto.query_metrics(),
-        };
+            wall_clock.into(),
+            self.detection_latency,
+        );
         let mut tracer = self.tracer;
         materialize_counters(&mut tracer);
         Ok((metrics, tracer))
-    }
-
-    fn now_stamp(&self) -> SimTime {
-        SimTime::from_nanos(SimDuration::from(self.epoch.elapsed()).as_nanos())
-    }
-
-    /// Records one instant event when tracing is on; the name is only
-    /// formatted then.
-    fn note(&mut self, host: Option<HostId>, track: Track, name: impl FnOnce() -> String) {
-        if self.tracer.is_enabled() {
-            let at = self.now_stamp();
-            self.tracer.event(host.map(|h| h.0), track, name(), at);
-        }
     }
 
     fn progressed(&mut self) {
@@ -713,11 +935,7 @@ impl<'a, P: PayloadBytes + Clone, M: Medium<P>> Coordinator<'a, P, M> {
                 planned,
             } => {
                 if self.tracer.is_enabled() {
-                    let name = if planned {
-                        format!("handoff {roles} role(s) from host {}", dead.0)
-                    } else {
-                        format!("absorb {roles} role(s) of host {}", dead.0)
-                    };
+                    let name = takeover_name(planned, roles, dead);
                     self.tracer
                         .span(host.0, SpanKind::Absorb, name, start, spent.into());
                 }
@@ -726,36 +944,27 @@ impl<'a, P: PayloadBytes + Clone, M: Medium<P>> Coordinator<'a, P, M> {
         }
     }
 
-    fn on_timer(&mut self, kind: TimerKind) {
-        let (host, name, input) = match kind {
-            TimerKind::Protocol(timer) => return self.input(Input::Tick { timer }, None),
-            TimerKind::Crash(host) => return self.crash(host),
-            TimerKind::Pause(host) => (host, "paused", Input::Paused { host }),
-            TimerKind::Resume(host) => (host, "resumed", Input::Resumed { host }),
-            TimerKind::JoinRequest(host) => (host, "join requested", Input::JoinRequest { host }),
-            TimerKind::DrainRequest(host) => {
-                (host, "drain requested", Input::DrainRequest { host })
-            }
-        };
-        if self.proto.is_crashed(host) {
-            return;
-        }
-        self.note(Some(host), Track::Control, || name.to_string());
-        self.input(input, None);
-    }
-
-    /// Realizes a scheduled crash: sever the host's outgoing wires, then
-    /// report the ground truth to the protocol. What still reaches the
-    /// dead host feeds the protocol's salvage path.
+    /// A fired timer: the plans' scheduled events die with a crashed
+    /// host; a scheduled crash severs the host's outgoing wires before the
+    /// protocol hears the ground truth (what still reaches the dead host
+    /// feeds the protocol's salvage path).
     // analyze: allow(panic, reason = "protocol invariant: per-host tables are sized to the ring at construction and HostId never exceeds it")
-    fn crash(&mut self, host: HostId) {
-        if self.proto.is_crashed(host) {
-            return;
+    fn on_timer(&mut self, kind: TimerKind) {
+        let (input, planned) = kind.fired();
+        if let Some((host, name)) = planned {
+            if self.proto.is_crashed(host) {
+                return;
+            }
+            if self.tracer.is_enabled() {
+                let at = wall_stamp(self.epoch);
+                self.tracer.event(Some(host.0), Track::Control, name, at);
+            }
+            if kind == TimerKind::Crash(host) {
+                self.crash_at[host.0] = Some(Instant::now());
+                self.medium.sever(host, &mut self.pending);
+            }
         }
-        self.crash_at[host.0] = Some(Instant::now());
-        self.note(Some(host), Track::Control, || "crashed".to_string());
-        self.medium.sever(host, &mut self.pending);
-        self.input(Input::PeerDead { host }, None);
+        self.input(input, None);
     }
 
     fn start(&mut self, host: HostId, job: Job<P>) {
@@ -764,15 +973,18 @@ impl<'a, P: PayloadBytes + Clone, M: Medium<P>> Coordinator<'a, P, M> {
         }
     }
 
-    /// Applies protocol outputs strictly in emission order. `ctx` names
-    /// the host whose delivery is being processed — the only context in
-    /// which the protocol emits [`Output::Ack`].
+    /// Applies protocol outputs strictly in emission order: each is shown
+    /// to the trace vocabulary, then acted on if it asks for IO. `ctx`
+    /// names the host whose delivery is being processed — the only context
+    /// in which the protocol emits [`Output::Ack`].
     // analyze: allow(panic, reason = "protocol invariant: per-host tables are sized to the ring at construction and HostId never exceeds it")
     fn apply(&mut self, outputs: Vec<Output<P>>, ctx: Option<HostId>) {
+        let epoch = self.epoch;
         for output in outputs {
             if self.fatal {
                 return;
             }
+            observe(&mut self.tracer, || wall_stamp(epoch), &output);
             match output {
                 Output::StartJoin {
                     host,
@@ -796,10 +1008,6 @@ impl<'a, P: PayloadBytes + Clone, M: Medium<P>> Coordinator<'a, P, M> {
                         },
                     );
                 }
-                Output::PassThrough { host, id } => {
-                    self.note(Some(host), Track::Join, || format!("pass-through {id}"));
-                }
-                Output::Processed { .. } => {}
                 Output::Send {
                     from,
                     to,
@@ -822,42 +1030,12 @@ impl<'a, P: PayloadBytes + Clone, M: Medium<P>> Coordinator<'a, P, M> {
                         .saturating_mul(1u32 << backoff_exp.min(31));
                     self.medium.arm(delay, TimerKind::Protocol(timer));
                 }
-                Output::Delivered { host, id, bytes: _ } => {
-                    self.note(Some(host), Track::Receiver, || format!("recv {id}"));
-                    self.tracer.count(counter::ENVELOPES_RECEIVED, 1);
-                }
-                Output::DuplicateDropped { host, id } => {
-                    self.note(Some(host), Track::Receiver, || {
-                        format!("duplicate {id} dropped")
-                    });
-                }
-                Output::ChecksumMismatch { host, id } => {
-                    self.note(Some(host), Track::Receiver, || {
-                        format!("checksum mismatch {id}")
-                    });
-                    self.tracer.count(counter::CHECKSUM_MISMATCHES, 1);
-                }
-                Output::Retire { host, id, salvaged } => {
-                    self.progressed();
-                    self.note(Some(host), Track::Join, || {
-                        if salvaged {
-                            format!("retired {id} (salvaged)")
-                        } else {
-                            format!("retired {id}")
-                        }
-                    });
-                    self.tracer.count(counter::FRAGMENTS_RETIRED, 1);
-                }
                 Output::Heal { dead } => {
                     // A heal without a scheduled crash is an escalated
                     // drain: nothing to measure detection against.
                     let latency = self.crash_at[dead.0]
                         .map_or(SimDuration::ZERO, |at| SimDuration::from(at.elapsed()));
                     self.detection_latency = self.detection_latency.max(latency);
-                    self.note(None, Track::Control, || {
-                        format!("heal: host {} confirmed dead", dead.0)
-                    });
-                    self.tracer.count(counter::HEAL_EVENTS, 1);
                 }
                 Output::Absorb {
                     survivor,
@@ -871,105 +1049,62 @@ impl<'a, P: PayloadBytes + Clone, M: Medium<P>> Coordinator<'a, P, M> {
                         planned: false,
                     },
                 ),
-                Output::Activate { host, epoch } => {
-                    self.progressed();
-                    self.note(Some(host), Track::Control, || {
-                        format!("activated (epoch {epoch})")
-                    });
-                    self.tracer.count(counter::RESCALE_JOINS, 1);
-                }
-                Output::Handoff { from, to, roles } => {
-                    self.tracer
-                        .count(counter::RESCALE_HANDOFFS, roles.len() as u64);
-                    self.start(
-                        to,
-                        Job::Absorb {
-                            dead: from,
-                            roles,
-                            planned: true,
-                        },
-                    );
-                }
-                Output::Departed { host, epoch } => {
+                Output::Handoff { from, to, roles } => self.start(
+                    to,
+                    Job::Absorb {
+                        dead: from,
+                        roles,
+                        planned: true,
+                    },
+                ),
+                Output::Departed { host, .. } => {
                     self.progressed();
                     // The drainee left the ring for good: retire its
                     // outgoing wires (behind anything it still owed).
                     // Nobody routes to it any more.
                     self.medium.sever(host, &mut self.pending);
-                    self.note(Some(host), Track::Control, || {
-                        format!("departed (epoch {epoch})")
-                    });
-                    self.tracer.count(counter::RESCALE_DRAINS, 1);
                 }
-                Output::Resent { target, id } => {
-                    self.note(Some(target), Track::Control, || {
-                        format!("re-sent {id} from origin")
-                    });
-                    self.tracer.count(counter::FRAGMENTS_RESENT, 1);
-                }
-                Output::Finished { .. } => {}
-                Output::QueryAdmitted { query, tenant } => {
-                    self.progressed();
-                    self.note(None, Track::Control, || {
-                        format!("query {query} (tenant {tenant}) admitted")
-                    });
-                    self.tracer.count(counter::QUERIES_ADMITTED, 1);
-                }
-                Output::QueryDone { query, tenant } => {
-                    self.progressed();
-                    self.note(None, Track::Control, || {
-                        format!("query {query} (tenant {tenant}) complete")
-                    });
-                    self.tracer.count(counter::QUERIES_COMPLETED, 1);
-                }
+                Output::Retire { .. }
+                | Output::Activate { .. }
+                | Output::QueryAdmitted { .. }
+                | Output::QueryDone { .. } => self.progressed(),
                 Output::Teardown { reason } => self.fail(RingError::Teardown(reason)),
+                // Nothing to do beyond the trace (continuous rotation,
+                // which alone emits `Finished`, is simulator-only).
+                Output::PassThrough { .. }
+                | Output::Processed { .. }
+                | Output::Delivered { .. }
+                | Output::DuplicateDropped { .. }
+                | Output::ChecksumMismatch { .. }
+                | Output::Resent { .. }
+                | Output::Finished { .. } => {}
             }
         }
     }
 
-    /// Puts one attempt of a transfer toward the wire: rolls the fault
-    /// dice (the medium's business, not the protocol's), reports the fate
-    /// back, and hands a live attempt to the medium.
+    /// Puts one attempt of a transfer toward the wire: rolls the dice and
+    /// hands a live attempt to the medium.
     // analyze: allow(panic, reason = "protocol invariant: per-host tables are sized to the ring at construction and HostId never exceeds it")
     fn apply_send(&mut self, from: HostId, to: HostId, tid: u64, attempt: u32, env: Envelope<P>) {
         self.bytes_forwarded[from.0] += env.bytes();
         let mut wire = env;
-        let mut dropped = false;
-        let mut delay = Duration::ZERO;
-        if let Some(plan) = self.plan {
-            // Dice keyed on the per-sender wire sequence (`env.seq`), the
-            // numbering all four backends share — the parity suite
-            // depends on this.
-            let seq = wire.seq;
-            dropped = plan.should_drop(from, seq, attempt);
-            let corrupt = !dropped && plan.should_corrupt(from, seq, attempt);
-            delay = Duration::from(plan.delay_spike(from, seq, attempt));
-            self.proto.attempt_fate(tid, dropped, corrupt);
-            if corrupt {
-                // In-flight bit flips: the receiver's checksum
-                // verification rejects the copy and withholds the ack.
-                wire.checksum = !wire.checksum;
-            }
-        }
-        if attempt == 1 {
-            self.tracer.count(counter::ENVELOPES_SENT, 1);
-        } else {
-            self.note(Some(from), Track::Transmitter, || {
-                format!("retransmit {} attempt {attempt}", wire.id)
-            });
-            self.tracer.count(counter::RETRANSMITS, 1);
-        }
+        let (dropped, spike) = roll(self.plan, &mut self.proto, from, tid, attempt, &mut wire);
         if dropped {
             // The medium ate this attempt before it reached the wire; the
             // sender's NIC still reports its wire free.
             self.pending.push_back(Event::SendDone { from });
         } else if let Err(error) =
             self.medium
-                .transmit(from, to, tid, wire, delay, &mut self.pending)
+                .transmit(from, to, tid, wire, spike.into(), &mut self.pending)
         {
             self.fail(error);
         }
     }
+}
+
+/// Wall-clock time since `epoch` on the tracer's timeline.
+fn wall_stamp(epoch: Instant) -> SimTime {
+    SimTime::from_nanos(SimDuration::from(epoch.elapsed()).as_nanos())
 }
 
 // ---------------------------------------------------------------------------
@@ -1304,6 +1439,23 @@ pub(crate) mod engine_suite {
             .run(payloads(2, 1, 8), |_, _| {})
             .unwrap_err();
         assert!(matches!(err, RingError::UnsupportedFault(_)));
+    }
+
+    /// A plan that leaves the ring no initial member is refused by the
+    /// rule table, before any thread or socket exists (it used to panic
+    /// inside `RingProtocol::new`, and hang the blocking engine).
+    pub(crate) fn all_standby_rescale_is_rejected<E: WallClockEngine>() {
+        let plan = RescalePlan::seeded(1)
+            .join_host(HostId(0), SimTime::from_nanos(1_000))
+            .join_host(HostId(1), SimTime::from_nanos(1_000));
+        let err = WallClockDriver::<E>::new(&RingConfig::paper(2))
+            .with_rescale_plan(&plan)
+            .run(payloads(2, 0, 8), |_, _| {})
+            .unwrap_err();
+        assert_eq!(
+            err,
+            RingError::UnsupportedFault("a rescale plan cannot make every host a standby")
+        );
     }
 
     pub(crate) fn lossy_and_corrupt_links_are_repaired<E: WallClockEngine>() {
@@ -1803,16 +1955,229 @@ mod tests {
         let app = FixedCostApp::new(2, SimDuration::ZERO, SimDuration::from_micros(50));
         let sim = SimRing::new(config, payloads(2, 4, 32), app)
             .with_fault_plan(plan.clone())
+            .with_trace(true)
             .run();
         for (ours, theirs) in metrics.hosts.iter().zip(&sim.metrics.hosts) {
             assert_eq!(ours.retransmits, theirs.retransmits);
             assert_eq!(ours.checksum_mismatches, theirs.checksum_mismatches);
         }
+        // Same dice, same vocabulary: the two appliers leave the same
+        // multiset of (host, track, event name).
+        let names = |tracer: &SpanTracer| {
+            let mut names: Vec<_> = tracer
+                .events()
+                .iter()
+                .map(|e| (e.host, e.track, e.name.clone()))
+                .collect();
+            names.sort();
+            names
+        };
+        assert_eq!(names(&tracer), names(&sim.spans));
+        assert!(tracer.count_events("retransmit") > 0 && tracer.count_events("checksum") > 0);
         assert!(metrics.total_retransmits() > 0 && metrics.total_checksum_mismatches() > 0);
         assert_eq!(
             tracer.counters().get(counter::RETRANSMITS),
             metrics.total_retransmits()
         );
+    }
+
+    /// The pinned strings live here: one row per [`Output`] variant, and
+    /// what `observe` must leave in the tracer for it — `(host, track,
+    /// name)` of the instant event, `(counter, delta)` of the bump.
+    #[test]
+    fn observe_maps_every_output_to_its_trace_form() {
+        type Row = (
+            Output<P>,
+            Option<(Option<usize>, Track, &'static str)>,
+            Option<(&'static str, u64)>,
+        );
+        let (h, id) = (HostId(1), FragmentId(7));
+        // The first fragment of a one-host batch: `F0`.
+        let env = || {
+            envelope_batches(vec![vec![vec![0u8; 4]]], 1)
+                .remove(0)
+                .remove(0)
+        };
+        let send = |attempt| Output::Send {
+            from: h,
+            to: HostId(2),
+            tid: 3,
+            attempt,
+            env: env(),
+        };
+        let on = |track, name| Some((Some(1), track, name));
+        let ring = |name| Some((None, Track::Control, name));
+        let rows: Vec<Row> = vec![
+            (
+                Output::StartJoin {
+                    host: h,
+                    id,
+                    hop: 0,
+                    roles: None,
+                    bytes: 4,
+                },
+                None,
+                None,
+            ),
+            (
+                Output::PassThrough { host: h, id },
+                on(Track::Join, "pass-through F7"),
+                None,
+            ),
+            (Output::Processed { host: h, id }, None, None),
+            (send(1), None, Some((counter::ENVELOPES_SENT, 1))),
+            (
+                send(2),
+                on(Track::Transmitter, "retransmit F0 attempt 2"),
+                Some((counter::RETRANSMITS, 1)),
+            ),
+            (Output::Ack { to: h, tid: 3 }, None, None),
+            (
+                Output::ArmTimer {
+                    timer: Timer::Retransmit { tid: 3, attempt: 1 },
+                    backoff_exp: 0,
+                },
+                None,
+                None,
+            ),
+            (
+                Output::Delivered {
+                    host: h,
+                    id,
+                    bytes: 4,
+                },
+                on(Track::Receiver, "recv F7"),
+                Some((counter::ENVELOPES_RECEIVED, 1)),
+            ),
+            (
+                Output::DuplicateDropped { host: h, id },
+                on(Track::Receiver, "duplicate F7 dropped"),
+                None,
+            ),
+            (
+                Output::ChecksumMismatch { host: h, id },
+                on(Track::Receiver, "checksum mismatch F7"),
+                Some((counter::CHECKSUM_MISMATCHES, 1)),
+            ),
+            (
+                Output::Retire {
+                    host: h,
+                    id,
+                    salvaged: false,
+                },
+                on(Track::Join, "retired F7"),
+                Some((counter::FRAGMENTS_RETIRED, 1)),
+            ),
+            (
+                Output::Retire {
+                    host: h,
+                    id,
+                    salvaged: true,
+                },
+                on(Track::Join, "retired F7 (salvaged)"),
+                Some((counter::FRAGMENTS_RETIRED, 1)),
+            ),
+            (
+                Output::Heal { dead: h },
+                ring("heal: host 1 confirmed dead"),
+                Some((counter::HEAL_EVENTS, 1)),
+            ),
+            (
+                Output::Absorb {
+                    survivor: HostId(2),
+                    dead: h,
+                    roles: vec![1],
+                },
+                None,
+                None,
+            ),
+            (
+                Output::Activate { host: h, epoch: 4 },
+                on(Track::Control, "activated (epoch 4)"),
+                Some((counter::RESCALE_JOINS, 1)),
+            ),
+            (
+                Output::Handoff {
+                    from: h,
+                    to: HostId(2),
+                    roles: vec![1, 3],
+                },
+                None,
+                Some((counter::RESCALE_HANDOFFS, 2)),
+            ),
+            (
+                Output::Departed { host: h, epoch: 5 },
+                on(Track::Control, "departed (epoch 5)"),
+                Some((counter::RESCALE_DRAINS, 1)),
+            ),
+            (
+                Output::Resent { target: h, id },
+                on(Track::Control, "re-sent F7 from origin"),
+                Some((counter::FRAGMENTS_RESENT, 1)),
+            ),
+            (Output::Finished { host: h }, None, None),
+            (
+                Output::QueryAdmitted {
+                    query: 2,
+                    tenant: 9,
+                },
+                ring("query 2 (tenant 9) admitted"),
+                Some((counter::QUERIES_ADMITTED, 1)),
+            ),
+            (
+                Output::QueryDone {
+                    query: 2,
+                    tenant: 9,
+                },
+                ring("query 2 (tenant 9) complete"),
+                Some((counter::QUERIES_COMPLETED, 1)),
+            ),
+            (
+                Output::Teardown {
+                    reason: teardown::RING_CLOSED,
+                },
+                None,
+                None,
+            ),
+        ];
+        let at = SimTime::from_nanos(42);
+        for (output, event, bump) in rows {
+            let mut tracer = SpanTracer::enabled();
+            observe(&mut tracer, || at, &output);
+            let got: Vec<_> = tracer
+                .events()
+                .iter()
+                .map(|e| (e.host, e.track, e.name.as_str(), e.at))
+                .collect();
+            let want: Vec<_> = event.iter().map(|&(h, t, n)| (h, t, n, at)).collect();
+            assert_eq!(got, want, "event of {output:?}");
+            let got: Vec<_> = tracer.counters().iter().collect();
+            assert_eq!(got, Vec::from_iter(bump), "counter of {output:?}");
+            assert!(
+                tracer.spans().is_empty(),
+                "spans are the appliers' business"
+            );
+        }
+    }
+
+    /// The untraced path: nothing is stamped (the clock closure would
+    /// panic), formatted or recorded, whatever the output.
+    #[test]
+    fn observe_is_inert_when_the_tracer_is_off() {
+        let mut tracer = SpanTracer::disabled();
+        let (host, id) = (HostId(0), FragmentId(1));
+        let outputs: [Output<P>; 3] = [
+            Output::Delivered { host, id, bytes: 8 },
+            Output::DuplicateDropped { host, id },
+            Output::QueryDone {
+                query: 0,
+                tenant: 0,
+            },
+        ];
+        for output in &outputs {
+            observe(&mut tracer, || panic!("stamped an untraced output"), output);
+        }
+        assert_eq!(tracer, SpanTracer::disabled());
     }
 
     #[test]

@@ -71,7 +71,7 @@ pub mod wheel;
 pub use app::{FixedCostApp, RingApp};
 pub use buffer::RegisteredPool;
 pub use config::{ConfigError, RingConfig};
-pub use coordinator::{WallClockDriver, WallClockEngine};
+pub use coordinator::{validate_plans, WallClockDriver, WallClockEngine};
 pub use envelope::{Envelope, FragmentId, PayloadBytes};
 pub use error::{FrameError, RingError};
 pub use frame::{Frame, FrameDecoder, WirePayload};

@@ -1273,6 +1273,11 @@ mod tests {
     }
 
     #[test]
+    fn reactor_all_standby_rescale_is_rejected() {
+        engine_suite::all_standby_rescale_is_rejected::<ReactorEngine>();
+    }
+
+    #[test]
     fn reactor_survives_loss_and_corruption() {
         engine_suite::lossy_and_corrupt_links_are_repaired::<ReactorEngine>();
     }

@@ -2,10 +2,14 @@
 //! simulation.
 //!
 //! Every protocol decision — credit flow control, ack/retransmit ledger,
-//! healing — lives in the sans-IO [`crate::protocol`] core. This file is
-//! only the *driver*: it maps [`Output`]s onto `simnet` events, link and
-//! RNIC reservations, CPU cost charges and trace spans, and feeds the
-//! resulting observations back as [`Input`]s.
+//! healing — lives in the sans-IO [`crate::protocol`] core, and every
+//! decision an applier makes that is *not* about cost — what an output
+//! looks like in a trace, which plans are legal, which dice are rolled per
+//! attempt, what a fired timer means — is shared with the wall-clock
+//! drivers in `coordinator.rs`. This file keeps the cost model: it
+//! maps [`Output`]s onto `simnet` events, link and RNIC reservations and
+//! CPU charges, emits the spans whose durations only the model knows, and
+//! feeds the resulting observations back as [`Input`]s.
 //!
 //! Time and CPU model:
 //!
@@ -30,20 +34,24 @@ use simnet::engine::Simulation;
 use simnet::fault::{FaultPlan, RescalePlan};
 use simnet::link::Link;
 use simnet::rnic::{Completion, MemoryRegion, QueuePair, Rnic, WorkRequest};
-use simnet::span::{counter, SpanKind, SpanTracer, Track};
+use simnet::span::{SpanKind, SpanTracer, Track};
 use simnet::throughput::{Bandwidth, ChunkThroughput};
 use simnet::time::{SimDuration, SimTime};
 use simnet::topology::{HostId, RingNetwork};
-use simnet::trace::Tracer;
 use simnet::transport::TransportModel;
 
 use crate::app::RingApp;
 use crate::config::RingConfig;
+use crate::coordinator::{
+    dice, observe, ring_metrics, roll, scheduled, takeover_name, validate, TimerKind,
+};
 use crate::envelope::{Envelope, PayloadBytes};
+use crate::error::RingError;
 use crate::metrics::{HostMetrics, RingMetrics};
 use crate::protocol::{
-    envelope_batches, query_batches, Input, Output, ProtocolConfig, RingProtocol, Timer,
+    envelope_batches, query_batches, Input, Output, ProtocolConfig, RingProtocol,
 };
+use crate::thread_backend::materialize_counters;
 
 /// Safety valve: no legitimate run needs more events than this per fragment
 /// and host.
@@ -69,8 +77,6 @@ pub struct SimOutcome<A> {
     pub metrics: RingMetrics,
     /// The application, with whatever state it accumulated.
     pub app: A,
-    /// The event trace (empty unless tracing was enabled).
-    pub trace: Tracer,
     /// Structured spans, instant events and counters (disabled unless
     /// tracing was enabled); exportable as Chrome trace-event JSON.
     pub spans: SpanTracer,
@@ -106,6 +112,11 @@ enum RingEvent<P> {
     JoinDone {
         host: HostId,
     },
+    /// A takeover rebuild — healing absorb or planned handoff — finished
+    /// and the host may join again.
+    AbsorbDone {
+        host: HostId,
+    },
     Arrived {
         to: HostId,
         env: Envelope<P>,
@@ -121,47 +132,8 @@ enum RingEvent<P> {
     AckArrived {
         tid: u64,
     },
-    /// The sender's retransmission timer for attempt `attempt` of transfer
-    /// `tid` fired (stale if the transfer was acked or re-attempted since).
-    AckTimeout {
-        tid: u64,
-        attempt: u32,
-    },
-    /// A sender blocked on its successor's full receive pool probes it.
-    ProbeTimeout {
-        from: HostId,
-        to: HostId,
-        attempt: u32,
-    },
-    /// Scheduled adversity from the fault plan.
-    Crash {
-        host: HostId,
-    },
-    Pause {
-        host: HostId,
-    },
-    Resume {
-        host: HostId,
-    },
-    /// The ring-healing successor finished rebuilding the absorbed
-    /// stationary partitions and may join again. Also marks the end of a
-    /// planned-handoff rebuild (the recipient side of [`Output::Handoff`]).
-    AbsorbDone {
-        host: HostId,
-    },
-    /// Scheduled membership change from the rescale plan.
-    JoinRequest {
-        host: HostId,
-    },
-    DrainRequest {
-        host: HostId,
-    },
-    /// The drain deadline of attempt `attempt` fired (stale if the drain
-    /// completed or was aborted since).
-    DrainTimeout {
-        host: HostId,
-        attempt: u32,
-    },
+    /// A protocol backoff expired, or an event a plan scheduled is due.
+    Timer(TimerKind),
 }
 
 /// Multi-tenant submission list: `(tenant, per-host fragment lists)`
@@ -183,6 +155,15 @@ pub struct SimRing<P, A> {
     rescale_plan: Option<RescalePlan>,
 }
 
+/// The simulator's contract for a refused run: the typed refusal of the
+/// shared rule table, as a panic.
+// analyze: allow(panic, reason = "driver contract: the simulated backend reports refused configurations, shapes and plans by panicking with the typed error's message")
+fn accept(checked: Result<(), RingError>) {
+    if let Err(refused) = checked {
+        panic!("{refused}");
+    }
+}
+
 impl<P: PayloadBytes + Clone, A: RingApp<P>> SimRing<P, A> {
     /// Prepares a run: `fragments[h]` are the local fragments host `h`
     /// contributes to the rotation.
@@ -191,16 +172,8 @@ impl<P: PayloadBytes + Clone, A: RingApp<P>> SimRing<P, A> {
     ///
     /// Panics if the configuration is invalid or `fragments.len()` differs
     /// from the configured host count.
-    // analyze: allow(panic, reason = "protocol invariant: per-host tables are sized to the ring at construction and HostId never exceeds it")
     pub fn new(config: RingConfig, fragments: Vec<Vec<P>>, app: A) -> Self {
-        config.validate().expect("invalid ring configuration");
-        assert_eq!(
-            fragments.len(),
-            config.hosts,
-            "need one fragment list per host ({} hosts, {} lists)",
-            config.hosts,
-            fragments.len()
-        );
+        accept(validate(&config, None, None, &[&fragments], None, true));
         SimRing {
             config,
             fragments,
@@ -225,27 +198,24 @@ impl<P: PayloadBytes + Clone, A: RingApp<P>> SimRing<P, A> {
     ///
     /// # Panics
     ///
-    /// Panics if the configuration is invalid, any query's fragment list
-    /// count differs from the host count, `queries` is empty or
-    /// `max_active` is zero (checks shared with [`RingProtocol::new_multi`]).
-    // analyze: allow(panic, reason = "construction-time shape checks, mirroring SimRing::new")
+    /// Panics if the configuration is invalid, the ring has fewer than two
+    /// hosts, any query's fragment list count differs from the host count,
+    /// `queries` is empty or `max_active` is zero.
     pub fn new_queries(
         config: RingConfig,
         queries: QuerySpecs<P>,
         max_active: usize,
         app: A,
     ) -> Self {
-        config.validate().expect("invalid ring configuration");
-        assert!(!queries.is_empty(), "a multi-tenant ring needs queries");
-        for (q, (_, fragments)) in queries.iter().enumerate() {
-            assert_eq!(
-                fragments.len(),
-                config.hosts,
-                "query {q} needs one fragment list per host ({} hosts, {} lists)",
-                config.hosts,
-                fragments.len()
-            );
-        }
+        let shapes: Vec<&[Vec<P>]> = queries.iter().map(|(_, f)| f.as_slice()).collect();
+        accept(validate(
+            &config,
+            None,
+            None,
+            &shapes,
+            Some(max_active),
+            true,
+        ));
         SimRing {
             config,
             fragments: Vec::new(),
@@ -269,10 +239,12 @@ impl<P: PayloadBytes + Clone, A: RingApp<P>> SimRing<P, A> {
     ///
     /// # Panics
     ///
-    /// `run` panics if the plan is combined with continuous rotation, if a
-    /// crash is scheduled on a single-host ring (there is nobody left to
-    /// heal), or if the ring has more than 64 hosts (the exactly-once
-    /// ledger is a 64-bit role bitmask).
+    /// `run` panics if the plan is combined with continuous rotation, or
+    /// with the message of the [`RingError::UnsupportedFault`] the
+    /// wall-clock drivers return for the same plan: a crash scheduled on a
+    /// single-host ring (there is nobody left to heal), a host outside the
+    /// ring, more than 64 hosts (the exactly-once ledger is a 64-bit role
+    /// bitmask).
     pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
         self.fault_plan = Some(plan);
         self
@@ -288,9 +260,11 @@ impl<P: PayloadBytes + Clone, A: RingApp<P>> SimRing<P, A> {
     ///
     /// # Panics
     ///
-    /// `run` panics if the plan is combined with continuous rotation, if
-    /// the ring has more than 64 hosts, or if a scheduled join host
-    /// contributes fragments.
+    /// `run` panics if the plan is combined with continuous rotation, or
+    /// with the message of the [`RingError::UnsupportedFault`] the
+    /// wall-clock drivers return for the same plan: more than 64 hosts, a
+    /// host outside the ring, every host a standby, or a scheduled join
+    /// host that contributes fragments.
     pub fn with_rescale_plan(mut self, plan: RescalePlan) -> Self {
         self.rescale_plan = Some(plan);
         self
@@ -311,7 +285,7 @@ impl<P: PayloadBytes + Clone, A: RingApp<P>> SimRing<P, A> {
         self
     }
 
-    /// Enables event tracing for this run.
+    /// Enables structured span recording for this run.
     pub fn with_trace(mut self, trace: bool) -> Self {
         self.trace = trace;
         self
@@ -331,14 +305,17 @@ impl<P: PayloadBytes + Clone, A: RingApp<P>> SimRing<P, A> {
         self
     }
 
-    /// Runs the ring to quiescence and returns metrics, app and trace.
+    /// Runs the ring to quiescence and returns metrics, app and spans.
     ///
     /// # Panics
     ///
     /// Panics if the run ends with unfinished fragments (which would mean
-    /// a flow-control deadlock — a bug, not a configuration problem).
+    /// a flow-control deadlock — a bug, not a configuration problem), or
+    /// if the protocol tears the run down (for example an exhausted
+    /// retransmission budget on a live ring).
     pub fn run(self) -> SimOutcome<A> {
-        Runner::new(self).run()
+        let (runner, schedule) = Runner::new(self);
+        runner.run(schedule)
     }
 }
 
@@ -381,22 +358,17 @@ struct Runner<P, A> {
     rnics: Vec<Option<(Rnic, QueuePair, MemoryRegion)>>,
     host_speed: Option<Vec<f64>>,
     next_wr_id: u64,
-    wall_clock: SimTime,
-    tracer: Tracer,
     spans: SpanTracer,
     /// Per-host end of the last busy interval (join or absorb), used only
     /// for emitting `Sync` spans: the gap from here to the next join start
     /// is exactly the idle time `RingMetrics` reports as `sync`.
     busy_until: Vec<SimTime>,
-    /// The medium's dice (loss, corruption, spikes, crash schedule). The
-    /// protocol core never sees these; it learns each attempt's fate via
-    /// [`RingProtocol::attempt_fate`]. A rescale plan without a fault plan
-    /// synthesizes a quiet plan here, because rescale rides the reliable
-    /// transport.
+    /// The medium's dice (loss, corruption, spikes, crash schedule) as
+    /// [`dice`] resolved them: quiet ones when only a rescale plan or
+    /// multiplexing asks for the reliable transport, `None` on the classic
+    /// path. The protocol core never sees them; [`roll`] reports each
+    /// attempt's fate.
     fault_plan: Option<FaultPlan>,
-    /// The planned membership schedule (joins and drains pinned to
-    /// virtual instants).
-    rescale_plan: Option<RescalePlan>,
     detection_latency: SimDuration,
     /// Last instant of real progress (setup, join, retirement, absorb) —
     /// the fault-mode wall clock, so trailing ack chatter does not pad the
@@ -405,7 +377,10 @@ struct Runner<P, A> {
 }
 
 impl<P: PayloadBytes + Clone, A: RingApp<P>> Runner<P, A> {
-    fn new(ring: SimRing<P, A>) -> Self {
+    /// Validates `ring` against the shared rule table and builds its
+    /// runner, plus the plans' schedule: crashes, pauses, joins and drains
+    /// pinned to virtual instants.
+    fn new(ring: SimRing<P, A>) -> (Self, Vec<(SimTime, TimerKind)>) {
         let n = ring.config.hosts;
         if let Some(speed) = &ring.host_speed {
             assert_eq!(speed.len(), n, "need one speed factor per host");
@@ -414,68 +389,31 @@ impl<P: PayloadBytes + Clone, A: RingApp<P>> Runner<P, A> {
                 "host speed factors must be finite and positive"
             );
         }
-        if let Some(plan) = &ring.fault_plan {
-            assert!(
-                !ring.continuous,
-                "fault injection requires run-to-retirement mode, not continuous rotation"
-            );
-            assert!(
-                n <= 64,
-                "the exactly-once role bitmask supports at most 64 hosts"
-            );
-            assert!(
-                n > 1 || plan.crashes().is_empty(),
-                "cannot heal a single-host ring around a crash"
-            );
-        }
-        let standby = match &ring.rescale_plan {
-            Some(plan) => {
-                assert!(
-                    !ring.continuous,
-                    "rescale requires run-to-retirement mode, not continuous rotation"
-                );
-                assert!(
-                    n <= 64,
-                    "the exactly-once role bitmask supports at most 64 hosts"
-                );
-                for j in plan.joins() {
-                    assert!(j.host.0 < n, "join host {} outside the ring", j.host.0);
-                    assert!(
-                        ring.fragments.get(j.host.0).is_none_or(Vec::is_empty),
-                        "standby host {} must not contribute fragments before joining",
-                        j.host.0
-                    );
-                }
-                for d in plan.drains() {
-                    assert!(d.host.0 < n, "drain host {} outside the ring", d.host.0);
-                }
-                plan.standby_mask()
-            }
-            None => 0,
+        let (fault, rescale) = (ring.fault_plan.as_ref(), ring.rescale_plan.as_ref());
+        assert!(
+            !ring.continuous || (fault.is_none() && rescale.is_none()),
+            "fault injection and rescale require run-to-retirement mode, not continuous rotation"
+        );
+        let shapes: Vec<&[Vec<P>]> = match &ring.queries {
+            Some((queries, _)) => queries.iter().map(|(_, f)| f.as_slice()).collect(),
+            None => vec![&ring.fragments],
         };
-        // Rescale rides the reliable transport: without explicit adversity
-        // the medium still needs (quiet) dice and the acked hop protocol.
-        let fault_plan = ring
-            .fault_plan
-            .or_else(|| {
-                ring.rescale_plan
-                    .as_ref()
-                    .map(|p| FaultPlan::seeded(p.seed()))
-            })
-            // Multi-tenant rotation rides the reliable transport even
-            // without scheduled adversity: the per-query exactly-once
-            // ledger needs the acked hop protocol.
-            .or_else(|| ring.queries.as_ref().map(|_| FaultPlan::seeded(0)));
+        let admission = ring.queries.as_ref().map(|(_, max_active)| *max_active);
+        accept(validate(
+            &ring.config,
+            fault,
+            rescale,
+            &shapes,
+            admission,
+            true,
+        ));
+        let schedule = scheduled(fault, rescale);
+        let standby = rescale.map_or(0, RescalePlan::standby_mask);
+        let fault_plan = dice(fault, rescale, admission.is_some()).map(|plan| plan.into_owned());
         let network = RingNetwork::new(n, effective_link(&ring.config));
-        let max_fragment_bytes = ring
-            .fragments
+        let max_fragment_bytes = shapes
             .iter()
-            .chain(
-                ring.queries
-                    .iter()
-                    .flat_map(|(qs, _)| qs.iter().flat_map(|(_, fragments)| fragments.iter())),
-            )
-            .flat_map(|f| f.iter())
+            .flat_map(|fragments| fragments.iter().flatten())
             .map(PayloadBytes::payload_bytes)
             .max()
             .unwrap_or(0)
@@ -507,7 +445,7 @@ impl<P: PayloadBytes + Clone, A: RingApp<P>> Runner<P, A> {
             }
             None => RingProtocol::new(proto_cfg, envelope_batches(ring.fragments, n)),
         };
-        Runner {
+        let runner = Runner {
             config: ring.config,
             app: ring.app,
             continuous: ring.continuous,
@@ -518,12 +456,6 @@ impl<P: PayloadBytes + Clone, A: RingApp<P>> Runner<P, A> {
             rnics,
             host_speed: ring.host_speed,
             next_wr_id: 0,
-            wall_clock: SimTime::ZERO,
-            tracer: if ring.trace {
-                Tracer::enabled()
-            } else {
-                Tracer::disabled()
-            },
             spans: if ring.trace {
                 SpanTracer::enabled()
             } else {
@@ -531,13 +463,13 @@ impl<P: PayloadBytes + Clone, A: RingApp<P>> Runner<P, A> {
             },
             busy_until: vec![SimTime::ZERO; n],
             fault_plan,
-            rescale_plan: ring.rescale_plan,
             detection_latency: SimDuration::ZERO,
             last_progress: SimTime::ZERO,
-        }
+        };
+        (runner, schedule)
     }
 
-    fn run(mut self) -> SimOutcome<A> {
+    fn run(mut self, schedule: Vec<(SimTime, TimerKind)>) -> SimOutcome<A> {
         let mut budget = if self.continuous {
             // Continuous rotations are open-ended; give them a generous
             // but finite budget so a never-finishing app fails loudly.
@@ -555,22 +487,8 @@ impl<P: PayloadBytes + Clone, A: RingApp<P>> Runner<P, A> {
             let d = self.app.setup(HostId(h));
             sim.schedule_in(d, RingEvent::SetupDone { host: HostId(h) });
         }
-        if let Some(plan) = &self.fault_plan {
-            for c in plan.crashes() {
-                sim.schedule_at(c.at, RingEvent::Crash { host: c.host });
-            }
-            for p in plan.pauses() {
-                sim.schedule_at(p.at, RingEvent::Pause { host: p.host });
-                sim.schedule_at(p.at + p.duration, RingEvent::Resume { host: p.host });
-            }
-        }
-        if let Some(plan) = &self.rescale_plan {
-            for j in plan.joins() {
-                sim.schedule_at(j.at, RingEvent::JoinRequest { host: j.host });
-            }
-            for d in plan.drains() {
-                sim.schedule_at(d.at, RingEvent::DrainRequest { host: d.host });
-            }
+        for (at, kind) in schedule {
+            sim.schedule_at(at, RingEvent::Timer(kind));
         }
         while let Some(ev) = sim.step() {
             self.handle(&mut sim, ev);
@@ -578,17 +496,11 @@ impl<P: PayloadBytes + Clone, A: RingApp<P>> Runner<P, A> {
                 break;
             }
         }
-        self.wall_clock = if self.fault_plan.is_some() {
-            // Trailing ack/timeout chatter after the last retirement must
-            // not pad the reported runtime.
-            self.last_progress
-        } else {
-            sim.now()
-        };
         if self.continuous {
             assert!(
                 self.stopped || self.proto.fragments_total() == 0,
-                "continuous rotation drained its event queue without the app                  declaring itself finished — the ring stalled"
+                "continuous rotation drained its event queue without the app \
+                 declaring itself finished — the ring stalled"
             );
         } else {
             assert_eq!(
@@ -597,32 +509,48 @@ impl<P: PayloadBytes + Clone, A: RingApp<P>> Runner<P, A> {
                 "ring run quiesced with unfinished fragments — flow-control deadlock"
             );
         }
-        self.finish()
+        let wall_clock = if self.fault_plan.is_some() {
+            // Trailing ack/timeout chatter after the last retirement must
+            // not pad the reported runtime.
+            self.last_progress
+        } else {
+            sim.now()
+        };
+        self.finish(wall_clock)
+    }
+
+    /// Feeds one input to the protocol and applies what it answers.
+    fn input(&mut self, sim: &mut Simulation<RingEvent<P>>, input: Input<P>) {
+        let outputs = self.proto.input(input);
+        self.apply(sim, outputs);
+    }
+
+    fn progressed(&mut self, now: SimTime) {
+        self.last_progress = self.last_progress.max(now);
     }
 
     /// Translates one simulation event into a protocol [`Input`], doing
-    /// the driver-side bookkeeping (timing, traces) the protocol cannot.
+    /// the driver-side bookkeeping (timing, spans) the protocol cannot.
     // analyze: allow(panic, reason = "protocol invariant: per-host tables are sized to the ring at construction and HostId never exceeds it")
     fn handle(&mut self, sim: &mut Simulation<RingEvent<P>>, ev: RingEvent<P>) {
-        match ev {
+        let now = sim.now();
+        let input = match ev {
             RingEvent::SetupDone { host } => {
                 if self.proto.is_crashed(host) {
                     return;
                 }
-                self.hosts[host.0].setup_done = Some(sim.now());
-                self.hosts[host.0].last_join_done = sim.now();
-                self.busy_until[host.0] = sim.now();
-                self.last_progress = self.last_progress.max(sim.now());
-                self.tracer.record(sim.now(), host, "setup done");
+                self.hosts[host.0].setup_done = Some(now);
+                self.hosts[host.0].last_join_done = now;
+                self.busy_until[host.0] = now;
+                self.progressed(now);
                 self.spans.span(
                     host.0,
                     SpanKind::Setup,
                     "setup",
                     SimTime::ZERO,
-                    sim.now().saturating_duration_since(SimTime::ZERO),
+                    now.saturating_duration_since(SimTime::ZERO),
                 );
-                let out = self.proto.input(Input::SetupDone { host });
-                self.apply(sim, out);
+                Input::SetupDone { host }
             }
             RingEvent::JoinDone { host } => {
                 if self.proto.is_crashed(host) {
@@ -630,18 +558,21 @@ impl<P: PayloadBytes + Clone, A: RingApp<P>> Runner<P, A> {
                     // envelope.
                     return;
                 }
-                self.hosts[host.0].last_join_done = sim.now();
-                self.last_progress = self.last_progress.max(sim.now());
+                self.hosts[host.0].last_join_done = now;
+                self.progressed(now);
                 // The protocol cannot call the application: sample the
                 // continuous-mode finish flag here and pass it in.
                 let app_finished = self.continuous && self.app.finished();
-                let out = self.proto.input(Input::JoinDone { host, app_finished });
-                self.apply(sim, out);
+                Input::JoinDone { host, app_finished }
             }
-            RingEvent::Arrived { to, env, tid } => {
-                let out = self.proto.input(Input::Delivered { to, env, tid });
-                self.apply(sim, out);
+            RingEvent::AbsorbDone { host } => {
+                if self.proto.is_crashed(host) {
+                    return;
+                }
+                self.progressed(now);
+                Input::AbsorbDone { host }
             }
+            RingEvent::Arrived { to, env, tid } => Input::Delivered { to, env, tid },
             RingEvent::SendDone { from, completion } => {
                 if let (Some(c), Some((_, qp, _))) = (completion, self.rnics[from.0].as_mut()) {
                     // Reap the send completion from the CQ — the signal
@@ -655,99 +586,32 @@ impl<P: PayloadBytes + Clone, A: RingApp<P>> Runner<P, A> {
                         debug_assert_eq!(reaped.map(|r| r.wr_id), Some(c.wr_id));
                     }
                 }
-                let out = self.proto.input(Input::SendDone { from });
-                self.apply(sim, out);
+                Input::SendDone { from }
             }
-            RingEvent::AckArrived { tid } => {
-                let out = self.proto.input(Input::Ack { tid });
-                self.apply(sim, out);
-            }
-            RingEvent::AckTimeout { tid, attempt } => {
-                let out = self.proto.input(Input::Tick {
-                    timer: Timer::Retransmit { tid, attempt },
-                });
-                self.apply(sim, out);
-            }
-            RingEvent::ProbeTimeout { from, to, attempt } => {
-                let out = self.proto.input(Input::Tick {
-                    timer: Timer::Probe { from, to, attempt },
-                });
-                self.apply(sim, out);
-            }
-            RingEvent::Crash { host } => {
-                if self.proto.is_crashed(host) {
-                    return;
+            RingEvent::AckArrived { tid } => Input::Ack { tid },
+            RingEvent::Timer(kind) => {
+                let (input, planned) = kind.fired();
+                if let Some((host, name)) = planned {
+                    if self.proto.is_crashed(host) {
+                        return;
+                    }
+                    self.spans.event(Some(host.0), Track::Control, name, now);
                 }
-                let out = self.proto.input(Input::PeerDead { host });
-                self.tracer.record(sim.now(), host, "crashed");
-                self.spans
-                    .event(Some(host.0), Track::Control, "crashed", sim.now());
-                self.apply(sim, out);
+                input
             }
-            RingEvent::Pause { host } => {
-                if self.proto.is_crashed(host) {
-                    return;
-                }
-                let out = self.proto.input(Input::Paused { host });
-                self.tracer.record(sim.now(), host, "paused");
-                self.spans
-                    .event(Some(host.0), Track::Control, "paused", sim.now());
-                self.apply(sim, out);
-            }
-            RingEvent::Resume { host } => {
-                if self.proto.is_crashed(host) {
-                    return;
-                }
-                self.tracer.record(sim.now(), host, "resumed");
-                self.spans
-                    .event(Some(host.0), Track::Control, "resumed", sim.now());
-                let out = self.proto.input(Input::Resumed { host });
-                self.apply(sim, out);
-            }
-            RingEvent::AbsorbDone { host } => {
-                if self.proto.is_crashed(host) {
-                    return;
-                }
-                self.last_progress = self.last_progress.max(sim.now());
-                self.tracer.record(sim.now(), host, "absorb complete");
-                let out = self.proto.input(Input::AbsorbDone { host });
-                self.apply(sim, out);
-            }
-            RingEvent::JoinRequest { host } => {
-                if self.proto.is_crashed(host) {
-                    return;
-                }
-                self.tracer.record(sim.now(), host, "join requested");
-                self.spans
-                    .event(Some(host.0), Track::Control, "join requested", sim.now());
-                let out = self.proto.input(Input::JoinRequest { host });
-                self.apply(sim, out);
-            }
-            RingEvent::DrainRequest { host } => {
-                if self.proto.is_crashed(host) {
-                    return;
-                }
-                self.tracer.record(sim.now(), host, "drain requested");
-                self.spans
-                    .event(Some(host.0), Track::Control, "drain requested", sim.now());
-                let out = self.proto.input(Input::DrainRequest { host });
-                self.apply(sim, out);
-            }
-            RingEvent::DrainTimeout { host, attempt } => {
-                let out = self.proto.input(Input::Tick {
-                    timer: Timer::DrainDeadline { host, attempt },
-                });
-                self.apply(sim, out);
-            }
-        }
+        };
+        self.input(sim, input);
     }
 
-    /// Applies protocol outputs strictly in emission order. Each output
-    /// maps onto simulation events, link/RNIC reservations, cost charges
-    /// and traces — all the IO the protocol core abstained from.
+    /// Applies protocol outputs strictly in emission order: each is shown
+    /// to the shared trace vocabulary, then mapped onto simulation events,
+    /// link/RNIC reservations and cost charges — all the IO the protocol
+    /// core abstained from.
     // analyze: allow(panic, reason = "protocol invariant: per-host tables are sized to the ring at construction and HostId never exceeds it; Teardown reasons surface as panics by the driver contract")
     fn apply(&mut self, sim: &mut Simulation<RingEvent<P>>, outputs: Vec<Output<P>>) {
+        let now = sim.now();
         for output in outputs {
+            observe(&mut self.spans, || now, &output);
             match output {
                 Output::StartJoin {
                     host,
@@ -766,7 +630,7 @@ impl<P: PayloadBytes + Clone, A: RingApp<P>> Runner<P, A> {
                             host,
                             query,
                             roles.as_deref().unwrap_or(&[host.0]),
-                            sim.now(),
+                            now,
                             payload,
                         )
                     };
@@ -786,47 +650,13 @@ impl<P: PayloadBytes + Clone, A: RingApp<P>> Runner<P, A> {
                         None => d_base,
                     };
                     let d_eff = self.effective_join_duration(d_base, bytes);
-                    let state = &mut self.hosts[host.0];
-                    state.join_cpu.charge(
-                        CostCategory::Compute,
-                        d_base * self.config.join_threads as u64,
-                    );
-                    state.join_busy += d_eff;
-                    self.tracer
-                        .record(sim.now(), host, format!("join start {id} for {d_eff}"));
-                    if self.spans.is_enabled() {
-                        self.record_sync_gap(host, sim.now());
-                        self.spans.span_with_hop(
-                            host.0,
-                            SpanKind::Join,
-                            format!("join {id}"),
-                            sim.now(),
-                            d_eff,
-                            Some(hop),
-                        );
-                        self.busy_until[host.0] = sim.now() + d_eff;
-                    }
+                    let threads = self.config.join_threads as u64;
+                    let span = self
+                        .spans
+                        .is_enabled()
+                        .then(|| (SpanKind::Join, format!("join {id}"), Some(hop)));
+                    self.busy(now, host, d_base * threads, d_eff, span);
                     sim.schedule_in(d_eff, RingEvent::JoinDone { host });
-                }
-                Output::PassThrough { host, id } => {
-                    self.tracer
-                        .record(sim.now(), host, format!("pass-through {id}"));
-                    if self.spans.is_enabled() {
-                        self.spans.event(
-                            Some(host.0),
-                            Track::Join,
-                            format!("pass-through {id}"),
-                            sim.now(),
-                        );
-                    }
-                }
-                Output::Processed { host, id } => {
-                    let msg = if self.fault_plan.is_some() {
-                        format!("processed {id}, routing onward")
-                    } else {
-                        format!("processed {id}, queueing forward")
-                    };
-                    self.tracer.record(sim.now(), host, msg);
                 }
                 Output::Send {
                     from,
@@ -838,25 +668,14 @@ impl<P: PayloadBytes + Clone, A: RingApp<P>> Runner<P, A> {
                 Output::Ack { to, tid } => {
                     // Ack at NIC level on the backward channel of the
                     // sender's link, so acks never contend with payload.
-                    let ack = self.network.reserve_hop_back(sim.now(), to, ACK_BYTES);
+                    let ack = self.network.reserve_hop_back(now, to, ACK_BYTES);
                     sim.schedule_at(ack.arrival, RingEvent::AckArrived { tid });
                 }
                 Output::ArmTimer { timer, backoff_exp } => {
                     let delay = self.config.ack_timeout * (1u64 << backoff_exp);
-                    let ev = match timer {
-                        Timer::Retransmit { tid, attempt } => {
-                            RingEvent::AckTimeout { tid, attempt }
-                        }
-                        Timer::Probe { from, to, attempt } => {
-                            RingEvent::ProbeTimeout { from, to, attempt }
-                        }
-                        Timer::DrainDeadline { host, attempt } => {
-                            RingEvent::DrainTimeout { host, attempt }
-                        }
-                    };
-                    sim.schedule_in(delay, ev);
+                    sim.schedule_in(delay, RingEvent::Timer(TimerKind::Protocol(timer)));
                 }
-                Output::Delivered { host, id, bytes } => {
+                Output::Delivered { host, bytes, .. } => {
                     // Receiver-side CPU cost of the transfer. For RDMA this
                     // is only reaping the completion of the pre-posted
                     // receive; for TCP it is the full copy/stack/interrupt
@@ -870,215 +689,106 @@ impl<P: PayloadBytes + Clone, A: RingApp<P>> Runner<P, A> {
                         _ => self.config.transport.comm_cpu(self.config.cpu, bytes, 1),
                     };
                     self.hosts[host.0].join_cpu.merge(&cost);
-                    self.tracer
-                        .record(sim.now(), host, format!("received {id} ({bytes} B)"));
-                    if self.spans.is_enabled() {
-                        self.spans.event(
-                            Some(host.0),
-                            Track::Receiver,
-                            format!("recv {id}"),
-                            sim.now(),
-                        );
-                        self.spans.count(counter::ENVELOPES_RECEIVED, 1);
-                    }
-                }
-                Output::DuplicateDropped { host, id } => {
-                    self.tracer
-                        .record(sim.now(), host, format!("duplicate {id} dropped"));
-                }
-                Output::ChecksumMismatch { host, id } => {
-                    self.tracer
-                        .record(sim.now(), host, format!("checksum mismatch on {id}"));
-                    if self.spans.is_enabled() {
-                        self.spans.event(
-                            Some(host.0),
-                            Track::Receiver,
-                            format!("checksum mismatch {id}"),
-                            sim.now(),
-                        );
-                        self.spans.count(counter::CHECKSUM_MISMATCHES, 1);
-                    }
-                }
-                Output::Retire { host, id, salvaged } => {
-                    let msg = if salvaged {
-                        format!("retired {id} (salvaged)")
-                    } else {
-                        format!("retired {id}")
-                    };
-                    self.tracer.record(sim.now(), host, msg.clone());
-                    if self.spans.is_enabled() {
-                        self.spans.event(Some(host.0), Track::Join, msg, sim.now());
-                        self.spans.count(counter::FRAGMENTS_RETIRED, 1);
-                    }
-                    self.last_progress = self.last_progress.max(sim.now());
                 }
                 Output::Heal { dead } => {
                     // An escalated drain heals a host with no scheduled
                     // crash: the drain deadline, not a detection timeout,
                     // triggered this heal, so no latency is attributable.
                     let latency = match self.fault_plan.as_ref().and_then(|p| p.crash_time(dead)) {
-                        Some(crash_at) => sim.now().saturating_duration_since(crash_at),
+                        Some(crash_at) => now.saturating_duration_since(crash_at),
                         None => SimDuration::ZERO,
                     };
                     self.detection_latency = self.detection_latency.max(latency);
-                    self.tracer.record(
-                        sim.now(),
-                        dead,
-                        format!("confirmed dead ({latency} after crash); healing ring"),
-                    );
-                    if self.spans.is_enabled() {
-                        self.spans.event(
-                            None,
-                            Track::Control,
-                            format!("heal: host {} confirmed dead", dead.0),
-                            sim.now(),
-                        );
-                        self.spans.count(counter::HEAL_EVENTS, 1);
-                    }
                 }
                 Output::Absorb {
                     survivor,
                     dead,
                     roles,
                 } => {
-                    let mut absorb_cost = SimDuration::ZERO;
+                    let mut cost = SimDuration::ZERO;
                     for &r in &roles {
-                        absorb_cost += self.app.absorb(survivor, HostId(r));
-                        self.tracer
-                            .record(sim.now(), survivor, format!("absorbed role S{r}"));
+                        cost += self.app.absorb(survivor, HostId(r));
                     }
-                    let state = &mut self.hosts[survivor.0];
-                    state.join_cpu.charge(CostCategory::Compute, absorb_cost);
-                    state.join_busy += absorb_cost;
-                    if self.spans.is_enabled() {
-                        self.record_sync_gap(survivor, sim.now());
-                        self.spans.span(
-                            survivor.0,
-                            SpanKind::Absorb,
-                            format!("absorb {} role(s) of host {}", roles.len(), dead.0),
-                            sim.now(),
-                            absorb_cost,
-                        );
-                        self.busy_until[survivor.0] = sim.now() + absorb_cost;
-                    }
-                    sim.schedule_in(absorb_cost, RingEvent::AbsorbDone { host: survivor });
-                }
-                Output::Activate { host, epoch } => {
-                    self.last_progress = self.last_progress.max(sim.now());
-                    self.tracer
-                        .record(sim.now(), host, format!("activated (epoch {epoch})"));
-                    if self.spans.is_enabled() {
-                        self.spans.event(
-                            Some(host.0),
-                            Track::Control,
-                            format!("activated (epoch {epoch})"),
-                            sim.now(),
-                        );
-                        self.spans.count(counter::RESCALE_JOINS, 1);
-                    }
+                    self.takeover(sim, survivor, false, roles.len(), dead, cost);
                 }
                 Output::Handoff { from, to, roles } => {
                     let cost = self.app.handoff(to, from, &roles);
-                    for &r in &roles {
-                        self.tracer.record(
-                            sim.now(),
-                            to,
-                            format!("handoff: took over role S{r} from host {}", from.0),
-                        );
-                    }
-                    let state = &mut self.hosts[to.0];
-                    state.join_cpu.charge(CostCategory::Compute, cost);
-                    state.join_busy += cost;
-                    if self.spans.is_enabled() {
-                        self.record_sync_gap(to, sim.now());
-                        self.spans.span(
-                            to.0,
-                            SpanKind::Absorb,
-                            format!("handoff {} role(s) from host {}", roles.len(), from.0),
-                            sim.now(),
-                            cost,
-                        );
-                        self.busy_until[to.0] = sim.now() + cost;
-                        self.spans
-                            .count(counter::RESCALE_HANDOFFS, roles.len() as u64);
-                    }
-                    sim.schedule_in(cost, RingEvent::AbsorbDone { host: to });
+                    self.takeover(sim, to, true, roles.len(), from, cost);
                 }
-                Output::Departed { host, epoch } => {
-                    self.last_progress = self.last_progress.max(sim.now());
-                    self.tracer
-                        .record(sim.now(), host, format!("departed (epoch {epoch})"));
-                    if self.spans.is_enabled() {
-                        self.spans.event(
-                            Some(host.0),
-                            Track::Control,
-                            format!("departed (epoch {epoch})"),
-                            sim.now(),
-                        );
-                        self.spans.count(counter::RESCALE_DRAINS, 1);
-                    }
-                }
-                Output::Resent { target, id } => {
-                    self.tracer
-                        .record(sim.now(), target, format!("re-sent {id} from origin"));
-                    if self.spans.is_enabled() {
-                        self.spans.event(
-                            Some(target.0),
-                            Track::Control,
-                            format!("re-sent {id} from origin"),
-                            sim.now(),
-                        );
-                        self.spans.count(counter::FRAGMENTS_RESENT, 1);
-                    }
-                }
-                Output::Finished { host } => {
-                    self.tracer
-                        .record(sim.now(), host, "application finished — stopping rotation");
-                    self.stopped = true;
-                }
-                Output::QueryAdmitted { query, tenant } => {
-                    self.last_progress = self.last_progress.max(sim.now());
-                    self.tracer.record(
-                        sim.now(),
-                        HostId(0),
-                        format!("query {query} (tenant {tenant}) admitted"),
-                    );
-                    if self.spans.is_enabled() {
-                        self.spans.event(
-                            None,
-                            Track::Control,
-                            format!("query {query} (tenant {tenant}) admitted"),
-                            sim.now(),
-                        );
-                        self.spans.count(counter::QUERIES_ADMITTED, 1);
-                    }
-                }
-                Output::QueryDone { query, tenant } => {
-                    self.last_progress = self.last_progress.max(sim.now());
-                    self.tracer.record(
-                        sim.now(),
-                        HostId(0),
-                        format!("query {query} (tenant {tenant}) complete"),
-                    );
-                    if self.spans.is_enabled() {
-                        self.spans.event(
-                            None,
-                            Track::Control,
-                            format!("query {query} (tenant {tenant}) complete"),
-                            sim.now(),
-                        );
-                        self.spans.count(counter::QUERIES_COMPLETED, 1);
-                    }
-                }
+                Output::Retire { .. }
+                | Output::Activate { .. }
+                | Output::Departed { .. }
+                | Output::QueryAdmitted { .. }
+                | Output::QueryDone { .. } => self.progressed(now),
+                Output::Finished { .. } => self.stopped = true,
                 Output::Teardown { reason } => panic!("{reason}"),
+                // Free in the cost model; the trace has already seen them.
+                Output::PassThrough { .. }
+                | Output::Processed { .. }
+                | Output::DuplicateDropped { .. }
+                | Output::ChecksumMismatch { .. }
+                | Output::Resent { .. } => {}
             }
         }
     }
 
-    /// Puts one attempt of a transfer on the wire: rolls the fault dice
-    /// (the medium's business, not the protocol's), reports the attempt's
-    /// fate back, charges the transport cost model, and schedules the
-    /// wire-free/arrival events.
+    /// Starts a busy interval of the join entity at `host`: charges `cpu`
+    /// of compute, extends `join_busy` by the modeled `duration`, and —
+    /// when traced (`span` is the interval's kind, name and hop) — closes
+    /// the idle gap before it as a `Sync` span and emits the interval's
+    /// own span now, at its start, because the model already knows how
+    /// long it will take.
+    // analyze: allow(panic, reason = "protocol invariant: per-host tables are sized to the ring at construction and HostId never exceeds it")
+    fn busy(
+        &mut self,
+        now: SimTime,
+        host: HostId,
+        cpu: SimDuration,
+        duration: SimDuration,
+        span: Option<(SpanKind, String, Option<usize>)>,
+    ) {
+        let state = &mut self.hosts[host.0];
+        state.join_cpu.charge(CostCategory::Compute, cpu);
+        state.join_busy += duration;
+        if let Some((kind, name, hop)) = span {
+            // The gaps between consecutive busy intervals partition the
+            // join window's non-busy time, so their sum reconciles with
+            // the `sync` phase of `RingMetrics`.
+            let idle_since = self.busy_until[host.0];
+            let gap = now.saturating_duration_since(idle_since);
+            if gap > SimDuration::ZERO {
+                self.spans
+                    .span(host.0, SpanKind::Sync, "sync", idle_since, gap);
+            }
+            self.spans
+                .span_with_hop(host.0, kind, name, now, duration, hop);
+            self.busy_until[host.0] = now + duration;
+        }
+    }
+
+    /// A takeover rebuild at `host` — a healing absorb of dead `donor`'s
+    /// roles or a planned handoff from a live one — priced by the app.
+    fn takeover(
+        &mut self,
+        sim: &mut Simulation<RingEvent<P>>,
+        host: HostId,
+        planned: bool,
+        roles: usize,
+        donor: HostId,
+        cost: SimDuration,
+    ) {
+        let span = self
+            .spans
+            .is_enabled()
+            .then(|| (SpanKind::Absorb, takeover_name(planned, roles, donor), None));
+        self.busy(sim.now(), host, cost, cost, span);
+        sim.schedule_in(cost, RingEvent::AbsorbDone { host });
+    }
+
+    /// Puts one attempt of a transfer on the wire: rolls the shared dice,
+    /// charges the transport cost model, and schedules the wire-free and
+    /// arrival events. A dropped attempt still occupies the link and
+    /// charges its sender; it just never arrives.
     // analyze: allow(panic, reason = "protocol invariant: per-host tables are sized to the ring at construction and HostId never exceeds it")
     fn apply_send(
         &mut self,
@@ -1089,45 +799,17 @@ impl<P: PayloadBytes + Clone, A: RingApp<P>> Runner<P, A> {
         attempt: u32,
         env: Envelope<P>,
     ) {
+        let now = sim.now();
         let bytes = env.bytes();
         let mut sent = env;
-        let mut dropped = false;
-        let mut spike = SimDuration::ZERO;
-        if let Some(plan) = &self.fault_plan {
-            // Dice keyed on the per-sender wire sequence (`env.seq`) the
-            // protocol stamps for every backend — the cross-backend parity
-            // test depends on this.
-            let seq = sent.seq;
-            dropped = plan.should_drop(from, seq, attempt);
-            let corrupt = !dropped && plan.should_corrupt(from, seq, attempt);
-            spike = plan.delay_spike(from, seq, attempt);
-            self.proto.attempt_fate(tid, dropped, corrupt);
-            if corrupt {
-                // In-flight bit flips: the receiver's checksum verification
-                // rejects the copy and withholds the ack.
-                sent.checksum = !sent.checksum;
-            }
-            if attempt == 1 {
-                // Counted once per transfer; each wire attempt (including
-                // retransmissions) gets its own `Send` span below.
-                self.spans.count(counter::ENVELOPES_SENT, 1);
-            } else {
-                self.tracer.record(
-                    sim.now(),
-                    from,
-                    format!("retransmit {} (attempt {attempt})", sent.id),
-                );
-                if self.spans.is_enabled() {
-                    self.spans.event(
-                        Some(from.0),
-                        Track::Transmitter,
-                        format!("retransmit {} attempt {attempt}", sent.id),
-                        sim.now(),
-                    );
-                    self.spans.count(counter::RETRANSMITS, 1);
-                }
-            }
-        }
+        let (dropped, spike) = roll(
+            self.fault_plan.as_ref(),
+            &mut self.proto,
+            from,
+            tid,
+            attempt,
+            &mut sent,
+        );
         let mut pending_completion = None;
         let reservation = if let Some((rnic, qp, region)) = self.rnics[from.0].as_mut() {
             // RDMA: post a work request against the registered region; the
@@ -1143,7 +825,7 @@ impl<P: PayloadBytes + Clone, A: RingApp<P>> Runner<P, A> {
                 .network
                 .outgoing_link_mut(from)
                 .expect("multi-host ring has links");
-            let outcome = qp.post_send(rnic, link, sim.now(), simnet::link::Direction::Forward, wr);
+            let outcome = qp.post_send(rnic, link, now, simnet::link::Direction::Forward, wr);
             self.hosts[from.0]
                 .join_cpu
                 .charge(CostCategory::Driver, outcome.post_cpu);
@@ -1154,25 +836,18 @@ impl<P: PayloadBytes + Clone, A: RingApp<P>> Runner<P, A> {
             // per-byte CPU bill to the sender.
             let cost = self.config.transport.comm_cpu(self.config.cpu, bytes, 1);
             self.hosts[from.0].join_cpu.merge(&cost);
-            self.network.reserve_hop(sim.now(), from, bytes)
+            self.network.reserve_hop(now, from, bytes)
         };
         self.hosts[from.0].bytes_forwarded += bytes;
-        self.tracer.record(
-            sim.now(),
-            from,
-            format!("send {} ({} B) → {}", sent.id, bytes, to),
-        );
         if self.spans.is_enabled() {
+            // Every wire attempt, retransmissions included, is a span.
             self.spans.span(
                 from.0,
                 SpanKind::Send,
                 format!("send {}", sent.id),
-                sim.now(),
-                reservation.wire_free.saturating_duration_since(sim.now()),
+                now,
+                reservation.wire_free.saturating_duration_since(now),
             );
-            if self.fault_plan.is_none() {
-                self.spans.count(counter::ENVELOPES_SENT, 1);
-            }
         }
         sim.schedule_at(
             reservation.wire_free,
@@ -1186,19 +861,6 @@ impl<P: PayloadBytes + Clone, A: RingApp<P>> Runner<P, A> {
                 reservation.arrival + spike,
                 RingEvent::Arrived { to, env: sent, tid },
             );
-        }
-    }
-
-    /// Emits a `Sync` span covering the idle gap (if any) between the end
-    /// of this host's previous busy interval and `now`. The gaps between
-    /// consecutive joins partition the join window's non-busy time, so
-    /// their sum reconciles with the `sync` phase of `RingMetrics`.
-    // analyze: allow(panic, reason = "protocol invariant: per-host tables are sized to the ring at construction and HostId never exceeds it")
-    fn record_sync_gap(&mut self, host: HostId, now: SimTime) {
-        let gap = now.saturating_duration_since(self.busy_until[host.0]);
-        if gap > SimDuration::ZERO {
-            self.spans
-                .span(host.0, SpanKind::Sync, "sync", self.busy_until[host.0], gap);
         }
     }
 
@@ -1222,24 +884,8 @@ impl<P: PayloadBytes + Clone, A: RingApp<P>> Runner<P, A> {
         d_base.max(contended) * pollution
     }
 
-    fn finish(mut self) -> SimOutcome<A> {
-        // Materialise the well-known counters so "observed zero" shows up
-        // in exports even on runs that never exercised a protocol path.
-        for name in [
-            counter::ENVELOPES_SENT,
-            counter::ENVELOPES_RECEIVED,
-            counter::FRAGMENTS_RETIRED,
-            counter::RETRANSMITS,
-            counter::CHECKSUM_MISMATCHES,
-            counter::HEAL_EVENTS,
-            counter::FRAGMENTS_RESENT,
-            counter::RESCALE_JOINS,
-            counter::RESCALE_DRAINS,
-            counter::RESCALE_HANDOFFS,
-            counter::VISITS_INLINE,
-        ] {
-            self.spans.count(name, 0);
-        }
+    fn finish(mut self, wall_clock: SimTime) -> SimOutcome<A> {
+        materialize_counters(&mut self.spans);
         let hosts: Vec<HostMetrics> = self
             .hosts
             .iter()
@@ -1261,24 +907,15 @@ impl<P: PayloadBytes + Clone, A: RingApp<P>> Runner<P, A> {
                 }
             })
             .collect();
-        let metrics = RingMetrics {
+        let metrics = ring_metrics(
+            &self.proto,
             hosts,
-            wall_clock: self.wall_clock.saturating_duration_since(SimTime::ZERO),
-            fragments_completed: self.proto.fragments_completed(),
-            heal_events: self.proto.heal_events(),
-            detection_latency: self.detection_latency,
-            fragments_resent: self.proto.fragments_resent(),
-            membership_epoch: self.proto.membership_epoch(),
-            rescale_joins: self.proto.rescale_joins(),
-            rescale_drains: self.proto.rescale_drains(),
-            rescale_handoffs: self.proto.rescale_handoffs(),
-            rescale_escalations: self.proto.rescale_escalations(),
-            queries: self.proto.query_metrics(),
-        };
+            wall_clock.saturating_duration_since(SimTime::ZERO),
+            self.detection_latency,
+        );
         SimOutcome {
             metrics,
             app: self.app,
-            trace: self.tracer,
             spans: self.spans,
         }
     }
@@ -1500,9 +1137,10 @@ mod tests {
         let out = SimRing::new(small_config(hosts), payloads(hosts, 1, 1 << 20), app)
             .with_trace(true)
             .run();
-        assert!(out.trace.matching("setup done").count() == 2);
-        assert!(out.trace.matching("send").count() >= 1);
-        assert!(out.trace.matching("retired").count() == 2);
+        let spans = |kind| out.spans.spans().iter().filter(|s| s.kind == kind).count();
+        assert_eq!(spans(SpanKind::Setup), 2);
+        assert!(spans(SpanKind::Send) >= 1);
+        assert_eq!(out.spans.count_events("retired"), 2);
     }
 
     #[test]
@@ -1664,9 +1302,10 @@ mod tests {
         // successor absorbed the dead host's role, and origin re-sends
         // replaced whatever died in H2's buffers.
         assert_eq!(
-            out.metrics.fragments_completed, 8,
-            "trace:\n{:?}",
-            out.trace
+            out.metrics.fragments_completed,
+            8,
+            "events:\n{:?}",
+            out.spans.events()
         );
         assert_eq!(out.metrics.heal_events, 1);
         assert!(out.metrics.detection_latency > SimDuration::ZERO);
@@ -1674,8 +1313,10 @@ mod tests {
             out.metrics.total_retransmits() > 0,
             "death is detected via timeouts"
         );
-        assert!(out.trace.matching("confirmed dead").count() >= 1);
-        assert!(out.trace.matching("absorbed role").count() >= 1);
+        assert!(out.spans.count_events("heal: host 2 confirmed dead") >= 1);
+        assert!(out.spans.spans().iter().any(
+            |s| s.kind == SpanKind::Absorb && s.name.starts_with("absorb 1 role(s) of host 2")
+        ));
         assert!(out.metrics.hosts[2].fragments_processed < 8);
     }
 
@@ -1757,8 +1398,8 @@ mod tests {
         // The NIC keeps acknowledging while the software is frozen, so the
         // failure detector must not fire.
         assert_eq!(out.metrics.heal_events, 0);
-        assert!(out.trace.matching("paused").count() >= 1);
-        assert!(out.trace.matching("resumed").count() >= 1);
+        assert!(out.spans.count_events("paused") >= 1);
+        assert!(out.spans.count_events("resumed") >= 1);
         assert!(
             out.metrics.wall_clock > quiet.metrics.wall_clock,
             "a 40 ms freeze must stretch the run: {} vs {}",
@@ -1971,9 +1612,10 @@ mod tests {
             .with_trace(true)
             .run();
         assert_eq!(
-            out.metrics.fragments_completed, 6,
-            "trace:\n{:?}",
-            out.trace
+            out.metrics.fragments_completed,
+            6,
+            "events:\n{:?}",
+            out.spans.events()
         );
         assert_eq!(out.metrics.membership_epoch, 1);
         assert_eq!(out.metrics.rescale_drains, 1);
@@ -2012,9 +1654,10 @@ mod tests {
             .with_trace(true)
             .run();
         assert_eq!(
-            out.metrics.fragments_completed, 4,
-            "trace:\n{:?}",
-            out.trace
+            out.metrics.fragments_completed,
+            4,
+            "events:\n{:?}",
+            out.spans.events()
         );
         assert_eq!(out.metrics.membership_epoch, 1);
         assert_eq!(out.metrics.rescale_joins, 1);
@@ -2065,6 +1708,20 @@ mod tests {
         )
         .with_rescale_plan(plan)
         .run();
+    }
+
+    /// The rule the wall-clock drivers return as a typed error
+    /// (`engine_suite::all_standby_rescale_is_rejected`) is the simulator's
+    /// panic message: one table, two ways to refuse.
+    #[test]
+    #[should_panic(expected = "unsupported fault: a rescale plan cannot make every host a standby")]
+    fn all_standby_rescale_is_rejected() {
+        let plan = RescalePlan::seeded(1)
+            .join_host(HostId(0), SimTime::from_nanos(1_000))
+            .join_host(HostId(1), SimTime::from_nanos(1_000));
+        SimRing::new(small_config(2), payloads(2, 0, 0), fixed_app(2))
+            .with_rescale_plan(plan)
+            .run();
     }
 
     // ------------------------------------------------------------------

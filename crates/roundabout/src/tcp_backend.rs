@@ -466,6 +466,11 @@ mod tests {
     }
 
     #[test]
+    fn all_standby_rescale_is_rejected() {
+        engine_suite::all_standby_rescale_is_rejected::<BlockingEngine>();
+    }
+
+    #[test]
     fn lossy_and_corrupt_links_are_repaired() {
         engine_suite::lossy_and_corrupt_links_are_repaired::<BlockingEngine>();
     }

@@ -764,6 +764,11 @@ mod tests {
     }
 
     #[test]
+    fn all_standby_rescale_is_rejected() {
+        engine_suite::all_standby_rescale_is_rejected::<ChannelEngine>();
+    }
+
+    #[test]
     fn lossy_and_corrupt_links_are_repaired() {
         engine_suite::lossy_and_corrupt_links_are_repaired::<ChannelEngine>();
     }

@@ -15,9 +15,9 @@
 //!   ([`tcp::TcpModel`]) and a unifying [`transport::TransportModel`],
 //! * **CPU accounting** per cost category for Table I-style load reports
 //!   ([`cpu::CpuAccount`]),
-//! * a **ring topology** ([`topology::RingNetwork`]), a free-text
-//!   [`trace::Tracer`], and a structured [`span::SpanTracer`] with a unified
-//!   counter registry and a Chrome trace-event (Perfetto) exporter,
+//! * a **ring topology** ([`topology::RingNetwork`]) and a structured
+//!   [`span::SpanTracer`] with a unified counter registry and a Chrome
+//!   trace-event (Perfetto) exporter,
 //! * a deterministic **fault-injection schedule** ([`fault::FaultPlan`]):
 //!   seeded host crashes, pause windows, link drops/corruption/delay
 //!   spikes and straggler slowdowns for chaos testing.
@@ -52,12 +52,10 @@ pub mod fault;
 pub mod link;
 pub mod rnic;
 pub mod span;
-pub mod switch;
 pub mod tcp;
 pub mod throughput;
 pub mod time;
 pub mod topology;
-pub mod trace;
 pub mod transport;
 
 pub use cpu::{CostCategory, CpuAccount, CpuSpec};
@@ -67,10 +65,8 @@ pub use fault::FaultPlan;
 pub use link::{Direction, Link, Reservation};
 pub use rnic::{Rnic, RnicConfig};
 pub use span::{CounterRegistry, SpanKind, SpanTracer, Track};
-pub use switch::SwitchFabric;
 pub use tcp::TcpModel;
 pub use throughput::{Bandwidth, ChunkThroughput};
 pub use time::{SimDuration, SimTime};
 pub use topology::{HostId, RingNetwork};
-pub use trace::Tracer;
 pub use transport::TransportModel;

@@ -1,9 +1,8 @@
 //! Structured span/event tracing with a Chrome trace-event exporter.
 //!
-//! The plain [`crate::trace::Tracer`] records free-text protocol lines; this
-//! module records *structured* spans (named intervals with a host, a track
-//! and a duration), instant events, and a unified counter registry shared by
-//! both ring backends. A [`SpanTracer`] can be exported as Chrome
+//! This module records *structured* spans (named intervals with a host, a
+//! track and a duration), instant events, and a unified counter registry
+//! shared by all four ring backends. A [`SpanTracer`] can be exported as Chrome
 //! trace-event JSON ([`SpanTracer::to_chrome_trace`]) and opened directly in
 //! `chrome://tracing` or [Perfetto](https://ui.perfetto.dev), giving every
 //! run a per-host, per-entity timeline: setup, each join window, sync gaps,
@@ -221,10 +220,10 @@ impl CounterRegistry {
 
 /// A structured span/event recorder with a Chrome trace-event exporter.
 ///
-/// Like [`crate::trace::Tracer`], a disabled tracer is free: every recording
-/// call is a no-op. Both ring backends thread one of these through their
-/// entities; `core::exec` stitches the per-phase pieces together and the
-/// `cyclo` CLI (and bench binaries) export it with `--trace <path>`.
+/// A disabled tracer is free: every recording call is a no-op. The ring
+/// backends thread one of these through their entities; `core::exec`
+/// stitches the per-phase pieces together and the `cyclo` CLI (and bench
+/// binaries) export it with `--trace <path>`.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SpanTracer {
     enabled: bool,

@@ -1,5 +1,6 @@
 //! L6 fixture — seeded wildcard arms in `protocol::Output` dispatch
-//! matches. Expected under the L6 policy: 2 live findings, 1 suppressed.
+//! matches, in an applier loop and in a trace vocabulary alike. Expected
+//! under the L6 policy: 3 live findings, 1 suppressed.
 
 pub fn drive_with_a_catch_all(out: Output) {
     match out {
@@ -16,6 +17,14 @@ pub fn drive_with_a_guarded_catch_all(out: Output) {
         Output::Retire(id) => id,
     };
     drop(n);
+}
+
+pub fn observe_with_a_catch_all(tracer: &mut Tracer, out: &Output) {
+    let name = match out {
+        Output::Retire { id, .. } => format!("retired {id}"),
+        _ => return, // seeded violation: a new output would never be traced
+    };
+    tracer.event(name);
 }
 
 pub fn audited(out: Output) {

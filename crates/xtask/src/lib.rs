@@ -38,13 +38,15 @@ pub const REGISTRY_PATH: &str = "crates/simnet/src/span.rs";
 ///   them.
 /// - **L5 sans-io-protocol**: the shared ring-protocol core, which must
 ///   never grow a socket, thread, channel or clock dependency.
-/// - **L6 output-match-exhaustive**: the two appliers — the wall-clock
-///   drivers' shared coordinator and the simulated backend — whose
-///   `protocol::Output` dispatch loops must name every variant: a wildcard
-///   arm would let a future output silently vanish in one applier while
-///   the other acts on it. Every other `roundabout` source outside
-///   `protocol/` is under the *single-applier* rule instead: it may not
-///   name an `Output::` variant at all.
+/// - **L6 output-match-exhaustive**: one vocabulary + two appliers, all
+///   in the two scoped files — the wall-clock drivers' shared coordinator
+///   (which also holds `observe`, the one `Output` → trace mapping both
+///   appliers call) and the simulated backend — whose `protocol::Output`
+///   matches must name every variant: a wildcard arm would let a future
+///   output silently vanish from the trace, or from one applier while the
+///   other acts on it. Every other `roundabout` source outside `protocol/`
+///   is under the *single-applier* rule instead: it may not name an
+///   `Output::` variant at all.
 pub fn policy_for(rel: &str) -> FilePolicy {
     let mut p = FilePolicy::default();
     let core_l1 = [

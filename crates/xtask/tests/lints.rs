@@ -150,7 +150,7 @@ fn l6_fixture_counts_are_exact() {
     );
     assert_eq!(
         report.live_count(Lint::OutputMatch),
-        2,
+        3,
         "{}",
         report.render()
     );
@@ -161,6 +161,12 @@ fn l6_fixture_counts_are_exact() {
         messages
             .iter()
             .any(|m| m.contains("fn drive_with_a_catch_all")),
+        "{messages:?}"
+    );
+    assert!(
+        messages
+            .iter()
+            .any(|m| m.contains("fn observe_with_a_catch_all") && m.contains("vocabulary")),
         "{messages:?}"
     );
     assert!(

@@ -51,6 +51,19 @@ cargo test -q -p data-roundabout --lib cheap_visits_run_inline_serially_and_in_o
 cargo test -q -p data-roundabout --lib a_slow_visit_falls_back_to_the_pool_and_comes_back
 cargo test -q -p data-roundabout --lib a_panicking_inline_visit_is_a_typed_teardown
 cargo test -q -p cyclo-join --lib traced_reactor_run_stitches_setup_and_reconciles
+# Shared-decision gate: what the simulator and the wall-clock coordinator
+# decide alike exists once. The table test of `observe` (one row per
+# `protocol::Output` variant → its event and counter; the pinned strings
+# live there) and its inert-when-off twin; the all-standby rescale plan
+# refused by the one rule table on the three engines (typed error) and
+# the simulator (typed panic message); the four-backend vocabulary tests
+# under a seeded lossy + corrupting plan (event kinds and dice-determined
+# counters) and under delay spikes (`duplicate … dropped`); and the
+# pinned `RingMetrics` fingerprints that hold modeled time bit-identical.
+cargo test -q -p data-roundabout --lib observe_
+cargo test -q -p data-roundabout --lib all_standby_rescale_is_rejected
+cargo test -q -p integration-tests --test trace_export on_all_four_backends
+cargo test -q -p data-roundabout --test sim_golden
 cargo clippy --all-targets -- -D warnings
 cargo fmt --check
 cargo run -q --release -p xtask -- analyze

@@ -462,8 +462,12 @@ fn fault_plans_are_validated_before_running() {
         .fault_plan(plan)
         .run()
         .unwrap_err();
-    assert!(matches!(err, PlanError::BadQuery(_)), "got: {err:?}");
-    assert!(err.to_string().contains("targets host 9"), "got: {err}");
+    assert!(matches!(err, PlanError::Backend(_)), "got: {err:?}");
+    assert!(
+        err.to_string()
+            .contains("fault plan names a host outside the ring"),
+        "got: {err}"
+    );
 }
 
 /// Multi-tenant chaos: two queries in flight on one multiplexed ring

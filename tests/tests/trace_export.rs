@@ -398,3 +398,132 @@ fn control_track_names_agree_on_all_four_backends() {
     assert_eq!(control(batch.run_tcp().expect("tcp batch")), sim);
     assert_eq!(control(batch.run_reactor().expect("reactor batch")), sim);
 }
+
+/// Event names with every id stripped, per track: the *kinds* of events a
+/// run left. Counts of timer-driven events may differ between a virtual
+/// and a wall clock; which kinds exist, and how they are spelled, may not.
+fn event_kinds(
+    spans: &cyclo_join::SpanTracer,
+) -> std::collections::BTreeSet<(simnet::span::Track, String)> {
+    spans
+        .events()
+        .iter()
+        .map(|e| {
+            let kind = e.name.chars().filter(|c| !c.is_ascii_digit()).collect();
+            (e.track, kind)
+        })
+        .collect()
+}
+
+/// One vocabulary under faults, on all four backends. Every protocol
+/// output reaches the trace through the one mapping the two appliers
+/// share, so a seeded lossy + corrupting plan must leave the same kinds of
+/// receiver / transmitter / join events everywhere, and — with ack
+/// timeouts generous enough that only the dice decide — the same
+/// counters, exactly as the parity suite's metrics do.
+#[test]
+fn fault_vocabulary_and_dice_counters_agree_on_all_four_backends() {
+    use data_roundabout::RingConfig;
+    use simnet::span::Track;
+    use simnet::time::SimDuration;
+
+    let (r, s) = inputs(9800);
+    let plan = FaultPlan::seeded(7)
+        .lossy_link(HostId(0), 0.3)
+        .corrupt_link(HostId(1), 0.3);
+    let config = RingConfig::paper(3)
+        .with_join_threads(1)
+        .with_ack_timeout(SimDuration::from_millis(150))
+        .with_max_retransmits(10);
+    let join = CycloJoin::new(r, s)
+        .ring(config)
+        .fragments_per_host(3)
+        .fault_plan(plan)
+        .trace(true);
+    let observed = |report: CycloJoinReport| {
+        let counters: Vec<(String, u64)> = [
+            "envelopes_sent",
+            "envelopes_received",
+            "fragments_retired",
+            "retransmits",
+            "checksum_mismatches",
+        ]
+        .iter()
+        .map(|name| (name.to_string(), report.spans.counters().get(name)))
+        .collect();
+        assert_eq!(
+            report.spans.counters().get("retransmits"),
+            report.retransmits()
+        );
+        (event_kinds(&report.spans), counters)
+    };
+    let sim = observed(join.run().expect("sim"));
+    let has = |track, kind: &str| sim.0.contains(&(track, kind.to_string()));
+    assert!(has(Track::Transmitter, "retransmit F attempt "), "{sim:?}");
+    assert!(has(Track::Receiver, "checksum mismatch F"), "{sim:?}");
+    assert!(has(Track::Receiver, "recv F"), "{sim:?}");
+    assert!(has(Track::Join, "retired F"), "{sim:?}");
+    assert_eq!(observed(join.run_threaded().expect("threads")), sim);
+    assert_eq!(observed(join.run_tcp().expect("tcp")), sim);
+    assert_eq!(observed(join.run_reactor().expect("reactor")), sim);
+}
+
+/// The receiver's `duplicate … dropped` event — the one the simulator used
+/// not to emit — on all four backends. Delay spikes three ack timeouts long
+/// on one link make the sender retransmit a transfer whose first copy is
+/// still in flight; visits slow enough to keep the ring turning until the
+/// late copy lands make every backend see it arrive. How *many* arrive is
+/// the clock's business; the kinds of events are not.
+#[test]
+fn duplicate_deliveries_are_spelled_alike_on_all_four_backends() {
+    use data_roundabout::{
+        BlockingEngine, ChannelEngine, FixedCostApp, ReactorEngine, RingConfig, SimRing,
+        WallClockDriver, WallClockEngine,
+    };
+    use simnet::span::Track;
+    use simnet::time::SimDuration;
+    use std::time::Duration;
+
+    let hosts = 3;
+    let visit = 15;
+    let plan = FaultPlan::seeded(24).delay_spikes(HostId(1), 0.5, SimDuration::from_millis(90));
+    let config = RingConfig::paper(hosts)
+        .with_ack_timeout(SimDuration::from_millis(30))
+        .with_max_retransmits(10);
+    let payloads = || -> Vec<Vec<Vec<u8>>> {
+        (0..hosts)
+            .map(|h| (0..4).map(|i| vec![(4 * h + i) as u8; 64]).collect())
+            .collect()
+    };
+    let app = FixedCostApp::new(hosts, SimDuration::ZERO, SimDuration::from_millis(visit));
+    let sim = SimRing::new(config, payloads(), app)
+        .with_fault_plan(plan.clone())
+        .with_trace(true)
+        .run();
+    let sim = event_kinds(&sim.spans);
+    assert!(
+        sim.contains(&(Track::Receiver, "duplicate F dropped".to_string())),
+        "the simulator must report dropped duplicates: {sim:?}"
+    );
+    fn kinds_on<E: WallClockEngine>(
+        config: &RingConfig,
+        plan: &FaultPlan,
+        fragments: Vec<Vec<Vec<u8>>>,
+        visit: u64,
+    ) -> std::collections::BTreeSet<(Track, String)> {
+        let (_, spans) = WallClockDriver::<E>::new(config)
+            .with_fault_plan(plan)
+            .with_tracer(true)
+            .run(fragments, |_, _: &Vec<u8>| {
+                std::thread::sleep(Duration::from_millis(visit))
+            })
+            .expect("the spiky ring should finish");
+        event_kinds(&spans)
+    }
+    let threads = kinds_on::<ChannelEngine>(&config, &plan, payloads(), visit);
+    assert_eq!(threads, sim, "threads");
+    let tcp = kinds_on::<BlockingEngine>(&config, &plan, payloads(), visit);
+    assert_eq!(tcp, sim, "tcp");
+    let reactor = kinds_on::<ReactorEngine>(&config, &plan, payloads(), visit);
+    assert_eq!(reactor, sim, "reactor");
+}
