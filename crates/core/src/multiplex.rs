@@ -381,6 +381,7 @@ impl std::fmt::Display for MultiTenantReport {
         )?;
         f.write_str(&crate::report::rescale_line(&self.ring))?;
         f.write_str(&crate::report::inline_line(&self.ring))?;
+        f.write_str(&crate::report::frames_line(&self.spans))?;
         for t in &self.tenants {
             writeln!(
                 f,

@@ -3,7 +3,7 @@
 use data_roundabout::RingMetrics;
 use relation::Checksum;
 use simnet::cpu::CpuSpec;
-use simnet::span::{SpanKind, SpanTracer};
+use simnet::span::{counter, SpanKind, SpanTracer};
 use simnet::time::SimDuration;
 
 use crate::result::DistributedResult;
@@ -196,6 +196,7 @@ impl CycloJoinReport {
         }
         out.push_str(&rescale_line(&self.ring));
         out.push_str(&inline_line(&self.ring));
+        out.push_str(&frames_line(&self.spans));
         out.push_str("  per host: setup / busy / sync (s), fragments\n");
         for (i, h) in self.ring.hosts.iter().enumerate() {
             out.push_str(&format!(
@@ -304,6 +305,20 @@ pub(crate) fn inline_line(ring: &RingMetrics) -> String {
     format!("  visits: {inline} of {visits} ran inline on the reactor thread\n")
 }
 
+/// The one-line count of envelope frames a socket backend encoded (once
+/// per fragment, at its origin) against those it forwarded as a fresh
+/// header plus the payload bytes they arrived in; empty when the run was
+/// untraced or moved payloads by value (simulator, threads).
+pub(crate) fn frames_line(spans: &SpanTracer) -> String {
+    let counters = spans.counters();
+    let encoded = counters.get(counter::FRAMES_ENCODED);
+    let forwarded = counters.get(counter::FRAMES_FORWARDED);
+    if encoded + forwarded == 0 {
+        return String::new();
+    }
+    format!("  frames: {encoded} encoded at their origin, {forwarded} forwarded as received\n")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -399,6 +414,20 @@ mod tests {
         assert!(report
             .render()
             .contains("visits: 7 of 8 ran inline on the reactor thread"));
+    }
+
+    #[test]
+    fn frames_line_appears_only_when_frames_were_counted() {
+        let mut report = sample_report();
+        report.spans = SpanTracer::enabled();
+        report.spans.count(counter::FRAMES_ENCODED, 0);
+        report.spans.count(counter::FRAMES_FORWARDED, 0);
+        assert!(!report.render().contains("frames:"));
+        report.spans.count(counter::FRAMES_ENCODED, 16);
+        report.spans.count(counter::FRAMES_FORWARDED, 32);
+        assert!(report
+            .render()
+            .contains("frames: 16 encoded at their origin, 32 forwarded as received"));
     }
 
     #[test]

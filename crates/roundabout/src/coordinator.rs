@@ -8,16 +8,24 @@
 //! ([`crate::thread_backend`]) — that something is `Coordinator`, and it
 //! exists exactly once:
 //!
-//! * it owns the [`RingProtocol`], the optional [`FaultPlan`] dice, the
-//!   [`SpanTracer`], the wall-clock accumulators behind [`RingMetrics`],
-//!   the first-error latch and the queue of synchronous follow-up `Event`s;
+//! * it owns the [`RingProtocol`] — run over shared in-flight payloads
+//!   (`InFlight`), so a visit's job and every retransmission attempt hold
+//!   the payload by reference count, never by copy — the optional
+//!   [`FaultPlan`] dice, the [`SpanTracer`], the wall-clock accumulators
+//!   behind [`RingMetrics`], the first-error latch and the queue of
+//!   synchronous follow-up `Event`s;
 //! * it applies outputs strictly in emission order (`Coordinator::apply`)
 //!   and translates driver events back into protocol [`Input`]s with one
 //!   crash-guard policy (`Coordinator::handle`): joins and fault-plan
 //!   events die with a crashed host; wire deliveries, send completions and
 //!   protocol ticks always reach the protocol;
 //! * everything that differs between the engines sits behind the five
-//!   calls of the crate-private `Medium` trait, dispatched statically.
+//!   calls of the crate-private `Medium` trait, dispatched statically. A
+//!   socket medium frames each live attempt as a fresh header ahead of
+//!   the payload's wire bytes — encoded at the origin on the first
+//!   attempt, the bytes it arrived in everywhere after (see
+//!   [`crate::frame`]) — and says which it was, so the coordinator can
+//!   count `frames_encoded` against `frames_forwarded`.
 //!
 //! The simulator ([`crate::sim_backend`]) is the second applier and is
 //! deliberately *not* a `Medium`. What the two appliers decide alike lives
@@ -31,9 +39,9 @@
 //! that is the reason it stays a separate applier: set-up is a modeled
 //! phase there, a dropped attempt still occupies the link and charges its
 //! sender, deliveries charge receive CPU, a join's span is known when it
-//! starts, the payload is borrowed rather than cloned into a job, and a
-//! rotation may be continuous — each would be a hook only the simulator
-//! fills (DESIGN §8 has the list).
+//! starts, and a rotation may be continuous — each would be a hook only
+//! the simulator fills (DESIGN §8 has the list). Both appliers run the
+//! protocol over the same in-flight payload type.
 //!
 //! Alongside live the pieces every wall-clock engine used to carry a copy
 //! of: the guarded job runner (`run_job` / `worker_loop`), the
@@ -56,6 +64,7 @@ use crate::config::RingConfig;
 use crate::envelope::{Envelope, FragmentId, PayloadBytes};
 use crate::error::RingError;
 use crate::frame::{Frame, WirePayload};
+use crate::inflight::{launch, launch_queries, InFlight};
 use crate::metrics::{HostMetrics, RingMetrics};
 use crate::protocol::{
     envelope_batches, query_batches, teardown, Input, Output, ProtocolConfig, RingProtocol, Timer,
@@ -405,7 +414,8 @@ pub(crate) fn ring_metrics<P: PayloadBytes + Clone>(
 pub(crate) enum Job<P> {
     /// Join one fragment against the host's stationary state.
     Join {
-        payload: P,
+        /// The payload the protocol's processing slot holds, shared.
+        payload: InFlight<P>,
         /// Which multiplexed query the fragment belongs to (0 on
         /// single-query runs).
         query: u32,
@@ -456,19 +466,20 @@ where
     A: Fn(HostId, usize),
 {
     let started = Instant::now();
-    let (outcome, what) = match job {
+    let (completed, what) = match job {
         Job::Join {
             payload,
             query,
             roles,
             id,
             hop,
-        } => (
-            catch_unwind(AssertUnwindSafe(|| {
-                visit(host, query, roles.as_deref().unwrap_or(&[host.0]), &payload)
-            })),
-            Done::Join { id, hop },
-        ),
+        } => {
+            let outcome = catch_unwind(AssertUnwindSafe(|| {
+                payload.with(|p| visit(host, query, roles.as_deref().unwrap_or(&[host.0]), p))
+            }));
+            payload.visited();
+            (matches!(outcome, Ok(Some(()))), Done::Join { id, hop })
+        }
         Job::Absorb {
             dead,
             roles,
@@ -476,7 +487,8 @@ where
         } => (
             catch_unwind(AssertUnwindSafe(|| {
                 roles.iter().for_each(|&role| absorb(host, role))
-            })),
+            }))
+            .is_ok(),
             Done::Absorb {
                 dead,
                 roles: roles.len(),
@@ -487,7 +499,7 @@ where
     JobDone {
         host,
         spent: started.elapsed(),
-        panicked: outcome.is_err(),
+        panicked: !completed,
         inline: false,
         what,
     }
@@ -584,7 +596,10 @@ pub(crate) fn scheduled(
 /// queue synchronous follow-ups in the same shape).
 pub(crate) enum Event<P> {
     /// A frame came off the wire at host `at`.
-    Frame { at: HostId, frame: Frame<P> },
+    Frame {
+        at: HostId,
+        frame: Frame<InFlight<P>>,
+    },
     /// The wire that carried `from`'s last send is free again.
     SendDone { from: HostId },
     /// A worker finished a job.
@@ -606,6 +621,18 @@ pub(crate) enum Recv<T> {
     Closed,
 }
 
+/// How a live attempt went onto the wire.
+pub(crate) enum Sent {
+    /// By value: the medium carries payloads, not bytes (the channel
+    /// engine).
+    Moved,
+    /// As a frame whose payload bytes this attempt encoded: the payload's
+    /// first attempt out of its origin.
+    Encoded,
+    /// As a fresh header ahead of the payload bytes it already carried.
+    Forwarded,
+}
+
 /// What an engine provides: how bytes, jobs and timers actually move.
 /// Calls arrive in [`Output`] order; anything a call completes on the
 /// spot is queued on `next` instead of re-entering the coordinator.
@@ -618,10 +645,10 @@ pub(crate) trait Medium<P> {
         from: HostId,
         to: HostId,
         tid: u64,
-        env: Envelope<P>,
+        env: Envelope<InFlight<P>>,
         delay: Duration,
         next: &mut Pending<P>,
-    ) -> Result<(), RingError>;
+    ) -> Result<Sent, RingError>;
 
     /// Sends the acknowledgement for `tid` from `at` back to its sender.
     fn ack(
@@ -687,7 +714,7 @@ pub(crate) fn timer_loop<T>(
 
 /// The single place where a protocol [`Output`] turns into IO.
 pub(crate) struct Coordinator<'a, P, M> {
-    pub(crate) proto: RingProtocol<P>,
+    pub(crate) proto: RingProtocol<InFlight<P>>,
     pub(crate) medium: M,
     pub(crate) pending: Pending<P>,
     plan: Option<&'a FaultPlan>,
@@ -706,12 +733,12 @@ pub(crate) struct Coordinator<'a, P, M> {
     detection_latency: SimDuration,
 }
 
-impl<'a, P: PayloadBytes + Clone, M: Medium<P>> Coordinator<'a, P, M> {
-    /// Builds the protocol for `workload` (reliable iff `plan` is set),
-    /// arms the plans' scheduled events on `medium` — crashes, pauses,
-    /// joins, drains, as offsets from this instant — and reports every
-    /// host set up, so the first joins and sends are already applied when
-    /// this returns.
+impl<'a, P: PayloadBytes, M: Medium<P>> Coordinator<'a, P, M> {
+    /// Builds the protocol for `workload` (reliable iff `plan` is set) with
+    /// every payload put in flight, arms the plans' scheduled events on
+    /// `medium` — crashes, pauses, joins, drains, as offsets from this
+    /// instant — and reports every host set up, so the first joins and
+    /// sends are already applied when this returns.
     pub(crate) fn new(
         config: &'a RingConfig,
         plan: Option<&'a FaultPlan>,
@@ -730,11 +757,11 @@ impl<'a, P: PayloadBytes + Clone, M: Medium<P>> Coordinator<'a, P, M> {
             standby: rescale.map_or(0, RescalePlan::standby_mask),
         };
         let proto = match workload {
-            Workload::Single(envelopes) => RingProtocol::new(proto_cfg, envelopes),
+            Workload::Single(envelopes) => RingProtocol::new(proto_cfg, launch(envelopes)),
             Workload::Multi {
                 queries,
                 max_active,
-            } => RingProtocol::new_multi(proto_cfg, queries, max_active),
+            } => RingProtocol::new_multi(proto_cfg, launch_queries(queries), max_active),
         };
         let epoch = Instant::now();
         let mut co = Coordinator {
@@ -863,12 +890,12 @@ impl<'a, P: PayloadBytes + Clone, M: Medium<P>> Coordinator<'a, P, M> {
         self.last_progress = self.last_progress.max(Instant::now());
     }
 
-    fn input(&mut self, input: Input<P>, ctx: Option<HostId>) {
+    fn input(&mut self, input: Input<InFlight<P>>, ctx: Option<HostId>) {
         let outputs = self.proto.input(input);
         self.apply(outputs, ctx);
     }
 
-    fn on_frame(&mut self, at: HostId, frame: Frame<P>) {
+    fn on_frame(&mut self, at: HostId, frame: Frame<InFlight<P>>) {
         match frame {
             Frame::Envelope { tid, env } => {
                 self.input(Input::Delivered { to: at, env, tid }, Some(at));
@@ -978,7 +1005,7 @@ impl<'a, P: PayloadBytes + Clone, M: Medium<P>> Coordinator<'a, P, M> {
     /// names the host whose delivery is being processed — the only context
     /// in which the protocol emits [`Output::Ack`].
     // analyze: allow(panic, reason = "protocol invariant: per-host tables are sized to the ring at construction and HostId never exceeds it")
-    fn apply(&mut self, outputs: Vec<Output<P>>, ctx: Option<HostId>) {
+    fn apply(&mut self, outputs: Vec<Output<InFlight<P>>>, ctx: Option<HostId>) {
         let epoch = self.epoch;
         for output in outputs {
             if self.fatal {
@@ -993,6 +1020,7 @@ impl<'a, P: PayloadBytes + Clone, M: Medium<P>> Coordinator<'a, P, M> {
                     roles,
                     bytes: _,
                 } => {
+                    // The job shares the slot's payload: a count bump.
                     let Some(payload) = self.proto.processing_payload(host).cloned() else {
                         return self.fail(RingError::Teardown(EMPTY_SLOT));
                     };
@@ -1085,7 +1113,14 @@ impl<'a, P: PayloadBytes + Clone, M: Medium<P>> Coordinator<'a, P, M> {
     /// Puts one attempt of a transfer toward the wire: rolls the dice and
     /// hands a live attempt to the medium.
     // analyze: allow(panic, reason = "protocol invariant: per-host tables are sized to the ring at construction and HostId never exceeds it")
-    fn apply_send(&mut self, from: HostId, to: HostId, tid: u64, attempt: u32, env: Envelope<P>) {
+    fn apply_send(
+        &mut self,
+        from: HostId,
+        to: HostId,
+        tid: u64,
+        attempt: u32,
+        env: Envelope<InFlight<P>>,
+    ) {
         self.bytes_forwarded[from.0] += env.bytes();
         let mut wire = env;
         let (dropped, spike) = roll(self.plan, &mut self.proto, from, tid, attempt, &mut wire);
@@ -1093,11 +1128,16 @@ impl<'a, P: PayloadBytes + Clone, M: Medium<P>> Coordinator<'a, P, M> {
             // The medium ate this attempt before it reached the wire; the
             // sender's NIC still reports its wire free.
             self.pending.push_back(Event::SendDone { from });
-        } else if let Err(error) =
-            self.medium
-                .transmit(from, to, tid, wire, spike.into(), &mut self.pending)
+            return;
+        }
+        match self
+            .medium
+            .transmit(from, to, tid, wire, spike.into(), &mut self.pending)
         {
-            self.fail(error);
+            Ok(Sent::Moved) => {}
+            Ok(Sent::Encoded) => self.tracer.count(counter::FRAMES_ENCODED, 1),
+            Ok(Sent::Forwarded) => self.tracer.count(counter::FRAMES_FORWARDED, 1),
+            Err(error) => self.fail(error),
         }
     }
 }
@@ -1662,6 +1702,121 @@ pub(crate) mod engine_suite {
         assert_eq!(counters.get(counter::QUERIES_COMPLETED), queries as u64);
     }
 
+    /// Encodes of [`Counted`] payloads, by the slot their first byte
+    /// names: one slot per engine's test, so tests running side by side
+    /// never share a count.
+    static ENCODES: [AtomicUsize; 2] = [AtomicUsize::new(0), AtomicUsize::new(0)];
+
+    /// Raw bytes that count their encodes in `ENCODES[bytes[0]]`.
+    #[derive(Debug, Clone)]
+    pub(crate) struct Counted(Vec<u8>);
+
+    impl PayloadBytes for Counted {
+        fn payload_bytes(&self) -> u64 {
+            self.0.payload_bytes()
+        }
+
+        fn payload_checksum(&self) -> u64 {
+            self.0.payload_checksum()
+        }
+    }
+
+    impl WirePayload for Counted {
+        fn payload_wire_len(&self) -> usize {
+            self.0.len()
+        }
+
+        fn encode_payload(&self, out: &mut Vec<u8>) {
+            ENCODES[self.0[0] as usize].fetch_add(1, Ordering::SeqCst);
+            out.extend_from_slice(&self.0);
+        }
+
+        fn decode_payload(bytes: &[u8]) -> Result<Self, crate::error::FrameError> {
+            Ok(Counted(bytes.to_vec()))
+        }
+    }
+
+    /// A socket engine encodes each fragment once — at its origin, on its
+    /// first attempt — and frames every other send from those bytes: on a
+    /// quiet ring, and under a lossy and corrupting plan whatever the
+    /// retransmissions, where every corrupted attempt is still rejected
+    /// by the receiver's checksum and repaired. `slot` is the engine's own
+    /// encode counter.
+    pub(crate) fn each_fragment_is_encoded_once<E: WallClockEngine>(slot: u8) {
+        let (hosts, per_host) = (3usize, 4usize);
+        let total = hosts * per_host;
+        let fragments: Vec<Vec<Counted>> = (0..hosts)
+            .map(|h| {
+                (0..per_host)
+                    .map(|i| {
+                        let mut bytes = vec![slot, h as u8, i as u8];
+                        bytes.resize(300, (h * 7 + i) as u8);
+                        Counted(bytes)
+                    })
+                    .collect()
+            })
+            .collect();
+        let plan = FaultPlan::seeded(23)
+            .lossy_link(HostId(0), 0.25)
+            .corrupt_link(HostId(1), 0.3)
+            .corrupt_link(HostId(2), 0.2);
+        let config = RingConfig::paper(hosts)
+            .with_ack_timeout(SimDuration::from_millis(40))
+            .with_max_retransmits(12);
+        for faulty in [false, true] {
+            ENCODES[slot as usize].store(0, Ordering::SeqCst);
+            let seen: Vec<Mutex<Vec<Vec<u8>>>> = (0..hosts).map(|_| Mutex::default()).collect();
+            let mut driver = WallClockDriver::<E>::new(&config).with_tracer(true);
+            if faulty {
+                driver = driver.with_fault_plan(&plan);
+            }
+            let (metrics, tracer) = driver
+                .run(fragments.clone(), |h, payload: &Counted| {
+                    seen[h.0].lock().unwrap().push(payload.0.clone());
+                })
+                .unwrap();
+            assert_eq!(metrics.fragments_completed, total);
+            assert_eq!(
+                ENCODES[slot as usize].load(Ordering::SeqCst),
+                total,
+                "one encode per fragment (faulty plan: {faulty})"
+            );
+            let c = tracer.counters();
+            let (encoded, forwarded) = (
+                c.get(counter::FRAMES_ENCODED),
+                c.get(counter::FRAMES_FORWARDED),
+            );
+            assert_eq!(encoded, total as u64);
+            // Every hop's last attempt reached the wire; retransmissions
+            // may add more (or be eaten by the dice before it).
+            let hops = (total * (hosts - 1)) as u64;
+            assert!(
+                (hops..=hops + metrics.total_retransmits()).contains(&(encoded + forwarded)),
+                "{encoded} + {forwarded} framed for {hops} hops"
+            );
+            if faulty {
+                assert!(
+                    metrics.total_retransmits() > 0,
+                    "the plan must lose attempts"
+                );
+                assert!(
+                    metrics.total_checksum_mismatches() > 0,
+                    "the plan must corrupt attempts"
+                );
+            } else {
+                assert_eq!(encoded + forwarded, hops);
+            }
+            // Every host visited every fragment exactly once, intact.
+            let mut want: Vec<Vec<u8>> = fragments.iter().flatten().map(|c| c.0.clone()).collect();
+            want.sort();
+            for host in seen {
+                let mut got = host.into_inner().unwrap();
+                got.sort();
+                assert_eq!(got, want);
+            }
+        }
+    }
+
     pub(crate) fn multiplexed_queries_survive_faults<E: WallClockEngine>() {
         let hosts = 3;
         let queries = 4;
@@ -1722,6 +1877,9 @@ mod tests {
         delivering: Option<HostId>,
         /// Every `absorb(survivor, role)` call the jobs made.
         absorbed: Vec<(HostId, usize)>,
+        /// The payload of every join job started, by host, until the test
+        /// takes them.
+        joined: Vec<(HostId, InFlight<P>)>,
     }
 
     impl Fake {
@@ -1733,6 +1891,7 @@ mod tests {
                 now: Duration::ZERO,
                 delivering: None,
                 absorbed: Vec::new(),
+                joined: Vec::new(),
             }
         }
 
@@ -1749,15 +1908,15 @@ mod tests {
             from: HostId,
             to: HostId,
             tid: u64,
-            env: Envelope<P>,
+            env: Envelope<InFlight<P>>,
             _delay: Duration,
             _next: &mut Pending<P>,
-        ) -> Result<(), RingError> {
+        ) -> Result<Sent, RingError> {
             self.calls.push(Call::Transmit(from, to, tid));
             let frame = Frame::Envelope { tid, env };
             self.wire.push_back(Event::Frame { at: to, frame });
             self.wire.push_back(Event::SendDone { from });
-            Ok(())
+            Ok(Sent::Moved)
         }
 
         fn ack(
@@ -1780,8 +1939,11 @@ mod tests {
             job: Job<P>,
             next: &mut Pending<P>,
         ) -> Result<(), RingError> {
-            self.calls.push(match job {
-                Job::Join { .. } => Call::Join(host),
+            self.calls.push(match &job {
+                Job::Join { payload, .. } => {
+                    self.joined.push((host, payload.clone()));
+                    Call::Join(host)
+                }
                 Job::Absorb { .. } => Call::Absorb(host),
             });
             let absorbed = RefCell::new(Vec::new());
@@ -1847,13 +2009,26 @@ mod tests {
             .count()
     }
 
+    /// Every join job started since the last call ran on the very payload
+    /// the protocol's processing slot holds — shared, not copied.
+    fn assert_jobs_share_the_slot_payload(co: &mut Coordinator<'_, P, Fake>) {
+        for (host, payload) in std::mem::take(&mut co.medium.joined) {
+            let slot = co.proto.processing_payload(host).expect("a job runs");
+            assert!(
+                InFlight::ptr_eq(&payload, slot),
+                "host {}: the job got a copy of its payload",
+                host.0
+            );
+        }
+    }
+
     /// The medium calls `outputs` must cause, in order, plus how many
     /// attempts the dice drop — rolled here exactly as the coordinator
     /// must roll them, and reported to the shadow protocol.
     fn expected(
         plan: &FaultPlan,
-        shadow: &mut RingProtocol<P>,
-        outputs: Vec<Output<P>>,
+        shadow: &mut RingProtocol<InFlight<P>>,
+        outputs: Vec<Output<InFlight<P>>>,
         ctx: Option<HostId>,
     ) -> (Vec<Call>, usize) {
         let mut calls = Vec::new();
@@ -1904,7 +2079,7 @@ mod tests {
 
         // A shadow protocol fed the same inputs predicts every call.
         let cfg = *co.proto.config();
-        let mut shadow = RingProtocol::new(cfg, envelope_batches(payloads(2, 4, 32), 2));
+        let mut shadow = RingProtocol::new(cfg, launch(envelope_batches(payloads(2, 4, 32), 2)));
         let mut want = Vec::new();
         let mut lost = 0;
         for h in 0..2 {
@@ -1915,6 +2090,7 @@ mod tests {
         }
         assert_eq!(co.medium.calls, want);
         assert_eq!(send_dones(&co.pending), lost);
+        assert_jobs_share_the_slot_payload(&mut co);
 
         let mut total_lost = lost;
         while !co.done() {
@@ -1941,6 +2117,7 @@ mod tests {
             };
             let before = send_dones(&co.pending);
             let got = step(&mut co, event);
+            assert_jobs_share_the_slot_payload(&mut co);
             let outputs = shadow.input(input);
             let (want, dropped) = expected(&plan, &mut shadow, outputs, ctx);
             assert_eq!(got, want, "medium calls must follow Output order");

@@ -11,15 +11,27 @@
 //!   become typed [`FrameError`]s, never panics.
 //! * **Payload codecs** — [`WirePayload`] and its implementations for
 //!   raw bytes, relations and prepared fragments.
-//! * **Buffer recycling** — `FrameBufPool` hands out encode buffers and
-//!   [`write_frames_vectored`] submits a batch of them in one `writev`.
+//! * **The frame path** — a payload is encoded once per revolution, at
+//!   its origin, on its first attempt. Every later send of it — a
+//!   retransmission, or the forward of a copy that arrived from the
+//!   predecessor — is a fresh 57-byte prefix + envelope header (tid,
+//!   hops, sequence, checksum and visited mask change per hop) followed by
+//!   the *same* payload bytes, as two slices of one vectored write
+//!   (`OutFrame`). The decoder reads each envelope body straight into a
+//!   buffer from the engine's shared `FrameBufPool`, and the received
+//!   payload keeps that buffer as its wire bytes
+//!   (`crate::inflight::InFlight`) until its last holder drops. A corrupt
+//!   fate flips the checksum in the header, so shared bytes are never
+//!   written to.
 //! * **Ring setup** — each host binds a listener on `127.0.0.1:0` (the
 //!   kernel assigns the port, so concurrent test runs never race), and
 //!   every connection is confirmed with a seeded hello handshake
 //!   (`build_mesh_pairs`) before any envelope moves.
 
-use std::io::{Read, Write};
+use std::collections::VecDeque;
+use std::io::{IoSlice, Read, Write};
 use std::net::{TcpListener, TcpStream};
+use std::sync::Arc;
 use std::time::Duration;
 
 use simnet::fault::FaultPlan;
@@ -27,6 +39,7 @@ use simnet::topology::HostId;
 
 use crate::envelope::{Envelope, FragmentId, PayloadBytes};
 use crate::error::{FrameError, RingError};
+use crate::inflight::{InFlight, WireBytes};
 
 // ---------------------------------------------------------------------------
 // Wire format
@@ -34,7 +47,7 @@ use crate::error::{FrameError, RingError};
 
 /// Frame kind: connection handshake (`nonce: u64, host: u32`).
 pub const KIND_HELLO: u8 = 1;
-/// Frame kind: a circulating envelope (48-byte header + payload).
+/// Frame kind: a circulating envelope (52-byte header + payload).
 pub const KIND_ENVELOPE: u8 = 2;
 /// Frame kind: a transfer acknowledgement (`tid: u64`).
 pub const KIND_ACK: u8 = 3;
@@ -48,19 +61,33 @@ pub const MAX_FRAME: u32 = 1 << 28;
 const FRAME_HEADER: usize = 5;
 /// Fixed bytes of an envelope body before the payload: tid, fragment id,
 /// origin, hops remaining, wire sequence, checksum, visited mask, query id.
-const ENVELOPE_HEADER: usize = 52;
+pub(crate) const ENVELOPE_HEADER: usize = 52;
 /// Bytes of a hello body: nonce plus host id.
 const HELLO_BODY: usize = 12;
 /// Bytes of an ack body: the transfer id.
 const ACK_BODY: usize = 8;
+/// Bytes of an envelope frame ahead of its payload: what a hop writes
+/// fresh (prefix plus envelope header) in front of the shared payload
+/// bytes.
+const ENVELOPE_HEAD: usize = FRAME_HEADER + ENVELOPE_HEADER;
+
+/// Most frames a blocking writer batches into one vectored submission.
+/// Bounds what one writer holds out of circulation while still letting a
+/// burst of small acks and envelopes leave in a single syscall.
+pub(crate) const MAX_WRITE_BATCH: usize = 16;
+/// Slices one vectored submission carries: a frame is header + payload.
+const MAX_WRITE_SLICES: usize = 2 * MAX_WRITE_BATCH;
 
 /// A payload type that can cross a byte-oriented transport.
 ///
 /// The simulated and threaded backends move payloads by value; TCP moves
 /// bytes. Implementations must round-trip exactly — the envelope checksum
 /// taken at origination is verified on the decoded payload, so a lossy
-/// codec would masquerade as wire corruption.
-pub trait WirePayload: PayloadBytes + Sized {
+/// codec would masquerade as wire corruption — and must be `Sync`: a
+/// payload is decoded once per host and then read in place by the
+/// coordinator (to forward its bytes) and by the join worker (to visit
+/// it).
+pub trait WirePayload: PayloadBytes + Sized + Sync {
     /// Exact number of bytes [`WirePayload::encode_payload`] will append —
     /// frame buffers are sized from this before encoding, so an
     /// underestimate costs a mid-encode reallocation and copy of
@@ -109,6 +136,9 @@ impl WirePayload for relation::Relation {
 const TAG_PLAIN: u8 = 0;
 const TAG_SORTED: u8 = 1;
 const TAG_HASH: u8 = 2;
+/// A radix-partitioned payload whose partition count claims a table
+/// longer than the payload.
+const PARTITION_TABLE_OVERRUN: &str = "partition table longer than the payload";
 
 impl WirePayload for mem_joins::PreparedFragment {
     fn payload_wire_len(&self) -> usize {
@@ -187,6 +217,12 @@ impl WirePayload for mem_joins::PreparedFragment {
                     return Err(FrameError::BadPayload(
                         "partition count does not match radix bits",
                     ));
+                }
+                // Every partition needs its 4-byte length: a count the
+                // bytes cannot hold is refused before anything is sized
+                // from it.
+                if 8 + 4 * count as usize > rest.len() {
+                    return Err(FrameError::BadPayload(PARTITION_TABLE_OVERRUN));
                 }
                 let mut at = 8usize;
                 let mut partitions = Vec::with_capacity(count as usize);
@@ -298,9 +334,17 @@ pub fn encode_ack(tid: u64) -> Vec<u8> {
 /// Encodes an acknowledgement frame into a reusable buffer (cleared
 /// first).
 pub fn encode_ack_into(tid: u64, out: &mut Vec<u8>) {
-    open_frame(out, KIND_ACK, ACK_BODY);
-    out.extend_from_slice(&tid.to_le_bytes());
-    let _ = close_frame(out); // 8-byte body: cannot be oversized
+    out.clear();
+    out.extend_from_slice(&ack_frame(tid));
+}
+
+/// The whole acknowledgement frame of transfer `tid`.
+fn ack_frame(tid: u64) -> [u8; FRAME_HEADER + ACK_BODY] {
+    concat(&[
+        &[KIND_ACK],
+        &(ACK_BODY as u32).to_le_bytes(),
+        &tid.to_le_bytes(),
+    ])
 }
 
 /// Encodes an envelope frame.
@@ -328,21 +372,106 @@ pub fn encode_envelope_into<P: WirePayload>(
     env: &Envelope<P>,
     out: &mut Vec<u8>,
 ) -> Result<(), FrameError> {
-    open_frame(
-        out,
-        KIND_ENVELOPE,
-        ENVELOPE_HEADER + env.payload.payload_wire_len(),
-    );
-    out.extend_from_slice(&tid.to_le_bytes());
-    out.extend_from_slice(&(env.id.0 as u64).to_le_bytes());
-    out.extend_from_slice(&(env.origin.0 as u32).to_le_bytes());
-    out.extend_from_slice(&(env.hops_remaining as u32).to_le_bytes());
-    out.extend_from_slice(&env.seq.to_le_bytes());
-    out.extend_from_slice(&env.checksum.to_le_bytes());
-    out.extend_from_slice(&env.visited.to_le_bytes());
-    out.extend_from_slice(&env.query.to_le_bytes());
+    out.clear();
+    out.reserve(ENVELOPE_HEAD + env.payload.payload_wire_len());
+    out.extend_from_slice(&envelope_head(tid, env, 0));
     env.payload.encode_payload(out);
     close_frame(out)
+}
+
+/// The prefix and envelope header of `env`'s frame for transfer `tid`,
+/// for a payload of `payload_len` bytes: everything of an envelope frame
+/// but its payload, and everything that changes from hop to hop.
+fn envelope_head<Q>(tid: u64, env: &Envelope<Q>, payload_len: usize) -> [u8; ENVELOPE_HEAD] {
+    let fields: [&[u8]; 10] = [
+        &[KIND_ENVELOPE],
+        &((ENVELOPE_HEADER + payload_len) as u32).to_le_bytes(),
+        &tid.to_le_bytes(),
+        &(env.id.0 as u64).to_le_bytes(),
+        &(env.origin.0 as u32).to_le_bytes(),
+        &(env.hops_remaining as u32).to_le_bytes(),
+        &env.seq.to_le_bytes(),
+        &env.checksum.to_le_bytes(),
+        &env.visited.to_le_bytes(),
+        &env.query.to_le_bytes(),
+    ];
+    concat(&fields)
+}
+
+/// `fields` back to back in a fixed-size array (the fields fill it
+/// exactly at every call site).
+fn concat<const N: usize>(fields: &[&[u8]]) -> [u8; N] {
+    let mut out = [0u8; N];
+    let mut at = 0;
+    for field in fields {
+        if let Some(dst) = out.get_mut(at..at + field.len()) {
+            dst.copy_from_slice(field);
+        }
+        at += field.len();
+    }
+    out
+}
+
+/// One frame on its way out of a socket medium: the bytes this hop writes
+/// fresh, plus — for an envelope — the payload's shared wire bytes. It
+/// leaves as the two slices of [`OutFrame::parts`], so forwarding a
+/// payload never copies it.
+pub(crate) enum OutFrame<P> {
+    /// A transfer acknowledgement, whole.
+    Ack([u8; FRAME_HEADER + ACK_BODY]),
+    /// An envelope: its prefix and header, and its payload.
+    Envelope {
+        head: [u8; ENVELOPE_HEAD],
+        payload: InFlight<P>,
+    },
+}
+
+impl<P> OutFrame<P> {
+    /// The acknowledgement of transfer `tid`.
+    pub(crate) fn ack(tid: u64) -> Self {
+        OutFrame::Ack(ack_frame(tid))
+    }
+
+    /// The frame's bytes in order: what this hop wrote, then the payload
+    /// bytes it shares with every other holder (empty for an ack).
+    pub(crate) fn parts(&self) -> [&[u8]; 2] {
+        match self {
+            OutFrame::Ack(frame) => [frame, &[]],
+            OutFrame::Envelope { head, payload } => [head, payload.wire().unwrap_or_default()],
+        }
+    }
+}
+
+impl<P: WirePayload> OutFrame<P> {
+    /// Frames `env` for transfer `tid`: a fresh header ahead of its
+    /// payload's wire bytes — encoded into a buffer from `pool` on the
+    /// payload's first attempt out of its origin, the bytes it already
+    /// carries otherwise. Says whether it encoded.
+    ///
+    /// # Errors
+    ///
+    /// [`FrameError::Oversized`] when the payload would exceed
+    /// [`MAX_FRAME`].
+    pub(crate) fn envelope(
+        tid: u64,
+        env: Envelope<InFlight<P>>,
+        pool: &Arc<FrameBufPool>,
+    ) -> Result<(Self, bool), FrameError> {
+        let (bytes, encoded) = env.payload.encode_once(pool);
+        let payload_len = bytes.len();
+        if ENVELOPE_HEADER + payload_len > MAX_FRAME as usize {
+            return Err(FrameError::Oversized {
+                len: u32::MAX,
+                max: MAX_FRAME,
+            });
+        }
+        let head = envelope_head(tid, &env, payload_len);
+        let frame = OutFrame::Envelope {
+            head,
+            payload: env.payload,
+        };
+        Ok((frame, encoded))
+    }
 }
 
 /// Ceiling on the capacity a buffer may keep when it returns to the
@@ -352,10 +481,11 @@ const MAX_POOLED_CAPACITY: usize = 4 * 1024 * 1024;
 /// Ceiling on pooled buffers; beyond it, returning buffers are dropped.
 const MAX_POOLED_BUFS: usize = 64;
 
-/// A shared pool of encode buffers. The coordinator draws a buffer per
-/// outgoing frame, encodes into it, and the writer thread returns it once
-/// `write_all` handed the bytes to the kernel — so the steady state
-/// allocates nothing per frame instead of a fresh `Vec` per envelope.
+/// A socket engine's shared pool of payload buffers. A decoder reads each
+/// envelope body into one, an origin encodes each payload into one, and
+/// the payload's last holder hands it back (`inflight::WireBytes`) — so
+/// the steady state allocates nothing per frame instead of a fresh `Vec`
+/// per envelope.
 #[derive(Default)]
 pub(crate) struct FrameBufPool {
     bufs: std::sync::Mutex<Vec<Vec<u8>>>,
@@ -391,12 +521,84 @@ impl FrameBufPool {
 
 /// Incremental frame decoder: feed it byte chunks as they come off a
 /// socket, pull complete frames out. Partial frames wait for more bytes;
-/// malformed ones surface as typed [`FrameError`]s. The decoder never
-/// panics on wire input.
-#[derive(Debug, Default)]
+/// malformed ones surface as typed [`FrameError`]s, in stream order after
+/// every frame that preceded them, and stop the decoder for good. The
+/// decoder never panics on wire input, and what it holds is bounded by
+/// what arrived: a length prefix reserves at most `MAX_POOLED_CAPACITY`
+/// ahead of the bytes.
+///
+/// Each envelope body is read straight into a pooled buffer and decoded
+/// from there — the only copy between the socket's read chunk and the
+/// payload.
+#[derive(Default)]
 pub struct FrameDecoder {
-    buf: Vec<u8>,
-    start: usize,
+    /// The frame being assembled.
+    partial: Partial,
+    /// Complete frame bodies not yet pulled, in stream order.
+    ready: VecDeque<Body>,
+    /// The stream's first malformation: reported once `ready` drains, and
+    /// for every call after.
+    failed: Option<FrameError>,
+    /// Where envelope bodies are read into.
+    pool: Arc<FrameBufPool>,
+}
+
+/// The frame a [`FrameDecoder`] is in the middle of.
+enum Partial {
+    /// The `[kind][len]` prefix; `got` of its bytes are in.
+    Prefix {
+        bytes: [u8; FRAME_HEADER],
+        got: usize,
+    },
+    /// A hello or ack body of `len` bytes, `got` of them in. The first
+    /// [`HELLO_BODY`] — the most either kind reads — are kept.
+    Control {
+        kind: u8,
+        len: usize,
+        bytes: [u8; HELLO_BODY],
+        got: usize,
+    },
+    /// An envelope body of `len` bytes, read into a pooled buffer.
+    Envelope { len: usize, buf: Vec<u8> },
+}
+
+impl Default for Partial {
+    fn default() -> Self {
+        Partial::Prefix {
+            bytes: [0; FRAME_HEADER],
+            got: 0,
+        }
+    }
+}
+
+/// A complete frame body, not yet decoded.
+enum Body {
+    Control {
+        kind: u8,
+        len: usize,
+        bytes: [u8; HELLO_BODY],
+    },
+    Envelope(Vec<u8>),
+}
+
+impl std::fmt::Debug for FrameDecoder {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("FrameDecoder")
+            .field("ready", &self.ready.len())
+            .field("failed", &self.failed)
+            .finish_non_exhaustive()
+    }
+}
+
+/// Moves as much of `from`'s front as `to` can take into it; returns how
+/// many bytes moved.
+fn take_into(to: &mut [u8], from: &mut &[u8]) -> usize {
+    let n = to.len().min(from.len());
+    if let (Some(dst), Some((src, rest))) = (to.get_mut(..n), from.split_at_checked(n)) {
+        dst.copy_from_slice(src);
+        *from = rest;
+    }
+    n
 }
 
 impl FrameDecoder {
@@ -405,9 +607,102 @@ impl FrameDecoder {
         FrameDecoder::default()
     }
 
-    /// Appends freshly read bytes.
-    pub fn feed(&mut self, bytes: &[u8]) {
-        self.buf.extend_from_slice(bytes);
+    /// An empty decoder reading envelope bodies into buffers from `pool`.
+    pub(crate) fn with_pool(pool: Arc<FrameBufPool>) -> Self {
+        FrameDecoder {
+            pool,
+            ..FrameDecoder::default()
+        }
+    }
+
+    /// Takes in freshly read bytes, completing whatever frames they
+    /// complete.
+    pub fn feed(&mut self, mut bytes: &[u8]) {
+        while self.failed.is_none() {
+            let partial = std::mem::take(&mut self.partial);
+            let (next, progressed) = self.advance(partial, &mut bytes);
+            self.partial = next;
+            if !progressed {
+                return;
+            }
+        }
+    }
+
+    /// Moves `partial` forward on `input`: the state it reaches, and
+    /// whether it completed a step (a prefix or a body), so that the next
+    /// one may start — possibly on no bytes at all, for an empty body.
+    fn advance(&mut self, partial: Partial, input: &mut &[u8]) -> (Partial, bool) {
+        match partial {
+            Partial::Prefix { mut bytes, mut got } => {
+                got += take_into(bytes.get_mut(got..).unwrap_or_default(), input);
+                let kind = bytes.first().copied().unwrap_or_default();
+                if got > 0 && !matches!(kind, KIND_HELLO | KIND_ENVELOPE | KIND_ACK) {
+                    self.failed = Some(FrameError::BadKind(kind));
+                    return (Partial::default(), false);
+                }
+                if got < FRAME_HEADER {
+                    return (Partial::Prefix { bytes, got }, false);
+                }
+                let len = read_u32(&bytes, 1).unwrap_or_default();
+                if len > MAX_FRAME {
+                    self.failed = Some(FrameError::Oversized {
+                        len,
+                        max: MAX_FRAME,
+                    });
+                    return (Partial::default(), false);
+                }
+                let len = len as usize;
+                let body = if kind == KIND_ENVELOPE {
+                    let mut buf = self.pool.take();
+                    buf.reserve_exact(len.min(MAX_POOLED_CAPACITY));
+                    Partial::Envelope { len, buf }
+                } else {
+                    Partial::Control {
+                        kind,
+                        len,
+                        bytes: [0; HELLO_BODY],
+                        got: 0,
+                    }
+                };
+                (body, true)
+            }
+            Partial::Control {
+                kind,
+                len,
+                mut bytes,
+                mut got,
+            } => {
+                let n = (len - got).min(input.len());
+                let (mut chunk, rest) = input.split_at_checked(n).unwrap_or_default();
+                *input = rest;
+                take_into(bytes.get_mut(got..).unwrap_or_default(), &mut chunk);
+                got += n;
+                if got < len {
+                    return (
+                        Partial::Control {
+                            kind,
+                            len,
+                            bytes,
+                            got,
+                        },
+                        false,
+                    );
+                }
+                self.ready.push_back(Body::Control { kind, len, bytes });
+                (Partial::default(), true)
+            }
+            Partial::Envelope { len, mut buf } => {
+                let n = (len - buf.len()).min(input.len());
+                let (chunk, rest) = input.split_at_checked(n).unwrap_or_default();
+                *input = rest;
+                buf.extend_from_slice(chunk);
+                if buf.len() < len {
+                    return (Partial::Envelope { len, buf }, false);
+                }
+                self.ready.push_back(Body::Envelope(buf));
+                (Partial::default(), true)
+            }
+        }
     }
 
     /// Decodes the next complete frame, if one is buffered.
@@ -421,75 +716,110 @@ impl FrameDecoder {
     /// [`FrameError::Truncated`] for a body shorter than its fixed header,
     /// and [`FrameError::BadPayload`] for undecodable payload bytes.
     pub fn next_frame<P: WirePayload>(&mut self) -> Result<Option<Frame<P>>, FrameError> {
-        let buf = self.buf.get(self.start..).unwrap_or_default();
-        let Some(&kind) = buf.first() else {
-            return Ok(None);
+        self.next_with(|body, pool| {
+            let payload = P::decode_payload(body.get(ENVELOPE_HEADER..).unwrap_or_default());
+            pool.put(body);
+            payload
+        })
+    }
+
+    /// Like [`FrameDecoder::next_frame`], but an envelope's payload keeps
+    /// the body buffer it was decoded from as its wire bytes, to be
+    /// forwarded as they are.
+    ///
+    /// # Errors
+    ///
+    /// As [`FrameDecoder::next_frame`].
+    pub(crate) fn next_in_flight<P: WirePayload>(
+        &mut self,
+    ) -> Result<Option<Frame<InFlight<P>>>, FrameError> {
+        self.next_with(|body, pool| {
+            match P::decode_payload(body.get(ENVELOPE_HEADER..).unwrap_or_default()) {
+                Ok(payload) => {
+                    let wire = WireBytes::new(body, ENVELOPE_HEADER, Arc::clone(pool));
+                    Ok(InFlight::received(payload, wire))
+                }
+                Err(e) => {
+                    pool.put(body);
+                    Err(e)
+                }
+            }
+        })
+    }
+
+    /// Decodes the next complete frame, turning an envelope body into its
+    /// payload with `payload` (which owns the body buffer from then on).
+    fn next_with<Q>(
+        &mut self,
+        payload: impl FnOnce(Vec<u8>, &Arc<FrameBufPool>) -> Result<Q, FrameError>,
+    ) -> Result<Option<Frame<Q>>, FrameError> {
+        let Some(body) = self.ready.pop_front() else {
+            return match &self.failed {
+                Some(e) => Err(e.clone()),
+                None => Ok(None),
+            };
         };
-        if !matches!(kind, KIND_HELLO | KIND_ENVELOPE | KIND_ACK) {
-            return Err(FrameError::BadKind(kind));
+        let decoded = decode_body(body, &self.pool, payload);
+        if let Err(e) = &decoded {
+            // Nothing after a malformed frame is trusted.
+            self.failed = Some(e.clone());
+            for body in self.ready.drain(..) {
+                if let Body::Envelope(buf) = body {
+                    self.pool.put(buf);
+                }
+            }
         }
-        let Some(len) = read_u32(buf, 1) else {
-            return Ok(None);
-        };
-        if len > MAX_FRAME {
-            return Err(FrameError::Oversized {
-                len,
-                max: MAX_FRAME,
-            });
-        }
-        let Some(body) = buf.get(FRAME_HEADER..FRAME_HEADER + len as usize) else {
-            return Ok(None);
-        };
-        let frame = decode_body(kind, body)?;
-        self.start += FRAME_HEADER + len as usize;
-        if self.start == self.buf.len() {
-            self.buf.clear();
-            self.start = 0;
-        } else if self.start > 64 * 1024 {
-            self.buf.drain(..self.start);
-            self.start = 0;
-        }
-        Ok(Some(frame))
+        decoded.map(Some)
     }
 }
 
-fn decode_body<P: WirePayload>(kind: u8, body: &[u8]) -> Result<Frame<P>, FrameError> {
-    let needed = match kind {
-        KIND_HELLO => HELLO_BODY,
-        KIND_ACK => ACK_BODY,
-        _ => ENVELOPE_HEADER,
+fn decode_body<Q>(
+    body: Body,
+    pool: &Arc<FrameBufPool>,
+    payload: impl FnOnce(Vec<u8>, &Arc<FrameBufPool>) -> Result<Q, FrameError>,
+) -> Result<Frame<Q>, FrameError> {
+    let (kind, got, needed) = match &body {
+        Body::Control { kind, len, .. } if *kind == KIND_HELLO => (*kind, *len, HELLO_BODY),
+        Body::Control { kind, len, .. } => (*kind, *len, ACK_BODY),
+        Body::Envelope(buf) => (KIND_ENVELOPE, buf.len(), ENVELOPE_HEADER),
     };
-    if body.len() < needed {
-        return Err(FrameError::Truncated {
-            needed,
-            got: body.len(),
-        });
+    if got < needed {
+        if let Body::Envelope(buf) = body {
+            pool.put(buf);
+        }
+        return Err(FrameError::Truncated { needed, got });
     }
-    match kind {
-        KIND_HELLO => Ok(Frame::Hello {
-            nonce: read_u64(body, 0).unwrap_or_default(),
-            host: read_u32(body, 8).unwrap_or_default(),
+    match body {
+        Body::Control { bytes, .. } if kind == KIND_HELLO => Ok(Frame::Hello {
+            nonce: read_u64(&bytes, 0).unwrap_or_default(),
+            host: read_u32(&bytes, 8).unwrap_or_default(),
         }),
-        KIND_ACK => Ok(Frame::Ack {
-            tid: read_u64(body, 0).unwrap_or_default(),
+        Body::Control { bytes, .. } => Ok(Frame::Ack {
+            tid: read_u64(&bytes, 0).unwrap_or_default(),
         }),
-        KIND_ENVELOPE => {
-            let payload = P::decode_payload(body.get(ENVELOPE_HEADER..).unwrap_or_default())?;
+        Body::Envelope(buf) => {
+            let tid = read_u64(&buf, 0).unwrap_or_default();
+            let id = FragmentId(read_u64(&buf, 8).unwrap_or_default() as usize);
+            let origin = HostId(read_u32(&buf, 16).unwrap_or_default() as usize);
+            let hops_remaining = read_u32(&buf, 20).unwrap_or_default() as usize;
+            let seq = read_u64(&buf, 24).unwrap_or_default();
+            let checksum = read_u64(&buf, 32).unwrap_or_default();
+            let visited = read_u64(&buf, 40).unwrap_or_default();
+            let query = read_u32(&buf, 48).unwrap_or_default();
             Ok(Frame::Envelope {
-                tid: read_u64(body, 0).unwrap_or_default(),
+                tid,
                 env: Envelope {
-                    id: FragmentId(read_u64(body, 8).unwrap_or_default() as usize),
-                    origin: HostId(read_u32(body, 16).unwrap_or_default() as usize),
-                    hops_remaining: read_u32(body, 20).unwrap_or_default() as usize,
-                    seq: read_u64(body, 24).unwrap_or_default(),
-                    checksum: read_u64(body, 32).unwrap_or_default(),
-                    visited: read_u64(body, 40).unwrap_or_default(),
-                    query: read_u32(body, 48).unwrap_or_default(),
-                    payload,
+                    id,
+                    origin,
+                    hops_remaining,
+                    seq,
+                    checksum,
+                    visited,
+                    query,
+                    payload: payload(buf, pool)?,
                 },
             })
         }
-        other => Err(FrameError::BadKind(other)),
     }
 }
 
@@ -638,26 +968,27 @@ fn expect_hello(stream: &TcpStream, nonce: u64, host: usize) -> Result<(), RingE
 
 /// Writes every frame in `frames`, submitting them as one vectored
 /// `writev` whenever the kernel cooperates. Each frame is already a
-/// complete `[kind][len][body]` encoding from the pooled buffers, so the
-/// prefix and payload of many frames leave in a single syscall instead of
-/// one `write_all` per frame. Short writes resume from the exact byte
-/// offset; `Interrupted` retries; a zero-length write reports the peer
-/// gone as `WriteZero`.
+/// complete `[kind][len][body]` encoding, so the prefix and payload of
+/// many frames leave in a single syscall instead of one `write_all` per
+/// frame. Short writes resume from the exact byte offset; `Interrupted`
+/// retries; a zero-length write reports the peer gone as `WriteZero`.
 pub fn write_frames_vectored<W: Write>(stream: &mut W, frames: &[Vec<u8>]) -> std::io::Result<()> {
-    let total: usize = frames.iter().map(Vec::len).sum();
+    write_parts_vectored(stream, frames.iter().map(Vec::as_slice))
+}
+
+/// Writes `parts` back to back, as [`write_frames_vectored`] does frames:
+/// each submission carries up to `MAX_WRITE_SLICES` of them, from a fixed
+/// array, so a write costs no allocation.
+pub(crate) fn write_parts_vectored<'a, W: Write>(
+    stream: &mut W,
+    parts: impl Iterator<Item = &'a [u8]> + Clone,
+) -> std::io::Result<()> {
+    let total: usize = parts.clone().map(<[u8]>::len).sum();
     let mut written = 0usize;
     while written < total {
-        let mut slices: Vec<std::io::IoSlice<'_>> = Vec::with_capacity(frames.len());
-        let mut skip = written;
-        for f in frames {
-            if skip >= f.len() {
-                skip -= f.len();
-                continue;
-            }
-            slices.push(std::io::IoSlice::new(f.get(skip..).unwrap_or_default()));
-            skip = 0;
-        }
-        match stream.write_vectored(&slices) {
+        let mut slices = [IoSlice::new(&[]); MAX_WRITE_SLICES];
+        let used = unwritten(parts.clone(), written, &mut slices);
+        match stream.write_vectored(slices.get(..used).unwrap_or_default()) {
             Ok(0) => return Err(std::io::ErrorKind::WriteZero.into()),
             Ok(n) => written = written.saturating_add(n),
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
@@ -665,6 +996,31 @@ pub fn write_frames_vectored<W: Write>(stream: &mut W, frames: &[Vec<u8>]) -> st
         }
     }
     Ok(())
+}
+
+/// Fills `slices` with what is left of `parts` once the first `written`
+/// bytes are gone, in order and as far as `slices` reaches; returns how
+/// many it filled.
+pub(crate) fn unwritten<'a>(
+    parts: impl Iterator<Item = &'a [u8]>,
+    written: usize,
+    slices: &mut [IoSlice<'a>],
+) -> usize {
+    let mut skip = written;
+    let mut used = 0;
+    for part in parts {
+        if skip >= part.len() {
+            skip -= part.len();
+            continue;
+        }
+        let Some(slot) = slices.get_mut(used) else {
+            break;
+        };
+        *slot = IoSlice::new(part.get(skip..).unwrap_or_default());
+        skip = 0;
+        used += 1;
+    }
+    used
 }
 
 #[cfg(test)]
@@ -862,5 +1218,164 @@ mod tests {
         bytes.extend_from_slice(&3u32.to_le_bytes()); // claims 3
         let err = mem_joins::PreparedFragment::decode_payload(&bytes).unwrap_err();
         assert!(matches!(err, FrameError::BadPayload(_)));
+    }
+
+    /// Nine bytes claiming 2²⁴ radix partitions: the count is consistent
+    /// with the bits, but the payload cannot hold its partition table, so
+    /// it is refused before a 2²⁴-entry partition list is sized from it.
+    #[test]
+    fn hostile_partition_count_is_refused_before_allocating() {
+        let hostile = [TAG_HASH, 24, 0, 0, 0, 0, 0, 0, 1];
+        assert_eq!(
+            mem_joins::PreparedFragment::decode_payload(&hostile).unwrap_err(),
+            FrameError::BadPayload(PARTITION_TABLE_OVERRUN)
+        );
+        // The same bytes as an envelope's payload end the stream in the
+        // same typed error.
+        let env = Envelope::new(FragmentId(1), HostId(0), 2, hostile.to_vec());
+        let mut decoder = FrameDecoder::new();
+        decoder.feed(&encode_envelope(3, &env).unwrap());
+        let err = decoder
+            .next_frame::<mem_joins::PreparedFragment>()
+            .unwrap_err();
+        assert_eq!(err, FrameError::BadPayload(PARTITION_TABLE_OVERRUN));
+        assert_eq!(
+            RingError::from(err.clone()),
+            RingError::Frame(err.clone()),
+            "a socket engine reports it as a typed ring error"
+        );
+        assert_eq!(
+            decoder
+                .next_frame::<mem_joins::PreparedFragment>()
+                .unwrap_err(),
+            err,
+            "nothing after a malformed frame is trusted"
+        );
+    }
+
+    #[test]
+    fn decoded_bodies_come_from_and_return_to_the_pool() {
+        let pool = Arc::new(FrameBufPool::default());
+        let mut recycled = Vec::with_capacity(4096);
+        recycled.push(1);
+        pool.put(recycled);
+        let env = Envelope::new(FragmentId(2), HostId(1), 3, vec![5u8; 1000]);
+        let bytes = encode_envelope(4, &env).unwrap();
+        let mut decoder = FrameDecoder::with_pool(Arc::clone(&pool));
+        decoder.feed(&bytes);
+        assert!(
+            pool.take().capacity() == 0,
+            "the body took the pooled buffer"
+        );
+        let Some(Frame::Envelope { env: got, .. }) = decoder.next_in_flight::<Vec<u8>>().unwrap()
+        else {
+            panic!("expected an envelope frame");
+        };
+        assert_eq!(got.payload.with(Vec::clone), Some(env.payload.clone()));
+        assert_eq!(got.payload.wire(), Some(&env.payload[..]));
+        drop(got);
+        assert!(
+            pool.take().capacity() >= 4096,
+            "the last holder gives the body back"
+        );
+    }
+
+    /// `env`'s header around `payload`.
+    fn with_payload<A, B>(env: &Envelope<A>, payload: B) -> Envelope<B> {
+        Envelope {
+            id: env.id,
+            origin: env.origin,
+            hops_remaining: env.hops_remaining,
+            seq: env.seq,
+            checksum: env.checksum,
+            visited: env.visited,
+            query: env.query,
+            payload,
+        }
+    }
+
+    /// One payload of the proptest below, typed.
+    fn forward_matches_reencode<P>(payload: P, tids: (u64, u64), hops: usize, step: usize)
+    where
+        P: WirePayload + Clone,
+    {
+        let pool = Arc::new(FrameBufPool::default());
+        let mut env = Envelope::new(FragmentId(11), HostId(3), hops + 1, payload);
+        env.seq = tids.0 ^ 0x55;
+        env.visited = 0b1000;
+        env.query = 2;
+        // The origin encodes, once: its frame is the public encoding.
+        let origin = with_payload(&env, InFlight::new(env.payload.clone()));
+        let (frame, encoded) = OutFrame::envelope(tids.0, origin, &pool).unwrap();
+        assert!(encoded, "the origin's first attempt encodes");
+        let wire = frame.parts().concat();
+        assert_eq!(wire, encode_envelope(tids.0, &env).unwrap());
+        // The successor reads it at arbitrary split points …
+        let mut decoder = FrameDecoder::with_pool(Arc::clone(&pool));
+        let mut received = None;
+        for chunk in wire.chunks(step) {
+            decoder.feed(chunk);
+            while let Some(frame) = decoder.next_in_flight::<P>().unwrap() {
+                assert!(received.is_none(), "one frame in, one frame out");
+                received = Some(frame);
+            }
+        }
+        let Some(Frame::Envelope { tid, env: mut next }) = received else {
+            panic!("the envelope must arrive whole");
+        };
+        assert_eq!(tid, tids.0);
+        // … visits it and forwards it with a new header and its bytes.
+        next.hops_remaining -= 1;
+        next.seq = tids.1 ^ 0xaa;
+        next.visited |= 0b0100;
+        let decoded = next.payload.with(P::clone).unwrap();
+        // The visit is done: from here on the bytes stand in for the
+        // payload, and a payload asked for again decodes from them.
+        next.payload.visited();
+        let redecoded = next.payload.with(P::clone).unwrap();
+        assert_eq!(
+            encode_envelope(tids.1, &with_payload(&next, redecoded)).unwrap(),
+            encode_envelope(tids.1, &with_payload(&next, decoded.clone())).unwrap(),
+        );
+        let reencoded = encode_envelope(tids.1, &with_payload(&next, decoded)).unwrap();
+        let (frame, encoded) = OutFrame::envelope(tids.1, next, &pool).unwrap();
+        assert!(!encoded, "a forward never encodes");
+        assert_eq!(frame.parts().concat(), reencoded);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(256))]
+
+        /// Forwarded bytes ≡ re-encoded bytes: an envelope framed from the
+        /// bytes it arrived in equals a fresh encoding of the decoded
+        /// payload under the new header, for raw bytes, relations and
+        /// every prepared-fragment form (empty fragments and radix bits
+        /// 0–6 included), read through the decoder at any split.
+        #[test]
+        fn forwarded_bytes_equal_reencoded_bytes(
+            form in 0u8..5,
+            tuples in 0usize..400,
+            bits in 0u32..7,
+            seed in proptest::prelude::any::<u64>(),
+            step in 1usize..700,
+            tids in (proptest::prelude::any::<u64>(), proptest::prelude::any::<u64>()),
+        ) {
+            use mem_joins::Algorithm;
+            let rel = relation::GenSpec::uniform(tuples, seed).generate();
+            let hops = 1 + (seed % 6) as usize;
+            match form {
+                0 => {
+                    let bytes = (0..tuples).map(|i| (i as u64 ^ seed) as u8).collect::<Vec<u8>>();
+                    forward_matches_reencode(bytes, tids, hops, step);
+                }
+                1 => forward_matches_reencode(rel, tids, hops, step),
+                2 => forward_matches_reencode(
+                    Algorithm::NestedLoops.prepare_fragment(&rel, 0, 1), tids, hops, step),
+                3 => forward_matches_reencode(
+                    Algorithm::SortMerge.prepare_fragment(&rel, 0, 1), tids, hops, step),
+                _ => forward_matches_reencode(
+                    Algorithm::partitioned_hash().prepare_fragment(&rel, bits, 1), tids, hops, step),
+            }
+        }
     }
 }

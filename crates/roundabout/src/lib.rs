@@ -32,7 +32,10 @@
 //! The three wall-clock drivers are one builder ([`WallClockDriver`])
 //! over three engines and share one applier of the protocol's outputs,
 //! [`coordinator`]; the two socket drivers share one wire format,
-//! [`frame`].
+//! [`frame`]. Both appliers run the protocol over one shared in-flight
+//! payload per fragment copy (`inflight`), so neither a visit nor a
+//! retransmission copies a payload, and a socket engine encodes each
+//! fragment once per revolution.
 //!
 //! ```
 //! use data_roundabout::{FixedCostApp, RingConfig, SimRing};
@@ -59,6 +62,7 @@ mod coordinator;
 pub mod envelope;
 pub mod error;
 pub mod frame;
+mod inflight;
 pub mod metrics;
 pub mod protocol;
 pub mod reactor_backend;

@@ -10,16 +10,22 @@
 //! * **Readiness, not threads** — all sockets are nonblocking and
 //!   registered with an epoll instance reached through a minimal vendored
 //!   syscall shim (no libc dependency; a portable readiness-sweep
-//!   fallback keeps non-Linux targets building). A readable socket feeds
-//!   the incremental [`FrameDecoder`]; decoded frames reach the
-//!   coordinator on the spot.
-//! * **Backpressure as queue depth** — a transmit encodes into a pooled
-//!   buffer and lands on the connection's pending-write queue. The
-//!   reactor writes as far as the kernel accepts; `WouldBlock` parks the
-//!   frame at its exact byte offset and arms write-readiness. The
-//!   protocol's wire-free credit (`SendDone`) is reported only when the
-//!   kernel accepted the last byte, so a full socket buffer holds send
-//!   credit exactly like the blocking driver's blocked `write_all`.
+//!   fallback keeps non-Linux targets building). A readable socket is
+//!   read in 16 KiB chunks into the incremental [`FrameDecoder`], which
+//!   copies each envelope body into a buffer from the ring's shared
+//!   `FrameBufPool`; decoded frames reach the coordinator on the spot, the
+//!   payload keeping its body buffer as its wire bytes.
+//! * **Backpressure as queue depth** — a transmit frames the envelope (a
+//!   fresh 57-byte header ahead of the payload's wire bytes: encoded here
+//!   on the origin's first attempt, the bytes it arrived in on every
+//!   forward and retransmission — see [`crate::frame`]) and lands it on
+//!   the connection's pending-write queue. The reactor writes header and
+//!   payload in one vectored write as far as the kernel accepts;
+//!   `WouldBlock` parks the frame at its exact byte offset and arms
+//!   write-readiness. The protocol's wire-free credit (`SendDone`) is
+//!   reported only when the kernel accepted the last byte, so a full
+//!   socket buffer holds send credit exactly like the blocking driver's
+//!   blocked write.
 //! * **A timer wheel, not a timer thread** — the coordinator's timers
 //!   (protocol backoffs, fault- and rescale-plan instants) and
 //!   delayed-frame release times all land in a hand-rolled hierarchical
@@ -87,10 +93,10 @@
 //! of the previous visit does not.
 
 use std::collections::{HashMap, VecDeque};
-use std::io::{Read, Write};
+use std::io::{IoSlice, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Condvar, Mutex, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -101,15 +107,16 @@ use simnet::topology::HostId;
 
 use crate::config::RingConfig;
 use crate::coordinator::{
-    run_job, Coordinator, Done, Event, Job, JobDone, Medium, Pending, TimerKind, WallClockDriver,
-    WallClockEngine, Workload, STALLED,
+    run_job, Coordinator, Done, Event, Job, JobDone, Medium, Pending, Sent, TimerKind,
+    WallClockDriver, WallClockEngine, Workload, STALLED,
 };
 use crate::envelope::Envelope;
-use crate::error::{FrameError, RingError};
+use crate::error::RingError;
 use crate::frame::{
-    build_mesh_pairs, encode_ack_into, encode_envelope_into, mesh_seed, socket_err, Frame,
-    FrameBufPool, FrameDecoder, WirePayload,
+    build_mesh_pairs, mesh_seed, socket_err, unwritten, FrameBufPool, FrameDecoder, OutFrame,
+    WirePayload,
 };
+use crate::inflight::InFlight;
 use crate::metrics::RingMetrics;
 use crate::protocol::teardown;
 use crate::wheel::{TimerId, TimerWheel};
@@ -132,7 +139,7 @@ const SWEEP_PAUSE: Duration = Duration::from_micros(500);
 /// "Cheap visits run on the reactor thread").
 ///
 /// Of the order of what the reactor itself spends on one frame (recv,
-/// decode, protocol input, encode, writev: a few µs of the ≈ 10 µs
+/// decode, protocol input, header, writev: ≈ 3 µs of
 /// `roundabout.reactor.hop_us`), so an inline visit delays the other
 /// sockets by no more than one more frame would. The populations it
 /// separates are far apart — a 128-tuple probe takes ≈ 0.5 µs, a
@@ -452,9 +459,9 @@ impl Poller {
 /// A queued write. `Sever` orders *behind* pending frames, so a crash's
 /// FIN goes out only after every already-committed byte flushed — the
 /// same contract as the blocking driver's writer queue.
-enum OutJob {
+enum OutJob<P> {
     Frame {
-        bytes: Vec<u8>,
+        frame: OutFrame<P>,
         /// Fault-plan delay spike: the frame may not touch the socket
         /// before this instant (and, FIFO queue, delays what's behind
         /// it), mirroring the blocking writer's sleep.
@@ -476,11 +483,11 @@ enum OutJob {
 /// every queued frame completes immediately as lost-on-the-medium (its
 /// `SendDone` still fires — a dead peer is the retransmission protocol's
 /// business, not backpressure).
-struct Conn {
+struct Conn<P> {
     stream: TcpStream,
     host: usize,
     decoder: FrameDecoder,
-    outq: VecDeque<OutJob>,
+    outq: VecDeque<OutJob<P>>,
     head_written: usize,
     read_open: bool,
     write_open: bool,
@@ -490,12 +497,14 @@ struct Conn {
     registered: (bool, bool),
 }
 
-impl Conn {
-    fn new(stream: TcpStream, host: usize) -> Conn {
+impl<P> Conn<P> {
+    /// Host `host`'s end of `stream`, decoding envelope bodies into
+    /// buffers from `pool`.
+    fn new(stream: TcpStream, host: usize, pool: Arc<FrameBufPool>) -> Conn<P> {
         Conn {
             stream,
             host,
-            decoder: FrameDecoder::new(),
+            decoder: FrameDecoder::with_pool(pool),
             outq: VecDeque::new(),
             head_written: 0,
             read_open: true,
@@ -505,66 +514,56 @@ impl Conn {
         }
     }
 
-    /// Drains readable bytes into the decoder and appends every complete
-    /// frame to `frames`. Stops at `WouldBlock` or at a read that came
-    /// back short of the chunk — that read emptied the socket, and
-    /// readiness is level-triggered (so is the fallback sweep), so
-    /// whatever arrives next, EOF included, is reported again; asking
-    /// once more only to be told `WouldBlock` doubled the `read` calls of
-    /// a small-frame run. EOF or a socket error closes the read side (the
-    /// connection is gone — the reliable transport repairs whatever was
-    /// in flight).
-    ///
-    /// # Errors
-    ///
-    /// Returns the first [`FrameError`] the decoder reports — undecodable
-    /// bytes are fatal to the run, exactly as in the blocking driver.
-    fn pump_read<P: WirePayload>(&mut self, frames: &mut Vec<Frame<P>>) -> Result<(), FrameError> {
+    /// Reads what the socket holds into the decoder, in 16 KiB chunks;
+    /// the caller pulls the completed frames. Stops at `WouldBlock` or at
+    /// a read that came back short of the chunk — that read emptied the
+    /// socket, and readiness is level-triggered (so is the fallback
+    /// sweep), so whatever arrives next, EOF included, is reported again;
+    /// asking once more only to be told `WouldBlock` doubled the `read`
+    /// calls of a small-frame run. EOF or a socket error closes the read
+    /// side (the connection is gone — the reliable transport repairs
+    /// whatever was in flight).
+    fn pump_read(&mut self) {
         if !self.read_open {
-            return Ok(());
+            return;
         }
         let mut chunk = [0u8; 16 * 1024];
         loop {
             match self.stream.read(&mut chunk) {
                 Ok(0) => {
                     self.read_open = false;
-                    return Ok(());
+                    return;
                 }
                 Ok(n) => {
                     self.decoder.feed(chunk.get(..n).unwrap_or_default());
-                    loop {
-                        match self.decoder.next_frame::<P>() {
-                            Ok(Some(frame)) => frames.push(frame),
-                            Ok(None) => break,
-                            Err(e) => return Err(e),
-                        }
-                    }
                     if n < chunk.len() {
-                        return Ok(());
+                        return;
                     }
                 }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return Ok(()),
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return,
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
                 Err(_) => {
                     self.read_open = false;
-                    return Ok(());
+                    return;
                 }
             }
         }
     }
 
-    /// Flushes the pending-write queue as far as the kernel accepts.
-    /// Completed frames land in `done` as `(buffer, notify)` so the
-    /// caller can recycle the buffer and release the send credit. Returns
-    /// the head frame's release instant when it is still embargoed by a
-    /// delay spike (the caller arms a wheel timer for it).
-    fn pump_write(&mut self, done: &mut Vec<(Vec<u8>, Option<HostId>)>) -> Option<Instant> {
+    /// Flushes the pending-write queue as far as the kernel accepts,
+    /// each frame's header and payload in one vectored write. A completed
+    /// frame is dropped (its payload's last holder returns the bytes to
+    /// the pool) and its `notify` handed to `released`, so the caller can
+    /// free the send credit. Returns the head frame's release instant
+    /// when it is still embargoed by a delay spike (the caller arms a
+    /// wheel timer for it).
+    fn pump_write(&mut self, mut released: impl FnMut(Option<HostId>)) -> Option<Instant> {
         self.want_out = false;
         loop {
             let job = self.outq.pop_front()?;
             match job {
                 OutJob::Frame {
-                    bytes,
+                    frame,
                     not_before,
                     notify,
                 } => {
@@ -572,7 +571,7 @@ impl Conn {
                         if let Some(release) = not_before {
                             if release > Instant::now() {
                                 self.outq.push_front(OutJob::Frame {
-                                    bytes,
+                                    frame,
                                     not_before,
                                     notify,
                                 });
@@ -580,11 +579,15 @@ impl Conn {
                             }
                         }
                     }
+                    let parts = frame.parts();
+                    let len = parts.iter().map(|p| p.len()).sum::<usize>();
                     let mut blocked = false;
-                    while self.write_open && self.head_written < bytes.len() {
+                    while self.write_open && self.head_written < len {
+                        let mut slices = [IoSlice::new(&[]); 2];
+                        let used = unwritten(parts.into_iter(), self.head_written, &mut slices);
                         match self
                             .stream
-                            .write(bytes.get(self.head_written..).unwrap_or_default())
+                            .write_vectored(slices.get(..used).unwrap_or_default())
                         {
                             Ok(0) => self.write_open = false,
                             Ok(n) => self.head_written = self.head_written.saturating_add(n),
@@ -602,7 +605,7 @@ impl Conn {
                     if blocked {
                         self.want_out = true;
                         self.outq.push_front(OutJob::Frame {
-                            bytes,
+                            frame,
                             not_before,
                             notify,
                         });
@@ -612,7 +615,8 @@ impl Conn {
                     // way the frame left the sender's hands and its wire
                     // credit comes free.
                     self.head_written = 0;
-                    done.push((bytes, notify));
+                    drop(frame);
+                    released(notify);
                 }
                 OutJob::Sever => {
                     let _ = self.stream.shutdown(Shutdown::Write);
@@ -796,15 +800,17 @@ enum WheelItem {
 /// accepts, pool jobs, wheel timers. Send credits a write frees on the
 /// spot land on the coordinator's follow-up queue.
 struct Sockets<'a, P, F, A> {
-    conns: Vec<Conn>,
+    conns: Vec<Conn<P>>,
     /// `lanes[from][to]` is the token of `from`'s connection toward `to`.
     lanes: Vec<Vec<Option<usize>>>,
     poller: Poller,
     wheel: TimerWheel<WheelItem>,
     /// The wheel's clock starts here.
     epoch: Instant,
-    /// Encode buffers recycled through the pending-write queues.
-    pool: FrameBufPool,
+    /// Payload buffers, shared with every connection's decoder: bodies
+    /// are read into them, origins encode into them, and a payload's last
+    /// holder returns them.
+    pool: Arc<FrameBufPool>,
     workers: &'a WorkerPool<P>,
     visit: &'a F,
     absorb: &'a A,
@@ -859,20 +865,17 @@ impl<P, F, A> Sockets<'_, P, F, A> {
         self.poller.update(&conn.stream, t, desired.0, desired.1);
     }
 
-    /// Flushes connection `t`'s pending-write queue, recycling completed
-    /// buffers and queueing the freed send credits.
+    /// Flushes connection `t`'s pending-write queue, queueing the freed
+    /// send credits.
     fn flush_conn(&mut self, t: usize, next: &mut Pending<P>) {
-        let mut done = Vec::new();
-        let embargo = match self.conns.get_mut(t) {
-            Some(conn) => conn.pump_write(&mut done),
-            None => return,
+        let Some(conn) = self.conns.get_mut(t) else {
+            return;
         };
-        for (bytes, notify) in done {
-            self.pool.put(bytes);
+        let embargo = conn.pump_write(|notify| {
             if let Some(from) = notify {
                 next.push_back(Event::SendDone { from });
             }
-        }
+        });
         if let Some(release) = embargo {
             let delay = release.saturating_duration_since(Instant::now());
             self.arm_item(delay, WheelItem::Flush(t));
@@ -880,13 +883,13 @@ impl<P, F, A> Sockets<'_, P, F, A> {
         self.sync_interest(t);
     }
 
-    /// Queues one encoded frame on the `from → to` lane and flushes as
-    /// far as the kernel allows right away.
+    /// Queues one frame on the `from → to` lane and flushes as far as the
+    /// kernel allows right away.
     fn enqueue_frame(
         &mut self,
         from: HostId,
         to: HostId,
-        bytes: Vec<u8>,
+        frame: OutFrame<P>,
         not_before: Option<Instant>,
         notify: Option<HostId>,
         next: &mut Pending<P>,
@@ -902,7 +905,7 @@ impl<P, F, A> Sockets<'_, P, F, A> {
         };
         if let Some(conn) = self.conns.get_mut(t) {
             conn.outq.push_back(OutJob::Frame {
-                bytes,
+                frame,
                 not_before,
                 notify,
             });
@@ -923,14 +926,18 @@ where
         from: HostId,
         to: HostId,
         tid: u64,
-        env: Envelope<P>,
+        env: Envelope<InFlight<P>>,
         delay: Duration,
         next: &mut Pending<P>,
-    ) -> Result<(), RingError> {
+    ) -> Result<Sent, RingError> {
         let not_before = (!delay.is_zero()).then(|| Instant::now() + delay);
-        let mut frame = self.pool.take();
-        encode_envelope_into(tid, &env, &mut frame)?;
-        self.enqueue_frame(from, to, frame, not_before, Some(from), next)
+        let (frame, encoded) = OutFrame::envelope(tid, env, &self.pool)?;
+        self.enqueue_frame(from, to, frame, not_before, Some(from), next)?;
+        Ok(if encoded {
+            Sent::Encoded
+        } else {
+            Sent::Forwarded
+        })
     }
 
     fn ack(
@@ -940,9 +947,7 @@ where
         tid: u64,
         next: &mut Pending<P>,
     ) -> Result<(), RingError> {
-        let mut bytes = self.pool.take();
-        encode_ack_into(tid, &mut bytes);
-        self.enqueue_frame(at, to, bytes, None, None, next)
+        self.enqueue_frame(at, to, OutFrame::ack(tid), None, None, next)
     }
 
     /// A join whose host has nothing in the pool and whose previous visit
@@ -992,29 +997,40 @@ where
     }
 }
 
-/// Drains connection `t`'s readable bytes and feeds every decoded frame
-/// to the coordinator; returns how many frames that was.
+/// Drains connection `t`'s readable bytes and hands every decoded frame
+/// to the coordinator as it comes out of the decoder; returns how many
+/// frames that was. Undecodable bytes are fatal to the run, exactly as in
+/// the blocking driver — after the frames ahead of them.
 fn drain_read<P, F, A>(co: &mut Coordinator<'_, P, Sockets<'_, P, F, A>>, t: usize) -> usize
 where
-    P: WirePayload + Clone,
+    P: WirePayload,
     F: Fn(HostId, u32, &[usize], &P),
     A: Fn(HostId, usize),
 {
-    let mut frames = Vec::new();
-    let (at, decode_err) = match co.medium.conns.get_mut(t) {
-        Some(conn) => (HostId(conn.host), conn.pump_read::<P>(&mut frames).err()),
+    let at = match co.medium.conns.get_mut(t) {
+        Some(conn) => {
+            conn.pump_read();
+            HostId(conn.host)
+        }
         None => return 0,
     };
     co.medium.sync_interest(t);
-    let count = frames.len();
-    for frame in frames {
-        if co.done() {
+    let mut count = 0;
+    while !co.done() {
+        let Some(conn) = co.medium.conns.get_mut(t) else {
             break;
+        };
+        match conn.decoder.next_in_flight::<P>() {
+            Ok(Some(frame)) => {
+                count += 1;
+                co.handle(Event::Frame { at, frame });
+            }
+            Ok(None) => break,
+            Err(e) => {
+                co.fail(RingError::Frame(e));
+                break;
+            }
         }
-        co.handle(Event::Frame { at, frame });
-    }
-    if let Some(e) = decode_err {
-        co.fail(RingError::Frame(e));
     }
     count
 }
@@ -1090,6 +1106,7 @@ impl WallClockEngine for ReactorEngine {
             .set_nonblocking(true)
             .map_err(socket_err("set wake socket nonblocking"))?;
 
+        let pool = Arc::new(FrameBufPool::default());
         let mut conns = Vec::new();
         let mut lanes: Vec<Vec<Option<usize>>> =
             (0..n).map(|_| (0..n).map(|_| None).collect()).collect();
@@ -1102,7 +1119,7 @@ impl WallClockEngine for ReactorEngine {
                     if let Some(slot) = lanes.get_mut(h).and_then(|r| r.get_mut(p)) {
                         *slot = Some(conns.len());
                     }
-                    conns.push(Conn::new(stream, h));
+                    conns.push(Conn::new(stream, h, Arc::clone(&pool)));
                 }
             }
         }
@@ -1130,7 +1147,7 @@ impl WallClockEngine for ReactorEngine {
                 poller,
                 wheel: TimerWheel::new(WHEEL_RESOLUTION),
                 epoch: Instant::now(),
-                pool: FrameBufPool::default(),
+                pool,
                 workers: &workers,
                 visit,
                 absorb,
@@ -1247,6 +1264,8 @@ mod tests {
     use super::*;
     use crate::coordinator::engine_suite::{self, payloads};
     use crate::envelope::FragmentId;
+    use crate::frame::{encode_ack, encode_envelope, Frame};
+    use crate::inflight::launch;
 
     fn loopback_pair() -> (TcpStream, TcpStream) {
         let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
@@ -1311,16 +1330,33 @@ mod tests {
         assert!(metrics.hosts.iter().all(|h| h.fragments_processed == 64));
     }
 
+    fn conn<P>(stream: TcpStream) -> Conn<P> {
+        Conn::new(stream, 0, Arc::default())
+    }
+
+    /// One readable wake-up: read what the socket holds, then pull every
+    /// frame it completed.
+    fn pump(conn: &mut Conn<Vec<u8>>, frames: &mut Vec<Frame<Vec<u8>>>) {
+        conn.pump_read();
+        while let Some(frame) = conn.decoder.next_frame().unwrap() {
+            frames.push(frame);
+        }
+    }
+
+    /// `env` framed for transfer `tid`, as its origin sends it.
+    fn out_envelope(tid: u64, env: Envelope<Vec<u8>>) -> OutFrame<Vec<u8>> {
+        let env = launch(vec![vec![env]]).remove(0).remove(0);
+        OutFrame::envelope(tid, env, &Arc::default()).unwrap().0
+    }
+
     #[test]
     fn pump_read_reassembles_one_byte_arrivals() {
         let (mut tx, rx) = loopback_pair();
         rx.set_nonblocking(true).unwrap();
-        let mut conn = Conn::new(rx, 0);
+        let mut conn = conn(rx);
         let env = Envelope::new(FragmentId(3), HostId(1), 4, vec![0xabu8; 100]);
-        let mut wire = crate::frame::encode_envelope(9, &env).unwrap();
-        let mut ack = Vec::new();
-        encode_ack_into(17, &mut ack);
-        wire.extend_from_slice(&ack);
+        let mut wire = encode_envelope(9, &env).unwrap();
+        wire.extend_from_slice(&encode_ack(17));
 
         let mut frames: Vec<Frame<Vec<u8>>> = Vec::new();
         for byte in wire {
@@ -1329,13 +1365,13 @@ mod tests {
             // Pump after every single byte: partial frames must buffer
             // silently, never error.
             thread::sleep(Duration::from_micros(20));
-            conn.pump_read(&mut frames).unwrap();
+            pump(&mut conn, &mut frames);
         }
         for _ in 0..1000 {
             if frames.len() == 2 {
                 break;
             }
-            conn.pump_read(&mut frames).unwrap();
+            pump(&mut conn, &mut frames);
             thread::sleep(Duration::from_micros(50));
         }
         assert_eq!(frames.len(), 2);
@@ -1351,21 +1387,20 @@ mod tests {
     fn pump_write_survives_short_writes_and_releases_credit_in_order() {
         let (tx, mut rx) = loopback_pair();
         tx.set_nonblocking(true).unwrap();
-        let mut conn = Conn::new(tx, 0);
+        let mut conn = conn(tx);
         // Enough bytes to overrun any loopback socket buffer, so the
-        // kernel forces WouldBlock mid-frame.
+        // kernel forces WouldBlock mid-frame — in the header's slice or
+        // the payload's, wherever the kernel stops.
         let env = Envelope::new(FragmentId(1), HostId(0), 2, vec![0x5au8; 4 * 1024 * 1024]);
-        let big = crate::frame::encode_envelope(1, &env).unwrap();
-        let mut ack = Vec::new();
-        encode_ack_into(2, &mut ack);
-        let expected: Vec<u8> = big.iter().chain(ack.iter()).copied().collect();
+        let mut expected = encode_envelope(1, &env).unwrap();
+        expected.extend_from_slice(&encode_ack(2));
         conn.outq.push_back(OutJob::Frame {
-            bytes: big,
+            frame: out_envelope(1, env),
             not_before: None,
             notify: Some(HostId(0)),
         });
         conn.outq.push_back(OutJob::Frame {
-            bytes: ack,
+            frame: OutFrame::ack(2),
             not_before: None,
             notify: Some(HostId(1)),
         });
@@ -1382,10 +1417,10 @@ mod tests {
             }
         });
 
-        let mut done = Vec::new();
+        let mut credits = Vec::new();
         let mut spins = 0usize;
-        while done.len() < 2 {
-            assert!(conn.pump_write(&mut done).is_none());
+        while credits.len() < 2 {
+            assert!(conn.pump_write(|n| credits.push(n)).is_none());
             if conn.want_out {
                 // The kernel said WouldBlock mid-frame: the head must
                 // stay parked at its exact offset.
@@ -1396,7 +1431,6 @@ mod tests {
             assert!(spins < 1_000_000, "pump_write made no progress");
         }
         assert!(conn.outq.is_empty());
-        let credits: Vec<Option<HostId>> = done.iter().map(|(_, n)| *n).collect();
         assert_eq!(credits, vec![Some(HostId(0)), Some(HostId(1))]);
         conn.stream.shutdown(Shutdown::Write).unwrap();
         let got = reader.join().unwrap();
@@ -1408,22 +1442,22 @@ mod tests {
     fn delayed_frames_hold_the_queue_and_report_the_release() {
         let (tx, _rx) = loopback_pair();
         tx.set_nonblocking(true).unwrap();
-        let mut conn = Conn::new(tx, 0);
+        let mut conn = conn::<Vec<u8>>(tx);
         let release = Instant::now() + Duration::from_secs(60);
         conn.outq.push_back(OutJob::Frame {
-            bytes: vec![1, 2, 3],
+            frame: OutFrame::ack(1),
             not_before: Some(release),
             notify: None,
         });
         conn.outq.push_back(OutJob::Frame {
-            bytes: vec![4, 5, 6],
+            frame: OutFrame::ack(2),
             not_before: None,
             notify: None,
         });
-        let mut done = Vec::new();
-        let embargo = conn.pump_write(&mut done);
+        let mut credits = Vec::new();
+        let embargo = conn.pump_write(|n| credits.push(n));
         assert_eq!(embargo, Some(release));
-        assert!(done.is_empty(), "a delayed head must hold FIFO order");
+        assert!(credits.is_empty(), "a delayed head must hold FIFO order");
         assert_eq!(conn.outq.len(), 2);
     }
 
@@ -1431,21 +1465,20 @@ mod tests {
     fn severed_writes_complete_frames_as_lost() {
         let (tx, rx) = loopback_pair();
         tx.set_nonblocking(true).unwrap();
-        let mut conn = Conn::new(tx, 0);
+        let mut conn = conn(tx);
         conn.outq.push_back(OutJob::Sever);
         conn.outq.push_back(OutJob::Frame {
-            bytes: vec![9u8; 32],
+            frame: out_envelope(4, Envelope::new(FragmentId(0), HostId(2), 2, vec![9u8; 32])),
             not_before: None,
             notify: Some(HostId(2)),
         });
-        let mut done = Vec::new();
-        assert!(conn.pump_write(&mut done).is_none());
+        let mut credits = Vec::new();
+        assert!(conn.pump_write(|n| credits.push(n)).is_none());
         // The frame behind the FIN is lost on the medium, but its send
         // credit still comes free — a dead peer is the retransmission
         // protocol's business, not backpressure.
         assert!(!conn.write_open);
-        assert_eq!(done.len(), 1);
-        assert!(matches!(done.first(), Some((_, Some(h))) if *h == HostId(2)));
+        assert_eq!(credits, vec![Some(HostId(2))]);
         drop(rx);
     }
 
@@ -1550,14 +1583,12 @@ mod tests {
     fn pump_read_stops_at_a_short_read_and_still_sees_eof() {
         let (mut tx, rx) = loopback_pair();
         rx.set_nonblocking(true).unwrap();
-        let mut conn = Conn::new(rx, 0);
-        let mut ack = Vec::new();
-        encode_ack_into(5, &mut ack);
-        tx.write_all(&ack).unwrap();
+        let mut conn = conn(rx);
+        tx.write_all(&encode_ack(5)).unwrap();
         drop(tx);
         let mut frames: Vec<Frame<Vec<u8>>> = Vec::new();
         for _ in 0..1000 {
-            conn.pump_read(&mut frames).unwrap();
+            pump(&mut conn, &mut frames);
             if !frames.is_empty() {
                 break;
             }
@@ -1569,7 +1600,7 @@ mod tests {
         assert!(conn.read_open);
         // … and the next readiness (level-triggered) classifies it.
         for _ in 0..1000 {
-            conn.pump_read(&mut frames).unwrap();
+            pump(&mut conn, &mut frames);
             if !conn.read_open {
                 break;
             }
@@ -1577,6 +1608,11 @@ mod tests {
         }
         assert!(!conn.read_open);
         assert_eq!(frames.len(), 1);
+    }
+
+    #[test]
+    fn each_fragment_is_encoded_once() {
+        engine_suite::each_fragment_is_encoded_once::<ReactorEngine>(1);
     }
 
     #[test]

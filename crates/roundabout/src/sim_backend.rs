@@ -47,6 +47,7 @@ use crate::coordinator::{
 };
 use crate::envelope::{Envelope, PayloadBytes};
 use crate::error::RingError;
+use crate::inflight::{launch, launch_queries, InFlight};
 use crate::metrics::{HostMetrics, RingMetrics};
 use crate::protocol::{
     envelope_batches, query_batches, Input, Output, ProtocolConfig, RingProtocol,
@@ -119,7 +120,7 @@ enum RingEvent<P> {
     },
     Arrived {
         to: HostId,
-        env: Envelope<P>,
+        env: Envelope<InFlight<P>>,
         /// Transfer id from the matching [`Output::Send`] (0 on the
         /// classic path, which has no ack ledger).
         tid: u64,
@@ -346,8 +347,10 @@ struct Runner<P, A> {
     stopped: bool,
     network: RingNetwork,
     /// The shared sans-IO protocol core — every queue, credit and ledger
-    /// decision is its.
-    proto: RingProtocol<P>,
+    /// decision is its — over the same in-flight payloads as the
+    /// wall-clock coordinator, so a retransmission attempt holds its
+    /// payload by reference count.
+    proto: RingProtocol<InFlight<P>>,
     hosts: Vec<DriverHost>,
     /// Per-host RNIC state (RDMA transport only): the NIC, its send queue
     /// pair, and the registered region backing the ring-buffer pool.
@@ -440,10 +443,12 @@ impl<P: PayloadBytes + Clone, A: RingApp<P>> Runner<P, A> {
             standby,
         };
         let proto = match ring.queries {
-            Some((queries, max_active)) => {
-                RingProtocol::new_multi(proto_cfg, query_batches(queries, n), max_active)
-            }
-            None => RingProtocol::new(proto_cfg, envelope_batches(ring.fragments, n)),
+            Some((queries, max_active)) => RingProtocol::new_multi(
+                proto_cfg,
+                launch_queries(query_batches(queries, n)),
+                max_active,
+            ),
+            None => RingProtocol::new(proto_cfg, launch(envelope_batches(ring.fragments, n))),
         };
         let runner = Runner {
             config: ring.config,
@@ -520,7 +525,7 @@ impl<P: PayloadBytes + Clone, A: RingApp<P>> Runner<P, A> {
     }
 
     /// Feeds one input to the protocol and applies what it answers.
-    fn input(&mut self, sim: &mut Simulation<RingEvent<P>>, input: Input<P>) {
+    fn input(&mut self, sim: &mut Simulation<RingEvent<P>>, input: Input<InFlight<P>>) {
         let outputs = self.proto.input(input);
         self.apply(sim, outputs);
     }
@@ -608,7 +613,7 @@ impl<P: PayloadBytes + Clone, A: RingApp<P>> Runner<P, A> {
     /// link/RNIC reservations and cost charges — all the IO the protocol
     /// core abstained from.
     // analyze: allow(panic, reason = "protocol invariant: per-host tables are sized to the ring at construction and HostId never exceeds it; Teardown reasons surface as panics by the driver contract")
-    fn apply(&mut self, sim: &mut Simulation<RingEvent<P>>, outputs: Vec<Output<P>>) {
+    fn apply(&mut self, sim: &mut Simulation<RingEvent<P>>, outputs: Vec<Output<InFlight<P>>>) {
         let now = sim.now();
         for output in outputs {
             observe(&mut self.spans, || now, &output);
@@ -622,17 +627,17 @@ impl<P: PayloadBytes + Clone, A: RingApp<P>> Runner<P, A> {
                 } => {
                     let d_base = {
                         let query = self.proto.processing_query(host);
-                        let payload = self
-                            .proto
+                        let app = &mut self.app;
+                        self.proto
                             .processing_payload(host)
-                            .expect("StartJoin with an empty processing slot");
-                        self.app.process(
-                            host,
-                            query,
-                            roles.as_deref().unwrap_or(&[host.0]),
-                            now,
-                            payload,
-                        )
+                            .and_then(|payload| {
+                                payload.with(|p| {
+                                    let own = [host.0];
+                                    let roles = roles.as_deref().unwrap_or(&own);
+                                    app.process(host, query, roles, now, p)
+                                })
+                            })
+                            .expect("StartJoin with an empty processing slot")
                     };
                     let d_base = match &self.host_speed {
                         Some(speed) => d_base * (1.0 / speed[host.0]),
@@ -797,7 +802,7 @@ impl<P: PayloadBytes + Clone, A: RingApp<P>> Runner<P, A> {
         to: HostId,
         tid: u64,
         attempt: u32,
-        env: Envelope<P>,
+        env: Envelope<InFlight<P>>,
     ) {
         let now = sim.now();
         let bytes = env.bytes();

@@ -6,10 +6,15 @@
 //! streams, speaking the wire format of [`crate::frame`]:
 //!
 //! * **Threads per hop** — each endpoint of a connection gets a reader
-//!   thread (socket → [`FrameDecoder`] → `Event::Frame`) and a writer
-//!   thread (frame queue → vectored write). Per-host join workers and one
-//!   timer thread complete the cast; the coordinator runs on the calling
-//!   thread and is the only place protocol state mutates.
+//!   thread (socket → [`FrameDecoder`] → `Event::Frame`; envelope bodies
+//!   land in buffers from the ring's shared `FrameBufPool` and stay with
+//!   the decoded payload as its wire bytes) and a writer thread (frame
+//!   queue → vectored write of each frame's fresh header and shared
+//!   payload bytes, up to `MAX_WRITE_BATCH` frames per syscall). The
+//!   payload is encoded only at its origin, on the coordinator thread,
+//!   on its first attempt (see [`crate::frame`]). Per-host join workers
+//!   and one timer thread complete the cast; the coordinator runs on the
+//!   calling thread and is the only place protocol state mutates.
 //! * **Backpressure** — the protocol's credit accounting gates every
 //!   send; the wire-free credit (`Event::SendDone`) is reported only
 //!   after the write returned, so a full kernel socket buffer holds the
@@ -46,24 +51,20 @@ use simnet::topology::HostId;
 
 use crate::config::RingConfig;
 use crate::coordinator::{
-    timer_loop, worker_loop, Coordinator, Event, Job, Medium, Pending, Recv, TimerKind,
+    timer_loop, worker_loop, Coordinator, Event, Job, Medium, Pending, Recv, Sent, TimerKind,
     WallClockDriver, WallClockEngine, Workload,
 };
 use crate::envelope::Envelope;
 use crate::error::RingError;
 use crate::frame::{
-    build_mesh_pairs, encode_ack_into, mesh_seed, socket_err, FrameBufPool, FrameDecoder,
-    WirePayload,
+    build_mesh_pairs, mesh_seed, socket_err, write_parts_vectored, FrameBufPool, FrameDecoder,
+    OutFrame, WirePayload, MAX_WRITE_BATCH,
 };
+use crate::inflight::InFlight;
 use crate::metrics::RingMetrics;
 use crate::protocol::teardown;
 
 pub use crate::frame::{encode_envelope_into, write_frames_vectored};
-
-/// Most frames a writer batches into one vectored submission. Bounds the
-/// pooled buffers held out of circulation per writer while still letting
-/// a burst of small acks/envelopes leave in a single syscall.
-const MAX_WRITE_BATCH: usize = 16;
 
 // ---------------------------------------------------------------------------
 // Per-endpoint threads
@@ -71,16 +72,16 @@ const MAX_WRITE_BATCH: usize = 16;
 
 /// Work for a writer thread. `Sever` queues *behind* pending frames, so a
 /// crash's FIN goes out only after every already-committed byte flushed.
-enum WriteJob {
+enum WriteJob<P> {
     Frame {
-        bytes: Vec<u8>,
+        frame: OutFrame<P>,
         delay: Duration,
         notify: Option<HostId>,
     },
     Sever,
 }
 
-type WriterGrid = Vec<Vec<Option<Sender<WriteJob>>>>;
+type WriterGrid<P> = Vec<Vec<Option<Sender<WriteJob<P>>>>>;
 
 /// One timed receive on a `std::sync::mpsc` channel, in the coordinator's
 /// channel-agnostic shape.
@@ -92,9 +93,14 @@ fn recv_from<T>(rx: &Receiver<T>, wait: Duration) -> Recv<T> {
     }
 }
 
-fn reader_loop<P: WirePayload>(stream: TcpStream, at: HostId, events: Sender<Event<P>>) {
+fn reader_loop<P: WirePayload>(
+    stream: TcpStream,
+    at: HostId,
+    events: Sender<Event<P>>,
+    pool: Arc<FrameBufPool>,
+) {
     let mut stream = stream;
-    let mut decoder = FrameDecoder::new();
+    let mut decoder = FrameDecoder::with_pool(pool);
     let mut chunk = [0u8; 16 * 1024];
     loop {
         let n = match stream.read(&mut chunk) {
@@ -103,7 +109,7 @@ fn reader_loop<P: WirePayload>(stream: TcpStream, at: HostId, events: Sender<Eve
         };
         decoder.feed(chunk.get(..n).unwrap_or_default());
         loop {
-            match decoder.next_frame::<P>() {
+            match decoder.next_in_flight::<P>() {
                 Ok(Some(frame)) => {
                     if events.send(Event::Frame { at, frame }).is_err() {
                         return;
@@ -119,17 +125,16 @@ fn reader_loop<P: WirePayload>(stream: TcpStream, at: HostId, events: Sender<Eve
     }
 }
 
-fn writer_loop<P>(
-    stream: TcpStream,
-    jobs: Receiver<WriteJob>,
-    events: Sender<Event<P>>,
-    pool: Arc<FrameBufPool>,
-) {
+fn writer_loop<P>(stream: TcpStream, jobs: Receiver<WriteJob<P>>, events: Sender<Event<P>>) {
     let mut stream = stream;
     // A job the batching peek pulled off the queue but could not batch
     // (a delayed frame or a sever); handled on the next iteration so
     // FIFO order is preserved.
-    let mut carry: Option<WriteJob> = None;
+    let mut carry: Option<WriteJob<P>> = None;
+    // The frames of one vectored submission with their send credits;
+    // emptied after each, its capacity kept for the next (and never
+    // allocated on the idle lanes of a full mesh).
+    let mut batch: Vec<(OutFrame<P>, Option<HostId>)> = Vec::new();
     loop {
         let job = match carry.take() {
             Some(job) => job,
@@ -140,7 +145,7 @@ fn writer_loop<P>(
         };
         match job {
             WriteJob::Frame {
-                bytes,
+                frame,
                 delay,
                 notify,
             } => {
@@ -151,18 +156,14 @@ fn writer_loop<P>(
                 }
                 // Batch whatever undelayed frames are already queued
                 // behind this one into a single vectored submission.
-                let mut batch = vec![bytes];
-                let mut notifies = vec![notify];
+                batch.push((frame, notify));
                 while batch.len() < MAX_WRITE_BATCH {
                     match jobs.try_recv() {
                         Ok(WriteJob::Frame {
-                            bytes,
+                            frame,
                             delay,
                             notify,
-                        }) if delay.is_zero() => {
-                            batch.push(bytes);
-                            notifies.push(notify);
-                        }
+                        }) if delay.is_zero() => batch.push((frame, notify)),
                         Ok(job) => {
                             carry = Some(job);
                             break;
@@ -176,13 +177,15 @@ fn writer_loop<P>(
                 // means the peer is gone — the frames are lost on the
                 // medium and the reliable transport's timeout repairs
                 // them.
-                let _ = write_frames_vectored(&mut stream, &batch);
-                for bytes in batch {
-                    pool.put(bytes);
-                }
-                for from in notifies.into_iter().flatten() {
-                    if events.send(Event::SendDone { from }).is_err() {
-                        return;
+                let parts = batch.iter().flat_map(|(frame, _)| frame.parts());
+                let _ = write_parts_vectored(&mut stream, parts);
+                // Dropping a frame hands its payload bytes back to the
+                // pool once nobody else holds them.
+                for (_, notify) in batch.drain(..) {
+                    if let Some(from) = notify {
+                        if events.send(Event::SendDone { from }).is_err() {
+                            return;
+                        }
                     }
                 }
             }
@@ -198,10 +201,10 @@ fn writer_loop<P>(
 // ---------------------------------------------------------------------------
 
 struct Wire<P> {
-    writers: WriterGrid,
+    writers: WriterGrid<P>,
     jobs: Vec<Sender<Job<P>>>,
     timer_tx: Sender<(Instant, Event<P>)>,
-    /// Encode buffers recycled through the writer threads.
+    /// Payload buffers, shared with the reader threads' decoders.
     pool: Arc<FrameBufPool>,
     /// The original (uncloned) streams, kept to sever everything at
     /// teardown so reader threads unblock.
@@ -209,7 +212,7 @@ struct Wire<P> {
 }
 
 impl<P> Wire<P> {
-    fn enqueue(&self, from: HostId, to: HostId, job: WriteJob) -> Result<(), RingError> {
+    fn enqueue(&self, from: HostId, to: HostId, job: WriteJob<P>) -> Result<(), RingError> {
         let lane = self.writers.get(from.0).and_then(|row| row.get(to.0));
         match lane.and_then(Option::as_ref) {
             Some(tx) if tx.send(job).is_ok() => Ok(()),
@@ -224,21 +227,25 @@ impl<P: WirePayload> Medium<P> for Wire<P> {
         from: HostId,
         to: HostId,
         tid: u64,
-        env: Envelope<P>,
+        env: Envelope<InFlight<P>>,
         delay: Duration,
         _next: &mut Pending<P>,
-    ) -> Result<(), RingError> {
-        let mut bytes = self.pool.take();
-        encode_envelope_into(tid, &env, &mut bytes)?;
+    ) -> Result<Sent, RingError> {
+        let (frame, encoded) = OutFrame::envelope(tid, env, &self.pool)?;
         self.enqueue(
             from,
             to,
             WriteJob::Frame {
-                bytes,
+                frame,
                 delay,
                 notify: Some(from),
             },
-        )
+        )?;
+        Ok(if encoded {
+            Sent::Encoded
+        } else {
+            Sent::Forwarded
+        })
     }
 
     fn ack(
@@ -248,13 +255,11 @@ impl<P: WirePayload> Medium<P> for Wire<P> {
         tid: u64,
         _next: &mut Pending<P>,
     ) -> Result<(), RingError> {
-        let mut bytes = self.pool.take();
-        encode_ack_into(tid, &mut bytes);
         self.enqueue(
             at,
             to,
             WriteJob::Frame {
-                bytes,
+                frame: OutFrame::ack(tid),
                 delay: Duration::ZERO,
                 notify: None,
             },
@@ -372,17 +377,18 @@ impl WallClockEngine for BlockingEngine {
         let pool = Arc::new(FrameBufPool::default());
 
         thread::scope(|s| {
-            let mut writers: WriterGrid = (0..n).map(|_| (0..n).map(|_| None).collect()).collect();
+            let mut writers: WriterGrid<P> =
+                (0..n).map(|_| (0..n).map(|_| None).collect()).collect();
             for lane in lanes {
                 let tx = events_tx.clone();
                 let at = HostId(lane.host);
                 let reader = lane.reader;
-                s.spawn(move || reader_loop::<P>(reader, at, tx));
-                let (wtx, wrx) = channel::<WriteJob>();
+                let rpool = Arc::clone(&pool);
+                s.spawn(move || reader_loop::<P>(reader, at, tx, rpool));
+                let (wtx, wrx) = channel::<WriteJob<P>>();
                 let tx = events_tx.clone();
                 let writer = lane.writer;
-                let wpool = Arc::clone(&pool);
-                s.spawn(move || writer_loop::<P>(writer, wrx, tx, wpool));
+                s.spawn(move || writer_loop::<P>(writer, wrx, tx));
                 if let Some(slot) = writers
                     .get_mut(lane.host)
                     .and_then(|row| row.get_mut(lane.peer))
@@ -546,6 +552,8 @@ mod tests {
             counter::RESCALE_DRAINS,
             counter::RESCALE_HANDOFFS,
             counter::VISITS_INLINE,
+            counter::FRAMES_ENCODED,
+            counter::FRAMES_FORWARDED,
         ] {
             assert!(
                 counters.iter().any(|(n, _)| n == name),
@@ -554,6 +562,14 @@ mod tests {
         }
         assert_eq!(counters.get(counter::FRAGMENTS_RETIRED), 4);
         assert_eq!(counters.get(counter::VISITS_INLINE), 0);
+        // Two hosts: each fragment makes one hop, its origin's encode.
+        assert_eq!(counters.get(counter::FRAMES_ENCODED), 4);
+        assert_eq!(counters.get(counter::FRAMES_FORWARDED), 0);
+    }
+
+    #[test]
+    fn each_fragment_is_encoded_once() {
+        engine_suite::each_fragment_is_encoded_once::<BlockingEngine>(0);
     }
 
     #[test]

@@ -26,7 +26,9 @@
 //!
 //!   This is the path the loom model suite explores exhaustively.
 //! * **anything faulted, rescaled or multiplexed** — the shared
-//!   [`Coordinator`] over `ChannelWire`, an instant in-process wire: the
+//!   [`Coordinator`] over `ChannelWire`, an instant in-process wire that
+//!   carries the shared in-flight payload (a reference count per hop,
+//!   per attempt and per visit; no copy, no codec): the
 //!   sans-IO [`crate::protocol`] core owns every sequence number,
 //!   acknowledgement, retransmission and membership decision exactly as it
 //!   does on the socket drivers, the fault plan's dice may drop, corrupt or
@@ -61,12 +63,13 @@ use simnet::topology::HostId;
 
 use crate::config::RingConfig;
 use crate::coordinator::{
-    self, Coordinator, Event, Job, Medium, Pending, Recv, TimerKind, WallClockDriver,
+    self, Coordinator, Event, Job, Medium, Pending, Recv, Sent, TimerKind, WallClockDriver,
     WallClockEngine, Workload,
 };
 use crate::envelope::{Envelope, PayloadBytes};
 use crate::error::RingError;
 use crate::frame::{Frame, WirePayload};
+use crate::inflight::InFlight;
 use crate::metrics::{HostMetrics, RingMetrics};
 use crate::protocol::teardown;
 
@@ -366,10 +369,10 @@ impl<P> Medium<P> for ChannelWire<P> {
         from: HostId,
         to: HostId,
         tid: u64,
-        env: Envelope<P>,
+        env: Envelope<InFlight<P>>,
         delay: Duration,
         next: &mut Pending<P>,
-    ) -> Result<(), RingError> {
+    ) -> Result<Sent, RingError> {
         // Only when the envelope "arrives" is the sender's wire reported
         // free — a spike delays the hop's credit exactly like the TCP
         // writer queue does.
@@ -388,7 +391,7 @@ impl<P> Medium<P> for ChannelWire<P> {
                 let _ = self.timer_tx.send((at, event));
             }
         }
-        Ok(())
+        Ok(Sent::Moved)
     }
 
     fn ack(
@@ -450,7 +453,7 @@ fn drive_coordinated<P, F, A>(
     trace: bool,
 ) -> Result<(RingMetrics, SpanTracer), RingError>
 where
-    P: PayloadBytes + Send + Clone,
+    P: PayloadBytes + Send + Sync,
     F: Fn(HostId, u32, &[usize], &P) + Sync,
     A: Fn(HostId, usize) + Sync,
 {
@@ -506,6 +509,8 @@ pub(crate) fn materialize_counters(tracer: &mut SpanTracer) {
         counter::RESCALE_DRAINS,
         counter::RESCALE_HANDOFFS,
         counter::VISITS_INLINE,
+        counter::FRAMES_ENCODED,
+        counter::FRAMES_FORWARDED,
     ] {
         tracer.count(name, 0);
     }

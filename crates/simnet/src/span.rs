@@ -62,6 +62,14 @@ pub mod counter {
     /// Join visits the reactor ran on its own thread instead of handing
     /// them to its worker pool (zero on every other backend).
     pub const VISITS_INLINE: &str = "visits_inline";
+    /// Live attempts a socket backend framed from payload bytes it encoded
+    /// for them: one per fragment, its origin's first attempt (zero on
+    /// the backends that move payloads by value).
+    pub const FRAMES_ENCODED: &str = "frames_encoded";
+    /// Live attempts a socket backend framed as a fresh header ahead of
+    /// payload bytes it already held — every forward and every
+    /// retransmission (zero on the backends that move payloads by value).
+    pub const FRAMES_FORWARDED: &str = "frames_forwarded";
 }
 
 /// The per-host entity (or pseudo-entity) a span or event belongs to.

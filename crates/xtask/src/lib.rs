@@ -317,6 +317,19 @@ mod tests {
             reg.iter().any(|k| k == "visits_inline"),
             "registry should contain the inline-visit counter, got {reg:?}"
         );
+        // So is how a socket medium framed each live attempt: from bytes
+        // it encoded (the origin's first attempt) or bytes it held.
+        for key in [
+            "frames_encoded",
+            "frames_forwarded",
+            "FRAMES_ENCODED",
+            "FRAMES_FORWARDED",
+        ] {
+            assert!(
+                reg.iter().any(|k| k == key),
+                "registry should contain the frame-path counter key {key}, got {reg:?}"
+            );
+        }
         // The multi-tenant admission counters are emitted via their named
         // constants, so the registry must expose both spellings.
         for key in [

@@ -64,6 +64,17 @@ cargo test -q -p data-roundabout --lib observe_
 cargo test -q -p data-roundabout --lib all_standby_rescale_is_rejected
 cargo test -q -p integration-tests --test trace_export on_all_four_backends
 cargo test -q -p data-roundabout --test sim_golden
+# Frame-path gate: a payload is encoded once per revolution and forwarded
+# as a fresh header plus the bytes it arrived in. Forwarded bytes must
+# equal a fresh encoding of the decoded payload for every payload form,
+# read through the decoder at arbitrary splits; both socket engines must
+# encode each fragment exactly once under a lossy, corrupting plan (and
+# still reject and repair every corrupt attempt); and a hostile
+# radix-partition count must end in a typed error before anything is
+# sized from it.
+cargo test -q -p data-roundabout --lib forwarded_bytes_equal_reencoded_bytes
+cargo test -q -p data-roundabout --lib each_fragment_is_encoded_once
+cargo test -q -p data-roundabout --lib hostile_partition_count_is_refused_before_allocating
 cargo clippy --all-targets -- -D warnings
 cargo fmt --check
 cargo run -q --release -p xtask -- analyze
