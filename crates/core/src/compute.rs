@@ -15,7 +15,7 @@
 //!   slow to execute at `scale = 1.0`.
 
 use mem_joins::{
-    timed, Algorithm, JoinCollector, JoinPredicate, PreparedFragment, StationaryState,
+    timed, Algorithm, FragmentView, JoinCollector, JoinPredicate, PreparedFragment, StationaryState,
 };
 use relation::Relation;
 use serde::{Deserialize, Serialize};
@@ -189,16 +189,17 @@ impl ComputeMode {
     }
 
     /// Runs one join-phase encounter into `collector`, returning its
-    /// virtual duration.
-    pub fn join(
+    /// virtual duration. The fragment is owned or viewed in its wire bytes.
+    pub fn join<'f>(
         &self,
         alg: &Algorithm,
         state: &StationaryState,
-        fragment: &PreparedFragment,
+        fragment: impl Into<FragmentView<'f>>,
         predicate: &JoinPredicate,
         threads: usize,
         collector: &mut JoinCollector,
     ) -> SimDuration {
+        let fragment = fragment.into();
         match self {
             ComputeMode::Measured => {
                 let ((), d) = timed(|| alg.join(state, fragment, predicate, threads, collector));

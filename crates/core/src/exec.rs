@@ -163,7 +163,7 @@ impl RingApp<PreparedFragment> for SessionApp {
         _now: SimTime,
         fragment: &PreparedFragment,
     ) -> SimDuration {
-        self.session.visit(host, query, roles, fragment)
+        self.session.visit(host, query, roles, fragment.into())
     }
 
     fn absorb(&mut self, _survivor: HostId, failed: HostId) -> SimDuration {
@@ -234,7 +234,7 @@ fn wall_clock<E: WallClockEngine>(
     let (mut metrics, mut ring_spans) = match admission {
         None => driver.run_with_roles(
             rotation.pop().unwrap_or_default(),
-            |host, roles: &[usize], fragment: &PreparedFragment| {
+            |host, roles, fragment| {
                 session.visit(host, 0, roles, fragment);
             },
             absorb,
@@ -242,7 +242,7 @@ fn wall_clock<E: WallClockEngine>(
         Some(max_active) => driver.run_queries(
             numbered(rotation),
             max_active,
-            |host, query, roles: &[usize], fragment: &PreparedFragment| {
+            |host, query, roles, fragment| {
                 session.visit(host, query, roles, fragment);
             },
             absorb,

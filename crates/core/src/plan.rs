@@ -599,7 +599,7 @@ mod tests {
         let (r, s) = inputs();
         let reference = reference_join(&r, &s, &JoinPredicate::Equi);
         let plan = FaultPlan::seeded(99)
-            .crash_host(HostId(1), SimTime::ZERO + SimDuration::from_millis(5));
+            .crash_host(HostId(1), SimTime::ZERO + SimDuration::from_millis(1));
         let config = RingConfig::paper(3)
             .with_ack_timeout(SimDuration::from_millis(8))
             .with_max_retransmits(3);

@@ -17,7 +17,8 @@
 use data_roundabout::sync::Mutex;
 use data_roundabout::{HostId, RingConfig};
 use mem_joins::{
-    Algorithm, JoinCollector, JoinPredicate, OutputMode, PreparedFragment, StationaryState,
+    Algorithm, FragmentView, JoinCollector, JoinPredicate, OutputMode, PreparedFragment,
+    StationaryState,
 };
 use relation::Relation;
 use simnet::time::SimDuration;
@@ -204,13 +205,14 @@ impl Session {
     /// One visit: `fragment` of wire query `query` arrived at `host`, which
     /// serves the logical `roles`. Joins it against each role's state for
     /// the query (for every query on a shared rotation) and returns the
-    /// duration of the work.
+    /// duration of the work. The fragment is borrowed: the origin's owned
+    /// copy, or on a socket engine the bytes it arrived in, read in place.
     pub(crate) fn visit(
         &self,
         host: HostId,
         query: u32,
         roles: &[usize],
-        fragment: &PreparedFragment,
+        fragment: FragmentView<'_>,
     ) -> SimDuration {
         let threads = self.config.join_threads;
         let fed = if self.shared_rotation {
@@ -229,19 +231,24 @@ impl Session {
         let mut reorganised: Vec<(Algorithm, u32, PreparedFragment)> = Vec::new();
         for q in fed {
             let form = match fragment {
-                PreparedFragment::Plain(raw) if q.algorithm != Algorithm::NestedLoops => {
+                FragmentView::Plain(raw) if q.algorithm != Algorithm::NestedLoops => {
                     let cached = reorganised
                         .iter()
                         .position(|(a, bits, _)| *a == q.algorithm && *bits == q.radix_bits);
                     let at = cached.unwrap_or_else(|| {
-                        let (prepared, d) =
-                            self.compute
-                                .prepare_fragment(&q.algorithm, raw, q.radix_bits, threads);
+                        let (prepared, d) = self.compute.prepare_fragment(
+                            &q.algorithm,
+                            &raw.to_cow(),
+                            q.radix_bits,
+                            threads,
+                        );
                         total += d;
                         reorganised.push((q.algorithm, q.radix_bits, prepared));
                         reorganised.len() - 1
                     });
-                    reorganised.get(at).map_or(fragment, |(_, _, form)| form)
+                    reorganised
+                        .get(at)
+                        .map_or(fragment, |(_, _, form)| form.into())
                 }
                 _ => fragment,
             };

@@ -6,8 +6,9 @@
 //!
 //! **Join phase** — [`HashJoinState::probe_partitioned`]: scan the
 //! partitions of a probe fragment `R_j` (partitioned with the *same* radix
-//! bits) and probe the matching tables. Disjoint partitions are handed to
-//! separate threads, exactly how the paper exploits its quad cores.
+//! bits; owned, or read in the bytes it arrived in) and probe the matching
+//! tables. Disjoint partitions are handed to separate threads, exactly how
+//! the paper exploits its quad cores.
 //!
 //! In cyclo-join the setup output is built **once** and reused for every
 //! `R_j` that rotates past (§IV-D) — the reuse is what makes the setup
@@ -16,7 +17,7 @@
 
 use relation::{MatchPair, Relation, Tuple};
 
-use super::radix::{radix_bits_for, RadixPartitioned};
+use super::radix::{radix_bits_for, PartitionsView, RadixPartitioned};
 use super::table::ChainedTable;
 use super::CacheParams;
 use crate::collector::JoinCollector;
@@ -95,19 +96,24 @@ impl HashJoinState {
         RadixPartitioned::new(r, self.bits, params)
     }
 
-    /// Join phase against a pre-partitioned probe fragment, using
-    /// `threads` worker threads over disjoint partition ranges.
+    /// Join phase against a pre-partitioned probe fragment — owned, or a
+    /// view of the bytes it arrived in — using `threads` worker threads
+    /// over disjoint partition ranges.
     ///
     /// # Panics
     ///
     /// Panics if `r` was partitioned with a different number of radix bits
     /// or `threads` is zero.
-    pub fn probe_partitioned(
+    pub fn probe_partitioned<'r>(
         &self,
-        r: &RadixPartitioned,
+        r: impl Into<PartitionsView<'r>>,
         threads: usize,
         collector: &mut JoinCollector,
     ) {
+        self.probe_view(r.into(), threads, collector);
+    }
+
+    fn probe_view(&self, r: PartitionsView<'_>, threads: usize, collector: &mut JoinCollector) {
         assert_eq!(
             r.bits(),
             self.bits,
@@ -118,15 +124,16 @@ impl HashJoinState {
         if threads == 1 {
             // Straight into the caller's collector: no shard vector, no
             // child collector, no merge — a visit allocates nothing.
-            for (idx, table) in self.tables.iter().enumerate() {
-                table.probe_all(r.partition(idx), collector);
+            for (table, part) in self.tables.iter().zip(r.partitions()) {
+                table.probe_all(part, collector);
             }
             return;
         }
         let shards = fork_join(threads, |shard| {
             let mut local = collector.child();
-            for (idx, table) in self.tables.iter().enumerate().skip(shard).step_by(threads) {
-                table.probe_all(r.partition(idx), &mut local);
+            let pairs = self.tables.iter().zip(r.partitions());
+            for (table, part) in pairs.skip(shard).step_by(threads) {
+                table.probe_all(part, &mut local);
             }
             local
         });

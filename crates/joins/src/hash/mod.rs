@@ -17,7 +17,7 @@ pub mod radix;
 pub mod table;
 
 pub use join::HashJoinState;
-pub use radix::{radix_bits_for, RadixPartitioned};
+pub use radix::{radix_bits_for, Partitions, PartitionsView, RadixPartitioned};
 pub use table::{ChainedTable, PROBE_BATCH};
 
 use relation::Key;

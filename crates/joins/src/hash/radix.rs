@@ -7,11 +7,12 @@
 //! refining the partitions of the previous pass — exactly the scheme of
 //! Manegold, Boncz and Kersten \[22\].
 
-use relation::{Key, Payload, Relation};
+use relation::{Key, Payload, Relation, RelationView};
 use serde::{Deserialize, Serialize};
 
 use super::{hash_key, CacheParams};
 use crate::parallel::{fork_join, shard_ranges};
+use crate::wire::TableParts;
 
 /// A relation scattered into `2^bits` hash partitions.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
@@ -158,6 +159,94 @@ impl RadixPartitioned {
             out.extend_from(p);
         }
         out
+    }
+}
+
+/// A radix-partitioned fragment as a visit reads it: the partitions of an
+/// owned [`RadixPartitioned`], or the partition table of the bytes it
+/// arrived in ([`crate::wire`]), read in place and in order.
+#[derive(Debug, Clone, Copy)]
+pub struct PartitionsView<'a> {
+    bits: u32,
+    parts: Parts<'a>,
+}
+
+#[derive(Debug, Clone, Copy)]
+enum Parts<'a> {
+    Owned(&'a [Relation]),
+    /// `count` length-prefixed relation encodings, already accepted.
+    Wire {
+        count: usize,
+        table: &'a [u8],
+    },
+}
+
+impl<'a> From<&'a RadixPartitioned> for PartitionsView<'a> {
+    fn from(part: &'a RadixPartitioned) -> Self {
+        PartitionsView {
+            bits: part.bits,
+            parts: Parts::Owned(&part.partitions),
+        }
+    }
+}
+
+impl<'a> PartitionsView<'a> {
+    /// The `count` partitions of an accepted wire table.
+    pub(crate) fn wire(bits: u32, count: usize, table: &'a [u8]) -> Self {
+        PartitionsView {
+            bits,
+            parts: Parts::Wire { count, table },
+        }
+    }
+
+    /// Number of radix bits.
+    pub fn bits(&self) -> u32 {
+        self.bits
+    }
+
+    /// The partitions in index order (`2^bits` of them).
+    pub fn partitions(&self) -> Partitions<'a> {
+        Partitions(match self.parts {
+            Parts::Owned(parts) => PartsIter::Owned(parts.iter()),
+            Parts::Wire { count, table } => PartsIter::Wire(TableParts::new(table, count)),
+        })
+    }
+
+    /// Total number of tuples across all partitions.
+    pub fn len(&self) -> usize {
+        self.partitions().map(|p| p.len()).sum()
+    }
+
+    /// True if no partition holds any tuple.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// An owned copy of the partitioning.
+    pub fn to_partitioned(&self) -> RadixPartitioned {
+        let partitions = self.partitions().map(|p| p.to_relation()).collect();
+        RadixPartitioned::from_parts(self.bits, partitions)
+    }
+}
+
+/// Iterator over a [`PartitionsView`]'s partitions.
+#[derive(Debug, Clone)]
+pub struct Partitions<'a>(PartsIter<'a>);
+
+#[derive(Debug, Clone)]
+enum PartsIter<'a> {
+    Owned(std::slice::Iter<'a, Relation>),
+    Wire(TableParts<'a>),
+}
+
+impl<'a> Iterator for Partitions<'a> {
+    type Item = RelationView<'a>;
+
+    fn next(&mut self) -> Option<RelationView<'a>> {
+        match &mut self.0 {
+            PartsIter::Owned(parts) => parts.next().map(RelationView::from),
+            PartsIter::Wire(parts) => parts.next(),
+        }
     }
 }
 

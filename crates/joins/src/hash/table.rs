@@ -11,7 +11,7 @@
 //! with the number of duplicates — this is the "hash join slowly degrades
 //! toward a nested-loops-style evaluation" effect behind Figure 9.
 
-use relation::{Key, MatchPair, Payload, Relation, Tuple};
+use relation::{ColumnValue, Columns, Key, MatchPair, Payload, Relation, RelationView, Tuple};
 
 use super::hash_key;
 use crate::collector::JoinCollector;
@@ -125,10 +125,26 @@ impl ChainedTable {
     /// `n += usize::from(cond)`; and fold that level's hits into the
     /// collector. Matches therefore leave in (batch, chain level) order,
     /// not probe order.
-    pub fn probe_all(&self, probe: &Relation, collector: &mut JoinCollector) {
+    ///
+    /// The probe side is an owned relation or a view of wire bytes: the
+    /// kernel is generic over how a column value lies ([`ColumnValue`]),
+    /// so it reads received bytes in place, with no copy, as it reads
+    /// owned columns.
+    pub fn probe_all<'p>(&self, probe: impl Into<RelationView<'p>>, collector: &mut JoinCollector) {
+        match probe.into().columns() {
+            Columns::Owned(keys, payloads) => self.probe_columns(keys, payloads, collector),
+            Columns::Wire(keys, payloads) => self.probe_columns(keys, payloads, collector),
+        }
+    }
+
+    fn probe_columns<K, P>(&self, keys: &[K], payloads: &[P], collector: &mut JoinCollector)
+    where
+        K: ColumnValue<Key>,
+        P: ColumnValue<Payload>,
+    {
         // A high radix fan-out leaves most partitions of a small fragment
         // empty: do not zero the selection vectors for them.
-        if probe.is_empty() || self.is_empty() {
+        if keys.is_empty() || self.is_empty() {
             return;
         }
         // Position in the batch and chain cursor of every live probe
@@ -138,14 +154,11 @@ impl ChainedTable {
         let mut live_cursor = [0u32; PROBE_BATCH];
         let mut hit_at = [0u16; PROBE_BATCH];
         let mut hit_slot = [0u32; PROBE_BATCH];
-        let batches = probe
-            .keys()
-            .chunks(PROBE_BATCH)
-            .zip(probe.payloads().chunks(PROBE_BATCH));
+        let batches = keys.chunks(PROBE_BATCH).zip(payloads.chunks(PROBE_BATCH));
         for (keys, payloads) in batches {
             let mut live = 0usize;
-            for (at, &key) in keys.iter().enumerate() {
-                let bucket = ((hash_key(key) >> self.shift) & self.mask) as usize;
+            for (at, key) in keys.iter().enumerate() {
+                let bucket = ((hash_key(key.value()) >> self.shift) & self.mask) as usize;
                 let head = self.heads.get(bucket).copied().unwrap_or(0);
                 live_at[live] = at as u16;
                 live_cursor[live] = head;
@@ -158,7 +171,7 @@ impl ChainedTable {
                     let slot = (live_cursor[i] - 1) as usize;
                     hit_at[hits] = at;
                     hit_slot[hits] = slot as u32;
-                    hits += usize::from(self.keys[slot] == keys[at as usize]);
+                    hits += usize::from(self.keys[slot] == keys[at as usize].value());
                     let next = self.next[slot];
                     live_at[survivors] = at;
                     live_cursor[survivors] = next;
@@ -167,9 +180,9 @@ impl ChainedTable {
                 for (&at, &slot) in hit_at[..hits].iter().zip(&hit_slot[..hits]) {
                     let (at, slot) = (at as usize, slot as usize);
                     collector.push(MatchPair {
-                        key: keys[at],
+                        key: keys[at].value(),
                         s_key: self.keys[slot],
-                        r_payload: payloads[at],
+                        r_payload: payloads[at].value(),
                         s_payload: self.payloads[slot],
                     });
                 }

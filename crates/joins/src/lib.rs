@@ -10,7 +10,10 @@
 //! * [`sort`] — parallel-sort + multi-threaded merge join, including band
 //!   joins;
 //! * [`nested`] — blocked nested loops for arbitrary theta predicates;
-//! * [`operator::Algorithm`] — the uniform setup/prepare/join dispatch.
+//! * [`operator::Algorithm`] — the uniform setup/prepare/join dispatch;
+//! * [`wire`] — a prepared fragment's ring-transport bytes, and the
+//!   [`FragmentView`] every join reads a fragment through, owned or in
+//!   the bytes it arrived in.
 //!
 //! ```
 //! use mem_joins::{Algorithm, JoinCollector, JoinPredicate};
@@ -39,11 +42,12 @@ pub mod parallel;
 pub mod predicate;
 pub mod sort;
 pub mod stats;
+pub mod wire;
 
 pub use collector::{JoinCollector, OutputMode};
-pub use hash::{CacheParams, HashJoinState, RadixPartitioned};
+pub use hash::{CacheParams, HashJoinState, PartitionsView, RadixPartitioned};
 pub use nested::nested_loops_join;
-pub use operator::{Algorithm, PreparedFragment, StationaryState};
+pub use operator::{Algorithm, FragmentView, PreparedFragment, StationaryState};
 pub use predicate::JoinPredicate;
 pub use sort::{merge_join, SortMergeState, SortedRun};
 pub use stats::{timed, PhaseTimes};

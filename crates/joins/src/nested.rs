@@ -7,7 +7,9 @@
 //! *block* rather than once per probe tuple — and the probe side is
 //! sharded across threads.
 
-use relation::{MatchPair, Relation};
+use std::ops::Range;
+
+use relation::{ColumnValue, Columns, Key, MatchPair, Payload, Relation, RelationView, Tuple};
 
 use crate::collector::JoinCollector;
 use crate::parallel::{fork_join, shard_ranges};
@@ -17,40 +19,60 @@ use crate::predicate::JoinPredicate;
 /// the inner relation streams past it.
 const BLOCK: usize = 4096;
 
-/// Joins `r` and `s` under an arbitrary `predicate` with `threads` workers.
+/// Joins `r` (owned, or viewed in its wire bytes) and `s` under an
+/// arbitrary `predicate` with `threads` workers.
 ///
 /// # Panics
 ///
 /// Panics if `threads` is zero.
-pub fn nested_loops_join(
-    r: &Relation,
+pub fn nested_loops_join<'r>(
+    r: impl Into<RelationView<'r>>,
     s: &Relation,
     predicate: &JoinPredicate,
     threads: usize,
     collector: &mut JoinCollector,
 ) {
+    let r = r.into();
     let ranges = shard_ranges(r.len(), threads);
     let shards = fork_join(threads, |i| {
         let mut local = collector.child();
         let range = ranges[i].clone();
-        let mut block_start = range.start;
-        while block_start < range.end {
-            let block_end = (block_start + BLOCK).min(range.end);
-            for si in 0..s.len() {
-                let s_tuple = s.get(si).expect("si in bounds");
-                for ri in block_start..block_end {
-                    let r_tuple = r.get(ri).expect("ri in bounds");
-                    if predicate.matches(r_tuple.key, s_tuple.key) {
-                        local.push(MatchPair::new(r_tuple, s_tuple));
-                    }
-                }
+        match r.columns() {
+            Columns::Owned(keys, payloads) => {
+                join_range(keys, payloads, range, s, predicate, &mut local);
             }
-            block_start = block_end;
+            Columns::Wire(keys, payloads) => {
+                join_range(keys, payloads, range, s, predicate, &mut local);
+            }
         }
         local
     });
     for shard in shards {
         collector.merge(shard);
+    }
+}
+
+/// Joins `r[range]`, its columns as they lie, against all of `s`.
+fn join_range<K: ColumnValue<Key>, P: ColumnValue<Payload>>(
+    keys: &[K],
+    payloads: &[P],
+    range: Range<usize>,
+    s: &Relation,
+    predicate: &JoinPredicate,
+    collector: &mut JoinCollector,
+) {
+    let (Some(keys), Some(payloads)) = (keys.get(range.clone()), payloads.get(range)) else {
+        return;
+    };
+    for (keys, payloads) in keys.chunks(BLOCK).zip(payloads.chunks(BLOCK)) {
+        for s_tuple in s.iter() {
+            for (key, payload) in keys.iter().zip(payloads) {
+                if predicate.matches(key.value(), s_tuple.key) {
+                    let r_tuple = Tuple::new(key.value(), payload.value());
+                    collector.push(MatchPair::new(r_tuple, s_tuple));
+                }
+            }
+        }
     }
 }
 

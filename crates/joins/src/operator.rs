@@ -11,7 +11,10 @@
 //! * [`Algorithm::prepare_fragment`] — the one-time reorganization of a
 //!   rotating fragment `R_j` at its origin host (radix-partition or sort;
 //!   the reorganized form is what travels around the ring);
-//! * [`Algorithm::join`] — the per-encounter join phase `R_j ⋈ S_i`.
+//! * [`Algorithm::join`] — the per-encounter join phase `R_j ⋈ S_i`,
+//!   over a [`FragmentView`]: the rotating fragment borrowed from its
+//!   owned [`PreparedFragment`] at its origin, or read in place from the
+//!   bytes it arrived in ([`crate::wire`]) everywhere else.
 //!
 //! One ring-wide subtlety: the partitioned hash join requires probe
 //! fragments and build tables to agree on the radix fan-out, so the ring
@@ -19,11 +22,11 @@
 
 use std::fmt;
 
-use relation::Relation;
+use relation::{Relation, RelationView};
 use serde::{Deserialize, Serialize};
 
 use crate::collector::JoinCollector;
-use crate::hash::{radix_bits_for, CacheParams, HashJoinState, RadixPartitioned};
+use crate::hash::{radix_bits_for, CacheParams, HashJoinState, PartitionsView, RadixPartitioned};
 use crate::nested::nested_loops_join;
 use crate::predicate::JoinPredicate;
 use crate::sort::{SortMergeState, SortedRun};
@@ -116,17 +119,18 @@ impl Algorithm {
         }
     }
 
-    /// Join phase: one fragment against one stationary state.
+    /// Join phase: one fragment — owned, or viewed in the bytes it arrived
+    /// in — against one stationary state.
     ///
     /// # Panics
     ///
     /// Panics if the state/fragment kinds do not belong to this algorithm
     /// (they were prepared by a different one) or if `predicate` is not
     /// supported — callers validate with [`Algorithm::supports`] first.
-    pub fn join(
+    pub fn join<'f>(
         &self,
         state: &StationaryState,
-        fragment: &PreparedFragment,
+        fragment: impl Into<FragmentView<'f>>,
         predicate: &JoinPredicate,
         threads: usize,
         collector: &mut JoinCollector,
@@ -136,23 +140,19 @@ impl Algorithm {
             "{} cannot evaluate predicate {predicate}",
             self.name()
         );
-        match (self, state, fragment) {
+        match (self, state, fragment.into()) {
             (
                 Algorithm::PartitionedHash(_),
                 StationaryState::Hash(hash),
-                PreparedFragment::HashPartitioned(part),
+                FragmentView::HashPartitioned(part),
             ) => hash.probe_partitioned(part, threads, collector),
-            (
-                Algorithm::SortMerge,
-                StationaryState::Sorted(sorted),
-                PreparedFragment::Sorted(run),
-            ) => {
+            (Algorithm::SortMerge, StationaryState::Sorted(sorted), FragmentView::Sorted(run)) => {
                 let delta = predicate
                     .band_delta()
                     .expect("supports() guaranteed a band-style predicate");
                 sorted.merge(run, delta, threads, collector);
             }
-            (Algorithm::NestedLoops, StationaryState::Plain(s), PreparedFragment::Plain(r)) => {
+            (Algorithm::NestedLoops, StationaryState::Plain(s), FragmentView::Plain(r)) => {
                 nested_loops_join(r, s, predicate, threads, collector);
             }
             _ => panic!(
@@ -210,11 +210,7 @@ pub enum PreparedFragment {
 impl PreparedFragment {
     /// Number of tuples in the fragment.
     pub fn len(&self) -> usize {
-        match self {
-            PreparedFragment::HashPartitioned(p) => p.len(),
-            PreparedFragment::Sorted(s) => s.len(),
-            PreparedFragment::Plain(r) => r.len(),
-        }
+        FragmentView::from(self).len()
     }
 
     /// True if the fragment holds no tuples.
@@ -226,7 +222,70 @@ impl PreparedFragment {
     /// forwarded (12 bytes per tuple; reorganization does not change the
     /// volume, it only reorders it).
     pub fn byte_volume(&self) -> u64 {
+        FragmentView::from(self).byte_volume()
+    }
+}
+
+/// A rotating fragment as a visit reads it: borrowed from an owned
+/// [`PreparedFragment`], or laid over the bytes it arrived in
+/// ([`crate::wire::view`]). Every kernel reads both through the same
+/// code, a batch of keys at a time.
+#[derive(Debug, Clone, Copy)]
+pub enum FragmentView<'a> {
+    /// Radix-partitioned for hash probing.
+    HashPartitioned(PartitionsView<'a>),
+    /// Sorted for merging: keys non-decreasing (checked on receipt).
+    Sorted(RelationView<'a>),
+    /// Unmodified tuples.
+    Plain(RelationView<'a>),
+}
+
+impl<'a> From<&'a PreparedFragment> for FragmentView<'a> {
+    fn from(fragment: &'a PreparedFragment) -> Self {
+        match fragment {
+            PreparedFragment::HashPartitioned(p) => FragmentView::HashPartitioned(p.into()),
+            PreparedFragment::Sorted(s) => FragmentView::Sorted(s.as_relation().into()),
+            PreparedFragment::Plain(r) => FragmentView::Plain(r.into()),
+        }
+    }
+}
+
+impl FragmentView<'_> {
+    /// Number of tuples in the fragment.
+    pub fn len(&self) -> usize {
+        match self {
+            FragmentView::HashPartitioned(p) => p.len(),
+            FragmentView::Sorted(r) | FragmentView::Plain(r) => r.len(),
+        }
+    }
+
+    /// True if the fragment holds no tuples.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Logical bytes that travel over a ring link when this fragment is
+    /// forwarded (12 bytes per tuple).
+    pub fn byte_volume(&self) -> u64 {
         self.len() as u64 * relation::TUPLE_BYTES
+    }
+
+    /// An owned copy of the fragment.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a `Sorted` view's keys are not sorted (a view of bytes
+    /// [`crate::wire::view`] accepted, or of a [`SortedRun`], always is).
+    pub fn to_prepared(&self) -> PreparedFragment {
+        match self {
+            FragmentView::HashPartitioned(p) => {
+                PreparedFragment::HashPartitioned(p.to_partitioned())
+            }
+            FragmentView::Sorted(r) => {
+                PreparedFragment::Sorted(SortedRun::from_sorted(r.to_relation()))
+            }
+            FragmentView::Plain(r) => PreparedFragment::Plain(r.to_relation()),
+        }
     }
 }
 

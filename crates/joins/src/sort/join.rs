@@ -11,12 +11,22 @@
 //! Multi-threading follows the paper (§IV-C2): the probe side is split
 //! into as many contiguous sub-ranges as there are cores; each thread
 //! binary-searches its own start position in `S` and merges independently.
+//!
+//! The probe side is a [`RelationView`] — a [`SortedRun`]'s relation, or a
+//! sorted run read in place in the bytes it arrived in — and the kernel is
+//! generic over how its column values lie, so both go through one merge.
 
-use relation::MatchPair;
+use relation::{ColumnValue, Columns, Key, MatchPair, Payload, RelationView, Tuple};
 
 use super::run::SortedRun;
 use crate::collector::JoinCollector;
 use crate::parallel::{fork_join, shard_ranges};
+
+impl<'a> From<&'a SortedRun> for RelationView<'a> {
+    fn from(run: &'a SortedRun) -> Self {
+        run.as_relation().into()
+    }
+}
 
 /// The setup-phase output of sort-merge join: the stationary relation in
 /// sorted order.
@@ -56,28 +66,36 @@ impl SortMergeState {
         self.s.is_empty()
     }
 
-    /// Join phase: merges sorted probe fragment `r` against the stationary
-    /// run with band half-width `delta` (`0` = equi-join), on `threads`
-    /// worker threads.
-    pub fn merge(&self, r: &SortedRun, delta: u32, threads: usize, collector: &mut JoinCollector) {
+    /// Join phase: merges sorted probe fragment `r` (owned, or viewed in
+    /// its wire bytes) against the stationary run with band half-width
+    /// `delta` (`0` = equi-join), on `threads` worker threads.
+    pub fn merge<'r>(
+        &self,
+        r: impl Into<RelationView<'r>>,
+        delta: u32,
+        threads: usize,
+        collector: &mut JoinCollector,
+    ) {
         merge_join(r, &self.s, delta, threads, collector);
     }
 }
 
-/// Merges two sorted runs with band half-width `delta` (`0` = equi-join).
+/// Merges sorted probe side `r` (a [`SortedRun`] or a view of sorted
+/// keys) with sorted run `s`, band half-width `delta` (`0` = equi-join).
 ///
 /// Matches are emitted as `(r tuple, s tuple)` pairs into `collector`.
 ///
 /// # Panics
 ///
 /// Panics if `threads` is zero.
-pub fn merge_join(
-    r: &SortedRun,
+pub fn merge_join<'r>(
+    r: impl Into<RelationView<'r>>,
     s: &SortedRun,
     delta: u32,
     threads: usize,
     collector: &mut JoinCollector,
 ) {
+    let r = r.into();
     let ranges = shard_ranges(r.len(), threads);
     let shards = fork_join(threads, |i| {
         let mut local = collector.child();
@@ -94,24 +112,40 @@ pub fn merge_join(
 
 /// Merges `r[range]` against all of `s`.
 fn merge_range(
-    r: &SortedRun,
+    r: RelationView<'_>,
     s: &SortedRun,
     delta: u32,
     range: std::ops::Range<usize>,
     collector: &mut JoinCollector,
 ) {
-    let r_rel = r.as_relation();
+    match r.columns() {
+        Columns::Owned(keys, payloads) => merge_columns(keys, payloads, s, delta, range, collector),
+        Columns::Wire(keys, payloads) => merge_columns(keys, payloads, s, delta, range, collector),
+    }
+}
+
+/// [`merge_range`] over the probe side's columns as they lie.
+fn merge_columns<K: ColumnValue<Key>, P: ColumnValue<Payload>>(
+    keys: &[K],
+    payloads: &[P],
+    s: &SortedRun,
+    delta: u32,
+    range: std::ops::Range<usize>,
+    collector: &mut JoinCollector,
+) {
     let s_rel = s.as_relation();
     let s_keys = s_rel.keys();
-    if s_keys.is_empty() {
+    let (Some(keys), Some(payloads)) = (keys.get(range.clone()), payloads.get(range)) else {
         return;
-    }
+    };
+    let (false, Some(first_key)) = (s_keys.is_empty(), keys.first()) else {
+        return;
+    };
     // Start of the S window for the first probe key of this shard.
-    let first_key = r_rel.keys()[range.start];
-    let mut window_start = s.lower_bound(first_key.saturating_sub(delta));
+    let mut window_start = s.lower_bound(first_key.value().saturating_sub(delta));
 
-    for ri in range {
-        let r_tuple = r_rel.get(ri).expect("range in bounds");
+    for (key, payload) in keys.iter().zip(payloads) {
+        let r_tuple = Tuple::new(key.value(), payload.value());
         let low = r_tuple.key.saturating_sub(delta);
         let high = r_tuple.key.saturating_add(delta);
         // R is sorted, so the window start only moves forward.

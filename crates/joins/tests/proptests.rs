@@ -3,7 +3,8 @@
 
 use mem_joins::hash::{CacheParams, RadixPartitioned};
 use mem_joins::{
-    merge_join, nested_loops_join, Algorithm, JoinCollector, JoinPredicate, SortedRun,
+    merge_join, nested_loops_join, Algorithm, FragmentView, JoinCollector, JoinPredicate,
+    PreparedFragment, SortedRun,
 };
 use proptest::prelude::*;
 use relation::{relation_checksum, Checksum, GenSpec, Relation};
@@ -133,7 +134,10 @@ proptest! {
     /// and all-duplicate keys (chains of up to 800 slots, longer than a
     /// batch), an empty table, an empty probe, probe lengths on both
     /// sides of a batch boundary, any radix fan-out, both output modes
-    /// and both side orientations.
+    /// and both side orientations — with the probe side owned, and with
+    /// it viewed in its wire bytes at an unaligned offset. The merge
+    /// kernel over the same keys, its sorted run viewed in wire bytes,
+    /// finds the same multiset.
     #[test]
     fn batched_probe_equals_single_key_probes(
         s_shape in 0usize..4,
@@ -200,10 +204,42 @@ proptest! {
         state.probe_partitioned(&probe, 1, &mut inline);
         state.probe_partitioned(&probe, 3, &mut forked);
 
+        // The probe side as a receiver reads it: in the bytes it arrived
+        // in, at an offset that leaves every column unaligned.
+        let offset = 1 + (seed % 7) as usize;
+        let wire = |fragment: &PreparedFragment| {
+            let mut bytes = vec![0xEE; offset];
+            mem_joins::wire::encode_into(fragment, &mut bytes);
+            bytes
+        };
+        let hashed = wire(&PreparedFragment::HashPartitioned(probe.clone()));
+        let FragmentView::HashPartitioned(viewed) =
+            mem_joins::wire::view(&hashed[offset..]).expect("intact bytes")
+        else {
+            panic!("a hash fragment views as one");
+        };
+        let (mut view_batched, mut view_inline, mut view_forked) =
+            (collector(), collector(), collector());
+        for (table, part) in tables.iter().zip(viewed.partitions()) {
+            table.probe_all(part, &mut view_batched);
+        }
+        state.probe_partitioned(viewed, 1, &mut view_inline);
+        state.probe_partitioned(viewed, 3, &mut view_forked);
+
+        // The merge kernel, its probe run viewed the same way.
+        let sorted = wire(&PreparedFragment::Sorted(SortedRun::sort(&r, 1)));
+        let FragmentView::Sorted(run) =
+            mem_joins::wire::view(&sorted[offset..]).expect("intact bytes")
+        else {
+            panic!("a sorted fragment views as one");
+        };
+        let mut merged = collector();
+        merge_join(run, &SortedRun::sort(&s, 1), 0, 1, &mut merged);
+
         let expect_sum = (expect.count(), expect.checksum());
         let mut expect = expect.into_matches();
         expect.sort_unstable();
-        for got in [batched, inline, forked] {
+        for got in [batched, inline, forked, view_batched, view_inline, view_forked, merged] {
             prop_assert_eq!((got.count(), got.checksum()), expect_sum);
             // Emission order is the kernel's business; the multiset is not.
             let mut got = got.into_matches();

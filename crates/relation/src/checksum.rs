@@ -11,8 +11,8 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::relation::Relation;
 use crate::tuple::MatchPair;
+use crate::wire::RelationView;
 
 /// A commutative multiset checksum.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
@@ -82,10 +82,10 @@ pub fn hash_match(m: &MatchPair) -> u64 {
 }
 
 /// Checksum over a relation's tuples (for verifying data distribution
-/// rather than join results).
-pub fn relation_checksum(rel: &Relation) -> Checksum {
+/// rather than join results), owned or viewed in place.
+pub fn relation_checksum<'a>(rel: impl Into<RelationView<'a>>) -> Checksum {
     let mut c = Checksum::new();
-    for t in rel.iter() {
+    for t in rel.into().iter() {
         let m = MatchPair {
             key: t.key,
             s_key: 0,
@@ -188,6 +188,7 @@ mod tests {
 
     #[test]
     fn relation_checksum_detects_changes() {
+        use crate::relation::Relation;
         let a = Relation::from_pairs([(1, 10), (2, 20)]);
         let b = Relation::from_pairs([(2, 20), (1, 10)]);
         let c = Relation::from_pairs([(1, 10), (2, 21)]);

@@ -37,5 +37,5 @@ pub use partition::{chunk_partition, hash_partition, partition_of};
 pub use profile::{estimate_equi_matches, KeyProfile};
 pub use relation::Relation;
 pub use tuple::{Key, MatchPair, Payload, Tuple, TUPLE_BYTES};
-pub use wire::{decode, encode, DecodeError};
+pub use wire::{decode, encode, ColumnValue, Columns, DecodeError, RelationView};
 pub use zipf::Zipf;

@@ -1,12 +1,18 @@
-//! Wire format: relations as flat byte buffers.
+//! Wire format: relations as flat byte buffers, and views that read them
+//! in place.
 //!
 //! A real Data Roundabout DMAs ring-buffer elements directly out of and
-//! into registered memory, so the rotating unit must have a defined flat
-//! layout. This module provides it: a fixed header (magic, version, tuple
-//! count, integrity checksum) followed by the key column and the payload
-//! column, all little-endian. The in-process backends move owned
-//! structures for speed, but the format keeps the system honest — and
-//! testable — about what would actually cross the network.
+//! into registered memory, and the join reads them where they landed, so
+//! the rotating unit must have a defined flat layout. This module provides
+//! it: a fixed header (magic, version, tuple count, integrity checksum)
+//! followed by the key column and the payload column, all little-endian.
+//! The socket engines join straight from it: a received body is checked
+//! once ([`view`]: every check [`decode`] makes, no allocation) and every
+//! visit reads its columns through a [`RelationView`]: arrays of
+//! little-endian bytes (`[u8; 4]` keys, `[u8; 8]` payloads) read with
+//! `from_le_bytes` — no `unsafe` and no alignment assumption, so a body at
+//! any offset of its buffer reads the same. The in-process backends move
+//! owned structures and view those instead.
 //!
 //! Layout:
 //!
@@ -20,8 +26,12 @@
 //! 24+4n   8·n   payloads (u64 LE)
 //! ```
 
+use std::borrow::Cow;
+use std::iter::Zip;
+use std::slice::Iter;
+
 use crate::relation::Relation;
-use crate::tuple::{Key, Payload};
+use crate::tuple::{Key, Payload, Tuple, TUPLE_BYTES};
 
 /// First bytes of every encoded relation.
 pub const MAGIC: [u8; 4] = *b"CYCJ";
@@ -91,7 +101,7 @@ pub fn encode_into(rel: &Relation, out: &mut Vec<u8>) {
     out.extend_from_slice(&MAGIC);
     out.extend_from_slice(&VERSION.to_le_bytes());
     out.extend_from_slice(&(n as u64).to_le_bytes());
-    out.extend_from_slice(&column_checksum(rel).to_le_bytes());
+    out.extend_from_slice(&column_checksum(rel.into()).to_le_bytes());
     for &k in rel.keys() {
         out.extend_from_slice(&k.to_le_bytes());
     }
@@ -100,13 +110,46 @@ pub fn encode_into(rel: &Relation, out: &mut Vec<u8>) {
     }
 }
 
-/// Deserializes a buffer produced by [`encode`].
+/// Deserializes a buffer produced by [`encode`]: [`view`], then a copy of
+/// both columns.
 ///
 /// # Errors
 ///
 /// Returns a [`DecodeError`] for truncated, foreign, versioned-ahead or
 /// corrupted buffers.
 pub fn decode(bytes: &[u8]) -> Result<Relation, DecodeError> {
+    view(bytes).map(|view| view.to_relation())
+}
+
+/// The relation a buffer produced by [`encode`] holds, read in place:
+/// every check [`decode`] makes — header, length against the declared
+/// count, checksum over both columns — and no allocation.
+///
+/// # Errors
+///
+/// As [`decode`].
+pub fn view(bytes: &[u8]) -> Result<RelationView<'_>, DecodeError> {
+    let (view, declared) = layout(bytes)?;
+    if column_checksum(view) != declared {
+        return Err(DecodeError::ChecksumMismatch);
+    }
+    Ok(view)
+}
+
+/// [`view`] without the checksum, for bytes [`view`] already accepted and
+/// nobody has written to since: the header and length checks alone, so
+/// viewing a checked buffer again costs nothing per tuple.
+///
+/// # Errors
+///
+/// As [`decode`], except that a corrupted column goes unnoticed.
+pub fn view_unverified(bytes: &[u8]) -> Result<RelationView<'_>, DecodeError> {
+    layout(bytes).map(|(view, _)| view)
+}
+
+/// The columns of an encoded relation and its declared checksum, after
+/// the header and length checks.
+fn layout(bytes: &[u8]) -> Result<(RelationView<'_>, u64), DecodeError> {
     if bytes.len() < HEADER_BYTES {
         return Err(DecodeError::TooShort);
     }
@@ -131,31 +174,21 @@ pub fn decode(bytes: &[u8]) -> Result<Relation, DecodeError> {
     }
     let n = declared as usize;
     let declared_checksum = u64::from_le_bytes(le_bytes(bytes, 16)?);
-
-    let keys_end = HEADER_BYTES.checked_add(n.checked_mul(4).ok_or(DecodeError::TooShort)?);
-    let key_bytes = keys_end
-        .and_then(|end| bytes.get(HEADER_BYTES..end))
+    let keys_end = n
+        .checked_mul(4)
+        .and_then(|len| HEADER_BYTES.checked_add(len))
         .ok_or(DecodeError::TooShort)?;
-    let payload_bytes = keys_end
-        .and_then(|end| bytes.get(end..))
+    let keys = bytes
+        .get(HEADER_BYTES..keys_end)
         .ok_or(DecodeError::TooShort)?;
-    let mut keys: Vec<Key> = Vec::with_capacity(n);
-    for chunk in key_bytes.chunks_exact(4) {
-        keys.push(u32::from_le_bytes(le_bytes(chunk, 0)?));
-    }
-    let mut payloads: Vec<Payload> = Vec::with_capacity(n);
-    for chunk in payload_bytes.chunks_exact(8) {
-        payloads.push(u64::from_le_bytes(le_bytes(chunk, 0)?));
-    }
-    let rel = Relation::from_columns(keys.into(), payloads.into());
-    if column_checksum(&rel) != declared_checksum {
-        return Err(DecodeError::ChecksumMismatch);
-    }
-    Ok(rel)
+    let payloads = bytes.get(keys_end..).ok_or(DecodeError::TooShort)?;
+    // The length check above makes both remainders empty.
+    let view = RelationView(Repr::Wire(keys.as_chunks().0, payloads.as_chunks().0));
+    Ok((view, declared_checksum))
 }
 
 /// Reads `N` little-endian bytes at `offset` with fully checked bounds.
-/// Infallible on the paths `decode` reaches after its length validation,
+/// Infallible on the paths `layout` reaches after its length validation,
 /// but kept checked so a future layout change cannot quietly reintroduce a
 /// panic path — the lint suite (`xtask analyze`) holds this file to zero
 /// panicking operations.
@@ -170,15 +203,188 @@ fn le_bytes<const N: usize>(bytes: &[u8], offset: usize) -> Result<[u8; N], Deco
 /// Order-*dependent* integrity checksum over both columns (FNV-1a style);
 /// unlike the order-independent result checksums, a transfer must preserve
 /// tuple order exactly.
-fn column_checksum(rel: &Relation) -> u64 {
+fn column_checksum(view: RelationView<'_>) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for t in rel.iter() {
+    for t in view.iter() {
         h ^= t.key as u64;
         h = h.wrapping_mul(0x1000_0000_01b3);
         h ^= t.payload;
         h = h.wrapping_mul(0x1000_0000_01b3);
     }
     h
+}
+
+/// A column value as it lies: native, in an owned column, or as its
+/// little-endian bytes, in a wire buffer (at any alignment: a byte array
+/// has none). A kernel generic over it reads either in place — one source,
+/// and reading a byte column costs what reading a native one does.
+pub trait ColumnValue<T>: Copy {
+    /// The value.
+    fn value(self) -> T;
+}
+
+/// A key as it lies in a wire buffer: its little-endian bytes.
+pub type LeKey = [u8; 4];
+/// A payload as it lies in a wire buffer: its little-endian bytes.
+pub type LePayload = [u8; 8];
+
+impl ColumnValue<Key> for Key {
+    #[inline(always)]
+    fn value(self) -> Key {
+        self
+    }
+}
+
+impl ColumnValue<Key> for LeKey {
+    #[inline(always)]
+    fn value(self) -> Key {
+        Key::from_le_bytes(self)
+    }
+}
+
+impl ColumnValue<Payload> for Payload {
+    #[inline(always)]
+    fn value(self) -> Payload {
+        self
+    }
+}
+
+impl ColumnValue<Payload> for LePayload {
+    #[inline(always)]
+    fn value(self) -> Payload {
+        Payload::from_le_bytes(self)
+    }
+}
+
+/// A relation's two columns as they lie ([`RelationView::columns`]), for a
+/// kernel generic over [`ColumnValue`] to take either way.
+#[derive(Debug, Clone, Copy)]
+pub enum Columns<'a> {
+    /// An owned relation's columns.
+    Owned(&'a [Key], &'a [Payload]),
+    /// An encoded buffer's columns, little-endian.
+    Wire(&'a [LeKey], &'a [LePayload]),
+}
+
+/// A relation's two columns where they lie: an owned [`Relation`]'s, or
+/// the key and payload ranges of an encoded buffer (see [`view`]), read
+/// in place. A join reads either through the same calls, and its kernel
+/// takes both through [`RelationView::columns`].
+#[derive(Debug, Clone, Copy)]
+pub struct RelationView<'a>(Repr<'a>);
+
+#[derive(Debug, Clone, Copy)]
+enum Repr<'a> {
+    Owned(&'a Relation),
+    /// Equally long key and payload columns.
+    Wire(&'a [LeKey], &'a [LePayload]),
+}
+
+impl Default for RelationView<'_> {
+    /// The empty relation.
+    fn default() -> Self {
+        RelationView(Repr::Wire(&[], &[]))
+    }
+}
+
+impl<'a> From<&'a Relation> for RelationView<'a> {
+    fn from(rel: &'a Relation) -> Self {
+        RelationView(Repr::Owned(rel))
+    }
+}
+
+impl<'a> RelationView<'a> {
+    /// Number of tuples.
+    pub fn len(&self) -> usize {
+        match self.0 {
+            Repr::Owned(rel) => rel.len(),
+            Repr::Wire(keys, _) => keys.len(),
+        }
+    }
+
+    /// True if the relation holds no tuples.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Logical data volume in bytes (12 bytes per tuple).
+    pub fn byte_volume(&self) -> u64 {
+        self.len() as u64 * TUPLE_BYTES
+    }
+
+    /// The two columns as they lie.
+    pub fn columns(&self) -> Columns<'a> {
+        match self.0 {
+            Repr::Owned(rel) => Columns::Owned(rel.keys(), rel.payloads()),
+            Repr::Wire(keys, payloads) => Columns::Wire(keys, payloads),
+        }
+    }
+
+    /// The viewed relation: borrowed if it is owned, copied out of the
+    /// bytes otherwise.
+    pub fn to_cow(&self) -> Cow<'a, Relation> {
+        match self.0 {
+            Repr::Owned(rel) => Cow::Borrowed(rel),
+            Repr::Wire(..) => Cow::Owned(self.to_relation()),
+        }
+    }
+
+    /// A copy of the viewed relation.
+    pub fn to_relation(&self) -> Relation {
+        match self.0 {
+            Repr::Owned(rel) => rel.clone(),
+            Repr::Wire(keys, payloads) => {
+                let keys: Vec<Key> = keys.iter().map(|&k| k.value()).collect();
+                let payloads: Vec<Payload> = payloads.iter().map(|&p| p.value()).collect();
+                Relation::from_columns(keys.into(), payloads.into())
+            }
+        }
+    }
+
+    /// Iterator over the tuples, in order.
+    pub fn iter(&self) -> Tuples<'a> {
+        Tuples(match self.columns() {
+            Columns::Owned(keys, payloads) => TuplesRepr::Owned(keys.iter().zip(payloads)),
+            Columns::Wire(keys, payloads) => TuplesRepr::Wire(keys.iter().zip(payloads)),
+        })
+    }
+
+    /// True if keys are in non-decreasing order.
+    pub fn is_sorted_by_key(&self) -> bool {
+        match self.columns() {
+            Columns::Owned(keys, _) => keys.is_sorted(),
+            Columns::Wire(keys, _) => keys.iter().map(|&k| k.value()).is_sorted(),
+        }
+    }
+}
+
+/// Iterator over a [`RelationView`]'s tuples.
+#[derive(Debug, Clone)]
+pub struct Tuples<'a>(TuplesRepr<'a>);
+
+#[derive(Debug, Clone)]
+enum TuplesRepr<'a> {
+    Owned(Zip<Iter<'a, Key>, Iter<'a, Payload>>),
+    Wire(Zip<Iter<'a, LeKey>, Iter<'a, LePayload>>),
+}
+
+impl Iterator for Tuples<'_> {
+    type Item = Tuple;
+
+    #[inline]
+    fn next(&mut self) -> Option<Tuple> {
+        match &mut self.0 {
+            TuplesRepr::Owned(it) => it.next().map(|(&k, &p)| Tuple::new(k, p)),
+            TuplesRepr::Wire(it) => it.next().map(|(&k, &p)| Tuple::new(k.value(), p.value())),
+        }
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        match &self.0 {
+            TuplesRepr::Owned(it) => it.size_hint(),
+            TuplesRepr::Wire(it) => it.size_hint(),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -299,6 +505,62 @@ mod tests {
         encode_into(&rel, &mut out);
         assert_eq!(&out[..2], &[0xEE, 0xFF]);
         assert_eq!(&out[2..], encode(&rel).as_slice());
+    }
+
+    /// A view of the bytes reads what decoding them yields, tuple for
+    /// tuple, whatever the buffer offset the body starts at (the columns
+    /// are read with no alignment assumption), and refuses what decoding
+    /// refuses.
+    #[test]
+    fn views_read_what_decode_yields_at_any_offset() {
+        for tuples in [0usize, 1, 7, 700] {
+            let rel = GenSpec::uniform(tuples, 11).generate();
+            let bytes = encode(&rel);
+            for offset in 0..8 {
+                let mut buf = vec![0xA5u8; offset];
+                buf.extend_from_slice(&bytes);
+                let view = view(&buf[offset..]).expect("intact bytes view");
+                assert_eq!(view.len(), tuples);
+                assert_eq!(view.to_relation(), rel);
+                assert!(view.iter().eq(rel.iter()));
+            }
+        }
+        let mut corrupt = encode(&GenSpec::uniform(50, 12).generate());
+        let last = corrupt.len() - 1;
+        corrupt[last] ^= 0x10;
+        assert_eq!(view(&corrupt).unwrap_err(), DecodeError::ChecksumMismatch);
+        assert_eq!(decode(&corrupt).unwrap_err(), DecodeError::ChecksumMismatch);
+        // The unverified view is for bytes already accepted: it checks
+        // the structure only.
+        assert_eq!(view_unverified(&corrupt).map(|v| v.len()), Ok(50));
+        assert_eq!(
+            view_unverified(&corrupt[..30]).unwrap_err(),
+            view(&corrupt[..30]).unwrap_err()
+        );
+    }
+
+    #[test]
+    fn columns_lie_owned_or_in_the_bytes() {
+        let rel = GenSpec::uniform(1_000, 13).generate();
+        let bytes = encode(&rel);
+        let wire = view(&bytes).unwrap();
+        let owned = RelationView::from(&rel);
+        let Columns::Owned(keys, payloads) = owned.columns() else {
+            panic!("an owned relation's columns are its own");
+        };
+        assert_eq!((keys, payloads), (rel.keys(), rel.payloads()));
+        let Columns::Wire(keys, payloads) = wire.columns() else {
+            panic!("a buffer's columns are its bytes");
+        };
+        let keys: Vec<Key> = keys.iter().map(|&k| k.value()).collect();
+        let payloads: Vec<Payload> = payloads.iter().map(|&p| p.value()).collect();
+        assert_eq!((&keys[..], &payloads[..]), (rel.keys(), rel.payloads()));
+        assert!(matches!(owned.to_cow(), Cow::Borrowed(r) if r == &rel));
+        assert!(matches!(wire.to_cow(), Cow::Owned(r) if r == rel));
+        let mut sorted = rel.clone();
+        sorted.sort_by_key();
+        assert!(view(&encode(&sorted)).unwrap().is_sorted_by_key());
+        assert!(!wire.is_sorted_by_key());
     }
 
     #[test]

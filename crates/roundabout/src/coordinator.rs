@@ -64,7 +64,7 @@ use crate::config::RingConfig;
 use crate::envelope::{Envelope, FragmentId, PayloadBytes};
 use crate::error::RingError;
 use crate::frame::{Frame, WirePayload};
-use crate::inflight::{launch, launch_queries, InFlight};
+use crate::inflight::{launch, launch_queries, InFlight, Visit};
 use crate::metrics::{HostMetrics, RingMetrics};
 use crate::protocol::{
     envelope_batches, query_batches, teardown, Input, Output, ProtocolConfig, RingProtocol, Timer,
@@ -459,10 +459,12 @@ pub(crate) enum Done {
 }
 
 /// Runs one job at `host`, guarding the user callbacks: a panic inside
-/// one must become a typed teardown error, not a dead worker.
+/// one must become a typed teardown error, not a dead worker. A join
+/// visits the owned payload, or the bytes it arrived in read in place.
 pub(crate) fn run_job<P, F, A>(host: HostId, job: Job<P>, visit: &F, absorb: &A) -> JobDone
 where
-    F: Fn(HostId, u32, &[usize], &P),
+    P: WirePayload,
+    F: Fn(HostId, u32, &[usize], Visit<'_, P>),
     A: Fn(HostId, usize),
 {
     let started = Instant::now();
@@ -475,9 +477,12 @@ where
             hop,
         } => {
             let outcome = catch_unwind(AssertUnwindSafe(|| {
-                payload.with(|p| visit(host, query, roles.as_deref().unwrap_or(&[host.0]), p))
+                let own = [host.0];
+                let roles = roles.as_deref().unwrap_or(&own);
+                payload
+                    .visit()
+                    .map(|payload| visit(host, query, roles, payload))
             }));
-            payload.visited();
             (matches!(outcome, Ok(Some(()))), Done::Join { id, hop })
         }
         Job::Absorb {
@@ -514,7 +519,8 @@ pub(crate) fn worker_loop<P, F, A>(
     visit: &F,
     absorb: &A,
 ) where
-    F: Fn(HostId, u32, &[usize], &P),
+    P: WirePayload,
+    F: Fn(HostId, u32, &[usize], Visit<'_, P>),
     A: Fn(HostId, usize),
 {
     for job in jobs {
@@ -1191,7 +1197,7 @@ pub trait WallClockEngine: Sealed {
     ) -> Result<(RingMetrics, SpanTracer), RingError>
     where
         P: WirePayload + Send + Clone,
-        F: Fn(HostId, u32, &[usize], &P) + Sync,
+        F: Fn(HostId, u32, &[usize], Visit<'_, P>) + Sync,
         A: Fn(HostId, usize) + Sync;
 }
 
@@ -1267,6 +1273,12 @@ impl<'a, E: WallClockEngine> WallClockDriver<'a, E> {
     /// fragments; `process` is invoked once per (host, envelope) visit and
     /// may itself be internally multi-threaded.
     ///
+    /// `process` sees an owned `&P`, so this is the one path that still
+    /// materialises a payload: a copy that arrived on a socket is copied
+    /// out of its bytes for each visit ([`WirePayload::from_view`]); an
+    /// owned copy is lent as it is. [`WallClockDriver::run_with_roles`]
+    /// hands the visit a view and copies nothing.
+    ///
     /// Returns wall-clock metrics in the common [`RingMetrics`] shape
     /// (setup is zero here — run any setup before calling and time it
     /// yourself; CPU accounts contain compute time only), plus the
@@ -1285,19 +1297,26 @@ impl<'a, E: WallClockEngine> WallClockDriver<'a, E> {
         P: WirePayload + Send + Clone,
         F: Fn(HostId, &P) + Sync,
     {
-        self.run_with_roles(
+        self.run_visits(
             fragments,
-            |host, _roles, payload| process(host, payload),
+            |host, _roles, payload: Visit<'_, P>| match payload {
+                Visit::Owned(payload) => process(host, payload),
+                Visit::Viewed(view) => process(host, &P::from_view(view)),
+            },
             |_, _| {},
         )
     }
 
     /// Like [`WallClockDriver::run`], but role-aware for healing and
-    /// rescaled runs: `visit(host, roles, payload)` applies the named
+    /// rescaled runs: `visit(host, roles, view)` applies the named
     /// logical stationary roles (the host's own, plus any absorbed from
     /// dead or drained hosts), and `absorb(survivor, role)` performs the
     /// state takeover — on `survivor`'s worker — when the ring heals
     /// around a confirmed death or a drain hands a role off.
+    ///
+    /// The visit reads the payload through its [`WirePayload::View`]: the
+    /// origin's owned payload borrowed, and on the socket engines every
+    /// other copy read in the bytes it arrived in. No payload is decoded.
     ///
     /// # Errors
     ///
@@ -1321,7 +1340,27 @@ impl<'a, E: WallClockEngine> WallClockDriver<'a, E> {
     ) -> Result<(RingMetrics, SpanTracer), RingError>
     where
         P: WirePayload + Send + Clone,
-        F: Fn(HostId, &[usize], &P) + Sync,
+        F: Fn(HostId, &[usize], P::View<'_>) + Sync,
+        A: Fn(HostId, usize) + Sync,
+    {
+        self.run_visits(
+            fragments,
+            |host, roles, payload: Visit<'_, P>| visit(host, roles, payload.view()),
+            absorb,
+        )
+    }
+
+    /// [`WallClockDriver::run_with_roles`] with the visit taking the
+    /// payload as the engines hand it over.
+    fn run_visits<P, F, A>(
+        self,
+        fragments: Vec<Vec<P>>,
+        visit: F,
+        absorb: A,
+    ) -> Result<(RingMetrics, SpanTracer), RingError>
+    where
+        P: WirePayload + Send + Clone,
+        F: Fn(HostId, &[usize], Visit<'_, P>) + Sync,
         A: Fn(HostId, usize) + Sync,
     {
         validate(
@@ -1336,7 +1375,11 @@ impl<'a, E: WallClockEngine> WallClockDriver<'a, E> {
         let envelopes = envelope_batches(fragments, n);
         if n == 1 {
             // A single-host "ring" has no wire to run on any engine.
-            return single_host_run(envelopes, |h, p| visit(h, &[0], p), self.trace);
+            return single_host_run(
+                envelopes,
+                |h, p| visit(h, &[0], Visit::Owned(p)),
+                self.trace,
+            );
         }
         let plan = dice(self.fault_plan, self.rescale_plan, false);
         E::run_mesh(
@@ -1345,7 +1388,7 @@ impl<'a, E: WallClockEngine> WallClockDriver<'a, E> {
             self.rescale_plan,
             self.trace,
             Workload::Single(envelopes),
-            &|host, _query: u32, roles: &[usize], payload: &P| visit(host, roles, payload),
+            &|host, _query: u32, roles: &[usize], payload| visit(host, roles, payload),
             &absorb,
         )
     }
@@ -1354,7 +1397,7 @@ impl<'a, E: WallClockEngine> WallClockDriver<'a, E> {
     /// `queries[q]` is `(tenant, fragments)` with `fragments[h]` host
     /// `h`'s local fragments for query `q`; at most `max_active` queries
     /// circulate concurrently, the rest wait in the admission queue.
-    /// `visit(host, query, roles, payload)` joins one fragment of `query`
+    /// `visit(host, query, roles, view)` joins one fragment of `query`
     /// against the named stationary roles; `absorb(survivor, role)`
     /// rebuilds a dead host's state (for every query) when the ring
     /// heals. Always uses the reliable acked transport (quiet dice are
@@ -1374,7 +1417,7 @@ impl<'a, E: WallClockEngine> WallClockDriver<'a, E> {
     ) -> Result<(RingMetrics, SpanTracer), RingError>
     where
         P: WirePayload + Send + Clone,
-        F: Fn(HostId, u32, &[usize], &P) + Sync,
+        F: Fn(HostId, u32, &[usize], P::View<'_>) + Sync,
         A: Fn(HostId, usize) + Sync,
     {
         let shapes: Vec<&[Vec<P>]> = queries.iter().map(|(_, f)| f.as_slice()).collect();
@@ -1396,7 +1439,9 @@ impl<'a, E: WallClockEngine> WallClockDriver<'a, E> {
                 queries: query_batches(queries, self.config.hosts),
                 max_active,
             },
-            &visit,
+            &|host, query, roles: &[usize], payload: Visit<'_, P>| {
+                visit(host, query, roles, payload.view());
+            },
             &absorb,
         )
     }
@@ -1681,7 +1726,7 @@ pub(crate) mod engine_suite {
             .run_queries(
                 tenants,
                 2,
-                |h, _query, _roles: &[usize], _: &Vec<u8>| {
+                |h, _query, _roles: &[usize], _| {
                     counts[h.0].fetch_add(1, Ordering::SeqCst);
                 },
                 |_, _| {},
@@ -1702,12 +1747,14 @@ pub(crate) mod engine_suite {
         assert_eq!(counters.get(counter::QUERIES_COMPLETED), queries as u64);
     }
 
-    /// Encodes of [`Counted`] payloads, by the slot their first byte
-    /// names: one slot per engine's test, so tests running side by side
-    /// never share a count.
-    static ENCODES: [AtomicUsize; 2] = [AtomicUsize::new(0), AtomicUsize::new(0)];
+    /// Encodes and decodes of [`Counted`] payloads, by the slot their
+    /// first byte names: one slot per (test, engine), so tests running side
+    /// by side never share a count.
+    static ENCODES: [AtomicUsize; 4] = [const { AtomicUsize::new(0) }; 4];
+    static DECODES: [AtomicUsize; 4] = [const { AtomicUsize::new(0) }; 4];
 
-    /// Raw bytes that count their encodes in `ENCODES[bytes[0]]`.
+    /// Raw bytes that count their encodes in `ENCODES[bytes[0]]` and their
+    /// decodes in `DECODES[bytes[0]]`.
     #[derive(Debug, Clone)]
     pub(crate) struct Counted(Vec<u8>);
 
@@ -1722,6 +1769,8 @@ pub(crate) mod engine_suite {
     }
 
     impl WirePayload for Counted {
+        type View<'a> = &'a [u8];
+
         fn payload_wire_len(&self) -> usize {
             self.0.len()
         }
@@ -1731,9 +1780,46 @@ pub(crate) mod engine_suite {
             out.extend_from_slice(&self.0);
         }
 
+        fn view(bytes: &[u8]) -> Result<&[u8], crate::error::FrameError> {
+            Ok(bytes)
+        }
+
+        fn as_view(&self) -> &[u8] {
+            &self.0
+        }
+
+        fn from_view(view: &[u8]) -> Self {
+            Counted(view.to_vec())
+        }
+
         fn decode_payload(bytes: &[u8]) -> Result<Self, crate::error::FrameError> {
+            DECODES[bytes[0] as usize].fetch_add(1, Ordering::SeqCst);
             Ok(Counted(bytes.to_vec()))
         }
+    }
+
+    /// `hosts × per_host` distinct 300-byte [`Counted`] payloads of
+    /// `slot`.
+    fn counted(slot: u8, hosts: usize, per_host: usize) -> Vec<Vec<Counted>> {
+        (0..hosts)
+            .map(|h| {
+                (0..per_host)
+                    .map(|i| {
+                        let mut bytes = vec![slot, h as u8, i as u8];
+                        bytes.resize(300, (h * 7 + i) as u8);
+                        Counted(bytes)
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// The lossy, corrupting plan the frame-path tests run under.
+    fn lossy_corrupting_plan() -> FaultPlan {
+        FaultPlan::seeded(23)
+            .lossy_link(HostId(0), 0.25)
+            .corrupt_link(HostId(1), 0.3)
+            .corrupt_link(HostId(2), 0.2)
     }
 
     /// A socket engine encodes each fragment once — at its origin, on its
@@ -1745,21 +1831,8 @@ pub(crate) mod engine_suite {
     pub(crate) fn each_fragment_is_encoded_once<E: WallClockEngine>(slot: u8) {
         let (hosts, per_host) = (3usize, 4usize);
         let total = hosts * per_host;
-        let fragments: Vec<Vec<Counted>> = (0..hosts)
-            .map(|h| {
-                (0..per_host)
-                    .map(|i| {
-                        let mut bytes = vec![slot, h as u8, i as u8];
-                        bytes.resize(300, (h * 7 + i) as u8);
-                        Counted(bytes)
-                    })
-                    .collect()
-            })
-            .collect();
-        let plan = FaultPlan::seeded(23)
-            .lossy_link(HostId(0), 0.25)
-            .corrupt_link(HostId(1), 0.3)
-            .corrupt_link(HostId(2), 0.2);
+        let fragments = counted(slot, hosts, per_host);
+        let plan = lossy_corrupting_plan();
         let config = RingConfig::paper(hosts)
             .with_ack_timeout(SimDuration::from_millis(40))
             .with_max_retransmits(12);
@@ -1817,6 +1890,127 @@ pub(crate) mod engine_suite {
         }
     }
 
+    /// A socket engine never decodes a received payload: it checks the
+    /// bytes once on receipt and every visit reads them in place. On a
+    /// quiet ring and under a lossy and corrupting plan, `decode_payload`
+    /// runs 0 times while every host visits every fragment exactly once,
+    /// intact. `slot` is the engine's own decode counter.
+    pub(crate) fn a_received_payload_is_never_decoded<E: WallClockEngine>(slot: u8) {
+        let (hosts, per_host) = (3usize, 4usize);
+        let fragments = counted(slot, hosts, per_host);
+        let plan = lossy_corrupting_plan();
+        let config = RingConfig::paper(hosts)
+            .with_ack_timeout(SimDuration::from_millis(40))
+            .with_max_retransmits(12);
+        for faulty in [false, true] {
+            DECODES[slot as usize].store(0, Ordering::SeqCst);
+            let seen: Vec<Mutex<Vec<Vec<u8>>>> = (0..hosts).map(|_| Mutex::default()).collect();
+            let mut driver = WallClockDriver::<E>::new(&config);
+            if faulty {
+                driver = driver.with_fault_plan(&plan);
+            }
+            let (metrics, _) = driver
+                .run_with_roles(
+                    fragments.clone(),
+                    |h, roles, view: &[u8]| {
+                        assert_eq!(roles, [h.0], "no healing on this ring");
+                        seen[h.0].lock().unwrap().push(view.to_vec());
+                    },
+                    |_, _| {},
+                )
+                .unwrap();
+            assert_eq!(metrics.fragments_completed, hosts * per_host);
+            assert_eq!(
+                DECODES[slot as usize].load(Ordering::SeqCst),
+                0,
+                "a received payload was decoded (faulty plan: {faulty})"
+            );
+            if faulty {
+                assert!(metrics.total_retransmits() > 0 && metrics.total_checksum_mismatches() > 0);
+            }
+            let mut want: Vec<Vec<u8>> = fragments.iter().flatten().map(|c| c.0.clone()).collect();
+            want.sort();
+            for host in seen {
+                let mut got = host.into_inner().unwrap();
+                got.sort();
+                assert_eq!(got, want);
+            }
+        }
+    }
+
+    /// A prepared fragment whose every encoding has one bit of its payload
+    /// column flipped: what a hostile (or broken) peer would send.
+    #[derive(Debug, Clone)]
+    pub(crate) struct Flipped(mem_joins::PreparedFragment);
+
+    impl PayloadBytes for Flipped {
+        fn payload_bytes(&self) -> u64 {
+            self.0.payload_bytes()
+        }
+    }
+
+    impl WirePayload for Flipped {
+        type View<'a> = mem_joins::FragmentView<'a>;
+
+        fn payload_wire_len(&self) -> usize {
+            self.0.payload_wire_len()
+        }
+
+        fn encode_payload(&self, out: &mut Vec<u8>) {
+            self.0.encode_payload(out);
+            // A plain fragment ends in its payload column.
+            if let Some(last) = out.last_mut() {
+                *last ^= 0x01;
+            }
+        }
+
+        fn view(bytes: &[u8]) -> Result<Self::View<'_>, crate::error::FrameError> {
+            mem_joins::PreparedFragment::view(bytes)
+        }
+
+        fn as_view(&self) -> Self::View<'_> {
+            self.0.as_view()
+        }
+
+        fn from_view(view: Self::View<'_>) -> Self {
+            Flipped(mem_joins::PreparedFragment::from_view(view))
+        }
+    }
+
+    /// The protocol's checksum of a prepared fragment depends on its size
+    /// only, so the relation header's checksum is the one content check a
+    /// received body gets: a body with one flipped payload-column bit must
+    /// end the run in the typed frame error, before any visit reads it.
+    pub(crate) fn a_flipped_column_bit_is_a_frame_error<E: WallClockEngine>() {
+        let hosts = 3;
+        let fragments: Vec<Vec<Flipped>> = (0..hosts)
+            .map(|h| {
+                let rel = relation::GenSpec::uniform(200, h as u64).generate();
+                vec![Flipped(mem_joins::PreparedFragment::Plain(rel))]
+            })
+            .collect();
+        let visits = AtomicUsize::new(0);
+        let err = WallClockDriver::<E>::new(&RingConfig::paper(hosts))
+            .run_with_roles(
+                fragments,
+                |_, _, _| {
+                    visits.fetch_add(1, Ordering::SeqCst);
+                },
+                |_, _| {},
+            )
+            .unwrap_err();
+        assert_eq!(
+            err,
+            RingError::Frame(crate::error::FrameError::BadPayload(
+                mem_joins::wire::BAD_RELATION
+            ))
+        );
+        assert!(
+            visits.load(Ordering::SeqCst) <= hosts,
+            "only origins may have visited their own, intact, fragments"
+        );
+    }
+
     pub(crate) fn multiplexed_queries_survive_faults<E: WallClockEngine>() {
         let hosts = 3;
         let queries = 4;
@@ -1832,12 +2026,7 @@ pub(crate) mod engine_suite {
             .collect();
         let (metrics, _) = WallClockDriver::<E>::new(&cfg)
             .with_fault_plan(&plan)
-            .run_queries(
-                tenants,
-                queries,
-                |_, _, _: &[usize], _: &Vec<u8>| {},
-                |_, _| {},
-            )
+            .run_queries(tenants, queries, |_, _, _: &[usize], _| {}, |_, _| {})
             .unwrap();
         assert_eq!(metrics.fragments_completed, queries * hosts * 2);
         assert!(metrics.queries.iter().all(|m| m.completed));
@@ -1950,7 +2139,7 @@ mod tests {
             next.push_back(Event::Job(run_job(
                 host,
                 job,
-                &|_, _, _: &[usize], _: &P| {},
+                &|_, _, _: &[usize], _| {},
                 &|survivor, role| absorbed.borrow_mut().push((survivor, role)),
             )));
             self.absorbed.extend(absorbed.into_inner());

@@ -35,13 +35,26 @@ fn mix64(mut x: u64) -> u64 {
     x
 }
 
+// A payload and its view (`crate::frame::WirePayload::View`) answer
+// alike: each owned impl below delegates to its view's.
+
 impl PayloadBytes for relation::Relation {
+    fn payload_bytes(&self) -> u64 {
+        relation::RelationView::from(self).payload_bytes()
+    }
+
+    fn payload_checksum(&self) -> u64 {
+        relation::RelationView::from(self).payload_checksum()
+    }
+}
+
+impl PayloadBytes for relation::RelationView<'_> {
     fn payload_bytes(&self) -> u64 {
         self.byte_volume()
     }
 
     fn payload_checksum(&self) -> u64 {
-        let c = relation::relation_checksum(self);
+        let c = relation::relation_checksum(*self);
         c.sum ^ mix64(c.count)
     }
 }
@@ -52,7 +65,25 @@ impl PayloadBytes for mem_joins::PreparedFragment {
     }
 }
 
+/// Size-only checksum, as the owned fragment's: the relation header's
+/// FNV is what guards a prepared fragment's content on the wire.
+impl PayloadBytes for mem_joins::FragmentView<'_> {
+    fn payload_bytes(&self) -> u64 {
+        self.byte_volume()
+    }
+}
+
 impl PayloadBytes for Vec<u8> {
+    fn payload_bytes(&self) -> u64 {
+        self.as_slice().payload_bytes()
+    }
+
+    fn payload_checksum(&self) -> u64 {
+        self.as_slice().payload_checksum()
+    }
+}
+
+impl PayloadBytes for &[u8] {
     fn payload_bytes(&self) -> u64 {
         self.len() as u64
     }
@@ -60,7 +91,7 @@ impl PayloadBytes for Vec<u8> {
     fn payload_checksum(&self) -> u64 {
         // FNV-1a over the bytes: cheap and content-sensitive.
         let mut h = 0xcbf2_9ce4_8422_2325u64;
-        for &b in self {
+        for &b in *self {
             h ^= b as u64;
             h = h.wrapping_mul(0x0000_0100_0000_01b3);
         }

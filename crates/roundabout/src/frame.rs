@@ -10,7 +10,8 @@
 //!   at arbitrary byte boundaries reassemble cleanly. Malformed bytes
 //!   become typed [`FrameError`]s, never panics.
 //! * **Payload codecs** — [`WirePayload`] and its implementations for
-//!   raw bytes, relations and prepared fragments.
+//!   raw bytes, relations and prepared fragments, each with a view that
+//!   reads its bytes in place.
 //! * **The frame path** — a payload is encoded once per revolution, at
 //!   its origin, on its first attempt. Every later send of it — a
 //!   retransmission, or the forward of a copy that arrived from the
@@ -18,11 +19,12 @@
 //!   hops, sequence, checksum and visited mask change per hop) followed by
 //!   the *same* payload bytes, as two slices of one vectored write
 //!   (`OutFrame`). The decoder reads each envelope body straight into a
-//!   buffer from the engine's shared `FrameBufPool`, and the received
-//!   payload keeps that buffer as its wire bytes
-//!   (`crate::inflight::InFlight`) until its last holder drops. A corrupt
-//!   fate flips the checksum in the header, so shared bytes are never
-//!   written to.
+//!   buffer from the engine's shared `FrameBufPool` and checks it once
+//!   ([`WirePayload::view`]); the received payload *is* that buffer
+//!   (`crate::inflight::InFlight`) until its last holder drops, and every
+//!   visit joins its columns where they lie ([`WirePayload::View`]) — it
+//!   is never decoded. A corrupt fate flips the checksum in the header, so
+//!   shared bytes are never written to.
 //! * **Ring setup** — each host binds a listener on `127.0.0.1:0` (the
 //!   kernel assigns the port, so concurrent test runs never race), and
 //!   every connection is confirmed with a seeded hello handshake
@@ -81,30 +83,75 @@ const MAX_WRITE_SLICES: usize = 2 * MAX_WRITE_BATCH;
 /// A payload type that can cross a byte-oriented transport.
 ///
 /// The simulated and threaded backends move payloads by value; TCP moves
-/// bytes. Implementations must round-trip exactly — the envelope checksum
-/// taken at origination is verified on the decoded payload, so a lossy
-/// codec would masquerade as wire corruption — and must be `Sync`: a
-/// payload is decoded once per host and then read in place by the
-/// coordinator (to forward its bytes) and by the join worker (to visit
-/// it).
+/// bytes, and a received payload is never decoded: the decoder checks its
+/// bytes once ([`WirePayload::view`]) and every visit reads them in place
+/// through a [`WirePayload::View`]. The origin's visit borrows its owned
+/// payload as the same view type ([`WirePayload::as_view`]), so a visit
+/// reads one type on every engine.
+///
+/// Implementations must round-trip exactly — the envelope checksum taken
+/// at origination is verified on the received payload, so a lossy codec
+/// would masquerade as wire corruption — and must be `Sync`: an origin's
+/// payload is read in place by the coordinator (to encode it for its
+/// first send) and by the join worker (to visit it) at once.
 pub trait WirePayload: PayloadBytes + Sized + Sync {
+    /// The payload read in place: borrowed from an owned payload, or laid
+    /// over the bytes it arrived in. It answers [`PayloadBytes`] as the
+    /// owned payload does.
+    type View<'a>: PayloadBytes + Copy
+    where
+        Self: 'a;
+
     /// Exact number of bytes [`WirePayload::encode_payload`] will append —
     /// frame buffers are sized from this before encoding, so an
     /// underestimate costs a mid-encode reallocation and copy of
     /// everything written so far.
     fn payload_wire_len(&self) -> usize;
+
     /// Appends this payload's wire bytes to `out`.
     fn encode_payload(&self, out: &mut Vec<u8>);
-    /// Reconstructs a payload from its wire bytes.
+
+    /// Views `bytes` in place after every check decoding makes, allocating
+    /// nothing.
     ///
     /// # Errors
     ///
     /// Returns [`FrameError::BadPayload`] when the bytes are not a valid
-    /// encoding (truncated tables, impossible partition counts, …).
-    fn decode_payload(bytes: &[u8]) -> Result<Self, FrameError>;
+    /// encoding (truncated tables, impossible partition counts, a column
+    /// whose checksum does not match, …).
+    fn view(bytes: &[u8]) -> Result<Self::View<'_>, FrameError>;
+
+    /// [`WirePayload::view`] of bytes it already accepted and nobody wrote
+    /// to since, skipping the checks that read every byte: a received
+    /// payload is checked once, on receipt, and viewed at every visit. By
+    /// default it checks again.
+    ///
+    /// # Errors
+    ///
+    /// As [`WirePayload::view`].
+    fn view_accepted(bytes: &[u8]) -> Result<Self::View<'_>, FrameError> {
+        Self::view(bytes)
+    }
+
+    /// This payload as a view.
+    fn as_view(&self) -> Self::View<'_>;
+
+    /// An owned payload holding what `view` reads.
+    fn from_view(view: Self::View<'_>) -> Self;
+
+    /// Reconstructs a payload from its wire bytes: the view, copied out.
+    ///
+    /// # Errors
+    ///
+    /// As [`WirePayload::view`].
+    fn decode_payload(bytes: &[u8]) -> Result<Self, FrameError> {
+        Self::view(bytes).map(Self::from_view)
+    }
 }
 
 impl WirePayload for Vec<u8> {
+    type View<'a> = &'a [u8];
+
     fn payload_wire_len(&self) -> usize {
         self.len()
     }
@@ -113,12 +160,25 @@ impl WirePayload for Vec<u8> {
         out.extend_from_slice(self);
     }
 
-    fn decode_payload(bytes: &[u8]) -> Result<Self, FrameError> {
-        Ok(bytes.to_vec())
+    fn view(bytes: &[u8]) -> Result<&[u8], FrameError> {
+        Ok(bytes)
+    }
+
+    fn as_view(&self) -> &[u8] {
+        self
+    }
+
+    fn from_view(view: &[u8]) -> Self {
+        view.to_vec()
     }
 }
 
+/// A relation inside a payload is not a valid encoding.
+const BAD_RELATION: FrameError = FrameError::BadPayload(mem_joins::wire::BAD_RELATION);
+
 impl WirePayload for relation::Relation {
+    type View<'a> = relation::RelationView<'a>;
+
     fn payload_wire_len(&self) -> usize {
         relation::wire::encoded_len(self.len())
     }
@@ -127,122 +187,49 @@ impl WirePayload for relation::Relation {
         relation::wire::encode_into(self, out);
     }
 
-    fn decode_payload(bytes: &[u8]) -> Result<Self, FrameError> {
-        relation::wire::decode(bytes).map_err(|_| FrameError::BadPayload("relation wire format"))
+    fn view(bytes: &[u8]) -> Result<relation::RelationView<'_>, FrameError> {
+        relation::wire::view(bytes).map_err(|_| BAD_RELATION)
+    }
+
+    fn view_accepted(bytes: &[u8]) -> Result<relation::RelationView<'_>, FrameError> {
+        relation::wire::view_unverified(bytes).map_err(|_| BAD_RELATION)
+    }
+
+    fn as_view(&self) -> relation::RelationView<'_> {
+        self.into()
+    }
+
+    fn from_view(view: relation::RelationView<'_>) -> Self {
+        view.to_relation()
     }
 }
 
-/// Prepared-fragment wire tags (one byte ahead of the relation bytes).
-const TAG_PLAIN: u8 = 0;
-const TAG_SORTED: u8 = 1;
-const TAG_HASH: u8 = 2;
-/// A radix-partitioned payload whose partition count claims a table
-/// longer than the payload.
-const PARTITION_TABLE_OVERRUN: &str = "partition table longer than the payload";
-
+/// The format is the fragment's own ([`mem_joins::wire`]).
 impl WirePayload for mem_joins::PreparedFragment {
+    type View<'a> = mem_joins::FragmentView<'a>;
+
     fn payload_wire_len(&self) -> usize {
-        match self {
-            mem_joins::PreparedFragment::Plain(rel) => 1 + relation::wire::encoded_len(rel.len()),
-            mem_joins::PreparedFragment::Sorted(run) => {
-                1 + relation::wire::encoded_len(run.as_relation().len())
-            }
-            mem_joins::PreparedFragment::HashPartitioned(parts) => {
-                1 + 4
-                    + 4
-                    + parts
-                        .partitions()
-                        .iter()
-                        .map(|p| 4 + relation::wire::encoded_len(p.len()))
-                        .sum::<usize>()
-            }
-        }
+        mem_joins::wire::encoded_len(self)
     }
 
     fn encode_payload(&self, out: &mut Vec<u8>) {
-        match self {
-            mem_joins::PreparedFragment::Plain(rel) => {
-                out.push(TAG_PLAIN);
-                relation::wire::encode_into(rel, out);
-            }
-            mem_joins::PreparedFragment::Sorted(run) => {
-                out.push(TAG_SORTED);
-                relation::wire::encode_into(run.as_relation(), out);
-            }
-            mem_joins::PreparedFragment::HashPartitioned(parts) => {
-                out.push(TAG_HASH);
-                out.extend_from_slice(&parts.bits().to_le_bytes());
-                out.extend_from_slice(&(parts.partitions().len() as u32).to_le_bytes());
-                for p in parts.partitions() {
-                    // The per-partition length prefix is a pure function
-                    // of the tuple count, so it can be written *before*
-                    // the bytes — no staging copy of the encoding.
-                    let enc_len = relation::wire::encoded_len(p.len());
-                    out.extend_from_slice(&(enc_len as u32).to_le_bytes());
-                    relation::wire::encode_into(p, out);
-                }
-            }
-        }
+        mem_joins::wire::encode_into(self, out);
     }
 
-    fn decode_payload(bytes: &[u8]) -> Result<Self, FrameError> {
-        let Some(&tag) = bytes.first() else {
-            return Err(FrameError::BadPayload("empty prepared-fragment payload"));
-        };
-        let rest = bytes.get(1..).unwrap_or_default();
-        match tag {
-            TAG_PLAIN => {
-                let rel = relation::Relation::decode_payload(rest)?;
-                Ok(mem_joins::PreparedFragment::Plain(rel))
-            }
-            TAG_SORTED => {
-                let rel = relation::Relation::decode_payload(rest)?;
-                // Validate before constructing: `from_sorted` asserts.
-                if !rel.is_sorted_by_key() {
-                    return Err(FrameError::BadPayload("sorted-run payload is not sorted"));
-                }
-                Ok(mem_joins::PreparedFragment::Sorted(
-                    mem_joins::SortedRun::from_sorted(rel),
-                ))
-            }
-            TAG_HASH => {
-                let bits = read_u32(rest, 0)
-                    .ok_or(FrameError::BadPayload("truncated radix partition header"))?;
-                let count = read_u32(rest, 4)
-                    .ok_or(FrameError::BadPayload("truncated radix partition header"))?;
-                if bits > 24 {
-                    return Err(FrameError::BadPayload("radix bits out of range"));
-                }
-                if count as u64 != 1u64 << bits {
-                    return Err(FrameError::BadPayload(
-                        "partition count does not match radix bits",
-                    ));
-                }
-                // Every partition needs its 4-byte length: a count the
-                // bytes cannot hold is refused before anything is sized
-                // from it.
-                if 8 + 4 * count as usize > rest.len() {
-                    return Err(FrameError::BadPayload(PARTITION_TABLE_OVERRUN));
-                }
-                let mut at = 8usize;
-                let mut partitions = Vec::with_capacity(count as usize);
-                for _ in 0..count {
-                    let len = read_u32(rest, at)
-                        .ok_or(FrameError::BadPayload("truncated partition table"))?
-                        as usize;
-                    at += 4;
-                    let seg = rest
-                        .get(at..at.saturating_add(len))
-                        .ok_or(FrameError::BadPayload("truncated partition body"))?;
-                    partitions.push(relation::Relation::decode_payload(seg)?);
-                    at += len;
-                }
-                Ok(mem_joins::PreparedFragment::HashPartitioned(
-                    mem_joins::RadixPartitioned::from_parts(bits, partitions),
-                ))
-            }
-            _ => Err(FrameError::BadPayload("unknown prepared-fragment tag")),
-        }
+    fn view(bytes: &[u8]) -> Result<mem_joins::FragmentView<'_>, FrameError> {
+        mem_joins::wire::view(bytes).map_err(FrameError::BadPayload)
+    }
+
+    fn view_accepted(bytes: &[u8]) -> Result<mem_joins::FragmentView<'_>, FrameError> {
+        mem_joins::wire::view_accepted(bytes).map_err(FrameError::BadPayload)
+    }
+
+    fn as_view(&self) -> mem_joins::FragmentView<'_> {
+        self.into()
+    }
+
+    fn from_view(view: mem_joins::FragmentView<'_>) -> Self {
+        view.to_prepared()
     }
 }
 
@@ -527,9 +514,8 @@ impl FrameBufPool {
 /// what arrived: a length prefix reserves at most `MAX_POOLED_CAPACITY`
 /// ahead of the bytes.
 ///
-/// Each envelope body is read straight into a pooled buffer and decoded
-/// from there — the only copy between the socket's read chunk and the
-/// payload.
+/// Each envelope body is read straight into a pooled buffer — the only
+/// copy between the socket's read chunk and the visit that reads it.
 #[derive(Default)]
 pub struct FrameDecoder {
     /// The frame being assembled.
@@ -723,9 +709,10 @@ impl FrameDecoder {
         })
     }
 
-    /// Like [`FrameDecoder::next_frame`], but an envelope's payload keeps
-    /// the body buffer it was decoded from as its wire bytes, to be
-    /// forwarded as they are.
+    /// Like [`FrameDecoder::next_frame`], but an envelope's payload is
+    /// not decoded: its body is checked once ([`WirePayload::view`]) and
+    /// the payload *is* that buffer from then on — viewed in place by
+    /// every visit, forwarded as it is.
     ///
     /// # Errors
     ///
@@ -734,10 +721,12 @@ impl FrameDecoder {
         &mut self,
     ) -> Result<Option<Frame<InFlight<P>>>, FrameError> {
         self.next_with(|body, pool| {
-            match P::decode_payload(body.get(ENVELOPE_HEADER..).unwrap_or_default()) {
-                Ok(payload) => {
+            let checked = P::view(body.get(ENVELOPE_HEADER..).unwrap_or_default())
+                .map(|view| view.payload_bytes());
+            match checked {
+                Ok(bytes) => {
                     let wire = WireBytes::new(body, ENVELOPE_HEADER, Arc::clone(pool));
-                    Ok(InFlight::received(payload, wire))
+                    Ok(InFlight::received(wire, bytes))
                 }
                 Err(e) => {
                     pool.put(body);
@@ -1026,6 +1015,8 @@ pub(crate) fn unwritten<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::inflight::Visit;
+    use mem_joins::wire::{PARTITION_TABLE_OVERRUN, TAG_HASH};
 
     fn roundtrip<P: WirePayload + PartialEq + std::fmt::Debug>(frame: Frame<P>, step: usize) {
         let bytes = match &frame {
@@ -1271,7 +1262,7 @@ mod tests {
         else {
             panic!("expected an envelope frame");
         };
-        assert_eq!(got.payload.with(Vec::clone), Some(env.payload.clone()));
+        assert_eq!(got.payload.visit().map(Visit::view), Some(&env.payload[..]));
         assert_eq!(got.payload.wire(), Some(&env.payload[..]));
         drop(got);
         assert!(
@@ -1324,17 +1315,15 @@ mod tests {
             panic!("the envelope must arrive whole");
         };
         assert_eq!(tid, tids.0);
-        // … visits it and forwards it with a new header and its bytes.
+        // … visits it — a view of the bytes it arrived in, as often as
+        // healing asks — and forwards it with a new header and its bytes.
         next.hops_remaining -= 1;
         next.seq = tids.1 ^ 0xaa;
         next.visited |= 0b0100;
-        let decoded = next.payload.with(P::clone).unwrap();
-        // The visit is done: from here on the bytes stand in for the
-        // payload, and a payload asked for again decodes from them.
-        next.payload.visited();
-        let redecoded = next.payload.with(P::clone).unwrap();
+        let decoded = P::from_view(next.payload.visit().unwrap().view());
+        let revisited = P::from_view(next.payload.visit().unwrap().view());
         assert_eq!(
-            encode_envelope(tids.1, &with_payload(&next, redecoded)).unwrap(),
+            encode_envelope(tids.1, &with_payload(&next, revisited)).unwrap(),
             encode_envelope(tids.1, &with_payload(&next, decoded.clone())).unwrap(),
         );
         let reencoded = encode_envelope(tids.1, &with_payload(&next, decoded)).unwrap();
@@ -1343,8 +1332,170 @@ mod tests {
         assert_eq!(frame.parts().concat(), reencoded);
     }
 
+    fn wire_bytes<P: WirePayload>(payload: &P) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        payload.encode_payload(&mut bytes);
+        bytes
+    }
+
+    /// Every partition's tuples, in order, of a prepared-fragment view.
+    fn fragment_tuples(view: mem_joins::FragmentView<'_>) -> Vec<Vec<relation::Tuple>> {
+        use mem_joins::FragmentView;
+        match view {
+            FragmentView::HashPartitioned(parts) => {
+                parts.partitions().map(|p| p.iter().collect()).collect()
+            }
+            FragmentView::Sorted(rel) | FragmentView::Plain(rel) => vec![rel.iter().collect()],
+        }
+    }
+
+    /// What a mutated body must come to.
+    enum Expect<'a, P> {
+        /// Untouched: it views as `P`, tuple for tuple.
+        Intact(&'a P),
+        /// A byte the format checks changed: it is refused.
+        Refused,
+        /// Only the tag changed (plain and sorted share a layout, and a
+        /// sorted relation is also a plain one): either may happen.
+        Either,
+    }
+
+    /// `body`, placed at `offset` of its buffer (so its columns sit at any
+    /// alignment), viewed and decoded: both refuse it with the same error,
+    /// or both accept it — and then the view reads the decoded payload's
+    /// tuples, sizes and checksums it alike, and views it again unchecked
+    /// to the same tuples. Since decoding is the view copied out, `expect`
+    /// also holds the view to the payload the body was encoded from.
+    fn view_agrees_with_decode<P: WirePayload>(
+        body: &[u8],
+        offset: usize,
+        expect: Expect<'_, P>,
+        tuples: impl for<'v> Fn(P::View<'v>) -> Vec<Vec<relation::Tuple>>,
+    ) {
+        let mut buf = vec![0x5A; offset];
+        buf.extend_from_slice(body);
+        let bytes = &buf[offset..];
+        let (viewed, decoded) = (P::view(bytes), P::decode_payload(bytes));
+        match (viewed, decoded) {
+            (Err(viewed), Err(decoded)) => {
+                assert_eq!(viewed, decoded);
+                assert!(
+                    !matches!(expect, Expect::Intact(_)),
+                    "intact bytes refused: {viewed:?}"
+                );
+            }
+            (Ok(view), Ok(owned)) => {
+                assert_eq!(tuples(view), tuples(owned.as_view()));
+                assert_eq!(view.payload_bytes(), owned.payload_bytes());
+                assert_eq!(view.payload_checksum(), owned.payload_checksum());
+                let again = P::view_accepted(bytes).expect("accepted bytes view again");
+                assert_eq!(tuples(again), tuples(view));
+                match expect {
+                    Expect::Intact(source) => {
+                        assert_eq!(tuples(view), tuples(source.as_view()));
+                        assert_eq!(view.payload_checksum(), source.payload_checksum());
+                    }
+                    Expect::Refused => panic!("a corrupted body was accepted"),
+                    Expect::Either => {}
+                }
+            }
+            (viewed, decoded) => panic!(
+                "view says {:?}, decode says {:?}",
+                viewed.err(),
+                decoded.err()
+            ),
+        };
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(256))]
+
+        /// The view refuses exactly what decode refuses, with the same
+        /// error, and reads what decode yields: relations and every
+        /// prepared-fragment form (radix bits 0–6, empty fragments
+        /// included), intact or with bytes flipped anywhere (the columns
+        /// included), truncated, with a hostile partition count, or as a
+        /// sorted run whose keys are not sorted, at every offset 1–7 of
+        /// the receive buffer. Intact bytes view as the payload they were
+        /// encoded from; bytes changed anywhere but the tag are refused.
+        #[test]
+        fn the_view_refuses_exactly_what_decode_refuses(
+            form in 0u8..4,
+            tuples in 0usize..300,
+            empty in 0u8..5,
+            bits in 0u32..7,
+            mutation in 0u8..6,
+            seed in proptest::prelude::any::<u64>(),
+            offset in 1usize..8,
+        ) {
+            use mem_joins::{Algorithm, PreparedFragment};
+            let tuples = if empty == 0 { 0 } else { tuples };
+            let rel = relation::GenSpec::uniform(tuples, seed).generate();
+            let fragment = match form {
+                1 => Algorithm::NestedLoops.prepare_fragment(&rel, 0, 1),
+                2 => Algorithm::SortMerge.prepare_fragment(&rel, 0, 1),
+                _ => Algorithm::partitioned_hash().prepare_fragment(&rel, bits, 1),
+            };
+            let unsorted = form == 2 && mutation == 4;
+            let original = match form {
+                0 => wire_bytes(&rel),
+                _ if unsorted => {
+                    // A sorted run as a broken peer might send it: the
+                    // generator's order, whole and checksummed.
+                    let mut bytes = vec![mem_joins::wire::TAG_SORTED];
+                    relation::wire::encode_into(&rel, &mut bytes);
+                    bytes
+                }
+                _ => wire_bytes(&fragment),
+            };
+            let mut body = original.clone();
+            let mut dice = seed;
+            let mut roll = |below: usize| {
+                dice = dice.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
+                (dice >> 33) as usize % below.max(1)
+            };
+            match mutation {
+                // Flip 1–3 bits anywhere: headers, tables and columns.
+                1 | 5 => for _ in 0..1 + roll(3) {
+                    let at = roll(body.len());
+                    if let Some(byte) = body.get_mut(at) {
+                        *byte ^= 1 << roll(8);
+                    }
+                },
+                2 => body.truncate(roll(body.len() + 1)),
+                3 if form == 3 => {
+                    // A hostile radix header: any count, any bits.
+                    let field = 1 + 4 * roll(2);
+                    let hostile = (roll(usize::MAX) as u32) >> roll(32);
+                    if let Some(slot) = body.get_mut(field..field + 4) {
+                        slot.copy_from_slice(&hostile.to_le_bytes());
+                    }
+                }
+                _ => {}
+            }
+            let tag = usize::from(form != 0);
+            let rest_changed = body.get(tag..) != original.get(tag..);
+            match form {
+                0 => {
+                    let expect = if rest_changed { Expect::Refused } else { Expect::Intact(&rel) };
+                    view_agrees_with_decode(&body, offset, expect, |view: relation::RelationView<'_>| {
+                        vec![view.iter().collect()]
+                    });
+                }
+                _ => {
+                    let expect = if rest_changed {
+                        Expect::Refused
+                    } else if unsorted {
+                        if rel.is_sorted_by_key() { Expect::Either } else { Expect::Refused }
+                    } else if body != original {
+                        Expect::Either
+                    } else {
+                        Expect::Intact(&fragment)
+                    };
+                    view_agrees_with_decode::<PreparedFragment>(&body, offset, expect, fragment_tuples);
+                }
+            }
+        }
 
         /// Forwarded bytes ≡ re-encoded bytes: an envelope framed from the
         /// bytes it arrived in equals a fresh encoding of the decoded

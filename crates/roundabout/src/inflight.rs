@@ -1,59 +1,56 @@
 //! The in-flight payload: what both protocol appliers run the ring over.
 //!
-//! A fragment is decoded once per host it visits and encoded once per
-//! revolution; everything that holds it in between — the protocol's
-//! queues, processing slot and retransmission ledger, a visit's job, a
-//! frame waiting on a socket — holds an [`InFlight`]: an `Arc` of the
-//! user's payload plus, on the socket engines, the wire bytes of that
-//! payload. Cloning one is a reference-count bump, so the protocol's
+//! Everything that holds a fragment copy on its way round the ring — the
+//! protocol's queues, processing slot and retransmission ledger, a visit's
+//! job, a frame waiting on a socket — holds an [`InFlight`]: an `Arc` of
+//! the copy. Cloning one is a reference-count bump, so the protocol's
 //! per-attempt envelope copy and the coordinator's per-visit job cost no
 //! payload copy on any engine (the protocol is generic over `P: Clone` and
-//! does not know). Visits still see `&P`.
+//! does not know).
 //!
-//! The wire bytes are filled at most once per host:
+//! A copy is one of two things, never both:
 //!
-//! * a payload decoded off a socket keeps the frame body it was decoded
-//!   from ([`InFlight::received`]);
-//! * a payload leaving its origin is encoded on its first attempt
-//!   ([`InFlight::encode_once`]) and every retransmission reuses the
-//!   bytes.
+//! * **owned** — the user's payload, at its origin and on the engines
+//!   that move payloads by value (the simulator, the channel engine). On a
+//!   socket engine its wire bytes are encoded on its first attempt
+//!   ([`InFlight::encode_once`]) and every retransmission reuses them;
+//! * **received** — the frame body it arrived in, checked once by the
+//!   decoder ([`InFlight::received`]) and never decoded: a visit reads it
+//!   in place ([`InFlight::visit`]), as often as healing asks, and a
+//!   forward sends it as it is.
 //!
-//! Either way the buffer came from the engine's [`FrameBufPool`] and goes
-//! back to it when the last holder drops. The simulator and the channel
-//! engine never fill them: their payloads cross by value.
-//!
-//! Once a host has visited a payload that has wire bytes, the bytes are
-//! all the host still needs of it — to forward it, or to retransmit it —
-//! so the decoded payload is released ([`InFlight::visited`]) instead of
-//! waiting in an outgoing queue beside its own encoding. A later visit of
-//! the same copy (only healing re-injects one) decodes a private payload
-//! from the bytes.
+//! Wire bytes came from the engine's [`FrameBufPool`] and go back to it
+//! when the last holder drops.
 
-use std::sync::{Arc, OnceLock, RwLock};
+use std::sync::{Arc, OnceLock};
 
 use crate::envelope::{Envelope, PayloadBytes};
-use crate::error::FrameError;
 use crate::frame::{FrameBufPool, WirePayload, ENVELOPE_HEADER};
 
 /// One payload in flight on the ring, shared by everything that holds it.
 pub(crate) struct InFlight<P>(Arc<Shared<P>>);
 
 struct Shared<P> {
-    /// The decoded payload; `None` once a visit released it in favour of
-    /// `wire`.
-    payload: RwLock<Option<P>>,
+    held: Held<P>,
     /// [`PayloadBytes::payload_bytes`] of the payload, taken on arrival.
     bytes: u64,
     /// [`PayloadBytes::payload_checksum`] of the payload, taken when first
-    /// asked (at delivery, before any visit could release the payload).
+    /// asked (the reliable path's delivery check).
     checksum: OnceLock<u64>,
-    wire: OnceLock<Wire<P>>,
 }
 
-/// A payload's wire bytes and the decoder that turns them back into it.
-struct Wire<P> {
-    bytes: WireBytes,
-    decode: fn(&[u8]) -> Result<P, FrameError>,
+enum Held<P> {
+    /// The user's payload, with the wire bytes its first send encodes.
+    Owned {
+        payload: P,
+        wire: OnceLock<WireBytes>,
+    },
+    /// The bytes a payload arrived in, accepted by `P::view`, and how to
+    /// checksum them.
+    Received {
+        wire: WireBytes,
+        checksum: fn(&[u8]) -> u64,
+    },
 }
 
 /// A payload's wire bytes: `buf[start..]` of a pooled buffer, which goes
@@ -85,27 +82,39 @@ impl Drop for WireBytes {
 impl<P: PayloadBytes> InFlight<P> {
     /// A payload entering the ring at its origin, with no wire bytes yet.
     pub(crate) fn new(payload: P) -> Self {
-        Self::with_wire(payload, OnceLock::new())
-    }
-
-    fn with_wire(payload: P, wire: OnceLock<Wire<P>>) -> Self {
         InFlight(Arc::new(Shared {
             bytes: payload.payload_bytes(),
-            payload: RwLock::new(Some(payload)),
+            held: Held::Owned {
+                payload,
+                wire: OnceLock::new(),
+            },
             checksum: OnceLock::new(),
-            wire,
         }))
     }
 }
 
 impl<P: WirePayload> InFlight<P> {
-    /// A payload decoded off a socket, keeping the bytes it came from.
-    pub(crate) fn received(payload: P, bytes: WireBytes) -> Self {
-        let wire = Wire {
+    /// A payload that arrived as `wire`, bytes [`WirePayload::view`]
+    /// accepted, whose view said it is `bytes` long.
+    pub(crate) fn received(wire: WireBytes, bytes: u64) -> Self {
+        InFlight(Arc::new(Shared {
+            held: Held::Received {
+                wire,
+                checksum: received_checksum::<P>,
+            },
             bytes,
-            decode: P::decode_payload,
-        };
-        Self::with_wire(payload, OnceLock::from(wire))
+            checksum: OnceLock::new(),
+        }))
+    }
+
+    /// The payload as a visit reads it: the owned payload, or the
+    /// received bytes viewed in place. `None` only if received bytes no
+    /// longer view, which bytes nobody writes to never do.
+    pub(crate) fn visit(&self) -> Option<Visit<'_, P>> {
+        match &self.0.held {
+            Held::Owned { payload, .. } => Some(Visit::Owned(payload)),
+            Held::Received { wire, .. } => P::view_accepted(wire.bytes()).ok().map(Visit::Viewed),
+        }
     }
 
     /// The payload's wire bytes, encoded into a buffer from `pool` if this
@@ -116,55 +125,65 @@ impl<P: WirePayload> InFlight<P> {
     /// received frame body, so any pooled buffer fits either use of the
     /// next payload of the same size without growing.
     pub(crate) fn encode_once(&self, pool: &Arc<FrameBufPool>) -> (&[u8], bool) {
+        let (payload, wire) = match &self.0.held {
+            Held::Owned { payload, wire } => (payload, wire),
+            Held::Received { wire, .. } => return (wire.bytes(), false),
+        };
         let mut encoded = false;
-        let wire = self.0.wire.get_or_init(|| {
+        let wire = wire.get_or_init(|| {
             encoded = true;
             let mut buf = pool.take();
-            self.with(|payload| {
-                buf.reserve_exact(ENVELOPE_HEADER + payload.payload_wire_len());
-                buf.resize(ENVELOPE_HEADER, 0);
-                payload.encode_payload(&mut buf);
-            });
-            Wire {
-                bytes: WireBytes::new(buf, ENVELOPE_HEADER, Arc::clone(pool)),
-                decode: P::decode_payload,
-            }
+            buf.reserve_exact(ENVELOPE_HEADER + payload.payload_wire_len());
+            buf.resize(ENVELOPE_HEADER, 0);
+            payload.encode_payload(&mut buf);
+            WireBytes::new(buf, ENVELOPE_HEADER, Arc::clone(pool))
         });
-        (wire.bytes.bytes(), encoded)
+        (wire.bytes(), encoded)
     }
 }
 
-impl<P> InFlight<P> {
-    /// Runs `f` on the payload — decoding a private copy from the wire
-    /// bytes if a visit here already released it. `None` only if those
-    /// bytes no longer decode, which a [`WirePayload`] that round-trips
-    /// never does.
-    pub(crate) fn with<R>(&self, f: impl FnOnce(&P) -> R) -> Option<R> {
-        {
-            let payload = self.0.payload.read().unwrap_or_else(|e| e.into_inner());
-            if let Some(payload) = payload.as_ref() {
-                return Some(f(payload));
-            }
-        }
-        let wire = self.0.wire.get()?;
-        let payload = (wire.decode)(wire.bytes.bytes()).ok()?;
-        Some(f(&payload))
-    }
+/// What a visit reads: a copy's owned payload, or a view of the bytes a
+/// received copy is. Nameable only inside this crate (the module is
+/// private); the engines' visit callbacks take it, and the public run
+/// calls turn it into what their callbacks take.
+pub enum Visit<'a, P: WirePayload> {
+    /// The owned payload.
+    Owned(&'a P),
+    /// The received bytes, viewed in place.
+    Viewed(P::View<'a>),
+}
 
-    /// This host's visit of the payload is done: if wire bytes stand in
-    /// for it, the decoded payload is released. Best effort — a visit of
-    /// the same copy still running elsewhere keeps it.
-    pub(crate) fn visited(&self) {
-        if self.0.wire.get().is_some() {
-            if let Ok(mut payload) = self.0.payload.try_write() {
-                *payload = None;
-            }
+impl<'a, P: WirePayload> Visit<'a, P> {
+    /// The payload as a view: the owned payload borrowed, or the view.
+    pub(crate) fn view(self) -> P::View<'a> {
+        match self {
+            Visit::Owned(payload) => payload.as_view(),
+            Visit::Viewed(view) => view,
+        }
+    }
+}
+
+/// The checksum of bytes `P::view` accepted.
+fn received_checksum<P: WirePayload>(bytes: &[u8]) -> u64 {
+    P::view_accepted(bytes).map_or(0, |view| view.payload_checksum())
+}
+
+impl<P> InFlight<P> {
+    /// The owned payload, if this copy holds one (on the simulator and the
+    /// channel engine every copy does).
+    pub(crate) fn payload(&self) -> Option<&P> {
+        match &self.0.held {
+            Held::Owned { payload, .. } => Some(payload),
+            Held::Received { .. } => None,
         }
     }
 
     /// The payload's wire bytes, if this host has them.
     pub(crate) fn wire(&self) -> Option<&[u8]> {
-        self.0.wire.get().map(|wire| wire.bytes.bytes())
+        match &self.0.held {
+            Held::Owned { wire, .. } => wire.get().map(WireBytes::bytes),
+            Held::Received { wire, .. } => Some(wire.bytes()),
+        }
     }
 
     /// True when `a` and `b` share one payload.
@@ -186,9 +205,9 @@ impl<P: PayloadBytes> PayloadBytes for InFlight<P> {
     }
 
     fn payload_checksum(&self) -> u64 {
-        *self.0.checksum.get_or_init(|| {
-            self.with(PayloadBytes::payload_checksum)
-                .unwrap_or_default()
+        *self.0.checksum.get_or_init(|| match &self.0.held {
+            Held::Owned { payload, .. } => payload.payload_checksum(),
+            Held::Received { wire, checksum } => checksum(wire.bytes()),
         })
     }
 }
@@ -246,28 +265,48 @@ mod tests {
         let (_, again) = a.encode_once(&pool);
         assert!(!again);
         assert_eq!(a.wire(), Some(&[7u8; 300][..]));
+        assert_eq!(
+            a.visit().map(Visit::view),
+            Some(&[7u8; 300][..]),
+            "the visit borrows the payload"
+        );
         drop(a);
         assert_eq!(pool.take().capacity(), 0, "a live holder keeps the buffer");
         drop(b);
         assert!(pool.take().capacity() >= 300, "the last drop returns it");
     }
 
+    /// A received copy is its bytes and nothing else: every visit (a
+    /// second one too, as healing may ask) views them in place, forwarding
+    /// never encodes, and size and checksum answer as the owned payload's.
     #[test]
-    fn a_visited_payload_with_bytes_is_released_and_decodes_again_on_demand() {
+    fn a_received_payload_is_its_bytes_viewed_in_place() {
         let pool = Arc::new(FrameBufPool::default());
-        let payload = InFlight::new(vec![3u8, 1, 4, 1, 5]);
-        let checksum = payload.payload_checksum();
-        // No bytes yet: the visit keeps the payload (nothing else could
-        // stand in for it).
-        payload.visited();
-        assert!(payload.0.payload.read().unwrap().is_some());
-        payload.encode_once(&pool);
-        payload.visited();
-        assert!(payload.0.payload.read().unwrap().is_none(), "released");
-        // Healing may visit the same copy again: it decodes from the bytes.
-        assert_eq!(payload.with(|p| p.clone()), Some(vec![3u8, 1, 4, 1, 5]));
-        assert_eq!(payload.payload_bytes(), 5);
-        assert_eq!(payload.payload_checksum(), checksum);
+        let owned = vec![3u8, 1, 4, 1, 5];
+        let mut body = vec![0u8; ENVELOPE_HEADER];
+        body.extend_from_slice(&owned);
+        let wire = WireBytes::new(body, ENVELOPE_HEADER, Arc::clone(&pool));
+        let received = InFlight::<Vec<u8>>::received(wire, 5);
+        assert!(
+            received.payload().is_none(),
+            "no decoded copy beside the bytes"
+        );
+        let at = received.wire().map(<[u8]>::as_ptr);
+        for _ in 0..2 {
+            let view = received
+                .visit()
+                .map(Visit::view)
+                .expect("accepted bytes view");
+            assert_eq!(view, &owned[..]);
+            assert_eq!(
+                Some(view.as_ptr()),
+                at,
+                "the view reads the received buffer"
+            );
+        }
+        assert_eq!(received.encode_once(&pool), (&owned[..], false));
+        assert_eq!(received.payload_bytes(), owned.payload_bytes());
+        assert_eq!(received.payload_checksum(), owned.payload_checksum());
     }
 
     #[test]
@@ -302,7 +341,7 @@ mod tests {
                 env.query
             )
         );
-        assert_eq!(out.payload.with(Vec::clone), Some(env.payload.clone()));
+        assert_eq!(out.payload.payload(), Some(&env.payload));
         assert!(out.checksum_ok());
     }
 }

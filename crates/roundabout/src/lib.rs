@@ -34,8 +34,9 @@
 //! [`coordinator`]; the two socket drivers share one wire format,
 //! [`frame`]. Both appliers run the protocol over one shared in-flight
 //! payload per fragment copy (`inflight`), so neither a visit nor a
-//! retransmission copies a payload, and a socket engine encodes each
-//! fragment once per revolution.
+//! retransmission copies a payload; a socket engine encodes each fragment
+//! once per revolution and never decodes one: a visit joins the bytes it
+//! arrived in ([`WirePayload::View`]).
 //!
 //! ```
 //! use data_roundabout::{FixedCostApp, RingConfig, SimRing};

@@ -116,7 +116,7 @@ use crate::frame::{
     build_mesh_pairs, mesh_seed, socket_err, unwritten, FrameBufPool, FrameDecoder, OutFrame,
     WirePayload,
 };
-use crate::inflight::InFlight;
+use crate::inflight::{InFlight, Visit};
 use crate::metrics::RingMetrics;
 use crate::protocol::teardown;
 use crate::wheel::{TimerId, TimerWheel};
@@ -773,7 +773,8 @@ impl<P> WorkerPool<P> {
 /// completion, release the host's serialization slot.
 fn worker_thread<P, F, A>(pool: &WorkerPool<P>, visit: &F, absorb: &A)
 where
-    F: Fn(HostId, u32, &[usize], &P),
+    P: WirePayload,
+    F: Fn(HostId, u32, &[usize], Visit<'_, P>),
     A: Fn(HostId, usize),
 {
     while let Some((host, job)) = pool.next_job() {
@@ -828,10 +829,10 @@ impl<P, F, A> Sockets<'_, P, F, A> {
         if let Some(n) = self.in_pool.get_mut(done.host.0) {
             *n = n.saturating_sub(1);
         }
-        self.visited(done);
+        self.note_visit_cost(done);
     }
 
-    fn visited(&mut self, done: &JobDone) {
+    fn note_visit_cost(&mut self, done: &JobDone) {
         if let (Done::Join { .. }, Some(last)) = (&done.what, self.last_visit.get_mut(done.host.0))
         {
             *last = Some(done.spent);
@@ -918,7 +919,7 @@ impl<P, F, A> Sockets<'_, P, F, A> {
 impl<P, F, A> Medium<P> for Sockets<'_, P, F, A>
 where
     P: WirePayload,
-    F: Fn(HostId, u32, &[usize], &P),
+    F: Fn(HostId, u32, &[usize], Visit<'_, P>),
     A: Fn(HostId, usize),
 {
     fn transmit(
@@ -964,7 +965,7 @@ where
                 inline: true,
                 ..run_job(host, job, self.visit, self.absorb)
             };
-            self.visited(&done);
+            self.note_visit_cost(&done);
             next.push_back(Event::Job(done));
         } else {
             if let Some(n) = self.in_pool.get_mut(host.0) {
@@ -1004,7 +1005,7 @@ where
 fn drain_read<P, F, A>(co: &mut Coordinator<'_, P, Sockets<'_, P, F, A>>, t: usize) -> usize
 where
     P: WirePayload,
-    F: Fn(HostId, u32, &[usize], &P),
+    F: Fn(HostId, u32, &[usize], Visit<'_, P>),
     A: Fn(HostId, usize),
 {
     let at = match co.medium.conns.get_mut(t) {
@@ -1074,7 +1075,7 @@ impl WallClockEngine for ReactorEngine {
     ) -> Result<(RingMetrics, SpanTracer), RingError>
     where
         P: WirePayload + Send + Clone,
-        F: Fn(HostId, u32, &[usize], &P) + Sync,
+        F: Fn(HostId, u32, &[usize], Visit<'_, P>) + Sync,
         A: Fn(HostId, usize) + Sync,
     {
         let n = config.hosts;
@@ -1613,6 +1614,16 @@ mod tests {
     #[test]
     fn each_fragment_is_encoded_once() {
         engine_suite::each_fragment_is_encoded_once::<ReactorEngine>(1);
+    }
+
+    #[test]
+    fn a_received_payload_is_never_decoded() {
+        engine_suite::a_received_payload_is_never_decoded::<ReactorEngine>(3);
+    }
+
+    #[test]
+    fn a_flipped_column_bit_is_a_frame_error() {
+        engine_suite::a_flipped_column_bit_is_a_frame_error::<ReactorEngine>();
     }
 
     #[test]

@@ -630,12 +630,11 @@ impl<P: PayloadBytes + Clone, A: RingApp<P>> Runner<P, A> {
                         let app = &mut self.app;
                         self.proto
                             .processing_payload(host)
-                            .and_then(|payload| {
-                                payload.with(|p| {
-                                    let own = [host.0];
-                                    let roles = roles.as_deref().unwrap_or(&own);
-                                    app.process(host, query, roles, now, p)
-                                })
+                            .and_then(InFlight::payload)
+                            .map(|p| {
+                                let own = [host.0];
+                                let roles = roles.as_deref().unwrap_or(&own);
+                                app.process(host, query, roles, now, p)
                             })
                             .expect("StartJoin with an empty processing slot")
                     };

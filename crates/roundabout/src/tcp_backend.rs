@@ -7,8 +7,8 @@
 //!
 //! * **Threads per hop** — each endpoint of a connection gets a reader
 //!   thread (socket → [`FrameDecoder`] → `Event::Frame`; envelope bodies
-//!   land in buffers from the ring's shared `FrameBufPool` and stay with
-//!   the decoded payload as its wire bytes) and a writer thread (frame
+//!   land in buffers from the ring's shared `FrameBufPool`, are checked
+//!   there, and *are* the received payload from then on) and a writer thread (frame
 //!   queue → vectored write of each frame's fresh header and shared
 //!   payload bytes, up to `MAX_WRITE_BATCH` frames per syscall). The
 //!   payload is encoded only at its origin, on the coordinator thread,
@@ -60,7 +60,7 @@ use crate::frame::{
     build_mesh_pairs, mesh_seed, socket_err, write_parts_vectored, FrameBufPool, FrameDecoder,
     OutFrame, WirePayload, MAX_WRITE_BATCH,
 };
-use crate::inflight::InFlight;
+use crate::inflight::{InFlight, Visit};
 use crate::metrics::RingMetrics;
 use crate::protocol::teardown;
 
@@ -342,7 +342,7 @@ impl WallClockEngine for BlockingEngine {
     ) -> Result<(RingMetrics, SpanTracer), RingError>
     where
         P: WirePayload + Send + Clone,
-        F: Fn(HostId, u32, &[usize], &P) + Sync,
+        F: Fn(HostId, u32, &[usize], Visit<'_, P>) + Sync,
         A: Fn(HostId, usize) + Sync,
     {
         let n = config.hosts;
@@ -570,6 +570,16 @@ mod tests {
     #[test]
     fn each_fragment_is_encoded_once() {
         engine_suite::each_fragment_is_encoded_once::<BlockingEngine>(0);
+    }
+
+    #[test]
+    fn a_received_payload_is_never_decoded() {
+        engine_suite::a_received_payload_is_never_decoded::<BlockingEngine>(2);
+    }
+
+    #[test]
+    fn a_flipped_column_bit_is_a_frame_error() {
+        engine_suite::a_flipped_column_bit_is_a_frame_error::<BlockingEngine>();
     }
 
     #[test]

@@ -69,7 +69,7 @@ use crate::coordinator::{
 use crate::envelope::{Envelope, PayloadBytes};
 use crate::error::RingError;
 use crate::frame::{Frame, WirePayload};
-use crate::inflight::InFlight;
+use crate::inflight::{InFlight, Visit};
 use crate::metrics::{HostMetrics, RingMetrics};
 use crate::protocol::teardown;
 
@@ -216,7 +216,7 @@ impl WallClockEngine for ChannelEngine {
     ) -> Result<(RingMetrics, SpanTracer), RingError>
     where
         P: WirePayload + Send + Clone,
-        F: Fn(HostId, u32, &[usize], &P) + Sync,
+        F: Fn(HostId, u32, &[usize], Visit<'_, P>) + Sync,
         A: Fn(HostId, usize) + Sync,
     {
         match (plan, workload) {
@@ -226,7 +226,7 @@ impl WallClockEngine for ChannelEngine {
             (None, Workload::Single(batches)) => classic_run(
                 config,
                 batches,
-                |host, payload| visit(host, 0, &[host.0], payload),
+                |host, payload| visit(host, 0, &[host.0], Visit::Owned(payload)),
                 trace,
             ),
             (plan, workload) => {
@@ -453,8 +453,8 @@ fn drive_coordinated<P, F, A>(
     trace: bool,
 ) -> Result<(RingMetrics, SpanTracer), RingError>
 where
-    P: PayloadBytes + Send + Sync,
-    F: Fn(HostId, u32, &[usize], &P) + Sync,
+    P: WirePayload + Send,
+    F: Fn(HostId, u32, &[usize], Visit<'_, P>) + Sync,
     A: Fn(HostId, usize) + Sync,
 {
     let (events_tx, events_rx) = unbounded::<Event<P>>();
@@ -1126,7 +1126,7 @@ mod tests {
         let cfg = RingConfig::paper(2);
         let bad_shape = vec![(0u32, payloads(3, 1, 8))];
         let err = RingDriver::new(&cfg)
-            .run_queries(bad_shape, 1, |_, _, _, _: &Vec<u8>| {}, |_, _| {})
+            .run_queries(bad_shape, 1, |_, _, _, _: &[u8]| {}, |_, _| {})
             .unwrap_err();
         assert!(matches!(err, RingError::Shape { .. }));
 
@@ -1145,7 +1145,7 @@ mod tests {
             .run_queries(
                 vec![(0u32, payloads(1, 1, 8))],
                 1,
-                |_, _, _, _: &Vec<u8>| {},
+                |_, _, _, _: &[u8]| {},
                 |_, _| {},
             )
             .unwrap_err();

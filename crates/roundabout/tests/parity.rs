@@ -204,7 +204,7 @@ fn multi_tenant_fault_plan_four_way_parity() {
         .run_queries(
             queries(64),
             max_active,
-            |_, _, _: &[usize], _: &Vec<u8>| {},
+            |_, _, _: &[usize], _: &[u8]| {},
             |_, _| {},
         )
         .expect("reliable thread run should recover from loss and corruption");
@@ -214,7 +214,7 @@ fn multi_tenant_fault_plan_four_way_parity() {
         .run_queries(
             queries(64),
             max_active,
-            |_, _, _: &[usize], _: &Vec<u8>| {},
+            |_, _, _: &[usize], _: &[u8]| {},
             |_, _| {},
         )
         .expect("reliable tcp run should recover from loss and corruption");
@@ -224,7 +224,7 @@ fn multi_tenant_fault_plan_four_way_parity() {
         .run_queries(
             queries(64),
             max_active,
-            |_, _, _: &[usize], _: &Vec<u8>| {},
+            |_, _, _: &[usize], _: &[u8]| {},
             |_, _| {},
         )
         .expect("reliable reactor run should recover from loss and corruption");

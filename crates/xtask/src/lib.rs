@@ -21,11 +21,15 @@ use report::{Report, UnusedAnnotation};
 /// relative to the workspace root.
 pub const REGISTRY_PATH: &str = "crates/simnet/src/span.rs";
 
+/// The wire formats outside `roundabout`: each reads bytes a peer sent.
+const WIRE_FORMATS: [&str; 2] = ["crates/relation/src/wire.rs", "crates/joins/src/wire.rs"];
+
 /// Decides which lints run on `rel` (workspace-relative path with `/`
 /// separators).
 ///
 /// - **L1 no-panic-paths**: all of `roundabout`'s library sources, the
-///   `relation` wire format, and the `core` executor/session/recovery/
+///   `relation` and prepared-fragment (`joins`) wire formats — which read
+///   untrusted bytes in place — and the `core` executor/session/recovery/
 ///   concurrent/sql modules — everything on the ring's data path.
 /// - **L2 no-wall-clock-in-sim**: all of `simnet` plus the simulated
 ///   backend; virtual time only.
@@ -57,7 +61,7 @@ pub fn policy_for(rel: &str) -> FilePolicy {
         "crates/core/src/sql.rs",
     ];
     if rel.starts_with("crates/roundabout/src/")
-        || rel == "crates/relation/src/wire.rs"
+        || WIRE_FORMATS.contains(&rel)
         || core_l1.contains(&rel)
     {
         p.no_panic = true;
@@ -107,14 +111,13 @@ pub fn analyze_root(root: &Path) -> std::io::Result<Report> {
     for dir in ["crates/roundabout/src", "crates/simnet/src"] {
         collect_rs(&root.join(dir), &mut files)?;
     }
-    for extra in [
-        "crates/relation/src/wire.rs",
+    for extra in WIRE_FORMATS.into_iter().chain([
         "crates/core/src/exec.rs",
         "crates/core/src/session.rs",
         "crates/core/src/recovery.rs",
         "crates/core/src/concurrent.rs",
         "crates/core/src/sql.rs",
-    ] {
+    ]) {
         let p = root.join(extra);
         if p.is_file() {
             files.push(p);
@@ -292,6 +295,11 @@ mod tests {
         )));
         let p = policy_for("crates/simnet/src/net.rs");
         assert!(!p.no_panic && p.no_wall_clock);
+        // Both wire formats outside `roundabout` read untrusted bytes.
+        for wire in WIRE_FORMATS {
+            let p = policy_for(wire);
+            assert!(p.no_panic && !p.no_wall_clock && !p.counter_registry);
+        }
         // Out of scope entirely.
         let p = policy_for("crates/relation/src/joins.rs");
         assert!(!policy_is_active(&p));

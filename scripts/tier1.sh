@@ -75,6 +75,21 @@ cargo test -q -p data-roundabout --test sim_golden
 cargo test -q -p data-roundabout --lib forwarded_bytes_equal_reencoded_bytes
 cargo test -q -p data-roundabout --lib each_fragment_is_encoded_once
 cargo test -q -p data-roundabout --lib hostile_partition_count_is_refused_before_allocating
+# Decode-never gate: a received payload is checked once on receipt and
+# every visit joins its bytes in place. The view must refuse exactly what
+# decoding refuses (byte flips in the columns included, truncations,
+# hostile partition counts, unsorted runs, bodies at unaligned offsets)
+# and read what it yields; the hash probe and the merge kernel must find
+# the same matches over a view of wire bytes as over owned columns; both
+# socket engines must run a quiet and a lossy, corrupting ring without
+# one decode; and a body with one flipped payload-column bit must end the
+# run in a typed frame error.
+cargo test -q -p relation --lib views_read_what_decode_yields_at_any_offset
+cargo test -q -p mem-joins --lib wire::
+cargo test -q -p mem-joins --test proptests batched_probe_equals_single_key_probes
+cargo test -q -p data-roundabout --lib the_view_refuses_exactly_what_decode_refuses
+cargo test -q -p data-roundabout --lib a_received_payload_is_never_decoded
+cargo test -q -p data-roundabout --lib a_flipped_column_bit_is_a_frame_error
 cargo clippy --all-targets -- -D warnings
 cargo fmt --check
 cargo run -q --release -p xtask -- analyze
