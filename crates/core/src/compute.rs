@@ -17,7 +17,7 @@
 use mem_joins::{
     timed, Algorithm, FragmentView, JoinCollector, JoinPredicate, PreparedFragment, StationaryState,
 };
-use relation::Relation;
+use relation::RelationView;
 use serde::{Deserialize, Serialize};
 use simnet::time::SimDuration;
 
@@ -147,15 +147,16 @@ impl ComputeMode {
         ComputeMode::Modeled(CostModel::paper_xeon())
     }
 
-    /// Runs the setup phase over `s`, returning the state and its virtual
-    /// duration.
-    pub fn setup_stationary(
+    /// Runs the setup phase over `s` (a relation, or a view of one's
+    /// columns), returning the state and its virtual duration.
+    pub fn setup_stationary<'s>(
         &self,
         alg: &Algorithm,
-        s: &Relation,
+        s: impl Into<RelationView<'s>>,
         radix_bits: u32,
         threads: usize,
     ) -> (StationaryState, SimDuration) {
+        let s = s.into();
         match self {
             ComputeMode::Measured => {
                 let (state, d) = timed(|| alg.setup_stationary(s, radix_bits, threads));
@@ -168,14 +169,16 @@ impl ComputeMode {
         }
     }
 
-    /// Reorganizes a rotating fragment, returning it and its virtual duration.
-    pub fn prepare_fragment(
+    /// Reorganizes a rotating fragment (a relation, or a view of one's
+    /// columns), returning it and its virtual duration.
+    pub fn prepare_fragment<'r>(
         &self,
         alg: &Algorithm,
-        r: &Relation,
+        r: impl Into<RelationView<'r>>,
         radix_bits: u32,
         threads: usize,
     ) -> (PreparedFragment, SimDuration) {
+        let r = r.into();
         match self {
             ComputeMode::Measured => {
                 let (frag, d) = timed(|| alg.prepare_fragment(r, radix_bits, threads));

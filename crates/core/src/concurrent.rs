@@ -35,7 +35,7 @@
 
 use data_roundabout::{RingConfig, RingMetrics};
 use mem_joins::{Algorithm, JoinCollector, JoinPredicate, OutputMode};
-use relation::{Checksum, Relation};
+use relation::{Checksum, Relation, RelationView};
 
 use crate::compute::ComputeMode;
 use crate::distribute::{Placement, RotateSide};
@@ -154,14 +154,14 @@ impl ConcurrentJoins {
             }
         }
         // One rotation feeds every query: the hot set travels raw, as the
-        // first query's rotating side; the others bring only their
-        // stationary side.
+        // first query's rotating side (copied once into its transport
+        // form); the others bring only their stationary side.
         let mut session = Session::new(self.config, self.compute).shared_rotation();
-        let (mut hot, nothing) = (Some(&self.rotating), Relation::new());
+        let mut hot = Some(RelationView::from(&self.rotating));
         let mut rotation: Vec<_> = (self.queries.iter())
             .map(|q| {
                 let placement = Placement::with_standbys(
-                    hot.take().unwrap_or(&nothing),
+                    hot.take().unwrap_or_default(),
                     &q.stationary,
                     self.config.hosts,
                     self.fragments_per_host,

@@ -6,8 +6,15 @@
 //! placement splits both sides into even contiguous chunks; the rotating
 //! side is further cut into per-host fragments (the rotation units that
 //! will each fill one ring-buffer element).
+//!
+//! A placement is a set of views ([`RelationView`]): each host's
+//! stationary share and each rotating fragment is a range of the caller's
+//! `R` and `S` columns, and placing copies no tuple. "Already distributed"
+//! is therefore literal — a host's share lies where the caller keeps it,
+//! and setup reads it there. What a ring must carry is copied later, when
+//! a fragment is put in its transport form (`Session::admit`).
 
-use relation::Relation;
+use relation::RelationView;
 use serde::{Deserialize, Serialize};
 
 /// Which relation circulates in the ring while the other stays put.
@@ -36,29 +43,31 @@ impl RotateSide {
     }
 }
 
-/// The physical placement of one cyclo-join run.
+/// The physical placement of one cyclo-join run: views of the inputs,
+/// which it borrows.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Placement {
+pub struct Placement<'a> {
     /// Stationary partition per host.
-    pub stationary: Vec<Relation>,
+    pub stationary: Vec<RelationView<'a>>,
     /// Rotating fragments per host (each inner vec holds that host's
     /// locally originating rotation units).
-    pub rotating: Vec<Vec<Relation>>,
+    pub rotating: Vec<Vec<RelationView<'a>>>,
     /// True if the logical `S` is the rotating side (sides were swapped).
     pub swapped: bool,
 }
 
-impl Placement {
+impl<'a> Placement<'a> {
     /// Builds a placement: the rotating side is chunked evenly over hosts
     /// and then into `fragments_per_host` rotation units each; the
-    /// stationary side is chunked evenly over hosts.
+    /// stationary side is chunked evenly over hosts. `r` and `s` are
+    /// relations or views of their columns; nothing is copied.
     ///
     /// # Panics
     ///
     /// Panics if `hosts` or `fragments_per_host` is zero.
     pub fn new(
-        r: &Relation,
-        s: &Relation,
+        r: impl Into<RelationView<'a>>,
+        s: impl Into<RelationView<'a>>,
         hosts: usize,
         fragments_per_host: usize,
         rotate: RotateSide,
@@ -78,8 +87,8 @@ impl Placement {
     /// Panics if `hosts` or `fragments_per_host` is zero, or if every host
     /// is a standby.
     pub fn with_standbys(
-        r: &Relation,
-        s: &Relation,
+        r: impl Into<RelationView<'a>>,
+        s: impl Into<RelationView<'a>>,
         hosts: usize,
         fragments_per_host: usize,
         rotate: RotateSide,
@@ -93,6 +102,7 @@ impl Placement {
         let is_standby = |h: usize| h < 64 && standby & (1u64 << h) != 0;
         let members = (0..hosts).filter(|&h| !is_standby(h)).count();
         assert!(members > 0, "placement needs at least one initial member");
+        let (r, s) = (r.into(), s.into());
         let swapped = rotate.rotates_s(r.len(), s.len());
         let (rotating_rel, stationary_rel) = if swapped { (s, r) } else { (r, s) };
         let mut member_stationary = stationary_rel.split_even(members).into_iter();
@@ -101,7 +111,7 @@ impl Placement {
         let mut rotating = Vec::with_capacity(hosts);
         for h in 0..hosts {
             if is_standby(h) {
-                stationary.push(Relation::new());
+                stationary.push(RelationView::default());
                 rotating.push(Vec::new());
             } else {
                 stationary.push(member_stationary.next().unwrap_or_default());
@@ -130,19 +140,23 @@ impl Placement {
         self.rotating
             .iter()
             .flat_map(|frags| frags.iter())
-            .map(Relation::len)
+            .map(RelationView::len)
             .sum()
     }
 
     /// Total stationary tuples across all hosts.
     pub fn stationary_tuples(&self) -> usize {
-        self.stationary.iter().map(Relation::len).sum()
+        self.stationary.iter().map(RelationView::len).sum()
     }
 
     /// The largest stationary partition — what the ring-wide radix fan-out
     /// must be sized for.
     pub fn max_stationary_tuples(&self) -> usize {
-        self.stationary.iter().map(Relation::len).max().unwrap_or(0)
+        self.stationary
+            .iter()
+            .map(RelationView::len)
+            .max()
+            .unwrap_or(0)
     }
 
     /// The largest single rotation unit in bytes — what each ring-buffer
@@ -151,16 +165,105 @@ impl Placement {
         self.rotating
             .iter()
             .flat_map(|frags| frags.iter())
-            .map(Relation::byte_volume)
+            .map(RelationView::byte_volume)
             .max()
             .unwrap_or(0)
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use relation::GenSpec;
+    use relation::{Columns, GenSpec, Relation};
+
+    /// True if `inner` lies inside `outer`'s memory (an empty `inner`
+    /// holds nothing, wherever it points).
+    fn within<T>(inner: &[T], outer: &[T]) -> bool {
+        let (inner, outer) = (inner.as_ptr_range(), outer.as_ptr_range());
+        inner.is_empty() || (outer.start <= inner.start && inner.end <= outer.end)
+    }
+
+    /// True if `view` is a range of `rel`'s own columns: read in place,
+    /// not copied.
+    pub(crate) fn aliases(view: &RelationView<'_>, rel: &Relation) -> bool {
+        match view.columns() {
+            Columns::Native(keys, payloads) => {
+                within(keys, rel.keys()) && within(payloads, rel.payloads())
+            }
+            Columns::Wire(..) => false,
+        }
+    }
+
+    /// Checks one placement of `r ⋈ s` against its definition: every
+    /// share and fragment is a range of the caller's columns; read in
+    /// host and fragment order they are the input, tuple for tuple; and
+    /// they cut it exactly where `Relation::split_even` (the copying
+    /// split, kept as the reference) cuts it.
+    fn check_placement(
+        r: &Relation,
+        s: &Relation,
+        hosts: usize,
+        fragments: usize,
+        rotate: RotateSide,
+        standby: u64,
+    ) {
+        let p = Placement::with_standbys(r, s, hosts, fragments, rotate, standby);
+        let (rotating, stationary) = if p.swapped { (s, r) } else { (r, s) };
+        let is_standby = |h: usize| standby & (1u64 << h) != 0;
+        let members = (0..hosts).filter(|&h| !is_standby(h)).count();
+        let mut stationary_ref = stationary.split_even(members).into_iter();
+        let mut rotating_ref = rotating.split_even(members).into_iter();
+        let (mut stationary_read, mut rotating_read) = (Vec::new(), Vec::new());
+        for h in 0..hosts {
+            let share = &p.stationary[h];
+            assert!(aliases(share, stationary), "host {h}'s share is a copy");
+            stationary_read.extend(share.iter());
+            if is_standby(h) {
+                assert!(share.is_empty() && p.rotating[h].is_empty());
+                continue;
+            }
+            let reference = stationary_ref.next().unwrap();
+            assert_eq!(*share, RelationView::from(&reference), "host {h}'s share");
+            let local = rotating_ref.next().unwrap().split_even(fragments);
+            assert_eq!(p.rotating[h].len(), fragments);
+            for (f, (fragment, reference)) in p.rotating[h].iter().zip(&local).enumerate() {
+                assert!(aliases(fragment, rotating), "fragment {h}.{f} is a copy");
+                assert_eq!(*fragment, RelationView::from(reference), "fragment {h}.{f}");
+                rotating_read.extend(fragment.iter());
+            }
+        }
+        assert!(stationary_read.into_iter().eq(stationary.iter()));
+        assert!(rotating_read.into_iter().eq(rotating.iter()));
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(64))]
+
+        /// A placement is views of the caller's columns that cover them
+        /// exactly, in order, cut where `Relation::split_even` cuts:
+        /// any input length 0–5 000, 1–9 hosts, 1–6 fragments per host,
+        /// any standby mask that leaves a member, either side rotating.
+        #[test]
+        fn a_placement_aliases_its_input_and_covers_it_exactly(
+            r_len in 0usize..5_001,
+            s_len in 0usize..5_001,
+            hosts in 1usize..10,
+            fragments in 1usize..7,
+            mask in proptest::prelude::any::<u64>(),
+            rotate in 0u8..3,
+        ) {
+            let r = GenSpec::uniform(r_len, mask).generate();
+            let s = GenSpec::uniform(s_len, mask ^ 1).generate();
+            let rotate = [RotateSide::R, RotateSide::S, RotateSide::Auto][rotate as usize];
+            let all = (1u64 << hosts) - 1;
+            // Host 0 stays a member when the mask would leave none.
+            let standby = match mask & all {
+                m if m == all => m & !1,
+                m => m,
+            };
+            check_placement(&r, &s, hosts, fragments, rotate, standby);
+        }
+    }
 
     #[test]
     fn placement_conserves_tuples() {
@@ -204,7 +307,7 @@ mod tests {
         let r = GenSpec::uniform(1_000, 1).generate();
         let s = GenSpec::uniform(9_999, 2).generate();
         let p = Placement::new(&r, &s, 4, 2, RotateSide::R);
-        let sizes: Vec<usize> = p.stationary.iter().map(Relation::len).collect();
+        let sizes: Vec<usize> = p.stationary.iter().map(RelationView::len).collect();
         assert_eq!(sizes.iter().sum::<usize>(), 9_999);
         assert!(sizes.iter().max().unwrap() - sizes.iter().min().unwrap() <= 1);
         assert_eq!(p.max_stationary_tuples(), 2_500);

@@ -118,7 +118,7 @@ fn numbered(rotation: Vec<Rotating>) -> Vec<(u32, Rotating)> {
 ///
 /// The wall-clock driver's [`RingError`]; the simulated backend has none.
 pub(crate) fn run(
-    session: Session,
+    session: Session<'_>,
     rotation: Vec<Rotating>,
     admission: Option<usize>,
     backend: Backend,
@@ -145,12 +145,12 @@ pub(crate) fn run(
 
 /// The [`RingApp`] that turns Data Roundabout into cyclo-join: the session
 /// plus the one setup charge only the simulated transport has.
-struct SessionApp {
-    session: Session,
+struct SessionApp<'a> {
+    session: Session<'a>,
     registration: SimDuration,
 }
 
-impl RingApp<PreparedFragment> for SessionApp {
+impl RingApp<PreparedFragment> for SessionApp<'_> {
     fn setup(&mut self, host: HostId) -> SimDuration {
         self.session.setup(host) + self.registration
     }
@@ -172,7 +172,7 @@ impl RingApp<PreparedFragment> for SessionApp {
 }
 
 fn simulated(
-    session: Session,
+    session: Session<'_>,
     mut rotation: Vec<Rotating>,
     admission: Option<usize>,
     plans: Plans<'_>,
@@ -211,7 +211,7 @@ fn simulated(
 /// metrics, and — when `trace` is set — per-host `Setup` spans are
 /// stitched ahead of the ring's spans on one common timeline.
 fn wall_clock<E: WallClockEngine>(
-    session: Session,
+    session: Session<'_>,
     mut rotation: Vec<Rotating>,
     admission: Option<usize>,
     plans: Plans<'_>,

@@ -19,7 +19,7 @@
 //! recovery routine that aborts the process turns a survivable fault into
 //! an outage.
 
-use relation::Relation;
+use relation::{Relation, RelationView};
 
 /// Why a recovery action could not be applied.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -89,25 +89,29 @@ pub fn absorb_host(
     Ok(out.into_iter().map(|(_, part)| part).collect())
 }
 
-/// The mid-revolution takeover: returns a copy of the stationary share
-/// orphaned by `failed`, for the ring survivor that absorbs the dead
-/// host's role while the rotation is still in progress. Unlike
-/// [`absorb_host`] this does not reshape the partition list — during ring
-/// healing the logical roles keep their identities (the exactly-once
-/// ledger is per role), only their placement changes.
+/// The mid-revolution takeover: returns the stationary share orphaned by
+/// `failed` — a view of the columns it lies in, not a copy — for the ring
+/// survivor that absorbs the dead host's role while the rotation is still
+/// in progress. Unlike [`absorb_host`] this does not reshape the
+/// partition list — during ring healing the logical roles keep their
+/// identities (the exactly-once ledger is per role), only their placement
+/// changes.
 ///
 /// # Errors
 ///
 /// [`RecoveryError::HostOutOfRange`] if `failed` is not a valid host and
 /// [`RecoveryError::EmptyRing`] if there is no other host left to take
 /// the share over.
-pub fn takeover(partitions: &[Relation], failed: usize) -> Result<Relation, RecoveryError> {
+pub fn takeover<'a>(
+    partitions: &[RelationView<'a>],
+    failed: usize,
+) -> Result<RelationView<'a>, RecoveryError> {
     if partitions.len() == 1 && failed < partitions.len() {
         return Err(RecoveryError::EmptyRing);
     }
     partitions
         .get(failed)
-        .cloned()
+        .copied()
         .ok_or(RecoveryError::HostOutOfRange {
             failed,
             hosts: partitions.len(),
@@ -204,13 +208,17 @@ mod tests {
 
     #[test]
     fn takeover_returns_the_orphaned_share() {
-        let original = parts();
+        let input = GenSpec::uniform(6_000, 1).generate();
+        let original = RelationView::from(&input).split_even(4);
         let share = takeover(&original, 2).unwrap();
         assert_eq!(
-            relation_checksum(&share),
-            relation_checksum(&original[2]),
+            relation_checksum(share),
+            relation_checksum(original[2]),
             "the survivor receives exactly the dead host's share"
         );
+        // … where it lies: the caller's columns, not a copy of them.
+        assert!(!share.is_empty());
+        assert!(crate::distribute::tests::aliases(&share, &input));
         assert_eq!(takeover(&original[..1], 0), Err(RecoveryError::EmptyRing));
         assert!(matches!(
             takeover(&original, 4),

@@ -10,6 +10,14 @@
 //! rebuild a role on another machine) and a result collector per host.
 //! [`crate::exec`] plugs it into all four backends; `CycloJoin`,
 //! `MultiTenantJoin` and `ConcurrentJoins` differ only in what they admit.
+//!
+//! A session borrows its queries' inputs for the run: a stationary
+//! partition is a view of the caller's columns ([`Placement`]), and setup,
+//! a takeover's rebuild and a raw fragment's reorganisation all read the
+//! columns where they lie. The copies left are what outlives a view: a
+//! fragment's transport form (reorganised, or raw in the §IV-D
+//! counterfactual and on a shared rotation), which the ring carries, and
+//! nested loops' stationary state, which is the partition as it is.
 
 // The shim resolves to `std::sync::Mutex` in normal builds and to the
 // model checker's instrumented mutex under `--cfg loom`, so the threaded
@@ -20,7 +28,7 @@ use mem_joins::{
     Algorithm, FragmentView, JoinCollector, JoinPredicate, OutputMode, PreparedFragment,
     StationaryState,
 };
-use relation::Relation;
+use relation::RelationView;
 use simnet::time::SimDuration;
 
 use crate::compute::ComputeMode;
@@ -41,16 +49,17 @@ fn mirror_predicate(p: &JoinPredicate) -> JoinPredicate {
     }
 }
 
-/// One admitted query.
-struct Query {
+/// One admitted query, over inputs borrowed for `'a`.
+struct Query<'a> {
     algorithm: Algorithm,
     /// Already mirrored when the logical `S` is the side that rotates.
     predicate: JoinPredicate,
     radix_bits: u32,
     /// Stationary partition per logical role (role `i` = the partition
-    /// `S_i` originally placed on host `i`). Kept for the whole run: setup
-    /// builds from it and a takeover rebuilds from it.
-    stationary: Vec<Relation>,
+    /// `S_i` originally placed on host `i`), a view of the caller's
+    /// columns. Kept for the whole run: setup builds from it and a
+    /// takeover rebuilds from it.
+    stationary: Vec<RelationView<'a>>,
     /// Setup-phase state per role. Ring healing and planned handoffs
     /// replace a role's state while other hosts are joining, hence the
     /// lock; the index keeps meaning the role, not the machine.
@@ -65,7 +74,7 @@ struct Query {
 ///
 /// Lock order: a role's state slot before the host's collector. The slot
 /// is held for a whole join so a takeover cannot swap the state mid-visit.
-pub(crate) struct Session {
+pub(crate) struct Session<'a> {
     /// The ring this session runs on.
     pub(crate) config: RingConfig,
     compute: ComputeMode,
@@ -73,13 +82,13 @@ pub(crate) struct Session {
     /// whatever arrives is joined by all of them, whichever wire query it
     /// travels as.
     shared_rotation: bool,
-    queries: Vec<Query>,
+    queries: Vec<Query<'a>>,
     /// Setup-phase cost per host of reorganising its locally originating
     /// fragments, summed over the admitted queries.
     prep: Vec<SimDuration>,
 }
 
-impl Session {
+impl<'a> Session<'a> {
     /// An empty session on `config`'s ring, pricing work with `compute`.
     pub(crate) fn new(config: RingConfig, compute: ComputeMode) -> Self {
         Session {
@@ -100,15 +109,16 @@ impl Session {
 
     /// Admits one query as placed by `placement` and returns its rotating
     /// fragments per host in ring-transport form. With `ship_prepared`
-    /// they are reorganised here, once, at their origin (the cost lands in
-    /// that host's setup); without it (the §IV-D counterfactual, and any
-    /// shared rotation — different queries need different forms) they
-    /// travel raw and every visit reorganises them.
+    /// they are reorganised here, once, at their origin, straight from the
+    /// placement's views (the cost lands in that host's setup); without it
+    /// (the §IV-D counterfactual, and any shared rotation — different
+    /// queries need different forms) each is copied out raw, because a
+    /// ring carries owned payloads, and every visit reorganises it.
     pub(crate) fn admit(
         &mut self,
         algorithm: Algorithm,
         predicate: &JoinPredicate,
-        placement: Placement,
+        placement: Placement<'a>,
         output: OutputMode,
         ship_prepared: bool,
     ) -> Vec<Vec<PreparedFragment>> {
@@ -119,11 +129,11 @@ impl Session {
         );
         let (compute, threads) = (self.compute, self.config.join_threads);
         let radix_bits = algorithm.ring_radix_bits(placement.max_stationary_tuples().max(1));
-        let ship = |raw: Relation, prep: &mut SimDuration| {
+        let ship = |raw: RelationView<'_>, prep: &mut SimDuration| {
             if !ship_prepared {
-                return PreparedFragment::Plain(raw);
+                return PreparedFragment::Plain(raw.to_relation());
             }
-            let (prepared, d) = compute.prepare_fragment(&algorithm, &raw, radix_bits, threads);
+            let (prepared, d) = compute.prepare_fragment(&algorithm, raw, radix_bits, threads);
             *prep += d;
             prepared
         };
@@ -162,26 +172,27 @@ impl Session {
     pub(crate) fn setup(&self, host: HostId) -> SimDuration {
         let mut total = self.prep.get(host.0).copied().unwrap_or(SimDuration::ZERO);
         for q in &self.queries {
-            total += self.build(q, host.0, q.stationary.get(host.0));
+            total += self.build(q, host.0, q.stationary.get(host.0).copied());
         }
         total
     }
 
     /// A takeover: rebuilds the state of logical role `role` for every
     /// query — the ring healed around its dead owner, or a planned
-    /// rescale handed it to a new one — and returns the duration.
+    /// rescale handed it to a new one — from the role's share where it
+    /// lies, and returns the duration.
     pub(crate) fn absorb(&self, role: usize) -> SimDuration {
         let mut total = SimDuration::ZERO;
         for q in &self.queries {
             let share = crate::recovery::takeover(&q.stationary, role).ok();
-            total += self.build(q, role, share.as_ref());
+            total += self.build(q, role, share);
         }
         total
     }
 
     /// Builds `q`'s state for `role` over `share` and publishes it in the
     /// role's slot.
-    fn build(&self, q: &Query, role: usize, share: Option<&Relation>) -> SimDuration {
+    fn build(&self, q: &Query<'a>, role: usize, share: Option<RelationView<'a>>) -> SimDuration {
         // The ring drivers have no error channel here: contract violations
         // are surfaced by debug_asserts and absorbed as no-ops in release,
         // where the result verification downstream reports the loss.
@@ -225,9 +236,10 @@ impl Session {
         };
         debug_assert!(!fed.is_empty(), "fragment of unknown query {query}");
         let mut total = SimDuration::ZERO;
-        // A raw fragment is reorganised here, at encounter time, at most
-        // once per format: shared by every query that needs that format
-        // and by however many roles this host serves.
+        // A raw fragment is reorganised here, at encounter time, straight
+        // from where it lies, at most once per format: shared by every
+        // query that needs that format and by however many roles this
+        // host serves.
         let mut reorganised: Vec<(Algorithm, u32, PreparedFragment)> = Vec::new();
         for q in fed {
             let form = match fragment {
@@ -236,12 +248,9 @@ impl Session {
                         .iter()
                         .position(|(a, bits, _)| *a == q.algorithm && *bits == q.radix_bits);
                     let at = cached.unwrap_or_else(|| {
-                        let (prepared, d) = self.compute.prepare_fragment(
-                            &q.algorithm,
-                            &raw.to_cow(),
-                            q.radix_bits,
-                            threads,
-                        );
+                        let (prepared, d) =
+                            self.compute
+                                .prepare_fragment(&q.algorithm, raw, q.radix_bits, threads);
                         total += d;
                         reorganised.push((q.algorithm, q.radix_bits, prepared));
                         reorganised.len() - 1

@@ -15,7 +15,7 @@
 //! phase's cost scale with `|S|/n` while the join phase cost stays
 //! proportional to `|R|` (Equation ⋆).
 
-use relation::{MatchPair, Relation, Tuple};
+use relation::{MatchPair, Relation, RelationView, Tuple};
 
 use super::radix::{radix_bits_for, PartitionsView, RadixPartitioned};
 use super::table::ChainedTable;
@@ -33,23 +33,35 @@ pub struct HashJoinState {
 }
 
 impl HashJoinState {
-    /// Builds the state over stationary relation `s`, choosing the radix
-    /// fan-out from `params` so each table fits in L2.
-    pub fn build(s: &Relation, params: &CacheParams) -> Self {
+    /// Builds the state over stationary relation `s` (a relation, or a
+    /// view of one's columns), choosing the radix fan-out from `params` so
+    /// each table fits in L2.
+    pub fn build<'s>(s: impl Into<RelationView<'s>>, params: &CacheParams) -> Self {
+        let s = s.into();
         let bits = radix_bits_for(s.len(), params);
         Self::build_with_bits(s, bits, params)
     }
 
     /// Builds the state with an explicit number of radix bits (used by
     /// ablation benchmarks; prefer [`HashJoinState::build`]).
-    pub fn build_with_bits(s: &Relation, bits: u32, params: &CacheParams) -> Self {
+    pub fn build_with_bits<'s>(
+        s: impl Into<RelationView<'s>>,
+        bits: u32,
+        params: &CacheParams,
+    ) -> Self {
         HashJoinState::build_parallel(s, bits, params, 1)
     }
 
     /// Builds the state with `threads` worker threads doing the radix
     /// partitioning (table building per partition remains sequential —
     /// insertions are cheap relative to the scatter).
-    pub fn build_parallel(s: &Relation, bits: u32, params: &CacheParams, threads: usize) -> Self {
+    pub fn build_parallel<'s>(
+        s: impl Into<RelationView<'s>>,
+        bits: u32,
+        params: &CacheParams,
+        threads: usize,
+    ) -> Self {
+        let s = s.into();
         let tuples = s.len();
         let partitioned = RadixPartitioned::new_parallel(s, bits, params, threads);
         // The scatter output is discarded after the build, so each table

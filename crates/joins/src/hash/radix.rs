@@ -7,7 +7,7 @@
 //! refining the partitions of the previous pass — exactly the scheme of
 //! Manegold, Boncz and Kersten \[22\].
 
-use relation::{Key, Payload, Relation, RelationView};
+use relation::{ColumnValue, Columns, Key, Payload, Relation, RelationView};
 use serde::{Deserialize, Serialize};
 
 use super::{hash_key, CacheParams};
@@ -22,24 +22,27 @@ pub struct RadixPartitioned {
 }
 
 impl RadixPartitioned {
-    /// Partitions `rel` on `bits` radix bits of the key hash, in passes of
-    /// at most `params.max_bits_per_pass` bits.
+    /// Partitions `rel` — a relation, a range of one, or bytes it arrived
+    /// in — on `bits` radix bits of the key hash, in passes of at most
+    /// `params.max_bits_per_pass` bits.
     ///
-    /// The first pass scatters straight from the borrowed input — the
-    /// input is never cloned. Callers that own their relation and are done
-    /// with it should prefer [`RadixPartitioned::from_owned`], which also
-    /// avoids the copy on the `bits == 0` identity path.
-    pub fn new(rel: &Relation, bits: u32, params: &CacheParams) -> Self {
+    /// The first pass scatters straight from the borrowed input's columns
+    /// as they lie — the input is never cloned. Callers that own their
+    /// relation and are done with it should prefer
+    /// [`RadixPartitioned::from_owned`], which also avoids the copy on the
+    /// `bits == 0` identity path.
+    pub fn new<'r>(rel: impl Into<RelationView<'r>>, bits: u32, params: &CacheParams) -> Self {
         assert!(bits <= 24, "more than 2^24 partitions is never useful here");
+        let rel = rel.into();
         if bits == 0 {
             return RadixPartitioned {
                 bits: 0,
-                partitions: vec![rel.clone()],
+                partitions: vec![rel.to_relation()],
             };
         }
         RadixPartitioned {
             bits,
-            partitions: scatter_slices(rel.keys(), rel.payloads(), bits, params),
+            partitions: scatter_view(rel, bits, params),
         }
     }
 
@@ -63,21 +66,22 @@ impl RadixPartitioned {
     /// the per-partition pieces are concatenated. The partition *multisets*
     /// equal the sequential result; only the order of tuples within each
     /// partition differs.
-    pub fn new_parallel(rel: &Relation, bits: u32, params: &CacheParams, threads: usize) -> Self {
-        if threads <= 1 || rel.len() < 4 * threads {
+    pub fn new_parallel<'r>(
+        rel: impl Into<RelationView<'r>>,
+        bits: u32,
+        params: &CacheParams,
+        threads: usize,
+    ) -> Self {
+        let rel = rel.into();
+        if threads <= 1 || rel.len() < 4 * threads || bits == 0 {
             return RadixPartitioned::new(rel, bits, params);
         }
-        if bits == 0 {
-            return RadixPartitioned::new(rel, 0, params);
-        }
         let ranges = shard_ranges(rel.len(), threads);
-        let keys = rel.keys();
-        let payloads = rel.payloads();
         // Each thread scatters its borrowed chunk of the input columns
         // directly — no per-chunk copy of the tuples before the scatter.
         let chunk_parts: Vec<Vec<Relation>> = fork_join(threads, |i| {
-            let range = ranges[i].clone();
-            scatter_slices(&keys[range.clone()], &payloads[range], bits, params)
+            let chunk = rel.range(ranges[i].clone()).expect("shard range in bounds");
+            scatter_view(chunk, bits, params)
         });
         let fanout = 1usize << bits;
         let mut partitions: Vec<Relation> = (0..fanout)
@@ -260,16 +264,25 @@ pub fn radix_of(key: Key, bits: u32) -> usize {
     }
 }
 
+/// [`scatter_slices`] over a view's columns as they lie.
+fn scatter_view(rel: RelationView<'_>, bits: u32, params: &CacheParams) -> Vec<Relation> {
+    match rel.columns() {
+        Columns::Native(keys, payloads) => scatter_slices(keys, payloads, bits, params),
+        Columns::Wire(keys, payloads) => scatter_slices(keys, payloads, bits, params),
+    }
+}
+
 /// Multi-pass scatter over borrowed column slices: resolves
 /// most-significant radix bits first, so after every pass the flat
 /// concatenation of partitions is ordered by the bits resolved so far (as
 /// the *top* of the final index) and once all passes ran, partition `i`
 /// holds exactly the keys with `hash & mask == i`. The first pass reads
-/// the caller's slices directly; only the refinement passes touch owned
+/// the caller's slices directly (native or little-endian values, one
+/// kernel: [`ColumnValue`]); only the refinement passes touch owned
 /// intermediate partitions.
-fn scatter_slices(
-    keys: &[Key],
-    payloads: &[Payload],
+fn scatter_slices<K: ColumnValue<Key>, P: ColumnValue<Payload>>(
+    keys: &[K],
+    payloads: &[P],
     bits: u32,
     params: &CacheParams,
 ) -> Vec<Relation> {
@@ -294,22 +307,28 @@ fn scatter_slices(
 /// Scatters one pair of column slices on `step` bits starting at bit
 /// `shift` of the key hash, using a histogram + exact-capacity scatter
 /// targets (no per-partition reallocation).
-fn scatter_one(keys: &[Key], payloads: &[Payload], shift: u32, step: u32) -> Vec<Relation> {
+fn scatter_one<K: ColumnValue<Key>, P: ColumnValue<Payload>>(
+    keys: &[K],
+    payloads: &[P],
+    shift: u32,
+    step: u32,
+) -> Vec<Relation> {
     let fanout = 1usize << step;
     let mask = (fanout - 1) as u32;
 
     let mut histogram = vec![0usize; fanout];
-    for &k in keys {
-        histogram[((hash_key(k) >> shift) & mask) as usize] += 1;
+    for k in keys {
+        histogram[((hash_key(k.value()) >> shift) & mask) as usize] += 1;
     }
 
     let mut out_keys: Vec<Vec<Key>> = histogram.iter().map(|&n| Vec::with_capacity(n)).collect();
     let mut out_payloads: Vec<Vec<Payload>> =
         histogram.iter().map(|&n| Vec::with_capacity(n)).collect();
-    for (&k, &p) in keys.iter().zip(payloads) {
+    for (k, p) in keys.iter().zip(payloads) {
+        let k = k.value();
         let idx = ((hash_key(k) >> shift) & mask) as usize;
         out_keys[idx].push(k);
-        out_payloads[idx].push(p);
+        out_payloads[idx].push(p.value());
     }
 
     out_keys

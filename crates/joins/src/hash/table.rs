@@ -132,7 +132,7 @@ impl ChainedTable {
     /// owned columns.
     pub fn probe_all<'p>(&self, probe: impl Into<RelationView<'p>>, collector: &mut JoinCollector) {
         match probe.into().columns() {
-            Columns::Owned(keys, payloads) => self.probe_columns(keys, payloads, collector),
+            Columns::Native(keys, payloads) => self.probe_columns(keys, payloads, collector),
             Columns::Wire(keys, payloads) => self.probe_columns(keys, payloads, collector),
         }
     }

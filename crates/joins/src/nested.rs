@@ -38,7 +38,7 @@ pub fn nested_loops_join<'r>(
         let mut local = collector.child();
         let range = ranges[i].clone();
         match r.columns() {
-            Columns::Owned(keys, payloads) => {
+            Columns::Native(keys, payloads) => {
                 join_range(keys, payloads, range, s, predicate, &mut local);
             }
             Columns::Wire(keys, payloads) => {

@@ -86,36 +86,44 @@ impl Algorithm {
         }
     }
 
-    /// Setup phase over the host's stationary partition.
-    pub fn setup_stationary(
+    /// Setup phase over the host's stationary partition: a relation, or a
+    /// view of the columns it lies in (a placement's share of `S`, read in
+    /// place).
+    pub fn setup_stationary<'s>(
         &self,
-        s: &Relation,
+        s: impl Into<RelationView<'s>>,
         radix_bits: u32,
         threads: usize,
     ) -> StationaryState {
+        let s = s.into();
         match self {
             Algorithm::PartitionedHash(params) => StationaryState::Hash(
                 HashJoinState::build_parallel(s, radix_bits, params, threads),
             ),
             Algorithm::SortMerge => StationaryState::Sorted(SortMergeState::build(s, threads)),
-            Algorithm::NestedLoops => StationaryState::Plain(s.clone()),
+            // Nested loops has no setup, but its state outlives the view:
+            // the one copy of the stationary side.
+            Algorithm::NestedLoops => StationaryState::Plain(s.to_relation()),
         }
     }
 
     /// Setup-phase reorganization of a rotating fragment at its origin
-    /// host. The returned form is what circulates in the ring.
-    pub fn prepare_fragment(
+    /// host — a relation, or a view of the columns it lies in. The
+    /// returned form is what circulates in the ring, so it owns its
+    /// tuples: a plain fragment is copied as it is.
+    pub fn prepare_fragment<'r>(
         &self,
-        r: &Relation,
+        r: impl Into<RelationView<'r>>,
         radix_bits: u32,
         threads: usize,
     ) -> PreparedFragment {
+        let r = r.into();
         match self {
             Algorithm::PartitionedHash(params) => PreparedFragment::HashPartitioned(
                 RadixPartitioned::new_parallel(r, radix_bits, params, threads),
             ),
             Algorithm::SortMerge => PreparedFragment::Sorted(SortedRun::sort(r, threads)),
-            Algorithm::NestedLoops => PreparedFragment::Plain(r.clone()),
+            Algorithm::NestedLoops => PreparedFragment::Plain(r.to_relation()),
         }
     }
 

@@ -39,8 +39,9 @@ pub struct SortMergeState {
 }
 
 impl SortMergeState {
-    /// Sorts stationary relation `s` with `threads` workers.
-    pub fn build(s: &relation::Relation, threads: usize) -> Self {
+    /// Sorts stationary relation `s` (a relation, or a view of one's
+    /// columns) with `threads` workers.
+    pub fn build<'s>(s: impl Into<RelationView<'s>>, threads: usize) -> Self {
         SortMergeState {
             s: SortedRun::sort(s, threads),
         }
@@ -119,7 +120,9 @@ fn merge_range(
     collector: &mut JoinCollector,
 ) {
     match r.columns() {
-        Columns::Owned(keys, payloads) => merge_columns(keys, payloads, s, delta, range, collector),
+        Columns::Native(keys, payloads) => {
+            merge_columns(keys, payloads, s, delta, range, collector)
+        }
         Columns::Wire(keys, payloads) => merge_columns(keys, payloads, s, delta, range, collector),
     }
 }

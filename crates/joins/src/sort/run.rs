@@ -7,7 +7,7 @@
 //! once at its origin host and shipped around the ring in sorted order
 //! (§IV-D).
 
-use relation::{Relation, Tuple};
+use relation::{ColumnValue, Columns, Key, Payload, Relation, RelationView, Tuple};
 use serde::{Deserialize, Serialize};
 
 use crate::parallel::{fork_join, shard_ranges};
@@ -17,20 +17,24 @@ use crate::parallel::{fork_join, shard_ranges};
 pub struct SortedRun(Relation);
 
 impl SortedRun {
-    /// Sorts `rel` into a run using `threads` worker threads: each thread
-    /// sorts a contiguous chunk, then chunks are merged pairwise.
+    /// Sorts `rel` (a relation, or a view of one's columns) into a run
+    /// using `threads` worker threads: each thread copies a contiguous
+    /// chunk out of the columns and sorts it, then chunks are merged
+    /// pairwise.
     ///
     /// # Panics
     ///
     /// Panics if `threads` is zero.
-    pub fn sort(rel: &Relation, threads: usize) -> Self {
+    pub fn sort<'r>(rel: impl Into<RelationView<'r>>, threads: usize) -> Self {
         assert!(threads > 0, "sorting needs at least one thread");
+        let rel = rel.into();
         let ranges = shard_ranges(rel.len(), threads);
         let mut chunks: Vec<Vec<Tuple>> = fork_join(threads, |i| {
-            let range = ranges[i].clone();
-            let mut chunk: Vec<Tuple> = (range.start..range.end)
-                .map(|j| rel.get(j).expect("shard range in bounds"))
-                .collect();
+            let chunk = rel.range(ranges[i].clone()).expect("shard range in bounds");
+            let mut chunk = match chunk.columns() {
+                Columns::Native(keys, payloads) => tuples(keys, payloads),
+                Columns::Wire(keys, payloads) => tuples(keys, payloads),
+            };
             chunk.sort_unstable_by_key(|t| t.key);
             chunk
         });
@@ -92,6 +96,13 @@ impl SortedRun {
     pub fn lower_bound(&self, bound: relation::Key) -> usize {
         self.0.keys().partition_point(|&k| k < bound)
     }
+}
+
+/// The tuples of two equally long columns, as they lie.
+fn tuples<K: ColumnValue<Key>, P: ColumnValue<Payload>>(keys: &[K], payloads: &[P]) -> Vec<Tuple> {
+    (keys.iter().zip(payloads))
+        .map(|(k, p)| Tuple::new(k.value(), p.value()))
+        .collect()
 }
 
 /// Merges two sorted tuple vectors into one.

@@ -12,7 +12,8 @@
 //! little-endian bytes (`[u8; 4]` keys, `[u8; 8]` payloads) read with
 //! `from_le_bytes` — no `unsafe` and no alignment assumption, so a body at
 //! any offset of its buffer reads the same. The in-process backends move
-//! owned structures and view those instead.
+//! owned structures and view those instead, and a placement of the inputs
+//! over a ring is views too: ranges of the caller's native columns.
 //!
 //! Layout:
 //!
@@ -26,8 +27,8 @@
 //! 24+4n   8·n   payloads (u64 LE)
 //! ```
 
-use std::borrow::Cow;
 use std::iter::Zip;
+use std::ops::Range;
 use std::slice::Iter;
 
 use crate::relation::Relation;
@@ -260,44 +261,64 @@ impl ColumnValue<Payload> for LePayload {
 /// kernel generic over [`ColumnValue`] to take either way.
 #[derive(Debug, Clone, Copy)]
 pub enum Columns<'a> {
-    /// An owned relation's columns.
-    Owned(&'a [Key], &'a [Payload]),
+    /// Native columns: a [`Relation`]'s, or a range of them.
+    Native(&'a [Key], &'a [Payload]),
     /// An encoded buffer's columns, little-endian.
     Wire(&'a [LeKey], &'a [LePayload]),
 }
 
-/// A relation's two columns where they lie: an owned [`Relation`]'s, or
-/// the key and payload ranges of an encoded buffer (see [`view`]), read
-/// in place. A join reads either through the same calls, and its kernel
-/// takes both through [`RelationView::columns`].
+/// A relation's two columns where they lie: a [`Relation`]'s native
+/// columns or a range of them, or the key and payload ranges of an
+/// encoded buffer (see [`view`]), read in place. A join reads either
+/// through the same calls, and its kernel takes both through
+/// [`RelationView::columns`]. Cutting a view ([`RelationView::range`],
+/// [`RelationView::split_even`]) copies nothing: a placement of the
+/// inputs over a ring is a set of views of the caller's columns.
+///
+/// Two views are equal when they hold the same tuples in the same order,
+/// wherever those lie.
 #[derive(Debug, Clone, Copy)]
 pub struct RelationView<'a>(Repr<'a>);
 
+/// Both variants hold equally long key and payload columns.
 #[derive(Debug, Clone, Copy)]
 enum Repr<'a> {
-    Owned(&'a Relation),
-    /// Equally long key and payload columns.
+    Native(&'a [Key], &'a [Payload]),
     Wire(&'a [LeKey], &'a [LePayload]),
 }
 
 impl Default for RelationView<'_> {
     /// The empty relation.
     fn default() -> Self {
-        RelationView(Repr::Wire(&[], &[]))
+        RelationView(Repr::Native(&[], &[]))
     }
 }
 
 impl<'a> From<&'a Relation> for RelationView<'a> {
     fn from(rel: &'a Relation) -> Self {
-        RelationView(Repr::Owned(rel))
+        RelationView(Repr::Native(rel.keys(), rel.payloads()))
     }
 }
+
+impl<'a> From<&RelationView<'a>> for RelationView<'a> {
+    fn from(view: &RelationView<'a>) -> Self {
+        *view
+    }
+}
+
+impl PartialEq for RelationView<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.len() == other.len() && self.iter().eq(other.iter())
+    }
+}
+
+impl Eq for RelationView<'_> {}
 
 impl<'a> RelationView<'a> {
     /// Number of tuples.
     pub fn len(&self) -> usize {
         match self.0 {
-            Repr::Owned(rel) => rel.len(),
+            Repr::Native(keys, _) => keys.len(),
             Repr::Wire(keys, _) => keys.len(),
         }
     }
@@ -315,36 +336,59 @@ impl<'a> RelationView<'a> {
     /// The two columns as they lie.
     pub fn columns(&self) -> Columns<'a> {
         match self.0 {
-            Repr::Owned(rel) => Columns::Owned(rel.keys(), rel.payloads()),
+            Repr::Native(keys, payloads) => Columns::Native(keys, payloads),
             Repr::Wire(keys, payloads) => Columns::Wire(keys, payloads),
         }
     }
 
-    /// The viewed relation: borrowed if it is owned, copied out of the
-    /// bytes otherwise.
-    pub fn to_cow(&self) -> Cow<'a, Relation> {
-        match self.0 {
-            Repr::Owned(rel) => Cow::Borrowed(rel),
-            Repr::Wire(..) => Cow::Owned(self.to_relation()),
-        }
+    /// The tuples at positions `range`, where they lie: no copy. `None`
+    /// if the range is out of bounds, as `<[T]>::get`.
+    pub fn range(&self, range: Range<usize>) -> Option<RelationView<'a>> {
+        Some(RelationView(match self.0 {
+            Repr::Native(keys, payloads) => {
+                Repr::Native(keys.get(range.clone())?, payloads.get(range)?)
+            }
+            Repr::Wire(keys, payloads) => {
+                Repr::Wire(keys.get(range.clone())?, payloads.get(range)?)
+            }
+        }))
+    }
+
+    /// Cuts the view into `parts` contiguous ranges whose sizes differ by
+    /// at most one tuple, the larger first — [`Relation::split_even`]'s
+    /// cut, copying nothing. Some ranges are empty when `parts > len`;
+    /// `parts == 0` yields none.
+    pub fn split_even(&self, parts: usize) -> Vec<RelationView<'a>> {
+        let n = self.len();
+        let base = n.checked_div(parts).unwrap_or(0);
+        let extra = n.checked_rem(parts).unwrap_or(0);
+        let mut start = 0;
+        (0..parts)
+            .map(|i| {
+                let end = start + base + usize::from(i < extra);
+                let part = self.range(start..end).unwrap_or_default();
+                start = end;
+                part
+            })
+            .collect()
     }
 
     /// A copy of the viewed relation.
     pub fn to_relation(&self) -> Relation {
-        match self.0 {
-            Repr::Owned(rel) => rel.clone(),
-            Repr::Wire(keys, payloads) => {
-                let keys: Vec<Key> = keys.iter().map(|&k| k.value()).collect();
-                let payloads: Vec<Payload> = payloads.iter().map(|&p| p.value()).collect();
-                Relation::from_columns(keys.into(), payloads.into())
-            }
-        }
+        let (keys, payloads): (Vec<Key>, Vec<Payload>) = match self.0 {
+            Repr::Native(keys, payloads) => (keys.to_vec(), payloads.to_vec()),
+            Repr::Wire(keys, payloads) => (
+                keys.iter().map(|&k| k.value()).collect(),
+                payloads.iter().map(|&p| p.value()).collect(),
+            ),
+        };
+        Relation::from_columns(keys.into(), payloads.into())
     }
 
     /// Iterator over the tuples, in order.
     pub fn iter(&self) -> Tuples<'a> {
         Tuples(match self.columns() {
-            Columns::Owned(keys, payloads) => TuplesRepr::Owned(keys.iter().zip(payloads)),
+            Columns::Native(keys, payloads) => TuplesRepr::Native(keys.iter().zip(payloads)),
             Columns::Wire(keys, payloads) => TuplesRepr::Wire(keys.iter().zip(payloads)),
         })
     }
@@ -352,7 +396,7 @@ impl<'a> RelationView<'a> {
     /// True if keys are in non-decreasing order.
     pub fn is_sorted_by_key(&self) -> bool {
         match self.columns() {
-            Columns::Owned(keys, _) => keys.is_sorted(),
+            Columns::Native(keys, _) => keys.is_sorted(),
             Columns::Wire(keys, _) => keys.iter().map(|&k| k.value()).is_sorted(),
         }
     }
@@ -364,7 +408,7 @@ pub struct Tuples<'a>(TuplesRepr<'a>);
 
 #[derive(Debug, Clone)]
 enum TuplesRepr<'a> {
-    Owned(Zip<Iter<'a, Key>, Iter<'a, Payload>>),
+    Native(Zip<Iter<'a, Key>, Iter<'a, Payload>>),
     Wire(Zip<Iter<'a, LeKey>, Iter<'a, LePayload>>),
 }
 
@@ -374,14 +418,14 @@ impl Iterator for Tuples<'_> {
     #[inline]
     fn next(&mut self) -> Option<Tuple> {
         match &mut self.0 {
-            TuplesRepr::Owned(it) => it.next().map(|(&k, &p)| Tuple::new(k, p)),
+            TuplesRepr::Native(it) => it.next().map(|(&k, &p)| Tuple::new(k, p)),
             TuplesRepr::Wire(it) => it.next().map(|(&k, &p)| Tuple::new(k.value(), p.value())),
         }
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
         match &self.0 {
-            TuplesRepr::Owned(it) => it.size_hint(),
+            TuplesRepr::Native(it) => it.size_hint(),
             TuplesRepr::Wire(it) => it.size_hint(),
         }
     }
@@ -540,27 +584,65 @@ mod tests {
     }
 
     #[test]
-    fn columns_lie_owned_or_in_the_bytes() {
+    fn columns_lie_native_or_in_the_bytes() {
         let rel = GenSpec::uniform(1_000, 13).generate();
         let bytes = encode(&rel);
         let wire = view(&bytes).unwrap();
-        let owned = RelationView::from(&rel);
-        let Columns::Owned(keys, payloads) = owned.columns() else {
-            panic!("an owned relation's columns are its own");
+        let native = RelationView::from(&rel);
+        let Columns::Native(keys, payloads) = native.columns() else {
+            panic!("a relation's columns are its own");
         };
-        assert_eq!((keys, payloads), (rel.keys(), rel.payloads()));
+        assert_eq!(keys.as_ptr_range(), rel.keys().as_ptr_range());
+        assert_eq!(payloads.as_ptr_range(), rel.payloads().as_ptr_range());
         let Columns::Wire(keys, payloads) = wire.columns() else {
             panic!("a buffer's columns are its bytes");
         };
         let keys: Vec<Key> = keys.iter().map(|&k| k.value()).collect();
         let payloads: Vec<Payload> = payloads.iter().map(|&p| p.value()).collect();
         assert_eq!((&keys[..], &payloads[..]), (rel.keys(), rel.payloads()));
-        assert!(matches!(owned.to_cow(), Cow::Borrowed(r) if r == &rel));
-        assert!(matches!(wire.to_cow(), Cow::Owned(r) if r == rel));
+        assert_eq!(native.to_relation(), rel);
+        assert_eq!(wire.to_relation(), rel);
+        assert_eq!(native, wire, "equal tuples, wherever they lie");
         let mut sorted = rel.clone();
         sorted.sort_by_key();
         assert!(view(&encode(&sorted)).unwrap().is_sorted_by_key());
         assert!(!wire.is_sorted_by_key());
+    }
+
+    /// True if `inner` lies inside `outer`'s memory (an empty `inner`
+    /// holds nothing, wherever it points).
+    fn within<T>(inner: &[T], outer: &[T]) -> bool {
+        let (inner, outer) = (inner.as_ptr_range(), outer.as_ptr_range());
+        inner.is_empty() || (outer.start <= inner.start && inner.end <= outer.end)
+    }
+
+    /// A view is cut where `Relation::split_even` cuts a relation, into
+    /// ranges of the same columns; a wire view is cut the same way.
+    #[test]
+    fn views_split_as_relations_do_without_a_copy() {
+        for (tuples, parts) in [(0usize, 1usize), (0, 3), (2, 5), (10, 3), (1_000, 7)] {
+            let rel = GenSpec::uniform(tuples, 14).generate();
+            let bytes = encode(&rel);
+            let reference = rel.split_even(parts);
+            for whole in [RelationView::from(&rel), view(&bytes).unwrap()] {
+                let cut = whole.split_even(parts);
+                assert_eq!(cut.len(), parts);
+                for (part, copy) in cut.iter().zip(&reference) {
+                    assert_eq!(*part, RelationView::from(copy));
+                }
+            }
+            for part in RelationView::from(&rel).split_even(parts) {
+                let Columns::Native(keys, payloads) = part.columns() else {
+                    panic!("a range of native columns is native");
+                };
+                assert!(within(keys, rel.keys()) && within(payloads, rel.payloads()));
+            }
+        }
+        let rel = GenSpec::uniform(10, 15).generate();
+        let whole = RelationView::from(&rel);
+        assert!(whole.split_even(0).is_empty());
+        assert_eq!(whole.range(2..5).map(|v| v.len()), Some(3));
+        assert_eq!(whole.range(8..11), None);
     }
 
     #[test]

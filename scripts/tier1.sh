@@ -90,6 +90,18 @@ cargo test -q -p mem-joins --test proptests batched_probe_equals_single_key_prob
 cargo test -q -p data-roundabout --lib the_view_refuses_exactly_what_decode_refuses
 cargo test -q -p data-roundabout --lib a_received_payload_is_never_decoded
 cargo test -q -p data-roundabout --lib a_flipped_column_bit_is_a_frame_error
+# Zero-copy placement gate: a placement is views of the caller's columns.
+# Every stationary share and rotating fragment must lie inside the input
+# columns, read back in host and fragment order as the input tuple for
+# tuple, and cut it where the copying `Relation::split_even` does (any
+# length, 1–9 hosts, 1–6 fragments, any standby mask); a takeover must
+# hand the survivor the orphaned share where it lies; and a mid-revolution
+# crash must still heal on the reactor, through the engine suite's body
+# and through a `CycloJoin` whose session rebuilds the role from its view.
+cargo test -q -p cyclo-join --lib a_placement_aliases_its_input_and_covers_it_exactly
+cargo test -q -p cyclo-join --lib takeover_returns_the_orphaned_share
+cargo test -q -p data-roundabout --lib reactor_heals_a_mid_revolution_crash
+cargo test -q -p integration-tests --test chaos reactor_connection_sever_mid_revolution_heals_exactly_once
 cargo clippy --all-targets -- -D warnings
 cargo fmt --check
 cargo run -q --release -p xtask -- analyze
