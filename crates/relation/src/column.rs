@@ -31,6 +31,11 @@ impl<T: Copy> Column<T> {
         Column { values }
     }
 
+    /// Reserves room for at least `additional` more values.
+    pub fn reserve(&mut self, additional: usize) {
+        self.values.reserve(additional);
+    }
+
     /// Appends a value.
     pub fn push(&mut self, value: T) {
         self.values.push(value);

@@ -68,6 +68,13 @@ impl Relation {
         (self.keys, self.payloads)
     }
 
+    /// Reserves room for at least `additional` more tuples in both
+    /// columns.
+    pub fn reserve(&mut self, additional: usize) {
+        self.keys.reserve(additional);
+        self.payloads.reserve(additional);
+    }
+
     /// Appends a tuple.
     pub fn push(&mut self, tuple: Tuple) {
         self.keys.push(tuple.key);
@@ -171,15 +178,18 @@ impl Relation {
 impl FromIterator<Tuple> for Relation {
     fn from_iter<I: IntoIterator<Item = Tuple>>(iter: I) -> Self {
         let mut rel = Relation::new();
-        for t in iter {
-            rel.push(t);
-        }
+        rel.extend(iter);
         rel
     }
 }
 
+/// Reserves the iterator's lower size bound up front, so collecting a
+/// sized iterator (a sorted run's tuples) writes each column once instead
+/// of growing it by doubling.
 impl Extend<Tuple> for Relation {
     fn extend<I: IntoIterator<Item = Tuple>>(&mut self, iter: I) {
+        let iter = iter.into_iter();
+        self.reserve(iter.size_hint().0);
         for t in iter {
             self.push(t);
         }
@@ -271,6 +281,14 @@ mod tests {
     fn from_iterator_of_tuples() {
         let rel: Relation = (0..5).map(|i| Tuple::new(i, i as u64)).collect();
         assert_eq!(rel.len(), 5);
+    }
+
+    #[test]
+    fn collecting_a_sized_iterator_sizes_both_columns_once() {
+        let rel: Relation = (0..1000).map(|i| Tuple::new(i, i as u64)).collect();
+        let (keys, payloads) = rel.into_columns();
+        assert_eq!(keys.into_vec().capacity(), 1000);
+        assert_eq!(payloads.into_vec().capacity(), 1000);
     }
 
     #[test]

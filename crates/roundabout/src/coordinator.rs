@@ -723,6 +723,9 @@ pub(crate) struct Coordinator<'a, P, M> {
     pub(crate) proto: RingProtocol<InFlight<P>>,
     pub(crate) medium: M,
     pub(crate) pending: Pending<P>,
+    /// The protocol's output sink, drained by every `apply` and kept for
+    /// the whole run.
+    outputs: Vec<Output<InFlight<P>>>,
     plan: Option<&'a FaultPlan>,
     errors: ErrorCollector,
     fatal: bool,
@@ -774,6 +777,7 @@ impl<'a, P: PayloadBytes, M: Medium<P>> Coordinator<'a, P, M> {
             proto,
             medium,
             pending: VecDeque::new(),
+            outputs: Vec::new(),
             plan,
             errors: ErrorCollector::default(),
             fatal: false,
@@ -897,8 +901,10 @@ impl<'a, P: PayloadBytes, M: Medium<P>> Coordinator<'a, P, M> {
     }
 
     fn input(&mut self, input: Input<InFlight<P>>, ctx: Option<HostId>) {
-        let outputs = self.proto.input(input);
-        self.apply(outputs, ctx);
+        let mut outputs = std::mem::take(&mut self.outputs);
+        self.proto.input_into(input, &mut outputs);
+        self.apply(&mut outputs, ctx);
+        self.outputs = outputs;
     }
 
     fn on_frame(&mut self, at: HostId, frame: Frame<InFlight<P>>) {
@@ -1006,14 +1012,15 @@ impl<'a, P: PayloadBytes, M: Medium<P>> Coordinator<'a, P, M> {
         }
     }
 
-    /// Applies protocol outputs strictly in emission order: each is shown
-    /// to the trace vocabulary, then acted on if it asks for IO. `ctx`
-    /// names the host whose delivery is being processed — the only context
-    /// in which the protocol emits [`Output::Ack`].
+    /// Applies protocol outputs strictly in emission order, draining
+    /// `outputs`: each is shown to the trace vocabulary, then acted on if
+    /// it asks for IO. `ctx` names the host whose delivery is being
+    /// processed — the only context in which the protocol emits
+    /// [`Output::Ack`].
     // analyze: allow(panic, reason = "protocol invariant: per-host tables are sized to the ring at construction and HostId never exceeds it")
-    fn apply(&mut self, outputs: Vec<Output<InFlight<P>>>, ctx: Option<HostId>) {
+    fn apply(&mut self, outputs: &mut Vec<Output<InFlight<P>>>, ctx: Option<HostId>) {
         let epoch = self.epoch;
-        for output in outputs {
+        for output in outputs.drain(..) {
             if self.fatal {
                 return;
             }
@@ -2555,7 +2562,7 @@ mod tests {
             to: HostId(0),
             tid: 1,
         };
-        co.apply(vec![ack], None);
+        co.apply(&mut vec![ack], None);
         assert!(!co.medium.calls.iter().any(|c| matches!(c, Call::Ack(..))));
         assert_eq!(
             co.finish().unwrap_err(),

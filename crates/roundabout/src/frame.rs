@@ -41,7 +41,7 @@ use simnet::topology::HostId;
 
 use crate::envelope::{Envelope, FragmentId, PayloadBytes};
 use crate::error::{FrameError, RingError};
-use crate::inflight::{InFlight, WireBytes};
+use crate::inflight::{InFlight, Received};
 
 // ---------------------------------------------------------------------------
 // Wire format
@@ -467,42 +467,126 @@ impl<P: WirePayload> OutFrame<P> {
 const MAX_POOLED_CAPACITY: usize = 4 * 1024 * 1024;
 /// Ceiling on pooled buffers; beyond it, returning buffers are dropped.
 const MAX_POOLED_BUFS: usize = 64;
+/// Ceiling on the cells the pool keeps; beyond it, a new cell is freed
+/// with its last holder.
+const MAX_POOLED_CELLS: usize = 1024;
+/// Kept cells a lookup for a free one looks at before it settles for a
+/// new one: what an arrival pays for a warm cell is bounded by this many
+/// reference-count loads, however many copies are alive.
+const CELL_PROBES: usize = 16;
 
-/// A socket engine's shared pool of payload buffers. A decoder reads each
-/// envelope body into one, an origin encodes each payload into one, and
-/// the payload's last holder hands it back (`inflight::WireBytes`) — so
-/// the steady state allocates nothing per frame instead of a fresh `Vec`
-/// per envelope.
+/// A socket engine's shared pool of payload buffers and of the cells
+/// received copies live in. A decoder reads each envelope body into a
+/// buffer from it and hands the body back in a cell from it
+/// ([`FrameBufPool::cell`]); an origin encodes each payload into a buffer
+/// from it, which its last holder gives back (`inflight::WireBytes`). So
+/// once the pool is warm a hop allocates nothing for its frame.
+///
+/// The pool holds on to the cells it hands out, in a ring it looks round
+/// like a clock hand. A cell whose only holder is the pool is free:
+/// [`Arc::strong_count`] and [`Arc::get_mut`] say so under the pool's
+/// lock, where nobody can clone it, so no drop has to report back. A free
+/// cell keeps the body it last carried until a decoder takes the body or
+/// an arrival takes the cell. The pool keeps at most `MAX_POOLED_BUFS`
+/// free buffers and `MAX_POOLED_CELLS` cells, and no buffer over
+/// `MAX_POOLED_CAPACITY`, in a cell or not.
 #[derive(Default)]
 pub(crate) struct FrameBufPool {
-    bufs: std::sync::Mutex<Vec<Vec<u8>>>,
+    stock: std::sync::Mutex<Stock>,
 }
 
-impl FrameBufPool {
-    /// A recycled buffer, or a fresh empty one when the pool is dry.
-    pub(crate) fn take(&self) -> Vec<u8> {
-        // A poisoned lock only means some thread panicked mid-push; the
-        // pool's contents are plain byte buffers, always safe to reuse.
-        let mut bufs = self
-            .bufs
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        bufs.pop().unwrap_or_default()
-    }
+#[derive(Default)]
+struct Stock {
+    /// Free buffers.
+    bufs: Vec<Vec<u8>>,
+    /// The kept cells; the clock hand is at the front.
+    cells: VecDeque<Arc<Received>>,
+}
 
-    /// Returns a buffer to the pool (oversized or surplus ones are freed).
-    pub(crate) fn put(&self, mut buf: Vec<u8>) {
-        if buf.capacity() > MAX_POOLED_CAPACITY {
+impl Stock {
+    /// Keeps `buf` for the next taker, unless it holds nothing, is
+    /// outsized, or the pool is full.
+    fn keep(&mut self, mut buf: Vec<u8>) {
+        if buf.capacity() == 0
+            || buf.capacity() > MAX_POOLED_CAPACITY
+            || self.bufs.len() >= MAX_POOLED_BUFS
+        {
             return;
         }
         buf.clear();
-        let mut bufs = self
-            .bufs
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if bufs.len() < MAX_POOLED_BUFS {
-            bufs.push(buf);
+        self.bufs.push(buf);
+    }
+
+    /// Turns the clock hand over at most `CELL_PROBES` cells, sending each
+    /// one in use (or free but not `wanted`) to the back, and takes out
+    /// the first free one that is `wanted`.
+    fn free_cell(&mut self, wanted: impl Fn(&Received) -> bool) -> Option<Arc<Received>> {
+        for _ in 0..CELL_PROBES.min(self.cells.len()) {
+            let mut cell = self.cells.pop_front()?;
+            if Arc::strong_count(&cell) == 1 && Arc::get_mut(&mut cell).is_some_and(|c| wanted(c)) {
+                return Some(cell);
+            }
+            self.cells.push_back(cell);
         }
+        None
+    }
+}
+
+impl FrameBufPool {
+    fn stock(&self) -> std::sync::MutexGuard<'_, Stock> {
+        // A poisoned lock only means some thread panicked mid-push; the
+        // pool's contents are plain byte buffers and cells nobody else
+        // holds, always safe to reuse.
+        self.stock
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
+    /// A recycled buffer — a free one, or the body a free cell still
+    /// holds — or a fresh empty one when the pool has none to hand.
+    pub(crate) fn take(&self) -> Vec<u8> {
+        let mut stock = self.stock();
+        if let Some(buf) = stock.bufs.pop() {
+            return buf;
+        }
+        let Some(mut cell) = stock.free_cell(|c| c.capacity() > 0) else {
+            return Vec::new();
+        };
+        let body = Arc::get_mut(&mut cell).map_or_else(Vec::new, Received::take_body);
+        // The emptied cell stays under the hand, for this body's arrival.
+        stock.cells.push_front(cell);
+        body
+    }
+
+    /// Returns a buffer to the pool (oversized or surplus ones are freed).
+    pub(crate) fn put(&self, buf: Vec<u8>) {
+        self.stock().keep(buf);
+    }
+
+    /// A cell holding `fresh`: a free kept cell, refilled (the body it
+    /// still held goes back to the buffers), or a new one.
+    pub(crate) fn cell(&self, fresh: Received) -> Arc<Received> {
+        if fresh.capacity() > MAX_POOLED_CAPACITY {
+            return Arc::new(fresh);
+        }
+        let mut stock = self.stock();
+        let cell = match stock.free_cell(|_| true) {
+            Some(mut cell) => match Arc::get_mut(&mut cell) {
+                Some(slot) => {
+                    let body = std::mem::replace(slot, fresh).take_body();
+                    stock.keep(body);
+                    cell
+                }
+                // Unreachable: the lock is held and the pool was its only
+                // holder. A new cell is still correct.
+                None => Arc::new(fresh),
+            },
+            None => Arc::new(fresh),
+        };
+        if stock.cells.len() < MAX_POOLED_CELLS {
+            stock.cells.push_back(Arc::clone(&cell));
+        }
+        cell
     }
 }
 
@@ -724,10 +808,7 @@ impl FrameDecoder {
             let checked = P::view(body.get(ENVELOPE_HEADER..).unwrap_or_default())
                 .map(|view| view.payload_bytes());
             match checked {
-                Ok(bytes) => {
-                    let wire = WireBytes::new(body, ENVELOPE_HEADER, Arc::clone(pool));
-                    Ok(InFlight::received(wire, bytes))
-                }
+                Ok(bytes) => Ok(InFlight::received(pool, body, bytes)),
                 Err(e) => {
                     pool.put(body);
                     Err(e)
@@ -1268,6 +1349,74 @@ mod tests {
         assert!(
             pool.take().capacity() >= 4096,
             "the last holder gives the body back"
+        );
+    }
+
+    /// The frame bytes of one small envelope and a decoder on `pool`.
+    fn small_frame(pool: &Arc<FrameBufPool>) -> (Vec<u8>, FrameDecoder) {
+        let env = Envelope::new(FragmentId(3), HostId(0), 4, vec![7u8; 200]);
+        let bytes = encode_envelope(9, &env).unwrap();
+        (bytes, FrameDecoder::with_pool(Arc::clone(pool)))
+    }
+
+    /// Feeds `bytes` and returns the received copy they decode to.
+    fn arrive(decoder: &mut FrameDecoder, bytes: &[u8]) -> InFlight<Vec<u8>> {
+        decoder.feed(bytes);
+        match decoder.next_in_flight::<Vec<u8>>() {
+            Ok(Some(Frame::Envelope { env, .. })) => env.payload,
+            other => panic!("expected an envelope frame, got {:?}", other.map(|_| ())),
+        }
+    }
+
+    /// Once a received copy's holders are gone its cell is free, and the
+    /// next arrival lands in it: the same cell, arrival after arrival, and
+    /// its bytes are the new frame's.
+    #[test]
+    fn an_arrival_reuses_its_warm_cell() {
+        let pool = Arc::new(FrameBufPool::default());
+        let (bytes, mut decoder) = small_frame(&pool);
+        let first = arrive(&mut decoder, &bytes);
+        let cell = first.cell_ptr().expect("a received copy has a cell");
+        drop(first);
+        for _ in 0..5 {
+            let again = arrive(&mut decoder, &bytes);
+            assert_eq!(
+                again.cell_ptr(),
+                Some(cell),
+                "the warm cell takes the arrival"
+            );
+            assert_eq!(again.wire(), Some(&[7u8; 200][..]));
+            assert_eq!(again.payload_checksum(), vec![7u8; 200].payload_checksum());
+        }
+    }
+
+    /// A copy another thread still holds keeps its cell out of the pool:
+    /// arrivals meanwhile land elsewhere, and the cell comes back only once
+    /// that thread drops the copy.
+    #[test]
+    fn a_copy_held_on_another_thread_keeps_its_cell() {
+        let pool = Arc::new(FrameBufPool::default());
+        let (bytes, mut decoder) = small_frame(&pool);
+        let held = arrive(&mut decoder, &bytes);
+        let cell = held.cell_ptr();
+        let (release, released) = std::sync::mpsc::channel::<()>();
+        let holder = std::thread::spawn(move || {
+            let copy = held.clone();
+            drop(held);
+            released.recv().expect("released");
+            drop(copy);
+        });
+        for _ in 0..3 {
+            let other = arrive(&mut decoder, &bytes);
+            assert_ne!(other.cell_ptr(), cell, "a held cell is not free");
+        }
+        release.send(()).expect("holder waits");
+        holder.join().expect("holder ran");
+        let back = arrive(&mut decoder, &bytes);
+        assert_eq!(
+            back.cell_ptr(),
+            cell,
+            "dropped there, the cell is free again"
         );
     }
 

@@ -19,57 +19,93 @@
 //!   in place ([`InFlight::visit`]), as often as healing asks, and a
 //!   forward sends it as it is.
 //!
-//! Wire bytes came from the engine's [`FrameBufPool`] and go back to it
-//! when the last holder drops.
+//! An origin's wire bytes come from the engine's [`FrameBufPool`] and go
+//! back to it when the last holder drops. A received copy's cell
+//! ([`Received`]) is the pool's too, body and all: the pool keeps the
+//! cells it hands out, and one whose only holder is the pool is free to
+//! take the next arrival — so once the pool is warm an arrival allocates
+//! neither a cell nor a body.
 
+use std::marker::PhantomData;
 use std::sync::{Arc, OnceLock};
 
 use crate::envelope::{Envelope, PayloadBytes};
 use crate::frame::{FrameBufPool, WirePayload, ENVELOPE_HEADER};
 
 /// One payload in flight on the ring, shared by everything that holds it.
-pub(crate) struct InFlight<P>(Arc<Shared<P>>);
+pub(crate) struct InFlight<P>(Shared<P>);
 
-struct Shared<P> {
-    held: Held<P>,
-    /// [`PayloadBytes::payload_bytes`] of the payload, taken on arrival.
+enum Shared<P> {
+    /// The user's payload.
+    Owned(Arc<Owned<P>>),
+    /// The bytes a payload arrived in, in a cell from the engine's pool.
+    Received(Arc<Received>, PhantomData<fn() -> P>),
+}
+
+/// The user's payload, with the wire bytes its first send encodes.
+struct Owned<P> {
+    payload: P,
+    wire: OnceLock<WireBytes>,
+    /// [`PayloadBytes::payload_bytes`] of the payload, taken once.
     bytes: u64,
     /// [`PayloadBytes::payload_checksum`] of the payload, taken when first
     /// asked (the reliable path's delivery check).
     checksum: OnceLock<u64>,
 }
 
-enum Held<P> {
-    /// The user's payload, with the wire bytes its first send encodes.
-    Owned {
-        payload: P,
-        wire: OnceLock<WireBytes>,
-    },
-    /// The bytes a payload arrived in, accepted by `P::view`, and how to
-    /// checksum them.
-    Received {
-        wire: WireBytes,
-        checksum: fn(&[u8]) -> u64,
-    },
+/// A received copy's cell: the envelope body its payload arrived in, after
+/// [`WirePayload::view`] accepted the payload part, and how to checksum
+/// it. [`FrameBufPool::cell`] hands these out and takes them back.
+pub(crate) struct Received {
+    /// The whole envelope body; the payload starts after its header.
+    body: Vec<u8>,
+    /// The payload's [`PayloadBytes::payload_bytes`], as its view said.
+    bytes: u64,
+    /// The payload's checksum, taken when first asked.
+    checksum: OnceLock<u64>,
+    checksum_of: fn(&[u8]) -> u64,
 }
 
-/// A payload's wire bytes: `buf[start..]` of a pooled buffer, which goes
-/// back to its pool on drop.
+impl Received {
+    /// A cell for `body`, whose payload `P::view` accepted as `bytes` long.
+    pub(crate) fn new<P: WirePayload>(body: Vec<u8>, bytes: u64) -> Self {
+        Received {
+            body,
+            bytes,
+            checksum: OnceLock::new(),
+            checksum_of: received_checksum::<P>,
+        }
+    }
+
+    /// The capacity of the body buffer.
+    pub(crate) fn capacity(&self) -> usize {
+        self.body.capacity()
+    }
+
+    /// The body buffer, cleared and taken out: the cell is left holding
+    /// nothing.
+    pub(crate) fn take_body(&mut self) -> Vec<u8> {
+        let mut body = std::mem::take(&mut self.body);
+        body.clear();
+        body
+    }
+
+    fn payload(&self) -> &[u8] {
+        self.body.get(ENVELOPE_HEADER..).unwrap_or_default()
+    }
+}
+
+/// A payload's wire bytes, encoded at its origin behind an envelope
+/// header's worth of room: `buf[ENVELOPE_HEADER..]` of a pooled buffer,
+/// which goes back to its pool on drop.
 pub(crate) struct WireBytes {
     buf: Vec<u8>,
-    start: usize,
     pool: Arc<FrameBufPool>,
 }
 
 impl WireBytes {
-    /// The bytes of `buf` from `start` on, owned until the drop returns
-    /// `buf` to `pool`.
-    pub(crate) fn new(buf: Vec<u8>, start: usize, pool: Arc<FrameBufPool>) -> Self {
-        WireBytes { buf, start, pool }
-    }
-
     fn bytes(&self) -> &[u8] {
-        self.buf.get(self.start..).unwrap_or_default()
+        self.buf.get(ENVELOPE_HEADER..).unwrap_or_default()
     }
 }
 
@@ -82,38 +118,31 @@ impl Drop for WireBytes {
 impl<P: PayloadBytes> InFlight<P> {
     /// A payload entering the ring at its origin, with no wire bytes yet.
     pub(crate) fn new(payload: P) -> Self {
-        InFlight(Arc::new(Shared {
+        InFlight(Shared::Owned(Arc::new(Owned {
             bytes: payload.payload_bytes(),
-            held: Held::Owned {
-                payload,
-                wire: OnceLock::new(),
-            },
+            payload,
+            wire: OnceLock::new(),
             checksum: OnceLock::new(),
-        }))
+        })))
     }
 }
 
 impl<P: WirePayload> InFlight<P> {
-    /// A payload that arrived as `wire`, bytes [`WirePayload::view`]
-    /// accepted, whose view said it is `bytes` long.
-    pub(crate) fn received(wire: WireBytes, bytes: u64) -> Self {
-        InFlight(Arc::new(Shared {
-            held: Held::Received {
-                wire,
-                checksum: received_checksum::<P>,
-            },
-            bytes,
-            checksum: OnceLock::new(),
-        }))
+    /// A payload that arrived in the envelope body `body`, whose payload
+    /// bytes [`WirePayload::view`] accepted and said are `bytes` long — in
+    /// a cell from `pool`.
+    pub(crate) fn received(pool: &FrameBufPool, body: Vec<u8>, bytes: u64) -> Self {
+        let cell = pool.cell(Received::new::<P>(body, bytes));
+        InFlight(Shared::Received(cell, PhantomData))
     }
 
     /// The payload as a visit reads it: the owned payload, or the
     /// received bytes viewed in place. `None` only if received bytes no
     /// longer view, which bytes nobody writes to never do.
     pub(crate) fn visit(&self) -> Option<Visit<'_, P>> {
-        match &self.0.held {
-            Held::Owned { payload, .. } => Some(Visit::Owned(payload)),
-            Held::Received { wire, .. } => P::view_accepted(wire.bytes()).ok().map(Visit::Viewed),
+        match &self.0 {
+            Shared::Owned(owned) => Some(Visit::Owned(&owned.payload)),
+            Shared::Received(cell, _) => P::view_accepted(cell.payload()).ok().map(Visit::Viewed),
         }
     }
 
@@ -125,18 +154,21 @@ impl<P: WirePayload> InFlight<P> {
     /// received frame body, so any pooled buffer fits either use of the
     /// next payload of the same size without growing.
     pub(crate) fn encode_once(&self, pool: &Arc<FrameBufPool>) -> (&[u8], bool) {
-        let (payload, wire) = match &self.0.held {
-            Held::Owned { payload, wire } => (payload, wire),
-            Held::Received { wire, .. } => return (wire.bytes(), false),
+        let owned = match &self.0 {
+            Shared::Owned(owned) => owned,
+            Shared::Received(cell, _) => return (cell.payload(), false),
         };
         let mut encoded = false;
-        let wire = wire.get_or_init(|| {
+        let wire = owned.wire.get_or_init(|| {
             encoded = true;
             let mut buf = pool.take();
-            buf.reserve_exact(ENVELOPE_HEADER + payload.payload_wire_len());
+            buf.reserve_exact(ENVELOPE_HEADER + owned.payload.payload_wire_len());
             buf.resize(ENVELOPE_HEADER, 0);
-            payload.encode_payload(&mut buf);
-            WireBytes::new(buf, ENVELOPE_HEADER, Arc::clone(pool))
+            owned.payload.encode_payload(&mut buf);
+            WireBytes {
+                buf,
+                pool: Arc::clone(pool),
+            }
         });
         (wire.bytes(), encoded)
     }
@@ -172,43 +204,66 @@ impl<P> InFlight<P> {
     /// The owned payload, if this copy holds one (on the simulator and the
     /// channel engine every copy does).
     pub(crate) fn payload(&self) -> Option<&P> {
-        match &self.0.held {
-            Held::Owned { payload, .. } => Some(payload),
-            Held::Received { .. } => None,
+        match &self.0 {
+            Shared::Owned(owned) => Some(&owned.payload),
+            Shared::Received(..) => None,
         }
     }
 
     /// The payload's wire bytes, if this host has them.
     pub(crate) fn wire(&self) -> Option<&[u8]> {
-        match &self.0.held {
-            Held::Owned { wire, .. } => wire.get().map(WireBytes::bytes),
-            Held::Received { wire, .. } => Some(wire.bytes()),
+        match &self.0 {
+            Shared::Owned(owned) => owned.wire.get().map(WireBytes::bytes),
+            Shared::Received(cell, _) => Some(cell.payload()),
         }
     }
 
     /// True when `a` and `b` share one payload.
     #[cfg(test)]
     pub(crate) fn ptr_eq(a: &Self, b: &Self) -> bool {
-        Arc::ptr_eq(&a.0, &b.0)
+        match (&a.0, &b.0) {
+            (Shared::Owned(a), Shared::Owned(b)) => Arc::ptr_eq(a, b),
+            (Shared::Received(a, _), Shared::Received(b, _)) => Arc::ptr_eq(a, b),
+            _ => false,
+        }
+    }
+
+    /// The address of a received copy's cell.
+    #[cfg(test)]
+    pub(crate) fn cell_ptr(&self) -> Option<*const Received> {
+        match &self.0 {
+            Shared::Owned(_) => None,
+            Shared::Received(cell, _) => Some(Arc::as_ptr(cell)),
+        }
     }
 }
 
 impl<P> Clone for InFlight<P> {
     fn clone(&self) -> Self {
-        InFlight(Arc::clone(&self.0))
+        InFlight(match &self.0 {
+            Shared::Owned(owned) => Shared::Owned(Arc::clone(owned)),
+            Shared::Received(cell, _) => Shared::Received(Arc::clone(cell), PhantomData),
+        })
     }
 }
 
 impl<P: PayloadBytes> PayloadBytes for InFlight<P> {
     fn payload_bytes(&self) -> u64 {
-        self.0.bytes
+        match &self.0 {
+            Shared::Owned(owned) => owned.bytes,
+            Shared::Received(cell, _) => cell.bytes,
+        }
     }
 
     fn payload_checksum(&self) -> u64 {
-        *self.0.checksum.get_or_init(|| match &self.0.held {
-            Held::Owned { payload, .. } => payload.payload_checksum(),
-            Held::Received { wire, checksum } => checksum(wire.bytes()),
-        })
+        match &self.0 {
+            Shared::Owned(owned) => *owned
+                .checksum
+                .get_or_init(|| owned.payload.payload_checksum()),
+            Shared::Received(cell, _) => *cell
+                .checksum
+                .get_or_init(|| (cell.checksum_of)(cell.payload())),
+        }
     }
 }
 
@@ -285,8 +340,7 @@ mod tests {
         let owned = vec![3u8, 1, 4, 1, 5];
         let mut body = vec![0u8; ENVELOPE_HEADER];
         body.extend_from_slice(&owned);
-        let wire = WireBytes::new(body, ENVELOPE_HEADER, Arc::clone(&pool));
-        let received = InFlight::<Vec<u8>>::received(wire, 5);
+        let received = InFlight::<Vec<u8>>::received(&pool, body, 5);
         assert!(
             received.payload().is_none(),
             "no decoded copy beside the bytes"

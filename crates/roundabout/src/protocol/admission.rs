@@ -274,17 +274,20 @@ impl<P: PayloadBytes + Clone> QueryLedger<P> {
         None
     }
 
-    /// The transmit-side candidate order for `host`: query ids rotated by
-    /// the host's fairness cursor, restricted to `queued` (queries with
-    /// envelopes in the host's outgoing queue).
+    /// Fills `order` (cleared first) with the transmit-side candidate
+    /// order for `host`: query ids rotated by the host's fairness cursor,
+    /// restricted to `queued` (queries with envelopes in the host's
+    /// outgoing queue).
     // analyze: allow(panic, reason = "host ids index tables sized at construction")
-    pub fn send_order(&self, host: usize, queued: &[u32]) -> Vec<u32> {
+    pub fn send_order(&self, host: usize, queued: &[u32], order: &mut Vec<u32>) {
         let n = self.queries.len();
         let start = self.send_cursor[host] % n.max(1);
-        (0..n)
-            .map(|step| ((start + step) % n) as u32)
-            .filter(|q| queued.contains(q))
-            .collect()
+        order.clear();
+        order.extend(
+            (0..n)
+                .map(|step| ((start + step) % n) as u32)
+                .filter(|q| queued.contains(q)),
+        );
     }
 
     /// Records that `host` transmitted for `query`: advances the host's

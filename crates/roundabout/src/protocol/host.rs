@@ -312,16 +312,16 @@ impl<P: PayloadBytes> HostProtocol<P> {
         self.outgoing.pop_front()
     }
 
-    /// The distinct queries with envelopes in the transmitter queue, in
-    /// first-queued order (the fairness scheduler's candidate set).
-    pub fn outgoing_query_set(&self) -> Vec<u32> {
-        let mut qs = Vec::new();
+    /// Fills `qs` (cleared first) with the distinct queries that have
+    /// envelopes in the transmitter queue, in first-queued order (the
+    /// fairness scheduler's candidate set).
+    pub fn outgoing_query_set(&self, qs: &mut Vec<u32>) {
+        qs.clear();
         for env in &self.outgoing {
             if !qs.contains(&env.query) {
                 qs.push(env.query);
             }
         }
-        qs
     }
 
     /// Removes and returns the first queued envelope belonging to

@@ -17,6 +17,15 @@
 //!   it: `sync::mpmc` channels, or length-prefixed frames over real
 //!   loopback sockets.
 //!
+//! The driver contract is one call: [`RingProtocol::input_into`] takes an
+//! input and appends the outputs it causes to a vector the driver owns.
+//! The driver applies them strictly in order, draining the vector, and
+//! passes the same vector to the next call — so once the vector and the
+//! protocol's own queues have grown to their high-water marks, a hop
+//! allocates nothing in the core. Both appliers keep one such sink for the
+//! whole run. [`RingProtocol::input`] returns a fresh vector instead, for
+//! callers that feed a handful of inputs (tests, the model checker).
+//!
 //! Time never appears here directly. Where the protocol needs a timer it
 //! emits [`Output::ArmTimer`] carrying a backoff *exponent*; the driver
 //! multiplies its own `ack_timeout` by `2^exp` in whatever clock it has.
@@ -234,9 +243,11 @@ pub enum Output<P> {
         /// How many hosts have already visited this envelope (0 = its
         /// origin visit).
         hop: usize,
-        /// Healing mode: the specific logical roles this host applies
-        /// (its own plus any absorbed from dead hosts, minus those
-        /// already applied). `None` on the classic hop-counting path.
+        /// The logical roles this host applies (its own plus any
+        /// absorbed or handed off to it, minus those already applied).
+        /// `None` when that is just the host's own role, as it always is
+        /// on the classic hop-counting path; only healing and rescales
+        /// give a host other roles to name.
         roles: Option<Vec<usize>>,
         /// Payload size, for the driver's cost model.
         bytes: u64,

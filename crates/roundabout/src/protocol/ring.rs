@@ -221,6 +221,11 @@ pub struct RingProtocol<P> {
     /// Outputs produced before the first input (construction-time query
     /// admissions); drained into the next `input` call's result.
     startup: Vec<Output<P>>,
+    /// Scratch for the multi-tenant send pick: the queries a host has
+    /// queued, and their fairness order. Kept so a pick allocates nothing
+    /// once they reach their high-water mark; never part of the state.
+    queued: Vec<u32>,
+    order: Vec<u32>,
 }
 
 impl<P: PayloadBytes + Clone> RingProtocol<P> {
@@ -285,6 +290,8 @@ impl<P: PayloadBytes + Clone> RingProtocol<P> {
                 .then(|| FaultLedger::new(cfg.hosts, cfg.standby)),
             queries: None,
             startup: Vec::new(),
+            queued: Vec::new(),
+            order: Vec::new(),
         }
     }
 
@@ -356,23 +363,32 @@ impl<P: PayloadBytes + Clone> RingProtocol<P> {
             fault: Some(FaultLedger::new(cfg.hosts, cfg.standby)),
             queries: Some(ledger),
             startup,
+            queued: Vec::new(),
+            order: Vec::new(),
         }
     }
 
-    /// Feeds one observation and returns the actions the driver must
-    /// apply, in order.
-    pub fn input(&mut self, input: Input<P>) -> Vec<Output<P>> {
-        let mut out = std::mem::take(&mut self.startup);
+    /// Feeds one observation and appends the actions the driver must
+    /// apply, in order, to `out` — a sink the driver owns and drains, so
+    /// that a warm sink makes the call allocate nothing.
+    pub fn input_into(&mut self, input: Input<P>, out: &mut Vec<Output<P>>) {
+        out.append(&mut self.startup);
         match self.fault.take() {
             Some(mut f) => {
-                self.input_fault(&mut f, input, &mut out);
+                self.input_fault(&mut f, input, out);
                 // Every input can be the one that empties a drainee:
                 // sweep for drains that reached quiescence.
-                self.check_drains(&mut f, &mut out);
+                self.check_drains(&mut f, out);
                 self.fault = Some(f);
             }
-            None => self.input_classic(input, &mut out),
+            None => self.input_classic(input, out),
         }
+    }
+
+    /// [`RingProtocol::input_into`] into a fresh vector.
+    pub fn input(&mut self, input: Input<P>) -> Vec<Output<P>> {
+        let mut out = Vec::new();
+        self.input_into(input, &mut out);
         out
     }
 
@@ -1037,8 +1053,9 @@ impl<P: PayloadBytes + Clone> RingProtocol<P> {
         // so a corpse behind an exhausted quota is still detected.
         let pool_blocked = match self.queries.as_ref() {
             Some(q) => {
-                let queued = self.hosts[from.0].outgoing_query_set();
-                !queued
+                self.hosts[from.0].outgoing_query_set(&mut self.queued);
+                !self
+                    .queued
                     .iter()
                     .any(|&qid| self.hosts[to.0].can_accept(qid, q.quota()))
             }
@@ -1322,11 +1339,16 @@ impl<P: PayloadBytes + Clone> RingProtocol<P> {
             // index (routing may bypass healed-over hosts).
             let hop = held.env.visited.count_ones() as usize;
             held.env.mark_visited(apply);
-            let roles: Vec<usize> = f.roles[host.0]
-                .iter()
-                .copied()
-                .filter(|r| apply & (1u64 << r) != 0)
-                .collect();
+            // A host that applies just its own role says so with `None`,
+            // as the classic path does; only a visit that applies
+            // absorbed or handed-off roles names them.
+            let roles = (apply != 1u64 << host.0).then(|| {
+                f.roles[host.0]
+                    .iter()
+                    .copied()
+                    .filter(|r| apply & (1u64 << r) != 0)
+                    .collect()
+            });
             let id = held.env.id;
             let bytes = held.env.bytes();
             self.hosts[host.0].set_processing(held);
@@ -1334,7 +1356,7 @@ impl<P: PayloadBytes + Clone> RingProtocol<P> {
                 host,
                 id,
                 hop,
-                roles: Some(roles),
+                roles,
                 bytes,
             });
             return;
@@ -1528,17 +1550,19 @@ impl<P: PayloadBytes + Clone> RingProtocol<P> {
         next: HostId,
         out: &mut Vec<Output<P>>,
     ) -> Option<Envelope<P>> {
-        let queued = self.hosts[host.0].outgoing_query_set();
+        self.hosts[host.0].outgoing_query_set(&mut self.queued);
         let q = self.queries.as_mut()?;
-        let chosen = q
-            .send_order(host.0, &queued)
-            .into_iter()
+        q.send_order(host.0, &self.queued, &mut self.order);
+        let chosen = self
+            .order
+            .iter()
+            .copied()
             .find(|&qid| self.hosts[next.0].can_accept(qid, q.quota()));
         let Some(qid) = chosen else {
             // Every queued query is blocked on the successor (pool full
             // or partition exhausted): probe so a corpse behind a full
             // pool is still detected.
-            if !queued.is_empty() && f.probing[host.0].is_none() {
+            if !self.queued.is_empty() && f.probing[host.0].is_none() {
                 f.probing[host.0] = Some((next, 1));
                 out.push(Output::ArmTimer {
                     timer: Timer::Probe {
@@ -1552,7 +1576,7 @@ impl<P: PayloadBytes + Clone> RingProtocol<P> {
             return None;
         };
         f.probing[host.0] = None;
-        q.note_served(host.0, qid, &queued);
+        q.note_served(host.0, qid, &self.queued);
         let quota = q.quota();
         self.hosts[next.0].reserve_slot_for(qid, quota);
         self.hosts[host.0].pop_outgoing_query(qid)
@@ -1965,6 +1989,59 @@ mod tests {
         }
         drive_seq(&mut proto, pending);
         assert_eq!(proto.fragments_completed(), 3, "healing finishes the join");
+    }
+
+    /// A reliable ring whose host 1 dies before anything moves: the
+    /// failure detector confirms it through host 0's exhausted sends, and
+    /// host 2 absorbs role 1. Every visit that applies just the visiting
+    /// host's own role carries `roles: None`; every survivor's visit that
+    /// applies the absorbed role names what it applies, both roles at once
+    /// included.
+    #[test]
+    fn a_healed_survivors_multi_role_visit_names_its_roles() {
+        let mut proto = ring(3, 2, true);
+        let mut pending: Vec<Input<Vec<u8>>> = (0..3)
+            .map(|h| Input::SetupDone { host: HostId(h) })
+            .collect();
+        pending.push(Input::PeerDead { host: HostId(1) });
+        let mut timers = std::collections::VecDeque::new();
+        let mut visits = Vec::new();
+        let mut out = Vec::new();
+        for step in 0.. {
+            assert!(step < 100_000, "protocol did not quiesce");
+            let input = match pending.pop() {
+                Some(input) => input,
+                None => match timers.pop_front() {
+                    Some(timer) => Input::Tick { timer },
+                    None => break,
+                },
+            };
+            proto.input_into(input, &mut out);
+            for output in &out {
+                match output {
+                    Output::StartJoin { host, roles, .. } => visits.push((*host, roles.clone())),
+                    Output::ArmTimer { timer, .. } => timers.push_back(*timer),
+                    _ => {}
+                }
+            }
+            fulfill(std::mem::take(&mut out), &mut pending);
+        }
+        assert_eq!(proto.heal_events(), 1);
+        assert_eq!(proto.fragments_completed(), 6, "healing finishes the join");
+        assert!(visits.iter().all(|(host, _)| *host != HostId(1)));
+        for (host, roles) in &visits {
+            match roles {
+                None => {}
+                Some(roles) => {
+                    assert_eq!(*host, HostId(2), "only the survivor applies a foreign role");
+                    assert!(roles.contains(&1), "{roles:?} names the absorbed role");
+                }
+            }
+        }
+        assert!(
+            visits.contains(&(HostId(2), Some(vec![2, 1]))),
+            "some fragment needs both of the survivor's roles at once"
+        );
     }
 
     #[test]

@@ -351,6 +351,9 @@ struct Runner<P, A> {
     /// wall-clock coordinator, so a retransmission attempt holds its
     /// payload by reference count.
     proto: RingProtocol<InFlight<P>>,
+    /// The protocol's output sink, drained by every `apply` and kept for
+    /// the whole run.
+    outputs: Vec<Output<InFlight<P>>>,
     hosts: Vec<DriverHost>,
     /// Per-host RNIC state (RDMA transport only): the NIC, its send queue
     /// pair, and the registered region backing the ring-buffer pool.
@@ -457,6 +460,7 @@ impl<P: PayloadBytes + Clone, A: RingApp<P>> Runner<P, A> {
             stopped: false,
             network,
             proto,
+            outputs: Vec::new(),
             hosts: (0..n).map(|_| DriverHost::new()).collect(),
             rnics,
             host_speed: ring.host_speed,
@@ -526,8 +530,10 @@ impl<P: PayloadBytes + Clone, A: RingApp<P>> Runner<P, A> {
 
     /// Feeds one input to the protocol and applies what it answers.
     fn input(&mut self, sim: &mut Simulation<RingEvent<P>>, input: Input<InFlight<P>>) {
-        let outputs = self.proto.input(input);
-        self.apply(sim, outputs);
+        let mut outputs = std::mem::take(&mut self.outputs);
+        self.proto.input_into(input, &mut outputs);
+        self.apply(sim, &mut outputs);
+        self.outputs = outputs;
     }
 
     fn progressed(&mut self, now: SimTime) {
@@ -613,9 +619,13 @@ impl<P: PayloadBytes + Clone, A: RingApp<P>> Runner<P, A> {
     /// link/RNIC reservations and cost charges — all the IO the protocol
     /// core abstained from.
     // analyze: allow(panic, reason = "protocol invariant: per-host tables are sized to the ring at construction and HostId never exceeds it; Teardown reasons surface as panics by the driver contract")
-    fn apply(&mut self, sim: &mut Simulation<RingEvent<P>>, outputs: Vec<Output<InFlight<P>>>) {
+    fn apply(
+        &mut self,
+        sim: &mut Simulation<RingEvent<P>>,
+        outputs: &mut Vec<Output<InFlight<P>>>,
+    ) {
         let now = sim.now();
-        for output in outputs {
+        for output in outputs.drain(..) {
             observe(&mut self.spans, || now, &output);
             match output {
                 Output::StartJoin {

@@ -102,6 +102,21 @@ cargo test -q -p cyclo-join --lib a_placement_aliases_its_input_and_covers_it_ex
 cargo test -q -p cyclo-join --lib takeover_returns_the_orphaned_share
 cargo test -q -p data-roundabout --lib reactor_heals_a_mid_revolution_crash
 cargo test -q -p integration-tests --test chaos reactor_connection_sever_mid_revolution_heals_exactly_once
+# Alloc-free hop gate: once the ring is warm a hop allocates nothing. A
+# protocol input fed through one reused sink must stay under one
+# allocation per hundred inputs on classic, reliable and multi-tenant
+# rings of the smallfrag shape (its own counting allocator); an arrival
+# must land in the warm pooled cell its predecessor left, and a copy held
+# on another thread must keep its cell until it is dropped; a healed
+# survivor's multi-role visit must still name its roles; and the
+# multiplexed protocol proptests and the simulator's pinned fingerprints
+# must not move.
+cargo test -q -p data-roundabout --test alloc_free
+cargo test -q -p data-roundabout --lib an_arrival_reuses_its_warm_cell
+cargo test -q -p data-roundabout --lib a_copy_held_on_another_thread_keeps_its_cell
+cargo test -q -p data-roundabout --lib a_healed_survivors_multi_role_visit_names_its_roles
+cargo test -q -p data-roundabout --test proptests protocol_core_multiplex
+cargo test -q -p data-roundabout --test sim_golden
 cargo clippy --all-targets -- -D warnings
 cargo fmt --check
 cargo run -q --release -p xtask -- analyze
