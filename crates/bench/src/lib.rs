@@ -1,4 +1,4 @@
-//! Shared utilities for the cyclo-join benchmark harness.
+//! Shared utilities for the binaries that regenerate the paper's exhibits.
 //!
 //! Every table and figure of the paper's evaluation has a dedicated binary
 //! under `src/bin/` (see DESIGN.md for the exhibit → binary index). The
@@ -17,10 +17,6 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 use cyclo_join::{ComputeMode, CycloJoinReport};
-
-pub mod report;
-pub mod suite;
-pub mod timing;
 
 /// Reads the volume scale factor, with a per-binary default.
 pub fn scale_from_env(default: f64) -> f64 {

@@ -1535,6 +1535,68 @@ mod tests {
         assert_eq!(pool.take().capacity(), len, "the buffer kept its capacity");
     }
 
+    /// A socket that takes at most `per_call` bytes per write, spread
+    /// over as many slices as they reach, and is interrupted every third
+    /// call; with `per_call` 0 its peer is gone.
+    #[derive(Default)]
+    struct Trickle {
+        per_call: usize,
+        calls: usize,
+        out: Vec<u8>,
+    }
+
+    impl Write for Trickle {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> std::io::Result<usize> {
+            assert!(bufs.len() <= MAX_WRITE_SLICES, "one submission, one array");
+            self.calls += 1;
+            if self.calls.is_multiple_of(3) {
+                return Err(std::io::ErrorKind::Interrupted.into());
+            }
+            let mut room = self.per_call;
+            for buf in bufs {
+                let take = buf.len().min(room);
+                self.out.extend_from_slice(&buf[..take]);
+                room -= take;
+            }
+            Ok(self.per_call - room)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// What a vectored write puts on the wire is its parts back to back,
+    /// however the socket cuts the writes: more parts than one submission
+    /// carries, empty ones among them, resumed from the exact byte after
+    /// every short write and retried after every interruption. A socket
+    /// that takes nothing ends the write in `WriteZero`.
+    #[test]
+    fn vectored_writes_put_the_parts_on_the_wire_in_order() {
+        let parts: Vec<Vec<u8>> = (0..3 * MAX_WRITE_SLICES + 5)
+            .map(|i| (0..(i * 7) % 11).map(|j| (i * 31 + j) as u8).collect())
+            .collect();
+        assert!(parts.iter().any(Vec::is_empty));
+        let expected = parts.concat();
+        for per_call in 1..=7 {
+            let mut sink = Trickle {
+                per_call,
+                ..Trickle::default()
+            };
+            write_parts_vectored(&mut sink, parts.iter().map(Vec::as_slice)).unwrap();
+            assert_eq!(sink.out, expected, "parts, {per_call} bytes per write");
+            sink.out.clear();
+            write_frames_vectored(&mut sink, &parts).unwrap();
+            assert_eq!(sink.out, expected, "frames, {per_call} bytes per write");
+        }
+        let gone = write_frames_vectored(&mut Trickle::default(), &parts).unwrap_err();
+        assert_eq!(gone.kind(), std::io::ErrorKind::WriteZero);
+    }
+
     /// `env`'s header around `payload`.
     fn with_payload<A, B>(env: &Envelope<A>, payload: B) -> Envelope<B> {
         Envelope {

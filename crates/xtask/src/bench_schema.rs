@@ -1,25 +1,10 @@
-//! Validator for `BENCH_<n>.json` reports (`cargo xtask bench --check`).
+//! A dependency-free JSON reader: [`parse_json`] turns a document into a
+//! [`Json`] tree, or a [`SchemaError`] naming the byte where it went wrong.
 //!
-//! `xtask` is deliberately dependency-free, so this module carries its own
-//! minimal JSON reader — just enough of RFC 8259 for the bench report
-//! shape (objects, arrays, strings, numbers, booleans, null). The schema
-//! it enforces is documented in `crates/bench/src/report.rs`:
-//!
-//! * `version` must be `1`, `mode` must be `"full"` or `"smoke"`;
-//! * `entries` is non-empty; each entry has a `name`, a `group` in
-//!   {`kernel`, `codec`, `e2e`}, `iters >= 1`, `ns_per_iter > 0`,
-//!   `throughput > 0` and a string `throughput_unit`;
-//! * all three groups appear, and the `e2e` group covers every required
-//!   backend (`e2e_sim`, `e2e_threads`, `e2e_tcp`); extra backend
-//!   entries such as `e2e_reactor` are accepted, so reports committed
-//!   before a backend existed keep validating and newer reports can
-//!   carry it;
-//! * each delta has a `name`, `before_ns > 0`, `after_ns > 0` and a
-//!   `speedup > 0` consistent with `before_ns / after_ns`.
-//!
-//! The validator checks *shape and internal consistency*, not perf
-//! targets: a regressed speedup is a review conversation, not a broken
-//! build.
+//! `xtask` carries no dependencies, so this is just enough of RFC 8259
+//! (objects, arrays, strings, numbers, booleans, null) to read benchmark
+//! reports. `xtask` itself reads none: `ringbench` (`benchmark/`) borrows it
+//! to read `BENCHMARK.json` and its own result files.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -35,20 +20,7 @@ pub enum Json {
     Object(BTreeMap<String, Json>),
 }
 
-impl Json {
-    fn type_name(&self) -> &'static str {
-        match self {
-            Json::Null => "null",
-            Json::Bool(_) => "bool",
-            Json::Number(_) => "number",
-            Json::String(_) => "string",
-            Json::Array(_) => "array",
-            Json::Object(_) => "object",
-        }
-    }
-}
-
-/// A schema violation (or parse error), with enough context to fix it.
+/// A parse error, with the byte offset where it was found.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SchemaError(pub String);
 
@@ -57,12 +29,6 @@ impl fmt::Display for SchemaError {
         f.write_str(&self.0)
     }
 }
-
-fn err<T>(msg: impl Into<String>) -> Result<T, SchemaError> {
-    Err(SchemaError(msg.into()))
-}
-
-// --- JSON reader -----------------------------------------------------------
 
 struct Parser<'a> {
     bytes: &'a [u8],
@@ -78,7 +44,10 @@ impl<'a> Parser<'a> {
     }
 
     fn fail<T>(&self, msg: &str) -> Result<T, SchemaError> {
-        err(format!("json parse error at byte {}: {msg}", self.pos))
+        Err(SchemaError(format!(
+            "json parse error at byte {}: {msg}",
+            self.pos
+        )))
     }
 
     fn skip_ws(&mut self) {
@@ -272,171 +241,9 @@ pub fn parse_json(text: &str) -> Result<Json, SchemaError> {
     Ok(value)
 }
 
-// --- schema ----------------------------------------------------------------
-
-fn get<'a>(obj: &'a BTreeMap<String, Json>, key: &str) -> Result<&'a Json, SchemaError> {
-    obj.get(key)
-        .ok_or_else(|| SchemaError(format!("missing field {key:?}")))
-}
-
-fn as_object(v: &Json, what: &str) -> Result<BTreeMap<String, Json>, SchemaError> {
-    match v {
-        Json::Object(map) => Ok(map.clone()),
-        other => err(format!(
-            "{what} must be an object, got {}",
-            other.type_name()
-        )),
-    }
-}
-
-fn as_array<'a>(v: &'a Json, what: &str) -> Result<&'a [Json], SchemaError> {
-    match v {
-        Json::Array(items) => Ok(items),
-        other => err(format!(
-            "{what} must be an array, got {}",
-            other.type_name()
-        )),
-    }
-}
-
-fn as_string<'a>(v: &'a Json, what: &str) -> Result<&'a str, SchemaError> {
-    match v {
-        Json::String(s) => Ok(s),
-        other => err(format!(
-            "{what} must be a string, got {}",
-            other.type_name()
-        )),
-    }
-}
-
-fn as_number(v: &Json, what: &str) -> Result<f64, SchemaError> {
-    match v {
-        Json::Number(x) => Ok(*x),
-        other => err(format!(
-            "{what} must be a number, got {}",
-            other.type_name()
-        )),
-    }
-}
-
-fn positive(obj: &BTreeMap<String, Json>, key: &str, ctx: &str) -> Result<f64, SchemaError> {
-    let x = as_number(get(obj, key)?, &format!("{ctx}.{key}"))?;
-    if x > 0.0 {
-        Ok(x)
-    } else {
-        err(format!("{ctx}.{key} must be > 0, got {x}"))
-    }
-}
-
-/// Validates a bench report document against schema version 1.
-pub fn validate_report(text: &str) -> Result<(), SchemaError> {
-    let root = as_object(&parse_json(text)?, "report")?;
-
-    let version = as_number(get(&root, "version")?, "version")?;
-    if version != 1.0 {
-        return err(format!("version must be 1, got {version}"));
-    }
-    let mode = as_string(get(&root, "mode")?, "mode")?;
-    if mode != "full" && mode != "smoke" {
-        return err(format!("mode must be \"full\" or \"smoke\", got {mode:?}"));
-    }
-
-    let entries = as_array(get(&root, "entries")?, "entries")?;
-    if entries.is_empty() {
-        return err("entries must not be empty");
-    }
-    let mut groups_seen = Vec::new();
-    let mut names_seen = Vec::new();
-    for (i, entry) in entries.iter().enumerate() {
-        let ctx = format!("entries[{i}]");
-        let obj = as_object(entry, &ctx)?;
-        let name = as_string(get(&obj, "name")?, &format!("{ctx}.name"))?;
-        let group = as_string(get(&obj, "group")?, &format!("{ctx}.group"))?;
-        if !matches!(group, "kernel" | "codec" | "e2e") {
-            return err(format!(
-                "{ctx}.group must be kernel|codec|e2e, got {group:?}"
-            ));
-        }
-        let iters = as_number(get(&obj, "iters")?, &format!("{ctx}.iters"))?;
-        if iters < 1.0 || iters.fract() != 0.0 {
-            return err(format!(
-                "{ctx}.iters must be a positive integer, got {iters}"
-            ));
-        }
-        positive(&obj, "ns_per_iter", &ctx)?;
-        positive(&obj, "throughput", &ctx)?;
-        as_string(
-            get(&obj, "throughput_unit")?,
-            &format!("{ctx}.throughput_unit"),
-        )?;
-        if names_seen.contains(&name.to_string()) {
-            return err(format!("duplicate entry name {name:?}"));
-        }
-        names_seen.push(name.to_string());
-        if !groups_seen.contains(&group.to_string()) {
-            groups_seen.push(group.to_string());
-        }
-    }
-    for group in ["kernel", "codec", "e2e"] {
-        if !groups_seen.iter().any(|g| g == group) {
-            return err(format!("entries must cover group {group:?}"));
-        }
-    }
-    for backend in ["e2e_sim", "e2e_threads", "e2e_tcp"] {
-        if !names_seen.iter().any(|n| n == backend) {
-            return err(format!("missing e2e backend entry {backend:?}"));
-        }
-    }
-
-    let deltas = as_array(get(&root, "deltas")?, "deltas")?;
-    for (i, delta) in deltas.iter().enumerate() {
-        let ctx = format!("deltas[{i}]");
-        let obj = as_object(delta, &ctx)?;
-        as_string(get(&obj, "name")?, &format!("{ctx}.name"))?;
-        let before = positive(&obj, "before_ns", &ctx)?;
-        let after = positive(&obj, "after_ns", &ctx)?;
-        let speedup = positive(&obj, "speedup", &ctx)?;
-        let ratio = before / after;
-        // The serializer rounds every number; allow the ratio check the
-        // slack that rounding can introduce.
-        if (speedup - ratio).abs() > 0.05 * ratio.max(speedup) + 0.11 {
-            return err(format!(
-                "{ctx}.speedup {speedup} inconsistent with before/after ratio {ratio:.3}"
-            ));
-        }
-    }
-
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    const GOOD: &str = r#"{
-      "version": 1,
-      "mode": "smoke",
-      "entries": [
-        { "name": "radix_partition_4k", "group": "kernel", "iters": 3,
-          "ns_per_iter": 1000.0, "throughput": 4.1e9, "throughput_unit": "tuples/s" },
-        { "name": "wire_encode_16k", "group": "codec", "iters": 3,
-          "ns_per_iter": 1000.0, "throughput": 1.0e9, "throughput_unit": "bytes/s" },
-        { "name": "e2e_sim", "group": "e2e", "iters": 1,
-          "ns_per_iter": 1000.0, "throughput": 8.0, "throughput_unit": "revolutions/s" },
-        { "name": "e2e_threads", "group": "e2e", "iters": 1,
-          "ns_per_iter": 1000.0, "throughput": 8.0, "throughput_unit": "revolutions/s" },
-        { "name": "e2e_tcp", "group": "e2e", "iters": 1,
-          "ns_per_iter": 1000.0, "throughput": 8.0, "throughput_unit": "revolutions/s" }
-      ],
-      "deltas": [
-        { "name": "envelope_encode_buffer", "before_ns": 200.0, "after_ns": 100.0, "speedup": 2.0 }
-      ]
-    }"#;
-
-    #[test]
-    fn good_report_validates() {
-        validate_report(GOOD).unwrap();
-    }
 
     #[test]
     fn parser_handles_scalars_and_nesting() {
@@ -460,73 +267,5 @@ mod tests {
         assert!(parse_json("{} extra").is_err());
         assert!(parse_json(r#"{"a": }"#).is_err());
         assert!(parse_json("[1,]").is_err());
-    }
-
-    fn mutate(from: &str, to: &str) -> String {
-        assert!(GOOD.contains(from), "fixture must contain {from:?}");
-        GOOD.replacen(from, to, 1)
-    }
-
-    #[test]
-    fn wrong_version_is_rejected() {
-        let bad = mutate("\"version\": 1", "\"version\": 2");
-        assert!(validate_report(&bad).unwrap_err().0.contains("version"));
-    }
-
-    #[test]
-    fn bad_mode_is_rejected() {
-        let bad = mutate("\"smoke\"", "\"warp\"");
-        assert!(validate_report(&bad).unwrap_err().0.contains("mode"));
-    }
-
-    #[test]
-    fn missing_backend_is_rejected() {
-        let bad = mutate("e2e_tcp", "e2e_quic");
-        assert!(validate_report(&bad).unwrap_err().0.contains("e2e_tcp"));
-    }
-
-    #[test]
-    fn extra_backend_entries_are_accepted() {
-        // Reports from before the reactor backend existed lack the
-        // entry; newer reports carry it. Both must validate.
-        let with_reactor = mutate(
-            r#"{ "name": "e2e_tcp", "group": "e2e", "iters": 1,
-          "ns_per_iter": 1000.0, "throughput": 8.0, "throughput_unit": "revolutions/s" }"#,
-            r#"{ "name": "e2e_tcp", "group": "e2e", "iters": 1,
-          "ns_per_iter": 1000.0, "throughput": 8.0, "throughput_unit": "revolutions/s" },
-        { "name": "e2e_reactor", "group": "e2e", "iters": 1,
-          "ns_per_iter": 1000.0, "throughput": 8.0, "throughput_unit": "revolutions/s" }"#,
-        );
-        validate_report(&with_reactor).unwrap();
-    }
-
-    #[test]
-    fn missing_group_is_rejected() {
-        let bad = mutate("\"group\": \"codec\"", "\"group\": \"kernel\"");
-        assert!(validate_report(&bad).unwrap_err().0.contains("codec"));
-    }
-
-    #[test]
-    fn nonpositive_measurement_is_rejected() {
-        let bad = mutate(
-            "\"ns_per_iter\": 1000.0, \"throughput\": 4.1e9",
-            "\"ns_per_iter\": 0.0, \"throughput\": 4.1e9",
-        );
-        assert!(validate_report(&bad).unwrap_err().0.contains("ns_per_iter"));
-    }
-
-    #[test]
-    fn inconsistent_speedup_is_rejected() {
-        let bad = mutate("\"speedup\": 2.0", "\"speedup\": 9.0");
-        assert!(validate_report(&bad)
-            .unwrap_err()
-            .0
-            .contains("inconsistent"));
-    }
-
-    #[test]
-    fn duplicate_entry_names_are_rejected() {
-        let bad = mutate("radix_partition_4k", "wire_encode_16k");
-        assert!(validate_report(&bad).unwrap_err().0.contains("duplicate"));
     }
 }

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Tier-1 verification: build, full test suite, a warning-free clippy
-# pass over every target (benches, examples, tests included), a
+# pass over every target (examples and tests included), a
 # formatting check, and the repo-native lints (scripts/analyze.sh runs
 # the deeper, slower static-analysis tier on top of these).
 set -euo pipefail
@@ -69,12 +69,15 @@ cargo test -q -p data-roundabout --test sim_golden
 # equal a fresh encoding of the decoded payload for every payload form,
 # read through the decoder at arbitrary splits; both socket engines must
 # encode each fragment exactly once under a lossy, corrupting plan (and
-# still reject and repair every corrupt attempt); and a hostile
+# still reject and repair every corrupt attempt); a hostile
 # radix-partition count must end in a typed error before anything is
-# sized from it.
+# sized from it; and a vectored write must put its parts on the wire
+# back to back however a socket cuts and interrupts it, and end in
+# `WriteZero` when the socket takes nothing.
 cargo test -q -p data-roundabout --lib forwarded_bytes_equal_reencoded_bytes
 cargo test -q -p data-roundabout --lib each_fragment_is_encoded_once
 cargo test -q -p data-roundabout --lib hostile_partition_count_is_refused_before_allocating
+cargo test -q -p data-roundabout --lib vectored_writes_put_the_parts_on_the_wire_in_order
 # Decode-never gate: a received payload is checked once on receipt and
 # every visit joins its bytes in place. The view must refuse exactly what
 # decoding refuses (byte flips in the columns included, truncations,
@@ -142,12 +145,6 @@ cargo run -q --release -p xtask -- analyze
 # must be *caught* with a minimal counterexample trace. The deep 3-host
 # bounds run in scripts/analyze.sh.
 cargo run -q --release -p xtask -- verify --smoke
-# Bench-harness gates: the smoke suite must run clean end to end (every
-# kernel/codec/e2e entry and every hot-path delta measured, JSON written
-# and schema-validated), and the committed BENCH_*.json baselines must
-# still parse against schema v1.
-cargo run -q --release -p xtask -- bench --smoke
-cargo run -q --release -p xtask -- bench --check
 # Benchmark smoke (read-only use of benchmark/): all five workloads at
 # one eighth size, every run checked against the reference join, so a
 # kernel that returns a wrong count fails here before it reaches the
