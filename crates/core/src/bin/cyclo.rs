@@ -60,7 +60,6 @@ OPTIONS:
                          with a fault plan, rescale plan or tenants) — tear
                          the ring down after D without an event (default 10s)
     --measured           wall-clock-measure real compute instead of modeling
-    --threaded           alias for --backend threads
     --no-verify          skip the reference-join verification
     --trace <PATH>       write a Chrome trace-event JSON profile to PATH
                          (open in chrome://tracing or https://ui.perfetto.dev)
@@ -219,7 +218,6 @@ fn parse_args<I: Iterator<Item = String>>(mut args: I) -> Result<Option<Options>
                 }
             }
             "--measured" => opts.measured = true,
-            "--threaded" => opts.backend = Backend::Threads,
             "--no-verify" => opts.verify = false,
             "--trace" => opts.trace = Some(value("--trace")?),
             "--trace-text" => opts.trace_text = true,
@@ -680,19 +678,13 @@ mod tests {
     }
 
     #[test]
-    fn threaded_is_an_alias_for_backend_threads() {
-        assert_eq!(parse_ok(&["--threaded"]).backend, Backend::Threads);
+    fn reactor_backend_is_parsed() {
+        let opts = parse_ok(&["--backend", "reactor"]);
+        assert_eq!(opts.backend, Backend::Reactor);
         assert_eq!(
             parse_ok(&["--backend", "threads"]).backend,
             Backend::Threads
         );
-        assert_eq!(parse_ok(&[]).backend, Backend::Sim);
-    }
-
-    #[test]
-    fn reactor_backend_is_parsed() {
-        let opts = parse_ok(&["--backend", "reactor"]);
-        assert_eq!(opts.backend, Backend::Reactor);
         // Timeout flags default to "leave the config's values alone".
         assert_eq!(opts.handshake_timeout, None);
         assert_eq!(opts.watchdog, None);

@@ -140,10 +140,7 @@ impl ConcurrentJoins {
             return Err(PlanError::NoFragments);
         }
         if self.queries.is_empty() {
-            return Err(PlanError::UnsupportedPredicate {
-                algorithm: "none",
-                predicate: "batch contains no queries".to_string(),
-            });
+            return Err(PlanError::BadQuery("batch contains no queries".to_string()));
         }
         for q in &self.queries {
             if !q.algorithm.supports(&q.predicate) {
@@ -333,7 +330,8 @@ mod tests {
     #[test]
     fn empty_batch_is_an_error() {
         let hot = GenSpec::uniform(100, 640).generate();
-        assert!(ConcurrentJoins::new(hot).hosts(2).run().is_err());
+        let err = ConcurrentJoins::new(hot).hosts(2).run().unwrap_err();
+        assert!(matches!(err, PlanError::BadQuery(_)), "{err:?}");
     }
 
     #[test]

@@ -51,7 +51,6 @@
 //!   per-query credits and admission control;
 //! * [`cyclotron`] — continuous rotation with ad-hoc query arrivals (the
 //!   full Data Cyclotron operational mode);
-//! * [`recovery`] — ring elasticity and failure absorption;
 //! * [`sql`] — a minimal SQL front-end (§VII's "SQL-enabled system");
 //! * [`verify`] — trusted single-host reference joins.
 
@@ -67,7 +66,6 @@ pub mod model;
 pub mod multiplex;
 pub mod pipeline;
 pub mod plan;
-pub mod recovery;
 pub mod report;
 pub mod result;
 mod session;
@@ -86,7 +84,6 @@ pub use model::{
 pub use multiplex::{MultiTenantJoin, MultiTenantReport, TenantReport};
 pub use pipeline::{JoinPipeline, PipelineReport};
 pub use plan::{CycloJoin, PlanError};
-pub use recovery::{absorb_host, rebalance, takeover, RecoveryError};
 pub use report::CycloJoinReport;
 pub use result::DistributedResult;
 pub use sql::{Catalog, Query, SqlError};

@@ -129,10 +129,9 @@ impl JoinPipeline {
     /// the pipeline has no stages.
     pub fn run(self) -> Result<PipelineReport, PlanError> {
         if self.stages.is_empty() {
-            return Err(PlanError::UnsupportedPredicate {
-                algorithm: "none",
-                predicate: "pipeline contains no stages".to_string(),
-            });
+            return Err(PlanError::BadQuery(
+                "pipeline contains no stages".to_string(),
+            ));
         }
         run_stages(self.base, self.hosts, self.stages)
     }
@@ -222,7 +221,8 @@ mod tests {
     #[test]
     fn empty_pipeline_is_an_error() {
         let base = GenSpec::uniform(10, 830).generate();
-        assert!(JoinPipeline::new(base).run().is_err());
+        let err = JoinPipeline::new(base).run().unwrap_err();
+        assert!(matches!(err, PlanError::BadQuery(_)), "{err:?}");
     }
 
     #[test]

@@ -186,8 +186,7 @@ impl<'a> Session<'a> {
     pub(crate) fn absorb(&self, role: usize) -> SimDuration {
         let mut total = SimDuration::ZERO;
         for q in &self.queries {
-            let share = crate::recovery::takeover(&q.stationary, role).ok();
-            total += self.build(q, role, share);
+            total += self.build(q, role, q.stationary.get(role).copied());
         }
         total
     }
@@ -313,6 +312,42 @@ impl<'a> Session<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::distribute::RotateSide;
+    use crate::verify::reference_join;
+    use relation::GenSpec;
+
+    /// A takeover rebuilds the orphaned role from its share: role 2's
+    /// slot stays empty until `absorb(2)` fills it, and a visit on behalf
+    /// of both roles then joins the fragment against exactly `S_2 ∪ S_3`.
+    #[test]
+    fn a_takeover_rebuilds_the_orphaned_role_from_its_share() {
+        let r = GenSpec::uniform(4_000, 70).generate();
+        let s = GenSpec::uniform(4_000, 71).generate();
+        let placement = Placement::new(&r, &s, 4, 2, RotateSide::R);
+        let fragment = placement.rotating[0][0].to_relation();
+        let mut survivor_share = placement.stationary[2].to_relation();
+        survivor_share.extend_from(&placement.stationary[3].to_relation());
+        let reference = reference_join(&fragment, &survivor_share, &JoinPredicate::Equi);
+        assert!(reference.count > 0, "the fragment must match something");
+
+        let mut session = Session::new(RingConfig::paper(4), ComputeMode::modeled());
+        let rotating = session.admit(
+            Algorithm::partitioned_hash(),
+            &JoinPredicate::Equi,
+            placement,
+            OutputMode::Aggregate,
+            true,
+        );
+        for host in [0, 1, 3] {
+            session.setup(HostId(host));
+        }
+        session.absorb(2);
+        session.visit(HostId(3), 0, &[3, 2], (&rotating[0][0]).into());
+        let result = session.finish().pop().expect("one query");
+        assert_eq!(result.partial(3).count(), reference.count);
+        assert_eq!(result.partial(3).checksum(), reference.checksum);
+        assert_eq!(result.count(), reference.count, "only host 3 joined");
+    }
 
     #[test]
     fn mirror_predicate_flips_theta() {

@@ -50,5 +50,5 @@ pub use nested::nested_loops_join;
 pub use operator::{Algorithm, FragmentView, StationaryState};
 pub use predicate::JoinPredicate;
 pub use sort::{merge_join, SortMergeState, SortedRun};
-pub use stats::{timed, PhaseTimes};
+pub use stats::timed;
 pub use wire::PreparedFragment;

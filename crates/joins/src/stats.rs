@@ -1,43 +1,17 @@
-//! Timing helpers and phase breakdowns for join execution.
+//! Timing for join execution.
 //!
 //! The paper reports every experiment as a **setup** / **join** (and later
-//! **sync**) phase breakdown; [`PhaseTimes`] is that record for real,
+//! **sync**) phase breakdown; [`timed`] measures one phase of real,
 //! wall-clock-measured local execution. (The simulator keeps its own
-//! virtual-time breakdowns; this type is for the measured-compute path.)
+//! virtual-time breakdowns.)
 
 use std::time::{Duration, Instant};
-
-use serde::{Deserialize, Serialize};
 
 /// Runs `f`, returning its result and the wall-clock time it took.
 pub fn timed<T>(f: impl FnOnce() -> T) -> (T, Duration) {
     let start = Instant::now();
     let value = f();
     (value, start.elapsed())
-}
-
-/// Wall-clock time spent in each phase of a (local) join execution.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub struct PhaseTimes {
-    /// Setup phase: partitioning + hash-table build, or sorting.
-    pub setup: Duration,
-    /// Join phase: probing or merging.
-    pub join: Duration,
-}
-
-impl PhaseTimes {
-    /// Total across phases.
-    pub fn total(&self) -> Duration {
-        self.setup + self.join
-    }
-
-    /// Component-wise sum.
-    pub fn combine(&self, other: &PhaseTimes) -> PhaseTimes {
-        PhaseTimes {
-            setup: self.setup + other.setup,
-            join: self.join + other.join,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -52,21 +26,5 @@ mod tests {
         });
         assert_eq!(value, 42);
         assert!(elapsed >= Duration::from_millis(5));
-    }
-
-    #[test]
-    fn phase_times_combine() {
-        let a = PhaseTimes {
-            setup: Duration::from_millis(10),
-            join: Duration::from_millis(20),
-        };
-        let b = PhaseTimes {
-            setup: Duration::from_millis(1),
-            join: Duration::from_millis(2),
-        };
-        let c = a.combine(&b);
-        assert_eq!(c.setup, Duration::from_millis(11));
-        assert_eq!(c.join, Duration::from_millis(22));
-        assert_eq!(c.total(), Duration::from_millis(33));
     }
 }

@@ -33,8 +33,8 @@ pub mod zipf;
 pub use checksum::{relation_checksum, Checksum};
 pub use column::Column;
 pub use generator::{paper_skew_pair, paper_uniform_pair, GenSpec, KeyDistribution};
-pub use partition::{chunk_partition, hash_partition, partition_of};
-pub use profile::{estimate_equi_matches, KeyProfile};
+pub use partition::{hash_partition, partition_of};
+pub use profile::estimate_equi_matches;
 pub use relation::Relation;
 pub use tuple::{Key, MatchPair, Payload, Tuple, TUPLE_BYTES};
 pub use wire::{decode, encode, ColumnValue, Columns, DecodeError, RelationView};

@@ -2,28 +2,14 @@
 //!
 //! Cyclo-join assumes both input relations are spread over all hosts before
 //! the join starts (§IV-A): it does not care *how* R is distributed, but S
-//! should be reasonably even. Two schemes are provided:
-//!
-//! * [`chunk_partition`] — contiguous, even-sized chunks (what "spread all
-//!   data evenly" means for the rotating relation);
-//! * [`hash_partition`] — partition by a hash of the join key, giving each
-//!   host a disjoint key subset (what an upstream system like HadoopDB
-//!   would deliver, and the natural placement for the stationary relation).
+//! should be reasonably even. Contiguous, even-sized chunks are
+//! [`Relation::split_even`]; [`hash_partition`] partitions by a hash of
+//! the join key instead, giving each host a disjoint key subset (what an
+//! upstream system like HadoopDB would deliver, and the natural placement
+//! for the stationary relation).
 
 use crate::relation::Relation;
 use crate::tuple::Key;
-
-/// Splits `rel` into `parts` contiguous chunks of near-equal size.
-///
-/// Equivalent to [`Relation::split_even`]; provided here so both
-/// partitioning schemes live side by side.
-///
-/// # Panics
-///
-/// Panics if `parts` is zero.
-pub fn chunk_partition(rel: &Relation, parts: usize) -> Vec<Relation> {
-    rel.split_even(parts)
-}
 
 /// Splits `rel` into `parts` relations by hashing the join key, so equal
 /// keys land in the same part.
@@ -111,12 +97,6 @@ mod tests {
                 .count(),
             3
         );
-    }
-
-    #[test]
-    fn chunk_partition_matches_split_even() {
-        let rel = GenSpec::sequential(100, 0).generate();
-        assert_eq!(chunk_partition(&rel, 7), rel.split_even(7));
     }
 
     #[test]

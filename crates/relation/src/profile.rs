@@ -2,83 +2,14 @@
 //!
 //! The paper's closing future-work item is "a complete cost model for
 //! cyclo-join" (§VII); a cost model is only as good as its workload
-//! estimates. [`KeyProfile`] summarizes a relation's join-key
-//! distribution — cardinality, distinct keys, heaviest keys, a skew
-//! indicator — and [`estimate_equi_matches`] computes the *exact*
-//! equi-join output cardinality of two relations in O(|R| + |S|), the
-//! quantity the analytic model needs most.
+//! estimates. [`estimate_equi_matches`] computes the *exact* equi-join
+//! output cardinality of two relations in O(|R| + |S|), the quantity the
+//! analytic model needs most.
 
 use std::collections::HashMap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::relation::Relation;
 use crate::tuple::Key;
-
-/// Summary statistics of a relation's join-key column.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct KeyProfile {
-    /// Number of tuples.
-    pub tuples: usize,
-    /// Number of distinct keys.
-    pub distinct: usize,
-    /// The `k` most frequent keys with their counts, descending.
-    pub heavy_hitters: Vec<(Key, usize)>,
-    /// Fraction of all tuples carried by the single hottest key.
-    pub top_fraction: f64,
-}
-
-impl KeyProfile {
-    /// Profiles `rel`, keeping the `heavy` most frequent keys.
-    pub fn of(rel: &Relation, heavy: usize) -> Self {
-        let mut counts: HashMap<Key, usize> = HashMap::new();
-        for &k in rel.keys() {
-            *counts.entry(k).or_insert(0) += 1;
-        }
-        let distinct = counts.len();
-        let mut sorted: Vec<(Key, usize)> = counts.into_iter().collect();
-        sorted.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        let top_fraction = if rel.is_empty() {
-            0.0
-        } else {
-            sorted
-                .first()
-                .map_or(0.0, |&(_, c)| c as f64 / rel.len() as f64)
-        };
-        sorted.truncate(heavy);
-        KeyProfile {
-            tuples: rel.len(),
-            distinct,
-            heavy_hitters: sorted,
-            top_fraction,
-        }
-    }
-
-    /// Average number of duplicates per distinct key.
-    pub fn mean_duplicates(&self) -> f64 {
-        if self.distinct == 0 {
-            0.0
-        } else {
-            self.tuples as f64 / self.distinct as f64
-        }
-    }
-
-    /// A crude skew verdict: uniform keys have a hottest-key share close
-    /// to `1 / distinct`; heavy skew concentrates a large multiple of it.
-    pub fn skew_factor(&self) -> f64 {
-        if self.distinct == 0 || self.top_fraction == 0.0 {
-            return 1.0;
-        }
-        self.top_fraction * self.distinct as f64
-    }
-
-    /// True if the hottest key carries disproportionate mass (≥ 16× its
-    /// uniform share and ≥ 1 % of the relation) — the regime where the
-    /// paper's Figure 9 effect bites.
-    pub fn is_skewed(&self) -> bool {
-        self.skew_factor() >= 16.0 && self.top_fraction >= 0.01
-    }
-}
 
 /// Exact equi-join output cardinality `|R ⋈ S|` in O(|R| + |S|) time:
 /// `Σ_k count_R(k) · count_S(k)`.
@@ -103,33 +34,6 @@ mod tests {
     use crate::relation::Relation;
 
     #[test]
-    fn profile_counts_distinct_and_heavy() {
-        let rel = Relation::from_pairs([(1, 0), (1, 1), (1, 2), (2, 3), (3, 4)]);
-        let p = KeyProfile::of(&rel, 2);
-        assert_eq!(p.tuples, 5);
-        assert_eq!(p.distinct, 3);
-        assert_eq!(p.heavy_hitters, vec![(1, 3), (2, 1)]);
-        assert!((p.top_fraction - 0.6).abs() < 1e-9);
-        assert!((p.mean_duplicates() - 5.0 / 3.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn uniform_keys_are_not_skewed() {
-        let rel = GenSpec::uniform(50_000, 1).generate();
-        let p = KeyProfile::of(&rel, 4);
-        assert!(!p.is_skewed(), "uniform skew factor {}", p.skew_factor());
-    }
-
-    #[test]
-    fn zipf_keys_are_skewed() {
-        let rel = GenSpec::zipf(50_000, 0.9, 2).generate();
-        let p = KeyProfile::of(&rel, 4);
-        assert!(p.is_skewed(), "zipf skew factor {}", p.skew_factor());
-        // The hottest key is rank 0 (Zipf rank 1 maps to key 0).
-        assert_eq!(p.heavy_hitters[0].0, 0);
-    }
-
-    #[test]
     fn match_estimate_is_exact() {
         let r = GenSpec::uniform(1_500, 3).generate();
         let s = GenSpec::uniform(1_500, 4).generate();
@@ -147,11 +51,9 @@ mod tests {
 
     #[test]
     fn empty_profiles() {
-        let p = KeyProfile::of(&Relation::new(), 4);
-        assert_eq!(p.tuples, 0);
-        assert_eq!(p.distinct, 0);
-        assert_eq!(p.mean_duplicates(), 0.0);
-        assert!(!p.is_skewed());
+        let some = GenSpec::uniform(100, 5).generate();
         assert_eq!(estimate_equi_matches(&Relation::new(), &Relation::new()), 0);
+        assert_eq!(estimate_equi_matches(&Relation::new(), &some), 0);
+        assert_eq!(estimate_equi_matches(&some, &Relation::new()), 0);
     }
 }

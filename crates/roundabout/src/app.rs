@@ -47,27 +47,14 @@ pub trait RingApp<P> {
         false
     }
 
-    /// Ring healing: `survivor` takes over the stationary partition of the
-    /// logical role `failed` (rebuilding hash tables / sorted runs for the
-    /// orphaned `S_i`). Returns the virtual duration of that takeover.
+    /// A takeover: `host` rebuilds its local state (hash tables, sorted
+    /// runs) for the stationary partition of logical `role` — the ring
+    /// healed around the role's dead owner, or a planned rescale handed
+    /// the role to `host`. Returns the virtual duration of the rebuild.
     /// The default is free, which suits apps without per-host state.
-    fn absorb(&mut self, survivor: HostId, failed: HostId) -> SimDuration {
-        let _ = (survivor, failed);
+    fn absorb(&mut self, host: HostId, role: usize) -> SimDuration {
+        let _ = (host, role);
         SimDuration::ZERO
-    }
-
-    /// Planned repartitioning: on a rescale, host `to` receives the
-    /// stationary `roles` from donor `from` and rebuilds its local state
-    /// for them (hash tables, sorted runs). Returns the virtual duration
-    /// of the rebuild. The default prices each role like a healing
-    /// absorb, which keeps apps that only implement [`RingApp::absorb`]
-    /// correct under rescale.
-    fn handoff(&mut self, to: HostId, from: HostId, roles: &[usize]) -> SimDuration {
-        let _ = from;
-        roles
-            .iter()
-            .map(|&r| self.absorb(to, HostId(r)))
-            .fold(SimDuration::ZERO, |acc, d| acc + d)
     }
 }
 

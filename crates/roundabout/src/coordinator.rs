@@ -340,9 +340,10 @@ pub(crate) fn observe<P>(
             on(host, Track::Control, format!("activated (epoch {epoch})")),
             Some((counter::RESCALE_JOINS, 1)),
         ),
-        Output::Handoff { roles, .. } => {
-            (None, Some((counter::RESCALE_HANDOFFS, roles.len() as u64)))
-        }
+        Output::Absorb { roles, planned, .. } => (
+            None,
+            planned.then_some((counter::RESCALE_HANDOFFS, roles.len() as u64)),
+        ),
         Output::Departed { host, epoch } => (
             on(host, Track::Control, format!("departed (epoch {epoch})")),
             Some((counter::RESCALE_DRAINS, 1)),
@@ -364,7 +365,6 @@ pub(crate) fn observe<P>(
         | Output::Processed { .. }
         | Output::Ack { .. }
         | Output::ArmTimer { .. }
-        | Output::Absorb { .. }
         | Output::Finished { .. }
         | Output::Teardown { .. } => return,
     };
@@ -429,7 +429,7 @@ pub(crate) enum Job<P> {
     },
     /// Rebuild the stationary state of `roles` at this host.
     Absorb {
-        dead: HostId,
+        from: HostId,
         roles: Vec<usize>,
         /// True for a planned rescale handoff (the donor is alive) rather
         /// than a crash-healing absorb; labels only — the protocol input
@@ -456,7 +456,7 @@ pub(crate) enum Done {
         hop: usize,
     },
     Absorb {
-        dead: HostId,
+        from: HostId,
         roles: usize,
         planned: bool,
     },
@@ -490,7 +490,7 @@ where
             (matches!(outcome, Ok(Some(()))), Done::Join { id, hop })
         }
         Job::Absorb {
-            dead,
+            from,
             roles,
             planned,
         } => (
@@ -499,7 +499,7 @@ where
             }))
             .is_ok(),
             Done::Absorb {
-                dead,
+                from,
                 roles: roles.len(),
                 planned,
             },
@@ -986,12 +986,12 @@ impl<'a, P: PayloadBytes, M: Medium<P>> Coordinator<'a, P, M> {
                 );
             }
             Done::Absorb {
-                dead,
+                from,
                 roles,
                 planned,
             } => {
                 if self.tracer.is_enabled() {
-                    let name = takeover_name(planned, roles, dead);
+                    let name = takeover_name(planned, roles, from);
                     self.tracer
                         .span(host.0, SpanKind::Absorb, name, start, spent.into());
                 }
@@ -1096,23 +1096,16 @@ impl<'a, P: PayloadBytes, M: Medium<P>> Coordinator<'a, P, M> {
                     self.detection_latency = self.detection_latency.max(latency);
                 }
                 Output::Absorb {
-                    survivor,
-                    dead,
+                    from,
+                    to,
                     roles,
+                    planned,
                 } => self.start(
-                    survivor,
-                    Job::Absorb {
-                        dead,
-                        roles,
-                        planned: false,
-                    },
-                ),
-                Output::Handoff { from, to, roles } => self.start(
                     to,
                     Job::Absorb {
-                        dead: from,
+                        from,
                         roles,
-                        planned: true,
+                        planned,
                     },
                 ),
                 Output::Departed { host, .. } => {
@@ -2421,8 +2414,7 @@ mod tests {
                 Call::Ack(ctx.expect("ack needs a delivery"), *to, *tid)
             } else if let Output::ArmTimer { timer, .. } = output {
                 Call::Arm(TimerKind::Protocol(*timer))
-            } else if let Output::Absorb { survivor: to, .. } | Output::Handoff { to, .. } = output
-            {
+            } else if let Output::Absorb { to, .. } = output {
                 Call::Absorb(*to)
             } else if let Output::Departed { host, .. } = output {
                 Call::Sever(*host)
@@ -2629,9 +2621,10 @@ mod tests {
             ),
             (
                 Output::Absorb {
-                    survivor: HostId(2),
-                    dead: h,
+                    from: h,
+                    to: HostId(2),
                     roles: vec![1],
+                    planned: false,
                 },
                 None,
                 None,
@@ -2642,10 +2635,11 @@ mod tests {
                 Some((counter::RESCALE_JOINS, 1)),
             ),
             (
-                Output::Handoff {
+                Output::Absorb {
                     from: h,
                     to: HostId(2),
                     roles: vec![1, 3],
+                    planned: true,
                 },
                 None,
                 Some((counter::RESCALE_HANDOFFS, 2)),

@@ -59,7 +59,6 @@
 #[cfg(test)]
 mod alloc_count;
 pub mod app;
-pub mod buffer;
 pub mod config;
 mod coordinator;
 pub mod envelope;
@@ -76,7 +75,6 @@ pub mod thread_backend;
 pub mod wheel;
 
 pub use app::{FixedCostApp, RingApp};
-pub use buffer::RegisteredPool;
 pub use config::{ConfigError, RingConfig};
 pub use coordinator::{validate_plans, WallClockDriver, WallClockEngine};
 pub use envelope::{Envelope, FragmentId, PayloadBytes};

@@ -131,7 +131,7 @@ impl MembershipLedger {
     }
 
     /// Stationary partitions moved by planned handoffs.
-    pub fn handoffs(&self) -> u64 {
+    pub fn roles_handed_off(&self) -> u64 {
         self.handoffs
     }
 

@@ -157,8 +157,8 @@ pub enum Input<P> {
         /// The resumed host.
         host: HostId,
     },
-    /// The role-absorption work scheduled by [`Output::Absorb`] or
-    /// [`Output::Handoff`] finished.
+    /// The role-absorption work scheduled by an [`Output::Absorb`]
+    /// finished.
     AbsorbDone {
         /// The survivor that finished absorbing.
         host: HostId,
@@ -167,7 +167,7 @@ pub enum Input<P> {
     /// ring. The membership ledger activates it, re-splices the hop links
     /// around it and hands it the stationary partitions rendezvous
     /// hashing assigns it (see [`Output::Activate`] /
-    /// [`Output::Handoff`]). Invalid requests (not a standby, crashed)
+    /// [`Output::Absorb`]). Invalid requests (not a standby, crashed)
     /// are ignored.
     JoinRequest {
         /// The standby host entering the ring.
@@ -347,41 +347,34 @@ pub enum Output<P> {
         /// The confirmed-dead host.
         dead: HostId,
     },
-    /// The ring successor takes over the dead host's logical roles. The
-    /// driver runs the application's absorb work and feeds
-    /// [`Input::AbsorbDone`] when it completes.
+    /// Logical roles move from `from` to `to`: after a crash, the ring
+    /// successor takes over the dead host's roles; on a planned rescale,
+    /// stationary partitions move from a drainee, or from a donor to a
+    /// freshly activated host (rendezvous-hashed). Exactly-once either
+    /// way: the ledger moves each role atomically, so no role is ever
+    /// served by two hosts. The driver runs the application's rebuild of
+    /// `roles` at `to` and feeds [`Input::AbsorbDone`] when it completes;
+    /// until then `to` relays without joining.
     Absorb {
-        /// Surviving successor that absorbs.
-        survivor: HostId,
-        /// The dead host whose roles move.
-        dead: HostId,
-        /// The orphaned roles (exactly-once: the ledger guarantees no
-        /// role is ever absorbed twice).
-        roles: Vec<usize>,
-    },
-    /// Planned rescale: a standby host entered the ring. The membership
-    /// epoch advanced; hop links re-splice around the new member. The
-    /// [`Output::Handoff`]s that follow move its stationary partitions.
-    Activate {
-        /// The activated host.
-        host: HostId,
-        /// The new membership epoch.
-        epoch: u64,
-    },
-    /// Planned rescale: stationary partitions move from `from` to `to`
-    /// (rendezvous-hashed, exactly-once — the ledger moves each role
-    /// atomically, so no role is ever served by two hosts). The driver
-    /// runs the application's partition rebuild at `to` and feeds
-    /// [`Input::AbsorbDone`] when it completes; until then `to` relays
-    /// without joining.
-    Handoff {
-        /// The host giving up the roles (a drainee, or a donor to a
-        /// freshly activated host).
+        /// The host giving up the roles: the dead host, or a live donor.
         from: HostId,
         /// The host receiving them.
         to: HostId,
         /// The roles that move.
         roles: Vec<usize>,
+        /// True for a planned rescale handoff (the donor is alive) rather
+        /// than a crash-healing takeover.
+        planned: bool,
+    },
+    /// Planned rescale: a standby host entered the ring. The membership
+    /// epoch advanced; hop links re-splice around the new member. The
+    /// planned [`Output::Absorb`]s that follow move its stationary
+    /// partitions.
+    Activate {
+        /// The activated host.
+        host: HostId,
+        /// The new membership epoch.
+        epoch: u64,
     },
     /// Planned rescale: a drained host reached quiescence and left the
     /// ring. The membership epoch advanced; hop links re-splice past it

@@ -59,8 +59,8 @@ struct FaultLedger<P> {
     confirmed_dead: Vec<bool>,
     paused: Vec<bool>,
     /// Outstanding partition rebuilds per host (joins gated while
-    /// non-zero): one per [`Output::Absorb`] or [`Output::Handoff`]
-    /// received, decremented by [`Input::AbsorbDone`].
+    /// non-zero): one per [`Output::Absorb`] received, decremented by
+    /// [`Input::AbsorbDone`].
     absorbing: Vec<u32>,
     /// Logical stationary partitions (`S_i` roles) each host serves;
     /// starts as `roles[h] == [h]` for ring members (standbys start
@@ -189,7 +189,7 @@ impl<P> FaultLedger<P> {
     /// handoff: inside the ring, not draining, not (suspected) dead,
     /// excluding `except`.
     // analyze: allow(panic, reason = "protocol invariant: host ids index per-ring tables sized at construction; the healing path is exercised exhaustively by the chaos and proptest suites")
-    fn handoff_candidates(&self, except: Option<HostId>) -> Vec<HostId> {
+    fn role_recipients(&self, except: Option<HostId>) -> Vec<HostId> {
         (0..self.crashed.len())
             .filter(|&h| {
                 self.routes(h)
@@ -510,7 +510,9 @@ impl<P: PayloadBytes + Clone> RingProtocol<P> {
 
     /// Stationary partitions moved by planned handoffs.
     pub fn rescale_handoffs(&self) -> u64 {
-        self.fault.as_ref().map_or(0, |f| f.membership.handoffs())
+        self.fault
+            .as_ref()
+            .map_or(0, |f| f.membership.roles_handed_off())
     }
 
     /// Drains that stalled past their deadline and degraded into the
@@ -621,7 +623,7 @@ impl<P: PayloadBytes + Clone> RingProtocol<P> {
                         epoch: f.membership.epoch(),
                         joins: f.membership.joins(),
                         drains: f.membership.drains(),
-                        handoffs: f.membership.handoffs(),
+                        handoffs: f.membership.roles_handed_off(),
                         escalations: f.membership.escalations(),
                     },
                     in_flight: f
@@ -674,7 +676,7 @@ impl<P: PayloadBytes + Clone> RingProtocol<P> {
                 && !f.confirmed_dead.get(h).copied().unwrap_or(true)
                 && f.membership.in_ring(host)
                 && !f.membership.is_draining(host)
-                && !f.handoff_candidates(Some(host)).is_empty()
+                && !f.role_recipients(Some(host)).is_empty()
             {
                 inputs.push(Input::DrainRequest { host });
             }
@@ -1121,7 +1123,7 @@ impl<P: PayloadBytes + Clone> RingProtocol<P> {
         }
         let epoch = f.membership.activate(host);
         out.push(Output::Activate { host, epoch });
-        let candidates = f.handoff_candidates(None);
+        let candidates = f.role_recipients(None);
         let mut moved: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
         for donor in 0..self.cfg.hosts {
             if donor == host.0 || f.crashed[donor] || f.confirmed_dead[donor] {
@@ -1141,10 +1143,11 @@ impl<P: PayloadBytes + Clone> RingProtocol<P> {
             f.roles[host.0].extend(roles.iter().copied());
             f.membership.count_handoffs(roles.len() as u64);
             f.absorbing[host.0] += 1;
-            out.push(Output::Handoff {
+            out.push(Output::Absorb {
                 from: HostId(donor),
                 to: host,
                 roles,
+                planned: true,
             });
         }
         self.kick_ring(f, out);
@@ -1164,7 +1167,7 @@ impl<P: PayloadBytes + Clone> RingProtocol<P> {
         {
             return; // invalid or duplicate request: ignore
         }
-        if f.handoff_candidates(Some(host)).is_empty() {
+        if f.role_recipients(Some(host)).is_empty() {
             return; // draining the last healthy member would kill the ring
         }
         f.membership.begin_drain(host);
@@ -1190,7 +1193,7 @@ impl<P: PayloadBytes + Clone> RingProtocol<P> {
         if f.roles[host.0].is_empty() {
             return true;
         }
-        let recipients = f.handoff_candidates(Some(host));
+        let recipients = f.role_recipients(Some(host));
         if recipients.is_empty() {
             return false;
         }
@@ -1205,10 +1208,11 @@ impl<P: PayloadBytes + Clone> RingProtocol<P> {
             f.roles[to].extend(roles.iter().copied());
             f.membership.count_handoffs(roles.len() as u64);
             f.absorbing[to] += 1;
-            out.push(Output::Handoff {
+            out.push(Output::Absorb {
                 from: host,
                 to: HostId(to),
                 roles,
+                planned: true,
             });
         }
         true
@@ -1646,9 +1650,10 @@ impl<P: PayloadBytes + Clone> RingProtocol<P> {
             f.roles[successor.0].extend(orphaned.iter().copied());
             f.absorbing[successor.0] += 1;
             out.push(Output::Absorb {
-                survivor: successor,
-                dead,
+                from: dead,
+                to: successor,
                 roles: orphaned,
+                planned: false,
             });
         }
 
@@ -1799,10 +1804,7 @@ mod tests {
                     pending.push(Input::Delivered { to, env, tid });
                 }
                 Output::Ack { tid, .. } => pending.push(Input::Ack { tid }),
-                Output::Absorb { survivor, .. } => {
-                    pending.push(Input::AbsorbDone { host: survivor })
-                }
-                Output::Handoff { to, .. } => pending.push(Input::AbsorbDone { host: to }),
+                Output::Absorb { to, .. } => pending.push(Input::AbsorbDone { host: to }),
                 Output::Teardown { reason } => panic!("unexpected teardown: {reason}"),
                 _ => {}
             }

@@ -1502,8 +1502,8 @@ mod tests {
     /// sees one origin's fragments out of the order they entered the ring,
     /// and that sleeps 1 ms on every `slow_every`-th call of a host.
     /// Inline visits run on the thread that called `run`, which is how the
-    /// callback tells the two paths apart.
-    fn serial_in_order_run(slow_every: Option<usize>) -> (RingMetrics, Vec<Seen>) {
+    /// callback tells the two paths apart. The run is traced.
+    fn serial_in_order_run(slow_every: Option<usize>) -> (RingMetrics, Vec<Seen>, SpanTracer) {
         let (hosts, per_host) = (4usize, 10usize);
         let fragments: Vec<Vec<Vec<u8>>> = (0..hosts)
             .map(|h| (0..per_host).map(|i| vec![h as u8, i as u8]).collect())
@@ -1511,7 +1511,8 @@ mod tests {
         let reactor = thread::current().id();
         let visiting: Vec<AtomicBool> = (0..hosts).map(|_| AtomicBool::new(false)).collect();
         let seen: Vec<Mutex<Seen>> = (0..hosts).map(|_| Mutex::default()).collect();
-        let (metrics, _) = ReactorRingDriver::new(&RingConfig::paper(hosts))
+        let (metrics, spans) = ReactorRingDriver::new(&RingConfig::paper(hosts))
+            .with_tracer(true)
             .run(fragments, |h, payload: &Vec<u8>| {
                 assert!(
                     !visiting[h.0].swap(true, Ordering::SeqCst),
@@ -1545,19 +1546,40 @@ mod tests {
             );
             assert!(!s.on_reactor[0], "a host's first visit has no history");
         }
-        (metrics, seen)
+        (metrics, seen, spans)
     }
 
     #[test]
     fn cheap_visits_run_inline_serially_and_in_order() {
-        let (metrics, _) = serial_in_order_run(None);
+        let (metrics, _, _) = serial_in_order_run(None);
         let inline: usize = metrics.hosts.iter().map(|h| h.visits_inline).sum();
         assert!(inline > 80, "only {inline} of 160 cheap visits ran inline");
     }
 
+    /// An inline visit leaves the same trace as a pooled one: a `Join`
+    /// span per visit, spans that add up to each host's `join_busy`, and
+    /// the inline visits counted.
+    #[test]
+    fn traced_inline_visits_reconcile_with_the_metrics() {
+        use simnet::span::{counter, SpanKind};
+        let (metrics, _, spans) = serial_in_order_run(None);
+        let inline: usize = metrics.hosts.iter().map(|h| h.visits_inline).sum();
+        assert!(inline > 0, "no cheap visit ran inline");
+        let visits: usize = metrics.hosts.iter().map(|h| h.fragments_processed).sum();
+        let joins = spans.spans().iter().filter(|s| s.kind == SpanKind::Join);
+        assert_eq!(joins.count(), visits, "one Join span per visit");
+        for (h, m) in metrics.hosts.iter().enumerate() {
+            assert_eq!(spans.busy_total(h), m.join_busy, "host {h} join_busy");
+        }
+        assert_eq!(
+            spans.counters().get(counter::VISITS_INLINE) as usize,
+            inline
+        );
+    }
+
     #[test]
     fn a_slow_visit_falls_back_to_the_pool_and_comes_back() {
-        let (_, seen) = serial_in_order_run(Some(5));
+        let (_, seen, _) = serial_in_order_run(Some(5));
         for (h, s) in seen.iter().enumerate() {
             // Calls 5, 10, … slept; whatever followed one went to the pool.
             for k in (5..s.on_reactor.len()).step_by(5) {

@@ -718,19 +718,16 @@ impl<P: PayloadBytes + Clone, A: RingApp<P>> Runner<P, A> {
                     self.detection_latency = self.detection_latency.max(latency);
                 }
                 Output::Absorb {
-                    survivor,
-                    dead,
+                    from,
+                    to,
                     roles,
+                    planned,
                 } => {
                     let mut cost = SimDuration::ZERO;
-                    for &r in &roles {
-                        cost += self.app.absorb(survivor, HostId(r));
+                    for &role in &roles {
+                        cost += self.app.absorb(to, role);
                     }
-                    self.takeover(sim, survivor, false, roles.len(), dead, cost);
-                }
-                Output::Handoff { from, to, roles } => {
-                    let cost = self.app.handoff(to, from, &roles);
-                    self.takeover(sim, to, true, roles.len(), from, cost);
+                    self.takeover(sim, to, planned, roles.len(), from, cost);
                 }
                 Output::Retire { .. }
                 | Output::Activate { .. }

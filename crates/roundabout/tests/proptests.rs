@@ -188,8 +188,8 @@ fn drive_rescale(counts: &[usize], standbys: usize, buffers: usize, crash: bool,
     }
 
     // Exactly-once handoff ledger: every stationary role has one owner at
-    // all times, and each Handoff/Absorb moves it from exactly the host
-    // that held it — a duplicate or replayed handoff trips the ledger.
+    // all times, and each Absorb moves it from exactly the host that held
+    // it — a duplicate or replayed handoff trips the ledger.
     let mut owner: HashMap<usize, usize> = (0..members).map(|r| (r, r)).collect();
     // Exactly-once retirement: a fragment forked by a buggy healing path
     // retires twice; a lost one never retires.
@@ -239,31 +239,18 @@ fn drive_rescale(counts: &[usize], standbys: usize, buffers: usize, crash: bool,
                 }
                 Output::Ack { tid, .. } => pending.push(Input::Ack { tid }),
                 Output::ArmTimer { timer, .. } => pending.push(Input::Tick { timer }),
-                Output::Handoff { from, to, roles } => {
+                Output::Absorb {
+                    from, to, roles, ..
+                } => {
                     for &r in &roles {
                         assert_eq!(
                             owner.insert(r, to.0),
                             Some(from.0),
-                            "role {r} handed off by host {} without owning it",
+                            "role {r} moved from host {} without it owning it",
                             from.0
                         );
                     }
                     pending.push(Input::AbsorbDone { host: to });
-                }
-                Output::Absorb {
-                    survivor,
-                    dead,
-                    roles,
-                } => {
-                    for &r in &roles {
-                        assert_eq!(
-                            owner.insert(r, survivor.0),
-                            Some(dead.0),
-                            "role {r} absorbed from host {} without it owning it",
-                            dead.0
-                        );
-                    }
-                    pending.push(Input::AbsorbDone { host: survivor });
                 }
                 Output::Departed { host, .. } => {
                     assert!(

@@ -70,8 +70,8 @@ impl RingApp<Vec<u8>> for PricedApp {
         self.processed >= self.stop_after
     }
 
-    fn absorb(&mut self, survivor: HostId, failed: HostId) -> SimDuration {
-        SimDuration::from_micros(300 + 10 * survivor.0 as u64 + failed.0 as u64)
+    fn absorb(&mut self, host: HostId, role: usize) -> SimDuration {
+        SimDuration::from_micros(300 + 10 * host.0 as u64 + role as u64)
     }
 }
 

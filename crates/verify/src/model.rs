@@ -368,8 +368,7 @@ impl World {
                 }
                 Output::Ack { to, tid } => self.pending.push(Ev::AckWire { to: to.0, tid }),
                 Output::ArmTimer { timer, .. } => self.arm(timer),
-                Output::Absorb { survivor, .. } => self.pending.push(Ev::AbsorbDone(survivor.0)),
-                Output::Handoff { to, .. } => self.pending.push(Ev::AbsorbDone(to.0)),
+                Output::Absorb { to, .. } => self.pending.push(Ev::AbsorbDone(to.0)),
                 Output::Retire { id, .. } => {
                     let bit = 1u64 << id.0;
                     if self.retired & bit != 0 {

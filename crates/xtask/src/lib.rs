@@ -24,12 +24,20 @@ pub const REGISTRY_PATH: &str = "crates/simnet/src/span.rs";
 /// The wire formats outside `roundabout`: each reads bytes a peer sent.
 const WIRE_FORMATS: [&str; 2] = ["crates/relation/src/wire.rs", "crates/joins/src/wire.rs"];
 
+/// The `core` modules on the ring's data path, under L1.
+const CORE_L1: [&str; 4] = [
+    "crates/core/src/exec.rs",
+    "crates/core/src/session.rs",
+    "crates/core/src/concurrent.rs",
+    "crates/core/src/sql.rs",
+];
+
 /// Decides which lints run on `rel` (workspace-relative path with `/`
 /// separators).
 ///
 /// - **L1 no-panic-paths**: all of `roundabout`'s library sources, the
 ///   `relation` and prepared-fragment (`joins`) wire formats — which read
-///   untrusted bytes in place — and the `core` executor/session/recovery/
+///   untrusted bytes in place — and the `core` executor/session/
 ///   concurrent/sql modules — everything on the ring's data path.
 /// - **L2 no-wall-clock-in-sim**: all of `simnet` plus the simulated
 ///   backend; virtual time only.
@@ -53,16 +61,9 @@ const WIRE_FORMATS: [&str; 2] = ["crates/relation/src/wire.rs", "crates/joins/sr
 ///   `Output::` variant at all.
 pub fn policy_for(rel: &str) -> FilePolicy {
     let mut p = FilePolicy::default();
-    let core_l1 = [
-        "crates/core/src/exec.rs",
-        "crates/core/src/session.rs",
-        "crates/core/src/recovery.rs",
-        "crates/core/src/concurrent.rs",
-        "crates/core/src/sql.rs",
-    ];
     if rel.starts_with("crates/roundabout/src/")
         || WIRE_FORMATS.contains(&rel)
-        || core_l1.contains(&rel)
+        || CORE_L1.contains(&rel)
     {
         p.no_panic = true;
     }
@@ -111,13 +112,7 @@ pub fn analyze_root(root: &Path) -> std::io::Result<Report> {
     for dir in ["crates/roundabout/src", "crates/simnet/src"] {
         collect_rs(&root.join(dir), &mut files)?;
     }
-    for extra in WIRE_FORMATS.into_iter().chain([
-        "crates/core/src/exec.rs",
-        "crates/core/src/session.rs",
-        "crates/core/src/recovery.rs",
-        "crates/core/src/concurrent.rs",
-        "crates/core/src/sql.rs",
-    ]) {
+    for extra in WIRE_FORMATS.into_iter().chain(CORE_L1) {
         let p = root.join(extra);
         if p.is_file() {
             files.push(p);

@@ -44,13 +44,13 @@ cargo test -q -p integration-tests --test chaos multi_tenant
 # output modes and orientations), and the reactor's inline-visit rule —
 # per-host serialisation and order with cheap visits on the reactor
 # thread, the fall-back to the pool after a slow visit and the way back,
-# a panicking inline visit as a typed teardown, and the inline twin of
-# the traced span/metrics reconciliation.
+# a panicking inline visit as a typed teardown, and inline visits that
+# leave the same spans, busy time and counter as pooled ones.
 cargo test -q -p mem-joins --test proptests batched_probe_equals_single_key_probes
 cargo test -q -p data-roundabout --lib cheap_visits_run_inline_serially_and_in_order
 cargo test -q -p data-roundabout --lib a_slow_visit_falls_back_to_the_pool_and_comes_back
 cargo test -q -p data-roundabout --lib a_panicking_inline_visit_is_a_typed_teardown
-cargo test -q -p cyclo-join --lib traced_reactor_run_stitches_setup_and_reconciles
+cargo test -q -p data-roundabout --lib traced_inline_visits_reconcile_with_the_metrics
 # Shared-decision gate: what the simulator and the wall-clock coordinator
 # decide alike exists once. The table test of `observe` (one row per
 # `protocol::Output` variant → its event and counter; the pinned strings
@@ -86,10 +86,10 @@ cargo test -q -p data-roundabout --lib vectored_writes_put_the_parts_on_the_wire
 # the same matches over a view of wire bytes as over owned columns; both
 # socket engines must run a quiet and a lossy, corrupting ring without
 # one decode; and a body with one flipped payload-column bit must end the
-# run in a typed frame error.
+# run in a typed frame error. (The probe over a view is the visit-cost
+# gate's batched-probe proptest above.)
 cargo test -q -p relation --lib views_read_what_decode_yields_at_any_offset
 cargo test -q -p mem-joins --lib wire::
-cargo test -q -p mem-joins --test proptests batched_probe_equals_single_key_probes
 cargo test -q -p data-roundabout --lib the_view_refuses_exactly_what_decode_refuses
 cargo test -q -p data-roundabout --lib a_received_payload_is_never_decoded
 cargo test -q -p data-roundabout --lib a_flipped_column_bit_is_a_frame_error
@@ -98,11 +98,13 @@ cargo test -q -p data-roundabout --lib a_flipped_column_bit_is_a_frame_error
 # columns, read back in host and fragment order as the input tuple for
 # tuple, and cut it where the copying `Relation::split_even` does (any
 # length, 1–9 hosts, 1–6 fragments, any standby mask); a takeover must
-# hand the survivor the orphaned share where it lies; and a mid-revolution
-# crash must still heal on the reactor, through the engine suite's body
-# and through a `CycloJoin` whose session rebuilds the role from its view.
+# rebuild the orphaned role from its own share, so that the survivor's
+# visit joins against exactly its own and the absorbed share; and a
+# mid-revolution crash must still heal on the reactor, through the engine
+# suite's body and through a `CycloJoin` whose session rebuilds the role
+# from its view.
 cargo test -q -p cyclo-join --lib a_placement_aliases_its_input_and_covers_it_exactly
-cargo test -q -p cyclo-join --lib takeover_returns_the_orphaned_share
+cargo test -q -p cyclo-join --lib a_takeover_rebuilds_the_orphaned_role_from_its_share
 cargo test -q -p data-roundabout --lib reactor_heals_a_mid_revolution_crash
 cargo test -q -p integration-tests --test chaos reactor_connection_sever_mid_revolution_heals_exactly_once
 # Alloc-free hop gate: once the ring is warm a hop allocates nothing. A
@@ -111,29 +113,26 @@ cargo test -q -p integration-tests --test chaos reactor_connection_sever_mid_rev
 # rings of the smallfrag shape (its own counting allocator); an arrival
 # must land in the warm pooled cell its predecessor left, and a copy held
 # on another thread must keep its cell until it is dropped; a healed
-# survivor's multi-role visit must still name its roles; and the
-# multiplexed protocol proptests and the simulator's pinned fingerprints
-# must not move.
+# survivor's multi-role visit must still name its roles. (The multiplexed
+# protocol proptests and the simulator's pinned fingerprints, which must
+# not move, run in the gates above.)
 cargo test -q -p data-roundabout --test alloc_free
 cargo test -q -p data-roundabout --lib an_arrival_reuses_its_warm_cell
 cargo test -q -p data-roundabout --lib a_copy_held_on_another_thread_keeps_its_cell
 cargo test -q -p data-roundabout --lib a_healed_survivors_multi_role_visit_names_its_roles
-cargo test -q -p data-roundabout --test proptests protocol_core_multiplex
-cargo test -q -p data-roundabout --test sim_golden
 # Prepared-in-wire gate: a rotating fragment is reorganised straight into
 # the bytes the ring carries and sent from where it was written. The
 # prepared bytes must equal the owned reorganisation encoded by hand (every
 # algorithm, radix bits 0-10 in one pass or several, threads, input in
 # columns or in bytes at any offset), sized once; on both socket engines
 # each origin's visit must read the buffer its fragment was prepared in,
-# quiet or lossy, with one first send per fragment; a returned origin
-# buffer must carry the next arrival of its size with zero allocations;
-# and the simulator and the protocol's allocation bounds must not move.
+# quiet or lossy, with one first send per fragment; and a returned origin
+# buffer must carry the next arrival of its size with zero allocations.
+# (The simulator's pins and the protocol's allocation bounds, which must
+# not move, run in the gates above.)
 cargo test -q -p mem-joins --test proptests prepared_bytes_equal_prepare_then_encode
 cargo test -q -p data-roundabout --lib an_origin_sends_the_bytes_it_was_prepared_in
 cargo test -q -p data-roundabout --lib a_returned_origin_buffer_takes_the_next_arrival_without_allocating
-cargo test -q -p data-roundabout --test sim_golden
-cargo test -q -p data-roundabout --test alloc_free
 cargo clippy --all-targets -- -D warnings
 cargo fmt --check
 cargo run -q --release -p xtask -- analyze

@@ -1,89 +1,91 @@
-//! Elasticity and failure handling across the stack: membership changes
-//! repartition data but never change the join result (§II-C).
+//! Elasticity and failure handling across the stack: a host's role is
+//! taken over by another node of the running ring — after a crash, on a
+//! planned drain, or when a standby joins — and the join result never
+//! changes (§II-C).
 
-use cyclo_join::{absorb_host, rebalance, reference_join, CycloJoin, JoinPredicate};
-use relation::{relation_checksum, GenSpec, Relation};
+use cyclo_join::{
+    reference_join, CycloJoin, CycloJoinReport, FaultPlan, HostId, JoinPredicate, Reference,
+    RescalePlan, RingConfig,
+};
+use relation::{GenSpec, Relation};
+use simnet::time::{SimDuration, SimTime};
 
-fn merge(parts: &[Relation]) -> Relation {
-    let mut out = Relation::new();
-    for p in parts {
-        out.extend_from(p);
-    }
-    out
+const HOSTS: usize = 4;
+
+fn inputs() -> (Relation, Relation, Reference) {
+    let r = GenSpec::uniform(4_000, 500).generate();
+    let s = GenSpec::uniform(4_000, 501).generate();
+    let reference = reference_join(&r, &s, &JoinPredicate::Equi);
+    (r, s, reference)
+}
+
+/// A short ack timeout keeps failure detection and drain deadlines well
+/// inside the join window of these small joins.
+fn config(hosts: usize) -> RingConfig {
+    RingConfig::paper(hosts).with_ack_timeout(SimDuration::from_millis(2))
+}
+
+/// Halfway through the join phase of an undisturbed run of `join`.
+fn mid_revolution(join: &CycloJoin) -> SimTime {
+    let baseline = join.run().expect("baseline should run");
+    let mid =
+        baseline.setup_seconds() + 0.5 * (baseline.total_seconds() - baseline.setup_seconds());
+    SimTime::ZERO + SimDuration::from_secs_f64(mid)
+}
+
+fn assert_reference(report: &CycloJoinReport, reference: &Reference, what: &str) {
+    assert_eq!(report.match_count(), reference.count, "{what}");
+    assert_eq!(report.checksum(), reference.checksum, "{what}");
 }
 
 #[test]
 fn join_survives_any_single_host_failure() {
-    let r = GenSpec::uniform(2_400, 500).generate();
-    let s = GenSpec::uniform(2_400, 501).generate();
-    let reference = reference_join(&r, &s, &JoinPredicate::Equi);
-    let hosts = 5;
-    let parts = s.split_even(hosts);
-    for failed in 0..hosts {
-        let survivors = absorb_host(parts.clone(), failed).expect("failed host is in range");
-        let s_again = merge(&survivors);
-        assert_eq!(
-            relation_checksum(&s_again),
-            relation_checksum(&s),
-            "absorb must not lose data (failed host {failed})"
-        );
-        let report = CycloJoin::new(r.clone(), s_again)
-            .hosts(hosts - 1)
+    let (r, s, reference) = inputs();
+    let join = CycloJoin::new(r, s).ring(config(HOSTS));
+    let mid = mid_revolution(&join);
+    for dead in 0..HOSTS {
+        let report = join
+            .clone()
+            .fault_plan(FaultPlan::seeded(500).crash_host(HostId(dead), mid))
             .run()
-            .expect("plan should run");
-        assert_eq!(
-            report.match_count(),
-            reference.count,
-            "failed host {failed}"
-        );
-        assert_eq!(
-            report.checksum(),
-            reference.checksum,
-            "failed host {failed}"
-        );
+            .expect("the healed ring should finish the join");
+        assert_reference(&report, &reference, &format!("host {dead} crashed"));
+        assert_eq!(report.heal_events(), 1, "host {dead} crashed");
     }
 }
 
 #[test]
-fn repeated_failures_down_to_one_host() {
-    let r = GenSpec::uniform(1_200, 510).generate();
-    let s = GenSpec::uniform(1_200, 511).generate();
-    let reference = reference_join(&r, &s, &JoinPredicate::Equi);
-    let mut parts = s.split_even(6);
-    while parts.len() > 1 {
-        parts = absorb_host(parts, 0).expect("more than one host remains");
-        let report = CycloJoin::new(r.clone(), merge(&parts))
-            .hosts(parts.len())
+fn any_host_drains_mid_revolution_without_changing_the_result() {
+    let (r, s, reference) = inputs();
+    let join = CycloJoin::new(r, s).ring(config(HOSTS));
+    let mid = mid_revolution(&join);
+    for drained in 0..HOSTS {
+        let report = join
+            .clone()
+            .rescale_plan(RescalePlan::seeded(510).drain_host(HostId(drained), mid))
             .run()
-            .expect("plan should run");
-        assert_eq!(
-            report.match_count(),
-            reference.count,
-            "{} hosts",
-            parts.len()
-        );
+            .expect("the shrunk ring should finish the join");
+        assert_reference(&report, &reference, &format!("host {drained} drained"));
+        assert_eq!(report.rescale_drains(), 1, "host {drained} drained");
+        assert_eq!(report.heal_events(), 0, "host {drained} drained");
     }
 }
 
 #[test]
-fn growing_the_ring_preserves_results_and_speeds_setup() {
-    let r = GenSpec::uniform(30_000, 520).generate();
-    let s = GenSpec::uniform(30_000, 521).generate();
-    let reference = reference_join(&r, &s, &JoinPredicate::Equi);
-    let small = CycloJoin::new(r.clone(), s.clone())
-        .hosts(2)
+fn standbys_joining_mid_revolution_preserve_the_result() {
+    let (r, s, reference) = inputs();
+    // Hosts 2 and 3 start as standbys: the ring begins with two members,
+    // and the baseline that times the joins is that two-host ring.
+    let mid = mid_revolution(&CycloJoin::new(r.clone(), s.clone()).ring(config(2)));
+    let plan = RescalePlan::seeded(520)
+        .join_host(HostId(2), mid)
+        .join_host(HostId(3), mid);
+    let report = CycloJoin::new(r, s)
+        .ring(config(HOSTS))
+        .rescale_plan(plan)
         .run()
-        .expect("plan should run");
-    let parts = rebalance(&s.split_even(2), 8).expect("eight hosts is a valid ring size");
-    assert_eq!(parts.len(), 8);
-    let big = CycloJoin::new(r, merge(&parts))
-        .hosts(8)
-        .run()
-        .expect("plan should run");
-    assert_eq!(small.match_count(), reference.count);
-    assert_eq!(big.match_count(), reference.count);
-    assert!(
-        big.setup_seconds() < small.setup_seconds(),
-        "more hosts must shrink the setup phase"
-    );
+        .expect("the grown ring should finish the join");
+    assert_reference(&report, &reference, "hosts 2 and 3 joined");
+    assert_eq!(report.rescale_joins(), 2);
+    assert_eq!(report.membership_epoch(), 2);
 }
