@@ -68,16 +68,14 @@ use crate::config::RingConfig;
 use crate::envelope::{Envelope, FragmentId, PayloadBytes};
 use crate::error::RingError;
 use crate::frame::{Frame, WirePayload};
-use crate::inflight::{launch, launch_queries, InFlight, Visit};
+use crate::inflight::{launch_owned, Batches, InFlight, Visit};
 use crate::metrics::{HostMetrics, RingMetrics};
 use crate::protocol::{
     envelope_batches, query_batches, teardown, Input, Output, ProtocolConfig, RingProtocol, Timer,
 };
 use crate::reactor_backend::ReactorEngine;
 use crate::tcp_backend::BlockingEngine;
-use crate::thread_backend::{
-    materialize_counters, single_host_run, ChannelEngine, ErrorCollector, JoinStats,
-};
+use crate::thread_backend::ChannelEngine;
 
 /// Watchdog teardown reason (driver-side; not part of the protocol's
 /// teardown cascade).
@@ -681,14 +679,15 @@ pub(crate) trait Medium<P> {
     /// to them (an attempt reported live must still arrive).
     fn sever(&mut self, host: HostId, next: &mut Pending<P>);
 
-    /// Puts `payload` in flight at its origin: owned, unless the medium
-    /// carries bytes and the payload is bytes already
+    /// Puts one query's payloads in flight at their origins: owned, all in
+    /// one slab ([`launch_owned`]), unless the medium carries bytes and
+    /// launches each payload that is bytes already as its bytes
     /// ([`InFlight::launch`]).
-    fn launch(&self, payload: P) -> InFlight<P>
+    fn launch(&self, batches: Batches<P>) -> Batches<InFlight<P>>
     where
         P: PayloadBytes,
     {
-        InFlight::new(payload)
+        launch_owned(batches)
     }
 }
 
@@ -733,6 +732,55 @@ pub(crate) fn timer_loop<T>(
 // ---------------------------------------------------------------------------
 // The coordinator
 // ---------------------------------------------------------------------------
+
+/// Collects a run's errors, preferring a root cause (a panicking
+/// callback) over the teardown cascade it provokes.
+#[derive(Default)]
+struct ErrorCollector {
+    root: Option<RingError>,
+    any: Option<RingError>,
+}
+
+impl ErrorCollector {
+    fn record(&mut self, err: RingError) {
+        let is_root = matches!(
+            &err,
+            RingError::Teardown(m) if teardown::is_root_cause(m)
+        );
+        if is_root && self.root.is_none() {
+            self.root = Some(err.clone());
+        }
+        if self.any.is_none() {
+            self.any = Some(err);
+        }
+    }
+
+    fn first(self) -> Option<RingError> {
+        self.root.or(self.any)
+    }
+}
+
+/// Materialises every well-known counter at zero, so trace consumers see
+/// them observed rather than missing on runs that never bumped them.
+pub(crate) fn materialize_counters(tracer: &mut SpanTracer) {
+    for name in [
+        counter::ENVELOPES_SENT,
+        counter::ENVELOPES_RECEIVED,
+        counter::FRAGMENTS_RETIRED,
+        counter::RETRANSMITS,
+        counter::CHECKSUM_MISMATCHES,
+        counter::HEAL_EVENTS,
+        counter::FRAGMENTS_RESENT,
+        counter::RESCALE_JOINS,
+        counter::RESCALE_DRAINS,
+        counter::RESCALE_HANDOFFS,
+        counter::VISITS_INLINE,
+        counter::FRAMES_ENCODED,
+        counter::FRAMES_FORWARDED,
+    ] {
+        tracer.count(name, 0);
+    }
+}
 
 /// The single place where a protocol [`Output`] turns into IO.
 pub(crate) struct Coordinator<'a, P, M> {
@@ -781,13 +829,18 @@ impl<'a, P: PayloadBytes, M: Medium<P>> Coordinator<'a, P, M> {
             reliable: plan.is_some(),
             standby: rescale.map_or(0, RescalePlan::standby_mask),
         };
-        let put = |payload| medium.launch(payload);
         let proto = match workload {
-            Workload::Single(envelopes) => RingProtocol::new(proto_cfg, launch(envelopes, &put)),
+            Workload::Single(envelopes) => RingProtocol::new(proto_cfg, medium.launch(envelopes)),
             Workload::Multi {
                 queries,
                 max_active,
-            } => RingProtocol::new_multi(proto_cfg, launch_queries(queries, &put), max_active),
+            } => {
+                let queries = queries
+                    .into_iter()
+                    .map(|(tenant, envelopes)| (tenant, medium.launch(envelopes)))
+                    .collect();
+                RingProtocol::new_multi(proto_cfg, queries, max_active)
+            }
         };
         let epoch = Instant::now();
         let mut co = Coordinator {
@@ -884,21 +937,24 @@ impl<'a, P: PayloadBytes, M: Medium<P>> Coordinator<'a, P, M> {
         let mut hosts = Vec::with_capacity(n);
         for h in 0..n {
             let host = HostId(h);
+            let busy = self.busy[h];
             let window = self.last_done[h].saturating_duration_since(self.epoch);
-            let stats = JoinStats {
-                busy: self.busy[h],
-                sync: window.saturating_sub(self.busy[h]),
-                window,
-                processed: self.proto.host(host).fragments_processed(),
-            };
+            let mut cpu = simnet::cpu::CpuAccount::new();
+            cpu.charge(
+                simnet::cpu::CostCategory::Compute,
+                SimDuration::from(busy) * self.config.join_threads as u64,
+            );
             hosts.push(HostMetrics {
+                setup: SimDuration::ZERO,
+                join_busy: busy.into(),
+                sync: window.saturating_sub(busy).into(),
+                join_window: window.into(),
+                cpu,
+                fragments_processed: self.proto.host(host).fragments_processed(),
                 visits_inline: self.visits_inline[h],
-                ..stats.into_metrics(
-                    self.config,
-                    self.bytes_forwarded[h],
-                    self.proto.retransmits(host),
-                    self.proto.checksum_mismatches(host),
-                )
+                bytes_forwarded: self.bytes_forwarded[h],
+                retransmits: self.proto.retransmits(host),
+                checksum_mismatches: self.proto.checksum_mismatches(host),
             });
         }
         let wall_clock = self.last_progress.saturating_duration_since(self.epoch);
@@ -956,15 +1012,23 @@ impl<'a, P: PayloadBytes, M: Medium<P>> Coordinator<'a, P, M> {
             self.tracer.count(counter::VISITS_INLINE, 1);
         }
         let now = Instant::now();
-        self.last_done[host.0] = now;
+        let since = std::mem::replace(&mut self.last_done[host.0], now);
         self.last_progress = self.last_progress.max(now);
-        let start = SimTime::from_nanos(
-            SimDuration::from(
-                now.saturating_duration_since(self.epoch)
-                    .saturating_sub(spent),
-            )
-            .as_nanos(),
+        let stamp = |offset: Duration| SimTime::from_nanos(SimDuration::from(offset).as_nanos());
+        let start = stamp(
+            now.saturating_duration_since(self.epoch)
+                .saturating_sub(spent),
         );
+        // The host waited for whatever of the time since its previous
+        // job this one did not take, so the sync spans sum to the metric,
+        // `window - busy` (exactly, unless a takeover queued behind a
+        // join started before this coordinator heard the join finish).
+        let waited = now.saturating_duration_since(since).saturating_sub(spent);
+        if self.tracer.is_enabled() && !waited.is_zero() {
+            let from = stamp(since.saturating_duration_since(self.epoch));
+            self.tracer
+                .span(host.0, SpanKind::Sync, "sync", from, waited.into());
+        }
         match what {
             Done::Join { id, hop } => {
                 if self.tracer.is_enabled() {
@@ -1180,9 +1244,10 @@ impl Sealed for ChannelEngine {}
 impl Sealed for BlockingEngine {}
 impl Sealed for ReactorEngine {}
 
-/// How a wall-clock driver runs a validated, non-degenerate ring: over
-/// in-process channels, on the blocking thread-per-endpoint socket engine,
-/// or on the single-threaded reactor. All three roll the same dice and the
+/// How a wall-clock driver runs a validated ring: over in-process
+/// channels, on the blocking thread-per-endpoint socket engine, or on the
+/// single-threaded reactor. A one-host ring has no wire, and every driver
+/// runs it on the channel engine. All three roll the same dice and the
 /// socket engines speak the frames of [`crate::frame`], so everything in
 /// [`WallClockDriver`] above this call is shared.
 ///
@@ -1194,7 +1259,8 @@ pub trait WallClockEngine: Sealed {
     /// plans scheduling them are [`RingError::UnsupportedFault`] otherwise.
     const HOST_FAULTS: bool;
 
-    /// Runs `workload` on a ring of at least two hosts to completion.
+    /// Runs `workload` to completion (on the socket engines, a ring of at
+    /// least two hosts).
     /// `plan` is the effective dice (`None` means the classic unguarded
     /// transport).
     ///
@@ -1389,24 +1455,25 @@ impl<'a, E: WallClockEngine> WallClockDriver<'a, E> {
             None,
             E::HOST_FAULTS,
         )?;
-        let n = self.config.hosts;
-        let envelopes = envelope_batches(fragments, n);
-        if n == 1 {
-            // A single-host "ring" has no wire to run on any engine.
-            return single_host_run(
-                envelopes,
-                |h, p| visit(h, &[0], Visit::Owned(p)),
-                self.trace,
-            );
-        }
         let plan = dice(self.fault_plan, self.rescale_plan, false);
-        E::run_mesh(
+        let workload = Workload::Single(envelope_batches(fragments, self.config.hosts));
+        let visit = |host, _query: u32, roles: &[usize], payload: Visit<'_, P>| {
+            visit(host, roles, payload);
+        };
+        // A single-host "ring" has no wire: every engine runs it on the
+        // channel engine's coordinator.
+        let run_mesh = if self.config.hosts == 1 {
+            ChannelEngine::run_mesh
+        } else {
+            E::run_mesh
+        };
+        run_mesh(
             self.config,
             plan.as_deref(),
             self.rescale_plan,
             self.trace,
-            Workload::Single(envelopes),
-            &|host, _query: u32, roles: &[usize], payload| visit(host, roles, payload),
+            workload,
+            &visit,
             &absorb,
         )
     }
@@ -2436,10 +2503,8 @@ mod tests {
 
         // A shadow protocol fed the same inputs predicts every call.
         let cfg = *co.proto.config();
-        let mut shadow = RingProtocol::new(
-            cfg,
-            launch(envelope_batches(payloads(2, 4, 32), 2), &InFlight::new),
-        );
+        let mut shadow =
+            RingProtocol::new(cfg, launch_owned(envelope_batches(payloads(2, 4, 32), 2)));
         let mut want = Vec::new();
         let mut lost = 0;
         for h in 0..2 {

@@ -3,18 +3,21 @@
 //! Everything that holds a fragment copy on its way round the ring — the
 //! protocol's queues, processing slot and retransmission ledger, a visit's
 //! job, a frame waiting on a socket — holds an [`InFlight`]: an `Arc` of
-//! the copy. Cloning one is a reference-count bump, so the protocol's
-//! per-attempt envelope copy and the coordinator's per-visit job cost no
-//! payload copy on any engine (the protocol is generic over `P: Clone` and
-//! does not know).
+//! the copy, 16 bytes. Cloning one is a reference-count bump, so the
+//! protocol's per-attempt envelope copy and the coordinator's per-visit
+//! job cost no payload copy on any engine (the protocol is generic over
+//! `P: Clone` and does not know).
 //!
 //! A copy is one of two things, never both:
 //!
 //! * **owned** — the user's payload, on the engines that move payloads by
 //!   value (the simulator, the channel engine), and at its origin on a
-//!   socket engine when it has an owned form to encode. Its wire bytes are
-//!   encoded on its first send ([`InFlight::to_send`]) and every
-//!   retransmission reuses them;
+//!   socket engine when it has an owned form to encode. The engines that
+//!   move payloads launch a run's payloads into one shared allocation, the
+//!   slab ([`launch_owned`]): a copy is the slab and its slot in it, so a
+//!   run pays one allocation for its payloads, not one per fragment. Its
+//!   wire bytes are encoded on its first send ([`InFlight::to_send`]) and
+//!   every retransmission reuses them;
 //! * **wire** — the payload's wire bytes and nothing else: at its origin
 //!   on a socket engine, the bytes a payload that *is* its bytes was
 //!   prepared in ([`WirePayload::into_wire`], [`InFlight::launch`] — a
@@ -44,10 +47,18 @@ use crate::frame::{FrameBufPool, WirePayload};
 pub(crate) struct InFlight<P>(Shared<P>);
 
 enum Shared<P> {
-    /// The user's payload.
-    Owned(Arc<Owned<P>>),
+    /// The user's payload: slot `.1` of a slab of owned payloads, shared
+    /// by every copy launched with it. A `Vec` behind the `Arc` keeps the
+    /// pointer thin, so an `InFlight` stays 16 bytes.
+    Owned(Arc<Vec<Owned<P>>>, u32),
     /// The payload's wire bytes, in a cell from the engine's pool.
     Wire(Arc<WireCell>, PhantomData<fn() -> P>),
+}
+
+/// What a copy holds, read out of its shared allocation.
+enum Held<'a, P> {
+    Owned(&'a Owned<P>),
+    Wire(&'a WireCell),
 }
 
 /// The user's payload, with the wire bytes its first send encodes.
@@ -116,16 +127,22 @@ impl Drop for WireBytes {
     }
 }
 
-impl<P: PayloadBytes> InFlight<P> {
-    /// A payload entering the ring at its origin, as the owned payload,
-    /// with no wire bytes yet.
-    pub(crate) fn new(payload: P) -> Self {
-        InFlight(Shared::Owned(Arc::new(Owned {
+impl<P: PayloadBytes> Owned<P> {
+    fn new(payload: P) -> Self {
+        Owned {
             bytes: payload.payload_bytes(),
             payload,
             wire: OnceLock::new(),
             checksum: OnceLock::new(),
-        })))
+        }
+    }
+}
+
+impl<P: PayloadBytes> InFlight<P> {
+    /// A payload entering the ring at its origin, as the owned payload,
+    /// with no wire bytes yet, in a slab of its own.
+    pub(crate) fn new(payload: P) -> Self {
+        InFlight(Shared::Owned(Arc::new(vec![Owned::new(payload)]), 0))
     }
 }
 
@@ -158,9 +175,9 @@ impl<P: WirePayload> InFlight<P> {
     /// bytes viewed in place. `None` only if the bytes no longer view,
     /// which bytes nobody writes to never do.
     pub(crate) fn visit(&self) -> Option<Visit<'_, P>> {
-        match &self.0 {
-            Shared::Owned(owned) => Some(Visit::Owned(&owned.payload)),
-            Shared::Wire(cell, _) => P::view_accepted(&cell.body)
+        match self.held()? {
+            Held::Owned(owned) => Some(Visit::Owned(&owned.payload)),
+            Held::Wire(cell) => P::view_accepted(&cell.body)
                 .ok()
                 .map(|view| Visit::Viewed(view, &cell.body)),
         }
@@ -171,11 +188,12 @@ impl<P: WirePayload> InFlight<P> {
     /// yet. Says whether this is the payload's first send out of its
     /// origin — the one send that encodes an owned payload.
     pub(crate) fn to_send(&self, pool: &Arc<FrameBufPool>) -> (&[u8], bool) {
-        let owned = match &self.0 {
-            Shared::Owned(owned) => owned,
-            Shared::Wire(cell, _) => {
+        let owned = match self.held() {
+            Some(Held::Owned(owned)) => owned,
+            Some(Held::Wire(cell)) => {
                 return (&cell.body, cell.unsent.swap(false, Ordering::Relaxed));
             }
+            None => return (&[], false),
         };
         let mut encoded = false;
         let wire = owned.wire.get_or_init(|| {
@@ -219,20 +237,30 @@ fn wire_checksum<P: WirePayload>(bytes: &[u8]) -> u64 {
 }
 
 impl<P> InFlight<P> {
+    /// What this copy holds: its slot of the slab, or its cell. The one
+    /// place a slab is read; `None` only for a slot outside its slab,
+    /// which [`launch_owned`] never hands out.
+    fn held(&self) -> Option<Held<'_, P>> {
+        match &self.0 {
+            Shared::Owned(slab, at) => slab.get(*at as usize).map(Held::Owned),
+            Shared::Wire(cell, _) => Some(Held::Wire(cell)),
+        }
+    }
+
     /// The owned payload, if this copy holds one (on the simulator and the
     /// channel engine every copy does).
     pub(crate) fn payload(&self) -> Option<&P> {
-        match &self.0 {
-            Shared::Owned(owned) => Some(&owned.payload),
-            Shared::Wire(..) => None,
+        match self.held()? {
+            Held::Owned(owned) => Some(&owned.payload),
+            Held::Wire(_) => None,
         }
     }
 
     /// The payload's wire bytes, if this host has them.
     pub(crate) fn wire(&self) -> Option<&[u8]> {
-        match &self.0 {
-            Shared::Owned(owned) => owned.wire.get().map(|wire| wire.buf.as_slice()),
-            Shared::Wire(cell, _) => Some(&cell.body),
+        match self.held()? {
+            Held::Owned(owned) => owned.wire.get().map(|wire| wire.buf.as_slice()),
+            Held::Wire(cell) => Some(&cell.body),
         }
     }
 
@@ -240,7 +268,7 @@ impl<P> InFlight<P> {
     #[cfg(test)]
     pub(crate) fn ptr_eq(a: &Self, b: &Self) -> bool {
         match (&a.0, &b.0) {
-            (Shared::Owned(a), Shared::Owned(b)) => Arc::ptr_eq(a, b),
+            (Shared::Owned(a, i), Shared::Owned(b, j)) => Arc::ptr_eq(a, b) && i == j,
             (Shared::Wire(a, _), Shared::Wire(b, _)) => Arc::ptr_eq(a, b),
             _ => false,
         }
@@ -250,8 +278,17 @@ impl<P> InFlight<P> {
     #[cfg(test)]
     pub(crate) fn cell_ptr(&self) -> Option<*const WireCell> {
         match &self.0 {
-            Shared::Owned(_) => None,
+            Shared::Owned(..) => None,
             Shared::Wire(cell, _) => Some(Arc::as_ptr(cell)),
+        }
+    }
+
+    /// The address of an owned copy's slab.
+    #[cfg(test)]
+    fn slab_ptr(&self) -> Option<*const Vec<Owned<P>>> {
+        match &self.0 {
+            Shared::Owned(slab, _) => Some(Arc::as_ptr(slab)),
+            Shared::Wire(..) => None,
         }
     }
 }
@@ -259,7 +296,7 @@ impl<P> InFlight<P> {
 impl<P> Clone for InFlight<P> {
     fn clone(&self) -> Self {
         InFlight(match &self.0 {
-            Shared::Owned(owned) => Shared::Owned(Arc::clone(owned)),
+            Shared::Owned(slab, at) => Shared::Owned(Arc::clone(slab), *at),
             Shared::Wire(cell, _) => Shared::Wire(Arc::clone(cell), PhantomData),
         })
     }
@@ -267,32 +304,29 @@ impl<P> Clone for InFlight<P> {
 
 impl<P: PayloadBytes> PayloadBytes for InFlight<P> {
     fn payload_bytes(&self) -> u64 {
-        match &self.0 {
-            Shared::Owned(owned) => owned.bytes,
-            Shared::Wire(cell, _) => cell.bytes,
-        }
+        self.held().map_or(0, |held| match held {
+            Held::Owned(owned) => owned.bytes,
+            Held::Wire(cell) => cell.bytes,
+        })
     }
 
     fn payload_checksum(&self) -> u64 {
-        match &self.0 {
-            Shared::Owned(owned) => *owned
+        self.held().map_or(0, |held| match held {
+            Held::Owned(owned) => *owned
                 .checksum
                 .get_or_init(|| owned.payload.payload_checksum()),
-            Shared::Wire(cell, _) => *cell.checksum.get_or_init(|| (cell.checksum_of)(&cell.body)),
-        }
+            Held::Wire(cell) => *cell.checksum.get_or_init(|| (cell.checksum_of)(&cell.body)),
+        })
     }
 }
 
 /// Each host's local envelopes, as the protocol is built from them.
-type Batches<Q> = Vec<Vec<Envelope<Q>>>;
+pub(crate) type Batches<Q> = Vec<Vec<Envelope<Q>>>;
 
-/// Puts every payload of `batches` in flight with `put` (the engine's
-/// choice of [`InFlight::new`] or [`InFlight::launch`]), every other field
-/// as it is.
-pub(crate) fn launch<P: PayloadBytes>(
-    batches: Batches<P>,
-    put: &impl Fn(P) -> InFlight<P>,
-) -> Batches<InFlight<P>> {
+/// Every envelope of `batches` carrying `put` of its payload instead,
+/// every other field as it is: how a socket engine puts each payload in
+/// flight ([`InFlight::launch`]).
+pub(crate) fn map_payloads<P, Q>(batches: Batches<P>, mut put: impl FnMut(P) -> Q) -> Batches<Q> {
     batches
         .into_iter()
         .map(|local| {
@@ -313,15 +347,18 @@ pub(crate) fn launch<P: PayloadBytes>(
         .collect()
 }
 
-/// [`launch`] for every query of a multiplexed run, tenants kept.
-pub(crate) fn launch_queries<P: PayloadBytes>(
-    queries: Vec<(u32, Batches<P>)>,
-    put: &impl Fn(P) -> InFlight<P>,
-) -> Vec<(u32, Batches<InFlight<P>>)> {
-    queries
-        .into_iter()
-        .map(|(tenant, envelopes)| (tenant, launch(envelopes, put)))
-        .collect()
+/// Puts every payload of `batches` in flight owned, all in one slab, every
+/// other field as it is: the engines that move payloads by value pay one
+/// allocation for a run's payloads instead of one per fragment.
+pub(crate) fn launch_owned<P: PayloadBytes>(batches: Batches<P>) -> Batches<InFlight<P>> {
+    let mut slab = Vec::with_capacity(batches.iter().map(Vec::len).sum());
+    let slots = map_payloads(batches, |payload| {
+        let at = slab.len() as u32;
+        slab.push(Owned::new(payload));
+        at
+    });
+    let slab = Arc::new(slab);
+    map_payloads(slots, |at| InFlight(Shared::Owned(Arc::clone(&slab), at)))
 }
 
 #[cfg(test)]
@@ -422,6 +459,8 @@ mod tests {
         assert!(owned.to_send(&pool).1, "an owned form is encoded");
     }
 
+    /// An envelope launched owned or one at a time keeps every field it
+    /// was numbered with, and carries its payload.
     #[test]
     fn launched_envelopes_keep_every_field() {
         let mut env = Envelope::new(
@@ -433,30 +472,84 @@ mod tests {
         env.seq = 9;
         env.visited = 0b101;
         env.query = 2;
-        let out = launch(vec![vec![env.clone()]], &InFlight::new)
+        type Fields = (
+            crate::envelope::FragmentId,
+            simnet::topology::HostId,
+            usize,
+            u64,
+            u64,
+            u64,
+            u32,
+        );
+        fn fields<Q>(e: &Envelope<Q>) -> Fields {
+            (
+                e.id,
+                e.origin,
+                e.hops_remaining,
+                e.seq,
+                e.checksum,
+                e.visited,
+                e.query,
+            )
+        }
+        let owned = launch_owned(vec![vec![env.clone()]]).remove(0).remove(0);
+        let each = map_payloads(vec![vec![env.clone()]], InFlight::new)
             .remove(0)
             .remove(0);
-        assert_eq!(
-            (
-                out.id,
-                out.origin,
-                out.hops_remaining,
-                out.seq,
-                out.checksum,
-                out.visited,
-                out.query
-            ),
-            (
-                env.id,
-                env.origin,
-                env.hops_remaining,
-                env.seq,
-                env.checksum,
-                env.visited,
-                env.query
-            )
-        );
-        assert_eq!(out.payload.payload(), Some(&env.payload));
-        assert!(out.checksum_ok());
+        for out in [owned, each] {
+            assert_eq!(fields(&out), fields(&env));
+            assert_eq!(out.payload.payload(), Some(&env.payload));
+            assert!(out.checksum_ok());
+        }
+    }
+
+    /// A copy is one pointer and a slot: the slab's pointer stays thin.
+    #[test]
+    fn an_in_flight_copy_is_16_bytes() {
+        assert_eq!(std::mem::size_of::<InFlight<Vec<u8>>>(), 16);
+    }
+
+    /// Every payload of an owned launch, on every host, lands in one
+    /// allocation: each envelope keeps its fields and its own payload, and
+    /// a clone shares its slot.
+    #[test]
+    fn owned_payloads_launch_into_one_slab() {
+        let batches: Batches<Vec<u8>> = (0..3)
+            .map(|h| {
+                (0..4)
+                    .map(|i| {
+                        let mut env = Envelope::new(
+                            crate::envelope::FragmentId(h * 4 + i),
+                            simnet::topology::HostId(h),
+                            3,
+                            vec![(h * 4 + i) as u8; 1 + i],
+                        );
+                        env.query = h as u32;
+                        env
+                    })
+                    .collect()
+            })
+            .collect();
+        let launched = launch_owned(batches.clone());
+        let slab = launched[0][0].payload.slab_ptr();
+        assert!(slab.is_some());
+        for (local, out) in batches.iter().zip(&launched) {
+            assert_eq!(local.len(), out.len());
+            for (env, copy) in local.iter().zip(out) {
+                assert_eq!(
+                    (copy.id, copy.origin, copy.query),
+                    (env.id, env.origin, env.query)
+                );
+                assert_eq!(copy.payload.payload(), Some(&env.payload));
+                assert_eq!(copy.payload.payload_bytes(), env.payload.payload_bytes());
+                assert_eq!(copy.payload.slab_ptr(), slab, "one allocation for all");
+                let clone = copy.payload.clone();
+                assert!(InFlight::ptr_eq(&clone, &copy.payload));
+            }
+        }
+        assert!(!InFlight::ptr_eq(
+            &launched[0][0].payload,
+            &launched[0][1].payload
+        ));
     }
 }

@@ -14,8 +14,9 @@
 //!   models attached; this is the backend all paper figures are
 //!   reproduced on;
 //! * [`thread_backend::RingDriver`] — on real OS threads with channels
-//!   for wires (bounded channels as buffer pools on the decentralised
-//!   classic path), validating the protocol under true concurrency;
+//!   for wires, validating the protocol under true concurrency (and
+//!   running the one-host ring of every wall-clock engine, which has no
+//!   wire);
 //! * [`tcp_backend::TcpRingDriver`] — over real loopback TCP sockets
 //!   with length-prefixed framing, validating the protocol against an
 //!   actual kernel network stack (and giving the RDMA-vs-TCP exhibits a
@@ -31,7 +32,8 @@
 //! core, which owns every credit, acknowledgement and healing decision.
 //! The three wall-clock drivers are one builder ([`WallClockDriver`])
 //! over three engines and share one applier of the protocol's outputs,
-//! [`coordinator`]; the two socket drivers share one wire format,
+//! [`coordinator`], which every wall-clock run goes through; the two
+//! socket drivers share one wire format,
 //! [`frame`]. Both appliers run the protocol over one shared in-flight
 //! payload per fragment copy (`inflight`), so neither a visit nor a
 //! retransmission copies a payload; a socket engine encodes each fragment

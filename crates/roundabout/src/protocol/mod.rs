@@ -428,19 +428,15 @@ pub enum Output<P> {
 /// backends so the cascade constants cannot diverge again.
 ///
 /// A worker dying mid-run provokes a wave of secondary failures (closed
-/// channels, vanished pools). [`is_root_cause`] tells error collectors
+/// channels, vanished writers). [`is_root_cause`] tells error collectors
 /// which reasons are primary so the run reports the first *cause*, not
 /// the loudest symptom.
 pub mod teardown {
     /// Root cause: the user-supplied `process` callback panicked.
     pub const CALLBACK_PANICKED: &str = "join callback panicked";
-    /// Cascade: a join entity's channels closed with fragments
-    /// outstanding.
+    /// Cascade: the ring's channels closed with fragments outstanding.
     pub const RING_CLOSED: &str = "ring closed while fragments were still outstanding";
-    /// Cascade: the successor's buffer pool vanished under a
-    /// transmitter.
-    pub const POOL_CLOSED: &str = "successor dropped its receive pool early";
-    /// Cascade: a host's own transmitter exited before its join entity.
+    /// Cascade: a host's writer exited before the run ended.
     pub const TX_GONE: &str = "transmitter exited early";
     /// A worker panicked outside the guarded callback (should not
     /// happen).

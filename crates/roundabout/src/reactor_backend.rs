@@ -117,7 +117,7 @@ use crate::frame::{
     build_mesh_pairs, mesh_seed, socket_err, unwritten, FrameBufPool, FrameDecoder, OutFrame,
     WirePayload,
 };
-use crate::inflight::{InFlight, Visit};
+use crate::inflight::{map_payloads, Batches, InFlight, Visit};
 use crate::metrics::RingMetrics;
 use crate::protocol::teardown;
 use crate::wheel::{TimerId, TimerWheel};
@@ -998,8 +998,8 @@ where
         }
     }
 
-    fn launch(&self, payload: P) -> InFlight<P> {
-        InFlight::launch(&self.pool, payload)
+    fn launch(&self, batches: Batches<P>) -> Batches<InFlight<P>> {
+        map_payloads(batches, |payload| InFlight::launch(&self.pool, payload))
     }
 }
 
@@ -1271,7 +1271,7 @@ mod tests {
     use crate::coordinator::engine_suite::{self, payloads};
     use crate::envelope::FragmentId;
     use crate::frame::{encode_ack, encode_envelope, Frame};
-    use crate::inflight::launch;
+    use crate::inflight::launch_owned;
 
     fn loopback_pair() -> (TcpStream, TcpStream) {
         let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
@@ -1351,7 +1351,7 @@ mod tests {
 
     /// `env` framed for transfer `tid`, as its origin sends it.
     fn out_envelope(tid: u64, env: Envelope<Vec<u8>>) -> OutFrame<Vec<u8>> {
-        let env = launch(vec![vec![env]], &InFlight::new).remove(0).remove(0);
+        let env = launch_owned(vec![vec![env]]).remove(0).remove(0);
         OutFrame::envelope(tid, env, &Arc::default()).unwrap().0
     }
 

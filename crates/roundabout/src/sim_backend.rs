@@ -43,16 +43,16 @@ use simnet::transport::TransportModel;
 use crate::app::RingApp;
 use crate::config::RingConfig;
 use crate::coordinator::{
-    dice, observe, ring_metrics, roll, scheduled, takeover_name, validate, TimerKind,
+    dice, materialize_counters, observe, ring_metrics, roll, scheduled, takeover_name, validate,
+    TimerKind,
 };
 use crate::envelope::{Envelope, PayloadBytes};
 use crate::error::RingError;
-use crate::inflight::{launch, launch_queries, InFlight};
+use crate::inflight::{launch_owned, InFlight};
 use crate::metrics::{HostMetrics, RingMetrics};
 use crate::protocol::{
     envelope_batches, query_batches, Input, Output, ProtocolConfig, RingProtocol,
 };
-use crate::thread_backend::materialize_counters;
 
 /// Safety valve: no legitimate run needs more events than this per fragment
 /// and host.
@@ -446,15 +446,14 @@ impl<P: PayloadBytes + Clone, A: RingApp<P>> Runner<P, A> {
             standby,
         };
         let proto = match ring.queries {
-            Some((queries, max_active)) => RingProtocol::new_multi(
-                proto_cfg,
-                launch_queries(query_batches(queries, n), &InFlight::new),
-                max_active,
-            ),
-            None => RingProtocol::new(
-                proto_cfg,
-                launch(envelope_batches(ring.fragments, n), &InFlight::new),
-            ),
+            Some((queries, max_active)) => {
+                let queries = query_batches(queries, n)
+                    .into_iter()
+                    .map(|(tenant, envelopes)| (tenant, launch_owned(envelopes)))
+                    .collect();
+                RingProtocol::new_multi(proto_cfg, queries, max_active)
+            }
+            None => RingProtocol::new(proto_cfg, launch_owned(envelope_batches(ring.fragments, n))),
         };
         let runner = Runner {
             config: ring.config,

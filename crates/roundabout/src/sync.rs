@@ -7,14 +7,17 @@
 //! cost). Compiled with `RUSTFLAGS="--cfg loom"`, the same names resolve
 //! to the vendored loom model checker's instrumented primitives, so
 //! `loom::model` can exhaustively explore the interleavings of the real
-//! ring code — the exact receive → join → transmit hand-off that ships,
-//! not a test-only re-implementation (see `tests/loom_ring.rs`).
+//! ring code — the coordinator, per-host workers and timer thread of the
+//! channel engine that ships, not a test-only re-implementation (see
+//! `tests/loom_ring.rs`).
 //!
-//! [`mpmc`] is the channel used for ring buffer pools and outgoing
-//! queues. It is deliberately built *on the shim's own* mutex + condvar
-//! (rather than crossbeam) so that under loom the checker schedules every
-//! channel operation too: a channel is just a lock-and-wait protocol, and
-//! the paper's credit-based flow control lives exactly there.
+//! [`mpmc`] is the channel those threads talk through: each host's job
+//! queue, the coordinator's event queue and the timer queue. It is
+//! deliberately built *on the shim's own* mutex + condvar (rather than
+//! crossbeam) so that under loom the checker schedules every channel
+//! operation too: a channel is just a lock-and-wait protocol. (The
+//! paper's credit-based flow control is the protocol core's, the same on
+//! every backend.)
 
 #[cfg(not(loom))]
 pub use std::sync::{Arc, Condvar, Mutex, MutexGuard};
@@ -34,6 +37,13 @@ pub mod atomic {
 /// Model-aware threads; `scope` accepts the same closures under both
 /// backends (std passes `&Scope`, loom a `Copy` `Scope` — call sites are
 /// agnostic).
+///
+/// **Join every scoped thread explicitly before the scope closes.** Under
+/// loom `scope` is `std::thread::scope`, whose implicit join at scope exit
+/// parks the model thread on a real futex, outside the model's scheduler:
+/// a spawned thread that still needs the scheduler's token then never
+/// gets it, and the model hangs with every thread idle. An explicit
+/// `join` is a scheduling point the model sees.
 pub mod thread {
     #[cfg(not(loom))]
     pub use std::thread::{scope, spawn, yield_now};

@@ -62,7 +62,7 @@ use crate::frame::{
     build_mesh_pairs, mesh_seed, socket_err, write_parts_vectored, FrameBufPool, FrameDecoder,
     OutFrame, WirePayload, MAX_WRITE_BATCH,
 };
-use crate::inflight::{InFlight, Visit};
+use crate::inflight::{map_payloads, Batches, InFlight, Visit};
 use crate::metrics::RingMetrics;
 use crate::protocol::teardown;
 
@@ -295,8 +295,8 @@ impl<P: WirePayload> Medium<P> for Wire<P> {
         }
     }
 
-    fn launch(&self, payload: P) -> InFlight<P> {
-        InFlight::launch(&self.pool, payload)
+    fn launch(&self, batches: Batches<P>) -> Batches<InFlight<P>> {
+        map_payloads(batches, |payload| InFlight::launch(&self.pool, payload))
     }
 }
 

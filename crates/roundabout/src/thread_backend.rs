@@ -7,58 +7,39 @@
 //! tests exercise races the deterministic simulator cannot produce.
 //!
 //! [`RingDriver`] is the generic wall-clock driver
-//! ([`WallClockDriver`]) over the [`ChannelEngine`], which has two ways to
-//! run a ring and picks between them by the rule the socket engines use —
-//! whether the run rolls dice at all:
+//! ([`WallClockDriver`]) over the [`ChannelEngine`], and every run it makes
+//! — quiet or faulted, rescaled or multiplexed, and the one-host ring of
+//! every engine — is the shared [`Coordinator`] over `ChannelWire`, an
+//! instant in-process wire that carries the shared in-flight payload (a
+//! reference count per hop, per attempt and per visit; no copy, no codec).
+//! The sans-IO [`crate::protocol`] core owns every credit, sequence
+//! number, acknowledgement, retransmission and membership decision exactly
+//! as it does on the socket drivers; the fault plan's dice may drop,
+//! corrupt or delay each hop transfer; per-host workers run the joins and
+//! the role takeovers, and a timer thread realizes backoffs, delay spikes
+//! and the plans' schedules. Host crashes and pauses are *not* supported
+//! here (a channel has nothing to sever and no salvage path); plans
+//! scheduling them are rejected.
 //!
-//! * **no fault plan, no rescale plan, one query** — the *classic*
-//!   decentralised ring (`classic_run`), the paper's entities mapped onto
-//!   threads and channels with no coordinator in the middle:
-//!   * the bounded channel into each host **is** its ring of receive
-//!     buffer elements (capacity = `buffers_per_host`); a blocked send is
-//!     the credit-based flow control;
-//!   * each host's **join thread** prefers draining received envelopes (to
-//!     free buffer elements quickly) and falls back to its local backlog;
-//!   * each host's **transmitter thread** forwards processed envelopes and
-//!     provides the asynchrony that lets the join thread keep working
-//!     while a send is blocked downstream — the join thread itself never
-//!     blocks on the network.
+//! This is the path the loom model suite explores exhaustively
+//! (`tests/loom_ring.rs`).
 //!
-//!   This is the path the loom model suite explores exhaustively.
-//! * **anything faulted, rescaled or multiplexed** — the shared
-//!   [`Coordinator`] over `ChannelWire`, an instant in-process wire that
-//!   carries the shared in-flight payload (a reference count per hop,
-//!   per attempt and per visit; no copy, no codec): the
-//!   sans-IO [`crate::protocol`] core owns every sequence number,
-//!   acknowledgement, retransmission and membership decision exactly as it
-//!   does on the socket drivers, the fault plan's dice may drop, corrupt or
-//!   delay each hop transfer, and per-host workers run the joins and the
-//!   role takeovers. Host crashes and pauses are *not* supported here (a
-//!   channel has nothing to sever and no salvage path); plans scheduling
-//!   them are rejected.
-//!
-//! A worker dying mid-run — a panicking join callback, or a transfer that
-//! exhausts its retransmission budget — does **not** cascade panics across
-//! the thread scope: the failing worker returns a typed
-//! [`RingError::Teardown`], its channels close, every neighbor observes the
-//! closure and unwinds in turn (the teardown wave travels forward around
-//! the ring, so no thread is left blocked), and the run reports the *first*
-//! failure rather than the loudest.
+//! A worker's job dying mid-run — a panicking join callback, or a transfer
+//! that exhausts its retransmission budget — does **not** cascade panics
+//! across the thread scope: the worker reports it, the coordinator tears
+//! the run down, and the run reports the *first* failure as a typed
+//! [`RingError::Teardown`] rather than the loudest.
 //!
 //! A traced run ([`WallClockDriver::with_tracer`]) additionally records a
 //! structured [`SpanTracer`]: per-host join/sync spans, per-hop envelope
 //! events and the unified counter registry, on the same wall-clock epoch
 //! the metrics use, so span totals reconcile with [`RingMetrics`] exactly.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
-use crate::sync::atomic::{AtomicU64, Ordering};
-use crate::sync::mpmc::{bounded, unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
-use crate::sync::Mutex;
+use crate::sync::mpmc::{unbounded, Receiver, RecvTimeoutError, Sender};
 use simnet::fault::{FaultPlan, RescalePlan};
-use simnet::span::{counter, SpanKind, SpanTracer, Track};
-use simnet::time::{SimDuration, SimTime};
+use simnet::span::SpanTracer;
 use simnet::topology::HostId;
 
 use crate::config::RingConfig;
@@ -66,98 +47,12 @@ use crate::coordinator::{
     self, Coordinator, Event, Job, Medium, Pending, Recv, Sent, TimerKind, WallClockDriver,
     WallClockEngine, Workload,
 };
-use crate::envelope::{Envelope, PayloadBytes};
+use crate::envelope::Envelope;
 use crate::error::RingError;
 use crate::frame::{Frame, WirePayload};
 use crate::inflight::{InFlight, Visit};
-use crate::metrics::{HostMetrics, RingMetrics};
+use crate::metrics::RingMetrics;
 use crate::protocol::teardown;
-
-/// Collects worker errors, preferring root causes (a panicking callback, an
-/// exhausted retransmission budget) over the channel-teardown cascade they
-/// provoke in the neighboring workers.
-#[derive(Default)]
-pub(crate) struct ErrorCollector {
-    root: Option<RingError>,
-    any: Option<RingError>,
-}
-
-impl ErrorCollector {
-    pub(crate) fn record(&mut self, err: RingError) {
-        let is_root = matches!(
-            &err,
-            RingError::Teardown(m) if teardown::is_root_cause(m)
-        );
-        if is_root && self.root.is_none() {
-            self.root = Some(err.clone());
-        }
-        if self.any.is_none() {
-            self.any = Some(err);
-        }
-    }
-
-    pub(crate) fn first(self) -> Option<RingError> {
-        self.root.or(self.any)
-    }
-}
-
-/// Span recording shared by all worker threads of one traced run.
-///
-/// Offsets are measured from one epoch taken at ring start, so the spans of
-/// different hosts share a timeline and busy/sync span totals equal the
-/// `Duration` sums the metrics report (both read the same `Instant`s).
-pub(crate) struct SharedSpans {
-    epoch: Instant,
-    tracer: Mutex<SpanTracer>,
-}
-
-impl SharedSpans {
-    pub(crate) fn new() -> Self {
-        SharedSpans {
-            epoch: Instant::now(),
-            tracer: Mutex::new(SpanTracer::enabled()),
-        }
-    }
-
-    fn at(&self, instant: Instant) -> SimTime {
-        SimTime::from_nanos(
-            SimDuration::from(instant.saturating_duration_since(self.epoch)).as_nanos(),
-        )
-    }
-
-    fn lock(&self) -> crate::sync::MutexGuard<'_, SpanTracer> {
-        // A panicking worker must not poison observability for the others.
-        self.tracer.lock().unwrap_or_else(|p| p.into_inner())
-    }
-
-    fn span(
-        &self,
-        host: usize,
-        kind: SpanKind,
-        name: String,
-        start: Instant,
-        dur: Duration,
-        hop: Option<usize>,
-    ) {
-        let at = self.at(start);
-        self.lock()
-            .span_with_hop(host, kind, name, at, dur.into(), hop);
-    }
-
-    /// Records an instant event and bumps `counter_name` under one lock.
-    fn event(&self, host: usize, track: Track, name: String, counter_name: Option<&str>) {
-        let at = self.at(Instant::now());
-        let mut tracer = self.lock();
-        tracer.event(Some(host), track, name, at);
-        if let Some(counter_name) = counter_name {
-            tracer.count(counter_name, 1);
-        }
-    }
-
-    fn into_tracer(self) -> SpanTracer {
-        self.tracer.into_inner().unwrap_or_else(|p| p.into_inner())
-    }
-}
 
 /// The in-process engine: threads and `sync::mpmc` channels, no sockets
 /// and no codec.
@@ -219,142 +114,13 @@ impl WallClockEngine for ChannelEngine {
         F: Fn(HostId, u32, &[usize], Visit<'_, P>) + Sync,
         A: Fn(HostId, usize) + Sync,
     {
-        match (plan, workload) {
-            // No dice: nothing is faulted, rescaled or multiplexed, so
-            // every host keeps exactly its own role for the whole run and
-            // the decentralised ring needs no protocol ledger.
-            (None, Workload::Single(batches)) => classic_run(
-                config,
-                batches,
-                |host, payload| visit(host, 0, &[host.0], Visit::Owned(payload)),
-                trace,
-            ),
-            (plan, workload) => {
-                drive_coordinated(config, plan, rescale, workload, visit, absorb, trace)
-            }
-        }
+        drive_coordinated(config, plan, rescale, workload, visit, absorb, trace)
     }
 }
 
-/// The classic (unguarded-transport) decentralised ring: `batches[h]` are
-/// host `h`'s local envelopes, already numbered, on a validated ring of at
-/// least two hosts.
-fn classic_run<P, F>(
-    config: &RingConfig,
-    batches: Vec<Vec<Envelope<P>>>,
-    process: F,
-    trace: bool,
-) -> Result<(RingMetrics, SpanTracer), RingError>
-where
-    P: PayloadBytes + Send,
-    F: Fn(HostId, &P) + Sync,
-{
-    let n = config.hosts;
-    let total: usize = batches.iter().map(Vec::len).sum();
-    let shared = trace.then(SharedSpans::new);
-    let spans = shared.as_ref();
-
-    // ring_rx[h]: the receive buffer pool of host h.
-    let mut ring_tx = Vec::with_capacity(n);
-    let mut ring_rx = Vec::with_capacity(n);
-    for _ in 0..n {
-        let (tx, rx) = bounded::<Envelope<P>>(config.buffers_per_host);
-        ring_tx.push(tx);
-        ring_rx.push(rx);
-    }
-    // Transmitter h sends into host (h+1)'s pool.
-    ring_tx.rotate_left(1);
-
-    let forwarded: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
-    let mut host_stats: Vec<Option<JoinStats>> = (0..n).map(|_| None).collect();
-
-    let first_error = crate::sync::thread::scope(|scope| {
-        let mut join_handles = Vec::with_capacity(n);
-        let mut tx_handles = Vec::with_capacity(n);
-        for (h, ((backlog, (rx, next_tx)), fwd)) in batches
-            .into_iter()
-            .zip(ring_rx.into_iter().zip(ring_tx))
-            .zip(&forwarded)
-            .enumerate()
-        {
-            let (out_tx, out_rx) = unbounded::<Envelope<P>>();
-            let process = &process;
-            join_handles.push(scope.spawn(move || {
-                join_entity(HostId(h), n, total, backlog, rx, out_tx, process, spans)
-            }));
-            tx_handles.push(scope.spawn(move || -> Result<(), RingError> {
-                // Transmitter: forward processed envelopes, honoring the
-                // successor's buffer credit via the bounded channel.
-                for env in out_rx.iter() {
-                    fwd.fetch_add(env.bytes(), Ordering::Relaxed);
-                    if let Some(s) = spans {
-                        s.event(
-                            h,
-                            Track::Transmitter,
-                            format!("send {}", env.id),
-                            Some(counter::ENVELOPES_SENT),
-                        );
-                    }
-                    if next_tx.send(env).is_err() {
-                        // The successor's join entity died and dropped its
-                        // pool: surface a typed error, don't panic.
-                        return Err(RingError::Teardown(teardown::POOL_CLOSED));
-                    }
-                }
-                // Dropping next_tx closes the successor's pool.
-                Ok(())
-            }));
-        }
-        let mut errors = ErrorCollector::default();
-        for (slot, handle) in host_stats.iter_mut().zip(join_handles) {
-            match handle.join() {
-                Ok(Ok(stats)) => *slot = Some(stats),
-                Ok(Err(err)) => errors.record(err),
-                Err(_) => errors.record(RingError::Teardown(teardown::WORKER_PANICKED)),
-            }
-        }
-        for handle in tx_handles {
-            match handle.join() {
-                Ok(Ok(())) => {}
-                Ok(Err(err)) => errors.record(err),
-                Err(_) => errors.record(RingError::Teardown(teardown::WORKER_PANICKED)),
-            }
-        }
-        errors.first()
-    });
-    if let Some(err) = first_error {
-        return Err(err);
-    }
-
-    let stats: Vec<JoinStats> = host_stats.into_iter().flatten().collect();
-    debug_assert_eq!(stats.len(), n, "error-free run has stats for every host");
-    let hosts: Vec<HostMetrics> = stats
-        .into_iter()
-        .zip(&forwarded)
-        .map(|(s, fwd)| s.into_metrics(config, fwd.load(Ordering::Relaxed), 0, 0))
-        .collect();
-    let wall = hosts
-        .iter()
-        .map(|h| h.join_window)
-        .max()
-        .unwrap_or(SimDuration::ZERO);
-    let metrics = RingMetrics {
-        hosts,
-        wall_clock: wall,
-        fragments_completed: total,
-        ..RingMetrics::default()
-    };
-    let tracer = finish_spans(shared);
-    Ok((metrics, tracer))
-}
-
-// ---------------------------------------------------------------------------
-// Coordinated mode: the shared coordinator over an instant channel wire
-// ---------------------------------------------------------------------------
-
-/// The medium of the coordinated mode: per-host job queues and a timer
-/// thread, and nothing in between — the channel "wire" has no latency in
-/// either direction, so deliveries and acks reach their host in the same
+/// The channel engine's medium: per-host job queues and a timer thread,
+/// and nothing in between — the channel "wire" has no latency in either
+/// direction, so deliveries and acks reach their host in the same
 /// coordinator round as follow-up events, and a fault-plan delay spike is
 /// modeled by parking the arrival on the timer thread. Nothing can be
 /// severed (host crashes are rejected up front).
@@ -439,10 +205,14 @@ fn recv_from<T>(rx: &Receiver<T>, wait: Duration) -> Recv<T> {
     }
 }
 
-/// Everything that rolls dice: spawns the per-host workers (joins and role
-/// takeovers run there, as on the socket media) and the timer loop, then
-/// lets the shared [`Coordinator`] feed the protocol until every fragment
-/// retired.
+/// Spawns the per-host workers (joins and role takeovers run there, as on
+/// the socket media) and the timer loop, then lets the shared
+/// [`Coordinator`] feed the protocol until every fragment retired.
+///
+/// Every handle is joined before the scope closes: consuming the
+/// coordinator drops its job and timer senders, which ends the worker and
+/// timer loops, and an explicit join is a scheduling point the loom model
+/// sees (see [`crate::sync::thread`]).
 fn drive_coordinated<P, F, A>(
     config: &RingConfig,
     plan: Option<&FaultPlan>,
@@ -461,10 +231,11 @@ where
     let (timer_tx, timer_rx) = unbounded::<(Instant, Event<P>)>();
     crate::sync::thread::scope(|scope| {
         let mut jobs = Vec::with_capacity(config.hosts);
+        let mut threads = Vec::with_capacity(config.hosts + 1);
         for h in 0..config.hosts {
             let (jtx, jrx) = unbounded::<Job<P>>();
             let tx = events_tx.clone();
-            scope.spawn(move || {
+            threads.push(scope.spawn(move || {
                 coordinator::worker_loop(
                     HostId(h),
                     jrx.iter(),
@@ -472,276 +243,40 @@ where
                     visit,
                     absorb,
                 );
-            });
+            }));
             jobs.push(jtx);
         }
-        {
-            let tx = events_tx.clone();
-            scope.spawn(move || {
-                coordinator::timer_loop(
-                    Instant::now,
-                    |wait| recv_from(&timer_rx, wait),
-                    |event| tx.send(event).is_ok(),
-                );
-            });
-        }
+        let tx = events_tx.clone();
+        threads.push(scope.spawn(move || {
+            coordinator::timer_loop(
+                Instant::now,
+                |wait| recv_from(&timer_rx, wait),
+                |event| tx.send(event).is_ok(),
+            );
+        }));
         let wire = ChannelWire { jobs, timer_tx };
         let mut co = Coordinator::new(config, plan, rescale, workload, trace, wire);
         co.run(|wait| recv_from(&events_rx, wait));
-        // Consuming the coordinator drops its job and timer senders,
-        // draining the worker and timer threads before the scope closes.
-        co.finish()
+        let outcome = co.finish();
+        let mut panicked = false;
+        for thread in threads {
+            panicked |= thread.join().is_err();
+        }
+        if panicked {
+            return Err(RingError::Teardown(teardown::WORKER_PANICKED));
+        }
+        outcome
     })
-}
-
-/// Materialises every well-known counter at zero, so trace consumers see
-/// them observed rather than missing on runs that never bumped them.
-pub(crate) fn materialize_counters(tracer: &mut SpanTracer) {
-    for name in [
-        counter::ENVELOPES_SENT,
-        counter::ENVELOPES_RECEIVED,
-        counter::FRAGMENTS_RETIRED,
-        counter::RETRANSMITS,
-        counter::CHECKSUM_MISMATCHES,
-        counter::HEAL_EVENTS,
-        counter::FRAGMENTS_RESENT,
-        counter::RESCALE_JOINS,
-        counter::RESCALE_DRAINS,
-        counter::RESCALE_HANDOFFS,
-        counter::VISITS_INLINE,
-        counter::FRAMES_ENCODED,
-        counter::FRAMES_FORWARDED,
-    ] {
-        tracer.count(name, 0);
-    }
-}
-
-/// Closes out a classic or single-host run's trace (such a run never
-/// retransmits, heals or rescales) and hands the tracer out of its mutex.
-fn finish_spans(shared: Option<SharedSpans>) -> SpanTracer {
-    shared.map_or_else(SpanTracer::disabled, |shared| {
-        let mut tracer = shared.into_tracer();
-        materialize_counters(&mut tracer);
-        tracer
-    })
-}
-
-/// What a host's join entity measured about itself (or, in coordinated
-/// mode, what the coordinator measured for it).
-pub(crate) struct JoinStats {
-    pub(crate) busy: Duration,
-    pub(crate) sync: Duration,
-    pub(crate) window: Duration,
-    pub(crate) processed: usize,
-}
-
-impl JoinStats {
-    pub(crate) fn into_metrics(
-        self,
-        config: &RingConfig,
-        bytes_forwarded: u64,
-        retransmits: u64,
-        checksum_mismatches: u64,
-    ) -> HostMetrics {
-        let mut cpu = simnet::cpu::CpuAccount::new();
-        cpu.charge(
-            simnet::cpu::CostCategory::Compute,
-            SimDuration::from(self.busy) * config.join_threads as u64,
-        );
-        HostMetrics {
-            setup: SimDuration::ZERO,
-            join_busy: self.busy.into(),
-            sync: self.sync.into(),
-            join_window: self.window.into(),
-            cpu,
-            fragments_processed: self.processed,
-            visits_inline: 0,
-            bytes_forwarded,
-            retransmits,
-            checksum_mismatches,
-        }
-    }
-}
-
-/// The join entity of one classic-ring host. `backlog` holds the host's
-/// local fragments, pre-numbered by
-/// [`envelope_batches`](crate::protocol::envelope_batches). The buffer
-/// pool is the receiver, so the join entity records envelope arrivals
-/// itself.
-#[allow(clippy::too_many_arguments)]
-fn join_entity<P, F>(
-    host: HostId,
-    ring_size: usize,
-    total: usize,
-    backlog: Vec<Envelope<P>>,
-    rx: Receiver<Envelope<P>>,
-    out_tx: Sender<Envelope<P>>,
-    process: &F,
-    spans: Option<&SharedSpans>,
-) -> Result<JoinStats, RingError>
-where
-    P: PayloadBytes + Send,
-    F: Fn(HostId, &P) + Sync,
-{
-    let mut backlog: std::collections::VecDeque<Envelope<P>> = backlog.into();
-    let started = Instant::now();
-    let mut busy = Duration::ZERO;
-    let mut sync = Duration::ZERO;
-    let mut processed = 0usize;
-    while processed < total {
-        // Prefer received envelopes: popping them frees buffer elements
-        // and keeps the ring moving.
-        let (mut env, received) = match rx.try_recv() {
-            Ok(env) => (env, true),
-            Err(TryRecvError::Empty) => match backlog.pop_front() {
-                Some(env) => (env, false),
-                None => {
-                    let wait = Instant::now();
-                    let Ok(env) = rx.recv() else {
-                        return Err(RingError::Teardown(teardown::RING_CLOSED));
-                    };
-                    let waited = wait.elapsed();
-                    sync += waited;
-                    if let Some(s) = spans {
-                        s.span(
-                            host.0,
-                            SpanKind::Sync,
-                            "sync".to_string(),
-                            wait,
-                            waited,
-                            None,
-                        );
-                    }
-                    (env, true)
-                }
-            },
-            Err(TryRecvError::Disconnected) => match backlog.pop_front() {
-                Some(env) => (env, false),
-                None => return Err(RingError::Teardown(teardown::RING_CLOSED)),
-            },
-        };
-        if received {
-            if let Some(s) = spans {
-                s.event(
-                    host.0,
-                    Track::Receiver,
-                    format!("recv {}", env.id),
-                    Some(counter::ENVELOPES_RECEIVED),
-                );
-            }
-        }
-        let hop = ring_size.saturating_sub(env.hops_remaining);
-        let t = Instant::now();
-        // Guard the user callback: a panic inside it must become a typed
-        // teardown error, not a poisoned scope and a panic storm.
-        let outcome = catch_unwind(AssertUnwindSafe(|| process(host, &env.payload)));
-        let spent = t.elapsed();
-        busy += spent;
-        if outcome.is_err() {
-            return Err(RingError::Teardown(teardown::CALLBACK_PANICKED));
-        }
-        processed += 1;
-        if let Some(s) = spans {
-            s.span(
-                host.0,
-                SpanKind::Join,
-                format!("join {}", env.id),
-                t,
-                spent,
-                Some(hop),
-            );
-        }
-        if env.consume_hop() {
-            if out_tx.send(env).is_err() {
-                return Err(RingError::Teardown(teardown::TX_GONE));
-            }
-        } else if let Some(s) = spans {
-            s.event(
-                host.0,
-                Track::Join,
-                format!("retired {}", env.id),
-                Some(counter::FRAGMENTS_RETIRED),
-            );
-        }
-    }
-    // Closing the outgoing queue lets the transmitter finish and close the
-    // successor's pool in turn.
-    drop(out_tx);
-    Ok(JoinStats {
-        busy,
-        sync,
-        window: started.elapsed(),
-        processed,
-    })
-}
-
-/// The degenerate single-host "ring", which has no wire on any engine:
-/// process host 0's backlog locally and close out the trace.
-pub(crate) fn single_host_run<P, F>(
-    batches: Vec<Vec<Envelope<P>>>,
-    process: F,
-    trace: bool,
-) -> Result<(RingMetrics, SpanTracer), RingError>
-where
-    P: PayloadBytes + Send,
-    F: Fn(HostId, &P) + Sync,
-{
-    let shared = trace.then(SharedSpans::new);
-    let started = Instant::now();
-    let mut busy = Duration::ZERO;
-    let mut processed = 0usize;
-    for env in batches.into_iter().next().unwrap_or_default() {
-        let t = Instant::now();
-        let outcome = catch_unwind(AssertUnwindSafe(|| process(HostId(0), &env.payload)));
-        let spent = t.elapsed();
-        busy += spent;
-        if outcome.is_err() {
-            return Err(RingError::Teardown(teardown::CALLBACK_PANICKED));
-        }
-        if let Some(s) = &shared {
-            s.span(
-                0,
-                SpanKind::Join,
-                format!("join {}", env.id),
-                t,
-                spent,
-                Some(0),
-            );
-            s.event(
-                0,
-                Track::Join,
-                format!("retired {}", env.id),
-                Some(counter::FRAGMENTS_RETIRED),
-            );
-        }
-        processed += 1;
-    }
-    let host = HostMetrics {
-        setup: SimDuration::ZERO,
-        join_busy: busy.into(),
-        sync: SimDuration::ZERO,
-        join_window: started.elapsed().into(),
-        cpu: simnet::cpu::CpuAccount::new(),
-        fragments_processed: processed,
-        bytes_forwarded: 0,
-        ..HostMetrics::default()
-    };
-    let metrics = RingMetrics {
-        hosts: vec![host],
-        wall_clock: started.elapsed().into(),
-        fragments_completed: processed,
-        ..RingMetrics::default()
-    };
-    let tracer = finish_spans(shared);
-    Ok((metrics, tracer))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::alloc_count::counted;
     use crate::coordinator::engine_suite::{self, payloads};
-    use simnet::time::SimTime;
-    use std::sync::atomic::AtomicUsize;
+    use simnet::span::{counter, SpanKind};
+    use simnet::time::{SimDuration, SimTime};
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn run_plain(
         config: &RingConfig,
@@ -803,6 +338,31 @@ mod tests {
         let metrics = run_plain(&RingConfig::paper(1), payloads(1, 5, 8), |_, _| {}).unwrap();
         assert_eq!(metrics.fragments_completed, 5);
         assert_eq!(metrics.hosts[0].bytes_forwarded, 0);
+    }
+
+    /// A quiet run launches its payloads into one slab: a fragment more
+    /// costs the driving thread well under one allocation, where an `Arc`
+    /// per payload would cost one.
+    #[test]
+    fn a_quiet_run_launches_its_payloads_into_one_slab() {
+        let hosts = 4;
+        let allocs = |per_host| {
+            let fragments = payloads(hosts, per_host, 8);
+            let (metrics, allocs) = counted(|| {
+                run_plain(&RingConfig::paper(hosts), fragments, |_, _| {})
+                    .map(|m| m.fragments_completed)
+            });
+            assert_eq!(metrics, Ok(hosts * per_host));
+            allocs
+        };
+        // A first run warms what later runs reuse.
+        allocs(1);
+        let (one, sixteen) = (allocs(1), allocs(16));
+        let per_fragment = sixteen.saturating_sub(one) as f64 / (hosts * 15) as f64;
+        assert!(
+            per_fragment < 0.5,
+            "{per_fragment} allocations per fragment ({one} at 1 per host, {sixteen} at 16)"
+        );
     }
 
     #[test]

@@ -1,15 +1,15 @@
 //! Model checking the live ring: exhaustive interleaving exploration of
-//! the receive → join → transmit hand-off, the teardown wave, and the
-//! role-takeover ledger.
+//! the coordinator-driven channel run, the credit hand-off and teardown
+//! wave of the `sync::mpmc` channels, and the role-takeover ledger.
 //!
 //! Compiled only under `RUSTFLAGS="--cfg loom"` (see `scripts/analyze.sh`),
 //! where `data_roundabout::sync` resolves to the vendored loom checker's
 //! instrumented primitives. The headline test runs the *actual*
-//! [`data_roundabout::RingDriver`] backend — join entities, transmitter
-//! threads, bounded buffer pools, credit flow control and all, driven by
-//! the shared sans-IO protocol core — under the model, so every schedule
-//! the token-passing scheduler can produce is checked for lost envelopes,
-//! double delivery and deadlock.
+//! [`data_roundabout::RingDriver`] backend under the model — the shared
+//! coordinator feeding the sans-IO protocol core on the calling thread, a
+//! join worker per host and the timer thread, talking through job, event
+//! and timer channels — so every schedule the token-passing scheduler can
+//! produce is checked for lost envelopes, double delivery and deadlock.
 
 #![cfg(loom)]
 
@@ -18,14 +18,15 @@ use data_roundabout::sync::{mpmc, thread, Arc};
 use data_roundabout::{RingConfig, RingDriver};
 
 /// The real threaded backend on a two-host ring, one fragment per host:
-/// five threads (main, two join entities, two transmitters) and every
-/// interleaving of their channel and mutex operations. Each host must
-/// see both fragments exactly once in every schedule.
+/// four threads (the coordinator on the model's main thread, two join
+/// workers, the timer thread) and every interleaving of their channel and
+/// mutex operations. Each host must see both fragments exactly once in
+/// every schedule.
 ///
-/// Preemption bound 1 (instead of the default 2): five threads of real
+/// Preemption bound 1 (instead of the default 2): four threads of real
 /// protocol code explode combinatorially at 2, while bound 1 already
 /// covers every schedule reachable through the blocking structure plus
-/// one forced preemption at any point — and still finishes in seconds.
+/// one forced preemption at any point.
 #[test]
 fn two_host_ring_hand_off_is_exhaustively_correct() {
     let mut builder = loom::model::Builder::new();

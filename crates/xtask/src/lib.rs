@@ -42,12 +42,14 @@ const CORE_L1: [&str; 4] = [
 /// - **L2 no-wall-clock-in-sim**: all of `simnet` plus the simulated
 ///   backend; virtual time only.
 /// - **L3 counter-registry**: the emitters of counters — the shared
-///   coordinator, the simulated backend, the thread backend's classic
-///   ring, and the wall-clock executor.
+///   coordinator, the simulated backend and the wall-clock executor —
+///   and the thread backend, which emits none since every run goes
+///   through the coordinator, and stays in scope so none comes back
+///   unchecked.
 /// - **L4 lock-ordering**: the query session (the one place `core` nests
 ///   a state-slot lock over a collector lock, for every front-end on
-///   every backend) and the thread backend, where the tracer lock joins
-///   them.
+///   every backend) and the thread backend, which takes no lock of its
+///   own any more and stays in scope for the same reason.
 /// - **L5 sans-io-protocol**: the shared ring-protocol core, which must
 ///   never grow a socket, thread, channel or clock dependency.
 /// - **L6 output-match-exhaustive**: one vocabulary + two appliers, all
@@ -217,10 +219,10 @@ mod tests {
 
     #[test]
     fn policy_scopes_match_the_issue() {
-        // The thread backend keeps L3/L4 for its classic decentralised
-        // ring; everything that rolls dice runs on a `Medium` under the
-        // shared coordinator: no output dispatch of its own, and none may
-        // come back.
+        // The thread backend stays under L3/L4 though it emits no counter
+        // and takes no lock: every run is a `Medium` under the shared
+        // coordinator, with no output dispatch of its own, and none may
+        // come back unchecked.
         let p = policy_for("crates/roundabout/src/thread_backend.rs");
         assert!(p.no_panic && p.counter_registry && p.lock_ordering && !p.no_wall_clock);
         assert!(!p.sans_io, "drivers are allowed to do IO");

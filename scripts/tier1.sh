@@ -133,6 +133,22 @@ cargo test -q -p data-roundabout --lib a_healed_survivors_multi_role_visit_names
 cargo test -q -p mem-joins --test proptests prepared_bytes_equal_prepare_then_encode
 cargo test -q -p data-roundabout --lib an_origin_sends_the_bytes_it_was_prepared_in
 cargo test -q -p data-roundabout --lib a_returned_origin_buffer_takes_the_next_arrival_without_allocating
+# One-wall-clock-applier gate: every wall-clock run goes through the
+# coordinator, the channel engine's plan-free runs and every engine's
+# one-host ring included. Setup, busy and sync span totals must
+# reconcile with the metrics host by host on all four backends; an
+# in-flight copy must stay 16 bytes, an owned launch must keep every
+# envelope field and put every payload in one shared allocation, and a
+# quiet 4-host channel run must cost its driving thread under half an
+# allocation per fragment; a one-host ring must run on the threads
+# backend and on both socket engines without a socket.
+cargo test -q -p integration-tests --test trace_export phases_reconcile_with_metrics_on_all_four_backends
+cargo test -q -p data-roundabout --lib an_in_flight_copy_is_16_bytes
+cargo test -q -p data-roundabout --lib owned_payloads_launch_into_one_slab
+cargo test -q -p data-roundabout --lib a_quiet_run_launches_its_payloads_into_one_slab
+cargo test -q -p data-roundabout --lib single_host_processes_locally
+cargo test -q -p data-roundabout --lib single_host_ring_needs_no_sockets
+cargo test -q -p data-roundabout --lib reactor_single_host_shares_the_local_path
 cargo clippy --all-targets -- -D warnings
 cargo fmt --check
 cargo run -q --release -p xtask -- analyze

@@ -328,6 +328,25 @@ fn threaded_backend_trace_reconciles_with_metrics() {
     reconcile(&report);
 }
 
+/// One batch of inputs, traced on every backend: each backend's Chrome
+/// trace must carry setup, busy and sync spans that sum to its metrics,
+/// host by host. The wall-clock backends share the coordinator, which
+/// records a host's waits as sync spans.
+#[test]
+fn phases_reconcile_with_metrics_on_all_four_backends() {
+    let (r, s) = inputs(9450);
+    let join = CycloJoin::new(r, s).hosts(4).trace(true);
+    let runs = [
+        ("sim", join.run()),
+        ("threads", join.run_threaded()),
+        ("tcp", join.run_tcp()),
+        ("reactor", join.run_reactor()),
+    ];
+    for (backend, report) in runs {
+        reconcile(&report.unwrap_or_else(|e| panic!("{backend}: {e}")));
+    }
+}
+
 #[test]
 fn faulted_trace_reports_protocol_counters() {
     let (r, s) = inputs(9500);
