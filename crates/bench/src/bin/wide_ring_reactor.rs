@@ -1,8 +1,8 @@
 //! Exhibit — wide loopback rings on the reactor backend.
 //!
-//! The blocking TCP driver dedicates roughly four OS threads to every
-//! host (a reader and writer per mesh connection, a join worker, a
-//! timer), so ring width buys threads before it buys bandwidth — the
+//! The blocking TCP driver dedicates OS threads to every host (a reader
+//! and writer per mesh connection, and a join worker), so ring width
+//! buys threads before it buys bandwidth — the
 //! resource-dedication anti-pattern the shared-nothing multicore paper
 //! warns against. The reactor driver owns every socket from one event
 //! loop and runs join work on a worker pool sized to the machine's

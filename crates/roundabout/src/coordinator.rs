@@ -19,7 +19,11 @@
 //!   crash-guard policy (`Coordinator::handle`): joins and fault-plan
 //!   events die with a crashed host; wire deliveries, send completions and
 //!   protocol ticks always reach the protocol;
-//! * everything that differs between the engines sits behind the five
+//! * it owns the run's one timer queue (`TimerQueue`): protocol
+//!   backoffs, the plans' scheduled events and delay-spike arrivals are
+//!   data there, and both wall-clock event loops fire what is due and
+//!   wait no longer than the next deadline (`Coordinator::fire_or_wait`);
+//! * everything that differs between the engines sits behind the four
 //!   calls of the crate-private `Medium` trait, dispatched statically. A
 //!   socket medium frames each live attempt as a fresh header ahead of
 //!   the payload's wire bytes — at the origin the bytes a fragment was
@@ -48,9 +52,8 @@
 //! protocol over the same in-flight payload type.
 //!
 //! Alongside live the pieces every wall-clock engine used to carry a copy
-//! of: the guarded job runner (`run_job` / `worker_loop`), the
-//! deadline-ordered `timer_loop`, and the generic driver
-//! ([`WallClockDriver`]) that `RingDriver`, `TcpRingDriver` and
+//! of: the guarded job runner (`run_job` / `worker_loop`) and the generic
+//! driver ([`WallClockDriver`]) that `RingDriver`, `TcpRingDriver` and
 //! `ReactorRingDriver` are names for.
 
 use std::borrow::Cow;
@@ -533,7 +536,7 @@ pub(crate) fn worker_loop<P, F, A>(
 }
 
 /// Timers are protocol backoffs plus the fault and rescale plans'
-/// scheduled events, all realized on the medium's one timer mechanism.
+/// scheduled events, all armed on the coordinator's one timer queue.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum TimerKind {
     Protocol(Timer),
@@ -612,15 +615,22 @@ pub(crate) enum Event<P> {
     SendDone { from: HostId },
     /// A worker finished a job.
     Job(JobDone),
-    /// A timer armed through [`Medium::arm`] fired.
+    /// A timer on the coordinator's queue fired.
     Timer(TimerKind),
     /// The engine hit an unrecoverable error.
     Fatal(RingError),
 }
 
-/// The queue of synchronous follow-up events, handled before the engine
-/// blocks for the next external one.
-pub(crate) type Pending<P> = VecDeque<Event<P>>;
+/// What the coordinator hears from itself and from the medium's calls,
+/// as opposed to what the engine delivers.
+pub(crate) struct Pending<P> {
+    /// Synchronous follow-ups, handled in order before the engine blocks
+    /// for the next external event.
+    pub(crate) now: VecDeque<Event<P>>,
+    /// Events due at an instant — protocol backoffs, the plans' scheduled
+    /// events, a delay spike's arrival — handled once due.
+    pub(crate) timers: TimerQueue<Event<P>>,
+}
 
 /// The outcome of one timed receive, whatever channel it came from.
 pub(crate) enum Recv<T> {
@@ -643,9 +653,10 @@ pub(crate) enum Sent {
     Forwarded,
 }
 
-/// What an engine provides: how bytes, jobs and timers actually move.
-/// Calls arrive in [`Output`] order; anything a call completes on the
-/// spot is queued on `next` instead of re-entering the coordinator.
+/// What an engine provides: how bytes and jobs actually move. Calls
+/// arrive in [`Output`] order; anything a call completes on the spot is
+/// queued on `next` instead of re-entering the coordinator, and anything
+/// it completes later at a known instant is armed on `next`'s timers.
 pub(crate) trait Medium<P> {
     /// Puts one live attempt on the `from → to` wire, no earlier than
     /// `delay` from now (a fault-plan delay spike). The medium owes one
@@ -672,9 +683,6 @@ pub(crate) trait Medium<P> {
     /// Hands `job` to `host`'s worker; the medium owes one [`Event::Job`].
     fn start(&mut self, host: HostId, job: Job<P>, next: &mut Pending<P>) -> Result<(), RingError>;
 
-    /// Fires [`Event::Timer`] with `timer` after `delay`.
-    fn arm(&mut self, delay: Duration, timer: TimerKind);
-
     /// Cuts `host`'s outgoing wires, behind whatever it already committed
     /// to them (an attempt reported live must still arrive).
     fn sever(&mut self, host: HostId, next: &mut Pending<P>);
@@ -692,40 +700,44 @@ pub(crate) trait Medium<P> {
 }
 
 // ---------------------------------------------------------------------------
-// Timers: one loop, ordered by (deadline, arm sequence)
+// Timers: one queue, ordered by (deadline, arm sequence)
 // ---------------------------------------------------------------------------
 
-/// The wall-clock timer thread of the channel-fed engines: `now` reads
-/// the clock, `recv` waits up to the given duration for the next
-/// `(deadline, item)` to arm, `fire` delivers a due item and says whether
-/// anyone still listens.
+/// Armed timers in `(deadline, arm sequence)` order — the simulator's
+/// order — so a loop that oversleeps several deadlines still fires them
+/// by deadline, and equal deadlines in the order they were armed.
 ///
-/// Timers are kept in `(deadline, arm sequence)` order — the reactor
-/// wheel's and the simulator's order — so a thread that oversleeps several
-/// deadlines still releases them by deadline, not by when they were armed.
-pub(crate) fn timer_loop<T>(
-    now: impl Fn() -> Instant,
-    mut recv: impl FnMut(Duration) -> Recv<(Instant, T)>,
-    mut fire: impl FnMut(T) -> bool,
-) {
-    let mut armed: VecDeque<(Instant, T)> = VecDeque::new();
-    loop {
-        while armed.front().is_some_and(|(due, _)| *due <= now()) {
-            if !armed.pop_front().is_some_and(|(_, item)| fire(item)) {
-                return;
-            }
+/// Nothing is cancelled: a stale retransmit timer fires like any other
+/// and the protocol ignores it. Arming is a binary search and a shift;
+/// the next deadline and the next due item are the front.
+pub(crate) struct TimerQueue<T> {
+    armed: VecDeque<(Instant, T)>,
+}
+
+impl<T> TimerQueue<T> {
+    pub(crate) fn new() -> Self {
+        TimerQueue {
+            armed: VecDeque::new(),
         }
-        let wait = armed.front().map_or(Duration::from_secs(3600), |(due, _)| {
-            due.saturating_duration_since(now())
-        });
-        match recv(wait) {
-            Recv::Item((deadline, item)) => {
-                let behind = armed.partition_point(|(due, _)| *due <= deadline);
-                armed.insert(behind, (deadline, item));
-            }
-            Recv::Timeout => {}
-            Recv::Closed => return,
+    }
+
+    /// Arms `item` for `deadline`, behind every item due no later.
+    pub(crate) fn insert(&mut self, deadline: Instant, item: T) {
+        let behind = self.armed.partition_point(|(due, _)| *due <= deadline);
+        self.armed.insert(behind, (deadline, item));
+    }
+
+    /// The earliest armed deadline.
+    pub(crate) fn next_deadline(&self) -> Option<Instant> {
+        self.armed.front().map(|(due, _)| *due)
+    }
+
+    /// Takes the first item whose deadline is no later than `now`.
+    pub(crate) fn pop_due(&mut self, now: Instant) -> Option<T> {
+        if self.next_deadline()? > now {
+            return None;
         }
+        self.armed.pop_front().map(|(_, item)| item)
     }
 }
 
@@ -795,6 +807,9 @@ pub(crate) struct Coordinator<'a, P, M> {
     fatal: bool,
     tracer: SpanTracer,
     epoch: Instant,
+    /// Where the current silence began: the first wait since the last
+    /// handled event (`None` until the loop waits again).
+    silent_since: Option<Instant>,
     wall_ack_timeout: Duration,
     config: &'a RingConfig,
     busy: Vec<Duration>,
@@ -808,10 +823,10 @@ pub(crate) struct Coordinator<'a, P, M> {
 
 impl<'a, P: PayloadBytes, M: Medium<P>> Coordinator<'a, P, M> {
     /// Builds the protocol for `workload` (reliable iff `plan` is set) with
-    /// every payload put in flight, arms the plans' scheduled events on
-    /// `medium` — crashes, pauses, joins, drains, as offsets from this
-    /// instant — and reports every host set up, so the first joins and
-    /// sends are already applied when this returns.
+    /// every payload put in flight, arms the plans' scheduled events —
+    /// crashes, pauses, joins, drains, as offsets from this instant — and
+    /// reports every host set up, so the first joins and sends are already
+    /// applied when this returns.
     pub(crate) fn new(
         config: &'a RingConfig,
         plan: Option<&'a FaultPlan>,
@@ -846,7 +861,10 @@ impl<'a, P: PayloadBytes, M: Medium<P>> Coordinator<'a, P, M> {
         let mut co = Coordinator {
             proto,
             medium,
-            pending: VecDeque::new(),
+            pending: Pending {
+                now: VecDeque::new(),
+                timers: TimerQueue::new(),
+            },
             outputs: Vec::new(),
             plan,
             errors: ErrorCollector::default(),
@@ -857,6 +875,7 @@ impl<'a, P: PayloadBytes, M: Medium<P>> Coordinator<'a, P, M> {
                 SpanTracer::disabled()
             },
             epoch,
+            silent_since: None,
             wall_ack_timeout: Duration::from_secs_f64(config.ack_timeout.as_secs_f64()),
             config,
             busy: vec![Duration::ZERO; n],
@@ -867,21 +886,15 @@ impl<'a, P: PayloadBytes, M: Medium<P>> Coordinator<'a, P, M> {
             crash_at: vec![None; n],
             detection_latency: SimDuration::ZERO,
         };
+        // A plan instant is wall-clock time since the run's epoch.
         for (at, kind) in scheduled(plan, rescale) {
-            co.arm_at(at, kind);
+            let deadline = epoch + Duration::from(at.saturating_duration_since(SimTime::ZERO));
+            co.pending.timers.insert(deadline, Event::Timer(kind));
         }
         for h in 0..n {
             co.input(Input::SetupDone { host: HostId(h) }, None);
         }
         co
-    }
-
-    /// Arms `kind` for the plan instant `at`, interpreted as wall-clock
-    /// time since the run's epoch.
-    fn arm_at(&mut self, at: SimTime, kind: TimerKind) {
-        let deadline = self.epoch + Duration::from(at.saturating_duration_since(SimTime::ZERO));
-        self.medium
-            .arm(deadline.saturating_duration_since(Instant::now()), kind);
     }
 
     /// True once every fragment retired or the run failed.
@@ -895,27 +908,54 @@ impl<'a, P: PayloadBytes, M: Medium<P>> Coordinator<'a, P, M> {
     }
 
     /// The event loop of the channel-fed engines: follow-ups first, then
-    /// whatever `recv` (a timed receive on the engine's event channel)
-    /// yields, until the run is [`done`](Self::done). Silence for a whole
-    /// watchdog window tears the run down as stalled.
+    /// due timers, then whatever `recv` (a timed receive on the engine's
+    /// event channel) yields within [`fire_or_wait`](Self::fire_or_wait)'s
+    /// bound, until the run is [`done`](Self::done).
     pub(crate) fn run(&mut self, mut recv: impl FnMut(Duration) -> Recv<Event<P>>) {
-        let watchdog = Duration::from(self.config.watchdog);
         while !self.done() {
-            let event = match self.pending.pop_front() {
-                Some(event) => event,
-                None => match recv(watchdog) {
-                    Recv::Item(event) => event,
-                    Recv::Timeout => return self.fail(RingError::Teardown(STALLED)),
-                    Recv::Closed => return self.fail(RingError::Teardown(teardown::RING_CLOSED)),
-                },
+            if let Some(event) = self.pending.now.pop_front() {
+                self.handle(event);
+                continue;
+            }
+            let Some(wait) = self.fire_or_wait(Instant::now()) else {
+                continue;
             };
-            self.handle(event);
+            match recv(wait) {
+                Recv::Item(event) => self.handle(event),
+                Recv::Timeout => {}
+                Recv::Closed => return self.fail(RingError::Teardown(teardown::RING_CLOSED)),
+            }
         }
+    }
+
+    /// Fires the first timer due at `now`, or says how long the event loop
+    /// may block for its next event: until the next deadline, and no
+    /// longer than what is left of the watchdog window. The window is the
+    /// silence since the loop first waited after the last handled event (a
+    /// fired timer is one); when it runs out the run is torn down as
+    /// stalled. `None` means the loop goes round again: a timer fired, or
+    /// the run stalled.
+    pub(crate) fn fire_or_wait(&mut self, now: Instant) -> Option<Duration> {
+        if let Some(event) = self.pending.timers.pop_due(now) {
+            self.handle(event);
+            return None;
+        }
+        let silent = now.saturating_duration_since(*self.silent_since.get_or_insert(now));
+        let left = Duration::from(self.config.watchdog).saturating_sub(silent);
+        if left.is_zero() {
+            self.fail(RingError::Teardown(STALLED));
+            return None;
+        }
+        Some(match self.pending.timers.next_deadline() {
+            Some(due) => left.min(due.saturating_duration_since(now)),
+            None => left,
+        })
     }
 
     /// Translates one event into a protocol [`Input`] and applies what
     /// the protocol answers.
     pub(crate) fn handle(&mut self, event: Event<P>) {
+        self.silent_since = None;
         match event {
             Event::Frame { at, frame } => self.on_frame(at, frame),
             Event::SendDone { from } => self.input(Input::SendDone { from }, None),
@@ -1150,7 +1190,11 @@ impl<'a, P: PayloadBytes, M: Medium<P>> Coordinator<'a, P, M> {
                     let delay = self
                         .wall_ack_timeout
                         .saturating_mul(1u32 << backoff_exp.min(31));
-                    self.medium.arm(delay, TimerKind::Protocol(timer));
+                    // A deadline past what an `Instant` holds never comes.
+                    if let Some(due) = Instant::now().checked_add(delay) {
+                        let timer = Event::Timer(TimerKind::Protocol(timer));
+                        self.pending.timers.insert(due, timer);
+                    }
                 }
                 Output::Heal { dead } => {
                     // A heal without a scheduled crash is an escalated
@@ -1214,7 +1258,7 @@ impl<'a, P: PayloadBytes, M: Medium<P>> Coordinator<'a, P, M> {
         if dropped {
             // The medium ate this attempt before it reached the wire; the
             // sender's NIC still reports its wire free.
-            self.pending.push_back(Event::SendDone { from });
+            self.pending.now.push_back(Event::SendDone { from });
             return;
         }
         match self
@@ -2275,7 +2319,8 @@ mod tests {
     use super::*;
     use crate::app::FixedCostApp;
     use crate::sim_backend::SimRing;
-    use std::cell::{Cell, RefCell};
+    use proptest::prelude::*;
+    use std::cell::RefCell;
 
     type P = Vec<u8>;
 
@@ -2285,19 +2330,16 @@ mod tests {
         Ack(HostId, HostId, u64),
         Join(HostId),
         Absorb(HostId),
-        Arm(TimerKind),
         Sever(HostId),
     }
 
     /// An in-memory medium that records every call. Frames cross a FIFO
-    /// wire with latency (they are *not* follow-ups), jobs finish on the
-    /// spot, and timers fire in virtual time — only when the wire is idle.
+    /// wire with latency (they are *not* follow-ups) and jobs finish on
+    /// the spot; the test fires the coordinator's timers only when the
+    /// wire is idle.
     struct Fake {
         calls: Vec<Call>,
         wire: VecDeque<Event<P>>,
-        /// Armed timers by (virtual deadline, arm order).
-        timers: VecDeque<(Duration, TimerKind)>,
-        now: Duration,
         /// The host whose delivery is being handled, as the test sees it.
         delivering: Option<HostId>,
         /// Every `absorb(survivor, role)` call the jobs made.
@@ -2312,18 +2354,10 @@ mod tests {
             Fake {
                 calls: Vec::new(),
                 wire: VecDeque::new(),
-                timers: VecDeque::new(),
-                now: Duration::ZERO,
                 delivering: None,
                 absorbed: Vec::new(),
                 joined: Vec::new(),
             }
-        }
-
-        fn fire_next(&mut self) -> Option<Event<P>> {
-            let (due, timer) = self.timers.pop_front()?;
-            self.now = due;
-            Some(Event::Timer(timer))
         }
     }
 
@@ -2372,7 +2406,7 @@ mod tests {
                 Job::Absorb { .. } => Call::Absorb(host),
             });
             let absorbed = RefCell::new(Vec::new());
-            next.push_back(Event::Job(run_job(
+            next.now.push_back(Event::Job(run_job(
                 host,
                 job,
                 &|_, _, _: &[usize], _| {},
@@ -2380,13 +2414,6 @@ mod tests {
             )));
             self.absorbed.extend(absorbed.into_inner());
             Ok(())
-        }
-
-        fn arm(&mut self, delay: Duration, timer: TimerKind) {
-            self.calls.push(Call::Arm(timer));
-            let due = self.now + delay;
-            let behind = self.timers.partition_point(|(d, _)| *d <= due);
-            self.timers.insert(behind, (due, timer));
         }
 
         fn sever(&mut self, host: HostId, _next: &mut Pending<P>) {
@@ -2418,17 +2445,21 @@ mod tests {
         co.medium.calls.clone()
     }
 
-    /// Follow-ups first, then the wire, then (virtual) time.
+    /// Follow-ups first, then the wire, then the earliest timer, however
+    /// far ahead its deadline lies.
     fn next_event(co: &mut Coordinator<'_, P, Fake>) -> Event<P> {
+        let timers = &mut co.pending.timers;
         co.pending
+            .now
             .pop_front()
             .or_else(|| co.medium.wire.pop_front())
-            .or_else(|| co.medium.fire_next())
+            .or_else(|| timers.pop_due(timers.next_deadline()?))
             .expect("ring wedged: nothing pending, in flight or armed")
     }
 
     fn send_dones(pending: &Pending<P>) -> usize {
         pending
+            .now
             .iter()
             .filter(|e| matches!(e, Event::SendDone { .. }))
             .count()
@@ -2447,17 +2478,19 @@ mod tests {
         }
     }
 
-    /// The medium calls `outputs` must cause, in order, plus how many
+    /// What `outputs` must cause: the medium calls, in order, how many
     /// attempts the dice drop — rolled here exactly as the coordinator
-    /// must roll them, and reported to the shadow protocol.
+    /// must roll them, and reported to the shadow protocol — and how many
+    /// timers they arm.
     fn expected(
         plan: &FaultPlan,
         shadow: &mut RingProtocol<InFlight<P>>,
         outputs: Vec<Output<InFlight<P>>>,
         ctx: Option<HostId>,
-    ) -> (Vec<Call>, usize) {
+    ) -> (Vec<Call>, usize, usize) {
         let mut calls = Vec::new();
         let mut dropped = 0;
+        let mut armed = 0;
         for output in &outputs {
             let call = if let Output::StartJoin { host, .. } = output {
                 Call::Join(*host)
@@ -2479,8 +2512,9 @@ mod tests {
                 Call::Transmit(*from, *to, *tid)
             } else if let Output::Ack { to, tid } = output {
                 Call::Ack(ctx.expect("ack needs a delivery"), *to, *tid)
-            } else if let Output::ArmTimer { timer, .. } = output {
-                Call::Arm(TimerKind::Protocol(*timer))
+            } else if let Output::ArmTimer { .. } = output {
+                armed += 1;
+                continue;
             } else if let Output::Absorb { to, .. } = output {
                 Call::Absorb(*to)
             } else if let Output::Departed { host, .. } = output {
@@ -2490,7 +2524,7 @@ mod tests {
             };
             calls.push(call);
         }
-        (calls, dropped)
+        (calls, dropped, armed)
     }
 
     #[test]
@@ -2506,15 +2540,17 @@ mod tests {
         let mut shadow =
             RingProtocol::new(cfg, launch_owned(envelope_batches(payloads(2, 4, 32), 2)));
         let mut want = Vec::new();
-        let mut lost = 0;
+        let (mut lost, mut armed) = (0, 0);
         for h in 0..2 {
             let outputs = shadow.input(Input::SetupDone { host: HostId(h) });
-            let (calls, dropped) = expected(&plan, &mut shadow, outputs, None);
+            let (calls, dropped, arms) = expected(&plan, &mut shadow, outputs, None);
             want.extend(calls);
             lost += dropped;
+            armed += arms;
         }
         assert_eq!(co.medium.calls, want);
         assert_eq!(send_dones(&co.pending), lost);
+        assert_eq!(co.pending.timers.armed.len(), armed);
         assert_jobs_share_the_slot_payload(&mut co);
 
         let mut total_lost = lost;
@@ -2541,13 +2577,16 @@ mod tests {
                 _ => panic!("a link-fault run has no other events"),
             };
             let before = send_dones(&co.pending);
+            let armed_before = co.pending.timers.armed.len();
             let got = step(&mut co, event);
             assert_jobs_share_the_slot_payload(&mut co);
             let outputs = shadow.input(input);
-            let (want, dropped) = expected(&plan, &mut shadow, outputs, ctx);
+            let (want, dropped, armed) = expected(&plan, &mut shadow, outputs, ctx);
             assert_eq!(got, want, "medium calls must follow Output order");
             // A dropped attempt: a follow-up SendDone, and no transmit.
             assert_eq!(send_dones(&co.pending) - before, dropped);
+            // Each `ArmTimer` adds exactly one entry to the queue.
+            assert_eq!(co.pending.timers.armed.len() - armed_before, armed);
             total_lost += dropped;
         }
         assert!(total_lost > 0, "the seed must exercise the drop path");
@@ -2807,9 +2846,11 @@ mod tests {
         let plan = FaultPlan::seeded(3).crash_host(HostId(1), SimTime::from_nanos(1_000));
         let mut co = ring(&config, &plan, None, payloads(3, 2, 32));
         assert!(co
-            .medium
-            .calls
-            .contains(&Call::Arm(TimerKind::Crash(HostId(1)))));
+            .pending
+            .timers
+            .armed
+            .iter()
+            .any(|(_, event)| matches!(event, Event::Timer(TimerKind::Crash(HostId(1))))));
         let calls = step(&mut co, Event::Timer(TimerKind::Crash(HostId(1))));
         assert_eq!(calls.first(), Some(&Call::Sever(HostId(1))));
         assert!(co.proto.is_crashed(HostId(1)));
@@ -2856,39 +2897,200 @@ mod tests {
         assert_eq!(tracer.count_events("departed"), 1);
     }
 
+    /// Every item due at `now`, in the order the queue fires them.
+    fn fire_all<T>(timers: &mut TimerQueue<T>, now: Instant) -> Vec<T> {
+        std::iter::from_fn(|| timers.pop_due(now)).collect()
+    }
+
+    #[test]
+    fn timers_fire_in_deadline_order() {
+        let start = Instant::now();
+        let ms = |n| start + Duration::from_millis(n);
+        let mut timers = TimerQueue::new();
+        timers.insert(ms(5), "c");
+        timers.insert(ms(1), "a");
+        timers.insert(ms(3), "b");
+        assert_eq!(timers.next_deadline(), Some(ms(1)));
+        assert_eq!(fire_all(&mut timers, ms(10)), ["a", "b", "c"]);
+        assert_eq!(timers.next_deadline(), None);
+    }
+
+    #[test]
+    fn a_timer_never_fires_before_its_deadline() {
+        let start = Instant::now();
+        let due = start + Duration::from_millis(2);
+        let mut timers = TimerQueue::new();
+        timers.insert(due, "t");
+        assert!(timers.pop_due(start).is_none());
+        assert!(timers.pop_due(due - Duration::from_nanos(1)).is_none());
+        assert_eq!(timers.next_deadline(), Some(due));
+        assert_eq!(timers.pop_due(due), Some("t"));
+    }
+
+    #[test]
+    fn equal_deadlines_fire_in_arming_order() {
+        let due = Instant::now() + Duration::from_millis(1);
+        let mut timers = TimerQueue::new();
+        for item in ["first", "second", "third"] {
+            timers.insert(due, item);
+        }
+        assert_eq!(fire_all(&mut timers, due), ["first", "second", "third"]);
+    }
+
+    /// Deadlines microseconds and hours apart each fire at their own
+    /// instant, and not one poll before.
+    #[test]
+    fn far_apart_deadlines_fire_each_at_its_own() {
+        let start = Instant::now();
+        let after = |d: Duration| start + d;
+        let (near, mid, far) = (
+            Duration::from_micros(3),
+            Duration::from_millis(50),
+            Duration::from_secs(7_200),
+        );
+        let mut timers = TimerQueue::new();
+        timers.insert(after(far), "far");
+        timers.insert(after(near), "near");
+        timers.insert(after(mid), "mid");
+        assert_eq!(fire_all(&mut timers, after(near)), ["near"]);
+        assert!(fire_all(&mut timers, after(mid) - Duration::from_nanos(1)).is_empty());
+        assert_eq!(fire_all(&mut timers, after(mid)), ["mid"]);
+        assert!(fire_all(&mut timers, after(far) - Duration::from_nanos(1)).is_empty());
+        assert_eq!(timers.next_deadline(), Some(after(far)));
+        assert_eq!(fire_all(&mut timers, after(far)), ["far"]);
+    }
+
+    /// A deadline armed far ahead stays behind every nearer one armed
+    /// after it, and fires at its own instant, not one poll before.
+    #[test]
+    fn a_far_deadline_waits_behind_every_nearer_one() {
+        let start = Instant::now();
+        let far = start + Duration::from_millis(20);
+        let mut timers = TimerQueue::new();
+        timers.insert(far, u64::MAX);
+        for us in 0..1_000 {
+            timers.insert(start + Duration::from_micros(us), us);
+        }
+        let near = fire_all(&mut timers, far - Duration::from_nanos(1));
+        assert_eq!(near, (0..1_000).collect::<Vec<_>>());
+        assert_eq!(timers.next_deadline(), Some(far));
+        assert_eq!(fire_all(&mut timers, far), [u64::MAX]);
+    }
+
+    /// A timer armed for an instant the clock has already passed is due
+    /// at once: the next poll fires it, at the instant the loop already
+    /// saw.
+    #[test]
+    fn a_timer_armed_behind_the_clock_fires_on_the_next_poll() {
+        let start = Instant::now();
+        let now = start + Duration::from_millis(10);
+        let mut timers = TimerQueue::new();
+        assert!(timers.pop_due(now).is_none());
+        let due = start + Duration::from_millis(1);
+        timers.insert(due, "late");
+        assert_eq!(timers.next_deadline(), Some(due));
+        assert_eq!(timers.pop_due(now), Some("late"));
+    }
+
     #[test]
     fn overdue_timers_fire_in_deadline_order_not_arming_order() {
         // Plans arm joins before drains; a drain due first must still fire
-        // first when the timer thread oversleeps both deadlines, and equal
-        // deadlines keep their arming order. The clock is the test's own,
-        // so nothing here depends on how the box schedules the thread.
+        // first when the loop oversleeps both deadlines, and equal
+        // deadlines keep their arming order. The instants are the test's
+        // own, so nothing here depends on how the box schedules a thread.
         let start = Instant::now();
-        let clock = Cell::new(start);
-        let mut script = vec![
-            Recv::Item((start + Duration::from_millis(4), "join")),
-            Recv::Item((start + Duration::from_millis(2), "drain")),
-            Recv::Item((start + Duration::from_millis(2), "second drain")),
-        ]
-        .into_iter();
-        let mut fired = Vec::new();
-        timer_loop(
-            || clock.get(),
-            |wait| match script.next() {
-                Some(item) => item,
-                None if clock.get() == start => {
-                    // Asked to wait for the earliest deadline; oversleep
-                    // every one of them.
-                    assert_eq!(wait, Duration::from_millis(2));
-                    clock.set(start + Duration::from_millis(10));
-                    Recv::Timeout
-                }
-                None => Recv::Closed,
-            },
-            |item| {
-                fired.push(item);
-                true
-            },
+        let mut timers = TimerQueue::new();
+        timers.insert(start + Duration::from_millis(4), "join");
+        timers.insert(start + Duration::from_millis(2), "drain");
+        timers.insert(start + Duration::from_millis(2), "second drain");
+        let overslept = start + Duration::from_millis(10);
+        assert_eq!(
+            fire_all(&mut timers, overslept),
+            ["drain", "second drain", "join"]
         );
-        assert_eq!(fired, ["drain", "second drain", "join"]);
+    }
+
+    /// The coordinator's wait ends at the next deadline, never past what
+    /// is left of the watchdog window; a due timer fires instead of
+    /// waiting, and a window that ran out tears the run down as stalled.
+    #[test]
+    fn the_wait_ends_at_the_next_deadline_or_the_watchdog() {
+        let config = RingConfig::paper(2).with_watchdog(SimDuration::from_millis(100));
+        let plan = FaultPlan::seeded(1);
+        let mut co = ring(&config, &plan, None, payloads(2, 1, 32));
+        let now = Instant::now();
+        // Nothing armed (quiet dice, no plan instants): the whole window.
+        assert!(co.pending.timers.armed.is_empty());
+        assert_eq!(co.fire_or_wait(now), Some(Duration::from_millis(100)));
+        // The window keeps running while the loop waits.
+        let later = now + Duration::from_millis(30);
+        assert_eq!(co.fire_or_wait(later), Some(Duration::from_millis(70)));
+        let due = later + Duration::from_millis(5);
+        let tick = TimerKind::Protocol(Timer::Retransmit { tid: 0, attempt: 1 });
+        co.pending.timers.insert(due, Event::Timer(tick));
+        assert_eq!(co.fire_or_wait(later), Some(Duration::from_millis(5)));
+        // Due: it fires (an event, so the window reopens) instead.
+        assert_eq!(co.fire_or_wait(due), None);
+        assert!(co.pending.timers.armed.is_empty() && !co.done());
+        let reopened = due + Duration::from_millis(60);
+        assert_eq!(co.fire_or_wait(reopened), Some(Duration::from_millis(100)));
+        assert_eq!(co.fire_or_wait(reopened + Duration::from_millis(100)), None);
+        assert_eq!(co.finish().unwrap_err(), RingError::Teardown(STALLED));
+    }
+
+    proptest! {
+        /// Against a sorted model, under any interleaving of arming
+        /// (overdue, near and far deadlines, with many ties) and polls
+        /// at monotone instants: a timer never fires before its deadline,
+        /// every due one fires, in `(deadline, arm order)`, and every
+        /// armed item fires exactly once — thousands of them live at
+        /// once included, as a lossy run's stale retransmit timers are.
+        #[test]
+        fn every_armed_timer_fires_once_in_deadline_then_arming_order(
+            ops in prop::collection::vec((0u8..4, any::<u64>()), 1..300),
+            backlog in 0usize..2_000,
+        ) {
+            let start = Instant::now();
+            let at = |us: u64| start + Duration::from_micros(us);
+            let mut timers = TimerQueue::new();
+            // Model: armed (deadline µs, arm sequence), unsorted.
+            let mut live: Vec<(u64, u64)> = Vec::new();
+            let mut fired: Vec<u64> = Vec::new();
+            let (mut now, mut seq) = (0u64, 0u64);
+            let mut arm = |timers: &mut TimerQueue<u64>, live: &mut Vec<(u64, u64)>, due: u64| {
+                timers.insert(at(due), seq);
+                live.push((due, seq));
+                seq += 1;
+            };
+            // A lossy run's backlog: retransmit timers armed one backoff
+            // ahead as the clock moves, so mostly in order, with ties.
+            for i in 0..backlog as u64 {
+                arm(&mut timers, &mut live, 1_000 + i / 3);
+            }
+            for (op, x) in ops {
+                if op < 3 {
+                    let due = match x % 4 {
+                        0 => now.saturating_sub(x % 500),
+                        1 => now + x % 8,
+                        _ => now + x % 20_000,
+                    };
+                    arm(&mut timers, &mut live, due);
+                } else {
+                    now += x % 5_000;
+                    let mut due: Vec<(u64, u64)> =
+                        live.iter().copied().filter(|&(d, _)| d <= now).collect();
+                    due.sort_unstable();
+                    live.retain(|&(d, _)| d > now);
+                    let got = fire_all(&mut timers, at(now));
+                    prop_assert_eq!(got.clone(), due.iter().map(|&(_, s)| s).collect::<Vec<_>>());
+                    fired.extend(got);
+                }
+                let next = live.iter().map(|&(d, _)| d).min().map(at);
+                prop_assert_eq!(timers.next_deadline(), next);
+            }
+            fired.extend(fire_all(&mut timers, at(u64::MAX / 4)));
+            fired.sort_unstable();
+            prop_assert_eq!(fired, (0..seq).collect::<Vec<_>>());
+        }
     }
 }

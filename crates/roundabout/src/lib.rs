@@ -24,15 +24,15 @@
 //! * [`reactor_backend::ReactorRingDriver`] — the same loopback TCP
 //!   wire protocol driven by a single nonblocking event-loop thread
 //!   (epoll on Linux, a portable readiness-polling fallback elsewhere)
-//!   with a hierarchical [`wheel::TimerWheel`] instead of a timer
-//!   thread, so the thread count stays bounded as the ring widens to
-//!   64–256 hosts.
+//!   and a core-bounded join pool, so the thread count stays bounded as
+//!   the ring widens to 64–256 hosts.
 //!
 //! All backends are thin *drivers* over the same sans-IO [`protocol`]
 //! core, which owns every credit, acknowledgement and healing decision.
 //! The three wall-clock drivers are one builder ([`WallClockDriver`])
 //! over three engines and share one applier of the protocol's outputs,
-//! [`coordinator`], which every wall-clock run goes through; the two
+//! [`coordinator`], which every wall-clock run goes through and which owns
+//! every timer of the run (no engine has a timer of its own); the two
 //! socket drivers share one wire format,
 //! [`frame`]. Both appliers run the protocol over one shared in-flight
 //! payload per fragment copy (`inflight`), so neither a visit nor a
@@ -74,7 +74,6 @@ pub mod sim_backend;
 pub mod sync;
 pub mod tcp_backend;
 pub mod thread_backend;
-pub mod wheel;
 
 pub use app::{FixedCostApp, RingApp};
 pub use config::{ConfigError, RingConfig};

@@ -199,8 +199,11 @@ pub enum Timer {
         /// where the ledger has moved past this attempt — are ignored).
         attempt: u32,
     },
-    /// Flow-control probe: the sender found its successor's pool full
-    /// and polls until a slot frees (or the successor is declared dead).
+    /// Liveness probe of the sender's successor: either flow control
+    /// (the sender found the successor's pool full and polls until a
+    /// slot frees) or a watch (the sender has nothing to send and the
+    /// successor still holds work). Either ends when its reason does or
+    /// when the successor is declared dead.
     Probe {
         /// The blocked sender.
         from: HostId,

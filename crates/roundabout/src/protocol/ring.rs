@@ -1063,13 +1063,14 @@ impl<P: PayloadBytes + Clone> RingProtocol<P> {
             }
             None => !self.hosts[to.0].has_free_slot(),
         };
-        let blocked = self.hosts[from.0].has_outgoing()
-            && !self.hosts[from.0].is_sending()
+        let idle = !self.hosts[from.0].is_sending()
             && f.awaiting[from.0].is_none()
             && !f.confirmed_dead[to.0]
-            && f.next_alive(from) == to
-            && pool_blocked;
-        if !blocked {
+            && f.next_alive(from) == to;
+        let blocked = idle && self.hosts[from.0].has_outgoing() && pool_blocked;
+        // The watch of an idle sender (see `watch_successor`).
+        let watching = idle && !self.hosts[from.0].has_outgoing() && self.holds_work(to);
+        if !blocked && !watching {
             f.probing[from.0] = None;
             self.try_send_fault(f, from, out);
             return;
@@ -1467,10 +1468,11 @@ impl<P: PayloadBytes + Clone> RingProtocol<P> {
         if f.crashed[host.0] || f.paused[host.0] {
             return;
         }
-        if self.hosts[host.0].is_sending()
-            || f.awaiting[host.0].is_some()
-            || !self.hosts[host.0].has_outgoing()
-        {
+        if self.hosts[host.0].is_sending() || f.awaiting[host.0].is_some() {
+            return;
+        }
+        if !self.hosts[host.0].has_outgoing() {
+            self.watch_successor(f, host, out);
             return;
         }
         let next = f.next_alive(host);
@@ -1539,6 +1541,36 @@ impl<P: PayloadBytes + Clone> RingProtocol<P> {
             },
         );
         self.transmit_attempt(f, tid, out);
+    }
+
+    /// An idle sender watches a successor that still holds work: it
+    /// probes it at the base interval, and a probe that goes unanswered
+    /// escalates through the retransmission budget to a confirmed death.
+    /// Without the watch, work left on a corpse that nobody sends to any
+    /// more (its last fragments on their final hop, every transfer into
+    /// it already acked) would never implicate it, and the ring would
+    /// wait on it forever.
+    // analyze: allow(panic, reason = "host ids index per-ring tables sized at construction")
+    fn watch_successor(&mut self, f: &mut FaultLedger<P>, host: HostId, out: &mut Vec<Output<P>>) {
+        let next = f.next_alive(host);
+        if next == host || f.probing[host.0].is_some() || !self.holds_work(next) {
+            return;
+        }
+        f.probing[host.0] = Some((next, 1));
+        out.push(Output::ArmTimer {
+            timer: Timer::Probe {
+                from: host,
+                to: next,
+                attempt: 1,
+            },
+            backoff_exp: 0,
+        });
+    }
+
+    /// Does `host` hold an envelope it has yet to join or to send on?
+    // analyze: allow(panic, reason = "host ids index per-ring tables sized at construction")
+    fn holds_work(&self, host: HostId) -> bool {
+        self.hosts[host.0].has_work() || self.hosts[host.0].has_outgoing()
     }
 
     /// Multi-tenant transmit selection: rotates the host's fairness

@@ -27,11 +27,12 @@
 //!   reported only when the kernel accepted the last byte, so a full
 //!   socket buffer holds send credit exactly like the blocking driver's
 //!   blocked write.
-//! * **A timer wheel, not a timer thread** — the coordinator's timers
-//!   (protocol backoffs, fault- and rescale-plan instants) and
-//!   delayed-frame release times all land in a hand-rolled hierarchical
-//!   [`TimerWheel`], polled between readiness rounds. The epoll timeout
-//!   is the earlier of the next wheel deadline and the stall watchdog.
+//! * **No timer of its own** — between readiness rounds the loop fires
+//!   what is due on the coordinator's timer queue (protocol backoffs,
+//!   fault- and rescale-plan instants) and flushes the connections whose
+//!   delayed head frame is due (a second queue of the same type). The
+//!   epoll timeout is the earliest of both queues' next deadlines and
+//!   what is left of the stall watchdog.
 //! * **A bounded join pool, for the visits that need one** — a join
 //!   callback that runs for hundreds of microseconds must not stall every
 //!   socket, so it runs on a pool thread; the pool is sized to the
@@ -103,13 +104,12 @@ use std::time::{Duration, Instant};
 
 use simnet::fault::{FaultPlan, RescalePlan};
 use simnet::span::SpanTracer;
-use simnet::time::SimDuration;
 use simnet::topology::HostId;
 
 use crate::config::RingConfig;
 use crate::coordinator::{
-    run_job, Coordinator, Done, Event, Job, JobDone, Medium, Pending, Sent, TimerKind,
-    WallClockDriver, WallClockEngine, Workload, STALLED,
+    run_job, Coordinator, Done, Event, Job, JobDone, Medium, Pending, Sent, TimerQueue,
+    WallClockDriver, WallClockEngine, Workload,
 };
 use crate::envelope::Envelope;
 use crate::error::RingError;
@@ -120,13 +120,6 @@ use crate::frame::{
 use crate::inflight::{map_payloads, Batches, InFlight, Visit};
 use crate::metrics::RingMetrics;
 use crate::protocol::teardown;
-use crate::wheel::{TimerId, TimerWheel};
-
-/// Granularity of the reactor's timer wheel. Protocol backoffs are
-/// milliseconds-scale wall timeouts, so 100 µs keeps rounding error two
-/// orders of magnitude below the smallest deadline while level 0 of the
-/// wheel still spans 6.4 ms.
-const WHEEL_RESOLUTION: Duration = Duration::from_micros(100);
 
 /// Poll token of the worker-pool wake socket (never a connection index).
 const WAKE_TOKEN: usize = usize::MAX;
@@ -557,7 +550,7 @@ impl<P> Conn<P> {
     /// the pool) and its `notify` handed to `released`, so the caller can
     /// free the send credit. Returns the head frame's release instant
     /// when it is still embargoed by a delay spike (the caller arms a
-    /// wheel timer for it).
+    /// timer for it).
     fn pump_write(&mut self, mut released: impl FnMut(Option<HostId>)) -> Option<Instant> {
         self.want_out = false;
         loop {
@@ -785,30 +778,21 @@ where
 }
 
 // ---------------------------------------------------------------------------
-// The medium: every socket, the timer wheel and the join pool
+// The medium: every socket and the join pool
 // ---------------------------------------------------------------------------
 
-/// What sits on the wheel: the coordinator's timers (protocol backoffs,
-/// the fault and rescale plans' scheduled events) and a delayed frame's
-/// flush.
-enum WheelItem {
-    Kind(TimerKind),
-    /// Re-flush connection `token` (its head frame was embargoed by a
-    /// fault-plan delay spike).
-    Flush(usize),
-}
-
 /// The reactor's [`Medium`]: nonblocking writes as far as the kernel
-/// accepts, pool jobs, wheel timers. Send credits a write frees on the
-/// spot land on the coordinator's follow-up queue.
+/// accepts, and pool jobs. Send credits a write frees on the spot land on
+/// the coordinator's follow-up queue.
 struct Sockets<'a, P, F, A> {
     conns: Vec<Conn<P>>,
     /// `lanes[from][to]` is the token of `from`'s connection toward `to`.
     lanes: Vec<Vec<Option<usize>>>,
     poller: Poller,
-    wheel: TimerWheel<WheelItem>,
-    /// The wheel's clock starts here.
-    epoch: Instant,
+    /// Connections to flush again once their head frame's delay-spike
+    /// embargo ends; a token may be armed more than once, and a flush
+    /// with nothing due is a no-op.
+    embargoes: TimerQueue<usize>,
     /// Payload buffers, shared with every connection's decoder: bodies
     /// are read into them, origins encode into them, and a payload's last
     /// holder returns them.
@@ -840,17 +824,6 @@ impl<P, F, A> Sockets<'_, P, F, A> {
         }
     }
 
-    fn now_ns(&self) -> u64 {
-        SimDuration::from(self.epoch.elapsed()).as_nanos()
-    }
-
-    fn arm_item(&mut self, delay: Duration, item: WheelItem) {
-        let deadline = self
-            .now_ns()
-            .saturating_add(SimDuration::from(delay).as_nanos());
-        self.wheel.insert(deadline, item);
-    }
-
     /// Reconciles the poller's interest in connection `t` with its state:
     /// readable while the read side lives, writable only while a blocked
     /// frame actually waits (level-triggered `EPOLLOUT` on an idle socket
@@ -875,12 +848,11 @@ impl<P, F, A> Sockets<'_, P, F, A> {
         };
         let embargo = conn.pump_write(|notify| {
             if let Some(from) = notify {
-                next.push_back(Event::SendDone { from });
+                next.now.push_back(Event::SendDone { from });
             }
         });
         if let Some(release) = embargo {
-            let delay = release.saturating_duration_since(Instant::now());
-            self.arm_item(delay, WheelItem::Flush(t));
+            self.embargoes.insert(release, t);
         }
         self.sync_interest(t);
     }
@@ -967,7 +939,7 @@ where
                 ..run_job(host, job, self.visit, self.absorb)
             };
             self.note_visit_cost(&done);
-            next.push_back(Event::Job(done));
+            next.now.push_back(Event::Job(done));
         } else {
             if let Some(n) = self.in_pool.get_mut(host.0) {
                 *n += 1;
@@ -975,10 +947,6 @@ where
             self.workers.submit(host.0, job);
         }
         Ok(())
-    }
-
-    fn arm(&mut self, delay: Duration, timer: TimerKind) {
-        self.arm_item(delay, WheelItem::Kind(timer));
     }
 
     /// Queues a write-side FIN behind every pending frame of `host`'s
@@ -1004,10 +972,10 @@ where
 }
 
 /// Drains connection `t`'s readable bytes and hands every decoded frame
-/// to the coordinator as it comes out of the decoder; returns how many
-/// frames that was. Undecodable bytes are fatal to the run, exactly as in
-/// the blocking driver — after the frames ahead of them.
-fn drain_read<P, F, A>(co: &mut Coordinator<'_, P, Sockets<'_, P, F, A>>, t: usize) -> usize
+/// to the coordinator as it comes out of the decoder. Undecodable bytes
+/// are fatal to the run, exactly as in the blocking driver — after the
+/// frames ahead of them.
+fn drain_read<P, F, A>(co: &mut Coordinator<'_, P, Sockets<'_, P, F, A>>, t: usize)
 where
     P: WirePayload,
     F: Fn(HostId, u32, &[usize], Visit<'_, P>),
@@ -1018,19 +986,15 @@ where
             conn.pump_read();
             HostId(conn.host)
         }
-        None => return 0,
+        None => return,
     };
     co.medium.sync_interest(t);
-    let mut count = 0;
     while !co.done() {
         let Some(conn) = co.medium.conns.get_mut(t) else {
             break;
         };
         match conn.decoder.next_in_flight::<P>() {
-            Ok(Some(frame)) => {
-                count += 1;
-                co.handle(Event::Frame { at, frame });
-            }
+            Ok(Some(frame)) => co.handle(Event::Frame { at, frame }),
             Ok(None) => break,
             Err(e) => {
                 co.fail(RingError::Frame(e));
@@ -1038,7 +1002,6 @@ where
             }
         }
     }
-    count
 }
 
 // ---------------------------------------------------------------------------
@@ -1084,7 +1047,6 @@ impl WallClockEngine for ReactorEngine {
         A: Fn(HostId, usize) + Sync,
     {
         let n = config.hosts;
-        let watchdog = Duration::from(config.watchdog);
         // Healing and rescale can route any surviving pair, so plans need
         // the full mesh; classic plan-free runs only ever use
         // ring-neighbor hops, and a neighbor-only mesh keeps a 256-host
@@ -1151,8 +1113,7 @@ impl WallClockEngine for ReactorEngine {
                 conns,
                 lanes,
                 poller,
-                wheel: TimerWheel::new(WHEEL_RESOLUTION),
-                epoch: Instant::now(),
+                embargoes: TimerQueue::new(),
                 pool,
                 workers: &workers,
                 visit,
@@ -1166,51 +1127,31 @@ impl WallClockEngine for ReactorEngine {
             let mut co = Coordinator::new(config, plan, rescale, workload, trace, sockets);
 
             let mut ready: Vec<(usize, bool, bool)> = Vec::new();
-            let mut fired: Vec<(TimerId, WheelItem)> = Vec::new();
             let mut wake_buf = [0u8; 64];
             let mut wake_rx = wake_rx;
-            // Stall watchdog: the last instant any event reached the
-            // coordinator.
-            let mut last_event = Instant::now();
             while !co.done() {
                 // Synchronous backlog first: follow-ups (freed send
-                // credits), then pool completions, then due timers — only
-                // then does the loop pay for a kernel wait.
-                let backlog = co.pending.pop_front().or_else(|| {
+                // credits), then pool completions, then due embargoes and
+                // timers — only then does the loop pay for a kernel wait.
+                let backlog = co.pending.now.pop_front().or_else(|| {
                     let done = workers.pop_done()?;
                     co.medium.pooled_done(&done);
                     Some(Event::Job(done))
                 });
                 if let Some(event) = backlog {
-                    last_event = Instant::now();
                     co.handle(event);
                     continue;
                 }
-                let now_ns = co.medium.now_ns();
-                fired.clear();
-                co.medium.wheel.advance(now_ns, &mut fired);
-                if !fired.is_empty() {
-                    last_event = Instant::now();
-                    for (_, item) in fired.drain(..) {
-                        if co.done() {
-                            break;
-                        }
-                        match item {
-                            WheelItem::Kind(kind) => co.handle(Event::Timer(kind)),
-                            WheelItem::Flush(t) => co.medium.flush_conn(t, &mut co.pending),
-                        }
-                    }
+                let now = Instant::now();
+                if let Some(t) = co.medium.embargoes.pop_due(now) {
+                    co.medium.flush_conn(t, &mut co.pending);
                     continue;
                 }
-                let idle = last_event.elapsed();
-                if idle >= watchdog {
-                    co.fail(RingError::Teardown(STALLED));
-                    break;
-                }
-                let mut timeout = watchdog - idle;
-                if let Some(deadline) = co.medium.wheel.next_deadline() {
-                    let until = Duration::from_nanos(deadline.saturating_sub(now_ns));
-                    timeout = timeout.min(until.max(WHEEL_RESOLUTION));
+                let Some(mut timeout) = co.fire_or_wait(now) else {
+                    continue;
+                };
+                if let Some(release) = co.medium.embargoes.next_deadline() {
+                    timeout = timeout.min(release.saturating_duration_since(now));
                 }
                 match co.medium.poller.wait(timeout, &mut ready) {
                     Wait::Ready => {
@@ -1226,8 +1167,8 @@ impl WallClockEngine for ReactorEngine {
                             if writable {
                                 co.medium.flush_conn(token, &mut co.pending);
                             }
-                            if readable && drain_read(&mut co, token) > 0 {
-                                last_event = Instant::now();
+                            if readable {
+                                drain_read(&mut co, token);
                             }
                         }
                     }
@@ -1245,9 +1186,7 @@ impl WallClockEngine for ReactorEngine {
                             if wants {
                                 co.medium.flush_conn(t, &mut co.pending);
                             }
-                            if drain_read(&mut co, t) > 0 {
-                                last_event = Instant::now();
-                            }
+                            drain_read(&mut co, t);
                         }
                     }
                     Wait::Idle => {}

@@ -1333,6 +1333,34 @@ mod tests {
         assert!(out.metrics.hosts[2].fragments_processed < 8);
     }
 
+    /// The wall-clock engine suite's crash body, at the instants where
+    /// the crash lands after every transfer into host 2 was acked and
+    /// its last fragments wait there on their final hop. Nobody sends to
+    /// the corpse any more, so no ack timeout implicates it: only its
+    /// predecessor's watch does.
+    #[test]
+    fn a_corpse_holding_final_hop_work_is_still_confirmed_dead() {
+        let hosts = 4;
+        for crash_us in (3_100..=4_100).step_by(50) {
+            let plan = FaultPlan::seeded(4242)
+                .crash_host(HostId(2), SimTime::from_nanos(crash_us * 1_000));
+            let cfg = RingConfig::paper(hosts)
+                .with_ack_timeout(SimDuration::from_millis(8))
+                .with_max_retransmits(3);
+            let app = FixedCostApp::new(
+                hosts,
+                SimDuration::from_micros(100),
+                SimDuration::from_micros(500),
+            );
+            let out = SimRing::new(cfg, payloads(hosts, 2, 128), app)
+                .with_fault_plan(plan)
+                .run();
+            assert_eq!(out.metrics.fragments_completed, 8, "crash at {crash_us} µs");
+            assert_eq!(out.metrics.heal_events, 1, "crash at {crash_us} µs");
+            assert!(out.metrics.detection_latency > SimDuration::ZERO);
+        }
+    }
+
     #[test]
     fn crash_is_deterministic() {
         let run = || {

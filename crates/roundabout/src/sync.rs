@@ -7,12 +7,12 @@
 //! cost). Compiled with `RUSTFLAGS="--cfg loom"`, the same names resolve
 //! to the vendored loom model checker's instrumented primitives, so
 //! `loom::model` can exhaustively explore the interleavings of the real
-//! ring code — the coordinator, per-host workers and timer thread of the
-//! channel engine that ships, not a test-only re-implementation (see
+//! ring code — the coordinator and per-host workers of the channel engine
+//! that ships, not a test-only re-implementation (see
 //! `tests/loom_ring.rs`).
 //!
 //! [`mpmc`] is the channel those threads talk through: each host's job
-//! queue, the coordinator's event queue and the timer queue. It is
+//! queue and the coordinator's event queue. It is
 //! deliberately built *on the shim's own* mutex + condvar (rather than
 //! crossbeam) so that under loom the checker schedules every channel
 //! operation too: a channel is just a lock-and-wait protocol. (The
@@ -54,9 +54,9 @@ pub mod thread {
 
 /// Multi-producer multi-consumer channels on the shim's mutex + condvar.
 ///
-/// The API mirrors the `crossbeam::channel` subset the backends use:
-/// [`bounded`] / [`unbounded`] constructors, blocking [`Receiver::recv`],
-/// non-blocking [`Receiver::try_recv`], deadline-bounded
+/// The API mirrors the `crossbeam::channel` subset the channel engine
+/// uses: the [`unbounded`] constructor, a send that never blocks,
+/// blocking [`Receiver::recv`], deadline-bounded
 /// [`Receiver::recv_timeout`], draining [`Receiver::iter`], and
 /// disconnect-on-last-drop semantics on both endpoints.
 pub mod mpmc {
@@ -71,15 +71,6 @@ pub mod mpmc {
     /// Sending on a channel with no receivers left; returns the value.
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
     pub struct SendError<T>(pub T);
-
-    /// Why [`Receiver::try_recv`] returned nothing.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub enum TryRecvError {
-        /// Nothing queued right now; senders still exist.
-        Empty,
-        /// Nothing queued and every sender is gone.
-        Disconnected,
-    }
 
     /// Why [`Receiver::recv_timeout`] returned nothing.
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -98,9 +89,7 @@ pub mod mpmc {
 
     struct Chan<T> {
         state: Mutex<State<T>>,
-        capacity: Option<usize>,
         not_empty: Condvar,
-        not_full: Condvar,
     }
 
     impl<T> Chan<T> {
@@ -122,16 +111,16 @@ pub mod mpmc {
         chan: Arc<Chan<T>>,
     }
 
-    fn channel<T>(capacity: Option<usize>) -> (Sender<T>, Receiver<T>) {
+    /// A channel without a capacity bound; `send` never blocks. (The
+    /// ring's buffer credit is the protocol core's, not the channel's.)
+    pub fn unbounded<T>() -> (Sender<T>, Receiver<T>) {
         let chan = Arc::new(Chan {
             state: Mutex::new(State {
                 queue: VecDeque::new(),
                 senders: 1,
                 receivers: 1,
             }),
-            capacity,
             not_empty: Condvar::new(),
-            not_full: Condvar::new(),
         });
         (
             Sender {
@@ -141,21 +130,8 @@ pub mod mpmc {
         )
     }
 
-    /// A channel holding at most `capacity` queued messages; `send`
-    /// blocks when full (this backpressure *is* the ring's buffer
-    /// credit).
-    pub fn bounded<T>(capacity: usize) -> (Sender<T>, Receiver<T>) {
-        channel(Some(capacity))
-    }
-
-    /// A channel without a capacity bound; `send` never blocks.
-    pub fn unbounded<T>() -> (Sender<T>, Receiver<T>) {
-        channel(None)
-    }
-
     impl<T> Sender<T> {
-        /// Blocks while the channel is full; fails once every receiver is
-        /// gone.
+        /// Queues `value`; fails once every receiver is gone.
         ///
         /// # Errors
         ///
@@ -163,26 +139,13 @@ pub mod mpmc {
         /// disconnected.
         pub fn send(&self, value: T) -> Result<(), SendError<T>> {
             let mut state = self.chan.lock();
-            loop {
-                if state.receivers == 0 {
-                    return Err(SendError(value));
-                }
-                let full = self
-                    .chan
-                    .capacity
-                    .is_some_and(|cap| state.queue.len() >= cap);
-                if !full {
-                    state.queue.push_back(value);
-                    drop(state);
-                    self.chan.not_empty.notify_one();
-                    return Ok(());
-                }
-                state = self
-                    .chan
-                    .not_full
-                    .wait(state)
-                    .unwrap_or_else(|p| p.into_inner());
+            if state.receivers == 0 {
+                return Err(SendError(value));
             }
+            state.queue.push_back(value);
+            drop(state);
+            self.chan.not_empty.notify_one();
+            Ok(())
         }
     }
 
@@ -209,12 +172,6 @@ pub mod mpmc {
     }
 
     impl<T> Receiver<T> {
-        fn pop(&self, state: &mut State<T>) -> Option<T> {
-            let value = state.queue.pop_front()?;
-            self.chan.not_full.notify_one();
-            Some(value)
-        }
-
         /// Blocks until a message or disconnect.
         ///
         /// # Errors
@@ -223,7 +180,7 @@ pub mod mpmc {
         pub fn recv(&self) -> Result<T, RecvError> {
             let mut state = self.chan.lock();
             loop {
-                if let Some(v) = self.pop(&mut state) {
+                if let Some(v) = state.queue.pop_front() {
                     return Ok(v);
                 }
                 if state.senders == 0 {
@@ -235,24 +192,6 @@ pub mod mpmc {
                     .wait(state)
                     .unwrap_or_else(|p| p.into_inner());
             }
-        }
-
-        /// Never blocks.
-        ///
-        /// # Errors
-        ///
-        /// [`TryRecvError::Empty`] when nothing is queued,
-        /// [`TryRecvError::Disconnected`] when additionally no sender is
-        /// left.
-        pub fn try_recv(&self) -> Result<T, TryRecvError> {
-            let mut state = self.chan.lock();
-            if let Some(v) = self.pop(&mut state) {
-                return Ok(v);
-            }
-            if state.senders == 0 {
-                return Err(TryRecvError::Disconnected);
-            }
-            Err(TryRecvError::Empty)
         }
 
         /// Blocks up to `timeout` for a message.
@@ -273,7 +212,7 @@ pub mod mpmc {
             let deadline = std::time::Instant::now().checked_add(timeout);
             let mut state = self.chan.lock();
             loop {
-                if let Some(v) = self.pop(&mut state) {
+                if let Some(v) = state.queue.pop_front() {
                     return Ok(v);
                 }
                 if state.senders == 0 {
@@ -319,14 +258,9 @@ pub mod mpmc {
 
     impl<T> Drop for Receiver<T> {
         fn drop(&mut self) {
+            // No sender ever blocks: the next send sees the disconnect.
             let mut state = self.chan.lock();
             state.receivers = state.receivers.saturating_sub(1);
-            let gone = state.receivers == 0;
-            drop(state);
-            if gone {
-                // Blocked senders must observe the disconnect.
-                self.chan.not_full.notify_all();
-            }
         }
     }
 

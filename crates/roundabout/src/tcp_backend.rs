@@ -14,9 +14,9 @@
 //!   syscall). A fragment prepared in its wire form is sent from the
 //!   bytes it was written in; any other payload is encoded only at its
 //!   origin, on the coordinator thread, on its first attempt (see
-//!   [`crate::frame`]). Per-host join workers
-//!   and one timer thread complete the cast; the coordinator runs on the
-//!   calling thread and is the only place protocol state mutates.
+//!   [`crate::frame`]). Per-host join workers complete the cast; the
+//!   coordinator runs on the calling thread, fires its own timers there,
+//!   and is the only place protocol state mutates.
 //! * **Backpressure** — the protocol's credit accounting gates every
 //!   send; the wire-free credit (`Event::SendDone`) is reported only
 //!   after the write returned, so a full kernel socket buffer holds the
@@ -40,12 +40,12 @@
 //! plan's `slow_host` factor is ignored here: the join callback's real
 //! execution time governs.
 
-use std::io::Read;
+use std::io::{ErrorKind, Read};
 use std::net::{Shutdown, TcpStream};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::thread;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use simnet::fault::{FaultPlan, RescalePlan};
 use simnet::span::SpanTracer;
@@ -53,8 +53,8 @@ use simnet::topology::HostId;
 
 use crate::config::RingConfig;
 use crate::coordinator::{
-    timer_loop, worker_loop, Coordinator, Event, Job, Medium, Pending, Recv, Sent, TimerKind,
-    WallClockDriver, WallClockEngine, Workload,
+    worker_loop, Coordinator, Event, Job, Medium, Pending, Recv, Sent, WallClockDriver,
+    WallClockEngine, Workload,
 };
 use crate::envelope::Envelope;
 use crate::error::RingError;
@@ -95,19 +95,23 @@ fn recv_from<T>(rx: &Receiver<T>, wait: Duration) -> Recv<T> {
     }
 }
 
+/// Reads `stream` into frames for host `at` until EOF, a read error or a
+/// frame error. An interrupted read is retried, as the `Read` contract
+/// asks; any other error means the connection is gone.
 fn reader_loop<P: WirePayload>(
-    stream: TcpStream,
+    mut stream: impl Read,
     at: HostId,
     events: Sender<Event<P>>,
     pool: Arc<FrameBufPool>,
 ) {
-    let mut stream = stream;
     let mut decoder = FrameDecoder::with_pool(pool);
     let mut chunk = [0u8; 16 * 1024];
     loop {
         let n = match stream.read(&mut chunk) {
-            Ok(0) | Err(_) => return, // EOF or reset: the connection is gone
+            Ok(0) => return,
             Ok(n) => n,
+            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+            Err(_) => return,
         };
         decoder.feed(chunk.get(..n).unwrap_or_default());
         loop {
@@ -199,13 +203,12 @@ fn writer_loop<P>(stream: TcpStream, jobs: Receiver<WriteJob<P>>, events: Sender
 }
 
 // ---------------------------------------------------------------------------
-// The medium: writer queues, worker queues, one timer thread
+// The medium: writer queues and worker queues
 // ---------------------------------------------------------------------------
 
 struct Wire<P> {
     writers: WriterGrid<P>,
     jobs: Vec<Sender<Job<P>>>,
-    timer_tx: Sender<(Instant, Event<P>)>,
     /// Payload buffers, shared with the reader threads' decoders.
     pool: Arc<FrameBufPool>,
     /// The original (uncloned) streams, kept to sever everything at
@@ -278,12 +281,6 @@ impl<P: WirePayload> Medium<P> for Wire<P> {
             Some(tx) if tx.send(job).is_ok() => Ok(()),
             _ => Err(RingError::Teardown(teardown::RING_CLOSED)),
         }
-    }
-
-    fn arm(&mut self, delay: Duration, timer: TimerKind) {
-        let _ = self
-            .timer_tx
-            .send((Instant::now() + delay, Event::Timer(timer)));
     }
 
     /// A write-side FIN on each of the host's connections, queued behind
@@ -379,7 +376,6 @@ impl WallClockEngine for BlockingEngine {
         }
 
         let (events_tx, events_rx) = channel::<Event<P>>();
-        let (timer_tx, timer_rx) = channel::<(Instant, Event<P>)>();
         let pool = Arc::new(FrameBufPool::default());
 
         thread::scope(|s| {
@@ -417,21 +413,10 @@ impl WallClockEngine for BlockingEngine {
                 });
                 jobs.push(jtx);
             }
-            {
-                let tx = events_tx.clone();
-                s.spawn(move || {
-                    timer_loop(
-                        Instant::now,
-                        |wait| recv_from(&timer_rx, wait),
-                        |event| tx.send(event).is_ok(),
-                    );
-                });
-            }
 
             let wire = Wire {
                 writers,
                 jobs,
-                timer_tx,
                 pool: Arc::clone(&pool),
                 severs: mesh.endpoints,
             };
@@ -440,8 +425,7 @@ impl WallClockEngine for BlockingEngine {
 
             // Teardown: severing every socket unblocks the readers;
             // consuming the coordinator drops the medium, disconnecting
-            // the writer, worker and timer channels and draining those
-            // threads.
+            // the writer and worker channels and draining those threads.
             for stream in co.medium.severs.iter().flatten().flatten() {
                 let _ = stream.shutdown(Shutdown::Both);
             }
@@ -454,8 +438,48 @@ impl WallClockEngine for BlockingEngine {
 mod tests {
     use super::*;
     use crate::coordinator::engine_suite::{self, payloads};
+    use crate::envelope::FragmentId;
+    use crate::frame::{encode_envelope, Frame};
     use simnet::span::counter;
     use simnet::time::SimTime;
+
+    /// Bytes that fail their first read with `Interrupted`, as a read cut
+    /// short by a signal does.
+    struct InterruptedOnce {
+        interrupted: bool,
+        bytes: std::io::Cursor<Vec<u8>>,
+    }
+
+    impl Read for InterruptedOnce {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            if !std::mem::replace(&mut self.interrupted, true) {
+                return Err(ErrorKind::Interrupted.into());
+            }
+            self.bytes.read(buf)
+        }
+    }
+
+    #[test]
+    fn an_interrupted_read_is_retried_not_a_lost_connection() {
+        let env = Envelope::new(FragmentId(4), HostId(0), 3, vec![7u8; 64]);
+        let stream = InterruptedOnce {
+            interrupted: false,
+            bytes: std::io::Cursor::new(encode_envelope(11, &env).unwrap()),
+        };
+        let (tx, rx) = channel::<Event<Vec<u8>>>();
+        reader_loop(stream, HostId(1), tx, Arc::default());
+        let frames: Vec<_> = rx.iter().collect();
+        assert!(
+            matches!(
+                frames.as_slice(),
+                [Event::Frame {
+                    at: HostId(1),
+                    frame: Frame::Envelope { tid: 11, env },
+                }] if env.id == FragmentId(4)
+            ),
+            "the frame behind the interrupted read must reach the coordinator"
+        );
+    }
 
     #[test]
     fn every_host_sees_every_fragment_over_tcp() {

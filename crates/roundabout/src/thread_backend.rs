@@ -16,8 +16,9 @@
 //! number, acknowledgement, retransmission and membership decision exactly
 //! as it does on the socket drivers; the fault plan's dice may drop,
 //! corrupt or delay each hop transfer; per-host workers run the joins and
-//! the role takeovers, and a timer thread realizes backoffs, delay spikes
-//! and the plans' schedules. Host crashes and pauses are *not* supported
+//! the role takeovers, and the coordinator's timer queue realizes
+//! backoffs, delay spikes and the plans' schedules on the calling thread.
+//! Host crashes and pauses are *not* supported
 //! here (a channel has nothing to sever and no salvage path); plans
 //! scheduling them are rejected.
 //!
@@ -44,8 +45,8 @@ use simnet::topology::HostId;
 
 use crate::config::RingConfig;
 use crate::coordinator::{
-    self, Coordinator, Event, Job, Medium, Pending, Recv, Sent, TimerKind, WallClockDriver,
-    WallClockEngine, Workload,
+    self, Coordinator, Event, Job, Medium, Pending, Recv, Sent, WallClockDriver, WallClockEngine,
+    Workload,
 };
 use crate::envelope::Envelope;
 use crate::error::RingError;
@@ -118,15 +119,14 @@ impl WallClockEngine for ChannelEngine {
     }
 }
 
-/// The channel engine's medium: per-host job queues and a timer thread,
-/// and nothing in between — the channel "wire" has no latency in either
-/// direction, so deliveries and acks reach their host in the same
-/// coordinator round as follow-up events, and a fault-plan delay spike is
-/// modeled by parking the arrival on the timer thread. Nothing can be
-/// severed (host crashes are rejected up front).
+/// The channel engine's medium: per-host job queues and nothing in
+/// between — the channel "wire" has no latency in either direction, so
+/// deliveries and acks reach their host in the same coordinator round as
+/// follow-up events, and a fault-plan delay spike is modeled by arming
+/// the arrival on the coordinator's timer queue. Nothing can be severed
+/// (host crashes are rejected up front).
 struct ChannelWire<P> {
     jobs: Vec<Sender<Job<P>>>,
-    timer_tx: Sender<(Instant, Event<P>)>,
 }
 
 impl<P> Medium<P> for ChannelWire<P> {
@@ -150,11 +150,11 @@ impl<P> Medium<P> for ChannelWire<P> {
             Event::SendDone { from },
         ];
         if delay.is_zero() {
-            next.extend(arrival);
+            next.now.extend(arrival);
         } else {
             let at = Instant::now() + delay;
             for event in arrival {
-                let _ = self.timer_tx.send((at, event));
+                next.timers.insert(at, event);
             }
         }
         Ok(Sent::Moved)
@@ -167,7 +167,7 @@ impl<P> Medium<P> for ChannelWire<P> {
         tid: u64,
         next: &mut Pending<P>,
     ) -> Result<(), RingError> {
-        next.push_back(Event::Frame {
+        next.now.push_back(Event::Frame {
             at: to,
             frame: Frame::Ack { tid },
         });
@@ -186,12 +186,6 @@ impl<P> Medium<P> for ChannelWire<P> {
         }
     }
 
-    fn arm(&mut self, delay: Duration, timer: TimerKind) {
-        let _ = self
-            .timer_tx
-            .send((Instant::now() + delay, Event::Timer(timer)));
-    }
-
     fn sever(&mut self, _host: HostId, _next: &mut Pending<P>) {}
 }
 
@@ -206,13 +200,13 @@ fn recv_from<T>(rx: &Receiver<T>, wait: Duration) -> Recv<T> {
 }
 
 /// Spawns the per-host workers (joins and role takeovers run there, as on
-/// the socket media) and the timer loop, then lets the shared
-/// [`Coordinator`] feed the protocol until every fragment retired.
+/// the socket media), then lets the shared [`Coordinator`] feed the
+/// protocol until every fragment retired.
 ///
 /// Every handle is joined before the scope closes: consuming the
-/// coordinator drops its job and timer senders, which ends the worker and
-/// timer loops, and an explicit join is a scheduling point the loom model
-/// sees (see [`crate::sync::thread`]).
+/// coordinator drops its job senders, which ends the worker loops, and an
+/// explicit join is a scheduling point the loom model sees (see
+/// [`crate::sync::thread`]).
 fn drive_coordinated<P, F, A>(
     config: &RingConfig,
     plan: Option<&FaultPlan>,
@@ -228,10 +222,9 @@ where
     A: Fn(HostId, usize) + Sync,
 {
     let (events_tx, events_rx) = unbounded::<Event<P>>();
-    let (timer_tx, timer_rx) = unbounded::<(Instant, Event<P>)>();
     crate::sync::thread::scope(|scope| {
         let mut jobs = Vec::with_capacity(config.hosts);
-        let mut threads = Vec::with_capacity(config.hosts + 1);
+        let mut threads = Vec::with_capacity(config.hosts);
         for h in 0..config.hosts {
             let (jtx, jrx) = unbounded::<Job<P>>();
             let tx = events_tx.clone();
@@ -246,15 +239,7 @@ where
             }));
             jobs.push(jtx);
         }
-        let tx = events_tx.clone();
-        threads.push(scope.spawn(move || {
-            coordinator::timer_loop(
-                Instant::now,
-                |wait| recv_from(&timer_rx, wait),
-                |event| tx.send(event).is_ok(),
-            );
-        }));
-        let wire = ChannelWire { jobs, timer_tx };
+        let wire = ChannelWire { jobs };
         let mut co = Coordinator::new(config, plan, rescale, workload, trace, wire);
         co.run(|wait| recv_from(&events_rx, wait));
         let outcome = co.finish();

@@ -1,15 +1,16 @@
 //! Model checking the live ring: exhaustive interleaving exploration of
-//! the coordinator-driven channel run, the credit hand-off and teardown
-//! wave of the `sync::mpmc` channels, and the role-takeover ledger.
+//! the coordinator-driven channel run, the teardown wave of the
+//! `sync::mpmc` channels, and the role-takeover ledger.
 //!
 //! Compiled only under `RUSTFLAGS="--cfg loom"` (see `scripts/analyze.sh`),
 //! where `data_roundabout::sync` resolves to the vendored loom checker's
 //! instrumented primitives. The headline test runs the *actual*
 //! [`data_roundabout::RingDriver`] backend under the model — the shared
-//! coordinator feeding the sans-IO protocol core on the calling thread, a
-//! join worker per host and the timer thread, talking through job, event
-//! and timer channels — so every schedule the token-passing scheduler can
-//! produce is checked for lost envelopes, double delivery and deadlock.
+//! coordinator feeding the sans-IO protocol core and firing its own
+//! timers on the calling thread, and a join worker per host, talking
+//! through job and event channels — so every schedule the token-passing
+//! scheduler can produce is checked for lost envelopes, double delivery
+//! and deadlock.
 
 #![cfg(loom)]
 
@@ -18,12 +19,11 @@ use data_roundabout::sync::{mpmc, thread, Arc};
 use data_roundabout::{RingConfig, RingDriver};
 
 /// The real threaded backend on a two-host ring, one fragment per host:
-/// four threads (the coordinator on the model's main thread, two join
-/// workers, the timer thread) and every interleaving of their channel and
-/// mutex operations. Each host must see both fragments exactly once in
-/// every schedule.
+/// three threads (the coordinator on the model's main thread and two join
+/// workers) and every interleaving of their channel and mutex operations.
+/// Each host must see both fragments exactly once in every schedule.
 ///
-/// Preemption bound 1 (instead of the default 2): four threads of real
+/// Preemption bound 1 (instead of the default 2): three threads of real
 /// protocol code explode combinatorially at 2, while bound 1 already
 /// covers every schedule reachable through the blocking structure plus
 /// one forced preemption at any point.
@@ -46,53 +46,10 @@ fn two_host_ring_hand_off_is_exhaustively_correct() {
     });
 }
 
-/// The hand-off pattern in isolation: two hosts exchange their fragment
-/// through single-slot buffer pools (capacity 1 == one buffer credit).
-/// No interleaving may lose, duplicate, or cross-deliver an envelope.
-#[test]
-fn credit_hand_off_never_loses_an_envelope() {
-    loom::model(|| {
-        let (tx_a, rx_a) = mpmc::bounded::<u8>(1); // host A's buffer pool
-        let (tx_b, rx_b) = mpmc::bounded::<u8>(1); // host B's buffer pool
-        let a = thread::spawn(move || {
-            tx_b.send(10).unwrap(); // transmit local fragment to B
-            rx_a.recv().unwrap() // receive B's fragment
-        });
-        let b = thread::spawn(move || {
-            tx_a.send(20).unwrap();
-            rx_b.recv().unwrap()
-        });
-        assert_eq!(a.join().unwrap(), 20);
-        assert_eq!(b.join().unwrap(), 10);
-    });
-}
-
-/// The teardown wave: a receiver leaving mid-stream must wake a sender
-/// blocked on a full buffer pool (or fail its next send) in every
-/// interleaving — this is how worker death propagates around the ring
-/// without leaving a neighbor blocked forever. A missed disconnect
-/// notification would show up here as a model deadlock.
-#[test]
-fn teardown_unblocks_a_blocked_sender() {
-    loom::model(|| {
-        let (tx, rx) = mpmc::bounded::<u8>(1);
-        let consumer = thread::spawn(move || {
-            // Take at most one envelope, then die with rx.
-            let _ = rx.recv();
-        });
-        let _ = tx.send(1);
-        // May block on the full pool; the consumer's recv or its death
-        // must unblock it either way.
-        let _ = tx.send(2);
-        consumer.join().unwrap();
-        // The pool is gone for good now: the send must fail, not hang.
-        assert!(tx.send(3).is_err(), "send to a dead host must disconnect");
-    });
-}
-
-/// The other direction of the wave: a receiver blocked on an empty pool
-/// must observe its last sender's death as a disconnect, not sleep
-/// forever.
+/// The teardown wave: a receiver blocked on an empty channel must
+/// observe its last sender's death as a disconnect, not sleep forever —
+/// this is how worker death propagates to the coordinator without leaving
+/// it blocked.
 #[test]
 fn teardown_unblocks_a_blocked_receiver() {
     loom::model(|| {
@@ -107,14 +64,9 @@ fn teardown_unblocks_a_blocked_receiver() {
     });
 }
 
-/// The mid-revolution healing invariant (PR 1): when two survivors race
-/// to take over a dead host's logical role, the ledger must admit
-/// exactly one — in every interleaving. This is the compare-exchange
-/// claim protocol the simulated backend's role ledger relies on for its
-/// exactly-once guarantee.
-/// The PR 6 planned-drain scenario on the two-host ring: host B drains
+/// The planned-drain scenario on the two-host ring: host B drains
 /// gracefully — it flushes the credit hand-off it still owes A through
-/// the single-slot buffer pool, then publishes its role at the
+/// A's event channel, then publishes its role at the
 /// rendezvous — while A's drain-deadline escalation fires concurrently
 /// and tries to seize the same role through the crash-healing path. In
 /// every interleaving the owed envelope must arrive exactly once and
@@ -124,7 +76,7 @@ fn teardown_unblocks_a_blocked_receiver() {
 #[test]
 fn drain_handoff_racing_escalation_claims_the_role_once() {
     loom::model(|| {
-        let (tx_a, rx_a) = mpmc::bounded::<u8>(1); // host A's buffer pool
+        let (tx_a, rx_a) = mpmc::unbounded::<u8>(); // host A's event channel
         let ledger = Arc::new(AtomicU64::new(0)); // bit r = role r claimed
         let bit = 1u64 << 1; // host B's role, leaving with it
 
@@ -168,6 +120,11 @@ fn claim_role(ledger: &AtomicU64, bit: u64) -> bool {
     }
 }
 
+/// The mid-revolution healing invariant: when two survivors race to take
+/// over a dead host's logical role, the ledger must admit exactly one —
+/// in every interleaving. This is the compare-exchange claim protocol the
+/// simulated backend's role ledger relies on for its exactly-once
+/// guarantee.
 #[test]
 fn role_takeover_is_exactly_once() {
     loom::model(|| {

@@ -792,84 +792,6 @@ proptest! {
         let err = decoder.next_frame::<Vec<u8>>().expect_err("beyond the cap");
         prop_assert_eq!(err, FrameError::Oversized { len, max: MAX_FRAME });
     }
-
-    /// The reactor's hierarchical timer wheel agrees with a naive
-    /// sorted-list model under any interleaving of inserts (overdue,
-    /// near, and multi-level-future deadlines so the due list, level 0
-    /// and the cascade all see traffic), O(1) cancellations, and monotone
-    /// or repeated advances. Checked invariants: a timer never fires
-    /// before its deadline's tick, every eligible timer fires (none lost
-    /// in a cascade), cancelled timers never fire, each batch comes out
-    /// in `(deadline, insertion id)` order, and `len`/`next_deadline`
-    /// track the live set exactly.
-    #[test]
-    fn timer_wheel_matches_the_sorted_model(
-        ops in prop::collection::vec((0u8..4, any::<u64>()), 1..120),
-        resolution_ticks in 1u64..50,
-    ) {
-        let resolution_ns = resolution_ticks * 100;
-        let mut wheel = TimerWheel::new(Duration::from_nanos(resolution_ns));
-        // Model: the live (armed, unfired, uncancelled) set, plus the
-        // wheel's monotone notion of time. An entry becomes eligible once
-        // its quantized tick is at or behind the wheel's tick.
-        let mut live: Vec<(TimerId, u64)> = Vec::new();
-        let mut now = 0u64;
-        let mut wheel_tick = 0u64;
-        let mut max_deadline = 0u64;
-        let mut out: Vec<(TimerId, u64)> = Vec::new();
-        let mut check_advance = |wheel: &mut TimerWheel<u64>,
-                                 live: &mut Vec<(TimerId, u64)>,
-                                 wheel_tick: &mut u64,
-                                 now: u64| {
-            *wheel_tick = (now / resolution_ns).max(*wheel_tick);
-            let mut expected: Vec<(TimerId, u64)> = live
-                .iter()
-                .copied()
-                .filter(|&(_, d)| d.div_ceil(resolution_ns) <= *wheel_tick)
-                .collect();
-            expected.sort_by_key(|&(id, d)| (d, id));
-            live.retain(|&(_, d)| d.div_ceil(resolution_ns) > *wheel_tick);
-            out.clear();
-            wheel.advance(now, &mut out);
-            prop_assert_eq!(&out, &expected, "advance({}) fired the wrong set", now);
-        };
-        for (op, x) in ops {
-            match op {
-                0 | 1 => {
-                    let deadline = if x % 7 == 0 {
-                        now.saturating_sub(x % (4 * resolution_ns))
-                    } else {
-                        now + x % (5_000 * resolution_ns)
-                    };
-                    let id = wheel.insert(deadline, deadline);
-                    live.push((id, deadline));
-                    max_deadline = max_deadline.max(deadline);
-                }
-                2 => {
-                    if !live.is_empty() {
-                        let (id, _) = live.swap_remove((x as usize) % live.len());
-                        prop_assert!(wheel.cancel(id), "live timer must cancel");
-                        prop_assert!(!wheel.cancel(id), "double-cancel must report dead");
-                    }
-                }
-                _ => {
-                    now += x % (200 * resolution_ns);
-                    check_advance(&mut wheel, &mut live, &mut wheel_tick, now);
-                }
-            }
-            prop_assert_eq!(wheel.len(), live.len());
-            prop_assert_eq!(
-                wheel.next_deadline(),
-                live.iter().map(|&(_, d)| d).min()
-            );
-        }
-        // Drain: one advance past every armed deadline fires the rest.
-        now = now.max(max_deadline + resolution_ns);
-        check_advance(&mut wheel, &mut live, &mut wheel_tick, now);
-        prop_assert!(live.is_empty(), "model retained an entry past its deadline");
-        prop_assert!(wheel.is_empty(), "wheel leaked or lost an armed timer");
-        prop_assert_eq!(wheel.next_deadline(), None);
-    }
 }
 
 // --- TCP frame codec strategies -------------------------------------------
@@ -878,9 +800,7 @@ use data_roundabout::envelope::{Envelope, FragmentId};
 use data_roundabout::frame::{
     encode_ack, encode_envelope, encode_hello, Frame, FrameDecoder, MAX_FRAME,
 };
-use data_roundabout::wheel::{TimerId, TimerWheel};
 use data_roundabout::{FrameError, RingError};
-use std::time::Duration;
 
 fn encode_frame(frame: &Frame<Vec<u8>>) -> Vec<u8> {
     match frame {

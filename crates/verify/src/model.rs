@@ -367,7 +367,7 @@ impl World {
                     send_dones.push(from.0);
                 }
                 Output::Ack { to, tid } => self.pending.push(Ev::AckWire { to: to.0, tid }),
-                Output::ArmTimer { timer, .. } => self.arm(timer),
+                Output::ArmTimer { timer, .. } => self.arm_timer(timer),
                 Output::Absorb { to, .. } => self.pending.push(Ev::AbsorbDone(to.0)),
                 Output::Retire { id, .. } => {
                     let bit = 1u64 << id.0;
@@ -399,7 +399,7 @@ impl World {
     /// Arms a timer, replacing any timer occupying the same slot (a
     /// retransmission timer per tid, a probe per sender, a deadline per
     /// drainee) — drivers overwrite re-armed timers the same way.
-    fn arm(&mut self, t: Timer) {
+    fn arm_timer(&mut self, t: Timer) {
         self.timers.retain(|old| !same_slot(old, &t));
         self.timers.push(t);
     }

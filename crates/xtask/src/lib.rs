@@ -249,10 +249,6 @@ mod tests {
             assert!(!p.sans_io, "media are allowed to do IO");
             assert!(!p.output_match && p.single_applier, "{media}");
         }
-        // The timer wheel is library code inside the roundabout crate:
-        // on the no-panic data path, but it dispatches no outputs.
-        let p = policy_for("crates/roundabout/src/wheel.rs");
-        assert!(p.no_panic && !p.output_match && !p.counter_registry && p.single_applier);
         // The sans-IO core: L1 (it is library code) plus L5, and nothing
         // that assumes a particular driver — L6 included: the core emits
         // outputs, only drivers dispatch on them.

@@ -8,15 +8,23 @@ cd "$(dirname "$0")/.."
 cargo build --release
 cargo test -q
 # Explicit gates on the sans-IO protocol core and its real-socket
-# drivers: direct proptests over the state machine, the TCP frame codec
-# and the timer wheel, the four-way (sim/thread/tcp/reactor)
-# fault-counter parity test, and the chaos suite with its
-# mid-revolution connection severs on both socket backends. All are
-# also part of `cargo test -q` above; named here so a failure is
-# obvious. The socket legs bind port 0 and handshake, so they never
-# race on ports.
+# drivers: direct proptests over the state machine and the TCP frame
+# codec, the four-way (sim/thread/tcp/reactor) fault-counter parity
+# test, and the chaos suite with its mid-revolution connection severs
+# on both socket backends. All are also part of `cargo test -q` above;
+# named here so a failure is obvious. The socket legs bind port 0 and
+# handshake, so they never race on ports.
 cargo test -q -p data-roundabout --test proptests --test parity
 cargo test -q -p integration-tests --test chaos
+# Timer gate: every wall-clock timer is on the coordinator's one queue.
+# Against a sorted model (thousands of stale entries included) a timer
+# never fires before its deadline, fires in (deadline, arm order) with
+# ties, and every armed item fires exactly once; an overslept loop
+# fires overdue timers by deadline, not by arming order; and the
+# coordinator waits until the next deadline, never past the watchdog.
+cargo test -q -p data-roundabout --lib every_armed_timer_fires_once_in_deadline_then_arming_order
+cargo test -q -p data-roundabout --lib overdue_timers_fire_in_deadline_order_not_arming_order
+cargo test -q -p data-roundabout --lib the_wait_ends_at_the_next_deadline_or_the_watchdog
 # Elastic-membership gate: the protocol-direct join/drain/crash
 # interleaving proptests, the seeded rescale schedule that must land on
 # identical membership counters in all four worlds, and the
@@ -26,8 +34,8 @@ cargo test -q -p data-roundabout --test parity seeded_rescale_schedule_four_way_
 cargo test -q -p integration-tests --test chaos crash_during_drain
 # Reactor-driver gate: the event-loop backend's chaos legs — a
 # connection sever healed mid-revolution and a crash during a planned
-# drain — both of which exercise the timer wheel and the readiness
-# loop's teardown paths under faults.
+# drain — both of which exercise the coordinator's timer queue and the
+# readiness loop's teardown paths under faults.
 cargo test -q -p integration-tests --test chaos reactor_
 # Multi-tenant gate: protocol-direct proptests over random interleavings
 # of 2–4 concurrent queries (per-query credit partition, exactly-once
@@ -73,11 +81,13 @@ cargo test -q -p data-roundabout --test sim_golden
 # radix-partition count must end in a typed error before anything is
 # sized from it; and a vectored write must put its parts on the wire
 # back to back however a socket cuts and interrupts it, and end in
-# `WriteZero` when the socket takes nothing.
+# `WriteZero` when the socket takes nothing; and a blocking reader must
+# retry a read interrupted by a signal, not drop its connection.
 cargo test -q -p data-roundabout --lib forwarded_bytes_equal_reencoded_bytes
 cargo test -q -p data-roundabout --lib each_fragment_is_encoded_once
 cargo test -q -p data-roundabout --lib hostile_partition_count_is_refused_before_allocating
 cargo test -q -p data-roundabout --lib vectored_writes_put_the_parts_on_the_wire_in_order
+cargo test -q -p data-roundabout --lib an_interrupted_read_is_retried_not_a_lost_connection
 # Decode-never gate: a received payload is checked once on receipt and
 # every visit joins its bytes in place. The view must refuse exactly what
 # decoding refuses (byte flips in the columns included, truncations,
