@@ -5,7 +5,7 @@
 //! distributed execution produced exactly the same multiset of matches.
 
 use mem_joins::{merge_join, nested_loops_join, JoinCollector, JoinPredicate, SortedRun};
-use relation::{Checksum, Relation};
+use relation::{Checksum, Relation, Tuple};
 
 /// The reference verdict: how many matches, and their multiset checksum.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -18,20 +18,28 @@ pub struct Reference {
 
 /// Evaluates `r ⋈ s` locally with a trusted algorithm: a sorted merge for
 /// equi- and band predicates (fast), blocked nested loops for theta.
+///
+/// The merge's inputs are sorted by the standard library's comparison
+/// sort, not by [`SortedRun::sort`]: a band run sorts with that radix
+/// kernel, and a reference that shared it would repeat any bug in it, so
+/// a wrong sort could not make the run and its reference differ.
 pub fn reference_join(r: &Relation, s: &Relation, predicate: &JoinPredicate) -> Reference {
     let mut collector = JoinCollector::aggregating();
     match predicate.band_delta() {
-        Some(delta) => {
-            let sr = SortedRun::sort(r, 1);
-            let ss = SortedRun::sort(s, 1);
-            merge_join(&sr, &ss, delta, 1, &mut collector);
-        }
+        Some(delta) => merge_join(&std_sorted(r), &std_sorted(s), delta, 1, &mut collector),
         None => nested_loops_join(r, s, predicate, 1, &mut collector),
     }
     Reference {
         count: collector.count(),
         checksum: collector.checksum(),
     }
+}
+
+/// `rel` in key order, sorted by `sort_unstable_by_key` on its tuples.
+fn std_sorted(rel: &Relation) -> SortedRun {
+    let mut tuples: Vec<Tuple> = rel.iter().collect();
+    tuples.sort_unstable_by_key(|t| t.key);
+    SortedRun::from_sorted(tuples.into_iter().collect())
 }
 
 #[cfg(test)]

@@ -7,7 +7,7 @@
 //!
 //! * [`hash`] — radix-partitioned hash join tuned to L2 cache geometry
 //!   (Manegold, Boncz & Kersten's radix join), equi-joins only;
-//! * [`sort`] — parallel-sort + multi-threaded merge join, including band
+//! * [`sort`] — radix sort + multi-threaded merge join, including band
 //!   joins;
 //! * [`nested`] — blocked nested loops for arbitrary theta predicates;
 //! * [`operator::Algorithm`] — the uniform setup/prepare/join dispatch;

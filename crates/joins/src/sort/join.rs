@@ -20,7 +20,7 @@ use relation::{ColumnValue, Columns, Key, MatchPair, Payload, RelationView, Tupl
 
 use super::run::SortedRun;
 use crate::collector::JoinCollector;
-use crate::parallel::{fork_join, shard_ranges};
+use crate::parallel::{fork_join, shard_range};
 
 impl<'a> From<&'a SortedRun> for RelationView<'a> {
     fn from(run: &'a SortedRun) -> Self {
@@ -97,10 +97,15 @@ pub fn merge_join<'r>(
     collector: &mut JoinCollector,
 ) {
     let r = r.into();
-    let ranges = shard_ranges(r.len(), threads);
+    if threads == 1 {
+        // Straight into the caller's collector: no shard vector, no child
+        // collector, no merge — a visit allocates nothing.
+        merge_range(r, s, delta, 0..r.len(), collector);
+        return;
+    }
     let shards = fork_join(threads, |i| {
         let mut local = collector.child();
-        let range = ranges[i].clone();
+        let range = shard_range(r.len(), threads, i);
         if !range.is_empty() {
             merge_range(r, s, delta, range, &mut local);
         }

@@ -1,7 +1,8 @@
 //! Sort-merge join.
 //!
 //! The **setup phase** sorts both inputs by join key ([`SortedRun`],
-//! produced by a parallel merge sort — the paper sorts `R_i` and `S_i` in
+//! produced by a stable LSD radix sort on the `u32` key, chunks merged
+//! pairwise when several threads sort — the paper sorts `R_i` and `S_i` in
 //! parallel with a qsort-based routine). The **join phase** merges the two
 //! sorted runs with a strictly sequential, cache-friendly access pattern;
 //! it naturally supports band joins and splits the probe side across

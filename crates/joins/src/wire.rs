@@ -14,8 +14,9 @@
 //! A fragment is reorganised straight into these bytes, once, at its
 //! origin ([`Algorithm::prepare_fragment`]): a one-pass radix scatter
 //! lays the partition table out from its histogram and writes each tuple
-//! at its final offset, a sort writes its run, a plain fragment copies its
-//! columns; each relation's header is written last. The bytes equal what
+//! at its final offset, a radix sort's last pass lands in the run's
+//! columns, a plain fragment copies its columns; each relation's header is
+//! written last. The bytes equal what
 //! [`encode_into`] writes of the owned reorganisation, in one buffer sized
 //! exactly, and a ring carries them as they are: a socket engine sends
 //! them from where they were written, and every visit — the origin's too
@@ -37,7 +38,7 @@ use relation::wire::{self as rw, RelationView};
 use crate::hash::radix::partition_into_wire;
 use crate::hash::PartitionsView;
 use crate::operator::{Algorithm, FragmentView};
-use crate::sort::run::sorted_tuples;
+use crate::sort::run::sort_into_wire;
 
 /// Tag of a plain fragment.
 pub const TAG_PLAIN: u8 = 0;
@@ -137,11 +138,13 @@ impl PreparedFragment {
             Algorithm::PartitionedHash(params) => {
                 partition_into_wire(r, radix_bits, params, threads)
             }
+            // The sort lands in the run's columns; its header goes last.
             Algorithm::SortMerge => {
-                let sorted = sorted_tuples(r, threads);
-                let mut out = Vec::with_capacity(1 + rw::encoded_len(sorted.len()));
-                out.push(TAG_SORTED);
-                rw::encode_tuples_into(&sorted, &mut out);
+                let mut out = vec![0; 1 + rw::encoded_len(r.len())];
+                if let Some((tag, run)) = out.split_first_mut() {
+                    *tag = TAG_SORTED;
+                    sort_into_wire(r, threads, run);
+                }
                 out
             }
             // The fragment as it is: its columns copied into the bytes.

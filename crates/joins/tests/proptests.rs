@@ -7,7 +7,7 @@ use mem_joins::{
     PreparedFragment, SortedRun,
 };
 use proptest::prelude::*;
-use relation::{relation_checksum, Checksum, GenSpec, Relation};
+use relation::{relation_checksum, Checksum, GenSpec, Relation, Tuple};
 
 fn relation_strategy() -> impl Strategy<Value = Relation> {
     // Mix of shapes: empty, small domains (heavy duplicates), wide domains.
@@ -372,5 +372,73 @@ proptest! {
         right_assoc.merge(tail);
         prop_assert_eq!(left_assoc.count(), right_assoc.count());
         prop_assert_eq!(left_assoc.checksum(), right_assoc.checksum());
+    }
+}
+
+/// The next value of a splitmix64 sequence.
+fn splitmix(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+proptest! {
+    // Each case walks the whole grid of domains, lengths, sources and
+    // thread counts below; the cases vary the keys, the long length and
+    // the buffer offset.
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// A sorted run is the standard library's stable sort of its input,
+    /// tuple for tuple, payloads included (every payload is distinct, so
+    /// an unstable order among equal keys shows), and a prepared run is
+    /// exactly that run's encoding. The key domains leave 0, 1, 2 and 3
+    /// radix digits to sort — all keys equal, below 2^11, below 2^22, any
+    /// `u32` with `u32::MAX` among them; the lengths sit on a digit's
+    /// bucket count; the input lies in owned columns or in wire bytes at
+    /// an unaligned offset; and 1–4 threads sort it.
+    #[test]
+    fn radix_sorted_runs_equal_the_stable_sort(
+        seed in any::<u64>(),
+        long in 2050usize..6000,
+        offset in 1usize..8,
+    ) {
+        let domains: [fn(u64) -> u32; 4] = [
+            |_| 0x2A5_5A5A,
+            |x| x as u32 & 0x7FF,
+            |x| x as u32 & 0x3F_FFFF,
+            |x| x as u32,
+        ];
+        let mut state = seed;
+        for (d, key_of) in domains.into_iter().enumerate() {
+            for n in [0, 1, 2, 2047, 2048, 2049, long] {
+                let rel = Relation::from_pairs((0..n).map(|i| {
+                    let x = splitmix(&mut state);
+                    let key = if d == 3 && i == n / 2 { u32::MAX } else { key_of(x) };
+                    (key, x << 32 | i as u64)
+                }));
+                let mut want: Vec<Tuple> = rel.iter().collect();
+                want.sort_by_key(|t| t.key);
+                let mut want_bytes = vec![mem_joins::wire::TAG_SORTED];
+                relation::wire::encode_tuples_into(&want, &mut want_bytes);
+                let mut columns = vec![0xEE; offset];
+                relation::wire::encode_into(&rel, &mut columns);
+                let in_bytes = relation::wire::view(&columns[offset..]).expect("intact bytes");
+                for input in [(&rel).into(), in_bytes] {
+                    for threads in 1..=4 {
+                        let run = SortedRun::sort(input, threads);
+                        let got: Vec<Tuple> = run.as_relation().iter().collect();
+                        prop_assert!(got == want, "domain {} n {} threads {}", d, n, threads);
+                        let prepared = Algorithm::SortMerge.prepare_fragment(input, 0, threads);
+                        prop_assert!(
+                            prepared.as_bytes() == want_bytes.as_slice(),
+                            "domain {} n {} threads {}: {:?}", d, n, threads, prepared
+                        );
+                        prop_assert!(mem_joins::wire::view(prepared.as_bytes()).is_ok());
+                    }
+                }
+            }
+        }
     }
 }

@@ -162,7 +162,8 @@ impl Relation {
         out
     }
 
-    /// Sorts the relation by key (payload carried along), in place.
+    /// Sorts the relation by key, equal keys by payload: the tuples are
+    /// copied out, sorted, and written back as two new columns.
     pub fn sort_by_key(&mut self) {
         let mut pairs: Vec<Tuple> = self.iter().collect();
         pairs.sort_unstable();

@@ -117,9 +117,8 @@ pub fn encode_into<'r>(rel: impl Into<RelationView<'r>>, out: &mut Vec<u8>) {
     }
 }
 
-/// [`encode_into`] of the relation `tuples` holds, in order: what a
-/// kernel that reorganises into tuples (a sort) writes its result as,
-/// with no column copy between.
+/// [`encode_into`] of the relation `tuples` holds, in order, with no
+/// column copy between.
 pub fn encode_tuples_into(tuples: &[Tuple], out: &mut Vec<u8>) {
     out.reserve(encoded_len(tuples.len()));
     out.extend_from_slice(&header(tuples.len(), checksum(tuples.iter().copied())));

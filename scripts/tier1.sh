@@ -143,6 +143,22 @@ cargo test -q -p data-roundabout --lib a_healed_survivors_multi_role_visit_names
 cargo test -q -p mem-joins --test proptests prepared_bytes_equal_prepare_then_encode
 cargo test -q -p data-roundabout --lib an_origin_sends_the_bytes_it_was_prepared_in
 cargo test -q -p data-roundabout --lib a_returned_origin_buffer_takes_the_next_arrival_without_allocating
+# Sort-merge kernel gate: a run is sorted by one stable LSD radix sort
+# that writes its last pass where the run lives (its two columns, or its
+# wire bytes), and a single-thread merge pushes straight into the
+# caller's collector. The radix-sorted run must equal the standard
+# library's stable sort tuple for tuple (key domains that leave 0–3 digits
+# to sort, lengths around a digit's bucket count, input owned or in wire
+# bytes at an unaligned offset, 1–4 threads) and its prepared bytes must
+# be exactly that run's encoding; a single-thread sort must allocate its
+# scratch and its two columns, a prepared run its scratch and its bytes,
+# and a merge into a warm collector nothing (its own counting allocator);
+# the key order must not depend on the thread count; and a prepared run
+# must equal the owned run encoded by hand.
+cargo test -q -p mem-joins --test proptests radix_sorted_runs_equal_the_stable_sort
+cargo test -q -p mem-joins --test alloc_sort
+cargo test -q -p mem-joins --lib sorting_is_correct_for_any_thread_count
+cargo test -q -p mem-joins --test proptests prepared_bytes_equal_prepare_then_encode
 # One-wall-clock-applier gate: every wall-clock run goes through the
 # coordinator, the channel engine's plan-free runs and every engine's
 # one-host ring included. Setup, busy and sync span totals must
