@@ -3,10 +3,10 @@
 //! The **setup phase** sorts both inputs by join key ([`SortedRun`],
 //! produced by a stable LSD radix sort on the `u32` key, chunks merged
 //! pairwise when several threads sort — the paper sorts `R_i` and `S_i` in
-//! parallel with a qsort-based routine). The **join phase** merges the two
-//! sorted runs with a strictly sequential, cache-friendly access pattern;
-//! it naturally supports band joins and splits the probe side across
-//! threads for multi-core execution.
+//! parallel with a qsort-based routine), and builds a directory over the
+//! stationary run's keys. The **join phase** finds each probe key's band
+//! window through that directory instead of walking the stationary run;
+//! it splits the probe side across threads for multi-core execution.
 //!
 //! Sorting costs far more than building hash tables, but in cyclo-join the
 //! sort is a one-time investment amortized over the whole revolution

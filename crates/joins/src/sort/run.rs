@@ -11,13 +11,13 @@
 //! The sort is a stable least-significant-digit radix sort on the `u32`
 //! key — the counting passes of the radix join's partitioning (Manegold,
 //! Boncz & Kersten; see [`crate::hash::radix`]), with no comparisons. One
-//! read of the keys fills every digit's histogram; a digit all keys share
-//! is skipped. The first pass scatters from the source columns as they
-//! lie (owned, or a buffer's little-endian bytes), later passes
-//! ping-pong between one scratch buffer and the output, and the number of
-//! passes picks where the first one writes so that the last lands in the
-//! output: a run's two columns, or the key and payload columns of its
-//! wire encoding.
+//! read of the keys finds the digits some key uses, one more fills their
+//! histograms; a digit all keys share is skipped. The first pass scatters
+//! from the source columns as they lie (owned, or a buffer's
+//! little-endian bytes), later passes ping-pong between one scratch
+//! buffer and the output, and the number of passes picks where the first
+//! one writes so that the last lands in the output: a run's two columns,
+//! or the key and payload columns of its wire encoding.
 
 use relation::wire as rw;
 use relation::{ColumnValue, Columns, Key, Payload, Relation, RelationView, Tuple};
@@ -181,11 +181,12 @@ fn radix_sort(rel: RelationView<'_>, out: &mut (impl Run + ?Sized)) {
 }
 
 /// The LSD radix sort of two equally long columns into `out`: one read of
-/// the keys for every digit's histogram, then one stable scatter pass per
-/// digit that not all keys share, least significant first. The first
-/// pass reads the columns; the passes alternate between `out` and one
-/// scratch buffer (none for a single pass), starting in scratch when
-/// their number is even, so that the last one writes `out`.
+/// the keys for the digits they use and one for those digits' histograms,
+/// then one stable scatter pass per digit that not all keys share, least
+/// significant first. The first pass reads the columns; the passes
+/// alternate between `out` and one scratch buffer (none for a single
+/// pass), starting in scratch when their number is even, so that the last
+/// one writes `out`.
 fn radix_sort_columns<K, P>(keys: &[K], payloads: &[P], out: &mut (impl Run + ?Sized))
 where
     K: ColumnValue<Key>,
@@ -197,12 +198,19 @@ where
             .zip(payloads)
             .map(|(k, p)| Tuple::new(k.value(), p.value()))
     };
+    // Digits above every key's highest set bit put every key in bucket 0:
+    // they are not counted, which would chain increments on one counter.
+    // The lowest digit always is.
+    let reached = keys.iter().fold(0, |or, k| or | k.value());
+    let used = ((Key::BITS - reached.leading_zeros()).div_ceil(DIGIT_BITS) as usize).max(1);
     let mut counts = [[0usize; BUCKETS]; DIGITS];
-    for k in keys {
-        let k = k.value();
-        for (d, count) in counts.iter_mut().enumerate() {
-            count[digit(k, d)] += 1;
-        }
+    for count in &mut counts[used..] {
+        count[0] = n;
+    }
+    match used {
+        1 => histograms::<1, K>(keys, &mut counts),
+        2 => histograms::<2, K>(keys, &mut counts),
+        _ => histograms::<DIGITS, K>(keys, &mut counts),
     }
     // A digit every key shares would move no tuple: its pass is skipped.
     // When every digit is shared (no tuple, one, or all keys equal), the
@@ -226,6 +234,22 @@ where
             (false, false) => scatter(out.tuples(), d, next, scratch.as_mut_slice()),
         }
         (from_source, into_out) = (false, !into_out);
+    }
+}
+
+/// Fills the histograms of the lowest `USED` digits of `keys`, in one
+/// read. The digit count is a constant: looping over a run-time count
+/// made a 65 536-key sort of keys below 2^18 slower than counting all
+/// three digits (815–858 against 695–805 µs, alternated).
+fn histograms<const USED: usize, K: ColumnValue<Key>>(
+    keys: &[K],
+    counts: &mut [[usize; BUCKETS]; DIGITS],
+) {
+    for k in keys {
+        let k = k.value();
+        for (d, count) in counts[..USED].iter_mut().enumerate() {
+            count[digit(k, d)] += 1;
+        }
     }
 }
 
@@ -391,6 +415,14 @@ mod tests {
         assert!(SortedRun::sort(&Relation::new(), 4).is_empty());
         let one = SortedRun::sort(&Relation::from_pairs([(5, 50)]), 4);
         assert_eq!(one.len(), 1);
+    }
+
+    #[test]
+    fn all_zero_keys_keep_their_order() {
+        // No digit is reached by any key: the lowest is still counted.
+        let rel = Relation::from_pairs((0..100).map(|i| (0, i)));
+        let run = SortedRun::sort(&rel, 1);
+        assert_eq!(run.as_relation(), &rel);
     }
 
     #[test]

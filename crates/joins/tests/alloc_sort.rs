@@ -1,15 +1,16 @@
 //! The sort-merge path allocates only the buffers its results live in.
 //!
 //! A single-thread sort writes its run straight into the run's storage
-//! through one scratch buffer, with its counting tables on the stack, and
-//! a single-thread merge pushes straight into the caller's collector.
-//! This file counts every heap request made on the calling thread while
-//! one of them runs.
+//! through one scratch buffer, with its counting tables on the stack; the
+//! stationary state adds its directory; and a single-thread merge or
+//! visit pushes straight into the caller's collector, its hit vectors on
+//! the stack. This file counts every heap request made on the calling
+//! thread while one of them runs.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use mem_joins::{merge_join, Algorithm, JoinCollector, SortedRun};
+use mem_joins::{merge_join, Algorithm, JoinCollector, JoinPredicate, SortMergeState, SortedRun};
 use relation::GenSpec;
 
 /// The system allocator, counting the calls made on a thread that has
@@ -95,6 +96,30 @@ fn a_merge_into_a_warm_collector_allocates_nothing() {
     merge_join(&r, &s, 2, 1, &mut collector);
     let warm = collector.count();
     let (calls, ()) = allocations(|| merge_join(&r, &s, 2, 1, &mut collector));
+    assert_eq!(collector.count(), 2 * warm);
+    assert_eq!(calls, 0);
+}
+
+#[test]
+fn a_stationary_state_allocates_the_sort_and_its_directory() {
+    let rel = GenSpec::uniform(TUPLES, 5).generate();
+    let (calls, state) = allocations(|| SortMergeState::build(&rel, 1));
+    assert_eq!(state.len(), TUPLES);
+    assert_eq!(calls, 4, "scratch, keys, payloads and the directory");
+}
+
+#[test]
+fn a_warm_band_visit_over_wire_bytes_allocates_nothing() {
+    let alg = Algorithm::SortMerge;
+    let state = alg.setup_stationary(&GenSpec::uniform(TUPLES, 6).generate(), 0, 1);
+    let prepared = alg.prepare_fragment(&GenSpec::uniform(TUPLES / 4, 7).generate(), 0, 1);
+    let fragment = mem_joins::wire::view(prepared.as_bytes()).expect("intact bytes");
+    let band = JoinPredicate::band(2);
+    let mut collector = JoinCollector::aggregating();
+    alg.join(&state, fragment, &band, 1, &mut collector);
+    let warm = collector.count();
+    assert!(warm > 0);
+    let (calls, ()) = allocations(|| alg.join(&state, fragment, &band, 1, &mut collector));
     assert_eq!(collector.count(), 2 * warm);
     assert_eq!(calls, 0);
 }

@@ -442,3 +442,92 @@ proptest! {
         }
     }
 }
+
+proptest! {
+    // Each case walks the whole grid below; the cases vary the keys, the
+    // long length and the buffer offset.
+    #![proptest_config(ProptestConfig::with_cases(3))]
+
+    /// A visit (`SortMergeState::merge`, the directory kernel) finds the
+    /// multiset the plain two-pointer merge finds. The key domains are all
+    /// keys equal (one crowded slot), keys below 2^4 (heavy duplicates),
+    /// below 2^18, and any `u32` with 0 and `u32::MAX` on both sides; the
+    /// half-widths run from the equi case to past the key domain, so that
+    /// `key − delta` saturates at 0 and `key + delta` at `u32::MAX`; either
+    /// side is 0, 1, 7, 8, 9 or a few thousand tuples long (both long only
+    /// where the output stays small); the probe run lies in owned columns
+    /// or in wire bytes at an unaligned offset; 1–4 threads visit, an odd
+    /// number into an aggregating collector (count and checksum), an even
+    /// one into a materializing one (the multiset too).
+    #[test]
+    fn indexed_merge_equals_plain_merge(
+        seed in any::<u64>(),
+        long in 2000usize..3000,
+        offset in 1usize..8,
+    ) {
+        use mem_joins::SortMergeState;
+        let domains: [fn(u64) -> u32; 4] = [
+            |_| 0x2A5_5A5A,
+            |x| x as u32 & 0xF,
+            |x| x as u32 & 0x3_FFFF,
+            |x| x as u32,
+        ];
+        let mut state = seed;
+        let mut run = |d: usize, n: usize| {
+            SortedRun::sort(&Relation::from_pairs((0..n).map(|i| {
+                let x = splitmix(&mut state);
+                let key = match (d, i) {
+                    (3, 0) => 0,
+                    (3, 1) => u32::MAX,
+                    _ => domains[d](x),
+                };
+                (key, x)
+            })), 1)
+        };
+        for d in 0..domains.len() {
+            for delta in [0, 1, 2, 7, 1 << 31, u32::MAX] {
+                for r_len in [0, 1, 7, 8, 9, long] {
+                    for s_len in [0, 1, 7, 8, 9, long] {
+                        if r_len == long && s_len == long && (d < 2 || delta > 7) {
+                            continue;
+                        }
+                        let (r, s) = (run(d, r_len), run(d, s_len));
+                        let stationary = SortMergeState::from_sorted(s.clone());
+                        let mut expect = JoinCollector::materializing();
+                        merge_join(&r, &s, delta, 1, &mut expect);
+                        let expect_sum = (expect.count(), expect.checksum());
+                        let mut expect = expect.into_matches();
+                        expect.sort_unstable();
+
+                        let mut bytes = vec![0xEE; offset];
+                        bytes.extend_from_slice(
+                            Algorithm::SortMerge.prepare_fragment(&r, 0, 1).as_bytes(),
+                        );
+                        let FragmentView::Sorted(viewed) =
+                            mem_joins::wire::view(&bytes[offset..]).expect("intact bytes")
+                        else {
+                            panic!("a sorted fragment views as one");
+                        };
+                        for probe in [(&r).into(), viewed] {
+                            for threads in 1..=4 {
+                                let at = (d, delta, r_len, s_len, threads);
+                                let mut got = if threads % 2 == 0 {
+                                    JoinCollector::materializing()
+                                } else {
+                                    JoinCollector::aggregating()
+                                };
+                                stationary.merge(probe, delta, threads, &mut got);
+                                prop_assert!((got.count(), got.checksum()) == expect_sum, "{:?}", at);
+                                if threads % 2 == 0 {
+                                    let mut got = got.into_matches();
+                                    got.sort_unstable();
+                                    prop_assert!(got == expect, "{:?}", at);
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+}

@@ -155,10 +155,19 @@ cargo test -q -p data-roundabout --lib a_returned_origin_buffer_takes_the_next_a
 # and a merge into a warm collector nothing (its own counting allocator);
 # the key order must not depend on the thread count; and a prepared run
 # must equal the owned run encoded by hand.
+# A visit (the stationary state's directory kernel) must find the
+# multiset the plain merge finds: key domains from all keys equal to any
+# u32, half-widths from 0 to u32::MAX, lengths around its block and lane
+# widths, the probe run owned or in wire bytes, 1-4 threads, both
+# collector modes. A stationary state must allocate the sort's three
+# buffers and its directory, a warm band visit nothing; and the plain
+# merge must equal the band reference.
 cargo test -q -p mem-joins --test proptests radix_sorted_runs_equal_the_stable_sort
 cargo test -q -p mem-joins --test alloc_sort
 cargo test -q -p mem-joins --lib sorting_is_correct_for_any_thread_count
 cargo test -q -p mem-joins --test proptests prepared_bytes_equal_prepare_then_encode
+cargo test -q -p mem-joins --test proptests indexed_merge_equals_plain_merge
+cargo test -q -p mem-joins --lib band_merge_matches_reference
 # One-wall-clock-applier gate: every wall-clock run goes through the
 # coordinator, the channel engine's plan-free runs and every engine's
 # one-host ring included. Setup, busy and sync span totals must
