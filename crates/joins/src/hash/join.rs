@@ -1,41 +1,53 @@
 //! The two-phase partitioned hash join operator.
 //!
 //! **Setup phase** — [`HashJoinState::build`]: radix-partition the
-//! stationary relation `S_i` and build a [`ChainedTable`] per partition,
-//! each sized to fit the L2 cache.
+//! stationary relation `S_i` and build a bucket-chained table per
+//! partition, each sized to the cache its host gets ([`radix_bits_for`]).
+//! One histogram pass and one scatter write every stationary tuple where
+//! its table holds it: all partitions' tables live in one set of arrays,
+//! so a build makes the same few allocations whatever the fan-out.
 //!
 //! **Join phase** — [`HashJoinState::probe_partitioned`]: scan the
 //! partitions of a probe fragment `R_j` (partitioned with the *same* radix
 //! bits; owned, or read in the bytes it arrived in) and probe the matching
-//! tables. Disjoint partitions are handed to separate threads, exactly how
-//! the paper exploits its quad cores.
+//! tables, through one set of selection vectors per visit. Disjoint
+//! partitions are handed to separate threads, exactly how the paper
+//! exploits its quad cores.
 //!
 //! In cyclo-join the setup output is built **once** and reused for every
 //! `R_j` that rotates past (§IV-D) — the reuse is what makes the setup
 //! phase's cost scale with `|S|/n` while the join phase cost stays
 //! proportional to `|R|` (Equation ⋆).
 
-use relation::{MatchPair, Relation, RelationView, Tuple};
+use relation::{Key, MatchPair, Payload, Relation, RelationView, Tuple};
 
-use super::radix::{radix_bits_for, PartitionsView, RadixPartitioned};
-use super::table::ChainedTable;
+use super::radix::{radix_bits_for, scatter_into_columns, PartitionsView, RadixPartitioned};
+use super::table::{buckets_for, chain, Selection, TableView};
 use super::CacheParams;
 use crate::collector::JoinCollector;
 use crate::parallel::fork_join;
 
 /// The setup-phase output of the partitioned hash join: cache-sized hash
-/// tables over every partition of the stationary relation.
+/// tables over every partition of the stationary relation, in one set of
+/// arrays. `links` holds every tuple's chain link (`next`, one per tuple)
+/// and then every bucket head. Partition `j`'s tuples are `keys`,
+/// `payloads` and `next` at `starts[j]..starts[j + 1]`, and its buckets
+/// are the heads at `head_starts[j]..head_starts[j + 1]` (a power of two
+/// of them).
 #[derive(Debug, Clone)]
 pub struct HashJoinState {
     bits: u32,
-    tables: Vec<ChainedTable>,
-    tuples: usize,
+    keys: Vec<Key>,
+    payloads: Vec<Payload>,
+    links: Vec<u32>,
+    starts: Vec<usize>,
+    head_starts: Vec<usize>,
 }
 
 impl HashJoinState {
     /// Builds the state over stationary relation `s` (a relation, or a
     /// view of one's columns), choosing the radix fan-out from `params` so
-    /// each table fits in L2.
+    /// each table fits the cache [`radix_bits_for`] sizes it to.
     pub fn build<'s>(s: impl Into<RelationView<'s>>, params: &CacheParams) -> Self {
         let s = s.into();
         let bits = radix_bits_for(s.len(), params);
@@ -53,29 +65,62 @@ impl HashJoinState {
     }
 
     /// Builds the state with `threads` worker threads doing the radix
-    /// partitioning (table building per partition remains sequential —
+    /// scatter (the chains are threaded per partition, sequentially —
     /// insertions are cheap relative to the scatter).
+    ///
+    /// The scatter is one pass on all `bits` bits, into the state's own
+    /// columns, whatever the parameters' `max_bits_per_pass`: that bound
+    /// keeps a rotating fragment's scatter targets within the TLB, and a
+    /// state is built once per host. The build allocates its three arrays,
+    /// two offset tables and the scatter's histogram, at any fan-out.
     pub fn build_parallel<'s>(
         s: impl Into<RelationView<'s>>,
         bits: u32,
-        params: &CacheParams,
+        _params: &CacheParams,
         threads: usize,
     ) -> Self {
+        assert!(bits <= 24, "more than 2^24 partitions is never useful here");
         let s = s.into();
-        let tuples = s.len();
-        let partitioned = RadixPartitioned::new_parallel(s, bits, params, threads);
-        // The scatter output is discarded after the build, so each table
-        // takes its partition's columns over instead of copying them.
-        let tables = partitioned
-            .into_partitions()
-            .into_iter()
-            .map(|p| ChainedTable::build_owned(p, bits))
-            .collect();
+        let n = s.len();
+        let (mut keys, mut payloads) = (vec![0; n], vec![0; n]);
+        let starts = scatter_into_columns(s, bits, threads, &mut keys, &mut payloads);
+        let mut head_starts = Vec::with_capacity(starts.len());
+        head_starts.push(0);
+        for (j, range) in starts.windows(2).enumerate() {
+            head_starts.push(head_starts[j] + buckets_for(range[1] - range[0]));
+        }
+        let mut links = vec![0u32; n + head_starts.last().copied().unwrap_or(0)];
+        let (next, heads) = links.split_at_mut(n);
+        for (tuples, buckets) in starts.windows(2).zip(head_starts.windows(2)) {
+            let (tuples, buckets) = (tuples[0]..tuples[1], buckets[0]..buckets[1]);
+            chain(
+                &keys[tuples.clone()],
+                bits,
+                &mut heads[buckets],
+                &mut next[tuples],
+            );
+        }
         HashJoinState {
             bits,
-            tables,
-            tuples,
+            keys,
+            payloads,
+            links,
+            starts,
+            head_starts,
         }
+    }
+
+    /// Partition `j`'s table, borrowed.
+    fn table(&self, j: usize) -> TableView<'_> {
+        let tuples = self.starts[j]..self.starts[j + 1];
+        let (next, heads) = self.links.split_at(self.keys.len());
+        TableView::new(
+            self.bits,
+            &heads[self.head_starts[j]..self.head_starts[j + 1]],
+            &next[tuples.clone()],
+            &self.keys[tuples.clone()],
+            &self.payloads[tuples],
+        )
     }
 
     /// Radix bits the stationary side was partitioned with; probe fragments
@@ -86,19 +131,19 @@ impl HashJoinState {
 
     /// Number of stationary tuples indexed.
     pub fn len(&self) -> usize {
-        self.tuples
+        self.keys.len()
     }
 
     /// True if no stationary tuples are indexed.
     pub fn is_empty(&self) -> bool {
-        self.tuples == 0
+        self.keys.is_empty()
     }
 
     /// Approximate bytes of access structures built during setup — this is
     /// what cyclo-join would ship over the ring to re-use setup output
     /// (§IV-D).
     pub fn footprint_bytes(&self) -> usize {
-        self.tables.iter().map(ChainedTable::footprint_bytes).sum()
+        self.keys.len() * (4 + 8) + self.links.len() * 4
     }
 
     /// Partitions a probe-side fragment with the matching radix fan-out.
@@ -135,17 +180,20 @@ impl HashJoinState {
         );
         if threads == 1 {
             // Straight into the caller's collector: no shard vector, no
-            // child collector, no merge — a visit allocates nothing.
-            for (table, part) in self.tables.iter().zip(r.partitions()) {
-                table.probe_all(part, collector);
+            // child collector, no merge — a visit allocates nothing, and
+            // zeroes one set of selection vectors for all its partitions.
+            let mut selection = Selection::new();
+            for (j, part) in r.partitions().enumerate() {
+                self.table(j).probe_all(part, &mut selection, collector);
             }
             return;
         }
         let shards = fork_join(threads, |shard| {
             let mut local = collector.child();
-            let pairs = self.tables.iter().zip(r.partitions());
-            for (table, part) in pairs.skip(shard).step_by(threads) {
-                table.probe_all(part, &mut local);
+            let mut selection = Selection::new();
+            let parts = r.partitions().enumerate().skip(shard).step_by(threads);
+            for (j, part) in parts {
+                self.table(j).probe_all(part, &mut selection, &mut local);
             }
             local
         });

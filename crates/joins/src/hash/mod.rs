@@ -3,14 +3,20 @@
 //! The algorithm is carefully tuned to CPU cache characteristics: during a
 //! **setup phase** both inputs are radix-partitioned on a hash of the join
 //! key so that each partition of the stationary relation *plus its hash
-//! table* fits in the L2 cache; the subsequent **join phase** scans the
-//! probe-side partitions and probes the matching cache-resident tables,
-//! so every hash probe is served from L2.
+//! table* fits in the cache its host gets; the subsequent **join phase**
+//! scans the probe-side partitions and probes the matching cache-resident
+//! tables. The paper sized a partition to half its blades' 4 MB L2;
+//! [`radix_bits_for`] gives one 1/48 of [`CacheParams::l2_bytes`], about
+//! 80 KiB under the defaults, because ring hosts that share a core share
+//! its caches (the measurement is in its comment).
 //!
 //! Module layout:
-//! * [`radix`] — the multi-pass radix partitioner,
-//! * [`table`] — bucket-chained hash tables over a partition,
-//! * [`join`] — the two-phase join operator gluing them together.
+//! * [`radix`] — the radix partitioner (multi-pass for owned fragments,
+//!   one pass into a prepared fragment's bytes or a state's columns),
+//! * [`table`] — bucket-chained hash tables over a partition, and the
+//!   batched probe kernel over a borrowed table,
+//! * [`join`] — the two-phase join operator gluing them together, all of
+//!   a stationary side's tables in one set of arrays.
 
 pub mod join;
 pub mod radix;

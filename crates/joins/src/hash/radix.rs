@@ -265,12 +265,7 @@ pub(crate) fn partition_into_wire(
         return wire::PreparedFragment::from_view(FragmentView::HashPartitioned((&parts).into()))
             .into_bytes();
     }
-    // As `new_parallel`: a thread per chunk, unless the chunks are tiny.
-    let shards = if threads > 1 && rel.len() >= 4 * threads {
-        threads
-    } else {
-        1
-    };
+    let shards = shards_for(rel.len(), threads);
     match rel.columns() {
         Columns::Native(keys, payloads) => scatter_into_wire(keys, payloads, bits, shards),
         Columns::Wire(keys, payloads) => scatter_into_wire(keys, payloads, bits, shards),
@@ -278,28 +273,123 @@ pub(crate) fn partition_into_wire(
 }
 
 /// One shard's range of one partition: first how many of the shard's
-/// tuples go there, then where they go and how many are in.
-#[derive(Default)]
-struct Slot<'o> {
+/// tuples go there, then where they go and how many are in. A wire
+/// scatter writes little-endian columns and folds checksums; a stationary
+/// state's scatter writes native columns.
+struct Slot<'o, K, P> {
     next: usize,
-    /// The partition's relation header (in the first shard's slot only).
+    /// The partition's relation header (a wire scatter's, in the first
+    /// shard's slot only).
     head: &'o mut [u8],
-    keys: &'o mut [[u8; 4]],
-    payloads: &'o mut [[u8; 8]],
+    keys: &'o mut [K],
+    payloads: &'o mut [P],
     sum: rw::WireChecksum,
 }
 
+/// The histogram of a one-pass scatter of `keys` on all `bits` radix bits
+/// by `shards` threads that each take a contiguous chunk: shard `s`'s
+/// count of partition `j` is `slots[s * fanout + j].next`.
+fn histogram<'o, K: ColumnValue<Key>, DK, DP>(
+    keys: &[K],
+    bits: u32,
+    shards: usize,
+) -> Vec<Slot<'o, DK, DP>> {
+    let fanout = 1usize << bits;
+    let mut slots: Vec<Slot<'o, DK, DP>> = (0..shards * fanout)
+        .map(|_| Slot {
+            next: 0,
+            head: &mut [],
+            keys: &mut [],
+            payloads: &mut [],
+            sum: rw::WireChecksum::default(),
+        })
+        .collect();
+    for (s, shard) in slots.chunks_mut(fanout).enumerate() {
+        for k in &keys[shard_range(keys.len(), shards, s)] {
+            shard[radix_of(k.value(), bits)].next += 1;
+        }
+    }
+    slots
+}
+
+/// Tuples of partition `j`, over every shard.
+fn partition_len<K, P>(slots: &[Slot<'_, K, P>], fanout: usize, j: usize) -> usize {
+    slots.iter().skip(j).step_by(fanout).map(|s| s.next).sum()
+}
+
+/// Hands partition `j`'s columns to its shards' slots, each behind the
+/// ranges of the shards before it, so tuples keep their input order
+/// within a partition, as in `scatter_one` and
+/// [`RadixPartitioned::new_parallel`].
+fn lay_out<'o, K, P>(
+    slots: &mut [Slot<'o, K, P>],
+    fanout: usize,
+    j: usize,
+    mut keys: &'o mut [K],
+    mut payloads: &'o mut [P],
+) {
+    for slot in slots.iter_mut().skip(j).step_by(fanout) {
+        (slot.keys, keys) = std::mem::take(&mut keys).split_at_mut(slot.next);
+        (slot.payloads, payloads) = std::mem::take(&mut payloads).split_at_mut(slot.next);
+        slot.next = 0;
+    }
+}
+
+/// Writes every tuple where [`lay_out`] put its shard's range of its
+/// partition, one thread per shard; with `fold`, each slot folds the
+/// checksum of the tuples it takes as it writes them.
+fn scatter<K, P, DK, DP>(
+    keys: &[K],
+    payloads: &[P],
+    bits: u32,
+    slots: &mut [Slot<'_, DK, DP>],
+    fold: bool,
+) where
+    K: ColumnValue<Key> + Sync,
+    P: ColumnValue<Payload> + Sync,
+    DK: ColumnValue<Key> + Send,
+    DP: ColumnValue<Payload> + Send,
+{
+    let fanout = 1usize << bits;
+    let shards = slots.len() / fanout;
+    let scatter = |s: usize, shard: &mut [Slot<'_, DK, DP>]| {
+        let chunk = shard_range(keys.len(), shards, s);
+        for (k, p) in keys[chunk.clone()].iter().zip(&payloads[chunk]) {
+            let (k, p) = (k.value(), p.value());
+            let slot = &mut shard[radix_of(k, bits)];
+            slot.keys[slot.next] = DK::of(k);
+            slot.payloads[slot.next] = DP::of(p);
+            slot.next += 1;
+            if fold {
+                slot.sum.push(k, p);
+            }
+        }
+    };
+    if shards == 1 {
+        scatter(0, slots);
+    } else {
+        fork_join_each(slots.chunks_mut(fanout).collect(), scatter);
+    }
+}
+
+/// The shards a one-pass scatter of `len` tuples runs on: as
+/// `new_parallel`, a thread per chunk, unless the chunks are tiny.
+fn shards_for(len: usize, threads: usize) -> usize {
+    if threads > 1 && len >= 4 * threads {
+        threads
+    } else {
+        1
+    }
+}
+
 /// One scatter pass over a pair of column slices on all `bits` radix bits,
-/// into a fragment's wire bytes, by `shards` threads that each take a
-/// contiguous chunk of the input. The chunks' histograms lay the
-/// partition table out exactly and give each chunk its own range of every
-/// partition's columns, behind the ranges of the chunks before it, so
-/// tuples keep their input order within a partition, as in `scatter_one`
-/// and [`RadixPartitioned::new_parallel`]. Each relation's header goes in
+/// into a fragment's wire bytes, by `shards` threads. The histogram lays
+/// the partition table out exactly, and each relation's header goes in
 /// front last. A lone shard folds each partition's checksum as it writes
 /// the tuples; a checksum runs through its partition in order, across the
-/// shards' ranges, so after several shards it is folded over the written
-/// columns.
+/// shards' ranges (whatever their lengths, its lanes continue from one
+/// range to the next), so after several shards it is folded over the
+/// written columns.
 fn scatter_into_wire<K, P>(keys: &[K], payloads: &[P], bits: u32, shards: usize) -> Vec<u8>
 where
     K: ColumnValue<Key> + Sync,
@@ -307,17 +397,11 @@ where
 {
     let fanout = 1usize << bits;
     let mut out = vec![0u8; wire::HASH_HEADER + fanout * (4 + rw::HEADER_BYTES) + 12 * keys.len()];
-    // Shard `s`'s range of partition `j` is `slots[s * fanout + j]`.
-    let mut slots: Vec<Slot<'_>> = (0..shards * fanout).map(|_| Slot::default()).collect();
-    for (s, shard) in slots.chunks_mut(fanout).enumerate() {
-        for k in &keys[shard_range(keys.len(), shards, s)] {
-            shard[radix_of(k.value(), bits)].next += 1;
-        }
-    }
+    let mut slots = histogram::<_, rw::LeKey, rw::LePayload>(keys, bits, shards);
     let (table_head, mut rest) = out.split_at_mut(wire::HASH_HEADER);
     table_head.copy_from_slice(&wire::hash_header(bits));
     for j in 0..fanout {
-        let n: usize = slots.iter().skip(j).step_by(fanout).map(|s| s.next).sum();
+        let n = partition_len(&slots, fanout, j);
         let (len, tail) = std::mem::take(&mut rest).split_at_mut(4);
         len.copy_from_slice(&(rw::encoded_len(n) as u32).to_le_bytes());
         let (head, tail) = tail.split_at_mut(rw::HEADER_BYTES);
@@ -325,53 +409,76 @@ where
         let (part_payloads, tail) = tail.split_at_mut(8 * n);
         rest = tail;
         slots[j].head = head;
-        let (mut part_keys, mut part_payloads) =
+        let (part_keys, part_payloads) =
             (part_keys.as_chunks_mut().0, part_payloads.as_chunks_mut().0);
-        for slot in slots.iter_mut().skip(j).step_by(fanout) {
-            (slot.keys, part_keys) = std::mem::take(&mut part_keys).split_at_mut(slot.next);
-            (slot.payloads, part_payloads) =
-                std::mem::take(&mut part_payloads).split_at_mut(slot.next);
-            slot.next = 0;
-        }
+        lay_out(&mut slots, fanout, j, part_keys, part_payloads);
     }
     let fold = shards == 1;
-    let scatter = |s: usize, shard: &mut [Slot<'_>]| {
-        let chunk = shard_range(keys.len(), shards, s);
-        for (k, p) in keys[chunk.clone()].iter().zip(&payloads[chunk]) {
-            let (k, p) = (k.value(), p.value());
-            let slot = &mut shard[radix_of(k, bits)];
-            slot.keys[slot.next] = k.to_le_bytes();
-            slot.payloads[slot.next] = p.to_le_bytes();
-            slot.next += 1;
-            if fold {
-                slot.sum.push(k, p);
-            }
-        }
-    };
-    if fold {
-        scatter(0, &mut slots);
-    } else {
-        fork_join_each(slots.chunks_mut(fanout).collect(), scatter);
-    }
+    scatter(keys, payloads, bits, &mut slots, fold);
     // Every column is in: each relation's header goes in front of it.
     let (first, later) = slots.split_at_mut(fanout);
     for (j, slot) in first.iter_mut().enumerate() {
         let (mut n, mut sum) = (slot.keys.len(), slot.sum);
-        for piece in later.iter().skip(j).step_by(fanout) {
-            n += piece.keys.len();
-        }
         if !fold {
             sum = rw::WireChecksum::default();
-            let pieces = std::iter::once(&*slot).chain(later.iter().skip(j).step_by(fanout));
-            for piece in pieces {
-                for (&k, &p) in piece.keys.iter().zip(piece.payloads.iter()) {
-                    sum.push(k.value(), p.value());
-                }
+            sum.fold(slot.keys, slot.payloads);
+        }
+        for piece in later.iter().skip(j).step_by(fanout) {
+            n += piece.keys.len();
+            if !fold {
+                sum.fold(piece.keys, piece.payloads);
             }
         }
         slot.head.copy_from_slice(&rw::header(n, sum));
     }
     out
+}
+
+/// Scatters `rel` in one pass on all `bits` radix bits into `keys` and
+/// `payloads` (each `rel.len()` long), partition after partition, with
+/// `threads` threads as [`RadixPartitioned::new_parallel`] uses them.
+/// Returns where each partition starts, and the end: `2^bits + 1`
+/// positions. The layout [`scatter_into_wire`] gives a fragment's bytes,
+/// with no headers between the partitions: a stationary state's columns.
+pub(crate) fn scatter_into_columns(
+    rel: RelationView<'_>,
+    bits: u32,
+    threads: usize,
+    keys: &mut [Key],
+    payloads: &mut [Payload],
+) -> Vec<usize> {
+    match rel.columns() {
+        Columns::Native(k, p) => scatter_columns(k, p, bits, threads, keys, payloads),
+        Columns::Wire(k, p) => scatter_columns(k, p, bits, threads, keys, payloads),
+    }
+}
+
+fn scatter_columns<K, P>(
+    keys: &[K],
+    payloads: &[P],
+    bits: u32,
+    threads: usize,
+    mut out_keys: &mut [Key],
+    mut out_payloads: &mut [Payload],
+) -> Vec<usize>
+where
+    K: ColumnValue<Key> + Sync,
+    P: ColumnValue<Payload> + Sync,
+{
+    let fanout = 1usize << bits;
+    let mut slots = histogram(keys, bits, shards_for(keys.len(), threads));
+    let mut starts = Vec::with_capacity(fanout + 1);
+    starts.push(0);
+    for j in 0..fanout {
+        let n = partition_len(&slots, fanout, j);
+        starts.push(starts[j] + n);
+        let (part_keys, part_payloads);
+        (part_keys, out_keys) = std::mem::take(&mut out_keys).split_at_mut(n);
+        (part_payloads, out_payloads) = std::mem::take(&mut out_payloads).split_at_mut(n);
+        lay_out(&mut slots, fanout, j, part_keys, part_payloads);
+    }
+    scatter(keys, payloads, bits, &mut slots, false);
+    starts
 }
 
 /// The partition a key belongs to under `bits` total radix bits.
@@ -458,14 +565,31 @@ fn scatter_one<K: ColumnValue<Key>, P: ColumnValue<Payload>>(
         .collect()
 }
 
+/// The share of `CacheParams::l2_bytes` one stationary partition and its
+/// table may take: 1/48, about 85 KiB (4 369 tuples at 20 B) of the
+/// default 4 MiB. The paper gave a partition half its blades' L2. On a
+/// machine where several ring hosts share each core's caches, that rule
+/// leaves tables far larger than the cache a host really gets:
+/// `ablate_radix_bits`' ring-order column (4 hosts' states of 131 072
+/// tuples, 16 fragments in wire bytes visiting in ring order) read a
+/// revolution of visits in 27.5 and 28.6 ms at 5 bits (4 096 tuples,
+/// 80 KiB a partition) against 37.2 and 38.8 ms at the half-L2 rule's
+/// 1 bit, −26 %, on a 2-vCPU Xeon VM (medians of 15, two runs). 4 and
+/// 6–7 bits read 26.2–28.0 ms, within those runs' quartiles: smaller,
+/// L1-sized partitions buy nothing more, and past 8 bits the small
+/// partitions cost more than they save. A host with no more than 4 096
+/// tuples keeps 0 bits: splitting a small fragment's visit into
+/// partitions of a few tuples costs more than it saves.
+const PARTITION_SHARE_OF_L2: usize = 48;
+
 /// Chooses the number of radix bits so that each partition of a stationary
-/// relation with `s_tuples` rows — *plus its hash table* — fits in half the
-/// L2 cache (the other half is left for the probe stream), as the paper's
-/// radix join requires.
+/// relation with `s_tuples` rows — *plus its hash table* — fits in
+/// 1/48 of the L2 cache `params` describe (`PARTITION_SHARE_OF_L2`, where
+/// the measurement behind the share is).
 pub fn radix_bits_for(s_tuples: usize, params: &CacheParams) -> u32 {
     // Per tuple: 12 B of data + 8 B of table (4 B head amortized + 4 B next).
     const BYTES_PER_TUPLE: usize = 20;
-    let budget = (params.l2_bytes / 2).max(BYTES_PER_TUPLE);
+    let budget = (params.l2_bytes / PARTITION_SHARE_OF_L2).max(BYTES_PER_TUPLE);
     let tuples_per_partition = (budget / BYTES_PER_TUPLE).max(1);
     let mut bits = 0u32;
     while (s_tuples >> bits) > tuples_per_partition && bits < 18 {
@@ -587,17 +711,21 @@ mod tests {
 
     /// Threads scatter into the wire bytes side by side, each into its own
     /// ranges, and write what one thread writes: the owned partitioning,
-    /// encoded.
+    /// encoded. At 20 001 tuples on 3 threads the shards' pieces of a
+    /// partition have lengths that are not multiples of 4, and each
+    /// partition's checksum lanes still run on from piece to piece.
     #[test]
     fn threads_scatter_into_the_bytes_one_thread_writes() {
-        let rel = GenSpec::uniform(20_000, 9).generate();
-        let params = CacheParams::default();
-        let owned = RadixPartitioned::new(&rel, 5, &params);
-        let want =
-            wire::PreparedFragment::from_view(FragmentView::HashPartitioned((&owned).into()));
-        for threads in [1usize, 2, 3, 8] {
-            let got = partition_into_wire((&rel).into(), 5, &params, threads);
-            assert!(got == want.as_bytes(), "threads={threads}");
+        for tuples in [20_000, 20_001] {
+            let rel = GenSpec::uniform(tuples, 9).generate();
+            let params = CacheParams::default();
+            let owned = RadixPartitioned::new(&rel, 5, &params);
+            let want =
+                wire::PreparedFragment::from_view(FragmentView::HashPartitioned((&owned).into()));
+            for threads in [1usize, 2, 3, 8] {
+                let got = partition_into_wire((&rel).into(), 5, &params, threads);
+                assert!(got == want.as_bytes(), "tuples={tuples} threads={threads}");
+            }
         }
     }
 
@@ -610,7 +738,7 @@ mod tests {
 
     #[test]
     fn bits_for_small_relation_is_zero() {
-        // A relation that fits L2 outright needs no partitioning.
+        // A relation that fits its share of the cache needs no partitioning.
         assert_eq!(radix_bits_for(1_000, &CacheParams::paper_xeon()), 0);
     }
 
@@ -623,6 +751,21 @@ mod tests {
         // Partitions should actually fit the budget afterwards.
         let tuples_per_part = (1usize << 24) >> large;
         assert!(tuples_per_part * 20 <= params.l2_bytes / 2);
+    }
+
+    /// Under the default parameters a partition holds about 4 096 tuples:
+    /// the 131 072-tuple hosts of a 4-host ring of 2^19 tuples take 5
+    /// bits, and hosts of at most 4 096 tuples take none.
+    #[test]
+    fn default_partitions_hold_about_4096_tuples() {
+        let params = CacheParams::default();
+        assert_eq!(radix_bits_for(131_072, &params), 5);
+        for small in [1, 3_334, 4_096] {
+            assert_eq!(radix_bits_for(small, &params), 0, "{small} tuples");
+        }
+        assert_eq!(radix_bits_for(4_370, &params), 1);
+        // A tiny cache still forces many partitions on small inputs.
+        assert!(radix_bits_for(3_000, &CacheParams::tiny_for_tests()) >= 8);
     }
 
     #[test]

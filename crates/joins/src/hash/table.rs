@@ -3,8 +3,12 @@
 //! The table stores the partition's tuples densely (columnar) plus two
 //! index arrays: `heads[bucket]` points at the first tuple of the bucket's
 //! chain, `next[i]` at the next tuple in tuple `i`'s chain (both offset by
-//! one; `0` terminates). With the partition sized to fit L2, probes walk
-//! chains entirely inside the cache.
+//! one; `0` terminates). With the partition sized to the cache its host
+//! really gets (`radix_bits_for`: about 80 KiB of table under the default
+//! parameters), probes walk chains inside the cache. The kernel reads a
+//! borrowed `TableView`: a [`ChainedTable`]'s own arrays, or one
+//! partition's ranges of the arrays a [`super::HashJoinState`] holds all
+//! of its partitions in.
 //!
 //! Skew sensitivity is *by design*: when a partition is dominated by one
 //! key, its chain degenerates to a list and the probe cost per tuple grows
@@ -16,29 +20,66 @@ use relation::{ColumnValue, Columns, Key, MatchPair, Payload, Relation, Relation
 use super::hash_key;
 use crate::collector::JoinCollector;
 
-/// Probe tuples [`ChainedTable::probe_all`] takes through the table
-/// together. Long enough that the chain walk's loads overlap instead of
-/// waiting on one another (a table beyond L2: 12.7 ns per tuple at 256,
-/// 12.1 at 512, 11.5 at 1 024), short enough that the selection vectors
-/// (6 KiB, zeroed once per call) cost a 128-tuple fragment nothing
-/// measurable (365 ns per visit at 256 and 512, 405 at 1 024).
+/// Probe tuples a batched probe takes through the table together. Long
+/// enough that the chain walk's loads overlap instead of waiting on one
+/// another (a table beyond L2: 12.7 ns per tuple at 256, 12.1 at 512,
+/// 11.5 at 1 024), short enough that the selection vectors (6 KiB, zeroed
+/// once per visit, or per [`ChainedTable::probe_all`] call) cost a
+/// 128-tuple fragment nothing measurable (365 ns per visit at 256 and 512,
+/// 405 at 1 024).
 pub const PROBE_BATCH: usize = 512;
 
-/// A bucket-chained hash table over one relation partition.
+/// The selection vectors a batched probe compacts into: the position in
+/// the batch and chain cursor of every live probe tuple, then the (probe
+/// position, table slot) pairs that matched at the current chain level.
+/// 6 KiB on the stack: a visit zeroes one set and passes it to the probe
+/// of each of its partitions.
+pub(crate) struct Selection {
+    live_at: [u16; PROBE_BATCH],
+    live_cursor: [u32; PROBE_BATCH],
+    hit_at: [u16; PROBE_BATCH],
+    hit_slot: [u32; PROBE_BATCH],
+}
+
+impl Selection {
+    pub(crate) fn new() -> Self {
+        Selection {
+            live_at: [0; PROBE_BATCH],
+            live_cursor: [0; PROBE_BATCH],
+            hit_at: [0; PROBE_BATCH],
+            hit_slot: [0; PROBE_BATCH],
+        }
+    }
+}
+
+/// A bucket-chained hash table over one relation partition: the owner of
+/// the arrays the probe kernel reads, borrowed.
 #[derive(Debug, Clone, Default)]
 pub struct ChainedTable {
-    mask: u32,
-    /// Hash bits to discard before indexing buckets. A partition produced
-    /// by `radix_bits` of radix partitioning holds keys that all agree on
-    /// the low `radix_bits` bits of their hash — indexing buckets with
-    /// those same bits would use only a fraction of the table and grow
-    /// chains by `2^radix_bits`. The table therefore buckets on the hash
-    /// bits *above* the radix, the standard radix-join layout.
     shift: u32,
     heads: Vec<u32>,
     next: Vec<u32>,
     keys: Vec<Key>,
     payloads: Vec<Payload>,
+}
+
+/// Buckets of a table over `n` tuples: one per tuple, rounded up to a
+/// power of two.
+pub(crate) fn buckets_for(n: usize) -> usize {
+    n.next_power_of_two().max(1)
+}
+
+/// Threads every key into its bucket's chain: `heads` (a power of two
+/// long) and `next` (as long as `keys`) are zeroed on entry, and each
+/// holds slots offset by one, `0` terminating a chain. Buckets take the
+/// hash bits above the `shift` radix bits.
+pub(crate) fn chain(keys: &[Key], shift: u32, heads: &mut [u32], next: &mut [u32]) {
+    let mask = (heads.len() - 1) as u32;
+    for (i, (&k, next)) in keys.iter().zip(next.iter_mut()).enumerate() {
+        let head = &mut heads[((hash_key(k) >> shift) & mask) as usize];
+        *next = *head;
+        *head = i as u32 + 1;
+    }
 }
 
 impl ChainedTable {
@@ -62,26 +103,28 @@ impl ChainedTable {
     /// the table indexes the partition's own columns in place, so the build
     /// allocates only the two index arrays — no copy of keys or payloads.
     pub fn build_owned(partition: Relation, radix_bits: u32) -> Self {
-        let n = partition.len();
-        let buckets = n.next_power_of_two().max(1);
-        let mask = (buckets - 1) as u32;
-        let mut heads = vec![0u32; buckets];
-        let mut next = vec![0u32; n];
+        let mut heads = vec![0u32; buckets_for(partition.len())];
+        let mut next = vec![0u32; partition.len()];
         let (keys, payloads) = partition.into_columns();
         let (keys, payloads) = (keys.into_vec(), payloads.into_vec());
-        for (i, &k) in keys.iter().enumerate() {
-            let b = ((hash_key(k) >> radix_bits) & mask) as usize;
-            next[i] = heads[b];
-            heads[b] = i as u32 + 1;
-        }
+        chain(&keys, radix_bits, &mut heads, &mut next);
         ChainedTable {
-            mask,
             shift: radix_bits,
             heads,
             next,
             keys,
             payloads,
         }
+    }
+
+    fn view(&self) -> TableView<'_> {
+        TableView::new(
+            self.shift,
+            &self.heads,
+            &self.next,
+            &self.keys,
+            &self.payloads,
+        )
     }
 
     /// Number of tuples in the table.
@@ -95,7 +138,7 @@ impl ChainedTable {
     }
 
     /// Approximate memory footprint in bytes (tuples + index arrays), the
-    /// quantity that must fit in L2 together with the probe stream.
+    /// quantity that must fit in cache together with the probe stream.
     pub fn footprint_bytes(&self) -> usize {
         self.keys.len() * (4 + 8 + 4) + self.heads.len() * 4
     }
@@ -103,17 +146,82 @@ impl ChainedTable {
     /// Iterates over the stored tuples whose key equals `key`.
     #[inline]
     pub fn probe(&self, key: Key) -> Probe<'_> {
+        self.view().probe(key)
+    }
+
+    /// Probes every tuple of `probe` and feeds the matches to `collector`
+    /// (`TableView::probe_all`), with selection vectors of its own.
+    pub fn probe_all<'p>(&self, probe: impl Into<RelationView<'p>>, collector: &mut JoinCollector) {
+        self.view()
+            .probe_all(probe.into(), &mut Selection::new(), collector);
+    }
+
+    /// Length of the longest bucket chain (a direct skew indicator).
+    pub fn longest_chain(&self) -> usize {
+        self.view().longest_chain()
+    }
+}
+
+/// A bucket-chained table over one partition, borrowed: the table's
+/// tuples stored densely (columnar) plus two index arrays, `heads[bucket]`
+/// pointing at the first tuple of the bucket's chain and `next[i]` at the
+/// next tuple in tuple `i`'s chain (both offset by one; `0` terminates).
+/// A [`ChainedTable`]'s own arrays, or one partition's ranges of a
+/// [`super::HashJoinState`]'s: the probe kernel is this one.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct TableView<'a> {
+    mask: u32,
+    /// Hash bits to discard before indexing buckets. A partition produced
+    /// by `radix_bits` of radix partitioning holds keys that all agree on
+    /// the low `radix_bits` bits of their hash — indexing buckets with
+    /// those same bits would use only a fraction of the table and grow
+    /// chains by `2^radix_bits`. The table therefore buckets on the hash
+    /// bits *above* the radix, the standard radix-join layout.
+    shift: u32,
+    heads: &'a [u32],
+    next: &'a [u32],
+    keys: &'a [Key],
+    payloads: &'a [Payload],
+}
+
+impl<'a> TableView<'a> {
+    /// The table whose chains [`chain`] threaded through `heads` and
+    /// `next` over `keys`.
+    pub(crate) fn new(
+        shift: u32,
+        heads: &'a [u32],
+        next: &'a [u32],
+        keys: &'a [Key],
+        payloads: &'a [Payload],
+    ) -> Self {
+        // A default `ChainedTable` has no buckets: its mask is 0, and every
+        // probe finds no head.
+        debug_assert!(heads.is_empty() || heads.len().is_power_of_two());
+        debug_assert!(next.len() == keys.len() && keys.len() == payloads.len());
+        TableView {
+            mask: heads.len().saturating_sub(1) as u32,
+            shift,
+            heads,
+            next,
+            keys,
+            payloads,
+        }
+    }
+
+    /// Iterates over the stored tuples whose key equals `key`.
+    #[inline]
+    fn probe(&self, key: Key) -> Probe<'a> {
         let bucket = ((hash_key(key) >> self.shift) & self.mask) as usize;
         Probe {
-            table: self,
+            table: *self,
             key,
             cursor: *self.heads.get(bucket).unwrap_or(&0),
         }
     }
 
     /// Probes every tuple of `probe` and feeds the matches to `collector`:
-    /// the multiset [`ChainedTable::probe`] yields key by key, found a
-    /// batch of [`PROBE_BATCH`] tuples at a time.
+    /// the multiset [`TableView::probe`] yields key by key, found a batch
+    /// of [`PROBE_BATCH`] tuples at a time in `selection`'s vectors.
     ///
     /// A tuple-at-a-time probe spends its time on the chain walk's two
     /// data-dependent branches ("chain ended?", "key equal?"), which the
@@ -130,30 +238,41 @@ impl ChainedTable {
     /// kernel is generic over how a column value lies ([`ColumnValue`]),
     /// so it reads received bytes in place, with no copy, as it reads
     /// owned columns.
-    pub fn probe_all<'p>(&self, probe: impl Into<RelationView<'p>>, collector: &mut JoinCollector) {
-        match probe.into().columns() {
-            Columns::Native(keys, payloads) => self.probe_columns(keys, payloads, collector),
-            Columns::Wire(keys, payloads) => self.probe_columns(keys, payloads, collector),
+    pub(crate) fn probe_all(
+        &self,
+        probe: RelationView<'_>,
+        selection: &mut Selection,
+        collector: &mut JoinCollector,
+    ) {
+        match probe.columns() {
+            Columns::Native(keys, payloads) => {
+                self.probe_columns(keys, payloads, selection, collector)
+            }
+            Columns::Wire(keys, payloads) => {
+                self.probe_columns(keys, payloads, selection, collector)
+            }
         }
     }
 
-    fn probe_columns<K, P>(&self, keys: &[K], payloads: &[P], collector: &mut JoinCollector)
-    where
+    fn probe_columns<K, P>(
+        &self,
+        keys: &[K],
+        payloads: &[P],
+        selection: &mut Selection,
+        collector: &mut JoinCollector,
+    ) where
         K: ColumnValue<Key>,
         P: ColumnValue<Payload>,
     {
-        // A high radix fan-out leaves most partitions of a small fragment
-        // empty: do not zero the selection vectors for them.
-        if keys.is_empty() || self.is_empty() {
+        if keys.is_empty() || self.keys.is_empty() {
             return;
         }
-        // Position in the batch and chain cursor of every live probe
-        // tuple, then the (probe position, table slot) pairs that matched
-        // at the current chain level.
-        let mut live_at = [0u16; PROBE_BATCH];
-        let mut live_cursor = [0u32; PROBE_BATCH];
-        let mut hit_at = [0u16; PROBE_BATCH];
-        let mut hit_slot = [0u32; PROBE_BATCH];
+        let Selection {
+            live_at,
+            live_cursor,
+            hit_at,
+            hit_slot,
+        } = selection;
         let batches = keys.chunks(PROBE_BATCH).zip(payloads.chunks(PROBE_BATCH));
         for (keys, payloads) in batches {
             let mut live = 0usize;
@@ -192,9 +311,9 @@ impl ChainedTable {
     }
 
     /// Length of the longest bucket chain (a direct skew indicator).
-    pub fn longest_chain(&self) -> usize {
+    fn longest_chain(&self) -> usize {
         let mut longest = 0;
-        for &head in &self.heads {
+        for &head in self.heads {
             let mut len = 0;
             let mut cur = head;
             while cur != 0 {
@@ -210,7 +329,7 @@ impl ChainedTable {
 /// Iterator over the matches [`ChainedTable::probe`] found.
 #[derive(Debug)]
 pub struct Probe<'a> {
-    table: &'a ChainedTable,
+    table: TableView<'a>,
     key: Key,
     cursor: u32,
 }
@@ -248,10 +367,17 @@ mod tests {
 
     #[test]
     fn empty_table_probes_cleanly() {
-        let table = ChainedTable::build(&Relation::new());
-        assert!(table.is_empty());
-        assert_eq!(table.probe(5).count(), 0);
-        assert_eq!(table.longest_chain(), 0);
+        for table in [
+            ChainedTable::build(&Relation::new()),
+            ChainedTable::default(),
+        ] {
+            assert!(table.is_empty());
+            assert_eq!(table.probe(5).count(), 0);
+            assert_eq!(table.longest_chain(), 0);
+            let mut c = JoinCollector::aggregating();
+            table.probe_all(&Relation::from_pairs([(5, 1)]), &mut c);
+            assert_eq!(c.count(), 0);
+        }
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! uniform two-phase API so cyclo-join can amortize setup across a full
 //! ring revolution.
 //!
-//! * [`hash`] — radix-partitioned hash join tuned to L2 cache geometry
-//!   (Manegold, Boncz & Kersten's radix join), equi-joins only;
+//! * [`hash`] — radix-partitioned hash join tuned to the cache a host
+//!   really gets (Manegold, Boncz & Kersten's radix join), equi-joins only;
 //! * [`sort`] — radix sort + multi-threaded merge join, including band
 //!   joins;
 //! * [`nested`] — blocked nested loops for arbitrary theta predicates;

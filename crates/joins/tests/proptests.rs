@@ -531,3 +531,53 @@ proptest! {
         }
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// A stationary hash state (every partition's table in one set of
+    /// arrays, written by one histogram pass and one scatter) finds exactly
+    /// the reference equi-join: radix bits 0–9, so that most partitions
+    /// are empty at the higher fan-outs (and all of them when a side is
+    /// empty); passes bounded at 2 or 8 bits (the state's scatter is one
+    /// pass either way, a probe fragment's is not); the probe side owned,
+    /// and prepared into its wire bytes viewed at an unaligned offset; and
+    /// 1–3 threads building, preparing and visiting.
+    #[test]
+    fn contiguous_state_equals_reference_join(
+        r in relation_strategy(),
+        s in relation_strategy(),
+        bits in 0u32..10,
+        wide_passes in any::<bool>(),
+        threads in 1usize..4,
+        offset in 1usize..8,
+    ) {
+        use mem_joins::hash::join::reference_equi_join;
+        use mem_joins::hash::{HashJoinState, PartitionsView};
+        let params = CacheParams {
+            max_bits_per_pass: if wide_passes { 8 } else { 2 },
+            ..CacheParams::default()
+        };
+        let reference = reference_equi_join(&r, &s);
+        let want = (
+            reference.len() as u64,
+            reference.iter().copied().collect::<Checksum>(),
+        );
+        let state = HashJoinState::build_parallel(&s, bits, &params, threads);
+        prop_assert_eq!(state.len(), s.len());
+        let owned = RadixPartitioned::new_parallel(&r, bits, &params, threads);
+        let prepared = Algorithm::PartitionedHash(params).prepare_fragment(&r, bits, threads);
+        let mut bytes = vec![0xEE; offset];
+        bytes.extend_from_slice(prepared.as_bytes());
+        let FragmentView::HashPartitioned(viewed) =
+            mem_joins::wire::view(&bytes[offset..]).expect("intact bytes")
+        else {
+            panic!("a hash fragment views as one");
+        };
+        for probe in [PartitionsView::from(&owned), viewed] {
+            let mut c = JoinCollector::aggregating();
+            state.probe_partitioned(probe, threads, &mut c);
+            prop_assert_eq!((c.count(), c.checksum()), want);
+        }
+    }
+}

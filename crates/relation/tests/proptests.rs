@@ -56,6 +56,47 @@ proptest! {
         prop_assert_eq!(sorted.len(), rel.len());
     }
 
+    /// The wire checksum keeps tuple order and every bit: swapping two
+    /// different tuples, in the same checksum lane (positions four apart,
+    /// or a multiple of that) or across lanes, or flipping any bit of a
+    /// tuple's key or payload, is a `ChecksumMismatch`.
+    #[test]
+    fn wire_checksum_catches_swaps_and_flips(
+        pairs in prop::collection::vec((any::<u32>(), any::<u64>()), 2..300),
+        first in any::<u64>(),
+        second in any::<u64>(),
+        same_lane in any::<bool>(),
+        bit in 0usize..96,
+    ) {
+        use relation::wire::{self, DecodeError, HEADER_BYTES};
+        let rel = Relation::from_pairs(pairs);
+        let n = rel.len();
+        let bytes = wire::encode(&rel);
+        let i = (first % n as u64) as usize;
+        let partners: Vec<usize> =
+            (0..n).filter(|&j| j != i && (j % 4 == i % 4) == same_lane).collect();
+        prop_assume!(!partners.is_empty());
+        let j = partners[(second % partners.len() as u64) as usize];
+        let (a, b) = (rel.get(i).unwrap(), rel.get(j).unwrap());
+        prop_assume!(a != b);
+        let mut swapped: Vec<(u32, u64)> = rel.iter().map(|t| (t.key, t.payload)).collect();
+        swapped.swap(i, j);
+        let mut corrupt = wire::encode(&Relation::from_pairs(swapped));
+        // The swapped columns under the original header.
+        corrupt[..HEADER_BYTES].copy_from_slice(&bytes[..HEADER_BYTES]);
+        prop_assert_eq!(wire::view(&corrupt).unwrap_err(), DecodeError::ChecksumMismatch);
+
+        let mut flipped = bytes.clone();
+        let at = if bit < 32 {
+            HEADER_BYTES + 4 * i + bit / 8
+        } else {
+            HEADER_BYTES + 4 * n + 8 * i + (bit - 32) / 8
+        };
+        flipped[at] ^= 1 << (bit % 8);
+        prop_assert_eq!(wire::view(&flipped).unwrap_err(), DecodeError::ChecksumMismatch);
+        prop_assert_eq!(wire::view(&bytes).map(|v| v.len()), Ok(n));
+    }
+
     /// The checksum is order-independent and partition-independent.
     #[test]
     fn checksum_is_commutative(

@@ -54,7 +54,17 @@ cargo test -q -p integration-tests --test chaos multi_tenant
 # thread, the fall-back to the pool after a slow visit and the way back,
 # a panicking inline visit as a typed teardown, and inline visits that
 # leave the same spans, busy time and counter as pooled ones.
+# The wire checksum in four lanes must still catch two swapped tuples (in
+# one lane or across lanes) and any flipped column bit; a stationary hash
+# state (every partition's table in one set of arrays) must allocate the
+# same at any fan-out and a warm visit over wire bytes nothing (its own
+# counting allocator); and the state must find the reference equi-join at
+# radix bits 0-9, passes of 2 or 8 bits, the probe owned or in unaligned
+# wire bytes, and 1-3 threads.
 cargo test -q -p mem-joins --test proptests batched_probe_equals_single_key_probes
+cargo test -q -p relation --test proptests wire_checksum_catches_swaps_and_flips
+cargo test -q -p mem-joins --test alloc_hash
+cargo test -q -p mem-joins --test proptests contiguous_state_equals_reference_join
 cargo test -q -p data-roundabout --lib cheap_visits_run_inline_serially_and_in_order
 cargo test -q -p data-roundabout --lib a_slow_visit_falls_back_to_the_pool_and_comes_back
 cargo test -q -p data-roundabout --lib a_panicking_inline_visit_is_a_typed_teardown
