@@ -1,67 +1,65 @@
-//! The one coordinator behind the three wall-clock drivers, and the
-//! decisions it shares with the simulator.
+//! The one coordinator behind every ring run: the applier of the
+//! protocol's outputs, on a virtual clock or on the wall clock.
 //!
 //! The sans-IO [`crate::protocol`] core emits an ordered stream of
-//! [`Output`]s; something has to turn each of them into IO. For the
-//! wall-clock drivers — blocking TCP ([`crate::tcp_backend`]), the
-//! reactor ([`crate::reactor_backend`]) and the channel engine
-//! ([`crate::thread_backend`]) — that something is `Coordinator`, and it
-//! exists exactly once:
+//! [`Output`]s; something has to turn each of them into IO. For every
+//! driver — the simulator ([`crate::sim_backend`]), blocking TCP
+//! ([`crate::tcp_backend`]), the reactor ([`crate::reactor_backend`]) and
+//! the channel engine ([`crate::thread_backend`]) — that something is
+//! `Coordinator`, and it exists exactly once:
 //!
 //! * it owns the [`RingProtocol`] — run over shared in-flight payloads
 //!   (`InFlight`), so a visit's job and every retransmission attempt hold
 //!   the payload by reference count, never by copy — the optional
-//!   [`FaultPlan`] dice, the [`SpanTracer`], the wall-clock accumulators
-//!   behind [`RingMetrics`], the first-error latch and the queue of
-//!   synchronous follow-up `Event`s;
+//!   [`FaultPlan`] dice, the [`SpanTracer`], the accumulators behind
+//!   [`RingMetrics`], the first-error latch and the queue of synchronous
+//!   follow-up `Event`s;
 //! * it applies outputs strictly in emission order (`Coordinator::apply`)
-//!   and translates driver events back into protocol [`Input`]s with one
-//!   crash-guard policy (`Coordinator::handle`): joins and fault-plan
-//!   events die with a crashed host; wire deliveries, send completions and
-//!   protocol ticks always reach the protocol;
-//! * it owns the run's one timer queue (`TimerQueue`): protocol
+//!   and translates events back into protocol [`Input`]s with one
+//!   crash-guard policy (`Coordinator::handle`): set-ups, job completions
+//!   and fault-plan events die with a crashed host (a job that finished
+//!   is booked first: its time was spent); wire deliveries, send
+//!   completions and protocol ticks always reach the protocol;
+//! * it keeps time as [`SimTime`] since the run's epoch, read through
+//!   `Medium::now`, and owns the run's one event queue
+//!   ([`EventQueue`], ordered by `(time, arm order)`): set-ups, protocol
 //!   backoffs, the plans' scheduled events and delay-spike arrivals are
-//!   data there, and both wall-clock event loops fire what is due and
-//!   wait no longer than the next deadline (`Coordinator::fire_or_wait`);
-//! * everything that differs between the engines sits behind the four
-//!   calls of the crate-private `Medium` trait, dispatched statically. A
-//!   socket medium frames each live attempt as a fresh header ahead of
-//!   the payload's wire bytes — at the origin the bytes a fragment was
-//!   prepared in, or an owned payload's encoded on its first attempt, and
-//!   the bytes it arrived in everywhere after (see [`crate::frame`]) —
-//!   and says whether it was the payload's first send out of its origin,
-//!   so the coordinator can count `frames_encoded` against
-//!   `frames_forwarded`. A socket medium also launches each payload at its
-//!   origin (`Medium::launch`): a payload that is its wire bytes goes in a
-//!   pool cell, as an arrival does.
+//!   data there — and, on the simulator, every completion the cost model
+//!   prices. A wall-clock loop fires what is due and waits no longer than
+//!   the next due time (`Coordinator::fire_or_wait`); the simulator's loop
+//!   pops the queue and advances virtual time to each event;
+//! * everything that differs between the drivers sits behind the calls
+//!   of the crate-private `Medium` trait, dispatched statically: what
+//!   time it is, when a host is set up, how an attempt, a lost attempt,
+//!   an ack and a job move, what a delivery costs its receiver and
+//!   whether the application stops a continuous rotation. A socket medium
+//!   frames each live attempt as a fresh header ahead of the payload's
+//!   wire bytes — at the origin the bytes a fragment was prepared in, or
+//!   an owned payload's encoded on its first attempt, and the bytes it
+//!   arrived in everywhere after (see [`crate::frame`]) — and says whether
+//!   it was the payload's first send out of its origin, so the coordinator
+//!   can count `frames_encoded` against `frames_forwarded`. A socket
+//!   medium also launches each payload at its origin (`Medium::launch`): a
+//!   payload that is its wire bytes goes in a pool cell, as an arrival
+//!   does. The simulator's medium is the cost model: it prices set-ups,
+//!   joins and absorbs, reserves links and RNICs and bills CPU, and arms
+//!   each completion on the coordinator's queue.
 //!
-//! The simulator ([`crate::sim_backend`]) is the second applier and is
-//! deliberately *not* a `Medium`. What the two appliers decide alike lives
-//! here once and both call it: the trace vocabulary (`observe`, the only
-//! place a protocol output becomes an event name or a counter), the plan
-//! and shape rule table (`validate`, public as [`validate_plans`]), the
-//! quiet-dice rule (`dice`), the per-attempt roll (`roll`), the plans'
-//! schedule and what a fired timer means (`scheduled`,
-//! `TimerKind::fired`), and the protocol-derived part of [`RingMetrics`]
-//! (`ring_metrics`). What is left in `sim_backend` is the cost model, and
-//! that is the reason it stays a separate applier: set-up is a modeled
-//! phase there, a dropped attempt still occupies the link and charges its
-//! sender, deliveries charge receive CPU, a join's span is known when it
-//! starts, and a rotation may be continuous — each would be a hook only
-//! the simulator fills (DESIGN §8 has the list). Both appliers run the
-//! protocol over the same in-flight payload type.
-//!
-//! Alongside live the pieces every wall-clock engine used to carry a copy
-//! of: the guarded job runner (`run_job` / `worker_loop`) and the generic
-//! driver ([`WallClockDriver`]) that `RingDriver`, `TcpRingDriver` and
-//! `ReactorRingDriver` are names for.
+//! Alongside live the decisions that are not about IO at all: the trace
+//! vocabulary (`observe`, the only place a protocol output becomes an
+//! event name or a counter), the plan and shape rule table (`validate`,
+//! public as [`validate_plans`]), the quiet-dice rule (`dice`), the
+//! per-attempt roll (`roll`), the plans' schedule and what a fired timer
+//! means (`scheduled`, `TimerKind::fired`), and the protocol-derived part
+//! of [`RingMetrics`] (`ring_metrics`). The machine clock is read only in
+//! [`crate::wall_clock`], never here (xtask L2).
 
 use std::borrow::Cow;
 use std::collections::VecDeque;
-use std::marker::PhantomData;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
+use simnet::cpu::{CostCategory, CpuAccount};
+use simnet::event::EventQueue;
 use simnet::fault::{FaultPlan, RescalePlan};
 use simnet::span::{counter, SpanKind, SpanTracer, Track};
 use simnet::time::{SimDuration, SimTime};
@@ -70,27 +68,23 @@ use simnet::topology::HostId;
 use crate::config::RingConfig;
 use crate::envelope::{Envelope, FragmentId, PayloadBytes};
 use crate::error::RingError;
-use crate::frame::{Frame, WirePayload};
-use crate::inflight::{launch_owned, Batches, InFlight, Visit};
+use crate::frame::Frame;
+use crate::inflight::{launch_owned, Batches, InFlight};
 use crate::metrics::{HostMetrics, RingMetrics};
-use crate::protocol::{
-    envelope_batches, query_batches, teardown, Input, Output, ProtocolConfig, RingProtocol, Timer,
-};
-use crate::reactor_backend::ReactorEngine;
-use crate::tcp_backend::BlockingEngine;
-use crate::thread_backend::ChannelEngine;
+use crate::protocol::{teardown, Input, Output, ProtocolConfig, RingProtocol, Timer};
 
 /// Watchdog teardown reason (driver-side; not part of the protocol's
 /// teardown cascade).
 pub(crate) const STALLED: &str = "ring stalled: no event arrived within the watchdog window";
 /// Invariant: [`Output::StartJoin`] always has a payload in the slot.
-const EMPTY_SLOT: &str = "StartJoin with an empty processing slot";
+pub(crate) const EMPTY_SLOT: &str = "StartJoin with an empty processing slot";
 /// Invariant: [`Output::Ack`] is only emitted while a delivery is being
 /// processed, which names the acking host.
 const ACK_OUT_OF_CONTEXT: &str = "ack emitted outside a delivery context";
 /// The one capability difference between the engines
-/// ([`WallClockEngine::HOST_FAULTS`]): the channel wire of the thread
-/// backend has no socket to sever and no salvage path.
+/// ([`WallClockEngine::HOST_FAULTS`](crate::WallClockEngine::HOST_FAULTS)):
+/// the channel wire of the thread backend has no socket to sever and no
+/// salvage path.
 const NO_HOST_FAULTS: &str =
     "the threaded backend supports link loss, corruption and delay spikes (plus planned rescale \
      and multiplexing); host crashes and pauses need ring healing — use the simulated backend \
@@ -100,15 +94,20 @@ const NO_HOST_FAULTS: &str =
 // What circulates, and what the plans may ask for
 // ---------------------------------------------------------------------------
 
-/// What circulates on the ring: one query's envelopes (the classic path)
-/// or several pre-numbered queries plus an admission bound.
+/// What circulates on the ring: one query's envelopes (the classic path),
+/// the same circulating until the application stops them, or several
+/// pre-numbered queries plus an admission bound.
 pub enum Workload<P> {
     /// `envelopes[h]` are host `h`'s local envelopes.
     Single(Vec<Vec<Envelope<P>>>),
+    /// One query's envelopes that never retire: after each revolution they
+    /// go round again until the application says it is finished (the
+    /// Data Cyclotron; the simulator's continuous rotation).
+    Continuous(Vec<Vec<Envelope<P>>>),
     /// Several multiplexed queries.
     Multi {
         /// `(tenant, envelopes)` per query, numbered by
-        /// [`query_batches`].
+        /// [`query_batches`](crate::protocol::query_batches).
         queries: Vec<(u32, Vec<Vec<Envelope<P>>>)>,
         /// How many queries may circulate concurrently.
         max_active: usize,
@@ -242,8 +241,8 @@ pub(crate) fn dice<'a>(
 /// Rolls the medium's dice for one attempt of transfer `tid` (the
 /// medium's business, not the protocol's) and reports the fate back to the
 /// protocol. Keyed on the per-sender wire sequence (`wire.seq`), the
-/// numbering all four backends share — the parity suite depends on both
-/// appliers rolling exactly this. A corrupt attempt gets its checksum
+/// numbering all four backends share — the parity suite depends on every
+/// backend rolling exactly this. A corrupt attempt gets its checksum
 /// flipped in flight, so the receiver's verification rejects the copy and
 /// withholds the ack. Returns whether the medium ate the attempt and the
 /// delay spike it rides. Without dice (`None`, the classic transport)
@@ -272,14 +271,14 @@ pub(crate) fn roll<P: PayloadBytes + Clone>(
 /// The one trace vocabulary: what a protocol [`Output`] looks like to a
 /// [`SpanTracer`] on every backend — an instant event `(host, track,
 /// name)` stamped `at()`, a bump of a registry counter, both, or nothing.
-/// Both appliers hand every output here before acting on it, so the four
+/// The applier hands every output here before acting on it, so the four
 /// backends cannot spell an event differently, and this is the only place
 /// an event name is formatted.
 ///
 /// The `match` has no wildcard (xtask L6): a new output fails the build
 /// until its trace form is decided. With the tracer off nothing is
 /// stamped, formatted or allocated. Spans are not vocabulary: a join,
-/// absorb or send span needs a duration only the applier's clock knows.
+/// absorb or send span needs a duration only the medium knows.
 pub(crate) fn observe<P>(
     tracer: &mut SpanTracer,
     at: impl FnOnce() -> SimTime,
@@ -361,7 +360,7 @@ pub(crate) fn observe<P>(
             ring(format!("query {query} (tenant {tenant}) complete")),
             Some((counter::QUERIES_COMPLETED, 1)),
         ),
-        // Silent: the appliers' own spans (join, absorb) or pure IO.
+        // Silent: the applier's own spans (join, absorb) or pure IO.
         Output::StartJoin { .. }
         | Output::Processed { .. }
         | Output::Ack { .. }
@@ -388,7 +387,7 @@ pub(crate) fn takeover_name(planned: bool, roles: usize, donor: HostId) -> Strin
 }
 
 /// The protocol-derived part of a finished run's [`RingMetrics`]; the
-/// applier supplies what only its clock and cost model know.
+/// coordinator's books supply the rest.
 pub(crate) fn ring_metrics<P: PayloadBytes + Clone>(
     proto: &RingProtocol<P>,
     hosts: Vec<HostMetrics>,
@@ -439,15 +438,34 @@ pub(crate) enum Job<P> {
     },
 }
 
-/// A finished [`Job`].
+/// A finished [`Job`], with what it cost.
 pub(crate) struct JobDone {
     pub(crate) host: HostId,
-    pub(crate) spent: Duration,
+    /// How long the job kept its host busy: measured on the wall clock,
+    /// priced by the cost model on the simulator.
+    pub(crate) spent: SimDuration,
+    /// The compute it cost ([`CostCategory::Compute`]): the measured time
+    /// on every join thread, or the model's price.
+    pub(crate) cpu: SimDuration,
     pub(crate) panicked: bool,
     /// The medium ran the job on the coordinator's own thread instead of
     /// handing it to a worker (only the reactor ever does).
     pub(crate) inline: bool,
     pub(crate) what: Done,
+}
+
+impl JobDone {
+    /// A job at `host` that ran to its end, on a worker.
+    pub(crate) fn new(host: HostId, spent: SimDuration, cpu: SimDuration, what: Done) -> Self {
+        JobDone {
+            host,
+            spent,
+            cpu,
+            panicked: false,
+            inline: false,
+            what,
+        }
+    }
 }
 
 /// Which job finished.
@@ -461,78 +479,6 @@ pub(crate) enum Done {
         roles: usize,
         planned: bool,
     },
-}
-
-/// Runs one job at `host`, guarding the user callbacks: a panic inside
-/// one must become a typed teardown error, not a dead worker. A join
-/// visits the owned payload, or the bytes it arrived in read in place.
-pub(crate) fn run_job<P, F, A>(host: HostId, job: Job<P>, visit: &F, absorb: &A) -> JobDone
-where
-    P: WirePayload,
-    F: Fn(HostId, u32, &[usize], Visit<'_, P>),
-    A: Fn(HostId, usize),
-{
-    let started = Instant::now();
-    let (completed, what) = match job {
-        Job::Join {
-            payload,
-            query,
-            roles,
-            id,
-            hop,
-        } => {
-            let outcome = catch_unwind(AssertUnwindSafe(|| {
-                let own = [host.0];
-                let roles = roles.as_deref().unwrap_or(&own);
-                payload
-                    .visit()
-                    .map(|payload| visit(host, query, roles, payload))
-            }));
-            (matches!(outcome, Ok(Some(()))), Done::Join { id, hop })
-        }
-        Job::Absorb {
-            from,
-            roles,
-            planned,
-        } => (
-            catch_unwind(AssertUnwindSafe(|| {
-                roles.iter().for_each(|&role| absorb(host, role))
-            }))
-            .is_ok(),
-            Done::Absorb {
-                from,
-                roles: roles.len(),
-                planned,
-            },
-        ),
-    };
-    JobDone {
-        host,
-        spent: started.elapsed(),
-        panicked: !completed,
-        inline: false,
-        what,
-    }
-}
-
-/// One host's join worker: runs jobs off its queue until the queue closes
-/// or `report` says the coordinator is gone.
-pub(crate) fn worker_loop<P, F, A>(
-    host: HostId,
-    jobs: impl Iterator<Item = Job<P>>,
-    mut report: impl FnMut(Event<P>) -> bool,
-    visit: &F,
-    absorb: &A,
-) where
-    P: WirePayload,
-    F: Fn(HostId, u32, &[usize], Visit<'_, P>),
-    A: Fn(HostId, usize),
-{
-    for job in jobs {
-        if !report(Event::Job(run_job(host, job, visit, absorb))) {
-            return;
-        }
-    }
 }
 
 /// Timers are protocol backoffs plus the fault and rescale plans'
@@ -603,9 +549,11 @@ pub(crate) fn scheduled(
     events
 }
 
-/// What the coordinator hears from an engine (and from itself: media
+/// What the coordinator hears from a medium (and from itself: media
 /// queue synchronous follow-ups in the same shape).
 pub(crate) enum Event<P> {
+    /// Host `host` finished its set-up at `at` and may join.
+    Setup { host: HostId, at: SimTime },
     /// A frame came off the wire at host `at`.
     Frame {
         at: HostId,
@@ -622,14 +570,16 @@ pub(crate) enum Event<P> {
 }
 
 /// What the coordinator hears from itself and from the medium's calls,
-/// as opposed to what the engine delivers.
+/// as opposed to what an engine delivers.
 pub(crate) struct Pending<P> {
     /// Synchronous follow-ups, handled in order before the engine blocks
     /// for the next external event.
     pub(crate) now: VecDeque<Event<P>>,
-    /// Events due at an instant — protocol backoffs, the plans' scheduled
-    /// events, a delay spike's arrival — handled once due.
-    pub(crate) timers: TimerQueue<Event<P>>,
+    /// Events due at an instant since the run's epoch — set-ups, protocol
+    /// backoffs, the plans' scheduled events, a delay spike's arrival, and
+    /// on the simulator every completion the model prices — handled once
+    /// due, in `(time, arm order)`.
+    pub(crate) timers: EventQueue<Event<P>>,
 }
 
 /// The outcome of one timed receive, whatever channel it came from.
@@ -639,7 +589,7 @@ pub(crate) enum Recv<T> {
     Closed,
 }
 
-/// How a live attempt went onto the wire.
+/// How an attempt went onto the wire.
 pub(crate) enum Sent {
     /// By value: the medium carries payloads, not bytes (the channel
     /// engine).
@@ -651,13 +601,32 @@ pub(crate) enum Sent {
     /// As a fresh header ahead of the payload bytes it already carried
     /// out: a forward, or a retransmission.
     Forwarded,
+    /// Onto a modeled wire, which it holds until the instant given (the
+    /// simulator, a lost attempt included): the coordinator spans it.
+    Held(SimTime),
+    /// Nowhere: the dice ate it before the wire, which is free at once.
+    Lost,
 }
 
-/// What an engine provides: how bytes and jobs actually move. Calls
-/// arrive in [`Output`] order; anything a call completes on the spot is
-/// queued on `next` instead of re-entering the coordinator, and anything
-/// it completes later at a known instant is armed on `next`'s timers.
+/// What a driver provides: what time it is and how bytes and jobs
+/// actually move. Calls arrive in [`Output`] order; anything a call
+/// completes on the spot is queued on `next` instead of re-entering the
+/// coordinator, and anything it completes later at a known instant is
+/// armed on `next`'s timers. The calls with a default are the ones the
+/// wall clock answers trivially and the cost model does not.
 pub(crate) trait Medium<P> {
+    /// The time since the run's epoch: virtual on the simulator, the
+    /// machine's on the wall clock.
+    fn now(&self) -> SimTime;
+
+    /// When `host` is set up and may join: the model prices each host's
+    /// set-up; the wall clock's hosts were set up before the run, at its
+    /// epoch.
+    fn ready(&mut self, host: HostId) -> SimTime {
+        let _ = host;
+        SimTime::ZERO
+    }
+
     /// Puts one live attempt on the `from → to` wire, no earlier than
     /// `delay` from now (a fault-plan delay spike). The medium owes one
     /// [`Event::SendDone`] for `from` once the wire is free again.
@@ -667,9 +636,19 @@ pub(crate) trait Medium<P> {
         to: HostId,
         tid: u64,
         env: Envelope<InFlight<P>>,
-        delay: Duration,
+        delay: SimDuration,
         next: &mut Pending<P>,
     ) -> Result<Sent, RingError>;
+
+    /// An attempt of `bytes` from `from` that the dice ate. It owes the
+    /// same [`Event::SendDone`] a live one does: on the wall clock at
+    /// once, since nothing went out; the model still occupies the link and
+    /// bills the sender, and only withholds the arrival.
+    fn lose(&mut self, from: HostId, bytes: u64, next: &mut Pending<P>) -> Sent {
+        let _ = bytes;
+        next.now.push_back(Event::SendDone { from });
+        Sent::Lost
+    }
 
     /// Sends the acknowledgement for `tid` from `at` back to its sender.
     fn ack(
@@ -682,6 +661,20 @@ pub(crate) trait Medium<P> {
 
     /// Hands `job` to `host`'s worker; the medium owes one [`Event::Job`].
     fn start(&mut self, host: HostId, job: Job<P>, next: &mut Pending<P>) -> Result<(), RingError>;
+
+    /// `host` accepted a delivery of `bytes`. The model bills the
+    /// receiver's CPU for it; on the wall clock that cost is in the time
+    /// the machine took.
+    fn delivered(&mut self, host: HostId, bytes: u64) {
+        let _ = (host, bytes);
+    }
+
+    /// Whether the application asks a continuous rotation to stop,
+    /// sampled as each join of one completes. Only the simulator rotates
+    /// continuously.
+    fn finished(&self) -> bool {
+        false
+    }
 
     /// Cuts `host`'s outgoing wires, behind whatever it already committed
     /// to them (an attempt reported live must still arrive).
@@ -696,48 +689,6 @@ pub(crate) trait Medium<P> {
         P: PayloadBytes,
     {
         launch_owned(batches)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Timers: one queue, ordered by (deadline, arm sequence)
-// ---------------------------------------------------------------------------
-
-/// Armed timers in `(deadline, arm sequence)` order — the simulator's
-/// order — so a loop that oversleeps several deadlines still fires them
-/// by deadline, and equal deadlines in the order they were armed.
-///
-/// Nothing is cancelled: a stale retransmit timer fires like any other
-/// and the protocol ignores it. Arming is a binary search and a shift;
-/// the next deadline and the next due item are the front.
-pub(crate) struct TimerQueue<T> {
-    armed: VecDeque<(Instant, T)>,
-}
-
-impl<T> TimerQueue<T> {
-    pub(crate) fn new() -> Self {
-        TimerQueue {
-            armed: VecDeque::new(),
-        }
-    }
-
-    /// Arms `item` for `deadline`, behind every item due no later.
-    pub(crate) fn insert(&mut self, deadline: Instant, item: T) {
-        let behind = self.armed.partition_point(|(due, _)| *due <= deadline);
-        self.armed.insert(behind, (deadline, item));
-    }
-
-    /// The earliest armed deadline.
-    pub(crate) fn next_deadline(&self) -> Option<Instant> {
-        self.armed.front().map(|(due, _)| *due)
-    }
-
-    /// Takes the first item whose deadline is no later than `now`.
-    pub(crate) fn pop_due(&mut self, now: Instant) -> Option<T> {
-        if self.next_deadline()? > now {
-            return None;
-        }
-        self.armed.pop_front().map(|(_, item)| item)
     }
 }
 
@@ -793,6 +744,23 @@ pub(crate) fn materialize_counters(tracer: &mut SpanTracer) {
         tracer.count(name, 0);
     }
 }
+/// One host's books: the timing and cost behind its [`HostMetrics`].
+#[derive(Clone, Copy)]
+struct Books {
+    /// When its set-up finished (the epoch until then).
+    setup: SimTime,
+    /// When its last join finished: the end of its join window.
+    last_done: SimTime,
+    /// When its last booked job finished: where its next `Sync` span
+    /// starts.
+    busy_until: SimTime,
+    busy: SimDuration,
+    cpu: CpuAccount,
+    visits_inline: usize,
+    bytes_forwarded: u64,
+    /// When a scheduled crash struck it.
+    crash_at: Option<SimTime>,
+}
 
 /// The single place where a protocol [`Output`] turns into IO.
 pub(crate) struct Coordinator<'a, P, M> {
@@ -805,47 +773,45 @@ pub(crate) struct Coordinator<'a, P, M> {
     plan: Option<&'a FaultPlan>,
     errors: ErrorCollector,
     fatal: bool,
+    /// The application stopped a continuous rotation.
+    stopped: bool,
     tracer: SpanTracer,
-    epoch: Instant,
     /// Where the current silence began: the first wait since the last
     /// handled event (`None` until the loop waits again).
-    silent_since: Option<Instant>,
-    wall_ack_timeout: Duration,
+    silent_since: Option<SimTime>,
     config: &'a RingConfig,
-    busy: Vec<Duration>,
-    visits_inline: Vec<usize>,
-    last_done: Vec<Instant>,
-    bytes_forwarded: Vec<u64>,
-    last_progress: Instant,
-    crash_at: Vec<Option<Instant>>,
+    books: Vec<Books>,
+    last_progress: SimTime,
     detection_latency: SimDuration,
 }
 
 impl<'a, P: PayloadBytes, M: Medium<P>> Coordinator<'a, P, M> {
     /// Builds the protocol for `workload` (reliable iff `plan` is set) with
-    /// every payload put in flight, arms the plans' scheduled events —
-    /// crashes, pauses, joins, drains, as offsets from this instant — and
-    /// reports every host set up, so the first joins and sends are already
-    /// applied when this returns.
+    /// every payload put in flight, and arms each host's set-up at the
+    /// instant the medium says it is ready, then the plans' scheduled
+    /// events — crashes, pauses, joins, drains, at their instants since the
+    /// epoch. At equal times a host is set up before a plan event meets it.
     pub(crate) fn new(
         config: &'a RingConfig,
         plan: Option<&'a FaultPlan>,
         rescale: Option<&RescalePlan>,
         workload: Workload<P>,
         trace: bool,
-        medium: M,
+        mut medium: M,
     ) -> Self {
         let n = config.hosts;
         let proto_cfg = ProtocolConfig {
             hosts: n,
             buffers_per_host: config.buffers_per_host,
             max_retransmits: config.max_retransmits,
-            continuous: false,
+            continuous: matches!(workload, Workload::Continuous(_)),
             reliable: plan.is_some(),
             standby: rescale.map_or(0, RescalePlan::standby_mask),
         };
         let proto = match workload {
-            Workload::Single(envelopes) => RingProtocol::new(proto_cfg, medium.launch(envelopes)),
+            Workload::Single(envelopes) | Workload::Continuous(envelopes) => {
+                RingProtocol::new(proto_cfg, medium.launch(envelopes))
+            }
             Workload::Multi {
                 queries,
                 max_active,
@@ -857,49 +823,58 @@ impl<'a, P: PayloadBytes, M: Medium<P>> Coordinator<'a, P, M> {
                 RingProtocol::new_multi(proto_cfg, queries, max_active)
             }
         };
-        let epoch = Instant::now();
-        let mut co = Coordinator {
+        let mut timers = EventQueue::new();
+        for h in 0..n {
+            let host = HostId(h);
+            let at = medium.ready(host);
+            timers.push(at, Event::Setup { host, at });
+        }
+        for (at, kind) in scheduled(plan, rescale) {
+            timers.push(at, Event::Timer(kind));
+        }
+        let books = Books {
+            setup: SimTime::ZERO,
+            last_done: SimTime::ZERO,
+            busy_until: SimTime::ZERO,
+            busy: SimDuration::ZERO,
+            cpu: CpuAccount::new(),
+            visits_inline: 0,
+            bytes_forwarded: 0,
+            crash_at: None,
+        };
+        Coordinator {
             proto,
             medium,
             pending: Pending {
                 now: VecDeque::new(),
-                timers: TimerQueue::new(),
+                timers,
             },
             outputs: Vec::new(),
             plan,
             errors: ErrorCollector::default(),
             fatal: false,
+            stopped: false,
             tracer: if trace {
                 SpanTracer::enabled()
             } else {
                 SpanTracer::disabled()
             },
-            epoch,
             silent_since: None,
-            wall_ack_timeout: Duration::from_secs_f64(config.ack_timeout.as_secs_f64()),
             config,
-            busy: vec![Duration::ZERO; n],
-            visits_inline: vec![0; n],
-            last_done: vec![epoch; n],
-            bytes_forwarded: vec![0; n],
-            last_progress: epoch,
-            crash_at: vec![None; n],
+            books: vec![books; n],
+            last_progress: SimTime::ZERO,
             detection_latency: SimDuration::ZERO,
-        };
-        // A plan instant is wall-clock time since the run's epoch.
-        for (at, kind) in scheduled(plan, rescale) {
-            let deadline = epoch + Duration::from(at.saturating_duration_since(SimTime::ZERO));
-            co.pending.timers.insert(deadline, Event::Timer(kind));
         }
-        for h in 0..n {
-            co.input(Input::SetupDone { host: HostId(h) }, None);
-        }
-        co
     }
 
-    /// True once every fragment retired or the run failed.
+    /// True once the run failed or its application stopped it.
+    pub(crate) fn halted(&self) -> bool {
+        self.fatal || self.stopped
+    }
+
+    /// True once every fragment retired, or the run [`halted`](Self::halted).
     pub(crate) fn done(&self) -> bool {
-        self.fatal || self.proto.fragments_completed() >= self.proto.fragments_total()
+        self.halted() || self.proto.fragments_completed() >= self.proto.fragments_total()
     }
 
     pub(crate) fn fail(&mut self, error: RingError) {
@@ -917,7 +892,7 @@ impl<'a, P: PayloadBytes, M: Medium<P>> Coordinator<'a, P, M> {
                 self.handle(event);
                 continue;
             }
-            let Some(wait) = self.fire_or_wait(Instant::now()) else {
+            let Some(wait) = self.fire_or_wait(self.medium.now()) else {
                 continue;
             };
             match recv(wait) {
@@ -929,27 +904,28 @@ impl<'a, P: PayloadBytes, M: Medium<P>> Coordinator<'a, P, M> {
     }
 
     /// Fires the first timer due at `now`, or says how long the event loop
-    /// may block for its next event: until the next deadline, and no
+    /// may block for its next event: until the next due time, and no
     /// longer than what is left of the watchdog window. The window is the
     /// silence since the loop first waited after the last handled event (a
     /// fired timer is one); when it runs out the run is torn down as
     /// stalled. `None` means the loop goes round again: a timer fired, or
     /// the run stalled.
-    pub(crate) fn fire_or_wait(&mut self, now: Instant) -> Option<Duration> {
-        if let Some(event) = self.pending.timers.pop_due(now) {
+    pub(crate) fn fire_or_wait(&mut self, now: SimTime) -> Option<Duration> {
+        if let Some((_, event)) = self.pending.timers.pop_due(now) {
             self.handle(event);
             return None;
         }
         let silent = now.saturating_duration_since(*self.silent_since.get_or_insert(now));
-        let left = Duration::from(self.config.watchdog).saturating_sub(silent);
-        if left.is_zero() {
+        let left = self.config.watchdog.saturating_sub(silent);
+        if left == SimDuration::ZERO {
             self.fail(RingError::Teardown(STALLED));
             return None;
         }
-        Some(match self.pending.timers.next_deadline() {
+        let wait = match self.pending.timers.peek_time() {
             Some(due) => left.min(due.saturating_duration_since(now)),
             None => left,
-        })
+        };
+        Some(wait.into())
     }
 
     /// Translates one event into a protocol [`Input`] and applies what
@@ -957,6 +933,7 @@ impl<'a, P: PayloadBytes, M: Medium<P>> Coordinator<'a, P, M> {
     pub(crate) fn handle(&mut self, event: Event<P>) {
         self.silent_since = None;
         match event {
+            Event::Setup { host, at } => self.on_setup(host, at),
             Event::Frame { at, frame } => self.on_frame(at, frame),
             Event::SendDone { from } => self.input(Input::SendDone { from }, None),
             Event::Job(done) => self.on_job_done(done),
@@ -968,40 +945,36 @@ impl<'a, P: PayloadBytes, M: Medium<P>> Coordinator<'a, P, M> {
     /// The first error, or the finished run in the common metrics shape
     /// with the tracer closed out (every well-known counter materialized,
     /// so trace consumers see zeros observed rather than missing).
-    // analyze: allow(panic, reason = "protocol invariant: per-host tables are sized to the ring at construction and HostId never exceeds it")
     pub(crate) fn finish(self) -> Result<(RingMetrics, SpanTracer), RingError> {
         if let Some(error) = self.errors.first() {
             return Err(error);
         }
-        let n = self.proto.config().hosts;
-        let mut hosts = Vec::with_capacity(n);
-        for h in 0..n {
-            let host = HostId(h);
-            let busy = self.busy[h];
-            let window = self.last_done[h].saturating_duration_since(self.epoch);
-            let mut cpu = simnet::cpu::CpuAccount::new();
-            cpu.charge(
-                simnet::cpu::CostCategory::Compute,
-                SimDuration::from(busy) * self.config.join_threads as u64,
-            );
-            hosts.push(HostMetrics {
-                setup: SimDuration::ZERO,
-                join_busy: busy.into(),
-                sync: window.saturating_sub(busy).into(),
-                join_window: window.into(),
-                cpu,
-                fragments_processed: self.proto.host(host).fragments_processed(),
-                visits_inline: self.visits_inline[h],
-                bytes_forwarded: self.bytes_forwarded[h],
-                retransmits: self.proto.retransmits(host),
-                checksum_mismatches: self.proto.checksum_mismatches(host),
-            });
-        }
-        let wall_clock = self.last_progress.saturating_duration_since(self.epoch);
+        let since = |at: SimTime| at.saturating_duration_since(SimTime::ZERO);
+        let hosts = self
+            .books
+            .iter()
+            .enumerate()
+            .map(|(h, books)| {
+                let host = HostId(h);
+                let window = books.last_done.saturating_duration_since(books.setup);
+                HostMetrics {
+                    setup: since(books.setup),
+                    join_busy: books.busy,
+                    sync: window.saturating_sub(books.busy),
+                    join_window: window,
+                    cpu: books.cpu,
+                    fragments_processed: self.proto.host(host).fragments_processed(),
+                    visits_inline: books.visits_inline,
+                    bytes_forwarded: books.bytes_forwarded,
+                    retransmits: self.proto.retransmits(host),
+                    checksum_mismatches: self.proto.checksum_mismatches(host),
+                }
+            })
+            .collect();
         let metrics = ring_metrics(
             &self.proto,
             hosts,
-            wall_clock.into(),
+            since(self.last_progress),
             self.detection_latency,
         );
         let mut tracer = self.tracer;
@@ -1009,8 +982,51 @@ impl<'a, P: PayloadBytes, M: Medium<P>> Coordinator<'a, P, M> {
         Ok((metrics, tracer))
     }
 
+    /// Books a job `done` that finished at `at`: its time to the host's
+    /// busy total, its compute to the host's account, and — traced — the
+    /// idle gap before it as a `Sync` span and the job itself as a `Join`
+    /// or `Absorb` span, so span totals reconcile with the metrics. A
+    /// finished job is booked whatever became of its host; only the
+    /// protocol and the host's join window care whether it still lives.
+    pub(crate) fn book(&mut self, at: SimTime, done: &JobDone) {
+        let Some(books) = self.books.get_mut(done.host.0) else {
+            return;
+        };
+        books.busy += done.spent;
+        books.cpu.charge(CostCategory::Compute, done.cpu);
+        let idle_since = std::mem::replace(&mut books.busy_until, at);
+        if !self.tracer.is_enabled() {
+            return;
+        }
+        let (host, spent) = (done.host.0, done.spent);
+        let start = at.saturating_sub(spent);
+        let gap = start.saturating_duration_since(idle_since);
+        if gap > SimDuration::ZERO {
+            self.tracer
+                .span(host, SpanKind::Sync, "sync", idle_since, gap);
+        }
+        match done.what {
+            Done::Join { id, hop } => self.tracer.span_with_hop(
+                host,
+                SpanKind::Join,
+                format!("join {id}"),
+                start,
+                spent,
+                Some(hop),
+            ),
+            Done::Absorb {
+                from,
+                roles,
+                planned,
+            } => {
+                let name = takeover_name(planned, roles, from);
+                self.tracer.span(host, SpanKind::Absorb, name, start, spent);
+            }
+        }
+    }
+
     fn progressed(&mut self) {
-        self.last_progress = self.last_progress.max(Instant::now());
+        self.last_progress = self.last_progress.max(self.medium.now());
     }
 
     fn input(&mut self, input: Input<InFlight<P>>, ctx: Option<HostId>) {
@@ -1018,6 +1034,24 @@ impl<'a, P: PayloadBytes, M: Medium<P>> Coordinator<'a, P, M> {
         self.proto.input_into(input, &mut outputs);
         self.apply(&mut outputs, ctx);
         self.outputs = outputs;
+    }
+
+    /// A host's set-up finished at `at` (unless it crashed first): its
+    /// join window opens there, and a set-up that took time is a span.
+    // analyze: allow(panic, reason = "protocol invariant: per-host tables are sized to the ring at construction and HostId never exceeds it")
+    fn on_setup(&mut self, host: HostId, at: SimTime) {
+        if self.proto.is_crashed(host) {
+            return;
+        }
+        let books = &mut self.books[host.0];
+        (books.setup, books.last_done, books.busy_until) = (at, at, at);
+        self.progressed();
+        if at > SimTime::ZERO {
+            let took = at.saturating_duration_since(SimTime::ZERO);
+            self.tracer
+                .span(host.0, SpanKind::Setup, "setup", SimTime::ZERO, took);
+        }
+        self.input(Input::SetupDone { host }, None);
     }
 
     fn on_frame(&mut self, at: HostId, frame: Frame<InFlight<P>>) {
@@ -1030,77 +1064,34 @@ impl<'a, P: PayloadBytes, M: Medium<P>> Coordinator<'a, P, M> {
         }
     }
 
+    /// A finished job: booked first, then — unless its host crashed, in
+    /// which case healing salvages its envelope — reported to the
+    /// protocol.
     // analyze: allow(panic, reason = "protocol invariant: per-host tables are sized to the ring at construction and HostId never exceeds it")
     fn on_job_done(&mut self, done: JobDone) {
-        let JobDone {
-            host,
-            spent,
-            panicked,
-            inline,
-            what,
-        } = done;
+        let now = self.medium.now();
+        self.book(now, &done);
+        let host = done.host;
         if self.proto.is_crashed(host) {
-            // The work died with the host; healing salvages its envelope.
             return;
         }
-        if panicked {
+        if done.panicked {
             return self.fail(RingError::Teardown(teardown::CALLBACK_PANICKED));
         }
-        self.busy[host.0] += spent;
-        if inline {
-            self.visits_inline[host.0] += 1;
+        if done.inline {
+            self.books[host.0].visits_inline += 1;
             self.tracer.count(counter::VISITS_INLINE, 1);
         }
-        let now = Instant::now();
-        let since = std::mem::replace(&mut self.last_done[host.0], now);
-        self.last_progress = self.last_progress.max(now);
-        let stamp = |offset: Duration| SimTime::from_nanos(SimDuration::from(offset).as_nanos());
-        let start = stamp(
-            now.saturating_duration_since(self.epoch)
-                .saturating_sub(spent),
-        );
-        // The host waited for whatever of the time since its previous
-        // job this one did not take, so the sync spans sum to the metric,
-        // `window - busy` (exactly, unless a takeover queued behind a
-        // join started before this coordinator heard the join finish).
-        let waited = now.saturating_duration_since(since).saturating_sub(spent);
-        if self.tracer.is_enabled() && !waited.is_zero() {
-            let from = stamp(since.saturating_duration_since(self.epoch));
-            self.tracer
-                .span(host.0, SpanKind::Sync, "sync", from, waited.into());
-        }
-        match what {
-            Done::Join { id, hop } => {
-                if self.tracer.is_enabled() {
-                    self.tracer.span_with_hop(
-                        host.0,
-                        SpanKind::Join,
-                        format!("join {id}"),
-                        start,
-                        spent.into(),
-                        Some(hop),
-                    );
-                }
-                self.input(
-                    Input::JoinDone {
-                        host,
-                        app_finished: false,
-                    },
-                    None,
-                );
+        self.progressed();
+        match done.what {
+            Done::Join { .. } => {
+                self.books[host.0].last_done = now;
+                // The protocol cannot call the application: sample the
+                // continuous-mode finish flag here and pass it in.
+                let app_finished = self.proto.config().continuous && self.medium.finished();
+                self.input(Input::JoinDone { host, app_finished }, None);
             }
-            Done::Absorb {
-                from,
-                roles,
-                planned,
-            } => {
-                if self.tracer.is_enabled() {
-                    let name = takeover_name(planned, roles, from);
-                    self.tracer
-                        .span(host.0, SpanKind::Absorb, name, start, spent.into());
-                }
-                self.input(Input::AbsorbDone { host }, None);
-            }
+            Done::Absorb { .. } => self.input(Input::AbsorbDone { host }, None),
         }
     }
 
@@ -1115,12 +1106,10 @@ impl<'a, P: PayloadBytes, M: Medium<P>> Coordinator<'a, P, M> {
             if self.proto.is_crashed(host) {
                 return;
             }
-            if self.tracer.is_enabled() {
-                let at = wall_stamp(self.epoch);
-                self.tracer.event(Some(host.0), Track::Control, name, at);
-            }
+            let now = self.medium.now();
+            self.tracer.event(Some(host.0), Track::Control, name, now);
             if kind == TimerKind::Crash(host) {
-                self.crash_at[host.0] = Some(Instant::now());
+                self.books[host.0].crash_at = Some(now);
                 self.medium.sever(host, &mut self.pending);
             }
         }
@@ -1140,12 +1129,11 @@ impl<'a, P: PayloadBytes, M: Medium<P>> Coordinator<'a, P, M> {
     /// [`Output::Ack`].
     // analyze: allow(panic, reason = "protocol invariant: per-host tables are sized to the ring at construction and HostId never exceeds it")
     fn apply(&mut self, outputs: &mut Vec<Output<InFlight<P>>>, ctx: Option<HostId>) {
-        let epoch = self.epoch;
         for output in outputs.drain(..) {
             if self.fatal {
                 return;
             }
-            observe(&mut self.tracer, || wall_stamp(epoch), &output);
+            observe(&mut self.tracer, || self.medium.now(), &output);
             match output {
                 Output::StartJoin {
                     host,
@@ -1187,20 +1175,23 @@ impl<'a, P: PayloadBytes, M: Medium<P>> Coordinator<'a, P, M> {
                     }
                 }
                 Output::ArmTimer { timer, backoff_exp } => {
-                    let delay = self
-                        .wall_ack_timeout
-                        .saturating_mul(1u32 << backoff_exp.min(31));
-                    // A deadline past what an `Instant` holds never comes.
-                    if let Some(due) = Instant::now().checked_add(delay) {
-                        let timer = Event::Timer(TimerKind::Protocol(timer));
-                        self.pending.timers.insert(due, timer);
-                    }
+                    let backoff = 1u64.checked_shl(backoff_exp).unwrap_or(u64::MAX);
+                    let delay = self.config.ack_timeout.as_nanos().saturating_mul(backoff);
+                    let due = self
+                        .medium
+                        .now()
+                        .saturating_add(SimDuration::from_nanos(delay));
+                    let timer = Event::Timer(TimerKind::Protocol(timer));
+                    self.pending.timers.push(due, timer);
                 }
+                Output::Delivered { host, bytes, .. } => self.medium.delivered(host, bytes),
                 Output::Heal { dead } => {
                     // A heal without a scheduled crash is an escalated
                     // drain: nothing to measure detection against.
-                    let latency = self.crash_at[dead.0]
-                        .map_or(SimDuration::ZERO, |at| SimDuration::from(at.elapsed()));
+                    let now = self.medium.now();
+                    let latency = self.books[dead.0]
+                        .crash_at
+                        .map_or(SimDuration::ZERO, |at| now.saturating_duration_since(at));
                     self.detection_latency = self.detection_latency.max(latency);
                 }
                 Output::Absorb {
@@ -1227,22 +1218,20 @@ impl<'a, P: PayloadBytes, M: Medium<P>> Coordinator<'a, P, M> {
                 | Output::Activate { .. }
                 | Output::QueryAdmitted { .. }
                 | Output::QueryDone { .. } => self.progressed(),
+                Output::Finished { .. } => self.stopped = true,
                 Output::Teardown { reason } => self.fail(RingError::Teardown(reason)),
-                // Nothing to do beyond the trace (continuous rotation,
-                // which alone emits `Finished`, is simulator-only).
+                // Nothing to do beyond the trace.
                 Output::PassThrough { .. }
                 | Output::Processed { .. }
-                | Output::Delivered { .. }
                 | Output::DuplicateDropped { .. }
                 | Output::ChecksumMismatch { .. }
-                | Output::Resent { .. }
-                | Output::Finished { .. } => {}
+                | Output::Resent { .. } => {}
             }
         }
     }
 
     /// Puts one attempt of a transfer toward the wire: rolls the dice and
-    /// hands a live attempt to the medium.
+    /// hands the attempt to the medium, live or lost.
     // analyze: allow(panic, reason = "protocol invariant: per-host tables are sized to the ring at construction and HostId never exceeds it")
     fn apply_send(
         &mut self,
@@ -1252,1073 +1241,43 @@ impl<'a, P: PayloadBytes, M: Medium<P>> Coordinator<'a, P, M> {
         attempt: u32,
         env: Envelope<InFlight<P>>,
     ) {
-        self.bytes_forwarded[from.0] += env.bytes();
+        let bytes = env.bytes();
+        self.books[from.0].bytes_forwarded += bytes;
         let mut wire = env;
         let (dropped, spike) = roll(self.plan, &mut self.proto, from, tid, attempt, &mut wire);
-        if dropped {
-            // The medium ate this attempt before it reached the wire; the
-            // sender's NIC still reports its wire free.
-            self.pending.now.push_back(Event::SendDone { from });
-            return;
-        }
-        match self
-            .medium
-            .transmit(from, to, tid, wire, spike.into(), &mut self.pending)
-        {
-            Ok(Sent::Moved) => {}
+        let id = wire.id;
+        let sent = if dropped {
+            Ok(self.medium.lose(from, bytes, &mut self.pending))
+        } else {
+            self.medium
+                .transmit(from, to, tid, wire, spike, &mut self.pending)
+        };
+        match sent {
+            Ok(Sent::Moved | Sent::Lost) => {}
             Ok(Sent::Encoded) => self.tracer.count(counter::FRAMES_ENCODED, 1),
             Ok(Sent::Forwarded) => self.tracer.count(counter::FRAMES_FORWARDED, 1),
+            Ok(Sent::Held(free)) => {
+                if self.tracer.is_enabled() {
+                    // Every wire attempt, retransmissions included.
+                    let now = self.medium.now();
+                    let held = free.saturating_duration_since(now);
+                    let name = format!("send {id}");
+                    self.tracer.span(from.0, SpanKind::Send, name, now, held);
+                }
+            }
             Err(error) => self.fail(error),
         }
     }
 }
 
-/// Wall-clock time since `epoch` on the tracer's timeline.
-fn wall_stamp(epoch: Instant) -> SimTime {
-    SimTime::from_nanos(SimDuration::from(epoch.elapsed()).as_nanos())
-}
-
-// ---------------------------------------------------------------------------
-// The wall-clock driver: one builder, three engines
-// ---------------------------------------------------------------------------
-
-/// The seal on [`WallClockEngine`]: nameable inside this crate only.
-pub trait Sealed {}
-impl Sealed for ChannelEngine {}
-impl Sealed for BlockingEngine {}
-impl Sealed for ReactorEngine {}
-
-/// How a wall-clock driver runs a validated ring: over in-process
-/// channels, on the blocking thread-per-endpoint socket engine, or on the
-/// single-threaded reactor. A one-host ring has no wire, and every driver
-/// runs it on the channel engine. All three roll the same dice and the
-/// socket engines speak the frames of [`crate::frame`], so everything in
-/// [`WallClockDriver`] above this call is shared.
-///
-/// Sealed: [`ChannelEngine`], [`BlockingEngine`] and [`ReactorEngine`] are
-/// the engines there are; the trait is public only so the driver's three
-/// names can be.
-pub trait WallClockEngine: Sealed {
-    /// Whether the engine's medium can realize host crashes and pauses;
-    /// plans scheduling them are [`RingError::UnsupportedFault`] otherwise.
-    const HOST_FAULTS: bool;
-
-    /// Runs `workload` to completion (on the socket engines, a ring of at
-    /// least two hosts).
-    /// `plan` is the effective dice (`None` means the classic unguarded
-    /// transport).
-    ///
-    /// # Errors
-    ///
-    /// [`RingError::Socket`] when the loopback mesh cannot be built, and
-    /// [`RingError::Frame`] / [`RingError::Teardown`] when the run dies
-    /// mid-revolution.
-    fn run_mesh<P, F, A>(
-        config: &RingConfig,
-        plan: Option<&FaultPlan>,
-        rescale: Option<&RescalePlan>,
-        trace: bool,
-        workload: Workload<P>,
-        visit: &F,
-        absorb: &A,
-    ) -> Result<(RingMetrics, SpanTracer), RingError>
-    where
-        P: WirePayload + Send + Clone,
-        F: Fn(HostId, u32, &[usize], Visit<'_, P>) + Sync,
-        A: Fn(HostId, usize) + Sync;
-}
-
-/// Builder for a wall-clock ring run, generic over the engine that drives
-/// it. Use it through its three names, [`RingDriver`](crate::RingDriver),
-/// [`TcpRingDriver`](crate::TcpRingDriver) and
-/// [`ReactorRingDriver`](crate::ReactorRingDriver).
-pub struct WallClockDriver<'a, E> {
-    config: &'a RingConfig,
-    fault_plan: Option<&'a FaultPlan>,
-    rescale_plan: Option<&'a RescalePlan>,
-    trace: bool,
-    engine: PhantomData<E>,
-}
-
-impl<E> Clone for WallClockDriver<'_, E> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-
-impl<E> Copy for WallClockDriver<'_, E> {}
-
-impl<'a, E: WallClockEngine> WallClockDriver<'a, E> {
-    /// A driver for `config` with the classic transport and no tracing.
-    pub fn new(config: &'a RingConfig) -> Self {
-        WallClockDriver {
-            config,
-            fault_plan: None,
-            rescale_plan: None,
-            trace: false,
-            engine: PhantomData,
-        }
-    }
-
-    /// Runs the ring over the unreliable medium described by `plan`, with
-    /// every hop protected by the protocol core's acknowledged transport:
-    /// the plan's dice may drop, corrupt or delay each attempt, and the
-    /// protocol repairs it by checksum verification and timeout-driven
-    /// retransmission. On the socket engines scheduled crashes become real
-    /// socket severs and mid-revolution ring healing; the channel engine
-    /// rejects plans scheduling crashes or pauses. `config.ack_timeout` is
-    /// interpreted in wall-clock time (choose it to comfortably exceed a
-    /// hop's round trip plus coordinator latency, or losses masquerade as
-    /// timeouts).
-    pub fn with_fault_plan(mut self, plan: &'a FaultPlan) -> Self {
-        self.fault_plan = Some(plan);
-        self
-    }
-
-    /// Attaches a planned [`RescalePlan`]: standby hosts joining and
-    /// members draining out mid-workload, with their stationary roles
-    /// repartitioned by rendezvous hashing. Hosts with a scheduled join
-    /// start as provisioned standbys outside the ring and must contribute
-    /// no fragments (on the socket engines their mesh connections are
-    /// built up front and spliced into the rotation at activation, and a
-    /// completed drain retires the drainee's connections with a real FIN).
-    /// Attaching a rescale plan switches the transport into its reliable
-    /// mode even without a fault plan. Schedule instants are interpreted
-    /// in wall-clock time from ring start.
-    pub fn with_rescale_plan(mut self, plan: &'a RescalePlan) -> Self {
-        self.rescale_plan = Some(plan);
-        self
-    }
-
-    /// Enables structured span recording for this run.
-    pub fn with_tracer(mut self, trace: bool) -> Self {
-        self.trace = trace;
-        self
-    }
-
-    /// Runs the ring to completion. `fragments[h]` are host `h`'s local
-    /// fragments; `process` is invoked once per (host, envelope) visit and
-    /// may itself be internally multi-threaded.
-    ///
-    /// `process` sees an owned `&P`, so this is the one path that still
-    /// materialises a payload: a copy in bytes on a socket engine is copied
-    /// out of them for each visit ([`WirePayload::from_accepted`]: one
-    /// copy of the bytes, for a payload that is its bytes); an owned copy
-    /// is lent as it is. [`WallClockDriver::run_with_roles`]
-    /// hands the visit a view and copies nothing.
-    ///
-    /// Returns wall-clock metrics in the common [`RingMetrics`] shape
-    /// (setup is zero here — run any setup before calling and time it
-    /// yourself; CPU accounts contain compute time only), plus the
-    /// [`SpanTracer`] (empty and disabled unless
-    /// [`WallClockDriver::with_tracer`] was set).
-    ///
-    /// # Errors
-    ///
-    /// As [`WallClockDriver::run_with_roles`].
-    pub fn run<P, F>(
-        self,
-        fragments: Vec<Vec<P>>,
-        process: F,
-    ) -> Result<(RingMetrics, SpanTracer), RingError>
-    where
-        P: WirePayload + Send + Clone,
-        F: Fn(HostId, &P) + Sync,
-    {
-        self.run_visits(
-            fragments,
-            |host, _roles, payload: Visit<'_, P>| match payload {
-                Visit::Owned(payload) => process(host, payload),
-                Visit::Viewed(view, bytes) => process(host, &P::from_accepted(view, bytes)),
-            },
-            |_, _| {},
-        )
-    }
-
-    /// Like [`WallClockDriver::run`], but role-aware for healing and
-    /// rescaled runs: `visit(host, roles, view)` applies the named
-    /// logical stationary roles (the host's own, plus any absorbed from
-    /// dead or drained hosts), and `absorb(survivor, role)` performs the
-    /// state takeover — on `survivor`'s worker — when the ring heals
-    /// around a confirmed death or a drain hands a role off.
-    ///
-    /// The visit reads the payload through its [`WirePayload::View`]: the
-    /// origin's owned payload borrowed, and on the socket engines every
-    /// other copy read in the bytes it arrived in. No payload is decoded.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RingError::Config`] for an invalid configuration,
-    /// [`RingError::Shape`] when `fragments.len() != config.hosts`,
-    /// [`RingError::UnsupportedFault`] for plans this engine cannot
-    /// realize (more than 64 hosts with a plan, crashes or pauses on the
-    /// channel engine, a crash or rescale on a single-host ring, plans
-    /// naming hosts outside the ring, a standby that contributes
-    /// fragments), [`RingError::Socket`] when the loopback mesh cannot be
-    /// built, and [`RingError::Frame`] / [`RingError::Teardown`] when the
-    /// run dies mid-revolution (undecodable bytes, a panicking callback,
-    /// an exhausted retransmission budget on a live ring, or a stall). The
-    /// error names the first failure, not the teardown cascade it
-    /// provokes.
-    pub fn run_with_roles<P, F, A>(
-        self,
-        fragments: Vec<Vec<P>>,
-        visit: F,
-        absorb: A,
-    ) -> Result<(RingMetrics, SpanTracer), RingError>
-    where
-        P: WirePayload + Send + Clone,
-        F: Fn(HostId, &[usize], P::View<'_>) + Sync,
-        A: Fn(HostId, usize) + Sync,
-    {
-        self.run_visits(
-            fragments,
-            |host, roles, payload: Visit<'_, P>| visit(host, roles, payload.view()),
-            absorb,
-        )
-    }
-
-    /// [`WallClockDriver::run_with_roles`] with the visit taking the
-    /// payload as the engines hand it over.
-    fn run_visits<P, F, A>(
-        self,
-        fragments: Vec<Vec<P>>,
-        visit: F,
-        absorb: A,
-    ) -> Result<(RingMetrics, SpanTracer), RingError>
-    where
-        P: WirePayload + Send + Clone,
-        F: Fn(HostId, &[usize], Visit<'_, P>) + Sync,
-        A: Fn(HostId, usize) + Sync,
-    {
-        validate(
-            self.config,
-            self.fault_plan,
-            self.rescale_plan,
-            &[&fragments],
-            None,
-            E::HOST_FAULTS,
-        )?;
-        let plan = dice(self.fault_plan, self.rescale_plan, false);
-        let workload = Workload::Single(envelope_batches(fragments, self.config.hosts));
-        let visit = |host, _query: u32, roles: &[usize], payload: Visit<'_, P>| {
-            visit(host, roles, payload);
-        };
-        // A single-host "ring" has no wire: every engine runs it on the
-        // channel engine's coordinator.
-        let run_mesh = if self.config.hosts == 1 {
-            ChannelEngine::run_mesh
-        } else {
-            E::run_mesh
-        };
-        run_mesh(
-            self.config,
-            plan.as_deref(),
-            self.rescale_plan,
-            self.trace,
-            workload,
-            &visit,
-            &absorb,
-        )
-    }
-
-    /// Runs several queries multiplexed over one ring.
-    /// `queries[q]` is `(tenant, fragments)` with `fragments[h]` host
-    /// `h`'s local fragments for query `q`; at most `max_active` queries
-    /// circulate concurrently, the rest wait in the admission queue.
-    /// `visit(host, query, roles, view)` joins one fragment of `query`
-    /// against the named stationary roles; `absorb(survivor, role)`
-    /// rebuilds a dead host's state (for every query) when the ring
-    /// heals. Always uses the reliable acked transport (quiet dice are
-    /// synthesized without a fault plan).
-    ///
-    /// # Errors
-    ///
-    /// As [`WallClockDriver::run_with_roles`], plus
-    /// [`RingError::UnsupportedFault`] on a single-host ring, an empty
-    /// query list or a zero `max_active`.
-    pub fn run_queries<P, F, A>(
-        self,
-        queries: Vec<(u32, Vec<Vec<P>>)>,
-        max_active: usize,
-        visit: F,
-        absorb: A,
-    ) -> Result<(RingMetrics, SpanTracer), RingError>
-    where
-        P: WirePayload + Send + Clone,
-        F: Fn(HostId, u32, &[usize], P::View<'_>) + Sync,
-        A: Fn(HostId, usize) + Sync,
-    {
-        let shapes: Vec<&[Vec<P>]> = queries.iter().map(|(_, f)| f.as_slice()).collect();
-        validate(
-            self.config,
-            self.fault_plan,
-            self.rescale_plan,
-            &shapes,
-            Some(max_active),
-            E::HOST_FAULTS,
-        )?;
-        let plan = dice(self.fault_plan, self.rescale_plan, true);
-        E::run_mesh(
-            self.config,
-            plan.as_deref(),
-            self.rescale_plan,
-            self.trace,
-            Workload::Multi {
-                queries: query_batches(queries, self.config.hosts),
-                max_active,
-            },
-            &|host, query, roles: &[usize], payload: Visit<'_, P>| {
-                visit(host, query, roles, payload.view());
-            },
-            &absorb,
-        )
-    }
-}
-
-/// What every [`WallClockEngine`] owes its users, as generic test bodies:
-/// each engine's test module instantiates them, so the channel, the
-/// blocking and the reactor engine are held to the same assertions.
-#[cfg(test)]
-pub(crate) mod engine_suite {
-    use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Mutex;
-
-    pub(crate) fn payloads(hosts: usize, per_host: usize, bytes: usize) -> Vec<Vec<Vec<u8>>> {
-        (0..hosts)
-            .map(|h| {
-                (0..per_host)
-                    .map(|i| vec![(h * 31 + i) as u8; bytes])
-                    .collect()
-            })
-            .collect()
-    }
-
-    pub(crate) fn every_host_sees_every_fragment<E: WallClockEngine>() {
-        let hosts = 3;
-        let counts: Vec<AtomicUsize> = (0..hosts).map(|_| AtomicUsize::new(0)).collect();
-        let (metrics, _) = WallClockDriver::<E>::new(&RingConfig::paper(hosts))
-            .run(payloads(hosts, 2, 64), |h, _| {
-                counts[h.0].fetch_add(1, Ordering::SeqCst);
-            })
-            .unwrap();
-        assert_eq!(metrics.fragments_completed, 6);
-        for c in &counts {
-            assert_eq!(c.load(Ordering::SeqCst), 6);
-        }
-        for h in &metrics.hosts {
-            assert_eq!(h.fragments_processed, 6);
-        }
-        assert_eq!(
-            metrics.total_bytes_forwarded() as usize,
-            6 * 64 * (hosts - 1)
-        );
-        assert!(metrics.fault_free());
-    }
-
-    pub(crate) fn single_host_ring_needs_no_sockets<E: WallClockEngine>() {
-        let n = AtomicUsize::new(0);
-        let (metrics, _) = WallClockDriver::<E>::new(&RingConfig::paper(1))
-            .run(payloads(1, 4, 32), |_, _| {
-                n.fetch_add(1, Ordering::SeqCst);
-            })
-            .unwrap();
-        assert_eq!(metrics.fragments_completed, 4);
-        assert_eq!(n.load(Ordering::SeqCst), 4);
-    }
-
-    pub(crate) fn shape_and_config_errors_are_typed<E: WallClockEngine>() {
-        let err = WallClockDriver::<E>::new(&RingConfig::paper(3))
-            .run(payloads(2, 1, 8), |_, _| {})
-            .unwrap_err();
-        assert!(matches!(
-            err,
-            RingError::Shape {
-                expected: 3,
-                got: 2
-            }
-        ));
-        let bad = RingConfig::paper(0);
-        let err = WallClockDriver::<E>::new(&bad)
-            .run(vec![], |_: HostId, _: &Vec<u8>| {})
-            .unwrap_err();
-        assert!(matches!(err, RingError::Config(_)));
-    }
-
-    pub(crate) fn out_of_ring_faults_are_rejected<E: WallClockEngine>() {
-        let plan = FaultPlan::seeded(1).crash_host(HostId(9), SimTime::from_nanos(1));
-        let err = WallClockDriver::<E>::new(&RingConfig::paper(2))
-            .with_fault_plan(&plan)
-            .run(payloads(2, 1, 8), |_, _| {})
-            .unwrap_err();
-        assert!(matches!(err, RingError::UnsupportedFault(_)));
-    }
-
-    /// A plan that leaves the ring no initial member is refused by the
-    /// rule table, before any thread or socket exists (it used to panic
-    /// inside `RingProtocol::new`, and hang the blocking engine).
-    pub(crate) fn all_standby_rescale_is_rejected<E: WallClockEngine>() {
-        let plan = RescalePlan::seeded(1)
-            .join_host(HostId(0), SimTime::from_nanos(1_000))
-            .join_host(HostId(1), SimTime::from_nanos(1_000));
-        let err = WallClockDriver::<E>::new(&RingConfig::paper(2))
-            .with_rescale_plan(&plan)
-            .run(payloads(2, 0, 8), |_, _| {})
-            .unwrap_err();
-        assert_eq!(
-            err,
-            RingError::UnsupportedFault("a rescale plan cannot make every host a standby")
-        );
-    }
-
-    pub(crate) fn lossy_and_corrupt_links_are_repaired<E: WallClockEngine>() {
-        let hosts = 3;
-        let plan = FaultPlan::seeded(7)
-            .lossy_link(HostId(0), 0.3)
-            .corrupt_link(HostId(1), 0.3);
-        let config = RingConfig::paper(hosts)
-            .with_ack_timeout(SimDuration::from_millis(40))
-            .with_max_retransmits(10);
-        let counts: Vec<AtomicUsize> = (0..hosts).map(|_| AtomicUsize::new(0)).collect();
-        let (metrics, _) = WallClockDriver::<E>::new(&config)
-            .with_fault_plan(&plan)
-            .run(payloads(hosts, 3, 256), |h, _| {
-                counts[h.0].fetch_add(1, Ordering::SeqCst);
-            })
-            .unwrap();
-        assert_eq!(metrics.fragments_completed, 9);
-        for c in &counts {
-            assert_eq!(c.load(Ordering::SeqCst), 9);
-        }
-        let retransmits: u64 = metrics.hosts.iter().map(|h| h.retransmits).sum();
-        assert!(retransmits > 0, "a 30% loss rate must provoke retransmits");
-    }
-
-    /// One exactly-once cell per (fragment, logical role) of a
-    /// `payloads(hosts, per_host, _)` ring.
-    fn role_cells(hosts: usize, per_host: usize) -> Vec<Vec<AtomicUsize>> {
-        (0..hosts * per_host)
-            .map(|_| (0..hosts).map(|_| AtomicUsize::new(0)).collect())
-            .collect()
-    }
-
-    /// Marks `roles` applied to the fragment `payload` carries (identified
-    /// by its fill byte).
-    fn apply_roles(cells: &[Vec<AtomicUsize>], hosts: usize, roles: &[usize], payload: &[u8]) {
-        let fill = payload.first().copied().unwrap_or(0) as usize;
-        let per_host = cells.len() / hosts;
-        let frag = (0..hosts)
-            .flat_map(|h| (0..per_host).map(move |i| (h, i)))
-            .position(|(h, i)| h * 31 + i == fill)
-            .unwrap();
-        for &r in roles {
-            cells[frag][r].fetch_add(1, Ordering::SeqCst);
-        }
-    }
-
-    fn assert_applied_exactly_once(cells: &[Vec<AtomicUsize>]) {
-        for (f, roles) in cells.iter().enumerate() {
-            for (r, cell) in roles.iter().enumerate() {
-                assert_eq!(
-                    cell.load(Ordering::SeqCst),
-                    1,
-                    "fragment {f} role {r} must be applied exactly once"
-                );
-            }
-        }
-    }
-
-    pub(crate) fn crash_heals_mid_revolution<E: WallClockEngine>() {
-        let hosts = 4;
-        let per_host = 2;
-        let plan = FaultPlan::seeded(4242).crash_host(HostId(2), SimTime::from_nanos(4_000_000));
-        let config = RingConfig::paper(hosts)
-            .with_ack_timeout(SimDuration::from_millis(8))
-            .with_max_retransmits(3);
-        let applied = role_cells(hosts, per_host);
-        // Every state takeover the ring asks for: (survivor, role).
-        let absorbed = Mutex::new(Vec::new());
-        let (metrics, _) = WallClockDriver::<E>::new(&config)
-            .with_fault_plan(&plan)
-            .run_with_roles(
-                payloads(hosts, per_host, 128),
-                |_, roles, payload| {
-                    apply_roles(&applied, hosts, roles, payload);
-                    std::thread::sleep(Duration::from_micros(500));
-                },
-                |survivor, role| absorbed.lock().unwrap().push((survivor, role)),
-            )
-            .unwrap();
-        assert_eq!(metrics.fragments_completed, hosts * per_host);
-        assert_eq!(metrics.heal_events, 1, "one confirmed death");
-        // One dead host with one role: one takeover, by a live host.
-        let absorbed = absorbed.into_inner().unwrap();
-        assert!(
-            matches!(absorbed[..], [(survivor, 2)] if survivor != HostId(2)),
-            "role 2 must be absorbed exactly once, got {absorbed:?}"
-        );
-        assert!(metrics.detection_latency > SimDuration::ZERO);
-        assert_applied_exactly_once(&applied);
-    }
-
-    pub(crate) fn drain_hands_its_role_off_exactly_once<E: WallClockEngine>() {
-        // Host 1 is asked to drain as the ring starts: its one role moves
-        // to a live host, whose worker runs the takeover, and no
-        // (fragment, role) visit is lost or repeated across the handoff.
-        let hosts = 3;
-        let per_host = 2;
-        let rescale = RescalePlan::seeded(5).drain_host(HostId(1), SimTime::ZERO);
-        let config = RingConfig::paper(hosts)
-            .with_ack_timeout(SimDuration::from_millis(20))
-            .with_max_retransmits(6);
-        let applied = role_cells(hosts, per_host);
-        let absorbed = Mutex::new(Vec::new());
-        let (metrics, _) = WallClockDriver::<E>::new(&config)
-            .with_rescale_plan(&rescale)
-            .run_with_roles(
-                payloads(hosts, per_host, 64),
-                |_, roles, payload| {
-                    apply_roles(&applied, hosts, roles, payload);
-                    std::thread::sleep(Duration::from_millis(1));
-                },
-                |survivor, role| absorbed.lock().unwrap().push((survivor, role)),
-            )
-            .unwrap();
-        assert_eq!(metrics.fragments_completed, hosts * per_host);
-        assert_eq!(metrics.rescale_drains, 1);
-        assert_eq!(metrics.rescale_handoffs, 1);
-        assert_eq!(metrics.heal_events, 0, "a clean drain never heals");
-        let absorbed = absorbed.into_inner().unwrap();
-        assert!(
-            matches!(absorbed[..], [(survivor, 1)] if survivor != HostId(1)),
-            "role 1 must be handed off exactly once, got {absorbed:?}"
-        );
-        assert_applied_exactly_once(&applied);
-    }
-
-    pub(crate) fn planned_join_and_drain<E: WallClockEngine>() {
-        // Host 2 starts as a standby and joins at 1 ms (rendezvous moves
-        // role 0 to it — a pure function of ids); host 0, now role-less,
-        // drains at 8 ms while per-buffer sleeps keep the ring busy well
-        // past that instant. On sockets the departed host sees a real FIN.
-        let hosts = 3;
-        let per_host = 3;
-        let rescale = RescalePlan::seeded(77)
-            .join_host(HostId(2), SimTime::from_nanos(1_000_000))
-            .drain_host(HostId(0), SimTime::from_nanos(8_000_000));
-        let config = RingConfig::paper(hosts)
-            .with_ack_timeout(SimDuration::from_millis(20))
-            .with_max_retransmits(6);
-        let mut envelopes = payloads(hosts, per_host, 64);
-        envelopes[2].clear(); // the standby provisions no fragments
-        let counts: Vec<AtomicUsize> = (0..hosts).map(|_| AtomicUsize::new(0)).collect();
-        let (metrics, tracer) = WallClockDriver::<E>::new(&config)
-            .with_rescale_plan(&rescale)
-            .with_tracer(true)
-            .run(envelopes, |h, _: &Vec<u8>| {
-                counts[h.0].fetch_add(1, Ordering::SeqCst);
-                std::thread::sleep(Duration::from_millis(2));
-            })
-            .unwrap();
-        assert_eq!(metrics.fragments_completed, 2 * per_host);
-        assert_eq!(metrics.membership_epoch, 2, "one join + one drain");
-        assert_eq!(metrics.rescale_joins, 1);
-        assert_eq!(metrics.rescale_drains, 1);
-        assert_eq!(metrics.rescale_handoffs, 1, "role 0 moved to the newcomer");
-        assert_eq!(metrics.rescale_escalations, 0);
-        assert_eq!(metrics.heal_events, 0, "a planned rescale is not a fault");
-        assert!(
-            counts[2].load(Ordering::SeqCst) > 0,
-            "newcomer must process"
-        );
-        assert_eq!(tracer.count_events("activated"), 1);
-        assert_eq!(tracer.count_events("departed"), 1);
-        let c = tracer.counters();
-        assert_eq!(c.get(counter::RESCALE_JOINS), 1);
-        assert_eq!(c.get(counter::RESCALE_DRAINS), 1);
-        assert_eq!(c.get(counter::RESCALE_HANDOFFS), 1);
-    }
-
-    pub(crate) fn multiplexed_queries_complete<E: WallClockEngine>() {
-        let hosts = 3;
-        let queries = 3;
-        let cfg = RingConfig::paper(hosts)
-            .with_ack_timeout(SimDuration::from_millis(50))
-            .with_max_retransmits(6);
-        let tenants: Vec<(u32, Vec<Vec<Vec<u8>>>)> = (0..queries)
-            .map(|q| (q as u32, payloads(hosts, 2, 64)))
-            .collect();
-        let counts: Vec<AtomicUsize> = (0..hosts).map(|_| AtomicUsize::new(0)).collect();
-        let (metrics, spans) = WallClockDriver::<E>::new(&cfg)
-            .with_tracer(true)
-            .run_queries(
-                tenants,
-                2,
-                |h, _query, _roles: &[usize], _| {
-                    counts[h.0].fetch_add(1, Ordering::SeqCst);
-                },
-                |_, _| {},
-            )
-            .unwrap();
-        assert_eq!(metrics.fragments_completed, queries * hosts * 2);
-        assert_eq!(metrics.queries.len(), queries);
-        for (q, m) in metrics.queries.iter().enumerate() {
-            assert_eq!(m.tenant, q as u32);
-            assert!(m.completed, "query {q}: {m:?}");
-            assert_eq!(m.fragments_completed, hosts * 2);
-        }
-        for c in &counts {
-            assert_eq!(c.load(Ordering::SeqCst), queries * hosts * 2);
-        }
-        let counters = spans.counters();
-        assert_eq!(counters.get(counter::QUERIES_ADMITTED), queries as u64);
-        assert_eq!(counters.get(counter::QUERIES_COMPLETED), queries as u64);
-    }
-
-    /// Encodes and decodes of [`Counted`] payloads, by the slot their
-    /// first byte names, and encodes of [`Prepared`] ones, by the slot
-    /// they carry: one slot per (test, engine), so tests running side by
-    /// side never share a count.
-    static ENCODES: [AtomicUsize; 6] = [const { AtomicUsize::new(0) }; 6];
-    static DECODES: [AtomicUsize; 4] = [const { AtomicUsize::new(0) }; 4];
-
-    /// Raw bytes that count their encodes in `ENCODES[bytes[0]]` and their
-    /// decodes in `DECODES[bytes[0]]`.
-    #[derive(Debug, Clone)]
-    pub(crate) struct Counted(Vec<u8>);
-
-    impl PayloadBytes for Counted {
-        fn payload_bytes(&self) -> u64 {
-            self.0.payload_bytes()
-        }
-
-        fn payload_checksum(&self) -> u64 {
-            self.0.payload_checksum()
-        }
-    }
-
-    impl WirePayload for Counted {
-        type View<'a> = &'a [u8];
-
-        fn payload_wire_len(&self) -> usize {
-            self.0.len()
-        }
-
-        fn encode_payload(&self, out: &mut Vec<u8>) {
-            ENCODES[self.0[0] as usize].fetch_add(1, Ordering::SeqCst);
-            out.extend_from_slice(&self.0);
-        }
-
-        fn view(bytes: &[u8]) -> Result<&[u8], crate::error::FrameError> {
-            Ok(bytes)
-        }
-
-        fn as_view(&self) -> &[u8] {
-            &self.0
-        }
-
-        fn from_view(view: &[u8]) -> Self {
-            Counted(view.to_vec())
-        }
-
-        fn decode_payload(bytes: &[u8]) -> Result<Self, crate::error::FrameError> {
-            DECODES[bytes[0] as usize].fetch_add(1, Ordering::SeqCst);
-            Ok(Counted(bytes.to_vec()))
-        }
-    }
-
-    /// `hosts × per_host` distinct 300-byte [`Counted`] payloads of
-    /// `slot`.
-    fn counted(slot: u8, hosts: usize, per_host: usize) -> Vec<Vec<Counted>> {
-        (0..hosts)
-            .map(|h| {
-                (0..per_host)
-                    .map(|i| {
-                        let mut bytes = vec![slot, h as u8, i as u8];
-                        bytes.resize(300, (h * 7 + i) as u8);
-                        Counted(bytes)
-                    })
-                    .collect()
-            })
-            .collect()
-    }
-
-    /// The lossy, corrupting plan the frame-path tests run under.
-    fn lossy_corrupting_plan() -> FaultPlan {
-        FaultPlan::seeded(23)
-            .lossy_link(HostId(0), 0.25)
-            .corrupt_link(HostId(1), 0.3)
-            .corrupt_link(HostId(2), 0.2)
-    }
-
-    /// A socket engine encodes each fragment once — at its origin, on its
-    /// first attempt — and frames every other send from those bytes: on a
-    /// quiet ring, and under a lossy and corrupting plan whatever the
-    /// retransmissions, where every corrupted attempt is still rejected
-    /// by the receiver's checksum and repaired. `slot` is the engine's own
-    /// encode counter.
-    pub(crate) fn each_fragment_is_encoded_once<E: WallClockEngine>(slot: u8) {
-        let (hosts, per_host) = (3usize, 4usize);
-        let total = hosts * per_host;
-        let fragments = counted(slot, hosts, per_host);
-        let plan = lossy_corrupting_plan();
-        let config = RingConfig::paper(hosts)
-            .with_ack_timeout(SimDuration::from_millis(40))
-            .with_max_retransmits(12);
-        for faulty in [false, true] {
-            ENCODES[slot as usize].store(0, Ordering::SeqCst);
-            let seen: Vec<Mutex<Vec<Vec<u8>>>> = (0..hosts).map(|_| Mutex::default()).collect();
-            let mut driver = WallClockDriver::<E>::new(&config).with_tracer(true);
-            if faulty {
-                driver = driver.with_fault_plan(&plan);
-            }
-            let (metrics, tracer) = driver
-                .run(fragments.clone(), |h, payload: &Counted| {
-                    seen[h.0].lock().unwrap().push(payload.0.clone());
-                })
-                .unwrap();
-            assert_eq!(metrics.fragments_completed, total);
-            assert_eq!(
-                ENCODES[slot as usize].load(Ordering::SeqCst),
-                total,
-                "one encode per fragment (faulty plan: {faulty})"
-            );
-            assert_frame_counts(&metrics, &tracer, hosts, total, faulty);
-            // Every host visited every fragment exactly once, intact.
-            let want = fragments.iter().flatten().map(|c| c.0.clone()).collect();
-            assert_every_host_saw(seen, want);
-        }
-    }
-
-    /// A run's frame counts: one first send out of its origin per
-    /// fragment, the rest forwards, one frame per hop on a quiet ring and
-    /// at least that under `faulty` dice, which must have lost and
-    /// corrupted attempts.
-    fn assert_frame_counts(
-        metrics: &RingMetrics,
-        tracer: &SpanTracer,
-        hosts: usize,
-        total: usize,
-        faulty: bool,
-    ) {
-        let c = tracer.counters();
-        let (encoded, forwarded) = (
-            c.get(counter::FRAMES_ENCODED),
-            c.get(counter::FRAMES_FORWARDED),
-        );
-        assert_eq!(encoded, total as u64);
-        // Every hop's last attempt reached the wire; retransmissions may
-        // add more (or be eaten by the dice before it).
-        let hops = (total * (hosts - 1)) as u64;
-        assert!(
-            (hops..=hops + metrics.total_retransmits()).contains(&(encoded + forwarded)),
-            "{encoded} + {forwarded} framed for {hops} hops"
-        );
-        if faulty {
-            assert!(
-                metrics.total_retransmits() > 0,
-                "the plan must lose attempts"
-            );
-            assert!(
-                metrics.total_checksum_mismatches() > 0,
-                "the plan must corrupt attempts"
-            );
-        } else {
-            assert_eq!(encoded + forwarded, hops);
-        }
-    }
-
-    /// Every host saw exactly the payload bytes `want`, in any order.
-    fn assert_every_host_saw(seen: Vec<Mutex<Vec<Vec<u8>>>>, mut want: Vec<Vec<u8>>) {
-        want.sort();
-        for host in seen {
-            let mut got = host.into_inner().unwrap();
-            got.sort();
-            assert_eq!(got, want);
-        }
-    }
-
-    /// A prepared fragment that counts its encodes in `ENCODES[slot]`, as
-    /// `(fragment, slot)`; everything else is the fragment's own.
-    #[derive(Debug, Clone)]
-    pub(crate) struct Prepared(mem_joins::PreparedFragment, u8);
-
-    impl PayloadBytes for Prepared {
-        fn payload_bytes(&self) -> u64 {
-            self.0.payload_bytes()
-        }
-    }
-
-    impl WirePayload for Prepared {
-        type View<'a> = mem_joins::FragmentView<'a>;
-
-        fn payload_wire_len(&self) -> usize {
-            self.0.payload_wire_len()
-        }
-
-        fn encode_payload(&self, out: &mut Vec<u8>) {
-            ENCODES[self.1 as usize].fetch_add(1, Ordering::SeqCst);
-            self.0.encode_payload(out);
-        }
-
-        fn view(bytes: &[u8]) -> Result<Self::View<'_>, crate::error::FrameError> {
-            <mem_joins::PreparedFragment as WirePayload>::view(bytes)
-        }
-
-        fn view_accepted(bytes: &[u8]) -> Result<Self::View<'_>, crate::error::FrameError> {
-            <mem_joins::PreparedFragment as WirePayload>::view_accepted(bytes)
-        }
-
-        fn as_view(&self) -> Self::View<'_> {
-            self.0.as_view()
-        }
-
-        fn from_view(view: Self::View<'_>) -> Self {
-            Prepared(mem_joins::PreparedFragment::from_view(view), 0)
-        }
-
-        fn into_wire(self) -> Result<Vec<u8>, Self> {
-            let slot = self.1;
-            self.0
-                .into_wire()
-                .map_err(|fragment| Prepared(fragment, slot))
-        }
-    }
-
-    /// A socket engine sends a prepared fragment from the bytes it was
-    /// prepared in, and never encodes it: no encode runs, each origin's
-    /// visit of its own fragment reads the very buffer `prepare_fragment`
-    /// wrote, every host visits every fragment intact, and the frames
-    /// count one first send out of its origin per fragment against the
-    /// forwards — on a quiet ring and under a lossy and corrupting plan.
-    /// `slot` is the engine's own encode counter.
-    pub(crate) fn an_origin_sends_the_bytes_it_was_prepared_in<E: WallClockEngine>(slot: u8) {
-        use mem_joins::{Algorithm, FragmentView, PreparedFragment};
-        let (hosts, per_host) = (3usize, 4usize);
-        let total = hosts * per_host;
-        let plan = lossy_corrupting_plan();
-        let config = RingConfig::paper(hosts)
-            .with_ack_timeout(SimDuration::from_millis(40))
-            .with_max_retransmits(12);
-        for faulty in [false, true] {
-            ENCODES[slot as usize].store(0, Ordering::SeqCst);
-            let fragments: Vec<Vec<Prepared>> = (0..hosts)
-                .map(|h| {
-                    (0..per_host)
-                        .map(|i| {
-                            let rel = relation::GenSpec::uniform(100 + 10 * i, (h * 8 + i) as u64)
-                                .generate();
-                            let fragment =
-                                Algorithm::partitioned_hash().prepare_fragment(&rel, 2, 1);
-                            Prepared(fragment, slot)
-                        })
-                        .collect()
-                })
-                .collect();
-            // Each origin's fragments: their bytes, and where they lie.
-            let own: Vec<Vec<(Vec<u8>, std::ops::Range<usize>)>> = fragments
-                .iter()
-                .map(|local| {
-                    local
-                        .iter()
-                        .map(|Prepared(f, _)| {
-                            let at = f.as_bytes().as_ptr() as usize;
-                            (f.as_bytes().to_vec(), at..at + f.as_bytes().len())
-                        })
-                        .collect()
-                })
-                .collect();
-            let in_place = AtomicUsize::new(0);
-            let seen: Vec<Mutex<Vec<Vec<u8>>>> = (0..hosts).map(|_| Mutex::default()).collect();
-            let mut driver = WallClockDriver::<E>::new(&config).with_tracer(true);
-            if faulty {
-                driver = driver.with_fault_plan(&plan);
-            }
-            let (metrics, tracer) = driver
-                .run_with_roles(
-                    fragments,
-                    |h, _, view: FragmentView<'_>| {
-                        let bytes = PreparedFragment::from_view(view).into_bytes();
-                        let FragmentView::HashPartitioned(parts) = view else {
-                            panic!("a hash fragment views as one");
-                        };
-                        let keys_at = parts.partitions().next().map(|p| match p.columns() {
-                            relation::Columns::Wire(keys, _) => keys.as_ptr() as usize,
-                            relation::Columns::Native(keys, _) => keys.as_ptr() as usize,
-                        });
-                        if let Some((_, range)) = own[h.0].iter().find(|(b, _)| *b == bytes) {
-                            assert!(
-                                keys_at.is_some_and(|at| range.contains(&at)),
-                                "host {} visited its own fragment elsewhere",
-                                h.0
-                            );
-                            in_place.fetch_add(1, Ordering::SeqCst);
-                        }
-                        seen[h.0].lock().unwrap().push(bytes);
-                    },
-                    |_, _| {},
-                )
-                .unwrap();
-            assert_eq!(metrics.fragments_completed, total);
-            assert_eq!(
-                ENCODES[slot as usize].load(Ordering::SeqCst),
-                0,
-                "nothing encodes"
-            );
-            assert_eq!(in_place.load(Ordering::SeqCst), total);
-            assert_frame_counts(&metrics, &tracer, hosts, total, faulty);
-            let want = own.into_iter().flatten().map(|(bytes, _)| bytes).collect();
-            assert_every_host_saw(seen, want);
-        }
-    }
-
-    /// A socket engine never decodes a received payload: it checks the
-    /// bytes once on receipt and every visit reads them in place. On a
-    /// quiet ring and under a lossy and corrupting plan, `decode_payload`
-    /// runs 0 times while every host visits every fragment exactly once,
-    /// intact. `slot` is the engine's own decode counter.
-    pub(crate) fn a_received_payload_is_never_decoded<E: WallClockEngine>(slot: u8) {
-        let (hosts, per_host) = (3usize, 4usize);
-        let fragments = counted(slot, hosts, per_host);
-        let plan = lossy_corrupting_plan();
-        let config = RingConfig::paper(hosts)
-            .with_ack_timeout(SimDuration::from_millis(40))
-            .with_max_retransmits(12);
-        for faulty in [false, true] {
-            DECODES[slot as usize].store(0, Ordering::SeqCst);
-            let seen: Vec<Mutex<Vec<Vec<u8>>>> = (0..hosts).map(|_| Mutex::default()).collect();
-            let mut driver = WallClockDriver::<E>::new(&config);
-            if faulty {
-                driver = driver.with_fault_plan(&plan);
-            }
-            let (metrics, _) = driver
-                .run_with_roles(
-                    fragments.clone(),
-                    |h, roles, view: &[u8]| {
-                        assert_eq!(roles, [h.0], "no healing on this ring");
-                        seen[h.0].lock().unwrap().push(view.to_vec());
-                    },
-                    |_, _| {},
-                )
-                .unwrap();
-            assert_eq!(metrics.fragments_completed, hosts * per_host);
-            assert_eq!(
-                DECODES[slot as usize].load(Ordering::SeqCst),
-                0,
-                "a received payload was decoded (faulty plan: {faulty})"
-            );
-            if faulty {
-                assert!(metrics.total_retransmits() > 0 && metrics.total_checksum_mismatches() > 0);
-            }
-            let want = fragments.iter().flatten().map(|c| c.0.clone()).collect();
-            assert_every_host_saw(seen, want);
-        }
-    }
-
-    /// A prepared fragment whose every encoding has one bit of its payload
-    /// column flipped: what a hostile (or broken) peer would send.
-    #[derive(Debug, Clone)]
-    pub(crate) struct Flipped(mem_joins::PreparedFragment);
-
-    impl PayloadBytes for Flipped {
-        fn payload_bytes(&self) -> u64 {
-            self.0.payload_bytes()
-        }
-    }
-
-    impl WirePayload for Flipped {
-        type View<'a> = mem_joins::FragmentView<'a>;
-
-        fn payload_wire_len(&self) -> usize {
-            self.0.payload_wire_len()
-        }
-
-        fn encode_payload(&self, out: &mut Vec<u8>) {
-            self.0.encode_payload(out);
-            // A plain fragment ends in its payload column.
-            if let Some(last) = out.last_mut() {
-                *last ^= 0x01;
-            }
-        }
-
-        fn view(bytes: &[u8]) -> Result<Self::View<'_>, crate::error::FrameError> {
-            <mem_joins::PreparedFragment as WirePayload>::view(bytes)
-        }
-
-        fn as_view(&self) -> Self::View<'_> {
-            self.0.as_view()
-        }
-
-        fn from_view(view: Self::View<'_>) -> Self {
-            Flipped(mem_joins::PreparedFragment::from_view(view))
-        }
-    }
-
-    /// The protocol's checksum of a prepared fragment depends on its size
-    /// only, so the relation header's checksum is the one content check a
-    /// received body gets: a body with one flipped payload-column bit must
-    /// end the run in the typed frame error, before any visit reads it.
-    pub(crate) fn a_flipped_column_bit_is_a_frame_error<E: WallClockEngine>() {
-        let hosts = 3;
-        let fragments: Vec<Vec<Flipped>> = (0..hosts)
-            .map(|h| {
-                let rel = relation::GenSpec::uniform(200, h as u64).generate();
-                vec![Flipped(
-                    mem_joins::Algorithm::NestedLoops.prepare_fragment(&rel, 0, 1),
-                )]
-            })
-            .collect();
-        let visits = AtomicUsize::new(0);
-        let err = WallClockDriver::<E>::new(&RingConfig::paper(hosts))
-            .run_with_roles(
-                fragments,
-                |_, _, _| {
-                    visits.fetch_add(1, Ordering::SeqCst);
-                },
-                |_, _| {},
-            )
-            .unwrap_err();
-        assert_eq!(
-            err,
-            RingError::Frame(crate::error::FrameError::BadPayload(
-                mem_joins::wire::BAD_RELATION
-            ))
-        );
-        assert!(
-            visits.load(Ordering::SeqCst) <= hosts,
-            "only origins may have visited their own, intact, fragments"
-        );
-    }
-
-    pub(crate) fn multiplexed_queries_survive_faults<E: WallClockEngine>() {
-        let hosts = 3;
-        let queries = 4;
-        let mut plan = FaultPlan::seeded(19);
-        for h in 0..hosts {
-            plan = plan.lossy_link(HostId(h), 0.08);
-        }
-        let cfg = RingConfig::paper(hosts)
-            .with_ack_timeout(SimDuration::from_millis(40))
-            .with_max_retransmits(8);
-        let tenants: Vec<(u32, Vec<Vec<Vec<u8>>>)> = (0..queries)
-            .map(|q| (q as u32, payloads(hosts, 2, 48)))
-            .collect();
-        let (metrics, _) = WallClockDriver::<E>::new(&cfg)
-            .with_fault_plan(&plan)
-            .run_queries(tenants, queries, |_, _, _: &[usize], _| {}, |_, _| {})
-            .unwrap();
-        assert_eq!(metrics.fragments_completed, queries * hosts * 2);
-        assert!(metrics.queries.iter().all(|m| m.completed));
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::engine_suite::payloads;
     use super::*;
     use crate::app::FixedCostApp;
+    use crate::protocol::envelope_batches;
     use crate::sim_backend::SimRing;
+    use crate::wall_clock::engine_suite::payloads;
+    use crate::wall_clock::run_job;
     use proptest::prelude::*;
     use std::cell::RefCell;
 
@@ -2336,8 +1295,9 @@ mod tests {
     /// An in-memory medium that records every call. Frames cross a FIFO
     /// wire with latency (they are *not* follow-ups) and jobs finish on
     /// the spot; the test fires the coordinator's timers only when the
-    /// wire is idle.
+    /// wire is idle, and its clock moves only when one fires.
     struct Fake {
+        now: SimTime,
         calls: Vec<Call>,
         wire: VecDeque<Event<P>>,
         /// The host whose delivery is being handled, as the test sees it.
@@ -2352,6 +1312,7 @@ mod tests {
     impl Fake {
         fn new() -> Self {
             Fake {
+                now: SimTime::ZERO,
                 calls: Vec::new(),
                 wire: VecDeque::new(),
                 delivering: None,
@@ -2362,13 +1323,17 @@ mod tests {
     }
 
     impl Medium<P> for Fake {
+        fn now(&self) -> SimTime {
+            self.now
+        }
+
         fn transmit(
             &mut self,
             from: HostId,
             to: HostId,
             tid: u64,
             env: Envelope<InFlight<P>>,
-            _delay: Duration,
+            _delay: SimDuration,
             _next: &mut Pending<P>,
         ) -> Result<Sent, RingError> {
             self.calls.push(Call::Transmit(from, to, tid));
@@ -2409,6 +1374,7 @@ mod tests {
             next.now.push_back(Event::Job(run_job(
                 host,
                 job,
+                1,
                 &|_, _, _: &[usize], _| {},
                 &|survivor, role| absorbed.borrow_mut().push((survivor, role)),
             )));
@@ -2428,7 +1394,12 @@ mod tests {
         fragments: Vec<Vec<P>>,
     ) -> Coordinator<'a, P, Fake> {
         let workload = Workload::Single(envelope_batches(fragments, config.hosts));
-        Coordinator::new(config, Some(plan), rescale, workload, true, Fake::new())
+        let mut co = Coordinator::new(config, Some(plan), rescale, workload, true, Fake::new());
+        // Every host is set up at the epoch: its set-up is due at once.
+        while let Some((_, setup)) = co.pending.timers.pop_due(SimTime::ZERO) {
+            co.handle(setup);
+        }
+        co
     }
 
     /// Handles one event and returns the medium calls it caused.
@@ -2446,15 +1417,23 @@ mod tests {
     }
 
     /// Follow-ups first, then the wire, then the earliest timer, however
-    /// far ahead its deadline lies.
+    /// far ahead its deadline lies (the clock jumps to it).
     fn next_event(co: &mut Coordinator<'_, P, Fake>) -> Event<P> {
-        let timers = &mut co.pending.timers;
-        co.pending
+        if let Some(event) = co
+            .pending
             .now
             .pop_front()
             .or_else(|| co.medium.wire.pop_front())
-            .or_else(|| timers.pop_due(timers.next_deadline()?))
-            .expect("ring wedged: nothing pending, in flight or armed")
+        {
+            return event;
+        }
+        let (at, timer) = co
+            .pending
+            .timers
+            .pop()
+            .expect("ring wedged: nothing pending, in flight or armed");
+        co.medium.now = at;
+        timer
     }
 
     fn send_dones(pending: &Pending<P>) -> usize {
@@ -2550,7 +1529,7 @@ mod tests {
         }
         assert_eq!(co.medium.calls, want);
         assert_eq!(send_dones(&co.pending), lost);
-        assert_eq!(co.pending.timers.armed.len(), armed);
+        assert_eq!(co.pending.timers.len(), armed);
         assert_jobs_share_the_slot_payload(&mut co);
 
         let mut total_lost = lost;
@@ -2577,7 +1556,7 @@ mod tests {
                 _ => panic!("a link-fault run has no other events"),
             };
             let before = send_dones(&co.pending);
-            let armed_before = co.pending.timers.armed.len();
+            let armed_before = co.pending.timers.len();
             let got = step(&mut co, event);
             assert_jobs_share_the_slot_payload(&mut co);
             let outputs = shadow.input(input);
@@ -2586,7 +1565,7 @@ mod tests {
             // A dropped attempt: a follow-up SendDone, and no transmit.
             assert_eq!(send_dones(&co.pending) - before, dropped);
             // Each `ArmTimer` adds exactly one entry to the queue.
-            assert_eq!(co.pending.timers.armed.len() - armed_before, armed);
+            assert_eq!(co.pending.timers.len() - armed_before, armed);
             total_lost += dropped;
         }
         assert!(total_lost > 0, "the seed must exercise the drop path");
@@ -2602,8 +1581,8 @@ mod tests {
             assert_eq!(ours.retransmits, theirs.retransmits);
             assert_eq!(ours.checksum_mismatches, theirs.checksum_mismatches);
         }
-        // Same dice, same vocabulary: the two appliers leave the same
-        // multiset of (host, track, event name).
+        // Same dice, same vocabulary: the fake medium and the model leave
+        // the same multiset of (host, track, event name).
         let names = |tracer: &SpanTracer| {
             let mut names: Vec<_> = tracer
                 .events()
@@ -2845,13 +1824,10 @@ mod tests {
         let config = RingConfig::paper(3).with_max_retransmits(2);
         let plan = FaultPlan::seeded(3).crash_host(HostId(1), SimTime::from_nanos(1_000));
         let mut co = ring(&config, &plan, None, payloads(3, 2, 32));
-        assert!(co
-            .pending
-            .timers
-            .armed
-            .iter()
-            .any(|(_, event)| matches!(event, Event::Timer(TimerKind::Crash(HostId(1))))));
-        let calls = step(&mut co, Event::Timer(TimerKind::Crash(HostId(1))));
+        let (at, crash) = co.pending.timers.pop().expect("the crash is armed");
+        assert_eq!(at, SimTime::from_nanos(1_000));
+        assert!(matches!(crash, Event::Timer(TimerKind::Crash(HostId(1)))));
+        let calls = step(&mut co, crash);
         assert_eq!(calls.first(), Some(&Call::Sever(HostId(1))));
         assert!(co.proto.is_crashed(HostId(1)));
         // A second report of the same crash is ignored outright.
@@ -2898,41 +1874,43 @@ mod tests {
     }
 
     /// Every item due at `now`, in the order the queue fires them.
-    fn fire_all<T>(timers: &mut TimerQueue<T>, now: Instant) -> Vec<T> {
-        std::iter::from_fn(|| timers.pop_due(now)).collect()
+    fn fire_all<T>(timers: &mut EventQueue<T>, now: SimTime) -> Vec<T> {
+        std::iter::from_fn(|| timers.pop_due(now).map(|(_, item)| item)).collect()
+    }
+
+    fn at_ns(nanos: u64) -> SimTime {
+        SimTime::from_nanos(nanos)
     }
 
     #[test]
     fn timers_fire_in_deadline_order() {
-        let start = Instant::now();
-        let ms = |n| start + Duration::from_millis(n);
-        let mut timers = TimerQueue::new();
-        timers.insert(ms(5), "c");
-        timers.insert(ms(1), "a");
-        timers.insert(ms(3), "b");
-        assert_eq!(timers.next_deadline(), Some(ms(1)));
+        let ms = |n: u64| at_ns(n * 1_000_000);
+        let mut timers = EventQueue::new();
+        timers.push(ms(5), "c");
+        timers.push(ms(1), "a");
+        timers.push(ms(3), "b");
+        assert_eq!(timers.peek_time(), Some(ms(1)));
         assert_eq!(fire_all(&mut timers, ms(10)), ["a", "b", "c"]);
-        assert_eq!(timers.next_deadline(), None);
+        assert_eq!(timers.peek_time(), None);
     }
 
     #[test]
     fn a_timer_never_fires_before_its_deadline() {
-        let start = Instant::now();
-        let due = start + Duration::from_millis(2);
-        let mut timers = TimerQueue::new();
-        timers.insert(due, "t");
+        let (start, due) = (at_ns(1_000), at_ns(2_001_000));
+        let mut timers = EventQueue::new();
+        timers.push(due, "t");
         assert!(timers.pop_due(start).is_none());
-        assert!(timers.pop_due(due - Duration::from_nanos(1)).is_none());
-        assert_eq!(timers.next_deadline(), Some(due));
-        assert_eq!(timers.pop_due(due), Some("t"));
+        assert!(timers.pop_due(at_ns(2_000_999)).is_none());
+        assert_eq!(timers.peek_time(), Some(due));
+        assert_eq!(timers.pop_due(due), Some((due, "t")));
     }
 
     #[test]
     fn equal_deadlines_fire_in_arming_order() {
-        let due = Instant::now() + Duration::from_millis(1);
-        let mut timers = TimerQueue::new();
+        let due = at_ns(1_000_000);
+        let mut timers = EventQueue::new();
         for item in ["first", "second", "third"] {
-            timers.insert(due, item);
+            timers.push(due, item);
         }
         assert_eq!(fire_all(&mut timers, due), ["first", "second", "third"]);
     }
@@ -2941,22 +1919,23 @@ mod tests {
     /// instant, and not one poll before.
     #[test]
     fn far_apart_deadlines_fire_each_at_its_own() {
-        let start = Instant::now();
-        let after = |d: Duration| start + d;
+        let start = at_ns(1_000);
+        let after = |d: SimDuration| start + d;
         let (near, mid, far) = (
-            Duration::from_micros(3),
-            Duration::from_millis(50),
-            Duration::from_secs(7_200),
+            SimDuration::from_micros(3),
+            SimDuration::from_millis(50),
+            SimDuration::from_secs(7_200),
         );
-        let mut timers = TimerQueue::new();
-        timers.insert(after(far), "far");
-        timers.insert(after(near), "near");
-        timers.insert(after(mid), "mid");
+        let before = |d: SimDuration| after(d) - SimDuration::from_nanos(1);
+        let mut timers = EventQueue::new();
+        timers.push(after(far), "far");
+        timers.push(after(near), "near");
+        timers.push(after(mid), "mid");
         assert_eq!(fire_all(&mut timers, after(near)), ["near"]);
-        assert!(fire_all(&mut timers, after(mid) - Duration::from_nanos(1)).is_empty());
+        assert!(fire_all(&mut timers, before(mid)).is_empty());
         assert_eq!(fire_all(&mut timers, after(mid)), ["mid"]);
-        assert!(fire_all(&mut timers, after(far) - Duration::from_nanos(1)).is_empty());
-        assert_eq!(timers.next_deadline(), Some(after(far)));
+        assert!(fire_all(&mut timers, before(far)).is_empty());
+        assert_eq!(timers.peek_time(), Some(after(far)));
         assert_eq!(fire_all(&mut timers, after(far)), ["far"]);
     }
 
@@ -2964,16 +1943,15 @@ mod tests {
     /// after it, and fires at its own instant, not one poll before.
     #[test]
     fn a_far_deadline_waits_behind_every_nearer_one() {
-        let start = Instant::now();
-        let far = start + Duration::from_millis(20);
-        let mut timers = TimerQueue::new();
-        timers.insert(far, u64::MAX);
+        let far = at_ns(20_000_000);
+        let mut timers = EventQueue::new();
+        timers.push(far, u64::MAX);
         for us in 0..1_000 {
-            timers.insert(start + Duration::from_micros(us), us);
+            timers.push(at_ns(us * 1_000), us);
         }
-        let near = fire_all(&mut timers, far - Duration::from_nanos(1));
+        let near = fire_all(&mut timers, at_ns(19_999_999));
         assert_eq!(near, (0..1_000).collect::<Vec<_>>());
-        assert_eq!(timers.next_deadline(), Some(far));
+        assert_eq!(timers.peek_time(), Some(far));
         assert_eq!(fire_all(&mut timers, far), [u64::MAX]);
     }
 
@@ -2982,14 +1960,13 @@ mod tests {
     /// saw.
     #[test]
     fn a_timer_armed_behind_the_clock_fires_on_the_next_poll() {
-        let start = Instant::now();
-        let now = start + Duration::from_millis(10);
-        let mut timers = TimerQueue::new();
+        let now = at_ns(10_000_000);
+        let mut timers = EventQueue::new();
         assert!(timers.pop_due(now).is_none());
-        let due = start + Duration::from_millis(1);
-        timers.insert(due, "late");
-        assert_eq!(timers.next_deadline(), Some(due));
-        assert_eq!(timers.pop_due(now), Some("late"));
+        let due = at_ns(1_000_000);
+        timers.push(due, "late");
+        assert_eq!(timers.peek_time(), Some(due));
+        assert_eq!(timers.pop_due(now), Some((due, "late")));
     }
 
     #[test]
@@ -2998,12 +1975,11 @@ mod tests {
         // first when the loop oversleeps both deadlines, and equal
         // deadlines keep their arming order. The instants are the test's
         // own, so nothing here depends on how the box schedules a thread.
-        let start = Instant::now();
-        let mut timers = TimerQueue::new();
-        timers.insert(start + Duration::from_millis(4), "join");
-        timers.insert(start + Duration::from_millis(2), "drain");
-        timers.insert(start + Duration::from_millis(2), "second drain");
-        let overslept = start + Duration::from_millis(10);
+        let mut timers = EventQueue::new();
+        timers.push(at_ns(4_000_000), "join");
+        timers.push(at_ns(2_000_000), "drain");
+        timers.push(at_ns(2_000_000), "second drain");
+        let overslept = at_ns(10_000_000);
         assert_eq!(
             fire_all(&mut timers, overslept),
             ["drain", "second drain", "join"]
@@ -3018,24 +1994,78 @@ mod tests {
         let config = RingConfig::paper(2).with_watchdog(SimDuration::from_millis(100));
         let plan = FaultPlan::seeded(1);
         let mut co = ring(&config, &plan, None, payloads(2, 1, 32));
-        let now = Instant::now();
+        let ms = |n: u64| SimDuration::from_millis(n);
+        let now = at_ns(5_000);
         // Nothing armed (quiet dice, no plan instants): the whole window.
-        assert!(co.pending.timers.armed.is_empty());
+        assert!(co.pending.timers.is_empty());
         assert_eq!(co.fire_or_wait(now), Some(Duration::from_millis(100)));
         // The window keeps running while the loop waits.
-        let later = now + Duration::from_millis(30);
+        let later = now + ms(30);
         assert_eq!(co.fire_or_wait(later), Some(Duration::from_millis(70)));
-        let due = later + Duration::from_millis(5);
+        let due = later + ms(5);
         let tick = TimerKind::Protocol(Timer::Retransmit { tid: 0, attempt: 1 });
-        co.pending.timers.insert(due, Event::Timer(tick));
+        co.pending.timers.push(due, Event::Timer(tick));
         assert_eq!(co.fire_or_wait(later), Some(Duration::from_millis(5)));
         // Due: it fires (an event, so the window reopens) instead.
         assert_eq!(co.fire_or_wait(due), None);
-        assert!(co.pending.timers.armed.is_empty() && !co.done());
-        let reopened = due + Duration::from_millis(60);
+        assert!(co.pending.timers.is_empty() && !co.done());
+        let reopened = due + ms(60);
         assert_eq!(co.fire_or_wait(reopened), Some(Duration::from_millis(100)));
-        assert_eq!(co.fire_or_wait(reopened + Duration::from_millis(100)), None);
+        assert_eq!(co.fire_or_wait(reopened + ms(100)), None);
         assert_eq!(co.finish().unwrap_err(), RingError::Teardown(STALLED));
+    }
+
+    /// The booking rule every clock shares: a job that finishes after its
+    /// host crashed is booked — its time to `busy`, its compute to the
+    /// host's account — but it never reaches the protocol, and neither the
+    /// host's join window nor the run's progress moves for it.
+    #[test]
+    fn a_job_finishing_after_its_host_crashed_is_booked_not_reported() {
+        let config = RingConfig::paper(3).with_max_retransmits(2);
+        let plan = FaultPlan::seeded(3).crash_host(HostId(1), SimTime::from_nanos(1_000));
+        let mut co = ring(&config, &plan, None, payloads(3, 2, 32));
+        let (_, crash) = co.pending.timers.pop().expect("the crash is armed");
+        step(&mut co, crash);
+        assert!(co.proto.is_crashed(HostId(1)));
+        let before = co.books[1];
+        let (progress, processed) = (
+            co.last_progress,
+            co.proto.host(HostId(1)).fragments_processed(),
+        );
+        co.medium.now = SimTime::from_nanos(9_000_000);
+        let late = JobDone {
+            host: HostId(1),
+            spent: SimDuration::from_millis(7),
+            cpu: SimDuration::from_millis(28),
+            panicked: false,
+            inline: false,
+            what: Done::Join {
+                id: FragmentId(1),
+                hop: 0,
+            },
+        };
+        assert!(
+            step(&mut co, Event::Job(late)).is_empty(),
+            "the protocol never hears of it"
+        );
+        let after = co.books[1];
+        let compute = |books: Books| books.cpu.busy(CostCategory::Compute);
+        assert_eq!(after.busy, before.busy + SimDuration::from_millis(7));
+        assert_eq!(
+            compute(after),
+            compute(before) + SimDuration::from_millis(28)
+        );
+        assert_eq!(after.last_done, before.last_done, "the window stays shut");
+        assert_eq!(co.last_progress, progress, "a corpse makes no progress");
+        assert_eq!(co.proto.host(HostId(1)).fragments_processed(), processed);
+        while !co.done() {
+            let event = next_event(&mut co);
+            step(&mut co, event);
+        }
+        let (metrics, _) = co.finish().unwrap();
+        assert_eq!(metrics.fragments_completed, 6);
+        assert!(metrics.hosts[1].join_busy >= SimDuration::from_millis(7));
+        assert!(metrics.hosts[1].cpu.busy(CostCategory::Compute) >= SimDuration::from_millis(28));
     }
 
     proptest! {
@@ -3050,15 +2080,14 @@ mod tests {
             ops in prop::collection::vec((0u8..4, any::<u64>()), 1..300),
             backlog in 0usize..2_000,
         ) {
-            let start = Instant::now();
-            let at = |us: u64| start + Duration::from_micros(us);
-            let mut timers = TimerQueue::new();
+            let at = |us: u64| SimTime::from_nanos(us * 1_000);
+            let mut timers = EventQueue::new();
             // Model: armed (deadline µs, arm sequence), unsorted.
             let mut live: Vec<(u64, u64)> = Vec::new();
             let mut fired: Vec<u64> = Vec::new();
             let (mut now, mut seq) = (0u64, 0u64);
-            let mut arm = |timers: &mut TimerQueue<u64>, live: &mut Vec<(u64, u64)>, due: u64| {
-                timers.insert(at(due), seq);
+            let mut arm = |timers: &mut EventQueue<u64>, live: &mut Vec<(u64, u64)>, due: u64| {
+                timers.push(at(due), seq);
                 live.push((due, seq));
                 seq += 1;
             };
@@ -3086,9 +2115,9 @@ mod tests {
                     fired.extend(got);
                 }
                 let next = live.iter().map(|&(d, _)| d).min().map(at);
-                prop_assert_eq!(timers.next_deadline(), next);
+                prop_assert_eq!(timers.peek_time(), next);
             }
-            fired.extend(fire_all(&mut timers, at(u64::MAX / 4)));
+            fired.extend(fire_all(&mut timers, SimTime::MAX));
             fired.sort_unstable();
             prop_assert_eq!(fired, (0..seq).collect::<Vec<_>>());
         }

@@ -9,10 +9,9 @@
 //!
 //! Four interchangeable backends run the same protocol:
 //!
-//! * [`sim_backend::SimRing`] — inside the deterministic `simnet`
-//!   discrete-event simulator, in virtual time, with the RDMA/TCP cost
-//!   models attached; this is the backend all paper figures are
-//!   reproduced on;
+//! * [`sim_backend::SimRing`] — on a deterministic virtual clock, with
+//!   `simnet`'s RDMA/TCP cost models as its medium; this is the backend
+//!   all paper figures are reproduced on;
 //! * [`thread_backend::RingDriver`] — on real OS threads with channels
 //!   for wires, validating the protocol under true concurrency (and
 //!   running the one-host ring of every wall-clock engine, which has no
@@ -28,17 +27,17 @@
 //!   the ring widens to 64–256 hosts.
 //!
 //! All backends are thin *drivers* over the same sans-IO [`protocol`]
-//! core, which owns every credit, acknowledgement and healing decision.
-//! The three wall-clock drivers are one builder ([`WallClockDriver`])
-//! over three engines and share one applier of the protocol's outputs,
-//! [`coordinator`], which every wall-clock run goes through and which owns
-//! every timer of the run (no engine has a timer of its own); the two
-//! socket drivers share one wire format,
-//! [`frame`]. Both appliers run the protocol over one shared in-flight
-//! payload per fragment copy (`inflight`), so neither a visit nor a
-//! retransmission copies a payload; a socket engine encodes each fragment
-//! once per revolution and never decodes one: a visit joins the bytes it
-//! arrived in ([`WirePayload::View`]).
+//! core, which owns every credit, acknowledgement and healing decision,
+//! and all four share one applier of the protocol's outputs,
+//! [`coordinator`], which every run goes through — on a virtual clock or
+//! the machine's — and which owns the run's one event queue (no driver
+//! has a timer of its own). The three wall-clock drivers are one builder
+//! ([`WallClockDriver`]) over three engines; the two socket drivers share
+//! one wire format, [`frame`]. The applier runs the protocol over one
+//! shared in-flight payload per fragment copy (`inflight`), so neither a
+//! visit nor a retransmission copies a payload; a socket engine encodes
+//! each fragment once per revolution and never decodes one: a visit joins
+//! the bytes it arrived in ([`WirePayload::View`]).
 //!
 //! ```
 //! use data_roundabout::{FixedCostApp, RingConfig, SimRing};
@@ -74,10 +73,11 @@ pub mod sim_backend;
 pub mod sync;
 pub mod tcp_backend;
 pub mod thread_backend;
+mod wall_clock;
 
 pub use app::{FixedCostApp, RingApp};
 pub use config::{ConfigError, RingConfig};
-pub use coordinator::{validate_plans, WallClockDriver, WallClockEngine};
+pub use coordinator::validate_plans;
 pub use envelope::{Envelope, FragmentId, PayloadBytes};
 pub use error::{FrameError, RingError};
 pub use frame::{Frame, FrameDecoder, WirePayload};
@@ -86,6 +86,7 @@ pub use reactor_backend::{ReactorEngine, ReactorRingDriver};
 pub use sim_backend::{SimOutcome, SimRing};
 pub use tcp_backend::{BlockingEngine, TcpRingDriver};
 pub use thread_backend::{ChannelEngine, RingDriver};
+pub use wall_clock::{WallClockDriver, WallClockEngine};
 
 pub use simnet::fault::{FaultPlan, RescalePlan};
 pub use simnet::topology::HostId;

@@ -6,16 +6,13 @@
 //! that state machine, expressed without any IO: no channels, no threads,
 //! no sockets, no clocks. A backend ("driver") feeds typed [`Input`]s and
 //! maps the returned [`Output`]s onto whatever transport and timer
-//! mechanism it owns:
-//!
-//! * the simulated driver ([`crate::sim_backend::SimRing`]) maps outputs
-//!   onto `simnet` events and cost-model charges in virtual time;
-//! * the wall-clock drivers — [`crate::thread_backend::RingDriver`]
-//!   (whenever a run rolls dice), [`crate::tcp_backend::TcpRingDriver`]
-//!   and [`crate::reactor_backend::ReactorRingDriver`] — share one
-//!   applier, [`crate::coordinator`], and differ only in the medium under
-//!   it: `sync::mpmc` channels, or length-prefixed frames over real
-//!   loopback sockets.
+//! mechanism it owns. Every driver — the simulated one ([`crate::sim_backend::SimRing`]) and
+//! the wall-clock ones ([`crate::thread_backend::RingDriver`],
+//! [`crate::tcp_backend::TcpRingDriver`] and
+//! [`crate::reactor_backend::ReactorRingDriver`]) — shares one applier,
+//! [`crate::coordinator`], and differs only in the medium under it:
+//! `simnet`'s cost model on a virtual clock, `sync::mpmc` channels, or
+//! length-prefixed frames over real loopback sockets.
 //!
 //! The driver contract is one call: [`RingProtocol::input_into`] takes an
 //! input and appends the outputs it causes to a vector the driver owns.

@@ -100,17 +100,16 @@ use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
+use simnet::event::EventQueue;
 use simnet::fault::{FaultPlan, RescalePlan};
 use simnet::span::SpanTracer;
+use simnet::time::{SimDuration, SimTime};
 use simnet::topology::HostId;
 
 use crate::config::RingConfig;
-use crate::coordinator::{
-    run_job, Coordinator, Done, Event, Job, JobDone, Medium, Pending, Sent, TimerQueue,
-    WallClockDriver, WallClockEngine, Workload,
-};
+use crate::coordinator::{Coordinator, Done, Event, Job, JobDone, Medium, Pending, Sent, Workload};
 use crate::envelope::Envelope;
 use crate::error::RingError;
 use crate::frame::{
@@ -120,6 +119,7 @@ use crate::frame::{
 use crate::inflight::{map_payloads, Batches, InFlight, Visit};
 use crate::metrics::RingMetrics;
 use crate::protocol::teardown;
+use crate::wall_clock::{run_job, WallClock, WallClockDriver, WallClockEngine};
 
 /// Poll token of the worker-pool wake socket (never a connection index).
 const WAKE_TOKEN: usize = usize::MAX;
@@ -459,7 +459,7 @@ enum OutJob<P> {
         /// Fault-plan delay spike: the frame may not touch the socket
         /// before this instant (and, FIFO queue, delays what's behind
         /// it), mirroring the blocking writer's sleep.
-        not_before: Option<Instant>,
+        not_before: Option<SimTime>,
         /// Host whose wire-free credit ([`Input::SendDone`]) this frame
         /// releases once the kernel accepted its last byte.
         notify: Option<HostId>,
@@ -551,7 +551,11 @@ impl<P> Conn<P> {
     /// free the send credit. Returns the head frame's release instant
     /// when it is still embargoed by a delay spike (the caller arms a
     /// timer for it).
-    fn pump_write(&mut self, mut released: impl FnMut(Option<HostId>)) -> Option<Instant> {
+    fn pump_write(
+        &mut self,
+        clock: WallClock,
+        mut released: impl FnMut(Option<HostId>),
+    ) -> Option<SimTime> {
         self.want_out = false;
         loop {
             let job = self.outq.pop_front()?;
@@ -563,7 +567,7 @@ impl<P> Conn<P> {
                 } => {
                     if self.write_open {
                         if let Some(release) = not_before {
-                            if release > Instant::now() {
+                            if release > clock.now() {
                                 self.outq.push_front(OutJob::Frame {
                                     frame,
                                     not_before,
@@ -765,14 +769,14 @@ impl<P> WorkerPool<P> {
 
 /// One pool thread: pull a job, run the guarded callback, publish the
 /// completion, release the host's serialization slot.
-fn worker_thread<P, F, A>(pool: &WorkerPool<P>, visit: &F, absorb: &A)
+fn worker_thread<P, F, A>(pool: &WorkerPool<P>, threads: usize, visit: &F, absorb: &A)
 where
     P: WirePayload,
     F: Fn(HostId, u32, &[usize], Visit<'_, P>),
     A: Fn(HostId, usize),
 {
     while let Some((host, job)) = pool.next_job() {
-        pool.push_done(run_job(HostId(host), job, visit, absorb));
+        pool.push_done(run_job(HostId(host), job, threads, visit, absorb));
         pool.finished(host);
     }
 }
@@ -792,12 +796,15 @@ struct Sockets<'a, P, F, A> {
     /// Connections to flush again once their head frame's delay-spike
     /// embargo ends; a token may be armed more than once, and a flush
     /// with nothing due is a no-op.
-    embargoes: TimerQueue<usize>,
+    embargoes: EventQueue<usize>,
+    clock: WallClock,
     /// Payload buffers, shared with every connection's decoder: bodies
     /// are read into them, origins encode into them, and a payload's last
     /// holder returns them.
     pool: Arc<FrameBufPool>,
     workers: &'a WorkerPool<P>,
+    /// Join threads per host: a visit's compute is its time on each.
+    threads: usize,
     visit: &'a F,
     absorb: &'a A,
     /// Jobs of each host submitted to `workers` whose completion the
@@ -820,7 +827,7 @@ impl<P, F, A> Sockets<'_, P, F, A> {
     fn note_visit_cost(&mut self, done: &JobDone) {
         if let (Done::Join { .. }, Some(last)) = (&done.what, self.last_visit.get_mut(done.host.0))
         {
-            *last = Some(done.spent);
+            *last = Some(done.spent.into());
         }
     }
 
@@ -846,13 +853,13 @@ impl<P, F, A> Sockets<'_, P, F, A> {
         let Some(conn) = self.conns.get_mut(t) else {
             return;
         };
-        let embargo = conn.pump_write(|notify| {
+        let embargo = conn.pump_write(self.clock, |notify| {
             if let Some(from) = notify {
                 next.now.push_back(Event::SendDone { from });
             }
         });
         if let Some(release) = embargo {
-            self.embargoes.insert(release, t);
+            self.embargoes.push(release, t);
         }
         self.sync_interest(t);
     }
@@ -864,7 +871,7 @@ impl<P, F, A> Sockets<'_, P, F, A> {
         from: HostId,
         to: HostId,
         frame: OutFrame<P>,
-        not_before: Option<Instant>,
+        not_before: Option<SimTime>,
         notify: Option<HostId>,
         next: &mut Pending<P>,
     ) -> Result<(), RingError> {
@@ -895,16 +902,20 @@ where
     F: Fn(HostId, u32, &[usize], Visit<'_, P>),
     A: Fn(HostId, usize),
 {
+    fn now(&self) -> SimTime {
+        self.clock.now()
+    }
+
     fn transmit(
         &mut self,
         from: HostId,
         to: HostId,
         tid: u64,
         env: Envelope<InFlight<P>>,
-        delay: Duration,
+        delay: SimDuration,
         next: &mut Pending<P>,
     ) -> Result<Sent, RingError> {
-        let not_before = (!delay.is_zero()).then(|| Instant::now() + delay);
+        let not_before = (delay > SimDuration::ZERO).then(|| self.now().saturating_add(delay));
         let (frame, first) = OutFrame::envelope(tid, env, &self.pool)?;
         self.enqueue_frame(from, to, frame, not_before, Some(from), next)?;
         Ok(if first {
@@ -936,7 +947,7 @@ where
         if idle && cheap && matches!(job, Job::Join { .. }) {
             let done = JobDone {
                 inline: true,
-                ..run_job(host, job, self.visit, self.absorb)
+                ..run_job(host, job, self.threads, self.visit, self.absorb)
             };
             self.note_visit_cost(&done);
             next.now.push_back(Event::Job(done));
@@ -1104,7 +1115,7 @@ impl WallClockEngine for ReactorEngine {
         thread::scope(|s| {
             for _ in 0..pool_threads {
                 let pool = &workers;
-                s.spawn(move || worker_thread(pool, visit, absorb));
+                s.spawn(move || worker_thread(pool, config.join_threads, visit, absorb));
             }
 
             let mut poller = Poller::new();
@@ -1113,9 +1124,11 @@ impl WallClockEngine for ReactorEngine {
                 conns,
                 lanes,
                 poller,
-                embargoes: TimerQueue::new(),
+                embargoes: EventQueue::new(),
+                clock: WallClock::start(),
                 pool,
                 workers: &workers,
+                threads: config.join_threads,
                 visit,
                 absorb,
                 in_pool: vec![0; n],
@@ -1142,16 +1155,16 @@ impl WallClockEngine for ReactorEngine {
                     co.handle(event);
                     continue;
                 }
-                let now = Instant::now();
-                if let Some(t) = co.medium.embargoes.pop_due(now) {
+                let now = co.medium.now();
+                if let Some((_, t)) = co.medium.embargoes.pop_due(now) {
                     co.medium.flush_conn(t, &mut co.pending);
                     continue;
                 }
                 let Some(mut timeout) = co.fire_or_wait(now) else {
                     continue;
                 };
-                if let Some(release) = co.medium.embargoes.next_deadline() {
-                    timeout = timeout.min(release.saturating_duration_since(now));
+                if let Some(release) = co.medium.embargoes.peek_time() {
+                    timeout = timeout.min(release.saturating_duration_since(now).into());
                 }
                 match co.medium.poller.wait(timeout, &mut ready) {
                     Wait::Ready => {
@@ -1207,10 +1220,10 @@ impl WallClockEngine for ReactorEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::coordinator::engine_suite::{self, payloads};
     use crate::envelope::FragmentId;
     use crate::frame::{encode_ack, encode_envelope, Frame};
     use crate::inflight::launch_owned;
+    use crate::wall_clock::engine_suite::{self, payloads};
 
     fn loopback_pair() -> (TcpStream, TcpStream) {
         let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
@@ -1365,7 +1378,9 @@ mod tests {
         let mut credits = Vec::new();
         let mut spins = 0usize;
         while credits.len() < 2 {
-            assert!(conn.pump_write(|n| credits.push(n)).is_none());
+            assert!(conn
+                .pump_write(WallClock::start(), |n| credits.push(n))
+                .is_none());
             if conn.want_out {
                 // The kernel said WouldBlock mid-frame: the head must
                 // stay parked at its exact offset.
@@ -1388,7 +1403,8 @@ mod tests {
         let (tx, _rx) = loopback_pair();
         tx.set_nonblocking(true).unwrap();
         let mut conn = conn::<Vec<u8>>(tx);
-        let release = Instant::now() + Duration::from_secs(60);
+        let clock = WallClock::start();
+        let release = clock.now() + SimDuration::from_secs(60);
         conn.outq.push_back(OutJob::Frame {
             frame: OutFrame::ack(1),
             not_before: Some(release),
@@ -1400,7 +1416,7 @@ mod tests {
             notify: None,
         });
         let mut credits = Vec::new();
-        let embargo = conn.pump_write(|n| credits.push(n));
+        let embargo = conn.pump_write(clock, |n| credits.push(n));
         assert_eq!(embargo, Some(release));
         assert!(credits.is_empty(), "a delayed head must hold FIFO order");
         assert_eq!(conn.outq.len(), 2);
@@ -1418,7 +1434,9 @@ mod tests {
             notify: Some(HostId(2)),
         });
         let mut credits = Vec::new();
-        assert!(conn.pump_write(|n| credits.push(n)).is_none());
+        assert!(conn
+            .pump_write(WallClock::start(), |n| credits.push(n))
+            .is_none());
         // The frame behind the FIN is lost on the medium, but its send
         // credit still comes free — a dead peer is the retransmission
         // protocol's business, not backpressure.

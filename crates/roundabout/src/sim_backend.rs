@@ -1,41 +1,40 @@
-//! The simulated ring backend: Data Roundabout inside a discrete-event
-//! simulation.
+//! The simulated ring backend: Data Roundabout on a virtual clock.
 //!
-//! Every protocol decision — credit flow control, ack/retransmit ledger,
-//! healing — lives in the sans-IO [`crate::protocol`] core, and every
-//! decision an applier makes that is *not* about cost — what an output
-//! looks like in a trace, which plans are legal, which dice are rolled per
-//! attempt, what a fired timer means — is shared with the wall-clock
-//! drivers in `coordinator.rs`. This file keeps the cost model: it
-//! maps [`Output`]s onto `simnet` events, link and RNIC reservations and
-//! CPU charges, emits the spans whose durations only the model knows, and
-//! feeds the resulting observations back as [`Input`]s.
+//! A simulated run is the one `Coordinator` every driver runs — the
+//! same applier of the protocol's outputs, the same crash guards, books
+//! and trace vocabulary — over `SimWire`, a medium that keeps only the
+//! cost model: who pays for a byte and what overlaps what. Its calls
+//! price what the protocol asks for and arm each completion on the
+//! coordinator's event queue; a short loop here pops that queue in
+//! `(time, arm order)` and advances virtual time to each event.
 //!
 //! Time and CPU model:
 //!
 //! * transfers occupy the hop link for their serialization time (chunk-size
 //!   curve of Figure 5); software TCP is additionally capped by what one
-//!   transmitter thread can push through the kernel (§V-G);
+//!   transmitter thread can push through the kernel (§V-G). An attempt the
+//!   fault dice eat still occupies the link and bills its sender;
 //! * per transferred envelope, the transport's CPU cost model charges both
-//!   endpoints (Figure 3 categories);
-//! * join durations come from the application; under TCP they are inflated
-//!   by cache pollution and — when the join threads plus communication
-//!   demand exceed the cores — by CPU contention:
+//!   endpoints (Figure 3 categories): the sender per attempt, the receiver
+//!   per accepted delivery;
+//! * set-up, join and absorb durations come from the application; under
+//!   TCP joins are inflated by cache pollution and — when the join threads
+//!   plus communication demand exceed the cores — by CPU contention:
 //!   `d_eff = pollution × max(d, (threads·d + comm_cpu) / cores)`.
 //!   Under RDMA, `d_eff = d`: the join "is never interrupted by the
 //!   network".
 //!
 //! Output order is the protocol's contract: outputs are applied strictly
-//! in emission order, which reproduces the event-scheduling sequence of
-//! the pre-extraction backend — determinism tests pin this.
+//! in emission order and every event is armed in that order, which
+//! reproduces the event-scheduling sequence of the pre-extraction
+//! backend — the pinned fingerprints in `tests/sim_golden.rs` hold it.
 
 use simnet::cpu::{CostCategory, CpuAccount};
-use simnet::engine::Simulation;
 use simnet::fault::{FaultPlan, RescalePlan};
-use simnet::link::Link;
-use simnet::rnic::{Completion, MemoryRegion, QueuePair, Rnic, WorkRequest};
-use simnet::span::{SpanKind, SpanTracer, Track};
-use simnet::throughput::{Bandwidth, ChunkThroughput};
+use simnet::link::{Direction, Link, Reservation};
+use simnet::rnic::{MemoryRegion, QueuePair, Rnic, WorkRequest};
+use simnet::span::SpanTracer;
+use simnet::throughput::ChunkThroughput;
 use simnet::time::{SimDuration, SimTime};
 use simnet::topology::{HostId, RingNetwork};
 use simnet::transport::TransportModel;
@@ -43,16 +42,15 @@ use simnet::transport::TransportModel;
 use crate::app::RingApp;
 use crate::config::RingConfig;
 use crate::coordinator::{
-    dice, materialize_counters, observe, ring_metrics, roll, scheduled, takeover_name, validate,
-    TimerKind,
+    dice, validate, Coordinator, Done, Event, Job, JobDone, Medium, Pending, Sent, Workload,
+    EMPTY_SLOT,
 };
 use crate::envelope::{Envelope, PayloadBytes};
 use crate::error::RingError;
-use crate::inflight::{launch_owned, InFlight};
-use crate::metrics::{HostMetrics, RingMetrics};
-use crate::protocol::{
-    envelope_batches, query_batches, Input, Output, ProtocolConfig, RingProtocol,
-};
+use crate::frame::Frame;
+use crate::inflight::InFlight;
+use crate::metrics::RingMetrics;
+use crate::protocol::{envelope_batches, query_batches};
 
 /// Safety valve: no legitimate run needs more events than this per fragment
 /// and host.
@@ -66,6 +64,13 @@ const CONTINUOUS_EVENT_BUDGET: u64 = 50_000_000;
 /// retransmissions and probes on top of the classic event stream.
 const FAULT_BUDGET_FACTOR: u64 = 8;
 const FAULT_BUDGET_SLACK: u64 = 100_000;
+
+/// A continuous rotation's queue ran dry before its app finished.
+const STALLED: &str = "continuous rotation drained its event queue without the app declaring \
+                       itself finished — the ring stalled";
+
+/// A run's queue ran dry before every fragment retired.
+const DEADLOCKED: &str = "ring run quiesced with unfinished fragments — flow-control deadlock";
 
 /// Wire size of a per-hop acknowledgement (a control message riding the
 /// backward direction of the full-duplex hop link).
@@ -83,60 +88,6 @@ pub struct SimOutcome<A> {
     pub spans: SpanTracer,
 }
 
-/// Per-host *driver* state: the timing/cost bookkeeping the metrics are
-/// built from. Queues, credit and ledgers live in the protocol core.
-#[derive(Debug)]
-struct DriverHost {
-    setup_done: Option<SimTime>,
-    last_join_done: SimTime,
-    join_busy: SimDuration,
-    join_cpu: CpuAccount,
-    bytes_forwarded: u64,
-}
-
-impl DriverHost {
-    fn new() -> Self {
-        DriverHost {
-            setup_done: None,
-            last_join_done: SimTime::ZERO,
-            join_busy: SimDuration::ZERO,
-            join_cpu: CpuAccount::new(),
-            bytes_forwarded: 0,
-        }
-    }
-}
-
-enum RingEvent<P> {
-    SetupDone {
-        host: HostId,
-    },
-    JoinDone {
-        host: HostId,
-    },
-    /// A takeover rebuild — healing absorb or planned handoff — finished
-    /// and the host may join again.
-    AbsorbDone {
-        host: HostId,
-    },
-    Arrived {
-        to: HostId,
-        env: Envelope<InFlight<P>>,
-        /// Transfer id from the matching [`Output::Send`] (0 on the
-        /// classic path, which has no ack ledger).
-        tid: u64,
-    },
-    SendDone {
-        from: HostId,
-        completion: Option<Completion>,
-    },
-    /// The receiver's NIC acknowledged transfer `tid` (fault mode only).
-    AckArrived {
-        tid: u64,
-    },
-    /// A protocol backoff expired, or an event a plan scheduled is due.
-    Timer(TimerKind),
-}
-
 /// Multi-tenant submission list: `(tenant, per-host fragment lists)`
 /// per query, in query-id order.
 pub type QuerySpecs<P> = Vec<(u32, Vec<Vec<P>>)>;
@@ -144,25 +95,18 @@ pub type QuerySpecs<P> = Vec<(u32, Vec<Vec<P>>)>;
 /// A configured, ready-to-run simulated ring.
 pub struct SimRing<P, A> {
     config: RingConfig,
-    fragments: Vec<Vec<P>>,
-    /// Multi-tenant mode: the submitted queries plus the admission
-    /// bound. `fragments` stays empty in this mode.
-    queries: Option<(QuerySpecs<P>, usize)>,
+    /// The submitted queries: exactly one, as tenant 0, on a single-query
+    /// run.
+    queries: QuerySpecs<P>,
+    /// The admission bound of a multi-tenant run; `None` on a
+    /// single-query one.
+    max_active: Option<usize>,
     app: A,
     trace: bool,
     continuous: bool,
     host_speed: Option<Vec<f64>>,
     fault_plan: Option<FaultPlan>,
     rescale_plan: Option<RescalePlan>,
-}
-
-/// The simulator's contract for a refused run: the typed refusal of the
-/// shared rule table, as a panic.
-// analyze: allow(panic, reason = "driver contract: the simulated backend reports refused configurations, shapes and plans by panicking with the typed error's message")
-fn accept(checked: Result<(), RingError>) {
-    if let Err(refused) = checked {
-        panic!("{refused}");
-    }
 }
 
 impl<P: PayloadBytes + Clone, A: RingApp<P>> SimRing<P, A> {
@@ -174,18 +118,7 @@ impl<P: PayloadBytes + Clone, A: RingApp<P>> SimRing<P, A> {
     /// Panics if the configuration is invalid or `fragments.len()` differs
     /// from the configured host count.
     pub fn new(config: RingConfig, fragments: Vec<Vec<P>>, app: A) -> Self {
-        accept(validate(&config, None, None, &[&fragments], None, true));
-        SimRing {
-            config,
-            fragments,
-            queries: None,
-            app,
-            trace: false,
-            continuous: false,
-            host_speed: None,
-            fault_plan: None,
-            rescale_plan: None,
-        }
+        SimRing::checked(config, vec![(0, fragments)], None, app)
     }
 
     /// Prepares a *multi-tenant* run: several queries multiplexed over one
@@ -208,19 +141,25 @@ impl<P: PayloadBytes + Clone, A: RingApp<P>> SimRing<P, A> {
         max_active: usize,
         app: A,
     ) -> Self {
+        SimRing::checked(config, queries, Some(max_active), app)
+    }
+
+    /// A run of `queries` once the shared rule table accepts their shapes
+    /// and the admission bound.
+    // analyze: allow(panic, reason = "driver contract: the simulated backend reports refused configurations, shapes and plans by panicking with the typed error's message")
+    fn checked(
+        config: RingConfig,
+        queries: QuerySpecs<P>,
+        max_active: Option<usize>,
+        app: A,
+    ) -> Self {
         let shapes: Vec<&[Vec<P>]> = queries.iter().map(|(_, f)| f.as_slice()).collect();
-        accept(validate(
-            &config,
-            None,
-            None,
-            &shapes,
-            Some(max_active),
-            true,
-        ));
+        validate(&config, None, None, &shapes, max_active, true)
+            .unwrap_or_else(|refused| panic!("{refused}"));
         SimRing {
             config,
-            fragments: Vec::new(),
-            queries: Some((queries, max_active)),
+            queries,
+            max_active,
             app,
             trace: false,
             continuous: false,
@@ -314,10 +253,123 @@ impl<P: PayloadBytes + Clone, A: RingApp<P>> SimRing<P, A> {
     /// a flow-control deadlock — a bug, not a configuration problem), or
     /// if the protocol tears the run down (for example an exhausted
     /// retransmission budget on a live ring).
-    pub fn run(self) -> SimOutcome<A> {
-        let (runner, schedule) = Runner::new(self);
-        runner.run(schedule)
+    // analyze: allow(panic, reason = "driver contract: the simulated backend reports a refused run, and one the protocol tore down, by panicking with the typed error's message")
+    pub fn run(mut self) -> SimOutcome<A> {
+        let (config, continuous, max_active) = (&self.config, self.continuous, self.max_active);
+        let n = config.hosts;
+        if let Some(speed) = &self.host_speed {
+            assert_eq!(speed.len(), n, "need one speed factor per host");
+            assert!(
+                speed.iter().all(|s| s.is_finite() && *s > 0.0),
+                "host speed factors must be finite and positive"
+            );
+        }
+        let (fault, rescale) = (self.fault_plan.as_ref(), self.rescale_plan.as_ref());
+        assert!(
+            !continuous || (fault.is_none() && rescale.is_none()),
+            "fault injection and rescale require run-to-retirement mode, not continuous rotation"
+        );
+        let shapes: Vec<&[Vec<P>]> = self.queries.iter().map(|(_, f)| f.as_slice()).collect();
+        validate(config, fault, rescale, &shapes, max_active, true)
+            .unwrap_or_else(|refused| panic!("{refused}"));
+        let max_fragment_bytes = shapes
+            .iter()
+            .flat_map(|fragments| fragments.iter().flatten())
+            .map(PayloadBytes::payload_bytes)
+            .max()
+            .unwrap_or(0)
+            .max(1);
+        let dice = dice(fault, rescale, max_active.is_some());
+        let plan = dice.as_deref();
+        let workload = match max_active {
+            Some(max_active) => Workload::Multi {
+                queries: query_batches(self.queries, n),
+                max_active,
+            },
+            None => {
+                let (_, fragments) = self.queries.pop().unwrap_or_default();
+                let envelopes = envelope_batches(fragments, n);
+                if continuous {
+                    Workload::Continuous(envelopes)
+                } else {
+                    Workload::Single(envelopes)
+                }
+            }
+        };
+        let mut charged = vec![CpuAccount::new(); n];
+        let speed = self.host_speed.take();
+        let wire = SimWire::new(
+            config,
+            &mut self.app,
+            plan,
+            speed,
+            max_fragment_bytes,
+            &mut charged,
+        );
+        let mut co = Coordinator::new(config, plan, rescale, workload, self.trace, wire);
+        let mut budget = if continuous {
+            // Continuous rotations are open-ended; give them a generous
+            // but finite budget so a never-finishing app fails loudly.
+            CONTINUOUS_EVENT_BUDGET
+        } else {
+            EVENT_BUDGET_PER_UNIT * (co.proto.fragments_total() as u64 + 1) * (n as u64 + 1)
+        };
+        if plan.is_some() {
+            budget = budget * FAULT_BUDGET_FACTOR + FAULT_BUDGET_SLACK;
+        }
+        drive(&mut co, budget);
+        let (completed, total) = (co.proto.fragments_completed(), co.proto.fragments_total());
+        let stopped = co.halted();
+        let (mut metrics, spans) = co.finish().unwrap_or_else(|torn| panic!("{torn}"));
+        assert!(!continuous || stopped || total == 0, "{STALLED}");
+        assert!(continuous || completed == total, "{DEADLOCKED}");
+        for (host, cost) in metrics.hosts.iter_mut().zip(&charged) {
+            host.cpu.merge(cost);
+        }
+        SimOutcome {
+            metrics,
+            app: self.app,
+            spans,
+        }
     }
+}
+
+/// Pops the coordinator's queue in `(time, arm order)`, advancing virtual
+/// time to each event, until nothing is left or the run halts (the
+/// application stopped a continuous rotation, or the protocol tore the run
+/// down). A run ends at its last progress instant, so trailing ack and
+/// timer chatter does not pad it; a stopped rotation books the jobs it
+/// had already started, as the model priced them.
+///
+/// Returns the number of events handled, the count the budget bounds.
+///
+/// # Panics
+///
+/// Panics past `budget` events: a rotation that never ends.
+fn drive<P: PayloadBytes, A: RingApp<P>>(
+    co: &mut Coordinator<'_, P, SimWire<'_, A>>,
+    budget: u64,
+) -> u64 {
+    let mut events = 0u64;
+    while let Some((at, event)) = co.pending.timers.pop() {
+        events += 1;
+        assert!(
+            events <= budget,
+            "simulation exceeded its event limit of {budget} events — \
+             likely a non-terminating event cascade"
+        );
+        co.medium.now = at;
+        co.handle(event);
+        if co.halted() {
+            break;
+        }
+    }
+    while let Some((at, event)) = co.pending.timers.pop() {
+        if let Event::Job(done) = event {
+            co.book(at, &done);
+        }
+    }
+    events
 }
 
 /// The effective hop link: RDMA runs at the RNIC-saturated goodput curve;
@@ -340,21 +392,18 @@ fn effective_link(config: &RingConfig) -> Link {
     )
 }
 
-struct Runner<P, A> {
-    config: RingConfig,
-    app: A,
-    continuous: bool,
-    stopped: bool,
+/// The simulator's medium: the cost model and nothing else. Every call
+/// prices what it is asked for at the current virtual instant and arms
+/// its completion on the coordinator's queue.
+struct SimWire<'r, A> {
+    /// The virtual clock: the due time of the event being handled.
+    now: SimTime,
+    config: &'r RingConfig,
+    app: &'r mut A,
+    /// The dice, for a straggler's slowdown.
+    plan: Option<&'r FaultPlan>,
+    host_speed: Option<Vec<f64>>,
     network: RingNetwork,
-    /// The shared sans-IO protocol core — every queue, credit and ledger
-    /// decision is its — over the same in-flight payloads as the
-    /// wall-clock coordinator, so a retransmission attempt holds its
-    /// payload by reference count.
-    proto: RingProtocol<InFlight<P>>,
-    /// The protocol's output sink, drained by every `apply` and kept for
-    /// the whole run.
-    outputs: Vec<Output<InFlight<P>>>,
-    hosts: Vec<DriverHost>,
     /// Per-host RNIC state (RDMA transport only): the NIC, its send queue
     /// pair, and the registered region backing the ring-buffer pool.
     /// Transfers are posted as work requests against the registered
@@ -362,472 +411,57 @@ struct Runner<P, A> {
     /// charged by the application layer during setup (it owns the
     /// setup-phase accounting).
     rnics: Vec<Option<(Rnic, QueuePair, MemoryRegion)>>,
-    host_speed: Option<Vec<f64>>,
     next_wr_id: u64,
-    spans: SpanTracer,
-    /// Per-host end of the last busy interval (join or absorb), used only
-    /// for emitting `Sync` spans: the gap from here to the next join start
-    /// is exactly the idle time `RingMetrics` reports as `sync`.
-    busy_until: Vec<SimTime>,
-    /// The medium's dice (loss, corruption, spikes, crash schedule) as
-    /// [`dice`] resolved them: quiet ones when only a rescale plan or
-    /// multiplexing asks for the reliable transport, `None` on the classic
-    /// path. The protocol core never sees them; [`roll`] reports each
-    /// attempt's fate.
-    fault_plan: Option<FaultPlan>,
-    detection_latency: SimDuration,
-    /// Last instant of real progress (setup, join, retirement, absorb) —
-    /// the fault-mode wall clock, so trailing ack chatter does not pad the
-    /// reported runtime.
-    last_progress: SimTime,
+    /// What moving bytes cost each host's CPU; the coordinator books the
+    /// compute.
+    charged: &'r mut [CpuAccount],
 }
 
-impl<P: PayloadBytes + Clone, A: RingApp<P>> Runner<P, A> {
-    /// Validates `ring` against the shared rule table and builds its
-    /// runner, plus the plans' schedule: crashes, pauses, joins and drains
-    /// pinned to virtual instants.
-    fn new(ring: SimRing<P, A>) -> (Self, Vec<(SimTime, TimerKind)>) {
-        let n = ring.config.hosts;
-        if let Some(speed) = &ring.host_speed {
-            assert_eq!(speed.len(), n, "need one speed factor per host");
-            assert!(
-                speed.iter().all(|s| s.is_finite() && *s > 0.0),
-                "host speed factors must be finite and positive"
-            );
-        }
-        let (fault, rescale) = (ring.fault_plan.as_ref(), ring.rescale_plan.as_ref());
-        assert!(
-            !ring.continuous || (fault.is_none() && rescale.is_none()),
-            "fault injection and rescale require run-to-retirement mode, not continuous rotation"
-        );
-        let shapes: Vec<&[Vec<P>]> = match &ring.queries {
-            Some((queries, _)) => queries.iter().map(|(_, f)| f.as_slice()).collect(),
-            None => vec![&ring.fragments],
-        };
-        let admission = ring.queries.as_ref().map(|(_, max_active)| *max_active);
-        accept(validate(
-            &ring.config,
-            fault,
-            rescale,
-            &shapes,
-            admission,
-            true,
-        ));
-        let schedule = scheduled(fault, rescale);
-        let standby = rescale.map_or(0, RescalePlan::standby_mask);
-        let fault_plan = dice(fault, rescale, admission.is_some()).map(|plan| plan.into_owned());
-        let network = RingNetwork::new(n, effective_link(&ring.config));
-        let max_fragment_bytes = shapes
-            .iter()
-            .flat_map(|fragments| fragments.iter().flatten())
-            .map(PayloadBytes::payload_bytes)
-            .max()
-            .unwrap_or(0)
-            .max(1);
-        let rnics: Vec<Option<(Rnic, QueuePair, MemoryRegion)>> = (0..n)
-            .map(|_| match ring.config.transport {
+impl<'r, A> SimWire<'r, A> {
+    /// The model of `config`'s ring at the epoch, pricing with `app` and
+    /// billing moved bytes to `charged`. On RDMA every host gets its NIC,
+    /// with a region registered for its ring buffers of
+    /// `max_fragment_bytes` each.
+    fn new(
+        config: &'r RingConfig,
+        app: &'r mut A,
+        plan: Option<&'r FaultPlan>,
+        host_speed: Option<Vec<f64>>,
+        max_fragment_bytes: u64,
+        charged: &'r mut [CpuAccount],
+    ) -> Self {
+        let bytes = max_fragment_bytes * config.buffers_per_host as u64;
+        let rnics = (0..config.hosts)
+            .map(|_| match config.transport {
                 TransportModel::Rdma(cfg) => {
                     let mut rnic = Rnic::new(cfg);
-                    let (region, _cost) = rnic.register(
-                        SimTime::ZERO,
-                        max_fragment_bytes * ring.config.buffers_per_host as u64,
-                    );
+                    let (region, _cost) = rnic.register(SimTime::ZERO, bytes);
                     Some((rnic, QueuePair::new(), region))
                 }
                 _ => None,
             })
             .collect();
-        let proto_cfg = ProtocolConfig {
-            hosts: n,
-            buffers_per_host: ring.config.buffers_per_host,
-            max_retransmits: ring.config.max_retransmits,
-            continuous: ring.continuous,
-            reliable: fault_plan.is_some(),
-            standby,
-        };
-        let proto = match ring.queries {
-            Some((queries, max_active)) => {
-                let queries = query_batches(queries, n)
-                    .into_iter()
-                    .map(|(tenant, envelopes)| (tenant, launch_owned(envelopes)))
-                    .collect();
-                RingProtocol::new_multi(proto_cfg, queries, max_active)
-            }
-            None => RingProtocol::new(proto_cfg, launch_owned(envelope_batches(ring.fragments, n))),
-        };
-        let runner = Runner {
-            config: ring.config,
-            app: ring.app,
-            continuous: ring.continuous,
-            stopped: false,
-            network,
-            proto,
-            outputs: Vec::new(),
-            hosts: (0..n).map(|_| DriverHost::new()).collect(),
+        SimWire {
+            now: SimTime::ZERO,
+            config,
+            app,
+            plan,
+            host_speed,
+            network: RingNetwork::new(config.hosts, effective_link(config)),
             rnics,
-            host_speed: ring.host_speed,
             next_wr_id: 0,
-            spans: if ring.trace {
-                SpanTracer::enabled()
-            } else {
-                SpanTracer::disabled()
-            },
-            busy_until: vec![SimTime::ZERO; n],
-            fault_plan,
-            detection_latency: SimDuration::ZERO,
-            last_progress: SimTime::ZERO,
-        };
-        (runner, schedule)
+            charged,
+        }
     }
 
-    fn run(mut self, schedule: Vec<(SimTime, TimerKind)>) -> SimOutcome<A> {
-        let mut budget = if self.continuous {
-            // Continuous rotations are open-ended; give them a generous
-            // but finite budget so a never-finishing app fails loudly.
-            CONTINUOUS_EVENT_BUDGET
-        } else {
-            EVENT_BUDGET_PER_UNIT
-                * (self.proto.fragments_total() as u64 + 1)
-                * (self.config.hosts as u64 + 1)
-        };
-        if self.fault_plan.is_some() {
-            budget = budget * FAULT_BUDGET_FACTOR + FAULT_BUDGET_SLACK;
-        }
-        let mut sim: Simulation<RingEvent<P>> = Simulation::new().with_event_limit(budget);
-        for h in 0..self.config.hosts {
-            let d = self.app.setup(HostId(h));
-            sim.schedule_in(d, RingEvent::SetupDone { host: HostId(h) });
-        }
-        for (at, kind) in schedule {
-            sim.schedule_at(at, RingEvent::Timer(kind));
-        }
-        while let Some(ev) = sim.step() {
-            self.handle(&mut sim, ev);
-            if self.stopped {
-                break;
-            }
-        }
-        if self.continuous {
-            assert!(
-                self.stopped || self.proto.fragments_total() == 0,
-                "continuous rotation drained its event queue without the app \
-                 declaring itself finished — the ring stalled"
-            );
-        } else {
-            assert_eq!(
-                self.proto.fragments_completed(),
-                self.proto.fragments_total(),
-                "ring run quiesced with unfinished fragments — flow-control deadlock"
-            );
-        }
-        let wall_clock = if self.fault_plan.is_some() {
-            // Trailing ack/timeout chatter after the last retirement must
-            // not pad the reported runtime.
-            self.last_progress
-        } else {
-            sim.now()
-        };
-        self.finish(wall_clock)
-    }
-
-    /// Feeds one input to the protocol and applies what it answers.
-    fn input(&mut self, sim: &mut Simulation<RingEvent<P>>, input: Input<InFlight<P>>) {
-        let mut outputs = std::mem::take(&mut self.outputs);
-        self.proto.input_into(input, &mut outputs);
-        self.apply(sim, &mut outputs);
-        self.outputs = outputs;
-    }
-
-    fn progressed(&mut self, now: SimTime) {
-        self.last_progress = self.last_progress.max(now);
-    }
-
-    /// Translates one simulation event into a protocol [`Input`], doing
-    /// the driver-side bookkeeping (timing, spans) the protocol cannot.
+    /// Puts `bytes` from `from` on its outgoing hop link now, and bills the
+    /// sender: on RDMA, the work request's post (the RNIC moves the data
+    /// autonomously); on software TCP, the full per-byte bill (the kernel
+    /// does the moving).
     // analyze: allow(panic, reason = "protocol invariant: per-host tables are sized to the ring at construction and HostId never exceeds it")
-    fn handle(&mut self, sim: &mut Simulation<RingEvent<P>>, ev: RingEvent<P>) {
-        let now = sim.now();
-        let input = match ev {
-            RingEvent::SetupDone { host } => {
-                if self.proto.is_crashed(host) {
-                    return;
-                }
-                self.hosts[host.0].setup_done = Some(now);
-                self.hosts[host.0].last_join_done = now;
-                self.busy_until[host.0] = now;
-                self.progressed(now);
-                self.spans.span(
-                    host.0,
-                    SpanKind::Setup,
-                    "setup",
-                    SimTime::ZERO,
-                    now.saturating_duration_since(SimTime::ZERO),
-                );
-                Input::SetupDone { host }
-            }
-            RingEvent::JoinDone { host } => {
-                if self.proto.is_crashed(host) {
-                    // The join died with the host; healing salvages its
-                    // envelope.
-                    return;
-                }
-                self.hosts[host.0].last_join_done = now;
-                self.progressed(now);
-                // The protocol cannot call the application: sample the
-                // continuous-mode finish flag here and pass it in.
-                let app_finished = self.continuous && self.app.finished();
-                Input::JoinDone { host, app_finished }
-            }
-            RingEvent::AbsorbDone { host } => {
-                if self.proto.is_crashed(host) {
-                    return;
-                }
-                self.progressed(now);
-                Input::AbsorbDone { host }
-            }
-            RingEvent::Arrived { to, env, tid } => Input::Delivered { to, env, tid },
-            RingEvent::SendDone { from, completion } => {
-                if let (Some(c), Some((_, qp, _))) = (completion, self.rnics[from.0].as_mut()) {
-                    // Reap the send completion from the CQ — the signal
-                    // that the buffer element may be reused.
-                    qp.complete(c);
-                    let reaped = qp.poll_cq();
-                    if self.fault_plan.is_none() {
-                        // Classic path: completions pair strictly with
-                        // posts. Retransmissions can leave several queued,
-                        // so the reliable path reaps leniently instead.
-                        debug_assert_eq!(reaped.map(|r| r.wr_id), Some(c.wr_id));
-                    }
-                }
-                Input::SendDone { from }
-            }
-            RingEvent::AckArrived { tid } => Input::Ack { tid },
-            RingEvent::Timer(kind) => {
-                let (input, planned) = kind.fired();
-                if let Some((host, name)) = planned {
-                    if self.proto.is_crashed(host) {
-                        return;
-                    }
-                    self.spans.event(Some(host.0), Track::Control, name, now);
-                }
-                input
-            }
-        };
-        self.input(sim, input);
-    }
-
-    /// Applies protocol outputs strictly in emission order: each is shown
-    /// to the shared trace vocabulary, then mapped onto simulation events,
-    /// link/RNIC reservations and cost charges — all the IO the protocol
-    /// core abstained from.
-    // analyze: allow(panic, reason = "protocol invariant: per-host tables are sized to the ring at construction and HostId never exceeds it; Teardown reasons surface as panics by the driver contract")
-    fn apply(
-        &mut self,
-        sim: &mut Simulation<RingEvent<P>>,
-        outputs: &mut Vec<Output<InFlight<P>>>,
-    ) {
-        let now = sim.now();
-        for output in outputs.drain(..) {
-            observe(&mut self.spans, || now, &output);
-            match output {
-                Output::StartJoin {
-                    host,
-                    id,
-                    hop,
-                    roles,
-                    bytes,
-                } => {
-                    let d_base = {
-                        let query = self.proto.processing_query(host);
-                        let app = &mut self.app;
-                        self.proto
-                            .processing_payload(host)
-                            .and_then(InFlight::payload)
-                            .map(|p| {
-                                let own = [host.0];
-                                let roles = roles.as_deref().unwrap_or(&own);
-                                app.process(host, query, roles, now, p)
-                            })
-                            .expect("StartJoin with an empty processing slot")
-                    };
-                    let d_base = match &self.host_speed {
-                        Some(speed) => d_base * (1.0 / speed[host.0]),
-                        None => d_base,
-                    };
-                    let d_base = match &self.fault_plan {
-                        Some(plan) => {
-                            let slowdown = plan.slowdown(host);
-                            if slowdown == 1.0 {
-                                d_base
-                            } else {
-                                d_base * (1.0 / slowdown)
-                            }
-                        }
-                        None => d_base,
-                    };
-                    let d_eff = self.effective_join_duration(d_base, bytes);
-                    let threads = self.config.join_threads as u64;
-                    let span = self
-                        .spans
-                        .is_enabled()
-                        .then(|| (SpanKind::Join, format!("join {id}"), Some(hop)));
-                    self.busy(now, host, d_base * threads, d_eff, span);
-                    sim.schedule_in(d_eff, RingEvent::JoinDone { host });
-                }
-                Output::Send {
-                    from,
-                    to,
-                    tid,
-                    attempt,
-                    env,
-                } => self.apply_send(sim, from, to, tid, attempt, env),
-                Output::Ack { to, tid } => {
-                    // Ack at NIC level on the backward channel of the
-                    // sender's link, so acks never contend with payload.
-                    let ack = self.network.reserve_hop_back(now, to, ACK_BYTES);
-                    sim.schedule_at(ack.arrival, RingEvent::AckArrived { tid });
-                }
-                Output::ArmTimer { timer, backoff_exp } => {
-                    let delay = self.config.ack_timeout * (1u64 << backoff_exp);
-                    sim.schedule_in(delay, RingEvent::Timer(TimerKind::Protocol(timer)));
-                }
-                Output::Delivered { host, bytes, .. } => {
-                    // Receiver-side CPU cost of the transfer. For RDMA this
-                    // is only reaping the completion of the pre-posted
-                    // receive; for TCP it is the full copy/stack/interrupt
-                    // bill.
-                    let cost = match self.config.transport {
-                        TransportModel::Rdma(cfg) => {
-                            let mut acc = CpuAccount::new();
-                            acc.charge(CostCategory::Driver, cfg.completion_overhead);
-                            acc
-                        }
-                        _ => self.config.transport.comm_cpu(self.config.cpu, bytes, 1),
-                    };
-                    self.hosts[host.0].join_cpu.merge(&cost);
-                }
-                Output::Heal { dead } => {
-                    // An escalated drain heals a host with no scheduled
-                    // crash: the drain deadline, not a detection timeout,
-                    // triggered this heal, so no latency is attributable.
-                    let latency = match self.fault_plan.as_ref().and_then(|p| p.crash_time(dead)) {
-                        Some(crash_at) => now.saturating_duration_since(crash_at),
-                        None => SimDuration::ZERO,
-                    };
-                    self.detection_latency = self.detection_latency.max(latency);
-                }
-                Output::Absorb {
-                    from,
-                    to,
-                    roles,
-                    planned,
-                } => {
-                    let mut cost = SimDuration::ZERO;
-                    for &role in &roles {
-                        cost += self.app.absorb(to, role);
-                    }
-                    self.takeover(sim, to, planned, roles.len(), from, cost);
-                }
-                Output::Retire { .. }
-                | Output::Activate { .. }
-                | Output::Departed { .. }
-                | Output::QueryAdmitted { .. }
-                | Output::QueryDone { .. } => self.progressed(now),
-                Output::Finished { .. } => self.stopped = true,
-                Output::Teardown { reason } => panic!("{reason}"),
-                // Free in the cost model; the trace has already seen them.
-                Output::PassThrough { .. }
-                | Output::Processed { .. }
-                | Output::DuplicateDropped { .. }
-                | Output::ChecksumMismatch { .. }
-                | Output::Resent { .. } => {}
-            }
-        }
-    }
-
-    /// Starts a busy interval of the join entity at `host`: charges `cpu`
-    /// of compute, extends `join_busy` by the modeled `duration`, and —
-    /// when traced (`span` is the interval's kind, name and hop) — closes
-    /// the idle gap before it as a `Sync` span and emits the interval's
-    /// own span now, at its start, because the model already knows how
-    /// long it will take.
-    // analyze: allow(panic, reason = "protocol invariant: per-host tables are sized to the ring at construction and HostId never exceeds it")
-    fn busy(
-        &mut self,
-        now: SimTime,
-        host: HostId,
-        cpu: SimDuration,
-        duration: SimDuration,
-        span: Option<(SpanKind, String, Option<usize>)>,
-    ) {
-        let state = &mut self.hosts[host.0];
-        state.join_cpu.charge(CostCategory::Compute, cpu);
-        state.join_busy += duration;
-        if let Some((kind, name, hop)) = span {
-            // The gaps between consecutive busy intervals partition the
-            // join window's non-busy time, so their sum reconciles with
-            // the `sync` phase of `RingMetrics`.
-            let idle_since = self.busy_until[host.0];
-            let gap = now.saturating_duration_since(idle_since);
-            if gap > SimDuration::ZERO {
-                self.spans
-                    .span(host.0, SpanKind::Sync, "sync", idle_since, gap);
-            }
-            self.spans
-                .span_with_hop(host.0, kind, name, now, duration, hop);
-            self.busy_until[host.0] = now + duration;
-        }
-    }
-
-    /// A takeover rebuild at `host` — a healing absorb of dead `donor`'s
-    /// roles or a planned handoff from a live one — priced by the app.
-    fn takeover(
-        &mut self,
-        sim: &mut Simulation<RingEvent<P>>,
-        host: HostId,
-        planned: bool,
-        roles: usize,
-        donor: HostId,
-        cost: SimDuration,
-    ) {
-        let span = self
-            .spans
-            .is_enabled()
-            .then(|| (SpanKind::Absorb, takeover_name(planned, roles, donor), None));
-        self.busy(sim.now(), host, cost, cost, span);
-        sim.schedule_in(cost, RingEvent::AbsorbDone { host });
-    }
-
-    /// Puts one attempt of a transfer on the wire: rolls the shared dice,
-    /// charges the transport cost model, and schedules the wire-free and
-    /// arrival events. A dropped attempt still occupies the link and
-    /// charges its sender; it just never arrives.
-    // analyze: allow(panic, reason = "protocol invariant: per-host tables are sized to the ring at construction and HostId never exceeds it")
-    fn apply_send(
-        &mut self,
-        sim: &mut Simulation<RingEvent<P>>,
-        from: HostId,
-        to: HostId,
-        tid: u64,
-        attempt: u32,
-        env: Envelope<InFlight<P>>,
-    ) {
-        let now = sim.now();
-        let bytes = env.bytes();
-        let mut sent = env;
-        let (dropped, spike) = roll(
-            self.fault_plan.as_ref(),
-            &mut self.proto,
-            from,
-            tid,
-            attempt,
-            &mut sent,
-        );
-        let mut pending_completion = None;
-        let reservation = if let Some((rnic, qp, region)) = self.rnics[from.0].as_mut() {
-            // RDMA: post a work request against the registered region; the
-            // RNIC moves the data autonomously. Host CPU pays only the
-            // posting cost.
+    fn occupy(&mut self, from: HostId, bytes: u64) -> Reservation {
+        let account = &mut self.charged[from.0];
+        if let Some((rnic, qp, region)) = self.rnics.get_mut(from.0).and_then(Option::as_mut) {
             let wr = WorkRequest {
                 wr_id: self.next_wr_id,
                 region: region.id,
@@ -838,106 +472,160 @@ impl<P: PayloadBytes + Clone, A: RingApp<P>> Runner<P, A> {
                 .network
                 .outgoing_link_mut(from)
                 .expect("multi-host ring has links");
-            let outcome = qp.post_send(rnic, link, now, simnet::link::Direction::Forward, wr);
-            self.hosts[from.0]
-                .join_cpu
-                .charge(CostCategory::Driver, outcome.post_cpu);
-            pending_completion = Some(outcome.completion);
+            let outcome = qp.post_send(rnic, link, self.now, Direction::Forward, wr);
+            account.charge(CostCategory::Driver, outcome.post_cpu);
             outcome.reservation
         } else {
-            // Software TCP: the kernel does the moving; charge the full
-            // per-byte CPU bill to the sender.
             let cost = self.config.transport.comm_cpu(self.config.cpu, bytes, 1);
-            self.hosts[from.0].join_cpu.merge(&cost);
-            self.network.reserve_hop(now, from, bytes)
-        };
-        self.hosts[from.0].bytes_forwarded += bytes;
-        if self.spans.is_enabled() {
-            // Every wire attempt, retransmissions included, is a span.
-            self.spans.span(
-                from.0,
-                SpanKind::Send,
-                format!("send {}", sent.id),
-                now,
-                reservation.wire_free.saturating_duration_since(now),
-            );
-        }
-        sim.schedule_at(
-            reservation.wire_free,
-            RingEvent::SendDone {
-                from,
-                completion: pending_completion,
-            },
-        );
-        if !dropped {
-            sim.schedule_at(
-                reservation.arrival + spike,
-                RingEvent::Arrived { to, env: sent, tid },
-            );
+            account.merge(&cost);
+            self.network.reserve_hop(self.now, from, bytes)
         }
     }
 
     /// Applies the transport's interference model to a base join duration.
     fn effective_join_duration(&self, d_base: SimDuration, bytes: u64) -> SimDuration {
-        let pollution = self.config.transport.pollution_factor();
-        if self.config.transport.is_rdma() || self.config.hosts == 1 {
+        let (transport, cpu) = (self.config.transport, self.config.cpu);
+        if transport.is_rdma() || self.config.hosts == 1 {
             return d_base;
         }
         // Per processed envelope the host both receives and sends one
         // envelope of comparable size.
-        let comm_cpu = self
-            .config
-            .transport
-            .comm_cpu(self.config.cpu, bytes, 1)
-            .total_busy()
-            * 2;
+        let comm_cpu = transport.comm_cpu(cpu, bytes, 1).total_busy() * 2;
         let threads = self.config.join_threads as u64;
-        let cores = self.config.cpu.cores as u64;
+        let cores = cpu.cores as u64;
         let contended = (d_base * threads + comm_cpu) / cores;
-        d_base.max(contended) * pollution
-    }
-
-    fn finish(mut self, wall_clock: SimTime) -> SimOutcome<A> {
-        materialize_counters(&mut self.spans);
-        let hosts: Vec<HostMetrics> = self
-            .hosts
-            .iter()
-            .enumerate()
-            .map(|(i, h)| {
-                let setup_done = h.setup_done.unwrap_or(SimTime::ZERO);
-                let window = h.last_join_done.saturating_duration_since(setup_done);
-                HostMetrics {
-                    setup: setup_done.saturating_duration_since(SimTime::ZERO),
-                    join_busy: h.join_busy,
-                    sync: window.saturating_sub(h.join_busy),
-                    join_window: window,
-                    cpu: h.join_cpu,
-                    fragments_processed: self.proto.host(HostId(i)).fragments_processed(),
-                    visits_inline: 0,
-                    bytes_forwarded: h.bytes_forwarded,
-                    retransmits: self.proto.retransmits(HostId(i)),
-                    checksum_mismatches: self.proto.checksum_mismatches(HostId(i)),
-                }
-            })
-            .collect();
-        let metrics = ring_metrics(
-            &self.proto,
-            hosts,
-            wall_clock.saturating_duration_since(SimTime::ZERO),
-            self.detection_latency,
-        );
-        SimOutcome {
-            metrics,
-            app: self.app,
-            spans: self.spans,
-        }
+        d_base.max(contended) * transport.pollution_factor()
     }
 }
 
-/// Bandwidth helper re-exported for harness code that wants to express the
-/// configured TCP cap.
-pub fn tcp_wire_cap(config: &RingConfig) -> Bandwidth {
-    effective_link(config).throughput().peak()
+impl<P: PayloadBytes, A: RingApp<P>> Medium<P> for SimWire<'_, A> {
+    fn now(&self) -> SimTime {
+        self.now
+    }
+
+    fn ready(&mut self, host: HostId) -> SimTime {
+        SimTime::ZERO + self.app.setup(host)
+    }
+
+    /// The attempt holds the link until it is serialized (then the
+    /// sender's wire is free) and arrives a link latency — plus any delay
+    /// spike — later.
+    fn transmit(
+        &mut self,
+        from: HostId,
+        to: HostId,
+        tid: u64,
+        env: Envelope<InFlight<P>>,
+        delay: SimDuration,
+        next: &mut Pending<P>,
+    ) -> Result<Sent, RingError> {
+        let wire = self.occupy(from, env.bytes());
+        next.timers.push(wire.wire_free, Event::SendDone { from });
+        let frame = Frame::Envelope { tid, env };
+        next.timers
+            .push(wire.arrival + delay, Event::Frame { at: to, frame });
+        Ok(Sent::Held(wire.wire_free))
+    }
+
+    fn lose(&mut self, from: HostId, bytes: u64, next: &mut Pending<P>) -> Sent {
+        let wire = self.occupy(from, bytes);
+        next.timers.push(wire.wire_free, Event::SendDone { from });
+        Sent::Held(wire.wire_free)
+    }
+
+    /// Acks ride the NIC on the backward channel of the sender's link, so
+    /// they never contend with payload.
+    fn ack(
+        &mut self,
+        _at: HostId,
+        to: HostId,
+        tid: u64,
+        next: &mut Pending<P>,
+    ) -> Result<(), RingError> {
+        let ack = self.network.reserve_hop_back(self.now, to, ACK_BYTES);
+        let frame = Frame::Ack { tid };
+        next.timers
+            .push(ack.arrival, Event::Frame { at: to, frame });
+        Ok(())
+    }
+
+    /// Prices the job — a join by the application, the host's speed, a
+    /// straggler's slowdown and the transport's interference; a takeover
+    /// by the application, role by role — and arms its completion.
+    // analyze: allow(panic, reason = "protocol invariant: per-host tables are sized to the ring at construction and HostId never exceeds it")
+    fn start(&mut self, host: HostId, job: Job<P>, next: &mut Pending<P>) -> Result<(), RingError> {
+        let (spent, cpu, what) = match job {
+            Job::Join {
+                payload,
+                query,
+                roles,
+                id,
+                hop,
+            } => {
+                let own = [host.0];
+                let roles = roles.as_deref().unwrap_or(&own);
+                let Some(owned) = payload.payload() else {
+                    return Err(RingError::Teardown(EMPTY_SLOT));
+                };
+                let d_base = self.app.process(host, query, roles, self.now, owned);
+                let d_base = match &self.host_speed {
+                    Some(speed) => d_base * (1.0 / speed[host.0]),
+                    None => d_base,
+                };
+                let d_base = match self.plan.map(|plan| plan.slowdown(host)) {
+                    Some(slowdown) if slowdown != 1.0 => d_base * (1.0 / slowdown),
+                    _ => d_base,
+                };
+                let d_eff = self.effective_join_duration(d_base, payload.payload_bytes());
+                let threads = self.config.join_threads as u64;
+                (d_eff, d_base * threads, Done::Join { id, hop })
+            }
+            Job::Absorb {
+                from,
+                roles,
+                planned,
+            } => {
+                let cost = roles.iter().fold(SimDuration::ZERO, |cost, &role| {
+                    cost + self.app.absorb(host, role)
+                });
+                let roles = roles.len();
+                (
+                    cost,
+                    cost,
+                    Done::Absorb {
+                        from,
+                        roles,
+                        planned,
+                    },
+                )
+            }
+        };
+        let done = JobDone::new(host, spent, cpu, what);
+        next.timers.push(self.now + spent, Event::Job(done));
+        Ok(())
+    }
+
+    /// Receiving costs the receiver: on RDMA only reaping the completion
+    /// of the pre-posted receive, on TCP the full copy/stack/interrupt
+    /// bill.
+    // analyze: allow(panic, reason = "protocol invariant: per-host tables are sized to the ring at construction and HostId never exceeds it")
+    fn delivered(&mut self, host: HostId, bytes: u64) {
+        let account = &mut self.charged[host.0];
+        match self.config.transport {
+            TransportModel::Rdma(cfg) => {
+                account.charge(CostCategory::Driver, cfg.completion_overhead)
+            }
+            tcp => account.merge(&tcp.comm_cpu(self.config.cpu, bytes, 1)),
+        }
+    }
+
+    fn finished(&self) -> bool {
+        self.app.finished()
+    }
+
+    /// A crashed host's wires stay as they are: what it committed still
+    /// arrives, and nothing new leaves a dead host.
+    fn sever(&mut self, _host: HostId, _next: &mut Pending<P>) {}
 }
 
 #[cfg(test)]
@@ -1234,6 +922,49 @@ mod tests {
             .run();
         // Stopped at (or just past) the first processed buffer.
         assert!(out.app.processed <= 2, "got {}", out.app.processed);
+    }
+
+    /// A rotation whose app never finishes ends at the event budget, with
+    /// a panic, not in an endless loop.
+    #[test]
+    #[should_panic(expected = "event limit of 1000 events")]
+    fn a_rotation_that_never_finishes_exhausts_its_event_budget() {
+        let config = small_config(2);
+        let mut app = CountingApp {
+            processed: 0,
+            target: usize::MAX,
+        };
+        let mut charged = vec![CpuAccount::new(); 2];
+        let wire = SimWire::new(&config, &mut app, None, None, 1024, &mut charged);
+        let workload = Workload::Continuous(envelope_batches(payloads(2, 1, 1024), 2));
+        let mut co = Coordinator::new(&config, None, None, workload, false, wire);
+        drive(&mut co, 1_000);
+    }
+
+    /// The budget counts every handled event, no more: a rotation given
+    /// exactly the events it handled runs to the same end, and the same
+    /// rotation with that many events, less one, fails.
+    #[test]
+    fn the_event_budget_counts_every_handled_event() {
+        let config = small_config(2);
+        let handled = |budget: u64| {
+            let mut app = CountingApp {
+                processed: 0,
+                target: 10,
+            };
+            let mut charged = vec![CpuAccount::new(); 2];
+            let wire = SimWire::new(&config, &mut app, None, None, 1024, &mut charged);
+            let workload = Workload::Continuous(envelope_batches(payloads(2, 1, 1024), 2));
+            let mut co = Coordinator::new(&config, None, None, workload, false, wire);
+            let events = drive(&mut co, budget);
+            assert!(co.halted(), "the app stops the rotation");
+            events
+        };
+        let events = handled(u64::MAX);
+        assert!(events > 10, "ten buffers take more than ten events");
+        assert_eq!(handled(events), events);
+        let short = std::panic::catch_unwind(|| handled(events - 1));
+        assert!(short.is_err(), "one event short of the count must panic");
     }
 
     #[test]

@@ -49,13 +49,11 @@ use std::time::Duration;
 
 use simnet::fault::{FaultPlan, RescalePlan};
 use simnet::span::SpanTracer;
+use simnet::time::{SimDuration, SimTime};
 use simnet::topology::HostId;
 
 use crate::config::RingConfig;
-use crate::coordinator::{
-    worker_loop, Coordinator, Event, Job, Medium, Pending, Recv, Sent, WallClockDriver,
-    WallClockEngine, Workload,
-};
+use crate::coordinator::{Coordinator, Event, Job, Medium, Pending, Recv, Sent, Workload};
 use crate::envelope::Envelope;
 use crate::error::RingError;
 use crate::frame::{
@@ -65,6 +63,7 @@ use crate::frame::{
 use crate::inflight::{map_payloads, Batches, InFlight, Visit};
 use crate::metrics::RingMetrics;
 use crate::protocol::teardown;
+use crate::wall_clock::{worker_loop, WallClock, WallClockDriver, WallClockEngine};
 
 pub use crate::frame::{encode_envelope_into, write_frames_vectored};
 
@@ -214,6 +213,7 @@ struct Wire<P> {
     /// The original (uncloned) streams, kept to sever everything at
     /// teardown so reader threads unblock.
     severs: Vec<Vec<Option<TcpStream>>>,
+    clock: WallClock,
 }
 
 impl<P> Wire<P> {
@@ -227,13 +227,17 @@ impl<P> Wire<P> {
 }
 
 impl<P: WirePayload> Medium<P> for Wire<P> {
+    fn now(&self) -> SimTime {
+        self.clock.now()
+    }
+
     fn transmit(
         &mut self,
         from: HostId,
         to: HostId,
         tid: u64,
         env: Envelope<InFlight<P>>,
-        delay: Duration,
+        delay: SimDuration,
         _next: &mut Pending<P>,
     ) -> Result<Sent, RingError> {
         let (frame, first) = OutFrame::envelope(tid, env, &self.pool)?;
@@ -242,7 +246,7 @@ impl<P: WirePayload> Medium<P> for Wire<P> {
             to,
             WriteJob::Frame {
                 frame,
-                delay,
+                delay: delay.into(),
                 notify: Some(from),
             },
         )?;
@@ -406,6 +410,7 @@ impl WallClockEngine for BlockingEngine {
                     worker_loop(
                         HostId(h),
                         jrx.iter(),
+                        config.join_threads,
                         |event| tx.send(event).is_ok(),
                         visit,
                         absorb,
@@ -419,6 +424,7 @@ impl WallClockEngine for BlockingEngine {
                 jobs,
                 pool: Arc::clone(&pool),
                 severs: mesh.endpoints,
+                clock: WallClock::start(),
             };
             let mut co = Coordinator::new(config, plan, rescale, workload, trace, wire);
             co.run(|wait| recv_from(&events_rx, wait));
@@ -437,9 +443,9 @@ impl WallClockEngine for BlockingEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::coordinator::engine_suite::{self, payloads};
     use crate::envelope::FragmentId;
     use crate::frame::{encode_envelope, Frame};
+    use crate::wall_clock::engine_suite::{self, payloads};
     use simnet::span::counter;
     use simnet::time::SimTime;
 

@@ -36,24 +36,23 @@
 //! events and the unified counter registry, on the same wall-clock epoch
 //! the metrics use, so span totals reconcile with [`RingMetrics`] exactly.
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use crate::sync::mpmc::{unbounded, Receiver, RecvTimeoutError, Sender};
 use simnet::fault::{FaultPlan, RescalePlan};
 use simnet::span::SpanTracer;
+use simnet::time::{SimDuration, SimTime};
 use simnet::topology::HostId;
 
 use crate::config::RingConfig;
-use crate::coordinator::{
-    self, Coordinator, Event, Job, Medium, Pending, Recv, Sent, WallClockDriver, WallClockEngine,
-    Workload,
-};
+use crate::coordinator::{Coordinator, Event, Job, Medium, Pending, Recv, Sent, Workload};
 use crate::envelope::Envelope;
 use crate::error::RingError;
 use crate::frame::{Frame, WirePayload};
 use crate::inflight::{InFlight, Visit};
 use crate::metrics::RingMetrics;
 use crate::protocol::teardown;
+use crate::wall_clock::{worker_loop, WallClock, WallClockDriver, WallClockEngine};
 
 /// The in-process engine: threads and `sync::mpmc` channels, no sockets
 /// and no codec.
@@ -127,16 +126,21 @@ impl WallClockEngine for ChannelEngine {
 /// (host crashes are rejected up front).
 struct ChannelWire<P> {
     jobs: Vec<Sender<Job<P>>>,
+    clock: WallClock,
 }
 
 impl<P> Medium<P> for ChannelWire<P> {
+    fn now(&self) -> SimTime {
+        self.clock.now()
+    }
+
     fn transmit(
         &mut self,
         from: HostId,
         to: HostId,
         tid: u64,
         env: Envelope<InFlight<P>>,
-        delay: Duration,
+        delay: SimDuration,
         next: &mut Pending<P>,
     ) -> Result<Sent, RingError> {
         // Only when the envelope "arrives" is the sender's wire reported
@@ -149,12 +153,12 @@ impl<P> Medium<P> for ChannelWire<P> {
             },
             Event::SendDone { from },
         ];
-        if delay.is_zero() {
+        if delay == SimDuration::ZERO {
             next.now.extend(arrival);
         } else {
-            let at = Instant::now() + delay;
+            let at = self.now().saturating_add(delay);
             for event in arrival {
-                next.timers.insert(at, event);
+                next.timers.push(at, event);
             }
         }
         Ok(Sent::Moved)
@@ -229,9 +233,10 @@ where
             let (jtx, jrx) = unbounded::<Job<P>>();
             let tx = events_tx.clone();
             threads.push(scope.spawn(move || {
-                coordinator::worker_loop(
+                worker_loop(
                     HostId(h),
                     jrx.iter(),
+                    config.join_threads,
                     |event| tx.send(event).is_ok(),
                     visit,
                     absorb,
@@ -239,7 +244,10 @@ where
             }));
             jobs.push(jtx);
         }
-        let wire = ChannelWire { jobs };
+        let wire = ChannelWire {
+            jobs,
+            clock: WallClock::start(),
+        };
         let mut co = Coordinator::new(config, plan, rescale, workload, trace, wire);
         co.run(|wait| recv_from(&events_rx, wait));
         let outcome = co.finish();
@@ -258,7 +266,7 @@ where
 mod tests {
     use super::*;
     use crate::alloc_count::counted;
-    use crate::coordinator::engine_suite::{self, payloads};
+    use crate::wall_clock::engine_suite::{self, payloads};
     use simnet::span::{counter, SpanKind};
     use simnet::time::{SimDuration, SimTime};
     use std::sync::atomic::{AtomicUsize, Ordering};

@@ -1,8 +1,11 @@
-//! Deterministic event queue for the discrete-event engine.
+//! Deterministic event queue: the one queue of every ring run.
 //!
-//! Events are ordered by `(time, sequence number)`: ties in virtual time are
-//! broken by insertion order, so a simulation is a pure function of its
-//! inputs — no hash-map iteration order or thread scheduling can leak in.
+//! Events are ordered by `(time, sequence number)`: ties in time are broken
+//! by insertion order, so a simulation is a pure function of its inputs —
+//! no hash-map iteration order or thread scheduling can leak in. The same
+//! order serves a wall clock: a loop that oversleeps several due times
+//! still takes their events by time, and equal times in the order pushed.
+//! Times are offsets from a run's epoch, virtual or measured.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -83,6 +86,14 @@ impl<E> EventQueue<E> {
         self.heap.pop().map(|s| (s.time, s.event))
     }
 
+    /// Removes and returns the earliest event if it is due at `now`.
+    pub fn pop_due(&mut self, now: SimTime) -> Option<(SimTime, E)> {
+        if self.peek_time()? > now {
+            return None;
+        }
+        self.pop()
+    }
+
     /// The due time of the earliest pending event, if any.
     pub fn peek_time(&self) -> Option<SimTime> {
         self.heap.peek().map(|s| s.time)
@@ -113,7 +124,7 @@ impl<E> Default for EventQueue<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::time::SimTime;
+    use crate::time::{SimDuration, SimTime};
 
     #[test]
     fn pops_in_time_order() {
@@ -160,6 +171,64 @@ mod tests {
         assert!(!q.is_empty());
         q.clear();
         assert!(q.is_empty());
+    }
+
+    #[test]
+    fn pop_returns_each_event_with_its_due_time() {
+        let mut q = EventQueue::new();
+        q.push(SimTime::from_nanos(100), 1);
+        q.push(SimTime::from_nanos(50), 2);
+        assert_eq!(q.pop(), Some((SimTime::from_nanos(50), 2)));
+        assert_eq!(q.pop(), Some((SimTime::from_nanos(100), 1)));
+        assert_eq!(q.pop(), None);
+    }
+
+    /// A loop that pops an event and pushes its follow-up at the popped
+    /// time plus a delay sees the chain in order, each at its own time.
+    #[test]
+    fn events_pushed_while_draining_pop_in_order() {
+        let mut q = EventQueue::new();
+        q.push(SimTime::from_nanos(1), 0);
+        let mut seen = Vec::new();
+        while let Some((now, n)) = q.pop() {
+            seen.push((now.as_nanos(), n));
+            if n < 4 {
+                q.push(now + SimDuration::from_nanos(10), n + 1);
+            }
+        }
+        assert_eq!(seen, vec![(1, 0), (11, 1), (21, 2), (31, 3), (41, 4)]);
+    }
+
+    /// A follow-up pushed at the popped time itself pops next, at that
+    /// same instant, ahead of anything due later.
+    #[test]
+    fn a_follow_up_due_now_pops_before_any_later_event() {
+        let mut q = EventQueue::new();
+        q.push(SimTime::from_nanos(10), "first");
+        q.push(SimTime::from_nanos(11), "later");
+        let mut seen = Vec::new();
+        while let Some((now, ev)) = q.pop() {
+            seen.push((now.as_nanos(), ev));
+            if ev == "first" {
+                q.push(now, "second");
+            }
+        }
+        assert_eq!(seen, vec![(10, "first"), (10, "second"), (11, "later")]);
+    }
+
+    #[test]
+    fn pop_due_takes_nothing_past_now() {
+        let mut q = EventQueue::new();
+        for t in [10u64, 20, 30, 40] {
+            q.push(SimTime::from_nanos(t), t);
+        }
+        let deadline = SimTime::from_nanos(20);
+        let seen: Vec<u64> = std::iter::from_fn(|| q.pop_due(deadline))
+            .map(|(_, e)| e)
+            .collect();
+        assert_eq!(seen, vec![10, 20]);
+        assert_eq!(q.len(), 2);
+        assert_eq!(q.peek_time(), Some(SimTime::from_nanos(30)));
     }
 
     #[test]

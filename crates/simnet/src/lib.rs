@@ -4,8 +4,9 @@
 //! reproduction: it stands in for the six-blade RDMA cluster the paper ran
 //! on. It provides
 //!
-//! * a deterministic **discrete-event engine** ([`engine::Simulation`])
-//!   with an integer-nanosecond virtual clock,
+//! * a deterministic **event queue** ([`event::EventQueue`]) ordered by
+//!   `(time, insertion)` on an integer-nanosecond clock — the one queue a
+//!   ring run's coordinator keeps, in virtual time or on the wall clock,
 //! * **link models** with FIFO wire occupancy and the chunk-size→goodput
 //!   curve of the paper's Figure 5 ([`link::Link`],
 //!   [`throughput::ChunkThroughput`]),
@@ -26,19 +27,21 @@
 //! virtual-time schedule, bit for bit.
 //!
 //! ```
-//! use simnet::engine::Simulation;
+//! use simnet::event::EventQueue;
 //! use simnet::link::{Direction, Link};
 //! use simnet::time::SimTime;
 //!
 //! // Move 16 MB over a simulated 10 GbE link and observe the virtual time.
 //! let mut link = Link::paper_10gbe();
 //! let r = link.reserve(SimTime::ZERO, Direction::Forward, 16 << 20);
-//! let mut sim: Simulation<&str> = Simulation::new();
-//! sim.schedule_at(r.arrival, "transfer done");
-//! sim.run(|sim, ev| {
-//!     assert_eq!(ev, "transfer done");
-//!     assert!(sim.now().as_secs_f64() > 0.012); // ≥ 16 MB / 1.25 GB/s
-//! });
+//! let mut queue = EventQueue::new();
+//! queue.push(r.arrival, "transfer done");
+//! queue.push(r.wire_free, "wire free");
+//! let (freed, first) = queue.pop().unwrap();
+//! assert_eq!(first, "wire free");
+//! let (now, ev) = queue.pop().unwrap();
+//! assert_eq!(ev, "transfer done");
+//! assert!(freed < now && now.as_secs_f64() > 0.012); // ≥ 16 MB / 1.25 GB/s
 //! ```
 
 #![warn(missing_docs)]
@@ -46,7 +49,6 @@
 
 pub mod cpu;
 pub mod disk;
-pub mod engine;
 pub mod event;
 pub mod fault;
 pub mod link;
@@ -60,7 +62,7 @@ pub mod transport;
 
 pub use cpu::{CostCategory, CpuAccount, CpuSpec};
 pub use disk::DiskModel;
-pub use engine::Simulation;
+pub use event::EventQueue;
 pub use fault::FaultPlan;
 pub use link::{Direction, Link, Reservation};
 pub use rnic::{Rnic, RnicConfig};

@@ -70,6 +70,17 @@ impl SimTime {
     pub fn saturating_duration_since(self, earlier: SimTime) -> SimDuration {
         SimDuration(self.0.saturating_sub(earlier.0))
     }
+
+    /// `self + d`, clamped at [`SimTime::MAX`] instead of overflowing: a
+    /// time past the horizon is never due.
+    pub const fn saturating_add(self, d: SimDuration) -> SimTime {
+        SimTime(self.0.saturating_add(d.0))
+    }
+
+    /// `self - d`, clamped at [`SimTime::ZERO`] instead of underflowing.
+    pub const fn saturating_sub(self, d: SimDuration) -> SimTime {
+        SimTime(self.0.saturating_sub(d.0))
+    }
 }
 
 impl SimDuration {

@@ -2,22 +2,22 @@
 
 use proptest::prelude::*;
 use simnet::cpu::{CostCategory, CpuAccount};
-use simnet::engine::Simulation;
+use simnet::event::EventQueue;
 use simnet::link::{Direction, Link};
 use simnet::throughput::ChunkThroughput;
 use simnet::time::{SimDuration, SimTime};
 
 proptest! {
     /// Events always come out in non-decreasing time order, regardless of
-    /// insertion order, and the clock never runs backwards.
+    /// insertion order, each with its own due time, so a clock advanced to
+    /// each popped time never runs backwards.
     #[test]
     fn events_pop_in_time_order(times in prop::collection::vec(0u64..1_000_000, 1..200)) {
-        let mut sim: Simulation<u64> = Simulation::new();
+        let mut queue = EventQueue::new();
         for &t in &times {
-            sim.schedule_at(SimTime::from_nanos(t), t);
+            queue.push(SimTime::from_nanos(t), t);
         }
-        let mut observed = Vec::new();
-        sim.run(|sim, t| observed.push((sim.now(), t)));
+        let observed: Vec<(SimTime, u64)> = std::iter::from_fn(|| queue.pop()).collect();
         prop_assert_eq!(observed.len(), times.len());
         for window in observed.windows(2) {
             prop_assert!(window[0].0 <= window[1].0, "clock ran backwards");
@@ -30,12 +30,12 @@ proptest! {
     /// Same-time events preserve insertion (FIFO) order.
     #[test]
     fn ties_are_fifo(n in 1usize..150) {
-        let mut sim: Simulation<usize> = Simulation::new();
+        let mut queue = EventQueue::new();
         for i in 0..n {
-            sim.schedule_at(SimTime::from_nanos(42), i);
+            queue.push(SimTime::from_nanos(42), i);
         }
         let mut expected = 0usize;
-        while let Some(i) = sim.step() {
+        while let Some((_, i)) = queue.pop() {
             prop_assert_eq!(i, expected);
             expected += 1;
         }
@@ -106,19 +106,21 @@ proptest! {
     }
 }
 
-// run_until never processes events beyond the deadline.
+// pop_due never takes an event due after the deadline, and takes every
+// one due by it.
 proptest! {
     #[test]
     fn run_until_respects_deadlines(
         times in prop::collection::vec(0u64..1_000, 1..50),
         deadline in 0u64..1_000,
     ) {
-        let mut sim: Simulation<u64> = Simulation::new();
+        let mut queue = EventQueue::new();
         for &t in &times {
-            sim.schedule_at(SimTime::from_nanos(t), t);
+            queue.push(SimTime::from_nanos(t), t);
         }
-        let mut seen = Vec::new();
-        sim.run_until(SimTime::from_nanos(deadline), |_, t| seen.push(t));
+        let seen: Vec<u64> = std::iter::from_fn(|| queue.pop_due(SimTime::from_nanos(deadline)))
+            .map(|(_, t)| t)
+            .collect();
         prop_assert!(seen.iter().all(|&t| t <= deadline));
         let expected = times.iter().filter(|&&t| t <= deadline).count();
         prop_assert_eq!(seen.len(), expected);

@@ -39,28 +39,29 @@ const CORE_L1: [&str; 4] = [
 ///   `relation` and prepared-fragment (`joins`) wire formats — which read
 ///   untrusted bytes in place — and the `core` executor/session/
 ///   concurrent/sql modules — everything on the ring's data path.
-/// - **L2 no-wall-clock-in-sim**: all of `simnet` plus the simulated
-///   backend; virtual time only.
+/// - **L2 no-wall-clock-in-sim**: all of `simnet` plus the code a
+///   virtual-time run executes — the simulated backend and the one
+///   coordinator it runs on; the machine clock is read only in
+///   `wall_clock.rs` and the wall-clock engines.
 /// - **L3 counter-registry**: the emitters of counters — the shared
-///   coordinator, the simulated backend and the wall-clock executor —
-///   and the thread backend, which emits none since every run goes
-///   through the coordinator, and stays in scope so none comes back
-///   unchecked.
+///   coordinator and the wall-clock executor — and the simulated and
+///   thread backends, which emit none since every run goes through the
+///   coordinator, and stay in scope so none comes back unchecked.
 /// - **L4 lock-ordering**: the query session (the one place `core` nests
 ///   a state-slot lock over a collector lock, for every front-end on
 ///   every backend) and the thread backend, which takes no lock of its
 ///   own any more and stays in scope for the same reason.
 /// - **L5 sans-io-protocol**: the shared ring-protocol core, which must
 ///   never grow a socket, thread, channel or clock dependency.
-/// - **L6 output-match-exhaustive**: one vocabulary + two appliers, all
-///   in the two scoped files — the wall-clock drivers' shared coordinator
-///   (which also holds `observe`, the one `Output` → trace mapping both
-///   appliers call) and the simulated backend — whose `protocol::Output`
-///   matches must name every variant: a wildcard arm would let a future
-///   output silently vanish from the trace, or from one applier while the
-///   other acts on it. Every other `roundabout` source outside `protocol/`
-///   is under the *single-applier* rule instead: it may not name an
-///   `Output::` variant at all.
+/// - **L6 output-match-exhaustive**: one vocabulary + one applier, both
+///   in the one scoped file — the coordinator every driver runs on, which
+///   holds `observe` (the one `Output` → trace mapping) and `apply` (the
+///   one `Output` → IO mapping) — whose `protocol::Output` matches must
+///   name every variant: a wildcard arm would let a future output
+///   silently vanish from the trace or from the IO. Every other
+///   `roundabout` source outside `protocol/`, the simulated backend
+///   included, is under the *single-applier* rule instead: it may not
+///   name an `Output::` variant at all.
 pub fn policy_for(rel: &str) -> FilePolicy {
     let mut p = FilePolicy::default();
     if rel.starts_with("crates/roundabout/src/")
@@ -69,16 +70,18 @@ pub fn policy_for(rel: &str) -> FilePolicy {
     {
         p.no_panic = true;
     }
-    if rel.starts_with("crates/simnet/src/") || rel == "crates/roundabout/src/sim_backend.rs" {
+    let applier = "crates/roundabout/src/coordinator.rs";
+    let simulator = "crates/roundabout/src/sim_backend.rs";
+    if rel.starts_with("crates/simnet/src/") || rel == simulator || rel == applier {
         p.no_wall_clock = true;
     }
-    let appliers = [
-        "crates/roundabout/src/coordinator.rs",
-        "crates/roundabout/src/sim_backend.rs",
-    ];
-    if appliers.contains(&rel)
-        || rel == "crates/roundabout/src/thread_backend.rs"
-        || rel == "crates/core/src/exec.rs"
+    if [applier, simulator]
+        .into_iter()
+        .chain([
+            "crates/roundabout/src/thread_backend.rs",
+            "crates/core/src/exec.rs",
+        ])
+        .any(|scoped| scoped == rel)
     {
         p.counter_registry = true;
     }
@@ -88,7 +91,7 @@ pub fn policy_for(rel: &str) -> FilePolicy {
     if rel.starts_with("crates/roundabout/src/protocol/") {
         p.sans_io = true;
     }
-    if appliers.contains(&rel) {
+    if rel == applier {
         p.output_match = true;
     } else if rel.starts_with("crates/roundabout/src/") && !p.sans_io {
         p.single_applier = true;
@@ -227,16 +230,22 @@ mod tests {
         assert!(p.no_panic && p.counter_registry && p.lock_ordering && !p.no_wall_clock);
         assert!(!p.sans_io, "drivers are allowed to do IO");
         assert!(!p.output_match && p.single_applier);
+        // The simulator is a medium of the coordinator: virtual time only,
+        // and no applier of its own.
         let p = policy_for("crates/roundabout/src/sim_backend.rs");
         assert!(p.no_panic && p.no_wall_clock && p.counter_registry && !p.lock_ordering);
-        assert!(p.output_match, "appliers must dispatch Output exhaustively");
-        assert!(!p.single_applier);
-        // The shared coordinator: the wall-clock applier. On the ring's
-        // data path (L1), the counter emitter (L3), exhaustive (L6).
+        assert!(!p.output_match, "the coordinator is the one applier");
+        assert!(p.single_applier, "the simulator names no Output variant");
+        // The shared coordinator: the one applier, which a virtual-time
+        // run executes. On the ring's data path (L1), no wall clock (L2),
+        // the counter emitter (L3), exhaustive (L6).
         let p = policy_for("crates/roundabout/src/coordinator.rs");
-        assert!(p.no_panic && p.counter_registry && !p.no_wall_clock && !p.lock_ordering);
-        assert!(!p.sans_io, "the coordinator reads the wall clock");
+        assert!(p.no_panic && p.no_wall_clock && p.counter_registry && !p.lock_ordering);
+        assert!(!p.sans_io, "the coordinator drives IO through its medium");
         assert!(p.output_match && !p.single_applier);
+        // The wall clock's own file: the machine clock lives there.
+        let p = policy_for("crates/roundabout/src/wall_clock.rs");
+        assert!(p.no_panic && !p.no_wall_clock && !p.output_match && p.single_applier);
         // The socket engines and the wire format: on the data path (L1),
         // media only — no counters, no outputs.
         for media in [

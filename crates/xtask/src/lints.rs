@@ -3,11 +3,11 @@
 //! | id | name               | invariant |
 //! |----|--------------------|-----------|
 //! | L1 | `no-panic-paths`   | library code of the ring/wire/exec layers returns typed errors instead of panicking: no `unwrap()` / `expect()` / `panic!` / `unreachable!` / `todo!` / `unimplemented!` and no slice indexing outside `#[cfg(test)]` |
-//! | L2 | `no-wall-clock-in-sim` | the simulator is virtual-time only: `std::time::Instant` / `SystemTime` are banned in `simnet` and the simulated backend |
+//! | L2 | `no-wall-clock-in-sim` | the simulator is virtual-time only: `std::time::Instant` / `SystemTime` are banned in `simnet`, the simulated backend and the coordinator it runs on |
 //! | L3 | `counter-registry` | every counter name incremented in the backends is a key of the unified registry in `simnet::span::counter` |
 //! | L4 | `lock-ordering`    | nested lock acquisitions respect the declared lock-order table |
 //! | L5 | `sans-io-protocol` | the protocol core stays sans-IO: no `std::net`, `std::thread`, `crate::sync` or `simnet::time` paths and no `spawn` calls in `crates/roundabout/src/protocol/` |
-//! | L6 | `output-match-exhaustive` | one vocabulary + two appliers, all in the two scoped files (`coordinator.rs`, `sim_backend.rs`): `coordinator::observe` (what an output looks like in a trace) and the two `apply` loops (what IO it asks for) dispatch on `protocol::Output` without a wildcard `_` arm — every output variant is handled explicitly, so a new output fails the build instead of vanishing into a catch-all — and no other `roundabout` file outside `protocol/` names an `Output::` variant at all, so neither a further hand-written applier nor a second vocabulary can come back |
+//! | L6 | `output-match-exhaustive` | one vocabulary + one applier, both in the one scoped file (`coordinator.rs`): `coordinator::observe` (what an output looks like in a trace) and `Coordinator::apply` (what IO it asks for, on every clock) dispatch on `protocol::Output` without a wildcard `_` arm — every output variant is handled explicitly, so a new output fails the build instead of vanishing into a catch-all — and no other `roundabout` file outside `protocol/`, the simulated backend included, names an `Output::` variant at all, so neither a second applier nor a second vocabulary can come back |
 //!
 //! A finding can be suppressed by `// analyze: allow(<lint>, reason = "…")`
 //! on the same line, the line above, or above the enclosing `fn` header
@@ -569,11 +569,11 @@ fn l5_sans_io(path: &Path, model: &FileModel, findings: &mut Vec<Finding>) {
 }
 
 /// L6: matches that dispatch on `protocol::Output` — the trace vocabulary
-/// and the two appliers' output loops — must be exhaustive by variant. A
+/// and the one applier's output loop — must be exhaustive by variant. A
 /// wildcard `_` arm silently swallows any output the protocol core grows
 /// later — which is exactly how a driver (or its trace) drifts out of sync
 /// with the state machine. Without the wildcard, a new `Output` variant is
-/// a compile error in the vocabulary and in every backend at once.
+/// a compile error in the vocabulary and in the applier every backend runs.
 ///
 /// A match is "over `Output`" when any arm pattern contains an
 /// `Output::Variant` path; the wildcard is an arm whose pattern *starts*
@@ -617,7 +617,7 @@ fn l6_output_match(path: &Path, model: &FileModel, findings: &mut Vec<Finding>) 
                     first.line,
                     format!(
                         "wildcard `_` arm in a match over `protocol::Output`{ctx}: \
-                         the vocabulary and the appliers handle every output variant \
+                         the vocabulary and the applier handle every output variant \
                          explicitly so a new output fails the build instead of \
                          disappearing"
                     ),
@@ -627,7 +627,7 @@ fn l6_output_match(path: &Path, model: &FileModel, findings: &mut Vec<Finding>) 
     }
 }
 
-/// L6, single-applier rule: outside the two scoped files, driver code has
+/// L6, single-applier rule: outside the one scoped file, driver code has
 /// no business naming a `protocol::Output` variant — `coordinator::observe`
 /// is the one vocabulary, the coordinator turns outputs into `Medium`
 /// calls, and an `Output::Variant` path anywhere else is the first line of
@@ -657,9 +657,8 @@ fn l6_single_applier(path: &Path, model: &FileModel, findings: &mut Vec<Finding>
             path,
             t.line,
             format!(
-                "`Output::{}`{ctx} outside the two scoped files: the one trace vocabulary \
-                 and the two appliers live in coordinator.rs and sim_backend.rs — implement \
-                 `Medium` instead",
+                "`Output::{}`{ctx} outside coordinator.rs: the one trace vocabulary \
+                 and the one applier live there — implement `Medium` instead",
                 variant.text
             ),
         );

@@ -69,19 +69,32 @@ cargo test -q -p data-roundabout --lib cheap_visits_run_inline_serially_and_in_o
 cargo test -q -p data-roundabout --lib a_slow_visit_falls_back_to_the_pool_and_comes_back
 cargo test -q -p data-roundabout --lib a_panicking_inline_visit_is_a_typed_teardown
 cargo test -q -p data-roundabout --lib traced_inline_visits_reconcile_with_the_metrics
-# Shared-decision gate: what the simulator and the wall-clock coordinator
-# decide alike exists once. The table test of `observe` (one row per
-# `protocol::Output` variant → its event and counter; the pinned strings
-# live there) and its inert-when-off twin; the all-standby rescale plan
-# refused by the one rule table on the three engines (typed error) and
-# the simulator (typed panic message); the four-backend vocabulary tests
-# under a seeded lossy + corrupting plan (event kinds and dice-determined
-# counters) and under delay spikes (`duplicate … dropped`); and the
-# pinned `RingMetrics` fingerprints that hold modeled time bit-identical.
+# Shared-decision gate: every backend runs one applier, the coordinator,
+# so what the four decide alike exists once. The table test of `observe`
+# (one row per `protocol::Output` variant → its event and counter; the
+# pinned strings live there) and its inert-when-off twin; the
+# all-standby rescale plan refused by the one rule table on the three
+# engines (typed error) and the simulator (typed panic message); the
+# four-backend vocabulary tests under a seeded lossy + corrupting plan
+# (event kinds and dice-determined counters) and under delay spikes
+# (`duplicate … dropped`); and the pinned `RingMetrics` fingerprints
+# that hold modeled time bit-identical.
 cargo test -q -p data-roundabout --lib observe_
 cargo test -q -p data-roundabout --lib all_standby_rescale_is_rejected
 cargo test -q -p integration-tests --test trace_export on_all_four_backends
 cargo test -q -p data-roundabout --test sim_golden
+# One-applier gate: the simulator is a `Medium` of the coordinator, on
+# a virtual clock. Its nine pinned fingerprints and the multi-tenant
+# virtual-time pin must not move; the crash-heal instants now replay on
+# the coordinator's own code; a job that finishes after its host
+# crashed is booked (busy time and compute) yet never reaches the
+# protocol, on every clock; and no file but the coordinator may name an
+# `Output::` variant, the simulated backend included.
+cargo test -q -p data-roundabout --test sim_golden
+cargo test -q -p integration-tests --test determinism seeded_multi_tenant_virtual_time_does_not_see_the_kernel
+cargo test -q -p data-roundabout --lib a_corpse_holding_final_hop_work_is_still_confirmed_dead
+cargo test -q -p data-roundabout --lib a_job_finishing_after_its_host_crashed_is_booked_not_reported
+cargo test -q -p xtask --lib l6_single_applier_flags_output_paths_outside_tests
 # Frame-path gate: a payload is encoded once per revolution and forwarded
 # as a fresh header plus the bytes it arrived in. Forwarded bytes must
 # equal a fresh encoding of the decoded payload for every payload form,

@@ -435,8 +435,8 @@ fn event_kinds(
 }
 
 /// One vocabulary under faults, on all four backends. Every protocol
-/// output reaches the trace through the one mapping the two appliers
-/// share, so a seeded lossy + corrupting plan must leave the same kinds of
+/// output reaches the trace through the one mapping every backend's
+/// applier calls, so a seeded lossy + corrupting plan must leave the same kinds of
 /// receiver / transmitter / join events everywhere, and — with ack
 /// timeouts generous enough that only the dice decide — the same
 /// counters, exactly as the parity suite's metrics do.
