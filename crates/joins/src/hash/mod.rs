@@ -14,7 +14,7 @@
 //! * [`radix`] — the radix partitioner (multi-pass for owned fragments,
 //!   one pass into a prepared fragment's bytes or a state's columns),
 //! * [`table`] — bucket-chained hash tables over a partition, and the
-//!   batched probe kernel over a borrowed table,
+//!   batched, prefetching probe kernel over a borrowed table,
 //! * [`join`] — the two-phase join operator gluing them together, all of
 //!   a stationary side's tables in one set of arrays.
 

@@ -579,7 +579,11 @@ fn scatter_one<K: ColumnValue<Key>, P: ColumnValue<Payload>>(
 /// L1-sized partitions buy nothing more, and past 8 bits the small
 /// partitions cost more than they save. A host with no more than 4 096
 /// tuples keeps 0 bits: splitting a small fragment's visit into
-/// partitions of a few tuples costs more than it saves.
+/// partitions of a few tuples costs more than it saves. Re-measured once
+/// the probe prefetched (three runs, the box in a slower phase): 5 bits
+/// read 39.5–43.4 ms against 73.8–82.8 at 0 bits and 67.3–73.7 at 1 bit,
+/// so prefetching hides only part of what partitioning saves; 6–8 bits
+/// read 36.7–40.1 ms, their quartiles overlapping 5 bits' in every run.
 const PARTITION_SHARE_OF_L2: usize = 48;
 
 /// Chooses the number of radix bits so that each partition of a stationary

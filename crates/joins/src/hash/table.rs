@@ -10,6 +10,14 @@
 //! partition's ranges of the arrays a [`super::HashJoinState`] holds all
 //! of its partitions in.
 //!
+//! In ring order the cache is not the partition's alone: every visit
+//! probes a table that the visits of other hosts evicted in between, so
+//! the probe's loads of a bucket head, a key, a chain link and a payload
+//! go to memory. The batched probe issues a batch's loads as prefetches
+//! before it waits on any of them (group prefetching, Chen, Ailamaki,
+//! Gibbons and Mowry, ICDE 2004), through one helper, the crate's only
+//! `unsafe`.
+//!
 //! Skew sensitivity is *by design*: when a partition is dominated by one
 //! key, its chain degenerates to a list and the probe cost per tuple grows
 //! with the number of duplicates — this is the "hash join slowly degrades
@@ -20,21 +28,30 @@ use relation::{ColumnValue, Columns, Key, MatchPair, Payload, Relation, Relation
 use super::hash_key;
 use crate::collector::JoinCollector;
 
-/// Probe tuples a batched probe takes through the table together. Long
-/// enough that the chain walk's loads overlap instead of waiting on one
-/// another (a table beyond L2: 12.7 ns per tuple at 256, 12.1 at 512,
-/// 11.5 at 1 024), short enough that the selection vectors (6 KiB, zeroed
-/// once per visit, or per [`ChainedTable::probe_all`] call) cost a
-/// 128-tuple fragment nothing measurable (365 ns per visit at 256 and 512,
-/// 405 at 1 024).
+/// Probe tuples a batched probe takes through the table together: the
+/// group whose bucket heads, then whose keys, chain links and payloads,
+/// are all prefetched before the first of them is read. Long enough that
+/// the loads overlap instead of waiting on one another, short enough that
+/// the selection vectors (8 KiB, zeroed once per visit, or per
+/// [`ChainedTable::probe_all`] call) cost a 128-tuple fragment nothing
+/// measurable. Re-measured on the prefetching probe (2-vCPU Xeon VM,
+/// in-process alternated rounds against 512): the ring-order shape (four
+/// 131 072-tuple states at 5 radix bits, 16 fragments in wire bytes)
+/// read 0.87–0.92× at 1 024, better in 68 of 76 rounds, but with the
+/// quartiles of the two overlapping in three of four runs; 0.99–1.10×
+/// at 256. A 128-tuple visit read 1.00–1.05× at 1 024 and 1.03× at 256,
+/// and the L2-warm 3 333-tuple tables of the multi-tenant shape 0.97–1.06×
+/// either way. No size separated from 512, which stays.
 pub const PROBE_BATCH: usize = 512;
 
-/// The selection vectors a batched probe compacts into: the position in
-/// the batch and chain cursor of every live probe tuple, then the (probe
-/// position, table slot) pairs that matched at the current chain level.
-/// 6 KiB on the stack: a visit zeroes one set and passes it to the probe
-/// of each of its partitions.
+/// The selection vectors a batched probe compacts into: the bucket of
+/// every probe tuple in the batch, the position in the batch and chain
+/// cursor of every live probe tuple, then the (probe position, table slot)
+/// pairs that matched at the current chain level. 8 KiB on the stack: a
+/// visit zeroes one set and passes it to the probe of each of its
+/// partitions.
 pub(crate) struct Selection {
+    bucket: [u32; PROBE_BATCH],
     live_at: [u16; PROBE_BATCH],
     live_cursor: [u32; PROBE_BATCH],
     hit_at: [u16; PROBE_BATCH],
@@ -44,12 +61,32 @@ pub(crate) struct Selection {
 impl Selection {
     pub(crate) fn new() -> Self {
         Selection {
+            bucket: [0; PROBE_BATCH],
             live_at: [0; PROBE_BATCH],
             live_cursor: [0; PROBE_BATCH],
             hit_at: [0; PROBE_BATCH],
             hit_slot: [0; PROBE_BATCH],
         }
     }
+}
+
+/// Asks the CPU to start loading the cache line `value` lies in, and
+/// returns at once: the load overlaps whatever runs next, and nothing
+/// waits on it. A hint with no effect on the program's result, and a
+/// no-op on targets other than x86-64.
+#[inline(always)]
+fn prefetch<T>(value: Option<&T>) {
+    #[cfg(target_arch = "x86_64")]
+    if let Some(value) = value {
+        use core::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        // SAFETY: `_mm_prefetch` only hints the cache: it moves no data
+        // into the program, writes no memory and cannot fault, whatever
+        // the address. The address here is, besides, that of a live
+        // reference that `slice::get` returned.
+        unsafe { _mm_prefetch::<_MM_HINT_T0>((value as *const T).cast::<i8>()) }
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = value;
 }
 
 /// A bucket-chained hash table over one relation partition: the owner of
@@ -170,7 +207,6 @@ impl ChainedTable {
 /// [`super::HashJoinState`]'s: the probe kernel is this one.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct TableView<'a> {
-    mask: u32,
     /// Hash bits to discard before indexing buckets. A partition produced
     /// by `radix_bits` of radix partitioning holds keys that all agree on
     /// the low `radix_bits` bits of their hash — indexing buckets with
@@ -194,12 +230,9 @@ impl<'a> TableView<'a> {
         keys: &'a [Key],
         payloads: &'a [Payload],
     ) -> Self {
-        // A default `ChainedTable` has no buckets: its mask is 0, and every
-        // probe finds no head.
         debug_assert!(heads.is_empty() || heads.len().is_power_of_two());
         debug_assert!(next.len() == keys.len() && keys.len() == payloads.len());
         TableView {
-            mask: heads.len().saturating_sub(1) as u32,
             shift,
             heads,
             next,
@@ -211,7 +244,9 @@ impl<'a> TableView<'a> {
     /// Iterates over the stored tuples whose key equals `key`.
     #[inline]
     fn probe(&self, key: Key) -> Probe<'a> {
-        let bucket = ((hash_key(key) >> self.shift) & self.mask) as usize;
+        // A default `ChainedTable` has no buckets: every probe finds no head.
+        let mask = self.heads.len().saturating_sub(1);
+        let bucket = (hash_key(key) >> self.shift) as usize & mask;
         Probe {
             table: *self,
             key,
@@ -226,13 +261,27 @@ impl<'a> TableView<'a> {
     /// A tuple-at-a-time probe spends its time on the chain walk's two
     /// data-dependent branches ("chain ended?", "key equal?"), which the
     /// predictor cannot learn on fresh keys — the table being L1-resident
-    /// does not help. Here each batch runs three branch-free passes over
-    /// selection vectors instead: hash every key and load its bucket head;
-    /// then, one chain level per pass, compare every live cursor's key and
-    /// step it to `next`, compacting survivors and hits by
-    /// `n += usize::from(cond)`; and fold that level's hits into the
-    /// collector. Matches therefore leave in (batch, chain level) order,
-    /// not probe order.
+    /// does not help. Here each batch runs branch-free passes over
+    /// selection vectors instead:
+    /// 1. hash every key into the bucket vector and prefetch its bucket
+    ///    head;
+    /// 2. read every head into a cursor, compacting the live ones by
+    ///    `n += usize::from(cond)`, and prefetch the key, chain link and
+    ///    payload the cursor points at (a dead cursor prefetches slot 0,
+    ///    so that no branch asks which is which);
+    /// 3. one chain level per pass, compare every live cursor's key and
+    ///    step it to `next`, compacting survivors and hits the same way;
+    /// 4. fold that level's hits into the collector.
+    ///
+    /// Matches therefore leave in (batch, chain level) order, not probe
+    /// order. In ring order a visit's table is cold, and the loads of
+    /// passes 2–4 are what the probe waited on: four loads (bucket head,
+    /// key, chain link, payload) held 58–60 % of the user-time samples of the
+    /// `hash_uniform_reactor` shape before the prefetches. The prefetch
+    /// instruction is what buys the overlap: plain loads of the same
+    /// addresses, summed into `black_box`, read no better than none. The
+    /// hit fold takes no prefetch of its own: a branch on "hit?" in the
+    /// level loop cost that shape 8–11 %.
     ///
     /// The probe side is an owned relation or a view of wire bytes: the
     /// kernel is generic over how a column value lies ([`ColumnValue`]),
@@ -264,10 +313,18 @@ impl<'a> TableView<'a> {
         K: ColumnValue<Key>,
         P: ColumnValue<Payload>,
     {
-        if keys.is_empty() || self.keys.is_empty() {
+        if keys.is_empty() || self.keys.is_empty() || self.heads.is_empty() {
             return;
         }
+        // Indices the compiler can see are in bounds: a bucket masked by
+        // `heads.len() - 1` (a power of two), a slot clamped to the last
+        // tuple, and the table's three columns cut to one length. Neither
+        // pass below then branches on a bounds check.
+        let mask = self.heads.len() - 1;
+        let last = self.keys.len() - 1;
+        let (table_next, table_payloads) = (&self.next[..=last], &self.payloads[..=last]);
         let Selection {
+            bucket,
             live_at,
             live_cursor,
             hit_at,
@@ -275,10 +332,20 @@ impl<'a> TableView<'a> {
         } = selection;
         let batches = keys.chunks(PROBE_BATCH).zip(payloads.chunks(PROBE_BATCH));
         for (keys, payloads) in batches {
+            let bucket = &mut bucket[..keys.len()];
+            for (bucket, key) in bucket.iter_mut().zip(keys) {
+                let index = (hash_key(key.value()) >> self.shift) as usize & mask;
+                *bucket = index as u32;
+                prefetch(self.heads.get(index));
+            }
             let mut live = 0usize;
-            for (at, key) in keys.iter().enumerate() {
-                let bucket = ((hash_key(key.value()) >> self.shift) & self.mask) as usize;
-                let head = self.heads.get(bucket).copied().unwrap_or(0);
+            for (at, &bucket) in bucket.iter().enumerate() {
+                let head = self.heads[bucket as usize & mask];
+                // A dead cursor prefetches slot 0: no branch on `head`.
+                let slot = (head.saturating_sub(1) as usize).min(last);
+                prefetch(self.keys.get(slot));
+                prefetch(table_next.get(slot));
+                prefetch(table_payloads.get(slot));
                 live_at[live] = at as u16;
                 live_cursor[live] = head;
                 live += usize::from(head != 0);

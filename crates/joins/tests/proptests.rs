@@ -581,3 +581,84 @@ proptest! {
         }
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// A stationary hash state visited by a random sequence of fragments
+    /// on one thread finds, at every visit, exactly the multiset that the
+    /// single-key [`ChainedTable::probe`] over the whole stationary side
+    /// defines, key by key. The probe's selection vectors (each batch's
+    /// buckets, cursors and hits) live on through every batch and
+    /// partition of a visit, and a visit starts from fresh ones; a pass
+    /// that reads a bucket another tuple wrote, or one left over from an
+    /// earlier batch, partition or visit, pairs a probe tuple with the
+    /// wrong chain. Fragment lengths sit on the batch boundaries (0, 1,
+    /// one batch ± 1, two batches and three); keys are uniform, Zipf 0.9
+    /// or a single key on either side; radix bits 0–6; each fragment is
+    /// probed owned, or prepared into its wire bytes and viewed at an
+    /// unaligned offset.
+    #[test]
+    fn selection_state_is_carried_across_batches_partitions_and_visits(
+        s_shape in 0usize..3,
+        s_tuples in 1usize..800,
+        bits in 0u32..7,
+        visits in prop::collection::vec(
+            (0usize..5, 0usize..3, any::<bool>(), 1usize..8, any::<u64>()),
+            1..6,
+        ),
+        seed in any::<u64>(),
+    ) {
+        use mem_joins::hash::{ChainedTable, HashJoinState, PartitionsView, PROBE_BATCH};
+        use relation::{KeyDistribution, MatchPair};
+        let domain = s_tuples as u32;
+        let keys = |shape: usize, tuples: usize, seed: u64| -> Relation {
+            let distribution = match shape {
+                0 => KeyDistribution::Uniform { domain },
+                1 => KeyDistribution::Zipf { domain, z: 0.9 },
+                _ => KeyDistribution::Uniform { domain: 1 },
+            };
+            GenSpec { tuples, distribution, seed }.generate()
+        };
+        let s = keys(s_shape, s_tuples, seed);
+        let params = CacheParams::default();
+        let state = HashJoinState::build_with_bits(&s, bits, &params);
+        let definition = ChainedTable::build(&s);
+        for (len, r_shape, wire, offset, r_seed) in visits {
+            let r_tuples = [0, 1, PROBE_BATCH - 1, PROBE_BATCH + 1, 2 * PROBE_BATCH + 3][len];
+            let r = keys(r_shape, r_tuples, r_seed);
+            let mut expect: Vec<MatchPair> = r
+                .iter()
+                .flat_map(|rt| definition.probe(rt.key).map(move |st| MatchPair::new(rt, st)))
+                .collect();
+            expect.sort_unstable();
+
+            let owned = RadixPartitioned::new(&r, bits, &params);
+            let prepared = Algorithm::PartitionedHash(params).prepare_fragment(&r, bits, 1);
+            let mut bytes = vec![0xEE; offset];
+            bytes.extend_from_slice(prepared.as_bytes());
+            let probe = if wire {
+                let FragmentView::HashPartitioned(viewed) =
+                    mem_joins::wire::view(&bytes[offset..]).expect("intact bytes")
+                else {
+                    panic!("a hash fragment views as one");
+                };
+                viewed
+            } else {
+                PartitionsView::from(&owned)
+            };
+            let mut visit = JoinCollector::materializing();
+            state.probe_partitioned(probe, 1, &mut visit);
+            let mut got = visit.into_matches();
+            got.sort_unstable();
+            prop_assert!(
+                got == expect,
+                "a {}-tuple visit (wire bytes: {}) found {} matches, the definition {}",
+                r_tuples,
+                wire,
+                got.len(),
+                expect.len()
+            );
+        }
+    }
+}

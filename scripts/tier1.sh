@@ -61,10 +61,14 @@ cargo test -q -p integration-tests --test chaos multi_tenant
 # counting allocator); and the state must find the reference equi-join at
 # radix bits 0-9, passes of 2 or 8 bits, the probe owned or in unaligned
 # wire bytes, and 1-3 threads.
+# The prefetching probe's bucket vector and cursors, carried through every
+# batch and partition of a visit, must give each visit of a random fragment
+# sequence the single-key probe's multiset, key by key.
 cargo test -q -p mem-joins --test proptests batched_probe_equals_single_key_probes
 cargo test -q -p relation --test proptests wire_checksum_catches_swaps_and_flips
 cargo test -q -p mem-joins --test alloc_hash
 cargo test -q -p mem-joins --test proptests contiguous_state_equals_reference_join
+cargo test -q -p mem-joins --test proptests selection_state_is_carried_across_batches_partitions_and_visits
 cargo test -q -p data-roundabout --lib cheap_visits_run_inline_serially_and_in_order
 cargo test -q -p data-roundabout --lib a_slow_visit_falls_back_to_the_pool_and_comes_back
 cargo test -q -p data-roundabout --lib a_panicking_inline_visit_is_a_typed_teardown
