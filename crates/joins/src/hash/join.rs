@@ -9,10 +9,10 @@
 //!
 //! **Join phase** — [`HashJoinState::probe_partitioned`]: scan the
 //! partitions of a probe fragment `R_j` (partitioned with the *same* radix
-//! bits; owned, or read in the bytes it arrived in) and probe the matching
-//! tables, through one set of selection vectors per visit. Disjoint
-//! partitions are handed to separate threads, exactly how the paper
-//! exploits its quad cores.
+//! bits, read in the bytes it was prepared or arrived in) and probe the
+//! matching tables, through one set of selection vectors per visit.
+//! Disjoint partitions are handed to separate threads, exactly how the
+//! paper exploits its quad cores.
 //!
 //! In cyclo-join the setup output is built **once** and reused for every
 //! `R_j` that rotates past (§IV-D) — the reuse is what makes the setup
@@ -21,7 +21,7 @@
 
 use relation::{Key, MatchPair, Payload, Relation, RelationView, Tuple};
 
-use super::radix::{radix_bits_for, scatter_into_columns, PartitionsView, RadixPartitioned};
+use super::radix::{radix_bits_for, scatter_into_columns, PartitionsView};
 use super::table::{buckets_for, chain, Selection, TableView};
 use super::CacheParams;
 use crate::collector::JoinCollector;
@@ -54,14 +54,15 @@ impl HashJoinState {
         Self::build_with_bits(s, bits, params)
     }
 
-    /// Builds the state with an explicit number of radix bits (used by
-    /// ablation benchmarks; prefer [`HashJoinState::build`]).
+    /// Builds the state with an explicit number of radix bits, on one
+    /// thread (used by ablation benchmarks; prefer
+    /// [`HashJoinState::build`]). `params` is not read: the bits are given.
     pub fn build_with_bits<'s>(
         s: impl Into<RelationView<'s>>,
         bits: u32,
-        params: &CacheParams,
+        _params: &CacheParams,
     ) -> Self {
-        HashJoinState::build_parallel(s, bits, params, 1)
+        HashJoinState::build_parallel(s, bits, 1)
     }
 
     /// Builds the state with `threads` worker threads doing the radix
@@ -69,16 +70,9 @@ impl HashJoinState {
     /// insertions are cheap relative to the scatter).
     ///
     /// The scatter is one pass on all `bits` bits, into the state's own
-    /// columns, whatever the parameters' `max_bits_per_pass`: that bound
-    /// keeps a rotating fragment's scatter targets within the TLB, and a
-    /// state is built once per host. The build allocates its three arrays,
-    /// two offset tables and the scatter's histogram, at any fan-out.
-    pub fn build_parallel<'s>(
-        s: impl Into<RelationView<'s>>,
-        bits: u32,
-        _params: &CacheParams,
-        threads: usize,
-    ) -> Self {
+    /// columns. The build allocates its three arrays, two offset tables
+    /// and the scatter's histogram, at any fan-out.
+    pub fn build_parallel<'s>(s: impl Into<RelationView<'s>>, bits: u32, threads: usize) -> Self {
         assert!(bits <= 24, "more than 2^24 partitions is never useful here");
         let s = s.into();
         let n = s.len();
@@ -146,16 +140,9 @@ impl HashJoinState {
         self.keys.len() * (4 + 8) + self.links.len() * 4
     }
 
-    /// Partitions a probe-side fragment with the matching radix fan-out.
-    /// In cyclo-join this runs once per fragment during setup, at the
-    /// fragment's origin host; the partitioned form is what rotates.
-    pub fn partition_probe(&self, r: &Relation, params: &CacheParams) -> RadixPartitioned {
-        RadixPartitioned::new(r, self.bits, params)
-    }
-
-    /// Join phase against a pre-partitioned probe fragment — owned, or a
-    /// view of the bytes it arrived in — using `threads` worker threads
-    /// over disjoint partition ranges.
+    /// Join phase against a pre-partitioned probe fragment — the bytes it
+    /// was prepared or arrived in — using `threads` worker threads over
+    /// disjoint partition ranges.
     ///
     /// # Panics
     ///
@@ -201,20 +188,6 @@ impl HashJoinState {
             collector.merge(shard);
         }
     }
-
-    /// Convenience single-shot probe for an unpartitioned fragment:
-    /// partitions it, then joins. Equivalent to `partition_probe` +
-    /// `probe_partitioned`.
-    pub fn probe(
-        &self,
-        r: &Relation,
-        params: &CacheParams,
-        threads: usize,
-        collector: &mut JoinCollector,
-    ) {
-        let partitioned = self.partition_probe(r, params);
-        self.probe_partitioned(&partitioned, threads, collector);
-    }
 }
 
 /// Reference equi-join by brute force, for correctness tests.
@@ -238,7 +211,14 @@ pub fn match_of(r: (u32, u64), s: (u32, u64)) -> MatchPair {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hash::RadixPartitioned;
     use relation::{Checksum, GenSpec};
+
+    /// Partitions `r` on the state's radix bits and probes it.
+    fn probe(state: &HashJoinState, r: &Relation, threads: usize, collector: &mut JoinCollector) {
+        let fragment = RadixPartitioned::new(r, state.bits(), &CacheParams::default());
+        state.probe_partitioned(&fragment, threads, collector);
+    }
 
     fn checksum_of(matches: &[MatchPair]) -> Checksum {
         matches.iter().copied().collect()
@@ -250,7 +230,7 @@ mod tests {
         let s = GenSpec::uniform(3_000, 21).generate();
         let state = HashJoinState::build(&s, &CacheParams::tiny_for_tests());
         let mut collector = JoinCollector::aggregating();
-        state.probe(&r, &CacheParams::tiny_for_tests(), 2, &mut collector);
+        probe(&state, &r, 2, &mut collector);
         let reference = reference_equi_join(&r, &s);
         assert_eq!(collector.count(), reference.len() as u64);
         assert_eq!(collector.checksum(), checksum_of(&reference));
@@ -262,7 +242,7 @@ mod tests {
         let s = GenSpec::zipf(2_000, 0.9, 23).generate();
         let state = HashJoinState::build(&s, &CacheParams::tiny_for_tests());
         let mut collector = JoinCollector::aggregating();
-        state.probe(&r, &CacheParams::tiny_for_tests(), 4, &mut collector);
+        probe(&state, &r, 4, &mut collector);
         let reference = reference_equi_join(&r, &s);
         assert_eq!(collector.count(), reference.len() as u64);
         assert_eq!(collector.checksum(), checksum_of(&reference));
@@ -277,7 +257,7 @@ mod tests {
         let mut results = Vec::new();
         for threads in [1, 2, 4, 8] {
             let mut c = JoinCollector::aggregating();
-            state.probe(&r, &params, threads, &mut c);
+            probe(&state, &r, threads, &mut c);
             results.push((c.count(), c.checksum()));
         }
         assert!(results.windows(2).all(|w| w[0] == w[1]));
@@ -289,7 +269,7 @@ mod tests {
         let s = Relation::from_pairs([(2, 900), (2, 901), (4, 400)]);
         let state = HashJoinState::build(&s, &CacheParams::default());
         let mut c = JoinCollector::materializing();
-        state.probe(&r, &CacheParams::default(), 1, &mut c);
+        probe(&state, &r, 1, &mut c);
         let mut matches = c.into_matches();
         matches.sort_unstable();
         assert_eq!(
@@ -303,13 +283,18 @@ mod tests {
         let params = CacheParams::default();
         let empty_state = HashJoinState::build(&Relation::new(), &params);
         let mut c = JoinCollector::aggregating();
-        empty_state.probe(&GenSpec::uniform(100, 0).generate(), &params, 2, &mut c);
+        probe(
+            &empty_state,
+            &GenSpec::uniform(100, 0).generate(),
+            2,
+            &mut c,
+        );
         assert_eq!(c.count(), 0);
         assert!(empty_state.is_empty());
 
         let state = HashJoinState::build(&GenSpec::uniform(100, 0).generate(), &params);
         let mut c = JoinCollector::aggregating();
-        state.probe(&Relation::new(), &params, 2, &mut c);
+        probe(&state, &Relation::new(), 2, &mut c);
         assert_eq!(c.count(), 0);
     }
 
@@ -333,7 +318,7 @@ mod tests {
         let fragments: Vec<Relation> = GenSpec::uniform(4_000, 31).generate().split_even(4);
         let mut total = JoinCollector::aggregating();
         for frag in &fragments {
-            state.probe(frag, &params, 2, &mut total);
+            probe(&state, frag, 2, &mut total);
         }
         let whole = {
             let r = {

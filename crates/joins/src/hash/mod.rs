@@ -11,8 +11,9 @@
 //! its caches (the measurement is in its comment).
 //!
 //! Module layout:
-//! * [`radix`] — the radix partitioner (multi-pass for owned fragments,
-//!   one pass into a prepared fragment's bytes or a state's columns),
+//! * [`radix`] — the radix partitioner: one pass at any fan-out, into a
+//!   fragment's wire bytes (the one layout a radix-partitioned fragment
+//!   has) or a stationary state's columns,
 //! * [`table`] — bucket-chained hash tables over a partition, and the
 //!   batched, prefetching probe kernel over a borrowed table,
 //! * [`join`] — the two-phase join operator gluing them together, all of
@@ -29,37 +30,25 @@ pub use table::{ChainedTable, PROBE_BATCH};
 use relation::Key;
 use serde::{Deserialize, Serialize};
 
-/// CPU cache characteristics the radix join is tuned to.
+/// The CPU cache the radix join is tuned to: its size sets the fan-out
+/// ([`radix_bits_for`]). A partitioning is one pass at any fan-out
+/// ([`radix`] has the measurement), so nothing else of the cache is read.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CacheParams {
     /// Unified L2 cache size in bytes.
     pub l2_bytes: usize,
-    /// L2 cache line size in bytes.
-    pub cache_line: usize,
-    /// Maximum radix bits resolved per partitioning pass (fan-out per pass
-    /// is `2^max_bits_per_pass`; bounding it keeps the scatter targets
-    /// within the TLB during each pass).
-    pub max_bits_per_pass: u32,
 }
 
 impl CacheParams {
-    /// The paper's testbed: 4 MB unified L2, 64 B lines.
+    /// The paper's testbed: 4 MB unified L2.
     pub fn paper_xeon() -> Self {
-        CacheParams {
-            l2_bytes: 4 << 20,
-            cache_line: 64,
-            max_bits_per_pass: 8,
-        }
+        CacheParams { l2_bytes: 4 << 20 }
     }
 
     /// A deliberately tiny cache, useful in tests to force many partitions
-    /// and multiple passes on small inputs.
+    /// on small inputs.
     pub fn tiny_for_tests() -> Self {
-        CacheParams {
-            l2_bytes: 1 << 10,
-            cache_line: 64,
-            max_bits_per_pass: 2,
-        }
+        CacheParams { l2_bytes: 1 << 10 }
     }
 }
 
@@ -101,6 +90,5 @@ mod tests {
     fn default_params_are_the_paper_machine() {
         let p = CacheParams::default();
         assert_eq!(p.l2_bytes, 4 << 20);
-        assert_eq!(p.cache_line, 64);
     }
 }

@@ -1,134 +1,72 @@
-//! Multi-pass radix partitioning.
+//! One-pass radix partitioning.
 //!
 //! Partitioning scatters tuples into `2^bits` partitions according to the
-//! low bits of `hash_key(key)`. Resolving too many bits in one pass would
-//! thrash the TLB and cache (one open scatter target per partition), so
-//! passes resolve at most [`CacheParams::max_bits_per_pass`] bits each,
-//! refining the partitions of the previous pass — exactly the scheme of
-//! Manegold, Boncz and Kersten \[22\].
+//! low bits of `hash_key(key)`, in one pass at any fan-out: a histogram
+//! lays the partitions out, and one scatter writes every tuple at its
+//! final offset — in a fragment's wire bytes (`partition_into_wire`, the
+//! layout of [`crate::wire`], which is the one layout a radix-partitioned
+//! fragment has) or in a stationary state's columns
+//! (`scatter_into_columns`).
+//!
+//! The paper's radix cluster (§IV-C, after Manegold, Boncz and Kersten
+//! \[22\]) bounds the bits one pass resolves, so that the open scatter
+//! targets fit the TLB, and refines each pass's partitions in the next.
+//! Here that scheme lost to the one pass at every fan-out where the two
+//! differ. `prepare_fragment` on one thread, one pass against passes of
+//! at most 8 bits (which wrote owned partitions, then encoded them), the
+//! median ratio of alternated rounds on a 2-vCPU Xeon VM:
+//!
+//! ```text
+//! tuples       9 bits  10 bits  12 bits  14 bits
+//! 32 768        0.47     0.38     0.56     0.29
+//! 1 048 576     0.40     0.47     0.58     0.69
+//! 4 194 304     0.52     0.59     0.64     0.79
+//! ```
+//!
+//! At 5 and 8 bits the two run the same code and read 0.96–1.09, the
+//! machine's noise. Eleven rounds a cell; the upper quartile of every
+//! cell at 9–14 bits lay below 0.82.
 
 use relation::wire as rw;
-use relation::{ColumnValue, Columns, Key, Payload, Relation, RelationView};
-use serde::{Deserialize, Serialize};
+use relation::{ColumnValue, Columns, Key, Payload, RelationView};
 
 use super::{hash_key, CacheParams};
-use crate::operator::FragmentView;
-use crate::parallel::{fork_join, fork_join_each, shard_range, shard_ranges};
-use crate::wire::{self, TableParts};
+use crate::operator::Algorithm;
+use crate::parallel::{fork_join_each, shard_range};
+use crate::wire::{self, PreparedFragment, TableParts};
 
-/// A relation scattered into `2^bits` hash partitions.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+/// A relation radix-partitioned on `bits` bits of its key hash, in the
+/// bytes [`Algorithm::prepare_fragment`] writes: the partition table of a
+/// prepared fragment ([`crate::wire`]). A visit reads it through a
+/// [`PartitionsView`].
+#[derive(Debug, Clone)]
 pub struct RadixPartitioned {
     bits: u32,
-    partitions: Vec<Relation>,
+    fragment: PreparedFragment,
 }
 
 impl RadixPartitioned {
     /// Partitions `rel` — a relation, a range of one, or bytes it arrived
-    /// in — on `bits` radix bits of the key hash, in passes of at most
-    /// `params.max_bits_per_pass` bits.
+    /// in — on `bits` radix bits of the key hash, on one thread.
     ///
-    /// The first pass scatters straight from the borrowed input's columns
-    /// as they lie — the input is never cloned. Callers that own their
-    /// relation and are done with it should prefer
-    /// [`RadixPartitioned::from_owned`], which also avoids the copy on the
-    /// `bits == 0` identity path.
+    /// # Panics
+    ///
+    /// Panics if `bits > 24`.
     pub fn new<'r>(rel: impl Into<RelationView<'r>>, bits: u32, params: &CacheParams) -> Self {
-        assert!(bits <= 24, "more than 2^24 partitions is never useful here");
-        let rel = rel.into();
-        if bits == 0 {
-            return RadixPartitioned {
-                bits: 0,
-                partitions: vec![rel.to_relation()],
-            };
-        }
         RadixPartitioned {
             bits,
-            partitions: scatter_view(rel, bits, params),
+            fragment: Algorithm::PartitionedHash(*params).prepare_fragment(rel, bits, 1),
         }
     }
 
-    /// Like [`RadixPartitioned::new`] but consumes the relation, so the
-    /// `bits == 0` identity partitioning moves the storage instead of
-    /// copying it. For `bits > 0` the input is scattered from a borrow and
-    /// dropped — the partitions own fresh storage either way.
-    pub fn from_owned(rel: Relation, bits: u32, params: &CacheParams) -> Self {
-        assert!(bits <= 24, "more than 2^24 partitions is never useful here");
-        if bits == 0 {
-            return RadixPartitioned {
-                bits: 0,
-                partitions: vec![rel],
-            };
-        }
-        RadixPartitioned::new(&rel, bits, params)
-    }
-
-    /// Like [`RadixPartitioned::new`] but scatters with `threads` worker
-    /// threads: each thread partitions a contiguous chunk of the input and
-    /// the per-partition pieces are concatenated. The partition *multisets*
-    /// equal the sequential result; only the order of tuples within each
-    /// partition differs.
-    pub fn new_parallel<'r>(
-        rel: impl Into<RelationView<'r>>,
-        bits: u32,
-        params: &CacheParams,
-        threads: usize,
-    ) -> Self {
-        let rel = rel.into();
-        if threads <= 1 || rel.len() < 4 * threads || bits == 0 {
-            return RadixPartitioned::new(rel, bits, params);
-        }
-        let ranges = shard_ranges(rel.len(), threads);
-        // Each thread scatters its borrowed chunk of the input columns
-        // directly — no per-chunk copy of the tuples before the scatter.
-        let chunk_parts: Vec<Vec<Relation>> = fork_join(threads, |i| {
-            let chunk = rel.range(ranges[i].clone()).expect("shard range in bounds");
-            scatter_view(chunk, bits, params)
-        });
-        let fanout = 1usize << bits;
-        let mut partitions: Vec<Relation> = (0..fanout)
-            .map(|j| {
-                let cap = chunk_parts.iter().map(|cp| cp[j].len()).sum();
-                Relation::with_capacity(cap)
-            })
-            .collect();
-        for cp in &chunk_parts {
-            for (j, p) in cp.iter().enumerate() {
-                partitions[j].extend_from(p);
-            }
-        }
-        RadixPartitioned { bits, partitions }
-    }
-
-    /// Number of radix bits (`partitions() == 2^bits`).
+    /// Number of radix bits (`2^bits` partitions).
     pub fn bits(&self) -> u32 {
         self.bits
     }
 
-    /// The partitions, indexed by the low `bits` of the key hash.
-    pub fn partitions(&self) -> &[Relation] {
-        &self.partitions
-    }
-
-    /// Consumes the partitioning, returning the owned partitions — lets a
-    /// consumer (the per-partition hash-table build) take over the backing
-    /// storage instead of copying both columns of every partition.
-    pub fn into_partitions(self) -> Vec<Relation> {
-        self.partitions
-    }
-
-    /// Partition `index`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is out of range.
-    pub fn partition(&self, index: usize) -> &Relation {
-        &self.partitions[index]
-    }
-
     /// Total number of tuples across all partitions.
     pub fn len(&self) -> usize {
-        self.partitions.iter().map(Relation::len).sum()
+        self.fragment.len()
     }
 
     /// True if no partition holds any tuple.
@@ -138,54 +76,30 @@ impl RadixPartitioned {
 
     /// Logical byte volume (12 bytes per tuple), for transport accounting.
     pub fn byte_volume(&self) -> u64 {
-        self.partitions.iter().map(Relation::byte_volume).sum()
-    }
-
-    /// Reassembles a flat relation (partition order; for tests).
-    pub fn flatten(&self) -> Relation {
-        let mut out = Relation::with_capacity(self.len());
-        for p in &self.partitions {
-            out.extend_from(p);
-        }
-        out
+        self.fragment.byte_volume()
     }
 }
 
-/// A radix-partitioned fragment as a visit reads it: the partitions of an
-/// owned [`RadixPartitioned`], or the partition table of the bytes it
-/// arrived in ([`crate::wire`]), read in place and in order.
+/// A radix-partitioned fragment as a visit reads it: the partition table
+/// of the bytes it was prepared or arrived in ([`crate::wire`]), read in
+/// place and in order.
 #[derive(Debug, Clone, Copy)]
 pub struct PartitionsView<'a> {
     bits: u32,
-    parts: Parts<'a>,
-}
-
-#[derive(Debug, Clone, Copy)]
-enum Parts<'a> {
-    Owned(&'a [Relation]),
-    /// `count` length-prefixed relation encodings, already accepted.
-    Wire {
-        count: usize,
-        table: &'a [u8],
-    },
+    /// `2^bits` length-prefixed relation encodings, already accepted.
+    table: &'a [u8],
 }
 
 impl<'a> From<&'a RadixPartitioned> for PartitionsView<'a> {
     fn from(part: &'a RadixPartitioned) -> Self {
-        PartitionsView {
-            bits: part.bits,
-            parts: Parts::Owned(&part.partitions),
-        }
+        PartitionsView::wire(part.bits, &part.fragment.as_bytes()[wire::HASH_HEADER..])
     }
 }
 
 impl<'a> PartitionsView<'a> {
-    /// The `count` partitions of an accepted wire table.
-    pub(crate) fn wire(bits: u32, count: usize, table: &'a [u8]) -> Self {
-        PartitionsView {
-            bits,
-            parts: Parts::Wire { count, table },
-        }
+    /// The `2^bits` partitions of an accepted wire table.
+    pub(crate) fn wire(bits: u32, table: &'a [u8]) -> Self {
+        PartitionsView { bits, table }
     }
 
     /// Number of radix bits.
@@ -195,10 +109,7 @@ impl<'a> PartitionsView<'a> {
 
     /// The partitions in index order (`2^bits` of them).
     pub fn partitions(&self) -> Partitions<'a> {
-        Partitions(match self.parts {
-            Parts::Owned(parts) => PartsIter::Owned(parts.iter()),
-            Parts::Wire { count, table } => PartsIter::Wire(TableParts::new(table, count)),
-        })
+        Partitions(TableParts::new(self.table, 1 << self.bits))
     }
 
     /// Total number of tuples across all partitions.
@@ -214,42 +125,25 @@ impl<'a> PartitionsView<'a> {
 
 /// Iterator over a [`PartitionsView`]'s partitions.
 #[derive(Debug, Clone)]
-pub struct Partitions<'a>(PartsIter<'a>);
-
-#[derive(Debug, Clone)]
-enum PartsIter<'a> {
-    Owned(std::slice::Iter<'a, Relation>),
-    Wire(TableParts<'a>),
-}
+pub struct Partitions<'a>(TableParts<'a>);
 
 impl<'a> Iterator for Partitions<'a> {
     type Item = RelationView<'a>;
 
     fn next(&mut self) -> Option<RelationView<'a>> {
-        match &mut self.0 {
-            PartsIter::Owned(parts) => parts.next().map(RelationView::from),
-            PartsIter::Wire(parts) => parts.next(),
-        }
+        self.0.next()
     }
 }
 
 /// Radix-partitions `rel` on `bits` radix bits straight into the wire
-/// form of a hash-partitioned fragment ([`crate::wire`]): byte for byte
-/// what encoding [`RadixPartitioned::new_parallel`]'s result writes. A
-/// one-pass partitioning — every ring workload's, on any number of
-/// threads — scatters each tuple into its place in the bytes, with no
-/// owned partition before them; more bits than one pass resolves
-/// partition owned first and write the result.
+/// form of a hash-partitioned fragment ([`crate::wire`]), in one pass at
+/// any fan-out and on any number of threads: each tuple is scattered into
+/// its place in the bytes, with no owned partition before them.
 ///
 /// # Panics
 ///
 /// Panics if `bits > 24`.
-pub(crate) fn partition_into_wire(
-    rel: RelationView<'_>,
-    bits: u32,
-    params: &CacheParams,
-    threads: usize,
-) -> Vec<u8> {
+pub(crate) fn partition_into_wire(rel: RelationView<'_>, bits: u32, threads: usize) -> Vec<u8> {
     assert!(bits <= 24, "more than 2^24 partitions is never useful here");
     if bits == 0 {
         // One partition: the tuples as they are.
@@ -259,11 +153,6 @@ pub(crate) fn partition_into_wire(
         out.extend_from_slice(&(len as u32).to_le_bytes());
         rw::encode_into(rel, &mut out);
         return out;
-    }
-    if bits > params.max_bits_per_pass.max(1) {
-        let parts = RadixPartitioned::new_parallel(rel, bits, params, threads);
-        return wire::PreparedFragment::from_view(FragmentView::HashPartitioned((&parts).into()))
-            .into_bytes();
     }
     let shards = shards_for(rel.len(), threads);
     match rel.columns() {
@@ -319,8 +208,7 @@ fn partition_len<K, P>(slots: &[Slot<'_, K, P>], fanout: usize, j: usize) -> usi
 
 /// Hands partition `j`'s columns to its shards' slots, each behind the
 /// ranges of the shards before it, so tuples keep their input order
-/// within a partition, as in `scatter_one` and
-/// [`RadixPartitioned::new_parallel`].
+/// within a partition whatever the number of shards.
 fn lay_out<'o, K, P>(
     slots: &mut [Slot<'o, K, P>],
     fanout: usize,
@@ -372,8 +260,8 @@ fn scatter<K, P, DK, DP>(
     }
 }
 
-/// The shards a one-pass scatter of `len` tuples runs on: as
-/// `new_parallel`, a thread per chunk, unless the chunks are tiny.
+/// The shards a scatter of `len` tuples runs on: a thread per chunk,
+/// unless the chunks are tiny.
 fn shards_for(len: usize, threads: usize) -> usize {
     if threads > 1 && len >= 4 * threads {
         threads
@@ -382,7 +270,7 @@ fn shards_for(len: usize, threads: usize) -> usize {
     }
 }
 
-/// One scatter pass over a pair of column slices on all `bits` radix bits,
+/// The scatter over a pair of column slices on all `bits` radix bits,
 /// into a fragment's wire bytes, by `shards` threads. The histogram lays
 /// the partition table out exactly, and each relation's header goes in
 /// front last. A lone shard folds each partition's checksum as it writes
@@ -436,7 +324,7 @@ where
 
 /// Scatters `rel` in one pass on all `bits` radix bits into `keys` and
 /// `payloads` (each `rel.len()` long), partition after partition, with
-/// `threads` threads as [`RadixPartitioned::new_parallel`] uses them.
+/// `threads` threads as [`partition_into_wire`] uses them.
 /// Returns where each partition starts, and the end: `2^bits + 1`
 /// positions. The layout [`scatter_into_wire`] gives a fragment's bytes,
 /// with no headers between the partitions: a stationary state's columns.
@@ -491,80 +379,6 @@ pub fn radix_of(key: Key, bits: u32) -> usize {
     }
 }
 
-/// [`scatter_slices`] over a view's columns as they lie.
-fn scatter_view(rel: RelationView<'_>, bits: u32, params: &CacheParams) -> Vec<Relation> {
-    match rel.columns() {
-        Columns::Native(keys, payloads) => scatter_slices(keys, payloads, bits, params),
-        Columns::Wire(keys, payloads) => scatter_slices(keys, payloads, bits, params),
-    }
-}
-
-/// Multi-pass scatter over borrowed column slices: resolves
-/// most-significant radix bits first, so after every pass the flat
-/// concatenation of partitions is ordered by the bits resolved so far (as
-/// the *top* of the final index) and once all passes ran, partition `i`
-/// holds exactly the keys with `hash & mask == i`. The first pass reads
-/// the caller's slices directly (native or little-endian values, one
-/// kernel: [`ColumnValue`]); only the refinement passes touch owned
-/// intermediate partitions.
-fn scatter_slices<K: ColumnValue<Key>, P: ColumnValue<Payload>>(
-    keys: &[K],
-    payloads: &[P],
-    bits: u32,
-    params: &CacheParams,
-) -> Vec<Relation> {
-    debug_assert!(bits > 0, "bits == 0 is the identity; callers handle it");
-    let mut remaining = bits;
-    let step = params.max_bits_per_pass.max(1).min(remaining);
-    let mut current = scatter_one(keys, payloads, remaining - step, step);
-    remaining -= step;
-    while remaining > 0 {
-        let step = params.max_bits_per_pass.max(1).min(remaining);
-        let shift = remaining - step;
-        let mut refined = Vec::with_capacity(current.len() << step);
-        for part in &current {
-            refined.extend(scatter_one(part.keys(), part.payloads(), shift, step));
-        }
-        current = refined;
-        remaining -= step;
-    }
-    current
-}
-
-/// Scatters one pair of column slices on `step` bits starting at bit
-/// `shift` of the key hash, using a histogram + exact-capacity scatter
-/// targets (no per-partition reallocation).
-fn scatter_one<K: ColumnValue<Key>, P: ColumnValue<Payload>>(
-    keys: &[K],
-    payloads: &[P],
-    shift: u32,
-    step: u32,
-) -> Vec<Relation> {
-    let fanout = 1usize << step;
-    let mask = (fanout - 1) as u32;
-
-    let mut histogram = vec![0usize; fanout];
-    for k in keys {
-        histogram[((hash_key(k.value()) >> shift) & mask) as usize] += 1;
-    }
-
-    let mut out_keys: Vec<Vec<Key>> = histogram.iter().map(|&n| Vec::with_capacity(n)).collect();
-    let mut out_payloads: Vec<Vec<Payload>> =
-        histogram.iter().map(|&n| Vec::with_capacity(n)).collect();
-    for (k, p) in keys.iter().zip(payloads) {
-        let k = k.value();
-        let idx = ((hash_key(k) >> shift) & mask) as usize;
-        out_keys[idx].push(k);
-        out_payloads[idx].push(p.value());
-    }
-
-    out_keys
-        .into_iter()
-        .zip(out_payloads)
-        .map(|(k, p)| Relation::from_columns(k.into(), p.into()))
-        .collect()
-}
-
 /// The share of `CacheParams::l2_bytes` one stationary partition and its
 /// table may take: 1/48, about 85 KiB (4 369 tuples at 20 B) of the
 /// default 4 MiB. The paper gave a partition half its blades' L2. On a
@@ -605,13 +419,39 @@ pub fn radix_bits_for(s_tuples: usize, params: &CacheParams) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use relation::GenSpec;
+    use relation::{GenSpec, Relation};
+
+    /// `rel` radix-partitioned on `bits` bits by definition, in the bytes
+    /// of a prepared fragment: partition `j` holds the input's tuples with
+    /// `radix_of(key, bits) == j`, in input order, each encoded by the
+    /// relation layer.
+    fn oracle(rel: &Relation, bits: u32) -> Vec<u8> {
+        let mut parts = vec![Relation::new(); 1 << bits];
+        for t in rel.iter() {
+            parts[radix_of(t.key, bits)].push(t);
+        }
+        let mut out = vec![wire::TAG_HASH];
+        out.extend_from_slice(&bits.to_le_bytes());
+        out.extend_from_slice(&(1u32 << bits).to_le_bytes());
+        for p in &parts {
+            out.extend_from_slice(&(rw::encoded_len(p.len()) as u32).to_le_bytes());
+            rw::encode_into(p, &mut out);
+        }
+        out
+    }
+
+    fn parts(part: &RadixPartitioned) -> Vec<Relation> {
+        PartitionsView::from(part)
+            .partitions()
+            .map(|p| p.to_relation())
+            .collect()
+    }
 
     #[test]
     fn partitions_preserve_all_tuples() {
         let rel = GenSpec::uniform(10_000, 1).generate();
         let part = RadixPartitioned::new(&rel, 6, &CacheParams::default());
-        assert_eq!(part.partitions().len(), 64);
+        assert_eq!(PartitionsView::from(&part).partitions().count(), 64);
         assert_eq!(part.len(), rel.len());
         assert_eq!(part.byte_volume(), rel.byte_volume());
     }
@@ -621,7 +461,7 @@ mod tests {
         let rel = GenSpec::uniform(5_000, 2).generate();
         let bits = 5;
         let part = RadixPartitioned::new(&rel, bits, &CacheParams::default());
-        for (i, p) in part.partitions().iter().enumerate() {
+        for (i, p) in parts(&part).iter().enumerate() {
             for &k in p.keys() {
                 assert_eq!(radix_of(k, bits), i);
             }
@@ -629,56 +469,22 @@ mod tests {
     }
 
     #[test]
-    fn multi_pass_equals_single_pass() {
-        let rel = GenSpec::uniform(8_000, 3).generate();
-        let single = RadixPartitioned::new(
-            &rel,
-            6,
-            &CacheParams {
-                max_bits_per_pass: 6,
-                ..CacheParams::default()
-            },
-        );
-        let multi = RadixPartitioned::new(
-            &rel,
-            6,
-            &CacheParams {
-                max_bits_per_pass: 2,
-                ..CacheParams::default()
-            },
-        );
-        assert_eq!(single.partitions().len(), multi.partitions().len());
-        for (a, b) in single.partitions().iter().zip(multi.partitions()) {
-            // Same multiset per partition (order may differ between passes).
-            let mut ka = a.keys().to_vec();
-            let mut kb = b.keys().to_vec();
-            ka.sort_unstable();
-            kb.sort_unstable();
-            assert_eq!(ka, kb);
-        }
-    }
-
-    #[test]
     fn zero_bits_is_identity() {
         let rel = GenSpec::uniform(100, 4).generate();
         let part = RadixPartitioned::new(&rel, 0, &CacheParams::default());
-        assert_eq!(part.partitions().len(), 1);
-        assert_eq!(part.partition(0), &rel);
+        assert_eq!(parts(&part), vec![rel]);
     }
 
     #[test]
     fn equal_keys_colocate() {
         let rel = Relation::from_pairs([(7, 1), (3, 2), (7, 3), (7, 4)]);
         let part = RadixPartitioned::new(&rel, 4, &CacheParams::default());
-        let idx = radix_of(7, 4);
-        assert_eq!(
-            part.partition(idx)
-                .keys()
-                .iter()
-                .filter(|&&k| k == 7)
-                .count(),
-            3
-        );
+        let sevens = parts(&part)[radix_of(7, 4)]
+            .keys()
+            .iter()
+            .filter(|&&k| k == 7)
+            .count();
+        assert_eq!(sevens, 3);
     }
 
     #[test]
@@ -686,7 +492,7 @@ mod tests {
         let rel = GenSpec::uniform(64_000, 5).generate();
         let part = RadixPartitioned::new(&rel, 4, &CacheParams::default());
         let expected = rel.len() as f64 / 16.0;
-        for p in part.partitions() {
+        for p in PartitionsView::from(&part).partitions() {
             let dev = (p.len() as f64 - expected).abs() / expected;
             assert!(
                 dev < 0.15,
@@ -695,49 +501,26 @@ mod tests {
         }
     }
 
-    #[test]
-    fn parallel_partitioning_equals_sequential_multisets() {
-        let rel = GenSpec::uniform(20_000, 7).generate();
-        let params = CacheParams::default();
-        let sequential = RadixPartitioned::new(&rel, 5, &params);
-        for threads in [1usize, 2, 3, 8] {
-            let parallel = RadixPartitioned::new_parallel(&rel, 5, &params, threads);
-            assert_eq!(parallel.partitions().len(), sequential.partitions().len());
-            for (a, b) in parallel.partitions().iter().zip(sequential.partitions()) {
-                let mut ka: Vec<_> = a.iter().collect();
-                let mut kb: Vec<_> = b.iter().collect();
-                ka.sort_unstable();
-                kb.sort_unstable();
-                assert_eq!(ka, kb, "threads={threads}");
-            }
-        }
-    }
-
     /// Threads scatter into the wire bytes side by side, each into its own
-    /// ranges, and write what one thread writes: the owned partitioning,
-    /// encoded. At 20 001 tuples on 3 threads the shards' pieces of a
-    /// partition have lengths that are not multiples of 4, and each
-    /// partition's checksum lanes still run on from piece to piece.
+    /// ranges, and write what one thread writes: the partitioning by
+    /// definition, encoded. At 20 001 tuples on 3 threads the shards'
+    /// pieces of a partition have lengths that are not multiples of 4, and
+    /// each partition's checksum lanes still run on from piece to piece; 5
+    /// tuples on 4 threads are too few to split, and one thread takes them.
     #[test]
     fn threads_scatter_into_the_bytes_one_thread_writes() {
-        for tuples in [20_000, 20_001] {
+        for (tuples, threads) in [
+            (20_000, &[1usize, 2, 3, 8][..]),
+            (20_001, &[1, 2, 3, 8]),
+            (5, &[4]),
+        ] {
             let rel = GenSpec::uniform(tuples, 9).generate();
-            let params = CacheParams::default();
-            let owned = RadixPartitioned::new(&rel, 5, &params);
-            let want =
-                wire::PreparedFragment::from_view(FragmentView::HashPartitioned((&owned).into()));
-            for threads in [1usize, 2, 3, 8] {
-                let got = partition_into_wire((&rel).into(), 5, &params, threads);
-                assert!(got == want.as_bytes(), "tuples={tuples} threads={threads}");
+            let want = oracle(&rel, 5);
+            for &threads in threads {
+                let got = partition_into_wire((&rel).into(), 5, threads);
+                assert!(got == want, "tuples={tuples} threads={threads}");
             }
         }
-    }
-
-    #[test]
-    fn parallel_partitioning_tiny_inputs_fall_back() {
-        let rel = GenSpec::uniform(5, 8).generate();
-        let p = RadixPartitioned::new_parallel(&rel, 3, &CacheParams::default(), 4);
-        assert_eq!(p.len(), 5);
     }
 
     #[test]
@@ -781,17 +564,6 @@ mod tests {
     fn empty_relation_partitions_cleanly() {
         let part = RadixPartitioned::new(&Relation::new(), 3, &CacheParams::default());
         assert!(part.is_empty());
-        assert_eq!(part.partitions().len(), 8);
-    }
-
-    #[test]
-    fn flatten_reassembles_the_multiset() {
-        let rel = GenSpec::uniform(1_000, 6).generate();
-        let part = RadixPartitioned::new(&rel, 4, &CacheParams::default());
-        let mut orig: Vec<_> = rel.iter().collect();
-        let mut flat: Vec<_> = part.flatten().iter().collect();
-        orig.sort_unstable();
-        flat.sort_unstable();
-        assert_eq!(orig, flat);
+        assert_eq!(PartitionsView::from(&part).partitions().count(), 8);
     }
 }

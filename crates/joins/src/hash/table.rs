@@ -127,23 +127,12 @@ impl ChainedTable {
 
     /// Builds a table over a partition produced with `radix_bits` of radix
     /// partitioning, with one bucket per tuple (rounded up to a power of
-    /// two), bucketing on the hash bits above the radix.
-    ///
-    /// Copies both columns out of the borrowed partition; callers that are
-    /// done with the partition should use [`ChainedTable::build_owned`],
-    /// which takes the storage over instead.
+    /// two), bucketing on the hash bits above the radix. Copies both
+    /// columns out of the borrowed partition.
     pub fn build_with_shift(partition: &Relation, radix_bits: u32) -> Self {
-        ChainedTable::build_owned(partition.clone(), radix_bits)
-    }
-
-    /// Like [`ChainedTable::build_with_shift`] but consumes the partition:
-    /// the table indexes the partition's own columns in place, so the build
-    /// allocates only the two index arrays — no copy of keys or payloads.
-    pub fn build_owned(partition: Relation, radix_bits: u32) -> Self {
-        let mut heads = vec![0u32; buckets_for(partition.len())];
-        let mut next = vec![0u32; partition.len()];
-        let (keys, payloads) = partition.into_columns();
-        let (keys, payloads) = (keys.into_vec(), payloads.into_vec());
+        let (keys, payloads) = (partition.keys().to_vec(), partition.payloads().to_vec());
+        let mut heads = vec![0u32; buckets_for(keys.len())];
+        let mut next = vec![0u32; keys.len()];
         chain(&keys, radix_bits, &mut heads, &mut next);
         ChainedTable {
             shift: radix_bits,

@@ -98,9 +98,9 @@ impl Algorithm {
     ) -> StationaryState {
         let s = s.into();
         match self {
-            Algorithm::PartitionedHash(params) => StationaryState::Hash(
-                HashJoinState::build_parallel(s, radix_bits, params, threads),
-            ),
+            Algorithm::PartitionedHash(_) => {
+                StationaryState::Hash(HashJoinState::build_parallel(s, radix_bits, threads))
+            }
             Algorithm::SortMerge => StationaryState::Sorted(SortMergeState::build(s, threads)),
             // Nested loops has no setup, but its state outlives the view:
             // the one copy of the stationary side.
@@ -200,8 +200,8 @@ impl StationaryState {
 
 /// A rotating fragment as a visit reads it: laid over the bytes of a
 /// [`PreparedFragment`] or the bytes it arrived in ([`crate::wire::view`]),
-/// or borrowed from an owned reorganisation. Every kernel reads each
-/// through the same code, a batch of keys at a time.
+/// or borrowed from an owned sorted run or relation. Every kernel reads
+/// each through the same code, a batch of keys at a time.
 #[derive(Debug, Clone, Copy)]
 pub enum FragmentView<'a> {
     /// Radix-partitioned for hash probing.

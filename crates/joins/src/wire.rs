@@ -12,15 +12,16 @@
 //! ```
 //!
 //! A fragment is reorganised straight into these bytes, once, at its
-//! origin ([`Algorithm::prepare_fragment`]): a one-pass radix scatter
-//! lays the partition table out from its histogram and writes each tuple
-//! at its final offset, a radix sort's last pass lands in the run's
-//! columns, a plain fragment copies its columns; each relation's header is
-//! written last. The bytes equal what
-//! [`encode_into`] writes of the owned reorganisation, in one buffer sized
-//! exactly, and a ring carries them as they are: a socket engine sends
-//! them from where they were written, and every visit — the origin's too
-//! — reads the columns in place.
+//! origin ([`Algorithm::prepare_fragment`]): a one-pass radix scatter, at
+//! any fan-out, lays the partition table out from its histogram and
+//! writes each tuple at its final offset, a radix sort's last pass lands
+//! in the run's columns, a plain fragment copies its columns; each
+//! relation's header is written last. These bytes are the one layout a
+//! radix-partitioned fragment has; a sorted or plain one's equal what
+//! [`encode_into`] writes of the owned run or relation. They fill one
+//! buffer sized exactly, and a ring carries them as they are: a socket
+//! engine sends them from where they were written, and every visit — the
+//! origin's too — reads the columns in place.
 //!
 //! [`view`] checks everything about the bytes — tag, radix header, a
 //! partition table that fits them, every relation's header, length and
@@ -75,8 +76,8 @@ pub fn encoded_len<'f>(frag: impl Into<FragmentView<'f>>) -> usize {
 }
 
 /// Appends the wire bytes of the fragment `frag` views — an owned
-/// reorganisation ([`crate::RadixPartitioned`], [`crate::SortedRun`], a
-/// relation), or a fragment in bytes of its own — to `out`.
+/// reorganisation ([`crate::SortedRun`], a relation), or a fragment in
+/// bytes of its own — to `out`.
 pub fn encode_into<'f>(frag: impl Into<FragmentView<'f>>, out: &mut Vec<u8>) {
     let frag = frag.into();
     out.reserve(encoded_len(frag));
@@ -125,9 +126,7 @@ pub(crate) fn hash_header(bits: u32) -> [u8; HASH_HEADER] {
 pub struct PreparedFragment(Vec<u8>);
 
 impl PreparedFragment {
-    /// `alg`'s reorganisation of `r`, written straight into its wire form:
-    /// byte for byte what [`encode_into`] writes of the owned
-    /// reorganisation.
+    /// `alg`'s reorganisation of `r`, written straight into its wire form.
     pub(crate) fn prepare(
         alg: &Algorithm,
         r: RelationView<'_>,
@@ -135,9 +134,7 @@ impl PreparedFragment {
         threads: usize,
     ) -> Self {
         PreparedFragment::written(match alg {
-            Algorithm::PartitionedHash(params) => {
-                partition_into_wire(r, radix_bits, params, threads)
-            }
+            Algorithm::PartitionedHash(_) => partition_into_wire(r, radix_bits, threads),
             // The sort lands in the run's columns; its header goes last.
             Algorithm::SortMerge => {
                 let mut out = vec![0; 1 + rw::encoded_len(r.len())];
@@ -309,7 +306,7 @@ fn parse(bytes: &[u8], check: Check) -> Result<FragmentView<'_>, WireError> {
                 relation(seg, check)?;
                 at += len;
             }
-            let parts = PartitionsView::wire(bits, count as usize, table);
+            let parts = PartitionsView::wire(bits, table);
             Ok(FragmentView::HashPartitioned(parts))
         }
         _ => Err("unknown prepared-fragment tag"),

@@ -1,7 +1,8 @@
 //! Property-based tests of the join algorithms: every algorithm, on any
 //! input, produces exactly the reference multiset of matches.
 
-use mem_joins::hash::{CacheParams, RadixPartitioned};
+use mem_joins::hash::radix::radix_of;
+use mem_joins::hash::{CacheParams, PartitionsView, RadixPartitioned};
 use mem_joins::{
     merge_join, nested_loops_join, Algorithm, FragmentView, JoinCollector, JoinPredicate,
     PreparedFragment, SortedRun,
@@ -19,6 +20,25 @@ fn relation_strategy() -> impl Strategy<Value = Relation> {
         }
         .generate()
     })
+}
+
+/// `rel` radix-partitioned on `bits` bits by definition, in a prepared
+/// fragment's bytes: partition `j` holds the input's tuples with
+/// `radix_of(key, bits) == j`, in input order, each encoded by the relation
+/// layer. Nothing of the scatter under test is used.
+fn oracle(rel: &Relation, bits: u32) -> Vec<u8> {
+    let mut parts = vec![Relation::new(); 1 << bits];
+    for t in rel.iter() {
+        parts[radix_of(t.key, bits)].push(t);
+    }
+    let mut out = vec![mem_joins::wire::TAG_HASH];
+    out.extend_from_slice(&bits.to_le_bytes());
+    out.extend_from_slice(&(1u32 << bits).to_le_bytes());
+    for p in &parts {
+        out.extend_from_slice(&(relation::wire::encoded_len(p.len()) as u32).to_le_bytes());
+        relation::wire::encode_into(p, &mut out);
+    }
+    out
 }
 
 fn reference(r: &Relation, s: &Relation, pred: &JoinPredicate) -> (u64, Checksum) {
@@ -64,69 +84,18 @@ proptest! {
         prop_assert_eq!(c.checksum(), checksum);
     }
 
-    /// Radix partitioning conserves the multiset for any bit/pass combo.
+    /// Radix partitioning conserves the multiset at any fan-out.
     #[test]
-    fn radix_partitioning_conserves(
-        rel in relation_strategy(),
-        bits in 0u32..10,
-        per_pass in 1u32..6,
-    ) {
-        let params = CacheParams {
-            max_bits_per_pass: per_pass,
-            ..CacheParams::default()
-        };
-        let part = RadixPartitioned::new(&rel, bits, &params);
-        prop_assert_eq!(part.partitions().len(), 1 << bits);
+    fn radix_partitioning_conserves(rel in relation_strategy(), bits in 0u32..10) {
+        let part = RadixPartitioned::new(&rel, bits, &CacheParams::default());
+        let view = PartitionsView::from(&part);
+        prop_assert_eq!(view.partitions().count(), 1 << bits);
         prop_assert_eq!(part.len(), rel.len());
-        prop_assert_eq!(
-            relation_checksum(&part.flatten()),
-            relation_checksum(&rel)
-        );
-    }
-
-    /// The three partitioning constructors — borrowed scatter, owned
-    /// scatter, and the parallel scatter — produce byte-identical
-    /// partitions. The borrowed path used to seed itself with a
-    /// whole-relation clone; this pins the fix to the old semantics
-    /// (and `from_owned(rel.clone())` *is* the old clone-seeded path).
-    #[test]
-    fn partitioning_constructors_agree(
-        rel in relation_strategy(),
-        bits in 0u32..10,
-        per_pass in 1u32..6,
-        threads in 1usize..6,
-    ) {
-        let params = CacheParams {
-            max_bits_per_pass: per_pass,
-            ..CacheParams::default()
-        };
-        let borrowed = RadixPartitioned::new(&rel, bits, &params);
-        let owned = RadixPartitioned::from_owned(rel.clone(), bits, &params);
-        let parallel = RadixPartitioned::new_parallel(&rel, bits, &params, threads);
-        prop_assert_eq!(borrowed.partitions(), owned.partitions());
-        prop_assert_eq!(borrowed.partitions(), parallel.partitions());
-    }
-
-    /// The owned table build (which moves the partition's columns) probes
-    /// identically to the borrowed build (which copies them): same
-    /// matches in the same order for present and absent keys, same chain
-    /// topology.
-    #[test]
-    fn owned_table_build_probes_like_borrowed(
-        partition in relation_strategy(),
-        bits in 0u32..8,
-        absent in prop::collection::vec(any::<u32>(), 0..20),
-    ) {
-        use mem_joins::hash::ChainedTable;
-        let reference = ChainedTable::build_with_shift(&partition, bits);
-        let owned = ChainedTable::build_owned(partition.clone(), bits);
-        prop_assert_eq!(owned.len(), reference.len());
-        prop_assert_eq!(owned.longest_chain(), reference.longest_chain());
-        for &key in partition.keys().iter().chain(absent.iter()) {
-            let expect: Vec<_> = reference.probe(key).collect();
-            let got: Vec<_> = owned.probe(key).collect();
-            prop_assert_eq!(got, expect, "probe({}) diverged", key);
-        }
+        let mut got: Vec<Tuple> = view.partitions().flat_map(|p| p.iter()).collect();
+        let mut want: Vec<Tuple> = rel.iter().collect();
+        got.sort_unstable();
+        want.sort_unstable();
+        prop_assert_eq!(got, want);
     }
 
     /// The batched probe finds exactly the multiset that the single-key
@@ -134,8 +103,8 @@ proptest! {
     /// and all-duplicate keys (chains of up to 800 slots, longer than a
     /// batch), an empty table, an empty probe, probe lengths on both
     /// sides of a batch boundary, any radix fan-out, both output modes
-    /// and both side orientations — with the probe side owned, and with
-    /// it prepared into its wire bytes and viewed at an unaligned offset.
+    /// and both side orientations — with the probe side in its prepared
+    /// buffer, aligned, and in wire bytes viewed at an unaligned offset.
     /// The merge kernel over the same keys, its prepared sorted run viewed
     /// the same way, finds the same multiset.
     #[test]
@@ -183,13 +152,13 @@ proptest! {
             if swapped { c.with_swapped_sides() } else { c }
         };
         let probe = RadixPartitioned::new(&r, bits, &params);
-        let tables: Vec<ChainedTable> = RadixPartitioned::new(&s, bits, &params)
-            .into_partitions()
-            .into_iter()
-            .map(|p| ChainedTable::build_owned(p, bits))
+        let stationary = RadixPartitioned::new(&s, bits, &params);
+        let tables: Vec<ChainedTable> = PartitionsView::from(&stationary)
+            .partitions()
+            .map(|p| ChainedTable::build_with_shift(&p.to_relation(), bits))
             .collect();
         let (mut expect, mut batched) = (collector(), collector());
-        for (table, part) in tables.iter().zip(probe.partitions()) {
+        for (table, part) in tables.iter().zip(PartitionsView::from(&probe).partitions()) {
             for rt in part.iter() {
                 for st in table.probe(rt.key) {
                     expect.push(MatchPair::new(rt, st));
@@ -250,30 +219,24 @@ proptest! {
     }
 
     /// A fragment prepared straight into its wire bytes is byte for byte
-    /// what reorganising it owned and encoding the result writes: every
-    /// algorithm, radix bits 0–10 in passes of 1–10 bits (one pass, or
-    /// several), one or several threads, lengths 0, 1 and odd,
-    /// and an input in native columns or in wire columns at an unaligned
-    /// offset. Every prepared buffer is sized exactly and passes every
-    /// content check.
+    /// what its reorganisation by definition, encoded, writes: every
+    /// algorithm, radix bits 0–14 (partition `j` the input's tuples with
+    /// `radix_of(key, bits) == j`, in input order), one or several threads,
+    /// lengths 0, 1 and odd, and an input in native columns or in wire
+    /// columns at an unaligned offset. Every prepared buffer is sized
+    /// exactly and passes every content check.
     #[test]
     fn prepared_bytes_equal_prepare_then_encode(
         n in 0usize..400,
         form in 0u8..3,
-        bits in 0u32..11,
-        per_pass in 1u32..11,
+        bits in 0u32..15,
         threads in 1usize..4,
         offset in 1usize..8,
         seed in any::<u64>(),
     ) {
         let len = if n < 2 { n } else { 2 * n + 1 };
         let rel = GenSpec::uniform(len, seed).generate();
-        let params = CacheParams {
-            max_bits_per_pass: per_pass,
-            ..CacheParams::tiny_for_tests()
-        };
-        // The oracle, written by hand in the documented layout from the
-        // owned reorganisation.
+        // The oracle, written by hand in the documented layout.
         let mut want = Vec::new();
         let (alg, bits) = match form {
             0 => {
@@ -287,16 +250,8 @@ proptest! {
                 (Algorithm::SortMerge, 0)
             }
             _ => {
-                let parts = RadixPartitioned::new(&rel, bits, &params);
-                want.push(mem_joins::wire::TAG_HASH);
-                want.extend_from_slice(&bits.to_le_bytes());
-                want.extend_from_slice(&(1u32 << bits).to_le_bytes());
-                for p in parts.partitions() {
-                    let len = relation::wire::encoded_len(p.len()) as u32;
-                    want.extend_from_slice(&len.to_le_bytes());
-                    relation::wire::encode_into(p, &mut want);
-                }
-                (Algorithm::PartitionedHash(params), bits)
+                want = oracle(&rel, bits);
+                (Algorithm::PartitionedHash(CacheParams::tiny_for_tests()), bits)
             }
         };
         let mut columns = vec![0xEE; offset];
@@ -539,34 +494,30 @@ proptest! {
     /// arrays, written by one histogram pass and one scatter) finds exactly
     /// the reference equi-join: radix bits 0–9, so that most partitions
     /// are empty at the higher fan-outs (and all of them when a side is
-    /// empty); passes bounded at 2 or 8 bits (the state's scatter is one
-    /// pass either way, a probe fragment's is not); the probe side owned,
-    /// and prepared into its wire bytes viewed at an unaligned offset; and
-    /// 1–3 threads building, preparing and visiting.
+    /// empty); the probe side in its prepared buffer, aligned, and in wire
+    /// bytes viewed at an unaligned offset; and 1–3 threads building,
+    /// preparing and visiting.
     #[test]
     fn contiguous_state_equals_reference_join(
         r in relation_strategy(),
         s in relation_strategy(),
         bits in 0u32..10,
-        wide_passes in any::<bool>(),
         threads in 1usize..4,
         offset in 1usize..8,
     ) {
         use mem_joins::hash::join::reference_equi_join;
-        use mem_joins::hash::{HashJoinState, PartitionsView};
-        let params = CacheParams {
-            max_bits_per_pass: if wide_passes { 8 } else { 2 },
-            ..CacheParams::default()
-        };
+        use mem_joins::hash::HashJoinState;
         let reference = reference_equi_join(&r, &s);
         let want = (
             reference.len() as u64,
             reference.iter().copied().collect::<Checksum>(),
         );
-        let state = HashJoinState::build_parallel(&s, bits, &params, threads);
+        let state = HashJoinState::build_parallel(&s, bits, threads);
         prop_assert_eq!(state.len(), s.len());
-        let owned = RadixPartitioned::new_parallel(&r, bits, &params, threads);
-        let prepared = Algorithm::PartitionedHash(params).prepare_fragment(&r, bits, threads);
+        let prepared = Algorithm::partitioned_hash().prepare_fragment(&r, bits, threads);
+        let FragmentView::HashPartitioned(aligned) = prepared.view() else {
+            panic!("a hash fragment views as one");
+        };
         let mut bytes = vec![0xEE; offset];
         bytes.extend_from_slice(prepared.as_bytes());
         let FragmentView::HashPartitioned(viewed) =
@@ -574,7 +525,7 @@ proptest! {
         else {
             panic!("a hash fragment views as one");
         };
-        for probe in [PartitionsView::from(&owned), viewed] {
+        for probe in [aligned, viewed] {
             let mut c = JoinCollector::aggregating();
             state.probe_partitioned(probe, threads, &mut c);
             prop_assert_eq!((c.count(), c.checksum()), want);
@@ -596,8 +547,8 @@ proptest! {
     /// wrong chain. Fragment lengths sit on the batch boundaries (0, 1,
     /// one batch ± 1, two batches and three); keys are uniform, Zipf 0.9
     /// or a single key on either side; radix bits 0–6; each fragment is
-    /// probed owned, or prepared into its wire bytes and viewed at an
-    /// unaligned offset.
+    /// probed in its prepared buffer, aligned, or in wire bytes viewed at
+    /// an unaligned offset.
     #[test]
     fn selection_state_is_carried_across_batches_partitions_and_visits(
         s_shape in 0usize..3,
@@ -609,7 +560,7 @@ proptest! {
         ),
         seed in any::<u64>(),
     ) {
-        use mem_joins::hash::{ChainedTable, HashJoinState, PartitionsView, PROBE_BATCH};
+        use mem_joins::hash::{ChainedTable, HashJoinState, PROBE_BATCH};
         use relation::{KeyDistribution, MatchPair};
         let domain = s_tuples as u32;
         let keys = |shape: usize, tuples: usize, seed: u64| -> Relation {
@@ -633,7 +584,7 @@ proptest! {
                 .collect();
             expect.sort_unstable();
 
-            let owned = RadixPartitioned::new(&r, bits, &params);
+            let aligned = RadixPartitioned::new(&r, bits, &params);
             let prepared = Algorithm::PartitionedHash(params).prepare_fragment(&r, bits, 1);
             let mut bytes = vec![0xEE; offset];
             bytes.extend_from_slice(prepared.as_bytes());
@@ -645,7 +596,7 @@ proptest! {
                 };
                 viewed
             } else {
-                PartitionsView::from(&owned)
+                PartitionsView::from(&aligned)
             };
             let mut visit = JoinCollector::materializing();
             state.probe_partitioned(probe, 1, &mut visit);

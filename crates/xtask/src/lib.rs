@@ -8,6 +8,7 @@
 
 pub mod bench_schema;
 pub mod context;
+pub mod gates;
 pub mod lexer;
 pub mod lints;
 pub mod report;

@@ -1,4 +1,5 @@
-//! Repo tasks: `cargo xtask analyze` and `cargo xtask verify`.
+//! Repo tasks: `cargo xtask analyze`, `cargo xtask verify` and `cargo
+//! xtask gates`.
 //!
 //! * `analyze [--root <dir>] [--fixtures]` — runs the repo-native lints
 //!   (see `xtask::lints`) and exits non-zero when any unsuppressed
@@ -10,9 +11,13 @@
 //!   exhaustively explores the 2-host bound plus the seeded-sabotage
 //!   self-check (the tier-1 gate); `--deep` adds the 3-host bounds with
 //!   membership changes and a second crash (the analyze-tier gate).
+//! * `gates [--root <dir>]` — checks the tier-1 floor list
+//!   (`scripts/gates.txt`, see `xtask::gates`): every test it names must
+//!   exist in its target and not be `#[ignore]`d. Runs no test.
 
-use std::path::PathBuf;
-use std::process::ExitCode;
+use std::collections::BTreeMap;
+use std::path::{Path, PathBuf};
+use std::process::{Command, ExitCode};
 
 use xtask::lints::FilePolicy;
 
@@ -21,15 +26,17 @@ fn main() -> ExitCode {
     let Some(cmd) = args.next() else {
         eprintln!(
             "usage: cargo xtask analyze [--root <dir>] [--fixtures]\n\
-             \x20      cargo xtask verify --smoke|--deep [--root <dir>]"
+             \x20      cargo xtask verify --smoke|--deep [--root <dir>]\n\
+             \x20      cargo xtask gates [--root <dir>]"
         );
         return ExitCode::from(2);
     };
     match cmd.as_str() {
         "analyze" => analyze_cmd(args),
         "verify" => verify_cmd(args),
+        "gates" => gates_cmd(args),
         other => {
-            eprintln!("unknown command {other:?}; commands are `analyze` and `verify`");
+            eprintln!("unknown command {other:?}; commands are `analyze`, `verify` and `gates`");
             ExitCode::from(2)
         }
     }
@@ -152,4 +159,87 @@ fn verify_cmd(mut args: impl Iterator<Item = String>) -> ExitCode {
             ExitCode::from(2)
         }
     }
+}
+
+/// Lists every target the floor list names, once with `--list` and once
+/// with `--list --ignored`, and checks each gate against the two.
+fn gates_cmd(mut args: impl Iterator<Item = String>) -> ExitCode {
+    let mut root = xtask::workspace_root();
+    while let Some(arg) = args.next() {
+        match (arg.as_str(), args.next()) {
+            ("--root", Some(dir)) => root = PathBuf::from(dir),
+            _ => {
+                eprintln!("usage: cargo xtask gates [--root <dir>]");
+                return ExitCode::from(2);
+            }
+        }
+    }
+    let list = root.join(xtask::gates::FLOOR_LIST);
+    let gates = match std::fs::read_to_string(&list)
+        .map_err(|e| e.to_string())
+        .and_then(|text| xtask::gates::parse(&text))
+    {
+        Ok(gates) => gates,
+        Err(err) => {
+            eprintln!("gates: {}: {err}", list.display());
+            return ExitCode::from(2);
+        }
+    };
+    let mut listings = BTreeMap::new();
+    for gate in &gates {
+        if !listings.contains_key(&gate.target) {
+            let listing = list_tests(&root, &gate.target.cargo_args());
+            listings.insert(gate.target.clone(), listing);
+        }
+    }
+    let mut failed = 0;
+    for gate in &gates {
+        let verdict = match &listings[&gate.target] {
+            Ok((tests, ignored)) => xtask::gates::check(gate, tests, ignored),
+            Err(err) => Err(err.clone()),
+        };
+        if let Err(why) = verdict {
+            failed += 1;
+            let filter = gate.filter.as_deref().unwrap_or("(whole target)");
+            eprintln!(
+                "{}:{}: {} {filter}: {why}",
+                list.display(),
+                gate.line,
+                gate.target
+            );
+        }
+    }
+    if failed > 0 {
+        println!(
+            "gates: FAILED ({failed} of {} gates run no test)",
+            gates.len()
+        );
+        return ExitCode::from(1);
+    }
+    println!(
+        "gates: {} gates over {} targets, each runs",
+        gates.len(),
+        listings.len()
+    );
+    ExitCode::SUCCESS
+}
+
+/// Every test of the target `cargo_args` picks, and the ignored ones.
+fn list_tests(root: &Path, cargo_args: &[&str]) -> Result<(Vec<String>, Vec<String>), String> {
+    let list = |extra: &[&str]| {
+        let out = Command::new("cargo")
+            .current_dir(root)
+            .args(["test", "-q"])
+            .args(cargo_args)
+            .args(["--", "--list"])
+            .args(extra)
+            .output()
+            .map_err(|e| format!("could not launch cargo: {e}"))?;
+        if !out.status.success() {
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            return Err(format!("`cargo test` could not list it: {}", stderr.trim()));
+        }
+        Ok(xtask::gates::listed(&String::from_utf8_lossy(&out.stdout)))
+    };
+    Ok((list(&[])?, list(&["--ignored"])?))
 }
