@@ -5,7 +5,9 @@
 //! cache makes every probe a cache hit. This ablation measures **real
 //! wall-clock time on this machine**: the same probe workload against
 //! tables built with 0 radix bits (one giant table) up to well past the
-//! cache-fitting fan-out.
+//! cache-fitting fan-out. The setup (build and partition) and probe
+//! columns are the median, with quartiles, of 7 rounds, the fan-outs
+//! alternated within each round.
 //!
 //! The **ring-order** column times what a ring does with the same
 //! fan-out: the `hash_uniform_reactor` shape (2^19 tuples a side, 4 hosts,
@@ -35,6 +37,8 @@ const RING_TUPLES: usize = 1 << 19;
 const RING_HOSTS: usize = 4;
 const FRAGMENTS_PER_HOST: usize = 4;
 const RING_ROUNDS: usize = 15;
+/// Rounds of the scaled setup and probe columns.
+const SWEEP_ROUNDS: usize = 7;
 
 /// One ring's stationary states and prepared fragments at one fan-out.
 struct Ring {
@@ -75,11 +79,12 @@ impl Ring {
     }
 }
 
-/// The quartiles and the median of `xs`, in milliseconds.
-fn quartiles_ms(xs: &[f64]) -> [String; 3] {
+/// The median and the quartiles of `xs` (seconds) as `[p50, p25, p75]`,
+/// in units of `unit` seconds with `decimals` digits.
+fn median_quartiles(xs: &[f64], unit: f64, decimals: usize) -> [String; 3] {
     let mut xs = xs.to_vec();
     xs.sort_by(f64::total_cmp);
-    [1, 2, 3].map(|q| format!("{:.1}", xs[q * (xs.len() - 1) / 4] * 1e3))
+    [2, 1, 3].map(|q| format!("{:.decimals$}", xs[q * (xs.len() - 1) / 4] / unit))
 }
 
 fn main() {
@@ -128,37 +133,43 @@ fn main() {
 
     let s = GenSpec::uniform(tuples, 950).generate();
     let r = GenSpec::uniform(tuples, 951).generate();
+    let mut setup_times = vec![Vec::new(); sweep.len()];
+    let mut probe_times = vec![Vec::new(); sweep.len()];
+    let mut sweep_matches = vec![0; sweep.len()];
+    let mut table_kb = vec![0; sweep.len()];
+    for _ in 0..SWEEP_ROUNDS {
+        for (i, &bits) in sweep.iter().enumerate() {
+            let (state, build_time) = timed(|| HashJoinState::build_with_bits(&s, bits, &params));
+            let (probe_frag, partition_time) = timed(|| RadixPartitioned::new(&r, bits, &params));
+            let (matches, probe_time) = timed(|| {
+                let mut c = JoinCollector::aggregating();
+                state.probe_partitioned(&probe_frag, 1, &mut c);
+                c.count()
+            });
+            setup_times[i].push(build_time.as_secs_f64() + partition_time.as_secs_f64());
+            probe_times[i].push(probe_time.as_secs_f64());
+            sweep_matches[i] = matches;
+            table_kb[i] = state.footprint_bytes() / (1usize << bits) / 1024;
+        }
+    }
     let mut rows = Vec::new();
     for (i, &bits) in sweep.iter().enumerate() {
-        let (state, build_time) = timed(|| HashJoinState::build_with_bits(&s, bits, &params));
-        let (probe_frag, partition_time) = timed(|| RadixPartitioned::new(&r, bits, &params));
-        let (matches, probe_time) = timed(|| {
-            let mut c = JoinCollector::aggregating();
-            state.probe_partitioned(&probe_frag, 1, &mut c);
-            c.count()
-        });
-        let table_kb_per_partition = state.footprint_bytes() / (1usize << bits) / 1024;
         let mark = match (bits == auto_bits, bits == ring_auto) {
             (true, true) => " (auto, ring auto)",
             (true, false) => " (auto)",
             (false, true) => " (ring auto)",
             (false, false) => "",
         };
-        rows.push(vec![
+        let mut row = vec![
             format!("{bits}{mark}"),
             format!("{}", 1u64 << bits),
-            format!("{table_kb_per_partition}"),
-            format!(
-                "{:.3}",
-                build_time.as_secs_f64() + partition_time.as_secs_f64()
-            ),
-            format!("{:.3}", probe_time.as_secs_f64()),
-            matches.to_string(),
-        ]);
-        let [p25, p50, p75] = quartiles_ms(&ring_times[i]);
-        rows.last_mut()
-            .expect("just pushed")
-            .extend([p50, p25, p75]);
+            format!("{}", table_kb[i]),
+        ];
+        row.extend(median_quartiles(&setup_times[i], 1.0, 3));
+        row.extend(median_quartiles(&probe_times[i], 1.0, 3));
+        row.push(sweep_matches[i].to_string());
+        row.extend(median_quartiles(&ring_times[i], 1e-3, 1));
+        rows.push(row);
     }
     print_table(
         &[
@@ -166,7 +177,11 @@ fn main() {
             "partitions",
             "kB/table",
             "setup [s]",
+            "p25",
+            "p75",
             "probe [s]",
+            "p25",
+            "p75",
             "matches",
             "ring order [ms]",
             "p25",
@@ -187,7 +202,11 @@ fn main() {
             "partitions",
             "kb_per_table",
             "setup_s",
+            "setup_p25_s",
+            "setup_p75_s",
             "probe_s",
+            "probe_p25_s",
+            "probe_p75_s",
             "matches",
             "ring_order_ms",
             "ring_order_p25_ms",

@@ -46,7 +46,7 @@ fn main() {
             concurrent.to_string(),
             secs(report.mean_latency()),
             secs(report.max_latency()),
-            format!("{:.2}", report.ring.wall_clock.as_secs_f64()),
+            secs(report.ring.wall_clock.as_secs_f64()),
             report.fragment_count.to_string(),
         ]);
     }

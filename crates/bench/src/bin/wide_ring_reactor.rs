@@ -1,28 +1,29 @@
 //! Exhibit — wide loopback rings on the reactor backend.
 //!
-//! The blocking TCP driver dedicates OS threads to every host (a reader
-//! and writer per mesh connection, and a join worker), so ring width
-//! buys threads before it buys bandwidth — the
-//! resource-dedication anti-pattern the shared-nothing multicore paper
-//! warns against. The reactor driver owns every socket from one event
-//! loop and runs join work on a worker pool sized to the machine's
-//! cores, so its thread count is bounded *independently of ring width*.
+//! The blocking TCP driver dedicates OS threads to every connection (a
+//! reader and a writer per mesh endpoint), so ring width buys threads
+//! before it buys bandwidth — the resource-dedication anti-pattern the
+//! shared-nothing multicore paper warns against. The reactor driver owns
+//! every socket from one event loop; both run join work on the join pool
+//! sized to the machine's cores, so the reactor's thread count is
+//! bounded *independently of ring width*.
 //!
 //! This exhibit runs a full classic revolution at increasing widths on
 //! the reactor (up to 64 hosts, plus a 256-host smoke row), with the
 //! blocking TCP driver alongside at the small widths it can reach, and
 //! records the peak process thread count (`Threads:` from
 //! `/proc/self/status`, sampled from inside the join visits where it
-//! peaks) next to the revolution throughput. The `threads` column is the
-//! whole point: it grows with width on the blocking driver and stays
-//! flat on the reactor.
+//! peaks) next to the revolution throughput. Each row first waits for the
+//! previous row's threads to exit, so its peak counts its own. The
+//! `threads` column is the whole point: it grows with width on the
+//! blocking driver and stays flat on the reactor.
 //!
 //! ```text
 //! cargo run --release -p cyclo-bench --bin wide_ring_reactor
 //! ```
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use cyclo_bench::{print_table, secs, write_csv};
 use data_roundabout::{HostId, ReactorRingDriver, RingConfig, TcpRingDriver};
@@ -41,14 +42,33 @@ fn current_threads() -> usize {
         .unwrap_or(0)
 }
 
+/// Waits, up to 200 ms, until no more than `baseline` threads are left:
+/// threads of a finished run may still be exiting when it returns.
+fn settle(baseline: usize) {
+    for _ in 0..200 {
+        if current_threads() <= baseline {
+            return;
+        }
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
 fn payloads(hosts: usize, per_host: usize, bytes: usize) -> Vec<Vec<Vec<u8>>> {
     (0..hosts)
         .map(|_| (0..per_host).map(|_| vec![0u8; bytes]).collect())
         .collect()
 }
 
-/// One classic revolution on `backend`, returning the exhibit row.
-fn run_width(backend: &str, hosts: usize, per_host: usize, bytes: usize) -> Vec<String> {
+/// One classic revolution on `backend`, once the process is back to
+/// `baseline` threads, returning the exhibit row.
+fn run_width(
+    backend: &str,
+    baseline: usize,
+    hosts: usize,
+    per_host: usize,
+    bytes: usize,
+) -> Vec<String> {
+    settle(baseline);
     let config = RingConfig::paper(hosts);
     let peak = AtomicUsize::new(current_threads());
     let visits = AtomicUsize::new(0);
@@ -89,25 +109,25 @@ fn run_width(backend: &str, hosts: usize, per_host: usize, bytes: usize) -> Vec<
 }
 
 fn main() {
+    let baseline = current_threads();
     println!(
-        "Exhibit — wide loopback rings: one event loop vs four blocking threads per host \
-         (baseline process threads: {})\n",
-        current_threads()
+        "Exhibit — wide loopback rings: one event loop vs two blocking threads per \
+         connection endpoint (baseline process threads: {baseline})\n"
     );
 
     let mut rows = Vec::new();
     // Head-to-head at the widths the blocking driver reaches comfortably.
     for hosts in [4usize, 8, 16] {
-        rows.push(run_width("tcp", hosts, 2, 1024));
-        rows.push(run_width("reactor", hosts, 2, 1024));
+        rows.push(run_width("tcp", baseline, hosts, 2, 1024));
+        rows.push(run_width("reactor", baseline, hosts, 2, 1024));
     }
     // Widths only the reactor is expected to take in stride: the blocking
-    // driver would need ~4 threads per host here.
+    // driver's full mesh would need 2 × (hosts − 1) threads per host here.
     for hosts in [32usize, 64] {
-        rows.push(run_width("reactor", hosts, 2, 1024));
+        rows.push(run_width("reactor", baseline, hosts, 2, 1024));
     }
     // 256-host smoke: one tiny fragment per host, neighbor-only mesh.
-    rows.push(run_width("reactor", 256, 1, 64));
+    rows.push(run_width("reactor", baseline, 256, 1, 64));
 
     let header = [
         "backend",
@@ -129,8 +149,8 @@ fn main() {
         .unwrap_or_default();
     println!(
         "\nshape: the reactor's peak thread count ({widest_reactor} at 64 hosts) is the \
-         event loop plus a core-bounded worker pool — it does not grow with ring width, \
-         while the blocking driver adds roughly four threads per host."
+         event loop plus the core-bounded join pool — it does not grow with ring width, \
+         while the blocking driver adds a reader and a writer per connection endpoint."
     );
 
     write_csv(

@@ -307,8 +307,13 @@ impl RingApp<TaggedFragment> for CyclotronApp {
         total
     }
 
-    fn finished(&self) -> bool {
-        self.queries.iter().all(|q| q.completed_at.is_some())
+    /// Every query completed, and its last visit has ended by `now`: a
+    /// completion is booked when that visit starts, at the instant it
+    /// will end.
+    fn finished(&self, now: SimTime) -> bool {
+        self.queries
+            .iter()
+            .all(|q| q.completed_at.is_some_and(|at| at <= now))
     }
 }
 
@@ -445,6 +450,32 @@ mod tests {
             (0.3..4.0).contains(&ratio),
             "unloaded cyclotron latency should be within a small factor of a \
              dedicated revolution, got {ratio:.2}"
+        );
+    }
+
+    /// The rotation stops only once every query's last visit has ended:
+    /// the ring's wall clock reaches the last completion. (It used to
+    /// stop when the last visit *started*, because a query's completion
+    /// is booked as its last visit begins and the stop flag was read at
+    /// any host's next finished join.)
+    #[test]
+    fn the_rotation_outlasts_the_last_completion() {
+        let hot = GenSpec::uniform(6_000, 1060).generate();
+        let mut cyclotron = DataCyclotron::new(hot).hosts(4).fragments_per_host(3);
+        for i in 0..6u64 {
+            let s = GenSpec::uniform(500, 1061 + i).generate();
+            cyclotron = cyclotron.submit(QueryArrival::equi(
+                SimDuration::from_micros(300 * i),
+                HostId(i as usize % 4),
+                s,
+            ));
+        }
+        let report = cyclotron.run().expect("cyclotron should run");
+        let last = report.queries.iter().map(|q| q.completed).max().unwrap();
+        assert!(
+            SimTime::ZERO + report.ring.wall_clock >= last,
+            "the rotation stopped at {:?}, before the last completion at {last:?}",
+            report.ring.wall_clock
         );
     }
 

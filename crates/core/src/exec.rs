@@ -4,7 +4,7 @@
 //! `ConcurrentJoins`) on all four backends. The simulated backend drives
 //! the session through the [`RingApp`] adapter in virtual time; the three
 //! wall-clock engines (threads, blocking tcp, reactor) call the same
-//! session methods from their join workers.
+//! session methods from the threads of their join pool.
 
 use data_roundabout::{
     BlockingEngine, ChannelEngine, FaultPlan, HostId, ReactorEngine, RescalePlan, RingApp,
@@ -20,7 +20,7 @@ use crate::result::DistributedResult;
 use crate::session::Session;
 
 /// Where a session runs: the virtual-time simulator, or one of the three
-/// engines of the wall-clock driver (in-process channels, the blocking
+/// engines of the wall-clock driver (in-process, the blocking
 /// thread-per-endpoint socket engine, the single-threaded reactor).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Backend {

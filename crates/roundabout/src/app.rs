@@ -40,10 +40,14 @@ pub trait RingApp<P> {
         payload: &P,
     ) -> SimDuration;
 
-    /// Polled after every processed buffer in *continuous* rotation mode
-    /// (see `SimRing::continuous`): returning `true` stops the rotation.
-    /// Ignored in the default run-to-retirement mode.
-    fn finished(&self) -> bool {
+    /// Polled at virtual time `now`, as each processed buffer's join
+    /// ends, in *continuous* rotation mode (see `SimRing::continuous`):
+    /// returning `true` stops the rotation. An app that books work ending
+    /// after `now` (a completion priced when its visit began) answers
+    /// `false` until `now` reaches it. Ignored in the default
+    /// run-to-retirement mode.
+    fn finished(&self, now: SimTime) -> bool {
+        let _ = now;
         false
     }
 

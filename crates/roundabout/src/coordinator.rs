@@ -670,9 +670,10 @@ pub(crate) trait Medium<P> {
     }
 
     /// Whether the application asks a continuous rotation to stop,
-    /// sampled as each join of one completes. Only the simulator rotates
-    /// continuously.
-    fn finished(&self) -> bool {
+    /// sampled at `now` as each join of one completes. Only the simulator
+    /// rotates continuously.
+    fn finished(&self, now: SimTime) -> bool {
+        let _ = now;
         false
     }
 
@@ -1088,7 +1089,7 @@ impl<'a, P: PayloadBytes, M: Medium<P>> Coordinator<'a, P, M> {
                 self.books[host.0].last_done = now;
                 // The protocol cannot call the application: sample the
                 // continuous-mode finish flag here and pass it in.
-                let app_finished = self.proto.config().continuous && self.medium.finished();
+                let app_finished = self.proto.config().continuous && self.medium.finished(now);
                 self.input(Input::JoinDone { host, app_finished }, None);
             }
             Done::Absorb { .. } => self.input(Input::AbsorbDone { host }, None),

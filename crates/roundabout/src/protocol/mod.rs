@@ -10,8 +10,8 @@
 //! the wall-clock ones ([`crate::thread_backend::RingDriver`],
 //! [`crate::tcp_backend::TcpRingDriver`] and
 //! [`crate::reactor_backend::ReactorRingDriver`]) — shares one applier,
-//! [`crate::coordinator`], and differs only in the medium under it:
-//! `simnet`'s cost model on a virtual clock, `sync::mpmc` channels, or
+//! `crate::coordinator`, and differs only in the medium under it:
+//! `simnet`'s cost model on a virtual clock, an in-process join pool, or
 //! length-prefixed frames over real loopback sockets.
 //!
 //! The driver contract is one call: [`RingProtocol::input_into`] takes an

@@ -33,13 +33,13 @@
 //!   delayed head frame is due (a second queue of the same type). The
 //!   epoll timeout is the earliest of both queues' next deadlines and
 //!   what is left of the stall watchdog.
-//! * **A bounded join pool, for the visits that need one** — a join
-//!   callback that runs for hundreds of microseconds must not stall every
-//!   socket, so it runs on a pool thread; the pool is sized to the
-//!   machine, not the ring, jobs are serialized per host (matching the
-//!   one-job-per-host worker threads of the blocking driver) and
-//!   completions wake the reactor through a loopback wake socket. A visit
-//!   that costs less than the hand-off does not take it — see below.
+//! * **The join pool, for the visits that need one** — a join callback
+//!   that runs for hundreds of microseconds must not stall every socket,
+//!   so it runs on the join pool every wall-clock engine shares
+//!   (`wall_clock::WorkerPool`: sized to the machine, not the ring, one
+//!   job of a host at a time), and completions wake the reactor through a
+//!   loopback wake socket (`Doorbell`). A visit that costs less than the
+//!   hand-off does not take it — see below.
 //!
 //! The thread count is therefore `1 + min(hosts, cores)` plus nothing per
 //! connection — a 64-host ring that costs the blocking driver hundreds of
@@ -97,8 +97,7 @@
 use std::collections::{HashMap, VecDeque};
 use std::io::{IoSlice, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::{Arc, PoisonError};
 use std::thread;
 use std::time::Duration;
 
@@ -119,7 +118,9 @@ use crate::frame::{
 use crate::inflight::{map_payloads, Batches, InFlight, Visit};
 use crate::metrics::RingMetrics;
 use crate::protocol::teardown;
-use crate::wall_clock::{run_job, WallClock, WallClockDriver, WallClockEngine};
+use crate::sync::atomic::{AtomicBool, Ordering};
+use crate::sync::Mutex;
+use crate::wall_clock::{run_job, WallClock, WallClockDriver, WallClockEngine, WorkerPool};
 
 /// Poll token of the worker-pool wake socket (never a connection index).
 const WAKE_TOKEN: usize = usize::MAX;
@@ -626,158 +627,66 @@ impl<P> Conn<P> {
 }
 
 // ---------------------------------------------------------------------------
-// Bounded join-worker pool
+// The pool's completions and the wake socket
 // ---------------------------------------------------------------------------
 
-struct PoolState<P> {
-    /// FIFO job queue per host. Jobs of one host never run concurrently
-    /// (the blocking driver's one-worker-per-host guarantee), so the
-    /// visit callback sees the same serialization on every backend.
-    queues: Vec<VecDeque<Job<P>>>,
-    running: Vec<bool>,
-    /// Host is already enqueued on `ready` (dedup flag).
-    queued: Vec<bool>,
-    ready: VecDeque<usize>,
-    shutdown: bool,
-}
-
-/// The bounded worker pool: `min(hosts, cores)` threads execute join and
-/// absorb callbacks, and a loopback wake socket tells the reactor a
-/// completion is waiting — the pool never touches protocol state itself.
-struct WorkerPool<P> {
-    state: Mutex<PoolState<P>>,
-    cv: Condvar,
+/// How the join pool's completions reach the reactor: a pool thread
+/// queues its completion and pokes the reactor out of its poll wait, and
+/// an armed flag keeps the wake channel at one pending poke however many
+/// completions pile up. The poke is the wake socket's byte in a run, and
+/// whatever the loom model stands in for it.
+///
+/// Why no completion is stranded: the reactor drains its pokes and
+/// disarms ([`Doorbell::answer`]), then pops until the queue is empty,
+/// and only then waits again. A completion pushed before that last pop is
+/// popped. One pushed after it was pushed after the disarm, so its
+/// thread's `swap(true)` reads the disarmed `false` — or a `true` set
+/// after the disarm by a thread that poked — and a poke follows either
+/// way. Disarming after popping instead would let a completion pushed
+/// between the last pop and the disarm read the stale `true`, poke no
+/// one, and wait forever (the loom test below fails exactly that). The
+/// order between a push and the disarm comes from the queue's mutex; a
+/// swap reads the flag's latest value whatever its ordering.
+pub(crate) struct Doorbell<K> {
     done: Mutex<VecDeque<JobDone>>,
-    wake_tx: Mutex<TcpStream>,
-    /// A wake byte is already in flight; cleared by the reactor after it
-    /// drains the wake socket. Keeps the wake channel at one pending
-    /// byte no matter how many completions pile up.
-    wake_armed: AtomicBool,
+    /// A poke is already in flight; cleared by [`Doorbell::answer`].
+    armed: AtomicBool,
+    poke: K,
 }
 
-impl<P> WorkerPool<P> {
-    fn new(hosts: usize, wake_tx: TcpStream) -> WorkerPool<P> {
-        WorkerPool {
-            state: Mutex::new(PoolState {
-                queues: (0..hosts).map(|_| VecDeque::new()).collect(),
-                running: vec![false; hosts],
-                queued: vec![false; hosts],
-                ready: VecDeque::new(),
-                shutdown: false,
-            }),
-            cv: Condvar::new(),
+impl<K: Fn()> Doorbell<K> {
+    pub(crate) fn new(poke: K) -> Self {
+        Doorbell {
             done: Mutex::new(VecDeque::new()),
-            wake_tx: Mutex::new(wake_tx),
-            wake_armed: AtomicBool::new(false),
+            armed: AtomicBool::new(false),
+            poke,
         }
     }
 
-    fn submit(&self, host: usize, job: Job<P>) {
-        let mut st = self.state.lock().unwrap_or_else(PoisonError::into_inner);
-        if st.shutdown {
-            return;
-        }
-        if let Some(q) = st.queues.get_mut(host) {
-            q.push_back(job);
-        }
-        let idle = !st.running.get(host).copied().unwrap_or(false);
-        let enqueued = st.queued.get(host).copied().unwrap_or(true);
-        if idle && !enqueued {
-            if let Some(flag) = st.queued.get_mut(host) {
-                *flag = true;
-            }
-            st.ready.push_back(host);
-        }
-        drop(st);
-        self.cv.notify_one();
-    }
-
-    /// Blocks for the next runnable job; `None` means shutdown.
-    fn next_job(&self) -> Option<(usize, Job<P>)> {
-        let mut st = self.state.lock().unwrap_or_else(PoisonError::into_inner);
-        loop {
-            if st.shutdown {
-                return None;
-            }
-            if let Some(host) = st.ready.pop_front() {
-                if let Some(flag) = st.queued.get_mut(host) {
-                    *flag = false;
-                }
-                let job = st.queues.get_mut(host).and_then(VecDeque::pop_front);
-                if let Some(job) = job {
-                    if let Some(flag) = st.running.get_mut(host) {
-                        *flag = true;
-                    }
-                    return Some((host, job));
-                }
-                continue;
-            }
-            st = self.cv.wait(st).unwrap_or_else(PoisonError::into_inner);
-        }
-    }
-
-    /// Marks `host`'s job finished and re-queues it if more work waits.
-    fn finished(&self, host: usize) {
-        let mut st = self.state.lock().unwrap_or_else(PoisonError::into_inner);
-        if let Some(flag) = st.running.get_mut(host) {
-            *flag = false;
-        }
-        let more = st.queues.get(host).is_some_and(|q| !q.is_empty());
-        let enqueued = st.queued.get(host).copied().unwrap_or(true);
-        if more && !enqueued && !st.shutdown {
-            if let Some(flag) = st.queued.get_mut(host) {
-                *flag = true;
-            }
-            st.ready.push_back(host);
-            drop(st);
-            self.cv.notify_one();
-        }
-    }
-
-    /// Publishes a completion and pokes the reactor's wake socket.
-    fn push_done(&self, event: JobDone) {
+    /// A pool thread's hand-off: publish the completion, then poke the
+    /// reactor unless a poke is already in flight.
+    pub(crate) fn ring(&self, done: JobDone) {
         self.done
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
-            .push_back(event);
-        if !self.wake_armed.swap(true, Ordering::AcqRel) {
-            let mut tx = self.wake_tx.lock().unwrap_or_else(PoisonError::into_inner);
-            let _ = tx.write_all(&[1u8]);
+            .push_back(done);
+        if !self.armed.swap(true, Ordering::AcqRel) {
+            (self.poke)();
         }
     }
 
-    fn pop_done(&self) -> Option<JobDone> {
+    /// The reactor's answer to a poke: `drain` every poke that arrived,
+    /// then re-enable pokes. The reactor pops only after this.
+    pub(crate) fn answer(&self, drain: impl FnOnce()) {
+        drain();
+        self.armed.store(false, Ordering::Release);
+    }
+
+    pub(crate) fn pop(&self) -> Option<JobDone> {
         self.done
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .pop_front()
-    }
-
-    /// Re-enables wake bytes after the reactor drained the wake socket.
-    fn disarm_wake(&self) {
-        self.wake_armed.store(false, Ordering::Release);
-    }
-
-    fn shutdown(&self) {
-        self.state
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .shutdown = true;
-        self.cv.notify_all();
-    }
-}
-
-/// One pool thread: pull a job, run the guarded callback, publish the
-/// completion, release the host's serialization slot.
-fn worker_thread<P, F, A>(pool: &WorkerPool<P>, threads: usize, visit: &F, absorb: &A)
-where
-    P: WirePayload,
-    F: Fn(HostId, u32, &[usize], Visit<'_, P>),
-    A: Fn(HostId, usize),
-{
-    while let Some((host, job)) = pool.next_job() {
-        pool.push_done(run_job(HostId(host), job, threads, visit, absorb));
-        pool.finished(host);
     }
 }
 
@@ -1019,6 +928,89 @@ where
 // Ring assembly and the event loop
 // ---------------------------------------------------------------------------
 
+/// The readiness loop, until the run is done: the coordinator's
+/// synchronous backlog and the pool's completions first, then due
+/// embargoes and timers, and only then one poll wait.
+fn event_loop<P, F, A, K>(
+    co: &mut Coordinator<'_, P, Sockets<'_, P, F, A>>,
+    doorbell: &Doorbell<K>,
+    mut wake_rx: &TcpStream,
+) where
+    P: WirePayload,
+    F: Fn(HostId, u32, &[usize], Visit<'_, P>),
+    A: Fn(HostId, usize),
+    K: Fn(),
+{
+    let mut ready: Vec<(usize, bool, bool)> = Vec::new();
+    let mut wake_buf = [0u8; 64];
+    // Reads every wake byte the pool's pokes left.
+    let mut drain_wake = || {
+        while matches!(wake_rx.read(&mut wake_buf), Ok(1..)) {}
+    };
+    while !co.done() {
+        // Synchronous backlog first: follow-ups (freed send credits), then
+        // pool completions, then due embargoes and timers — only then does
+        // the loop pay for a kernel wait.
+        let backlog = co.pending.now.pop_front().or_else(|| {
+            let done = doorbell.pop()?;
+            co.medium.pooled_done(&done);
+            Some(Event::Job(done))
+        });
+        if let Some(event) = backlog {
+            co.handle(event);
+            continue;
+        }
+        let now = co.medium.now();
+        if let Some((_, t)) = co.medium.embargoes.pop_due(now) {
+            co.medium.flush_conn(t, &mut co.pending);
+            continue;
+        }
+        let Some(mut timeout) = co.fire_or_wait(now) else {
+            continue;
+        };
+        if let Some(release) = co.medium.embargoes.peek_time() {
+            timeout = timeout.min(release.saturating_duration_since(now).into());
+        }
+        match co.medium.poller.wait(timeout, &mut ready) {
+            Wait::Ready => {
+                for &(token, readable, writable) in ready.iter() {
+                    if co.done() {
+                        break;
+                    }
+                    if token == WAKE_TOKEN {
+                        doorbell.answer(&mut drain_wake);
+                        continue;
+                    }
+                    if writable {
+                        co.medium.flush_conn(token, &mut co.pending);
+                    }
+                    if readable {
+                        drain_read(co, token);
+                    }
+                }
+            }
+            Wait::Sweep => {
+                doorbell.answer(&mut drain_wake);
+                for t in 0..co.medium.conns.len() {
+                    if co.done() {
+                        break;
+                    }
+                    let wants = co
+                        .medium
+                        .conns
+                        .get(t)
+                        .is_some_and(|c| c.want_out && c.write_open && !c.outq.is_empty());
+                    if wants {
+                        co.medium.flush_conn(t, &mut co.pending);
+                    }
+                    drain_read(co, t);
+                }
+            }
+            Wait::Idle => {}
+        }
+    }
+}
+
 /// The single-threaded readiness-loop socket engine.
 #[derive(Debug, Clone, Copy)]
 pub struct ReactorEngine;
@@ -1103,117 +1095,47 @@ impl WallClockEngine for ReactorEngine {
             }
         }
 
-        let workers = WorkerPool::<P>::new(n, wake_tx);
-        let pool_threads = n
-            .min(
-                thread::available_parallelism()
-                    .map(std::num::NonZero::get)
-                    .unwrap_or(2),
-            )
-            .max(1);
-
-        thread::scope(|s| {
-            for _ in 0..pool_threads {
-                let pool = &workers;
-                s.spawn(move || worker_thread(pool, config.join_threads, visit, absorb));
-            }
-
-            let mut poller = Poller::new();
-            poller.update(&wake_rx, WAKE_TOKEN, true, false);
-            let mut sockets = Sockets {
-                conns,
-                lanes,
-                poller,
-                embargoes: EventQueue::new(),
-                clock: WallClock::start(),
-                pool,
-                workers: &workers,
-                threads: config.join_threads,
-                visit,
-                absorb,
-                in_pool: vec![0; n],
-                last_visit: vec![None; n],
-            };
-            for t in 0..sockets.conns.len() {
-                sockets.sync_interest(t);
-            }
-            let mut co = Coordinator::new(config, plan, rescale, workload, trace, sockets);
-
-            let mut ready: Vec<(usize, bool, bool)> = Vec::new();
-            let mut wake_buf = [0u8; 64];
-            let mut wake_rx = wake_rx;
-            while !co.done() {
-                // Synchronous backlog first: follow-ups (freed send
-                // credits), then pool completions, then due embargoes and
-                // timers — only then does the loop pay for a kernel wait.
-                let backlog = co.pending.now.pop_front().or_else(|| {
-                    let done = workers.pop_done()?;
-                    co.medium.pooled_done(&done);
-                    Some(Event::Job(done))
-                });
-                if let Some(event) = backlog {
-                    co.handle(event);
-                    continue;
-                }
-                let now = co.medium.now();
-                if let Some((_, t)) = co.medium.embargoes.pop_due(now) {
-                    co.medium.flush_conn(t, &mut co.pending);
-                    continue;
-                }
-                let Some(mut timeout) = co.fire_or_wait(now) else {
-                    continue;
+        let doorbell = Doorbell::new(move || {
+            let _ = (&wake_tx).write_all(&[1u8]);
+        });
+        WorkerPool::run(
+            n,
+            config.join_threads,
+            visit,
+            absorb,
+            |done| doorbell.ring(done),
+            |workers| {
+                let mut poller = Poller::new();
+                poller.update(&wake_rx, WAKE_TOKEN, true, false);
+                let mut sockets = Sockets {
+                    conns,
+                    lanes,
+                    poller,
+                    embargoes: EventQueue::new(),
+                    clock: WallClock::start(),
+                    pool,
+                    workers,
+                    threads: config.join_threads,
+                    visit,
+                    absorb,
+                    in_pool: vec![0; n],
+                    last_visit: vec![None; n],
                 };
-                if let Some(release) = co.medium.embargoes.peek_time() {
-                    timeout = timeout.min(release.saturating_duration_since(now).into());
+                for t in 0..sockets.conns.len() {
+                    sockets.sync_interest(t);
                 }
-                match co.medium.poller.wait(timeout, &mut ready) {
-                    Wait::Ready => {
-                        for &(token, readable, writable) in ready.iter() {
-                            if co.done() {
-                                break;
-                            }
-                            if token == WAKE_TOKEN {
-                                while matches!(wake_rx.read(&mut wake_buf), Ok(1..)) {}
-                                workers.disarm_wake();
-                                continue;
-                            }
-                            if writable {
-                                co.medium.flush_conn(token, &mut co.pending);
-                            }
-                            if readable {
-                                drain_read(&mut co, token);
-                            }
-                        }
-                    }
-                    Wait::Sweep => {
-                        while matches!(wake_rx.read(&mut wake_buf), Ok(1..)) {}
-                        workers.disarm_wake();
-                        for t in 0..co.medium.conns.len() {
-                            if co.done() {
-                                break;
-                            }
-                            let wants =
-                                co.medium.conns.get(t).is_some_and(|c| {
-                                    c.want_out && c.write_open && !c.outq.is_empty()
-                                });
-                            if wants {
-                                co.medium.flush_conn(t, &mut co.pending);
-                            }
-                            drain_read(&mut co, t);
-                        }
-                    }
-                    Wait::Idle => {}
-                }
-            }
+                let mut co = Coordinator::new(config, plan, rescale, workload, trace, sockets);
 
-            workers.shutdown();
-            // Severing every socket lets any straggling peer bytes die on
-            // the closed connections; the conns drop with the coordinator.
-            for conn in &co.medium.conns {
-                let _ = conn.stream.shutdown(Shutdown::Both);
-            }
-            co.finish()
-        })
+                event_loop(&mut co, &doorbell, &wake_rx);
+
+                // Severing every socket lets any straggling peer bytes die on
+                // the closed connections; the conns drop with the coordinator.
+                for conn in &co.medium.conns {
+                    let _ = conn.stream.shutdown(Shutdown::Both);
+                }
+                co.finish()
+            },
+        )
     }
 }
 
@@ -1623,5 +1545,84 @@ mod tests {
     #[test]
     fn multiplexed_queries_survive_reactor_faults() {
         engine_suite::multiplexed_queries_survive_faults::<ReactorEngine>();
+    }
+}
+
+/// The reactor's completion hand-off under the model checker, with the
+/// wake socket stood in for by a counter of unread pokes.
+#[cfg(all(test, loom))]
+mod loom_tests {
+    use super::*;
+    use crate::sync::Condvar;
+
+    /// The wake socket as the model sees it: pokes not yet read.
+    #[derive(Default)]
+    struct WakeSocket {
+        unread: Mutex<usize>,
+        readable: Condvar,
+    }
+
+    impl WakeSocket {
+        fn poke(&self) {
+            *self.unread.lock().unwrap() += 1;
+            self.readable.notify_one();
+        }
+
+        /// The reactor's poll wait: blocks until a poke is readable.
+        fn wait_readable(&self) {
+            let mut unread = self.unread.lock().unwrap();
+            while *unread == 0 {
+                unread = self.readable.wait(unread).unwrap();
+            }
+        }
+
+        fn drain(&self) {
+            *self.unread.lock().unwrap() = 0;
+        }
+    }
+
+    fn absorbed(host: usize) -> JobDone {
+        let what = Done::Absorb {
+            from: HostId(0),
+            roles: 1,
+            planned: false,
+        };
+        JobDone::new(HostId(host), SimDuration::ZERO, SimDuration::ZERO, what)
+    }
+
+    /// Two pool threads [`Doorbell::ring`] while the reactor pops,
+    /// answers and waits as its loop does: pop until the queue is empty,
+    /// wait for a poke, [`Doorbell::answer`] it, pop again. In every
+    /// schedule the reactor pops both completions; a stranded one leaves
+    /// it waiting on a socket nobody will poke, which the model reports
+    /// as a deadlock.
+    #[test]
+    fn a_completion_pushed_while_the_reactor_drains_is_never_stranded() {
+        loom::model(|| {
+            let socket = WakeSocket::default();
+            let doorbell = Doorbell::new(|| socket.poke());
+            crate::sync::thread::scope(|s| {
+                let pool: Vec<_> = (0..2)
+                    .map(|h| {
+                        let doorbell = &doorbell;
+                        s.spawn(move || doorbell.ring(absorbed(h)))
+                    })
+                    .collect();
+                let mut popped = 0;
+                loop {
+                    while doorbell.pop().is_some() {
+                        popped += 1;
+                    }
+                    if popped == 2 {
+                        break;
+                    }
+                    socket.wait_readable();
+                    doorbell.answer(|| socket.drain());
+                }
+                for thread in pool {
+                    thread.join().unwrap();
+                }
+            });
+        });
     }
 }

@@ -619,8 +619,8 @@ impl<P: PayloadBytes, A: RingApp<P>> Medium<P> for SimWire<'_, A> {
         }
     }
 
-    fn finished(&self) -> bool {
-        self.app.finished()
+    fn finished(&self, now: SimTime) -> bool {
+        self.app.finished(now)
     }
 
     /// A crashed host's wires stay as they are: what it committed still
@@ -884,7 +884,7 @@ mod tests {
             SimDuration::from_micros(50)
         }
 
-        fn finished(&self) -> bool {
+        fn finished(&self, _now: simnet::time::SimTime) -> bool {
             self.processed >= self.target
         }
     }

@@ -14,9 +14,12 @@
 //!   syscall). A fragment prepared in its wire form is sent from the
 //!   bytes it was written in; any other payload is encoded only at its
 //!   origin, on the coordinator thread, on its first attempt (see
-//!   [`crate::frame`]). Per-host join workers complete the cast; the
-//!   coordinator runs on the calling thread, fires its own timers there,
-//!   and is the only place protocol state mutates.
+//!   [`crate::frame`]). The join pool every wall-clock engine shares
+//!   (`min(hosts, cores)` threads, one job of a host at a time) runs the
+//!   joins and takeovers, its completions joining the reader and writer
+//!   events on the one event channel; the coordinator runs on the calling
+//!   thread, fires its own timers there, and is the only place protocol
+//!   state mutates.
 //! * **Backpressure** — the protocol's credit accounting gates every
 //!   send; the wire-free credit (`Event::SendDone`) is reported only
 //!   after the write returned, so a full kernel socket buffer holds the
@@ -63,7 +66,7 @@ use crate::frame::{
 use crate::inflight::{map_payloads, Batches, InFlight, Visit};
 use crate::metrics::RingMetrics;
 use crate::protocol::teardown;
-use crate::wall_clock::{worker_loop, WallClock, WallClockDriver, WallClockEngine};
+use crate::wall_clock::{WallClock, WallClockDriver, WallClockEngine, WorkerPool};
 
 pub use crate::frame::{encode_envelope_into, write_frames_vectored};
 
@@ -202,12 +205,12 @@ fn writer_loop<P>(stream: TcpStream, jobs: Receiver<WriteJob<P>>, events: Sender
 }
 
 // ---------------------------------------------------------------------------
-// The medium: writer queues and worker queues
+// The medium: writer queues and the join pool
 // ---------------------------------------------------------------------------
 
-struct Wire<P> {
+struct Wire<'a, P> {
     writers: WriterGrid<P>,
-    jobs: Vec<Sender<Job<P>>>,
+    workers: &'a WorkerPool<P>,
     /// Payload buffers, shared with the reader threads' decoders.
     pool: Arc<FrameBufPool>,
     /// The original (uncloned) streams, kept to sever everything at
@@ -216,7 +219,7 @@ struct Wire<P> {
     clock: WallClock,
 }
 
-impl<P> Wire<P> {
+impl<P> Wire<'_, P> {
     fn enqueue(&self, from: HostId, to: HostId, job: WriteJob<P>) -> Result<(), RingError> {
         let lane = self.writers.get(from.0).and_then(|row| row.get(to.0));
         match lane.and_then(Option::as_ref) {
@@ -226,7 +229,7 @@ impl<P> Wire<P> {
     }
 }
 
-impl<P: WirePayload> Medium<P> for Wire<P> {
+impl<P: WirePayload> Medium<P> for Wire<'_, P> {
     fn now(&self) -> SimTime {
         self.clock.now()
     }
@@ -281,10 +284,8 @@ impl<P: WirePayload> Medium<P> for Wire<P> {
         job: Job<P>,
         _next: &mut Pending<P>,
     ) -> Result<(), RingError> {
-        match self.jobs.get(host.0) {
-            Some(tx) if tx.send(job).is_ok() => Ok(()),
-            _ => Err(RingError::Teardown(teardown::RING_CLOSED)),
-        }
+        self.workers.submit(host.0, job);
+        Ok(())
     }
 
     /// A write-side FIN on each of the host's connections, queued behind
@@ -402,40 +403,35 @@ impl WallClockEngine for BlockingEngine {
                     *slot = Some(wtx);
                 }
             }
-            let mut jobs = Vec::with_capacity(n);
-            for h in 0..n {
-                let (jtx, jrx) = channel::<Job<P>>();
-                let tx = events_tx.clone();
-                s.spawn(move || {
-                    worker_loop(
-                        HostId(h),
-                        jrx.iter(),
-                        config.join_threads,
-                        |event| tx.send(event).is_ok(),
-                        visit,
-                        absorb,
-                    );
-                });
-                jobs.push(jtx);
-            }
+            WorkerPool::run(
+                n,
+                config.join_threads,
+                visit,
+                absorb,
+                |job| {
+                    let _ = events_tx.send(Event::Job(job));
+                },
+                |workers| {
+                    let wire = Wire {
+                        writers,
+                        workers,
+                        pool: Arc::clone(&pool),
+                        severs: mesh.endpoints,
+                        clock: WallClock::start(),
+                    };
+                    let mut co = Coordinator::new(config, plan, rescale, workload, trace, wire);
+                    co.run(|wait| recv_from(&events_rx, wait));
 
-            let wire = Wire {
-                writers,
-                jobs,
-                pool: Arc::clone(&pool),
-                severs: mesh.endpoints,
-                clock: WallClock::start(),
-            };
-            let mut co = Coordinator::new(config, plan, rescale, workload, trace, wire);
-            co.run(|wait| recv_from(&events_rx, wait));
-
-            // Teardown: severing every socket unblocks the readers;
-            // consuming the coordinator drops the medium, disconnecting
-            // the writer and worker channels and draining those threads.
-            for stream in co.medium.severs.iter().flatten().flatten() {
-                let _ = stream.shutdown(Shutdown::Both);
-            }
-            co.finish()
+                    // Teardown: severing every socket unblocks the
+                    // readers; consuming the coordinator drops the medium,
+                    // disconnecting the writer channels and draining those
+                    // threads.
+                    for stream in co.medium.severs.iter().flatten().flatten() {
+                        let _ = stream.shutdown(Shutdown::Both);
+                    }
+                    co.finish()
+                },
+            )
         })
     }
 }

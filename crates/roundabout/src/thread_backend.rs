@@ -9,15 +9,18 @@
 //! [`RingDriver`] is the generic wall-clock driver
 //! ([`WallClockDriver`]) over the [`ChannelEngine`], and every run it makes
 //! — quiet or faulted, rescaled or multiplexed, and the one-host ring of
-//! every engine — is the shared [`Coordinator`] over `ChannelWire`, an
+//! every engine — is the shared `Coordinator` over `ChannelWire`, an
 //! instant in-process wire that carries the shared in-flight payload (a
 //! reference count per hop, per attempt and per visit; no copy, no codec).
 //! The sans-IO [`crate::protocol`] core owns every credit, sequence
 //! number, acknowledgement, retransmission and membership decision exactly
 //! as it does on the socket drivers; the fault plan's dice may drop,
-//! corrupt or delay each hop transfer; per-host workers run the joins and
-//! the role takeovers, and the coordinator's timer queue realizes
-//! backoffs, delay spikes and the plans' schedules on the calling thread.
+//! corrupt or delay each hop transfer; the join pool every wall-clock
+//! engine shares runs the joins and the role takeovers, and hands each
+//! completion back through one queue the coordinator waits on (nothing
+//! else on this engine arrives from another thread); and the coordinator's
+//! timer queue realizes backoffs, delay spikes and the plans' schedules on
+//! the calling thread.
 //! Host crashes and pauses are *not* supported
 //! here (a channel has nothing to sever and no salvage path); plans
 //! scheduling them are rejected.
@@ -25,9 +28,9 @@
 //! This is the path the loom model suite explores exhaustively
 //! (`tests/loom_ring.rs`).
 //!
-//! A worker's job dying mid-run — a panicking join callback, or a transfer
-//! that exhausts its retransmission budget — does **not** cascade panics
-//! across the thread scope: the worker reports it, the coordinator tears
+//! A job dying mid-run — a panicking join callback, or a transfer that
+//! exhausts its retransmission budget — does **not** cascade panics
+//! across the thread scope: the pool reports it, the coordinator tears
 //! the run down, and the run reports the *first* failure as a typed
 //! [`RingError::Teardown`] rather than the loudest.
 //!
@@ -36,26 +39,27 @@
 //! events and the unified counter registry, on the same wall-clock epoch
 //! the metrics use, so span totals reconcile with [`RingMetrics`] exactly.
 
-use std::time::Duration;
+use std::collections::VecDeque;
+use std::sync::PoisonError;
+use std::time::{Duration, Instant};
 
-use crate::sync::mpmc::{unbounded, Receiver, RecvTimeoutError, Sender};
 use simnet::fault::{FaultPlan, RescalePlan};
 use simnet::span::SpanTracer;
 use simnet::time::{SimDuration, SimTime};
 use simnet::topology::HostId;
 
 use crate::config::RingConfig;
-use crate::coordinator::{Coordinator, Event, Job, Medium, Pending, Recv, Sent, Workload};
+use crate::coordinator::{Coordinator, Event, Job, JobDone, Medium, Pending, Recv, Sent, Workload};
 use crate::envelope::Envelope;
 use crate::error::RingError;
 use crate::frame::{Frame, WirePayload};
 use crate::inflight::{InFlight, Visit};
 use crate::metrics::RingMetrics;
-use crate::protocol::teardown;
-use crate::wall_clock::{worker_loop, WallClock, WallClockDriver, WallClockEngine};
+use crate::sync::{Condvar, Mutex};
+use crate::wall_clock::{WallClock, WallClockDriver, WallClockEngine, WorkerPool};
 
-/// The in-process engine: threads and `sync::mpmc` channels, no sockets
-/// and no codec.
+/// The in-process engine: the join pool and a completion queue, no
+/// sockets and no codec.
 #[derive(Debug, Clone, Copy)]
 pub struct ChannelEngine;
 
@@ -118,18 +122,18 @@ impl WallClockEngine for ChannelEngine {
     }
 }
 
-/// The channel engine's medium: per-host job queues and nothing in
-/// between — the channel "wire" has no latency in either direction, so
-/// deliveries and acks reach their host in the same coordinator round as
-/// follow-up events, and a fault-plan delay spike is modeled by arming
-/// the arrival on the coordinator's timer queue. Nothing can be severed
-/// (host crashes are rejected up front).
-struct ChannelWire<P> {
-    jobs: Vec<Sender<Job<P>>>,
+/// The channel engine's medium: the join pool and nothing in between —
+/// the channel "wire" has no latency in either direction, so deliveries
+/// and acks reach their host in the same coordinator round as follow-up
+/// events, and a fault-plan delay spike is modeled by arming the arrival
+/// on the coordinator's timer queue. Nothing can be severed (host crashes
+/// are rejected up front).
+struct ChannelWire<'a, P> {
+    workers: &'a WorkerPool<P>,
     clock: WallClock,
 }
 
-impl<P> Medium<P> for ChannelWire<P> {
+impl<P> Medium<P> for ChannelWire<'_, P> {
     fn now(&self) -> SimTime {
         self.clock.now()
     }
@@ -184,33 +188,61 @@ impl<P> Medium<P> for ChannelWire<P> {
         job: Job<P>,
         _next: &mut Pending<P>,
     ) -> Result<(), RingError> {
-        match self.jobs.get(host.0) {
-            Some(tx) if tx.send(job).is_ok() => Ok(()),
-            _ => Err(RingError::Teardown(teardown::RING_CLOSED)),
-        }
+        self.workers.submit(host.0, job);
+        Ok(())
     }
 
     fn sever(&mut self, _host: HostId, _next: &mut Pending<P>) {}
 }
 
-/// One timed receive on a `sync::mpmc` channel, in the coordinator's
-/// channel-agnostic shape.
-fn recv_from<T>(rx: &Receiver<T>, wait: Duration) -> Recv<T> {
-    match rx.recv_timeout(wait) {
-        Ok(item) => Recv::Item(item),
-        Err(RecvTimeoutError::Timeout) => Recv::Timeout,
-        Err(RecvTimeoutError::Disconnected) => Recv::Closed,
+/// The pool's completions on their way to the coordinator, which blocks
+/// for them: on this engine every other event is a follow-up or a timer.
+#[derive(Default)]
+struct Completions {
+    done: Mutex<VecDeque<JobDone>>,
+    ready: Condvar,
+}
+
+impl Completions {
+    /// A pool thread's hand-off.
+    fn push(&self, done: JobDone) {
+        self.done
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .push_back(done);
+        self.ready.notify_one();
+    }
+
+    /// The next completion, waiting up to `wait` for one. Under the
+    /// model checker the wait is untimed: model time has no clock, and
+    /// liveness is the deadlock detector's job, so a model run must never
+    /// rely on a timeout for progress.
+    fn recv<P>(&self, wait: Duration) -> Recv<Event<P>> {
+        let deadline = Instant::now().checked_add(wait);
+        let mut done = self.done.lock().unwrap_or_else(PoisonError::into_inner);
+        loop {
+            if let Some(job) = done.pop_front() {
+                return Recv::Item(Event::Job(job));
+            }
+            let left = match deadline {
+                Some(deadline) if !cfg!(loom) => deadline.saturating_duration_since(Instant::now()),
+                _ => Duration::MAX,
+            };
+            if left.is_zero() {
+                return Recv::Timeout;
+            }
+            done = self
+                .ready
+                .wait_timeout(done, left)
+                .unwrap_or_else(PoisonError::into_inner)
+                .0;
+        }
     }
 }
 
-/// Spawns the per-host workers (joins and role takeovers run there, as on
-/// the socket media), then lets the shared [`Coordinator`] feed the
-/// protocol until every fragment retired.
-///
-/// Every handle is joined before the scope closes: consuming the
-/// coordinator drops its job senders, which ends the worker loops, and an
-/// explicit join is a scheduling point the loom model sees (see
-/// [`crate::sync::thread`]).
+/// Lets the shared [`Coordinator`] feed the protocol until every fragment
+/// retired, with the joins and role takeovers on the join pool (as on the
+/// socket media).
 fn drive_coordinated<P, F, A>(
     config: &RingConfig,
     plan: Option<&FaultPlan>,
@@ -225,47 +257,30 @@ where
     F: Fn(HostId, u32, &[usize], Visit<'_, P>) + Sync,
     A: Fn(HostId, usize) + Sync,
 {
-    let (events_tx, events_rx) = unbounded::<Event<P>>();
-    crate::sync::thread::scope(|scope| {
-        let mut jobs = Vec::with_capacity(config.hosts);
-        let mut threads = Vec::with_capacity(config.hosts);
-        for h in 0..config.hosts {
-            let (jtx, jrx) = unbounded::<Job<P>>();
-            let tx = events_tx.clone();
-            threads.push(scope.spawn(move || {
-                worker_loop(
-                    HostId(h),
-                    jrx.iter(),
-                    config.join_threads,
-                    |event| tx.send(event).is_ok(),
-                    visit,
-                    absorb,
-                );
-            }));
-            jobs.push(jtx);
-        }
-        let wire = ChannelWire {
-            jobs,
-            clock: WallClock::start(),
-        };
-        let mut co = Coordinator::new(config, plan, rescale, workload, trace, wire);
-        co.run(|wait| recv_from(&events_rx, wait));
-        let outcome = co.finish();
-        let mut panicked = false;
-        for thread in threads {
-            panicked |= thread.join().is_err();
-        }
-        if panicked {
-            return Err(RingError::Teardown(teardown::WORKER_PANICKED));
-        }
-        outcome
-    })
+    let completions = Completions::default();
+    WorkerPool::run(
+        config.hosts,
+        config.join_threads,
+        visit,
+        absorb,
+        |done| completions.push(done),
+        |workers| {
+            let wire = ChannelWire {
+                workers,
+                clock: WallClock::start(),
+            };
+            let mut co = Coordinator::new(config, plan, rescale, workload, trace, wire);
+            co.run(|wait| completions.recv(wait));
+            co.finish()
+        },
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::alloc_count::counted;
+    use crate::protocol::teardown;
     use crate::wall_clock::engine_suite::{self, payloads};
     use simnet::span::{counter, SpanKind};
     use simnet::time::{SimDuration, SimTime};

@@ -6,14 +6,24 @@
 //! epoch, read through `Medium::now`. A wall-clock medium answers from a
 //! [`WallClock`]: the machine's clock since the epoch it took. The other
 //! machine-clock reads of a wall-clock run live here too — the guarded
-//! job runner that times each visit (`run_job` / `worker_loop`) — with
-//! the generic driver ([`WallClockDriver`]) that `RingDriver`,
-//! `TcpRingDriver` and `ReactorRingDriver` are names for. So
-//! `coordinator.rs`, which the simulator runs, reads no `Instant` (xtask
-//! L2).
+//! job runner that times each visit (`run_job`) — with the join pool
+//! every wall-clock engine runs its joins and takeovers on
+//! ([`WorkerPool`]) and the generic driver ([`WallClockDriver`]) that
+//! `RingDriver`, `TcpRingDriver` and `ReactorRingDriver` are names for.
+//! So `coordinator.rs`, which the simulator runs, reads no `Instant`
+//! (xtask L2).
+//!
+//! The pool is the paper's join entity per host, on the machine: the
+//! engines differ only in how a completion reaches their coordinator — a
+//! queue it waits on (channel engine), its event channel (blocking
+//! engine), or a queue and a wake socket (reactor). It is built on
+//! [`crate::sync`], so the loom model of the channel engine checks the
+//! pool the reactor runs.
 
+use std::collections::VecDeque;
 use std::marker::PhantomData;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::PoisonError;
 use std::time::Instant;
 
 use simnet::fault::{FaultPlan, RescalePlan};
@@ -22,13 +32,14 @@ use simnet::time::{SimDuration, SimTime};
 use simnet::topology::HostId;
 
 use crate::config::RingConfig;
-use crate::coordinator::{dice, validate, Done, Event, Job, JobDone, Workload};
+use crate::coordinator::{dice, validate, Done, Job, JobDone, Workload};
 use crate::error::RingError;
 use crate::frame::WirePayload;
 use crate::inflight::Visit;
 use crate::metrics::RingMetrics;
-use crate::protocol::{envelope_batches, query_batches};
+use crate::protocol::{envelope_batches, query_batches, teardown};
 use crate::reactor_backend::ReactorEngine;
+use crate::sync::{Condvar, Mutex, MutexGuard};
 use crate::tcp_backend::BlockingEngine;
 use crate::thread_backend::ChannelEngine;
 
@@ -110,24 +121,189 @@ where
     }
 }
 
-/// One host's join worker: runs jobs off its queue until the queue closes
-/// or `report` says the coordinator is gone.
-pub(crate) fn worker_loop<P, F, A>(
-    host: HostId,
-    jobs: impl Iterator<Item = Job<P>>,
-    threads: usize,
-    mut report: impl FnMut(Event<P>) -> bool,
-    visit: &F,
-    absorb: &A,
-) where
-    P: WirePayload,
-    F: Fn(HostId, u32, &[usize], Visit<'_, P>),
-    A: Fn(HostId, usize),
-{
-    for job in jobs {
-        if !report(Event::Job(run_job(host, job, threads, visit, absorb))) {
+// ---------------------------------------------------------------------------
+// The join pool
+// ---------------------------------------------------------------------------
+
+/// The pool's books, under its one mutex.
+struct PoolState<P> {
+    /// FIFO job queue per host. Jobs of one host never run concurrently,
+    /// so the visit callback sees the same serialization on every engine.
+    queues: Vec<VecDeque<Job<P>>>,
+    running: Vec<bool>,
+    /// Host is already enqueued on `ready` (dedup flag).
+    queued: Vec<bool>,
+    ready: VecDeque<usize>,
+    shutdown: bool,
+}
+
+/// The join entities of a wall-clock run: `min(hosts, cores)` threads
+/// run every host's joins and takeovers, one job of a host at a time and
+/// in the order they were submitted. The pool never touches protocol
+/// state; how a completion reaches the coordinator is the engine's
+/// business (the `done` of [`WorkerPool::run`]).
+///
+/// It cannot deadlock: no job waits on another host's job, and a visit
+/// that fans out across join threads spawns its own.
+pub(crate) struct WorkerPool<P> {
+    state: Mutex<PoolState<P>>,
+    cv: Condvar,
+}
+
+impl<P> WorkerPool<P> {
+    /// An empty pool for a ring of `hosts`.
+    fn new(hosts: usize) -> WorkerPool<P> {
+        WorkerPool {
+            state: Mutex::new(PoolState {
+                queues: (0..hosts).map(|_| VecDeque::new()).collect(),
+                running: vec![false; hosts],
+                queued: vec![false; hosts],
+                ready: VecDeque::new(),
+                shutdown: false,
+            }),
+            cv: Condvar::new(),
+        }
+    }
+
+    /// The books. Jobs run outside the lock and every update under it
+    /// leaves them consistent, so a poisoned lock is recovered.
+    fn lock(&self) -> MutexGuard<'_, PoolState<P>> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Queues `job` behind `host`'s earlier ones; dropped once the pool
+    /// shut down.
+    pub(crate) fn submit(&self, host: usize, job: Job<P>) {
+        let mut st = self.lock();
+        if st.shutdown {
             return;
         }
+        if let Some(q) = st.queues.get_mut(host) {
+            q.push_back(job);
+        }
+        let idle = !st.running.get(host).copied().unwrap_or(false);
+        let enqueued = st.queued.get(host).copied().unwrap_or(true);
+        if idle && !enqueued {
+            if let Some(flag) = st.queued.get_mut(host) {
+                *flag = true;
+            }
+            st.ready.push_back(host);
+        }
+        drop(st);
+        self.cv.notify_one();
+    }
+
+    /// Blocks for the next runnable job; `None` means shutdown.
+    fn next_job(&self) -> Option<(usize, Job<P>)> {
+        let mut st = self.lock();
+        loop {
+            if st.shutdown {
+                return None;
+            }
+            if let Some(host) = st.ready.pop_front() {
+                if let Some(flag) = st.queued.get_mut(host) {
+                    *flag = false;
+                }
+                let job = st.queues.get_mut(host).and_then(VecDeque::pop_front);
+                if let Some(job) = job {
+                    if let Some(flag) = st.running.get_mut(host) {
+                        *flag = true;
+                    }
+                    return Some((host, job));
+                }
+                continue;
+            }
+            st = self.cv.wait(st).unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+
+    /// Marks `host`'s job finished and re-queues it if more work waits.
+    fn finished(&self, host: usize) {
+        let mut st = self.lock();
+        if let Some(flag) = st.running.get_mut(host) {
+            *flag = false;
+        }
+        let more = st.queues.get(host).is_some_and(|q| !q.is_empty());
+        let enqueued = st.queued.get(host).copied().unwrap_or(true);
+        if more && !enqueued && !st.shutdown {
+            if let Some(flag) = st.queued.get_mut(host) {
+                *flag = true;
+            }
+            st.ready.push_back(host);
+            drop(st);
+            self.cv.notify_one();
+        }
+    }
+
+    /// Ends every [`WorkerPool::work`] loop once its current job is done;
+    /// jobs still queued are dropped.
+    fn shutdown(&self) {
+        self.lock().shutdown = true;
+        self.cv.notify_all();
+    }
+
+    /// One pool thread until shutdown: take a runnable job, run it through
+    /// the guarded [`run_job`], hand the completion to `done`, and only
+    /// then free the host for its next job.
+    fn work<F, A>(&self, threads: usize, visit: &F, absorb: &A, done: impl Fn(JobDone))
+    where
+        P: WirePayload,
+        F: Fn(HostId, u32, &[usize], Visit<'_, P>),
+        A: Fn(HostId, usize),
+    {
+        while let Some((host, job)) = self.next_job() {
+            done(run_job(HostId(host), job, threads, visit, absorb));
+            self.finished(host);
+        }
+    }
+
+    /// Runs `body` with `min(hosts, cores)` threads working the pool for
+    /// a ring of `hosts`, each running `threads` join threads per visit
+    /// and handing completions to `done`; then shuts the pool down and
+    /// joins every thread. Each handle is joined explicitly: that is a
+    /// scheduling point the loom model sees (see [`crate::sync::thread`]).
+    ///
+    /// # Errors
+    ///
+    /// `body`'s error, or [`RingError::Teardown`] when a pool thread
+    /// panicked outside the guarded callbacks.
+    pub(crate) fn run<F, A, R>(
+        hosts: usize,
+        threads: usize,
+        visit: &F,
+        absorb: &A,
+        done: impl Fn(JobDone) + Sync,
+        body: impl FnOnce(&WorkerPool<P>) -> Result<R, RingError>,
+    ) -> Result<R, RingError>
+    where
+        P: WirePayload + Send,
+        F: Fn(HostId, u32, &[usize], Visit<'_, P>) + Sync,
+        A: Fn(HostId, usize) + Sync,
+    {
+        let pool = WorkerPool::new(hosts);
+        let workers = hosts
+            .min(
+                std::thread::available_parallelism()
+                    .map(std::num::NonZero::get)
+                    .unwrap_or(2),
+            )
+            .max(1);
+        crate::sync::thread::scope(|scope| {
+            let (pool, done) = (&pool, &done);
+            let handles: Vec<_> = (0..workers)
+                .map(|_| scope.spawn(move || pool.work(threads, visit, absorb, done)))
+                .collect();
+            let outcome = body(pool);
+            pool.shutdown();
+            let mut panicked = false;
+            for handle in handles {
+                panicked |= handle.join().is_err();
+            }
+            if panicked {
+                return Err(RingError::Teardown(teardown::WORKER_PANICKED));
+            }
+            outcome
+        })
     }
 }
 
@@ -1162,5 +1338,73 @@ pub(crate) mod engine_suite {
             .unwrap();
         assert_eq!(metrics.fragments_completed, queries * hosts * 2);
         assert!(metrics.queries.iter().all(|m| m.completed));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+
+    /// Eight hosts on two pool threads, jobs submitted while the threads
+    /// run them: every host's jobs run one at a time and in the order
+    /// they were submitted, and every job completes once.
+    #[test]
+    fn one_host_runs_one_job_at_a_time_in_submission_order() {
+        const HOSTS: usize = 8;
+        const JOBS: usize = 300;
+        let pool = WorkerPool::<Vec<u8>>::new(HOSTS);
+        let in_job: Vec<AtomicBool> = (0..HOSTS).map(|_| AtomicBool::new(false)).collect();
+        let overlaps = AtomicUsize::new(0);
+        let seen: Vec<std::sync::Mutex<Vec<usize>>> =
+            (0..HOSTS).map(|_| std::sync::Mutex::default()).collect();
+        let completed = AtomicUsize::new(0);
+        // Each job is a takeover whose one role is its sequence number.
+        let absorb = |host: HostId, seq: usize| {
+            if in_job[host.0].swap(true, Ordering::SeqCst) {
+                overlaps.fetch_add(1, Ordering::SeqCst);
+            }
+            seen[host.0].lock().unwrap().push(seq);
+            std::thread::yield_now();
+            in_job[host.0].store(false, Ordering::SeqCst);
+        };
+        let visit = |_: HostId, _: u32, _: &[usize], _: Visit<'_, Vec<u8>>| {};
+        std::thread::scope(|s| {
+            let threads: Vec<_> = (0..2)
+                .map(|_| {
+                    s.spawn(|| {
+                        pool.work(1, &visit, &absorb, |_| {
+                            completed.fetch_add(1, Ordering::SeqCst);
+                        })
+                    })
+                })
+                .collect();
+            for seq in 0..JOBS {
+                for h in 0..HOSTS {
+                    let job = Job::Absorb {
+                        from: HostId(0),
+                        roles: vec![seq],
+                        planned: false,
+                    };
+                    pool.submit((h + seq) % HOSTS, job);
+                }
+            }
+            while completed.load(Ordering::SeqCst) < HOSTS * JOBS {
+                std::thread::yield_now();
+            }
+            pool.shutdown();
+            for thread in threads {
+                thread.join().unwrap();
+            }
+        });
+        assert_eq!(
+            overlaps.load(Ordering::SeqCst),
+            0,
+            "jobs of one host overlapped"
+        );
+        for (h, seen) in seen.into_iter().enumerate() {
+            let seen = seen.into_inner().unwrap();
+            assert_eq!(seen, (0..JOBS).collect::<Vec<_>>(), "host {h} out of order");
+        }
     }
 }

@@ -66,7 +66,7 @@ impl RingApp<Vec<u8>> for PricedApp {
         )
     }
 
-    fn finished(&self) -> bool {
+    fn finished(&self, _now: SimTime) -> bool {
         self.processed >= self.stop_after
     }
 

@@ -10,7 +10,10 @@
 #   3. loom clippy         the `--cfg loom` configuration must be as
 #                          warning-free as the default one
 #   4. loom model checking exhaustive interleaving exploration of the
-#                          ring hand-off (crates/roundabout/tests/loom_ring.rs)
+#                          ring hand-off on the join pool
+#                          (crates/roundabout/tests/loom_ring.rs) and of
+#                          the reactor's completion hand-off (the
+#                          `loom_tests` module of reactor_backend.rs)
 #   5. miri                UB check on the byte-twiddling crates
 #                          (skipped when the miri component is absent)
 #   6. ThreadSanitizer     race check on the threaded backend
@@ -38,6 +41,8 @@ RUSTFLAGS="--cfg loom" CARGO_TARGET_DIR=target/loom \
 echo "==> [4/6] loom model checking (exhaustive interleavings)"
 RUSTFLAGS="--cfg loom" CARGO_TARGET_DIR=target/loom \
     cargo test -q -p data-roundabout --test loom_ring
+RUSTFLAGS="--cfg loom" CARGO_TARGET_DIR=target/loom \
+    cargo test -q -p data-roundabout --lib loom_tests
 
 echo "==> [5/6] miri (undefined-behavior check)"
 if cargo +nightly miri --version >/dev/null 2>&1; then
